@@ -46,10 +46,10 @@ use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
 
 use crate::error::ModelError;
-use crate::exec::span_padding;
 use crate::graph::{Graph, NodeId};
-use crate::linear::{MergedLayer, ReceptiveField};
+use crate::linear::MergedLayer;
 use crate::op::LayerOp;
+use crate::span::{span_padding, SpanNode, SpanPlan};
 use crate::weights::{ModelWeights, NodeWeights};
 use crate::Result;
 
@@ -553,6 +553,7 @@ impl CompiledSegment {
             graph,
             weights,
             cache,
+            seed,
             seed_shape,
             chain,
             steps: Vec::new(),
@@ -760,6 +761,7 @@ struct Builder<'a> {
     graph: &'a Graph,
     weights: &'a ModelWeights,
     cache: &'a mut PanelCache,
+    seed: NodeId,
     seed_shape: Shape,
     chain: Vec<NodeId>,
     steps: Vec<Step>,
@@ -1191,65 +1193,20 @@ impl Builder<'_> {
         Ok(vec![out_n])
     }
 
-    /// Spatial-span compilation along `dim` (1 = rows, 2 = cols): a backward
-    /// pass derives each node's required output span via the receptive-field
-    /// arithmetic (exactly `Executor::span_of`), then the forward step list
-    /// is emitted with the resulting halo paddings.
+    /// Spatial-span compilation along `dim` (1 = rows, 2 = cols): the
+    /// [`SpanPlan`] (the geometry `Executor::run_segment_rows` evaluates; a
+    /// chain is its one-consumer case) gives the seed span and each node's
+    /// halo, and the forward step list is emitted with the resulting
+    /// paddings.
     fn build_span(&mut self, dim: usize, span: &Range<usize>) -> Result<Vec<usize>> {
-        if span.is_empty() {
-            return Err(ModelError::Unsupported("empty spatial piece".into()));
-        }
-        // Backward: required span, plus (lo, hi) halo padding per windowed op.
-        let mut cur = span.clone();
-        let mut halos: Vec<Option<(usize, usize)>> = vec![None; self.chain.len()];
-        for i in (0..self.chain.len()).rev() {
-            let id = self.chain[i];
-            let node = self.graph.node(id)?;
-            match &node.op {
-                LayerOp::Conv2d {
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                }
-                | LayerOp::DepthwiseConv2d {
-                    kernel,
-                    stride,
-                    padding,
-                }
-                | LayerOp::MaxPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                }
-                | LayerOp::AvgPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let input_id = node.inputs[0];
-                    let extent = if i == 0 {
-                        self.seed_shape.dim(dim)?
-                    } else {
-                        self.graph.node(input_id)?.output_shape.dim(dim)?
-                    };
-                    let rf = ReceptiveField {
-                        kernel: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let (in_span, lo, hi) = rf.input_rows(cur.clone(), extent);
-                    halos[i] = Some((lo, hi));
-                    cur = in_span;
-                }
-                LayerOp::BatchNorm | LayerOp::Relu => {}
-                other => {
-                    return Err(ModelError::Unsupported(format!(
-                        "spatial-range execution of {other:?} (no local spatial response)"
-                    )))
-                }
-            }
-        }
+        let plan = SpanPlan::new(
+            self.graph,
+            &self.chain,
+            self.seed,
+            &self.seed_shape,
+            dim,
+            span.clone(),
+        )?;
         // Forward: slice the seed span, then emit each op with its halo
         // padding.
         let seed_dims = self.seed_shape.dims().to_vec();
@@ -1261,19 +1218,18 @@ impl Builder<'_> {
         let outer: usize = seed_dims[..dim].iter().product();
         let inner: usize = seed_dims[dim + 1..].iter().product();
         let mut dims = seed_dims.clone();
-        dims[dim] = cur.len();
+        dims[dim] = plan.seed_span.len();
         let in_slice_len: usize = dims.iter().product();
         self.push(
             StepKind::SliceInput {
                 outer,
                 size: seed_dims[dim],
                 inner,
-                range: cur,
+                range: plan.seed_span,
             },
             in_slice_len,
         );
-        for (i, halo) in halos.iter().copied().enumerate() {
-            let id = self.chain[i];
+        for SpanNode { id, lo, hi, .. } in plan.nodes {
             let op = self.graph.node(id)?.op.clone();
             dims = match op {
                 LayerOp::Conv2d {
@@ -1282,7 +1238,6 @@ impl Builder<'_> {
                     padding,
                     ..
                 } => {
-                    let (lo, hi) = halo.expect("windowed op recorded a halo");
                     let params = Conv2dParams {
                         kernel: (kernel, kernel),
                         stride: (stride, stride),
@@ -1295,7 +1250,6 @@ impl Builder<'_> {
                     stride,
                     padding,
                 } => {
-                    let (lo, hi) = halo.expect("windowed op recorded a halo");
                     let params = Conv2dParams {
                         kernel: (kernel, kernel),
                         stride: (stride, stride),
@@ -1313,7 +1267,6 @@ impl Builder<'_> {
                     stride,
                     padding,
                 } => {
-                    let (lo, hi) = halo.expect("windowed op recorded a halo");
                     let params = Pool2dParams {
                         kernel: (kernel, kernel),
                         stride: (stride, stride),
@@ -1327,7 +1280,7 @@ impl Builder<'_> {
                     self.push(StepKind::Relu, len);
                     dims
                 }
-                _ => unreachable!("backward pass rejected unsupported spatial ops"),
+                _ => unreachable!("the span plan rejected unsupported spatial ops"),
             };
         }
         Ok(dims)

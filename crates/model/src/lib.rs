@@ -14,6 +14,9 @@
 //! - [`exec`] — a reference executor (full, row-range, and channel-range
 //!   forward passes) standing in for MXNet, used to prove that partitioned
 //!   execution is semantics-preserving.
+//! - [`span`] — the geometry of a spatial partition: which rows of every
+//!   intermediate value a row range of a group's output takes, shared by
+//!   [`exec`] and [`compiled`].
 //!
 //! # Examples
 //!
@@ -34,6 +37,7 @@ pub mod graph;
 pub mod linear;
 pub mod merge;
 pub mod op;
+pub mod span;
 pub mod weights;
 pub mod zoo;
 

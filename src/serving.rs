@@ -35,7 +35,7 @@ use gillis_core::{
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::PlatformProfile;
 use gillis_model::weights::{ModelWeights, NodeWeights};
-use gillis_model::LinearModel;
+use gillis_model::{LinearModel, ModelError};
 use gillis_perf::PerfModel;
 use gillis_perf::TransferFormat;
 use gillis_rl::{slo_aware_partition, SloAwareConfig};
@@ -597,12 +597,16 @@ impl Deployment {
                         exec: Box::new(exec),
                     };
                 }
-                Err(_) => {
+                Err(CoreError::Model(ModelError::Unsupported(_))) => {
                     // Branching or recurrent model: remember, and let every
                     // query take the uncompiled path without re-compiling.
                     *slot = WarmSlot::Unsupported;
                     return Ok(None);
                 }
+                // Anything else (say, an incomplete weight set) is this
+                // call's problem, not the model's: the uncompiled path
+                // reports it, and the next call compiles afresh.
+                Err(_) => return Ok(None),
             }
         }
         match &mut *slot {
@@ -1087,6 +1091,23 @@ mod tests {
         // Second query goes straight to the fallback without recompiling.
         let again = d.infer(&weights, &input).unwrap();
         assert_eq!(out.data()[0].to_bits(), again.data()[0].to_bits());
+    }
+
+    #[test]
+    fn incomplete_weights_do_not_pin_the_deployment_to_the_slow_path() {
+        use gillis_model::weights::init_weights;
+
+        let tiny = zoo::tiny_vgg();
+        let d = Gillis::new(tiny.clone()).deploy().unwrap();
+        let input = Tensor::from_fn(tiny.input_shape().clone(), |_| 0.25);
+        // A weight set with nothing in it fails to compile with `BadWeights`,
+        // which says nothing about the model: the query fails on the
+        // uncompiled path too, and the slot stays open.
+        assert!(d.infer(&ModelWeights::new(), &input).is_err());
+        assert!(format!("{:?}", d.warm).contains("empty"));
+        let weights = init_weights(tiny.graph(), 6).unwrap();
+        d.infer(&weights, &input).unwrap();
+        assert!(format!("{:?}", d.warm).contains("ready"));
     }
 
     #[test]

@@ -4,7 +4,11 @@
 
 use proptest::prelude::*;
 
-use gillis::core::{execute_plan_tensors, ExecutionPlan, PartitionOption, Placement, PlannedGroup};
+use gillis::core::{
+    execute_plan_tensors, execute_plan_tensors_resilient, execute_plan_tensors_with_threads,
+    ChaosConfig, ExecutionPlan, PartDim, PartitionOption, Placement, PlannedGroup,
+    ResiliencePolicy,
+};
 use gillis::model::exec::Executor;
 use gillis::model::weights::init_weights;
 use gillis::model::zoo;
@@ -134,4 +138,78 @@ proptest! {
         let diff = reference.max_abs_diff(&partitioned).unwrap();
         prop_assert!(diff < 5e-3, "diverged by {diff}");
     }
+}
+
+/// One Hx4 group over the pool and the first three residual blocks of
+/// `tiny_resnet` (an identity shortcut, then two strided projection
+/// shortcuts): the skip input of every block has two consumers, which is what
+/// the span plan evaluates once. Bit-identical to `forward` at any thread
+/// count, and through the resilient path while workers crash.
+#[test]
+fn forced_split_over_residual_blocks_is_bit_identical() {
+    let model = zoo::tiny_resnet();
+    let n = model.layers().len();
+    let split = PartitionOption::Split {
+        dim: PartDim::Height,
+        parts: 4,
+    };
+    let group = |start, end, option| PlannedGroup {
+        start,
+        end,
+        option,
+        placement: if option == PartitionOption::Single {
+            Placement::Master
+        } else {
+            Placement::Workers
+        },
+    };
+    let plan = ExecutionPlan::new(vec![
+        group(0, 1, PartitionOption::Single),
+        group(1, 5, split),
+        group(5, n, PartitionOption::Single),
+    ]);
+    plan.validate(&model, u64::MAX).unwrap();
+
+    let weights = init_weights(model.graph(), 17).unwrap();
+    let input = Tensor::from_fn(model.input_shape().clone(), |i| {
+        ((i * 37) % 19) as f32 / 9.5 - 1.0
+    });
+    let reference = Executor::new(model.graph(), &weights)
+        .forward(&model, &input)
+        .unwrap();
+    let assert_bits = |out: &Tensor, what: &str| {
+        assert_eq!(reference.shape(), out.shape(), "{what}");
+        for (a, b) in reference.data().iter().zip(out.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        }
+    };
+    for threads in [1usize, 2, 8] {
+        let out =
+            execute_plan_tensors_with_threads(&model, &plan, &weights, &input, threads).unwrap();
+        assert_bits(&out, &format!("{threads} threads"));
+    }
+
+    let mut faults = 0;
+    for seed in 1..=3 {
+        let injector = ChaosConfig {
+            seed,
+            crash_rate: 0.5,
+            ..ChaosConfig::default()
+        }
+        .build()
+        .unwrap();
+        let (out, counters) = execute_plan_tensors_resilient(
+            &model,
+            &plan,
+            &weights,
+            &input,
+            Some(&injector),
+            &ResiliencePolicy::default(),
+            2,
+        )
+        .unwrap();
+        assert_bits(&out, "resilient path under crashes");
+        faults += counters.retries + counters.degraded_shards;
+    }
+    assert!(faults > 0, "no crash was injected");
 }
