@@ -16,18 +16,23 @@
 //!   repo root (or the directory given as the first CLI argument).
 //! - **smoke** (`--smoke`, used by CI): tiny-vgg on the single-function and
 //!   a 2-way height-split plan at pool width 1, asserting the warm path
-//!   performs **zero** heap allocations per query once warmed up.
+//!   performs **zero** heap allocations per query once warmed up and that
+//!   the plan holds exactly the activation bytes of a two-buffer arena per
+//!   piece — counted from the graph and the span geometry, not from the
+//!   compiled steps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use gillis_core::partition::balanced_ranges;
 use gillis_core::{
     execute_plan_tensors_with_threads, group_options, CompiledPlanExec, ExecutionPlan, PartDim,
     PartitionOption, Placement, PlannedGroup,
 };
+use gillis_model::span::SpanPlan;
 use gillis_model::weights::{init_weights, ModelWeights};
-use gillis_model::{zoo, LinearModel};
+use gillis_model::{zoo, LayerOp, LinearModel, NodeId};
 use gillis_tensor::Tensor;
 
 /// Counts heap allocations (alloc/alloc_zeroed/realloc) so the harness can
@@ -101,6 +106,86 @@ fn forced_split_plan(model: &LinearModel, parts: usize) -> ExecutionPlan {
     ExecutionPlan::new(groups)
 }
 
+/// The activation bytes a compiled `plan` should hold if every piece runs in
+/// two ping-pong buffers with batch norm and ReLU in place: per piece, the
+/// largest output among its even buffer-writing ops plus the largest among
+/// its odd ones, and one join buffer per group. Counted from node shapes and
+/// [`SpanPlan`] hulls; a piece that does not take its group's whole input
+/// writes its input slice first. (Groups here open with a buffer-writing
+/// op, as every zoo layer does.)
+fn planned_activation_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize {
+    let graph = model.graph();
+    let node = |id: NodeId| graph.node(id).expect("node of the model's graph");
+    let writes = |id: &NodeId| {
+        !matches!(
+            node(*id).op,
+            LayerOp::BatchNorm | LayerOp::Relu | LayerOp::Flatten
+        )
+    };
+    let two_buffers = |lens: Vec<usize>| -> usize {
+        let cap = |slot: usize| {
+            lens.iter()
+                .skip(slot)
+                .step_by(2)
+                .max()
+                .copied()
+                .unwrap_or(0)
+        };
+        cap(0) + cap(1)
+    };
+    let mut floats = 0;
+    for g in plan.groups() {
+        let layers = &model.layers()[g.start..g.end];
+        let nodes: Vec<NodeId> = layers.iter().flat_map(|l| l.nodes.clone()).collect();
+        let seed = node(nodes[0]).inputs[0];
+        let seed_shape = &node(seed).output_shape;
+        let out_dims = layers[layers.len() - 1].out_shape.dims();
+        floats += out_dims.iter().product::<usize>();
+        // Output length of `id` with dimension `dim` cut down to `extent`.
+        let cut = |id: NodeId, dim: usize, extent: usize| {
+            let shape = &node(id).output_shape;
+            shape.len() / shape.dims()[dim] * extent
+        };
+        match g.option {
+            PartitionOption::Single => {
+                let writers = nodes.iter().filter(|id| writes(id));
+                floats += two_buffers(writers.map(|&id| node(id).output_shape.len()).collect());
+            }
+            PartitionOption::Split {
+                dim: PartDim::Channel,
+                parts,
+            } => {
+                // A conv or dense head takes the whole input; a channel-local
+                // group slices it first.
+                let headed = nodes.iter().any(|&id| {
+                    matches!(node(id).op, LayerOp::Conv2d { .. } | LayerOp::Dense { .. })
+                });
+                for r in balanced_ranges(out_dims[0], parts) {
+                    let mut lens = Vec::new();
+                    if !headed {
+                        lens.push(cut(seed, 0, r.len()));
+                    }
+                    let writers = nodes.iter().filter(|id| writes(id));
+                    lens.extend(writers.map(|&id| cut(id, 0, r.len())));
+                    floats += two_buffers(lens);
+                }
+            }
+            PartitionOption::Split { dim, parts } => {
+                let axis = if dim == PartDim::Height { 1 } else { 2 };
+                for r in balanced_ranges(out_dims[axis], parts) {
+                    let span = SpanPlan::new(graph, &nodes, seed, seed_shape, axis, r)
+                        .expect("spatial group");
+                    let mut lens = vec![cut(seed, axis, span.seed_span.len())];
+                    let writers = span.nodes.iter().filter(|n| writes(&n.id));
+                    lens.extend(writers.map(|n| cut(n.id, axis, n.out.len())));
+                    floats += two_buffers(lens);
+                }
+            }
+        }
+    }
+    floats * std::mem::size_of::<f32>()
+}
+
 fn query(model: &LinearModel, seed: u64) -> Tensor {
     let mut x = seed | 1;
     Tensor::from_fn(model.input_shape().clone(), |_| {
@@ -119,8 +204,9 @@ struct PlanResult {
     cold_allocs: u64,
     warm_allocs: u64,
     warm_qps: f64,
-    panel_mb: f64,
     compile_ms: f64,
+    activation_bytes: usize,
+    panel_bytes: usize,
 }
 
 /// Measures one plan: cold (uncompiled, per-query slicing) vs warm
@@ -199,8 +285,9 @@ fn measure_plan(
         cold_allocs,
         warm_allocs,
         warm_qps: 1e3 / warm_ms,
-        panel_mb: compiled.panel_bytes() as f64 / 1e6,
         compile_ms,
+        activation_bytes: compiled.activation_bytes(),
+        panel_bytes: compiled.panel_bytes(),
     }
 }
 
@@ -223,7 +310,7 @@ fn render_json(suite: &str, model: &str, threads: usize, results: &[PlanResult])
             r.warm_allocs,
             r.warm_qps,
             r.compile_ms,
-            r.panel_mb,
+            r.panel_bytes as f64 / 1e6,
             if i + 1 == results.len() { "" } else { "," },
         ));
     }
@@ -272,6 +359,15 @@ fn run_smoke(out_dir: &str) {
             r.warm_allocs, 0,
             "{name}: warm path allocated {} times per query (expected 0)",
             r.warm_allocs
+        );
+        println!(
+            "{name}: activation_bytes {} panel_bytes {}",
+            r.activation_bytes, r.panel_bytes
+        );
+        assert_eq!(
+            r.activation_bytes,
+            planned_activation_bytes(&model, &plan),
+            "{name}: the compiled plan does not hold the planned two-buffer arenas"
         );
         results.push(r);
     }

@@ -3,7 +3,7 @@
 //! [`CompiledPlanExec`] lowers an [`ExecutionPlan`] over a model into a chain
 //! of [`CompiledPartition`]s (one per planned group) plus one preallocated
 //! join buffer per group. Compilation — plan validation, range balancing,
-//! weight pre-slicing, batch-norm folding, and conv panel packing — happens
+//! arena planning, batch-norm folding, and conv panel packing — happens
 //! once per `(plan, model)`; a query then flows through the chain touching
 //! only preallocated buffers.
 //!
@@ -162,6 +162,15 @@ impl CompiledPlanExec {
     /// Total bytes of packed conv panels held by this compilation.
     pub fn panel_bytes(&self) -> usize {
         self.panels.bytes()
+    }
+
+    /// Total bytes of f32 activations the per-query path holds: two arena
+    /// buffers per piece plus one join buffer per group.
+    pub fn activation_bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| g.partition.activation_bytes() + std::mem::size_of_val(g.out.as_slice()))
+            .sum()
     }
 
     /// Runs one query, returning a borrow of the final join buffer (and its

@@ -1,5 +1,5 @@
-//! Deployment-time compiled execution: pre-sliced weights, packed GEMM
-//! panels, and preallocated intermediate buffers.
+//! Deployment-time compiled execution: packed GEMM panels, folded batch
+//! norms, and a planned two-buffer activation arena per piece.
 //!
 //! The reference [`Executor`](crate::exec::Executor) re-derives everything on
 //! every query: it slices weight subsets for channel partitions, recomputes
@@ -10,9 +10,11 @@
 //!
 //! - [`CompiledSegment`] — one fork-join piece of one layer group, lowered to
 //!   a flat list of steps with precomputed shapes, asymmetric paddings,
-//!   folded batch-norm constants, pre-sliced weight subsets, and packed
-//!   convolution panels. Running a step writes into a buffer allocated at
-//!   compile time, so the warm path performs no heap allocation.
+//!   folded batch-norm constants, weight row ranges, and packed convolution
+//!   panels. Steps ping-pong between two buffers sized at compile time, and
+//!   batch norm and ReLU rewrite their producer's output in place, so the
+//!   warm path performs no heap allocation and holds two live activations
+//!   per piece — what `PartitionWork::mem_bytes` prices.
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
 //!   (concat axis, per-piece extents) needed to gather piece outputs into a
 //!   caller-owned buffer in exactly [`Tensor::concat`]'s memory order.
@@ -37,10 +39,10 @@ use std::sync::Arc;
 
 use gillis_tensor::gemm::PackedA;
 use gillis_tensor::ops::{
-    avg_pool2d_into, batch_norm_fold, batch_norm_folded_into, conv2d_output_hw,
-    conv2d_packed_batched_into, conv2d_packed_into, conv2d_quantized_into, dense_into,
-    dense_multi_into, depthwise_conv2d_batched_into, depthwise_conv2d_into, global_avg_pool_into,
-    max_pool2d_into, relu_into, softmax_into, BatchNormParams, Conv2dParams, Pool2dParams,
+    avg_pool2d_into, batch_norm_fold, conv2d_output_hw, conv2d_packed_batched_into,
+    conv2d_packed_into, conv2d_quantized_into, dense_into, dense_multi_into, depthwise_conv2d_into,
+    global_avg_pool_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams,
+    Pool2dParams,
 };
 use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
@@ -178,17 +180,6 @@ impl CompileOptions {
     }
 }
 
-/// Weights a step either resolves from the live weight map (full subsets —
-/// no copy, no allocation) or owns outright (channel-sliced subsets,
-/// materialized once at compile time).
-#[derive(Debug)]
-enum StepWeights {
-    /// Resolve the node's full weights from `ModelWeights` at run time.
-    Node(NodeId),
-    /// Pre-sliced weight/bias pair owned by the step.
-    Owned { weight: Tensor, bias: Tensor },
-}
-
 /// One lowered operation with every parameter pre-resolved.
 #[derive(Debug)]
 enum StepKind {
@@ -221,21 +212,17 @@ enum StepKind {
         in_w: usize,
         out_hw: (usize, usize),
     },
+    /// Depthwise conv over filter rows `rows` of node `id`, borrowed from
+    /// the live weight map at run time (see [`weight_rows`]).
     Depthwise {
-        weights: StepWeights,
+        id: NodeId,
+        rows: Range<usize>,
         params: Conv2dParams,
         c: usize,
         in_h: usize,
         in_w: usize,
         out_hw: (usize, usize),
     },
-    /// Batch norm folded to `y = x·scale + shift` at compile time.
-    Bn {
-        scale: Vec<f32>,
-        shift: Vec<f32>,
-        plane: usize,
-    },
-    Relu,
     Pool {
         params: Pool2dParams,
         is_max: bool,
@@ -247,8 +234,11 @@ enum StepKind {
         c: usize,
         plane: usize,
     },
+    /// Dense over weight rows `rows` of node `id`, borrowed like
+    /// [`StepKind::Depthwise`]'s.
     Dense {
-        weights: StepWeights,
+        id: NodeId,
+        rows: Range<usize>,
     },
     /// Dense with an int8 per-channel quantized weight matrix.
     QDense {
@@ -258,58 +248,95 @@ enum StepKind {
     Softmax,
 }
 
-/// A lowered op plus its preallocated output buffer.
+/// An element-wise op that rewrites its producer's output in place: every
+/// element is read once and replaced by a function of itself alone, so no
+/// second buffer is needed and the per-element arithmetic — hence every bit —
+/// is that of the executor's out-of-place `batch_norm` / `relu`.
 #[derive(Debug)]
-struct Step {
-    kind: StepKind,
-    buf: Vec<f32>,
-    /// Widened output for batched runs (`n × buf.len()`, item-major). Empty
-    /// until the first batched run; capacity grows monotonically, so batches
-    /// up to the largest `n` seen (or declared via `reserve_batch`) execute
-    /// allocation-free.
-    batch_buf: Vec<f32>,
+enum Sweep {
+    /// Batch norm folded to `y = x·scale + shift` at compile time, with a
+    /// directly following ReLU folded into the same pass.
+    Bn {
+        scale: Vec<f32>,
+        shift: Vec<f32>,
+        plane: usize,
+        relu: bool,
+    },
+    Relu,
 }
 
-impl Step {
-    fn new(kind: StepKind, out_len: usize) -> Self {
-        Step {
-            kind,
-            buf: vec![0.0; out_len],
-            batch_buf: Vec::new(),
+impl Sweep {
+    /// Applies the op to `buf`: one CHW activation, or several item-major.
+    fn apply(&self, buf: &mut [f32]) {
+        match self {
+            Sweep::Bn {
+                scale,
+                shift,
+                plane,
+                relu,
+            } => {
+                let channels = scale.iter().zip(shift).cycle();
+                for (p, (&scale, &shift)) in buf.chunks_exact_mut(*plane).zip(channels) {
+                    if *relu {
+                        p.iter_mut()
+                            .for_each(|v| *v = (*v * scale + shift).max(0.0));
+                    } else {
+                        p.iter_mut().for_each(|v| *v = *v * scale + shift);
+                    }
+                }
+            }
+            Sweep::Relu => buf.iter_mut().for_each(|v| *v = v.max(0.0)),
         }
     }
 }
 
-fn resolve_depthwise<'a>(
-    weights: &'a StepWeights,
-    map: &'a ModelWeights,
-) -> Result<(&'a [f32], &'a [f32])> {
-    match weights {
-        StepWeights::Owned { weight, bias } => Ok((weight.data(), bias.data())),
-        StepWeights::Node(id) => match map.get(*id)? {
-            NodeWeights::Depthwise { weight, bias } => Ok((weight.data(), bias.data())),
-            _ => Err(ModelError::BadWeights(format!(
-                "node {} expected depthwise weights",
-                id.0
-            ))),
-        },
+/// A lowered op that writes an arena buffer, plus the sweeps that then
+/// rewrite its output there. Step `i` of a segment writes buffer `i % 2`
+/// and reads the other one (step 0 reads the caller's input).
+#[derive(Debug)]
+struct Step {
+    kind: StepKind,
+    /// Output length of one item.
+    out_len: usize,
+    sweeps: Vec<Sweep>,
+}
+
+/// The `[out, ..]` weight and `[out]` bias of a dense or depthwise node.
+fn row_weights(map: &ModelWeights, id: NodeId) -> Result<(&Tensor, &Tensor)> {
+    match map.get(id)? {
+        NodeWeights::Dense { weight, bias } | NodeWeights::Depthwise { weight, bias } => {
+            Ok((weight, bias))
+        }
+        _ => Err(ModelError::BadWeights(format!(
+            "node {} expected dense or depthwise weights",
+            id.0
+        ))),
     }
 }
 
-fn resolve_dense<'a>(
-    weights: &'a StepWeights,
+/// Rows `rows` (all of them for `None`) of a `[out, ..]` tensor. Rows of a
+/// row-major tensor are contiguous, so a channel piece borrows its filter
+/// subset — at compile time to pack it, at run time from the live map —
+/// instead of owning a copy.
+fn tensor_rows<'a>(t: &'a Tensor, rows: Option<&Range<usize>>) -> Result<&'a [f32]> {
+    let out = t.shape().dims().first().copied().unwrap_or(0);
+    let rows = rows.cloned().unwrap_or(0..out);
+    let row = t.data().len() / out.max(1);
+    t.data()
+        .get(rows.start * row..rows.end * row)
+        .ok_or_else(|| {
+            ModelError::BadWeights(format!("rows {rows:?} out of range for {:?}", t.shape()))
+        })
+}
+
+/// Weight and bias rows `rows` of dense or depthwise node `id`.
+fn weight_rows<'a>(
     map: &'a ModelWeights,
+    id: NodeId,
+    rows: &Range<usize>,
 ) -> Result<(&'a [f32], &'a [f32])> {
-    match weights {
-        StepWeights::Owned { weight, bias } => Ok((weight.data(), bias.data())),
-        StepWeights::Node(id) => match map.get(*id)? {
-            NodeWeights::Dense { weight, bias } => Ok((weight.data(), bias.data())),
-            _ => Err(ModelError::BadWeights(format!(
-                "node {} expected dense weights",
-                id.0
-            ))),
-        },
-    }
+    let (w, b) = row_weights(map, id)?;
+    Ok((tensor_rows(w, Some(rows))?, tensor_rows(b, Some(rows))?))
 }
 
 /// Executes one lowered op from `input` into `out`. On the warm path every
@@ -351,22 +378,17 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             out_hw,
         } => conv2d_quantized_into(input, *in_c, *in_h, *in_w, q, bias, params, *out_hw, out),
         StepKind::Depthwise {
-            weights,
+            id,
+            rows,
             params,
             c,
             in_h,
             in_w,
             out_hw,
         } => {
-            let (w, b) = resolve_depthwise(weights, map)?;
+            let (w, b) = weight_rows(map, *id, rows)?;
             depthwise_conv2d_into(input, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
         }
-        StepKind::Bn {
-            scale,
-            shift,
-            plane,
-        } => batch_norm_folded_into(input, *plane, scale, shift, out),
-        StepKind::Relu => relu_into(input, out),
         StepKind::Pool {
             params,
             is_max,
@@ -381,8 +403,8 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             }
         }
         StepKind::GlobalAvgPool { c, plane } => global_avg_pool_into(input, *c, *plane, out),
-        StepKind::Dense { weights } => {
-            let (w, b) = resolve_dense(weights, map)?;
+        StepKind::Dense { id, rows } => {
+            let (w, b) = weight_rows(map, *id, rows)?;
             dense_into(w, input, Some(b), out);
         }
         StepKind::QDense { q, bias } => {
@@ -396,13 +418,14 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
 
 /// Executes one lowered op for a batch of `n` item-major activations.
 ///
-/// Conv, dense, and depthwise steps dispatch to their widened-B batched
-/// kernels so the whole batch shares one traversal of the (packed) weights;
-/// every other step — including the int8 quantized ops, whose per-payload
-/// activation scales must be computed per item — loops the exact per-query
-/// [`exec_step`] body over the item slices. Either way the per-item output
-/// is bit-identical to running [`exec_step`] once per item (the batched
-/// kernels' bit-identity is proptest-enforced in `gillis-tensor`).
+/// Conv and dense steps dispatch to their widened-B batched kernels so the
+/// whole batch shares one traversal of the (packed) weights; every other
+/// step — depthwise, whose batched kernel is this same loop, and the int8
+/// quantized ops, whose per-payload activation scales must be computed per
+/// item — loops the exact per-query [`exec_step`] body over the item slices.
+/// Either way the per-item output is bit-identical to running [`exec_step`]
+/// once per item (the batched kernels' bit-identity is proptest-enforced in
+/// `gillis-tensor`).
 fn exec_step_batched(
     kind: &StepKind,
     map: &ModelWeights,
@@ -422,31 +445,9 @@ fn exec_step_batched(
         } => conv2d_packed_batched_into(
             input, n, *in_c, *in_h, *in_w, packed, bias, params, *out_hw, out,
         ),
-        StepKind::Dense { weights } => {
-            let (w, b) = resolve_dense(weights, map)?;
+        StepKind::Dense { id, rows } => {
+            let (w, b) = weight_rows(map, *id, rows)?;
             dense_multi_into(w, input, Some(b), out, n);
-        }
-        StepKind::Depthwise {
-            weights,
-            params,
-            c,
-            in_h,
-            in_w,
-            out_hw,
-        } => {
-            let (w, b) = resolve_depthwise(weights, map)?;
-            depthwise_conv2d_batched_into(
-                input,
-                n,
-                *c,
-                *in_h,
-                *in_w,
-                w,
-                Some(b),
-                params,
-                *out_hw,
-                out,
-            );
         }
         _ => {
             let in_len = input.len() / n;
@@ -462,21 +463,67 @@ fn exec_step_batched(
     Ok(())
 }
 
-/// One fork-join piece of one layer group, compiled to a step list with
-/// preallocated buffers.
+/// Runs `steps` over `n` item-major activations, ping-ponging between the
+/// two arena buffers. With `out` given, the last step writes there instead
+/// of its arena buffer, and its sweeps run there.
+fn run_steps(
+    steps: &[Step],
+    weights: &ModelWeights,
+    n: usize,
+    input: &[f32],
+    arena: &mut [Vec<f32>; 2],
+    mut out: Option<&mut [f32]>,
+) -> Result<()> {
+    let mut src_len = input.len();
+    for (i, step) in steps.iter().enumerate() {
+        let (even, odd) = arena.split_at_mut(1);
+        let (cur, prev) = if i % 2 == 0 {
+            (&mut even[0], &odd[0])
+        } else {
+            (&mut odd[0], &even[0])
+        };
+        let src = if i == 0 { input } else { &prev[..src_len] };
+        src_len = n * step.out_len;
+        let dst = match &mut out {
+            Some(out) if i + 1 == steps.len() => &mut **out,
+            _ => &mut cur[..src_len],
+        };
+        if n == 1 {
+            exec_step(&step.kind, weights, src, dst)?;
+        } else {
+            exec_step_batched(&step.kind, weights, n, src, dst)?;
+        }
+        step.sweeps.iter().for_each(|s| s.apply(dst));
+    }
+    Ok(())
+}
+
+/// One fork-join piece of one layer group, compiled to a step list over a
+/// planned two-buffer arena.
 ///
 /// Compile once per `(plan, model)`; run once per query. The run is
 /// bit-identical to the corresponding reference-executor entry point and,
 /// once buffers and per-thread scratch are warm, allocation-free.
 ///
 /// `run` must be called with the same weights the segment was compiled
-/// against: packed panels, folded batch-norm constants, and channel slices
-/// are materialized from them at compile time.
+/// against: packed panels and folded batch-norm constants are materialized
+/// from them at compile time.
 #[derive(Debug)]
 pub struct CompiledSegment {
     in_len: usize,
     out_shape: Shape,
     steps: Vec<Step>,
+    /// The two activation buffers, each sized at compile time to the largest
+    /// output of the steps that write it (even steps the first, odd steps
+    /// the second).
+    arena: [Vec<f32>; 2],
+    /// Widened arena for batched runs (`n ×` the per-query sizes). Empty
+    /// until the first batched run and never shrunk, so batches up to the
+    /// largest `n` seen (or declared via `reserve_batch`) execute
+    /// allocation-free.
+    batch_arena: [Vec<f32>; 2],
+    /// Items in the latest batched run.
+    batch_n: usize,
 }
 
 impl CompiledSegment {
@@ -569,13 +616,35 @@ impl CompiledSegment {
             // Flatten-only chain: keep one copy step so `run` has a buffer
             // to hand out.
             let len = b.seed_shape.len();
-            b.steps.push(Step::new(StepKind::Copy, len));
+            b.push(StepKind::Copy, len);
         }
+        let cap = |slot: usize| {
+            let lens = b.steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
+            lens.max().unwrap_or(0)
+        };
         Ok(CompiledSegment {
             in_len: b.seed_shape.len(),
             out_shape: Shape::new(out_dims),
+            arena: [vec![0.0; cap(0)], vec![0.0; cap(1)]],
+            batch_arena: [Vec::new(), Vec::new()],
+            batch_n: 0,
             steps: b.steps,
         })
+    }
+
+    /// Bytes of the per-query activation arena: four times the largest
+    /// output on the even steps plus the largest on the odd steps.
+    pub fn activation_bytes(&self) -> usize {
+        self.arena
+            .iter()
+            .map(|b| std::mem::size_of_val(b.as_slice()))
+            .sum()
+    }
+
+    /// Where the last step's output lives: arena buffer and item length.
+    fn last(&self) -> (usize, usize) {
+        let last = self.steps.len() - 1;
+        (last % 2, self.steps[last].out_len)
     }
 
     /// Expected input length (the seed tensor's element count).
@@ -601,18 +670,14 @@ impl CompiledSegment {
     /// Panics if `input.len()` differs from [`CompiledSegment::in_len`].
     pub fn run(&mut self, weights: &ModelWeights, input: &[f32]) -> Result<&[f32]> {
         assert_eq!(input.len(), self.in_len, "compiled segment input length");
-        for i in 0..self.steps.len() {
-            let (done, rest) = self.steps.split_at_mut(i);
-            let cur: &[f32] = if i == 0 { input } else { &done[i - 1].buf };
-            let step = &mut rest[0];
-            exec_step(&step.kind, weights, cur, &mut step.buf)?;
-        }
+        run_steps(&self.steps, weights, 1, input, &mut self.arena, None)?;
         Ok(self.output())
     }
 
-    /// Like [`CompiledSegment::run`], but writes the final step's output into
-    /// `out` — used to write a piece directly into its disjoint slice of a
-    /// join buffer.
+    /// Like [`CompiledSegment::run`], but the final step writes `out` (and
+    /// its sweeps run there) — used to write a piece directly into its
+    /// disjoint slice of a join buffer. [`CompiledSegment::output`] is not
+    /// updated.
     ///
     /// # Errors
     ///
@@ -634,30 +699,15 @@ impl CompiledSegment {
             self.out_shape.len(),
             "compiled segment output length"
         );
-        let n = self.steps.len();
-        for i in 0..n - 1 {
-            let (done, rest) = self.steps.split_at_mut(i);
-            let cur: &[f32] = if i == 0 { input } else { &done[i - 1].buf };
-            let step = &mut rest[0];
-            exec_step(&step.kind, weights, cur, &mut step.buf)?;
-        }
-        let cur: &[f32] = if n == 1 {
-            input
-        } else {
-            &self.steps[n - 2].buf
-        };
-        exec_step(&self.steps[n - 1].kind, weights, cur, out)
+        run_steps(&self.steps, weights, 1, input, &mut self.arena, Some(out))
     }
 
-    /// Pre-grows the widened per-step buffers so batched runs with up to
-    /// `n` items allocate nothing — the batch-range declaration of the
-    /// 0-alloc warm-path contract.
+    /// Pre-grows the widened arena so batched runs with up to `n` items
+    /// allocate nothing — the batch-range declaration of the 0-alloc
+    /// warm-path contract.
     pub fn reserve_batch(&mut self, n: usize) {
-        for step in &mut self.steps {
-            let need = step.buf.len() * n;
-            if step.batch_buf.capacity() < need {
-                step.batch_buf.reserve(need - step.batch_buf.len());
-            }
+        for (wide, one) in self.batch_arena.iter_mut().zip(&self.arena) {
+            wide.reserve((n * one.len()).saturating_sub(wide.len()));
         }
     }
 
@@ -692,18 +742,15 @@ impl CompiledSegment {
         if n == 1 {
             return self.run(weights, inputs);
         }
-        for i in 0..self.steps.len() {
-            let (done, rest) = self.steps.split_at_mut(i);
-            let cur: &[f32] = if i == 0 {
-                inputs
-            } else {
-                &done[i - 1].batch_buf
-            };
-            let step = &mut rest[0];
-            step.batch_buf.clear();
-            step.batch_buf.resize(n * step.buf.len(), 0.0);
-            exec_step_batched(&step.kind, weights, n, cur, &mut step.batch_buf)?;
+        // Every step overwrites the whole of its output, so buffers that
+        // are already long enough are reused as they are.
+        for (wide, one) in self.batch_arena.iter_mut().zip(&self.arena) {
+            if wide.len() < n * one.len() {
+                wide.resize(n * one.len(), 0.0);
+            }
         }
+        self.batch_n = n;
+        run_steps(&self.steps, weights, n, inputs, &mut self.batch_arena, None)?;
         Ok(self.batch_output())
     }
 
@@ -712,11 +759,8 @@ impl CompiledSegment {
     /// [`CompiledSegment::output`] — the batch-1 path writes the per-query
     /// buffer.
     pub fn batch_output(&self) -> &[f32] {
-        &self
-            .steps
-            .last()
-            .expect("compiled segment has at least one step")
-            .batch_buf
+        let (slot, len) = self.last();
+        &self.batch_arena[slot][..self.batch_n * len]
     }
 
     /// Applies the int8 wire round trip to each item slice of the widened
@@ -724,35 +768,24 @@ impl CompiledSegment {
     /// [`CompiledSegment::wire_roundtrip_output`]. Quantization scales are
     /// per item, exactly as if each item had been sent separately.
     pub fn wire_roundtrip_batch_output(&mut self) {
-        let step = self
-            .steps
-            .last_mut()
-            .expect("compiled segment has at least one step");
-        let out_len = step.buf.len();
-        for item in step.batch_buf.chunks_exact_mut(out_len) {
+        let (slot, len) = self.last();
+        for item in self.batch_arena[slot][..self.batch_n * len].chunks_exact_mut(len) {
             quant::wire_roundtrip_in_place(item);
         }
     }
 
     /// The piece's output buffer (valid after the latest [`CompiledSegment::run`]).
     pub fn output(&self) -> &[f32] {
-        &self
-            .steps
-            .last()
-            .expect("compiled segment has at least one step")
-            .buf
+        let (slot, len) = self.last();
+        &self.arena[slot][..len]
     }
 
     /// Applies the int8 wire round trip to the piece's own output buffer —
     /// the worker-side quantize of a non-contiguous join (the master then
     /// gathers the dequantized values). Allocation-free after warmup.
     pub fn wire_roundtrip_output(&mut self) {
-        let buf = &mut self
-            .steps
-            .last_mut()
-            .expect("compiled segment has at least one step")
-            .buf;
-        quant::wire_roundtrip_in_place(buf);
+        let (slot, len) = self.last();
+        quant::wire_roundtrip_in_place(&mut self.arena[slot][..len]);
     }
 }
 
@@ -779,31 +812,11 @@ impl Builder<'_> {
         }
     }
 
-    fn depthwise_weights(&self, id: NodeId) -> Result<(&Tensor, &Tensor)> {
-        match self.weights.get(id)? {
-            NodeWeights::Depthwise { weight, bias } => Ok((weight, bias)),
-            _ => Err(ModelError::BadWeights(format!(
-                "node {} expected depthwise weights",
-                id.0
-            ))),
-        }
-    }
-
     fn bn_weights(&self, id: NodeId) -> Result<&BatchNormParams> {
         match self.weights.get(id)? {
             NodeWeights::Bn(p) => Ok(p),
             _ => Err(ModelError::BadWeights(format!(
                 "node {} expected batch-norm weights",
-                id.0
-            ))),
-        }
-    }
-
-    fn dense_weights(&self, id: NodeId) -> Result<(&Tensor, &Tensor)> {
-        match self.weights.get(id)? {
-            NodeWeights::Dense { weight, bias } => Ok((weight, bias)),
-            _ => Err(ModelError::BadWeights(format!(
-                "node {} expected dense weights",
                 id.0
             ))),
         }
@@ -823,13 +836,8 @@ impl Builder<'_> {
             )));
         }
         let k = dims[1] * dims[2] * dims[3];
-        let panel = match channels {
-            None => PackedA::pack(dims[0], k, w.data()),
-            Some(r) => {
-                let rows = w.slice(0, r.clone())?;
-                PackedA::pack(r.len(), k, rows.data())
-            }
-        };
+        let rows = tensor_rows(w, channels)?;
+        let panel = PackedA::pack(rows.len() / k.max(1), k, rows);
         Ok(self.cache.insert(id, channels, panel))
     }
 
@@ -851,13 +859,8 @@ impl Builder<'_> {
             )));
         }
         let k = dims[1] * dims[2] * dims[3];
-        let panel = match channels {
-            None => QuantizedMatrix::quantize(dims[0], k, w.data()),
-            Some(r) => {
-                let rows = w.slice(0, r.clone())?;
-                QuantizedMatrix::quantize(r.len(), k, rows.data())
-            }
-        };
+        let rows = tensor_rows(w, channels)?;
+        let panel = QuantizedMatrix::quantize(rows.len() / k.max(1), k, rows);
         Ok(self.cache.insert_q(id, channels, panel))
     }
 
@@ -870,15 +873,10 @@ impl Builder<'_> {
         if let Some(p) = self.cache.lookup_q(id, channels) {
             return Ok(p);
         }
-        let (w, _) = self.dense_weights(id)?;
+        let (w, _) = row_weights(self.weights, id)?;
         let wd = w.shape().dims();
-        let panel = match channels {
-            None => QuantizedMatrix::quantize(wd[0], wd[1], w.data()),
-            Some(r) => {
-                let rows = w.slice(0, r.clone())?;
-                QuantizedMatrix::quantize(r.len(), wd[1], rows.data())
-            }
-        };
+        let rows = tensor_rows(w, channels)?;
+        let panel = QuantizedMatrix::quantize(rows.len() / wd[1].max(1), wd[1], rows);
         Ok(self.cache.insert_q(id, channels, panel))
     }
 
@@ -904,7 +902,30 @@ impl Builder<'_> {
     }
 
     fn push(&mut self, kind: StepKind, out_len: usize) {
-        self.steps.push(Step::new(kind, out_len));
+        self.steps.push(Step {
+            kind,
+            out_len,
+            sweeps: Vec::new(),
+        });
+    }
+
+    /// Attaches an in-place sweep over `len` elements to the latest step. A
+    /// sweep that opens the segment gets a copy of the input to work on —
+    /// the caller's input is never written.
+    fn push_sweep(&mut self, sweep: Sweep, len: usize) {
+        if self.steps.is_empty() {
+            self.push(StepKind::Copy, len);
+        }
+        let sweeps = &mut self.steps.last_mut().expect("just ensured").sweeps;
+        match (sweeps.last_mut(), &sweep) {
+            (Some(Sweep::Bn { relu, .. }), Sweep::Relu) if !*relu => *relu = true,
+            _ => sweeps.push(sweep),
+        }
+    }
+
+    fn push_relu(&mut self, dims: Vec<usize>) -> Vec<usize> {
+        self.push_sweep(Sweep::Relu, dims.iter().product());
+        dims
     }
 
     fn require_chw(dims: &[usize], what: &str) -> Result<(usize, usize, usize)> {
@@ -938,10 +959,7 @@ impl Builder<'_> {
         let out_hw = conv2d_output_hw((in_h, in_w), &params).ok_or_else(|| {
             ModelError::Unsupported("conv kernel larger than padded input".into())
         })?;
-        let bias = match channels {
-            None => b.data().to_vec(),
-            Some(r) => b.slice(0, r.clone())?.data().to_vec(),
-        };
+        let bias = tensor_rows(b, channels)?.to_vec();
         if self.opts.quantize_weights {
             let q = self.conv_qpanel(id, channels)?;
             let out_c = q.rows();
@@ -980,8 +998,8 @@ impl Builder<'_> {
         Ok(out_dims)
     }
 
-    /// Appends the depthwise step for `id`; `channels` selects a pre-sliced
-    /// filter subset (channel partitions) or the live full weights.
+    /// Appends the depthwise step for `id`; `channels` selects a filter
+    /// subset (channel partitions) or all of them.
     fn push_depthwise(
         &mut self,
         id: NodeId,
@@ -990,16 +1008,8 @@ impl Builder<'_> {
         channels: Option<&Range<usize>>,
     ) -> Result<Vec<usize>> {
         let (c, in_h, in_w) = Self::require_chw(dims, "depthwise conv2d")?;
-        let weights = match channels {
-            None => StepWeights::Node(id),
-            Some(r) => {
-                let (w, b) = self.depthwise_weights(id)?;
-                StepWeights::Owned {
-                    weight: w.slice(0, r.clone())?,
-                    bias: b.slice(0, r.clone())?,
-                }
-            }
-        };
+        let rows = channels.cloned().unwrap_or(0..c);
+        weight_rows(self.weights, id, &rows)?;
         let out_hw = conv2d_output_hw((in_h, in_w), &params).ok_or_else(|| {
             ModelError::Unsupported("depthwise kernel larger than padded input".into())
         })?;
@@ -1007,7 +1017,8 @@ impl Builder<'_> {
         let out_len = c * out_hw.0 * out_hw.1;
         self.push(
             StepKind::Depthwise {
-                weights,
+                id,
+                rows,
                 params,
                 c,
                 in_h,
@@ -1064,14 +1075,14 @@ impl Builder<'_> {
                 dims[0]
             )));
         }
-        let len: usize = dims.iter().product();
-        self.push(
-            StepKind::Bn {
+        self.push_sweep(
+            Sweep::Bn {
                 scale,
                 shift,
                 plane: h * w,
+                relu: false,
             },
-            len,
+            dims.iter().product(),
         );
         Ok(dims.to_vec())
     }
@@ -1106,11 +1117,7 @@ impl Builder<'_> {
                     None,
                 )?,
                 LayerOp::BatchNorm => self.push_bn(id, &dims, None)?,
-                LayerOp::Relu => {
-                    let len: usize = dims.iter().product();
-                    self.push(StepKind::Relu, len);
-                    dims
-                }
+                LayerOp::Relu => self.push_relu(dims),
                 LayerOp::MaxPool2d {
                     kernel,
                     stride,
@@ -1162,7 +1169,7 @@ impl Builder<'_> {
             ));
         }
         let in_n = dims[0];
-        let (w, b) = self.dense_weights(id)?;
+        let (w, b) = row_weights(self.weights, id)?;
         let wd = w.shape().dims();
         if wd.len() != 2 || wd[1] != in_n {
             return Err(ModelError::BadWeights(format!(
@@ -1170,26 +1177,16 @@ impl Builder<'_> {
             )));
         }
         if self.opts.quantize_weights {
-            let bias = match channels {
-                None => b.data().to_vec(),
-                Some(r) => b.slice(0, r.clone())?.data().to_vec(),
-            };
+            let bias = tensor_rows(b, channels)?.to_vec();
             let q = self.dense_qpanel(id, channels)?;
             let out_n = q.rows();
             self.push(StepKind::QDense { q, bias }, out_n);
             return Ok(vec![out_n]);
         }
-        let (weights, out_n) = match channels {
-            None => (StepWeights::Node(id), wd[0]),
-            Some(r) => (
-                StepWeights::Owned {
-                    weight: w.slice(0, r.clone())?,
-                    bias: b.slice(0, r.clone())?,
-                },
-                r.len(),
-            ),
-        };
-        self.push(StepKind::Dense { weights }, out_n);
+        let rows = channels.cloned().unwrap_or(0..wd[0]);
+        weight_rows(self.weights, id, &rows)?;
+        let out_n = rows.len();
+        self.push(StepKind::Dense { id, rows }, out_n);
         Ok(vec![out_n])
     }
 
@@ -1275,11 +1272,7 @@ impl Builder<'_> {
                     self.push_pool(&dims, params, matches!(op, LayerOp::MaxPool2d { .. }))?
                 }
                 LayerOp::BatchNorm => self.push_bn(id, &dims, None)?,
-                LayerOp::Relu => {
-                    let len: usize = dims.iter().product();
-                    self.push(StepKind::Relu, len);
-                    dims
-                }
+                LayerOp::Relu => self.push_relu(dims),
                 _ => unreachable!("the span plan rejected unsupported spatial ops"),
             };
         }
@@ -1397,11 +1390,7 @@ impl Builder<'_> {
             let op = self.graph.node(id)?.op.clone();
             dims = match op {
                 LayerOp::BatchNorm => self.push_bn(id, &dims, Some(channels))?,
-                LayerOp::Relu => {
-                    let len: usize = dims.iter().product();
-                    self.push(StepKind::Relu, len);
-                    dims
-                }
+                LayerOp::Relu => self.push_relu(dims),
                 LayerOp::DepthwiseConv2d {
                     kernel,
                     stride,
@@ -1566,6 +1555,12 @@ impl CompiledPartition {
     /// The join axis pieces are concatenated along.
     pub fn axis(&self) -> usize {
         self.axis
+    }
+
+    /// Bytes of per-query activation arena summed over the pieces (see
+    /// [`CompiledSegment::activation_bytes`]).
+    pub fn activation_bytes(&self) -> usize {
+        self.pieces.iter().map(|p| p.activation_bytes()).sum()
     }
 
     /// The compiled pieces, for callers that dispatch them in parallel.
@@ -1747,6 +1742,7 @@ mod tests {
     use crate::exec::Executor;
     use crate::weights::init_weights;
     use crate::zoo;
+    use crate::MergedLayer;
 
     fn query(shape: &Shape, seed: u64) -> Tensor {
         let mut x = seed;
@@ -2039,6 +2035,295 @@ mod tests {
         let p1 = seg.run(&weights, one).unwrap().as_ptr();
         let p2 = seg.run_batch(&weights, one, 1).unwrap().as_ptr();
         assert_eq!(p1, p2, "batch-1 delegates to the per-query path");
+    }
+
+    /// How many of `nodes` are element-wise (sweeps) and how many write a
+    /// buffer; `Flatten` is neither.
+    fn count_ops(graph: &Graph, nodes: &[NodeId]) -> (usize, usize) {
+        let ops = || nodes.iter().map(|id| &graph.node(*id).unwrap().op);
+        let sweeps = ops()
+            .filter(|op| matches!(op, LayerOp::BatchNorm | LayerOp::Relu))
+            .count();
+        let flattens = ops().filter(|op| matches!(op, LayerOp::Flatten)).count();
+        (sweeps, nodes.len() - sweeps - flattens)
+    }
+
+    /// The arena contract of one compiled piece, by exact counts: every
+    /// BN/ReLU of the chain is a sweep and no other node is, the buffer
+    /// writers are the remaining non-flatten nodes (plus at most one leading
+    /// slice or copy of the input), and the two buffers are exactly as long
+    /// as the largest output on the even and on the odd steps.
+    fn assert_arena_plan(seg: &CompiledSegment, graph: &Graph, nodes: &[NodeId], what: &str) {
+        let (elementwise, writers) = count_ops(graph, nodes);
+        let swept: usize = seg
+            .steps
+            .iter()
+            .flat_map(|s| &s.sweeps)
+            .map(|s| match s {
+                Sweep::Bn { relu: true, .. } => 2,
+                _ => 1,
+            })
+            .sum();
+        assert_eq!(swept, elementwise, "{what}: sweeps");
+        let lead = matches!(
+            seg.steps[0].kind,
+            StepKind::SliceInput { .. } | StepKind::Copy
+        );
+        assert_eq!(
+            seg.steps.len(),
+            writers + usize::from(lead),
+            "{what}: steps"
+        );
+        let cap = |slot: usize| {
+            let lens = seg.steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
+            lens.max().unwrap_or(0)
+        };
+        assert_eq!(
+            [seg.arena[0].len(), seg.arena[1].len()],
+            [cap(0), cap(1)],
+            "{what}: arena"
+        );
+        assert_eq!(
+            seg.activation_bytes(),
+            4 * (cap(0) + cap(1)),
+            "{what}: bytes"
+        );
+    }
+
+    fn wire(data: &[f32]) -> Vec<f32> {
+        let mut v = data.to_vec();
+        quant::wire_roundtrip_in_place(&mut v);
+        v
+    }
+
+    /// Compiles every consecutive group of `model` as a full piece and as a
+    /// row, column and channel piece, and holds each that compiles to the
+    /// arena contract and to the executor's bits through every entry point.
+    /// Returns how many pieces of each kind were checked.
+    fn check_every_group(model: &crate::LinearModel, seed: u64) -> [usize; 4] {
+        const BATCH: usize = 3;
+        let weights = init_weights(model.graph(), seed).unwrap();
+        let exec = Executor::new(model.graph(), &weights);
+        let layers = model.layers();
+        let mut checked = [0usize; 4];
+        for start in 0..layers.len() {
+            let inputs: Vec<Tensor> = (0..BATCH as u64)
+                .map(|i| {
+                    let x = query(model.input_shape(), seed + 31 * i + 1);
+                    match start {
+                        0 => x,
+                        _ => exec.run_segment(&layers[..start], &x).unwrap(),
+                    }
+                })
+                .collect();
+            let flat: Vec<f32> = inputs.iter().flat_map(|x| x.data()).copied().collect();
+            for end in start + 1..=layers.len() {
+                let group = &layers[start..end];
+                let nodes: Vec<NodeId> = group.iter().flat_map(|l| &l.nodes).copied().collect();
+                let dims = group[group.len() - 1].out_shape.dims().to_vec();
+                let third = |n: usize| n / 3..(2 * n / 3).max(n / 3 + 1);
+                let mut specs = vec![PieceSpec::Full, PieceSpec::Channels(third(dims[0]))];
+                if dims.len() == 3 {
+                    specs.push(PieceSpec::Rows(third(dims[1])));
+                    specs.push(PieceSpec::Cols(third(dims[2])));
+                }
+                for spec in specs {
+                    let Ok(mut seg) = CompiledSegment::compile(
+                        model.graph(),
+                        &weights,
+                        group,
+                        &spec,
+                        &mut PanelCache::new(),
+                    ) else {
+                        continue;
+                    };
+                    let what = format!("{} {start}..{end} {spec:?}", model.name());
+                    let kind = match &spec {
+                        PieceSpec::Full => 0,
+                        PieceSpec::Rows(_) => 1,
+                        PieceSpec::Cols(_) => 2,
+                        PieceSpec::Channels(_) => 3,
+                    };
+                    checked[kind] += 1;
+                    assert_arena_plan(&seg, model.graph(), &nodes, &what);
+                    if spec == PieceSpec::Full {
+                        // A full piece's steps are the writer nodes themselves:
+                        // the two buffers are sized from the graph alone.
+                        let mut cap = [0usize; 2];
+                        let lead = usize::from(matches!(seg.steps[0].kind, StepKind::Copy));
+                        let writers = nodes
+                            .iter()
+                            .filter(|id| count_ops(model.graph(), &[**id]).1 == 1);
+                        for (i, id) in writers.enumerate() {
+                            let len = model.graph().node(*id).unwrap().output_shape.len();
+                            cap[(i + lead) % 2] = cap[(i + lead) % 2].max(len);
+                        }
+                        if lead == 1 {
+                            cap[0] = cap[0].max(seg.in_len());
+                        }
+                        assert_eq!(seg.activation_bytes(), 4 * (cap[0] + cap[1]), "{what}");
+                    }
+                    let refs: Vec<Tensor> = inputs
+                        .iter()
+                        .map(|x| match &spec {
+                            PieceSpec::Full => exec.run_segment(group, x),
+                            PieceSpec::Rows(r) => exec.run_segment_rows(group, x, r.clone()),
+                            PieceSpec::Cols(r) => exec.run_segment_cols(group, x, r.clone()),
+                            PieceSpec::Channels(r) => {
+                                exec.run_segment_channels(group, x, r.clone())
+                            }
+                        })
+                        .collect::<Result<_>>()
+                        .unwrap();
+                    let out_len = refs[0].shape().len();
+                    assert_eq!(seg.out_shape(), refs[0].shape(), "{what}");
+
+                    let mut joined = vec![f32::NAN; out_len];
+                    seg.run_into(&weights, inputs[0].data(), &mut joined)
+                        .unwrap();
+                    assert_bits_eq(&joined, refs[0].data(), &format!("{what}: run_into"));
+                    let out = seg.run(&weights, inputs[0].data()).unwrap();
+                    assert_bits_eq(out, refs[0].data(), &format!("{what}: run"));
+                    seg.wire_roundtrip_output();
+                    assert_bits_eq(
+                        seg.output(),
+                        &wire(refs[0].data()),
+                        &format!("{what}: wire"),
+                    );
+
+                    let out = seg.run_batch(&weights, &flat, BATCH).unwrap();
+                    for (item, r) in out.chunks_exact(out_len).zip(&refs) {
+                        assert_bits_eq(item, r.data(), &format!("{what}: run_batch"));
+                    }
+                    seg.wire_roundtrip_batch_output();
+                    for (item, r) in seg.batch_output().chunks_exact(out_len).zip(&refs) {
+                        assert_bits_eq(item, &wire(r.data()), &format!("{what}: batch wire"));
+                    }
+                    // The widened arena is the per-query one, BATCH times.
+                    for (wide, one) in seg.batch_arena.iter().zip(&seg.arena) {
+                        assert_eq!(wide.len(), BATCH * one.len(), "{what}: batch arena");
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn every_group_and_spec_runs_in_two_buffers_with_the_executors_bits() {
+        // Exact counts: a change in what compiles shows up here.
+        assert_eq!(check_every_group(&zoo::tiny_vgg(), 5), [28, 15, 15, 9]);
+        assert_eq!(
+            check_every_group(&zoo::tiny_mobilenet(), 6),
+            [153, 120, 120, 25]
+        );
+    }
+
+    #[test]
+    fn a_segment_of_sweeps_copies_its_input_and_lands_in_the_join_slice() {
+        // [stem_bn, stem_relu] of tiny-mobilenet as a group of its own: the
+        // piece opens with an element-wise op, so it gets one copy step to
+        // sweep, and `run_into` does the sweeping in the caller's slice.
+        let model = zoo::tiny_mobilenet();
+        let weights = init_weights(model.graph(), 8).unwrap();
+        let exec = Executor::new(model.graph(), &weights);
+        let stem = &model.layers()[0];
+        let (conv, rest) = stem.nodes.split_first().unwrap();
+        assert_eq!(count_ops(model.graph(), rest), (2, 0));
+        let conv_only = MergedLayer {
+            nodes: vec![*conv],
+            ..stem.clone()
+        };
+        let sweeps_only = MergedLayer {
+            nodes: rest.to_vec(),
+            ..stem.clone()
+        };
+        let x = query(model.input_shape(), 4);
+        let input = exec.run_segment(&[conv_only], &x).unwrap();
+        let reference = exec.run_segment(std::slice::from_ref(stem), &x).unwrap();
+
+        let mut seg = CompiledSegment::compile(
+            model.graph(),
+            &weights,
+            &[sweeps_only],
+            &PieceSpec::Full,
+            &mut PanelCache::new(),
+        )
+        .unwrap();
+        assert!(matches!(seg.steps[0].kind, StepKind::Copy));
+        assert!(matches!(
+            seg.steps[0].sweeps[..],
+            [Sweep::Bn { relu: true, .. }]
+        ));
+        assert_eq!(seg.activation_bytes(), 4 * input.shape().len());
+        let before = input.data().to_vec();
+        let mut out = vec![f32::NAN; reference.shape().len()];
+        seg.run_into(&weights, input.data(), &mut out).unwrap();
+        assert_bits_eq(&out, reference.data(), "sweeps into the join slice");
+        assert_bits_eq(
+            seg.run(&weights, input.data()).unwrap(),
+            reference.data(),
+            "run",
+        );
+        assert_bits_eq(input.data(), &before, "the input is only read");
+    }
+
+    #[test]
+    fn channel_pieces_borrow_their_rows_from_the_live_weights() {
+        // A dense channel piece holds a node id and a row range, never a
+        // copy: it follows the live map, and a map whose rows are too few is
+        // an error, not a read out of bounds.
+        let model = zoo::tiny_vgg();
+        let weights = init_weights(model.graph(), 21).unwrap();
+        let layers = model.layers();
+        let tail = &layers[layers.len() - 1..];
+        let out_n = tail[0].out_shape.dims()[0];
+        let rows = 1..out_n - 1;
+        let mut seg = CompiledSegment::compile(
+            model.graph(),
+            &weights,
+            tail,
+            &PieceSpec::Channels(rows.clone()),
+            &mut PanelCache::new(),
+        )
+        .unwrap();
+        let StepKind::Dense { id, rows: held } = &seg.steps[0].kind else {
+            panic!("dense head expected, got {:?}", seg.steps[0].kind);
+        };
+        assert_eq!(held, &rows);
+        let id = *id;
+        let input = vec![0.5f32; seg.in_len()];
+        let first = seg.run(&weights, &input).unwrap().to_vec();
+
+        // Same rows, other content: the piece reads the map it is given.
+        let NodeWeights::Dense { weight, bias } = weights.get(id).unwrap().clone() else {
+            panic!("dense weights expected");
+        };
+        let mut other = weights.clone();
+        other.insert(
+            id,
+            NodeWeights::Dense {
+                weight: weight.map(|w| 2.0 * w),
+                bias: bias.map(|b| 2.0 * b),
+            },
+        );
+        let doubled = seg.run(&other, &input).unwrap();
+        for (a, b) in first.iter().zip(doubled) {
+            assert_eq!((2.0 * a).to_bits(), b.to_bits());
+        }
+
+        let mut short = weights.clone();
+        short.insert(
+            id,
+            NodeWeights::Dense {
+                weight: weight.slice(0, 0..out_n - 2).unwrap(),
+                bias: bias.slice(0, 0..out_n - 2).unwrap(),
+            },
+        );
+        assert!(matches!(
+            seg.run(&short, &input),
+            Err(ModelError::BadWeights(_))
+        ));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! chains, keeping floating-point comparisons meaningful.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -48,21 +49,50 @@ pub enum NodeWeights {
     Lstm(LstmParams),
 }
 
+/// Source of [`ModelWeights::stamp`] values. `Relaxed` suffices: the counter
+/// only has to hand out distinct numbers, it publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// All weights of a model, keyed by graph node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ModelWeights {
     map: HashMap<NodeId, NodeWeights>,
+    stamp: u64,
+}
+
+impl Default for ModelWeights {
+    fn default() -> Self {
+        ModelWeights::new()
+    }
 }
 
 impl ModelWeights {
     /// Creates an empty weight store.
     pub fn new() -> Self {
-        ModelWeights::default()
+        ModelWeights {
+            map: HashMap::new(),
+            stamp: next_stamp(),
+        }
     }
 
     /// Inserts weights for a node, replacing any previous entry.
     pub fn insert(&mut self, id: NodeId, weights: NodeWeights) {
         self.map.insert(id, weights);
+        self.stamp = next_stamp();
+    }
+
+    /// Version stamp of the content: drawn from a process-wide counter at
+    /// construction and at every [`ModelWeights::insert`], so two weight sets
+    /// with equal stamps hold equal content (one is a move or a clone of the
+    /// other, unmodified since). State derived from the weights — packed
+    /// panels, folded batch norms — is keyed on it; unlike an address it
+    /// travels with a move and is never reused.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Weights for a node.
@@ -199,6 +229,38 @@ mod tests {
             .iter()
             .any(|n| n.op.has_weights() && a.get(n.id).unwrap() != c.get(n.id).unwrap());
         assert!(differs);
+    }
+
+    #[test]
+    fn stamp_follows_content_not_address() {
+        let model = zoo::tiny_vgg();
+        let a = init_weights(model.graph(), 42).unwrap();
+        let stamp = a.stamp();
+        // A move (here into a box, onto the heap) keeps the stamp; so does a
+        // clone, and reading through either.
+        let moved = Box::new(a);
+        assert_eq!(moved.stamp(), stamp);
+        let mut copy = (*moved).clone();
+        let id = model
+            .graph()
+            .nodes()
+            .iter()
+            .find(|n| n.op.has_weights())
+            .unwrap()
+            .id;
+        assert_eq!(copy.get(id).unwrap(), moved.get(id).unwrap());
+        assert_eq!(copy.stamp(), stamp);
+        // An insert — even of equal content — restamps the set it touches,
+        // and only that one.
+        let same = copy.get(id).unwrap().clone();
+        copy.insert(id, same);
+        assert_ne!(copy.stamp(), stamp);
+        assert_eq!(moved.stamp(), stamp);
+        // Equal seeds give equal content but distinct sets: the stamp does
+        // not claim more than it can know.
+        let b = init_weights(model.graph(), 42).unwrap();
+        assert_ne!(b.stamp(), stamp);
+        assert_ne!(ModelWeights::new().stamp(), ModelWeights::new().stamp());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use gillis_core::{
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::PlatformProfile;
-use gillis_model::weights::{ModelWeights, NodeWeights};
+use gillis_model::weights::ModelWeights;
 use gillis_model::{LinearModel, ModelError};
 use gillis_perf::PerfModel;
 use gillis_perf::TransferFormat;
@@ -379,69 +379,53 @@ impl Gillis {
     }
 }
 
-/// Identity of the weight set a compiled plan was built against. Compiled
-/// state pre-slices and packs weights, so it is only valid for the exact
-/// weight storage it was compiled from; the token pairs the map's address
-/// and size with the heap pointer of one inner tensor so a recreated or
-/// mutated weight set forces a recompile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WarmToken {
-    map_addr: usize,
-    entries: usize,
-    probe_addr: usize,
-    probe_len: usize,
-}
-
-impl WarmToken {
-    fn of(model: &LinearModel, weights: &ModelWeights) -> Self {
-        let probe = model
-            .graph()
-            .nodes()
-            .iter()
-            .find_map(|n| weights.get(n.id).ok())
-            .map(|w| {
-                let data = match w {
-                    NodeWeights::Conv { weight, .. }
-                    | NodeWeights::Depthwise { weight, .. }
-                    | NodeWeights::Dense { weight, .. } => weight.data(),
-                    NodeWeights::Bn(p) => p.gamma.data(),
-                    NodeWeights::Lstm(p) => p.w_ih.data(),
-                };
-                (data.as_ptr() as usize, data.len())
-            })
-            .unwrap_or((0, 0));
-        WarmToken {
-            map_addr: weights as *const ModelWeights as usize,
-            entries: weights.len(),
-            probe_addr: probe.0,
-            probe_len: probe.1,
-        }
-    }
-}
-
 /// The deployment's steady-state compiled plan.
 #[derive(Default)]
 enum WarmSlot {
-    /// No query has compiled yet.
+    /// No plan is held: no query has compiled yet, the last compile failed,
+    /// or a weight swap is between dropping the old plan and building the
+    /// new one.
     #[default]
     Empty,
     /// The model is outside the compiled subset (branching or recurrent);
     /// remembered so the fallback does not re-attempt compilation per query.
     Unsupported,
-    /// Compiled and valid for the weight set identified by the token.
+    /// Compiled against the weight set carrying this
+    /// [`ModelWeights::stamp`]. Compiled state packs and folds weights, so it
+    /// is valid for exactly that content — wherever the set has moved since.
     Ready {
-        token: WarmToken,
+        stamp: u64,
         exec: Box<CompiledPlanExec>,
     },
 }
 
+/// The slot plus how many plans it has held so far.
+#[derive(Default)]
+struct WarmState {
+    slot: WarmSlot,
+    compiles: u64,
+}
+
+/// What a deployment's warm slot holds (see [`Deployment::warm_plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WarmPlan {
+    /// [`ModelWeights::stamp`] of the weight set the plan was compiled for.
+    pub weights_stamp: u64,
+    /// Plans this deployment (and its clones) compiled so far, this one
+    /// included: it moves only when the weights' content does.
+    pub compiles: u64,
+    /// Bytes of f32 activations the plan holds: two arena buffers per piece
+    /// and one join buffer per group.
+    pub activation_bytes: usize,
+}
+
 /// Shared, lazily-populated compiled state. Clones of a [`Deployment`] share
-/// the same compilation (it is keyed by weight identity, not by clone).
+/// the same compilation (it is keyed by weight stamp, not by clone).
 #[derive(Clone, Default)]
-struct WarmCache(Arc<Mutex<WarmSlot>>);
+struct WarmCache(Arc<Mutex<WarmState>>);
 
 impl WarmCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, WarmSlot> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WarmState> {
         // A poisoning panic can only come from the executor, whose state is
         // fully overwritten by the next run; recover rather than propagate.
         match self.0.lock() {
@@ -453,7 +437,7 @@ impl WarmCache {
 
 impl fmt::Debug for WarmCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match *self.lock() {
+        let state = match self.lock().slot {
             WarmSlot::Empty => "empty",
             WarmSlot::Unsupported => "unsupported",
             WarmSlot::Ready { .. } => "ready",
@@ -478,8 +462,8 @@ pub struct Deployment {
     brownout: Option<BrownoutPolicy>,
     pipeline: Option<PipelinePolicy>,
     recovery: Option<RecoveryPolicy>,
-    /// Lazily-compiled steady-state execution (pre-sliced weights, packed
-    /// panels, preallocated buffers); see [`Deployment::infer`].
+    /// Lazily-compiled steady-state execution (packed panels, folded batch
+    /// norms, preallocated arenas); see [`Deployment::infer`].
     warm: WarmCache,
 }
 
@@ -515,12 +499,14 @@ impl Deployment {
     /// now also exercised through the facade.
     ///
     /// The first query against a weight set compiles the plan
-    /// ([`gillis_core::CompiledPlanExec`]): weight subsets are pre-sliced,
-    /// batch norms folded, conv panels packed, and every intermediate buffer
-    /// preallocated. Subsequent queries reuse that state — the steady-state
-    /// warm path runs without heap allocation at pool width 1. Chaos-enabled
-    /// deployments, branching/recurrent models, and mis-shaped inputs take
-    /// the uncompiled resilient path
+    /// ([`gillis_core::CompiledPlanExec`]): batch norms are folded, conv
+    /// panels packed, and two activation buffers per piece preallocated.
+    /// Subsequent queries with the same weight content (the same
+    /// [`ModelWeights::stamp`], wherever the set lives) reuse that state —
+    /// the steady-state warm path runs without heap allocation at pool width
+    /// 1 — and a changed set replaces it, one plan resident at a time.
+    /// Chaos-enabled deployments, branching/recurrent models, and mis-shaped
+    /// inputs take the uncompiled resilient path
     /// ([`gillis_core::execute_plan_tensors`]); outputs are bit-identical
     /// either way.
     ///
@@ -568,7 +554,7 @@ impl Deployment {
     }
 
     /// The steady-state warm path: compiles the plan on first use (or when
-    /// `weights` changes identity), then serves the query from preallocated
+    /// `weights` carries a new stamp), then serves the query from preallocated
     /// state. Returns `Ok(None)` when the query must take the uncompiled
     /// path instead — the model is outside the compiled subset, or the input
     /// shape is wrong (so the fallback can report the proper error).
@@ -580,27 +566,27 @@ impl Deployment {
         if input.shape() != self.model.input_shape() {
             return Ok(None);
         }
-        let mut slot = self.warm.lock();
-        if matches!(*slot, WarmSlot::Unsupported) {
+        let mut warm = self.warm.lock();
+        if matches!(warm.slot, WarmSlot::Unsupported) {
             return Ok(None);
         }
-        let token = WarmToken::of(&self.model, weights);
-        let stale = match &*slot {
-            WarmSlot::Ready { token: t, .. } => *t != token,
-            _ => true,
-        };
-        if stale {
+        let stamp = weights.stamp();
+        if !matches!(warm.slot, WarmSlot::Ready { stamp: s, .. } if s == stamp) {
+            // Drop the stale plan before building its replacement: a weight
+            // swap holds one plan, not two.
+            warm.slot = WarmSlot::Empty;
             match CompiledPlanExec::compile(&self.model, &self.plan, weights) {
                 Ok(exec) => {
-                    *slot = WarmSlot::Ready {
-                        token,
+                    warm.compiles += 1;
+                    warm.slot = WarmSlot::Ready {
+                        stamp,
                         exec: Box::new(exec),
                     };
                 }
                 Err(CoreError::Model(ModelError::Unsupported(_))) => {
                     // Branching or recurrent model: remember, and let every
                     // query take the uncompiled path without re-compiling.
-                    *slot = WarmSlot::Unsupported;
+                    warm.slot = WarmSlot::Unsupported;
                     return Ok(None);
                 }
                 // Anything else (say, an incomplete weight set) is this
@@ -609,9 +595,23 @@ impl Deployment {
                 Err(_) => return Ok(None),
             }
         }
-        match &mut *slot {
+        match &mut warm.slot {
             WarmSlot::Ready { exec, .. } => exec.run(weights, input).map(Some),
             _ => unreachable!("slot was just compiled"),
+        }
+    }
+
+    /// The compiled plan the warm slot holds, if any: which weights it was
+    /// built for, how many were built before it, and what it keeps resident.
+    pub fn warm_plan(&self) -> Option<WarmPlan> {
+        let warm = self.warm.lock();
+        match &warm.slot {
+            WarmSlot::Ready { stamp, exec } => Some(WarmPlan {
+                weights_stamp: *stamp,
+                compiles: warm.compiles,
+                activation_bytes: exec.activation_bytes(),
+            }),
+            _ => None,
         }
     }
 
