@@ -183,9 +183,26 @@ fn tensor_suite() -> Vec<ReportEntry> {
 }
 
 fn planner_suite() -> Vec<ReportEntry> {
-    let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
+    let lambda = PlatformProfile::aws_lambda();
     let mut entries = Vec::new();
 
+    // What every deploy pays before its search: building the performance
+    // model and integrating the order statistics a default-degree search
+    // asks for (each degree's fan-out, with and without the master).
+    let ask = |perf: PerfModel| -> f64 {
+        let degrees = PartitionerConfig::default().degrees;
+        let fan_outs = degrees.iter().flat_map(|&d| [d - 1, d]);
+        fan_outs.map(|n| perf.fork_ms(0, n)).sum()
+    };
+    let shape = "lambda, build + default-degree order statistics";
+    entries.push(entry("perf_model_analytic", shape, 5, || {
+        ask(PerfModel::analytic(&lambda))
+    }));
+    entries.push(entry("perf_model_profiled", shape, 5, || {
+        ask(PerfModel::profiled(&lambda, 42))
+    }));
+
+    let perf = PerfModel::analytic(&lambda);
     for (name, model) in [
         ("vgg11", zoo::vgg11()),
         ("vgg16", zoo::vgg16()),
@@ -197,6 +214,26 @@ fn planner_suite() -> Vec<ReportEntry> {
                 .partition(&model, &perf)
                 .unwrap()
         }));
+    }
+
+    // The candidate table at one pool thread and at two — the width the repo
+    // benchmark runs at — so a fan-out that loses to the sequential walk is
+    // a visible row. (Only meaningful with `GILLIS_THREADS` >= 2: a narrower
+    // pool runs both inline.)
+    for (name, model) in [
+        ("vgg11", zoo::vgg11()),
+        ("resnet101", zoo::resnet101()),
+        ("wrn-50-5", zoo::wrn50(5)),
+    ] {
+        for threads in [1, 2] {
+            let shape = format!("{name} threads={threads}");
+            entries.push(entry("dp_partition", &shape, 5, || {
+                DpPartitioner::default()
+                    .with_threads(threads)
+                    .partition(&model, &perf)
+                    .unwrap()
+            }));
+        }
     }
 
     // Warm-cache planner: one EvalCache shared across every iteration, as

@@ -4,10 +4,11 @@
 //! Every planner in the workspace keeps re-deriving the same two quantities:
 //!
 //! 1. **Group analyses** — the partition geometry of a `(start, end, option)`
-//!    triple ([`analyze_group`](crate::partition::analyze_group)). The DP
-//!    visits each once per run, but the RL trainer re-analyzes the groups of
-//!    every sampled episode and the BO baseline re-analyzes every candidate
-//!    plan it scores.
+//!    triple ([`analyze_group`](crate::partition::analyze_group)). The RL
+//!    trainer re-analyzes the groups of every sampled episode and the BO
+//!    baseline re-analyzes every candidate plan it scores. (The DP visits
+//!    each triple once per run, carried from its neighbour by one step of
+//!    the same walk, so it neither reads nor fills this table.)
 //! 2. **Group choices** — Algorithm 1's best worker-only /
 //!    master-participating evaluations `t(group, b)` for a `(i, j,
 //!    budget-bucket)` key, which repeated [`DpPartitioner`](crate::dp)
@@ -218,7 +219,8 @@ impl EvalCache {
 /// Samples the performance model's prediction surface at fixed probe points.
 /// Two `PerfModel`s producing identical probes are interchangeable for the
 /// planner's purposes (same regressions, same communication model, same
-/// budget), so the probe bit patterns serve as the perf fingerprint.
+/// wire format, same budget), so the probe bit patterns serve as the perf
+/// fingerprint.
 fn perf_probe(perf: &PerfModel) -> Vec<u64> {
     const CLASSES: [EffClass; 5] = [
         EffClass::Conv,
@@ -227,7 +229,7 @@ fn perf_probe(perf: &PerfModel) -> Vec<u64> {
         EffClass::Pool,
         EffClass::Recurrent,
     ];
-    let mut probe = Vec::with_capacity(CLASSES.len() * 2 + 5);
+    let mut probe = Vec::with_capacity(CLASSES.len() * 2 + 6);
     for class in CLASSES {
         probe.push(perf.predict_compute_ms(1_000_000, class).to_bits());
         probe.push(perf.predict_compute_ms(10_000_000_000, class).to_bits());
@@ -235,6 +237,9 @@ fn perf_probe(perf: &PerfModel) -> Vec<u64> {
     probe.push(perf.fork_ms(65_536, 1).to_bits());
     probe.push(perf.fork_ms(8 << 20, 4).to_bits());
     probe.push(perf.join_ms(1 << 20, 16).to_bits());
+    // `fork_ms`/`join_ms` price the bytes they are handed; what a payload
+    // weighs on the wire is the transfer format's doing.
+    probe.push(perf.wire_bytes(1 << 20));
     probe.push(perf.platform.model_memory_budget);
     probe.push(perf.platform.billing_granularity_ms);
     probe
@@ -246,6 +251,7 @@ mod tests {
     use crate::partition::analyze_group;
     use gillis_faas::PlatformProfile;
     use gillis_model::zoo;
+    use gillis_perf::TransferFormat;
 
     #[test]
     fn analysis_matches_uncached_and_hits_on_reuse() {
@@ -294,6 +300,8 @@ mod tests {
         assert_eq!(k1, EvalCache::eval_key(&vgg, &lambda, &[2, 4, 1]));
         assert_ne!(k1, EvalCache::eval_key(&vgg, &knix, &[2, 4, 1]));
         assert_ne!(k1, EvalCache::eval_key(&vgg, &lambda, &[2, 4, 0]));
+        let int8 = lambda.clone().with_transfer_format(TransferFormat::Int8);
+        assert_ne!(k1, EvalCache::eval_key(&vgg, &int8, &[2, 4, 1]));
     }
 
     #[test]

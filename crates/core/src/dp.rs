@@ -16,11 +16,9 @@ use std::sync::Arc;
 use gillis_model::LinearModel;
 use gillis_perf::PerfModel;
 
-use crate::cache::EvalCache;
+use crate::cache::{ChoicePair, EvalCache};
 use crate::error::CoreError;
-use crate::partition::{
-    analyze_group_with, group_options, GroupAnalysis, ModelFlops, PartitionOption,
-};
+use crate::partition::{group_options, GroupWalker, ModelFlops, PartitionOption};
 use crate::plan::{ExecutionPlan, Placement, PlannedGroup};
 use crate::predict::predict_group;
 use crate::Result;
@@ -79,10 +77,10 @@ impl Default for PartitionerConfig {
 #[derive(Debug, Clone, Default)]
 pub struct DpPartitioner {
     config: PartitionerConfig,
-    /// Shared memoization layer for group analyses and Algorithm 1 results.
+    /// Shared memoization layer for the FLOPs table and Algorithm 1 results.
     cache: Option<Arc<EvalCache>>,
-    /// Thread-count override for per-group option evaluation; `None` follows
-    /// `GILLIS_THREADS` / the machine parallelism.
+    /// Thread-count override for building the candidate table; `None`
+    /// follows `GILLIS_THREADS` / the machine parallelism.
     eval_threads: Option<usize>,
 }
 
@@ -100,12 +98,6 @@ pub struct GroupEval {
     pub budget_steps: usize,
 }
 
-/// Per-option outcome of Algorithm 1's inner evaluation: `None` when some
-/// partition exceeds the per-function budget, otherwise the worker-only
-/// evaluation plus (when master participation is allowed) the
-/// master-participating one.
-type OptionOutcome = Option<(GroupEval, Option<GroupEval>)>;
-
 impl DpPartitioner {
     /// Creates a partitioner with the given configuration.
     pub fn new(config: PartitionerConfig) -> Self {
@@ -116,18 +108,18 @@ impl DpPartitioner {
         }
     }
 
-    /// Attaches a shared [`EvalCache`]: group analyses and Algorithm 1
-    /// results are looked up before computing and stored after, so repeated
-    /// `partition` calls (and other planners sharing the cache) skip
-    /// re-evaluating identical cells. Plans are identical with or without a
-    /// cache.
+    /// Attaches a shared [`EvalCache`]: Algorithm 1 results are looked up
+    /// before computing and stored after, so repeated `partition` calls
+    /// skip re-evaluating identical cells, and the model's FLOPs table is
+    /// shared with the other planners on the cache. Plans are identical
+    /// with or without a cache.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
         self
     }
 
-    /// Overrides the number of threads used to evaluate a group's option set
+    /// Overrides the number of threads used to build the candidate table
     /// (default: `GILLIS_THREADS` or the machine parallelism). Results are
     /// bit-identical for any thread count; this exists for tests and for
     /// callers embedding the partitioner in an already-parallel context.
@@ -186,24 +178,32 @@ impl DpPartitioner {
             Some(cache) => cache.flops(model),
             None => Arc::new(ModelFlops::new(model)),
         };
-        let eval_key = self
+        // The cache with this search's key into its choice table.
+        let cache = self
             .cache
-            .as_ref()
-            .map(|_| EvalCache::eval_key(model, perf, &self.config_tag()));
+            .as_deref()
+            .map(|c| (c, EvalCache::eval_key(model, perf, &self.config_tag())));
 
-        // candidates[i][j - i - 1]: best worker-only and master-participating
-        // choices (Algorithm 1) for group i..j.
-        let mut candidates: Vec<Vec<(Option<GroupEval>, Option<GroupEval>)>> = vec![Vec::new(); n];
-        for (i, row) in candidates.iter_mut().enumerate() {
-            let max_j = self
-                .config
-                .max_group_len
-                .map(|l| (i + l).min(n))
-                .unwrap_or(n);
-            for j in i + 1..=max_j {
-                row.push(self.find_opt_latency(model, perf, &flops, eval_key, i, j, budget, grid)?);
-            }
-        }
+        // columns[j - 1][j - 1 - i]: best worker-only and master-participating
+        // choices (Algorithm 1) for group i..j. A column is one task: its
+        // groups share an end, so one backward walk analyzes them all. The
+        // longest columns are claimed first to keep the pool's tail short.
+        let column =
+            |c: usize| self.column_choices(model, perf, &flops, cache, n - c, budget, grid);
+        let threads = self
+            .eval_threads
+            .unwrap_or_else(gillis_pool::gillis_threads);
+        // A search finishes every column, so a cache that holds the last
+        // column's longest group holds the whole table: n² lookups, which
+        // a pool batch would only slow down.
+        let warm = cache
+            .is_some_and(|(c, key)| c.choice(key, self.shortest_start(n), n, budget).is_some());
+        let mut columns: Vec<Vec<ChoicePair>> = if threads <= 1 || warm {
+            (0..n).map(column).collect()
+        } else {
+            gillis_pool::Pool::global().run(n, column)
+        };
+        columns.reverse();
 
         // L[j][m]: best score for layers 0..j with m grid steps of master
         // budget; back[j][m] records the chosen group. A score is the
@@ -225,7 +225,7 @@ impl DpPartitioner {
         for j in 1..=n {
             for m in 0..=steps {
                 for i in 0..j {
-                    let Some(&(worker_only, with_master)) = candidates[i].get(j - i - 1) else {
+                    let Some(&(worker_only, with_master)) = columns[j - 1].get(j - 1 - i) else {
                         continue;
                     };
                     if let Some(c) = worker_only {
@@ -290,86 +290,63 @@ impl DpPartitioner {
         Ok(plan)
     }
 
-    /// Algorithm 1: search the group's parallelization options and return
-    /// the best worker-only choice and the best master-participating choice
-    /// (whose budget requirement is the master partition's weight bytes).
-    ///
-    /// Options are evaluated in parallel; the winner is reduced sequentially
-    /// in option order afterwards, so the result — including first-wins
-    /// tie-breaking — is bit-identical for every thread count.
+    /// Start of the longest group ending at `j` that the search considers.
+    fn shortest_start(&self, j: usize) -> usize {
+        self.config.max_group_len.map_or(0, |l| j.saturating_sub(l))
+    }
+
+    /// Column `j` of the candidate table: Algorithm 1's choices for every
+    /// group `i..j`, at index `j - 1 - i`. Each option's analysis is carried
+    /// from `i + 1..j` to `i..j` by one [`GroupWalker`] step, so the column
+    /// costs one backward walk per option rather than one per group.
     #[allow(clippy::too_many_arguments)]
+    fn column_choices(
+        &self,
+        model: &LinearModel,
+        perf: &PerfModel,
+        flops: &ModelFlops,
+        cache: Option<(&EvalCache, u64)>,
+        j: usize,
+        budget: u64,
+        grid: u64,
+    ) -> Vec<ChoicePair> {
+        let shortest = self.shortest_start(j);
+        // Every longer group's options are among the last layer's own.
+        let mut walkers: Vec<GroupWalker> = group_options(model, j - 1, j, &self.config.degrees)
+            .into_iter()
+            .map(|option| GroupWalker::new(&model.layers()[..j], flops.layers(0, j), option))
+            .collect();
+        let mut column = Vec::with_capacity(j - shortest);
+        for i in (shortest..j).rev() {
+            if let Some(pair) = cache.and_then(|(c, key)| c.choice(key, i, j, budget)) {
+                column.push(pair);
+                continue;
+            }
+            // Catch up to `i` (cached cells were skipped). An option that
+            // stops applying here applies to no longer group either.
+            walkers.retain_mut(|w| (w.len()..j - i).all(|_| w.extend().is_ok()));
+            let pair = self.find_opt_latency(model, perf, &walkers, i, budget, grid);
+            if let Some((c, key)) = cache {
+                c.store_choice(key, i, j, budget, pair);
+            }
+            column.push(pair);
+        }
+        column
+    }
+
+    /// Algorithm 1: search the options of the group starting at layer `i`
+    /// (one walker each, in [`group_options`] order) and return the best
+    /// worker-only choice and the best master-participating choice (whose
+    /// budget requirement is the master partition's weight bytes).
     fn find_opt_latency(
         &self,
         model: &LinearModel,
         perf: &PerfModel,
-        flops: &ModelFlops,
-        eval_key: Option<u64>,
+        walkers: &[GroupWalker],
         i: usize,
-        j: usize,
         budget: u64,
         grid: u64,
-    ) -> Result<(Option<GroupEval>, Option<GroupEval>)> {
-        if let (Some(cache), Some(key)) = (&self.cache, eval_key) {
-            if let Some(pair) = cache.choice(key, i, j, budget) {
-                return Ok(pair);
-            }
-        }
-
-        let options = group_options(model, i, j, &self.config.degrees);
-        let outcomes = self.evaluate_options(model, perf, flops, i, j, budget, grid, &options);
-
-        // Sequential reduction in option order: first strictly-better latency
-        // wins the worker-only slot; the master slot additionally prefers
-        // fewer budget steps at equal latency.
-        let mut best_worker_only: Option<GroupEval> = None;
-        let mut best_with_master: Option<GroupEval> = None;
-        for outcome in outcomes {
-            let Some((wo, mp)) = outcome? else {
-                continue;
-            };
-            if best_worker_only
-                .map(|b| wo.latency_ms < b.latency_ms)
-                .unwrap_or(true)
-            {
-                best_worker_only = Some(wo);
-            }
-            if let Some(mp) = mp {
-                if best_with_master
-                    .map(|b| {
-                        mp.latency_ms < b.latency_ms
-                            || (mp.latency_ms == b.latency_ms && mp.budget_steps < b.budget_steps)
-                    })
-                    .unwrap_or(true)
-                {
-                    best_with_master = Some(mp);
-                }
-            }
-        }
-
-        let pair = (best_worker_only, best_with_master);
-        if let (Some(cache), Some(key)) = (&self.cache, eval_key) {
-            cache.store_choice(key, i, j, budget, pair);
-        }
-        Ok(pair)
-    }
-
-    /// Evaluates every option of one group, returning outcomes index-aligned
-    /// with `options`. Options are evaluated as independent tasks on the
-    /// shared persistent pool; each slot is written by exactly one task, so
-    /// the returned order (and hence the caller's reduction) is independent
-    /// of the thread count.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_options(
-        &self,
-        model: &LinearModel,
-        perf: &PerfModel,
-        flops: &ModelFlops,
-        i: usize,
-        j: usize,
-        budget: u64,
-        grid: u64,
-        options: &[PartitionOption],
-    ) -> Vec<Result<OptionOutcome>> {
+    ) -> ChoicePair {
         // Under the pipeline objective a cell's value is the *stage time*:
         // group latency plus the inbound activation hand-off the stage pays
         // to receive its input from the upstream stage (zero for the first
@@ -379,63 +356,62 @@ impl DpPartitioner {
             PlanObjective::PipelineBottleneck if i == 0 => 0.0,
             PlanObjective::PipelineBottleneck => perf.handoff_ms(model.layers()[i].in_bytes()),
         };
-        let evaluate = |option: PartitionOption| -> Result<OptionOutcome> {
-            let cached;
-            let owned;
-            let analysis: &GroupAnalysis = match &self.cache {
-                Some(cache) => {
-                    cached = cache.analysis(model, i, j, option)?;
-                    &cached
-                }
-                None => {
-                    owned = analyze_group_with(model, flops, i, j, option)?;
-                    &owned
-                }
-            };
+        // Reduction in option order: first strictly-better latency wins the
+        // worker-only slot; the master slot additionally prefers fewer
+        // budget steps at equal latency.
+        let mut best_worker_only: Option<GroupEval> = None;
+        let mut best_with_master: Option<GroupEval> = None;
+        for walker in walkers {
+            let analysis = walker.analysis();
+            let option = analysis.option;
             // Partition too large to fit into any function: skip option.
             if analysis.partitions.iter().any(|p| p.mem_bytes() > budget) {
-                return Ok(None);
+                continue;
             }
 
             // Worker-only placement: every partition on a worker.
             let wo = predict_group(perf, analysis, Placement::Workers);
-            let worker_only = GroupEval {
-                latency_ms: handoff_ms + wo.latency_ms(),
-                option,
-                placement: Placement::Workers,
-                budget_steps: 0,
-            };
+            let latency_ms = handoff_ms + wo.latency_ms();
+            if best_worker_only
+                .map(|b| latency_ms < b.latency_ms)
+                .unwrap_or(true)
+            {
+                best_worker_only = Some(GroupEval {
+                    latency_ms,
+                    option,
+                    placement: Placement::Workers,
+                    budget_steps: 0,
+                });
+            }
 
-            let with_master = self.config.allow_master_participation.then(|| {
-                // Master-participating placement: partition 0 in the master.
-                let placement = if option.parts() == 1 {
-                    Placement::Master
-                } else {
-                    Placement::MasterAndWorkers
-                };
-                let mp = predict_group(perf, analysis, placement);
-                let w0 = analysis.partitions[0].weight_bytes;
-                GroupEval {
-                    latency_ms: handoff_ms + mp.latency_ms(),
+            if !self.config.allow_master_participation {
+                continue;
+            }
+            // Master-participating placement: partition 0 in the master.
+            let placement = if option.parts() == 1 {
+                Placement::Master
+            } else {
+                Placement::MasterAndWorkers
+            };
+            let mp = predict_group(perf, analysis, placement);
+            let latency_ms = handoff_ms + mp.latency_ms();
+            let budget_steps = analysis.partitions[0].weight_bytes.div_ceil(grid) as usize;
+            if best_with_master
+                .map(|b| {
+                    latency_ms < b.latency_ms
+                        || (latency_ms == b.latency_ms && budget_steps < b.budget_steps)
+                })
+                .unwrap_or(true)
+            {
+                best_with_master = Some(GroupEval {
+                    latency_ms,
                     option,
                     placement,
-                    budget_steps: w0.div_ceil(grid) as usize,
-                }
-            });
-            Ok(Some((worker_only, with_master)))
-        };
-
-        let threads = self
-            .eval_threads
-            .unwrap_or_else(gillis_pool::gillis_threads)
-            .clamp(1, options.len().max(1));
-        if threads <= 1 {
-            return options.iter().map(|&o| evaluate(o)).collect();
+                    budget_steps,
+                });
+            }
         }
-
-        // Index-ordered slots on the shared pool: slot `i` is written only by
-        // task `i`, so the returned order is independent of scheduling.
-        gillis_pool::Pool::global().run(options.len(), |i| evaluate(options[i]))
+        (best_worker_only, best_with_master)
     }
 }
 
@@ -719,6 +695,41 @@ mod tests {
             assert_eq!(lat, lat_plain, "latency_first={latency_first}");
             assert_eq!(pipe, pipe_plain, "latency_first={latency_first}");
         }
+    }
+
+    #[test]
+    fn wire_formats_share_a_cache_without_poisoning_each_other() {
+        // Regression: the eval-cache choice key ignored the wire format, so
+        // an int8 search after an f32 one on the same cache was answered
+        // with the f32 cells and returned the f32 plan.
+        use gillis_perf::TransferFormat;
+        let f32_perf = perf(&PlatformProfile::aws_lambda());
+        let int8_perf = f32_perf.clone().with_transfer_format(TransferFormat::Int8);
+        for model in [zoo::vgg11(), zoo::vgg16()] {
+            let fresh = DpPartitioner::default()
+                .partition(&model, &int8_perf)
+                .unwrap();
+            let cache = Arc::new(EvalCache::new());
+            let shared = DpPartitioner::default().with_cache(Arc::clone(&cache));
+            let f32_plan = shared.partition(&model, &f32_perf).unwrap();
+            assert_ne!(f32_plan, fresh, "{}: formats must differ", model.name());
+            let int8_plan = shared.partition(&model, &int8_perf).unwrap();
+            assert_eq!(int8_plan, fresh, "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn a_search_integrates_only_the_order_statistics_it_asks_for() {
+        // The guard against a return to the eager 64-entry table: a fresh
+        // model has integrated nothing, and a default-degree search needs
+        // the fan-outs of its degree set (with and without the master).
+        let perf = perf(&PlatformProfile::aws_lambda());
+        assert_eq!(perf.comm.order_statistics_computed(), 0);
+        DpPartitioner::default()
+            .partition(&zoo::vgg11(), &perf)
+            .unwrap();
+        let computed = perf.comm.order_statistics_computed();
+        assert!((1..=16).contains(&computed), "{computed} entries computed");
     }
 
     #[test]

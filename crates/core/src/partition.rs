@@ -193,33 +193,26 @@ fn group_is_spatial(layers: &[MergedLayer]) -> bool {
 }
 
 /// Whether the group can be channel-partitioned: either every layer is
-/// channel-local (slice input channels through), or the head splits its
-/// weights and the remaining layers are channel-local.
-fn group_channel_mode(layers: &[MergedLayer]) -> Option<ChannelMode> {
-    if layers.iter().all(|l| l.class.channel_local()) {
-        return Some(ChannelMode::AllLocal);
-    }
-    let (head, rest) = layers.split_first()?;
-    if head.class.channel_splittable() && rest.iter().all(|l| l.class.channel_local()) {
-        return Some(ChannelMode::SplitHead);
-    }
-    None
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChannelMode {
-    /// Head layer's weights are split; full input shipped to every worker.
-    SplitHead,
-    /// Every layer passes channels through; input channels are sliced.
-    AllLocal,
+/// channel-local (input channels are sliced through), or the head splits its
+/// weights (and takes the full input) and the remaining layers are
+/// channel-local.
+fn group_is_channel(layers: &[MergedLayer]) -> bool {
+    let Some((head, rest)) = layers.split_first() else {
+        return false;
+    };
+    (head.class.channel_local() || head.class.channel_splittable())
+        && rest.iter().all(|l| l.class.channel_local())
 }
 
 /// Enumerates the feasible partitioning options of the group
 /// `model.layers()[start..end]`, given the parallelism degrees to consider.
 ///
-/// Returns an empty vector for structurally invalid groups (e.g. a dense
-/// layer grouped with convolutions — Fig 6's `L3` barrier). Singleton groups
-/// always admit at least [`PartitionOption::Single`].
+/// Every non-empty group admits at least [`PartitionOption::Single`]; a
+/// structurally mixed group (e.g. a dense layer grouped with convolutions —
+/// Fig 6's `L3` barrier) admits nothing else. Only an empty range yields an
+/// empty vector. The options of `start..end` are a subsequence of those of
+/// `end - 1..end`: extents come from the last layer, and a longer group can
+/// only lose joint parallelizability.
 pub fn group_options(
     model: &LinearModel,
     start: usize,
@@ -233,10 +226,7 @@ pub fn group_options(
     // Any group can at least run whole (sequentially, in one function);
     // split options additionally require joint parallelizability.
     let mut options = vec![PartitionOption::Single];
-    let spatial = group_is_spatial(layers);
-    let channel = group_channel_mode(layers);
-
-    if spatial {
+    if group_is_spatial(layers) {
         let out = &layers[layers.len() - 1].out_shape;
         for (dim, extent) in [
             (PartDim::Height, out.dims()[1]),
@@ -249,7 +239,7 @@ pub fn group_options(
             }
         }
     }
-    if channel.is_some() {
+    if group_is_channel(layers) {
         let out = &layers[layers.len() - 1].out_shape;
         let extent = out.dims()[0];
         for &parts in degrees {
@@ -283,7 +273,7 @@ pub fn analyze_group(
         .ok_or_else(|| CoreError::InvalidArgument(format!("group {start}..{end} out of range")))?;
     let tables: Vec<Vec<(EffClass, u64)>> =
         layers.iter().map(|l| flops_by_class(model, l)).collect();
-    analyze_group_inner(layers, &tables, start, end, option)
+    analyze_group_inner(layers, &tables, option)
 }
 
 /// [`analyze_group`] against a precomputed [`ModelFlops`] table, skipping the
@@ -304,66 +294,191 @@ pub fn analyze_group_with(
         .layers()
         .get(start..end)
         .ok_or_else(|| CoreError::InvalidArgument(format!("group {start}..{end} out of range")))?;
-    analyze_group_inner(layers, flops.layers(start, end), start, end, option)
+    analyze_group_inner(layers, flops.layers(start, end), option)
 }
 
 fn analyze_group_inner(
     layers: &[MergedLayer],
     per_layer_flops: &[Vec<(EffClass, u64)>],
-    start: usize,
-    end: usize,
     option: PartitionOption,
 ) -> Result<GroupAnalysis> {
     if layers.is_empty() {
         return Err(CoreError::InvalidArgument("empty group".into()));
     }
-    let partitions = match option {
-        PartitionOption::Single => vec![whole_group_work(layers, per_layer_flops)],
-        PartitionOption::Split { dim, parts } => {
-            if parts < 2 {
-                return Err(CoreError::InvalidArgument(
-                    "split needs at least two parts".into(),
-                ));
-            }
-            match dim {
-                PartDim::Height | PartDim::Width => {
-                    if !group_is_spatial(layers) {
-                        return Err(CoreError::InvalidArgument(format!(
-                            "group {start}..{end} is not spatially partitionable"
-                        )));
-                    }
-                    spatial_partition_work(layers, per_layer_flops, dim, parts)?
-                }
-                PartDim::Channel => {
-                    let mode = group_channel_mode(layers).ok_or_else(|| {
-                        CoreError::InvalidArgument(format!(
-                            "group {start}..{end} is not channel-partitionable"
-                        ))
-                    })?;
-                    channel_partition_work(layers, per_layer_flops, parts, mode)?
-                }
-            }
-        }
-    };
-    Ok(GroupAnalysis { option, partitions })
+    let mut walker = GroupWalker::new(layers, per_layer_flops, option);
+    for _ in layers {
+        walker.extend()?;
+    }
+    Ok(walker.analysis)
 }
 
-/// The whole group as a single partition.
-fn whole_group_work(
-    layers: &[MergedLayer],
-    per_layer_flops: &[Vec<(EffClass, u64)>],
-) -> PartitionWork {
-    let mut flops: Vec<(EffClass, u64)> = Vec::new();
-    for table in per_layer_flops {
-        for &(class, f) in table {
-            merge_flops(&mut flops, class, f);
+/// Suffix-incremental group analysis: holds the [`GroupAnalysis`] of a group
+/// under one option and grows the group one layer at the front.
+///
+/// Everything a longer group adds to a shorter one with the same end is one
+/// more step of the same walk. A spatial split walks each partition's output
+/// rows backward through the receptive fields, so the rows `start - 1..end`
+/// needs of its input are the rows `start..end` needs pushed through one
+/// more layer; FLOPs and weight bytes are `u64` sums of per-layer terms.
+/// Analyzing every start of one end therefore costs one walk, not one walk
+/// per start — and a single group's analysis is the same walk, stopped at
+/// its start.
+pub(crate) struct GroupWalker<'a> {
+    /// Layers the group may grow over (it ends where the slice ends) and
+    /// their index-aligned FLOPs tables.
+    layers: &'a [MergedLayer],
+    tables: &'a [Vec<(EffClass, u64)>],
+    /// Layers taken so far, from the back.
+    len: usize,
+    /// Per partition — spatial splits: the rows needed of the group's
+    /// input; channel splits: the output channels produced.
+    ranges: Vec<std::ops::Range<usize>>,
+    /// Whether every layer taken so far is channel-local.
+    all_local: bool,
+    analysis: GroupAnalysis,
+}
+
+impl<'a> GroupWalker<'a> {
+    /// An empty group at the end of `layers` (`tables` index-aligned).
+    pub(crate) fn new(
+        layers: &'a [MergedLayer],
+        tables: &'a [Vec<(EffClass, u64)>],
+        option: PartitionOption,
+    ) -> Self {
+        GroupWalker {
+            layers,
+            tables,
+            len: 0,
+            ranges: Vec::new(),
+            all_local: true,
+            analysis: GroupAnalysis {
+                option,
+                partitions: Vec::new(),
+            },
         }
     }
-    PartitionWork {
-        flops,
-        weight_bytes: layers.iter().map(|l| l.weight_bytes).sum(),
-        input_bytes: layers[0].in_bytes(),
-        output_bytes: layers[layers.len() - 1].out_bytes(),
+
+    /// Number of layers in the group.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The analysis of the group as grown so far.
+    pub(crate) fn analysis(&self) -> &GroupAnalysis {
+        &self.analysis
+    }
+
+    /// Grows the group by the layer in front of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidArgument`] if the option does not apply
+    /// to the grown group (no longer group contains it either, so the walker
+    /// is spent) or no layer is left.
+    pub(crate) fn extend(&mut self) -> Result<()> {
+        let invalid = |why: String| Err(CoreError::InvalidArgument(why));
+        let Some(li) = self.layers.len().checked_sub(self.len + 1) else {
+            return invalid("group out of range".into());
+        };
+        let (layer, table) = (&self.layers[li], &self.tables[li]);
+        let last = &self.layers[self.layers.len() - 1];
+        let parts = &mut self.analysis.partitions;
+        // A partition before its first layer: only its output is known.
+        let blank = |output_bytes: u64| PartitionWork {
+            flops: Vec::new(),
+            weight_bytes: 0,
+            input_bytes: 0,
+            output_bytes,
+        };
+        match self.analysis.option {
+            PartitionOption::Single => {
+                if self.len == 0 {
+                    parts.push(blank(last.out_bytes()));
+                }
+                merge_flops_front(&mut parts[0].flops, table, |f| f);
+                parts[0].weight_bytes += layer.weight_bytes;
+                parts[0].input_bytes = layer.in_bytes();
+            }
+            PartitionOption::Split { parts: n, .. } if n < 2 => {
+                return invalid("split needs at least two parts".into());
+            }
+            PartitionOption::Split {
+                dim: dim @ (PartDim::Height | PartDim::Width),
+                parts: n,
+            } => {
+                let d = if dim == PartDim::Height { 1 } else { 2 };
+                let Some(rf) = layer.class.receptive_field() else {
+                    return invalid(format!(
+                        "layer '{}' is not spatially partitionable",
+                        layer.name
+                    ));
+                };
+                // Elements per row: the product of the other extents.
+                let other = |dims: &[usize]| -> usize {
+                    let but_d = dims.iter().enumerate().filter(|&(i, _)| i != d);
+                    but_d.map(|(_, &x)| x).product()
+                };
+                if self.len == 0 {
+                    // Spatial partitions slice the group's output rows.
+                    self.ranges = balanced_ranges(last.out_shape.dims()[d], n);
+                    let other_out = other(last.out_shape.dims());
+                    let out_bytes = |r: &std::ops::Range<usize>| 4 * (r.len() * other_out) as u64;
+                    parts.extend(self.ranges.iter().map(|r| blank(out_bytes(r))));
+                }
+                let extent = layer.out_shape.dims()[d];
+                let in_extent = layer.in_shape.dims()[d];
+                let other_in = other(layer.in_shape.dims());
+                for (part, rows) in parts.iter_mut().zip(&mut self.ranges) {
+                    // `rows` are in this layer's output coordinates; the
+                    // fraction of the layer computed includes the halo.
+                    let frac = rows.len() as f64 / extent as f64;
+                    for &(class, f) in table {
+                        merge_flops(&mut part.flops, class, (f as f64 * frac).round() as u64);
+                    }
+                    *rows = rf.input_rows(rows.clone(), in_extent).0;
+                    // Spatial partitions replicate the full group weights.
+                    part.weight_bytes += layer.weight_bytes;
+                    part.input_bytes = 4 * (rows.len() * other_in) as u64;
+                }
+            }
+            PartitionOption::Split {
+                dim: PartDim::Channel,
+                parts: n,
+            } => {
+                // The new head must pass channels through or split its own
+                // weights, and everything behind it must pass them through.
+                let local = layer.class.channel_local();
+                if !(self.all_local && (local || layer.class.channel_splittable())) {
+                    return invalid(format!(
+                        "layer '{}' cannot head a channel-partitioned group",
+                        layer.name
+                    ));
+                }
+                self.all_local = local;
+                let out_extent = last.out_shape.dims()[0];
+                if self.len == 0 {
+                    self.ranges = balanced_ranges(out_extent, n);
+                    parts.extend(self.ranges.iter().map(|r| {
+                        let frac = r.len() as f64 / out_extent as f64;
+                        blank((last.out_bytes() as f64 * frac).round() as u64)
+                    }));
+                }
+                for (part, channels) in parts.iter_mut().zip(&self.ranges) {
+                    let frac = channels.len() as f64 / out_extent as f64;
+                    let scale = |x: u64| (x as f64 * frac).round() as u64;
+                    merge_flops_front(&mut part.flops, table, scale);
+                    part.weight_bytes += scale(layer.weight_bytes);
+                    part.input_bytes = if local {
+                        scale(layer.in_bytes())
+                    } else {
+                        // Weight-split heads consume the entire input (Fig 2b).
+                        layer.in_bytes()
+                    };
+                }
+            }
+        }
+        self.len += 1;
+        Ok(())
     }
 }
 
@@ -377,108 +492,35 @@ fn merge_flops(acc: &mut Vec<(EffClass, u64)>, class: EffClass, f: u64) {
     }
 }
 
-/// Spatial split: walk output ranges backward through the group's receptive
-/// fields, accumulating per-layer fractional FLOPs (halo redundancy falls
-/// out naturally) and the input slice each partition needs.
-fn spatial_partition_work(
-    layers: &[MergedLayer],
-    per_layer_flops: &[Vec<(EffClass, u64)>],
-    dim: PartDim,
-    parts: usize,
-) -> Result<Vec<PartitionWork>> {
-    let dim_idx = match dim {
-        PartDim::Height => 1,
-        PartDim::Width => 2,
-        PartDim::Channel => unreachable!("channel handled separately"),
-    };
-    let last = &layers[layers.len() - 1];
-    let out_extent = last.out_shape.dims()[dim_idx];
-    let group_weights: u64 = layers.iter().map(|l| l.weight_bytes).sum();
-
-    let mut out = Vec::with_capacity(parts);
-    for range in balanced_ranges(out_extent, parts) {
-        let out_len = range.len();
-        let mut flops: Vec<(EffClass, u64)> = Vec::new();
-        // Current range, in the *output* coordinates of the layer being
-        // visited (walking backward).
-        let mut cur = range.clone();
-        for (li, layer) in layers.iter().enumerate().rev() {
-            let extent = layer.out_shape.dims()[dim_idx];
-            let frac = cur.len() as f64 / extent as f64;
-            for &(class, f) in &per_layer_flops[li] {
-                merge_flops(&mut flops, class, (f as f64 * frac).round() as u64);
-            }
-            let rf = layer.class.receptive_field().ok_or_else(|| {
-                CoreError::InvalidArgument("non-spatial layer in spatial group".into())
-            })?;
-            let in_extent = layer.in_shape.dims()[dim_idx];
-            let (in_range, _, _) = rf.input_rows(cur.clone(), in_extent);
-            cur = in_range;
+/// Merges a new head layer's `table` (each entry through `scale`) into
+/// `acc` so that `acc` reads as if accumulated head-first: the head's
+/// classes lead in table order, the rest keep their order. Predictions sum
+/// per-class times in entry order, so the order is part of the result.
+fn merge_flops_front(
+    acc: &mut Vec<(EffClass, u64)>,
+    table: &[(EffClass, u64)],
+    scale: impl Fn(u64) -> u64,
+) {
+    let mut front = 0;
+    for &(class, f) in table {
+        let f = scale(f);
+        if f == 0 {
+            continue;
         }
-        // `cur` is now the required slice of the group input.
-        let in_shape = layers[0].in_shape.dims();
-        let other_in: usize = in_shape
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != dim_idx)
-            .map(|(_, &d)| d)
-            .product();
-        let out_shape = last.out_shape.dims();
-        let other_out: usize = out_shape
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != dim_idx)
-            .map(|(_, &d)| d)
-            .product();
-        out.push(PartitionWork {
-            flops,
-            // Spatial partitions replicate the full group weights.
-            weight_bytes: group_weights,
-            input_bytes: 4 * (cur.len() * other_in) as u64,
-            output_bytes: 4 * (out_len * other_out) as u64,
-        });
-    }
-    Ok(out)
-}
-
-/// Channel split: the head's weights are divided across partitions (or, for
-/// all-local groups, the input channels are sliced); downstream layers scale
-/// proportionally.
-fn channel_partition_work(
-    layers: &[MergedLayer],
-    per_layer_flops: &[Vec<(EffClass, u64)>],
-    parts: usize,
-    mode: ChannelMode,
-) -> Result<Vec<PartitionWork>> {
-    let last = &layers[layers.len() - 1];
-    let out_extent = last.out_shape.dims()[0];
-    let in_bytes_full = layers[0].in_bytes();
-    let out_bytes_full = last.out_bytes();
-
-    let mut out = Vec::with_capacity(parts);
-    for range in balanced_ranges(out_extent, parts) {
-        let frac = range.len() as f64 / out_extent as f64;
-        let mut flops: Vec<(EffClass, u64)> = Vec::new();
-        let mut weight_bytes = 0u64;
-        for (li, layer) in layers.iter().enumerate() {
-            for &(class, f) in &per_layer_flops[li] {
-                merge_flops(&mut flops, class, (f as f64 * frac).round() as u64);
+        match acc.iter().position(|(c, _)| *c == class) {
+            Some(at) => {
+                acc[at].1 += f;
+                if at >= front {
+                    acc[front..=at].rotate_right(1);
+                    front += 1;
+                }
             }
-            weight_bytes += (layer.weight_bytes as f64 * frac).round() as u64;
+            None => {
+                acc.insert(front, (class, f));
+                front += 1;
+            }
         }
-        let input_bytes = match mode {
-            // Weight-split heads consume the entire input (Fig 2b).
-            ChannelMode::SplitHead => in_bytes_full,
-            ChannelMode::AllLocal => (in_bytes_full as f64 * frac).round() as u64,
-        };
-        out.push(PartitionWork {
-            flops,
-            weight_bytes,
-            input_bytes,
-            output_bytes: (out_bytes_full as f64 * frac).round() as u64,
-        });
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -708,6 +750,262 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// The from-scratch analysis the walker replaced, kept as the oracle:
+    /// every group is walked whole, head to tail, as the paper describes it.
+    mod reference {
+        use super::super::*;
+
+        /// Whether the group can be channel-partitioned: either every layer is
+        /// channel-local (slice input channels through), or the head splits its
+        /// weights and the remaining layers are channel-local.
+        fn group_channel_mode(layers: &[MergedLayer]) -> Option<ChannelMode> {
+            if layers.iter().all(|l| l.class.channel_local()) {
+                return Some(ChannelMode::AllLocal);
+            }
+            let (head, rest) = layers.split_first()?;
+            if head.class.channel_splittable() && rest.iter().all(|l| l.class.channel_local()) {
+                return Some(ChannelMode::SplitHead);
+            }
+            None
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum ChannelMode {
+            /// Head layer's weights are split; full input shipped to every worker.
+            SplitHead,
+            /// Every layer passes channels through; input channels are sliced.
+            AllLocal,
+        }
+
+        pub(super) fn analyze(
+            layers: &[MergedLayer],
+            per_layer_flops: &[Vec<(EffClass, u64)>],
+            start: usize,
+            end: usize,
+            option: PartitionOption,
+        ) -> Result<GroupAnalysis> {
+            if layers.is_empty() {
+                return Err(CoreError::InvalidArgument("empty group".into()));
+            }
+            let partitions = match option {
+                PartitionOption::Single => vec![whole_group_work(layers, per_layer_flops)],
+                PartitionOption::Split { dim, parts } => {
+                    if parts < 2 {
+                        return Err(CoreError::InvalidArgument(
+                            "split needs at least two parts".into(),
+                        ));
+                    }
+                    match dim {
+                        PartDim::Height | PartDim::Width => {
+                            if !group_is_spatial(layers) {
+                                return Err(CoreError::InvalidArgument(format!(
+                                    "group {start}..{end} is not spatially partitionable"
+                                )));
+                            }
+                            spatial_partition_work(layers, per_layer_flops, dim, parts)?
+                        }
+                        PartDim::Channel => {
+                            let mode = group_channel_mode(layers).ok_or_else(|| {
+                                CoreError::InvalidArgument(format!(
+                                    "group {start}..{end} is not channel-partitionable"
+                                ))
+                            })?;
+                            channel_partition_work(layers, per_layer_flops, parts, mode)?
+                        }
+                    }
+                }
+            };
+            Ok(GroupAnalysis { option, partitions })
+        }
+
+        /// The whole group as a single partition.
+        fn whole_group_work(
+            layers: &[MergedLayer],
+            per_layer_flops: &[Vec<(EffClass, u64)>],
+        ) -> PartitionWork {
+            let mut flops: Vec<(EffClass, u64)> = Vec::new();
+            for table in per_layer_flops {
+                for &(class, f) in table {
+                    merge_flops(&mut flops, class, f);
+                }
+            }
+            PartitionWork {
+                flops,
+                weight_bytes: layers.iter().map(|l| l.weight_bytes).sum(),
+                input_bytes: layers[0].in_bytes(),
+                output_bytes: layers[layers.len() - 1].out_bytes(),
+            }
+        }
+
+        /// Spatial split: walk output ranges backward through the group's receptive
+        /// fields, accumulating per-layer fractional FLOPs (halo redundancy falls
+        /// out naturally) and the input slice each partition needs.
+        fn spatial_partition_work(
+            layers: &[MergedLayer],
+            per_layer_flops: &[Vec<(EffClass, u64)>],
+            dim: PartDim,
+            parts: usize,
+        ) -> Result<Vec<PartitionWork>> {
+            let dim_idx = match dim {
+                PartDim::Height => 1,
+                PartDim::Width => 2,
+                PartDim::Channel => unreachable!("channel handled separately"),
+            };
+            let last = &layers[layers.len() - 1];
+            let out_extent = last.out_shape.dims()[dim_idx];
+            let group_weights: u64 = layers.iter().map(|l| l.weight_bytes).sum();
+
+            let mut out = Vec::with_capacity(parts);
+            for range in balanced_ranges(out_extent, parts) {
+                let out_len = range.len();
+                let mut flops: Vec<(EffClass, u64)> = Vec::new();
+                // Current range, in the *output* coordinates of the layer being
+                // visited (walking backward).
+                let mut cur = range.clone();
+                for (li, layer) in layers.iter().enumerate().rev() {
+                    let extent = layer.out_shape.dims()[dim_idx];
+                    let frac = cur.len() as f64 / extent as f64;
+                    for &(class, f) in &per_layer_flops[li] {
+                        merge_flops(&mut flops, class, (f as f64 * frac).round() as u64);
+                    }
+                    let rf = layer.class.receptive_field().ok_or_else(|| {
+                        CoreError::InvalidArgument("non-spatial layer in spatial group".into())
+                    })?;
+                    let in_extent = layer.in_shape.dims()[dim_idx];
+                    let (in_range, _, _) = rf.input_rows(cur.clone(), in_extent);
+                    cur = in_range;
+                }
+                // `cur` is now the required slice of the group input.
+                let in_shape = layers[0].in_shape.dims();
+                let other_in: usize = in_shape
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != dim_idx)
+                    .map(|(_, &d)| d)
+                    .product();
+                let out_shape = last.out_shape.dims();
+                let other_out: usize = out_shape
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != dim_idx)
+                    .map(|(_, &d)| d)
+                    .product();
+                out.push(PartitionWork {
+                    flops,
+                    // Spatial partitions replicate the full group weights.
+                    weight_bytes: group_weights,
+                    input_bytes: 4 * (cur.len() * other_in) as u64,
+                    output_bytes: 4 * (out_len * other_out) as u64,
+                });
+            }
+            Ok(out)
+        }
+
+        /// Channel split: the head's weights are divided across partitions (or, for
+        /// all-local groups, the input channels are sliced); downstream layers scale
+        /// proportionally.
+        fn channel_partition_work(
+            layers: &[MergedLayer],
+            per_layer_flops: &[Vec<(EffClass, u64)>],
+            parts: usize,
+            mode: ChannelMode,
+        ) -> Result<Vec<PartitionWork>> {
+            let last = &layers[layers.len() - 1];
+            let out_extent = last.out_shape.dims()[0];
+            let in_bytes_full = layers[0].in_bytes();
+            let out_bytes_full = last.out_bytes();
+
+            let mut out = Vec::with_capacity(parts);
+            for range in balanced_ranges(out_extent, parts) {
+                let frac = range.len() as f64 / out_extent as f64;
+                let mut flops: Vec<(EffClass, u64)> = Vec::new();
+                let mut weight_bytes = 0u64;
+                for (li, layer) in layers.iter().enumerate() {
+                    for &(class, f) in &per_layer_flops[li] {
+                        merge_flops(&mut flops, class, (f as f64 * frac).round() as u64);
+                    }
+                    weight_bytes += (layer.weight_bytes as f64 * frac).round() as u64;
+                }
+                let input_bytes = match mode {
+                    // Weight-split heads consume the entire input (Fig 2b).
+                    ChannelMode::SplitHead => in_bytes_full,
+                    ChannelMode::AllLocal => (in_bytes_full as f64 * frac).round() as u64,
+                };
+                out.push(PartitionWork {
+                    flops,
+                    weight_bytes,
+                    input_bytes,
+                    output_bytes: (out_bytes_full as f64 * frac).round() as u64,
+                });
+            }
+            Ok(out)
+        }
+    }
+
+    /// The catalog of `gillis::serving::model_catalog`.
+    fn catalog() -> Vec<LinearModel> {
+        let mut models = vec![
+            zoo::vgg11(),
+            zoo::vgg16(),
+            zoo::vgg19(),
+            zoo::resnet34(),
+            zoo::resnet50(),
+            zoo::resnet101(),
+            zoo::mobilenet(),
+            zoo::tiny_vgg(),
+            zoo::tiny_resnet(),
+            zoo::tiny_inception(),
+            zoo::tiny_mobilenet(),
+        ];
+        models.extend(
+            [3, 4, 5]
+                .into_iter()
+                .flat_map(|w| [zoo::wrn34(w), zoo::wrn50(w)]),
+        );
+        models.extend([3, 6, 9, 12, 18].map(zoo::rnn));
+        models
+    }
+
+    #[test]
+    fn walker_matches_the_from_scratch_analysis_on_every_catalog_group() {
+        let degrees = [2, 3, 4, 6, 8, 12, 16];
+        let models = catalog();
+        assert_eq!(models.len(), 22);
+        for model in &models {
+            let flops = ModelFlops::new(model);
+            let n = model.layers().len();
+            for end in 1..=n {
+                let (layers, tables) = (&model.layers()[..end], flops.layers(0, end));
+                let mut walkers: Vec<GroupWalker> = group_options(model, end - 1, end, &degrees)
+                    .into_iter()
+                    .map(|option| GroupWalker::new(layers, tables, option))
+                    .collect();
+                for start in (0..end).rev() {
+                    let at = format!("{} {start}..{end}", model.name());
+                    // A walker dies exactly when its option leaves the set.
+                    walkers.retain_mut(|w| w.extend().is_ok());
+                    let alive: Vec<_> = walkers.iter().map(|w| w.analysis().option).collect();
+                    assert_eq!(alive, group_options(model, start, end, &degrees), "{at}");
+                    for walker in &walkers {
+                        let option = walker.analysis().option;
+                        let expected = reference::analyze(
+                            &layers[start..],
+                            &tables[start..],
+                            start,
+                            end,
+                            option,
+                        )
+                        .unwrap();
+                        // Equality covers the order of the `flops` entries.
+                        assert_eq!(walker.analysis(), &expected, "{at} {option}");
+                        let direct = analyze_group(model, start, end, option).unwrap();
+                        assert_eq!(direct, expected, "{at} {option}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! - an exGaussian per-invocation jitter, whose `n`-th order statistic
 //!   predicts the max delay of `n` concurrent worker invocations.
 
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,18 +23,18 @@ use crate::regression::LinearRegression;
 pub struct CommModel {
     jitter: ExGaussian,
     per_byte_ms: f64,
-    /// Precomputed `E[max of n]` for n = 1..=MAX_FANOUT_TABLE (order
-    /// statistics are queried on every group prediction; the numerical
-    /// integration is too slow to repeat inside the DP/RL/BO loops).
-    max_table: Vec<f64>,
+    /// `E[max of n]` for n = 1..=MAX_FANOUT_TABLE, each integrated the
+    /// first time a prediction asks for it: the integration is too slow to
+    /// repeat inside the DP/RL/BO loops, and a search touches only the
+    /// fan-outs of its degree set — about a dozen of the 64. Clones share
+    /// the table, so one model's searches warm it for all of them.
+    max_table: Arc<[OnceLock<f64>]>,
 }
 
 const MAX_FANOUT_TABLE: usize = 64;
 
-fn build_max_table(jitter: &ExGaussian) -> Vec<f64> {
-    (1..=MAX_FANOUT_TABLE)
-        .map(|n| jitter.expected_max(n))
-        .collect()
+fn empty_max_table() -> Arc<[OnceLock<f64>]> {
+    (0..MAX_FANOUT_TABLE).map(|_| OnceLock::new()).collect()
 }
 
 impl CommModel {
@@ -68,21 +70,19 @@ impl CommModel {
             .map(|(x, y)| y - per_byte_ms * x[0])
             .collect();
         let jitter = fit_exgaussian(&residuals).expect("jitter residuals fit an exGaussian");
-        let max_table = build_max_table(&jitter);
         CommModel {
             jitter,
             per_byte_ms,
-            max_table,
+            max_table: empty_max_table(),
         }
     }
 
     /// Builds the exact communication model from ground-truth constants.
     pub fn analytic(platform: &PlatformProfile) -> Self {
-        let jitter = platform.invoke_latency_ms;
         CommModel {
-            jitter,
+            jitter: platform.invoke_latency_ms,
             per_byte_ms: 8.0 / platform.network_bandwidth_bps * 1000.0,
-            max_table: build_max_table(&jitter),
+            max_table: empty_max_table(),
         }
     }
 
@@ -91,14 +91,21 @@ impl CommModel {
         &self.jitter
     }
 
-    /// `E[max of n]` of the jitter, from the precomputed table (falling
-    /// back to direct integration beyond the table).
+    /// `E[max of n]` of the jitter: the table entry, integrated on first
+    /// use (direct integration beyond the table). Every path evaluates the
+    /// same `ExGaussian::expected_max(n)`, so the value does not depend on
+    /// who asked first.
     fn expected_max_jitter(&self, n: usize) -> f64 {
-        if n >= 1 && n <= self.max_table.len() {
-            self.max_table[n - 1]
-        } else {
-            self.jitter.expected_max(n)
+        match n.checked_sub(1).and_then(|k| self.max_table.get(k)) {
+            Some(entry) => *entry.get_or_init(|| self.jitter.expected_max(n)),
+            None => self.jitter.expected_max(n),
         }
+    }
+
+    /// How many order statistics this model (and its clones) have
+    /// integrated so far.
+    pub fn order_statistics_computed(&self) -> usize {
+        self.max_table.iter().filter(|e| e.get().is_some()).count()
     }
 
     /// Fitted per-byte streaming cost in milliseconds.
@@ -195,6 +202,66 @@ mod tests {
         assert!(m.group_transfer_ms(1_000_000, 2) < m.group_transfer_ms(1_000_000, 4));
         assert!(m.group_transfer_ms(1_000_000, 4) < m.group_transfer_ms(2_000_000, 4));
         let _ = rand::rngs::StdRng::seed_from_u64(0).random::<u8>(); // keep RngExt import used
+    }
+
+    #[test]
+    fn on_demand_order_statistics_are_the_direct_integrals() {
+        let platform = PlatformProfile::aws_lambda();
+        for m in [
+            CommModel::analytic(&platform),
+            CommModel::profiled(&platform, 5),
+        ] {
+            assert_eq!(m.order_statistics_computed(), 0, "nothing is eager");
+            let bytes = 123_457u64;
+            // Inside the table, at its edge, and beyond it.
+            for n in (1..=MAX_FANOUT_TABLE).chain([65, 200]) {
+                let direct = m.jitter().expected_max(n) + m.per_byte_ms() * bytes as f64 * n as f64;
+                // First query integrates, second reads the entry.
+                for _ in 0..2 {
+                    assert_eq!(m.group_transfer_ms(bytes, n).to_bits(), direct.to_bits());
+                }
+                let parts = vec![bytes; n];
+                let direct_parts =
+                    m.jitter().expected_max(n) + m.per_byte_ms() * (bytes * n as u64) as f64;
+                assert_eq!(
+                    m.group_transfer_parts_ms(&parts).to_bits(),
+                    direct_parts.to_bits()
+                );
+            }
+            assert_eq!(m.order_statistics_computed(), MAX_FANOUT_TABLE);
+        }
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let original = CommModel::analytic(&PlatformProfile::aws_lambda());
+        let early_clone = original.clone();
+        original.group_transfer_ms(1, 8);
+        original.group_transfer_ms(1, 16);
+        assert_eq!(early_clone.order_statistics_computed(), 2);
+        early_clone.group_transfer_ms(1, 3);
+        assert_eq!(original.order_statistics_computed(), 3);
+    }
+
+    #[test]
+    fn racing_first_queries_agree() {
+        let m = CommModel::analytic(&PlatformProfile::aws_lambda());
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<u64> = std::thread::scope(|scope| {
+            let askers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        m.group_transfer_ms(0, 12).to_bits()
+                    })
+                })
+                .collect();
+            askers.into_iter().map(|a| a.join().unwrap()).collect()
+        });
+        assert!(seen
+            .iter()
+            .all(|&bits| bits == m.jitter().expected_max(12).to_bits()));
+        assert_eq!(m.order_statistics_computed(), 1);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! for prediction. Given a DNN, we infer its runtime by summing up all the
 //! predicted layer execution times."
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,7 +108,10 @@ pub fn flops_by_class(model: &LinearModel, layer: &MergedLayer) -> Vec<(EffClass
 /// Per-class linear runtime models fitted from profiling runs.
 #[derive(Debug, Clone)]
 pub struct LayerRuntimeModel {
-    per_class: HashMap<EffClass, LinearRegression>,
+    /// One regression per class, in [`ALL_CLASSES`] order: `predict_ms` runs
+    /// several times per partition of every option of every DP cell, where
+    /// hashing the class cost four fifths of a group prediction.
+    per_class: Vec<LinearRegression>,
     /// Relative standard deviation of the profiling residuals — an estimate
     /// of the platform's run-to-run compute variance, used by the tail
     /// (quantile) latency predictor.
@@ -131,7 +132,7 @@ impl LayerRuntimeModel {
     /// per-class regression `time = a · flops + b`.
     pub fn profiled(platform: &PlatformProfile, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut per_class = HashMap::new();
+        let mut per_class = Vec::with_capacity(ALL_CLASSES.len());
         let mut rel_residuals: Vec<f64> = Vec::new();
         for class in ALL_CLASSES {
             let mut xs = Vec::new();
@@ -156,7 +157,7 @@ impl LayerRuntimeModel {
                     rel_residuals.push((y - pred) / pred);
                 }
             }
-            per_class.insert(class, model);
+            per_class.push(model);
         }
         let noise_rel_std = gillis_faas::stats::variance(&rel_residuals).sqrt();
         LayerRuntimeModel {
@@ -168,21 +169,17 @@ impl LayerRuntimeModel {
     /// Builds the exact (noise-free) runtime model from the platform's
     /// ground-truth constants.
     pub fn analytic(platform: &PlatformProfile) -> Self {
-        let mut per_class = HashMap::new();
-        for class in ALL_CLASSES {
+        let per_class = ALL_CLASSES.map(|class| {
             // Ground truth is exactly linear: time = overhead + flops/peak.
             let per_flop =
                 platform.compute_ms(1_000_000_000, class) - platform.per_layer_overhead_ms;
-            per_class.insert(
-                class,
-                LinearRegression {
-                    coeffs: vec![per_flop / 1e9],
-                    intercept: platform.per_layer_overhead_ms,
-                },
-            );
-        }
+            LinearRegression {
+                coeffs: vec![per_flop / 1e9],
+                intercept: platform.per_layer_overhead_ms,
+            }
+        });
         LayerRuntimeModel {
-            per_class,
+            per_class: per_class.into(),
             noise_rel_std: platform.compute_noise_rel_std,
         }
     }
@@ -196,7 +193,10 @@ impl LayerRuntimeModel {
 
     /// Predicted execution time (ms) of `flops` of `class` work.
     pub fn predict_ms(&self, flops: u64, class: EffClass) -> f64 {
-        self.per_class[&class].predict(&[flops as f64]).max(0.0)
+        let slot = ALL_CLASSES.iter().position(|&c| c == class);
+        self.per_class[slot.expect("ALL_CLASSES lists every class")]
+            .predict(&[flops as f64])
+            .max(0.0)
     }
 
     /// Predicted runtime of a whole model in one function: the sum over all
