@@ -1,0 +1,1309 @@
+//! One serving run's state, and the bodies every scheduler runs on it.
+//!
+//! A [`Session`] holds what used to be threaded by hand through every
+//! driver: the fleet, the bill, the recorders, the breaker bank, the retry
+//! budget, the brownout controller and the checkpoint cache. The group body,
+//! the local-only rung, the query body, the stage-boundary routine and the
+//! admission counters are methods on it that take only what varies per call
+//! — group, start time, RNG stream and the query's [`QueryCtx`]. The
+//! schedulers (`eager`, `pipelined`) decide *when* a query runs and on which
+//! stream; nothing here does.
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+use gillis_faas::batch::BatchCounters;
+use gillis_faas::billing::BillingMeter;
+use gillis_faas::brownout::{ArrivalDecision, BrownoutController, BrownoutLevel};
+use gillis_faas::budget::RetryBudget;
+use gillis_faas::chaos::{FaultSite, QueryStatus, ResilienceCounters};
+use gillis_faas::fleet::Fleet;
+use gillis_faas::metrics::{LatencyStats, StatusLatency};
+use gillis_faas::overload::{CircuitBreaker, OverloadCounters};
+use gillis_faas::pipeline::PipelineCounters;
+use gillis_faas::recovery::{
+    CheckpointCache, RecoveryCounters, StageCheckpoint, DEFAULT_FAILOVER_MS,
+};
+use gillis_faas::Micros;
+use gillis_perf::TransferFormat;
+
+use super::lane::LaneExec;
+use super::{on_worker, worker_fn, ForkJoinRuntime, ServingReport, WorkProfile};
+use crate::partition::PartitionWork;
+use crate::plan::Placement;
+use crate::Result;
+
+/// Fault-site salt for speculative re-executions: a duplicate that redrew
+/// the primary's site-keyed faults would deterministically repeat its
+/// straggle.
+const SPEC_QUERY_SALT: u64 = 0x5350_4543; // "SPEC"
+
+/// Fault-site salt for checkpoint-resume retries of a failed group: a
+/// resumed attempt that redrew the failed attempt's site-keyed faults would
+/// deterministically fail again.
+const RESUME_QUERY_SALT: u64 = 0x5245_5355; // "RESU"
+
+/// Hard cap on orchestrator crashes handled per query. The crash
+/// probability is capped well below 1
+/// ([`gillis_faas::chaos::FaultInjector::orchestrator_crash`] caps at 0.75)
+/// so endless re-fire is astronomically unlikely; the bound makes worst-case
+/// behavior finite by construction.
+const MAX_ORCH_INCARNATIONS: u32 = 16;
+
+/// What one query carries into every group it runs.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct QueryCtx<'p> {
+    /// The work each group performs: the runtime's own profile, or batched
+    /// serving's `n`-scaled one.
+    pub profile: &'p WorkProfile,
+    /// Keys fault sampling, crash sampling and checkpoints.
+    pub id: u64,
+    /// Absolute cancellation point: per-attempt timeouts shrink to the
+    /// remaining budget, attempts that would launch past it are cancelled
+    /// (counted, not performed), and once it expires the orchestrator
+    /// abandons remaining work instead of completing it.
+    pub deadline: Option<Micros>,
+    /// The brownout rung the query was admitted at.
+    pub level: BrownoutLevel,
+}
+
+/// Outcome of executing one layer group.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct GroupRun {
+    /// When the orchestrating function finished the group (join included;
+    /// for terminal outcomes, when it stopped waiting).
+    pub end: Micros,
+    /// `Ok`, `Degraded` (locally recomputed shards), `Failed` (shards
+    /// exhausted without fallback), or `DeadlineExceeded` (the deadline
+    /// expired inside the group). The last two are terminal: the caller
+    /// abandons the rest of the plan.
+    pub status: QueryStatus,
+}
+
+/// What the replacement orchestrator found after a crash at a stage
+/// boundary.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Takeover {
+    /// The newest live checkpoint at or below the crashed boundary: stages
+    /// `0..=k` are never re-executed. `None` restarts from stage 0.
+    pub hit: Option<(u32, StageCheckpoint)>,
+    /// Time until the replacement is running.
+    pub failover: Micros,
+}
+
+impl Takeover {
+    /// First stage the replacement must re-execute.
+    pub fn resume_from(&self) -> usize {
+        self.hit.map_or(0, |(k, _)| k as usize + 1)
+    }
+}
+
+/// One lane execution launched on the fleet.
+struct Launch {
+    exec: LaneExec,
+    /// Payload receipt: instance ready and invocation jitter paid.
+    start: Micros,
+    /// When the master observed the lane resolve (or abandoned it).
+    end: Micros,
+    /// When the function stopped running — never capped by an abandon.
+    busy_end: Micros,
+}
+
+/// How one worker lane of a group ended.
+struct LaneRun {
+    /// Arrival of the accepted result; `None` when every attempt failed,
+    /// was denied by the retry budget, or was cancelled.
+    resolved: Option<Micros>,
+    /// When the master stopped waiting on the lane.
+    observed_end: Micros,
+    /// An attempt would have launched at or past the deadline.
+    cancelled: bool,
+}
+
+/// The mutable state of one serving run. The fleet, the bill and the
+/// resilience counters are borrowed because [`ForkJoinRuntime::run_query_at`]
+/// runs the query body over a caller-owned fleet; a serving scheduler owns
+/// them for the length of its run and borrows them here.
+pub(super) struct Session<'s, 'a> {
+    pub rt: &'s ForkJoinRuntime<'a>,
+    pub fleet: &'s mut Fleet,
+    pub billing: &'s mut BillingMeter,
+    pub resilience: &'s mut ResilienceCounters,
+    pub overload: OverloadCounters,
+    pub recovery: RecoveryCounters,
+    latency: LatencyStats,
+    by_status: StatusLatency,
+    /// Per-lane circuit breakers, `[group][partition]`.
+    breakers: Option<Vec<Vec<CircuitBreaker>>>,
+    budget: Option<RetryBudget>,
+    pub brownout: Option<BrownoutController>,
+    /// Stage-boundary checkpoint store; `None` without a
+    /// [`gillis_faas::RecoveryPolicy`], in which case every orchestrator
+    /// crash is a full restart and failed groups never resume.
+    pub checkpoints: Option<CheckpointCache>,
+}
+
+impl<'s, 'a> Session<'s, 'a> {
+    /// A session with no admission-side controller at all — no breakers,
+    /// budget, ladder or checkpoint cache, whatever the runtime's policies.
+    pub fn bare(
+        rt: &'s ForkJoinRuntime<'a>,
+        fleet: &'s mut Fleet,
+        billing: &'s mut BillingMeter,
+        resilience: &'s mut ResilienceCounters,
+    ) -> Self {
+        Session {
+            rt,
+            fleet,
+            billing,
+            resilience,
+            overload: OverloadCounters::default(),
+            recovery: RecoveryCounters::default(),
+            latency: LatencyStats::new(),
+            by_status: StatusLatency::new(),
+            breakers: None,
+            budget: None,
+            brownout: None,
+            checkpoints: None,
+        }
+    }
+
+    /// The session of one serving run: every controller the runtime's
+    /// policies call for, fresh.
+    pub fn for_run(
+        rt: &'s ForkJoinRuntime<'a>,
+        fleet: &'s mut Fleet,
+        billing: &'s mut BillingMeter,
+        resilience: &'s mut ResilienceCounters,
+    ) -> Self {
+        Session {
+            breakers: rt.breaker_bank(),
+            budget: rt.retry_budget.map(RetryBudget::new),
+            brownout: rt.brownout.map(BrownoutController::new),
+            checkpoints: rt.recovery.map(CheckpointCache::new),
+            ..Session::bare(rt, fleet, billing, resilience)
+        }
+    }
+
+    /// Brownout front door for one arrival: records a shed and returns
+    /// `None` when the ladder rejects it, otherwise the service level to
+    /// dispatch at.
+    pub fn front_door(&mut self) -> Option<BrownoutLevel> {
+        match self
+            .brownout
+            .as_mut()
+            .map(BrownoutController::classify_arrival)
+        {
+            Some(ArrivalDecision::Shed) => {
+                self.resilience.record_status(QueryStatus::Shed);
+                None
+            }
+            Some(ArrivalDecision::Serve(l)) => Some(l),
+            None => Some(BrownoutLevel::Full),
+        }
+    }
+
+    /// Sheds an arrival because the bounded queue in front of the
+    /// orchestrators is full. Shed decisions are pure functions of queue
+    /// state — no RNG is consumed, so admitted queries' draws do not depend
+    /// on how many arrivals were shed before them — and a shed arrival never
+    /// runs: it gets a status tally but no latency sample.
+    pub fn shed_queue_full(&mut self) {
+        self.overload.shed_queue_full += 1;
+        self.resilience.record_status(QueryStatus::Shed);
+    }
+
+    /// Sheds an arrival whose predicted wait plus predicted service already
+    /// misses its deadline.
+    pub fn shed_predicted_miss(&mut self) {
+        self.overload.shed_predicted_miss += 1;
+        self.resilience.record_status(QueryStatus::Shed);
+    }
+
+    /// Tracks the admission queue's peak depth.
+    pub fn note_queue_depth(&mut self, depth: usize) {
+        self.overload.peak_queue_depth = self.overload.peak_queue_depth.max(depth as u64);
+    }
+
+    /// Charges the worker invocations planned from group `from` onward as
+    /// cancelled — the accounting for a query that dies before reaching them.
+    pub fn cancel_from(&mut self, from: usize) {
+        self.overload.cancelled_attempts += self.rt.workers_from(from);
+    }
+
+    /// First-attempt `(count, successes)` since `window`, an earlier return
+    /// of this function (`(0, 0)` for a snapshot): taken around a dispatch,
+    /// it is exactly that dispatch's health.
+    pub fn health_since(&self, window: (u64, u64)) -> (u64, u64) {
+        (
+            self.resilience.first_attempts - window.0,
+            self.resilience.first_attempt_successes - window.1,
+        )
+    }
+
+    /// Scores first-attempt outcomes into the brownout controller (a no-op
+    /// without one).
+    pub fn observe(&mut self, health: (u64, u64)) {
+        if let Some(ctl) = self.brownout.as_mut() {
+            ctl.observe(health.0, health.1);
+        }
+    }
+
+    /// Records one served query's latency, measured from its own arrival,
+    /// under its terminal status.
+    pub fn record(&mut self, arrival: Micros, done: Micros, status: QueryStatus) {
+        let ms = (done - arrival).as_ms();
+        self.latency.record(ms);
+        self.by_status.record(status, ms);
+    }
+
+    /// Drops a terminal query's checkpoints: consumed, not evicted.
+    pub fn retire(&mut self, query: u64) {
+        if let Some(c) = self.checkpoints.as_mut() {
+            c.retire_query(query, self.rt.weight_token);
+        }
+    }
+
+    /// Assembles the run's report: the recorders, and the cold starts the
+    /// master and worker functions paid. A scheduler with counters of its
+    /// own (`batch`, `pipeline`) fills them in.
+    pub fn finish(self) -> Result<ServingReport> {
+        Ok(ServingReport {
+            cold_starts: self.rt.count_cold_starts(self.fleet)?,
+            latency: self.latency,
+            by_status: self.by_status,
+            billing: self.billing.clone(),
+            resilience: *self.resilience,
+            overload: self.overload,
+            batch: BatchCounters::default(),
+            brownout: self.brownout.map(|c| c.counters).unwrap_or_default(),
+            pipeline: PipelineCounters::default(),
+            recovery: self.recovery,
+        })
+    }
+
+    /// Debits the retry budget for one extra execution (retry, hedge,
+    /// resume or speculation) of work whose attempt p95 is `p95_ms`; always
+    /// funded without a budget. With recovery on the debit is the work's
+    /// marginal share of the plan, not a full token.
+    fn spend_retry(&mut self, p95_ms: f64) -> bool {
+        let cost = self.rt.retry_unit_cost(p95_ms);
+        self.budget.as_mut().is_none_or(|b| b.try_spend_cost(cost))
+    }
+
+    /// Samples one lane execution at `site` launching at `at`, counts it,
+    /// and acquires the instance it runs on. Lane outcomes come from
+    /// [`ForkJoinRuntime::sample_lane`] — the same failure model as
+    /// [`ForkJoinRuntime::simulate_query_at`] — with instance acquisition
+    /// (and its cold starts) layered on top. `sample_lane` draws noise and
+    /// fault *before* applying the timeout cap, so a deadline-shrunk
+    /// timeout never shifts the RNG stream.
+    fn launch(
+        &mut self,
+        fname: &str,
+        site: FaultSite,
+        work: &PartitionWork,
+        at: Micros,
+        timeout_ms: f64,
+        rng: &mut StdRng,
+    ) -> Result<Launch> {
+        let exec = self.rt.sample_lane(site, work, timeout_ms, at.as_ms(), rng);
+        exec.count_into(self.resilience);
+        let acq = self.fleet.acquire(fname, at)?;
+        let start = acq.ready_at.max(at + Micros::from_ms(exec.jitter_ms));
+        Ok(Launch {
+            exec,
+            start,
+            end: start + Micros::from_ms(exec.run_ms),
+            busy_end: start + Micros::from_ms(exec.billed_ms),
+        })
+    }
+
+    /// Bills a launched lane from payload receipt to response emission —
+    /// its full busy time even when abandoned, the function keeps running —
+    /// plus `transfer_ms` when it is the accepted lane and carries the
+    /// payload, then frees its instance.
+    fn settle(&mut self, fname: &str, lane: &Launch, transfer_ms: f64) -> Result<()> {
+        self.billing.record(
+            (lane.busy_end - lane.start).as_ms() + transfer_ms,
+            self.rt.platform.instance_memory_bytes,
+        );
+        self.fleet.release(fname, lane.busy_end)?;
+        Ok(())
+    }
+
+    /// Runs worker lane `part` of group `gi` to resolution from `dispatched`
+    /// with at most `lane_attempts` attempts: backoff between attempts, an
+    /// optional hedge per attempt (first success wins), every retry and
+    /// hedge debited from the retry budget before it launches.
+    fn run_lane(
+        &mut self,
+        gi: usize,
+        part: usize,
+        dispatched: Micros,
+        lane_attempts: u32,
+        rng: &mut StdRng,
+        q: QueryCtx<'_>,
+    ) -> Result<LaneRun> {
+        let rt = self.rt;
+        let p = &q.profile.analyses[gi].partitions[part];
+        let fname = worker_fn(gi, part);
+        let p95 = q.profile.attempt_p95_ms[gi][part];
+        let wire_fmt = wire_format(rt, q.level);
+        let transfer = rt
+            .platform
+            .transfer_ms(wire_fmt.wire_bytes(p.input_bytes) + wire_fmt.wire_bytes(p.output_bytes));
+        // The remaining deadline budget caps the attempt timeout.
+        let timeout_ms = rt.policy.attempt_timeout_factor * p95;
+        let timeout_at = |at: Micros| match q.deadline {
+            Some(d) => timeout_ms.min((d - at).as_ms()),
+            None => timeout_ms,
+        };
+        let mut t = dispatched;
+        let mut lane = LaneRun {
+            resolved: None,
+            observed_end: dispatched,
+            cancelled: false,
+        };
+        for attempt in 0..lane_attempts {
+            // An attempt that would launch at or past the deadline is
+            // cancelled — doomed work the master does not perform.
+            if q.deadline.is_some_and(|d| t >= d) {
+                self.overload.cancelled_attempts += 1;
+                lane.cancelled = true;
+                break;
+            }
+            let site = FaultSite {
+                query: q.id,
+                group: gi as u32,
+                part: part as u32,
+                attempt,
+                lane: 0,
+            };
+            let primary = self.launch(&fname, site, p, t, timeout_at(t), rng)?;
+            if attempt == 0 {
+                self.resilience.first_attempts += 1;
+                if primary.exec.success {
+                    self.resilience.first_attempt_successes += 1;
+                    // Successful first attempts are the only thing that
+                    // earns retry tokens back.
+                    if let Some(b) = self.budget.as_mut() {
+                        b.refill();
+                    }
+                }
+            }
+            lane.resolved = primary.exec.success.then_some(primary.end);
+            let mut attempt_end = primary.end;
+            let mut hedge: Option<Launch> = None;
+            let mut hedge_won = false;
+            // The first brownout rung turns hedging off: a hedge is pure
+            // load amplification when the platform is already unhealthy.
+            if rt.policy.hedged() && q.level == BrownoutLevel::Full {
+                let hedge_at = t + Micros::from_ms(rt.policy.hedge_delay_factor * p95);
+                // A hedge is only worth launching before the deadline.
+                let hedge_allowed = q.deadline.is_none_or(|d| hedge_at < d);
+                if primary.end > hedge_at && hedge_allowed {
+                    // Hedges debit the same token bucket as retries — both
+                    // are extra invocations.
+                    if !self.spend_retry(p95) {
+                        self.resilience.budget_denied_hedges += 1;
+                    } else {
+                        let site = FaultSite { lane: 1, ..site };
+                        let h =
+                            self.launch(&fname, site, p, hedge_at, timeout_at(hedge_at), rng)?;
+                        self.resilience.hedges += 1;
+                        if h.exec.success && lane.resolved.is_none_or(|r| h.end < r) {
+                            hedge_won = true;
+                            lane.resolved = Some(h.end);
+                        }
+                        attempt_end = attempt_end.max(h.end);
+                        hedge = Some(h);
+                    }
+                }
+            }
+            if hedge_won {
+                self.resilience.hedge_wins += 1;
+            }
+            let carried = |carries: bool| if carries { transfer } else { 0.0 };
+            self.settle(
+                &fname,
+                &primary,
+                carried(lane.resolved.is_some() && !hedge_won),
+            )?;
+            if let Some(h) = hedge {
+                self.settle(&fname, &h, carried(hedge_won))?;
+            }
+            if let Some(r) = lane.resolved {
+                lane.observed_end = r;
+                break;
+            }
+            lane.observed_end = attempt_end;
+            // Adaptive retry budget: a retry that would actually launch
+            // must first debit a token. A dry bucket abandons the lane to
+            // local fallback instead of amplifying load.
+            if attempt + 1 < lane_attempts && !self.spend_retry(p95) {
+                self.resilience.budget_denied_retries += 1;
+                break;
+            }
+            if attempt + 1 < rt.policy.max_attempts.max(1) {
+                self.resilience.retries += 1;
+                let unit = rt
+                    .injector
+                    .as_ref()
+                    .map_or(0.5, |inj| inj.backoff_unit(site));
+                t = attempt_end + Micros::from_ms(rt.policy.backoff_ms(attempt, unit));
+            }
+        }
+        Ok(lane)
+    }
+
+    /// Executes layer group `gi` on the fleet starting at `begin`: fork,
+    /// worker lanes with retries/hedges/breakers/budget, local fallback,
+    /// and join. This is the group body shared by the monolithic fork-join
+    /// master ([`Self::run_query`]) and the per-stage orchestrators of the
+    /// pipelined scheduler — one failure model, two serving topologies.
+    /// Terminal outcomes (`Failed`, `DeadlineExceeded`) leave
+    /// downstream-cancellation accounting to the caller, which knows what
+    /// work remains.
+    pub fn run_group(
+        &mut self,
+        gi: usize,
+        begin: Micros,
+        rng: &mut StdRng,
+        q: QueryCtx<'_>,
+    ) -> Result<GroupRun> {
+        let rt = self.rt;
+        let g = &rt.plan.groups()[gi];
+        let a = &q.profile.analyses[gi];
+        // The master computes partition 0 itself unless every partition is
+        // a worker's (a master-placed group has no other).
+        let offset = usize::from(g.placement != Placement::Workers);
+        let worker_parts = &a.partitions[offset..];
+        let master_compute = if offset == 1 {
+            rt.sample_compute_ms(&a.partitions[0], rng)
+        } else {
+            0.0
+        };
+        if worker_parts.is_empty() {
+            return Ok(GroupRun {
+                end: begin + Micros::from_ms(master_compute),
+                status: QueryStatus::Ok,
+            });
+        }
+        // Fork: same egress model as `simulate_query` — one shared helper,
+        // so fleet serving and single-query simulation cannot drift apart.
+        let wire_fmt = wire_format(rt, q.level);
+        let wire = |raw: u64| wire_fmt.wire_bytes(raw);
+        let ins: Vec<u64> = worker_parts.iter().map(|p| wire(p.input_bytes)).collect();
+        let outs: Vec<u64> = worker_parts.iter().map(|p| wire(p.output_bytes)).collect();
+        let dispatched = begin + Micros::from_ms(rt.sample_transfer_parts(&ins, rng));
+        // The master's own shard is synchronous local work — it cannot be
+        // abandoned, so it lower-bounds the time at which a cancelled query
+        // can return.
+        let master_busy_end = dispatched + Micros::from_ms(master_compute);
+        let mut compute_end = master_busy_end;
+        let mut exhausted: Vec<usize> = Vec::new();
+        let mut deadline_hit = false;
+        for pi in 0..worker_parts.len() {
+            let part = pi + offset;
+            // Per-lane circuit breaker: an open lane is routed around
+            // (straight to master-local degraded execution) without
+            // spending any retry budget; a half-open lane gets a single
+            // probe attempt.
+            let mut lane_attempts = rt.policy.max_attempts.max(1);
+            if let Some(bank) = self.breakers.as_mut() {
+                let b = &mut bank[gi][part];
+                if !b.admits(dispatched, &mut self.overload) {
+                    exhausted.push(pi);
+                    continue;
+                }
+                if b.probing() {
+                    lane_attempts = 1;
+                }
+            }
+            let lane = self.run_lane(gi, part, dispatched, lane_attempts, rng, q)?;
+            compute_end = compute_end.max(lane.observed_end);
+            let outlived = q.deadline.is_some_and(|d| lane.observed_end > d);
+            if lane.cancelled {
+                // Deadline cancellations say nothing about lane health —
+                // they do not feed the breaker.
+                deadline_hit = true;
+            } else if outlived {
+                // A reply that exists but arrived after the master stopped
+                // waiting (cold start or jitter pushed the lane past the
+                // deadline), or a last attempt whose failure the master
+                // never observed: abandoned in flight either way.
+                self.overload.cancelled_attempts += 1;
+                deadline_hit = true;
+            } else if lane.resolved.is_some() {
+                if let Some(bank) = self.breakers.as_mut() {
+                    bank[gi][part].record_success(&mut self.overload);
+                }
+            } else {
+                exhausted.push(pi);
+                if let Some(bank) = self.breakers.as_mut() {
+                    bank[gi][part].record_failure(lane.observed_end, &mut self.overload);
+                }
+            }
+        }
+        let mut status = QueryStatus::Ok;
+        if !exhausted.is_empty() {
+            if deadline_hit {
+                // The query is already doomed: recomputing the exhausted
+                // shards would be cancelled work.
+                self.overload.cancelled_attempts += exhausted.len() as u64;
+            } else if rt.policy.local_fallback {
+                for &pi in &exhausted {
+                    // A recompute that cannot start before the deadline is
+                    // cancelled, not performed.
+                    if q.deadline.is_some_and(|d| compute_end >= d) {
+                        self.overload.cancelled_attempts += 1;
+                        deadline_hit = true;
+                        continue;
+                    }
+                    self.resilience.degraded_shards += 1;
+                    status = QueryStatus::Degraded;
+                    compute_end += Micros::from_ms(rt.sample_compute_ms(&worker_parts[pi], rng));
+                }
+            } else {
+                return Ok(GroupRun {
+                    end: compute_end,
+                    status: QueryStatus::Failed,
+                });
+            }
+        }
+        if deadline_hit {
+            // The master abandons the query at its deadline: an error
+            // response, no join. Only its own synchronous shard compute can
+            // push the return later.
+            let d = q.deadline.expect("deadline_hit implies a deadline");
+            return Ok(GroupRun {
+                end: master_busy_end.max(d),
+                status: QueryStatus::DeadlineExceeded,
+            });
+        }
+        // Join: collection jitter + serialized replies, again via the
+        // shared helper.
+        let end = compute_end + Micros::from_ms(rt.sample_transfer_parts(&outs, rng));
+        Ok(GroupRun { end, status })
+    }
+
+    /// The local-fallback-only brownout rung for group `gi`: the
+    /// orchestrator computes every partition itself, serially, in plan order
+    /// — no worker lanes, no fork/join transfers, no fault sites, no retries.
+    pub fn run_group_local(
+        &mut self,
+        gi: usize,
+        begin: Micros,
+        rng: &mut StdRng,
+        profile: &WorkProfile,
+    ) -> GroupRun {
+        let g = &self.rt.plan.groups()[gi];
+        let mut run = GroupRun {
+            end: begin,
+            status: QueryStatus::Ok,
+        };
+        for (pi, p) in profile.analyses[gi].partitions.iter().enumerate() {
+            if on_worker(g, pi) {
+                self.resilience.degraded_shards += 1;
+                run.status = QueryStatus::Degraded;
+            }
+            run.end += Micros::from_ms(self.rt.sample_compute_ms(p, rng));
+        }
+        run
+    }
+
+    /// Stores the boundary checkpoint of `query` after group `gi` completed
+    /// at `at` with `elapsed_ms` of cumulative execution (the work a full
+    /// restart would redo). Schedulers store it *before* sampling a crash,
+    /// so a crash at a boundary always finds its own stage's output (unless
+    /// capacity or TTL ate it).
+    pub fn checkpoint(
+        &mut self,
+        query: u64,
+        gi: usize,
+        elapsed_ms: f64,
+        degraded: bool,
+        at: Micros,
+    ) {
+        let (token, rec) = (self.rt.weight_token, &mut self.recovery);
+        if let Some(c) = self.checkpoints.as_mut() {
+            let ckpt = StageCheckpoint {
+                elapsed_ms,
+                degraded,
+                stored_at_ms: at.as_ms(),
+            };
+            c.put(query, gi as u32, token, ckpt, rec);
+        }
+    }
+
+    /// Whether a re-execution of group `gi` at `at` would find its input:
+    /// stage 0 reads the request, later stages the upstream checkpoint.
+    fn upstream_checkpointed(&self, query: u64, gi: usize, at: Micros) -> bool {
+        gi == 0
+            || self
+                .checkpoints
+                .as_ref()
+                .is_some_and(|c| c.contains(query, gi as u32 - 1, self.rt.weight_token, at.as_ms()))
+    }
+
+    /// Samples an orchestrator crash at the boundary after group `gi`, as a
+    /// pure function of `(chaos seed, query, boundary, incarnation)` that
+    /// consumes no RNG draw — so a crash-free run and a checkpoint-resumed
+    /// run see identical downstream streams. On a crash: bumps
+    /// `incarnation` (a replacement samples a fresh draw instead of
+    /// deterministically re-crashing), counts it, and looks up what the
+    /// replacement can resume from. Callers loop: replacements crash too.
+    pub fn sample_crash(
+        &mut self,
+        query: u64,
+        gi: usize,
+        incarnation: &mut u32,
+        now: Micros,
+    ) -> Option<Takeover> {
+        let rt = self.rt;
+        let inj = rt.injector.as_ref()?;
+        // Orchestrator-domain outage episodes scale the crash rate.
+        let mult = rt
+            .outage
+            .as_ref()
+            .map_or(1.0, |o| o.orchestrator_multiplier(now.as_ms()));
+        if *incarnation >= MAX_ORCH_INCARNATIONS
+            || !inj.orchestrator_crash(query, gi as u32, *incarnation, mult)
+        {
+            return None;
+        }
+        *incarnation += 1;
+        self.recovery.orchestrator_crashes += 1;
+        let (token, rec) = (rt.weight_token, &mut self.recovery);
+        let hit = rt
+            .recovery
+            .and(self.checkpoints.as_mut())
+            .and_then(|c| c.latest_before(query, gi as u32, token, now.as_ms(), rec));
+        let failover_ms = rt.recovery.map_or(DEFAULT_FAILOVER_MS, |p| p.failover_ms);
+        Some(Takeover {
+            hit,
+            failover: Micros::from_ms(failover_ms),
+        })
+    }
+
+    /// Counts a takeover the scheduler went through with: a failover replay
+    /// when in-flight state reconstructs from a checkpoint, the classic
+    /// full restart otherwise.
+    pub fn count_failover(&mut self, crash: &Takeover) {
+        match crash.hit {
+            Some((k, ck)) => {
+                self.recovery.failover_replays += 1;
+                self.recovery.stages_saved += u64::from(k) + 1;
+                self.recovery.recompute_avoided_ms += ck.elapsed_ms;
+            }
+            None => self.recovery.full_restarts += 1,
+        }
+    }
+
+    /// Executes one query on the fleet's `"master"` starting at `start`,
+    /// charging the bill and scoring its first attempts into the brownout
+    /// ladder, and returns its completion time and terminal status (also
+    /// tallied into the resilience counters).
+    pub fn run_query(
+        &mut self,
+        start: Micros,
+        rng: &mut StdRng,
+        q: QueryCtx<'_>,
+    ) -> Result<(Micros, QueryStatus)> {
+        let window = self.health_since((0, 0));
+        let master = self.fleet.acquire("master", start)?;
+        let master_began = master.ready_at;
+        let mut now = master_began;
+        let mut status = QueryStatus::Ok;
+        if q.level >= BrownoutLevel::LocalOnly {
+            for gi in 0..self.rt.plan.groups().len() {
+                let run = self.run_group_local(gi, now, rng, q.profile);
+                now = run.end;
+                if run.status == QueryStatus::Degraded {
+                    status = QueryStatus::Degraded;
+                }
+            }
+        } else {
+            status = self.run_plan(&mut now, rng, q)?;
+        }
+        if q.deadline.is_some_and(|d| now > d) && completed(status) {
+            // The result arrived, but after the deadline — the client has
+            // already timed out. Honest accounting over a pleasant story:
+            // the query missed.
+            status = QueryStatus::DeadlineExceeded;
+        }
+        self.billing.record(
+            (now - master_began).as_ms(),
+            self.rt.platform.instance_memory_bytes,
+        );
+        self.fleet.release("master", now)?;
+        self.resilience.record_status(status);
+        self.observe(self.health_since(window));
+        Ok((now, status))
+    }
+
+    /// The fork-join master's walk over the plan from `*now`: group after
+    /// group, with checkpoint-resume retries, straggler speculation, a
+    /// cancellation checkpoint at every boundary, and orchestrator-crash
+    /// recovery that re-enters the walk at the stage a takeover resumes
+    /// from. Advances `*now` to where the master stopped and returns the
+    /// status so far (`Ok`/`Degraded`, or the terminal one that ended it).
+    fn run_plan(
+        &mut self,
+        now: &mut Micros,
+        rng: &mut StdRng,
+        q: QueryCtx<'_>,
+    ) -> Result<QueryStatus> {
+        let rt = self.rt;
+        let n_groups = rt.plan.groups().len();
+        let master_began = *now;
+        let mut status = QueryStatus::Ok;
+        let mut gi = 0usize;
+        let mut incarnation = 0u32;
+        let mut spec_used = 0u32;
+        'groups: while gi < n_groups {
+            // Cooperative cancellation checkpoint at every group boundary:
+            // an expired deadline cancels all remaining work.
+            if q.deadline.is_some_and(|d| *now >= d) {
+                self.cancel_from(gi);
+                status = QueryStatus::DeadlineExceeded;
+                break 'groups;
+            }
+            let group_began = *now;
+            let mut run = self.run_group(gi, *now, rng, q)?;
+            if let Some(pol) = rt.recovery {
+                let group_p95 = q.profile.group_p95_ms(gi);
+                // A failed group retries once from the last checkpointed
+                // boundary: the upstream output is already durable, so the
+                // retry redoes one stage instead of the whole plan — priced
+                // at marginal cost against the retry budget, skipped when
+                // the deadline can no longer be met anyway.
+                if run.status == QueryStatus::Failed
+                    && self.upstream_checkpointed(q.id, gi, run.end)
+                {
+                    let eta = run.end + Micros::from_ms(q.profile.remaining_p95_ms(gi));
+                    if q.deadline.is_some_and(|d| eta > d) {
+                        self.recovery.resume_skipped_deadline += 1;
+                    } else if self.spend_retry(group_p95) {
+                        self.recovery.resume_retries += 1;
+                        let resumed = QueryCtx {
+                            id: q.id ^ RESUME_QUERY_SALT,
+                            ..q
+                        };
+                        run = self.run_group(gi, run.end, rng, resumed)?;
+                        if completed(run.status) {
+                            self.recovery.resume_retry_wins += 1;
+                        }
+                    }
+                }
+                // Straggler speculation: a group past `spec_factor` × its
+                // predicted p95 gets a duplicate execution seeded from the
+                // cached upstream output; the earlier finisher wins and the
+                // loser is cancelled at its next checkpoint (both billed in
+                // full — honest accounting). The duplicate draws from a
+                // dedicated RNG funded by exactly one draw of the main
+                // stream, so firing never shifts later queries' draws.
+                let threshold_ms = pol.spec_factor * group_p95;
+                if completed(run.status)
+                    && pol.spec_factor.is_finite()
+                    && q.level == BrownoutLevel::Full
+                    && spec_used < pol.max_speculations
+                    && (run.end - group_began).as_ms() > threshold_ms
+                    && self.upstream_checkpointed(q.id, gi, run.end)
+                    && self.spend_retry(group_p95)
+                {
+                    spec_used += 1;
+                    self.recovery.speculative_executions += 1;
+                    let mut spec_rng = StdRng::seed_from_u64(rng.random::<u64>());
+                    let duplicate = QueryCtx {
+                        id: q.id ^ SPEC_QUERY_SALT,
+                        ..q
+                    };
+                    let spec_began = group_began + Micros::from_ms(threshold_ms);
+                    let spec = self.run_group(gi, spec_began, &mut spec_rng, duplicate)?;
+                    if completed(spec.status) && spec.end < run.end {
+                        self.recovery.speculation_wins += 1;
+                        run = spec;
+                    } else {
+                        self.recovery.speculation_cancelled += 1;
+                    }
+                }
+            }
+            if completed(run.status) {
+                let degraded =
+                    run.status == QueryStatus::Degraded || status == QueryStatus::Degraded;
+                let elapsed_ms = (run.end - master_began).as_ms();
+                self.checkpoint(q.id, gi, elapsed_ms, degraded, run.end);
+            }
+            *now = run.end;
+            match run.status {
+                QueryStatus::Ok => {}
+                QueryStatus::Degraded => status = QueryStatus::Degraded,
+                QueryStatus::Failed => {
+                    // The master gives up mid-plan and emits an error
+                    // response: the fork and the waiting are paid, the join
+                    // is not.
+                    status = QueryStatus::Failed;
+                    break 'groups;
+                }
+                QueryStatus::DeadlineExceeded => {
+                    // The master abandoned the query inside the group; the
+                    // never-dispatched downstream work is cancelled too.
+                    status = QueryStatus::DeadlineExceeded;
+                    self.cancel_from(gi + 1);
+                    break 'groups;
+                }
+                other => unreachable!("group execution cannot end {other:?}"),
+            }
+            while let Some(crash) = self.sample_crash(q.id, gi, &mut incarnation, *now) {
+                let resume_from = crash.resume_from();
+                // A resume (or restart) that can no longer meet the deadline
+                // is not worth paying for: fail fast.
+                let eta = *now
+                    + crash.failover
+                    + Micros::from_ms(q.profile.remaining_p95_ms(resume_from));
+                if q.deadline.is_some_and(|d| eta > d) {
+                    self.recovery.resume_skipped_deadline += 1;
+                    self.cancel_from(gi + 1);
+                    status = QueryStatus::DeadlineExceeded;
+                    break 'groups;
+                }
+                *now += crash.failover;
+                self.count_failover(&crash);
+                match crash.hit {
+                    Some((_, ck)) => {
+                        if ck.degraded {
+                            status = QueryStatus::Degraded;
+                        }
+                    }
+                    // A full restart redoes every completed stage, and
+                    // resets any sticky degraded verdict those stages
+                    // produced.
+                    None => status = QueryStatus::Ok,
+                }
+                if resume_from <= gi {
+                    // Nothing usable, or capacity/TTL ate the newer
+                    // boundaries: walk back and re-execute from there.
+                    gi = resume_from;
+                    continue 'groups;
+                }
+                // Full hit at this boundary: nothing to redo.
+            }
+            gi += 1;
+        }
+        // Terminal either way.
+        self.retire(q.id);
+        Ok(status)
+    }
+}
+
+/// Whether a status still carries a result: `Ok` or `Degraded`, as opposed to
+/// the terminal `Failed` / `DeadlineExceeded`.
+pub(super) fn completed(status: QueryStatus) -> bool {
+    matches!(status, QueryStatus::Ok | QueryStatus::Degraded)
+}
+
+/// Wire encoding of a query's fork/join and hand-off payloads: from the
+/// int8 brownout rung down they ship quantized regardless of the configured
+/// format — a browned-out platform sheds bytes before it sheds queries.
+pub(super) fn wire_format(rt: &ForkJoinRuntime<'_>, level: BrownoutLevel) -> TransferFormat {
+    if level >= BrownoutLevel::Int8 {
+        TransferFormat::Int8
+    } else {
+        rt.transfer_format
+    }
+}
+
+impl<'a> ForkJoinRuntime<'a> {
+    /// The context of query `id` over the plan's own work profile.
+    pub(super) fn query(
+        &self,
+        id: u64,
+        deadline: Option<Micros>,
+        level: BrownoutLevel,
+    ) -> QueryCtx<'_> {
+        QueryCtx {
+            profile: &self.profile,
+            id,
+            deadline,
+            level,
+        }
+    }
+
+    /// Executes one query against an externally-managed fleet starting at
+    /// `start`, charging `billing`, and returns its completion time. `query`
+    /// keys fault sampling; `counters` accumulates resilience accounting
+    /// (including this query's terminal status). No admission-side policy
+    /// applies: no deadline, breakers, retry budget, ladder or checkpoint
+    /// cache. Public for cold-start studies that need control over
+    /// pre-warming; workload serving should use
+    /// [`ForkJoinRuntime::serve_workload`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates fleet errors (e.g. undeployed functions).
+    pub fn run_query_at(
+        &self,
+        fleet: &mut Fleet,
+        billing: &mut BillingMeter,
+        start: Micros,
+        rng: &mut StdRng,
+        query: u64,
+        counters: &mut ResilienceCounters,
+    ) -> Result<Micros> {
+        let q = self.query(query, None, BrownoutLevel::Full);
+        Session::bare(self, fleet, billing, counters)
+            .run_query(start, rng, q)
+            .map(|(done, _)| done)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gillis_faas::budget::RetryBudgetPolicy;
+    use gillis_faas::chaos::{ChaosConfig, ResiliencePolicy};
+    use gillis_faas::recovery::RecoveryPolicy;
+    use gillis_faas::PlatformProfile;
+    use gillis_model::zoo;
+    use gillis_perf::PerfModel;
+
+    use super::super::fixtures::{orchestrator_chaos, recovery_fixture};
+    use super::*;
+    use crate::dp::DpPartitioner;
+
+    #[test]
+    fn cold_first_wave_is_slower_without_prewarm() {
+        // Serve the same workload with a manual (non-prewarmed) fleet: the
+        // first wave pays cold starts, later queries reuse warm instances.
+        let platform = PlatformProfile::aws_lambda();
+        let perf = PerfModel::analytic(&platform);
+        let vgg = zoo::vgg11();
+        let plan = DpPartitioner::default().partition(&vgg, &perf).unwrap();
+        let runtime = ForkJoinRuntime::new(&vgg, &plan, platform.clone()).unwrap();
+
+        let mut fleet = Fleet::new(platform);
+        runtime.deploy(&mut fleet).unwrap();
+        let mut billing = BillingMeter::new(1, 0.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(9);
+        // Query 1: all-cold. Query 2 (starting after 1 finished): all-warm.
+        let mut counters = ResilienceCounters::default();
+        let done_first = runtime
+            .run_query_at(
+                &mut fleet,
+                &mut billing,
+                Micros::ZERO,
+                &mut rng,
+                0,
+                &mut counters,
+            )
+            .unwrap();
+        let start_later = done_first;
+        let done_later = runtime
+            .run_query_at(
+                &mut fleet,
+                &mut billing,
+                start_later,
+                &mut rng,
+                1,
+                &mut counters,
+            )
+            .unwrap();
+        let first = done_first.as_ms();
+        let later = (done_later - start_later).as_ms();
+        assert!(
+            first > later * 1.5,
+            "cold first query {first} vs warm later {later}"
+        );
+    }
+
+    /// Runs `queries` back-to-back queries through the fleet path with the
+    /// runtime's own checkpoint cache, returning total service latency (ms)
+    /// plus the resilience and recovery counters.
+    fn drain_queries(
+        rt: &ForkJoinRuntime<'_>,
+        queries: u64,
+        seed: u64,
+        deadline_ms: Option<f64>,
+    ) -> (f64, ResilienceCounters, RecoveryCounters) {
+        let mut fleet = Fleet::new(rt.platform.clone());
+        rt.deploy(&mut fleet).unwrap();
+        let mut billing = BillingMeter::new(1, 0.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut res = ResilienceCounters::default();
+        let mut s = Session::bare(rt, &mut fleet, &mut billing, &mut res);
+        s.checkpoints = rt.recovery.map(CheckpointCache::new);
+        let mut now = Micros::ZERO;
+        let mut total_ms = 0.0;
+        for q in 0..queries {
+            let deadline = deadline_ms.map(|d| now + Micros::from_ms(d));
+            let ctx = rt.query(q, deadline, BrownoutLevel::Full);
+            let (done, _status) = s.run_query(now, &mut rng, ctx).unwrap();
+            total_ms += (done - now).as_ms();
+            now = done;
+        }
+        let rec = s.recovery;
+        (total_ms, res, rec)
+    }
+
+    #[test]
+    fn failover_replays_resume_without_reexecuting_stages() {
+        // The tentpole identity: with a capacious cache every orchestrator
+        // crash finds its own boundary's checkpoint, so the replacement
+        // re-executes *nothing* — worker invocations match the crash-free
+        // run exactly, and total latency grows by exactly one failover per
+        // crash. That equality is also the no-double-billing statement:
+        // every worker-side stage execution is billed once.
+        let (runtime, _) = recovery_fixture();
+        let base = runtime
+            .clone()
+            .with_chaos(orchestrator_chaos(0.0, 5))
+            .unwrap();
+        let crashy = runtime
+            .clone()
+            .with_chaos(orchestrator_chaos(0.35, 5))
+            .unwrap()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap();
+        let (base_ms, base_res, base_rec) = drain_queries(&base, 40, 9, None);
+        let (ms, res, rec) = drain_queries(&crashy, 40, 9, None);
+        assert_eq!(base_rec.orchestrator_crashes, 0);
+        assert!(rec.orchestrator_crashes > 0, "chaos must actually crash");
+        assert_eq!(rec.failover_replays, rec.orchestrator_crashes);
+        assert_eq!(rec.full_restarts, 0, "capacious cache never misses");
+        assert!(rec.stages_saved >= rec.failover_replays);
+        assert!(rec.recompute_avoided_ms > 0.0);
+        assert_eq!(res.worker_invocations, base_res.worker_invocations);
+        let expect =
+            base_ms + rec.orchestrator_crashes as f64 * RecoveryPolicy::default().failover_ms;
+        assert!(
+            (ms - expect).abs() < 1e-6,
+            "latency {ms:.3} vs base + crashes x failover {expect:.3}"
+        );
+    }
+
+    #[test]
+    fn crashes_without_checkpoints_pay_full_restarts() {
+        // The baseline arm the bench compares against: same crashes, no
+        // recovery policy — every crash redoes every completed stage.
+        let (runtime, _) = recovery_fixture();
+        let base = runtime
+            .clone()
+            .with_chaos(orchestrator_chaos(0.0, 5))
+            .unwrap();
+        let restart = runtime
+            .clone()
+            .with_chaos(orchestrator_chaos(0.35, 5))
+            .unwrap();
+        let (base_ms, base_res, _) = drain_queries(&base, 40, 9, None);
+        let (ms, res, rec) = drain_queries(&restart, 40, 9, None);
+        assert!(rec.orchestrator_crashes > 0);
+        assert_eq!(rec.failover_replays, 0);
+        assert_eq!(rec.full_restarts, rec.orchestrator_crashes);
+        assert_eq!(rec.checkpoints_stored, 0, "no policy, no cache");
+        assert!(
+            res.worker_invocations > base_res.worker_invocations,
+            "restarts re-execute stages: {} vs {}",
+            res.worker_invocations,
+            base_res.worker_invocations
+        );
+        assert!(ms > base_ms + rec.orchestrator_crashes as f64 * DEFAULT_FAILOVER_MS);
+    }
+
+    #[test]
+    fn failed_groups_resume_retry_from_checkpoints() {
+        // Worker lanes that exhaust a single attempt fail the group when
+        // local fallback is off; with recovery on, the master retries the
+        // group once from the checkpointed upstream boundary and turns some
+        // of those failures into successes.
+        let (runtime, _) = recovery_fixture();
+        let fragile = ResiliencePolicy {
+            max_attempts: 1,
+            local_fallback: false,
+            ..ResiliencePolicy::default()
+        };
+        let chaos = ChaosConfig {
+            seed: 11,
+            invoke_failure_rate: 0.25,
+            ..ChaosConfig::default()
+        };
+        let bare = runtime
+            .clone()
+            .with_chaos(chaos)
+            .unwrap()
+            .with_policy(fragile);
+        let resumed = bare
+            .clone()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap();
+        let (_, res0, rec0) = drain_queries(&bare, 60, 3, None);
+        let (_, res1, rec1) = drain_queries(&resumed, 60, 3, None);
+        assert!(res0.failed_queries > 0, "fixture must actually fail");
+        assert_eq!(rec0.resume_retries, 0);
+        assert!(rec1.resume_retries > 0);
+        assert!(rec1.resume_retry_wins > 0);
+        assert!(
+            res1.failed_queries < res0.failed_queries,
+            "resume retries should rescue failures: {} vs {}",
+            res1.failed_queries,
+            res0.failed_queries
+        );
+    }
+
+    #[test]
+    fn straggler_speculation_wins_races_from_checkpoints() {
+        // Heavy stragglers: a stage past spec_factor x its p95 races a
+        // duplicate execution seeded from the cached upstream output, and
+        // the earlier finisher wins.
+        let (runtime, _) = recovery_fixture();
+        let chaos = ChaosConfig {
+            seed: 13,
+            straggler_rate: 0.3,
+            straggler_slowdown: 25.0,
+            ..ChaosConfig::default()
+        };
+        let slow = runtime.clone().with_chaos(chaos).unwrap();
+        let spec = slow
+            .clone()
+            .with_recovery(RecoveryPolicy {
+                spec_factor: 1.5,
+                max_speculations: 4,
+                ..RecoveryPolicy::default()
+            })
+            .unwrap();
+        let (slow_ms, _, _) = drain_queries(&slow, 60, 3, None);
+        let (spec_ms, _, rec) = drain_queries(&spec, 60, 3, None);
+        assert!(rec.speculative_executions > 0);
+        assert_eq!(
+            rec.speculation_wins + rec.speculation_cancelled,
+            rec.speculative_executions,
+            "every speculation is resolved"
+        );
+        assert!(rec.speculation_wins > 0);
+        assert!(
+            spec_ms < slow_ms,
+            "speculation should cut straggler latency: {spec_ms:.1} vs {slow_ms:.1}"
+        );
+    }
+
+    #[test]
+    fn doomed_resumes_are_skipped_at_the_deadline() {
+        // A deadline with less slack than one failover + the remaining
+        // stages: a crash fails the query fast instead of paying for a
+        // resume that cannot finish in time.
+        let (runtime, predicted) = recovery_fixture();
+        let crashy = runtime
+            .clone()
+            .with_chaos(orchestrator_chaos(1.0, 3))
+            .unwrap()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap();
+        let (_, res, rec) = drain_queries(&crashy, 30, 7, Some(1.05 * predicted));
+        assert!(rec.orchestrator_crashes > 0);
+        assert!(
+            rec.resume_skipped_deadline > 0,
+            "tight deadline must skip some resumes: {rec:?}"
+        );
+        assert!(res.deadline_exceeded_queries > 0);
+    }
+
+    #[test]
+    fn recovery_prices_retries_at_marginal_cost() {
+        // Same worker chaos, same tiny token bucket: with recovery on, each
+        // retry debits only its stage's share of the plan, so the bucket
+        // funds strictly more retries before denying.
+        let (runtime, _) = recovery_fixture();
+        let bp = RetryBudgetPolicy {
+            max_tokens: 4.0,
+            initial_tokens: 4.0,
+            refill_per_success: 0.0,
+        };
+        let flat = runtime
+            .clone()
+            .with_chaos(ChaosConfig::invoke_only(0.3, 7))
+            .unwrap()
+            .with_policy(ResiliencePolicy::naive_retry())
+            .with_retry_budget(bp)
+            .unwrap();
+        let marginal = flat
+            .clone()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap();
+        let flat_r = flat.serve_open_loop(20.0, 200, 4, 11).unwrap();
+        let marg_r = marginal.serve_open_loop(20.0, 200, 4, 11).unwrap();
+        assert!(flat_r.resilience.budget_denied_retries > 0);
+        assert!(
+            marg_r.resilience.retries > flat_r.resilience.retries,
+            "marginal pricing funds more retries: {} vs {}",
+            marg_r.resilience.retries,
+            flat_r.resilience.retries
+        );
+    }
+
+    #[test]
+    fn recovered_serving_is_deterministic() {
+        // End-to-end: crashes + recovery through the public serving loop,
+        // twice, bit-identical — the CI smoke contract in miniature.
+        let (runtime, predicted) = recovery_fixture();
+        let rate = 0.3 * 1000.0 * 4.0 / predicted;
+        let chaos = ChaosConfig {
+            seed: 7,
+            invoke_failure_rate: 0.05,
+            orchestrator_crash_rate: 0.2,
+            ..ChaosConfig::default()
+        };
+        let run = || {
+            runtime
+                .clone()
+                .with_chaos(chaos)
+                .unwrap()
+                .with_policy(ResiliencePolicy::backoff())
+                .with_recovery(RecoveryPolicy::default())
+                .unwrap()
+                .serve_open_loop(rate, 150, 4, 11)
+                .unwrap()
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.recovery, b.recovery);
+        assert_eq!(a.resilience, b.resilience);
+        assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
+        assert!(a.recovery.orchestrator_crashes > 0);
+        assert!(a.recovery.checkpoints_stored > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Resume bit-identity and billing, over seeds and crash rates:
+        /// with a capacious cache, a crashing run re-executes no stage
+        /// (worker invocations equal the crash-free run — no double
+        /// billing) and its latency is exactly crashes x failover_ms more.
+        #[test]
+        fn failover_cost_is_exactly_crashes_times_failover(
+            (seed, rate_centi) in (0u64..500, 5u32..40),
+        ) {
+            let (runtime, _) = recovery_fixture();
+            let base = runtime
+                .clone()
+                .with_chaos(orchestrator_chaos(0.0, seed))
+                .unwrap();
+            let crashy = runtime
+                .clone()
+                .with_chaos(orchestrator_chaos(rate_centi as f64 / 100.0, seed))
+                .unwrap()
+                .with_recovery(RecoveryPolicy::default())
+                .unwrap();
+            let (base_ms, base_res, _) = drain_queries(&base, 25, seed ^ 0xd15, None);
+            let (ms, res, rec) = drain_queries(&crashy, 25, seed ^ 0xd15, None);
+            proptest::prop_assert_eq!(rec.full_restarts, 0);
+            proptest::prop_assert_eq!(res.worker_invocations, base_res.worker_invocations);
+            let expect = base_ms
+                + rec.orchestrator_crashes as f64 * RecoveryPolicy::default().failover_ms;
+            proptest::prop_assert!(
+                (ms - expect).abs() < 1e-6,
+                "latency {} vs base + crashes x failover {}", ms, expect
+            );
+        }
+    }
+}

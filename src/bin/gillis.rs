@@ -192,12 +192,9 @@ fn run() -> Result<(), String> {
                         .partition(&model, &perf)
                         .map_err(|e| e.to_string())?
                 };
-                let mut rt =
-                    ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?;
-                if let Some(policy) = OverloadPolicy::from_env() {
-                    rt = rt.with_overload(policy).map_err(|e| e.to_string())?;
-                }
-                rt = with_env_resilience(rt)?;
+                let rt = with_env_resilience(
+                    ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?,
+                )?;
                 let report = rt
                     .serve_open_loop_pipelined(&pipeline_policy, rate, queries, clients, 7)
                     .map_err(|e| e.to_string())?;
@@ -234,12 +231,10 @@ fn run() -> Result<(), String> {
                 } else {
                     platform.with_memory_bytes(schedule.memory_bytes)
                 };
-                let mut rt = ForkJoinRuntime::new(&model, &plan, serving_platform)
-                    .map_err(|e| e.to_string())?;
-                if let Some(policy) = OverloadPolicy::from_env() {
-                    rt = rt.with_overload(policy).map_err(|e| e.to_string())?;
-                }
-                rt = with_env_resilience(rt)?;
+                let rt = with_env_resilience(
+                    ForkJoinRuntime::new(&model, &plan, serving_platform)
+                        .map_err(|e| e.to_string())?,
+                )?;
                 let report = rt
                     .serve_open_loop_batched(&batch_policy, &schedule, rate, queries, clients, 7)
                     .map_err(|e| e.to_string())?;
@@ -261,14 +256,9 @@ fn run() -> Result<(), String> {
                 print_serving_report(&report);
                 return Ok(());
             }
-            let mut rt =
-                ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?;
-            // GILLIS_OVERLOAD_* env knobs enable overload protection, the
-            // same way GILLIS_CHAOS_* enables fault injection elsewhere.
-            if let Some(policy) = OverloadPolicy::from_env() {
-                rt = rt.with_overload(policy).map_err(|e| e.to_string())?;
-            }
-            rt = with_env_resilience(rt)?;
+            let rt = with_env_resilience(
+                ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?,
+            )?;
             let report = rt
                 .serve_workload(
                     ClosedLoop::new(clients, queries, Micros::ZERO).map_err(|e| e.to_string())?,
@@ -282,10 +272,14 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the `GILLIS_CHAOS_*` / `GILLIS_OUTAGE_*` / `GILLIS_RETRY_BUDGET_*`
-/// / `GILLIS_BROWNOUT_*` / `GILLIS_RECOVERY_*` env knobs to a serving
-/// runtime.
+/// Applies the `GILLIS_OVERLOAD_*` / `GILLIS_CHAOS_*` / `GILLIS_OUTAGE_*` /
+/// `GILLIS_RETRY_BUDGET_*` / `GILLIS_BROWNOUT_*` / `GILLIS_RECOVERY_*` env
+/// knobs to a serving runtime: each family enables its protection (or its
+/// fault injection) when set and leaves the runtime alone otherwise.
 fn with_env_resilience(mut rt: ForkJoinRuntime<'_>) -> Result<ForkJoinRuntime<'_>, String> {
+    if let Some(policy) = OverloadPolicy::from_env() {
+        rt = rt.with_overload(policy).map_err(|e| e.to_string())?;
+    }
     if let Some(cfg) = ChaosConfig::from_env() {
         rt = rt.with_chaos(cfg).map_err(|e| e.to_string())?;
     }

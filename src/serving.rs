@@ -616,8 +616,15 @@ impl Deployment {
     }
 
     fn runtime(&self) -> Result<ForkJoinRuntime<'_>, CoreError> {
-        let mut rt = ForkJoinRuntime::new(&self.model, &self.plan, self.platform.clone())?
-            .with_policy(self.policy);
+        self.runtime_on(self.platform.clone())
+    }
+
+    /// The serving runtime on `platform` — the deployment's own, or the same
+    /// platform at the instance memory a batch schedule chose — with every
+    /// configured policy attached.
+    fn runtime_on(&self, platform: PlatformProfile) -> Result<ForkJoinRuntime<'_>, CoreError> {
+        let mut rt =
+            ForkJoinRuntime::new(&self.model, &self.plan, platform)?.with_policy(self.policy);
         if let Some(policy) = self.overload {
             // The deployment's own prediction (profiled performance model)
             // drives shed-on-predicted-miss.
@@ -756,31 +763,7 @@ impl Deployment {
             )
         })?;
         let schedule = self.batch_schedule(rate_per_sec)?;
-        let platform = if schedule.memory_bytes == self.platform.instance_memory_bytes {
-            self.platform.clone()
-        } else {
-            self.platform.with_memory_bytes(schedule.memory_bytes)
-        };
-        let mut rt =
-            ForkJoinRuntime::new(&self.model, &self.plan, platform)?.with_policy(self.policy);
-        if let Some(ov) = self.overload {
-            rt = rt.with_overload_predicted(ov, self.prediction.latency_ms)?;
-        }
-        if let Some(cfg) = self.outage {
-            rt = rt.with_outage(cfg)?;
-        }
-        if let Some(policy) = self.retry_budget {
-            rt = rt.with_retry_budget(policy)?;
-        }
-        if let Some(policy) = self.brownout {
-            rt = rt.with_brownout(policy)?;
-        }
-        if let Some(policy) = self.recovery {
-            rt = rt.with_recovery(policy)?;
-        }
-        if let Some(cfg) = self.chaos {
-            rt = rt.with_chaos(cfg)?;
-        }
+        let rt = self.runtime_on(self.platform.with_memory_bytes(schedule.memory_bytes))?;
         let report =
             rt.serve_open_loop_batched(policy, &schedule, rate_per_sec, queries, prewarm, seed)?;
         Ok((schedule, report))
