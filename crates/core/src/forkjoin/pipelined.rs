@@ -127,7 +127,8 @@ impl PipelineSim<'_, '_> {
 
     /// Records query `qid`'s terminal outcome at `done`: exactly one
     /// latency sample and one status tally per admitted query, plus the
-    /// brownout health observation — in finalization (event) order.
+    /// brownout health observation — in finalization (event) order — and
+    /// retires its checkpoints, so the cache only ever holds live queries.
     fn finalize(&mut self, qid: u64, done: Micros, status: QueryStatus) {
         let slot = self.q[qid as usize];
         let mut status = status;
@@ -139,6 +140,7 @@ impl PipelineSim<'_, '_> {
         self.s.record(slot.arrival, done, status);
         self.s.resilience.record_status(status);
         self.s.observe(slot.health);
+        self.s.retire(qid);
     }
 
     /// Admits, queues, or sheds the arrival of query `qid` at `now`.
@@ -519,7 +521,7 @@ mod tests {
     use gillis_perf::PerfModel;
 
     use super::super::fixtures::{
-        forced_split_plan, orchestrator_chaos, recovery_fixture, stress_chaos,
+        batch_fixture, forced_split_plan, orchestrator_chaos, recovery_fixture, stress_chaos,
     };
     use super::*;
     use crate::plan::ExecutionPlan;
@@ -690,6 +692,28 @@ mod tests {
         assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
         assert!(a.recovery.orchestrator_crashes > 0);
         assert!(a.recovery.failover_replays > 0);
+    }
+
+    #[test]
+    fn finished_queries_retire_their_checkpoints() {
+        // 200 queries through VGG-11's three stages store 600 checkpoints
+        // in a 256-entry cache. Every one belongs to a query that finishes,
+        // so none may be evicted under capacity pressure: a finished query's
+        // entries are consumed at finalization, leaving the FIFO to live
+        // queries only (`Session::finish` asserts the cache ends empty).
+        let (vgg, plan, platform, pred) = batch_fixture();
+        assert_eq!(plan.groups().len(), 3);
+        let lanes = 2;
+        let rate = 0.5 * 1000.0 * lanes as f64 / pred.latency_ms;
+        let report = ForkJoinRuntime::new(vgg, plan, platform)
+            .unwrap()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap()
+            .serve_open_loop_pipelined(&PipelinePolicy::with_lanes(lanes), rate, 200, lanes, 5)
+            .unwrap();
+        assert_eq!(report.latency.count(), 200);
+        assert_eq!(report.recovery.checkpoints_stored, 600);
+        assert_eq!(report.recovery.checkpoint_evictions, 0);
     }
 
     proptest::proptest! {

@@ -268,6 +268,10 @@ impl<'s, 'a> Session<'s, 'a> {
     /// master and worker functions paid. A scheduler with counters of its
     /// own (`batch`, `pipeline`) fills them in.
     pub fn finish(self) -> Result<ServingReport> {
+        debug_assert!(
+            self.checkpoints.as_ref().is_none_or(|c| c.is_empty()),
+            "every terminal query retires its checkpoints"
+        );
         Ok(ServingReport {
             cold_starts: self.rt.count_cold_starts(self.fleet)?,
             latency: self.latency,
