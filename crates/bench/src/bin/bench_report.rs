@@ -97,7 +97,7 @@ fn conv_flops(out_c: u64, in_c: u64, k: u64, out_h: u64, out_w: u64) -> u64 {
 fn tensor_suite() -> Vec<ReportEntry> {
     let mut entries = Vec::new();
 
-    // Small conv (matches the criterion bench case).
+    // Small conv.
     let input = Tensor::from_fn(Shape::new(vec![16, 32, 32]), |i| (i % 7) as f32 * 0.1);
     let weight = Tensor::from_fn(Shape::new(vec![16, 16, 3, 3]), |i| (i % 5) as f32 * 0.01);
     let bias = Tensor::zeros(Shape::new(vec![16]));

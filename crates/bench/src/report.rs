@@ -1,10 +1,8 @@
 //! Machine-readable perf reporting for the `bench_report` binary.
 //!
-//! A small self-contained timing harness (the criterion shim is a
-//! dev-dependency, and binaries cannot see dev-dependencies) plus JSON
-//! serialization for `BENCH_tensor.json` / `BENCH_planner.json`. Numbers are
-//! median ns/iter over calibrated sample loops, the same scheme the criterion
-//! shim uses, so bench and report figures are comparable.
+//! A small self-contained timing harness plus JSON serialization for
+//! `BENCH_tensor.json` / `BENCH_planner.json`. Numbers are median ns/iter
+//! over calibrated sample loops.
 
 use std::time::{Duration, Instant};
 

@@ -38,13 +38,13 @@ fn stage_fn(gi: usize) -> String {
 }
 
 /// Per-query bookkeeping inside the pipelined serving loop.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PipeQuery {
     arrival: Micros,
     deadline: Option<Micros>,
     level: BrownoutLevel,
-    /// Non-terminal status accumulated so far (`Ok`, sticky `Degraded`).
-    status: QueryStatus,
+    /// Sticky: some stage so far completed `Degraded`.
+    degraded: bool,
     /// First-attempt `(count, successes)` produced by this query's stage
     /// executions, scored into the brownout controller at finalization.
     health: (u64, u64),
@@ -55,20 +55,6 @@ struct PipeQuery {
     /// Cumulative stage execution time in milliseconds — the work a full
     /// restart would redo, recorded in each boundary checkpoint.
     elapsed_ms: f64,
-}
-
-impl Default for PipeQuery {
-    fn default() -> Self {
-        PipeQuery {
-            arrival: Micros::ZERO,
-            deadline: None,
-            level: BrownoutLevel::Full,
-            status: QueryStatus::Ok,
-            health: (0, 0),
-            incarnation: 0,
-            elapsed_ms: 0.0,
-        }
-    }
 }
 
 /// The pipelined serving loop's mutable state: the session, per-stage
@@ -131,12 +117,12 @@ impl PipelineSim<'_, '_> {
     /// retires its checkpoints, so the cache only ever holds live queries.
     fn finalize(&mut self, qid: u64, done: Micros, status: QueryStatus) {
         let slot = self.q[qid as usize];
-        let mut status = status;
-        if let Some(d) = slot.deadline {
-            if done > d && completed(status) {
-                status = QueryStatus::DeadlineExceeded;
-            }
-        }
+        let late = slot.deadline.is_some_and(|d| done > d) && completed(status);
+        let status = if late {
+            QueryStatus::DeadlineExceeded
+        } else {
+            status
+        };
         self.s.record(slot.arrival, done, status);
         self.s.resilience.record_status(status);
         self.s.observe(slot.health);
@@ -230,9 +216,7 @@ impl PipelineSim<'_, '_> {
             let slot = &mut self.q[qid as usize];
             slot.health.0 += health.0;
             slot.health.1 += health.1;
-            if run.status == QueryStatus::Degraded {
-                slot.status = QueryStatus::Degraded;
-            }
+            slot.degraded |= run.status == QueryStatus::Degraded;
         }
         let mut end = run.end;
         let mut status = run.status;
@@ -269,8 +253,8 @@ impl PipelineSim<'_, '_> {
     /// Stores query `qid`'s boundary checkpoint after stage `s` at `at`.
     fn checkpoint(&mut self, qid: u64, s: usize, at: Micros) {
         let slot = &self.q[qid as usize];
-        let degraded = slot.status == QueryStatus::Degraded;
-        self.s.checkpoint(qid, s, slot.elapsed_ms, degraded, at);
+        self.s
+            .checkpoint(qid, s, slot.elapsed_ms, slot.degraded, at);
     }
 
     /// Stage-boundary recovery after query `qid` completed stage `s` at
@@ -298,7 +282,7 @@ impl PipelineSim<'_, '_> {
             self.s.count_failover(&crash);
             if crash.hit.is_some_and(|(_, ck)| ck.degraded) {
                 status = QueryStatus::Degraded;
-                self.q[i].status = QueryStatus::Degraded;
+                self.q[i].degraded = true;
             }
             // Re-execute whatever the checkpoints do not cover (nothing on
             // a full hit at this boundary).
@@ -311,7 +295,7 @@ impl PipelineSim<'_, '_> {
                     QueryStatus::Ok => {}
                     QueryStatus::Degraded => {
                         status = QueryStatus::Degraded;
-                        self.q[i].status = QueryStatus::Degraded;
+                        self.q[i].degraded = true;
                     }
                     terminal => return Ok((run.end, terminal)),
                 }
@@ -327,7 +311,11 @@ impl PipelineSim<'_, '_> {
     /// downstream, queue, or park under backpressure.
     fn complete(&mut self, s: usize, qid: u64, t: Micros) -> Result<()> {
         if s + 1 == self.stages {
-            let status = self.q[qid as usize].status;
+            let status = if self.q[qid as usize].degraded {
+                QueryStatus::Degraded
+            } else {
+                QueryStatus::Ok
+            };
             self.free[s] += 1;
             self.finalize(qid, t, status);
             return self.cascade(s, t);

@@ -130,7 +130,7 @@ pub(super) struct Session<'s, 'a> {
     pub billing: &'s mut BillingMeter,
     pub resilience: &'s mut ResilienceCounters,
     pub overload: OverloadCounters,
-    pub recovery: RecoveryCounters,
+    recovery: RecoveryCounters,
     latency: LatencyStats,
     by_status: StatusLatency,
     /// Per-lane circuit breakers, `[group][partition]`.
@@ -140,7 +140,7 @@ pub(super) struct Session<'s, 'a> {
     /// Stage-boundary checkpoint store; `None` without a
     /// [`gillis_faas::RecoveryPolicy`], in which case every orchestrator
     /// crash is a full restart and failed groups never resume.
-    pub checkpoints: Option<CheckpointCache>,
+    checkpoints: Option<CheckpointCache>,
 }
 
 impl<'s, 'a> Session<'s, 'a> {
