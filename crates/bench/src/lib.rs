@@ -124,14 +124,12 @@ pub fn measure_latency_optimal(
 }
 
 /// The RNG seed a benchmark binary should use: `GILLIS_BENCH_SEED` from the
-/// environment when set (and parseable as `u64`), else `default`. Every
-/// `fig*`/`ext_*` binary routes its seeds through this, so a whole benchmark
-/// run can be re-rolled (or pinned in CI) without touching code.
+/// environment when set, else `default` (a value that is not a `u64` is
+/// reported on stderr, naming the variable, and falls back to `default`).
+/// Every `fig*`/`ext_*` binary routes its seeds through this, so a whole
+/// benchmark run can be re-rolled (or pinned in CI) without touching code.
 pub fn bench_seed(default: u64) -> u64 {
-    std::env::var("GILLIS_BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }
 
 /// Formats milliseconds compactly.

@@ -49,6 +49,7 @@ use gillis_faas::brownout::BrownoutPolicy;
 use gillis_faas::budget::RetryBudgetPolicy;
 use gillis_faas::chaos::{ChaosConfig, FaultInjector, OutageConfig, OutageModel, ResiliencePolicy};
 use gillis_faas::fleet::{Fleet, FunctionSpec};
+use gillis_faas::knobs::PolicyStack;
 use gillis_faas::overload::{CircuitBreaker, OverloadPolicy};
 use gillis_faas::recovery::RecoveryPolicy;
 use gillis_faas::{Micros, PlatformProfile};
@@ -392,6 +393,42 @@ impl<'a> ForkJoinRuntime<'a> {
             predicted_ms,
         });
         Ok(self)
+    }
+
+    /// Attaches every policy of `stack` the runtime holds — resilience,
+    /// overload, outage, retry budget, brownout, recovery and chaos; the
+    /// batch and pipeline policies are arguments of their own serve calls.
+    /// `predicted_ms` is the plan's warm latency for shed-on-predicted-miss
+    /// ([`Self::with_overload_predicted`]); `None` predicts it with the
+    /// analytic performance model ([`Self::with_overload`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first policy's validation error, or prediction errors.
+    pub fn with_policies(mut self, stack: &PolicyStack, predicted_ms: Option<f64>) -> Result<Self> {
+        self = self.with_policy(stack.resilience);
+        if let Some(policy) = stack.overload {
+            self = match predicted_ms {
+                Some(ms) => self.with_overload_predicted(policy, ms)?,
+                None => self.with_overload(policy)?,
+            };
+        }
+        if let Some(config) = stack.outage {
+            self = self.with_outage(config)?;
+        }
+        if let Some(policy) = stack.retry_budget {
+            self = self.with_retry_budget(policy)?;
+        }
+        if let Some(policy) = stack.brownout {
+            self = self.with_brownout(policy)?;
+        }
+        if let Some(policy) = stack.recovery {
+            self = self.with_recovery(policy)?;
+        }
+        match stack.chaos {
+            Some(config) => self.with_chaos(config),
+            None => Ok(self),
+        }
     }
 
     /// Fresh per-lane circuit breakers shaped like the plan (one per

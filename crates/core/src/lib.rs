@@ -66,6 +66,7 @@ pub use gillis_faas::chaos::{
     wire_checksum, ChaosConfig, Fault, FaultDomain, FaultInjector, FaultSite, OutageConfig,
     OutageModel, QueryStatus, ResilienceCounters, ResiliencePolicy,
 };
+pub use gillis_faas::knobs::PolicyStack;
 pub use gillis_faas::metrics::StatusLatency;
 pub use gillis_faas::overload::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, OverloadCounters, OverloadPolicy,

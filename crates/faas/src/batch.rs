@@ -27,6 +27,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse, Parsed};
 use crate::Result;
 
 /// One latency class of a multi-SLO workload.
@@ -195,153 +196,55 @@ impl BatchPolicy {
         }
         Ok(())
     }
+}
 
-    /// Serializes the policy to a compact one-line `key=value` format,
-    /// preceded by a header — the deployment artifact shape shared with
-    /// `OverloadPolicy::to_text`. Classes serialize as
-    /// `deadline:weight` pairs joined by commas; an empty memory candidate
-    /// list serializes as `default`.
-    pub fn to_text(&self) -> String {
-        let classes = self
-            .classes
-            .iter()
-            .map(|c| format!("{}:{}", c.deadline_ms, c.weight))
-            .collect::<Vec<_>>()
-            .join(",");
-        let memory = if self.memory_mb.is_empty() {
-            "default".to_string()
-        } else {
-            self.memory_mb
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
+family! {
+    BatchPolicy, "batch", env;
+    base BatchPolicy::batch_one();
+    check BatchPolicy::validate;
+    "GILLIS_BATCH_MAX", "max_batch", "unset",
+        "largest batch the configurator may pick; enables adaptive batching" => [max_batch];
+    "GILLIS_BATCH_CLASSES", "classes", "`inf:1` (one best-effort class)",
+        "SLO classes as `deadline_ms:weight,...` (`inf` allowed)" => {
+            |p, raw| parse_classes(raw).map(|classes| p.classes = classes),
+            |p| join(p.classes.iter().map(|c| format!("{}:{}", c.deadline_ms, c.weight)))
         };
-        format!(
-            "gillis-batch v1\nclasses={} max_batch={} window_ms={} margin_ms={} \
-             amortized={} memory_mb={}\n",
-            classes,
-            self.max_batch,
-            self.max_window_ms,
-            self.window_margin_ms,
-            self.amortized_fraction,
-            memory,
-        )
-    }
-
-    /// Parses the format produced by [`BatchPolicy::to_text`] and validates
-    /// the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on header, field, or
-    /// validation errors.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| FaasError::InvalidArgument("empty batch policy text".into()))?;
-        if header.trim() != "gillis-batch v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "unknown batch policy header: {header}"
-            )));
-        }
-        let mut policy = BatchPolicy::batch_one();
-        for token in lines.flat_map(str::split_whitespace) {
-            let (key, value) = token.split_once('=').ok_or_else(|| {
-                FaasError::InvalidArgument(format!("expected key=value, got: {token}"))
-            })?;
-            let bad = |what: &str| FaasError::InvalidArgument(format!("bad batch {what}: {value}"));
-            match key {
-                "classes" => policy.classes = parse_classes(value)?,
-                "max_batch" => policy.max_batch = value.parse().map_err(|_| bad("max_batch"))?,
-                "window_ms" => {
-                    policy.max_window_ms = value.parse().map_err(|_| bad("window_ms"))?;
-                }
-                "margin_ms" => {
-                    policy.window_margin_ms = value.parse().map_err(|_| bad("margin_ms"))?;
-                }
-                "amortized" => {
-                    policy.amortized_fraction = value.parse().map_err(|_| bad("amortized"))?;
-                }
-                "memory_mb" => {
-                    policy.memory_mb = if value == "default" {
-                        Vec::new()
-                    } else {
-                        value
-                            .split(',')
-                            .map(|m| m.parse().map_err(|_| bad("memory_mb")))
-                            .collect::<Result<Vec<u64>>>()?
-                    };
-                }
-                other => {
-                    return Err(FaasError::InvalidArgument(format!(
-                        "unknown batch policy key: {other}"
-                    )));
-                }
+    "GILLIS_BATCH_WINDOW_MS", "window_ms", "25", "accumulation-window cap" => [max_window_ms];
+    "GILLIS_BATCH_MARGIN_MS", "margin_ms", "5",
+        "safety margin between window + latency and the deadline" => [window_margin_ms];
+    "GILLIS_BATCH_AMORTIZED", "amortized", "0.25",
+        "fraction of per-query compute that amortizes across a batch" => [amortized_fraction];
+    "GILLIS_BATCH_MEMORY_MB", "memory_mb", "`default` (the platform's)",
+        "candidate instance memories in MB for the joint batch × memory pick" => {
+            |p, raw| {
+                let listed = || raw.split(',').map(parse).collect();
+                let sizes: Parsed<_> = if raw == "default" { Ok(Vec::new()) } else { listed() };
+                sizes.map(|sizes| p.memory_mb = sizes)
+            },
+            |p| match p.memory_mb.as_slice() {
+                [] => "default".to_string(),
+                sizes => join(sizes.iter().map(u64::to_string)),
             }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Reads batching knobs from the environment, mirroring
-    /// [`crate::overload::OverloadPolicy::from_env`]: `GILLIS_BATCH_MAX`
-    /// enables the policy (required); `GILLIS_BATCH_CLASSES` (e.g.
-    /// `250:1,500:2` as `deadline_ms:weight` pairs),
-    /// `GILLIS_BATCH_WINDOW_MS`, `GILLIS_BATCH_MARGIN_MS`,
-    /// `GILLIS_BATCH_AMORTIZED`, and `GILLIS_BATCH_MEMORY_MB` (comma list of
-    /// MB sizes) override the `single`-class defaults. Returns `None` when
-    /// the enabling variable is unset or unparseable, and `None` for an
-    /// invalid combination; malformed values are reported on stderr (see
-    /// [`crate::envutil`]).
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var as var;
-        let max_batch: usize = var("GILLIS_BATCH_MAX")?;
-        let mut policy = BatchPolicy {
-            max_batch,
-            ..BatchPolicy::single(f64::INFINITY, max_batch)
         };
-        if let Ok(spec) = std::env::var("GILLIS_BATCH_CLASSES") {
-            match parse_classes(&spec) {
-                Ok(classes) => policy.classes = classes,
-                Err(e) => {
-                    eprintln!("gillis: ignoring malformed GILLIS_BATCH_CLASSES={spec:?}: {e}");
-                    return None;
-                }
-            }
-        }
-        if let Some(w) = var("GILLIS_BATCH_WINDOW_MS") {
-            policy.max_window_ms = w;
-        }
-        if let Some(m) = var("GILLIS_BATCH_MARGIN_MS") {
-            policy.window_margin_ms = m;
-        }
-        if let Some(a) = var("GILLIS_BATCH_AMORTIZED") {
-            policy.amortized_fraction = a;
-        }
-        if std::env::var("GILLIS_BATCH_MEMORY_MB").is_ok() {
-            policy.memory_mb = crate::envutil::env_list("GILLIS_BATCH_MEMORY_MB")?;
-        }
-        policy.validate().ok().map(|()| policy)
-    }
+}
+
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
 /// Parses a `deadline:weight,deadline:weight` class list (`inf` deadlines
 /// allowed).
-fn parse_classes(spec: &str) -> Result<Vec<SloClass>> {
-    spec.split(',')
-        .map(|pair| {
-            let (d, w) = pair.split_once(':').ok_or_else(|| {
-                FaasError::InvalidArgument(format!("expected deadline:weight, got: {pair}"))
-            })?;
-            let bad = |what: &str| FaasError::InvalidArgument(format!("bad class {what}: {pair}"));
-            Ok(SloClass {
-                deadline_ms: d.parse().map_err(|_| bad("deadline"))?,
-                weight: w.parse().map_err(|_| bad("weight"))?,
-            })
+fn parse_classes(spec: &str) -> Parsed<Vec<SloClass>> {
+    let class = |pair: &str| {
+        let (deadline, weight) = pair
+            .split_once(':')
+            .ok_or_else(|| format!("expected deadline:weight, got {pair:?}"))?;
+        Ok(SloClass {
+            deadline_ms: parse(deadline)?,
+            weight: parse(weight)?,
         })
-        .collect()
+    };
+    spec.split(',').map(class).collect()
 }
 
 /// Honest batch-formation accounting across a serving run, reported next to
@@ -545,11 +448,10 @@ mod tests {
 
     #[test]
     fn env_parsing_requires_the_enabling_variable() {
-        // from_env is driven by process-global env vars; only exercise the
-        // unset path here (CI never sets these for unit tests).
-        if std::env::var("GILLIS_BATCH_MAX").is_err() {
-            assert!(BatchPolicy::from_env().is_none());
-        }
+        // Driven through a closure, never the process environment.
+        assert_eq!(BatchPolicy::from_lookup(&|_| None), Ok(None));
+        let window_only = |name: &str| (name == "GILLIS_BATCH_WINDOW_MS").then(|| "9".to_string());
+        assert_eq!(BatchPolicy::from_lookup(&window_only), Ok(None));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse};
 use crate::Result;
 
 /// One rung of the degradation ladder. Effects are cumulative: every level
@@ -115,29 +116,6 @@ impl Default for BrownoutPolicy {
 }
 
 impl BrownoutPolicy {
-    /// Reads ladder knobs from the environment. `GILLIS_BROWNOUT_WINDOW`
-    /// enables the ladder (first attempts per window);
-    /// `GILLIS_BROWNOUT_DEGRADE_BELOW`, `GILLIS_BROWNOUT_RECOVER_ABOVE`,
-    /// `GILLIS_BROWNOUT_CLEAN_WINDOWS`, `GILLIS_BROWNOUT_PROBE_INTERVAL`,
-    /// and `GILLIS_BROWNOUT_SHED_PROBE_INTERVAL` override the rest.
-    /// Malformed values are reported on stderr.
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var;
-        let window_lanes: u32 = env_var("GILLIS_BROWNOUT_WINDOW")?;
-        if window_lanes == 0 {
-            return None;
-        }
-        let d = BrownoutPolicy::default();
-        Some(BrownoutPolicy {
-            window_lanes,
-            degrade_below: env_var("GILLIS_BROWNOUT_DEGRADE_BELOW").unwrap_or(d.degrade_below),
-            recover_above: env_var("GILLIS_BROWNOUT_RECOVER_ABOVE").unwrap_or(d.recover_above),
-            clean_windows: env_var("GILLIS_BROWNOUT_CLEAN_WINDOWS").unwrap_or(d.clean_windows),
-            probe_interval: env_var("GILLIS_BROWNOUT_PROBE_INTERVAL").unwrap_or(d.probe_interval),
-            shed_probe_interval: env_var("GILLIS_BROWNOUT_SHED_PROBE_INTERVAL"),
-        })
-    }
-
     /// Validates the knobs.
     ///
     /// # Errors
@@ -184,6 +162,30 @@ impl BrownoutPolicy {
         }
         Ok(())
     }
+}
+
+family! {
+    BrownoutPolicy, "brownout", env;
+    base BrownoutPolicy::default();
+    check BrownoutPolicy::validate;
+    "GILLIS_BROWNOUT_WINDOW", "window_lanes", "unset",
+        "first attempts per health window; enables the ladder" => [window_lanes];
+    "GILLIS_BROWNOUT_DEGRADE_BELOW", "degrade_below", "0.7",
+        "step down when a window's health falls below this" => [degrade_below];
+    "GILLIS_BROWNOUT_RECOVER_ABOVE", "recover_above", "0.9",
+        "a window at or above this counts toward recovery" => [recover_above];
+    "GILLIS_BROWNOUT_CLEAN_WINDOWS", "clean_windows", "2",
+        "consecutive clean windows per step up" => [clean_windows];
+    "GILLIS_BROWNOUT_PROBE_INTERVAL", "probe_interval", "4",
+        "probe cadence at local-only/shed, in arrivals" => [probe_interval];
+    "GILLIS_BROWNOUT_SHED_PROBE_INTERVAL", "shed_probe_interval", "none (= probe interval)",
+        "probe cadence while fully shedding" => {
+            |p, raw| {
+                let some = (raw != "none").then(|| parse(raw)).transpose();
+                some.map(|interval| p.shed_probe_interval = interval)
+            },
+            |p| p.shed_probe_interval.map_or("none".to_string(), |n| n.to_string())
+        };
 }
 
 /// Ladder accounting across a serving run.

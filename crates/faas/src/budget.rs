@@ -15,6 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse};
 use crate::Result;
 
 /// Token-bucket knobs for [`RetryBudget`].
@@ -41,24 +42,6 @@ impl Default for RetryBudgetPolicy {
 }
 
 impl RetryBudgetPolicy {
-    /// Reads budget knobs from the environment. `GILLIS_RETRY_BUDGET_MAX`
-    /// enables the budget (bucket capacity); `GILLIS_RETRY_BUDGET_INITIAL`
-    /// and `GILLIS_RETRY_BUDGET_REFILL` override the starting fill and the
-    /// per-success refill. Malformed values are reported on stderr.
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var;
-        let max_tokens: f64 = env_var("GILLIS_RETRY_BUDGET_MAX")?;
-        if max_tokens <= 0.0 || !max_tokens.is_finite() {
-            return None;
-        }
-        Some(RetryBudgetPolicy {
-            max_tokens,
-            initial_tokens: env_var("GILLIS_RETRY_BUDGET_INITIAL").unwrap_or(max_tokens),
-            refill_per_success: env_var("GILLIS_RETRY_BUDGET_REFILL")
-                .unwrap_or(RetryBudgetPolicy::default().refill_per_success),
-        })
-    }
-
     /// Validates the knobs.
     ///
     /// # Errors
@@ -86,6 +69,22 @@ impl RetryBudgetPolicy {
         }
         Ok(())
     }
+}
+
+family! {
+    RetryBudgetPolicy, "retry-budget", env;
+    base RetryBudgetPolicy::default();
+    check RetryBudgetPolicy::validate;
+    "GILLIS_RETRY_BUDGET_MAX", "max_tokens", "unset",
+        "retry-budget bucket capacity; enables the budget" => {
+            // The bucket starts full unless the initial fill is set itself.
+            |p, raw| parse(raw).map(|max| (p.max_tokens, p.initial_tokens) = (max, max)),
+            |p| p.max_tokens.to_string()
+        };
+    "GILLIS_RETRY_BUDGET_INITIAL", "initial_tokens", "= max",
+        "tokens at the start of a run" => [initial_tokens];
+    "GILLIS_RETRY_BUDGET_REFILL", "refill_per_success", "0.1",
+        "tokens earned per successful first attempt" => [refill_per_success];
 }
 
 /// Live token bucket for one serving run (see [`RetryBudgetPolicy`]).

@@ -24,6 +24,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse};
 use crate::Result;
 
 /// splitmix64 finalizer: the workspace-standard seed scrambler.
@@ -124,32 +125,6 @@ impl ChaosConfig {
         }
     }
 
-    /// Reads chaos knobs from the environment: `GILLIS_CHAOS_RATE` (total
-    /// fault rate, split 40% invocation failures / 40% crashes / 20%
-    /// corruption) and `GILLIS_CHAOS_SEED` (default `0xC4A05EED`). Returns
-    /// `None` when `GILLIS_CHAOS_RATE` is unset or not a positive number;
-    /// a malformed value is reported on stderr (see [`crate::envutil`]).
-    /// This is how CI's chaos job injects faults into the test suite.
-    pub fn from_env() -> Option<Self> {
-        let rate: f64 = crate::envutil::env_var("GILLIS_CHAOS_RATE")?;
-        // NaN-rejecting: only a definitely-positive rate enables chaos.
-        if rate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return None;
-        }
-        let rate = rate.min(1.0);
-        let seed = crate::envutil::env_var("GILLIS_CHAOS_SEED").unwrap_or(0xC4A0_5EED);
-        let orch: f64 = crate::envutil::env_var("GILLIS_CHAOS_ORCH_RATE").unwrap_or(0.0);
-        Some(ChaosConfig {
-            seed,
-            invoke_failure_rate: 0.4 * rate,
-            crash_rate: 0.4 * rate,
-            straggler_rate: 0.0,
-            straggler_slowdown: 4.0,
-            corrupt_rate: 0.2 * rate,
-            orchestrator_crash_rate: orch.clamp(0.0, 1.0),
-        })
-    }
-
     /// Validates the config and builds the injector.
     ///
     /// # Errors
@@ -190,6 +165,32 @@ impl ChaosConfig {
         }
         Ok(FaultInjector { cfg: self })
     }
+}
+
+family! {
+    ChaosConfig, "chaos", env;
+    base ChaosConfig { seed: 0xC4A0_5EED, ..ChaosConfig::default() };
+    check |c: &ChaosConfig| c.build().map(drop);
+    off |c: &ChaosConfig| c.invoke_failure_rate <= 0.0;
+    "GILLIS_CHAOS_RATE", "", "unset",
+        "total worker fault rate (40% invoke failures / 40% crashes / 20% corruption); \
+         enables fault injection" => {
+            // Environment-only: the text form carries the split rates. A NaN
+            // or non-positive total leaves every rate at zero (chaos off).
+            |p, raw| parse(raw).map(|total: f64| {
+                let r = if total > 0.0 { total.min(1.0) } else { 0.0 };
+                (p.invoke_failure_rate, p.crash_rate, p.corrupt_rate) = (0.4 * r, 0.4 * r, 0.2 * r);
+            }),
+            |_| String::new()
+        };
+    "GILLIS_CHAOS_SEED", "seed", "`0xC4A05EED`", "fault-sampling seed" => [seed];
+    "", "invoke_failure_rate", "0", "probability an invocation fails" => [invoke_failure_rate];
+    "", "crash_rate", "0", "probability a worker crashes mid-compute" => [crash_rate];
+    "", "straggler_rate", "0", "probability a worker straggles" => [straggler_rate];
+    "", "straggler_slowdown", "4", "straggler compute multiplier" => [straggler_slowdown];
+    "", "corrupt_rate", "0", "probability a response is corrupted" => [corrupt_rate];
+    "GILLIS_CHAOS_ORCH_RATE", "orchestrator_crash_rate", "0",
+        "orchestrator crash probability per stage boundary" => [orchestrator_crash_rate];
 }
 
 /// Salt constants separating the independent per-site decisions.
@@ -490,58 +491,6 @@ impl OutageConfig {
         }
     }
 
-    /// Reads outage knobs from the environment. `GILLIS_OUTAGE_SEVERITY`
-    /// enables the model (a multiplier ≥ 1); `GILLIS_OUTAGE_SEED`,
-    /// `GILLIS_OUTAGE_WINDOW_MS`, `GILLIS_OUTAGE_START_PROB`,
-    /// `GILLIS_OUTAGE_MIN_WINDOWS`, `GILLIS_OUTAGE_MAX_WINDOWS` override
-    /// defaults, and `GILLIS_OUTAGE_DOMAINS` is a comma list drawn from
-    /// `platform`, `lane`, `tier`. Malformed values are reported on stderr.
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var;
-        let severity: f64 = env_var("GILLIS_OUTAGE_SEVERITY")?;
-        if severity < 1.0 || severity.is_nan() {
-            return None;
-        }
-        let mut cfg = OutageConfig {
-            severity,
-            ..OutageConfig::default()
-        };
-        if let Some(seed) = env_var("GILLIS_OUTAGE_SEED") {
-            cfg.seed = seed;
-        }
-        if let Some(w) = env_var("GILLIS_OUTAGE_WINDOW_MS") {
-            cfg.window_ms = w;
-        }
-        if let Some(p) = env_var("GILLIS_OUTAGE_START_PROB") {
-            cfg.start_prob = p;
-        }
-        if let Some(n) = env_var("GILLIS_OUTAGE_MIN_WINDOWS") {
-            cfg.min_windows = n;
-        }
-        if let Some(n) = env_var("GILLIS_OUTAGE_MAX_WINDOWS") {
-            cfg.max_windows = n;
-        }
-        if let Ok(spec) = std::env::var("GILLIS_OUTAGE_DOMAINS") {
-            cfg.platform = false;
-            cfg.lanes = false;
-            cfg.memory_tiers = false;
-            cfg.orchestrators = false;
-            for name in spec.split(',') {
-                match name.trim() {
-                    "platform" => cfg.platform = true,
-                    "lane" | "lanes" => cfg.lanes = true,
-                    "tier" | "tiers" | "memory" => cfg.memory_tiers = true,
-                    "orchestrator" | "orchestrators" | "orch" => cfg.orchestrators = true,
-                    other => eprintln!(
-                        "gillis: ignoring unknown GILLIS_OUTAGE_DOMAINS entry {other:?} \
-                         (platform | lane | tier | orchestrator)"
-                    ),
-                }
-            }
-        }
-        Some(cfg)
-    }
-
     /// Validates the config and builds the episode model.
     ///
     /// # Errors
@@ -589,99 +538,49 @@ impl OutageConfig {
         }
         Ok(OutageModel { cfg: self })
     }
+}
 
-    /// Serializes to the versioned key=value text format.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut domains: Vec<&str> = Vec::new();
-        if self.platform {
-            domains.push("platform");
-        }
-        if self.lanes {
-            domains.push("lane");
-        }
-        if self.memory_tiers {
-            domains.push("tier");
-        }
-        if self.orchestrators {
-            domains.push("orchestrator");
-        }
-        format!(
-            "gillis-outage v1\nseed={} window_ms={} start_prob={} min_windows={} \
-             max_windows={} severity={} domains={}\n",
-            self.seed,
-            self.window_ms,
-            self.start_prob,
-            self.min_windows,
-            self.max_windows,
-            self.severity,
-            domains.join(",")
-        )
-    }
-
-    /// Parses the [`Self::to_text`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on a bad header, unknown key,
-    /// or malformed value, and the [`Self::build`] validation errors on
-    /// out-of-range knobs (so a parsed config is always buildable).
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().unwrap_or_default().trim();
-        if header != "gillis-outage v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "expected 'gillis-outage v1' header, got {header:?}"
-            )));
-        }
-        let mut cfg = OutageConfig::default();
-        for line in lines {
-            for tok in line.split_whitespace() {
-                let (key, value) = tok.split_once('=').ok_or_else(|| {
-                    FaasError::InvalidArgument(format!("expected key=value, got {tok:?}"))
-                })?;
-                let bad = |e: &dyn std::fmt::Display| {
-                    FaasError::InvalidArgument(format!("bad {key} value {value:?}: {e}"))
-                };
-                match key {
-                    "seed" => cfg.seed = value.parse().map_err(|e| bad(&e))?,
-                    "window_ms" => cfg.window_ms = value.parse().map_err(|e| bad(&e))?,
-                    "start_prob" => cfg.start_prob = value.parse().map_err(|e| bad(&e))?,
-                    "min_windows" => cfg.min_windows = value.parse().map_err(|e| bad(&e))?,
-                    "max_windows" => cfg.max_windows = value.parse().map_err(|e| bad(&e))?,
-                    "severity" => cfg.severity = value.parse().map_err(|e| bad(&e))?,
-                    "domains" => {
-                        cfg.platform = false;
-                        cfg.lanes = false;
-                        cfg.memory_tiers = false;
-                        cfg.orchestrators = false;
-                        for name in value.split(',').filter(|d| !d.is_empty()) {
-                            match name {
-                                "platform" => cfg.platform = true,
-                                "lane" | "lanes" => cfg.lanes = true,
-                                "tier" | "tiers" | "memory" => cfg.memory_tiers = true,
-                                "orchestrator" | "orchestrators" | "orch" => {
-                                    cfg.orchestrators = true;
-                                }
-                                other => {
-                                    return Err(FaasError::InvalidArgument(format!(
-                                        "unknown outage domain {other:?}"
-                                    )));
-                                }
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(FaasError::InvalidArgument(format!(
-                            "unknown outage key {other:?}"
-                        )));
+family! {
+    OutageConfig, "outage", env;
+    base OutageConfig::default();
+    check |c: &OutageConfig| c.build().map(drop);
+    "GILLIS_OUTAGE_SEVERITY", "severity", "unset",
+        "episode fault-rate multiplier (≥ 1); enables outage episodes" => [severity];
+    "GILLIS_OUTAGE_SEED", "seed", "`0x7A6E5E`",
+        "episode-schedule seed (independent of the chaos seed)" => [seed];
+    "GILLIS_OUTAGE_WINDOW_MS", "window_ms", "250", "episode time-window size" => [window_ms];
+    "GILLIS_OUTAGE_START_PROB", "start_prob", "0.02",
+        "per-window episode-start probability" => [start_prob];
+    "GILLIS_OUTAGE_MIN_WINDOWS", "min_windows", "4", "shortest episode (windows)" => [min_windows];
+    "GILLIS_OUTAGE_MAX_WINDOWS", "max_windows", "16", "longest episode (windows)" => [max_windows];
+    "GILLIS_OUTAGE_DOMAINS", "domains", "`platform,lane,tier`",
+        "comma list of fault domains: `platform`, `lane`, `tier`, `orchestrator`" => {
+            |p, raw| {
+                (p.platform, p.lanes, p.memory_tiers, p.orchestrators) = Default::default();
+                for name in raw.split(',').map(str::trim).filter(|d| !d.is_empty()) {
+                    match name {
+                        "platform" => p.platform = true,
+                        "lane" | "lanes" => p.lanes = true,
+                        "tier" | "tiers" | "memory" => p.memory_tiers = true,
+                        "orchestrator" | "orchestrators" | "orch" => p.orchestrators = true,
+                        other => return Err(format!(
+                            "unknown domain {other:?} (platform | lane | tier | orchestrator)"
+                        )),
                     }
                 }
+                Ok(())
+            },
+            |p| {
+                let domains = [
+                    (p.platform, "platform"),
+                    (p.lanes, "lane"),
+                    (p.memory_tiers, "tier"),
+                    (p.orchestrators, "orchestrator"),
+                ];
+                let on: Vec<&str> = domains.iter().filter(|d| d.0).map(|d| d.1).collect();
+                on.join(",")
             }
-        }
-        cfg.build()?;
-        Ok(cfg)
-    }
+        };
 }
 
 /// Salt constants for the independent per-(domain, window) decisions.
@@ -921,83 +820,20 @@ impl ResiliencePolicy {
         }
         Ok(())
     }
+}
 
-    /// Serializes to the versioned key=value text format.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        format!(
-            "gillis-resilience v1\nmax_attempts={} backoff_base_ms={} backoff_multiplier={} \
-             backoff_cap_ms={} backoff_jitter_frac={} attempt_timeout_factor={} \
-             hedge_delay_factor={} local_fallback={}\n",
-            self.max_attempts,
-            self.backoff_base_ms,
-            self.backoff_multiplier,
-            self.backoff_cap_ms,
-            self.backoff_jitter_frac,
-            self.attempt_timeout_factor,
-            self.hedge_delay_factor,
-            self.local_fallback
-        )
-    }
-
-    /// Parses the [`Self::to_text`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on a bad header, unknown key,
-    /// or malformed value, and [`Self::validate`] errors on out-of-range
-    /// knobs.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().unwrap_or_default().trim();
-        if header != "gillis-resilience v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "expected 'gillis-resilience v1' header, got {header:?}"
-            )));
-        }
-        let mut policy = ResiliencePolicy::default();
-        for line in lines {
-            for tok in line.split_whitespace() {
-                let (key, value) = tok.split_once('=').ok_or_else(|| {
-                    FaasError::InvalidArgument(format!("expected key=value, got {tok:?}"))
-                })?;
-                let bad = |e: &dyn std::fmt::Display| {
-                    FaasError::InvalidArgument(format!("bad {key} value {value:?}: {e}"))
-                };
-                match key {
-                    "max_attempts" => policy.max_attempts = value.parse().map_err(|e| bad(&e))?,
-                    "backoff_base_ms" => {
-                        policy.backoff_base_ms = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "backoff_multiplier" => {
-                        policy.backoff_multiplier = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "backoff_cap_ms" => {
-                        policy.backoff_cap_ms = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "backoff_jitter_frac" => {
-                        policy.backoff_jitter_frac = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "attempt_timeout_factor" => {
-                        policy.attempt_timeout_factor = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "hedge_delay_factor" => {
-                        policy.hedge_delay_factor = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    "local_fallback" => {
-                        policy.local_fallback = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    other => {
-                        return Err(FaasError::InvalidArgument(format!(
-                            "unknown resilience key {other:?}"
-                        )));
-                    }
-                }
-            }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
+family! {
+    ResiliencePolicy, "resilience";
+    base ResiliencePolicy::default();
+    check ResiliencePolicy::validate;
+    "", "max_attempts", "4", "attempts per worker partition" => [max_attempts];
+    "", "backoff_base_ms", "2", "backoff before the first retry" => [backoff_base_ms];
+    "", "backoff_multiplier", "2", "backoff growth per retry" => [backoff_multiplier];
+    "", "backoff_cap_ms", "60", "upper bound on one backoff" => [backoff_cap_ms];
+    "", "backoff_jitter_frac", "0.5", "backoff jitter fraction" => [backoff_jitter_frac];
+    "", "attempt_timeout_factor", "10", "timeout, × attempt p95" => [attempt_timeout_factor];
+    "", "hedge_delay_factor", "inf (off)", "hedge delay, × attempt p95" => [hedge_delay_factor];
+    "", "local_fallback", "true", "recompute an exhausted shard locally" => [local_fallback];
 }
 
 /// Terminal status of one query.
@@ -1592,19 +1428,13 @@ mod tests {
 
     #[test]
     fn garbled_chaos_rate_is_rejected_with_a_warning() {
-        // The parse path itself (shared by from_env) names the variable.
-        let err = crate::envutil::parse_value::<f64>("GILLIS_CHAOS_RATE", "banana").unwrap_err();
+        // Driven through a closure, never the process environment (whose
+        // `GILLIS_CHAOS_RATE` feeds `env_injector` and CI's chaos job).
+        let garbled = |name: &str| (name == "GILLIS_CHAOS_RATE").then(|| "banana".to_string());
+        let err = ChaosConfig::from_lookup(&garbled).unwrap_err().to_string();
         assert!(err.contains("GILLIS_CHAOS_RATE"), "{err}");
         assert!(err.contains("banana"), "{err}");
-        // End to end: a garbled value disables chaos instead of panicking
-        // or silently misconfiguring. Restore whatever was set so parallel
-        // tests and CI's chaos job are unaffected.
-        let saved = std::env::var("GILLIS_CHAOS_RATE").ok();
-        std::env::set_var("GILLIS_CHAOS_RATE", "banana");
-        assert_eq!(ChaosConfig::from_env(), None);
-        match saved {
-            Some(v) => std::env::set_var("GILLIS_CHAOS_RATE", v),
-            None => std::env::remove_var("GILLIS_CHAOS_RATE"),
-        }
+        let zero = |name: &str| (name == "GILLIS_CHAOS_RATE").then(|| "0".to_string());
+        assert_eq!(ChaosConfig::from_lookup(&zero), Ok(None));
     }
 }

@@ -1,10 +1,10 @@
-//! Environment-knob parsing shared by the `GILLIS_*` config families.
+//! The process environment as a knob source: the one place that calls
+//! `std::env::var`.
 //!
-//! Every `*_from_env` reader used to swallow malformed values silently
-//! (`.ok()?.parse().ok()?`), so a typo like `GILLIS_CHAOS_RATE=0.0.5`
-//! disabled the feature without a trace. The helpers here keep the same
-//! unset-means-`None` contract but report malformed values on stderr with
-//! the offending variable name, so the operator learns the knob was ignored.
+//! The policy families read it through [`lookup`] (see [`crate::knobs`]);
+//! stand-alone knobs (`GILLIS_BENCH_SEED`) use [`env_var`], which keeps the
+//! unset-means-`None` contract but reports a malformed value on stderr with
+//! the offending variable name, so a typo never changes behaviour silently.
 
 use std::str::FromStr;
 
@@ -21,10 +21,15 @@ pub fn parse_value<T: FromStr>(name: &str, raw: &str) -> std::result::Result<T, 
         .map_err(|_| format!("ignoring malformed {name}={raw:?}"))
 }
 
+/// The value of environment variable `name`, if set (and valid Unicode).
+pub fn lookup(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Reads environment variable `name` as `T`. Unset → `None`; set but
 /// malformed → a warning on stderr (naming the variable) and `None`.
 pub fn env_var<T: FromStr>(name: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
+    let raw = lookup(name)?;
     match parse_value(name, &raw) {
         Ok(v) => Some(v),
         Err(msg) => {
@@ -32,23 +37,6 @@ pub fn env_var<T: FromStr>(name: &str) -> Option<T> {
             None
         }
     }
-}
-
-/// Reads environment variable `name` as a comma-separated list of `T`.
-/// Unset → `None`; any malformed element → a warning on stderr and `None`.
-pub fn env_list<T: FromStr>(name: &str) -> Option<Vec<T>> {
-    let raw = std::env::var(name).ok()?;
-    let mut out = Vec::new();
-    for piece in raw.split(',') {
-        match parse_value(name, piece) {
-            Ok(v) => out.push(v),
-            Err(_) => {
-                eprintln!("gillis: ignoring malformed {name}={raw:?} (bad element {piece:?})");
-                return None;
-            }
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ pub mod envutil;
 pub mod error;
 pub mod exgauss;
 pub mod fleet;
+pub mod knobs;
 pub mod metrics;
 pub mod overload;
 pub mod pipeline;
@@ -56,6 +57,7 @@ pub use chaos::{
 };
 pub use error::FaasError;
 pub use exgauss::ExGaussian;
+pub use knobs::{Knob, Knobs, PolicyStack};
 pub use overload::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, OverloadCounters, OverloadPolicy,
 };

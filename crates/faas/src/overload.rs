@@ -32,6 +32,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse};
 use crate::time::Micros;
 use crate::Result;
 
@@ -324,123 +325,30 @@ impl OverloadPolicy {
         }
         self.breaker.validate()
     }
+}
 
-    /// Serializes the policy to a compact one-line `key=value` format,
-    /// preceded by a header — the deployment artifact shape shared with
-    /// `ExecutionPlan::to_text`.
-    pub fn to_text(&self) -> String {
-        format!(
-            "gillis-overload v1\nconcurrency={} queue={} deadline_ms={} shed_predicted={} \
-             breaker_failures={} breaker_cooldown_ms={} breaker_probes={}\n",
-            self.max_concurrency,
-            self.queue_depth,
-            self.deadline_ms,
-            self.shed_on_predicted_miss,
-            self.breaker.failure_threshold,
-            self.breaker.cooldown_ms,
-            self.breaker.half_open_probes,
-        )
-    }
-
-    /// Parses the format produced by [`OverloadPolicy::to_text`] and
-    /// validates the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on header, field, or
-    /// validation errors.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| FaasError::InvalidArgument("empty overload policy text".into()))?;
-        if header.trim() != "gillis-overload v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "unknown overload policy header: {header}"
-            )));
-        }
-        let mut policy = OverloadPolicy::unprotected(1);
-        for token in lines.flat_map(str::split_whitespace) {
-            let (key, value) = token.split_once('=').ok_or_else(|| {
-                FaasError::InvalidArgument(format!("expected key=value, got: {token}"))
-            })?;
-            let bad =
-                |what: &str| FaasError::InvalidArgument(format!("bad overload {what}: {value}"));
-            match key {
-                "concurrency" => {
-                    policy.max_concurrency = value.parse().map_err(|_| bad("concurrency"))?;
-                }
-                "queue" => policy.queue_depth = value.parse().map_err(|_| bad("queue"))?,
-                "deadline_ms" => {
-                    policy.deadline_ms = value.parse().map_err(|_| bad("deadline_ms"))?;
-                }
-                "shed_predicted" => {
-                    policy.shed_on_predicted_miss =
-                        value.parse().map_err(|_| bad("shed_predicted"))?;
-                }
-                "breaker_failures" => {
-                    policy.breaker.failure_threshold =
-                        value.parse().map_err(|_| bad("breaker_failures"))?;
-                }
-                "breaker_cooldown_ms" => {
-                    policy.breaker.cooldown_ms =
-                        value.parse().map_err(|_| bad("breaker_cooldown_ms"))?;
-                }
-                "breaker_probes" => {
-                    policy.breaker.half_open_probes =
-                        value.parse().map_err(|_| bad("breaker_probes"))?;
-                }
-                other => {
-                    return Err(FaasError::InvalidArgument(format!(
-                        "unknown overload policy key: {other}"
-                    )));
-                }
-            }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Reads overload knobs from the environment, mirroring
-    /// [`crate::chaos::ChaosConfig::from_env`]: `GILLIS_OVERLOAD_CONCURRENCY`
-    /// enables the policy (required); `GILLIS_OVERLOAD_QUEUE`,
-    /// `GILLIS_OVERLOAD_DEADLINE_MS`, `GILLIS_OVERLOAD_SHED_PREDICTED`,
-    /// `GILLIS_OVERLOAD_BREAKER_FAILURES`,
-    /// `GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS`, and
-    /// `GILLIS_OVERLOAD_BREAKER_PROBES` override the `for_slo`-style
-    /// defaults. Returns `None` when the concurrency variable is unset, and
-    /// `None` for an invalid combination; malformed values are reported on
-    /// stderr (see [`crate::envutil`]).
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var as var;
-        let max_concurrency: usize = var("GILLIS_OVERLOAD_CONCURRENCY")?;
-        let mut policy = OverloadPolicy {
-            max_concurrency,
-            queue_depth: 2 * max_concurrency.max(1),
-            deadline_ms: f64::INFINITY,
-            shed_on_predicted_miss: false,
-            breaker: BreakerPolicy::disabled(),
+family! {
+    OverloadPolicy, "overload", env;
+    base OverloadPolicy::unprotected(1);
+    check OverloadPolicy::validate;
+    "GILLIS_OVERLOAD_CONCURRENCY", "concurrency", "unset",
+        "admission slots; enables overload protection" => {
+            // The queue bound follows the concurrency unless set itself.
+            |p, raw| parse(raw)
+                .map(|slots: usize| (p.max_concurrency, p.queue_depth) = (slots, 2 * slots.max(1))),
+            |p| p.max_concurrency.to_string()
         };
-        if let Some(q) = var("GILLIS_OVERLOAD_QUEUE") {
-            policy.queue_depth = q;
-        }
-        if let Some(d) = var("GILLIS_OVERLOAD_DEADLINE_MS") {
-            policy.deadline_ms = d;
-        }
-        if let Some(s) = var("GILLIS_OVERLOAD_SHED_PREDICTED") {
-            policy.shed_on_predicted_miss = s;
-        }
-        if let Some(f) = var("GILLIS_OVERLOAD_BREAKER_FAILURES") {
-            policy.breaker.failure_threshold = f;
-        }
-        if let Some(c) = var("GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS") {
-            policy.breaker.cooldown_ms = c;
-        }
-        if let Some(p) = var("GILLIS_OVERLOAD_BREAKER_PROBES") {
-            policy.breaker.half_open_probes = p;
-        }
-        policy.validate().ok().map(|()| policy)
-    }
+    "GILLIS_OVERLOAD_QUEUE", "queue", "2 × concurrency", "admission queue depth" => [queue_depth];
+    "GILLIS_OVERLOAD_DEADLINE_MS", "deadline_ms", "inf (none)",
+        "per-query deadline from arrival" => [deadline_ms];
+    "GILLIS_OVERLOAD_SHED_PREDICTED", "shed_predicted", "false",
+        "shed when predicted wait + latency misses the deadline" => [shed_on_predicted_miss];
+    "GILLIS_OVERLOAD_BREAKER_FAILURES", "breaker_failures", "0 (breakers off)",
+        "consecutive lane failures that open a lane breaker" => [breaker.failure_threshold];
+    "GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS", "breaker_cooldown_ms", "0",
+        "open-state cooldown before a breaker half-opens" => [breaker.cooldown_ms];
+    "GILLIS_OVERLOAD_BREAKER_PROBES", "breaker_probes", "1",
+        "probe successes needed to close from half-open" => [breaker.half_open_probes];
 }
 
 /// Honest overload accounting across a serving run, reported next to the
@@ -772,11 +680,17 @@ mod tests {
 
     #[test]
     fn env_parsing_round_trips_defaults() {
-        // from_env is driven by process-global env vars; only exercise the
-        // unset path here (CI never sets these for unit tests).
-        if std::env::var("GILLIS_OVERLOAD_CONCURRENCY").is_err() {
-            assert!(OverloadPolicy::from_env().is_none());
-        }
+        // Driven through a closure, never the process environment.
+        assert_eq!(OverloadPolicy::from_lookup(&|_| None), Ok(None));
+        let only = |name: &str| (name == "GILLIS_OVERLOAD_CONCURRENCY").then(|| "3".to_string());
+        let policy = OverloadPolicy::from_lookup(&only).unwrap().unwrap();
+        assert_eq!(
+            policy,
+            OverloadPolicy {
+                queue_depth: 6,
+                ..OverloadPolicy::unprotected(3)
+            }
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::{family, parse};
 use crate::Result;
 
 /// How the serving path streams queries through layer-group stages.
@@ -74,71 +75,20 @@ impl PipelinePolicy {
         }
         Ok(())
     }
+}
 
-    /// Serializes the policy to the compact one-line `key=value` deployment
-    /// format shared with the overload/batch/brownout policies.
-    pub fn to_text(&self) -> String {
-        format!(
-            "gillis-pipeline v1\nlanes={} queue_depth={}\n",
-            self.lanes, self.queue_depth
-        )
-    }
-
-    /// Parses the format produced by [`PipelinePolicy::to_text`] and
-    /// validates the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on header, field, or
-    /// validation errors.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| FaasError::InvalidArgument("empty pipeline policy text".into()))?;
-        if header.trim() != "gillis-pipeline v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "unknown pipeline policy header: {header}"
-            )));
-        }
-        let mut policy = PipelinePolicy::single_lane();
-        for token in lines.flat_map(str::split_whitespace) {
-            let (key, value) = token.split_once('=').ok_or_else(|| {
-                FaasError::InvalidArgument(format!("expected key=value, got: {token}"))
-            })?;
-            let bad =
-                |what: &str| FaasError::InvalidArgument(format!("bad pipeline {what}: {value}"));
-            match key {
-                "lanes" => policy.lanes = value.parse().map_err(|_| bad("lanes"))?,
-                "queue_depth" => {
-                    policy.queue_depth = value.parse().map_err(|_| bad("queue_depth"))?;
-                }
-                other => {
-                    return Err(FaasError::InvalidArgument(format!(
-                        "unknown pipeline policy key: {other}"
-                    )));
-                }
-            }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Reads pipeline knobs from the environment, mirroring
-    /// [`crate::batch::BatchPolicy::from_env`]: `GILLIS_PIPELINE_LANES`
-    /// enables the policy (required); `GILLIS_PIPELINE_QUEUE` overrides the
-    /// default queue depth. Returns `None` when the enabling variable is
-    /// unset or unparseable and for invalid combinations; malformed values
-    /// are reported on stderr (see [`crate::envutil`]).
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var as var;
-        let lanes: usize = var("GILLIS_PIPELINE_LANES")?;
-        let mut policy = PipelinePolicy::with_lanes(lanes);
-        if let Some(q) = var("GILLIS_PIPELINE_QUEUE") {
-            policy.queue_depth = q;
-        }
-        policy.validate().ok().map(|()| policy)
-    }
+family! {
+    PipelinePolicy, "pipeline", env;
+    base PipelinePolicy::single_lane();
+    check PipelinePolicy::validate;
+    "GILLIS_PIPELINE_LANES", "lanes", "unset",
+        "per-stage lane count; enables pipeline-parallel serving" => {
+            // The queue bound follows the lane count unless set itself.
+            |p, raw| parse(raw).map(|lanes| *p = PipelinePolicy::with_lanes(lanes)),
+            |p| p.lanes.to_string()
+        };
+    "GILLIS_PIPELINE_QUEUE", "queue_depth", "2 × lanes",
+        "bounded inter-stage queue depth" => [queue_depth];
 }
 
 /// Honest pipeline accounting across a serving run, reported next to the
@@ -224,11 +174,10 @@ mod tests {
 
     #[test]
     fn env_parsing_requires_the_enabling_variable() {
-        // from_env is driven by process-global env vars; only exercise the
-        // unset path here (CI never sets these for unit tests).
-        if std::env::var("GILLIS_PIPELINE_LANES").is_err() {
-            assert!(PipelinePolicy::from_env().is_none());
-        }
+        // Driven through a closure, never the process environment.
+        assert_eq!(PipelinePolicy::from_lookup(&|_| None), Ok(None));
+        let queue_only = |name: &str| (name == "GILLIS_PIPELINE_QUEUE").then(|| "9".to_string());
+        assert_eq!(PipelinePolicy::from_lookup(&queue_only), Ok(None));
     }
 
     #[test]

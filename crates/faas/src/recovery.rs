@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
+use crate::knobs::family;
 use crate::Result;
 
 /// Failover replay delay charged when no [`RecoveryPolicy`] overrides it
@@ -108,90 +109,21 @@ impl RecoveryPolicy {
         }
         Ok(())
     }
+}
 
-    /// Serializes to the versioned key=value text format.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        format!(
-            "gillis-recovery v1\ncapacity={} ttl_ms={} failover_ms={} spec_factor={} \
-             max_speculations={}\n",
-            self.capacity, self.ttl_ms, self.failover_ms, self.spec_factor, self.max_speculations
-        )
-    }
-
-    /// Parses the [`Self::to_text`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaasError::InvalidArgument`] on a bad header, unknown key,
-    /// or malformed value, and validation errors on out-of-range knobs.
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().unwrap_or_default().trim();
-        if header != "gillis-recovery v1" {
-            return Err(FaasError::InvalidArgument(format!(
-                "expected 'gillis-recovery v1' header, got {header:?}"
-            )));
-        }
-        let mut policy = RecoveryPolicy::default();
-        for line in lines {
-            for tok in line.split_whitespace() {
-                let (key, value) = tok.split_once('=').ok_or_else(|| {
-                    FaasError::InvalidArgument(format!("expected key=value, got {tok:?}"))
-                })?;
-                let bad = |e: &dyn std::fmt::Display| {
-                    FaasError::InvalidArgument(format!("bad {key} value {value:?}: {e}"))
-                };
-                match key {
-                    "capacity" => policy.capacity = value.parse().map_err(|e| bad(&e))?,
-                    "ttl_ms" => policy.ttl_ms = value.parse().map_err(|e| bad(&e))?,
-                    "failover_ms" => policy.failover_ms = value.parse().map_err(|e| bad(&e))?,
-                    "spec_factor" => policy.spec_factor = value.parse().map_err(|e| bad(&e))?,
-                    "max_speculations" => {
-                        policy.max_speculations = value.parse().map_err(|e| bad(&e))?;
-                    }
-                    other => {
-                        return Err(FaasError::InvalidArgument(format!(
-                            "unknown recovery key {other:?}"
-                        )));
-                    }
-                }
-            }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Reads recovery knobs from the environment. `GILLIS_RECOVERY_CAPACITY`
-    /// enables the cache; `GILLIS_RECOVERY_TTL_MS`,
-    /// `GILLIS_RECOVERY_FAILOVER_MS`, `GILLIS_RECOVERY_SPEC_FACTOR`, and
-    /// `GILLIS_RECOVERY_MAX_SPEC` override defaults. Malformed values are
-    /// reported on stderr (see [`crate::envutil`]). Returns `None` when the
-    /// capacity knob is unset or zero.
-    pub fn from_env() -> Option<Self> {
-        use crate::envutil::env_var;
-        let capacity: usize = env_var("GILLIS_RECOVERY_CAPACITY")?;
-        if capacity == 0 {
-            return None;
-        }
-        let mut policy = RecoveryPolicy {
-            capacity,
-            ..RecoveryPolicy::default()
-        };
-        if let Some(ttl) = env_var("GILLIS_RECOVERY_TTL_MS") {
-            policy.ttl_ms = ttl;
-        }
-        if let Some(f) = env_var("GILLIS_RECOVERY_FAILOVER_MS") {
-            policy.failover_ms = f;
-        }
-        if let Some(s) = env_var("GILLIS_RECOVERY_SPEC_FACTOR") {
-            policy.spec_factor = s;
-        }
-        if let Some(n) = env_var("GILLIS_RECOVERY_MAX_SPEC") {
-            policy.max_speculations = n;
-        }
-        Some(policy)
-    }
+family! {
+    RecoveryPolicy, "recovery", env;
+    base RecoveryPolicy::default();
+    check RecoveryPolicy::validate;
+    "GILLIS_RECOVERY_CAPACITY", "capacity", "unset",
+        "checkpoint-cache entries; enables stage-level recovery" => [capacity];
+    "GILLIS_RECOVERY_TTL_MS", "ttl_ms", "inf", "checkpoint time-to-live" => [ttl_ms];
+    "GILLIS_RECOVERY_FAILOVER_MS", "failover_ms", "25",
+        "replacement-orchestrator failover delay" => [failover_ms];
+    "GILLIS_RECOVERY_SPEC_FACTOR", "spec_factor", "inf (off)",
+        "speculate when a stage exceeds this × its predicted p95" => [spec_factor];
+    "GILLIS_RECOVERY_MAX_SPEC", "max_speculations", "1",
+        "speculative re-executions per query" => [max_speculations];
 }
 
 /// One stage-boundary checkpoint: the durable record that a query's groups
@@ -606,9 +538,9 @@ mod tests {
 
     #[test]
     fn from_env_requires_capacity() {
-        // Only asserts the unset path: parallel tests share the process
-        // environment, so we never set GILLIS_* here.
-        std::env::remove_var("GILLIS_RECOVERY_CAPACITY");
-        assert_eq!(RecoveryPolicy::from_env(), None);
+        // Driven through a closure, never the process environment.
+        assert_eq!(RecoveryPolicy::from_lookup(&|_| None), Ok(None));
+        let ttl_only = |name: &str| (name == "GILLIS_RECOVERY_TTL_MS").then(|| "5".to_string());
+        assert_eq!(RecoveryPolicy::from_lookup(&ttl_only), Ok(None));
     }
 }

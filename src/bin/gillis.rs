@@ -10,20 +10,16 @@
 //!                 [--clients 100] [--queries 1000] [--rate 100]
 //! ```
 //!
-//! `GILLIS_OVERLOAD_*` enables admission control; `GILLIS_BATCH_*` switches
-//! `serve` to open-loop adaptive multi-SLO batching at `--rate` arrivals/s
-//! (with `--clients` prewarmed masters), planning batch sizes and instance
-//! memory jointly against the performance model. `GILLIS_PIPELINE_LANES`
-//! (with optional `GILLIS_PIPELINE_QUEUE`) switches `serve` to
-//! pipeline-parallel streaming across layer groups — each group becomes a
-//! stage with its own lane pool and bounded queue, and when `--plan` is
-//! omitted the plan is recomputed for the stage-balancing objective;
-//! pipelining takes precedence over batching (they do not compose).
-//! `GILLIS_CHAOS_*` injects faults, `GILLIS_OUTAGE_*` adds correlated
-//! outage episodes on top, `GILLIS_RETRY_BUDGET_*` caps retry/hedge
-//! amplification, `GILLIS_BROWNOUT_*` enables the degradation ladder, and
-//! `GILLIS_RECOVERY_*` enables stage-level checkpointed recovery (failover
-//! replay of orchestrator crashes, resume retries, straggler speculation).
+//! `serve` reads every serving-policy family from the `GILLIS_*` environment
+//! knobs (README "Environment knobs"; one `PolicyStack`), prints the
+//! policies in force, and exits non-zero on a malformed or invalid knob.
+//! `GILLIS_BATCH_*` switches it to open-loop adaptive multi-SLO batching at
+//! `--rate` arrivals/s (with `--clients` prewarmed masters), planning batch
+//! sizes and instance memory jointly against the performance model;
+//! `GILLIS_PIPELINE_*` switches it to pipeline-parallel streaming across
+//! layer groups — when `--plan` is omitted the plan is recomputed for the
+//! stage-balancing objective — and takes precedence over batching (they do
+//! not compose).
 //!
 //! Plans are stored in the stable text format of
 //! [`gillis::core::ExecutionPlan::to_text`]; when `--plan` is omitted the
@@ -35,9 +31,8 @@ use std::process::ExitCode;
 use gillis::serving::{lookup_model, lookup_platform, model_catalog};
 
 use gillis::core::{
-    plan_batch_schedule, predict_plan, BatchPolicy, BrownoutPolicy, ChaosConfig, DpPartitioner,
-    ExecutionPlan, ForkJoinRuntime, OutageConfig, OverloadPolicy, PipelinePolicy, PlanObjective,
-    RecoveryPolicy, RetryBudgetPolicy,
+    plan_batch_schedule, predict_plan, DpPartitioner, ExecutionPlan, ForkJoinRuntime,
+    PlanObjective, PolicyStack,
 };
 use gillis::faas::workload::ClosedLoop;
 use gillis::faas::Micros;
@@ -170,12 +165,21 @@ fn run() -> Result<(), String> {
                 .map(|v| v.parse().map_err(|_| format!("bad --queries: {v}")))
                 .transpose()?
                 .unwrap_or(1000);
+            // Every policy family the environment configures, read once; a
+            // set-but-invalid family is an error, not a silently dropped one.
+            let policies = PolicyStack::from_env().map_err(|e| e.to_string())?;
+            print!("{}", policies.to_text());
+            let runtime = |plan, platform| {
+                ForkJoinRuntime::new(&model, plan, platform)
+                    .and_then(|rt| rt.with_policies(&policies, None))
+                    .map_err(|e| e.to_string())
+            };
             // GILLIS_PIPELINE_* env knobs enable pipeline-parallel serving:
             // each layer group becomes a stage with its own lane pool and a
             // bounded inter-stage queue, fed by an open-loop Poisson stream
             // at --rate. Batching does not compose with pipelining, so this
             // branch takes precedence over GILLIS_BATCH_*.
-            if let Some(pipeline_policy) = PipelinePolicy::from_env() {
+            if let Some(pipeline_policy) = &policies.pipeline {
                 let rate: f64 = flags
                     .get("rate")
                     .map(|v| v.parse().map_err(|_| format!("bad --rate: {v}")))
@@ -192,11 +196,8 @@ fn run() -> Result<(), String> {
                         .partition(&model, &perf)
                         .map_err(|e| e.to_string())?
                 };
-                let rt = with_env_resilience(
-                    ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?,
-                )?;
-                let report = rt
-                    .serve_open_loop_pipelined(&pipeline_policy, rate, queries, clients, 7)
+                let report = runtime(&plan, platform)?
+                    .serve_open_loop_pipelined(pipeline_policy, rate, queries, clients, 7)
                     .map_err(|e| e.to_string())?;
                 println!(
                     "pipeline: {} stages x {} lanes (queue depth {})",
@@ -211,7 +212,7 @@ fn run() -> Result<(), String> {
             // serving switches to an open-loop Poisson stream at --rate and
             // the batch sizes / instance memory are planned jointly against
             // the performance model.
-            if let Some(batch_policy) = BatchPolicy::from_env() {
+            if let Some(batch_policy) = &policies.batch {
                 let rate: f64 = flags
                     .get("rate")
                     .map(|v| v.parse().map_err(|_| format!("bad --rate: {v}")))
@@ -222,7 +223,7 @@ fn run() -> Result<(), String> {
                     &plan,
                     &platform,
                     gillis::perf::TransferFormat::F32,
-                    &batch_policy,
+                    batch_policy,
                     rate,
                 )
                 .map_err(|e| e.to_string())?;
@@ -231,12 +232,8 @@ fn run() -> Result<(), String> {
                 } else {
                     platform.with_memory_bytes(schedule.memory_bytes)
                 };
-                let rt = with_env_resilience(
-                    ForkJoinRuntime::new(&model, &plan, serving_platform)
-                        .map_err(|e| e.to_string())?,
-                )?;
-                let report = rt
-                    .serve_open_loop_batched(&batch_policy, &schedule, rate, queries, clients, 7)
+                let report = runtime(&plan, serving_platform)?
+                    .serve_open_loop_batched(batch_policy, &schedule, rate, queries, clients, 7)
                     .map_err(|e| e.to_string())?;
                 let windows = schedule
                     .classes
@@ -256,10 +253,7 @@ fn run() -> Result<(), String> {
                 print_serving_report(&report);
                 return Ok(());
             }
-            let rt = with_env_resilience(
-                ForkJoinRuntime::new(&model, &plan, platform).map_err(|e| e.to_string())?,
-            )?;
-            let report = rt
+            let report = runtime(&plan, platform)?
                 .serve_workload(
                     ClosedLoop::new(clients, queries, Micros::ZERO).map_err(|e| e.to_string())?,
                     7,
@@ -270,32 +264,6 @@ fn run() -> Result<(), String> {
         other => return Err(format!("unknown command '{other}'")),
     }
     Ok(())
-}
-
-/// Applies the `GILLIS_OVERLOAD_*` / `GILLIS_CHAOS_*` / `GILLIS_OUTAGE_*` /
-/// `GILLIS_RETRY_BUDGET_*` / `GILLIS_BROWNOUT_*` / `GILLIS_RECOVERY_*` env
-/// knobs to a serving runtime: each family enables its protection (or its
-/// fault injection) when set and leaves the runtime alone otherwise.
-fn with_env_resilience(mut rt: ForkJoinRuntime<'_>) -> Result<ForkJoinRuntime<'_>, String> {
-    if let Some(policy) = OverloadPolicy::from_env() {
-        rt = rt.with_overload(policy).map_err(|e| e.to_string())?;
-    }
-    if let Some(cfg) = ChaosConfig::from_env() {
-        rt = rt.with_chaos(cfg).map_err(|e| e.to_string())?;
-    }
-    if let Some(cfg) = OutageConfig::from_env() {
-        rt = rt.with_outage(cfg).map_err(|e| e.to_string())?;
-    }
-    if let Some(policy) = RetryBudgetPolicy::from_env() {
-        rt = rt.with_retry_budget(policy).map_err(|e| e.to_string())?;
-    }
-    if let Some(policy) = BrownoutPolicy::from_env() {
-        rt = rt.with_brownout(policy).map_err(|e| e.to_string())?;
-    }
-    if let Some(policy) = RecoveryPolicy::from_env() {
-        rt = rt.with_recovery(policy).map_err(|e| e.to_string())?;
-    }
-    Ok(rt)
 }
 
 fn print_serving_report(report: &gillis::core::ServingReport) {

@@ -29,7 +29,7 @@ use gillis_core::{
     execute_plan_tensors_resilient, plan_batch_schedule, predict_plan, BatchPolicy, BatchSchedule,
     BrownoutPolicy, ChaosConfig, CompiledPlanExec, CoreError, DpPartitioner, ExecutionPlan,
     ForkJoinRuntime, OutageConfig, OverloadPolicy, PartitionerConfig, PipelinePolicy,
-    PlanObjective, PlanPrediction, QueryStatus, RecoveryPolicy, ResilienceCounters,
+    PlanObjective, PlanPrediction, PolicyStack, QueryStatus, RecoveryPolicy, ResilienceCounters,
     ResiliencePolicy, RetryBudgetPolicy, ServingReport,
 };
 use gillis_faas::workload::ClosedLoop;
@@ -132,15 +132,7 @@ pub struct Gillis {
     mode: Mode,
     profile_seed: u64,
     episodes: usize,
-    chaos: Option<ChaosConfig>,
-    policy: ResiliencePolicy,
-    overload: Option<OverloadPolicy>,
-    batch: Option<BatchPolicy>,
-    outage: Option<OutageConfig>,
-    retry_budget: Option<RetryBudgetPolicy>,
-    brownout: Option<BrownoutPolicy>,
-    pipeline: Option<PipelinePolicy>,
-    recovery: Option<RecoveryPolicy>,
+    policies: PolicyStack,
 }
 
 impl Gillis {
@@ -153,15 +145,7 @@ impl Gillis {
             mode: Mode::LatencyOptimal,
             profile_seed: 42,
             episodes: 400,
-            chaos: None,
-            policy: ResiliencePolicy::default(),
-            overload: None,
-            batch: None,
-            outage: None,
-            retry_budget: None,
-            brownout: None,
-            pipeline: None,
-            recovery: None,
+            policies: PolicyStack::default(),
         }
     }
 
@@ -195,14 +179,14 @@ impl Gillis {
     /// corruption, sampled as a pure function of `(config.seed, fault
     /// site)` — validated at [`Gillis::deploy`].
     pub fn chaos(mut self, config: ChaosConfig) -> Self {
-        self.chaos = Some(config);
+        self.policies.chaos = Some(config);
         self
     }
 
     /// Sets how the fork-join master responds to worker faults (retries,
     /// backoff, timeouts, hedging, graceful degradation).
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.policy = policy;
+        self.policies.resilience = policy;
         self
     }
 
@@ -212,7 +196,7 @@ impl Gillis {
     /// circuit breakers. The deployment's [`PlanPrediction`] feeds the
     /// shed-on-predicted-miss decision. Validated at [`Gillis::deploy`].
     pub fn overload(mut self, policy: OverloadPolicy) -> Self {
-        self.overload = Some(policy);
+        self.policies.overload = Some(policy);
         self
     }
 
@@ -224,7 +208,7 @@ impl Gillis {
     /// ([`Deployment::serve_open_loop_batched`]). Validated at
     /// [`Gillis::deploy`].
     pub fn batch(mut self, policy: BatchPolicy) -> Self {
-        self.batch = Some(policy);
+        self.policies.batch = Some(policy);
         self
     }
 
@@ -234,7 +218,7 @@ impl Gillis {
     /// by the configured severity while active. Inert without
     /// [`Gillis::chaos`]. Validated at [`Gillis::deploy`].
     pub fn outage(mut self, config: OutageConfig) -> Self {
-        self.outage = Some(config);
+        self.policies.outage = Some(config);
         self
     }
 
@@ -242,7 +226,7 @@ impl Gillis {
     /// bucket, refilled by successful first attempts, that every retry and
     /// hedge must debit before launching. Validated at [`Gillis::deploy`].
     pub fn retry_budget(mut self, policy: RetryBudgetPolicy) -> Self {
-        self.retry_budget = Some(policy);
+        self.policies.retry_budget = Some(policy);
         self
     }
 
@@ -252,7 +236,7 @@ impl Gillis {
     /// only after consecutive clean windows. Validated at
     /// [`Gillis::deploy`].
     pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
-        self.brownout = Some(policy);
+        self.policies.brownout = Some(policy);
         self
     }
 
@@ -265,7 +249,7 @@ impl Gillis {
     /// stage's time rather than the end-to-end sum. Validated at
     /// [`Gillis::deploy`].
     pub fn pipeline(mut self, policy: PipelinePolicy) -> Self {
-        self.pipeline = Some(policy);
+        self.policies.pipeline = Some(policy);
         self
     }
 
@@ -278,7 +262,7 @@ impl Gillis {
     /// speculative duplicate, and retry-budget debits are priced at the
     /// resumed attempt's marginal cost. Validated at [`Gillis::deploy`].
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
+        self.policies.recovery = Some(policy);
         self
     }
 
@@ -294,7 +278,7 @@ impl Gillis {
         // Pipeline deployments plan for the pipelined objective: the DP
         // balances stage times instead of minimizing their sum, and the RL
         // trainer scores the pipelined p99 against the SLO.
-        let pipelined = self.pipeline.is_some();
+        let pipelined = self.policies.pipeline.is_some();
         let plan = match self.mode {
             Mode::LatencyOptimal => {
                 let mut partitioner = DpPartitioner::new(PartitionerConfig::default());
@@ -334,46 +318,14 @@ impl Gillis {
             }
         };
         let prediction = predict_plan(&self.model, &plan, &perf)?;
-        // Validate the chaos and overload configs now, at deploy time, not
-        // when serving starts.
-        if let Some(ref chaos) = self.chaos {
-            chaos.build()?;
-        }
-        if let Some(ref overload) = self.overload {
-            overload.validate().map_err(CoreError::from)?;
-        }
-        if let Some(ref batch) = self.batch {
-            batch.validate().map_err(CoreError::from)?;
-        }
-        if let Some(ref outage) = self.outage {
-            outage.build().map_err(CoreError::from)?;
-        }
-        if let Some(ref budget) = self.retry_budget {
-            budget.validate().map_err(CoreError::from)?;
-        }
-        if let Some(ref brownout) = self.brownout {
-            brownout.validate().map_err(CoreError::from)?;
-        }
-        if let Some(ref pipeline) = self.pipeline {
-            pipeline.validate().map_err(CoreError::from)?;
-        }
-        if let Some(ref recovery) = self.recovery {
-            recovery.validate().map_err(CoreError::from)?;
-        }
+        // Validate every policy now, at deploy time, not when serving starts.
+        self.policies.validate()?;
         Ok(Deployment {
             model: self.model,
             platform: self.platform,
             plan,
             prediction,
-            chaos: self.chaos,
-            policy: self.policy,
-            overload: self.overload,
-            batch: self.batch,
-            outage: self.outage,
-            retry_budget: self.retry_budget,
-            brownout: self.brownout,
-            pipeline: self.pipeline,
-            recovery: self.recovery,
+            policies: self.policies,
             warm: WarmCache::default(),
         })
     }
@@ -453,15 +405,7 @@ pub struct Deployment {
     platform: PlatformProfile,
     plan: ExecutionPlan,
     prediction: PlanPrediction,
-    chaos: Option<ChaosConfig>,
-    policy: ResiliencePolicy,
-    overload: Option<OverloadPolicy>,
-    batch: Option<BatchPolicy>,
-    outage: Option<OutageConfig>,
-    retry_budget: Option<RetryBudgetPolicy>,
-    brownout: Option<BrownoutPolicy>,
-    pipeline: Option<PipelinePolicy>,
-    recovery: Option<RecoveryPolicy>,
+    policies: PolicyStack,
     /// Lazily-compiled steady-state execution (packed panels, folded batch
     /// norms, preallocated arenas); see [`Deployment::infer`].
     warm: WarmCache,
@@ -531,14 +475,14 @@ impl Deployment {
         weights: &ModelWeights,
         input: &Tensor,
     ) -> Result<(Tensor, ResilienceCounters), CoreError> {
-        if self.chaos.is_none() {
+        if self.policies.chaos.is_none() {
             if let Some(out) = self.warm_infer(weights, input)? {
                 let mut counters = ResilienceCounters::default();
                 counters.record_status(QueryStatus::Ok);
                 return Ok((out, counters));
             }
         }
-        let injector = match &self.chaos {
+        let injector = match &self.policies.chaos {
             Some(cfg) => Some(cfg.build()?),
             None => None,
         };
@@ -548,7 +492,7 @@ impl Deployment {
             weights,
             input,
             injector.as_ref(),
-            &self.policy,
+            &self.policies.resilience,
             gillis_pool::gillis_threads(),
         )
     }
@@ -623,29 +567,10 @@ impl Deployment {
     /// platform at the instance memory a batch schedule chose — with every
     /// configured policy attached.
     fn runtime_on(&self, platform: PlatformProfile) -> Result<ForkJoinRuntime<'_>, CoreError> {
-        let mut rt =
-            ForkJoinRuntime::new(&self.model, &self.plan, platform)?.with_policy(self.policy);
-        if let Some(policy) = self.overload {
-            // The deployment's own prediction (profiled performance model)
-            // drives shed-on-predicted-miss.
-            rt = rt.with_overload_predicted(policy, self.prediction.latency_ms)?;
-        }
-        if let Some(cfg) = self.outage {
-            rt = rt.with_outage(cfg)?;
-        }
-        if let Some(policy) = self.retry_budget {
-            rt = rt.with_retry_budget(policy)?;
-        }
-        if let Some(policy) = self.brownout {
-            rt = rt.with_brownout(policy)?;
-        }
-        if let Some(policy) = self.recovery {
-            rt = rt.with_recovery(policy)?;
-        }
-        match self.chaos {
-            Some(cfg) => rt.with_chaos(cfg),
-            None => Ok(rt),
-        }
+        // The deployment's own prediction (profiled performance model)
+        // drives shed-on-predicted-miss.
+        ForkJoinRuntime::new(&self.model, &self.plan, platform)?
+            .with_policies(&self.policies, Some(self.prediction.latency_ms))
     }
 
     /// Mean warm-query latency over `n` simulated queries.
@@ -706,7 +631,7 @@ impl Deployment {
         prewarm: usize,
         seed: u64,
     ) -> Result<ServingReport, CoreError> {
-        let policy = self.pipeline.as_ref().ok_or_else(|| {
+        let policy = self.policies.pipeline.as_ref().ok_or_else(|| {
             CoreError::InvalidArgument(
                 "deployment has no pipeline policy; configure one with Gillis::pipeline"
                     .to_string(),
@@ -725,7 +650,7 @@ impl Deployment {
     /// Returns [`CoreError::InvalidArgument`] without a batch policy, for a
     /// non-positive rate, or when no candidate memory is feasible.
     pub fn batch_schedule(&self, rate_per_sec: f64) -> Result<BatchSchedule, CoreError> {
-        let policy = self.batch.as_ref().ok_or_else(|| {
+        let policy = self.policies.batch.as_ref().ok_or_else(|| {
             CoreError::InvalidArgument(
                 "deployment has no batch policy; configure one with Gillis::batch".to_string(),
             )
@@ -757,7 +682,7 @@ impl Deployment {
         prewarm: usize,
         seed: u64,
     ) -> Result<(BatchSchedule, ServingReport), CoreError> {
-        let policy = self.batch.as_ref().ok_or_else(|| {
+        let policy = self.policies.batch.as_ref().ok_or_else(|| {
             CoreError::InvalidArgument(
                 "deployment has no batch policy; configure one with Gillis::batch".to_string(),
             )
@@ -1127,6 +1052,7 @@ mod tests {
         let (schedule, report) = d.serve_open_loop_batched(rate, 80, 4, 5).unwrap();
         assert!(schedule.classes[0].batch > 1, "{:?}", schedule.classes[0]);
         assert!(d
+            .policies
             .batch
             .as_ref()
             .unwrap()

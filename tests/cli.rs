@@ -97,3 +97,44 @@ fn errors_are_reported_cleanly() {
         .unwrap()
         .contains("unknown platform"));
 }
+
+fn serve_with_env(env: &[(&str, &str)]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_gillis"))
+        .args(["serve", "--model", "tiny-vgg", "--clients", "4"])
+        .args(["--queries", "20"])
+        .envs(env.iter().copied())
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn serve_rejects_an_invalid_knob_combination() {
+    // Predictive shedding without a deadline used to run unprotected
+    // without a word; it is an error that names what was set.
+    let out = serve_with_env(&[
+        ("GILLIS_OVERLOAD_CONCURRENCY", "4"),
+        ("GILLIS_OVERLOAD_SHED_PREDICTED", "true"),
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("GILLIS_OVERLOAD_SHED_PREDICTED"),
+        "stderr must name the variable:\n{stderr}"
+    );
+}
+
+#[test]
+fn serve_prints_the_policies_in_force() {
+    let out = serve_with_env(&[("GILLIS_OVERLOAD_CONCURRENCY", "4")]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("gillis-overload v1\nconcurrency=4 queue=8 "),
+        "{stdout}"
+    );
+    assert!(stdout.contains("served 20 queries"), "{stdout}");
+}
