@@ -369,7 +369,7 @@ fn serving_suite() -> Vec<ReportEntry> {
 }
 
 fn main() {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+    let (_, out_dir) = gillis_bench::bench_args();
     let threads = gillis_pool::gillis_threads();
 
     println!("== tensor suite ==");

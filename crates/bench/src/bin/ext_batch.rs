@@ -28,7 +28,7 @@
 //! Writes `BENCH_batch.json` (repo root, or the directory given as the
 //! first argument).
 
-use gillis_bench::{bench_seed, Table};
+use gillis_bench::{bench_args, bench_seed, Table};
 use gillis_core::predict::predict_plan;
 use gillis_core::{
     plan_batch_schedule, BatchPolicy, ChaosConfig, DpPartitioner, ForkJoinRuntime, OverloadPolicy,
@@ -101,13 +101,7 @@ fn json_report(seed: u64, predicted_ms: f64, saturation_qps: f64, cells: &[Cell]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| ".".to_string());
+    let (smoke, out_dir) = bench_args();
     let seed = bench_seed(42);
 
     let platform = PlatformProfile::aws_lambda();

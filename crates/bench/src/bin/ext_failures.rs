@@ -18,7 +18,7 @@
 //! first argument) with mean/p99/retries/hedges/degraded per cell, the
 //! artifact the CI chaos job uploads.
 
-use gillis_bench::{bench_seed, Table};
+use gillis_bench::{bench_args, bench_seed, Table};
 use gillis_core::{
     ChaosConfig, DpPartitioner, ForkJoinRuntime, ResilienceCounters, ResiliencePolicy,
     SimulationReport,
@@ -85,7 +85,7 @@ fn json_report(seed: u64, cells: &[Cell]) -> String {
 }
 
 fn main() {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+    let (_, out_dir) = bench_args();
     let seed = bench_seed(42);
     println!("Extension: resilience policies under injected faults (VGG-16, Lambda)\n");
     println!("chaos seed {seed}; 15% stragglers at 8x slowdown in every cell\n");

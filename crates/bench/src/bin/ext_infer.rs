@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gillis_core::partition::balanced_ranges;
+use gillis_core::partition::split_ranges;
 use gillis_core::{
     execute_plan_tensors_with_threads, group_options, CompiledPlanExec, ExecutionPlan, PartDim,
     PartitionOption, Placement, PlannedGroup,
@@ -151,33 +151,28 @@ fn planned_activation_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize 
                 let writers = nodes.iter().filter(|id| writes(id));
                 floats += two_buffers(writers.map(|&id| node(id).output_shape.len()).collect());
             }
-            PartitionOption::Split {
-                dim: PartDim::Channel,
-                parts,
-            } => {
+            PartitionOption::Split { dim, parts } => {
                 // A conv or dense head takes the whole input; a channel-local
                 // group slices it first.
                 let headed = nodes.iter().any(|&id| {
                     matches!(node(id).op, LayerOp::Conv2d { .. } | LayerOp::Dense { .. })
                 });
-                for r in balanced_ranges(out_dims[0], parts) {
+                let (axis, ranges) = split_ranges(layers, dim, parts);
+                for r in ranges {
                     let mut lens = Vec::new();
-                    if !headed {
-                        lens.push(cut(seed, 0, r.len()));
+                    if dim == PartDim::Channel {
+                        if !headed {
+                            lens.push(cut(seed, axis, r.len()));
+                        }
+                        let writers = nodes.iter().filter(|id| writes(id));
+                        lens.extend(writers.map(|&id| cut(id, axis, r.len())));
+                    } else {
+                        let span = SpanPlan::new(graph, &nodes, seed, seed_shape, axis, r)
+                            .expect("spatial group");
+                        lens.push(cut(seed, axis, span.seed_span.len()));
+                        let writers = span.nodes.iter().filter(|n| writes(&n.id));
+                        lens.extend(writers.map(|n| cut(n.id, axis, n.out.len())));
                     }
-                    let writers = nodes.iter().filter(|id| writes(id));
-                    lens.extend(writers.map(|&id| cut(id, 0, r.len())));
-                    floats += two_buffers(lens);
-                }
-            }
-            PartitionOption::Split { dim, parts } => {
-                let axis = if dim == PartDim::Height { 1 } else { 2 };
-                for r in balanced_ranges(out_dims[axis], parts) {
-                    let span = SpanPlan::new(graph, &nodes, seed, seed_shape, axis, r)
-                        .expect("spatial group");
-                    let mut lens = vec![cut(seed, axis, span.seed_span.len())];
-                    let writers = span.nodes.iter().filter(|n| writes(&n.id));
-                    lens.extend(writers.map(|n| cut(n.id, axis, n.out.len())));
                     floats += two_buffers(lens);
                 }
             }
@@ -344,6 +339,55 @@ fn print_results(results: &[PlanResult]) {
     table.print();
 }
 
+/// Smoke cell for the width-n path, where a query is a batch of one on the
+/// same buffers: after `reserve_batch(N)`, a warm batch of `N` and the single
+/// query after it allocate nothing, every item carries the cold path's bits,
+/// and the plan's activation figure has not moved with the buffers' growth.
+fn smoke_batch(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan, name: &str) {
+    const N: usize = 4;
+    let queries: Vec<Tensor> = (0..N as u64).map(|i| query(model, 17 + i)).collect();
+    let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
+    let cold: Vec<Tensor> = queries
+        .iter()
+        .map(|q| execute_plan_tensors_with_threads(model, plan, weights, q, 1).expect("cold run"))
+        .collect();
+    let same_bits = |got: &[f32], want: &Tensor, what: &str| {
+        let same = got
+            .iter()
+            .zip(want.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same && got.len() == want.data().len(),
+            "{name}: {what} diverges from cold"
+        );
+    };
+    let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
+    compiled.reserve_batch(N);
+    let mut round = || {
+        let begin = allocs();
+        let (out, _) = compiled
+            .run_batch_raw_with_threads(weights, &flat, N, 1)
+            .expect("warm batch");
+        for (item, want) in out.chunks_exact(out.len() / N).zip(&cold) {
+            same_bits(item, want, "batch item");
+        }
+        let (out, _) = compiled
+            .run_raw_with_threads(weights, queries[N - 1].data(), 1)
+            .expect("single after batch");
+        same_bits(out, &cold[N - 1], "single after batch");
+        allocs() - begin
+    };
+    round(); // grows the per-thread kernel scratch to batch width
+    let warm = round();
+    assert_eq!(warm, 0, "{name}: warm batch-{N} then single allocated");
+    assert_eq!(
+        compiled.activation_bytes(),
+        planned_activation_bytes(model, plan),
+        "{name}: the plan figure moved with the batch width"
+    );
+    println!("{name}: warm batch-{N} and the single after it: 0 allocations, cold bits");
+}
+
 /// CI smoke: tiny-vgg at pool width 1 — the warm path must not allocate.
 fn run_smoke(out_dir: &str) {
     let model = zoo::tiny_vgg();
@@ -369,6 +413,7 @@ fn run_smoke(out_dir: &str) {
             planned_activation_bytes(&model, &plan),
             "{name}: the compiled plan does not hold the planned two-buffer arenas"
         );
+        smoke_batch(&model, &weights, &plan, name);
         results.push(r);
     }
     print_results(&results);
@@ -410,13 +455,7 @@ fn run_full(out_dir: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| ".".into());
+    let (smoke, out_dir) = gillis_bench::bench_args();
     if smoke {
         run_smoke(&out_dir);
     } else {

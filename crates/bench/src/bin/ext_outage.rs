@@ -30,7 +30,7 @@
 //! Writes `BENCH_outage.json` (repo root, or the directory given as the
 //! first argument).
 
-use gillis_bench::{bench_seed, Table};
+use gillis_bench::{bench_args, bench_seed, Table};
 use gillis_core::predict::predict_plan;
 use gillis_core::{
     replication_seed, BatchPolicy, BreakerPolicy, BrownoutPolicy, ChaosConfig, DpPartitioner,
@@ -145,13 +145,7 @@ fn json_report(seed: u64, slo_ms: f64, rate_qps: f64, cells: &[Cell]) -> String 
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| ".".to_string());
+    let (smoke, out_dir) = bench_args();
     let seed = bench_seed(57);
 
     let platform = PlatformProfile::aws_lambda();

@@ -32,7 +32,7 @@
 //! Writes `BENCH_pipeline.json` (repo root, or the directory given as the
 //! first argument).
 
-use gillis_bench::{bench_seed, Table};
+use gillis_bench::{bench_args, bench_seed, Table};
 use gillis_core::predict::{predict_plan, predict_plan_pipelined};
 use gillis_core::{
     ChaosConfig, DpPartitioner, ForkJoinRuntime, OverloadPolicy, PipelinePolicy, PlanObjective,
@@ -134,13 +134,7 @@ fn json_report(seed: u64, runs: &[ModelRun], cells: &[Cell]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| ".".to_string());
+    let (smoke, out_dir) = bench_args();
     let seed = bench_seed(42);
 
     let platform = PlatformProfile::aws_lambda();

@@ -132,6 +132,19 @@ pub fn bench_seed(default: u64) -> u64 {
     gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }
 
+/// The command line of `bench_report` and the `ext_*` binaries: whether
+/// `--smoke` was given, and the output directory — the first argument that is
+/// not a `--flag`, `.` when there is none.
+pub fn bench_args() -> (bool, String) {
+    parse_bench_args(std::env::args().skip(1))
+}
+
+fn parse_bench_args(args: impl Iterator<Item = String>) -> (bool, String) {
+    let (flags, dirs): (Vec<_>, Vec<_>) = args.partition(|a| a.starts_with("--"));
+    let out_dir = dirs.into_iter().next().unwrap_or_else(|| ".".into());
+    (flags.iter().any(|f| f == "--smoke"), out_dir)
+}
+
 /// Formats milliseconds compactly.
 pub fn ms(v: f64) -> String {
     format!("{v:.0}")
@@ -161,6 +174,16 @@ mod tests {
         assert!(lines[0].contains("model"));
         assert!(lines[2].ends_with("123"));
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn a_flag_is_never_the_output_directory() {
+        let parse = |args: &[&str]| parse_bench_args(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), (false, ".".to_string()));
+        assert_eq!(parse(&["--smoke"]), (true, ".".to_string()));
+        assert_eq!(parse(&["--smoke", "out"]), (true, "out".to_string()));
+        assert_eq!(parse(&["out", "--smoke"]), (true, "out".to_string()));
+        assert_eq!(parse(&["--other", "out"]), (false, "out".to_string()));
     }
 
     #[test]

@@ -5,16 +5,20 @@
 //! join buffer per group. Compilation — plan validation, range balancing,
 //! arena planning, batch-norm folding, and conv panel packing — happens
 //! once per `(plan, model)`; a query then flows through the chain touching
-//! only preallocated buffers.
+//! only preallocated buffers. A query is a batch of one: `run_raw` is
+//! `run_batch_raw` at `n = 1`, through the same groups and buffers, which
+//! grow to the widest batch served and are never re-zeroed.
 //!
 //! Piece dispatch mirrors [`execute_plan_tensors`](crate::forkjoin): the same
-//! `PartDim` → axis mapping, the same [`balanced_ranges`] cuts, and a gather
-//! in exactly [`Tensor::concat`]'s memory order, so the output is
-//! bit-identical to the uncompiled path at any thread count (see the
-//! property test at the bottom). With `threads <= 1` every piece runs inline
-//! on the caller and the warm path performs zero heap allocations; with more
-//! threads, pieces of a group fan out on the shared pool and channel-split
-//! groups write their disjoint slices of the join buffer directly.
+//! [`split_ranges`] cuts and a gather in exactly [`Tensor::concat`]'s memory
+//! order, so each item's output is bit-identical to the uncompiled path at
+//! any thread count and batch width (see the tests at the bottom). With
+//! `threads <= 1` every piece runs inline on the caller and the warm path
+//! performs zero heap allocations; with more threads, pieces of a group fan
+//! out on the shared pool. The one width-dependent decision is the join: a
+//! single query's channel-split pieces write their disjoint slices of the
+//! join buffer directly, anything else runs and is then gathered
+//! ([`CompiledPartition::contiguous_ranges`]).
 //!
 //! Compilation fails with an error (never wrong results) on models the
 //! compiled path does not cover — branching graphs (ResNet's `Add`,
@@ -26,7 +30,7 @@ use gillis_model::weights::ModelWeights;
 use gillis_model::LinearModel;
 use gillis_tensor::{Shape, Tensor};
 
-use crate::partition::{balanced_ranges, PartDim, PartitionOption};
+use crate::partition::{split_ranges, PartDim, PartitionOption};
 use crate::plan::ExecutionPlan;
 use crate::{CoreError, Result};
 
@@ -34,20 +38,33 @@ use crate::{CoreError, Result};
 struct CompiledGroup {
     partition: CompiledPartition,
     /// Join buffer the group's pieces are gathered (or directly written)
-    /// into; doubles as the next group's input.
+    /// into; doubles as the next group's input. Holds one item at compile
+    /// time and grows to the widest batch run or reserved; a run of `n`
+    /// items owns its first `n × out_len` elements and overwrites them all,
+    /// so it is never cleared.
     out: Vec<f32>,
-    /// Widened join buffer for batched runs (`n × out.len()`, item-major).
-    /// Empty until the first batched run; capacity is monotone, so batches
-    /// up to the largest `n` seen (or declared via
-    /// [`CompiledPlanExec::reserve_batch`]) run allocation-free.
-    batch_out: Vec<f32>,
+}
+
+impl CompiledGroup {
+    /// Join-buffer length of `n` items.
+    fn out_len(&self, n: usize) -> usize {
+        n * self.partition.out_shape().len()
+    }
+
+    /// Grows the join buffer to hold `n` items.
+    fn grow_join(&mut self, n: usize) {
+        if self.out.len() < self.out_len(n) {
+            self.out.resize(self.out_len(n), 0.0);
+        }
+    }
 }
 
 /// A whole execution plan compiled for repeated inference.
 ///
 /// Build once with [`CompiledPlanExec::compile`]; run once per query with
 /// [`CompiledPlanExec::run_raw`] (borrowed output, allocation-free when
-/// warm) or [`CompiledPlanExec::run`] (owned [`Tensor`]).
+/// warm) or [`CompiledPlanExec::run`] (owned [`Tensor`]), or once per batch
+/// with [`CompiledPlanExec::run_batch_raw`].
 pub struct CompiledPlanExec {
     groups: Vec<CompiledGroup>,
     in_len: usize,
@@ -95,21 +112,13 @@ impl CompiledPlanExec {
             let (specs, axis) = match g.option {
                 PartitionOption::Single => (vec![PieceSpec::Full], 0),
                 PartitionOption::Split { dim, parts } => {
-                    let last = &layers[layers.len() - 1];
-                    let (axis, total) = match dim {
-                        PartDim::Height => (1usize, last.out_shape.dims()[1]),
-                        PartDim::Width => (2usize, last.out_shape.dims()[2]),
-                        PartDim::Channel => (0usize, last.out_shape.dims()[0]),
+                    let (axis, ranges) = split_ranges(layers, dim, parts);
+                    let spec = match dim {
+                        PartDim::Height => PieceSpec::Rows,
+                        PartDim::Width => PieceSpec::Cols,
+                        PartDim::Channel => PieceSpec::Channels,
                     };
-                    let specs = balanced_ranges(total, parts)
-                        .into_iter()
-                        .map(|r| match dim {
-                            PartDim::Height => PieceSpec::Rows(r),
-                            PartDim::Width => PieceSpec::Cols(r),
-                            PartDim::Channel => PieceSpec::Channels(r),
-                        })
-                        .collect();
-                    (specs, axis)
+                    (ranges.into_iter().map(spec).collect(), axis)
                 }
             };
             let partition = CompiledPartition::compile_with(
@@ -132,11 +141,7 @@ impl CompiledPlanExec {
             }
             prev_len = partition.out_shape().len();
             let out = vec![0.0f32; prev_len];
-            groups.push(CompiledGroup {
-                partition,
-                out,
-                batch_out: Vec::new(),
-            });
+            groups.push(CompiledGroup { partition, out });
         }
         Ok(CompiledPlanExec {
             groups,
@@ -164,13 +169,14 @@ impl CompiledPlanExec {
         self.panels.bytes()
     }
 
-    /// Total bytes of f32 activations the per-query path holds: two arena
-    /// buffers per piece plus one join buffer per group.
+    /// Total bytes of f32 activations one query needs: two arena buffers per
+    /// piece plus one join buffer per group. A figure of the plan, whatever
+    /// batch width the buffers have since grown to.
     pub fn activation_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.partition.activation_bytes() + std::mem::size_of_val(g.out.as_slice()))
-            .sum()
+        let bytes = |g: &CompiledGroup| {
+            g.partition.activation_bytes() + g.out_len(1) * std::mem::size_of::<f32>()
+        };
+        self.groups.iter().map(bytes).sum()
     }
 
     /// Runs one query, returning a borrow of the final join buffer (and its
@@ -180,7 +186,7 @@ impl CompiledPlanExec {
     ///
     /// Propagates piece-execution errors (stale weights).
     pub fn run_raw(&mut self, weights: &ModelWeights, input: &[f32]) -> Result<(&[f32], &Shape)> {
-        self.run_raw_with_threads(weights, input, gillis_pool::gillis_threads())
+        self.run_batch_raw(weights, input, 1)
     }
 
     /// [`CompiledPlanExec::run_raw`] with an explicit thread count;
@@ -200,32 +206,20 @@ impl CompiledPlanExec {
         input: &[f32],
         threads: usize,
     ) -> Result<(&[f32], &Shape)> {
-        assert_eq!(input.len(), self.in_len, "compiled plan input length");
-        let n = self.groups.len();
-        for i in 0..n {
-            let (done, rest) = self.groups.split_at_mut(i);
-            let cur: &[f32] = if i == 0 { input } else { &done[i - 1].out };
-            let g = &mut rest[0];
-            run_group(g, weights, cur, threads)?;
-        }
-        let last = &self.groups[n - 1];
-        Ok((&last.out, last.partition.out_shape()))
+        self.run_batch_raw_with_threads(weights, input, 1, threads)
     }
 
-    /// Pre-grows every widened buffer in the chain for batches up to `n`,
-    /// so batched runs within the declared range allocate nothing when warm.
+    /// Grows every buffer in the chain for batches up to `n`, so runs
+    /// within the declared range allocate nothing when warm.
     pub fn reserve_batch(&mut self, n: usize) {
         for g in &mut self.groups {
             g.partition.reserve_batch(n);
-            let need = n * g.out.len();
-            if g.batch_out.capacity() < need {
-                g.batch_out.reserve(need - g.batch_out.len());
-            }
+            g.grow_join(n);
         }
     }
 
     /// Runs a batch of `n` item-major queries (`n × in_len` contiguous),
-    /// returning a borrow of the widened final join buffer (`n × out_len`,
+    /// returning a borrow of the final join buffer (`n × out_len`,
     /// item-major) and the per-item shape. Uses the ambient thread width.
     ///
     /// # Errors
@@ -242,14 +236,11 @@ impl CompiledPlanExec {
 
     /// [`CompiledPlanExec::run_batch_raw`] with an explicit thread count.
     ///
-    /// Per-item outputs are bit-identical to `n` separate
-    /// [`CompiledPlanExec::run_raw_with_threads`] calls at any thread count:
-    /// every group dispatches its batch through the widened-B kernels whose
-    /// bit-identity is proptest-enforced in `gillis-tensor`, and the int8
-    /// wire round trip is applied per `(piece, item)` payload. `n == 1`
-    /// delegates to [`CompiledPlanExec::run_raw_with_threads`] — the batch-1
-    /// fast path runs byte-for-byte the pre-batching code and touches no
-    /// widened buffer.
+    /// Each item's output is bit-identical to running it alone, at any
+    /// thread count: conv and dense steps go through the widened-B kernels
+    /// whose bit-identity is proptest-enforced in `gillis-tensor`, every
+    /// other step runs per item, and the int8 wire round trip is applied per
+    /// `(piece, item)` payload.
     ///
     /// # Errors
     ///
@@ -266,23 +257,17 @@ impl CompiledPlanExec {
         threads: usize,
     ) -> Result<(&[f32], &Shape)> {
         assert!(n > 0, "batch must be non-empty");
-        assert_eq!(inputs.len(), n * self.in_len, "compiled plan batch length");
-        if n == 1 {
-            return self.run_raw_with_threads(weights, inputs, threads);
-        }
-        let n_groups = self.groups.len();
-        for i in 0..n_groups {
+        assert_eq!(inputs.len(), n * self.in_len, "compiled plan input length");
+        for i in 0..self.groups.len() {
             let (done, rest) = self.groups.split_at_mut(i);
-            let cur: &[f32] = if i == 0 {
-                inputs
-            } else {
-                &done[i - 1].batch_out
+            let cur = match done.last() {
+                None => inputs,
+                Some(prev) => &prev.out[..prev.out_len(n)],
             };
-            let g = &mut rest[0];
-            run_group_batched(g, weights, cur, n, threads)?;
+            run_group(&mut rest[0], weights, cur, n, threads)?;
         }
-        let last = &self.groups[n_groups - 1];
-        Ok((&last.batch_out, last.partition.out_shape()))
+        let last = self.groups.last().expect("a validated plan has groups");
+        Ok((&last.out[..last.out_len(n)], last.partition.out_shape()))
     }
 
     /// Runs one query and materializes the output as an owned [`Tensor`].
@@ -298,137 +283,61 @@ impl CompiledPlanExec {
     }
 }
 
-/// Runs one compiled group's pieces into its join buffer.
+/// Runs one compiled group's pieces over `n` item-major activations into the
+/// first `n × out_len` elements of its join buffer.
 ///
 /// Sequential when `threads <= 1` or the group has a single piece; otherwise
-/// the pieces fan out on the shared pool — contiguous joins (channel splits)
-/// write disjoint `&mut` slices of the join buffer directly, strided joins
-/// (spatial splits) run into per-piece buffers and gather afterwards in
-/// [`Tensor::concat`] order.
+/// the pieces fan out on the shared pool, each running its whole batch on
+/// one worker. Pieces that can write disjoint `&mut` slices of the join
+/// buffer do so directly; the rest run into their own buffers and are
+/// gathered afterwards in [`Tensor::concat`] order per item. Both joins
+/// produce bit-identical buffers — the int8 wire round trip commutes with
+/// the gather copy because it depends only on the slice values.
 fn run_group(
-    g: &mut CompiledGroup,
-    weights: &ModelWeights,
-    input: &[f32],
-    threads: usize,
-) -> Result<()> {
-    let n_pieces = g.partition.pieces_mut().len();
-    if threads <= 1 || n_pieces <= 1 {
-        g.partition.run_into(weights, input, &mut g.out)?;
-        return Ok(());
-    }
-    let pool = gillis_pool::Pool::global();
-    // Int8-wire deployments round-trip each piece's payload through the
-    // quantized encoding on the worker that produced it, exactly as
-    // `CompiledPartition::run_into` does sequentially — into the existing
-    // join-buffer slot or piece output buffer, never a new allocation.
-    let wire_int8 = g.partition.wire_int8();
-    let mut errs: Vec<Option<gillis_model::ModelError>> = (0..n_pieces).map(|_| None).collect();
-    match g.partition.contiguous_ranges() {
-        Some(ranges) => {
-            // Disjoint output slices: pieces write the join buffer in place.
-            let mut tail: &mut [f32] = &mut g.out;
-            let mut offset = 0;
-            let mut slots = Vec::with_capacity(n_pieces);
-            for r in &ranges {
-                let (piece_out, rest) = tail.split_at_mut(r.end - offset);
-                offset = r.end;
-                tail = rest;
-                slots.push(piece_out);
-            }
-            let tasks: Vec<gillis_pool::Task> = g
-                .partition
-                .pieces_mut()
-                .iter_mut()
-                .zip(slots)
-                .zip(errs.iter_mut())
-                .map(|((piece, out), err)| {
-                    Box::new(move || match piece.run_into(weights, input, out) {
-                        Err(e) => *err = Some(e),
-                        Ok(()) if wire_int8 => {
-                            gillis_tensor::quant::wire_roundtrip_in_place(out);
-                        }
-                        Ok(()) => {}
-                    }) as gillis_pool::Task
-                })
-                .collect();
-            pool.join_all(tasks);
-        }
-        None => {
-            let tasks: Vec<gillis_pool::Task> = g
-                .partition
-                .pieces_mut()
-                .iter_mut()
-                .zip(errs.iter_mut())
-                .map(|(piece, err)| {
-                    Box::new(move || match piece.run(weights, input).map(|_| ()) {
-                        Err(e) => *err = Some(e),
-                        Ok(()) if wire_int8 => piece.wire_roundtrip_output(),
-                        Ok(()) => {}
-                    }) as gillis_pool::Task
-                })
-                .collect();
-            pool.join_all(tasks);
-            if errs.iter().all(Option::is_none) {
-                g.partition.gather(&mut g.out);
-            }
-        }
-    }
-    match errs.into_iter().flatten().next() {
-        Some(e) => Err(e.into()),
-        None => Ok(()),
-    }
-}
-
-/// Runs one compiled group over a batch of `n` item-major activations into
-/// its widened join buffer.
-///
-/// Sequential dispatch delegates to [`CompiledPartition::run_batch_into`].
-/// With `threads > 1` and multiple pieces, each piece runs its whole batch
-/// on one pool worker (piece outputs interleave per item in the join buffer,
-/// so pieces cannot write disjoint `&mut` slices of it as the per-query path
-/// does); the gather afterwards copies in [`Tensor::concat`] order per item.
-/// Both dispatches produce bit-identical buffers — the int8 wire round trip
-/// commutes with the gather copy because it depends only on the slice values.
-fn run_group_batched(
     g: &mut CompiledGroup,
     weights: &ModelWeights,
     inputs: &[f32],
     n: usize,
     threads: usize,
 ) -> Result<()> {
-    g.batch_out.clear();
-    g.batch_out.resize(n * g.out.len(), 0.0);
+    g.grow_join(n);
+    let out_len = g.out_len(n);
+    let out = &mut g.out[..out_len];
     let n_pieces = g.partition.pieces_mut().len();
     if threads <= 1 || n_pieces <= 1 {
-        g.partition
-            .run_batch_into(weights, inputs, n, &mut g.batch_out)?;
+        g.partition.run_into(weights, inputs, n, out)?;
         return Ok(());
     }
     let wire_int8 = g.partition.wire_int8();
     let mut errs: Vec<Option<gillis_model::ModelError>> = (0..n_pieces).map(|_| None).collect();
-    let tasks: Vec<gillis_pool::Task> = g
-        .partition
-        .pieces_mut()
-        .iter_mut()
+    // Direct join: carve the buffer into the pieces' disjoint slots.
+    let direct = g.partition.contiguous_ranges(n);
+    let mut tail = &mut *out;
+    let mut slot = |i: usize| {
+        let ranges = direct.as_ref()?;
+        let (slot, rest) = std::mem::take(&mut tail).split_at_mut(ranges[i].len());
+        tail = rest;
+        Some(slot)
+    };
+    let pieces = g.partition.pieces_mut().iter_mut();
+    let tasks: Vec<gillis_pool::Task> = pieces
         .zip(errs.iter_mut())
-        .map(|(piece, err)| {
-            Box::new(
-                move || match piece.run_batch(weights, inputs, n).map(|_| ()) {
-                    Err(e) => *err = Some(e),
-                    Ok(()) if wire_int8 => piece.wire_roundtrip_batch_output(),
-                    Ok(()) => {}
-                },
-            ) as gillis_pool::Task
+        .enumerate()
+        .map(|(i, (piece, err))| {
+            let slot = slot(i);
+            Box::new(move || {
+                *err = piece.run_joined(weights, inputs, n, slot, wire_int8).err();
+            }) as gillis_pool::Task
         })
         .collect();
     gillis_pool::Pool::global().join_all(tasks);
-    match errs.into_iter().flatten().next() {
-        Some(e) => Err(e.into()),
-        None => {
-            g.partition.gather_batch(n, &mut g.batch_out);
-            Ok(())
-        }
+    if let Some(e) = errs.into_iter().flatten().next() {
+        return Err(e.into());
     }
+    if direct.is_none() {
+        g.partition.gather(n, out);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -715,32 +624,167 @@ mod tests {
         }
     }
 
+    /// `model` as one split group `0..end` followed by a single tail.
+    fn split_then_single(
+        model: &LinearModel,
+        end: usize,
+        option: PartitionOption,
+    ) -> ExecutionPlan {
+        let group = |start, end, option, placement| PlannedGroup {
+            start,
+            end,
+            option,
+            placement,
+        };
+        let plan = ExecutionPlan::new(vec![
+            group(0, end, option, Placement::Workers),
+            group(
+                end,
+                model.layers().len(),
+                PartitionOption::Single,
+                Placement::Master,
+            ),
+        ]);
+        plan.validate(model, u64::MAX).unwrap();
+        plan
+    }
+
+    /// One plan per join the executor has: no join, the strided gather of a
+    /// four-way height split, and the contiguous join of a two-way channel
+    /// split of the head layer.
+    fn join_plans(model: &LinearModel) -> Vec<(&'static str, ExecutionPlan)> {
+        let tall = |l: &&gillis_model::MergedLayer| {
+            l.class.supports_spatial() && l.out_shape.dims()[1] >= 4
+        };
+        let spatial_end = model.layers().iter().take_while(tall).count();
+        let split = |dim, parts| PartitionOption::Split { dim, parts };
+        vec![
+            ("single", ExecutionPlan::single_function(model)),
+            (
+                "Hx4",
+                split_then_single(model, spatial_end, split(PartDim::Height, 4)),
+            ),
+            (
+                "Cx2",
+                split_then_single(model, 1, split(PartDim::Channel, 2)),
+            ),
+        ]
+    }
+
+    /// What a fresh exec — one that has never run anything else — returns
+    /// for each query alone.
+    fn fresh_singles(
+        model: &LinearModel,
+        plan: &ExecutionPlan,
+        weights: &ModelWeights,
+        opts: CompileOptions,
+        queries: &[Tensor],
+    ) -> Vec<Vec<f32>> {
+        let mut fresh = CompiledPlanExec::compile_with(model, plan, weights, opts).unwrap();
+        let run = |q: &Tensor| {
+            fresh
+                .run_raw_with_threads(weights, q.data(), 1)
+                .unwrap()
+                .0
+                .to_vec()
+        };
+        queries.iter().map(run).collect()
+    }
+
+    fn assert_items_eq(got: &[f32], want: &[Vec<f32>], what: &str) {
+        assert_eq!(
+            got.len(),
+            want.iter().map(Vec::len).sum::<usize>(),
+            "{what}"
+        );
+        for (i, (got, want)) in got.chunks_exact(want[0].len()).zip(want).enumerate() {
+            for (j, (x, y)) in got.iter().zip(want).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what} item {i} element {j}");
+            }
+        }
+    }
+
     #[test]
-    fn batch_one_delegates_to_per_query_storage() {
-        // The batch-1 fast path: a single-item batch must run byte-for-byte
-        // the pre-batching code path — same output storage, no widened
-        // buffers touched.
+    fn every_join_at_every_width_equals_the_single_query() {
+        // One table over the whole width-n path: each item of a batch, at
+        // any width and thread count and through either join, carries the
+        // bits a fresh exec gives that query alone — which for f32 are
+        // `Executor::forward`'s.
+        for (model, wseed) in [(zoo::tiny_vgg(), 7), (zoo::tiny_mobilenet(), 8)] {
+            let weights = init_weights(model.graph(), wseed).unwrap();
+            let queries: Vec<Tensor> = (0..8).map(|i| query(model.input_shape(), 90 + i)).collect();
+            let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
+            let in_len = model.input_shape().len();
+            let forward = gillis_model::exec::Executor::new(model.graph(), &weights);
+            for (plan_name, plan) in join_plans(&model) {
+                for opts in [CompileOptions::default(), CompileOptions::int8()] {
+                    let want = fresh_singles(&model, &plan, &weights, opts, &queries);
+                    if opts == CompileOptions::default() {
+                        for (q, w) in queries.iter().zip(&want) {
+                            let r = forward.forward(&model, q).unwrap();
+                            assert_items_eq(r.data(), std::slice::from_ref(w), "forward");
+                        }
+                    }
+                    for n in [1usize, 2, 3, 8] {
+                        let mut compiled =
+                            CompiledPlanExec::compile_with(&model, &plan, &weights, opts).unwrap();
+                        for threads in [1usize, 2, 8] {
+                            let (got, _) = compiled
+                                .run_batch_raw_with_threads(
+                                    &weights,
+                                    &flat[..n * in_len],
+                                    n,
+                                    threads,
+                                )
+                                .unwrap();
+                            let what = format!(
+                                "{} {plan_name} int8={} n={n} threads={threads}",
+                                model.name(),
+                                opts.wire_int8
+                            );
+                            assert_items_eq(got, &want[..n], &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batches_and_singles_interleave_on_one_exec() {
+        // batch 8 → single → batch 3 → single on one exec: the buffers grow
+        // once and are never cleared, so every later, narrower run sits on
+        // top of what the wide one left behind and must not read any of it.
         let model = zoo::tiny_vgg();
-        let weights = init_weights(model.graph(), 5).unwrap();
-        let plan = ExecutionPlan::single_function(&model);
-        let mut compiled = CompiledPlanExec::compile(&model, &plan, &weights).unwrap();
-        let a = query(model.input_shape(), 1);
-        let ptr_seq = compiled
-            .run_raw_with_threads(&weights, a.data(), 1)
-            .unwrap()
-            .0
-            .as_ptr();
-        let ptr_batch1 = compiled
-            .run_batch_raw_with_threads(&weights, a.data(), 1, 1)
-            .unwrap()
-            .0
-            .as_ptr();
-        assert_eq!(ptr_seq, ptr_batch1, "batch-1 writes the per-query buffer");
-        for g in &compiled.groups {
-            assert!(
-                g.batch_out.is_empty(),
-                "batch-1 must not touch widened join buffers"
-            );
+        let weights = init_weights(model.graph(), 7).unwrap();
+        let queries: Vec<Tensor> = (0..13)
+            .map(|i| query(model.input_shape(), 40 + i))
+            .collect();
+        let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
+        let in_len = model.input_shape().len();
+        for (plan_name, plan) in join_plans(&model) {
+            for opts in [CompileOptions::default(), CompileOptions::int8()] {
+                let want = fresh_singles(&model, &plan, &weights, opts, &queries);
+                for threads in [1usize, 2] {
+                    let what = format!("{plan_name} int8={} threads={threads}", opts.wire_int8);
+                    let mut compiled =
+                        CompiledPlanExec::compile_with(&model, &plan, &weights, opts).unwrap();
+                    let planned = compiled.activation_bytes();
+                    let mut ptrs = Vec::new();
+                    for items in [0..8usize, 8..9, 9..12, 12..13] {
+                        let inputs = &flat[items.start * in_len..items.end * in_len];
+                        let (got, _) = compiled
+                            .run_batch_raw_with_threads(&weights, inputs, items.len(), threads)
+                            .unwrap();
+                        assert_items_eq(got, &want[items.clone()], &format!("{what} {items:?}"));
+                        ptrs.push(got.as_ptr());
+                        assert_eq!(compiled.activation_bytes(), planned, "{what}: plan figure");
+                    }
+                    // Grown by the first batch, the output storage then stays
+                    // put: later batches and singles alike reuse it.
+                    assert!(ptrs.iter().all(|p| *p == ptrs[0]), "{what}: storage moved");
+                }
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use gillis_model::LinearModel;
 use gillis_tensor::Tensor;
 
 use crate::error::CoreError;
-use crate::partition::{balanced_ranges, PartDim, PartitionOption};
+use crate::partition::{split_ranges, PartDim, PartitionOption};
 use crate::plan::ExecutionPlan;
 use crate::Result;
 
@@ -173,12 +173,7 @@ pub fn execute_plan_tensors_cancellable(
         cur = match g.option {
             PartitionOption::Single => exec.run_segment(layers, &cur)?,
             PartitionOption::Split { dim, parts } => {
-                let (axis, total) = match dim {
-                    PartDim::Height => (1usize, layers[layers.len() - 1].out_shape.dims()[1]),
-                    PartDim::Width => (2usize, layers[layers.len() - 1].out_shape.dims()[2]),
-                    PartDim::Channel => (0usize, layers[layers.len() - 1].out_shape.dims()[0]),
-                };
-                let ranges = balanced_ranges(total, parts);
+                let (axis, ranges) = split_ranges(layers, dim, parts);
                 let run_piece = |r: std::ops::Range<usize>| match dim {
                     PartDim::Height => exec.run_segment_rows(layers, &cur, r),
                     PartDim::Width => exec.run_segment_cols(layers, &cur, r),

@@ -31,6 +31,18 @@ pub enum PartDim {
     Channel,
 }
 
+impl PartDim {
+    /// The axis of a group's CHW output this dimension cuts, which is also
+    /// the axis the pieces' outputs are joined along.
+    pub fn axis(self) -> usize {
+        match self {
+            PartDim::Channel => 0,
+            PartDim::Height => 1,
+            PartDim::Width => 2,
+        }
+    }
+}
+
 /// How a layer group is parallelized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PartitionOption {
@@ -185,6 +197,19 @@ pub fn balanced_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>
         start = end;
     }
     out
+}
+
+/// The join axis of the group `layers` split along `dim`, and the balanced
+/// range of the group output each of the `parts` pieces owns along it — the
+/// one split geometry the planner prices and both executors cut by.
+pub fn split_ranges(
+    layers: &[MergedLayer],
+    dim: PartDim,
+    parts: usize,
+) -> (usize, Vec<std::ops::Range<usize>>) {
+    let axis = dim.axis();
+    let extent = layers[layers.len() - 1].out_shape.dims()[axis];
+    (axis, balanced_ranges(extent, parts))
 }
 
 /// Whether all layers in the group can be group-parallelized spatially.
@@ -406,7 +431,7 @@ impl<'a> GroupWalker<'a> {
                 dim: dim @ (PartDim::Height | PartDim::Width),
                 parts: n,
             } => {
-                let d = if dim == PartDim::Height { 1 } else { 2 };
+                let d = dim.axis();
                 let Some(rf) = layer.class.receptive_field() else {
                     return invalid(format!(
                         "layer '{}' is not spatially partitionable",

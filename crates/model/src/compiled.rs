@@ -11,12 +11,14 @@
 //! - [`CompiledSegment`] — one fork-join piece of one layer group, lowered to
 //!   a flat list of steps with precomputed shapes, asymmetric paddings,
 //!   folded batch-norm constants, weight row ranges, and packed convolution
-//!   panels. Steps ping-pong between two buffers sized at compile time, and
-//!   batch norm and ReLU rewrite their producer's output in place, so the
-//!   warm path performs no heap allocation and holds two live activations
-//!   per piece — what `PartitionWork::mem_bytes` prices.
+//!   panels. Steps ping-pong between the segment's two buffers, planned at
+//!   compile time, and batch norm and ReLU rewrite their producer's output
+//!   in place, so the warm path performs no heap allocation and holds two
+//!   live activations per piece — what `PartitionWork::mem_bytes` prices.
+//!   Every run is `n` item-major queries wide and a single query is `n = 1`
+//!   of the same steps and buffers, which grow to the widest batch served.
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
-//!   (concat axis, per-piece extents) needed to gather piece outputs into a
+//!   (concat axis, per-piece slots) needed to join piece outputs into a
 //!   caller-owned buffer in exactly [`Tensor::concat`]'s memory order.
 //! - [`PanelCache`] — shares packed conv panels between pieces: spatial
 //!   pieces of the same group use the *full* filter bank and therefore the
@@ -40,9 +42,8 @@ use std::sync::Arc;
 use gillis_tensor::gemm::PackedA;
 use gillis_tensor::ops::{
     avg_pool2d_into, batch_norm_fold, conv2d_output_hw, conv2d_packed_batched_into,
-    conv2d_packed_into, conv2d_quantized_into, dense_into, dense_multi_into, depthwise_conv2d_into,
-    global_avg_pool_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams,
-    Pool2dParams,
+    conv2d_quantized_into, dense_multi_into, depthwise_conv2d_into, global_avg_pool_into,
+    max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, Pool2dParams,
 };
 use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
@@ -339,10 +340,37 @@ fn weight_rows<'a>(
     Ok((tensor_rows(w, Some(rows))?, tensor_rows(b, Some(rows))?))
 }
 
-/// Executes one lowered op from `input` into `out`. On the warm path every
+/// Pairs up the `n` item-major activations of `input` and `out`.
+fn items<'a>(
+    n: usize,
+    input: &'a [f32],
+    out: &'a mut [f32],
+) -> impl Iterator<Item = (&'a [f32], &'a mut [f32])> {
+    input
+        .chunks_exact(input.len() / n)
+        .zip(out.chunks_exact_mut(out.len() / n))
+}
+
+/// Executes one lowered op over `n` item-major activations, from `input`
+/// into `out`; a single query is `n = 1`.
+///
+/// Conv and dense steps hand the whole batch to their widened kernels, so it
+/// shares one traversal of the (packed) weights. Those kernels take the
+/// direct GEMM at `batch == 1`: whether widening pays is a property of the
+/// algorithm, so it is decided there and nowhere above. Every other step
+/// runs its kernel once per item — depthwise has no packing to share, and
+/// the int8 ops compute their activation scales per payload. Either way an
+/// item's output is bit-identical to running it alone (proptest-enforced
+/// for the widened kernels in `gillis-tensor`), and on the warm path every
 /// arm is allocation-free: buffers are caller-owned, kernel temporaries come
 /// from the per-thread scratch arena, and weight lookups borrow.
-fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]) -> Result<()> {
+fn exec_step(
+    kind: &StepKind,
+    map: &ModelWeights,
+    n: usize,
+    input: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
     match kind {
         StepKind::SliceInput {
             outer,
@@ -351,9 +379,11 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             range,
         } => {
             let rlen = range.len() * inner;
-            for o in 0..*outer {
-                let src = o * size * inner + range.start * inner;
-                out[o * rlen..(o + 1) * rlen].copy_from_slice(&input[src..src + rlen]);
+            for (input, out) in items(n, input, out) {
+                for o in 0..*outer {
+                    let src = o * size * inner + range.start * inner;
+                    out[o * rlen..(o + 1) * rlen].copy_from_slice(&input[src..src + rlen]);
+                }
             }
         }
         StepKind::Copy => out.copy_from_slice(input),
@@ -365,8 +395,8 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             in_h,
             in_w,
             out_hw,
-        } => conv2d_packed_into(
-            input, *in_c, *in_h, *in_w, packed, bias, params, *out_hw, out,
+        } => conv2d_packed_batched_into(
+            input, n, *in_c, *in_h, *in_w, packed, bias, params, *out_hw, out,
         ),
         StepKind::QConv {
             q,
@@ -376,7 +406,11 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             in_h,
             in_w,
             out_hw,
-        } => conv2d_quantized_into(input, *in_c, *in_h, *in_w, q, bias, params, *out_hw, out),
+        } => {
+            for (input, out) in items(n, input, out) {
+                conv2d_quantized_into(input, *in_c, *in_h, *in_w, q, bias, params, *out_hw, out);
+            }
+        }
         StepKind::Depthwise {
             id,
             rows,
@@ -387,7 +421,9 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             out_hw,
         } => {
             let (w, b) = weight_rows(map, *id, rows)?;
-            depthwise_conv2d_into(input, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
+            for (input, out) in items(n, input, out) {
+                depthwise_conv2d_into(input, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
+            }
         }
         StepKind::Pool {
             params,
@@ -396,104 +432,35 @@ fn exec_step(kind: &StepKind, map: &ModelWeights, input: &[f32], out: &mut [f32]
             in_hw,
             out_hw,
         } => {
-            if *is_max {
-                max_pool2d_into(input, *c, *in_hw, *out_hw, params, out);
+            let pool = if *is_max {
+                max_pool2d_into
             } else {
-                avg_pool2d_into(input, *c, *in_hw, *out_hw, params, out);
+                avg_pool2d_into
+            };
+            for (input, out) in items(n, input, out) {
+                pool(input, *c, *in_hw, *out_hw, params, out);
             }
         }
-        StepKind::GlobalAvgPool { c, plane } => global_avg_pool_into(input, *c, *plane, out),
-        StepKind::Dense { id, rows } => {
-            let (w, b) = weight_rows(map, *id, rows)?;
-            dense_into(w, input, Some(b), out);
+        StepKind::GlobalAvgPool { c, plane } => {
+            for (input, out) in items(n, input, out) {
+                global_avg_pool_into(input, *c, *plane, out);
+            }
         }
-        StepKind::QDense { q, bias } => {
-            out.copy_from_slice(bias);
-            quant::qgemv(q, input, out);
-        }
-        StepKind::Softmax => softmax_into(input, out),
-    }
-    Ok(())
-}
-
-/// Executes one lowered op for a batch of `n` item-major activations.
-///
-/// Conv and dense steps dispatch to their widened-B batched kernels so the
-/// whole batch shares one traversal of the (packed) weights; every other
-/// step — depthwise, whose batched kernel is this same loop, and the int8
-/// quantized ops, whose per-payload activation scales must be computed per
-/// item — loops the exact per-query [`exec_step`] body over the item slices.
-/// Either way the per-item output is bit-identical to running [`exec_step`]
-/// once per item (the batched kernels' bit-identity is proptest-enforced in
-/// `gillis-tensor`).
-fn exec_step_batched(
-    kind: &StepKind,
-    map: &ModelWeights,
-    n: usize,
-    input: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    match kind {
-        StepKind::Conv {
-            packed,
-            bias,
-            params,
-            in_c,
-            in_h,
-            in_w,
-            out_hw,
-        } => conv2d_packed_batched_into(
-            input, n, *in_c, *in_h, *in_w, packed, bias, params, *out_hw, out,
-        ),
         StepKind::Dense { id, rows } => {
             let (w, b) = weight_rows(map, *id, rows)?;
             dense_multi_into(w, input, Some(b), out, n);
         }
-        _ => {
-            let in_len = input.len() / n;
-            let out_len = out.len() / n;
-            for (x, y) in input
-                .chunks_exact(in_len)
-                .zip(out.chunks_exact_mut(out_len))
-            {
-                exec_step(kind, map, x, y)?;
+        StepKind::QDense { q, bias } => {
+            for (input, out) in items(n, input, out) {
+                out.copy_from_slice(bias);
+                quant::qgemv(q, input, out);
             }
         }
-    }
-    Ok(())
-}
-
-/// Runs `steps` over `n` item-major activations, ping-ponging between the
-/// two arena buffers. With `out` given, the last step writes there instead
-/// of its arena buffer, and its sweeps run there.
-fn run_steps(
-    steps: &[Step],
-    weights: &ModelWeights,
-    n: usize,
-    input: &[f32],
-    arena: &mut [Vec<f32>; 2],
-    mut out: Option<&mut [f32]>,
-) -> Result<()> {
-    let mut src_len = input.len();
-    for (i, step) in steps.iter().enumerate() {
-        let (even, odd) = arena.split_at_mut(1);
-        let (cur, prev) = if i % 2 == 0 {
-            (&mut even[0], &odd[0])
-        } else {
-            (&mut odd[0], &even[0])
-        };
-        let src = if i == 0 { input } else { &prev[..src_len] };
-        src_len = n * step.out_len;
-        let dst = match &mut out {
-            Some(out) if i + 1 == steps.len() => &mut **out,
-            _ => &mut cur[..src_len],
-        };
-        if n == 1 {
-            exec_step(&step.kind, weights, src, dst)?;
-        } else {
-            exec_step_batched(&step.kind, weights, n, src, dst)?;
+        StepKind::Softmax => {
+            for (input, out) in items(n, input, out) {
+                softmax_into(input, out);
+            }
         }
-        step.sweeps.iter().for_each(|s| s.apply(dst));
     }
     Ok(())
 }
@@ -501,9 +468,11 @@ fn run_steps(
 /// One fork-join piece of one layer group, compiled to a step list over a
 /// planned two-buffer arena.
 ///
-/// Compile once per `(plan, model)`; run once per query. The run is
-/// bit-identical to the corresponding reference-executor entry point and,
-/// once buffers and per-thread scratch are warm, allocation-free.
+/// Compile once per `(plan, model)`; run once per query or per batch of
+/// queries — a query is a batch of one, through the same steps and buffers.
+/// Each item of a run is bit-identical to the corresponding
+/// reference-executor entry point and, once buffers and per-thread scratch
+/// are warm, the run is allocation-free.
 ///
 /// `run` must be called with the same weights the segment was compiled
 /// against: packed panels and folded batch-norm constants are materialized
@@ -513,17 +482,22 @@ pub struct CompiledSegment {
     in_len: usize,
     out_shape: Shape,
     steps: Vec<Step>,
-    /// The two activation buffers, each sized at compile time to the largest
-    /// output of the steps that write it (even steps the first, odd steps
-    /// the second).
+    /// The two activation buffers: even steps write the first, odd steps the
+    /// second. Sized at compile time for one item ([`arena_lens`]) and grown
+    /// to the widest batch run or reserved; never shrunk and never cleared,
+    /// because every step overwrites the whole of its output.
     arena: [Vec<f32>; 2],
-    /// Widened arena for batched runs (`n ×` the per-query sizes). Empty
-    /// until the first batched run and never shrunk, so batches up to the
-    /// largest `n` seen (or declared via `reserve_batch`) execute
-    /// allocation-free.
-    batch_arena: [Vec<f32>; 2],
-    /// Items in the latest batched run.
-    batch_n: usize,
+    /// Items in the latest run.
+    width: usize,
+}
+
+/// Per-item length of the two arena buffers: the largest output among the
+/// even steps and among the odd steps.
+fn arena_lens(steps: &[Step]) -> [usize; 2] {
+    [0, 1].map(|slot| {
+        let lens = steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
+        lens.max().unwrap_or(0)
+    })
 }
 
 impl CompiledSegment {
@@ -618,33 +592,26 @@ impl CompiledSegment {
             let len = b.seed_shape.len();
             b.push(StepKind::Copy, len);
         }
-        let cap = |slot: usize| {
-            let lens = b.steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
-            lens.max().unwrap_or(0)
-        };
         Ok(CompiledSegment {
             in_len: b.seed_shape.len(),
             out_shape: Shape::new(out_dims),
-            arena: [vec![0.0; cap(0)], vec![0.0; cap(1)]],
-            batch_arena: [Vec::new(), Vec::new()],
-            batch_n: 0,
+            arena: arena_lens(&b.steps).map(|len| vec![0.0; len]),
+            width: 1,
             steps: b.steps,
         })
     }
 
-    /// Bytes of the per-query activation arena: four times the largest
-    /// output on the even steps plus the largest on the odd steps.
+    /// Bytes of activation arena one query needs: four times the largest
+    /// output on the even steps plus the largest on the odd steps. A figure
+    /// of the plan, not of how wide the buffers have since grown.
     pub fn activation_bytes(&self) -> usize {
-        self.arena
-            .iter()
-            .map(|b| std::mem::size_of_val(b.as_slice()))
-            .sum()
+        arena_lens(&self.steps).iter().sum::<usize>() * std::mem::size_of::<f32>()
     }
 
-    /// Where the last step's output lives: arena buffer and item length.
-    fn last(&self) -> (usize, usize) {
+    /// The latest run's output: the last step's arena buffer, `width` items.
+    fn output_range(&self) -> (usize, Range<usize>) {
         let last = self.steps.len() - 1;
-        (last % 2, self.steps[last].out_len)
+        (last % 2, 0..self.width * self.steps[last].out_len)
     }
 
     /// Expected input length (the seed tensor's element count).
@@ -657,7 +624,59 @@ impl CompiledSegment {
         &self.out_shape
     }
 
-    /// Runs the piece, returning a borrow of its output buffer.
+    /// Grows the arena so runs of up to `n` items allocate nothing — the
+    /// batch-range declaration of the 0-alloc warm-path contract. A wider
+    /// run than any reserved grows it on the way in.
+    pub fn reserve_batch(&mut self, n: usize) {
+        for (buf, len) in self.arena.iter_mut().zip(arena_lens(&self.steps)) {
+            if buf.len() < n * len {
+                buf.resize(n * len, 0.0);
+            }
+        }
+    }
+
+    /// Runs the steps over `n` item-major inputs, ping-ponging between the
+    /// two arena buffers. With `out` given, the last step writes there
+    /// instead of its arena buffer, and its sweeps run there.
+    fn run_steps(
+        &mut self,
+        weights: &ModelWeights,
+        inputs: &[f32],
+        n: usize,
+        mut out: Option<&mut [f32]>,
+    ) -> Result<()> {
+        assert!(n > 0, "batch must be non-empty");
+        assert_eq!(
+            inputs.len(),
+            n * self.in_len,
+            "compiled segment input length"
+        );
+        self.reserve_batch(n);
+        self.width = n;
+        let mut src_len = inputs.len();
+        for (i, step) in self.steps.iter().enumerate() {
+            let (even, odd) = self.arena.split_at_mut(1);
+            let (cur, prev) = if i % 2 == 0 {
+                (&mut even[0], &odd[0])
+            } else {
+                (&mut odd[0], &even[0])
+            };
+            let src = if i == 0 { inputs } else { &prev[..src_len] };
+            src_len = n * step.out_len;
+            let dst = match &mut out {
+                Some(out) if i + 1 == self.steps.len() => &mut **out,
+                _ => &mut cur[..src_len],
+            };
+            exec_step(&step.kind, weights, n, src, dst)?;
+            step.sweeps.iter().for_each(|s| s.apply(dst));
+        }
+        Ok(())
+    }
+
+    /// Runs the piece over a batch of `n` item-major inputs (`n × in_len`
+    /// contiguous), returning a borrow of its output (`n × out_len`,
+    /// item-major). Each item's result is bit-identical to running it alone,
+    /// at any thread count (see [`exec_step`]).
     ///
     /// # Errors
     ///
@@ -667,11 +686,29 @@ impl CompiledSegment {
     ///
     /// # Panics
     ///
+    /// Panics if `inputs.len() != n * in_len` or `n == 0`.
+    pub fn run_batch(
+        &mut self,
+        weights: &ModelWeights,
+        inputs: &[f32],
+        n: usize,
+    ) -> Result<&[f32]> {
+        self.run_steps(weights, inputs, n, None)?;
+        Ok(self.output())
+    }
+
+    /// Runs the piece on one query: [`CompiledSegment::run_batch`] at
+    /// `n = 1`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledSegment::run_batch`].
+    ///
+    /// # Panics
+    ///
     /// Panics if `input.len()` differs from [`CompiledSegment::in_len`].
     pub fn run(&mut self, weights: &ModelWeights, input: &[f32]) -> Result<&[f32]> {
-        assert_eq!(input.len(), self.in_len, "compiled segment input length");
-        run_steps(&self.steps, weights, 1, input, &mut self.arena, None)?;
-        Ok(self.output())
+        self.run_batch(weights, input, 1)
     }
 
     /// Like [`CompiledSegment::run`], but the final step writes `out` (and
@@ -681,7 +718,7 @@ impl CompiledSegment {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CompiledSegment::run`].
+    /// Same conditions as [`CompiledSegment::run_batch`].
     ///
     /// # Panics
     ///
@@ -693,99 +730,65 @@ impl CompiledSegment {
         input: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        assert_eq!(input.len(), self.in_len, "compiled segment input length");
         assert_eq!(
             out.len(),
             self.out_shape.len(),
             "compiled segment output length"
         );
-        run_steps(&self.steps, weights, 1, input, &mut self.arena, Some(out))
+        self.run_steps(weights, input, 1, Some(out))
     }
 
-    /// Pre-grows the widened arena so batched runs with up to `n` items
-    /// allocate nothing — the batch-range declaration of the 0-alloc
-    /// warm-path contract.
-    pub fn reserve_batch(&mut self, n: usize) {
-        for (wide, one) in self.batch_arena.iter_mut().zip(&self.arena) {
-            wide.reserve((n * one.len()).saturating_sub(wide.len()));
-        }
-    }
-
-    /// Runs the piece over a batch of `n` item-major inputs (`n × in_len`
-    /// contiguous), returning a borrow of the widened output (`n × out_len`,
-    /// item-major).
-    ///
-    /// Per-item results are bit-identical to `n` [`CompiledSegment::run`]
-    /// calls for any thread count (see [`exec_step_batched`]). `n == 1`
-    /// delegates to [`CompiledSegment::run`] — the batch-1 fast path touches
-    /// no widened buffer and is byte-for-byte the pre-batching code path.
+    /// Runs the piece as one part of a join of `n` items: into `slot`, its
+    /// region of the join buffer, when the join is direct (see
+    /// [`CompiledPartition::contiguous_ranges`]), else into its own buffer
+    /// for the gather. With `wire_int8` the payload then takes the int8 wire
+    /// round trip — the worker-side quantize — in place where it landed.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CompiledSegment::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n * in_len` or `n == 0`.
-    pub fn run_batch(
+    /// Same conditions as [`CompiledSegment::run_batch`].
+    pub fn run_joined(
         &mut self,
         weights: &ModelWeights,
         inputs: &[f32],
         n: usize,
-    ) -> Result<&[f32]> {
-        assert!(n > 0, "batch must be non-empty");
-        assert_eq!(
-            inputs.len(),
-            n * self.in_len,
-            "batched segment input length"
-        );
-        if n == 1 {
-            return self.run(weights, inputs);
-        }
-        // Every step overwrites the whole of its output, so buffers that
-        // are already long enough are reused as they are.
-        for (wide, one) in self.batch_arena.iter_mut().zip(&self.arena) {
-            if wide.len() < n * one.len() {
-                wide.resize(n * one.len(), 0.0);
+        slot: Option<&mut [f32]>,
+        wire_int8: bool,
+    ) -> Result<()> {
+        match slot {
+            Some(slot) => {
+                self.run_into(weights, inputs, slot)?;
+                if wire_int8 {
+                    quant::wire_roundtrip_in_place(slot);
+                }
+            }
+            None => {
+                self.run_batch(weights, inputs, n)?;
+                if wire_int8 {
+                    self.wire_roundtrip_output();
+                }
             }
         }
-        self.batch_n = n;
-        run_steps(&self.steps, weights, n, inputs, &mut self.batch_arena, None)?;
-        Ok(self.batch_output())
+        Ok(())
     }
 
-    /// The widened output of the latest [`CompiledSegment::run_batch`] with
-    /// `n >= 2` (item-major). For a batch of one, use
-    /// [`CompiledSegment::output`] — the batch-1 path writes the per-query
-    /// buffer.
-    pub fn batch_output(&self) -> &[f32] {
-        let (slot, len) = self.last();
-        &self.batch_arena[slot][..self.batch_n * len]
+    /// The piece's output buffer: every item of the latest
+    /// [`CompiledSegment::run`] or [`CompiledSegment::run_batch`].
+    pub fn output(&self) -> &[f32] {
+        let (slot, range) = self.output_range();
+        &self.arena[slot][range]
     }
 
-    /// Applies the int8 wire round trip to each item slice of the widened
-    /// output — the batched counterpart of
-    /// [`CompiledSegment::wire_roundtrip_output`]. Quantization scales are
-    /// per item, exactly as if each item had been sent separately.
-    pub fn wire_roundtrip_batch_output(&mut self) {
-        let (slot, len) = self.last();
-        for item in self.batch_arena[slot][..self.batch_n * len].chunks_exact_mut(len) {
+    /// Applies the int8 wire round trip to each item of the piece's own
+    /// output buffer (the master then gathers the dequantized values).
+    /// Quantization scales are per item, exactly as if each had been sent
+    /// separately. Allocation-free after warmup.
+    pub fn wire_roundtrip_output(&mut self) {
+        let (slot, range) = self.output_range();
+        let len = range.len() / self.width;
+        for item in self.arena[slot][range].chunks_exact_mut(len) {
             quant::wire_roundtrip_in_place(item);
         }
-    }
-
-    /// The piece's output buffer (valid after the latest [`CompiledSegment::run`]).
-    pub fn output(&self) -> &[f32] {
-        let (slot, len) = self.last();
-        &self.arena[slot][..len]
-    }
-
-    /// Applies the int8 wire round trip to the piece's own output buffer —
-    /// the worker-side quantize of a non-contiguous join (the master then
-    /// gathers the dequantized values). Allocation-free after warmup.
-    pub fn wire_roundtrip_output(&mut self) {
-        let (slot, len) = self.last();
-        quant::wire_roundtrip_in_place(&mut self.arena[slot][..len]);
     }
 }
 
@@ -1431,11 +1434,12 @@ pub struct CompiledPartition {
     pieces: Vec<CompiledSegment>,
     axis: usize,
     out_shape: Shape,
-    /// Product of output dims before / after `axis`.
+    /// Product of output dims before `axis`: the blocks of a joined output,
+    /// each holding every piece's rows for that block back to back.
     outer: usize,
-    inner: usize,
-    /// Each piece's extent along `axis`.
-    piece_sizes: Vec<usize>,
+    /// Where each piece's rows sit within one such block. With `outer == 1`
+    /// the block is the whole output and these are the pieces' join ranges.
+    slots: Vec<Range<usize>>,
     /// Whether worker piece outputs take the int8 wire round trip before
     /// landing in the join buffer (multi-piece groups only — an
     /// unpartitioned group never crosses the wire).
@@ -1499,8 +1503,9 @@ impl CompiledPartition {
                 "join axis {axis} out of range for rank {rank}"
             )));
         }
+        let inner: usize = first.dims()[axis + 1..].iter().product();
         let mut total = 0;
-        let mut piece_sizes = Vec::with_capacity(pieces.len());
+        let mut slots = Vec::with_capacity(pieces.len());
         for p in &pieces {
             let d = p.out_shape().dims();
             if d.len() != rank
@@ -1512,12 +1517,11 @@ impl CompiledPartition {
                     "piece output shapes disagree off the join axis".into(),
                 ));
             }
-            piece_sizes.push(d[axis]);
+            slots.push(total * inner..(total + d[axis]) * inner);
             total += d[axis];
         }
         let out_shape = first.with_dim(axis, total)?;
         let outer: usize = first.dims()[..axis].iter().product();
-        let inner: usize = first.dims()[axis + 1..].iter().product();
         // A single Full piece runs on the master and never crosses the
         // wire, so the int8 transfer simulation only applies to real
         // fork-join groups.
@@ -1527,17 +1531,15 @@ impl CompiledPartition {
             axis,
             out_shape,
             outer,
-            inner,
-            piece_sizes,
+            slots,
             wire_int8,
         })
     }
 
     /// Whether worker piece outputs take the int8 wire round trip on their
     /// way into the join buffer. Parallel callers that drive
-    /// [`CompiledPartition::pieces_mut`] themselves must honour this by
-    /// calling [`CompiledSegment::wire_roundtrip_output`] (or round-tripping
-    /// the piece's join slot) after each piece runs.
+    /// [`CompiledPartition::pieces_mut`] themselves pass this to
+    /// [`CompiledSegment::run_joined`].
     pub fn wire_int8(&self) -> bool {
         self.wire_int8
     }
@@ -1568,171 +1570,84 @@ impl CompiledPartition {
         &mut self.pieces
     }
 
-    /// When the join is contiguous (each piece owns one contiguous region of
-    /// the output — true iff `outer == 1`, e.g. any channel join), returns
-    /// each piece's output range so pieces can [`CompiledSegment::run_into`]
-    /// disjoint `&mut` slices of the join buffer directly.
-    pub fn contiguous_ranges(&self) -> Option<Vec<Range<usize>>> {
-        if self.outer != 1 {
-            return None;
-        }
-        let mut ofs = 0;
-        Some(
-            self.piece_sizes
-                .iter()
-                .map(|&s| {
-                    let r = ofs..ofs + s * self.inner;
-                    ofs = r.end;
-                    r
-                })
-                .collect(),
-        )
+    /// Whether a run of `n` items can skip the gather: each piece's output
+    /// is then one contiguous region of the join buffer — the join is
+    /// contiguous (`outer == 1`, e.g. any channel join) and there is one
+    /// item, since the pieces of a wider batch interleave per item. This is
+    /// the executor's one decision that depends on the batch width.
+    fn writes_join_directly(&self, n: usize) -> bool {
+        self.outer == 1 && n == 1
     }
 
-    /// Gathers the piece outputs (valid after each piece ran) into `out`,
-    /// in exactly [`Tensor::concat`]'s memory order: outer blocks first,
-    /// pieces in order within each block. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the gathered output length.
-    pub fn gather(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.out_shape.len(), "join buffer length");
-        let mut dst = 0;
-        for o in 0..self.outer {
-            for (p, &psize) in self.pieces.iter().zip(self.piece_sizes.iter()) {
-                let rows = psize * self.inner;
-                let src = o * rows;
-                out[dst..dst + rows].copy_from_slice(&p.output()[src..src + rows]);
-                dst += rows;
-            }
-        }
+    /// Each piece's range of the join buffer when a run of `n` items can
+    /// write it directly, so that pieces can [`CompiledSegment::run_joined`]
+    /// into disjoint `&mut` slices of it; `None` when they must run and then
+    /// be gathered.
+    pub fn contiguous_ranges(&self, n: usize) -> Option<Vec<Range<usize>>> {
+        self.writes_join_directly(n).then(|| self.slots.clone())
     }
 
-    /// Runs every piece sequentially and gathers into `out`. Parallel
-    /// callers drive [`CompiledPartition::pieces_mut`] /
-    /// [`CompiledPartition::gather`] themselves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates piece errors (see [`CompiledSegment::run`]).
-    pub fn run_into(
-        &mut self,
-        weights: &ModelWeights,
-        input: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        if self.outer == 1 {
-            // Contiguous join: pieces write their slice of `out` directly,
-            // with no per-call range allocation (the warm path must not
-            // touch the heap). The int8 wire round trip dequantizes into
-            // the same join-buffer slot the piece just wrote — no extra
-            // per-query buffers.
-            let mut ofs = 0;
-            for (piece, &psize) in self.pieces.iter_mut().zip(self.piece_sizes.iter()) {
-                let end = ofs + psize * self.inner;
-                piece.run_into(weights, input, &mut out[ofs..end])?;
-                if self.wire_int8 {
-                    quant::wire_roundtrip_in_place(&mut out[ofs..end]);
-                }
-                ofs = end;
-            }
-            return Ok(());
-        }
-        for piece in &mut self.pieces {
-            piece.run(weights, input)?;
-            if self.wire_int8 {
-                // Worker-side quantize: round-trip the piece's own output
-                // buffer before the master gathers it.
-                piece.wire_roundtrip_output();
-            }
-        }
-        self.gather(out);
-        Ok(())
-    }
-
-    /// Pre-grows every piece's widened buffers for batches up to `n` (see
-    /// [`CompiledSegment::reserve_batch`]).
-    pub fn reserve_batch(&mut self, n: usize) {
-        for piece in &mut self.pieces {
-            piece.reserve_batch(n);
-        }
-    }
-
-    /// Gathers the widened piece outputs of the latest batched run into
+    /// Gathers the `n`-item piece outputs (valid after each piece ran) into
     /// `outs` (`n × out_len`, item-major), each item in exactly
-    /// [`Tensor::concat`]'s memory order. Allocation-free.
+    /// [`Tensor::concat`]'s memory order: outer blocks first, pieces in
+    /// order within each block. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `outs.len()` differs from `n` gathered outputs.
-    pub fn gather_batch(&self, n: usize, outs: &mut [f32]) {
+    pub fn gather(&self, n: usize, outs: &mut [f32]) {
         let out_len = self.out_shape.len();
-        assert_eq!(outs.len(), n * out_len, "batched join buffer length");
+        assert_eq!(outs.len(), n * out_len, "join buffer length");
+        let block = out_len / self.outer;
         for (i, out) in outs.chunks_exact_mut(out_len).enumerate() {
-            let mut dst = 0;
-            for o in 0..self.outer {
-                for (p, &psize) in self.pieces.iter().zip(self.piece_sizes.iter()) {
-                    let rows = psize * self.inner;
-                    let plen = p.out_shape().len();
-                    let src = i * plen + o * rows;
-                    out[dst..dst + rows].copy_from_slice(&p.batch_output()[src..src + rows]);
-                    dst += rows;
+            for (o, out) in out.chunks_exact_mut(block).enumerate() {
+                for (p, slot) in self.pieces.iter().zip(&self.slots) {
+                    let src = i * p.out_shape().len() + o * slot.len();
+                    out[slot.clone()].copy_from_slice(&p.output()[src..src + slot.len()]);
                 }
             }
         }
     }
 
-    /// Batched [`CompiledPartition::run_into`]: runs every piece over the
-    /// `n` item-major inputs and gathers each item's join into its slice of
-    /// `outs` (`n × out_len`). The int8 wire round trip is applied per
-    /// `(piece, item)` slice — the same payloads (and thus the same
-    /// quantization scales) as `n` separate queries, so per-item outputs are
-    /// bit-identical to `n` [`CompiledPartition::run_into`] calls. `n == 1`
-    /// delegates to the per-query path untouched.
+    /// Runs every piece sequentially over the `n` item-major `inputs` and
+    /// joins each item into its slice of `outs` (`n × out_len`). Parallel
+    /// callers drive [`CompiledPartition::pieces_mut`] /
+    /// [`CompiledPartition::gather`] themselves. The int8 wire round trip is
+    /// applied per `(piece, item)` payload, so an item's output does not
+    /// depend on the batch it rode in.
     ///
     /// # Errors
     ///
-    /// Propagates piece errors (see [`CompiledSegment::run`]).
-    pub fn run_batch_into(
+    /// Propagates piece errors (see [`CompiledSegment::run_batch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or a buffer length disagrees with `n`.
+    pub fn run_into(
         &mut self,
         weights: &ModelWeights,
         inputs: &[f32],
         n: usize,
         outs: &mut [f32],
     ) -> Result<()> {
-        assert!(n > 0, "batch must be non-empty");
-        let out_len = self.out_shape.len();
-        assert_eq!(outs.len(), n * out_len, "batched join buffer length");
-        if n == 1 {
-            return self.run_into(weights, inputs, outs);
+        assert_eq!(outs.len(), n * self.out_shape.len(), "join buffer length");
+        let direct = self.writes_join_directly(n);
+        for (piece, slot) in self.pieces.iter_mut().zip(&self.slots) {
+            let slot = direct.then_some(slot.clone()).map(|r| &mut outs[r]);
+            piece.run_joined(weights, inputs, n, slot, self.wire_int8)?;
         }
-        if self.outer == 1 {
-            // Contiguous join: scatter each item's piece slice straight into
-            // its join buffer slot, round-tripping the slot in place.
-            let mut ofs = 0;
-            for (piece, &psize) in self.pieces.iter_mut().zip(self.piece_sizes.iter()) {
-                let plen = psize * self.inner;
-                let got = piece.run_batch(weights, inputs, n)?;
-                for (i, item) in got.chunks_exact(plen).enumerate() {
-                    let dst = &mut outs[i * out_len + ofs..i * out_len + ofs + plen];
-                    dst.copy_from_slice(item);
-                    if self.wire_int8 {
-                        quant::wire_roundtrip_in_place(dst);
-                    }
-                }
-                ofs += plen;
-            }
-            return Ok(());
+        if !direct {
+            self.gather(n, outs);
         }
-        for piece in &mut self.pieces {
-            piece.run_batch(weights, inputs, n)?;
-            if self.wire_int8 {
-                piece.wire_roundtrip_batch_output();
-            }
-        }
-        self.gather_batch(n, outs);
         Ok(())
+    }
+
+    /// Grows every piece's arena for batches up to `n` (see
+    /// [`CompiledSegment::reserve_batch`]).
+    pub fn reserve_batch(&mut self, n: usize) {
+        for piece in &mut self.pieces {
+            piece.reserve_batch(n);
+        }
     }
 }
 
@@ -1915,11 +1830,11 @@ mod tests {
             Tensor::concat(&parts, 1).unwrap()
         };
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), &mut out).unwrap();
+        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
         assert_eq!(part.out_shape(), reference.shape());
         assert_bits_eq(&out, reference.data(), "spatial gather");
         // Spatial join along height is strided (outer = channels > 1).
-        assert!(part.contiguous_ranges().is_none());
+        assert!(part.contiguous_ranges(1).is_none());
 
         // Channel join is contiguous: pieces write the join buffer directly.
         let head = &model.layers()[..1];
@@ -1930,7 +1845,7 @@ mod tests {
         let mut part =
             CompiledPartition::compile(model.graph(), &weights, head, &specs, 0, &mut cache)
                 .unwrap();
-        assert!(part.contiguous_ranges().is_some());
+        assert!(part.contiguous_ranges(1).is_some());
         let reference = {
             let parts: Vec<Tensor> = (0..2)
                 .map(|p| {
@@ -1941,7 +1856,7 @@ mod tests {
             Tensor::concat(&parts, 0).unwrap()
         };
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), &mut out).unwrap();
+        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
         assert_bits_eq(&out, reference.data(), "channel gather");
     }
 
@@ -1997,44 +1912,17 @@ mod tests {
                 let out_len = part.out_shape().len();
                 let mut seq = vec![0.0f32; n * out_len];
                 for (q, out) in queries.iter().zip(seq.chunks_mut(out_len)) {
-                    part.run_into(&weights, q.data(), out).unwrap();
+                    part.run_into(&weights, q.data(), 1, out).unwrap();
                 }
                 let mut inputs = vec![0.0f32; n * input_len];
                 for (q, dst) in queries.iter().zip(inputs.chunks_mut(input_len)) {
                     dst.copy_from_slice(q.data());
                 }
                 let mut batched = vec![0.0f32; n * out_len];
-                part.run_batch_into(&weights, &inputs, n, &mut batched)
-                    .unwrap();
+                part.run_into(&weights, &inputs, n, &mut batched).unwrap();
                 assert_bits_eq(&seq, &batched, &format!("batched join n={n}"));
             }
         }
-    }
-
-    #[test]
-    fn batched_segment_warm_runs_reuse_widened_buffers() {
-        let model = zoo::tiny_vgg();
-        let weights = init_weights(model.graph(), 3).unwrap();
-        let mut cache = PanelCache::new();
-        let mut seg = CompiledSegment::compile(
-            model.graph(),
-            &weights,
-            model.layers(),
-            &PieceSpec::Full,
-            &mut cache,
-        )
-        .unwrap();
-        seg.reserve_batch(4);
-        let in_len = model.input_shape().len();
-        let inputs: Vec<f32> = (0..4 * in_len).map(|i| (i as f32 * 0.01).sin()).collect();
-        let ptr_a = seg.run_batch(&weights, &inputs, 4).unwrap().as_ptr();
-        let ptr_b = seg.run_batch(&weights, &inputs, 4).unwrap().as_ptr();
-        assert_eq!(ptr_a, ptr_b, "widened buffers are reused across batches");
-        // Batch-1 runs stay on the per-query buffers.
-        let one = &inputs[..in_len];
-        let p1 = seg.run(&weights, one).unwrap().as_ptr();
-        let p2 = seg.run_batch(&weights, one, 1).unwrap().as_ptr();
-        assert_eq!(p1, p2, "batch-1 delegates to the per-query path");
     }
 
     /// How many of `nodes` are element-wise (sweeps) and how many write a
@@ -2195,14 +2083,20 @@ mod tests {
                     for (item, r) in out.chunks_exact(out_len).zip(&refs) {
                         assert_bits_eq(item, r.data(), &format!("{what}: run_batch"));
                     }
-                    seg.wire_roundtrip_batch_output();
-                    for (item, r) in seg.batch_output().chunks_exact(out_len).zip(&refs) {
+                    seg.wire_roundtrip_output();
+                    for (item, r) in seg.output().chunks_exact(out_len).zip(&refs) {
                         assert_bits_eq(item, &wire(r.data()), &format!("{what}: batch wire"));
                     }
-                    // The widened arena is the per-query one, BATCH times.
-                    for (wide, one) in seg.batch_arena.iter().zip(&seg.arena) {
-                        assert_eq!(wide.len(), BATCH * one.len(), "{what}: batch arena");
+                    // The batch grew the one arena to BATCH items; the plan's
+                    // per-query figure stands, and a single query after it
+                    // reads nothing the batch left behind.
+                    let lens = arena_lens(&seg.steps);
+                    for (buf, len) in seg.arena.iter().zip(lens) {
+                        assert_eq!(buf.len(), BATCH * len, "{what}: batch arena");
                     }
+                    assert_eq!(seg.activation_bytes(), 4 * (lens[0] + lens[1]), "{what}");
+                    let out = seg.run(&weights, inputs[1].data()).unwrap();
+                    assert_bits_eq(out, refs[1].data(), &format!("{what}: run after batch"));
                 }
             }
         }
@@ -2521,7 +2415,7 @@ mod tests {
         .unwrap();
         assert!(part.wire_int8());
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), &mut out).unwrap();
+        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
         let max_ref = reference.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let step = max_ref / 127.0;
         for (i, (x, y)) in out.iter().zip(reference.data().iter()).enumerate() {
@@ -2545,7 +2439,7 @@ mod tests {
         assert!(!part.wire_int8());
         let full_ref = exec.run_segment(seg_layers, &input).unwrap();
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), &mut out).unwrap();
+        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
         assert_bits_eq(&out, full_ref.data(), "single-piece wire");
     }
 }

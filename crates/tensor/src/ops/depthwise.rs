@@ -182,40 +182,6 @@ pub fn depthwise_conv2d_into(
     }
 }
 
-/// Batched depthwise convolution: `batch` CHW inputs laid out contiguously
-/// in `xs`, outputs written contiguously into `outs`.
-///
-/// Depthwise layers are memory-bound 1-row GEMMs, so there is no packing to
-/// amortize across the batch; the win here is that all items reuse the same
-/// warmed per-thread column scratch instead of re-warming per dispatch. Each
-/// item runs the exact per-query kernel, so outputs are trivially
-/// bit-identical to sequential execution for any thread count.
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent with `batch`.
-#[allow(clippy::too_many_arguments)]
-pub fn depthwise_conv2d_batched_into(
-    xs: &[f32],
-    batch: usize,
-    c: usize,
-    in_h: usize,
-    in_w: usize,
-    w: &[f32],
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    (out_h, out_w): (usize, usize),
-    outs: &mut [f32],
-) {
-    let in_len = c * in_h * in_w;
-    let out_len = c * out_h * out_w;
-    assert_eq!(xs.len(), batch * in_len, "inputs must be batch × CHW");
-    assert_eq!(outs.len(), batch * out_len, "outputs must be batch × CHW");
-    for (x, out) in xs.chunks_exact(in_len).zip(outs.chunks_exact_mut(out_len)) {
-        depthwise_conv2d_into(x, c, in_h, in_w, w, bias, params, (out_h, out_w), out);
-    }
-}
-
 /// Reference per-channel loop the GEMM path is validated against.
 #[cfg(test)]
 pub(crate) fn depthwise_conv2d_naive(

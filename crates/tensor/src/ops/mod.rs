@@ -20,13 +20,13 @@ pub use conv::{
     conv2d_quantized_into, Conv2dParams,
 };
 pub use dense::{dense, dense_into, dense_multi_into};
-pub use depthwise::{depthwise_conv2d, depthwise_conv2d_batched_into, depthwise_conv2d_into};
+pub use depthwise::{depthwise_conv2d, depthwise_conv2d_into};
 pub use norm::{batch_norm, batch_norm_fold, batch_norm_folded_into, BatchNormParams};
 pub use pool::{
     avg_pool2d, avg_pool2d_into, global_avg_pool, global_avg_pool_into, max_pool2d,
     max_pool2d_into, Pool2dParams,
 };
-pub use rnn::{lstm_cell, lstm_cell_multi, lstm_sequence, LstmParams, LstmState};
+pub use rnn::{lstm_cell, lstm_sequence, LstmParams, LstmState};
 
 use serde::{Deserialize, Serialize};
 

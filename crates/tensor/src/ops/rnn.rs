@@ -170,8 +170,7 @@ pub fn lstm_cell(x: &Tensor, state: &LstmState, params: &LstmParams) -> Result<L
 }
 
 /// Applies the four LSTM gates to combined pre-activations `pre`
-/// (`[4 * hidden]`, gate order `[i, f, g, o]`) and the previous state. Shared
-/// by the per-query and batched cells so both take the exact same float ops.
+/// (`[4 * hidden]`, gate order `[i, f, g, o]`) and the previous state.
 fn lstm_apply_gates(pre: &[f32], hidden: usize, state: &LstmState) -> Result<LstmState> {
     let gate = |idx: usize| -> Tensor {
         Tensor::from_vec(
@@ -199,97 +198,6 @@ fn lstm_apply_gates(pre: &[f32], hidden: usize, state: &LstmState) -> Result<Lst
         h: Tensor::from_vec(Shape::new(vec![hidden]), h_next)?,
         c: c_next,
     })
-}
-
-/// One LSTM step for a batch of independent streams: item `q` consumes
-/// `xs[q]` and `states[q]` and yields the `q`-th returned state.
-///
-/// Both gate matmuls stream each weight row once and dot it against every
-/// item ([`crate::gemm::gemv_multi`]), so the batch shares one traversal of
-/// `w_ih`/`w_hh` instead of `n` full passes. Per-item outputs are
-/// bit-identical to calling [`lstm_cell`] once per item for any thread
-/// count: each `(gate row, item)` pre-activation is the same `row_dot` over
-/// the same operands, and the gate nonlinearities run per item through the
-/// exact per-query code. A single-item batch delegates to [`lstm_cell`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if any input or state disagrees
-/// with the weight shapes, or [`TensorError::InvalidArgument`] if `xs` and
-/// `states` have different lengths.
-pub fn lstm_cell_multi(
-    xs: &[Tensor],
-    states: &[LstmState],
-    params: &LstmParams,
-) -> Result<Vec<LstmState>> {
-    if xs.len() != states.len() {
-        return Err(TensorError::InvalidArgument(format!(
-            "lstm_cell_multi got {} inputs for {} states",
-            xs.len(),
-            states.len()
-        )));
-    }
-    let n = xs.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 1 {
-        return Ok(vec![lstm_cell(&xs[0], &states[0], params)?]);
-    }
-    params.validate()?;
-    let hidden = params.hidden_size();
-    let input = params.input_size();
-    for (x, state) in xs.iter().zip(states.iter()) {
-        if x.shape().dims() != [input] {
-            return Err(TensorError::ShapeMismatch {
-                expected: Shape::new(vec![input]),
-                actual: x.shape().clone(),
-            });
-        }
-        if state.h.shape().dims() != [hidden] || state.c.shape().dims() != [hidden] {
-            return Err(TensorError::ShapeMismatch {
-                expected: Shape::new(vec![hidden]),
-                actual: state.h.shape().clone(),
-            });
-        }
-    }
-    // Pack inputs and hidden states contiguously so gemv_multi can stride
-    // them; all temporaries live in per-thread scratch.
-    let mut xs_flat = scratch::take(scratch::Site::BatchCol);
-    xs_flat.clear();
-    for x in xs {
-        xs_flat.extend_from_slice(x.data());
-    }
-    let mut hs_flat = scratch::take(scratch::Site::BatchOut);
-    hs_flat.clear();
-    for state in states {
-        hs_flat.extend_from_slice(state.h.data());
-    }
-    let mut gi = scratch::take(scratch::Site::LstmGateInput);
-    gi.clear();
-    gi.resize(4 * hidden * n, 0.0);
-    crate::gemm::gemv_multi(4 * hidden, input, params.w_ih.data(), &xs_flat, &mut gi, n);
-    let mut gh = scratch::take(scratch::Site::LstmGateHidden);
-    gh.clear();
-    gh.resize(4 * hidden * n, 0.0);
-    crate::gemm::gemv_multi(4 * hidden, hidden, params.w_hh.data(), &hs_flat, &mut gh, n);
-    let b = params.bias.data();
-    let mut pre = scratch::take(scratch::Site::LstmPre);
-    let mut next = Vec::with_capacity(n);
-    for (q, state) in states.iter().enumerate() {
-        pre.clear();
-        pre.extend((0..4 * hidden).map(|r| {
-            let (a, c, d) = (gi[r * n + q], gh[r * n + q], b[r]);
-            a + c + d
-        }));
-        next.push(lstm_apply_gates(&pre, hidden, state)?);
-    }
-    scratch::put(scratch::Site::LstmPre, pre);
-    scratch::put(scratch::Site::LstmGateInput, gi);
-    scratch::put(scratch::Site::LstmGateHidden, gh);
-    scratch::put(scratch::Site::BatchCol, xs_flat);
-    scratch::put(scratch::Site::BatchOut, hs_flat);
-    Ok(next)
 }
 
 /// Runs an LSTM layer over a sequence of inputs, returning the per-step
@@ -415,36 +323,6 @@ mod tests {
         }
         for (a, b) in outs_b.iter().zip(interleaved.iter()) {
             assert!(a.max_abs_diff(b).unwrap() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn batched_cell_bit_identical_to_sequential() {
-        let params = small_params(5, 4, 0.13);
-        for n in [1usize, 2, 3, 8] {
-            let xs: Vec<Tensor> = (0..n)
-                .map(|q| Tensor::from_fn(Shape::new(vec![5]), |i| ((q * 5 + i) as f32 * 0.3).sin()))
-                .collect();
-            let states: Vec<LstmState> = (0..n)
-                .map(|q| LstmState {
-                    h: Tensor::from_fn(Shape::new(vec![4]), |i| ((q + i) as f32 * 0.2).cos()),
-                    c: Tensor::from_fn(Shape::new(vec![4]), |i| (q as f32 - i as f32) * 0.1),
-                })
-                .collect();
-            let seq: Vec<LstmState> = xs
-                .iter()
-                .zip(states.iter())
-                .map(|(x, s)| lstm_cell(x, s, &params).unwrap())
-                .collect();
-            let multi = lstm_cell_multi(&xs, &states, &params).unwrap();
-            for (a, b) in seq.iter().zip(multi.iter()) {
-                for (x, y) in a.h.data().iter().zip(b.h.data().iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                for (x, y) in a.c.data().iter().zip(b.c.data().iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
         }
     }
 
