@@ -3,8 +3,8 @@
 //! Measures what deployment-time compilation buys over the per-query
 //! reference path: cold queries re-slice weights, re-derive halo spans, and
 //! allocate every intermediate; warm queries run through a
-//! [`CompiledPlanExec`] — pre-sliced weights, packed conv panels, folded
-//! batch norms, preallocated buffers — and are bit-identical to the cold
+//! [`CompiledPlanExec`] — resolved weight row ranges, folded batch norms,
+//! preallocated buffers — and are bit-identical to the cold
 //! path by construction.
 //!
 //! Two modes:
@@ -12,7 +12,8 @@
 //! - **full** (default): VGG-11 on the single-function plan and on a forced
 //!   4-way partitioned plan. Reports per-query latency cold vs warm,
 //!   allocations per query (via a counting global allocator), end-to-end
-//!   warm QPS, and packed-panel footprint. Writes `BENCH_infer.json` at the
+//!   warm QPS, and the bytes of weight panels the plan copied (int8 only;
+//!   0 for f32). Writes `BENCH_infer.json` at the
 //!   repo root (or the directory given as the first CLI argument).
 //! - **smoke** (`--smoke`, used by CI): tiny-vgg on the single-function and
 //!   a 2-way height-split plan at pool width 1, asserting the warm path

@@ -3,8 +3,8 @@
 //! [`CompiledPlanExec`] lowers an [`ExecutionPlan`] over a model into a chain
 //! of [`CompiledPartition`]s (one per planned group) plus one preallocated
 //! join buffer per group. Compilation — plan validation, range balancing,
-//! arena planning, batch-norm folding, and conv panel packing — happens
-//! once per `(plan, model)`; a query then flows through the chain touching
+//! arena planning, batch-norm folding, and int8 panel quantization when
+//! asked for — happens once per `(plan, model)`; a query then flows through the chain touching
 //! only preallocated buffers. A query is a batch of one: `run_raw` is
 //! `run_batch_raw` at `n = 1`, through the same groups and buffers, which
 //! grow to the widest batch served and are never re-zeroed.
@@ -68,8 +68,8 @@ impl CompiledGroup {
 pub struct CompiledPlanExec {
     groups: Vec<CompiledGroup>,
     in_len: usize,
-    /// Packed conv panels, kept so recompiles against the same weights can
-    /// share them and for capacity reporting.
+    /// The int8 weight panels of a quantized compile (an f32 compile holds
+    /// none), kept for capacity reporting.
     panels: PanelCache,
 }
 
@@ -164,7 +164,8 @@ impl CompiledPlanExec {
             .out_shape()
     }
 
-    /// Total bytes of packed conv panels held by this compilation.
+    /// Total bytes of weight panels this compilation copied: the int8 panels
+    /// of a quantized compile, 0 for f32, whose steps borrow the live rows.
     pub fn panel_bytes(&self) -> usize {
         self.panels.bytes()
     }
@@ -237,7 +238,7 @@ impl CompiledPlanExec {
     /// [`CompiledPlanExec::run_batch_raw`] with an explicit thread count.
     ///
     /// Each item's output is bit-identical to running it alone, at any
-    /// thread count: conv and dense steps go through the widened-B kernels
+    /// thread count: conv and dense steps go through the batched kernels
     /// whose bit-identity is proptest-enforced in `gillis-tensor`, every
     /// other step runs per item, and the int8 wire round trip is applied per
     /// `(piece, item)` payload.
@@ -477,7 +478,8 @@ mod tests {
             let out = Tensor::from_vec(shape.clone(), data.to_vec()).unwrap();
             assert_bits_eq(&out, &reference, "4-way height split");
         }
-        assert!(compiled.panel_bytes() > 0);
+        // An f32 plan copies no conv, dense or depthwise weight.
+        assert_eq!(compiled.panel_bytes(), 0);
     }
 
     #[test]
@@ -517,6 +519,7 @@ mod tests {
         let mut compiled =
             CompiledPlanExec::compile_with(&model, &plan, &weights, CompileOptions::int8())
                 .unwrap();
+        assert!(compiled.panel_bytes() > 0);
         let base = {
             let (data, shape) = compiled
                 .run_raw_with_threads(&weights, input.data(), 1)

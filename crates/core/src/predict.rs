@@ -172,12 +172,14 @@ pub fn predict_plan_cached(
 }
 
 /// Default fraction of a group's compute cost that is paid once per batch
-/// rather than once per item — weight-matrix traversal, panel-cache lookup,
-/// and packed-panel streaming, which the widened-B batched kernels share
-/// across all items of a batch. Calibrated against the `ext_batch` bench:
-/// the amortized share of a VGG-style conv stack's runtime sits between the
-/// pointwise-conv extreme (weights dominate, ~0.4) and the large-spatial
-/// extreme (im2col dominates, ~0.15).
+/// rather than once per item — the traversal of the weight rows, which the
+/// batched kernels share across all items of a batch (the conv driver keeps
+/// the filter rows of a reduction block cache-hot while every item sweeps
+/// over them; the dense kernel dots each row against every item). Calibrated
+/// against the `ext_batch` bench: the amortized share of a VGG-style conv
+/// stack's runtime sits between the pointwise-conv extreme (weights
+/// dominate, ~0.4) and the large-spatial extreme (per-item packing and
+/// FMAs dominate, ~0.15).
 pub const BATCH_AMORTIZED_FRACTION: f64 = 0.25;
 
 /// Scales a group analysis from one query to an `n`-query batch: transfer

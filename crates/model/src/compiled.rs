@@ -1,4 +1,4 @@
-//! Deployment-time compiled execution: packed GEMM panels, folded batch
+//! Deployment-time compiled execution: resolved geometry, folded batch
 //! norms, and a planned two-buffer activation arena per piece.
 //!
 //! The reference [`Executor`](crate::exec::Executor) re-derives everything on
@@ -10,27 +10,30 @@
 //!
 //! - [`CompiledSegment`] — one fork-join piece of one layer group, lowered to
 //!   a flat list of steps with precomputed shapes, asymmetric paddings,
-//!   folded batch-norm constants, weight row ranges, and packed convolution
-//!   panels. Steps ping-pong between the segment's two buffers, planned at
-//!   compile time, and batch norm and ReLU rewrite their producer's output
-//!   in place, so the warm path performs no heap allocation and holds two
-//!   live activations per piece — what `PartitionWork::mem_bytes` prices.
+//!   folded batch-norm constants and weight row ranges — an f32 piece copies
+//!   no conv, dense or depthwise weight, it borrows the rows from the live
+//!   map on every run. Steps ping-pong between the segment's two buffers,
+//!   planned at compile time, and batch norm and ReLU rewrite their
+//!   producer's output in place, so the warm path performs no heap
+//!   allocation and holds two live activations per piece — what
+//!   `PartitionWork::mem_bytes` prices.
 //!   Every run is `n` item-major queries wide and a single query is `n = 1`
 //!   of the same steps and buffers, which grow to the widest batch served.
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
 //!   (concat axis, per-piece slots) needed to join piece outputs into a
 //!   caller-owned buffer in exactly [`Tensor::concat`]'s memory order.
-//! - [`PanelCache`] — shares packed conv panels between pieces: spatial
-//!   pieces of the same group use the *full* filter bank and therefore the
-//!   same panel; channel pieces pack their filter subset once.
+//! - [`PanelCache`] — shares int8 weight panels between the pieces of a
+//!   quantized deployment: spatial pieces of the same group use the *full*
+//!   filter bank and therefore the same panel; channel pieces quantize their
+//!   filter subset once. An f32 compile leaves it empty.
 //!
 //! Compilation is deliberately restricted to single-input layer chains (the
 //! shape of every VGG-style benchmark model). Graphs with `Add`, `Concat`,
 //! or `Lstm` nodes fail to compile with [`ModelError::Unsupported`]; callers
 //! fall back to the uncompiled executor, which supports everything.
 //!
-//! Every compiled fast path is bit-identical to the reference executor: the
-//! packed GEMM kernel preserves the accumulation order of the unpacked one,
+//! Every compiled fast path is bit-identical to the reference executor: conv
+//! steps call the interpreter's own GEMM driver on the same weight rows,
 //! batch-norm folding uses the executor's exact expressions, and gathers
 //! copy in [`Tensor::concat`]'s loop order. Property tests at the bottom of
 //! this module (and in `gillis-core`) compare outputs with `f32::to_bits`.
@@ -39,11 +42,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use gillis_tensor::gemm::PackedA;
 use gillis_tensor::ops::{
-    avg_pool2d_into, batch_norm_fold, conv2d_output_hw, conv2d_packed_batched_into,
-    conv2d_quantized_into, dense_multi_into, depthwise_conv2d_into, global_avg_pool_into,
-    max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, Pool2dParams,
+    avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, conv2d_quantized_into,
+    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, max_pool2d_into, softmax_into,
+    BatchNormParams, Conv2dParams, Pool2dParams,
 };
 use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
@@ -73,20 +75,19 @@ pub enum PieceSpec {
     Channels(Range<usize>),
 }
 
-/// Cache of packed convolution weight panels, keyed by conv node and filter
-/// subset (`None` = the full filter bank).
-///
-/// Spatial pieces of the same group all convolve with the full filter bank,
-/// so they share one panel; channel pieces pack their row subset once and
-/// reuse it across recompiles (e.g. several plans over one model).
-/// Panel-cache key: conv node plus optional filter-row subset.
+/// Panel-cache key: weight node plus optional row subset.
 type PanelKey = (NodeId, Option<(usize, usize)>);
 
+/// Cache of int8 weight panels (conv filter banks and dense weight
+/// matrices), quantized once at deployment compile time and keyed by node
+/// and row subset (`None` = every row).
+///
+/// Spatial pieces of the same group all convolve with the full filter bank,
+/// so they share one panel; channel pieces quantize their row subset once.
+/// An f32 compile puts nothing here: its steps borrow weight rows from the
+/// live map.
 #[derive(Debug, Default)]
 pub struct PanelCache {
-    panels: HashMap<PanelKey, Arc<PackedA>>,
-    /// int8 per-channel weight panels (conv filter banks and dense weight
-    /// matrices), quantized once at deployment compile time.
     qpanels: HashMap<PanelKey, Arc<QuantizedMatrix>>,
 }
 
@@ -96,60 +97,36 @@ impl PanelCache {
         PanelCache::default()
     }
 
-    fn key(id: NodeId, channels: Option<&Range<usize>>) -> PanelKey {
-        (id, channels.map(|r| (r.start, r.end)))
-    }
-
-    fn lookup(&self, id: NodeId, channels: Option<&Range<usize>>) -> Option<Arc<PackedA>> {
-        self.panels.get(&Self::key(id, channels)).map(Arc::clone)
-    }
-
-    fn insert(
+    /// The panel of rows `channels` of node `id`, made by `quantize` the
+    /// first time it is asked for.
+    fn panel(
         &mut self,
         id: NodeId,
         channels: Option<&Range<usize>>,
-        panel: PackedA,
-    ) -> Arc<PackedA> {
-        let panel = Arc::new(panel);
-        self.panels
-            .insert(Self::key(id, channels), Arc::clone(&panel));
-        panel
+        quantize: impl FnOnce() -> Result<QuantizedMatrix>,
+    ) -> Result<Arc<QuantizedMatrix>> {
+        let key = (id, channels.map(|r| (r.start, r.end)));
+        if let Some(p) = self.qpanels.get(&key) {
+            return Ok(Arc::clone(p));
+        }
+        let panel = Arc::new(quantize()?);
+        self.qpanels.insert(key, Arc::clone(&panel));
+        Ok(panel)
     }
 
-    fn lookup_q(
-        &self,
-        id: NodeId,
-        channels: Option<&Range<usize>>,
-    ) -> Option<Arc<QuantizedMatrix>> {
-        self.qpanels.get(&Self::key(id, channels)).map(Arc::clone)
-    }
-
-    fn insert_q(
-        &mut self,
-        id: NodeId,
-        channels: Option<&Range<usize>>,
-        panel: QuantizedMatrix,
-    ) -> Arc<QuantizedMatrix> {
-        let panel = Arc::new(panel);
-        self.qpanels
-            .insert(Self::key(id, channels), Arc::clone(&panel));
-        panel
-    }
-
-    /// Number of distinct panels held (packed f32 plus quantized).
+    /// Number of distinct panels held.
     pub fn len(&self) -> usize {
-        self.panels.len() + self.qpanels.len()
+        self.qpanels.len()
     }
 
     /// Whether the cache holds no panels.
     pub fn is_empty(&self) -> bool {
-        self.panels.is_empty() && self.qpanels.is_empty()
+        self.qpanels.is_empty()
     }
 
-    /// Total bytes of packed panel data (for capacity reporting).
+    /// Total bytes of panel data (for capacity reporting).
     pub fn bytes(&self) -> usize {
-        self.panels.values().map(|p| p.bytes()).sum::<usize>()
-            + self.qpanels.values().map(|p| p.bytes()).sum::<usize>()
+        self.qpanels.values().map(|p| p.bytes()).sum()
     }
 }
 
@@ -194,9 +171,11 @@ enum StepKind {
     },
     /// Verbatim copy of the input (flatten-only chains).
     Copy,
+    /// Conv over filter rows `rows` of node `id`, borrowed from the live
+    /// weight map at run time (see [`weight_rows`]).
     Conv {
-        packed: Arc<PackedA>,
-        bias: Vec<f32>,
+        id: NodeId,
+        rows: Range<usize>,
         params: Conv2dParams,
         in_c: usize,
         in_h: usize,
@@ -213,8 +192,8 @@ enum StepKind {
         in_w: usize,
         out_hw: (usize, usize),
     },
-    /// Depthwise conv over filter rows `rows` of node `id`, borrowed from
-    /// the live weight map at run time (see [`weight_rows`]).
+    /// Depthwise conv over filter rows `rows` of node `id`, borrowed like
+    /// [`StepKind::Conv`]'s.
     Depthwise {
         id: NodeId,
         rows: Range<usize>,
@@ -236,7 +215,7 @@ enum StepKind {
         plane: usize,
     },
     /// Dense over weight rows `rows` of node `id`, borrowed like
-    /// [`StepKind::Depthwise`]'s.
+    /// [`StepKind::Conv`]'s.
     Dense {
         id: NodeId,
         rows: Range<usize>,
@@ -302,14 +281,15 @@ struct Step {
     sweeps: Vec<Sweep>,
 }
 
-/// The `[out, ..]` weight and `[out]` bias of a dense or depthwise node.
+/// The `[out, ..]` weight and `[out]` bias of a conv, dense or depthwise
+/// node.
 fn row_weights(map: &ModelWeights, id: NodeId) -> Result<(&Tensor, &Tensor)> {
     match map.get(id)? {
-        NodeWeights::Dense { weight, bias } | NodeWeights::Depthwise { weight, bias } => {
-            Ok((weight, bias))
-        }
+        NodeWeights::Conv { weight, bias }
+        | NodeWeights::Dense { weight, bias }
+        | NodeWeights::Depthwise { weight, bias } => Ok((weight, bias)),
         _ => Err(ModelError::BadWeights(format!(
-            "node {} expected dense or depthwise weights",
+            "node {} expected conv, dense or depthwise weights",
             id.0
         ))),
     }
@@ -317,7 +297,7 @@ fn row_weights(map: &ModelWeights, id: NodeId) -> Result<(&Tensor, &Tensor)> {
 
 /// Rows `rows` (all of them for `None`) of a `[out, ..]` tensor. Rows of a
 /// row-major tensor are contiguous, so a channel piece borrows its filter
-/// subset — at compile time to pack it, at run time from the live map —
+/// subset — at compile time to quantize it, at run time from the live map —
 /// instead of owning a copy.
 fn tensor_rows<'a>(t: &'a Tensor, rows: Option<&Range<usize>>) -> Result<&'a [f32]> {
     let out = t.shape().dims().first().copied().unwrap_or(0);
@@ -330,7 +310,7 @@ fn tensor_rows<'a>(t: &'a Tensor, rows: Option<&Range<usize>>) -> Result<&'a [f3
         })
 }
 
-/// Weight and bias rows `rows` of dense or depthwise node `id`.
+/// Weight and bias rows `rows` of conv, dense or depthwise node `id`.
 fn weight_rows<'a>(
     map: &'a ModelWeights,
     id: NodeId,
@@ -354,16 +334,16 @@ fn items<'a>(
 /// Executes one lowered op over `n` item-major activations, from `input`
 /// into `out`; a single query is `n = 1`.
 ///
-/// Conv and dense steps hand the whole batch to their widened kernels, so it
-/// shares one traversal of the (packed) weights. Those kernels take the
-/// direct GEMM at `batch == 1`: whether widening pays is a property of the
-/// algorithm, so it is decided there and nowhere above. Every other step
-/// runs its kernel once per item — depthwise has no packing to share, and
-/// the int8 ops compute their activation scales per payload. Either way an
-/// item's output is bit-identical to running it alone (proptest-enforced
-/// for the widened kernels in `gillis-tensor`), and on the warm path every
-/// arm is allocation-free: buffers are caller-owned, kernel temporaries come
-/// from the per-thread scratch arena, and weight lookups borrow.
+/// Conv and dense steps hand the whole batch to their kernels, so it shares
+/// one traversal of the weights: the conv driver loops over the items inside
+/// each reduction block, the dense kernel dots each weight row against every
+/// item. Every other step runs its kernel once per item — depthwise has no
+/// filter bank to share, and the int8 ops compute their activation scales
+/// per payload. Either way an item's output is bit-identical to running it
+/// alone (proptest-enforced for the batched kernels in `gillis-tensor`), and
+/// on the warm path every arm is allocation-free: buffers are caller-owned,
+/// kernel temporaries come from the per-thread scratch arena, and weight
+/// lookups borrow.
 fn exec_step(
     kind: &StepKind,
     map: &ModelWeights,
@@ -388,16 +368,28 @@ fn exec_step(
         }
         StepKind::Copy => out.copy_from_slice(input),
         StepKind::Conv {
-            packed,
-            bias,
+            id,
+            rows,
             params,
             in_c,
             in_h,
             in_w,
             out_hw,
-        } => conv2d_packed_batched_into(
-            input, n, *in_c, *in_h, *in_w, packed, bias, params, *out_hw, out,
-        ),
+        } => {
+            let (w, b) = weight_rows(map, *id, rows)?;
+            conv2d_into(
+                input,
+                n,
+                *in_c,
+                *in_h,
+                *in_w,
+                w,
+                Some(b),
+                params,
+                *out_hw,
+                out,
+            );
+        }
         StepKind::QConv {
             q,
             bias,
@@ -475,8 +467,9 @@ fn exec_step(
 /// are warm, the run is allocation-free.
 ///
 /// `run` must be called with the same weights the segment was compiled
-/// against: packed panels and folded batch-norm constants are materialized
-/// from them at compile time.
+/// against: folded batch-norm constants (and, for an int8 compile, quantized
+/// panels) are materialized from them at compile time. Conv, dense and
+/// depthwise rows of an f32 segment are read from the map it is given.
 #[derive(Debug)]
 pub struct CompiledSegment {
     in_len: usize,
@@ -503,7 +496,7 @@ fn arena_lens(steps: &[Step]) -> [usize; 2] {
 impl CompiledSegment {
     /// Compiles one piece of the group `layers` (a consecutive run of merged
     /// layers of `graph`). `spec` selects which slice of the group output
-    /// this piece computes; conv panels are packed through `cache`.
+    /// this piece computes; int8 panels are quantized through `cache`.
     ///
     /// # Errors
     ///
@@ -805,16 +798,6 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    fn conv_weights(&self, id: NodeId) -> Result<(&Tensor, &Tensor)> {
-        match self.weights.get(id)? {
-            NodeWeights::Conv { weight, bias } => Ok((weight, bias)),
-            _ => Err(ModelError::BadWeights(format!(
-                "node {} expected conv weights",
-                id.0
-            ))),
-        }
-    }
-
     fn bn_weights(&self, id: NodeId) -> Result<&BatchNormParams> {
         match self.weights.get(id)? {
             NodeWeights::Bn(p) => Ok(p),
@@ -825,62 +808,19 @@ impl Builder<'_> {
         }
     }
 
-    /// Packs (or fetches) the panel for a conv node's filter rows.
-    fn conv_panel(&mut self, id: NodeId, channels: Option<&Range<usize>>) -> Result<Arc<PackedA>> {
-        if let Some(p) = self.cache.lookup(id, channels) {
-            return Ok(p);
-        }
-        let (w, _) = self.conv_weights(id)?;
-        let dims = w.shape().dims();
-        if dims.len() != 4 {
-            return Err(ModelError::BadWeights(format!(
-                "conv weight must be rank 4, got rank {}",
-                dims.len()
-            )));
-        }
-        let k = dims[1] * dims[2] * dims[3];
-        let rows = tensor_rows(w, channels)?;
-        let panel = PackedA::pack(rows.len() / k.max(1), k, rows);
-        Ok(self.cache.insert(id, channels, panel))
-    }
-
-    /// Quantizes (or fetches) the int8 panel for a conv node's filter rows.
-    fn conv_qpanel(
+    /// Quantizes (or fetches) the int8 panel of rows `channels` of a conv or
+    /// dense node, as a matrix of `k` columns.
+    fn qpanel(
         &mut self,
         id: NodeId,
         channels: Option<&Range<usize>>,
+        k: usize,
     ) -> Result<Arc<QuantizedMatrix>> {
-        if let Some(p) = self.cache.lookup_q(id, channels) {
-            return Ok(p);
-        }
-        let (w, _) = self.conv_weights(id)?;
-        let dims = w.shape().dims();
-        if dims.len() != 4 {
-            return Err(ModelError::BadWeights(format!(
-                "conv weight must be rank 4, got rank {}",
-                dims.len()
-            )));
-        }
-        let k = dims[1] * dims[2] * dims[3];
-        let rows = tensor_rows(w, channels)?;
-        let panel = QuantizedMatrix::quantize(rows.len() / k.max(1), k, rows);
-        Ok(self.cache.insert_q(id, channels, panel))
-    }
-
-    /// Quantizes (or fetches) the int8 panel for a dense node's weight rows.
-    fn dense_qpanel(
-        &mut self,
-        id: NodeId,
-        channels: Option<&Range<usize>>,
-    ) -> Result<Arc<QuantizedMatrix>> {
-        if let Some(p) = self.cache.lookup_q(id, channels) {
-            return Ok(p);
-        }
-        let (w, _) = row_weights(self.weights, id)?;
-        let wd = w.shape().dims();
-        let rows = tensor_rows(w, channels)?;
-        let panel = QuantizedMatrix::quantize(rows.len() / wd[1].max(1), wd[1], rows);
-        Ok(self.cache.insert_q(id, channels, panel))
+        let weights = self.weights;
+        self.cache.panel(id, channels, || {
+            let rows = tensor_rows(row_weights(weights, id)?.0, channels)?;
+            Ok(QuantizedMatrix::quantize(rows.len() / k.max(1), k, rows))
+        })
     }
 
     /// Folds a node's batch-norm parameters, optionally restricted to a
@@ -951,7 +891,7 @@ impl Builder<'_> {
         channels: Option<&Range<usize>>,
     ) -> Result<Vec<usize>> {
         let (in_c, in_h, in_w) = Self::require_chw(dims, "conv2d")?;
-        let (w, b) = self.conv_weights(id)?;
+        let (w, b) = row_weights(self.weights, id)?;
         let wd = w.shape().dims();
         if wd.len() != 4 || wd[1] != in_c || (wd[2], wd[3]) != params.kernel {
             return Err(ModelError::BadWeights(format!(
@@ -962,43 +902,32 @@ impl Builder<'_> {
         let out_hw = conv2d_output_hw((in_h, in_w), &params).ok_or_else(|| {
             ModelError::Unsupported("conv kernel larger than padded input".into())
         })?;
-        let bias = tensor_rows(b, channels)?.to_vec();
-        if self.opts.quantize_weights {
-            let q = self.conv_qpanel(id, channels)?;
-            let out_c = q.rows();
-            let out_dims = vec![out_c, out_hw.0, out_hw.1];
-            let out_len = out_c * out_hw.0 * out_hw.1;
-            self.push(
-                StepKind::QConv {
-                    q,
-                    bias,
-                    params,
-                    in_c,
-                    in_h,
-                    in_w,
-                    out_hw,
-                },
-                out_len,
-            );
-            return Ok(out_dims);
-        }
-        let packed = self.conv_panel(id, channels)?;
-        let out_c = packed.m();
-        let out_dims = vec![out_c, out_hw.0, out_hw.1];
-        let out_len = out_c * out_hw.0 * out_hw.1;
-        self.push(
-            StepKind::Conv {
-                packed,
-                bias,
+        let rows = channels.cloned().unwrap_or(0..wd[0]);
+        let bias = tensor_rows(b, Some(&rows))?;
+        let kind = if self.opts.quantize_weights {
+            StepKind::QConv {
+                bias: bias.to_vec(),
+                q: self.qpanel(id, channels, wd[1] * wd[2] * wd[3])?,
                 params,
                 in_c,
                 in_h,
                 in_w,
                 out_hw,
-            },
-            out_len,
-        );
-        Ok(out_dims)
+            }
+        } else {
+            weight_rows(self.weights, id, &rows)?;
+            StepKind::Conv {
+                id,
+                rows: rows.clone(),
+                params,
+                in_c,
+                in_h,
+                in_w,
+                out_hw,
+            }
+        };
+        self.push(kind, rows.len() * out_hw.0 * out_hw.1);
+        Ok(vec![rows.len(), out_hw.0, out_hw.1])
     }
 
     /// Appends the depthwise step for `id`; `channels` selects a filter
@@ -1181,7 +1110,7 @@ impl Builder<'_> {
         }
         if self.opts.quantize_weights {
             let bias = tensor_rows(b, channels)?.to_vec();
-            let q = self.dense_qpanel(id, channels)?;
+            let q = self.qpanel(id, channels, in_n)?;
             let out_n = q.rows();
             self.push(StepKind::QDense { q, bias }, out_n);
             return Ok(vec![out_n]);
@@ -1737,14 +1666,9 @@ mod tests {
                 assert_bits_eq(out, reference.data(), "spatial piece");
             }
         }
-        // Spatial pieces all use the full filter bank: one panel per conv in
-        // the segment, shared by all six pieces.
-        let convs = seg_layers
-            .iter()
-            .flat_map(|l| l.nodes.iter())
-            .filter(|&&id| matches!(model.graph().node(id).unwrap().op, LayerOp::Conv2d { .. }))
-            .count();
-        assert_eq!(cache.len(), convs);
+        // f32 pieces borrow their filter rows from the live map: nothing is
+        // packed, whatever the spec.
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -2332,41 +2256,42 @@ mod tests {
         let err = rel_l2(out, reference.data());
         assert!(err < 0.05, "quantized forward drifted: rel l2 {err}");
 
-        // Int8 panels are ~4x smaller than packed f32 panels. Compare over
-        // the conv prefix only: the f32 path never caches dense panels (gemv
-        // reads the live weight map), so the full-model caches hold
-        // different node sets.
-        let spatial: Vec<_> = model
+        // Int8 panels are ~4x smaller than the f32 weights they stand in
+        // for, and one is held per conv and dense node. An f32 compile of the
+        // same model copies none of them.
+        let weighted = |id: &NodeId| {
+            matches!(
+                model.graph().node(*id).unwrap().op,
+                LayerOp::Conv2d { .. } | LayerOp::Dense { .. }
+            )
+        };
+        let nodes: Vec<NodeId> = model
             .layers()
             .iter()
-            .take_while(|l| l.class.supports_spatial())
-            .cloned()
+            .flat_map(|l| &l.nodes)
+            .copied()
             .collect();
+        let f32_bytes: usize = nodes
+            .iter()
+            .filter(|id| weighted(id))
+            .map(|id| 4 * row_weights(&weights, *id).unwrap().0.shape().len())
+            .sum();
+        assert_eq!(cache.len(), nodes.iter().filter(|id| weighted(id)).count());
+        assert!(
+            cache.bytes() * 3 < f32_bytes,
+            "quantized panels {} not ~4x below f32 weights {f32_bytes}",
+            cache.bytes()
+        );
         let mut f32_cache = PanelCache::new();
         CompiledSegment::compile(
             model.graph(),
             &weights,
-            &spatial,
+            model.layers(),
             &PieceSpec::Full,
             &mut f32_cache,
         )
         .unwrap();
-        let mut q_cache = PanelCache::new();
-        CompiledSegment::compile_with(
-            model.graph(),
-            &weights,
-            &spatial,
-            &PieceSpec::Full,
-            &mut q_cache,
-            CompileOptions::int8(),
-        )
-        .unwrap();
-        assert!(
-            q_cache.bytes() * 3 < f32_cache.bytes(),
-            "quantized conv panels {} not ~4x below f32 panels {}",
-            q_cache.bytes(),
-            f32_cache.bytes()
-        );
+        assert_eq!((f32_cache.len(), f32_cache.bytes()), (0, 0));
     }
 
     #[test]

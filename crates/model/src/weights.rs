@@ -88,8 +88,8 @@ impl ModelWeights {
     /// Version stamp of the content: drawn from a process-wide counter at
     /// construction and at every [`ModelWeights::insert`], so two weight sets
     /// with equal stamps hold equal content (one is a move or a clone of the
-    /// other, unmodified since). State derived from the weights — packed
-    /// panels, folded batch norms — is keyed on it; unlike an address it
+    /// other, unmodified since). State derived from the weights — folded
+    /// batch norms, int8 panels — is keyed on it; unlike an address it
     /// travels with a move and is never reused.
     pub fn stamp(&self) -> u64 {
         self.stamp

@@ -1,52 +1,78 @@
-//! Cache-blocked f32 GEMM, matrix–vector products, and the im2col lowering
-//! that route every dense kernel in this crate through one tuned inner loop.
+//! The blocked f32 GEMM driver every convolution lowers to, plus the
+//! matrix–vector products behind `dense` and the LSTM gates.
 //!
-//! All heavy ops (`conv2d`, `dense`, `depthwise_conv2d`, the LSTM gate
-//! matmuls) lower to [`gemm`] / [`gemv`] here. The naive 6-loop kernels they
-//! replace are kept in their modules as `#[cfg(test)]` references.
+//! [`conv_gemm_with_threads`] and [`gemm`] are one driver over two layouts of
+//! the `B` operand: the im2col matrix of a CHW image, which is never
+//! materialised, and an explicit row-major matrix. The naive kernels the
+//! driver replaces live on in `ops` as test-only references.
+//!
+//! # What is packed where
+//!
+//! The driver walks `NC` columns → `KC` reduction steps → batch items. For
+//! each such block it packs `KC × NC` values of `B` into `NR`-wide
+//! micro-panels in one bounded per-thread buffer
+//! ([`Site::PackB`](crate::scratch::Site), at most `KC·NC` floats), straight
+//! from the image or the matrix, and sweeps `MR` rows of `A` at a time over
+//! every panel through one `MR × NR` micro-kernel. `A` — a filter bank — is
+//! read in place from the caller's row-major rows: nothing about it is
+//! copied, at compile time or per call. Batch items share the `A` slab of a
+//! `KC` step while it is cache-hot and write their own output buffers.
 //!
 //! # Determinism contract
 //!
-//! [`gemm`] accumulates each output element strictly in ascending-`k` order,
-//! regardless of the cache-block sizes and regardless of the worker-thread
-//! count (threads split output *rows*; every element is computed entirely by
-//! one thread). Results are therefore bit-identical across `GILLIS_THREADS`
-//! settings, and identical to a naive `acc += a[i][k] * b[k][j]` loop — which
-//! is exactly the accumulation order of the reference convolution kernel, so
-//! the im2col path reproduces it to the last bit (padding taps contribute
-//! explicit `±0.0` additions, which only affect the sign of zero).
+//! Every output element starts from the value the caller put in `C` (zeros
+//! or a bias) and takes one multiply-add per `k`, in ascending order, inside
+//! one thread. A micro-kernel tile holds that element in a register for `KC`
+//! steps and stores it as an `f32` in between, which changes nothing; edge
+//! tiles run the same kernel with fewer rows or on a padded copy of the
+//! tile. So an element's history does not depend on `MR`, `NR`, `KC`, `NC`,
+//! on where the element sits in a tile, on the batch it rode in, or on how
+//! threads split the output: results are bit-identical across
+//! `GILLIS_THREADS` settings and batch widths, and equal to a naive
+//! `acc += a[i][k] * b[k][j]` loop — the accumulation order of the reference
+//! convolution (padding taps are explicit `0.0` entries of `B`, which only
+//! affect the sign of a zero).
 //!
-//! With the `simd` cargo feature enabled *and* the CPU reporting AVX2+FMA at
-//! runtime (see [`crate::simd::simd_active`]), the inner loops switch to
-//! fused-multiply-add kernels. FMA changes rounding, so SIMD results differ
-//! from the scalar kernels by bounded f32 error — but the per-element
-//! ascending-`k` order and one-thread-per-element ownership are preserved,
-//! so results remain bit-identical across `GILLIS_THREADS` settings within
-//! either mode. Set `GILLIS_NO_SIMD=1` to force the scalar path at runtime.
+//! With the `simd` cargo feature enabled *and* AVX2+FMA reported at runtime
+//! (see [`crate::simd::simd_active`]) the multiply-add is fused. That changes
+//! each step's rounding — outputs equal a scalar `f32::mul_add` loop, not
+//! the `mul` + `add` one — and nothing else above. Set `GILLIS_NO_SIMD=1` to
+//! force the scalar kernel at runtime.
 //!
 //! # Threading
 //!
-//! Multi-threaded paths run on the process-wide persistent pool
-//! ([`gillis_pool::Pool::global`]) instead of spawning OS threads per call.
-//! Small problems skip the pool entirely: below the measured thresholds
+//! Multi-threaded calls run on the process-wide persistent pool
+//! ([`gillis_pool::Pool::global`]). The output is cut into one chunk per
+//! thread along whichever dimension has more micro-tiles — `NR`-aligned
+//! columns when `n` is wide, `MR`-aligned rows otherwise — and each thread
+//! packs only the `B` it consumes. Small problems skip the pool: below
 //! [`GEMM_PAR_MIN_MNK`] / [`GEMV_PAR_MIN_CELLS`] the dispatch overhead
-//! exceeds the parallel win, so [`gemm`] and [`gemv`] stay on the calling
-//! thread (the explicit `*_with_threads` entry points honour the caller's
-//! count unconditionally — results are bit-identical either way).
+//! exceeds the parallel win (the `*_with_threads` entry points honour the
+//! caller's count unconditionally — results are bit-identical either way).
+
+use std::ops::Range;
 
 use gillis_pool::{Pool, Task};
 
-/// k-dimension block: one panel of `B` rows kept hot across the row sweep.
-const KC: usize = 128;
-/// n-dimension block: keeps a `KC`×`NC` panel of `B` (~512 KiB) cache-resident.
-const NC: usize = 1024;
+use crate::scratch::{self, Site};
+
+/// Rows of `A` per micro-kernel tile.
+const MR: usize = 6;
+/// Columns of `B` per micro-kernel tile: two AVX vectors, so a full tile
+/// keeps `2·MR = 12` independent accumulators in flight.
+const NR: usize = 16;
+/// Reduction steps per packed block: one micro-panel (`KC × NR` floats) stays
+/// in L1 while the rows of `A` sweep over it.
+const KC: usize = 256;
+/// Columns per packed block: `KC × NC` floats (512 KiB) is all the working
+/// memory a thread ever holds.
+const NC: usize = 512;
 
 /// Small-GEMM cutoff on `m·n·k` (multiply-add count). Below this the whole
 /// product finishes in roughly the time a pool round trip costs, so [`gemm`]
 /// stays single-threaded. `128·32·32 = 131072` MACs is ~60–100 µs of blocked
 /// kernel on one core — comfortably above batch-dispatch latency but small
-/// enough that splitting it buys nothing. Fixes the dense/LSTM small-matmul
-/// regression margin observed in `BENCH_tensor.json` before thresholds.
+/// enough that splitting it buys nothing.
 pub const GEMM_PAR_MIN_MNK: usize = 1 << 17;
 
 /// Small-GEMV cutoff on `rows·cols` (weight cells). A matrix–vector product
@@ -64,23 +90,469 @@ pub fn gillis_threads() -> usize {
     gillis_pool::gillis_threads()
 }
 
+/// Thread count for `macs` multiply-adds: one below [`GEMM_PAR_MIN_MNK`],
+/// [`gillis_threads`] from there on.
+pub(crate) fn gemm_threads(macs: usize) -> usize {
+    if macs < GEMM_PAR_MIN_MNK {
+        1
+    } else {
+        gillis_threads()
+    }
+}
+
+/// The geometry of a convolution's im2col matrix over one CHW image: row
+/// `(ic·kh + ky)·kw + kx`, column `oy·out_w + ox` is the input value that tap
+/// touches for that output position, or `0.0` where it falls in the padding.
+/// Bottom and right padding are implied by `out_hw`. The
+/// `(channels·kh·kw) × (out_h·out_w)` matrix multiplies against the
+/// `[out_c, in_c·kh·kw]` weight matrix — the weights' native layout.
+#[derive(Debug, Clone, Copy)]
+pub struct Im2col {
+    /// Input channels.
+    pub channels: usize,
+    /// Input height and width.
+    pub in_hw: (usize, usize),
+    /// Kernel height and width.
+    pub kernel: (usize, usize),
+    /// Vertical and horizontal stride.
+    pub stride: (usize, usize),
+    /// Zero rows above and zero columns left of the input.
+    pub pad_tl: (usize, usize),
+    /// Output height and width.
+    pub out_hw: (usize, usize),
+}
+
+impl Im2col {
+    /// Rows of the matrix: the reduction length of the convolution.
+    pub fn k(&self) -> usize {
+        self.channels * self.kernel.0 * self.kernel.1
+    }
+
+    /// Columns of the matrix: output positions.
+    pub fn n(&self) -> usize {
+        self.out_hw.0 * self.out_hw.1
+    }
+
+    /// Whether the matrix is the image itself (a 1×1, stride-1, unpadded
+    /// convolution), so the image can be read as a row-major `B`.
+    pub fn is_image(&self) -> bool {
+        self.kernel == (1, 1)
+            && self.stride == (1, 1)
+            && self.pad_tl == (0, 0)
+            && self.out_hw == self.in_hw
+    }
+
+    /// The taps `(ic, ky, kx)` of rows `r0, r0 + 1, ..` of the matrix. (An
+    /// iterator, because dividing `r` back into a tap costs more than a short
+    /// row of the matrix does.)
+    fn taps(&self, r0: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (kh, kw) = self.kernel;
+        let mut next = (r0 / (kh * kw), r0 / kw % kh, r0 % kw);
+        std::iter::repeat_with(move || {
+            let tap = next;
+            next = match next {
+                (ic, ky, kx) if kx + 1 < kw => (ic, ky, kx + 1),
+                (ic, ky, _) if ky + 1 < kh => (ic, ky + 1, 0),
+                (ic, ..) => (ic + 1, 0, 0),
+            };
+            tap
+        })
+    }
+
+    /// Writes `dst.len()` columns of the row of tap `(ic, ky, kx)` of the
+    /// matrix of `input` into `dst`, starting at output position `(oy, ox0)`,
+    /// padding taps as `0.0`.
+    fn row(
+        &self,
+        input: &[f32],
+        (ic, ky, kx): (usize, usize, usize),
+        (mut oy, mut ox0): (usize, usize),
+        mut dst: &mut [f32],
+    ) {
+        let (in_h, in_w) = self.in_hw;
+        let (sh, sw) = self.stride;
+        let out_w = self.out_hw.1;
+        let plane = &input[ic * in_h * in_w..][..in_h * in_w];
+        // Zero once, then copy what the input covers: cheaper than zeroing
+        // the two ends of every output row.
+        dst.fill(0.0);
+        if self.stride == (1, 1) && out_w == in_w {
+            return self.shifted_row(plane, ky, kx, oy * out_w + ox0, dst);
+        }
+        while !dst.is_empty() {
+            // One output row (or what is left of it) per step.
+            let (seg, rest) = dst.split_at_mut((out_w - ox0).min(dst.len()));
+            let iy = oy * sh + ky;
+            if iy >= self.pad_tl.0 && iy - self.pad_tl.0 < in_h {
+                let src = &plane[(iy - self.pad_tl.0) * in_w..][..in_w];
+                // Output column `ox0 + t` reads input column `ix0 + t·sw`,
+                // which lies inside the row for `t` in `lo .. hi`.
+                let ix0 = (ox0 * sw + kx) as isize - self.pad_tl.1 as isize;
+                // (No division on the stride-1 path: it runs per output row.)
+                let steps = |d: isize| match sw {
+                    1 => d.max(0) as usize,
+                    _ => (d.max(0) as usize).div_ceil(sw),
+                };
+                let lo = steps(-ix0).min(seg.len());
+                let hi = steps(in_w as isize - ix0).min(seg.len());
+                if lo < hi {
+                    let src = &src[(ix0 + (lo * sw) as isize) as usize..];
+                    if sw == 1 {
+                        seg[lo..hi].copy_from_slice(&src[..hi - lo]);
+                    } else {
+                        for (d, x) in seg[lo..hi].iter_mut().zip(src.iter().step_by(sw)) {
+                            *d = *x;
+                        }
+                    }
+                }
+            }
+            (oy, ox0, dst) = (oy + 1, 0, rest);
+        }
+    }
+
+    /// [`Im2col::row`] from column `j0` on when stride is 1 and the output is
+    /// as wide as the input (any "same" convolution and its row slices): the
+    /// row is then the plane shifted by a constant, so it is one copy into
+    /// the zeroed `dst` instead of one per output row — a short plane spends
+    /// more time between those copies than in them — followed by zeroing the
+    /// columns that wrapped around the left or right edge.
+    fn shifted_row(&self, plane: &[f32], ky: usize, kx: usize, j0: usize, dst: &mut [f32]) {
+        let (in_h, w) = self.in_hw;
+        let (top, left) = self.pad_tl;
+        // Column `j` reads `plane[j + shift]`, if its input row is on the
+        // image: that bounds the copy to `lo .. hi`.
+        let shift = (ky as isize - top as isize) * w as isize + kx as isize - left as isize;
+        let lo = (top.saturating_sub(ky) * w).max((-shift).max(0) as usize);
+        let hi = ((in_h + top).saturating_sub(ky) * w)
+            .min((plane.len() as isize - shift).max(0) as usize);
+        let (lo, hi) = (lo.max(j0), hi.min(j0 + dst.len()));
+        if lo >= hi {
+            return;
+        }
+        dst[lo - j0..hi - j0].copy_from_slice(&plane[(lo as isize + shift) as usize..][..hi - lo]);
+        let wrapped = (0..left.saturating_sub(kx)).chain(w - kx.saturating_sub(left).min(w)..w);
+        for ox in wrapped {
+            let first = lo + (ox + w - lo % w) % w;
+            if first < hi {
+                dst[first - j0..hi - j0]
+                    .iter_mut()
+                    .step_by(w)
+                    .for_each(|d| *d = 0.0);
+            }
+        }
+    }
+}
+
+/// Materialises the im2col matrix of `input` in `col` (cleared and resized;
+/// reusing one buffer across calls avoids repeated allocation). Only the int8
+/// convolution still needs the whole matrix: it quantizes `B` per tensor.
+pub fn im2col(input: &[f32], geom: &Im2col, col: &mut Vec<f32>) {
+    let n = geom.n();
+    col.clear();
+    col.resize(geom.k() * n, 0.0);
+    if n > 0 {
+        for (row, tap) in col.chunks_exact_mut(n).zip(geom.taps(0)) {
+            geom.row(input, tap, (0, 0), row);
+        }
+    }
+}
+
+/// Where the driver reads one item's `k × n` operand `B` from.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// An explicit row-major matrix.
+    Matrix,
+    /// The im2col matrix of a CHW image, packed block by block and never
+    /// materialised.
+    Image(&'a Im2col),
+}
+
+impl Operand<'_> {
+    /// Packs rows `k0 .. k0 + kc`, columns `j0 .. j0 + nc` of `input`'s `B`
+    /// into `buf` as `NR`-wide micro-panels: panel `p` holds columns
+    /// `j0 + p·NR ..`, one group of `NR` per row, zeros past `nc`.
+    #[allow(clippy::too_many_arguments)]
+    fn pack(
+        &self,
+        input: &[f32],
+        n: usize,
+        k0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        buf: &mut [f32],
+    ) {
+        let mut scatter = |kk: usize, row: &[f32]| {
+            let mut groups = row.chunks_exact(NR);
+            for (p, cols) in groups.by_ref().enumerate() {
+                buf[(p * kc + kk) * NR..][..NR].copy_from_slice(cols);
+            }
+            let rest = groups.remainder();
+            if !rest.is_empty() {
+                let dst = &mut buf[(nc / NR * kc + kk) * NR..][..NR];
+                dst[..rest.len()].copy_from_slice(rest);
+                dst[rest.len()..].fill(0.0);
+            }
+        };
+        match self {
+            Operand::Matrix => {
+                for kk in 0..kc {
+                    scatter(kk, &input[(k0 + kk) * n + j0..][..nc]);
+                }
+            }
+            Operand::Image(geom) => {
+                let mut row = [0.0f32; NC];
+                let at = (j0 / geom.out_hw.1, j0 % geom.out_hw.1);
+                for (kk, tap) in geom.taps(k0).take(kc).enumerate() {
+                    geom.row(input, tap, at, &mut row[..nc]);
+                    scatter(kk, &row[..nc]);
+                }
+            }
+        }
+    }
+}
+
+/// The output of one driver call, shared by its tasks.
+#[derive(Clone, Copy)]
+struct OutPtr(*mut f32);
+
+// SAFETY: the pointer is only dereferenced in `Driver::block`, and the tasks
+// of one call are handed disjoint (row, column) regions of the buffer it
+// points into (see `Driver::run`), which outlives them: `join_all` returns
+// only once every task has finished.
+unsafe impl Send for OutPtr {}
+// SAFETY: as above — sharing the pointer shares no element.
+unsafe impl Sync for OutPtr {}
+
+/// One call of the driver: `C[item] += A · B[item]` for `batch` items, with
+/// `A` row-major `m × k`, every `B` a `k × n` [`Operand`] over its slice of
+/// `inputs`, and every `C` row-major `m × n` in `out`.
+struct Driver<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &'a [f32],
+    operand: Operand<'a>,
+    inputs: &'a [f32],
+    batch: usize,
+    out: OutPtr,
+}
+
+impl Driver<'_> {
+    /// Runs the whole product on `threads` threads: one chunk of whole
+    /// micro-tiles per thread, along the dimension that has more of them.
+    fn run(&self, threads: usize) {
+        let (m, n) = (self.m, self.n);
+        if m == 0 || n == 0 || self.k == 0 || self.batch == 0 {
+            return;
+        }
+        let by_cols = n.div_ceil(NR) >= m.div_ceil(MR);
+        let (len, tile) = if by_cols { (n, NR) } else { (m, MR) };
+        let threads = threads.clamp(1, len.div_ceil(tile));
+        if threads == 1 {
+            return self.block(0..m, 0..n);
+        }
+        let per = len.div_ceil(tile).div_ceil(threads) * tile;
+        let tasks: Vec<Task> = (0..len)
+            .step_by(per)
+            .map(|lo| -> Task {
+                let chunk = lo..(lo + per).min(len);
+                if by_cols {
+                    Box::new(move || self.block(0..m, chunk))
+                } else {
+                    Box::new(move || self.block(chunk, 0..n))
+                }
+            })
+            .collect();
+        Pool::global().join_all(tasks);
+    }
+
+    /// Computes output rows `rows` × columns `cols` of every item on the
+    /// calling thread. `rows.start` is `MR`-aligned and `cols.start`
+    /// `NR`-aligned, or 0.
+    fn block(&self, rows: Range<usize>, cols: Range<usize>) {
+        let (m, n, k) = (self.m, self.n, self.k);
+        let mut buf = scratch::take(Site::PackB);
+        let need = k.min(KC) * cols.len().min(NC).next_multiple_of(NR);
+        if buf.len() < need {
+            buf.resize(need, 0.0);
+        }
+        let item_len = self.inputs.len() / self.batch;
+        for j0 in cols.clone().step_by(NC) {
+            let nc = NC.min(cols.end - j0);
+            for k0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - k0);
+                for item in 0..self.batch {
+                    let input = &self.inputs[item * item_len..][..item_len];
+                    self.operand.pack(input, n, k0, kc, j0, nc, &mut buf);
+                    let panels = buf[..kc * nc.next_multiple_of(NR)].chunks_exact(kc * NR);
+                    for (p, panel) in panels.enumerate() {
+                        let j = j0 + p * NR;
+                        for i0 in rows.clone().step_by(MR) {
+                            let a = &self.a[i0 * k + k0..];
+                            let (mr, nr) = (MR.min(rows.end - i0), NR.min(cols.end - j));
+                            // SAFETY: `a` holds rows `i0 .. i0 + mr` of `A`
+                            // from column `k0` on at stride `k`, `panel` is
+                            // `kc × NR`, and the tile — `mr` rows of `nr`
+                            // elements at stride `n` from element
+                            // `(item, i0, j)` — lies inside this task's
+                            // region of `out`, which no other task touches.
+                            unsafe {
+                                let c = self.out.0.add((item * m + i0) * n + j);
+                                tile(mr, nr, kc, a, k, panel, c, n);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        scratch::put(Site::PackB, buf);
+    }
+}
+
+/// Calls the `$mr`-row instance of a micro-kernel.
+macro_rules! micro_rows {
+    ($mr:expr, $kernel:ident, $args:tt) => {
+        match $mr {
+            1 => $kernel::<1> $args,
+            2 => $kernel::<2> $args,
+            3 => $kernel::<3> $args,
+            4 => $kernel::<4> $args,
+            5 => $kernel::<5> $args,
+            _ => $kernel::<MR> $args,
+        }
+    };
+}
+
+/// Updates one `mr × nr` output tile at `c` (row stride `ldc`) with `kc`
+/// reduction steps: `a` holds the tile's rows of `A` at stride `lda`, `b`
+/// one packed `kc × NR` micro-panel. A tile narrower than `NR` runs the same
+/// kernel on a padded copy, so its elements keep their history.
+///
+/// # Safety
+///
+/// `a` must hold `(mr - 1)·lda + kc` elements and `b` `kc·NR`, with
+/// `1 <= mr <= MR`; `c` must be valid for reads and writes of `mr` rows of
+/// `nr <= NR` elements at stride `ldc`, and nothing else may access them
+/// during the call.
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile(
+    mr: usize,
+    nr: usize,
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    c: *mut f32,
+    ldc: usize,
+) {
+    if nr == NR {
+        return micro(mr, kc, a, lda, b, c, ldc);
+    }
+    let mut padded = [0.0f32; MR * NR];
+    for r in 0..mr {
+        std::ptr::copy_nonoverlapping(c.add(r * ldc), padded.as_mut_ptr().add(r * NR), nr);
+    }
+    micro(mr, kc, a, lda, b, padded.as_mut_ptr(), NR);
+    for r in 0..mr {
+        std::ptr::copy_nonoverlapping(padded.as_ptr().add(r * NR), c.add(r * ldc), nr);
+    }
+}
+
+/// One full-width tile through the `mr`-row micro-kernel of the active mode.
+///
+/// # Safety
+///
+/// As [`tile`], with `nr = NR`.
+unsafe fn micro(mr: usize, kc: usize, a: &[f32], lda: usize, b: &[f32], c: *mut f32, ldc: usize) {
+    assert!(a.len() >= (mr - 1) * lda + kc && b.len() >= kc * NR);
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if crate::simd::simd_active() {
+        use crate::simd::micro_fma;
+        // SAFETY: simd_active() verified AVX2+FMA at runtime, the assertion
+        // above the operand lengths, and the caller the tile at `c`.
+        return micro_rows!(mr, micro_fma, (kc, a.as_ptr(), lda, b.as_ptr(), c, ldc));
+    }
+    micro_rows!(mr, micro_scalar, (kc, a, lda, b, c, ldc))
+}
+
+/// The scalar `M × NR` micro-kernel: every element of the tile takes
+/// `acc += a·b` once per `k`, ascending. It works through the tile in two
+/// half-width passes so the `M × NR/2` accumulators fit the sixteen SSE
+/// registers of a baseline x86-64 build.
+///
+/// # Safety
+///
+/// As [`tile`], with `nr = NR`.
+unsafe fn micro_scalar<const M: usize>(
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    c: *mut f32,
+    ldc: usize,
+) {
+    const HALF: usize = NR / 2;
+    for h in [0, HALF] {
+        let mut acc = [[0.0f32; HALF]; M];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc + h), HALF));
+        }
+        for (kk, brow) in b[..kc * NR].chunks_exact(NR).enumerate() {
+            let brow = &brow[h..h + HALF];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = a[r * lda + kk];
+                for (acc, bv) in acc.iter_mut().zip(brow) {
+                    *acc += av * *bv;
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            std::slice::from_raw_parts_mut(c.add(r * ldc + h), HALF).copy_from_slice(acc);
+        }
+    }
+}
+
+/// Checks the operand lengths every entry point shares and runs the driver.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    operand: Operand,
+    inputs: &[f32],
+    batch: usize,
+    c: &mut [f32],
+    threads: usize,
+) {
+    assert_eq!(a.len(), m * k, "A must be m*k");
+    assert_eq!(c.len(), batch * m * n, "C must be m*n per item");
+    let driver = Driver {
+        m,
+        n,
+        k,
+        a,
+        operand,
+        inputs,
+        batch,
+        out: OutPtr(c.as_mut_ptr()),
+    };
+    driver.run(threads);
+}
+
 /// `C += A·B` with `A` row-major `m`×`k`, `B` row-major `k`×`n`, `C`
 /// row-major `m`×`n`. `C` must be pre-initialized by the caller (zeros, or a
-/// broadcast bias), which is how conv/dense fold their bias add into the
-/// accumulation for free.
+/// broadcast bias).
 ///
-/// Uses [`gillis_threads`] workers; see the module docs for the determinism
-/// contract.
+/// Uses [`gillis_threads`] workers above the [`GEMM_PAR_MIN_MNK`] cutoff; see
+/// the module docs for the determinism contract.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let threads = if m.saturating_mul(n).saturating_mul(k) < GEMM_PAR_MIN_MNK {
-        1
-    } else {
-        gillis_threads()
-    };
+    let threads = gemm_threads(m.saturating_mul(n).saturating_mul(k));
     gemm_with_threads(m, n, k, a, b, c, threads);
 }
 
@@ -100,378 +572,38 @@ pub fn gemm_with_threads(
     c: &mut [f32],
     threads: usize,
 ) {
-    assert_eq!(a.len(), m * k, "A must be m*k");
     assert_eq!(b.len(), k * n, "B must be k*n");
-    assert_eq!(c.len(), m * n, "C must be m*n");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, m);
-    if threads == 1 {
-        gemm_rows(n, k, a, b, c);
-        return;
-    }
-    // Contiguous row chunks, one per task: each output element is owned by
-    // exactly one task, so the reduction order never depends on scheduling.
-    let rows_per = m.div_ceil(threads);
-    let tasks: Vec<Task> = a
-        .chunks(rows_per * k)
-        .zip(c.chunks_mut(rows_per * n))
-        .map(|(a_chunk, c_chunk)| -> Task {
-            Box::new(move || gemm_rows(n, k, a_chunk, b, c_chunk))
-        })
-        .collect();
-    Pool::global().join_all(tasks);
+    drive(m, n, k, a, Operand::Matrix, b, 1, c, threads);
 }
 
-/// Micro-panel row height of [`PackedA`]: four `A` rows interleaved per
-/// `k`-step so the packed kernel updates four output rows per sweep of a `B`
-/// panel row.
-const MR: usize = 4;
-/// Register-tile width of the packed micro-kernel: 4×8 accumulators live in
-/// registers across a `KC` block.
-const NR: usize = 8;
-
-/// The `A` operand of [`gemm`] repacked once into cache- and register-
-/// friendly micro-panels, for matrices that are reused across many calls —
-/// convolution filter banks in im2col form, where `A` is the weight matrix.
+/// The convolution GEMM: `C[i] += A · im2col(inputs[i])` for `batch` CHW
+/// images laid out back to back in `inputs`, with `A` the row-major
+/// `m × geom.k()` filter rows and every `C[i]` a row-major `m × geom.n()`
+/// output, back to back in `c` and pre-initialized by the caller (bias).
 ///
-/// Layout: for each `KC`-wide block of `k`, rows are grouped into [`MR`]-high
-/// blocks (a shorter remainder block at the bottom); within a block the
-/// values are stored `k`-major with the block's rows interleaved
-/// (`a[r0][kk], a[r0+1][kk], …`), so the micro-kernel reads one contiguous
-/// little column per `k`-step.
+/// Each item's output is bit-identical to running it alone, at any thread
+/// count (see the module docs).
 ///
-/// [`gemm_packed`] consumes this layout and is bit-identical to [`gemm`] on
-/// the unpacked matrix: packing only rearranges memory, and the kernel
-/// accumulates every output element in the same ascending-`k` order (see the
-/// module's determinism contract).
-#[derive(Debug, Clone)]
-pub struct PackedA {
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn conv_gemm_with_threads(
     m: usize,
-    k: usize,
-    data: Vec<f32>,
-}
-
-impl PackedA {
-    /// Packs the row-major `m`×`k` matrix `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * k`.
-    pub fn pack(m: usize, k: usize, a: &[f32]) -> Self {
-        assert_eq!(a.len(), m * k, "A must be m*k");
-        let mut data = vec![0.0f32; m * k];
-        pack_panels(m, k, a, &mut data);
-        PackedA { m, k, data }
-    }
-
-    /// Row count of the packed matrix.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Column (reduction) count of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Packed size in bytes — what a panel cache accounts against memory.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-}
-
-/// `C += A·B` with a pre-packed `A` (see [`PackedA`]); bit-identical to
-/// [`gemm`] with the unpacked matrix, for any thread count.
-///
-/// Uses the same small-work threshold as [`gemm`]: below
-/// [`GEMM_PAR_MIN_MNK`] multiply-adds the call stays on the calling thread
-/// (no pool dispatch, no task allocation).
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the packed dimensions.
-pub fn gemm_packed(packed: &PackedA, n: usize, b: &[f32], c: &mut [f32]) {
-    let work = packed.m.saturating_mul(n).saturating_mul(packed.k);
-    let threads = if work < GEMM_PAR_MIN_MNK {
-        1
-    } else {
-        gillis_threads()
-    };
-    gemm_packed_with_threads(packed, n, b, c, threads);
-}
-
-/// [`gemm_packed`] with an explicit worker count. Threads split output rows
-/// at [`MR`]-block granularity, so every element is owned by one thread and
-/// results are bit-identical for any count.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the packed dimensions.
-pub fn gemm_packed_with_threads(
-    packed: &PackedA,
-    n: usize,
-    b: &[f32],
+    a: &[f32],
+    geom: &Im2col,
+    inputs: &[f32],
+    batch: usize,
     c: &mut [f32],
     threads: usize,
 ) {
-    let (m, k) = (packed.m, packed.k);
-    assert_eq!(b.len(), k * n, "B must be k*n");
-    assert_eq!(c.len(), m * n, "C must be m*n");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let nblocks = m.div_ceil(MR);
-    let threads = threads.clamp(1, nblocks);
-    if threads == 1 {
-        packed_rows(packed, 0, n, b, c);
-        return;
-    }
-    let rows_per = nblocks.div_ceil(threads) * MR;
-    let tasks: Vec<Task> = c
-        .chunks_mut(rows_per * n)
-        .enumerate()
-        .map(|(t, c_chunk)| -> Task {
-            let row0 = t * rows_per;
-            Box::new(move || packed_rows(packed, row0, n, b, c_chunk))
-        })
-        .collect();
-    Pool::global().join_all(tasks);
-}
-
-/// Writes the [`PackedA`] micro-panel layout of the row-major `m`×`k`
-/// matrix `a` into `data` (length `m * k`).
-fn pack_panels(m: usize, k: usize, a: &[f32], data: &mut [f32]) {
-    debug_assert_eq!(data.len(), m * k);
-    let mut off = 0;
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + KC).min(k);
-        let mut r0 = 0;
-        while r0 < m {
-            let bh = (m - r0).min(MR);
-            for kk in kb..kend {
-                for r in 0..bh {
-                    data[off] = a[(r0 + r) * k + kk];
-                    off += 1;
-                }
-            }
-            r0 += bh;
-        }
-        kb = kend;
-    }
-}
-
-/// Packed kernel over output rows `row0 .. row0 + c.len()/n`. `row0` must be
-/// [`MR`]-aligned (thread chunks split at block boundaries).
-fn packed_rows(packed: &PackedA, row0: usize, n: usize, b: &[f32], c: &mut [f32]) {
-    packed_rows_raw(&packed.data, packed.m, packed.k, row0, n, b, c);
-}
-
-/// [`packed_rows`] over a raw micro-panel buffer — also the engine of the
-/// unpacked SIMD path, which packs a row chunk into scratch on the fly.
-fn packed_rows_raw(
-    data: &[f32],
-    m: usize,
-    k: usize,
-    row0: usize,
-    n: usize,
-    b: &[f32],
-    c: &mut [f32],
-) {
-    debug_assert_eq!(row0 % MR, 0);
-    let row1 = row0 + c.len() / n;
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + KC).min(k);
-        let kc = kend - kb;
-        // Packed data for this k-block starts at m*kb; row block r0 within
-        // it starts r0*kc further (blocks are stored in row order).
-        let block_base = m * kb;
-        let mut nb = 0;
-        while nb < n {
-            let nend = (nb + NC).min(n);
-            let mut r0 = row0;
-            while r0 < row1 {
-                let bh = (row1 - r0).min(MR);
-                let panel = &data[block_base + r0 * kc..block_base + (r0 + bh) * kc];
-                let c_rows = &mut c[(r0 - row0) * n..(r0 - row0 + bh) * n];
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                if crate::simd::simd_active() {
-                    // SAFETY: simd_active() verified AVX2+FMA at runtime.
-                    // Both FMA kernels share one per-element operation
-                    // history, so block grouping never changes rounding.
-                    unsafe {
-                        if bh == MR {
-                            crate::simd::packed_micro_4_fma(panel, kc, kb, n, nb, nend, b, c_rows);
-                        } else {
-                            crate::simd::packed_micro_rem_fma(
-                                panel, bh, kc, kb, n, nb, nend, b, c_rows,
-                            );
-                        }
-                    }
-                    r0 += bh;
-                    continue;
-                }
-                if bh == MR {
-                    packed_micro_4(panel, kc, kb, n, nb, nend, b, c_rows);
-                } else {
-                    packed_micro_rem(panel, bh, kc, kb, n, nb, nend, b, c_rows);
-                }
-                r0 += bh;
-            }
-            nb = nend;
-        }
-        kb = kend;
-    }
-}
-
-/// 4-row register-blocked micro-kernel: 4×[`NR`] accumulators are loaded
-/// from `C`, swept over the `KC` block in ascending-`k` order, and stored
-/// back — one pass over each `B` panel row feeds four output rows, and `C`
-/// traffic drops to once per `KC` block. The accumulators start from the
-/// current `C` values, so per-element accumulation order is exactly that of
-/// [`gemm`].
-#[allow(clippy::too_many_arguments)]
-fn packed_micro_4(
-    panel: &[f32],
-    kc: usize,
-    k0: usize,
-    n: usize,
-    nb: usize,
-    nend: usize,
-    b: &[f32],
-    c_rows: &mut [f32],
-) {
-    let (c0, rest) = c_rows.split_at_mut(n);
-    let (c1, rest) = rest.split_at_mut(n);
-    let (c2, c3) = rest.split_at_mut(n);
-    let mut j = nb;
-    while j + NR <= nend {
-        let mut acc0 = [0.0f32; NR];
-        let mut acc1 = [0.0f32; NR];
-        let mut acc2 = [0.0f32; NR];
-        let mut acc3 = [0.0f32; NR];
-        acc0.copy_from_slice(&c0[j..j + NR]);
-        acc1.copy_from_slice(&c1[j..j + NR]);
-        acc2.copy_from_slice(&c2[j..j + NR]);
-        acc3.copy_from_slice(&c3[j..j + NR]);
-        for kk in 0..kc {
-            let ap = &panel[kk * MR..kk * MR + MR];
-            let brow = &b[(k0 + kk) * n + j..(k0 + kk) * n + j + NR];
-            for t in 0..NR {
-                let bv = brow[t];
-                acc0[t] += ap[0] * bv;
-                acc1[t] += ap[1] * bv;
-                acc2[t] += ap[2] * bv;
-                acc3[t] += ap[3] * bv;
-            }
-        }
-        c0[j..j + NR].copy_from_slice(&acc0);
-        c1[j..j + NR].copy_from_slice(&acc1);
-        c2[j..j + NR].copy_from_slice(&acc2);
-        c3[j..j + NR].copy_from_slice(&acc3);
-        j += NR;
-    }
-    while j < nend {
-        let mut a0 = c0[j];
-        let mut a1 = c1[j];
-        let mut a2 = c2[j];
-        let mut a3 = c3[j];
-        for kk in 0..kc {
-            let ap = &panel[kk * MR..kk * MR + MR];
-            let bv = b[(k0 + kk) * n + j];
-            a0 += ap[0] * bv;
-            a1 += ap[1] * bv;
-            a2 += ap[2] * bv;
-            a3 += ap[3] * bv;
-        }
-        c0[j] = a0;
-        c1[j] = a1;
-        c2[j] = a2;
-        c3[j] = a3;
-        j += 1;
-    }
-}
-
-/// Remainder block (fewer than [`MR`] rows at the bottom of the matrix):
-/// plain axpy sweeps in the same per-element order.
-#[allow(clippy::too_many_arguments)]
-fn packed_micro_rem(
-    panel: &[f32],
-    bh: usize,
-    kc: usize,
-    k0: usize,
-    n: usize,
-    nb: usize,
-    nend: usize,
-    b: &[f32],
-    c_rows: &mut [f32],
-) {
-    for r in 0..bh {
-        let c_row = &mut c_rows[r * n + nb..r * n + nend];
-        for kk in 0..kc {
-            let aik = panel[kk * bh + r];
-            let b_row = &b[(k0 + kk) * n + nb..(k0 + kk) * n + nend];
-            for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += aik * *bv;
-            }
-        }
-    }
-}
-
-/// Sequential blocked kernel over a contiguous chunk of output rows.
-///
-/// Loop order is `kb → nb → i → kk → j`: a `KC`×`NC` panel of `B` stays
-/// cache-hot while all rows sweep over it, and the `j` loop is a pure axpy
-/// over contiguous slices, which the compiler vectorizes. Per output element
-/// the additions happen in ascending-`k` order for any block sizes.
-fn gemm_rows(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::simd_active() {
-        return gemm_rows_fma(n, k, a, b, c);
-    }
-    let m = a.len() / k;
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + KC).min(k);
-        let mut nb = 0;
-        while nb < n {
-            let nend = (nb + NC).min(n);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n + nb..i * n + nend];
-                for kk in kb..kend {
-                    let aik = a_row[kk];
-                    let b_row = &b[kk * n + nb..kk * n + nend];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv += aik * *bv;
-                    }
-                }
-            }
-            nb = nend;
-        }
-        kb = kend;
-    }
-}
-
-/// [`gemm_rows`] for SIMD mode: the plain axpy loop is L1-bandwidth-bound
-/// (it re-streams the `C` and `B` rows every `k` step, so wider multiplies
-/// buy nothing). Instead the row chunk is repacked into micro-panels in a
-/// per-thread scratch buffer and run through the register-blocked FMA
-/// micro-kernels — 4× the register reuse, which is where FMA pays off.
-/// Packing reuses scratch capacity, so the warm path stays allocation-free.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn gemm_rows_fma(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    use crate::scratch::{self, Site};
-    let m = a.len() / k;
-    let mut buf = scratch::take(Site::GemmPack);
-    buf.clear();
-    buf.resize(m * k, 0.0);
-    pack_panels(m, k, a, &mut buf);
-    packed_rows_raw(&buf, m, k, 0, n, b, c);
-    scratch::put(Site::GemmPack, buf);
+    let in_len = geom.channels * geom.in_hw.0 * geom.in_hw.1;
+    assert_eq!(inputs.len(), batch * in_len, "inputs must be batch CHW");
+    let operand = if geom.is_image() {
+        Operand::Matrix
+    } else {
+        Operand::Image(geom)
+    };
+    drive(m, geom.n(), geom.k(), a, operand, inputs, batch, c, threads);
 }
 
 /// `out += W·x` with `W` row-major `rows`×`cols`: the matrix–vector product
@@ -640,174 +772,38 @@ fn gemv_multi_rows(cols: usize, nrhs: usize, w: &[f32], xs: &[f32], outs: &mut [
     }
 }
 
-/// Lowers a CHW image to the im2col matrix for a convolution: row
-/// `(ic·kh + ky)·kw + kx`, column `oy·out_w + ox` holds the input value that
-/// tap touches for that output position, or `0.0` where the tap falls in the
-/// padding. The resulting `(channels·kh·kw)` × `(out_h·out_w)` matrix
-/// multiplies against the `[out_c, in_c·kh·kw]` weight matrix — the weights'
-/// native layout — so `conv2d` is a single [`gemm`].
-///
-/// `col` is cleared and resized; reusing one buffer across calls avoids
-/// repeated allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    input: &[f32],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    kernel: (usize, usize),
-    stride: (usize, usize),
-    pad_top: usize,
-    pad_left: usize,
-    out_hw: (usize, usize),
-    col: &mut Vec<f32>,
-) {
-    let (kh, kw) = kernel;
-    let (out_h, out_w) = out_hw;
-    let n = out_h * out_w;
-    col.clear();
-    col.resize(channels * kh * kw * n, 0.0);
-    im2col_strided(
-        input, channels, in_h, in_w, kernel, stride, pad_top, pad_left, out_hw, col, n, 0,
-    );
-}
-
-/// [`im2col`] writing into a *widened* column matrix: row `r` of this
-/// image's lowering lands at `col[r * row_stride + col0 ..][..out_h*out_w]`.
-/// This is how a batch of `N` inputs assembles one `k × (N·out_hw)` B matrix
-/// for a single widened GEMM — item `i` passes `col0 = i · out_hw`.
-///
-/// The destination region must be pre-zeroed (padding taps are left
-/// untouched, exactly like [`im2col`] after its `resize`).
-///
-/// # Panics
-///
-/// Panics if `col` is too short for the strided layout.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_strided(
-    input: &[f32],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    kernel: (usize, usize),
-    stride: (usize, usize),
-    pad_top: usize,
-    pad_left: usize,
-    out_hw: (usize, usize),
-    col: &mut [f32],
-    row_stride: usize,
-    col0: usize,
-) {
-    let (kh, kw) = kernel;
-    let (sh, sw) = stride;
-    let (out_h, out_w) = out_hw;
-    let (pt, pl) = (pad_top as isize, pad_left as isize);
-    let n = out_h * out_w;
-    let rows = channels * kh * kw;
-    assert!(col0 + n <= row_stride, "column offset past the row stride");
-    assert!(
-        rows == 0 || (rows - 1) * row_stride + col0 + n <= col.len(),
-        "col too short for {rows} strided rows"
-    );
-    let in_plane = in_h * in_w;
-    let mut row_idx = 0;
-    for ic in 0..channels {
-        let in_base = ic * in_plane;
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let base = row_idx * row_stride + col0;
-                let dst = &mut col[base..base + n];
-                row_idx += 1;
-                for oy in 0..out_h {
-                    let iy = (oy * sh) as isize - pt + ky as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue; // stays zero-padded
-                    }
-                    let src_row = in_base + iy as usize * in_w;
-                    let dst_row = &mut dst[oy * out_w..(oy + 1) * out_w];
-                    if sw == 1 {
-                        // Stride-1 columns are a contiguous shifted copy.
-                        let shift = kx as isize - pl; // ix = ox + shift
-                        let ox0 = (-shift).max(0) as usize;
-                        let ox1 = (in_w as isize - shift).clamp(0, out_w as isize) as usize;
-                        if ox0 < ox1 {
-                            let src0 = (ox0 as isize + shift) as usize;
-                            dst_row[ox0..ox1].copy_from_slice(
-                                &input[src_row + src0..src_row + src0 + (ox1 - ox0)],
-                            );
-                        }
-                    } else {
-                        for (ox, d) in dst_row.iter_mut().enumerate() {
-                            let ix = (ox * sw) as isize - pl + kx as isize;
-                            if ix >= 0 && ix < in_w as isize {
-                                *d = input[src_row + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
+/// Bytes of one full packed block: the most scratch the driver ever holds.
+#[cfg(test)]
+pub(crate) const PACKED_BLOCK_BYTES: usize = KC * NC * std::mem::size_of::<f32>();
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Whether f32 kernel outputs may differ from the scalar reference by
-    /// FMA rounding (the `simd` feature is on and the CPU supports it).
-    fn fma_rounding() -> bool {
-        crate::simd::simd_active()
+    use crate::simd::madd;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Documented SIMD accuracy bound (DESIGN.md §12): each output element
-    /// accumulates `k` fused multiply-adds, each contributing at most one
-    /// half-ulp of the running value versus the scalar mul+add kernel, so
-    /// the divergence is bounded by `k · ε · max(1, |value|)` with a safety
-    /// factor of 4.
-    fn simd_tol(k: usize, value: f32) -> f32 {
-        4.0 * f32::EPSILON * k as f32 * value.abs().max(1.0)
-    }
-
-    /// Exact bitwise equality in scalar mode; the documented FMA bound when
-    /// the SIMD kernels are active.
-    fn assert_kernels_agree(
-        want: &[f32],
-        got: &[f32],
-        k: usize,
-    ) -> std::result::Result<(), proptest::TestCaseError> {
-        if fma_rounding() {
-            for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
-                prop_assert!(
-                    (w - g).abs() <= simd_tol(k, *w),
-                    "element {}: {} vs {} (tol {})",
-                    i,
-                    w,
-                    g,
-                    simd_tol(k, *w)
-                );
-            }
-        } else {
-            prop_assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        Ok(())
-    }
-
-    /// Textbook triple loop in the same per-element accumulation order.
+    /// Textbook triple loop with the driver's per-element history.
     fn gemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         for i in 0..m {
             for j in 0..n {
                 let mut acc = c[i * n + j];
                 for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
+                    acc = madd(a[i * k + kk], b[kk * n + j], acc);
                 }
                 c[i * n + j] = acc;
             }
         }
+    }
+
+    fn pseudo(len: usize, seed: u32, mul: u32) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i as u32 ^ seed).wrapping_mul(mul) % 997) as f32 * 1e-3 - 0.5)
+            .collect()
     }
 
     #[test]
@@ -847,6 +843,11 @@ mod tests {
         assert_eq!(out, [11.0, -5.0]);
     }
 
+    /// A dimension drawn near zero or just around `block`.
+    fn around(block: usize) -> impl Strategy<Value = usize> {
+        (0usize..2, 1usize..40).prop_map(move |(far, x)| x + far * (block - 20))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -855,42 +856,35 @@ mod tests {
             (m, n, k) in (1usize..8, 1usize..40, 1usize..20),
             seed in 0u32..1000,
         ) {
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 - 500.0) * 1e-3)
-                .collect();
-            let b: Vec<f32> = (0..k * n)
-                .map(|i| (((i as u32).wrapping_mul(40503).wrapping_add(seed) % 1000) as f32 - 500.0) * 1e-3)
-                .collect();
+            let a = pseudo(m * k, seed, 2654435761);
+            let b = pseudo(k * n, seed, 40503);
             let init: Vec<f32> = (0..m * n).map(|i| (i % 7) as f32 * 0.5).collect();
             let mut want = init.clone();
             gemm_naive(m, n, k, &a, &b, &mut want);
             let mut got = init.clone();
             gemm_with_threads(m, n, k, &a, &b, &mut got, 1);
-            assert_kernels_agree(&want, &got, k)?;
+            prop_assert_eq!(bits(&want), bits(&got));
         }
 
-        /// Satellite coverage: SIMD and scalar GEMM agree within the
-        /// documented bound for every `GILLIS_THREADS` setting the repo
-        /// tests (1, 2, 8). In scalar builds this degenerates to the exact
-        /// bitwise check.
+        /// The driver's history is the naive loop's to the bit — in the
+        /// `simd` build that of the scalar `mul_add` loop — at every thread
+        /// count the repo tests: `m` covers every `MR` remainder under row
+        /// and column chunking, `n` every `NR` remainder and the `NC`
+        /// boundary, `k` the `KC` boundary.
         #[test]
         fn simd_gemm_matches_scalar_reference_across_threads(
-            (m, n, k) in (1usize..10, 1usize..40, 1usize..160),
+            (m, n, k) in (1usize..20, around(NC), around(KC)),
             seed in 0u32..1000,
         ) {
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(747796405) % 997) as f32 * 1e-3 - 0.5)
-                .collect();
-            let b: Vec<f32> = (0..k * n)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(277803737) % 991) as f32 * 1e-3 - 0.5)
-                .collect();
+            let a = pseudo(m * k, seed, 747796405);
+            let b = pseudo(k * n, seed, 277803737);
             let init: Vec<f32> = (0..m * n).map(|i| (i % 3) as f32 * 0.5).collect();
             let mut want = init.clone();
             gemm_naive(m, n, k, &a, &b, &mut want);
             for threads in [1usize, 2, 8] {
                 let mut got = init.clone();
                 gemm_with_threads(m, n, k, &a, &b, &mut got, threads);
-                assert_kernels_agree(&want, &got, k)?;
+                prop_assert_eq!(bits(&want), bits(&got), "threads={}", threads);
             }
         }
 
@@ -899,47 +893,13 @@ mod tests {
             (m, n, k) in (1usize..12, 1usize..30, 1usize..16),
             seed in 0u32..1000,
         ) {
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(747796405) % 997) as f32 * 1e-3 - 0.5)
-                .collect();
-            let b: Vec<f32> = (0..k * n)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(277803737) % 991) as f32 * 1e-3 - 0.5)
-                .collect();
+            let a = pseudo(m * k, seed, 747796405);
+            let b = pseudo(k * n, seed, 277803737);
             let mut c1 = vec![0.25f32; m * n];
             let mut c8 = c1.clone();
             gemm_with_threads(m, n, k, &a, &b, &mut c1, 1);
             gemm_with_threads(m, n, k, &a, &b, &mut c8, 8);
-            prop_assert_eq!(
-                c1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c8.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-
-        #[test]
-        fn packed_gemm_is_bit_identical_to_unpacked(
-            (m, n, k) in (1usize..14, 1usize..40, 1usize..300),
-            seed in 0u32..1000,
-        ) {
-            // m ranges over all MR remainders; k crosses the KC=128 block
-            // boundary; n crosses the NR=8 register-tile remainder.
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(747796405) % 997) as f32 * 1e-3 - 0.5)
-                .collect();
-            let b: Vec<f32> = (0..k * n)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(277803737) % 991) as f32 * 1e-3 - 0.5)
-                .collect();
-            let init: Vec<f32> = (0..m * n).map(|i| (i % 5) as f32 * 0.25).collect();
-            let mut want = init.clone();
-            gemm_with_threads(m, n, k, &a, &b, &mut want, 1);
-            let packed = PackedA::pack(m, k, &a);
-            for threads in [1usize, 2, 8] {
-                let mut got = init.clone();
-                gemm_packed_with_threads(&packed, n, &b, &mut got, threads);
-                // Packed and unpacked kernels are bit-identical in scalar
-                // mode; under SIMD both use FMA but with different sweep
-                // shapes, so they agree to the documented bound instead.
-                assert_kernels_agree(&want, &got, k)?;
-            }
+            prop_assert_eq!(bits(&c1), bits(&c8));
         }
 
         #[test]
@@ -947,83 +907,13 @@ mod tests {
             (rows, cols) in (1usize..24, 1usize..40),
             seed in 0u32..1000,
         ) {
-            let w: Vec<f32> = (0..rows * cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(2891336453) % 1009) as f32 * 1e-3 - 0.5)
-                .collect();
-            let x: Vec<f32> = (0..cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(1181783497) % 1013) as f32 * 1e-3 - 0.5)
-                .collect();
+            let w = pseudo(rows * cols, seed, 2891336453);
+            let x = pseudo(cols, seed, 1181783497);
             let mut out1 = vec![0.125f32; rows];
             let mut out8 = out1.clone();
             gemv_with_threads(rows, cols, &w, &x, &mut out1, 1);
             gemv_with_threads(rows, cols, &w, &x, &mut out8, 8);
-            prop_assert_eq!(
-                out1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out8.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-
-        /// The batching linchpin: a widened-B GEMM (all batch items' column
-        /// blocks side by side) is bit-identical to running the packed GEMM
-        /// once per item, in scalar *and* SIMD mode, for every thread count.
-        /// This holds because every micro-kernel accumulates each output
-        /// column independently with position-invariant rounding (the SIMD
-        /// kernels fuse the scalar column tail, so a column computed in the
-        /// 8-wide FMA tile and one computed in the tail round identically).
-        #[test]
-        fn widened_b_gemm_is_bit_identical_to_per_item(
-            (m, n, k) in (1usize..14, 1usize..24, 1usize..300),
-            batch_sel in 0usize..3,
-            seed in 0u32..1000,
-        ) {
-            let batch = [2usize, 3, 8][batch_sel];
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(747796405) % 997) as f32 * 1e-3 - 0.5)
-                .collect();
-            let packed = PackedA::pack(m, k, &a);
-            let bs: Vec<Vec<f32>> = (0..batch)
-                .map(|q| {
-                    (0..k * n)
-                        .map(|i| {
-                            ((i as u32 ^ seed ^ (q as u32) << 13).wrapping_mul(277803737) % 991)
-                                as f32
-                                * 1e-3
-                                - 0.5
-                        })
-                        .collect()
-                })
-                .collect();
-            // Row-dependent init plays the role of a per-channel bias.
-            let nt = batch * n;
-            let mut wide_b = vec![0.0f32; k * nt];
-            for (q, b) in bs.iter().enumerate() {
-                for r in 0..k {
-                    wide_b[r * nt + q * n..r * nt + (q + 1) * n]
-                        .copy_from_slice(&b[r * n..(r + 1) * n]);
-                }
-            }
-            for threads in [1usize, 2, 8] {
-                let mut per_item = Vec::with_capacity(batch);
-                for b in &bs {
-                    let mut c: Vec<f32> = (0..m * n).map(|i| (i / n % 5) as f32 * 0.25).collect();
-                    gemm_packed_with_threads(&packed, n, b, &mut c, threads);
-                    per_item.push(c);
-                }
-                let mut wide_c: Vec<f32> =
-                    (0..m * nt).map(|i| (i / nt % 5) as f32 * 0.25).collect();
-                gemm_packed_with_threads(&packed, nt, &wide_b, &mut wide_c, threads);
-                for (q, c) in per_item.iter().enumerate() {
-                    for r in 0..m {
-                        let wide_row = &wide_c[r * nt + q * n..r * nt + (q + 1) * n];
-                        let item_row = &c[r * n..(r + 1) * n];
-                        prop_assert_eq!(
-                            wide_row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            item_row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "threads={} item={} row={}", threads, q, r
-                        );
-                    }
-                }
-            }
+            prop_assert_eq!(bits(&out1), bits(&out8));
         }
 
         #[test]
@@ -1033,12 +923,8 @@ mod tests {
             seed in 0u32..1000,
         ) {
             let nrhs = [2usize, 3, 8][nrhs_sel];
-            let w: Vec<f32> = (0..rows * cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(2891336453) % 1009) as f32 * 1e-3 - 0.5)
-                .collect();
-            let xs: Vec<f32> = (0..nrhs * cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(1181783497) % 1013) as f32 * 1e-3 - 0.5)
-                .collect();
+            let w = pseudo(rows * cols, seed, 2891336453);
+            let xs = pseudo(nrhs * cols, seed, 1181783497);
             let mut want = vec![0.0f32; rows * nrhs];
             for q in 0..nrhs {
                 let mut out = vec![0.125f32; rows];
@@ -1050,11 +936,7 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let mut got = vec![0.125f32; rows * nrhs];
                 gemv_multi_with_threads(rows, cols, &w, &xs, &mut got, nrhs, threads);
-                prop_assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "threads={}", threads
-                );
+                prop_assert_eq!(bits(&want), bits(&got), "threads={}", threads);
             }
         }
 
@@ -1063,12 +945,8 @@ mod tests {
             (rows, cols) in (1usize..10, 1usize..70),
             seed in 0u32..1000,
         ) {
-            let w: Vec<f32> = (0..rows * cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(2891336453) % 1009) as f32 * 1e-3 - 0.5)
-                .collect();
-            let x: Vec<f32> = (0..cols)
-                .map(|i| ((i as u32 ^ seed).wrapping_mul(1181783497) % 1013) as f32 * 1e-3 - 0.5)
-                .collect();
+            let w = pseudo(rows * cols, seed, 2891336453);
+            let x = pseudo(cols, seed, 1181783497);
             let mut got = vec![0.0f32; rows];
             gemv(rows, cols, &w, &x, &mut got);
             for r in 0..rows {
@@ -1081,45 +959,44 @@ mod tests {
             }
         }
 
+        /// Every entry of the materialised matrix against the tap it names,
+        /// over strides, asymmetric top/left padding and outputs cut short
+        /// at the bottom/right (a halo slice), through both the stride-1
+        /// copy and the strided gather.
         #[test]
         fn im2col_strided_matches_dense_gather(
             (in_h, in_w) in (3usize..9, 3usize..9),
             (sh, sw) in (1usize..3, 1usize..3),
-            pad in 0usize..2,
+            (pt, pl, pb, pr) in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
         ) {
-            // Cross-check the stride-1 copy fast path against the generic
-            // gather by forcing both code paths over the same geometry.
             let (kh, kw) = (3, 3);
-            let h = in_h + 2 * pad;
-            let w = in_w + 2 * pad;
-            prop_assume!(h >= kh && w >= kw);
-            let out_h = (h - kh) / sh + 1;
-            let out_w = (w - kw) / sw + 1;
+            let (h, w) = (in_h + pt + pb, in_w + pl + pr);
+            let geom = Im2col {
+                channels: 2,
+                in_hw: (in_h, in_w),
+                kernel: (kh, kw),
+                stride: (sh, sw),
+                pad_tl: (pt, pl),
+                out_hw: ((h - kh) / sh + 1, (w - kw) / sw + 1),
+            };
+            let (out_h, out_w) = geom.out_hw;
             let input: Vec<f32> = (0..2 * in_h * in_w).map(|i| i as f32 + 1.0).collect();
-            let mut col = Vec::new();
-            im2col(&input, 2, in_h, in_w, (kh, kw), (sh, sw), pad, pad, (out_h, out_w), &mut col);
+            let mut col = vec![f32::NAN; 3];
+            im2col(&input, &geom, &mut col);
             let n = out_h * out_w;
-            for ic in 0..2 {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let row = &col[((ic * kh + ky) * kw + kx) * n..][..n];
-                        for oy in 0..out_h {
-                            for ox in 0..out_w {
-                                let iy = (oy * sh + ky) as isize - pad as isize;
-                                let ix = (ox * sw + kx) as isize - pad as isize;
-                                let want = if iy >= 0
-                                    && iy < in_h as isize
-                                    && ix >= 0
-                                    && ix < in_w as isize
-                                {
-                                    input[ic * in_h * in_w + iy as usize * in_w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                                prop_assert_eq!(row[oy * out_w + ox], want);
-                            }
-                        }
-                    }
+            prop_assert_eq!(col.len(), geom.k() * n);
+            for (r, row) in col.chunks_exact(n).enumerate() {
+                let (ic, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+                for (j, got) in row.iter().enumerate() {
+                    let iy = (j / out_w * sh + ky) as isize - pt as isize;
+                    let ix = (j % out_w * sw + kx) as isize - pl as isize;
+                    let inside = iy >= 0 && iy < in_h as isize && ix >= 0 && ix < in_w as isize;
+                    let want = if inside {
+                        input[ic * in_h * in_w + iy as usize * in_w + ix as usize]
+                    } else {
+                        0.0
+                    };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "row {} col {}", r, j);
                 }
             }
         }

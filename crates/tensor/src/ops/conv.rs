@@ -103,230 +103,107 @@ pub fn conv2d(
         ))
     })?;
 
-    // Lower to im2col + blocked GEMM: the weight tensor's native
-    // [out_c, in_c*kh*kw] layout is already the A matrix, the column matrix
-    // is B, and the bias pre-initializes C so the accumulation order matches
-    // the reference kernel exactly (see crate::gemm's determinism contract).
-    let input_data = input.data();
-    let weight_data = weight.data();
-    let n_dim = out_h * out_w;
-    let k_dim = in_c * kh * kw;
-    let mut out = vec![0.0f32; out_c * n_dim];
-    if let Some(b) = bias {
-        for (row, &bv) in out.chunks_mut(n_dim).zip(b.data().iter()) {
-            row.fill(bv);
-        }
-    }
-    let pad = params.padding;
-    if (kh, kw) == (1, 1)
-        && params.stride == (1, 1)
-        && (pad.top, pad.bottom, pad.left, pad.right) == (0, 0, 0, 0)
-    {
-        // Pointwise conv: the input already is the im2col matrix.
-        gemm::gemm(out_c, n_dim, k_dim, weight_data, input_data, &mut out);
-    } else {
-        // The column matrix is per-thread scratch: reused across layers and
-        // queries, so steady-state conv allocates nothing but its output.
-        let mut col = scratch::take(scratch::Site::Im2col);
-        gemm::im2col(
-            input_data,
-            in_c,
-            in_h,
-            in_w,
-            params.kernel,
-            params.stride,
-            pad.top,
-            pad.left,
-            (out_h, out_w),
-            &mut col,
-        );
-        gemm::gemm(out_c, n_dim, k_dim, weight_data, &col, &mut out);
-        scratch::put(scratch::Site::Im2col, col);
-    }
+    let mut out = vec![0.0f32; out_c * out_h * out_w];
+    conv2d_into(
+        input.data(),
+        1,
+        in_c,
+        in_h,
+        in_w,
+        weight.data(),
+        bias.map(|b| b.data()),
+        params,
+        (out_h, out_w),
+        &mut out,
+    );
     Tensor::from_vec(Shape::new(vec![out_c, out_h, out_w]), out)
 }
 
-/// Allocation-free convolution over raw buffers with a pre-packed filter
-/// bank — the compiled-partition hot path. `input` is `CHW` data with the
-/// given dimensions, `packed` is the `[out_c, in_c·kh·kw]` weight matrix
-/// packed once via [`gemm::PackedA::pack`], `bias` has `out_c` entries, and
-/// `out` must be exactly `out_c · out_h · out_w` long for the `out_hw`
-/// implied by `params` (callers precompute it via [`conv2d_output_hw`]).
-///
-/// Bit-identical to [`conv2d`] on the same operands: the bias pre-initializes
-/// the output and the packed GEMM accumulates in the same ascending-`k`
-/// order. The im2col matrix lives in per-thread scratch, so a warmed thread
-/// performs no heap allocation here.
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_packed_into(
-    input: &[f32],
-    in_c: usize,
+/// The im2col geometry of `params` over a `[channels, in_h, in_w]` input.
+pub(super) fn lowering(
+    channels: usize,
     in_h: usize,
     in_w: usize,
-    packed: &gemm::PackedA,
-    bias: &[f32],
     params: &Conv2dParams,
     out_hw: (usize, usize),
-    out: &mut [f32],
-) {
-    let (kh, kw) = params.kernel;
-    let (out_h, out_w) = out_hw;
-    let out_c = packed.m();
-    let n_dim = out_h * out_w;
-    let k_dim = in_c * kh * kw;
-    assert_eq!(input.len(), in_c * in_h * in_w, "input must be CHW");
-    assert_eq!(
-        packed.k(),
-        k_dim,
-        "packed weights must be [out_c, in_c*kh*kw]"
-    );
-    assert_eq!(bias.len(), out_c, "bias must be [out_c]");
-    assert_eq!(out.len(), out_c * n_dim, "out must be out_c*out_h*out_w");
-    for (row, &bv) in out.chunks_mut(n_dim).zip(bias.iter()) {
-        row.fill(bv);
-    }
-    let pad = params.padding;
-    if (kh, kw) == (1, 1)
-        && params.stride == (1, 1)
-        && (pad.top, pad.bottom, pad.left, pad.right) == (0, 0, 0, 0)
-    {
-        gemm::gemm_packed(packed, n_dim, input, out);
-    } else {
-        let mut col = scratch::take(scratch::Site::Im2col);
-        gemm::im2col(
-            input,
-            in_c,
-            in_h,
-            in_w,
-            params.kernel,
-            params.stride,
-            pad.top,
-            pad.left,
-            out_hw,
-            &mut col,
-        );
-        gemm::gemm_packed(packed, n_dim, &col, out);
-        scratch::put(scratch::Site::Im2col, col);
+) -> gemm::Im2col {
+    gemm::Im2col {
+        channels,
+        in_hw: (in_h, in_w),
+        kernel: params.kernel,
+        stride: params.stride,
+        pad_tl: (params.padding.top, params.padding.left),
+        out_hw,
     }
 }
 
-/// Batched [`conv2d_packed_into`]: convolves `batch` CHW inputs (laid out
-/// back to back in `inputs`) against one pre-packed filter bank with a
-/// *single* widened GEMM. The im2col lowerings of all items are assembled
-/// side by side into one `k × (batch·out_hw)` B matrix
-/// ([`gemm::im2col_strided`]), so the packed weight panels are streamed once
-/// per `NC` column block instead of once per query — the compute
-/// amortization the batching perf model prices.
+/// Pre-initializes the accumulation: every `n`-long output row starts from its
+/// channel's bias (the rows of item-major outputs cycle through the channels),
+/// or from zero without one.
+pub(super) fn fill_bias(outs: &mut [f32], n: usize, bias: Option<&[f32]>) {
+    match bias {
+        Some(b) if n > 0 => {
+            for (row, &bv) in outs.chunks_exact_mut(n).zip(b.iter().cycle()) {
+                row.fill(bv);
+            }
+        }
+        _ => outs.fill(0.0),
+    }
+}
+
+/// Allocation-free convolution of `batch` CHW inputs (laid out back to back
+/// in `inputs`) over raw buffers — the compiled-partition hot path, and what
+/// [`conv2d`] runs at `batch = 1`. `weight` is the `[out_c, in_c·kh·kw]`
+/// filter rows, borrowed as they lie in the weight tensor, `bias` has `out_c`
+/// entries, and `outs` holds `batch` outputs of `out_c · out_h · out_w` for
+/// the `out_hw` implied by `params` (callers precompute it via
+/// [`conv2d_output_hw`]).
 ///
-/// Bit-identical to `batch` sequential [`conv2d_packed_into`] calls on the
-/// same operands, at any thread count: every output element accumulates in
-/// the same ascending-`k` order with position-independent rounding (the
-/// SIMD kernels use fused multiply-adds in tiles *and* tails, so a column's
-/// rounding does not depend on where it lands in the widened matrix).
-///
-/// `batch == 1` delegates to [`conv2d_packed_into`] directly — no widened
-/// scratch is touched, so the single-query warm path is exactly the pre-batch
-/// code path.
-///
-/// All working memory comes from per-thread scratch sites
-/// ([`scratch::Site::BatchCol`] / [`scratch::Site::BatchOut`]); once those
-/// have grown to the largest batch served, later batched queries allocate
-/// nothing.
+/// The bias pre-initializes each output and [`gemm::conv_gemm_with_threads`]
+/// accumulates onto it, packing the input block by block in bounded
+/// per-thread scratch: no im2col matrix and no copy of the weights exist, and
+/// a warmed thread performs no heap allocation here. Each item's output is
+/// bit-identical to convolving it alone, at any thread count — a batch only
+/// shares the traversal of the filter rows.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_packed_batched_into(
+pub fn conv2d_into(
     inputs: &[f32],
     batch: usize,
     in_c: usize,
     in_h: usize,
     in_w: usize,
-    packed: &gemm::PackedA,
-    bias: &[f32],
+    weight: &[f32],
+    bias: Option<&[f32]>,
     params: &Conv2dParams,
     out_hw: (usize, usize),
     outs: &mut [f32],
 ) {
-    let (kh, kw) = params.kernel;
-    let (out_h, out_w) = out_hw;
-    let out_c = packed.m();
-    let n_dim = out_h * out_w;
-    let k_dim = in_c * kh * kw;
-    let in_len = in_c * in_h * in_w;
-    let out_len = out_c * n_dim;
-    assert_eq!(inputs.len(), batch * in_len, "inputs must be batch CHW");
-    assert_eq!(outs.len(), batch * out_len, "outs must be batch outputs");
-    assert_eq!(bias.len(), out_c, "bias must be [out_c]");
-    assert_eq!(packed.k(), k_dim, "packed weights must match the kernel");
-    if batch == 0 {
-        return;
+    let geom = lowering(in_c, in_h, in_w, params, out_hw);
+    let (n_dim, k_dim) = (geom.n(), geom.k());
+    let out_c = weight.len() / k_dim.max(1);
+    assert_eq!(
+        outs.len(),
+        batch * out_c * n_dim,
+        "outs must be batch outputs"
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), out_c, "bias must be [out_c]");
     }
-    if batch == 1 {
-        conv2d_packed_into(inputs, in_c, in_h, in_w, packed, bias, params, out_hw, outs);
-        return;
-    }
-    let nt = batch * n_dim;
-    // Widened B: every item's im2col lowering, side by side.
-    let mut col = scratch::take(scratch::Site::BatchCol);
-    col.clear();
-    col.resize(k_dim * nt, 0.0);
-    let pad = params.padding;
-    let pointwise = (kh, kw) == (1, 1)
-        && params.stride == (1, 1)
-        && (pad.top, pad.bottom, pad.left, pad.right) == (0, 0, 0, 0);
-    for (i, input) in inputs.chunks_exact(in_len).enumerate() {
-        if pointwise {
-            // The input already is the column matrix (k_dim == in_c rows of
-            // n_dim values); copy its rows into the widened layout.
-            for (r, src) in input.chunks_exact(n_dim).enumerate() {
-                col[r * nt + i * n_dim..r * nt + (i + 1) * n_dim].copy_from_slice(src);
-            }
-        } else {
-            gemm::im2col_strided(
-                input,
-                in_c,
-                in_h,
-                in_w,
-                params.kernel,
-                params.stride,
-                pad.top,
-                pad.left,
-                out_hw,
-                &mut col,
-                nt,
-                i * n_dim,
-            );
-        }
-    }
-    // Widened C, bias-preinitialized exactly like the per-query path.
-    let mut wide = scratch::take(scratch::Site::BatchOut);
-    wide.clear();
-    wide.resize(out_c * nt, 0.0);
-    for (row, &bv) in wide.chunks_mut(nt).zip(bias.iter()) {
-        row.fill(bv);
-    }
-    gemm::gemm_packed(packed, nt, &col, &mut wide);
-    // Scatter each item's columns back to its own CHW output.
-    for (i, out) in outs.chunks_exact_mut(out_len).enumerate() {
-        for (r, dst) in out.chunks_exact_mut(n_dim).enumerate() {
-            dst.copy_from_slice(&wide[r * nt + i * n_dim..r * nt + (i + 1) * n_dim]);
-        }
-    }
-    scratch::put(scratch::Site::BatchCol, col);
-    scratch::put(scratch::Site::BatchOut, wide);
+    fill_bias(outs, n_dim, bias);
+    let macs = (batch * out_c).saturating_mul(n_dim).saturating_mul(k_dim);
+    let threads = gemm::gemm_threads(macs);
+    gemm::conv_gemm_with_threads(out_c, weight, &geom, inputs, batch, outs, threads);
 }
 
 /// Quantized convolution over raw buffers — the hot path of partitions
-/// compiled with int8 weights. Mirrors [`conv2d_packed_into`] but the
-/// filter bank is a [`crate::quant::QuantizedMatrix`] (per-output-channel
-/// scales, quantized once at compile time); the im2col activations are
-/// quantized per-tensor on the fly inside [`crate::quant::qgemm`] and the
+/// compiled with int8 weights. Mirrors [`conv2d_into`] but the filter bank is
+/// a [`crate::quant::QuantizedMatrix`] (per-output-channel scales, quantized
+/// once at compile time); the im2col activations are materialised, because
+/// [`crate::quant::qgemm`] quantizes them per tensor on the fly, and the
 /// int8×int8 products accumulate exactly in `i32`. Output error is bounded
 /// by the quantization steps (see the `quant` module docs); determinism is
 /// exact for any thread count.
@@ -349,104 +226,69 @@ pub fn conv2d_quantized_into(
     out_hw: (usize, usize),
     out: &mut [f32],
 ) {
-    let (kh, kw) = params.kernel;
-    let (out_h, out_w) = out_hw;
+    let geom = lowering(in_c, in_h, in_w, params, out_hw);
     let out_c = qweights.rows();
-    let n_dim = out_h * out_w;
-    let k_dim = in_c * kh * kw;
+    let n_dim = geom.n();
     assert_eq!(input.len(), in_c * in_h * in_w, "input must be CHW");
     assert_eq!(
         qweights.cols(),
-        k_dim,
+        geom.k(),
         "quantized weights must be [out_c, in_c*kh*kw]"
     );
     assert_eq!(bias.len(), out_c, "bias must be [out_c]");
     assert_eq!(out.len(), out_c * n_dim, "out must be out_c*out_h*out_w");
-    for (row, &bv) in out.chunks_mut(n_dim).zip(bias.iter()) {
-        row.fill(bv);
-    }
-    let pad = params.padding;
-    if (kh, kw) == (1, 1)
-        && params.stride == (1, 1)
-        && (pad.top, pad.bottom, pad.left, pad.right) == (0, 0, 0, 0)
-    {
+    fill_bias(out, n_dim, Some(bias));
+    if geom.is_image() {
         crate::quant::qgemm(qweights, n_dim, input, out);
     } else {
         let mut col = scratch::take(scratch::Site::Im2col);
-        gemm::im2col(
-            input,
-            in_c,
-            in_h,
-            in_w,
-            params.kernel,
-            params.stride,
-            pad.top,
-            pad.left,
-            out_hw,
-            &mut col,
-        );
+        gemm::im2col(input, &geom, &mut col);
         crate::quant::qgemm(qweights, n_dim, &col, out);
         scratch::put(scratch::Site::Im2col, col);
     }
 }
 
-/// Reference 6-loop convolution the GEMM path is validated against: same
-/// validation, bias-first accumulation in ascending (ic, ky, kx) tap order,
-/// skipping out-of-bounds taps.
+/// Reference 6-loop convolution the GEMM path is validated against, over raw
+/// buffers: bias first, then one multiply-add of the active mode
+/// ([`crate::simd::madd`]) per tap in ascending (ic, ky, kx) order. A tap in
+/// the padding multiplies an explicit `0.0`, as the lowering has it, so the
+/// two agree to the bit — the sign of a zero included.
 #[cfg(test)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_naive(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    input: &[f32],
+    in_c: usize,
+    in_h: usize,
+    in_w: usize,
+    weight: &[f32],
+    bias: &[f32],
     params: &Conv2dParams,
-) -> Result<Tensor> {
-    let in_dims = input.shape().dims();
-    let w_dims = weight.shape().dims();
-    let (in_c, in_h, in_w) = (in_dims[0], in_dims[1], in_dims[2]);
-    let (out_c, kh, kw) = (w_dims[0], w_dims[2], w_dims[3]);
-    let (out_h, out_w) = conv2d_output_hw((in_h, in_w), params).unwrap();
+    (out_h, out_w): (usize, usize),
+) -> Vec<f32> {
+    let (kh, kw) = params.kernel;
     let (sh, sw) = params.stride;
-    let pt = params.padding.top as isize;
-    let pl = params.padding.left as isize;
-    let in_plane = in_h * in_w;
-    let k_plane = kh * kw;
-    let w_per_out = in_c * k_plane;
-    let input_data = input.data();
-    let weight_data = weight.data();
-
-    let mut out = vec![0.0f32; out_c * out_h * out_w];
-    for oc in 0..out_c {
-        let w_base = oc * w_per_out;
-        let b = bias.map(|b| b.data()[oc]).unwrap_or(0.0);
+    let k_dim = in_c * kh * kw;
+    let mut out = Vec::with_capacity(bias.len() * out_h * out_w);
+    for (oc, &b) in bias.iter().enumerate() {
         for oy in 0..out_h {
-            let iy0 = (oy * sh) as isize - pt;
             for ox in 0..out_w {
-                let ix0 = (ox * sw) as isize - pl;
                 let mut acc = b;
-                for ic in 0..in_c {
-                    let in_base = ic * in_plane;
-                    let wk_base = w_base + ic * k_plane;
-                    for ky in 0..kh {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= in_h as isize {
-                            continue;
-                        }
-                        let row = in_base + iy as usize * in_w;
-                        let wrow = wk_base + ky * kw;
-                        for kx in 0..kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= in_w as isize {
-                                continue;
-                            }
-                            acc += input_data[row + ix as usize] * weight_data[wrow + kx];
-                        }
-                    }
+                for (tap, &w) in weight[oc * k_dim..][..k_dim].iter().enumerate() {
+                    let (ic, ky, kx) = (tap / (kh * kw), tap / kw % kh, tap % kw);
+                    let iy = (oy * sh + ky).wrapping_sub(params.padding.top);
+                    let ix = (ox * sw + kx).wrapping_sub(params.padding.left);
+                    let x = if iy < in_h && ix < in_w {
+                        input[(ic * in_h + iy) * in_w + ix]
+                    } else {
+                        0.0
+                    };
+                    acc = crate::simd::madd(w, x, acc);
                 }
-                out[oc * out_h * out_w + oy * out_w + ox] = acc;
+                out.push(acc);
             }
         }
     }
-    Tensor::from_vec(Shape::new(vec![out_c, out_h, out_w]), out)
+    out
 }
 
 #[cfg(test)]
@@ -462,84 +304,138 @@ mod tests {
         ((i as u32 ^ seed).wrapping_mul(2654435761) % 2001) as f32 * 1e-3 - 1.0
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One convolution shape: `[in_c, in_h, in_w]` → `out_c` filters of
+    /// `kernel`², `stride`, padding (top, bottom, left, right).
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        in_c: usize,
+        out_c: usize,
+        in_hw: (usize, usize),
+        kernel: usize,
+        stride: usize,
+        pad: (usize, usize, usize, usize),
+    }
+
+    /// Holds the driver to the naive reference, to the bit, on `case`: each
+    /// item of a batch of one and of three, at every thread count the repo
+    /// tests, and through [`conv2d_into`]'s own choice of threads.
+    fn check_against_naive(case: Case, seed: u32) {
+        let Case {
+            in_c,
+            out_c,
+            in_hw: (in_h, in_w),
+            kernel,
+            stride,
+            pad: (top, bottom, left, right),
+        } = case;
+        let params = Conv2dParams {
+            kernel: (kernel, kernel),
+            stride: (stride, stride),
+            padding: Padding {
+                top,
+                bottom,
+                left,
+                right,
+            },
+        };
+        let out_hw = conv2d_output_hw((in_h, in_w), &params).expect("case fits its kernel");
+        let geom = lowering(in_c, in_h, in_w, &params, out_hw);
+        let (in_len, out_len) = (in_c * in_h * in_w, out_c * geom.n());
+        let inputs: Vec<f32> = (0..3 * in_len).map(|i| pseudo(i, seed ^ 0x51)).collect();
+        let weight: Vec<f32> = (0..out_c * geom.k())
+            .map(|i| pseudo(i, seed ^ 0xbeef))
+            .collect();
+        let bias: Vec<f32> = (0..out_c).map(|i| pseudo(i, seed ^ 0x77)).collect();
+        let want: Vec<f32> = inputs
+            .chunks_exact(in_len)
+            .flat_map(|x| conv2d_naive(x, in_c, in_h, in_w, &weight, &bias, &params, out_hw))
+            .collect();
+        for batch in [1usize, 3] {
+            let (inputs, want) = (&inputs[..batch * in_len], bits(&want[..batch * out_len]));
+            let mut got = vec![f32::NAN; batch * out_len];
+            conv2d_into(
+                inputs,
+                batch,
+                in_c,
+                in_h,
+                in_w,
+                &weight,
+                Some(&bias),
+                &params,
+                out_hw,
+                &mut got,
+            );
+            assert_eq!(bits(&got), want, "{case:?} batch={batch}");
+            for threads in [1usize, 2, 8] {
+                fill_bias(&mut got, geom.n(), Some(&bias));
+                gemm::conv_gemm_with_threads(
+                    out_c, &weight, &geom, inputs, batch, &mut got, threads,
+                );
+                assert_eq!(bits(&got), want, "{case:?} batch={batch} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_edge_of_the_blocked_driver_matches_the_naive_reference() {
+        let case = |in_c, out_c, in_hw, kernel, stride, pad| Case {
+            in_c,
+            out_c,
+            in_hw,
+            kernel,
+            stride,
+            pad,
+        };
+        let cases = [
+            // Pointwise: the image is the matrix; 25 columns, 7 rows.
+            case(5, 7, (5, 5), 1, 1, (0, 0, 0, 0)),
+            // 1×1 with a stride is not: it gathers.
+            case(4, 6, (9, 7), 1, 2, (0, 0, 0, 0)),
+            // A `Rows` halo piece (no bottom padding) and a `Cols` one (no
+            // left padding) of a 3×3 "same" convolution.
+            case(3, 13, (6, 11), 3, 1, (1, 0, 1, 1)),
+            case(3, 5, (11, 6), 3, 1, (1, 1, 0, 1)),
+            // Fewer than 16 outputs, and a single output row and channel.
+            case(2, 1, (3, 3), 3, 1, (1, 1, 1, 1)),
+            case(6, 4, (5, 5), 5, 2, (2, 1, 0, 2)),
+            // A 7×7 stride-2 stem; 5×5 over more padding than input.
+            case(3, 8, (13, 12), 7, 2, (3, 2, 3, 3)),
+            case(1, 3, (2, 2), 5, 1, (2, 2, 2, 2)),
+            // k = 270 crosses KC; n = 23² = 529 crosses NC.
+            case(30, 7, (6, 5), 3, 1, (1, 1, 1, 1)),
+            case(2, 11, (23, 23), 3, 1, (1, 1, 1, 1)),
+            case(2, 3, (47, 46), 3, 2, (0, 1, 0, 1)),
+        ];
+        for (i, case) in cases.into_iter().enumerate() {
+            check_against_naive(case, 17 * i as u32);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn gemm_path_matches_naive_reference(
-            (in_c, out_c) in (1usize..5, 1usize..5),
-            (in_h, in_w) in (3usize..10, 3usize..10),
-            kernel in 1usize..4,
-            stride in 1usize..3,
-            pad in 0usize..2,
+            (in_c, out_c) in (1usize..5, 1usize..15),
+            in_hw in (1usize..12, 1usize..12),
+            (kernel, stride) in (0usize..4, 1usize..3),
+            pad in (0usize..4, 0usize..4, 0usize..4, 0usize..4),
             seed in 0u32..1000,
         ) {
-            let params = Conv2dParams::square(kernel, stride, pad);
-            prop_assume!(conv2d_output_hw((in_h, in_w), &params).is_some());
-            let input =
-                Tensor::from_fn(Shape::new(vec![in_c, in_h, in_w]), |i| pseudo(i, seed));
-            let weight = Tensor::from_fn(Shape::new(vec![out_c, in_c, kernel, kernel]), |i| {
-                pseudo(i, seed ^ 0xbeef)
-            });
-            let bias = Tensor::from_fn(Shape::new(vec![out_c]), |i| pseudo(i, seed ^ 0x77));
-            let fast = conv2d(&input, &weight, Some(&bias), &params).unwrap();
-            let naive = conv2d_naive(&input, &weight, Some(&bias), &params).unwrap();
-            // The im2col+GEMM path preserves the reference accumulation
-            // order, so the match is exact (up to the sign of zero) in
-            // scalar mode. With the SIMD kernels active, FMA rounding
-            // diverges within the documented bound (DESIGN.md §12).
-            let tol = if crate::simd::simd_active() { 1e-3 } else { 0.0 };
-            prop_assert!(fast.max_abs_diff(&naive).unwrap() <= tol);
+            let kernel = 2 * kernel + 1;
+            prop_assume!(in_hw.0 + pad.0 + pad.1 >= kernel && in_hw.1 + pad.2 + pad.3 >= kernel);
+            check_against_naive(Case { in_c, out_c, in_hw, kernel, stride, pad }, seed);
         }
 
-        #[test]
-        fn packed_into_path_is_bit_identical(
-            (in_c, out_c) in (1usize..5, 1usize..7),
-            (in_h, in_w) in (3usize..10, 3usize..10),
-            kernel in 1usize..4,
-            stride in 1usize..3,
-            pad in 0usize..2,
-            seed in 0u32..1000,
-        ) {
-            let params = Conv2dParams::square(kernel, stride, pad);
-            prop_assume!(conv2d_output_hw((in_h, in_w), &params).is_some());
-            let input =
-                Tensor::from_fn(Shape::new(vec![in_c, in_h, in_w]), |i| pseudo(i, seed));
-            let weight = Tensor::from_fn(Shape::new(vec![out_c, in_c, kernel, kernel]), |i| {
-                pseudo(i, seed ^ 0xbeef)
-            });
-            let bias = Tensor::from_fn(Shape::new(vec![out_c]), |i| pseudo(i, seed ^ 0x77));
-            let want = conv2d(&input, &weight, Some(&bias), &params).unwrap();
-            let out_hw = conv2d_output_hw((in_h, in_w), &params).unwrap();
-            let packed =
-                gemm::PackedA::pack(out_c, in_c * kernel * kernel, weight.data());
-            let mut out = vec![0.0f32; out_c * out_hw.0 * out_hw.1];
-            conv2d_packed_into(
-                input.data(), in_c, in_h, in_w, &packed, bias.data(), &params, out_hw, &mut out,
-            );
-            if crate::simd::simd_active() {
-                // Packed (micro-tile FMA) and unpacked (axpy FMA) kernels
-                // sweep differently, so SIMD mode agrees to the documented
-                // rounding bound rather than bitwise.
-                prop_assert!(
-                    want.data().iter().zip(out.iter()).all(|(w, g)| (w - g).abs() <= 1e-3)
-                );
-            } else {
-                prop_assert_eq!(
-                    want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-            }
-        }
-
-        /// Batched conv over a widened B matrix is bit-identical to running
-        /// the packed per-query kernel once per item — in scalar and SIMD
-        /// mode alike (see the widened-B GEMM proptest in `gemm` for the
-        /// kernel-level argument). Covers the pointwise fast path whenever
-        /// kernel = stride = 1 and pad = 0 is drawn.
+        /// A batch through one call equals its items convolved one by one:
+        /// the batch shares the filter rows of a `KC` step, nothing else.
         #[test]
         fn batched_packed_path_is_bit_identical_to_sequential(
-            (in_c, out_c) in (1usize..5, 1usize..7),
+            (in_c, out_c) in (1usize..5, 1usize..9),
             (in_h, in_w) in (3usize..9, 3usize..9),
             kernel in 1usize..4,
             stride in 1usize..3,
@@ -559,19 +455,16 @@ mod tests {
                 .map(|i| pseudo(i, seed ^ 0xbeef))
                 .collect();
             let bias: Vec<f32> = (0..out_c).map(|i| pseudo(i, seed ^ 0x77)).collect();
-            let packed = gemm::PackedA::pack(out_c, in_c * kernel * kernel, &weight);
             let mut seq = vec![0.0f32; batch * out_len];
             for (x, out) in inputs.chunks(in_len).zip(seq.chunks_mut(out_len)) {
-                conv2d_packed_into(x, in_c, in_h, in_w, &packed, &bias, &params, out_hw, out);
+                conv2d_into(x, 1, in_c, in_h, in_w, &weight, Some(&bias), &params, out_hw, out);
             }
             let mut batched = vec![0.0f32; batch * out_len];
-            conv2d_packed_batched_into(
-                &inputs, batch, in_c, in_h, in_w, &packed, &bias, &params, out_hw, &mut batched,
+            conv2d_into(
+                &inputs, batch, in_c, in_h, in_w, &weight, Some(&bias), &params, out_hw,
+                &mut batched,
             );
-            prop_assert_eq!(
-                seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            prop_assert_eq!(bits(&seq), bits(&batched));
         }
 
         /// The int8 path tracks the f32 convolution within the quantization
@@ -609,6 +502,29 @@ mod tests {
                 prop_assert!((got - want).abs() <= tol, "{} vs {} (tol {})", got, want, tol);
             }
         }
+    }
+
+    #[test]
+    fn a_wide_convolution_holds_one_packed_block_of_scratch() {
+        // 64→128 channels, 3×3, 112×112: the im2col matrix of this layer is
+        // 576 × 12 544 floats (29 MB). On a thread that has run nothing
+        // else, the driver leaves behind one packed block and no more.
+        let peak = std::thread::spawn(|| {
+            let params = Conv2dParams::square(3, 1, 1);
+            let (c, hw) = (64, 112);
+            let geom = lowering(c, hw, hw, &params, (hw, hw));
+            let input = vec![0.5f32; c * hw * hw];
+            let weight = vec![0.25f32; 128 * geom.k()];
+            let mut out = vec![0.0f32; 128 * geom.n()];
+            gemm::conv_gemm_with_threads(128, &weight, &geom, &input, 1, &mut out, 1);
+            // Interior outputs see all 576 taps of 0.5 · 0.25.
+            assert_eq!(out[hw + 1], 72.0);
+            scratch::largest_site_bytes()
+        })
+        .join()
+        .unwrap();
+        assert!(peak > 0, "the driver packs through scratch");
+        assert!(peak <= gemm::PACKED_BLOCK_BYTES, "{peak} bytes of scratch");
     }
 
     #[test]

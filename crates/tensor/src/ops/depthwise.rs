@@ -6,11 +6,10 @@
 //! partitions (it is convolution-like) and channel partitions (it is
 //! channel-local), so it never breaks a group.
 
-use super::conv::conv2d_output_hw;
+use super::conv::{conv2d_output_hw, fill_bias, lowering};
 use super::Conv2dParams;
 use crate::error::TensorError;
 use crate::gemm;
-use crate::scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -90,11 +89,12 @@ pub fn depthwise_conv2d(
 /// compile time, so the per-query call just computes). Bit-identical to
 /// [`depthwise_conv2d`] for any thread count.
 ///
-/// Each channel is an independent 1×(kh·kw) by (kh·kw)×(out_h·out_w)
-/// GEMM over that channel's im2col matrix; channels are split across
-/// worker threads (each channel computed entirely by one thread, so
-/// results are thread-count independent). The per-channel column matrix
-/// lives in per-thread scratch, so warmed threads allocate nothing here.
+/// Each channel is an independent convolution of one input plane with one
+/// filter row — a 1×(kh·kw) by (kh·kw)×(out_h·out_w) product through
+/// [`gemm::conv_gemm_with_threads`], which packs the plane block by block.
+/// Channels are split across worker threads (each channel computed entirely
+/// by one thread, so results are thread-count independent), and warmed
+/// threads allocate nothing here.
 ///
 /// # Panics
 ///
@@ -118,42 +118,18 @@ pub fn depthwise_conv2d_into(
     assert_eq!(x.len(), c * in_plane, "input must be CHW");
     assert_eq!(w.len(), c * k_plane, "weight must be [c, kh, kw]");
     assert_eq!(out.len(), c * n_dim, "out must be c*out_h*out_w");
-    match bias {
-        Some(b) => {
-            assert_eq!(b.len(), c, "bias must be [c]");
-            for (row, &bv) in out.chunks_mut(n_dim).zip(b.iter()) {
-                row.fill(bv);
-            }
-        }
-        None => out.fill(0.0),
+    if let Some(b) = bias {
+        assert_eq!(b.len(), c, "bias must be [c]");
     }
+    fill_bias(out, n_dim, bias);
+    let geom = lowering(1, in_h, in_w, params, (out_h, out_w));
     let channel_block = |ch0: usize, out_block: &mut [f32]| {
-        let mut col = scratch::take(scratch::Site::DepthwiseCol);
         for (off, out_ch) in out_block.chunks_mut(n_dim).enumerate() {
             let ch = ch0 + off;
-            gemm::im2col(
-                &x[ch * in_plane..(ch + 1) * in_plane],
-                1,
-                in_h,
-                in_w,
-                params.kernel,
-                params.stride,
-                params.padding.top,
-                params.padding.left,
-                (out_h, out_w),
-                &mut col,
-            );
-            gemm::gemm_with_threads(
-                1,
-                n_dim,
-                k_plane,
-                &w[ch * k_plane..(ch + 1) * k_plane],
-                &col,
-                out_ch,
-                1,
-            );
+            let plane = &x[ch * in_plane..(ch + 1) * in_plane];
+            let filter = &w[ch * k_plane..(ch + 1) * k_plane];
+            gemm::conv_gemm_with_threads(1, filter, &geom, plane, 1, out_ch, 1);
         }
-        scratch::put(scratch::Site::DepthwiseCol, col);
     };
     // Small-work threshold: below ~GEMM_PAR_MIN_MNK multiply-adds for the
     // whole layer, pool dispatch costs more than the split saves.
@@ -161,11 +137,7 @@ pub fn depthwise_conv2d_into(
         .saturating_mul(n_dim)
         .saturating_mul(k_plane)
         .saturating_mul(2);
-    let threads = if total_macs < gemm::GEMM_PAR_MIN_MNK {
-        1
-    } else {
-        gemm::gillis_threads().clamp(1, c)
-    };
+    let threads = gemm::gemm_threads(total_macs).clamp(1, c.max(1));
     if threads == 1 {
         channel_block(0, out);
     } else {

@@ -15,10 +15,7 @@ mod pool;
 mod rnn;
 
 pub use activation::{relu, relu_into, sigmoid, softmax, softmax_into, tanh};
-pub use conv::{
-    conv2d, conv2d_output_hw, conv2d_packed_batched_into, conv2d_packed_into,
-    conv2d_quantized_into, Conv2dParams,
-};
+pub use conv::{conv2d, conv2d_into, conv2d_output_hw, conv2d_quantized_into, Conv2dParams};
 pub use dense::{dense, dense_into, dense_multi_into};
 pub use depthwise::{depthwise_conv2d, depthwise_conv2d_into};
 pub use norm::{batch_norm, batch_norm_fold, batch_norm_folded_into, BatchNormParams};

@@ -223,7 +223,7 @@ pub fn qgemv(q: &QuantizedMatrix, x: &[f32], out: &mut [f32]) {
 }
 
 /// `C += dequant(Q·quant(B))` with `B` row-major `k`×`n` and `C` row-major
-/// `m`×`n` — the quantized counterpart of `gemm_packed` for convolutions
+/// `m`×`n` — the quantized counterpart of `gemm` for convolutions
 /// whose weights were quantized at compile time. `B` (the im2col matrix) is
 /// quantized per-tensor into a transposed `n`×`k` int8 scratch so every
 /// `(row, column)` pair reduces over two contiguous byte runs.
@@ -256,12 +256,7 @@ pub fn qgemm(q: &QuantizedMatrix, n: usize, b: &[f32], c: &mut [f32]) {
                 }
             }
         }
-        let threads = if m.saturating_mul(n).saturating_mul(k) < crate::gemm::GEMM_PAR_MIN_MNK {
-            1
-        } else {
-            crate::gemm::gillis_threads()
-        }
-        .clamp(1, m);
+        let threads = crate::gemm::gemm_threads(m.saturating_mul(n).saturating_mul(k)).clamp(1, m);
         if threads == 1 {
             qgemm_rows(q, 0, n, &bt, sb, c);
         } else {

@@ -1,7 +1,7 @@
 //! Per-thread scratch arenas for kernel-internal temporaries.
 //!
 //! Every heavy kernel in this crate needs short-lived working memory — the
-//! im2col column matrix of a convolution, the gate pre-activations of an LSTM
+//! packed `B` block of a convolution, the gate pre-activations of an LSTM
 //! step. Allocating those per call puts the allocator (and the kernel page
 //! faults behind it) on the per-query hot path of the fork-join runtime. The
 //! arena here keeps one buffer per *use site* per thread: a kernel takes the
@@ -25,30 +25,22 @@ use std::cell::RefCell;
 /// correct but defeats reuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// im2col column matrix of `conv2d`.
+    /// im2col column matrix of the int8 `conv2d`, which quantizes it whole.
     Im2col = 0,
-    /// Per-channel im2col column matrix of `depthwise_conv2d`.
-    DepthwiseCol = 1,
+    /// Packed `B` block of the f32 GEMM driver: at most `KC·NC` floats.
+    PackB = 1,
     /// LSTM input-to-hidden gate pre-activations.
     LstmGateInput = 2,
     /// LSTM hidden-to-hidden gate pre-activations.
     LstmGateHidden = 3,
     /// LSTM combined gate pre-activations.
     LstmPre = 4,
-    /// Micro-panel repack of a GEMM row chunk (SIMD mode only).
-    GemmPack = 5,
-    /// Widened im2col column matrix of a batched `conv2d` (all batch items
-    /// side by side).
-    BatchCol = 6,
-    /// Widened output matrix of a batched `conv2d` before the per-item
-    /// scatter back into caller buffers.
-    BatchOut = 7,
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
-    BatchGemv = 8,
+    BatchGemv = 5,
 }
 
-const N_SITES: usize = 9;
+const N_SITES: usize = 6;
 
 /// A per-thread set of reusable `f32` buffers, one slot per [`Site`].
 #[derive(Debug, Default)]
@@ -89,6 +81,13 @@ pub fn put(site: Site, buf: Vec<f32>) {
     SCRATCH.with(|s| s.borrow_mut().put(site, buf));
 }
 
+/// Bytes the calling thread's largest scratch buffer holds.
+#[cfg(test)]
+pub(crate) fn largest_site_bytes() -> usize {
+    let cap = |s: &RefCell<Scratch>| s.borrow().slots.iter().map(Vec::capacity).max();
+    SCRATCH.with(cap).unwrap_or(0) * std::mem::size_of::<f32>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +111,7 @@ mod tests {
         let mut a = s.take(Site::Im2col);
         a.resize(16, 1.0);
         s.put(Site::Im2col, a);
-        let b = s.take(Site::DepthwiseCol);
+        let b = s.take(Site::PackB);
         assert_eq!(b.capacity(), 0);
     }
 

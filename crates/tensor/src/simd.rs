@@ -7,8 +7,9 @@
 //! cache blocks — so results are still bit-identical across `GILLIS_THREADS`
 //! settings and across repeated runs. What changes is the rounding: fused
 //! multiply-add contracts `a*b + c` into one correctly-rounded operation,
-//! so SIMD outputs differ from the scalar kernels by normal f32 rounding
-//! (bounded by the relative-error proptests in `gemm.rs`).
+//! so SIMD outputs differ from the scalar kernels by normal f32 rounding:
+//! the GEMM driver's equal a scalar `f32::mul_add` loop to the bit, the
+//! row dot's stay within the bound the proptests in `gemm.rs` check.
 //!
 //! # Dispatch
 //!
@@ -99,118 +100,45 @@ mod avx2 {
         total
     }
 
-    /// FMA variant of the 4×8 packed micro-kernel (`gemm::packed_micro_4`):
-    /// the 8 register-tile columns map one-to-one onto AVX lanes, four
-    /// accumulator vectors sweep the `KC` block in ascending-`k` order.
-    #[allow(clippy::too_many_arguments)]
+    /// The `M × 16` FMA micro-kernel of `gemm`'s blocked driver: the tile's
+    /// `2·M` accumulator vectors are loaded from `C`, take one fused
+    /// multiply-add per `k` step in ascending order, and are stored back.
+    /// `b` is one packed micro-panel (`kc` groups of 16 columns); the `M`
+    /// rows of `A` are read in place at stride `lda`. Every instance gives
+    /// an element the same history, so row grouping never changes rounding.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. `a` must be valid for reads of
+    /// `M` rows of `kc` elements at stride `lda`, `b` of `16·kc` elements,
+    /// and `c` for reads and writes of `M` rows of 16 elements at stride
+    /// `ldc` that nothing else accesses during the call.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn packed_micro_4_fma(
-        panel: &[f32],
+    pub unsafe fn micro_fma<const M: usize>(
         kc: usize,
-        k0: usize,
-        n: usize,
-        nb: usize,
-        nend: usize,
-        b: &[f32],
-        c_rows: &mut [f32],
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        c: *mut f32,
+        ldc: usize,
     ) {
-        const NR: usize = 8;
-        let (c0, rest) = c_rows.split_at_mut(n);
-        let (c1, rest) = rest.split_at_mut(n);
-        let (c2, c3) = rest.split_at_mut(n);
-        let mut j = nb;
-        while j + NR <= nend {
-            let mut v0 = _mm256_loadu_ps(c0.as_ptr().add(j));
-            let mut v1 = _mm256_loadu_ps(c1.as_ptr().add(j));
-            let mut v2 = _mm256_loadu_ps(c2.as_ptr().add(j));
-            let mut v3 = _mm256_loadu_ps(c3.as_ptr().add(j));
-            for kk in 0..kc {
-                let ap = panel.as_ptr().add(kk * 4);
-                let vb = _mm256_loadu_ps(b.as_ptr().add((k0 + kk) * n + j));
-                v0 = _mm256_fmadd_ps(_mm256_set1_ps(*ap), vb, v0);
-                v1 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(1)), vb, v1);
-                v2 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(2)), vb, v2);
-                v3 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(3)), vb, v3);
-            }
-            _mm256_storeu_ps(c0.as_mut_ptr().add(j), v0);
-            _mm256_storeu_ps(c1.as_mut_ptr().add(j), v1);
-            _mm256_storeu_ps(c2.as_mut_ptr().add(j), v2);
-            _mm256_storeu_ps(c3.as_mut_ptr().add(j), v3);
-            j += NR;
+        let mut acc = [[_mm256_setzero_ps(); 2]; M];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc[0] = _mm256_loadu_ps(c.add(r * ldc));
+            acc[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
         }
-        // Column tail: scalar *fused* multiply-add, one element of each row
-        // per step. Using `mul_add` keeps the tail's rounding identical to
-        // the 8-wide FMA tiles, so an output element rounds the same way
-        // regardless of its column position mod 8 — the property that makes
-        // batched GEMM over a widened B matrix bit-identical to the
-        // per-query calls it replaces (columns shift position when batches
-        // are laid side by side).
-        while j < nend {
-            let mut a0 = c0[j];
-            let mut a1 = c1[j];
-            let mut a2 = c2[j];
-            let mut a3 = c3[j];
-            for kk in 0..kc {
-                let ap = &panel[kk * 4..kk * 4 + 4];
-                let bv = b[(k0 + kk) * n + j];
-                a0 = ap[0].mul_add(bv, a0);
-                a1 = ap[1].mul_add(bv, a1);
-                a2 = ap[2].mul_add(bv, a2);
-                a3 = ap[3].mul_add(bv, a3);
+        for kk in 0..kc {
+            let b0 = _mm256_loadu_ps(b.add(kk * 16));
+            let b1 = _mm256_loadu_ps(b.add(kk * 16 + 8));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*a.add(r * lda + kk));
+                acc[0] = _mm256_fmadd_ps(av, b0, acc[0]);
+                acc[1] = _mm256_fmadd_ps(av, b1, acc[1]);
             }
-            c0[j] = a0;
-            c1[j] = a1;
-            c2[j] = a2;
-            c3[j] = a3;
-            j += 1;
         }
-    }
-
-    /// FMA variant of the remainder micro-kernel (`gemm::packed_micro_rem`,
-    /// fewer than 4 rows in a block). Uses the *same* per-element operation
-    /// history as `packed_micro_4_fma` — 8-wide FMA tiles from `nb` with a
-    /// scalar fused-multiply-add column tail — so an output element rounds
-    /// identically whether its row lands in a full or remainder block, and
-    /// identically at every column position. That keeps SIMD results
-    /// bit-identical across thread counts, across the packed/unpacked entry
-    /// points, and across batched (widened-B) and per-query execution.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn packed_micro_rem_fma(
-        panel: &[f32],
-        bh: usize,
-        kc: usize,
-        k0: usize,
-        n: usize,
-        nb: usize,
-        nend: usize,
-        b: &[f32],
-        c_rows: &mut [f32],
-    ) {
-        const NR: usize = 8;
-        for r in 0..bh {
-            let c_row = &mut c_rows[r * n..(r + 1) * n];
-            let mut j = nb;
-            while j + NR <= nend {
-                let mut vc = _mm256_loadu_ps(c_row.as_ptr().add(j));
-                for kk in 0..kc {
-                    let va = _mm256_set1_ps(panel[kk * bh + r]);
-                    let vb = _mm256_loadu_ps(b.as_ptr().add((k0 + kk) * n + j));
-                    vc = _mm256_fmadd_ps(va, vb, vc);
-                }
-                _mm256_storeu_ps(c_row.as_mut_ptr().add(j), vc);
-                j += NR;
-            }
-            while j < nend {
-                let mut acc = c_row[j];
-                for kk in 0..kc {
-                    // Fused, like the tiles and like `packed_micro_4_fma`'s
-                    // tail: column position must not change rounding.
-                    acc = panel[kk * bh + r].mul_add(b[(k0 + kk) * n + j], acc);
-                }
-                c_row[j] = acc;
-                j += 1;
-            }
+        for (r, acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(c.add(r * ldc), acc[0]);
+            _mm256_storeu_ps(c.add(r * ldc + 8), acc[1]);
         }
     }
 
@@ -242,10 +170,22 @@ mod avx2 {
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use avx2::{packed_micro_4_fma, packed_micro_rem_fma, row_dot_fma};
+pub(crate) use avx2::{micro_fma, row_dot_fma};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use avx2::dot_i8_avx2;
+
+/// One multiply-add of the active mode — fused when the SIMD kernels run,
+/// `mul` + `add` otherwise. A naive loop over it is the exact reference the
+/// f32 GEMM driver is tested against in either build.
+#[cfg(test)]
+pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
+    if simd_active() {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -281,28 +221,49 @@ mod tests {
         assert!((got - want).abs() < 1e-4, "{got} vs {want}");
     }
 
-    /// The remainder FMA kernel must reproduce the 4-row kernel's
-    /// per-element rounding exactly — that is what keeps SIMD outputs
-    /// independent of how thread chunking groups rows into blocks.
+    /// Every row count of the micro-kernel gives an element the six-row
+    /// kernel's rounding — that is what keeps SIMD outputs independent of
+    /// how thread chunking and the matrix edge group rows into tiles.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[test]
-    fn rem_kernel_matches_micro4_per_element() {
+    fn every_row_count_matches_the_six_row_kernel_per_element() {
         if !simd_active() {
             return;
         }
-        let (kc, n) = (13, 21);
-        let b: Vec<f32> = (0..kc * n).map(|i| (i as f32 * 0.37).sin()).collect();
-        // 4 rows through micro4...
-        let panel4: Vec<f32> = (0..kc * 4).map(|i| (i as f32 * 0.11).cos()).collect();
-        let mut c4 = vec![0.5f32; 4 * n];
-        unsafe { packed_micro_4_fma(&panel4, kc, 0, n, 0, n, &b, &mut c4) };
-        // ...and each row alone through the remainder kernel.
-        for r in 0..4 {
-            let panel1: Vec<f32> = (0..kc).map(|kk| panel4[kk * 4 + r]).collect();
-            let mut c1 = vec![0.5f32; n];
-            unsafe { packed_micro_rem_fma(&panel1, 1, kc, 0, n, 0, n, &b, &mut c1) };
-            for j in 0..n {
-                assert_eq!(c1[j].to_bits(), c4[r * n + j].to_bits(), "row {r} col {j}");
+        let (kc, lda) = (13, 17);
+        let a: Vec<f32> = (0..6 * lda).map(|i| (i as f32 * 0.11).cos()).collect();
+        let b: Vec<f32> = (0..kc * 16).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut six = vec![0.5f32; 6 * 16];
+        unsafe { micro_fma::<6>(kc, a.as_ptr(), lda, b.as_ptr(), six.as_mut_ptr(), 16) };
+        // Each row alone, and the top four together.
+        let mut four = vec![0.5f32; 4 * 16];
+        unsafe { micro_fma::<4>(kc, a.as_ptr(), lda, b.as_ptr(), four.as_mut_ptr(), 16) };
+        assert_eq!(four, six[..4 * 16]);
+        for r in 0..6 {
+            let mut one = vec![0.5f32; 16];
+            unsafe {
+                micro_fma::<1>(
+                    kc,
+                    a[r * lda..].as_ptr(),
+                    lda,
+                    b.as_ptr(),
+                    one.as_mut_ptr(),
+                    16,
+                )
+            };
+            for j in 0..16 {
+                assert_eq!(
+                    one[j].to_bits(),
+                    six[r * 16 + j].to_bits(),
+                    "row {r} col {j}"
+                );
+                let want =
+                    (0..kc).fold(0.5f32, |acc, kk| madd(a[r * lda + kk], b[kk * 16 + j], acc));
+                assert_eq!(
+                    one[j].to_bits(),
+                    want.to_bits(),
+                    "row {r} col {j} vs mul_add"
+                );
             }
         }
     }

@@ -343,8 +343,11 @@ enum WarmSlot {
     /// remembered so the fallback does not re-attempt compilation per query.
     Unsupported,
     /// Compiled against the weight set carrying this
-    /// [`ModelWeights::stamp`]. Compiled state packs and folds weights, so it
-    /// is valid for exactly that content — wherever the set has moved since.
+    /// [`ModelWeights::stamp`]. An f32 plan copies no conv, dense or depthwise
+    /// weight — its steps read the rows of the set each query brings — but it
+    /// does snapshot the folded batch-norm `(scale, shift)` (and an int8 plan
+    /// its quantized panels), so it is valid for exactly that content,
+    /// wherever the set has moved since.
     Ready {
         stamp: u64,
         exec: Box<CompiledPlanExec>,
@@ -406,8 +409,8 @@ pub struct Deployment {
     plan: ExecutionPlan,
     prediction: PlanPrediction,
     policies: PolicyStack,
-    /// Lazily-compiled steady-state execution (packed panels, folded batch
-    /// norms, preallocated arenas); see [`Deployment::infer`].
+    /// Lazily-compiled steady-state execution (folded batch norms,
+    /// preallocated arenas); see [`Deployment::infer`].
     warm: WarmCache,
 }
 
@@ -443,8 +446,8 @@ impl Deployment {
     /// now also exercised through the facade.
     ///
     /// The first query against a weight set compiles the plan
-    /// ([`gillis_core::CompiledPlanExec`]): batch norms are folded, conv
-    /// panels packed, and two activation buffers per piece preallocated.
+    /// ([`gillis_core::CompiledPlanExec`]): batch norms are folded, weight
+    /// row ranges resolved, and two activation buffers per piece preallocated.
     /// Subsequent queries with the same weight content (the same
     /// [`ModelWeights::stamp`], wherever the set lives) reuse that state —
     /// the steady-state warm path runs without heap allocation at pool width

@@ -36,17 +36,22 @@ fn forward(model: &LinearModel, weights: &ModelWeights, x: &Tensor) -> Tensor {
 fn a_weight_set_rebuilt_in_the_same_place_is_never_served_stale_panels() {
     // Every `w` lands on the same stack slot and the allocator hands its heap
     // blocks out again, so an address cannot tell the sets apart; the stamp
-    // can, and each seed compiles against its own weights.
-    let model = zoo::tiny_vgg();
-    let deployment = Gillis::new(model.clone()).deploy().unwrap();
-    let x = query(&model);
-    for seed in 0..4u64 {
-        let w = init_weights(model.graph(), seed).unwrap();
-        let out = deployment.infer(&w, &x).unwrap();
-        assert_bits_eq(&out, &forward(&model, &w, &x), &format!("seed {seed}"));
-        let plan = deployment.warm_plan().expect("tiny-vgg compiles");
-        assert_eq!(plan.weights_stamp, w.stamp());
-        assert_eq!(plan.compiles, seed + 1);
+    // can, and each seed compiles against its own weights. What a compile
+    // snapshots is the folded batch-norm constants: tiny-mobilenet has them
+    // (a stale plan would normalise with the previous seed's), tiny-vgg has
+    // none and must hold all the same.
+    for model in [zoo::tiny_vgg(), zoo::tiny_mobilenet()] {
+        let deployment = Gillis::new(model.clone()).deploy().unwrap();
+        let x = query(&model);
+        for seed in 0..4u64 {
+            let w = init_weights(model.graph(), seed).unwrap();
+            let out = deployment.infer(&w, &x).unwrap();
+            let what = format!("{} seed {seed}", model.name());
+            assert_bits_eq(&out, &forward(&model, &w, &x), &what);
+            let plan = deployment.warm_plan().expect("the model compiles");
+            assert_eq!(plan.weights_stamp, w.stamp(), "{what}");
+            assert_eq!(plan.compiles, seed + 1, "{what}");
+        }
     }
 }
 
