@@ -42,6 +42,7 @@ fn main() {
 
     let mut table = Table::new(&[
         "policy",
+        "pred p99",
         "mean(ms)",
         "p99(ms)",
         "p99 <= T_max",
@@ -56,8 +57,14 @@ fn main() {
             )
             .expect("serving");
         let p99 = report.latency.percentile(99.0);
+        // A fresh, larger Monte-Carlo estimate of what the tail-aware search
+        // constrained (it saw `tail_samples` draws under its own seed).
+        let predicted =
+            gillis_core::predict_latency_quantile(&model, &result.plan, &perf, 0.99, 2000, 5)
+                .expect("tail prediction");
         table.row(vec![
             name.to_string(),
+            format!("{predicted:.0}"),
             format!("{:.0}", report.latency.mean()),
             format!("{p99:.0}"),
             if p99 <= t_max { "yes" } else { "NO" }.to_string(),
@@ -66,5 +73,8 @@ fn main() {
     }
     table.print();
     println!("\nexpectation: both meet the threshold on the mean; only the tail-aware");
-    println!("plan guarantees it at p99, paying a little more per query.");
+    println!("plan is near it at p99, for a little more per query. That plan is the");
+    println!("cheapest the search finds whose 300-draw p99 estimate is inside the SLO, so");
+    println!("a fresh estimate and the served p99 sit at the threshold give or take the");
+    println!("estimate's error (about 1%); the mean-aware plan misses by 5%.");
 }

@@ -7,6 +7,11 @@
 //! anchors: Gillis always meets the SLO with up to 1.8x (VGG) / 1.5x (WRN)
 //! cost savings over BO, which sometimes *misses* SLOs; on VGG-11 Gillis
 //! matches the brute-force optimum.
+//!
+//! `--smoke` runs the `--quick` sizes and exits non-zero unless every SA row
+//! meets its SLO as served, SA's served cost is at most BO's, and — by the
+//! predicted bill, the quantity the searches minimize — brute force is at
+//! most SA wherever it finished un-truncated.
 
 use gillis_bench::Table;
 use gillis_bo::{brute_force, BayesOpt, BoConfig};
@@ -55,8 +60,9 @@ fn fmt(m: &Measured) -> (String, String) {
 
 fn main() {
     // The full paper workload is 100 clients x 1000 queries; pass `--quick`
-    // for a reduced run.
-    let quick = std::env::args().any(|a| a == "--quick");
+    // (or `--smoke`, which also checks the rows) for a reduced run.
+    let (smoke, _) = gillis_bench::bench_args();
+    let quick = smoke || std::env::args().any(|a| a == "--quick");
     let (clients, queries, episodes, bo_iters) = if quick {
         (20, 100, 200, 20)
     } else {
@@ -86,7 +92,9 @@ fn main() {
         "BO cost",
         "BF lat",
         "BF cost",
+        "BF nodes",
     ]);
+    let mut broken: Vec<String> = Vec::new();
     for (model, run_bf) in &cases {
         // SLO pair per model: restrictive (just above the latency-optimal
         // plan's latency) and loose (2.5x that).
@@ -133,37 +141,51 @@ fn main() {
                         .expect("comparable")
                 });
 
-            let (sa_lat, sa_cost) = match &sa {
-                Some(r) => {
-                    let m = serve(model, &r.plan, &platform, t_max, clients, queries);
-                    fmt(&m)
+            let at = format!("{} at {t_max:.0} ms", model.name());
+            let sa_served = sa
+                .as_ref()
+                .map(|r| serve(model, &r.plan, &platform, t_max, clients, queries));
+            let bo_served = bo
+                .as_ref()
+                .map(|r| serve(model, &r.plan, &platform, t_max, clients, queries));
+            if !sa_served.as_ref().is_some_and(|m| m.met) {
+                broken.push(format!("{at}: SA misses the SLO"));
+            }
+            if let (Some(sa), Some(bo)) = (&sa_served, &bo_served) {
+                if sa.billed_ms > bo.billed_ms {
+                    broken.push(format!("{at}: SA costs more than BO"));
                 }
+            }
+            let cells = |m: &Option<Measured>| match m {
+                Some(m) => fmt(m),
                 None => ("fail".into(), "-".into()),
             };
-            let (bo_lat, bo_cost) = match &bo {
-                Some(r) => {
-                    let m = serve(model, &r.plan, &platform, t_max, clients, queries);
-                    fmt(&m)
-                }
-                None => ("fail".into(), "-".into()),
-            };
-            let (bf_lat, bf_cost) = if *run_bf {
-                match brute_force(model, &perf, t_max, &[2, 4, 8, 16], 5_000_000) {
+            let (sa_lat, sa_cost) = cells(&sa_served);
+            let (bo_lat, bo_cost) = cells(&bo_served);
+            let (bf_lat, bf_cost, bf_nodes) = if *run_bf {
+                match brute_force(model, &perf, t_max, &[2, 4, 8, 16], 20_000_000) {
                     Ok(r) => {
                         let m = serve(model, &r.plan, &platform, t_max, clients, queries);
                         let (lat, mut cost) = fmt(&m);
+                        let mut nodes = format!("{:.1}M", r.nodes_expanded as f64 / 1e6);
                         if r.truncated {
                             // Node cap hit: the result is an upper bound,
                             // not the exact optimum (paper: BF on VGG-11
                             // "takes over 24 hours").
                             cost.push('~');
+                            nodes.push_str(" (cap)");
+                        } else if sa
+                            .as_ref()
+                            .is_some_and(|sa| r.predicted.billed_ms > sa.predicted.billed_ms)
+                        {
+                            broken.push(format!("{at}: un-truncated BF predicts more than SA"));
                         }
-                        (lat, cost)
+                        (lat, cost, nodes)
                     }
-                    Err(_) => ("fail".into(), "-".into()),
+                    Err(_) => ("fail".into(), "-".into(), "-".into()),
                 }
             } else {
-                ("-".into(), "-".into())
+                ("-".into(), "-".into(), "-".into())
             };
             table.row(vec![
                 model.name().to_string(),
@@ -174,10 +196,17 @@ fn main() {
                 bo_cost,
                 bf_lat,
                 bf_cost,
+                bf_nodes,
             ]);
         }
     }
     table.print();
     println!("\npaper anchors: SA always meets the SLO, costs <= BO (up to 1.8x cheaper),");
     println!("and matches BF on VGG-11; BO misses tight SLOs on complex models.");
+    if smoke && !broken.is_empty() {
+        for line in &broken {
+            eprintln!("smoke: {line}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -65,17 +65,33 @@ pub fn brute_force(
     max_nodes: u64,
 ) -> Result<BruteForceResult> {
     // Branch-and-bound needs a good incumbent to prune effectively: seed
-    // with the latency-optimal DP plan when it meets the SLO (a valid plan,
-    // so the search remains exact when it completes un-truncated).
+    // with the cheaper of the latency-optimal DP plan, when it meets the
+    // SLO, and the DP's cheapest plan within the SLO over this search's own
+    // degrees — a plan of the space searched, so the search remains exact
+    // when it completes un-truncated.
     let cache = Arc::new(EvalCache::new());
-    let incumbent = gillis_core::DpPartitioner::default()
+    let within_slo = |_: &ExecutionPlan, pred: &PlanPrediction| pred.latency_ms <= t_max_ms;
+    let latency_optimal = gillis_core::DpPartitioner::default()
         .with_cache(Arc::clone(&cache))
         .partition(model, perf)
         .ok()
         .and_then(|plan| {
             let pred = predict_plan_cached(model, &plan, perf, &cache).ok()?;
-            (pred.latency_ms <= t_max_ms).then(|| (pred.billed_ms as f64, plan.groups().to_vec()))
+            within_slo(&plan, &pred).then_some((plan, pred))
         });
+    let cheapest = gillis_core::DpPartitioner::new(gillis_core::PartitionerConfig {
+        degrees: degrees.to_vec(),
+        ..Default::default()
+    })
+    .with_cache(Arc::clone(&cache))
+    .cheapest_within(model, perf, &within_slo)
+    .ok()
+    .flatten();
+    let incumbent = latency_optimal
+        .into_iter()
+        .chain(cheapest)
+        .min_by_key(|(_, pred)| pred.billed_ms)
+        .map(|(plan, pred)| (pred.billed_ms as f64, plan.groups().to_vec()));
     let mut search = Search {
         model,
         perf,
@@ -268,6 +284,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_dp_seed_prunes_the_search_without_moving_the_optimum() {
+        // VGG-11 on Lambda at twice the latency-optimal latency. Seeded with
+        // the latency-optimal plan alone (1118 billed ms) the search found
+        // 562 billed ms after 14,456,743 nodes; the DP's cheapest in-space
+        // plan within the SLO is already that optimum, so the same search
+        // now only proves it.
+        let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
+        let vgg = zoo::vgg11();
+        let lo = gillis_core::DpPartitioner::default()
+            .partition(&vgg, &perf)
+            .unwrap();
+        let t_max = 2.0 * predict_plan(&vgg, &lo, &perf).unwrap().latency_ms;
+        let result = brute_force(&vgg, &perf, t_max, &[2, 4, 8, 16], 14_456_743).unwrap();
+        assert!(!result.truncated);
+        assert_eq!(result.predicted.billed_ms, 562);
+        assert!(result.predicted.latency_ms <= t_max);
+        assert!(
+            result.nodes_expanded < 7_000_000,
+            "{}",
+            result.nodes_expanded
+        );
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //!    baseline re-analyzes every candidate plan it scores. (The DP visits
 //!    each triple once per run, carried from its neighbour by one step of
 //!    the same walk, so it neither reads nor fills this table.)
-//! 2. **Group choices** — Algorithm 1's best worker-only /
-//!    master-participating evaluations `t(group, b)` for a `(i, j,
-//!    budget-bucket)` key, which repeated [`DpPartitioner`](crate::dp)
-//!    invocations (RL incumbent seeding, ablation sweeps, serving loops)
-//!    recompute from scratch.
+//! 2. **Candidate cells** — the candidates Algorithm 1 evaluates for a
+//!    `(i, j, budget)` key: each option under each placement with its
+//!    latency, billed worker time and budget need. A cell holds no
+//!    objective's verdict, so every [`DpPartitioner`](crate::dp) search on
+//!    the cache — latency, pipeline bottleneck, each multiplier of a cost
+//!    sweep — reduces the same cells, and repeated invocations (RL
+//!    incumbent seeding, ablation sweeps, serving loops) build none twice.
 //!
 //! [`EvalCache`] memoizes both behind a [`parking_lot::RwLock`]. Entries are
 //! scoped by content fingerprints of the model (and, for choices, the
@@ -39,9 +41,10 @@ use crate::dp::GroupEval;
 use crate::partition::{analyze_group_with, GroupAnalysis, ModelFlops, PartitionOption};
 use crate::Result;
 
-/// The pair of Algorithm 1 results for one `(group, budget)` cell: best
-/// worker-only choice and best master-participating choice.
-pub type ChoicePair = (Option<GroupEval>, Option<GroupEval>);
+/// One `(group, budget)` cell of the DP's candidate table: the group's
+/// candidates in option order, less those no objective can pick (see
+/// [`crate::dp`]).
+pub type Cell = Arc<[GroupEval]>;
 
 /// Counters describing a cache's effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +55,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Group analyses currently stored.
     pub analyses: usize,
-    /// DP choice pairs currently stored.
+    /// DP candidate cells currently stored.
     pub choices: usize,
 }
 
@@ -62,15 +65,14 @@ struct State {
     flops: HashMap<u64, Arc<ModelFlops>>,
     /// `(model, start, end, option)` → analysis.
     analyses: HashMap<(u64, usize, usize, PartitionOption), Arc<GroupAnalysis>>,
-    /// `(eval scope, i, j, budget bucket)` → Algorithm 1 result. The eval
-    /// scope fingerprints the model, the performance model, and the
-    /// partitioner knobs that shape the result — degrees, master
-    /// participation, memory grid — so distinct configurations occupy
-    /// disjoint key spaces.
-    choices: HashMap<(u64, usize, usize, u64), ChoicePair>,
+    /// `(eval scope, i, j, budget)` → candidate cell. The eval scope
+    /// fingerprints the model, the performance model, and the partitioner
+    /// knobs that shape a cell — degrees, master participation, memory
+    /// grid — so distinct configurations occupy disjoint key spaces.
+    choices: HashMap<(u64, usize, usize, u64), Cell>,
 }
 
-/// A concurrent memoization layer over group analyses and DP group choices.
+/// A concurrent memoization layer over group analyses and DP candidate cells.
 ///
 /// Cheap to share (`Arc`) and safe to use from multiple threads: lookups
 /// take a read lock, inserts a write lock. See the module docs for the
@@ -115,7 +117,7 @@ impl EvalCache {
     /// Content fingerprint of a DP evaluation scope: the model, a probe of
     /// the performance model's prediction surface, and the partitioner
     /// configuration tag ([`crate::dp::PartitionerConfig`] knobs that affect
-    /// Algorithm 1's result).
+    /// Algorithm 1's candidates).
     pub fn eval_key(model: &LinearModel, perf: &PerfModel, config_tag: &[u64]) -> u64 {
         let mut h = DefaultHasher::new();
         Self::model_key(model).hash(&mut h);
@@ -165,15 +167,15 @@ impl EvalCache {
         Ok(Arc::clone(state.analyses.entry(key).or_insert(analysis)))
     }
 
-    /// Looks up the memoized Algorithm 1 result for cell `(i, j)` under
-    /// `budget` bytes in the given evaluation scope.
-    pub fn choice(&self, eval_key: u64, i: usize, j: usize, budget: u64) -> Option<ChoicePair> {
+    /// Looks up the memoized candidates of cell `(i, j)` under `budget`
+    /// bytes in the given evaluation scope.
+    pub fn choice(&self, eval_key: u64, i: usize, j: usize, budget: u64) -> Option<Cell> {
         let found = self
             .state
             .read()
             .choices
             .get(&(eval_key, i, j, budget))
-            .copied();
+            .cloned();
         match found {
             Some(pair) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -186,12 +188,12 @@ impl EvalCache {
         }
     }
 
-    /// Stores an Algorithm 1 result for later [`EvalCache::choice`] lookups.
-    pub fn store_choice(&self, eval_key: u64, i: usize, j: usize, budget: u64, pair: ChoicePair) {
+    /// Stores a cell's candidates for later [`EvalCache::choice`] lookups.
+    pub fn store_choice(&self, eval_key: u64, i: usize, j: usize, budget: u64, cell: Cell) {
         self.state
             .write()
             .choices
-            .insert((eval_key, i, j, budget), pair);
+            .insert((eval_key, i, j, budget), cell);
     }
 
     /// Current hit/miss counters and entry counts.
@@ -321,10 +323,10 @@ mod tests {
         let cache = EvalCache::new();
         let vgg = zoo::vgg11();
         cache.analysis(&vgg, 0, 1, PartitionOption::Single).unwrap();
-        cache.store_choice(7, 0, 1, 1024, (None, None));
+        cache.store_choice(7, 0, 1, 1024, Cell::from(Vec::new()));
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats, CacheStats::default());
-        assert_eq!(cache.choice(7, 0, 1, 1024), None);
+        assert!(cache.choice(7, 0, 1, 1024).is_none());
     }
 }

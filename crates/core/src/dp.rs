@@ -1,11 +1,22 @@
-//! Latency-optimal partitioning by dynamic programming (paper §IV-B).
+//! Plan search by dynamic programming (paper §IV-B): the latency-optimal
+//! partitioner, its pipeline-balancing variant, and the cheapest plan within
+//! a latency SLO.
 //!
 //! The recursion is the paper's `L(i, j, m)` specialized to prefixes:
-//! `L(j, m)` is the optimal latency of serving merged layers `0..j` with
+//! `L(j, m)` is the optimal value of serving merged layers `0..j` with
 //! master memory budget `m`; the last group `i..j` is parallelized with the
 //! best option Algorithm 1 finds, either worker-only (consuming no master
 //! budget) or with master participation (consuming the master partition's
 //! weight bytes from the budget).
+//!
+//! The search is split into *build* and *reduce*. Building walks every group
+//! once and lists its candidates — each option under each placement, with
+//! its predicted latency, billed worker time and budget need. Reducing picks
+//! one worker-only and one master-participating candidate per group under an
+//! objective's value function and runs the recursion over the picks. The
+//! candidate table does not depend on the objective, so every search on one
+//! [`EvalCache`] shares it, and [`DpPartitioner::cheapest_within`] reduces
+//! it many times without analysing a group twice.
 //!
 //! The master budget is discretized on a configurable grid (the paper leaves
 //! this implementation detail open); optimality holds up to one grid step of
@@ -13,14 +24,15 @@
 
 use std::sync::Arc;
 
+use gillis_faas::billing::billed_ms;
 use gillis_model::LinearModel;
 use gillis_perf::PerfModel;
 
-use crate::cache::{ChoicePair, EvalCache};
+use crate::cache::{Cell, EvalCache};
 use crate::error::CoreError;
 use crate::partition::{group_options, GroupWalker, ModelFlops, PartitionOption};
 use crate::plan::{ExecutionPlan, Placement, PlannedGroup};
-use crate::predict::predict_group;
+use crate::predict::{predict_group, predict_plan, predict_plan_cached, PlanPrediction};
 use crate::Result;
 
 /// What a plan search optimizes.
@@ -55,8 +67,8 @@ pub struct PartitionerConfig {
     /// Whether the master may compute partitions (§III-B). Disabling this
     /// forces worker-only placements — the master-participation ablation.
     pub allow_master_participation: bool,
-    /// What the search minimizes: single-query latency (default) or the
-    /// pipeline-stage bottleneck.
+    /// What [`DpPartitioner::partition`] minimizes: single-query latency
+    /// (default) or the pipeline-stage bottleneck.
     pub objective: PlanObjective,
 }
 
@@ -73,29 +85,160 @@ impl Default for PartitionerConfig {
     }
 }
 
-/// The latency-optimal dynamic-programming partitioner.
+/// The dynamic-programming partitioner.
 #[derive(Debug, Clone, Default)]
 pub struct DpPartitioner {
     config: PartitionerConfig,
-    /// Shared memoization layer for the FLOPs table and Algorithm 1 results.
+    /// Shared memoization layer for the FLOPs table and the candidate table.
     cache: Option<Arc<EvalCache>>,
     /// Thread-count override for building the candidate table; `None`
     /// follows `GILLIS_THREADS` / the machine parallelism.
     eval_threads: Option<usize>,
 }
 
-/// Result of Algorithm 1 for one (group, budget-threshold) pair: the best
-/// evaluated latency with the option and placement achieving it.
+/// One candidate of a group: an option under a placement, as Algorithm 1
+/// evaluates it. A cell of the candidate table lists a group's candidates
+/// in [`group_options`] order, worker-only before master-participating.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupEval {
     /// Predicted end-to-end latency of the group under this choice.
     pub latency_ms: f64,
-    /// The winning parallelization option.
+    /// The parallelization option.
     pub option: PartitionOption,
     /// Where the partitions run.
     pub placement: Placement,
     /// Grid steps of master budget this choice consumes.
     pub budget_steps: usize,
+    /// Billed duration summed over the group's workers, each rounded up to
+    /// the platform's billing granularity.
+    pub worker_billed_ms: u64,
+}
+
+/// The value function a reduction ranks candidates and plans by.
+#[derive(Debug, Clone, Copy)]
+enum Objective {
+    /// Σ group latency.
+    Latency,
+    /// max stage time, then Σ stage time; a stage time is the inbound
+    /// hand-off plus the group latency.
+    PipelineBottleneck,
+    /// Σ (billed worker ms + (1 + λ) · group latency): the plan's bill — the
+    /// master is billed for the whole latency — plus λ times its latency,
+    /// the Lagrangian of "cheapest plan with latency ≤ T". The master's
+    /// final round-up to the billing granularity is a constant below one
+    /// granule and is left out.
+    Cost { lambda: f64 },
+}
+
+impl From<PlanObjective> for Objective {
+    fn from(objective: PlanObjective) -> Self {
+        match objective {
+            PlanObjective::Latency => Objective::Latency,
+            PlanObjective::PipelineBottleneck => Objective::PipelineBottleneck,
+        }
+    }
+}
+
+impl Objective {
+    /// What separates a value from a rank for the group starting at layer
+    /// `i`: under the pipeline objective a group's value is its *stage
+    /// time*, the group latency plus the inbound activation hand-off the
+    /// stage pays to receive its input from the upstream stage (zero for the
+    /// first stage, which is fed by the client).
+    fn handoff_ms(self, model: &LinearModel, perf: &PerfModel, i: usize) -> f64 {
+        match self {
+            Objective::PipelineBottleneck if i > 0 => perf.handoff_ms(model.layers()[i].in_bytes()),
+            _ => 0.0,
+        }
+    }
+
+    /// What a candidate is ranked by within its cell. The hand-off is the
+    /// same for every candidate of a cell, so the pipeline objective ranks
+    /// by latency too and adds it to the winners ([`Picks::finish`]).
+    fn rank(self, c: &GroupEval) -> f64 {
+        match self {
+            Objective::Latency | Objective::PipelineBottleneck => c.latency_ms,
+            Objective::Cost { lambda } => c.worker_billed_ms as f64 + (1.0 + lambda) * c.latency_ms,
+        }
+    }
+}
+
+/// A cell reduced under one objective: Algorithm 1's best worker-only and
+/// best master-participating candidate, each with its value.
+#[derive(Debug, Clone, Copy, Default)]
+struct Picks {
+    worker_only: Option<(f64, GroupEval)>,
+    with_master: Option<(f64, GroupEval)>,
+}
+
+impl Picks {
+    /// Offers the cell's next candidate, in option order: the first
+    /// strictly better rank wins the worker-only slot; the master slot
+    /// additionally prefers fewer budget steps at equal rank.
+    fn offer(&mut self, objective: Objective, c: GroupEval) {
+        let rank = objective.rank(&c);
+        if c.placement == Placement::Workers {
+            if self.worker_only.is_none_or(|(best, _)| rank < best) {
+                self.worker_only = Some((rank, c));
+            }
+        } else if self.with_master.is_none_or(|(best, b)| {
+            rank < best || (rank == best && c.budget_steps < b.budget_steps)
+        }) {
+            self.with_master = Some((rank, c));
+        }
+    }
+
+    /// Turns the winners' ranks into the cell's values by adding the
+    /// group's [`Objective::handoff_ms`].
+    fn finish(mut self, handoff_ms: f64) -> Picks {
+        for (value, _) in self.worker_only.iter_mut().chain(&mut self.with_master) {
+            *value += handoff_ms;
+        }
+        self
+    }
+
+    fn of(cell: &[GroupEval], objective: Objective, handoff_ms: f64) -> Picks {
+        let mut picks = Picks::default();
+        for &c in cell {
+            picks.offer(objective, c);
+        }
+        picks.finish(handoff_ms)
+    }
+}
+
+/// Appends `c`, the next candidate in option order, to a cell under
+/// construction unless a listed candidate of its slot makes it unpickable,
+/// and drops the listed candidates `c` makes unpickable. With `p` ahead of
+/// `q` in option order, no reduction picks `q` when `p` is no slower, bills
+/// its workers no more and (master slot) needs no more budget steps — `q`
+/// ranks no better under any objective at any λ ≥ 0 and loses the tie —
+/// and none picks `p` when `q` is *strictly* faster and no worse otherwise.
+/// What stays keeps its order, so every reduction picks as it would over
+/// the full list.
+fn keep_undominated(cell: &mut Vec<GroupEval>, c: GroupEval) {
+    let same_slot =
+        |a: &GroupEval| (a.placement == Placement::Workers) == (c.placement == Placement::Workers);
+    let no_worse = |a: &GroupEval, b: &GroupEval| {
+        a.worker_billed_ms <= b.worker_billed_ms && a.budget_steps <= b.budget_steps
+    };
+    let beaten = |p: &GroupEval| same_slot(p) && p.latency_ms <= c.latency_ms && no_worse(p, &c);
+    if cell.iter().any(beaten) {
+        return;
+    }
+    cell.retain(|q| !(same_slot(q) && c.latency_ms < q.latency_ms && no_worse(&c, q)));
+    cell.push(c);
+}
+
+/// The most Lagrangian probes [`DpPartitioner::cheapest_within`] makes
+/// between its two end plans; each is one reduction of the built table.
+const MAX_COST_PROBES: usize = 30;
+
+/// The memory budget of a search, in bytes and in grid steps.
+#[derive(Clone, Copy)]
+struct Budget {
+    bytes: u64,
+    grid: u64,
+    steps: usize,
 }
 
 impl DpPartitioner {
@@ -108,11 +251,11 @@ impl DpPartitioner {
         }
     }
 
-    /// Attaches a shared [`EvalCache`]: Algorithm 1 results are looked up
-    /// before computing and stored after, so repeated `partition` calls
-    /// skip re-evaluating identical cells, and the model's FLOPs table is
-    /// shared with the other planners on the cache. Plans are identical
-    /// with or without a cache.
+    /// Attaches a shared [`EvalCache`]: a group's candidates are looked up
+    /// before computing and stored after, so repeated searches — under any
+    /// objective — skip re-evaluating identical cells, and the model's
+    /// FLOPs table is shared with the other planners on the cache. Plans
+    /// are identical with or without a cache.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
@@ -136,24 +279,32 @@ impl DpPartitioner {
         self
     }
 
-    /// Fingerprint of the configuration knobs that shape Algorithm 1's
-    /// per-cell result (the memory grid changes `budget_steps`, the degree
-    /// set and master flag change the candidate space, and the objective
-    /// changes what a cell's `latency_ms` *means*: group latency under
-    /// [`PlanObjective::Latency`], stage time — hand-off included — under
-    /// [`PlanObjective::PipelineBottleneck`]). Omitting the objective here
-    /// would let one mode serve poisoned cells to the other through a
-    /// shared [`EvalCache`].
+    /// Fingerprint of the configuration knobs that shape a cell of the
+    /// candidate table: the memory grid changes `budget_steps`, the degree
+    /// set and master flag change the candidate space. The objective is not
+    /// among them — it only decides how a cell is reduced.
     fn config_tag(&self) -> Vec<u64> {
         let mut tag: Vec<u64> = self.config.degrees.iter().map(|&d| d as u64).collect();
         tag.push(u64::from(self.config.allow_master_participation));
         tag.push(self.config.mem_grid_bytes.max(1));
-        tag.push(self.config.objective as u64);
         tag
     }
 
-    /// Finds the latency-optimal plan for `model` on the platform behind
-    /// `perf`.
+    fn budget(&self, perf: &PerfModel) -> Budget {
+        let bytes = self
+            .config
+            .budget_bytes
+            .unwrap_or(perf.platform.model_memory_budget);
+        let grid = self.config.mem_grid_bytes.max(1);
+        Budget {
+            bytes,
+            grid,
+            steps: (bytes / grid) as usize,
+        }
+    }
+
+    /// Finds the optimal plan for `model` on the platform behind `perf`
+    /// under the configured [`PlanObjective`].
     ///
     /// # Errors
     ///
@@ -161,133 +312,119 @@ impl DpPartitioner {
     /// budget (a layer too large for any partitioning option), and
     /// propagates analysis errors.
     pub fn partition(&self, model: &LinearModel, perf: &PerfModel) -> Result<ExecutionPlan> {
-        let n = model.layers().len();
-        if n == 0 {
-            return Ok(ExecutionPlan::new(Vec::new()));
-        }
-        let budget = self
-            .config
-            .budget_bytes
-            .unwrap_or(perf.platform.model_memory_budget);
-        let grid = self.config.mem_grid_bytes.max(1);
-        let steps = (budget / grid) as usize;
-
-        // Hoist the per-layer FLOPs tables: every group analysis below reads
-        // them, and recomputing per (group, option) pair dominates the run.
-        let flops = match &self.cache {
-            Some(cache) => cache.flops(model),
-            None => Arc::new(ModelFlops::new(model)),
-        };
-        // The cache with this search's key into its choice table.
-        let cache = self
-            .cache
-            .as_deref()
-            .map(|c| (c, EvalCache::eval_key(model, perf, &self.config_tag())));
-
-        // columns[j - 1][j - 1 - i]: best worker-only and master-participating
-        // choices (Algorithm 1) for group i..j. A column is one task: its
-        // groups share an end, so one backward walk analyzes them all. The
-        // longest columns are claimed first to keep the pool's tail short.
-        let column =
-            |c: usize| self.column_choices(model, perf, &flops, cache, n - c, budget, grid);
-        let threads = self
-            .eval_threads
-            .unwrap_or_else(gillis_pool::gillis_threads);
-        // A search finishes every column, so a cache that holds the last
-        // column's longest group holds the whole table: n² lookups, which
-        // a pool batch would only slow down.
-        let warm = cache
-            .is_some_and(|(c, key)| c.choice(key, self.shortest_start(n), n, budget).is_some());
-        let mut columns: Vec<Vec<ChoicePair>> = if threads <= 1 || warm {
-            (0..n).map(column).collect()
+        let objective = Objective::from(self.config.objective);
+        let budget = self.budget(perf);
+        let picks = if self.cache.is_some() {
+            reduce(model, perf, &self.table(model, perf, budget), objective)
         } else {
-            gillis_pool::Pool::global().run(n, column)
+            // One objective and nowhere to keep the table: reduce each cell
+            // as its walk step finishes and list nothing.
+            let flops = ModelFlops::new(model);
+            self.columns(model.layers().len(), false, |j| {
+                self.column(
+                    model,
+                    &flops,
+                    j,
+                    |_| None,
+                    |i, walkers| {
+                        let mut picks = Picks::default();
+                        self.candidates(perf, walkers, budget, false, |c| {
+                            picks.offer(objective, c)
+                        });
+                        picks.finish(objective.handoff_ms(model, perf, i))
+                    },
+                )
+            })
         };
-        columns.reverse();
+        search(model, &picks, objective, budget)
+    }
 
-        // L[j][m]: best score for layers 0..j with m grid steps of master
-        // budget; back[j][m] records the chosen group. A score is the
-        // lexicographic pair (Σ group latency, 0) under the latency
-        // objective and (max stage time, Σ stage time) under the pipeline
-        // objective — the second component breaks bottleneck ties toward
-        // the smaller pipeline-fill latency.
-        const INF: f64 = f64::INFINITY;
-        let objective = self.config.objective;
-        let combine = |prev: (f64, f64), cell_ms: f64| -> (f64, f64) {
-            match objective {
-                PlanObjective::Latency => (prev.0 + cell_ms, 0.0),
-                PlanObjective::PipelineBottleneck => (prev.0.max(cell_ms), prev.1 + cell_ms),
-            }
+    /// Finds the cheapest plan — by billed milliseconds — among those the
+    /// search visits that `meets_slo` accepts, or `None` when it accepts
+    /// none of them (it is asked about the latency-optimal plan last, so an
+    /// SLO that plan misses has no answer here).
+    ///
+    /// The search is a Lagrangian relaxation of "minimize the bill subject
+    /// to latency ≤ T" inside the DP: a cell's value becomes
+    /// `billed worker ms + (1 + λ) · latency`, λ = 0 gives the cheapest
+    /// plan outright and λ → ∞ the latency-optimal one. Starting from those
+    /// two, each probe sets λ to the slope between the cheapest rejected
+    /// and the latest accepted plan (the multiplier at which the two tie),
+    /// reduces the already-built table once more, and replaces whichever
+    /// end the new plan falls on, until no new plan appears. The result is
+    /// a vertex of the cost–latency hull, so it can sit above the true
+    /// optimum by a duality gap; `meets_slo` sees every plan with its
+    /// [`predict_plan`] prediction, and only plans it accepted are
+    /// returned. The configured [`PlanObjective`] plays no part. The
+    /// result is a pure function of the arguments at any thread count and
+    /// cache state.
+    ///
+    /// # Errors
+    ///
+    /// As [`DpPartitioner::partition`].
+    pub fn cheapest_within(
+        &self,
+        model: &LinearModel,
+        perf: &PerfModel,
+        meets_slo: &dyn Fn(&ExecutionPlan, &PlanPrediction) -> bool,
+    ) -> Result<Option<(ExecutionPlan, PlanPrediction)>> {
+        let budget = self.budget(perf);
+        let table = self.table(model, perf, budget);
+        let plan_under = |objective| {
+            search(
+                model,
+                &reduce(model, perf, &table, objective),
+                objective,
+                budget,
+            )
         };
-        let mut best = vec![vec![(INF, INF); steps + 1]; n + 1];
-        let mut back: Vec<Vec<Option<(usize, GroupEval)>>> = vec![vec![None; steps + 1]; n + 1];
-        best[0].fill((0.0, 0.0));
-        for j in 1..=n {
-            for m in 0..=steps {
-                for i in 0..j {
-                    let Some(&(worker_only, with_master)) = columns[j - 1].get(j - 1 - i) else {
-                        continue;
-                    };
-                    if let Some(c) = worker_only {
-                        let prev = best[i][m];
-                        if prev.0.is_finite() {
-                            let cand = combine(prev, c.latency_ms);
-                            if cand < best[j][m] {
-                                best[j][m] = cand;
-                                back[j][m] = Some((i, c));
-                            }
-                        }
-                    }
-                    if let Some(c) = with_master {
-                        if m >= c.budget_steps {
-                            let prev = best[i][m - c.budget_steps];
-                            if prev.0.is_finite() {
-                                let cand = combine(prev, c.latency_ms);
-                                if cand < best[j][m] {
-                                    best[j][m] = cand;
-                                    back[j][m] = Some((i, c));
-                                }
-                            }
-                        }
-                    }
+        let price = |plan: ExecutionPlan| -> Result<(ExecutionPlan, PlanPrediction)> {
+            let predicted = match &self.cache {
+                Some(cache) => predict_plan_cached(model, &plan, perf, cache)?,
+                None => predict_plan(model, &plan, perf)?,
+            };
+            Ok((plan, predicted))
+        };
+        // Billed worker ms plus latency: the bill without the master's final
+        // round-up, which is what the multiplier trades against latency.
+        let granularity = perf.platform.billing_granularity_ms;
+        let cost = |p: &PlanPrediction| {
+            (p.billed_ms - billed_ms(p.latency_ms, granularity)) as f64 + p.latency_ms
+        };
+
+        let cheapest = price(plan_under(Objective::Cost { lambda: 0.0 })?)?;
+        if meets_slo(&cheapest.0, &cheapest.1) {
+            return Ok(Some(cheapest));
+        }
+        let fastest = price(plan_under(Objective::Latency)?)?;
+        if !meets_slo(&fastest.0, &fastest.1) {
+            return Ok(None);
+        }
+        let (mut rejected, mut accepted) = (cheapest, fastest);
+        let mut best = accepted.clone();
+        for _ in 0..MAX_COST_PROBES {
+            let dearer = cost(&accepted.1) - cost(&rejected.1);
+            let faster = rejected.1.latency_ms - accepted.1.latency_ms;
+            if !(dearer > 0.0 && faster > 0.0) {
+                break;
+            }
+            let plan = plan_under(Objective::Cost {
+                lambda: dearer / faster,
+            })?;
+            if plan == rejected.0 || plan == accepted.0 {
+                break;
+            }
+            let probe = price(plan)?;
+            if meets_slo(&probe.0, &probe.1) {
+                if probe.1.billed_ms < best.1.billed_ms {
+                    best = probe.clone();
                 }
+                accepted = probe;
+            } else {
+                rejected = probe;
             }
         }
-
-        if !best[n][steps].0.is_finite() {
-            return Err(CoreError::Infeasible(format!(
-                "no partitioning of {} fits the {budget}-byte budget",
-                model.name()
-            )));
-        }
-
-        // Reconstruct.
-        let mut groups = Vec::new();
-        let (mut j, mut m) = (n, steps);
-        while j > 0 {
-            let (i, choice) =
-                back[j][m].ok_or_else(|| CoreError::Infeasible("broken backpointer".into()))?;
-            groups.push(PlannedGroup {
-                start: i,
-                end: j,
-                option: choice.option,
-                placement: choice.placement,
-            });
-            m -= choice.budget_steps;
-            j = i;
-        }
-        groups.reverse();
-        // Under the latency objective, adjacent master-resident groups are
-        // an artifact of the recursion boundaries, not a serving decision:
-        // coalesce them. Under the pipeline objective they are deliberate
-        // stage boundaries (merging would grow the bottleneck), so keep
-        // them.
-        let plan = match objective {
-            PlanObjective::Latency => ExecutionPlan::new(groups).coalesce_master_runs(),
-            PlanObjective::PipelineBottleneck => ExecutionPlan::new(groups),
-        };
-        plan.validate(model, budget)?;
-        Ok(plan)
+        Ok(Some(best))
     }
 
     /// Start of the longest group ending at `j` that the search considers.
@@ -295,21 +432,86 @@ impl DpPartitioner {
         self.config.max_group_len.map_or(0, |l| j.saturating_sub(l))
     }
 
-    /// Column `j` of the candidate table: Algorithm 1's choices for every
-    /// group `i..j`, at index `j - 1 - i`. Each option's analysis is carried
-    /// from `i + 1..j` to `i..j` by one [`GroupWalker`] step, so the column
-    /// costs one backward walk per option rather than one per group.
-    #[allow(clippy::too_many_arguments)]
-    fn column_choices(
+    /// The candidate table: `table[j - 1][j - 1 - i]` lists the candidates
+    /// of group `i..j`, read from the attached cache where it has them and
+    /// stored there where it has not.
+    fn table(&self, model: &LinearModel, perf: &PerfModel, budget: Budget) -> Vec<Vec<Cell>> {
+        let n = model.layers().len();
+        let flops = match &self.cache {
+            Some(cache) => cache.flops(model),
+            None => Arc::new(ModelFlops::new(model)),
+        };
+        // The cache with this search's key into its cell table.
+        let cache = self
+            .cache
+            .as_deref()
+            .map(|c| (c, EvalCache::eval_key(model, perf, &self.config_tag())));
+        // A search finishes every column, so a cache that holds the last
+        // column's longest group holds the whole table: n² lookups, which
+        // a pool batch would only slow down.
+        let warm = n > 0
+            && cache.is_some_and(|(c, key)| {
+                c.choice(key, self.shortest_start(n), n, budget.bytes)
+                    .is_some()
+            });
+        self.columns(n, warm, |j| {
+            self.column(
+                model,
+                &flops,
+                j,
+                |i| cache.and_then(|(c, key)| c.choice(key, i, j, budget.bytes)),
+                |i, walkers| {
+                    let mut cell = Vec::new();
+                    self.candidates(perf, walkers, budget, true, |c| {
+                        keep_undominated(&mut cell, c)
+                    });
+                    let cell = Cell::from(cell);
+                    if let Some((c, key)) = cache {
+                        c.store_choice(key, i, j, budget.bytes, Cell::clone(&cell));
+                    }
+                    cell
+                },
+            )
+        })
+    }
+
+    /// Runs `column(j)` for `j` in `1..=n` and returns the results with
+    /// column `j` at index `j - 1`. A column is one task: its groups share
+    /// an end, so one backward walk analyzes them all. The longest columns
+    /// are claimed first to keep the pool's tail short.
+    fn columns<T: Send>(
+        &self,
+        n: usize,
+        sequential: bool,
+        column: impl Fn(usize) -> Vec<T> + Sync,
+    ) -> Vec<Vec<T>> {
+        let threads = self
+            .eval_threads
+            .unwrap_or_else(gillis_pool::gillis_threads);
+        let longest_first = |c: usize| column(n - c);
+        let mut columns: Vec<Vec<T>> = if threads <= 1 || sequential {
+            (0..n).map(longest_first).collect()
+        } else {
+            gillis_pool::Pool::global().run(n, longest_first)
+        };
+        columns.reverse();
+        columns
+    }
+
+    /// Column `j` of a table: one entry per group `i..j`, at index
+    /// `j - 1 - i` — `lookup(i)` where it answers, else `cell(i, walkers)`
+    /// with one walker per option of the group, in [`group_options`] order.
+    /// Each option's analysis is carried from `i + 1..j` to `i..j` by one
+    /// [`GroupWalker`] step, so the column costs one backward walk per
+    /// option rather than one per group.
+    fn column<T>(
         &self,
         model: &LinearModel,
-        perf: &PerfModel,
         flops: &ModelFlops,
-        cache: Option<(&EvalCache, u64)>,
         j: usize,
-        budget: u64,
-        grid: u64,
-    ) -> Vec<ChoicePair> {
+        lookup: impl Fn(usize) -> Option<T>,
+        mut cell: impl FnMut(usize, &[GroupWalker]) -> T,
+    ) -> Vec<T> {
         let shortest = self.shortest_start(j);
         // Every longer group's options are among the last layer's own.
         let mut walkers: Vec<GroupWalker> = group_options(model, j - 1, j, &self.config.degrees)
@@ -318,101 +520,199 @@ impl DpPartitioner {
             .collect();
         let mut column = Vec::with_capacity(j - shortest);
         for i in (shortest..j).rev() {
-            if let Some(pair) = cache.and_then(|(c, key)| c.choice(key, i, j, budget)) {
-                column.push(pair);
+            if let Some(hit) = lookup(i) {
+                column.push(hit);
                 continue;
             }
-            // Catch up to `i` (cached cells were skipped). An option that
+            // Catch up to `i` (looked-up cells were skipped). An option that
             // stops applying here applies to no longer group either.
             walkers.retain_mut(|w| (w.len()..j - i).all(|_| w.extend().is_ok()));
-            let pair = self.find_opt_latency(model, perf, &walkers, i, budget, grid);
-            if let Some((c, key)) = cache {
-                c.store_choice(key, i, j, budget, pair);
-            }
-            column.push(pair);
+            column.push(cell(i, &walkers));
         }
         column
     }
 
-    /// Algorithm 1: search the options of the group starting at layer `i`
-    /// (one walker each, in [`group_options`] order) and return the best
-    /// worker-only choice and the best master-participating choice (whose
-    /// budget requirement is the master partition's weight bytes).
-    fn find_opt_latency(
+    /// Algorithm 1's evaluation loop: hands `sink` the candidates of the
+    /// group the walkers stand on, in option order — each option that fits
+    /// a function worker-only, then (when the master may participate) with
+    /// partition 0 in the master, whose budget requirement is that
+    /// partition's weight bytes. `billed` says whether `worker_billed_ms` is
+    /// filled in: a latency search never reads it, and rounding every
+    /// worker's time up to the granularity is a fifth of an evaluation.
+    fn candidates(
         &self,
-        model: &LinearModel,
         perf: &PerfModel,
         walkers: &[GroupWalker],
-        i: usize,
-        budget: u64,
-        grid: u64,
-    ) -> ChoicePair {
-        // Under the pipeline objective a cell's value is the *stage time*:
-        // group latency plus the inbound activation hand-off the stage pays
-        // to receive its input from the upstream stage (zero for the first
-        // stage, which is fed by the client).
-        let handoff_ms = match self.config.objective {
-            PlanObjective::Latency => 0.0,
-            PlanObjective::PipelineBottleneck if i == 0 => 0.0,
-            PlanObjective::PipelineBottleneck => perf.handoff_ms(model.layers()[i].in_bytes()),
-        };
-        // Reduction in option order: first strictly-better latency wins the
-        // worker-only slot; the master slot additionally prefers fewer
-        // budget steps at equal latency.
-        let mut best_worker_only: Option<GroupEval> = None;
-        let mut best_with_master: Option<GroupEval> = None;
+        budget: Budget,
+        billed: bool,
+        mut sink: impl FnMut(GroupEval),
+    ) {
+        let granularity = perf.platform.billing_granularity_ms;
         for walker in walkers {
             let analysis = walker.analysis();
             let option = analysis.option;
             // Partition too large to fit into any function: skip option.
-            if analysis.partitions.iter().any(|p| p.mem_bytes() > budget) {
+            if analysis
+                .partitions
+                .iter()
+                .any(|p| p.mem_bytes() > budget.bytes)
+            {
                 continue;
             }
-
-            // Worker-only placement: every partition on a worker.
-            let wo = predict_group(perf, analysis, Placement::Workers);
-            let latency_ms = handoff_ms + wo.latency_ms();
-            if best_worker_only
-                .map(|b| latency_ms < b.latency_ms)
-                .unwrap_or(true)
-            {
-                best_worker_only = Some(GroupEval {
-                    latency_ms,
-                    option,
-                    placement: Placement::Workers,
-                    budget_steps: 0,
-                });
-            }
-
-            if !self.config.allow_master_participation {
-                continue;
-            }
-            // Master-participating placement: partition 0 in the master.
-            let placement = if option.parts() == 1 {
-                Placement::Master
-            } else {
-                Placement::MasterAndWorkers
-            };
-            let mp = predict_group(perf, analysis, placement);
-            let latency_ms = handoff_ms + mp.latency_ms();
-            let budget_steps = analysis.partitions[0].weight_bytes.div_ceil(grid) as usize;
-            if best_with_master
-                .map(|b| {
-                    latency_ms < b.latency_ms
-                        || (latency_ms == b.latency_ms && budget_steps < b.budget_steps)
-                })
-                .unwrap_or(true)
-            {
-                best_with_master = Some(GroupEval {
-                    latency_ms,
+            let mut evaluate = |placement, budget_steps| {
+                let group = predict_group(perf, analysis, placement);
+                sink(GroupEval {
+                    latency_ms: group.latency_ms(),
                     option,
                     placement,
                     budget_steps,
+                    worker_billed_ms: if billed {
+                        let bill = |&w| billed_ms(w, granularity);
+                        group.worker_ms.iter().map(bill).sum()
+                    } else {
+                        0
+                    },
                 });
+            };
+            evaluate(Placement::Workers, 0);
+            if self.config.allow_master_participation {
+                let placement = if option.parts() == 1 {
+                    Placement::Master
+                } else {
+                    Placement::MasterAndWorkers
+                };
+                let steps = analysis.partitions[0].weight_bytes.div_ceil(budget.grid);
+                evaluate(placement, steps as usize);
             }
         }
-        (best_worker_only, best_with_master)
     }
+}
+
+/// Reduces every cell of a table under `objective`.
+fn reduce(
+    model: &LinearModel,
+    perf: &PerfModel,
+    table: &[Vec<Cell>],
+    objective: Objective,
+) -> Vec<Vec<Picks>> {
+    table
+        .iter()
+        .enumerate()
+        .map(|(end, column)| {
+            column
+                .iter()
+                .enumerate()
+                .map(|(k, cell)| {
+                    Picks::of(cell, objective, objective.handoff_ms(model, perf, end - k))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The recursion over a reduced table, and the plan it reconstructs.
+fn search(
+    model: &LinearModel,
+    picks: &[Vec<Picks>],
+    objective: Objective,
+    budget: Budget,
+) -> Result<ExecutionPlan> {
+    let n = picks.len();
+    let steps = budget.steps;
+    // best[j][m]: best score for layers 0..j with m grid steps of master
+    // budget; back[j][m] records the chosen last group as its start and
+    // whether it took its cell's master pick. A score is the lexicographic
+    // pair (Σ value, 0), or (max stage time, Σ stage time) under the
+    // pipeline objective — the second component breaks bottleneck ties
+    // toward the smaller pipeline-fill latency.
+    let bottleneck = matches!(objective, Objective::PipelineBottleneck);
+    let extend = |prev: (f64, f64), value: f64| {
+        if bottleneck {
+            (prev.0.max(value), prev.1 + value)
+        } else {
+            (prev.0 + value, 0.0)
+        }
+    };
+    const INF: f64 = f64::INFINITY;
+    let mut best = vec![vec![(INF, INF); steps + 1]; n + 1];
+    let mut back: Vec<Vec<Option<(u32, bool)>>> = vec![vec![None; steps + 1]; n + 1];
+    best[0].fill((0.0, 0.0));
+    for j in 1..=n {
+        let (done, rest) = best.split_at_mut(j);
+        let (best_j, back_j) = (&mut rest[0], &mut back[j]);
+        // Starts in ascending order, worker-only before master: at equal
+        // scores the first offer to an `m` stands.
+        for (k, cell) in picks[j - 1].iter().enumerate().rev() {
+            let i = j - 1 - k;
+            // Offers a pick to every budget `m` it fits: its score there
+            // extends the prefix's score at `m - shift`.
+            let mut offer = |value: f64, shift: usize, master: bool| {
+                let from = shift.min(steps + 1);
+                let slots = best_j[from..].iter_mut().zip(&mut back_j[from..]);
+                for (prev, (best, back)) in done[i].iter().zip(slots) {
+                    if prev.0.is_finite() {
+                        let cand = extend(*prev, value);
+                        if cand < *best {
+                            *best = cand;
+                            *back = Some((i as u32, master));
+                        }
+                    }
+                }
+            };
+            if let Some((value, _)) = cell.worker_only {
+                offer(value, 0, false);
+            }
+            if let Some((value, c)) = cell.with_master {
+                offer(value, c.budget_steps, true);
+            }
+        }
+    }
+
+    if n > 0 && !best[n][steps].0.is_finite() {
+        return Err(CoreError::Infeasible(format!(
+            "no partitioning of {} fits the {}-byte budget",
+            model.name(),
+            budget.bytes
+        )));
+    }
+
+    // Reconstruct.
+    let mut groups = Vec::new();
+    let (mut j, mut m) = (n, steps);
+    while j > 0 {
+        let (i, choice) = back[j][m]
+            .and_then(|(i, master)| {
+                let cell = &picks[j - 1][j - 1 - i as usize];
+                let (_, c) = if master {
+                    cell.with_master
+                } else {
+                    cell.worker_only
+                }?;
+                Some((i as usize, c))
+            })
+            .ok_or_else(|| CoreError::Infeasible("broken backpointer".into()))?;
+        groups.push(PlannedGroup {
+            start: i,
+            end: j,
+            option: choice.option,
+            placement: choice.placement,
+        });
+        m -= choice.budget_steps;
+        j = i;
+    }
+    groups.reverse();
+    // Adjacent master-resident groups are an artifact of the recursion
+    // boundaries, not a serving decision: coalesce them. Under the pipeline
+    // objective they are deliberate stage boundaries (merging would grow
+    // the bottleneck), so keep them.
+    let plan = match objective {
+        Objective::PipelineBottleneck => ExecutionPlan::new(groups),
+        Objective::Latency | Objective::Cost { .. } => {
+            ExecutionPlan::new(groups).coalesce_master_runs()
+        }
+    };
+    plan.validate(model, budget.bytes)?;
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -716,6 +1016,147 @@ mod tests {
             let int8_plan = shared.partition(&model, &int8_perf).unwrap();
             assert_eq!(int8_plan, fresh, "{}", model.name());
         }
+    }
+
+    #[test]
+    fn a_cell_drops_only_candidates_no_objective_can_pick() {
+        let eval =
+            |latency_ms: f64, worker_billed_ms: u64, parts: usize, master: usize| GroupEval {
+                latency_ms,
+                option: PartitionOption::Split {
+                    dim: crate::partition::PartDim::Height,
+                    parts,
+                },
+                placement: if master > 0 {
+                    Placement::MasterAndWorkers
+                } else {
+                    Placement::Workers
+                },
+                budget_steps: master,
+                worker_billed_ms,
+            };
+        let all = [
+            eval(10.0, 40, 2, 0),
+            eval(10.0, 50, 3, 0), // as fast as the first but dearer: loses the tie, dropped
+            eval(10.0, 35, 3, 0), // as fast and cheaper: stays, behind it
+            eval(12.0, 45, 4, 0), // slower and dearer than the first: dropped
+            eval(12.0, 30, 6, 0), // slower but cheaper: stays
+            eval(9.0, 20, 2, 3),  // master slot: never compared with the above
+            eval(8.0, 20, 4, 5),  // faster, but needs more budget: both stay
+            eval(7.0, 38, 8, 0),  // drops the 10 ms / 40 one, not the cheaper two
+        ];
+        let mut cell = Vec::new();
+        for c in all {
+            keep_undominated(&mut cell, c);
+        }
+        let kept: Vec<usize> = cell.iter().map(|c| c.option.parts()).collect();
+        assert_eq!(kept, [3, 6, 2, 4, 8]);
+        // The full list reduces to the same picks under every objective.
+        for (objective, worker_only) in [
+            (Objective::Latency, 8),
+            (Objective::PipelineBottleneck, 8),
+            (Objective::Cost { lambda: 0.0 }, 6),
+            (Objective::Cost { lambda: 7.5 }, 8),
+        ] {
+            let picks = Picks::of(&cell, objective, 1.0);
+            let full = Picks::of(&all, objective, 1.0);
+            assert_eq!(picks.worker_only, full.worker_only, "{objective:?}");
+            assert_eq!(picks.with_master, full.with_master, "{objective:?}");
+            let (_, c) = picks.worker_only.unwrap();
+            assert_eq!(c.option.parts(), worker_only, "{objective:?}");
+        }
+    }
+
+    #[test]
+    fn one_table_serves_every_search_on_a_cache() {
+        let perf = perf(&PlatformProfile::aws_lambda());
+        let vgg = zoo::vgg16();
+        let lone = Arc::new(EvalCache::new());
+        let lo = DpPartitioner::default()
+            .with_cache(Arc::clone(&lone))
+            .partition(&vgg, &perf)
+            .unwrap();
+        let cells = lone.stats().choices;
+        let t_max = 1.25 * predict_plan(&vgg, &lo, &perf).unwrap().latency_ms;
+
+        let shared = Arc::new(EvalCache::new());
+        let dp = DpPartitioner::default().with_cache(Arc::clone(&shared));
+        let pipeline = dp
+            .clone()
+            .with_objective(PlanObjective::PipelineBottleneck)
+            .partition(&vgg, &perf)
+            .unwrap();
+        let built = shared.stats().misses;
+        assert_eq!(dp.partition(&vgg, &perf).unwrap(), lo);
+        let (cheap, pred) = dp
+            .cheapest_within(&vgg, &perf, &|_, pred| pred.latency_ms <= t_max)
+            .unwrap()
+            .unwrap();
+        assert!(
+            cheap != lo && cheap != pipeline,
+            "three objectives, three plans"
+        );
+        assert!(pred.latency_ms <= t_max);
+        // Neither the second objective nor the sweep's multipliers built or
+        // stored a cell (the sweep's predictions do look up group analyses).
+        assert_eq!(shared.stats().choices, cells);
+        assert_eq!(
+            shared.stats().misses - built,
+            shared.stats().analyses as u64
+        );
+    }
+
+    #[test]
+    fn cheapest_within_returns_only_plans_the_predicate_accepted() {
+        let perf = perf(&PlatformProfile::aws_lambda());
+        let vgg = zoo::vgg11();
+        let dp = DpPartitioner::default();
+        let lo = predict_plan(&vgg, &dp.partition(&vgg, &perf).unwrap(), &perf).unwrap();
+        let within =
+            |t_max: f64| move |_: &ExecutionPlan, pred: &PlanPrediction| pred.latency_ms <= t_max;
+
+        // No SLO to speak of: the cheapest plan outright, asked about once.
+        let asked = std::cell::Cell::new(0);
+        let (_, cheapest) = dp
+            .cheapest_within(&vgg, &perf, &|_, _| {
+                asked.set(asked.get() + 1);
+                true
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(asked.get(), 1);
+        // Tighter SLOs cost more, never more than the latency-optimal plan.
+        let mut previous = cheapest.billed_ms;
+        for slack in [2.0, 1.5, 1.25, 1.0] {
+            let (plan, pred) = dp
+                .cheapest_within(&vgg, &perf, &within(slack * lo.latency_ms))
+                .unwrap()
+                .unwrap();
+            assert!(pred.latency_ms <= slack * lo.latency_ms, "{slack}");
+            assert_eq!(pred, predict_plan(&vgg, &plan, &perf).unwrap());
+            assert!(
+                (previous..=lo.billed_ms).contains(&pred.billed_ms),
+                "{slack}"
+            );
+            previous = pred.billed_ms;
+        }
+        // An SLO the latency-optimal plan misses has no answer.
+        let none = dp.cheapest_within(&vgg, &perf, &within(0.99 * lo.latency_ms));
+        assert_eq!(none.unwrap(), None);
+        // A predicate that is not monotone in the multiplier — it turns down
+        // the cheap end and the latency-optimal plan's neighbourhood alike —
+        // still gets back only a plan it accepted, or nothing.
+        let band = |_: &ExecutionPlan, pred: &PlanPrediction| {
+            pred.latency_ms <= 2.0 * lo.latency_ms && pred.billed_ms.is_multiple_of(2)
+        };
+        if let Some((plan, pred)) = dp.cheapest_within(&vgg, &perf, &band).unwrap() {
+            assert!(band(&plan, &pred));
+        }
+        let odd_lo = |_: &ExecutionPlan, pred: &PlanPrediction| {
+            pred.latency_ms <= 1.5 * lo.latency_ms || pred.billed_ms == lo.billed_ms
+        };
+        let (plan, pred) = dp.cheapest_within(&vgg, &perf, &odd_lo).unwrap().unwrap();
+        assert!(odd_lo(&plan, &pred));
     }
 
     #[test]

@@ -114,6 +114,12 @@ type Rollout = (Vec<Step>, Option<(f64, PlanPrediction, ExecutionPlan)>);
 
 /// Trains the hierarchical policy and returns the best SLO-compliant plan.
 ///
+/// The incumbent starts as the cheaper of two DP plans that meet the SLO —
+/// the latency-optimal one (stage-balancing under `pipeline`) and
+/// [`gillis_core::DpPartitioner::cheapest_within`]'s — and an episode
+/// replaces it only with a cheaper compliant plan, so the result never bills
+/// more than either and may use options outside the agents' [`OptionMenu`].
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Infeasible`] if training never finds a plan meeting
@@ -122,6 +128,19 @@ pub fn slo_aware_partition(
     model: &LinearModel,
     perf: &PerfModel,
     config: &SloAwareConfig,
+) -> Result<SloAwareResult> {
+    // One memoization layer for the whole run: episodes keep re-analyzing
+    // the same groups (masking, placer features, reward prediction), and the
+    // DP incumbent seeds share it too.
+    train(model, perf, config, &Arc::new(EvalCache::new()))
+}
+
+/// [`slo_aware_partition`] on the given (fresh) cache.
+fn train(
+    model: &LinearModel,
+    perf: &PerfModel,
+    config: &SloAwareConfig,
+    cache: &Arc<EvalCache>,
 ) -> Result<SloAwareResult> {
     // The latency the SLO constrains: the mean prediction, a Monte-Carlo
     // quantile when a tail SLO is configured, or the pipelined steady-state
@@ -149,10 +168,6 @@ pub fn slo_aware_partition(
     if n == 0 {
         return Err(CoreError::InvalidArgument("empty model".into()));
     }
-    // One memoization layer for the whole run: episodes keep re-analyzing
-    // the same groups (masking, placer features, reward prediction), and the
-    // DP incumbent seed shares it too.
-    let cache = Arc::new(EvalCache::new());
     let budget = perf.platform.model_memory_budget;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut agents = Agents::new(config.hidden, OptionMenu::default(), &mut rng);
@@ -164,7 +179,7 @@ pub fn slo_aware_partition(
     // the SLO always yields a positive reward (paper: "set large enough").
     let b = config.budget_b_ms.unwrap_or_else(|| {
         let single =
-            predict_plan_cached(model, &ExecutionPlan::single_function(model), perf, &cache)
+            predict_plan_cached(model, &ExecutionPlan::single_function(model), perf, cache)
                 .map(|p| p.billed_ms as f64)
                 .unwrap_or(10_000.0);
         (single * 8.0).max(20.0 * config.t_max_ms)
@@ -176,25 +191,26 @@ pub fn slo_aware_partition(
     // meets the SLO: Gillis computes it anyway, and it guarantees an
     // SLO-compliant answer that training then undercuts on cost. Pipeline
     // training seeds from the stage-balancing DP instead, whose bottleneck
-    // objective matches the pipelined SLO term.
-    let incumbent = if config.pipeline {
-        gillis_core::DpPartitioner::default()
-            .with_objective(gillis_core::PlanObjective::PipelineBottleneck)
+    // objective matches the pipelined SLO term. That plan is the dearest
+    // one worth returning; the same DP table, reduced under a cost
+    // objective, gives the cheapest plan the DP reaches within the SLO, and
+    // training starts from whichever of the two bills less.
+    let within_slo =
+        |plan: &ExecutionPlan, pred: &PlanPrediction| slo_latency(plan, pred) <= config.t_max_ms;
+    let dp = gillis_core::DpPartitioner::default().with_cache(Arc::clone(cache));
+    let incumbent = dp.clone().with_objective(if config.pipeline {
+        gillis_core::PlanObjective::PipelineBottleneck
     } else {
-        gillis_core::DpPartitioner::default()
-    };
-    let mut best: Option<(f64, ExecutionPlan, PlanPrediction)> = incumbent
-        .with_cache(Arc::clone(&cache))
-        .partition(model, perf)
-        .ok()
-        .and_then(|plan| {
-            let pred = predict_plan_cached(model, &plan, perf, &cache).ok()?;
-            (slo_latency(&plan, &pred) <= config.t_max_ms).then_some((
-                pred.billed_ms as f64,
-                plan,
-                pred,
-            ))
+        gillis_core::PlanObjective::Latency
+    });
+    let mut best: Option<(ExecutionPlan, PlanPrediction)> =
+        incumbent.partition(model, perf).ok().and_then(|plan| {
+            let pred = predict_plan_cached(model, &plan, perf, cache).ok()?;
+            within_slo(&plan, &pred).then_some((plan, pred))
         });
+    if let Ok(Some((plan, pred))) = dp.cheapest_within(model, perf, &within_slo) {
+        keep_cheaper(&mut best, plan, pred);
+    }
     let mut reward_history = Vec::new();
 
     let mut gb = agents.boundary.zero_grads();
@@ -217,11 +233,11 @@ pub fn slo_aware_partition(
                 config.seed,
                 (episode + i) as u64,
             ));
-            let (steps, plan) = sample_episode(model, &agents, budget, &cache, &mut ep_rng);
+            let (steps, plan) = sample_episode(model, &agents, budget, cache, &mut ep_rng);
             // `None` covers both OOM attempts (no feasible option for a
             // sampled group) and unpredictable plans; both draw the penalty.
             let outcome = plan.and_then(|plan| {
-                let pred = predict_plan_cached(model, &plan, perf, &cache).ok()?;
+                let pred = predict_plan_cached(model, &plan, perf, cache).ok()?;
                 let latency = slo_latency(&plan, &pred);
                 Some((latency, pred, plan))
             });
@@ -246,13 +262,7 @@ pub fn slo_aware_partition(
             };
             if let Some((latency, pred, plan)) = outcome {
                 if latency <= config.t_max_ms {
-                    let better = best
-                        .as_ref()
-                        .map(|(c, _, _)| (pred.billed_ms as f64) < *c)
-                        .unwrap_or(true);
-                    if better {
-                        best = Some((pred.billed_ms as f64, plan, pred));
-                    }
+                    keep_cheaper(&mut best, plan, pred);
                 }
             }
             batch_steps.push((steps, reward));
@@ -310,7 +320,7 @@ pub fn slo_aware_partition(
     }
 
     match best {
-        Some((_, plan, predicted)) => Ok(SloAwareResult {
+        Some((plan, predicted)) => Ok(SloAwareResult {
             plan,
             predicted,
             episodes_run: config.episodes,
@@ -320,6 +330,21 @@ pub fn slo_aware_partition(
             "no plan met the {} ms SLO within {} episodes",
             config.t_max_ms, config.episodes
         ))),
+    }
+}
+
+/// Replaces the incumbent with `plan` when it bills strictly less (or there
+/// is no incumbent yet).
+fn keep_cheaper(
+    best: &mut Option<(ExecutionPlan, PlanPrediction)>,
+    plan: ExecutionPlan,
+    pred: PlanPrediction,
+) {
+    if best
+        .as_ref()
+        .is_none_or(|(_, b)| pred.billed_ms < b.billed_ms)
+    {
+        *best = Some((plan, pred));
     }
 }
 
@@ -518,6 +543,35 @@ mod tests {
                     proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn training_builds_the_dp_table_once() {
+        // The incumbent search and every multiplier of the cost sweep read
+        // one candidate table: the run leaves exactly the cells a lone
+        // latency-optimal search leaves, under either incumbent objective.
+        let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
+        let vgg = zoo::vgg16();
+        let lone = Arc::new(EvalCache::new());
+        let lo = gillis_core::DpPartitioner::default()
+            .with_cache(Arc::clone(&lone))
+            .partition(&vgg, &perf)
+            .unwrap();
+        let t_max = 1.25 * predict_plan(&vgg, &lo, &perf).unwrap().latency_ms;
+        for pipeline in [false, true] {
+            let config = SloAwareConfig {
+                pipeline,
+                episodes: 12,
+                ..quick_config(if pipeline { 2.0 * t_max } else { t_max })
+            };
+            let cache = Arc::new(EvalCache::new());
+            let trained = train(&vgg, &perf, &config, &cache).unwrap();
+            assert_eq!(cache.stats().choices, lone.stats().choices, "{pipeline}");
+            // ..and the sweep's plan, not the dearer incumbent, came back.
+            assert!(
+                trained.predicted.billed_ms < predict_plan(&vgg, &lo, &perf).unwrap().billed_ms
+            );
         }
     }
 
