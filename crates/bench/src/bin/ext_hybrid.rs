@@ -12,16 +12,14 @@
 //! - **Hybrid**: queries go to a VM when one is free soon, otherwise burst
 //!   into the Gillis deployment.
 
-use gillis_bench::Table;
-use gillis_core::{DpPartitioner, ForkJoinRuntime, ResilienceCounters};
+use gillis_bench::{ReferenceDeploy, Table};
+use gillis_core::ResilienceCounters;
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::fleet::Fleet;
 use gillis_faas::metrics::LatencyStats;
 use gillis_faas::vm::VmPool;
 use gillis_faas::workload::PoissonArrivals;
-use gillis_faas::{Micros, PlatformProfile};
-use gillis_model::zoo;
-use gillis_perf::PerfModel;
+use gillis_faas::Micros;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,18 +52,14 @@ fn arrivals(seed: u64) -> Vec<Micros> {
 
 fn main() {
     println!("Extension: VM vs serverless vs hybrid under a 7.5x load spike (VGG-11)\n");
-    let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::analytic(&platform);
-    let model = zoo::vgg11();
-    let plan = DpPartitioner::default()
-        .partition(&model, &perf)
-        .expect("plan");
-    let rt = ForkJoinRuntime::new(&model, &plan, platform.clone()).expect("runtime");
+    let deploy = ReferenceDeploy::vgg11();
+    let (platform, perf, model) = (&deploy.platform, &deploy.perf, &deploy.model);
+    let rt = deploy.runtime(&deploy.plan);
 
     // A VM (c5-class, ~$0.34/h) serves the model ~2x faster than a 3 GB
     // function; the pool is sized for the base rate (16 q/s x 0.14 s ~ 2.3
     // busy VMs, provision 4 for headroom).
-    let vm_service_ms = perf.layer.predict_model_ms(&model) / 2.0;
+    let vm_service_ms = perf.layer.predict_model_ms(model) / 2.0;
     let queries = arrivals(gillis_bench::bench_seed(7));
     let span = *queries.last().expect("non-empty workload");
 

@@ -1,30 +1,20 @@
-//! Extension: steady-state inference memory plan (compiled warm path).
+//! CI smoke for the steady-state inference memory plan (compiled warm path).
 //!
-//! Measures what deployment-time compilation buys over the per-query
-//! reference path: cold queries re-slice weights, re-derive halo spans, and
-//! allocate every intermediate; warm queries run through a
-//! [`CompiledPlanExec`] — resolved weight row ranges, folded batch norms,
-//! preallocated buffers — and are bit-identical to the cold
-//! path by construction.
-//!
-//! Two modes:
-//!
-//! - **full** (default): VGG-11 on the single-function plan and on a forced
-//!   4-way partitioned plan. Reports per-query latency cold vs warm,
-//!   allocations per query (via a counting global allocator), end-to-end
-//!   warm QPS, and the bytes of weight panels the plan copied (int8 only;
-//!   0 for f32). Writes `BENCH_infer.json` at the
-//!   repo root (or the directory given as the first CLI argument).
-//! - **smoke** (`--smoke`, used by CI): tiny-vgg on the single-function and
-//!   a 2-way height-split plan at pool width 1, asserting the warm path
-//!   performs **zero** heap allocations per query once warmed up and that
-//!   the plan holds exactly the activation bytes of a two-buffer arena per
-//!   piece — counted from the graph and the span geometry, not from the
-//!   compiled steps.
+//! Deployment-time compilation resolves weight row ranges, folds batch norms
+//! and preallocates every buffer, so a warm query through a
+//! [`CompiledPlanExec`] touches the heap zero times and is bit-identical to
+//! the per-query reference path by construction. `ext_infer [--smoke]` checks
+//! exactly that on tiny-vgg, for the single-function plan and a 2-way
+//! height-split plan at pool width 1: warm queries — and a warm batch of four
+//! followed by a single query — perform **zero** heap allocations (counted by
+//! a global allocator), carry the cold path's bits, and the plan holds exactly
+//! the activation bytes of a two-buffer arena per piece, counted from the
+//! graph and the span geometry rather than from the compiled steps. What the
+//! warm path buys in milliseconds is `benchmark/`'s `core.exec.*` and
+//! `model.*` metrics, not this binary's business.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use gillis_core::partition::split_ranges;
 use gillis_core::{
@@ -192,159 +182,14 @@ fn query(model: &LinearModel, seed: u64) -> Tensor {
     })
 }
 
-struct PlanResult {
-    plan_name: String,
-    parts: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    cold_allocs: u64,
-    warm_allocs: u64,
-    warm_qps: f64,
-    compile_ms: f64,
-    activation_bytes: usize,
-    panel_bytes: usize,
-}
-
-/// Measures one plan: cold (uncompiled, per-query slicing) vs warm
-/// (compiled) queries, checking bit-identity along the way.
-#[allow(clippy::too_many_arguments)]
-fn measure_plan(
-    model: &LinearModel,
-    weights: &ModelWeights,
-    plan: &ExecutionPlan,
-    plan_name: &str,
-    threads: usize,
-    cold_iters: usize,
-    warm_iters: usize,
-    seed: u64,
-) -> PlanResult {
-    let input = query(model, seed);
-    let parts = plan
-        .groups()
-        .iter()
-        .map(|g| g.option.parts())
-        .max()
-        .unwrap_or(1);
-
-    // Cold: the reference fork-join path, everything re-derived per query.
-    let reference =
-        execute_plan_tensors_with_threads(model, plan, weights, &input, threads).expect("cold run");
-    let cold_begin = Instant::now();
-    let cold_allocs_begin = allocs();
-    for _ in 0..cold_iters {
-        let out = execute_plan_tensors_with_threads(model, plan, weights, &input, threads)
-            .expect("cold run");
-        std::hint::black_box(out);
-    }
-    let cold_allocs = (allocs() - cold_allocs_begin) / cold_iters as u64;
-    let cold_ms = cold_begin.elapsed().as_secs_f64() * 1e3 / cold_iters as f64;
-
-    // Warm: compile once, then serve from preallocated state.
-    let compile_begin = Instant::now();
-    let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
-    let compile_ms = compile_begin.elapsed().as_secs_f64() * 1e3;
-    for _ in 0..2 {
-        let (out, _) = compiled
-            .run_raw_with_threads(weights, input.data(), threads)
-            .expect("warmup run");
-        std::hint::black_box(out.len());
-    }
-    {
-        let (out, shape) = compiled
-            .run_raw_with_threads(weights, input.data(), threads)
-            .expect("warm run");
-        assert_eq!(shape, reference.shape(), "{plan_name}: warm output shape");
-        for (i, (a, b)) in out.iter().zip(reference.data().iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{plan_name}: warm output diverges at element {i}"
-            );
-        }
-    }
-    let warm_begin = Instant::now();
-    let warm_allocs_begin = allocs();
-    for _ in 0..warm_iters {
-        let (out, _) = compiled
-            .run_raw_with_threads(weights, input.data(), threads)
-            .expect("warm run");
-        std::hint::black_box(out.len());
-    }
-    let warm_allocs = (allocs() - warm_allocs_begin) / warm_iters as u64;
-    let warm_ms = warm_begin.elapsed().as_secs_f64() * 1e3 / warm_iters as f64;
-
-    PlanResult {
-        plan_name: plan_name.to_string(),
-        parts,
-        cold_ms,
-        warm_ms,
-        cold_allocs,
-        warm_allocs,
-        warm_qps: 1e3 / warm_ms,
-        compile_ms,
-        activation_bytes: compiled.activation_bytes(),
-        panel_bytes: compiled.panel_bytes(),
-    }
-}
-
-fn render_json(suite: &str, model: &str, threads: usize, results: &[PlanResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": \"{suite}\",\n"));
-    out.push_str(&format!("  \"model\": \"{model}\",\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"plan\": \"{}\", \"parts\": {}, \"cold_ms_per_query\": {:.2}, \"warm_ms_per_query\": {:.2}, \"speedup\": {:.2}, \"cold_allocs_per_query\": {}, \"warm_allocs_per_query\": {}, \"warm_qps\": {:.2}, \"compile_ms\": {:.2}, \"panel_mb\": {:.1}}}{}\n",
-            r.plan_name,
-            r.parts,
-            r.cold_ms,
-            r.warm_ms,
-            r.cold_ms / r.warm_ms,
-            r.cold_allocs,
-            r.warm_allocs,
-            r.warm_qps,
-            r.compile_ms,
-            r.panel_bytes as f64 / 1e6,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn print_results(results: &[PlanResult]) {
-    let mut table = gillis_bench::Table::new(&[
-        "plan",
-        "parts",
-        "cold(ms)",
-        "warm(ms)",
-        "speedup",
-        "cold allocs/q",
-        "warm allocs/q",
-        "warm qps",
-    ]);
-    for r in results {
-        table.row(vec![
-            r.plan_name.clone(),
-            format!("{}", r.parts),
-            format!("{:.2}", r.cold_ms),
-            format!("{:.2}", r.warm_ms),
-            format!("{:.2}x", r.cold_ms / r.warm_ms),
-            format!("{}", r.cold_allocs),
-            format!("{}", r.warm_allocs),
-            format!("{:.2}", r.warm_qps),
-        ]);
-    }
-    table.print();
-}
-
-/// Smoke cell for the width-n path, where a query is a batch of one on the
-/// same buffers: after `reserve_batch(N)`, a warm batch of `N` and the single
-/// query after it allocate nothing, every item carries the cold path's bits,
-/// and the plan's activation figure has not moved with the buffers' growth.
-fn smoke_batch(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan, name: &str) {
+/// One plan's smoke. Compiled once, the plan must hold exactly the planned
+/// two-buffer arenas; warm single queries must allocate nothing; and, since a
+/// query is a batch of one on the same buffers, after `reserve_batch(N)` a
+/// warm batch of `N` and the single query after it must allocate nothing
+/// either, without the plan's activation figure moving with the buffers'
+/// growth. Every output carries the bits of the cold path (uncompiled,
+/// per-query slicing).
+fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan, name: &str) {
     const N: usize = 4;
     let queries: Vec<Tensor> = (0..N as u64).map(|i| query(model, 17 + i)).collect();
     let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
@@ -362,9 +207,32 @@ fn smoke_batch(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan
             "{name}: {what} diverges from cold"
         );
     };
+    let single = |compiled: &mut CompiledPlanExec| {
+        let (out, _) = compiled
+            .run_raw_with_threads(weights, queries[N - 1].data(), 1)
+            .expect("warm query");
+        same_bits(out, &cold[N - 1], "single query");
+    };
     let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
+    let planned = planned_activation_bytes(model, plan);
+    println!(
+        "{name}: activation_bytes {} panel_bytes {}",
+        compiled.activation_bytes(),
+        compiled.panel_bytes()
+    );
+    assert_eq!(
+        compiled.activation_bytes(),
+        planned,
+        "{name}: the compiled plan does not hold the planned two-buffer arenas"
+    );
+
+    (0..3).for_each(|_| single(&mut compiled)); // warm-up
+    let begin = allocs();
+    (0..20).for_each(|_| single(&mut compiled));
+    assert_eq!(allocs() - begin, 0, "{name}: warm queries allocated");
+
     compiled.reserve_batch(N);
-    let mut round = || {
+    let round = |compiled: &mut CompiledPlanExec| {
         let begin = allocs();
         let (out, _) = compiled
             .run_batch_raw_with_threads(weights, &flat, N, 1)
@@ -372,94 +240,34 @@ fn smoke_batch(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan
         for (item, want) in out.chunks_exact(out.len() / N).zip(&cold) {
             same_bits(item, want, "batch item");
         }
-        let (out, _) = compiled
-            .run_raw_with_threads(weights, queries[N - 1].data(), 1)
-            .expect("single after batch");
-        same_bits(out, &cold[N - 1], "single after batch");
+        single(compiled);
         allocs() - begin
     };
-    round(); // grows the per-thread kernel scratch to batch width
-    let warm = round();
+    round(&mut compiled); // grows the per-thread kernel scratch to batch width
+    let warm = round(&mut compiled);
     assert_eq!(warm, 0, "{name}: warm batch-{N} then single allocated");
     assert_eq!(
         compiled.activation_bytes(),
-        planned_activation_bytes(model, plan),
+        planned,
         "{name}: the plan figure moved with the batch width"
     );
-    println!("{name}: warm batch-{N} and the single after it: 0 allocations, cold bits");
+    println!(
+        "{name}: warm queries, a warm batch-{N} and the single after it: 0 allocations, cold bits"
+    );
 }
 
-/// CI smoke: tiny-vgg at pool width 1 — the warm path must not allocate.
-fn run_smoke(out_dir: &str) {
+/// tiny-vgg at pool width 1 — the warm path must not allocate.
+fn main() {
+    // `--smoke` is the only mode; the flag stays so CI's command line does.
+    let _ = gillis_bench::bench_args(&["--smoke"]);
     let model = zoo::tiny_vgg();
     let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
-    let mut results = Vec::new();
     for (plan, name) in [
         (ExecutionPlan::single_function(&model), "single"),
         (forced_split_plan(&model, 2), "split2"),
     ] {
         plan.validate(&model, u64::MAX).expect("valid plan");
-        let r = measure_plan(&model, &weights, &plan, name, 1, 5, 20, 3);
-        assert_eq!(
-            r.warm_allocs, 0,
-            "{name}: warm path allocated {} times per query (expected 0)",
-            r.warm_allocs
-        );
-        println!(
-            "{name}: activation_bytes {} panel_bytes {}",
-            r.activation_bytes, r.panel_bytes
-        );
-        assert_eq!(
-            r.activation_bytes,
-            planned_activation_bytes(&model, &plan),
-            "{name}: the compiled plan does not hold the planned two-buffer arenas"
-        );
-        smoke_batch(&model, &weights, &plan, name);
-        results.push(r);
+        smoke_plan(&model, &weights, &plan, name);
     }
-    print_results(&results);
     println!("\nwarm path is allocation-free on tiny-vgg at pool width 1.");
-    let path = format!("{out_dir}/BENCH_infer.json");
-    std::fs::write(&path, render_json("infer-smoke", "tiny-vgg", 1, &results))
-        .expect("write BENCH_infer.json");
-    println!("wrote {path}");
-}
-
-fn run_full(out_dir: &str) {
-    let threads = gillis_pool::gillis_threads();
-    println!("Extension: steady-state inference memory plan (VGG-11, {threads} threads)\n");
-    let model = zoo::vgg11();
-    println!(
-        "initializing VGG-11 weights ({} MB)...",
-        model.weight_bytes() / 1_000_000
-    );
-    let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
-
-    let mut results = Vec::new();
-    for (plan, name) in [
-        (ExecutionPlan::single_function(&model), "single"),
-        (forced_split_plan(&model, 4), "split4"),
-    ] {
-        plan.validate(&model, u64::MAX).expect("valid plan");
-        println!("measuring plan '{name}'...");
-        results.push(measure_plan(
-            &model, &weights, &plan, name, threads, 3, 6, 11,
-        ));
-    }
-    println!();
-    print_results(&results);
-
-    let path = format!("{out_dir}/BENCH_infer.json");
-    std::fs::write(&path, render_json("infer", "vgg11", threads, &results))
-        .expect("write BENCH_infer.json");
-    println!("\nwrote {path}");
-}
-
-fn main() {
-    let (smoke, out_dir) = gillis_bench::bench_args();
-    if smoke {
-        run_smoke(&out_dir);
-    } else {
-        run_full(&out_dir);
-    }
 }

@@ -6,21 +6,12 @@
 //! increasing rates, with a warm pool sized for the base load only — the
 //! overload shows up as cold-start scale-out, not queueing collapse.
 
-use gillis_bench::Table;
-use gillis_core::{DpPartitioner, ForkJoinRuntime};
-use gillis_faas::PlatformProfile;
-use gillis_model::zoo;
-use gillis_perf::PerfModel;
+use gillis_bench::{ReferenceDeploy, Table};
 
 fn main() {
     println!("Extension: open-loop Poisson load sweep (VGG-11, Lambda)\n");
-    let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::analytic(&platform);
-    let model = zoo::vgg11();
-    let plan = DpPartitioner::default()
-        .partition(&model, &perf)
-        .expect("plan");
-    let rt = ForkJoinRuntime::new(&model, &plan, platform).expect("runtime");
+    let deploy = ReferenceDeploy::vgg11();
+    let rt = deploy.runtime(&deploy.plan);
 
     // Pool pre-warmed for ~10 concurrent queries; the sweep pushes past it.
     let prewarm = 10;

@@ -1,400 +1,6 @@
-//! Extension: correlated-outage resilience — retry budgets and brownout.
-//!
-//! Per-invocation chaos models independent faults; real serverless incidents
-//! are *correlated*: a platform brownout or an AZ wobble pushes the failure
-//! rate of every lane up for seconds at a time. Under naive retry policies
-//! those episodes self-amplify — each admitted query launches several worker
-//! invocations, which keeps masters busy longer, which backs up the queue,
-//! which turns a partial outage into a full one.
-//!
-//! This experiment sweeps outage **severity × episode duration** (VGG-11,
-//! Lambda, DP plan, deterministic Markov on/off episodes on the platform
-//! fault domain) and compares two serving stacks on the same seed, arrival
-//! process, chaos baseline, and admission policy:
-//!
-//! - **naive**: [`ResiliencePolicy::naive_retry`] — four immediate retries,
-//!   no backoff, no budget, no degradation;
-//! - **guarded**: backoff + hedging, an adaptive [`RetryBudgetPolicy`]
-//!   (retries/hedges debit a token bucket refilled by successful first
-//!   attempts), and a [`BrownoutPolicy`] degradation ladder (full →
-//!   no-hedge → int8 wire → local-fallback → shed, hysteretic recovery).
-//!
-//! Both arms run behind the same [`OverloadPolicy::for_slo`] front door, so
-//! *goodput* is honest: queries that completed (ok or degraded) within the
-//! deadline. `--smoke` (CI) runs the severe long-episode cell plus a calm
-//! cell and asserts the acceptance criteria: guarded retry amplification
-//! stays ≤ 1.2x (the naive arm exceeds 2x), and guarded goodput is at least
-//! 1.5x the naive arm's during severe episodes. A composed cell
-//! (outage + overload + adaptive batching) checks the counters still add up.
-//!
-//! Writes `BENCH_outage.json` (repo root, or the directory given as the
-//! first argument).
+//! `ext_outage [--smoke] [out_dir]`: runs [`gillis_bench::suites::outage`], writes
+//! `BENCH_outage.json` and exits non-zero if an acceptance criterion fails.
 
-use gillis_bench::{bench_args, bench_seed, Table};
-use gillis_core::predict::predict_plan;
-use gillis_core::{
-    replication_seed, BatchPolicy, BreakerPolicy, BrownoutPolicy, ChaosConfig, DpPartitioner,
-    ForkJoinRuntime, OutageConfig, OverloadPolicy, ResiliencePolicy, RetryBudgetPolicy,
-    ServingReport,
-};
-use gillis_faas::PlatformProfile;
-use gillis_model::zoo;
-use gillis_perf::PerfModel;
-
-const QUERIES: usize = 400;
-const CONCURRENCY: usize = 4;
-/// Independent replications per cell; each gets its own arrival process and
-/// chaos stream (derived via [`replication_seed`]) while the outage episode
-/// schedule stays fixed. Reports are folded together with
-/// [`ServingReport::absorb`] so the asserted ratios average over arrival
-/// noise instead of hinging on one seed.
-const REPLICATIONS: u64 = 3;
-const SLO_FACTOR: f64 = 7.0;
-const RATE_FACTOR: f64 = 0.2;
-const SEVERITIES: [f64; 2] = [3.0, 32.0];
-
-/// (label, min episode windows, max episode windows) at 200 ms per window.
-const DURATIONS: [(&str, u32, u32); 2] = [("short", 5, 10), ("long", 20, 40)];
-
-/// The episode schedule is part of the experimental design (like the rate
-/// grid), so it uses its own fixed seed: `GILLIS_BENCH_SEED` varies the
-/// arrival process and per-site chaos draws without also reshuffling how
-/// much of the run is spent inside episodes.
-const OUTAGE_SEED: u64 = 57;
-
-struct Cell {
-    arm: &'static str,
-    severity: f64,
-    duration: &'static str,
-    report: ServingReport,
-}
-
-impl Cell {
-    /// Queries that completed (ok or degraded) within the deadline.
-    fn goodput(&self) -> u64 {
-        self.report.resilience.ok_queries + self.report.resilience.degraded_queries
-    }
-}
-
-fn outage(severity: f64, min_windows: u32, max_windows: u32, seed: u64) -> OutageConfig {
-    OutageConfig {
-        min_windows,
-        max_windows,
-        // Mean calm stretch of ~33 windows (6.7 s): long enough for the
-        // brownout ladder to climb back between episodes.
-        start_prob: 0.03,
-        ..OutageConfig::severe(severity, seed)
-    }
-}
-
-fn json_report(seed: u64, slo_ms: f64, rate_qps: f64, cells: &[Cell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"suite\": \"outage\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"queries\": {QUERIES},\n"));
-    out.push_str(&format!("  \"replications\": {REPLICATIONS},\n"));
-    out.push_str(&format!("  \"concurrency\": {CONCURRENCY},\n"));
-    out.push_str(&format!("  \"slo_ms\": {slo_ms:.2},\n"));
-    out.push_str(&format!("  \"rate_qps\": {rate_qps:.2},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.report;
-        let res = &r.resilience;
-        let b = &r.brownout;
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"severity\": {:.1}, \"duration\": \"{}\", \
-             \"goodput\": {}, \"ok\": {}, \"degraded\": {}, \"deadline_exceeded\": {}, \
-             \"failed\": {}, \"shed_overload\": {}, \"shed_brownout\": {}, \
-             \"retry_amplification\": {:.4}, \"worker_invocations\": {}, \
-             \"first_attempts\": {}, \"budget_denied_retries\": {}, \
-             \"budget_denied_hedges\": {}, \"corruptions_detected\": {}, \
-             \"brownout_levels\": [{}, {}, {}, {}, {}], \"step_downs\": {}, \"step_ups\": {}, \
-             \"ok_p99_ms\": {:.2}, \"mean_ms\": {:.2}}}{}\n",
-            c.arm,
-            c.severity,
-            c.duration,
-            c.goodput(),
-            res.ok_queries,
-            res.degraded_queries,
-            res.deadline_exceeded_queries,
-            res.failed_queries,
-            r.overload.shed(),
-            b.shed_queries,
-            r.retry_amplification(),
-            res.worker_invocations,
-            res.first_attempts,
-            res.budget_denied_retries,
-            res.budget_denied_hedges,
-            res.corruptions_detected,
-            b.queries_at_level[0],
-            b.queries_at_level[1],
-            b.queries_at_level[2],
-            b.queries_at_level[3],
-            b.queries_at_level[4],
-            b.step_downs,
-            b.step_ups,
-            r.by_status.ok.percentile(99.0),
-            r.latency.mean(),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[allow(clippy::too_many_lines)]
 fn main() {
-    let (smoke, out_dir) = bench_args();
-    let seed = bench_seed(57);
-
-    let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::analytic(&platform);
-    let model = zoo::vgg11();
-    let plan = DpPartitioner::default()
-        .partition(&model, &perf)
-        .expect("plan");
-    let predicted_ms = predict_plan(&model, &plan, &perf)
-        .expect("prediction")
-        .latency_ms;
-    let slo_ms = SLO_FACTOR * predicted_ms;
-    let saturation_qps = 1000.0 * CONCURRENCY as f64 / predicted_ms;
-    let rate_qps = RATE_FACTOR * saturation_qps;
-    // Deadline + bounded queue only: breakers and predictive shedding are
-    // deliberately off so the comparison isolates retry budgets and the
-    // brownout ladder (breakers would mask the naive arm's retry storm).
-    let front_door = OverloadPolicy {
-        max_concurrency: CONCURRENCY,
-        queue_depth: CONCURRENCY,
-        deadline_ms: slo_ms,
-        shed_on_predicted_miss: false,
-        breaker: BreakerPolicy::disabled(),
-    };
-    // Baseline chaos: modest independent failures that a severity-32
-    // episode saturates into near-certain invoke failure (a 3x one does not).
-    // The seed here is a placeholder; each replication overrides it.
-    let chaos = ChaosConfig {
-        seed: 0,
-        invoke_failure_rate: 0.15,
-        straggler_rate: 0.03,
-        straggler_slowdown: 12.0,
-        ..ChaosConfig::default()
-    };
-    let budget = RetryBudgetPolicy::default();
-    // The ladder should park at LocalOnly through an episode, not slide to
-    // Shed: with a VGG-11 plan one query is 8 lanes, so a 24-lane window
-    // needs three probes for a verdict, and a probe spacing of 32 arrivals
-    // (~11 s at this rate) puts consecutive probes further apart than any
-    // episode (<= 8 s). A single in-episode probe therefore cannot fill a
-    // window with failures, and `degrade_below: 0.25` demands two of the
-    // three probes fail before the ladder sheds — sustained outage, not one
-    // unlucky sample. `recover_above: 0.55` lets two clean probes out of
-    // three climb back, and shedding probes every 4th arrival — shedding is
-    // expensive, so the ladder hunts for recovery far more eagerly at Shed
-    // than it second-guesses itself at LocalOnly.
-    let brownout = BrownoutPolicy {
-        window_lanes: 24,
-        degrade_below: 0.25,
-        recover_above: 0.55,
-        clean_windows: 1,
-        probe_interval: 32,
-        shed_probe_interval: Some(4),
-    };
-
-    println!("Extension: correlated-outage resilience (VGG-11, Lambda)\n");
-    println!(
-        "seed {seed} ({REPLICATIONS} replications/cell); plan latency {predicted_ms:.1} ms; \
-         SLO {slo_ms:.1} ms; {CONCURRENCY} masters; {rate_qps:.1} qps \
-         ({RATE_FACTOR:.1}x saturation)"
-    );
-    println!(
-        "chaos baseline: invoke {:.2}, straggler {:.2}@{:.0}x; episodes: 200 ms windows, \
-         platform domain\n",
-        chaos.invoke_failure_rate, chaos.straggler_rate, chaos.straggler_slowdown
-    );
-
-    let build =
-        |arm: &str, outage_cfg: Option<OutageConfig>, rep_seed: u64| -> ForkJoinRuntime<'_> {
-            let mut rt = ForkJoinRuntime::new(&model, &plan, platform.clone())
-                .expect("runtime")
-                .with_overload_predicted(front_door, predicted_ms)
-                .expect("overload")
-                .with_chaos(ChaosConfig {
-                    seed: rep_seed ^ 0xC0FFEE,
-                    ..chaos
-                })
-                .expect("chaos");
-            if let Some(cfg) = outage_cfg {
-                rt = rt.with_outage(cfg).expect("outage");
-            }
-            if arm == "naive" {
-                rt.with_policy(ResiliencePolicy::naive_retry())
-            } else {
-                rt.with_policy(ResiliencePolicy::backoff_hedged())
-                    .with_retry_budget(budget)
-                    .expect("budget")
-                    .with_brownout(brownout)
-                    .expect("brownout")
-            }
-        };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut table = Table::new(&[
-        "severity",
-        "duration",
-        "arm",
-        "goodput",
-        "deadline-miss",
-        "shed",
-        "amp",
-        "ok p99(ms)",
-    ]);
-    let mut run_cell = |severity: f64, duration: &'static str, cfg: Option<OutageConfig>| {
-        for arm in ["naive", "guarded"] {
-            let mut report: Option<ServingReport> = None;
-            for rep in 0..REPLICATIONS {
-                let rep_seed = replication_seed(seed, rep);
-                let r = build(arm, cfg, rep_seed)
-                    .serve_open_loop(rate_qps, QUERIES, CONCURRENCY, rep_seed)
-                    .expect("serve");
-                match report.as_mut() {
-                    Some(base) => base.absorb(&r),
-                    None => report = Some(r),
-                }
-            }
-            let report = report.expect("at least one replication");
-            let cell = Cell {
-                arm,
-                severity,
-                duration,
-                report,
-            };
-            table.row(vec![
-                if severity > 1.0 {
-                    format!("{severity:.0}x")
-                } else {
-                    "calm".to_string()
-                },
-                duration.to_string(),
-                arm.to_string(),
-                format!("{}", cell.goodput()),
-                format!("{}", cell.report.resilience.deadline_exceeded_queries),
-                format!(
-                    "{}",
-                    cell.report.overload.shed() + cell.report.brownout.shed_queries
-                ),
-                format!("{:.2}", cell.report.retry_amplification()),
-                format!("{:.0}", cell.report.by_status.ok.percentile(99.0)),
-            ]);
-            cells.push(cell);
-        }
-    };
-
-    // Calm cell: no episodes, baseline chaos only.
-    run_cell(1.0, "none", None);
-    if smoke {
-        let (label, lo, hi) = DURATIONS[1];
-        run_cell(32.0, label, Some(outage(32.0, lo, hi, OUTAGE_SEED)));
-    } else {
-        for &severity in &SEVERITIES {
-            for &(label, lo, hi) in &DURATIONS {
-                run_cell(severity, label, Some(outage(severity, lo, hi, OUTAGE_SEED)));
-            }
-        }
-    }
-    table.print();
-
-    let path = format!("{out_dir}/BENCH_outage.json");
-    std::fs::write(&path, json_report(seed, slo_ms, rate_qps, &cells))
-        .expect("write BENCH_outage.json");
-    println!("\nwrote {path}");
-
-    // Acceptance criteria at the severe long-episode cell.
-    let cell = |arm: &str, severity: f64, duration: &str| {
-        cells
-            .iter()
-            .find(|c| c.arm == arm && c.severity == severity && c.duration == duration)
-            .expect("cell")
-    };
-    let naive = cell("naive", 32.0, "long");
-    let guarded = cell("guarded", 32.0, "long");
-    let naive_amp = naive.report.retry_amplification();
-    let guarded_amp = guarded.report.retry_amplification();
-    let ratio = guarded.goodput() as f64 / (naive.goodput() as f64).max(1.0);
-    println!(
-        "\nat severity 32x (long episodes): naive amplification {naive_amp:.2}x vs guarded \
-         {guarded_amp:.2}x; goodput {} vs {} ({ratio:.2}x)",
-        naive.goodput(),
-        guarded.goodput(),
-    );
-    assert!(
-        naive_amp >= 2.0,
-        "naive retry must amplify >= 2x under severe episodes, got {naive_amp:.3}"
-    );
-    assert!(
-        guarded_amp <= 1.2,
-        "budgeted amplification must stay <= 1.2x, got {guarded_amp:.3}"
-    );
-    assert!(
-        ratio >= 1.5,
-        "guarded goodput must be >= 1.5x naive under severe episodes, got {ratio:.3}"
-    );
-
-    // Composed: outage + overload + adaptive multi-SLO batching on the
-    // guarded stack — the counters must still account for every arrival.
-    let batch_policy = BatchPolicy::single(slo_ms, 4);
-    let schedule = gillis_core::plan_batch_schedule(
-        &model,
-        &plan,
-        &platform,
-        gillis_perf::TransferFormat::F32,
-        &batch_policy,
-        rate_qps,
-    )
-    .expect("batch schedule");
-    let (_, lo, hi) = DURATIONS[1];
-    let composed_seed = replication_seed(seed, 0);
-    let report = build(
-        "guarded",
-        Some(outage(32.0, lo, hi, OUTAGE_SEED)),
-        composed_seed,
-    )
-    .serve_open_loop_batched(
-        &batch_policy,
-        &schedule,
-        rate_qps,
-        QUERIES,
-        CONCURRENCY,
-        composed_seed,
-    )
-    .expect("composed serve");
-    let accounted =
-        report.overload.admitted + report.overload.shed() + report.brownout.shed_queries;
-    println!(
-        "composed (outage + overload + batching): {} admitted, {} shed by overload, {} shed \
-         by brownout, amplification {:.2}x, {} batches",
-        report.overload.admitted,
-        report.overload.shed(),
-        report.brownout.shed_queries,
-        report.retry_amplification(),
-        report.batch.batches,
-    );
-    assert_eq!(
-        accounted, QUERIES as u64,
-        "every arrival must be admitted or shed: {:?} {:?}",
-        report.overload, report.brownout
-    );
-    assert!(
-        report.retry_amplification() <= 1.2,
-        "composed amplification must stay <= 1.2x"
-    );
-
-    if smoke {
-        println!("\nsmoke ok: amplification <= 1.2x (naive >= 2x), goodput >= 1.5x naive");
-    } else {
-        println!("\nexpectation: calm cells match across arms (budget and ladder are inert on a");
-        println!("healthy platform); during episodes the naive arm multiplies every failure into");
-        println!("retries and misses deadlines, while the guarded arm degrades early, caps");
-        println!("amplification with the token bucket, and recovers once the episode clears.");
-    }
+    gillis_bench::suites::main("outage");
 }

@@ -1,307 +1,6 @@
-//! Extension: pipeline-parallel serving across layer groups.
-//!
-//! A fork-join deployment admits at most `concurrency` queries at a time and
-//! holds each one for the full end-to-end plan latency, so its steady-state
-//! throughput is `concurrency / latency`. Pipelining turns each layer group
-//! into a stage with its own lane pool and a bounded inter-stage queue:
-//! a query only occupies one stage at a time, so steady-state throughput is
-//! bounded by the *slowest stage* instead of the whole plan. This experiment
-//! sweeps an open-loop Poisson stream (VGG-11 and WRN-50-2, Lambda) around
-//! each model's fork-join saturation point and compares, on the same
-//! deterministic arrival stream:
-//!
-//! - **forkjoin**: the latency-optimal DP plan served by the plain open
-//!   loop under `OverloadPolicy::for_slo` admission control;
-//! - **pipeline**: the stage-balancing DP plan
-//!   ([`PlanObjective::PipelineBottleneck`]) served by
-//!   `serve_open_loop_pipelined` with per-stage lanes equal to the
-//!   fork-join concurrency, under the same overload policy.
-//!
-//! Both arms see identical arrivals and the same SLO-derived deadline;
-//! queries past the deadline are shed at admission or killed at the next
-//! stage boundary, so the admitted-p99 comparison is honest. Goodput QPS is
-//! ok+degraded completions divided by the arrival window — the stream is
-//! open-loop, so the window is `queries / rate` in both arms.
-//!
-//! Chaos composes (`GILLIS_CHAOS_RATE`) and `GILLIS_OVERLOAD_*` overrides
-//! the derived admission policy. `--smoke` (CI) runs the 2x cells and
-//! asserts the acceptance criteria on the VGG-11 reference plan: at least
-//! 1.3x steady-state goodput QPS at equal-or-better admitted p99 than the
-//! fork-join arm, with queries per dollar reported (and never worse).
-//!
-//! Writes `BENCH_pipeline.json` (repo root, or the directory given as the
-//! first argument).
-
-use gillis_bench::{bench_args, bench_seed, Table};
-use gillis_core::predict::{predict_plan, predict_plan_pipelined};
-use gillis_core::{
-    ChaosConfig, DpPartitioner, ForkJoinRuntime, OverloadPolicy, PipelinePolicy, PlanObjective,
-    ServingReport,
-};
-use gillis_faas::PlatformProfile;
-use gillis_model::zoo;
-use gillis_perf::PerfModel;
-
-const QUERIES: usize = 400;
-const CONCURRENCY: usize = 4;
-const RATE_FACTORS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
-
-struct Cell {
-    model: &'static str,
-    policy: &'static str,
-    rate_factor: f64,
-    rate_qps: f64,
-    report: ServingReport,
-}
-
-impl Cell {
-    fn goodput(&self) -> u64 {
-        (self.report.by_status.ok.count() + self.report.by_status.degraded.count()) as u64
-    }
-
-    /// Completed-within-SLO throughput over the open-loop arrival window.
-    fn goodput_qps(&self) -> f64 {
-        self.goodput() as f64 / (QUERIES as f64 / self.rate_qps)
-    }
-
-    fn queries_per_dollar(&self) -> f64 {
-        self.goodput() as f64 / self.report.billing.usd_total()
-    }
-}
-
-struct ModelRun {
-    name: &'static str,
-    predicted_ms: f64,
-    bottleneck_ms: f64,
-    stages: usize,
-    saturation_qps: f64,
-}
-
-fn json_report(seed: u64, runs: &[ModelRun], cells: &[Cell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"suite\": \"pipeline\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"queries\": {QUERIES},\n"));
-    out.push_str(&format!("  \"concurrency\": {CONCURRENCY},\n"));
-    out.push_str("  \"models\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"model\": \"{}\", \"plan_latency_ms\": {:.2}, \"bottleneck_ms\": {:.2}, \
-             \"stages\": {}, \"saturation_qps\": {:.2}}}{}\n",
-            m.name,
-            m.predicted_ms,
-            m.bottleneck_ms,
-            m.stages,
-            m.saturation_qps,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.report;
-        out.push_str(&format!(
-            "    {{\"model\": \"{}\", \"policy\": \"{}\", \"rate_factor\": {:.2}, \
-             \"rate_qps\": {:.2}, \"admitted\": {}, \"shed\": {}, \"goodput\": {}, \
-             \"goodput_qps\": {:.2}, \"usd_total\": {:.6}, \"queries_per_dollar\": {:.1}, \
-             \"mean_ms\": {:.2}, \"p99_ms\": {:.2}, \"ok_p99_ms\": {:.2}, \
-             \"stage_dispatches\": {}, \"handoffs\": {}, \"backpressure_stalls\": {}, \
-             \"peak_stage_queue\": {}, \"cold_starts\": {}}}{}\n",
-            c.model,
-            c.policy,
-            c.rate_factor,
-            c.rate_qps,
-            r.overload.admitted,
-            r.overload.shed(),
-            c.goodput(),
-            c.goodput_qps(),
-            r.billing.usd_total(),
-            c.queries_per_dollar(),
-            r.latency.mean(),
-            r.latency.percentile(99.0),
-            r.by_status.ok.percentile(99.0),
-            r.pipeline.stage_dispatches,
-            r.pipeline.handoffs,
-            r.pipeline.backpressure_stalls,
-            r.pipeline.peak_stage_queue,
-            r.cold_starts,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+//! `ext_pipeline [--smoke] [out_dir]`: runs [`gillis_bench::suites::pipeline`], writes
+//! `BENCH_pipeline.json` and exits non-zero if an acceptance criterion fails.
 
 fn main() {
-    let (smoke, out_dir) = bench_args();
-    let seed = bench_seed(42);
-
-    let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::analytic(&platform);
-    let chaos = ChaosConfig::from_env();
-    let pipeline_policy =
-        PipelinePolicy::from_env().unwrap_or_else(|| PipelinePolicy::with_lanes(CONCURRENCY));
-    let factors: &[f64] = if smoke { &[2.0] } else { &RATE_FACTORS };
-
-    println!("Extension: pipeline-parallel serving across layer groups (Lambda)\n");
-    match &chaos {
-        Some(c) => println!("chaos: composed from env (rate knobs on seed {})", c.seed),
-        None => println!("chaos: off (set GILLIS_CHAOS_RATE to compose faults)"),
-    }
-
-    type ModelFn = fn() -> gillis_model::LinearModel;
-    let models: [(&'static str, ModelFn); 2] =
-        [("vgg11", zoo::vgg11), ("wrn50-2", || zoo::wrn50(2))];
-
-    let mut table = Table::new(&[
-        "model", "rate", "policy", "admitted", "shed", "goodput", "qps", "q/$", "mean(ms)",
-        "p99(ms)", "stalls",
-    ]);
-    let mut runs = Vec::new();
-    let mut cells = Vec::new();
-    for (name, make) in models {
-        let model = make();
-        let fj_plan = DpPartitioner::default()
-            .partition(&model, &perf)
-            .expect("latency-optimal plan");
-        let pp_plan = DpPartitioner::default()
-            .with_objective(PlanObjective::PipelineBottleneck)
-            .partition(&model, &perf)
-            .expect("stage-balancing plan");
-        let predicted_ms = predict_plan(&model, &fj_plan, &perf)
-            .expect("fork-join prediction")
-            .latency_ms;
-        let pipeline_pred =
-            predict_plan_pipelined(&model, &pp_plan, &perf).expect("pipeline prediction");
-        let saturation_qps = 1000.0 * CONCURRENCY as f64 / predicted_ms;
-        let slo_ms = 4.0 * predicted_ms;
-        let overload = OverloadPolicy::from_env()
-            .unwrap_or_else(|| OverloadPolicy::for_slo(slo_ms, CONCURRENCY));
-        println!(
-            "\n{name}: fork-join plan latency {predicted_ms:.1} ms; pipeline plan {} stages, \
-             bottleneck {:.1} ms (predicted steady {:.1} qps/lane); {CONCURRENCY} lanes; \
-             SLO {slo_ms:.0} ms; fork-join saturation {saturation_qps:.1} qps",
-            pp_plan.groups().len(),
-            pipeline_pred.bottleneck_ms,
-            pipeline_pred.steady_state_qps,
-        );
-        runs.push(ModelRun {
-            name,
-            predicted_ms,
-            bottleneck_ms: pipeline_pred.bottleneck_ms,
-            stages: pp_plan.groups().len(),
-            saturation_qps,
-        });
-        for &factor in factors {
-            let rate_qps = factor * saturation_qps;
-            for arm in ["forkjoin", "pipeline"] {
-                let plan = if arm == "pipeline" {
-                    &pp_plan
-                } else {
-                    &fj_plan
-                };
-                let mut rt = ForkJoinRuntime::new(&model, plan, platform.clone()).expect("runtime");
-                rt = rt.with_overload(overload).expect("overload policy");
-                if let Some(c) = &chaos {
-                    rt = rt.with_chaos(*c).expect("chaos config");
-                }
-                let report = if arm == "pipeline" {
-                    rt.serve_open_loop_pipelined(
-                        &pipeline_policy,
-                        rate_qps,
-                        QUERIES,
-                        CONCURRENCY,
-                        seed,
-                    )
-                    .expect("pipelined serve")
-                } else {
-                    rt.serve_open_loop(rate_qps, QUERIES, CONCURRENCY, seed)
-                        .expect("fork-join serve")
-                };
-                let cell = Cell {
-                    model: name,
-                    policy: arm,
-                    rate_factor: factor,
-                    rate_qps,
-                    report,
-                };
-                table.row(vec![
-                    name.into(),
-                    format!("{factor:.1}x"),
-                    arm.into(),
-                    format!("{}", cell.report.overload.admitted),
-                    format!("{}", cell.report.overload.shed()),
-                    format!("{}", cell.goodput()),
-                    format!("{:.1}", cell.goodput_qps()),
-                    format!("{:.0}", cell.queries_per_dollar()),
-                    format!("{:.0}", cell.report.latency.mean()),
-                    format!("{:.0}", cell.report.latency.percentile(99.0)),
-                    format!("{}", cell.report.pipeline.backpressure_stalls),
-                ]);
-                cells.push(cell);
-            }
-        }
-    }
-    println!();
-    table.print();
-
-    let path = format!("{out_dir}/BENCH_pipeline.json");
-    std::fs::write(&path, json_report(seed, &runs, &cells)).expect("write BENCH_pipeline.json");
-    println!("\nwrote {path}");
-
-    // Acceptance criteria, asserted at 2x saturation on the VGG-11
-    // reference plan (the smoke cell); the WRN-50-2 cells are reported.
-    let cell = |model: &str, policy: &str, factor: f64| {
-        cells
-            .iter()
-            .find(|c| c.model == model && c.policy == policy && c.rate_factor == factor)
-            .expect("cell")
-    };
-    let pipelined = cell("vgg11", "pipeline", 2.0);
-    let baseline = cell("vgg11", "forkjoin", 2.0);
-    let qps_ratio = pipelined.goodput_qps() / baseline.goodput_qps();
-    let cost_ratio = pipelined.queries_per_dollar() / baseline.queries_per_dollar();
-    let pipelined_p99 = pipelined.report.latency.percentile(99.0);
-    let baseline_p99 = baseline.report.latency.percentile(99.0);
-    println!(
-        "\nvgg11 at 2.0x saturation: pipeline sustains {:.1} goodput qps vs {:.1} for \
-         fork-join ({qps_ratio:.2}x), {:.0} vs {:.0} queries/$ ({cost_ratio:.2}x), admitted \
-         p99 {pipelined_p99:.0} ms vs {baseline_p99:.0} ms",
-        pipelined.goodput_qps(),
-        baseline.goodput_qps(),
-        pipelined.queries_per_dollar(),
-        baseline.queries_per_dollar(),
-    );
-    assert!(
-        pipelined.report.pipeline.stage_dispatches > 0 && pipelined.report.pipeline.handoffs > 0,
-        "pipeline arm must actually stream across stages: {:?}",
-        pipelined.report.pipeline
-    );
-    assert!(
-        qps_ratio >= 1.3,
-        "pipelining must sustain >= 1.3x steady-state goodput qps at 2x saturation, \
-         got {qps_ratio:.2}x"
-    );
-    // queries/$ is reported, not gated: per-admitted-query billing is nearly
-    // identical across the arms (same compute, plus hand-off transfers), so
-    // the cost win tracks the goodput win only when sheds are billed.
-    assert!(
-        cost_ratio >= 1.0,
-        "pipelining must not serve fewer queries per dollar at 2x saturation, \
-         got {cost_ratio:.2}x"
-    );
-    assert!(
-        pipelined_p99 <= baseline_p99,
-        "pipelined admitted p99 {pipelined_p99:.1} ms must not exceed fork-join \
-         {baseline_p99:.1} ms"
-    );
-    if smoke {
-        println!("smoke ok: >= 1.3x goodput qps at equal-or-better admitted p99");
-    } else {
-        println!("\nexpectation: below saturation both arms keep up and pipelining only adds");
-        println!("hand-off latency; past saturation the fork-join arm sheds every query beyond");
-        println!("concurrency/latency while the pipeline keeps admitting up to the bottleneck");
-        println!("stage rate, so goodput, queries per dollar, and the admitted tail all win.");
-    }
+    gillis_bench::suites::main("pipeline");
 }

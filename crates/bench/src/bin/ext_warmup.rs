@@ -5,25 +5,19 @@
 //! and is hence negligible". This experiment serves the same workload with
 //! and without pre-warming and reports the first-wave penalty.
 
-use gillis_bench::Table;
-use gillis_core::{DpPartitioner, ForkJoinRuntime, ResilienceCounters};
+use gillis_bench::{ReferenceDeploy, Table};
+use gillis_core::ResilienceCounters;
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::fleet::Fleet;
-use gillis_faas::{Micros, PlatformProfile};
-use gillis_model::zoo;
-use gillis_perf::PerfModel;
+use gillis_faas::Micros;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     println!("Extension: cold-start amortization (VGG-11 latency-optimal plan, Lambda)\n");
-    let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::analytic(&platform);
-    let model = zoo::vgg11();
-    let plan = DpPartitioner::default()
-        .partition(&model, &perf)
-        .expect("plan");
-    let rt = ForkJoinRuntime::new(&model, &plan, platform.clone()).expect("runtime");
+    let deploy = ReferenceDeploy::vgg11();
+    let platform = &deploy.platform;
+    let rt = deploy.runtime(&deploy.plan);
 
     // Cold fleet: serve sequential queries and watch the first pay for
     // provisioning + package load of every function in the plan.

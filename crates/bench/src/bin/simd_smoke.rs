@@ -12,10 +12,42 @@
 //! CI leg still builds and runs it).
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use gillis_bench::report::measure;
 use gillis_tensor::gemm::{conv_gemm_with_threads, Im2col};
+
+/// Wall-clock budget per measured sample.
+const SAMPLE_BUDGET: Duration = Duration::from_millis(40);
+/// Cap on total time spent on one case.
+const CASE_BUDGET: Duration = Duration::from_secs(8);
+
+/// Times `routine`, returning (median ns/iter, samples taken).
+///
+/// Calibrates with a single run, sizes sample loops to [`SAMPLE_BUDGET`],
+/// then takes up to `max_samples` samples within [`CASE_BUDGET`].
+fn measure<O, F: FnMut() -> O>(max_samples: usize, mut routine: F) -> (f64, usize) {
+    let start = Instant::now();
+    black_box(routine());
+    let est = start.elapsed().max(Duration::from_nanos(1));
+    let iters = (SAMPLE_BUDGET.as_nanos() as f64 / est.as_nanos() as f64)
+        .clamp(1.0, 1e9)
+        .round() as u64;
+
+    let deadline = Instant::now() + CASE_BUDGET;
+    let mut samples = Vec::with_capacity(max_samples);
+    for _ in 0..max_samples.max(1) {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
+        if Instant::now() >= deadline {
+            break;
+        }
+    }
+    samples.sort_by(|a, b| a.total_cmp(b));
+    (samples[samples.len() / 2], samples.len())
+}
 
 /// conv3_2: 256→256 channels, 3x3, stride 1, padding 1, over 56x56.
 const CONV3_2: Im2col = Im2col {
@@ -128,4 +160,16 @@ fn main() {
         gflops >= 0.5 * peak,
         "conv3_2 must reach half the FMA peak, got {gflops:.1} of {peak:.1} GFLOP/s"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::measure;
+
+    #[test]
+    fn measure_returns_positive_time() {
+        let (ns, samples) = measure(5, || (0..1000u64).sum::<u64>());
+        assert!(ns > 0.0);
+        assert!((1..=5).contains(&samples));
+    }
 }

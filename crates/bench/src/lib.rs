@@ -1,15 +1,22 @@
-//! Shared helpers for the Gillis benchmark harness.
+//! The Gillis experiment library: deterministic experiments, one table type.
 //!
-//! Each paper figure has a binary in `src/bin/` (`fig01_*` … `fig15_*`) that
-//! regenerates the corresponding table/series; this library holds the
-//! plumbing they share: aligned table printing and the standard
-//! latency-optimal measurement loop (100 warm queries, as in §V-B).
+//! Every experiment is a function of its seed that returns a
+//! [`sweep::Sweep`], and states what the paper (or the extension's
+//! acceptance criteria) says about it as `claims(&Sweep) -> Vec<Claim>`:
+//! [`figures`] holds the paper's §V figures, [`suites`] the six simulator
+//! suites whose sweeps are the committed `BENCH_*.json` artifacts. The
+//! binaries print a sweep and turn its claims into an exit code;
+//! `tests/claims.rs` checks the same claims in tier-1. Nothing here times
+//! host code — `benchmark/` is the one measuring harness.
 
-pub mod report;
+pub mod figures;
+pub mod suites;
+pub mod sweep;
 
+use gillis_core::predict::predict_plan;
 use gillis_core::{DpPartitioner, ExecutionPlan, ForkJoinRuntime, PartitionerConfig};
 use gillis_faas::PlatformProfile;
-use gillis_model::LinearModel;
+use gillis_model::{zoo, LinearModel};
 use gillis_perf::PerfModel;
 
 /// A simple fixed-width text table for experiment output.
@@ -76,8 +83,6 @@ pub struct LoMeasurement {
     pub default_ms: Option<f64>,
     /// Mean Gillis latency-optimal latency.
     pub gillis_ms: f64,
-    /// The latency-optimal plan.
-    pub plan: ExecutionPlan,
 }
 
 impl LoMeasurement {
@@ -119,30 +124,145 @@ pub fn measure_latency_optimal(
     LoMeasurement {
         default_ms,
         gillis_ms,
-        plan,
     }
 }
 
 /// The RNG seed a benchmark binary should use: `GILLIS_BENCH_SEED` from the
 /// environment when set, else `default` (a value that is not a `u64` is
 /// reported on stderr, naming the variable, and falls back to `default`).
-/// Every `fig*`/`ext_*` binary routes its seeds through this, so a whole
+/// Every `ext_*` binary routes its seeds through this, so a whole
 /// benchmark run can be re-rolled (or pinned in CI) without touching code.
 pub fn bench_seed(default: u64) -> u64 {
     gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }
 
-/// The command line of `bench_report` and the `ext_*` binaries: whether
-/// `--smoke` was given, and the output directory — the first argument that is
-/// not a `--flag`, `.` when there is none.
-pub fn bench_args() -> (bool, String) {
-    parse_bench_args(std::env::args().skip(1))
+/// The deploy the serving suites and the `ext_*` studies share: a model on
+/// AWS Lambda under the analytic performance model, its latency-optimal DP
+/// plan and that plan's predicted latency.
+#[derive(Debug, Clone)]
+pub struct ReferenceDeploy {
+    /// AWS Lambda.
+    pub platform: PlatformProfile,
+    /// The analytic performance model of `platform`.
+    pub perf: PerfModel,
+    /// The served model.
+    pub model: LinearModel,
+    /// The latency-optimal DP plan.
+    pub plan: ExecutionPlan,
+    /// `plan`'s predicted latency in milliseconds.
+    pub predicted_ms: f64,
 }
 
-fn parse_bench_args(args: impl Iterator<Item = String>) -> (bool, String) {
-    let (flags, dirs): (Vec<_>, Vec<_>) = args.partition(|a| a.starts_with("--"));
-    let out_dir = dirs.into_iter().next().unwrap_or_else(|| ".".into());
-    (flags.iter().any(|f| f == "--smoke"), out_dir)
+impl ReferenceDeploy {
+    /// Plans `model` on Lambda.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DP finds no plan (every catalog model has one).
+    #[must_use]
+    pub fn new(model: LinearModel) -> Self {
+        let platform = PlatformProfile::aws_lambda();
+        let perf = PerfModel::analytic(&platform);
+        let plan = DpPartitioner::default()
+            .partition(&model, &perf)
+            .expect("latency-optimal plan");
+        let predicted = predict_plan(&model, &plan, &perf).expect("prediction");
+        ReferenceDeploy {
+            platform,
+            perf,
+            model,
+            plan,
+            predicted_ms: predicted.latency_ms,
+        }
+    }
+
+    /// The reference deploy itself: VGG-11.
+    #[must_use]
+    pub fn vgg11() -> Self {
+        Self::new(zoo::vgg11())
+    }
+
+    /// The arrival rate at which `concurrency` masters, each held for the
+    /// predicted latency, are all busy.
+    #[must_use]
+    pub fn saturation_qps(&self, concurrency: usize) -> f64 {
+        1000.0 * concurrency as f64 / self.predicted_ms
+    }
+
+    /// A runtime serving `plan` (this deploy's, or another plan of its
+    /// model) on the deploy's platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` does not validate against the model.
+    #[must_use]
+    pub fn runtime<'a>(&'a self, plan: &'a ExecutionPlan) -> ForkJoinRuntime<'a> {
+        ForkJoinRuntime::new(&self.model, plan, self.platform.clone()).expect("servable plan")
+    }
+}
+
+/// One statement an experiment's sweep must satisfy: a ✓ of EXPERIMENTS.md,
+/// or an extension's acceptance criterion.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// What is claimed, in the paper's (or the criterion's) words.
+    pub name: &'static str,
+    /// Whether the sweep satisfies it.
+    pub holds: bool,
+    /// The measured numbers the verdict came from.
+    pub detail: String,
+}
+
+impl Claim {
+    /// A claim with its verdict and evidence.
+    #[must_use]
+    pub fn new(name: &'static str, holds: bool, detail: String) -> Self {
+        Claim {
+            name,
+            holds,
+            detail,
+        }
+    }
+}
+
+/// Prints every claim of `experiment` with its verdict and returns how many
+/// failed; the failed ones also go to stderr, named.
+pub fn report_claims(experiment: &str, claims: &[Claim]) -> usize {
+    for c in claims {
+        let verdict = if c.holds { "ok  " } else { "FAIL" };
+        println!("  {verdict} {}: {}", c.name, c.detail);
+        if !c.holds {
+            eprintln!("{experiment}: claim failed: {}: {}", c.name, c.detail);
+        }
+    }
+    claims.iter().filter(|c| !c.holds).count()
+}
+
+/// The process command line: whether one of the `known` flags was given —
+/// a binary has one mode switch, under one or two names — and the other
+/// arguments in order. Anything else starting with `--` prints a usage line
+/// and exits 2, so a typo cannot turn a smoke run into an unchecked full one.
+#[must_use]
+pub fn bench_args(known: &[&str]) -> (bool, Vec<String>) {
+    parse_bench_args(known, std::env::args().skip(1)).unwrap_or_else(|unknown| {
+        let exe = std::env::args().next().unwrap_or_default();
+        let flags: Vec<String> = known.iter().map(|f| format!("[{f}]")).collect();
+        eprintln!(
+            "unknown flag {unknown}\nusage: {exe} {} [arg...]",
+            flags.join(" ")
+        );
+        std::process::exit(2)
+    })
+}
+
+type Parsed = Result<(bool, Vec<String>), String>;
+
+fn parse_bench_args(known: &[&str], args: impl Iterator<Item = String>) -> Parsed {
+    let (flags, positional): (Vec<_>, Vec<_>) = args.partition(|a| a.starts_with("--"));
+    match flags.iter().find(|f| !known.contains(&f.as_str())) {
+        Some(unknown) => Err(unknown.clone()),
+        None => Ok((!flags.is_empty(), positional)),
+    }
 }
 
 /// Formats milliseconds compactly.
@@ -178,12 +298,26 @@ mod tests {
 
     #[test]
     fn a_flag_is_never_the_output_directory() {
-        let parse = |args: &[&str]| parse_bench_args(args.iter().map(|a| a.to_string()));
-        assert_eq!(parse(&[]), (false, ".".to_string()));
-        assert_eq!(parse(&["--smoke"]), (true, ".".to_string()));
-        assert_eq!(parse(&["--smoke", "out"]), (true, "out".to_string()));
-        assert_eq!(parse(&["out", "--smoke"]), (true, "out".to_string()));
-        assert_eq!(parse(&["--other", "out"]), (false, "out".to_string()));
+        let parse = |args: &[&str]| {
+            parse_bench_args(&["--smoke"], args.iter().map(|a| a.to_string()))
+                .map(|(smoke, dirs)| (smoke, dirs.first().map_or(".".to_string(), String::clone)))
+        };
+        assert_eq!(parse(&[]), Ok((false, ".".to_string())));
+        assert_eq!(parse(&["--smoke"]), Ok((true, ".".to_string())));
+        assert_eq!(parse(&["--smoke", "out"]), Ok((true, "out".to_string())));
+        assert_eq!(parse(&["out", "--smoke"]), Ok((true, "out".to_string())));
+        // A typo is rejected, not read as "no flag": `--smok` must not run
+        // the full mode and exit 0.
+        assert_eq!(parse(&["--smok", "out"]), Err("--smok".to_string()));
+        assert_eq!(parse(&["out", "--quick"]), Err("--quick".to_string()));
+    }
+
+    #[test]
+    fn the_reference_deploy_is_vgg11_on_lambda() {
+        let deploy = ReferenceDeploy::vgg11();
+        assert_eq!(deploy.model.name(), "vgg11");
+        assert_eq!(format!("{:.1}", deploy.predicted_ms), "280.7");
+        assert!((deploy.saturation_qps(4) * deploy.predicted_ms - 4000.0).abs() < 1e-9);
     }
 
     #[test]
