@@ -5,11 +5,13 @@
 //! [`CompiledPlanExec`] touches the heap zero times and is bit-identical to
 //! the per-query reference path by construction. `ext_infer [--smoke]` checks
 //! exactly that on tiny-vgg, for the single-function plan and a 2-way
-//! height-split plan at pool width 1: warm queries — and a warm batch of four
-//! followed by a single query — perform **zero** heap allocations (counted by
-//! a global allocator), carry the cold path's bits, and the plan holds exactly
-//! the activation bytes of a two-buffer arena per piece, counted from the
-//! graph and the span geometry rather than from the compiled steps. What the
+//! height-split plan, and on a two-layer RNN at reduced width, whole and one
+//! function per layer, at pool width 1: warm queries — and a warm batch of
+//! four followed by a single query — perform **zero** heap allocations
+//! (counted by a global allocator), carry the cold path's bits, and the plan
+//! holds exactly the activation bytes of a two-buffer arena per piece (plus
+//! an LSTM's states and gate pre-activations), counted from the graph and
+//! the span geometry rather than from the compiled steps. What the
 //! warm path buys in milliseconds is `benchmark/`'s `core.exec.*` and
 //! `model.*` metrics, not this binary's business.
 
@@ -103,7 +105,9 @@ fn forced_split_plan(model: &LinearModel, parts: usize) -> ExecutionPlan {
 /// its odd ones, and one join buffer per group. Counted from node shapes and
 /// [`SpanPlan`] hulls; a piece that does not take its group's whole input
 /// writes its input slice first. (Groups here open with a buffer-writing
-/// op, as every zoo layer does.)
+/// op, as every zoo layer does.) A group of LSTM layers also holds the
+/// scratch of its widest: two `[hidden]` states and `4·hidden` gate
+/// pre-activations per timestep plus one step's.
 fn planned_activation_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize {
     let graph = model.graph();
     let node = |id: NodeId| graph.node(id).expect("node of the model's graph");
@@ -141,6 +145,13 @@ fn planned_activation_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize 
             PartitionOption::Single => {
                 let writers = nodes.iter().filter(|id| writes(id));
                 floats += two_buffers(writers.map(|&id| node(id).output_shape.len()).collect());
+                let scratch = nodes.iter().map(|&id| match node(id).op {
+                    LayerOp::Lstm { hidden } => {
+                        2 * hidden + 4 * hidden * (node(id).output_shape.dims()[0] + 1)
+                    }
+                    _ => 0,
+                });
+                floats += scratch.max().unwrap_or(0);
             }
             PartitionOption::Split { dim, parts } => {
                 // A conv or dense head takes the whole input; a channel-local
@@ -216,9 +227,10 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
     let planned = planned_activation_bytes(model, plan);
     println!(
-        "{name}: activation_bytes {} panel_bytes {}",
+        "{name}: activation_bytes {} panel_bytes {} weight_bytes_streamed {}",
         compiled.activation_bytes(),
-        compiled.panel_bytes()
+        compiled.panel_bytes(),
+        compiled.weight_bytes_streamed()
     );
     assert_eq!(
         compiled.activation_bytes(),
@@ -256,18 +268,27 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     );
 }
 
-/// tiny-vgg at pool width 1 — the warm path must not allocate.
+/// tiny-vgg and a reduced RNN-2 at pool width 1 — the warm path must not
+/// allocate.
 fn main() {
     // `--smoke` is the only mode; the flag stays so CI's command line does.
     let _ = gillis_bench::bench_args(&["--smoke"]);
-    let model = zoo::tiny_vgg();
-    let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
-    for (plan, name) in [
-        (ExecutionPlan::single_function(&model), "single"),
-        (forced_split_plan(&model, 2), "split2"),
-    ] {
-        plan.validate(&model, u64::MAX).expect("valid plan");
-        smoke_plan(&model, &weights, &plan, name);
+    // The RNN's sizes are off the eight-lane body of the row dot product; its
+    // forced split finds no partition and leaves one function per layer.
+    let models = [
+        (zoo::tiny_vgg(), ["single", "split2"]),
+        (zoo::rnn_sized(2, 20, 12), ["rnn single", "rnn per-layer"]),
+    ];
+    for (model, names) in models {
+        let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
+        let plans = [
+            ExecutionPlan::single_function(&model),
+            forced_split_plan(&model, 2),
+        ];
+        for (plan, name) in plans.iter().zip(names) {
+            plan.validate(&model, u64::MAX).expect("valid plan");
+            smoke_plan(&model, &weights, plan, name);
+        }
     }
-    println!("\nwarm path is allocation-free on tiny-vgg at pool width 1.");
+    println!("\nwarm path is allocation-free on tiny-vgg and rnn-2 at pool width 1.");
 }

@@ -22,7 +22,7 @@
 //!
 //! Compilation fails with an error (never wrong results) on models the
 //! compiled path does not cover — branching graphs (ResNet's `Add`,
-//! inception `Concat`) and recurrent layers. Callers fall back to
+//! inception `Concat`). Callers fall back to
 //! [`execute_plan_tensors`](crate::forkjoin::execute_plan_tensors).
 
 use gillis_model::compiled::{CompileOptions, CompiledPartition, PanelCache, PieceSpec};
@@ -80,8 +80,8 @@ impl CompiledPlanExec {
     ///
     /// Returns [`CoreError::InvalidPlan`] if the plan does not validate, and
     /// the underlying [`ModelError`](gillis_model::ModelError) if the model
-    /// is outside the compiled subset (branching graphs, recurrent layers) —
-    /// in which case callers should fall back to the uncompiled path.
+    /// is outside the compiled subset (branching graphs) — in which case
+    /// callers should fall back to the uncompiled path.
     pub fn compile(
         model: &LinearModel,
         plan: &ExecutionPlan,
@@ -180,6 +180,14 @@ impl CompiledPlanExec {
         self.groups.iter().map(bytes).sum()
     }
 
+    /// Weight bytes one query's kernels pass over, counted from step
+    /// geometry (see `CompiledSegment::weight_bytes_streamed`): what a
+    /// bandwidth-bound plan's time is made of, and it repeats exactly.
+    pub fn weight_bytes_streamed(&self) -> usize {
+        let streamed = |g: &CompiledGroup| g.partition.weight_bytes_streamed();
+        self.groups.iter().map(streamed).sum()
+    }
+
     /// Runs one query, returning a borrow of the final join buffer (and its
     /// shape). Uses the ambient [`gillis_pool::gillis_threads`] width.
     ///
@@ -238,7 +246,7 @@ impl CompiledPlanExec {
     /// [`CompiledPlanExec::run_batch_raw`] with an explicit thread count.
     ///
     /// Each item's output is bit-identical to running it alone, at any
-    /// thread count: conv and dense steps go through the batched kernels
+    /// thread count: conv, dense and LSTM steps go through the batched kernels
     /// whose bit-identity is proptest-enforced in `gillis-tensor`, every
     /// other step runs per item, and the int8 wire round trip is applied per
     /// `(piece, item)` payload.
@@ -654,13 +662,26 @@ mod tests {
 
     /// One plan per join the executor has: no join, the strided gather of a
     /// four-way height split, and the contiguous join of a two-way channel
-    /// split of the head layer.
+    /// split of the head layer. A recurrent model has no split: whole, and
+    /// one function per layer.
     fn join_plans(model: &LinearModel) -> Vec<(&'static str, ExecutionPlan)> {
         let tall = |l: &&gillis_model::MergedLayer| {
             l.class.supports_spatial() && l.out_shape.dims()[1] >= 4
         };
         let spatial_end = model.layers().iter().take_while(tall).count();
         let split = |dim, parts| PartitionOption::Split { dim, parts };
+        if spatial_end == 0 {
+            let per_layer = (0..model.layers().len()).map(|i| PlannedGroup {
+                start: i,
+                end: i + 1,
+                option: PartitionOption::Single,
+                placement: Placement::Master,
+            });
+            return vec![
+                ("single", ExecutionPlan::single_function(model)),
+                ("per-layer", ExecutionPlan::new(per_layer.collect())),
+            ];
+        }
         vec![
             ("single", ExecutionPlan::single_function(model)),
             (
@@ -713,7 +734,12 @@ mod tests {
         // any width and thread count and through either join, carries the
         // bits a fresh exec gives that query alone — which for f32 are
         // `Executor::forward`'s.
-        for (model, wseed) in [(zoo::tiny_vgg(), 7), (zoo::tiny_mobilenet(), 8)] {
+        let models = [
+            (zoo::tiny_vgg(), 7),
+            (zoo::tiny_mobilenet(), 8),
+            (zoo::rnn_sized(3, 20, 12), 9),
+        ];
+        for (model, wseed) in models {
             let weights = init_weights(model.graph(), wseed).unwrap();
             let queries: Vec<Tensor> = (0..8).map(|i| query(model.input_shape(), 90 + i)).collect();
             let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
@@ -792,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn recurrent_and_branching_models_fail_to_compile() {
+    fn branching_models_fail_to_compile() {
         for model in [zoo::tiny_resnet(), zoo::tiny_inception()] {
             let weights = init_weights(model.graph(), 1).unwrap();
             let plan = ExecutionPlan::single_function(&model);

@@ -16,7 +16,8 @@
 //!   planned at compile time, and batch norm and ReLU rewrite their
 //!   producer's output in place, so the warm path performs no heap
 //!   allocation and holds two live activations per piece — what
-//!   `PartitionWork::mem_bytes` prices.
+//!   `PartitionWork::mem_bytes` prices (an LSTM step adds its states and gate
+//!   pre-activations, a third buffer planned the same way).
 //!   Every run is `n` item-major queries wide and a single query is `n = 1`
 //!   of the same steps and buffers, which grow to the widest batch served.
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
@@ -28,12 +29,14 @@
 //!   filter subset once. An f32 compile leaves it empty.
 //!
 //! Compilation is deliberately restricted to single-input layer chains (the
-//! shape of every VGG-style benchmark model). Graphs with `Add`, `Concat`,
-//! or `Lstm` nodes fail to compile with [`ModelError::Unsupported`]; callers
-//! fall back to the uncompiled executor, which supports everything.
+//! shape of every VGG-style benchmark model and of the RNN-k family). Graphs
+//! with `Add` or `Concat` nodes fail to compile with
+//! [`ModelError::Unsupported`]; callers fall back to the uncompiled executor,
+//! which supports everything.
 //!
 //! Every compiled fast path is bit-identical to the reference executor: conv
-//! steps call the interpreter's own GEMM driver on the same weight rows,
+//! steps call the interpreter's own GEMM driver on the same weight rows, an
+//! LSTM step is the interpreter's sequence kernel on the segment's scratch,
 //! batch-norm folding uses the executor's exact expressions, and gathers
 //! copy in [`Tensor::concat`]'s loop order. Property tests at the bottom of
 //! this module (and in `gillis-core`) compare outputs with `f32::to_bits`.
@@ -44,8 +47,9 @@ use std::sync::Arc;
 
 use gillis_tensor::ops::{
     avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, conv2d_quantized_into,
-    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, max_pool2d_into, softmax_into,
-    BatchNormParams, Conv2dParams, Pool2dParams,
+    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len,
+    lstm_sequence_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, LstmParams,
+    Pool2dParams,
 };
 use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
@@ -225,7 +229,26 @@ enum StepKind {
         q: Arc<QuantizedMatrix>,
         bias: Vec<f32>,
     },
+    /// LSTM layer of node `id` over `[steps, input]` sequences, its three
+    /// tensors borrowed like [`StepKind::Conv`]'s rows.
+    Lstm {
+        id: NodeId,
+        steps: usize,
+        input: usize,
+        hidden: usize,
+    },
     Softmax,
+}
+
+impl StepKind {
+    /// Floats of kernel scratch one item needs: the `[hidden]` hidden and
+    /// cell states of an LSTM step, then its gate pre-activations.
+    fn scratch_len(&self) -> usize {
+        match self {
+            StepKind::Lstm { steps, hidden, .. } => 2 * hidden + lstm_gates_len(*hidden, 1, *steps),
+            _ => 0,
+        }
+    }
 }
 
 /// An element-wise op that rewrites its producer's output in place: every
@@ -320,6 +343,26 @@ fn weight_rows<'a>(
     Ok((tensor_rows(w, Some(rows))?, tensor_rows(b, Some(rows))?))
 }
 
+/// The parameters of LSTM node `id`, if they fit the compiled geometry.
+fn lstm_weights(
+    map: &ModelWeights,
+    id: NodeId,
+    input: usize,
+    hidden: usize,
+) -> Result<&LstmParams> {
+    match map.get(id)? {
+        NodeWeights::Lstm(p)
+            if p.validate().is_ok() && (p.input_size(), p.hidden_size()) == (input, hidden) =>
+        {
+            Ok(p)
+        }
+        _ => Err(ModelError::BadWeights(format!(
+            "node {} expected lstm weights of input {input}, hidden {hidden}",
+            id.0
+        ))),
+    }
+}
+
 /// Pairs up the `n` item-major activations of `input` and `out`.
 fn items<'a>(
     n: usize,
@@ -334,10 +377,13 @@ fn items<'a>(
 /// Executes one lowered op over `n` item-major activations, from `input`
 /// into `out`; a single query is `n = 1`.
 ///
-/// Conv and dense steps hand the whole batch to their kernels, so it shares
-/// one traversal of the weights: the conv driver loops over the items inside
-/// each reduction block, the dense kernel dots each weight row against every
-/// item. Every other step runs its kernel once per item — depthwise has no
+/// Conv, dense and LSTM steps hand the whole batch to their kernels, so it
+/// shares one traversal of the weights: the conv driver loops over the items
+/// inside each reduction block, the dense kernel dots each weight row against
+/// every item, and the LSTM kernel does that for `w_ih` against every
+/// timestep of every item and for `w_hh` once per timestep, working in
+/// `scratch` (`n` times the step's [`StepKind::scratch_len`]). Every other
+/// step runs its kernel once per item — depthwise has no
 /// filter bank to share, and the int8 ops compute their activation scales
 /// per payload. Either way an item's output is bit-identical to running it
 /// alone (proptest-enforced for the batched kernels in `gillis-tensor`), and
@@ -350,6 +396,7 @@ fn exec_step(
     n: usize,
     input: &[f32],
     out: &mut [f32],
+    scratch: &mut [f32],
 ) -> Result<()> {
     match kind {
         StepKind::SliceInput {
@@ -448,6 +495,18 @@ fn exec_step(
                 quant::qgemv(q, input, out);
             }
         }
+        StepKind::Lstm {
+            id,
+            input: in_n,
+            hidden,
+            ..
+        } => {
+            let params = lstm_weights(map, *id, *in_n, *hidden)?;
+            let (state, gates) = scratch.split_at_mut(2 * n * hidden);
+            state.fill(0.0);
+            let state = state.split_at_mut(n * hidden);
+            lstm_sequence_into(params, n, input, state, gates, out);
+        }
         StepKind::Softmax => {
             for (input, out) in items(n, input, out) {
                 softmax_into(input, out);
@@ -475,22 +534,27 @@ pub struct CompiledSegment {
     in_len: usize,
     out_shape: Shape,
     steps: Vec<Step>,
-    /// The two activation buffers: even steps write the first, odd steps the
-    /// second. Sized at compile time for one item ([`arena_lens`]) and grown
-    /// to the widest batch run or reserved; never shrunk and never cleared,
-    /// because every step overwrites the whole of its output.
-    arena: [Vec<f32>; 2],
+    /// The two activation buffers — even steps write the first, odd steps
+    /// the second — and the kernel scratch of the step that needs most
+    /// ([`StepKind::scratch_len`]: empty unless the piece holds an LSTM).
+    /// Sized at compile time for one item ([`arena_lens`]) and grown to the
+    /// widest batch run or reserved; never shrunk and never cleared, because
+    /// every step overwrites the whole of its output and of the scratch it
+    /// reads.
+    arena: [Vec<f32>; 3],
     /// Items in the latest run.
     width: usize,
 }
 
-/// Per-item length of the two arena buffers: the largest output among the
-/// even steps and among the odd steps.
-fn arena_lens(steps: &[Step]) -> [usize; 2] {
-    [0, 1].map(|slot| {
+/// Per-item length of the two arena buffers — the largest output among the
+/// even steps and among the odd steps — and of the kernel scratch.
+fn arena_lens(steps: &[Step]) -> [usize; 3] {
+    let slot = |slot: usize| {
         let lens = steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
         lens.max().unwrap_or(0)
-    })
+    };
+    let scratch = steps.iter().map(|s| s.kind.scratch_len()).max();
+    [slot(0), slot(1), scratch.unwrap_or(0)]
 }
 
 impl CompiledSegment {
@@ -501,10 +565,10 @@ impl CompiledSegment {
     /// # Errors
     ///
     /// Returns [`ModelError::Unsupported`] for anything the compiled path
-    /// does not model — multi-input nodes (`Add`, `Concat`), `Lstm`, specs
-    /// the reference executor itself rejects (e.g. `Rows` of a dense layer),
-    /// or empty pieces. Callers are expected to fall back to the uncompiled
-    /// executor on error.
+    /// does not model — multi-input nodes (`Add`, `Concat`), specs the
+    /// reference executor itself rejects (e.g. `Rows` of a dense or LSTM
+    /// layer), or empty pieces. Callers are expected to fall back to the
+    /// uncompiled executor on error.
     pub fn compile(
         graph: &Graph,
         weights: &ModelWeights,
@@ -595,10 +659,43 @@ impl CompiledSegment {
     }
 
     /// Bytes of activation arena one query needs: four times the largest
-    /// output on the even steps plus the largest on the odd steps. A figure
-    /// of the plan, not of how wide the buffers have since grown.
+    /// output on the even steps plus the largest on the odd steps plus the
+    /// largest kernel scratch. A figure of the plan, not of how wide the
+    /// buffers have since grown.
     pub fn activation_bytes(&self) -> usize {
         arena_lens(&self.steps).iter().sum::<usize>() * std::mem::size_of::<f32>()
+    }
+
+    /// Weight bytes one query's kernels pass over, from step geometry: a
+    /// conv, dense or depthwise step reads its rows once (whatever the batch
+    /// width, which shares the pass), an LSTM step `w_ih` once and `w_hh`
+    /// once per timestep. The counted proxy for a bandwidth-bound layer's
+    /// time.
+    pub fn weight_bytes_streamed(&self) -> usize {
+        const F32: usize = std::mem::size_of::<f32>();
+        let mut in_len = self.in_len;
+        let mut bytes = 0;
+        for step in &self.steps {
+            bytes += match &step.kind {
+                StepKind::Conv {
+                    rows, params, in_c, ..
+                } => F32 * rows.len() * in_c * params.kernel.0 * params.kernel.1,
+                StepKind::Depthwise { rows, params, .. } => {
+                    F32 * rows.len() * params.kernel.0 * params.kernel.1
+                }
+                StepKind::Dense { rows, .. } => F32 * rows.len() * in_len,
+                StepKind::Lstm {
+                    steps,
+                    input,
+                    hidden,
+                    ..
+                } => F32 * 4 * hidden * (input + steps * hidden),
+                StepKind::QConv { q, .. } | StepKind::QDense { q, .. } => q.bytes(),
+                _ => 0,
+            };
+            in_len = step.out_len;
+        }
+        bytes
     }
 
     /// The latest run's output: the last step's arena buffer, `width` items.
@@ -647,12 +744,12 @@ impl CompiledSegment {
         self.reserve_batch(n);
         self.width = n;
         let mut src_len = inputs.len();
+        let [even, odd, scratch] = &mut self.arena;
         for (i, step) in self.steps.iter().enumerate() {
-            let (even, odd) = self.arena.split_at_mut(1);
             let (cur, prev) = if i % 2 == 0 {
-                (&mut even[0], &odd[0])
+                (&mut *even, &*odd)
             } else {
-                (&mut odd[0], &even[0])
+                (&mut *odd, &*even)
             };
             let src = if i == 0 { inputs } else { &prev[..src_len] };
             src_len = n * step.out_len;
@@ -660,7 +757,8 @@ impl CompiledSegment {
                 Some(out) if i + 1 == self.steps.len() => &mut **out,
                 _ => &mut cur[..src_len],
             };
-            exec_step(&step.kind, weights, n, src, dst)?;
+            let scratch = &mut scratch[..n * step.kind.scratch_len()];
+            exec_step(&step.kind, weights, n, src, dst, scratch)?;
             step.sweeps.iter().for_each(|s| s.apply(dst));
         }
         Ok(())
@@ -1070,6 +1168,22 @@ impl Builder<'_> {
                     vec![dims.iter().product()]
                 }
                 LayerOp::Dense { .. } => self.push_dense(id, &dims, None)?,
+                LayerOp::Lstm { hidden } => {
+                    let &[steps, input] = &dims[..] else {
+                        return Err(ModelError::Unsupported(
+                            "lstm requires a [seq, features] input".into(),
+                        ));
+                    };
+                    lstm_weights(self.weights, id, input, hidden)?;
+                    let kind = StepKind::Lstm {
+                        id,
+                        steps,
+                        input,
+                        hidden,
+                    };
+                    self.push(kind, steps * hidden);
+                    vec![steps, hidden]
+                }
                 LayerOp::Softmax => {
                     if dims.len() != 1 {
                         return Err(ModelError::Unsupported(
@@ -1494,6 +1608,12 @@ impl CompiledPartition {
         self.pieces.iter().map(|p| p.activation_bytes()).sum()
     }
 
+    /// Weight bytes one query streams, summed over the pieces (see
+    /// [`CompiledSegment::weight_bytes_streamed`]).
+    pub fn weight_bytes_streamed(&self) -> usize {
+        self.pieces.iter().map(|p| p.weight_bytes_streamed()).sum()
+    }
+
     /// The compiled pieces, for callers that dispatch them in parallel.
     pub fn pieces_mut(&mut self) -> &mut [CompiledSegment] {
         &mut self.pieces
@@ -1860,11 +1980,29 @@ mod tests {
         (sweeps, nodes.len() - sweeps - flattens)
     }
 
+    /// Floats of kernel scratch a piece over `nodes` holds, counted from the
+    /// graph: its widest LSTM's two `[hidden]` states plus `4·hidden` gate
+    /// pre-activations for each of the `T` timesteps and for one step of the
+    /// recurrence.
+    fn lstm_scratch(graph: &Graph, nodes: &[NodeId]) -> usize {
+        let scratch = nodes.iter().map(|id| {
+            let node = graph.node(*id).unwrap();
+            match node.op {
+                LayerOp::Lstm { hidden } => {
+                    2 * hidden + 4 * hidden * (node.output_shape.dims()[0] + 1)
+                }
+                _ => 0,
+            }
+        });
+        scratch.max().unwrap_or(0)
+    }
+
     /// The arena contract of one compiled piece, by exact counts: every
     /// BN/ReLU of the chain is a sweep and no other node is, the buffer
     /// writers are the remaining non-flatten nodes (plus at most one leading
-    /// slice or copy of the input), and the two buffers are exactly as long
-    /// as the largest output on the even and on the odd steps.
+    /// slice or copy of the input), the two buffers are exactly as long
+    /// as the largest output on the even and on the odd steps, and the
+    /// scratch is what the widest LSTM needs.
     fn assert_arena_plan(seg: &CompiledSegment, graph: &Graph, nodes: &[NodeId], what: &str) {
         let (elementwise, writers) = count_ops(graph, nodes);
         let swept: usize = seg
@@ -1890,14 +2028,15 @@ mod tests {
             let lens = seg.steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
             lens.max().unwrap_or(0)
         };
+        let scratch = lstm_scratch(graph, nodes);
         assert_eq!(
-            [seg.arena[0].len(), seg.arena[1].len()],
-            [cap(0), cap(1)],
+            seg.arena.each_ref().map(Vec::len),
+            [cap(0), cap(1), scratch],
             "{what}: arena"
         );
         assert_eq!(
             seg.activation_bytes(),
-            4 * (cap(0) + cap(1)),
+            4 * (cap(0) + cap(1) + scratch),
             "{what}: bytes"
         );
     }
@@ -1973,7 +2112,12 @@ mod tests {
                         if lead == 1 {
                             cap[0] = cap[0].max(seg.in_len());
                         }
-                        assert_eq!(seg.activation_bytes(), 4 * (cap[0] + cap[1]), "{what}");
+                        let scratch = lstm_scratch(model.graph(), &nodes);
+                        assert_eq!(
+                            seg.activation_bytes(),
+                            4 * (cap[0] + cap[1] + scratch),
+                            "{what}"
+                        );
                     }
                     let refs: Vec<Tensor> = inputs
                         .iter()
@@ -2018,7 +2162,11 @@ mod tests {
                     for (buf, len) in seg.arena.iter().zip(lens) {
                         assert_eq!(buf.len(), BATCH * len, "{what}: batch arena");
                     }
-                    assert_eq!(seg.activation_bytes(), 4 * (lens[0] + lens[1]), "{what}");
+                    assert_eq!(
+                        seg.activation_bytes(),
+                        4 * lens.iter().sum::<usize>(),
+                        "{what}"
+                    );
                     let out = seg.run(&weights, inputs[1].data()).unwrap();
                     assert_bits_eq(out, refs[1].data(), &format!("{what}: run after batch"));
                 }
@@ -2035,6 +2183,99 @@ mod tests {
             check_every_group(&zoo::tiny_mobilenet(), 6),
             [153, 120, 120, 25]
         );
+        // Every run of one, two and three LSTM layers, whole: a recurrent
+        // layer has no row, column or channel piece.
+        assert_eq!(
+            check_every_group(&zoo::rnn_sized(3, 20, 12), 7),
+            [6, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn lstm_chains_carry_forwards_bits_at_every_batch_width() {
+        // Sizes off the eight-lane body, and widths whose `n·T` right-hand
+        // sides cut into blocks of every width.
+        for layers in 1..=3usize {
+            let model = zoo::rnn_sized(layers, 20, 12);
+            let weights = init_weights(model.graph(), 40 + layers as u64).unwrap();
+            let exec = Executor::new(model.graph(), &weights);
+            let mut seg = CompiledSegment::compile(
+                model.graph(),
+                &weights,
+                model.layers(),
+                &PieceSpec::Full,
+                &mut PanelCache::new(),
+            )
+            .unwrap();
+            for n in [8usize, 1, 3] {
+                let queries: Vec<Tensor> = (0..n as u64)
+                    .map(|i| query(model.input_shape(), 70 + i))
+                    .collect();
+                let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
+                let out = seg.run_batch(&weights, &flat, n).unwrap();
+                for (item, q) in out.chunks_exact(out.len() / n).zip(&queries) {
+                    let reference = exec.forward(&model, q).unwrap();
+                    assert_bits_eq(item, reference.data(), &format!("rnn-{layers} n={n}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_weight_bytes_count_w_ih_once_and_w_hh_once_per_step() {
+        // RNN-3 at full size, on zeroed (so never touched) weights: the
+        // hoisted kernel passes over 268 MB of `w_ih` once and 201 MB of
+        // `w_hh` ten times, where a step-by-step cell passed over all 470 MB
+        // ten times.
+        let model = zoo::rnn(3);
+        let mut weights = ModelWeights::new();
+        for node in model.graph().nodes() {
+            if let LayerOp::Lstm { hidden } = node.op {
+                let input = model
+                    .graph()
+                    .node(node.inputs[0])
+                    .unwrap()
+                    .output_shape
+                    .dims()[1];
+                let zeros = |dims: Vec<usize>| Tensor::zeros(Shape::new(dims));
+                let params = LstmParams {
+                    w_ih: zeros(vec![4 * hidden, input]),
+                    w_hh: zeros(vec![4 * hidden, hidden]),
+                    bias: zeros(vec![4 * hidden]),
+                };
+                weights.insert(node.id, NodeWeights::Lstm(params));
+            }
+        }
+        let seg = CompiledSegment::compile(
+            model.graph(),
+            &weights,
+            model.layers(),
+            &PieceSpec::Full,
+            &mut PanelCache::new(),
+        )
+        .unwrap();
+        let (w_ih, w_hh) = (268_435_456, 201_326_592);
+        assert_eq!(seg.weight_bytes_streamed(), w_ih + zoo::RNN_SEQ_LEN * w_hh);
+        assert!(seg.weight_bytes_streamed() * 2 < zoo::RNN_SEQ_LEN * (w_ih + w_hh));
+
+        // Conv and dense rows are passed over once: the weight tensors' size.
+        let model = zoo::tiny_vgg();
+        let weights = init_weights(model.graph(), 3).unwrap();
+        let seg = CompiledSegment::compile(
+            model.graph(),
+            &weights,
+            model.layers(),
+            &PieceSpec::Full,
+            &mut PanelCache::new(),
+        )
+        .unwrap();
+        let weighted = model.graph().nodes().iter().filter_map(|n| match n.op {
+            LayerOp::Conv2d { .. } | LayerOp::Dense { .. } => {
+                Some(4 * row_weights(&weights, n.id).unwrap().0.shape().len())
+            }
+            _ => None,
+        });
+        assert_eq!(seg.weight_bytes_streamed(), weighted.sum::<usize>());
     }
 
     #[test]
@@ -2146,17 +2387,25 @@ mod tests {
 
     #[test]
     fn branching_graphs_fail_to_compile() {
-        let model = zoo::tiny_resnet();
-        let weights = init_weights(model.graph(), 13).unwrap();
-        let mut cache = PanelCache::new();
-        let err = CompiledSegment::compile(
-            model.graph(),
-            &weights,
-            model.layers(),
-            &PieceSpec::Full,
-            &mut cache,
-        );
-        assert!(matches!(err, Err(ModelError::Unsupported(_))));
+        // `Add` (tiny-resnet) and `Concat` (tiny-inception) joins stay with
+        // the interpreter: lowering LSTM steps did not widen what a
+        // multi-input graph compiles to.
+        for model in [zoo::tiny_resnet(), zoo::tiny_inception()] {
+            let weights = init_weights(model.graph(), 13).unwrap();
+            let mut cache = PanelCache::new();
+            let err = CompiledSegment::compile(
+                model.graph(),
+                &weights,
+                model.layers(),
+                &PieceSpec::Full,
+                &mut cache,
+            );
+            assert!(
+                matches!(err, Err(ModelError::Unsupported(_))),
+                "{}",
+                model.name()
+            );
+        }
     }
 
     #[test]

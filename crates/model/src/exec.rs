@@ -299,25 +299,7 @@ impl<'a> Executor<'a> {
             }
             LayerOp::Add => Ok(inputs[0].add(inputs[1])?),
             LayerOp::Concat => Ok(Tensor::concat(inputs, 0)?),
-            LayerOp::Lstm { .. } => {
-                let params = self.lstm_weights(id)?;
-                let seq = inputs[0].shape().dims()[0];
-                let feat = inputs[0].shape().dims()[1];
-                let steps: Vec<Tensor> = (0..seq)
-                    .map(|t| {
-                        inputs[0]
-                            .slice(0, t..t + 1)
-                            .and_then(|s| s.reshape(Shape::new(vec![feat])))
-                    })
-                    .collect::<std::result::Result<_, _>>()?;
-                let (outs, _) = lstm_sequence(&steps, params)?;
-                let hidden = params.hidden_size();
-                let mut data = Vec::with_capacity(seq * hidden);
-                for o in &outs {
-                    data.extend_from_slice(o.data());
-                }
-                Ok(Tensor::from_vec(Shape::new(vec![seq, hidden]), data)?)
-            }
+            LayerOp::Lstm { .. } => Ok(lstm_sequence(inputs[0], self.lstm_weights(id)?)?.0),
             LayerOp::Softmax => Ok(softmax(inputs[0])?),
         }
     }

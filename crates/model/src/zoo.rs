@@ -403,27 +403,38 @@ pub fn wrn50(widen: usize) -> LinearModel {
 ///
 /// Panics if `layers == 0`.
 pub fn rnn(layers: usize) -> LinearModel {
+    rnn_sized(layers, RNN_EMBED, RNN_HIDDEN)
+}
+
+/// The RNN-k architecture at another width: `layers` stacked LSTM layers of
+/// `hidden` units over an `embed`-dim sequence of length [`RNN_SEQ_LEN`] —
+/// [`rnn`] small enough for tests that execute it with real weights.
+///
+/// # Panics
+///
+/// Panics if `layers == 0`.
+pub fn rnn_sized(layers: usize, embed: usize, hidden: usize) -> LinearModel {
     assert!(layers > 0, "rnn needs at least one layer");
     let mut g = Graph::new();
     let mut cur = g
         .add(
             "input",
             LayerOp::Input {
-                shape: Shape::new(vec![RNN_SEQ_LEN, RNN_EMBED]),
+                shape: Shape::new(vec![RNN_SEQ_LEN, embed]),
             },
             &[],
         )
         .expect("input node");
     for i in 0..layers {
         cur = g
-            .add(
-                format!("lstm{}", i + 1),
-                LayerOp::Lstm { hidden: RNN_HIDDEN },
-                &[cur],
-            )
+            .add(format!("lstm{}", i + 1), LayerOp::Lstm { hidden }, &[cur])
             .expect("lstm node");
     }
-    merge_graph(format!("rnn-{layers}"), g).expect("rnn graphs are mergeable")
+    let name = match (embed, hidden) {
+        (RNN_EMBED, RNN_HIDDEN) => format!("rnn-{layers}"),
+        _ => format!("rnn-{layers}-{embed}x{hidden}"),
+    };
+    merge_graph(name, g).expect("rnn graphs are mergeable")
 }
 
 /// A small VGG-style CNN over 3×16×16 inputs — used by tests that execute

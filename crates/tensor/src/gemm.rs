@@ -100,6 +100,16 @@ pub(crate) fn gemm_threads(macs: usize) -> usize {
     }
 }
 
+/// Thread count for a `rows × cols` matrix–vector product: one below
+/// [`GEMV_PAR_MIN_CELLS`], [`gillis_threads`] from there on.
+pub(crate) fn gemv_threads(rows: usize, cols: usize) -> usize {
+    if rows.saturating_mul(cols) < GEMV_PAR_MIN_CELLS {
+        1
+    } else {
+        gillis_threads()
+    }
+}
+
 /// The geometry of a convolution's im2col matrix over one CHW image: row
 /// `(ic·kh + ky)·kw + kx`, column `oy·out_w + ox` is the input value that tap
 /// touches for that output position, or `0.0` where it falls in the padding.
@@ -620,12 +630,7 @@ pub fn conv_gemm_with_threads(
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn gemv(rows: usize, cols: usize, w: &[f32], x: &[f32], out: &mut [f32]) {
-    let threads = if rows.saturating_mul(cols) < GEMV_PAR_MIN_CELLS {
-        1
-    } else {
-        gillis_threads()
-    };
-    gemv_with_threads(rows, cols, w, x, out, threads);
+    gemv_with_threads(rows, cols, w, x, out, gemv_threads(rows, cols));
 }
 
 /// [`gemv`] with an explicit worker count, bypassing the small-work
@@ -667,37 +672,52 @@ pub fn gemv_with_threads(
 
 fn gemv_rows(cols: usize, w: &[f32], x: &[f32], out: &mut [f32]) {
     for (r, o) in out.iter_mut().enumerate() {
-        *o += row_dot(&w[r * cols..(r + 1) * cols], x);
+        *o += row_dots::<1>(&w[r * cols..(r + 1) * cols], x)[0];
     }
 }
 
-/// The eight-lane row dot product behind [`gemv`] *and* [`gemv_multi`]: one
-/// shared implementation so a `(row, query)` pair accumulates identically
-/// whether the query runs alone or inside a batch — that is the whole
-/// bit-identity argument for the batched dense path.
+/// Most right-hand sides one pass over a weight row is dotted against: that
+/// many accumulator vectors, the row's and one of `x` fill the sixteen AVX
+/// registers, and five independent multiply-add chains hide the latency of
+/// one, so the pass waits on memory rather than on its own last result.
+const MAX_Q: usize = 5;
+
+/// The eight-lane row dot product behind [`gemv`] *and* [`gemv_multi`], over
+/// `Q` right-hand sides (`xs` holds them back to back) in one pass over
+/// `row`. Every right-hand side has its own accumulator chain — eight lanes
+/// taking one multiply-add per eight columns, ascending, folded in a fixed
+/// tree, plus a serial tail — and no chain reads another, so a `(row, query)`
+/// pair accumulates identically whatever `Q` it rode in, alone (`Q = 1`)
+/// included: that is the whole bit-identity argument for the batched dense
+/// path and the hoisted LSTM input projection.
 #[inline]
-fn row_dot(row: &[f32], x: &[f32]) -> f32 {
+fn row_dots<const Q: usize>(row: &[f32], xs: &[f32]) -> [f32; Q] {
+    let cols = row.len();
+    assert_eq!(xs.len(), Q * cols, "xs must be Q rows");
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if crate::simd::simd_active() {
-        // SAFETY: simd_active() verified AVX2+FMA at runtime.
-        return unsafe { crate::simd::row_dot_fma(row, x) };
+        // SAFETY: simd_active() verified AVX2+FMA at runtime, and `xs` holds
+        // `Q` vectors of `row.len()` elements (asserted above).
+        return unsafe { crate::simd::row_dots_fma::<Q>(row, xs) };
     }
     const LANES: usize = 8;
-    let mut acc = [0.0f32; LANES];
-    let mut chunks = row.chunks_exact(LANES).zip(x.chunks_exact(LANES));
-    for (wc, xc) in &mut chunks {
-        for l in 0..LANES {
-            acc[l] += wc[l] * xc[l];
+    let body = cols - cols % LANES;
+    let mut acc = [[0.0f32; LANES]; Q];
+    for j in (0..body).step_by(LANES) {
+        let wc = &row[j..j + LANES];
+        for (q, acc) in acc.iter_mut().enumerate() {
+            let xc = &xs[q * cols + j..][..LANES];
+            for l in 0..LANES {
+                acc[l] += wc[l] * xc[l];
+            }
         }
     }
-    let tail: f32 = row
-        .chunks_exact(LANES)
-        .remainder()
-        .iter()
-        .zip(x.chunks_exact(LANES).remainder())
-        .map(|(a, b)| a * b)
-        .sum();
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    std::array::from_fn(|q| {
+        let acc = &acc[q];
+        let x_tail = &xs[q * cols + body..(q + 1) * cols];
+        let tail: f32 = row[body..].iter().zip(x_tail).map(|(a, b)| a * b).sum();
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    })
 }
 
 /// Batched matrix–vector product: `outs[r][q] += W[r] · xs[q]` for `nrhs`
@@ -707,21 +727,16 @@ fn row_dot(row: &[f32], x: &[f32]) -> f32 {
 /// batch).
 ///
 /// Each `(row, q)` dot product uses exactly the [`gemv`] accumulation scheme
-/// ([`row_dot`]), so every output is bit-identical to `nrhs` separate `gemv`
+/// ([`row_dots`]), so every output is bit-identical to `nrhs` separate `gemv`
 /// calls — the batch only amortizes the weight-matrix traversal: each `W`
 /// row is streamed from memory once and dotted against all `nrhs` inputs
-/// while cache-hot.
+/// while cache-hot, up to [`MAX_Q`] of them per pass over the row.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn gemv_multi(rows: usize, cols: usize, w: &[f32], xs: &[f32], outs: &mut [f32], nrhs: usize) {
-    let threads = if rows.saturating_mul(cols) < GEMV_PAR_MIN_CELLS {
-        1
-    } else {
-        gillis_threads()
-    };
-    gemv_multi_with_threads(rows, cols, w, xs, outs, nrhs, threads);
+    gemv_multi_with_threads(rows, cols, w, xs, outs, nrhs, gemv_threads(rows, cols));
 }
 
 /// [`gemv_multi`] with an explicit worker count. Threads split weight rows
@@ -763,11 +778,28 @@ pub fn gemv_multi_with_threads(
     Pool::global().join_all(tasks);
 }
 
+/// `outs[r][q] += W[r] · xs[q]` on the calling thread: each weight row is
+/// dotted against the right-hand sides in blocks of at most [`MAX_Q`], as
+/// even as they come (ten is 5 + 5, eight 4 + 4).
 fn gemv_multi_rows(cols: usize, nrhs: usize, w: &[f32], xs: &[f32], outs: &mut [f32]) {
+    fn add<const Q: usize>(row: &[f32], xs: &[f32], out: &mut [f32]) {
+        for (o, dot) in out.iter_mut().zip(row_dots::<Q>(row, xs)) {
+            *o += dot;
+        }
+    }
+    let blocks = nrhs.div_ceil(MAX_Q);
     for (r, orow) in outs.chunks_exact_mut(nrhs).enumerate() {
         let row = &w[r * cols..(r + 1) * cols];
-        for (q, o) in orow.iter_mut().enumerate() {
-            *o += row_dot(row, &xs[q * cols..(q + 1) * cols]);
+        for b in 0..blocks {
+            let qs = b * nrhs / blocks..(b + 1) * nrhs / blocks;
+            let (xs, out) = (&xs[qs.start * cols..qs.end * cols], &mut orow[qs.clone()]);
+            match qs.len() {
+                1 => add::<1>(row, xs, out),
+                2 => add::<2>(row, xs, out),
+                3 => add::<3>(row, xs, out),
+                4 => add::<4>(row, xs, out),
+                _ => add::<MAX_Q>(row, xs, out),
+            }
         }
     }
 }
@@ -916,27 +948,30 @@ mod tests {
             prop_assert_eq!(bits(&out1), bits(&out8));
         }
 
+        /// Every `nrhs` up to 13 — one block of each width, and every way
+        /// the blocks of two and three passes come out — at every thread
+        /// count, with `cols` on both sides of the eight-lane body.
         #[test]
         fn gemv_multi_is_bit_identical_to_per_query_gemv(
             (rows, cols) in (1usize..24, 1usize..70),
-            nrhs_sel in 0usize..3,
             seed in 0u32..1000,
         ) {
-            let nrhs = [2usize, 3, 8][nrhs_sel];
             let w = pseudo(rows * cols, seed, 2891336453);
-            let xs = pseudo(nrhs * cols, seed, 1181783497);
-            let mut want = vec![0.0f32; rows * nrhs];
-            for q in 0..nrhs {
-                let mut out = vec![0.125f32; rows];
-                gemv(rows, cols, &w, &xs[q * cols..(q + 1) * cols], &mut out);
-                for r in 0..rows {
-                    want[r * nrhs + q] = out[r];
+            for nrhs in 1usize..=13 {
+                let xs = pseudo(nrhs * cols, seed, 1181783497);
+                let mut want = vec![0.0f32; rows * nrhs];
+                for q in 0..nrhs {
+                    let mut out = vec![0.125f32; rows];
+                    gemv(rows, cols, &w, &xs[q * cols..(q + 1) * cols], &mut out);
+                    for r in 0..rows {
+                        want[r * nrhs + q] = out[r];
+                    }
                 }
-            }
-            for threads in [1usize, 2, 8] {
-                let mut got = vec![0.125f32; rows * nrhs];
-                gemv_multi_with_threads(rows, cols, &w, &xs, &mut got, nrhs, threads);
-                prop_assert_eq!(bits(&want), bits(&got), "threads={}", threads);
+                for threads in [1usize, 2, 8] {
+                    let mut got = vec![0.125f32; rows * nrhs];
+                    gemv_multi_with_threads(rows, cols, &w, &xs, &mut got, nrhs, threads);
+                    prop_assert_eq!(bits(&want), bits(&got), "nrhs={} threads={}", nrhs, threads);
+                }
             }
         }
 

@@ -25,9 +25,16 @@ pub fn relu_into(x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Logistic sigmoid of one value: the expression behind [`sigmoid`] and the
+/// LSTM gates, which must agree to the bit.
+#[inline]
+pub(crate) fn sigmoid_f32(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// Logistic sigmoid, element-wise.
 pub fn sigmoid(input: &Tensor) -> Tensor {
-    input.map(|x| 1.0 / (1.0 + (-x).exp()))
+    input.map(sigmoid_f32)
 }
 
 /// Hyperbolic tangent, element-wise.

@@ -82,7 +82,7 @@ pub fn dense_into(w: &[f32], x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
 ///
 /// Per-output rounding is bit-identical to calling [`dense_into`] once per
 /// item for any thread count: the accumulator for `(row, item)` is seeded
-/// with the same bias value and receives exactly one `row_dot` over the same
+/// with the same bias value and receives exactly one `row_dots` chain over the same
 /// operands in both paths. `batch == 1` delegates to [`dense_into`] directly
 /// (no widened scratch is touched). The widened accumulator lives in
 /// per-thread scratch, so warmed threads allocate nothing for batches up to

@@ -23,7 +23,9 @@ pub use pool::{
     avg_pool2d, avg_pool2d_into, global_avg_pool, global_avg_pool_into, max_pool2d,
     max_pool2d_into, Pool2dParams,
 };
-pub use rnn::{lstm_cell, lstm_sequence, LstmParams, LstmState};
+pub use rnn::{
+    lstm_cell, lstm_gates_len, lstm_sequence, lstm_sequence_into, LstmParams, LstmState,
+};
 
 use serde::{Deserialize, Serialize};
 

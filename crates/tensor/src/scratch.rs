@@ -1,9 +1,9 @@
 //! Per-thread scratch arenas for kernel-internal temporaries.
 //!
 //! Every heavy kernel in this crate needs short-lived working memory — the
-//! packed `B` block of a convolution, the gate pre-activations of an LSTM
-//! step. Allocating those per call puts the allocator (and the kernel page
-//! faults behind it) on the per-query hot path of the fork-join runtime. The
+//! packed `B` block of a convolution, the widened accumulator of a batched
+//! dense layer. Allocating those per call puts the allocator (and the kernel
+//! page faults behind it) on the per-query hot path of the fork-join runtime. The
 //! arena here keeps one buffer per *use site* per thread: a kernel takes the
 //! buffer for its site, clears and resizes it (within capacity after the
 //! first query — no allocation), and puts it back when done.
@@ -29,18 +29,12 @@ pub enum Site {
     Im2col = 0,
     /// Packed `B` block of the f32 GEMM driver: at most `KC·NC` floats.
     PackB = 1,
-    /// LSTM input-to-hidden gate pre-activations.
-    LstmGateInput = 2,
-    /// LSTM hidden-to-hidden gate pre-activations.
-    LstmGateHidden = 3,
-    /// LSTM combined gate pre-activations.
-    LstmPre = 4,
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
-    BatchGemv = 5,
+    BatchGemv = 2,
 }
 
-const N_SITES: usize = 6;
+const N_SITES: usize = 3;
 
 /// A per-thread set of reusable `f32` buffers, one slot per [`Site`].
 #[derive(Debug, Default)]
@@ -118,13 +112,13 @@ mod tests {
     #[test]
     fn put_keeps_larger_buffer_on_double_take() {
         let mut s = Scratch::default();
-        let mut big = s.take(Site::LstmPre);
+        let mut big = s.take(Site::BatchGemv);
         big.resize(256, 0.0);
-        let mut small = s.take(Site::LstmPre); // double take: empty
+        let mut small = s.take(Site::BatchGemv); // double take: empty
         small.resize(8, 0.0);
-        s.put(Site::LstmPre, small);
-        s.put(Site::LstmPre, big);
-        assert!(s.take(Site::LstmPre).capacity() >= 256);
+        s.put(Site::BatchGemv, small);
+        s.put(Site::BatchGemv, big);
+        assert!(s.take(Site::BatchGemv).capacity() >= 256);
     }
 
     #[test]

@@ -142,35 +142,47 @@ mod avx2 {
         }
     }
 
-    /// FMA row dot for `gemv`: eight f32 lanes accumulate with FMA, then the
-    /// lanes fold in the same fixed tree order as the scalar kernel, plus a
-    /// scalar tail. Deterministic for a given length.
+    /// FMA row dots for `gemv` and `gemv_multi`: `row` against the `Q`
+    /// vectors back to back in `xs`, one accumulator vector each. A chain's
+    /// eight f32 lanes accumulate with FMA, then fold in the same fixed tree
+    /// order as the scalar kernel, plus a scalar tail. Deterministic for a
+    /// given length, and the same for a vector whatever `Q` it rode in.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `xs` must hold `Q·row.len()`
+    /// elements.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn row_dot_fma(row: &[f32], x: &[f32]) -> f32 {
+    pub unsafe fn row_dots_fma<const Q: usize>(row: &[f32], xs: &[f32]) -> [f32; Q] {
         let n = row.len();
-        let mut vacc = _mm256_setzero_ps();
+        let mut vacc = [_mm256_setzero_ps(); Q];
         let mut j = 0;
         while j + 8 <= n {
             let vw = _mm256_loadu_ps(row.as_ptr().add(j));
-            let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-            vacc = _mm256_fmadd_ps(vw, vx, vacc);
+            for (q, vacc) in vacc.iter_mut().enumerate() {
+                let vx = _mm256_loadu_ps(xs.as_ptr().add(q * n + j));
+                *vacc = _mm256_fmadd_ps(vw, vx, *vacc);
+            }
             j += 8;
         }
-        let mut acc = [0.0f32; 8];
-        _mm256_storeu_ps(acc.as_mut_ptr(), vacc);
-        let mut tail = 0.0f32;
-        while j < n {
-            tail += row[j] * x[j];
-            j += 1;
+        let mut out = [0.0f32; Q];
+        for (q, out) in out.iter_mut().enumerate() {
+            let mut acc = [0.0f32; 8];
+            _mm256_storeu_ps(acc.as_mut_ptr(), vacc[q]);
+            let mut tail = 0.0f32;
+            for k in j..n {
+                tail += row[k] * xs[q * n + k];
+            }
+            let folded =
+                ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+            *out = folded + tail;
         }
-        let folded =
-            ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-        folded + tail
+        out
     }
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use avx2::{micro_fma, row_dot_fma};
+pub(crate) use avx2::{micro_fma, row_dots_fma};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use avx2::dot_i8_avx2;
@@ -216,7 +228,7 @@ mod tests {
         let n = 37;
         let row: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
-        let got = unsafe { row_dot_fma(&row, &x) };
+        let got = unsafe { row_dots_fma::<1>(&row, &x) }[0];
         let want: f32 = row.iter().zip(&x).map(|(a, b)| a * b).sum();
         assert!((got - want).abs() < 1e-4, "{got} vs {want}");
     }

@@ -339,7 +339,7 @@ enum WarmSlot {
     /// new one.
     #[default]
     Empty,
-    /// The model is outside the compiled subset (branching or recurrent);
+    /// The model is outside the compiled subset (a multi-input graph);
     /// remembered so the fallback does not re-attempt compilation per query.
     Unsupported,
     /// Compiled against the weight set carrying this
@@ -452,7 +452,7 @@ impl Deployment {
     /// [`ModelWeights::stamp`], wherever the set lives) reuse that state —
     /// the steady-state warm path runs without heap allocation at pool width
     /// 1 — and a changed set replaces it, one plan resident at a time.
-    /// Chaos-enabled deployments, branching/recurrent models, and mis-shaped
+    /// Chaos-enabled deployments, branching models, and mis-shaped
     /// inputs take the uncompiled resilient path
     /// ([`gillis_core::execute_plan_tensors`]); outputs are bit-identical
     /// either way.
@@ -531,7 +531,7 @@ impl Deployment {
                     };
                 }
                 Err(CoreError::Model(ModelError::Unsupported(_))) => {
-                    // Branching or recurrent model: remember, and let every
+                    // Branching model: remember, and let every
                     // query take the uncompiled path without re-compiling.
                     warm.slot = WarmSlot::Unsupported;
                     return Ok(None);
@@ -1002,6 +1002,32 @@ mod tests {
         // Second query goes straight to the fallback without recompiling.
         let again = d.infer(&weights, &input).unwrap();
         assert_eq!(out.data()[0].to_bits(), again.data()[0].to_bits());
+    }
+
+    #[test]
+    fn recurrent_model_is_served_from_the_warm_slot() {
+        use gillis_model::exec::Executor;
+        use gillis_model::weights::init_weights;
+
+        // RNN-k compiles: only a multi-input graph is left to the fallback.
+        let model = zoo::rnn_sized(3, 20, 12);
+        let d = Gillis::new(model.clone()).deploy().unwrap();
+        let weights = init_weights(model.graph(), 9).unwrap();
+        let input = Tensor::from_fn(model.input_shape().clone(), |i| {
+            ((i % 11) as f32 - 5.0) / 5.0
+        });
+        let reference = Executor::new(model.graph(), &weights)
+            .forward(&model, &input)
+            .unwrap();
+        for _ in 0..2 {
+            let out = d.infer(&weights, &input).unwrap();
+            assert_eq!(out.shape(), reference.shape());
+            for (a, b) in out.data().iter().zip(reference.data()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        assert!(format!("{:?}", d.warm).contains("ready"));
+        assert_eq!(d.warm_plan().unwrap().compiles, 1);
     }
 
     #[test]
