@@ -4,18 +4,21 @@
 //! and preallocates every buffer, so a warm query through a
 //! [`CompiledPlanExec`] touches the heap zero times and is bit-identical to
 //! the per-query reference path by construction. `ext_infer [--smoke]` checks
-//! exactly that on tiny-vgg, for the single-function plan and a 2-way
-//! height-split plan, and on a two-layer RNN at reduced width, whole and one
-//! function per layer, at pool width 1: warm queries — and a warm batch of
-//! four followed by a single query — perform **zero** heap allocations
-//! (counted by a global allocator), carry the cold path's bits, and the plan
-//! holds exactly the activation bytes of a two-buffer arena per piece (plus
-//! an LSTM's states and gate pre-activations), counted from the graph and
+//! exactly that on tiny-vgg, tiny-resnet and tiny-inception, for the
+//! single-function plan and a plan that splits every layer two ways, and on a
+//! two-layer RNN at reduced width, whole and one function per layer, at pool
+//! width 1: warm queries — and a warm batch of four followed by a single
+//! query — perform **zero** heap allocations (counted by a global
+//! allocator), carry the cold path's bits, and the plan holds exactly the
+//! activation bytes of one lane — every slot as long as its largest tenant
+//! over all pieces, plus an LSTM's states and gate pre-activations — the
+//! join buffers and the gathered piece outputs, counted from the graph and
 //! the span geometry rather than from the compiled steps. What the
 //! warm path buys in milliseconds is `benchmark/`'s `core.exec.*` and
 //! `model.*` metrics, not this binary's business.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gillis_core::partition::split_ranges;
@@ -99,88 +102,190 @@ fn forced_split_plan(model: &LinearModel, parts: usize) -> ExecutionPlan {
     ExecutionPlan::new(groups)
 }
 
-/// The activation bytes a compiled `plan` should hold if every piece runs in
-/// two ping-pong buffers with batch norm and ReLU in place: per piece, the
-/// largest output among its even buffer-writing ops plus the largest among
-/// its odd ones, and one join buffer per group. Counted from node shapes and
-/// [`SpanPlan`] hulls; a piece that does not take its group's whole input
-/// writes its input slice first. (Groups here open with a buffer-writing
-/// op, as every zoo layer does.) A group of LSTM layers also holds the
-/// scratch of its widest: two `[hidden]` states and `4·hidden` gate
-/// pre-activations per timestep plus one step's.
+/// One piece's slot assignment replayed from the graph: a value takes the
+/// lowest slot no live value holds, keeps it until its last reader has run,
+/// and a slot is as long as its largest tenant.
+#[derive(Default)]
+struct PieceSlots {
+    lens: Vec<usize>,
+    /// Reads each slot's tenant still has coming; 0 = free.
+    pending: Vec<usize>,
+    /// The slot written last: where an in-place BN/ReLU may work.
+    last: Option<usize>,
+    scratch: usize,
+}
+
+impl PieceSlots {
+    /// A value of `len` floats that `readers` nodes read, computed from the
+    /// values in `reads` (`None`: the piece's input, which holds no slot).
+    fn write(&mut self, len: usize, readers: usize, reads: &[Option<usize>]) -> Option<usize> {
+        let free = self.pending.iter().position(|&p| p == 0);
+        let slot = free.unwrap_or_else(|| {
+            self.lens.push(0);
+            self.pending.push(0);
+            self.lens.len() - 1
+        });
+        self.lens[slot] = self.lens[slot].max(len);
+        self.pending[slot] = readers;
+        for read in reads.iter().flatten() {
+            self.pending[*read] -= 1;
+        }
+        self.last = Some(slot);
+        self.last
+    }
+}
+
+/// Replays one piece over `nodes` — each with the extent (rows, columns or
+/// channels) of its output the piece computes and, under a span plan, the
+/// sub-span it reads of every input — from node shapes alone. `sliced` is
+/// the extent of the input slice a piece that does not take its group's whole
+/// input writes first. Batch norm and ReLU rewrite the value they read where
+/// it lies when it was written last and nothing else reads it, else a copy;
+/// a flatten writes nothing; an LSTM adds two `[hidden]` states and `4·hidden`
+/// gate pre-activations per timestep plus one step's of scratch.
+fn piece_slots(
+    model: &LinearModel,
+    nodes: &[(NodeId, usize, Vec<usize>)],
+    axis: usize,
+    sliced: Option<usize>,
+) -> PieceSlots {
+    let graph = model.graph();
+    let node = |id: NodeId| graph.node(id).expect("node of the model's graph");
+    // Output length of `id` with dimension `axis` cut down to `extent`.
+    let cut = |id: NodeId, extent: usize| {
+        let shape = &node(id).output_shape;
+        match shape.dims().get(axis) {
+            Some(full) => shape.len() / full * extent,
+            None => shape.len(),
+        }
+    };
+    let readers = |id: NodeId| {
+        let reads = nodes.iter().flat_map(|(n, ..)| &node(*n).inputs);
+        reads.filter(|input| **input == id).count()
+    };
+    let seed = node(nodes[0].0).inputs[0];
+    let mut slots = PieceSlots::default();
+    // Where each value lives and its extent; a value not listed is the input.
+    let mut at: HashMap<NodeId, (Option<usize>, usize)> = HashMap::new();
+    if let Some(extent) = sliced {
+        at.insert(
+            seed,
+            (
+                slots.write(cut(seed, extent), readers(seed), &[None]),
+                extent,
+            ),
+        );
+    }
+    for (id, extent, reads) in nodes {
+        let n = node(*id);
+        let mut ins = Vec::new();
+        for (k, input) in n.inputs.iter().enumerate() {
+            let (mut slot, held) = at.get(input).copied().unwrap_or((None, usize::MAX));
+            if let Some(read) = reads.get(k).filter(|read| **read != held) {
+                slot = slots.write(cut(*input, *read), 1, &[slot]);
+            }
+            ins.push(slot);
+        }
+        let alias = |slots: &mut PieceSlots, slot: Option<usize>| {
+            if let Some(s) = slot {
+                slots.pending[s] += readers(*id);
+                slots.pending[s] -= 1;
+            }
+            slot
+        };
+        let slot = match n.op {
+            LayerOp::Flatten => alias(&mut slots, ins[0]),
+            LayerOp::BatchNorm | LayerOp::Relu => match ins[0] {
+                Some(s) if slots.last == ins[0] && slots.pending[s] == 1 => {
+                    alias(&mut slots, ins[0])
+                }
+                _ => slots.write(cut(*id, *extent), readers(*id), &ins[..1]),
+            },
+            _ => {
+                if let LayerOp::Lstm { hidden } = n.op {
+                    let steps = n.output_shape.dims()[0];
+                    slots.scratch = slots.scratch.max(2 * hidden + 4 * hidden * (steps + 1));
+                }
+                slots.write(cut(*id, *extent), readers(*id), &ins)
+            }
+        };
+        at.insert(*id, (slot, *extent));
+    }
+    slots
+}
+
+/// The activation bytes a compiled `plan` should hold at pool width 1: one
+/// lane, each slot as long as the longest any piece of the plan puts there
+/// (plus the largest scratch), one join buffer per group, and the output of every
+/// piece whose join is gathered — all but single pieces and channel pieces,
+/// which write their join directly. Counted from node shapes and
+/// [`SpanPlan`] hulls, not from compiled steps.
 fn planned_activation_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize {
     let graph = model.graph();
     let node = |id: NodeId| graph.node(id).expect("node of the model's graph");
-    let writes = |id: &NodeId| {
-        !matches!(
-            node(*id).op,
-            LayerOp::BatchNorm | LayerOp::Relu | LayerOp::Flatten
-        )
+    let mut lane = PieceSlots::default();
+    let mut cover = |piece: PieceSlots| {
+        lane.lens.resize(lane.lens.len().max(piece.lens.len()), 0);
+        for (mine, theirs) in lane.lens.iter_mut().zip(&piece.lens) {
+            *mine = (*mine).max(*theirs);
+        }
+        lane.scratch = lane.scratch.max(piece.scratch);
     };
-    let two_buffers = |lens: Vec<usize>| -> usize {
-        let cap = |slot: usize| {
-            lens.iter()
-                .skip(slot)
-                .step_by(2)
-                .max()
-                .copied()
-                .unwrap_or(0)
-        };
-        cap(0) + cap(1)
-    };
-    let mut floats = 0;
+    let mut kept = 0;
     for g in plan.groups() {
         let layers = &model.layers()[g.start..g.end];
         let nodes: Vec<NodeId> = layers.iter().flat_map(|l| l.nodes.clone()).collect();
         let seed = node(nodes[0]).inputs[0];
-        let seed_shape = &node(seed).output_shape;
-        let out_dims = layers[layers.len() - 1].out_shape.dims();
-        floats += out_dims.iter().product::<usize>();
-        // Output length of `id` with dimension `dim` cut down to `extent`.
-        let cut = |id: NodeId, dim: usize, extent: usize| {
-            let shape = &node(id).output_shape;
-            shape.len() / shape.dims()[dim] * extent
+        let out_len = layers[layers.len() - 1].out_shape.len();
+        kept += out_len;
+        // Every node at its full channel extent.
+        let whole = || {
+            let extent = |id: &NodeId| node(*id).output_shape.dims()[0];
+            nodes.iter().map(move |id| (*id, extent(id), Vec::new()))
         };
         match g.option {
             PartitionOption::Single => {
-                let writers = nodes.iter().filter(|id| writes(id));
-                floats += two_buffers(writers.map(|&id| node(id).output_shape.len()).collect());
-                let scratch = nodes.iter().map(|&id| match node(id).op {
-                    LayerOp::Lstm { hidden } => {
-                        2 * hidden + 4 * hidden * (node(id).output_shape.dims()[0] + 1)
-                    }
-                    _ => 0,
-                });
-                floats += scratch.max().unwrap_or(0);
+                cover(piece_slots(model, &whole().collect::<Vec<_>>(), 0, None))
             }
             PartitionOption::Split { dim, parts } => {
-                // A conv or dense head takes the whole input; a channel-local
-                // group slices it first.
-                let headed = nodes.iter().any(|&id| {
+                let (axis, ranges) = split_ranges(layers, dim, parts);
+                if dim != PartDim::Channel {
+                    kept += out_len;
+                }
+                // A conv or dense head takes the whole input, from its node
+                // on; a channel-local group slices the input first.
+                let head = nodes.iter().rposition(|&id| {
                     matches!(node(id).op, LayerOp::Conv2d { .. } | LayerOp::Dense { .. })
                 });
-                let (axis, ranges) = split_ranges(layers, dim, parts);
                 for r in ranges {
-                    let mut lens = Vec::new();
-                    if dim == PartDim::Channel {
-                        if !headed {
-                            lens.push(cut(seed, axis, r.len()));
-                        }
-                        let writers = nodes.iter().filter(|id| writes(id));
-                        lens.extend(writers.map(|&id| cut(id, axis, r.len())));
+                    let piece = if dim == PartDim::Channel {
+                        let from = head.unwrap_or(0);
+                        let nodes: Vec<_> = whole()
+                            .skip(from)
+                            .map(|(id, ..)| (id, r.len(), Vec::new()))
+                            .collect();
+                        piece_slots(model, &nodes, 0, head.is_none().then_some(r.len()))
                     } else {
+                        let seed_shape = &node(seed).output_shape;
                         let span = SpanPlan::new(graph, &nodes, seed, seed_shape, axis, r)
                             .expect("spatial group");
-                        lens.push(cut(seed, axis, span.seed_span.len()));
-                        let writers = span.nodes.iter().filter(|n| writes(&n.id));
-                        lens.extend(writers.map(|n| cut(n.id, axis, n.out.len())));
-                    }
-                    floats += two_buffers(lens);
+                        let reads = |n: &gillis_model::span::SpanNode| {
+                            n.reads.iter().map(|r| r.len()).collect()
+                        };
+                        let nodes: Vec<_> = span
+                            .nodes
+                            .iter()
+                            .map(|n| (n.id, n.out.len(), reads(n)))
+                            .collect();
+                        piece_slots(model, &nodes, axis, Some(span.seed_span.len()))
+                    };
+                    cover(piece);
                 }
             }
         }
     }
-    floats * std::mem::size_of::<f32>()
+    let lane = lane.lens.iter().sum::<usize>() + lane.scratch;
+    (lane + kept) * std::mem::size_of::<f32>()
 }
 
 fn query(model: &LinearModel, seed: u64) -> Tensor {
@@ -194,7 +299,7 @@ fn query(model: &LinearModel, seed: u64) -> Tensor {
 }
 
 /// One plan's smoke. Compiled once, the plan must hold exactly the planned
-/// two-buffer arenas; warm single queries must allocate nothing; and, since a
+/// lane, joins and piece outputs; warm single queries must allocate nothing; and, since a
 /// query is a batch of one on the same buffers, after `reserve_batch(N)` a
 /// warm batch of `N` and the single query after it must allocate nothing
 /// either, without the plan's activation figure moving with the buffers'
@@ -235,7 +340,7 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     assert_eq!(
         compiled.activation_bytes(),
         planned,
-        "{name}: the compiled plan does not hold the planned two-buffer arenas"
+        "{name}: the compiled plan does not hold the planned lane, joins and piece outputs"
     );
 
     (0..3).for_each(|_| single(&mut compiled)); // warm-up
@@ -268,8 +373,8 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     );
 }
 
-/// tiny-vgg and a reduced RNN-2 at pool width 1 — the warm path must not
-/// allocate.
+/// tiny-vgg, tiny-resnet, tiny-inception and a reduced RNN-2 at pool width 1
+/// — the warm path must not allocate.
 fn main() {
     // `--smoke` is the only mode; the flag stays so CI's command line does.
     let _ = gillis_bench::bench_args(&["--smoke"]);
@@ -277,6 +382,11 @@ fn main() {
     // forced split finds no partition and leaves one function per layer.
     let models = [
         (zoo::tiny_vgg(), ["single", "split2"]),
+        (zoo::tiny_resnet(), ["resnet single", "resnet split2"]),
+        (
+            zoo::tiny_inception(),
+            ["inception single", "inception split2"],
+        ),
         (zoo::rnn_sized(2, 20, 12), ["rnn single", "rnn per-layer"]),
     ];
     for (model, names) in models {
@@ -290,5 +400,7 @@ fn main() {
             smoke_plan(&model, &weights, plan, name);
         }
     }
-    println!("\nwarm path is allocation-free on tiny-vgg and rnn-2 at pool width 1.");
+    println!(
+        "\nwarm path is allocation-free on tiny-vgg, tiny-resnet, tiny-inception and rnn-2 at pool width 1."
+    );
 }

@@ -1,33 +1,39 @@
 //! Plan-level compiled execution: the steady-state warm path of a deployment.
 //!
 //! [`CompiledPlanExec`] lowers an [`ExecutionPlan`] over a model into a chain
-//! of [`CompiledPartition`]s (one per planned group) plus one preallocated
-//! join buffer per group. Compilation — plan validation, range balancing,
-//! arena planning, batch-norm folding, and int8 panel quantization when
-//! asked for — happens once per `(plan, model)`; a query then flows through the chain touching
-//! only preallocated buffers. A query is a batch of one: `run_raw` is
-//! `run_batch_raw` at `n = 1`, through the same groups and buffers, which
-//! grow to the widest batch served and are never re-zeroed.
+//! of [`CompiledPartition`]s (one per planned group), one preallocated join
+//! buffer per group, and a few *lanes* — activation arenas every piece of the
+//! plan runs on in turn. Compilation — plan validation, range balancing,
+//! slot assignment, batch-norm folding, and int8 panel quantization when
+//! asked for — happens once per `(plan, model)`; a query then flows through
+//! the chain touching only preallocated buffers. A query is a batch of one:
+//! `run_raw` is `run_batch_raw` at `n = 1`, through the same groups and
+//! buffers, which grow to the widest batch served and are never re-zeroed.
 //!
 //! Piece dispatch mirrors [`execute_plan_tensors`](crate::forkjoin): the same
 //! [`split_ranges`] cuts and a gather in exactly [`Tensor::concat`]'s memory
 //! order, so each item's output is bit-identical to the uncompiled path at
-//! any thread count and batch width (see the tests at the bottom). With
-//! `threads <= 1` every piece runs inline on the caller and the warm path
-//! performs zero heap allocations; with more threads, pieces of a group fan
-//! out on the shared pool. The one width-dependent decision is the join: a
-//! single query's channel-split pieces write their disjoint slices of the
-//! join buffer directly, anything else runs and is then gathered
-//! ([`CompiledPartition::contiguous_ranges`]).
+//! any thread count and batch width (see the tests at the bottom). A group's
+//! pieces are dealt to `min(threads, pieces)` lanes, one pool task per lane;
+//! a lane is as large as the widest piece of the whole plan and is shared by
+//! every group, so the plan holds a lane per thread in flight, not an arena
+//! per piece. With one lane every piece runs inline on the caller and the
+//! warm path performs zero heap allocations. The one width-dependent decision
+//! is the join: a single piece, and a single query's channel-split pieces,
+//! write their disjoint slices of the join buffer directly; anything else
+//! runs into the piece's own output buffer and is then gathered
+//! ([`CompiledPartition::joins_directly`]).
 //!
-//! Compilation fails with an error (never wrong results) on models the
-//! compiled path does not cover — branching graphs (ResNet's `Add`,
-//! inception `Concat`). Callers fall back to
-//! [`execute_plan_tensors`](crate::forkjoin::execute_plan_tensors).
+//! Every group the planner can form compiles — chains, residual blocks and
+//! inception modules, under every option
+//! [`group_options`](crate::partition::group_options) offers — so a compile
+//! error means the plan, the model or the weight set is malformed.
 
-use gillis_model::compiled::{CompileOptions, CompiledPartition, PanelCache, PieceSpec};
+use gillis_model::compiled::{
+    Arena, ArenaPlan, CompileOptions, CompiledPartition, PanelCache, PieceSpec,
+};
 use gillis_model::weights::ModelWeights;
-use gillis_model::LinearModel;
+use gillis_model::{LinearModel, ModelError};
 use gillis_tensor::{Shape, Tensor};
 
 use crate::partition::{split_ranges, PartDim, PartitionOption};
@@ -71,6 +77,20 @@ pub struct CompiledPlanExec {
     /// The int8 weight panels of a quantized compile (an f32 compile holds
     /// none), kept for capacity reporting.
     panels: PanelCache,
+    /// What one lane holds per item: every slot as long as the longest any
+    /// piece of the plan puts there.
+    lane_plan: ArenaPlan,
+    /// The arenas the pieces run on. One is made at compile time and more on
+    /// demand, up to the piece count of the widest group: a run at `threads`
+    /// uses `min(threads, pieces)` of them per group.
+    lanes: Vec<Arena>,
+    /// Where each lane's task of the latest fan-out left its error: one
+    /// cell per lane there can ever be.
+    errs: Vec<Option<ModelError>>,
+    /// Piece count of the widest group.
+    max_pieces: usize,
+    /// The widest batch run or reserved: what a new lane is sized for.
+    width: usize,
 }
 
 impl CompiledPlanExec {
@@ -79,9 +99,8 @@ impl CompiledPlanExec {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidPlan`] if the plan does not validate, and
-    /// the underlying [`ModelError`](gillis_model::ModelError) if the model
-    /// is outside the compiled subset (branching graphs) — in which case
-    /// callers should fall back to the uncompiled path.
+    /// the underlying [`ModelError`] if a group does not lower or the weight
+    /// set does not fit the model.
     pub fn compile(
         model: &LinearModel,
         plan: &ExecutionPlan,
@@ -106,6 +125,7 @@ impl CompiledPlanExec {
         plan.validate(model, u64::MAX)?;
         let mut cache = PanelCache::new();
         let mut groups = Vec::with_capacity(plan.groups().len());
+        let mut lane_plan = ArenaPlan::default();
         let mut prev_len = model.input_shape().len();
         for g in plan.groups() {
             let layers = &model.layers()[g.start..g.end];
@@ -139,15 +159,37 @@ impl CompiledPlanExec {
                     prev_len
                 )));
             }
+            partition.cover_pieces(&mut lane_plan);
             prev_len = partition.out_shape().len();
             let out = vec![0.0f32; prev_len];
             groups.push(CompiledGroup { partition, out });
         }
-        Ok(CompiledPlanExec {
+        let pieces = groups.iter().map(|g| g.partition.piece_count());
+        let max_pieces = pieces.max().unwrap_or(1);
+        let mut exec = CompiledPlanExec {
             groups,
             in_len: model.input_shape().len(),
             panels: cache,
-        })
+            lane_plan,
+            lanes: Vec::new(),
+            errs: (0..max_pieces).map(|_| None).collect(),
+            max_pieces,
+            width: 1,
+        };
+        exec.open_lanes(1);
+        Ok(exec)
+    }
+
+    /// Makes sure a run at `threads` finds its lanes, each sized for the
+    /// widest batch seen so far; returns how many it may use.
+    fn open_lanes(&mut self, threads: usize) -> usize {
+        let lanes = threads.clamp(1, self.max_pieces);
+        while self.lanes.len() < lanes {
+            let mut lane = Arena::default();
+            lane.reserve(&self.lane_plan, self.width);
+            self.lanes.push(lane);
+        }
+        lanes
     }
 
     /// Expected input element count.
@@ -170,14 +212,22 @@ impl CompiledPlanExec {
         self.panels.bytes()
     }
 
-    /// Total bytes of f32 activations one query needs: two arena buffers per
-    /// piece plus one join buffer per group. A figure of the plan, whatever
-    /// batch width the buffers have since grown to.
+    /// How many lanes the plan has opened so far: one, until a run at more
+    /// threads over a group of several pieces asks for more.
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Total bytes of f32 activations one query needs: the lanes opened so
+    /// far (each the slots and scratch of the plan's widest piece), one join
+    /// buffer per group, and the output of every piece that is gathered. A
+    /// figure of the plan and its lanes, whatever batch width the buffers
+    /// have since grown to.
     pub fn activation_bytes(&self) -> usize {
-        let bytes = |g: &CompiledGroup| {
-            g.partition.activation_bytes() + g.out_len(1) * std::mem::size_of::<f32>()
+        let kept = |g: &CompiledGroup| {
+            g.partition.output_bytes() + g.out_len(1) * std::mem::size_of::<f32>()
         };
-        self.groups.iter().map(bytes).sum()
+        self.lanes.len() * self.lane_plan.bytes() + self.groups.iter().map(kept).sum::<usize>()
     }
 
     /// Weight bytes one query's kernels pass over, counted from step
@@ -218,9 +268,13 @@ impl CompiledPlanExec {
         self.run_batch_raw_with_threads(weights, input, 1, threads)
     }
 
-    /// Grows every buffer in the chain for batches up to `n`, so runs
+    /// Grows every buffer of the plan for batches up to `n`, so runs
     /// within the declared range allocate nothing when warm.
     pub fn reserve_batch(&mut self, n: usize) {
+        self.width = self.width.max(n);
+        for lane in &mut self.lanes {
+            lane.reserve(&self.lane_plan, self.width);
+        }
         for g in &mut self.groups {
             g.partition.reserve_batch(n);
             g.grow_join(n);
@@ -248,8 +302,8 @@ impl CompiledPlanExec {
     /// Each item's output is bit-identical to running it alone, at any
     /// thread count: conv, dense and LSTM steps go through the batched kernels
     /// whose bit-identity is proptest-enforced in `gillis-tensor`, every
-    /// other step runs per item, and the int8 wire round trip is applied per
-    /// `(piece, item)` payload.
+    /// other step runs per item, the int8 wire round trip is applied per
+    /// `(piece, item)` payload, and which lane ran a piece leaves no trace.
     ///
     /// # Errors
     ///
@@ -267,13 +321,17 @@ impl CompiledPlanExec {
     ) -> Result<(&[f32], &Shape)> {
         assert!(n > 0, "batch must be non-empty");
         assert_eq!(inputs.len(), n * self.in_len, "compiled plan input length");
+        self.width = self.width.max(n);
+        let lanes = self.open_lanes(threads);
         for i in 0..self.groups.len() {
             let (done, rest) = self.groups.split_at_mut(i);
             let cur = match done.last() {
                 None => inputs,
                 Some(prev) => &prev.out[..prev.out_len(n)],
             };
-            run_group(&mut rest[0], weights, cur, n, threads)?;
+            let lanes = lanes.min(rest[0].partition.piece_count());
+            let (lanes, errs) = (&mut self.lanes[..lanes], &mut self.errs[..lanes]);
+            run_group(&mut rest[0], lanes, errs, weights, cur, n)?;
         }
         let last = self.groups.last().expect("a validated plan has groups");
         Ok((&last.out[..last.out_len(n)], last.partition.out_shape()))
@@ -288,64 +346,47 @@ impl CompiledPlanExec {
         let (data, shape) = self.run_raw(weights, input.data())?;
         let shape = shape.clone();
         let data = data.to_vec();
-        Ok(Tensor::from_vec(shape, data).map_err(gillis_model::ModelError::from)?)
+        Ok(Tensor::from_vec(shape, data).map_err(ModelError::from)?)
     }
 }
 
 /// Runs one compiled group's pieces over `n` item-major activations into the
 /// first `n × out_len` elements of its join buffer.
 ///
-/// Sequential when `threads <= 1` or the group has a single piece; otherwise
-/// the pieces fan out on the shared pool, each running its whole batch on
-/// one worker. Pieces that can write disjoint `&mut` slices of the join
-/// buffer do so directly; the rest run into their own buffers and are
-/// gathered afterwards in [`Tensor::concat`] order per item. Both joins
-/// produce bit-identical buffers — the int8 wire round trip commutes with
-/// the gather copy because it depends only on the slice values.
+/// On one lane the pieces run in turn on the caller; on several they are
+/// dealt out ([`CompiledPartition::deal`]) and each lane's share is one task
+/// on the shared pool, running its pieces' whole batch on one worker, its
+/// error left in the lane's slot of `errs`. Pieces that can write disjoint
+/// `&mut` slices of the join buffer do so directly; the rest run into their
+/// own buffers and are gathered afterwards in [`Tensor::concat`] order per
+/// item. Both joins produce bit-identical buffers — the int8 wire round trip
+/// commutes with the gather copy because it depends only on the slice values.
 fn run_group(
     g: &mut CompiledGroup,
+    lanes: &mut [Arena],
+    errs: &mut [Option<ModelError>],
     weights: &ModelWeights,
     inputs: &[f32],
     n: usize,
-    threads: usize,
 ) -> Result<()> {
     g.grow_join(n);
     let out_len = g.out_len(n);
     let out = &mut g.out[..out_len];
-    let n_pieces = g.partition.pieces_mut().len();
-    if threads <= 1 || n_pieces <= 1 {
-        g.partition.run_into(weights, inputs, n, out)?;
-        return Ok(());
+    if let [lane] = lanes {
+        return Ok(g.partition.run_into(lane, weights, inputs, n, out)?);
     }
-    let wire_int8 = g.partition.wire_int8();
-    let mut errs: Vec<Option<gillis_model::ModelError>> = (0..n_pieces).map(|_| None).collect();
-    // Direct join: carve the buffer into the pieces' disjoint slots.
-    let direct = g.partition.contiguous_ranges(n);
-    let mut tail = &mut *out;
-    let mut slot = |i: usize| {
-        let ranges = direct.as_ref()?;
-        let (slot, rest) = std::mem::take(&mut tail).split_at_mut(ranges[i].len());
-        tail = rest;
-        Some(slot)
-    };
-    let pieces = g.partition.pieces_mut().iter_mut();
-    let tasks: Vec<gillis_pool::Task> = pieces
-        .zip(errs.iter_mut())
-        .enumerate()
-        .map(|(i, (piece, err))| {
-            let slot = slot(i);
-            Box::new(move || {
-                *err = piece.run_joined(weights, inputs, n, slot, wire_int8).err();
-            }) as gillis_pool::Task
+    let shares = g.partition.deal(lanes.len(), n, out);
+    let tasks: Vec<gillis_pool::Task> = shares
+        .zip(lanes.iter_mut().zip(errs.iter_mut()))
+        .map(|(share, (lane, err))| {
+            Box::new(move || *err = share.run(lane, weights, inputs).err()) as gillis_pool::Task
         })
         .collect();
     gillis_pool::Pool::global().join_all(tasks);
-    if let Some(e) = errs.into_iter().flatten().next() {
+    if let Some(e) = errs.iter_mut().find_map(Option::take) {
         return Err(e.into());
     }
-    if direct.is_none() {
-        g.partition.gather(n, out);
-    }
+    g.partition.gather(n, out);
     Ok(())
 }
 
@@ -798,7 +839,11 @@ mod tests {
                     let what = format!("{plan_name} int8={} threads={threads}", opts.wire_int8);
                     let mut compiled =
                         CompiledPlanExec::compile_with(&model, &plan, &weights, opts).unwrap();
-                    let planned = compiled.activation_bytes();
+                    // The figure counts the lanes opened, one per thread the
+                    // widest group can use; no batch width moves it.
+                    let lanes = threads.min(compiled.max_pieces);
+                    let planned =
+                        compiled.activation_bytes() + (lanes - 1) * compiled.lane_plan.bytes();
                     let mut ptrs = Vec::new();
                     for items in [0..8usize, 8..9, 9..12, 12..13] {
                         let inputs = &flat[items.start * in_len..items.end * in_len];
@@ -817,17 +862,269 @@ mod tests {
         }
     }
 
-    #[test]
-    fn branching_models_fail_to_compile() {
-        for model in [zoo::tiny_resnet(), zoo::tiny_inception()] {
-            let weights = init_weights(model.graph(), 1).unwrap();
-            let plan = ExecutionPlan::single_function(&model);
-            assert!(
-                CompiledPlanExec::compile(&model, &plan, &weights).is_err(),
-                "{} must fall back to the uncompiled path",
-                model.name()
-            );
+    /// `model` as the group `start..end` under `option` between
+    /// single-function neighbours.
+    fn plan_around(
+        model: &LinearModel,
+        start: usize,
+        end: usize,
+        option: PartitionOption,
+    ) -> ExecutionPlan {
+        let single = |start, end| PlannedGroup {
+            start,
+            end,
+            option: PartitionOption::Single,
+            placement: Placement::Master,
+        };
+        let mut groups = vec![PlannedGroup {
+            start,
+            end,
+            option,
+            placement: match option {
+                PartitionOption::Single => Placement::Master,
+                _ => Placement::Workers,
+            },
+        }];
+        if start > 0 {
+            groups.insert(0, single(0, start));
         }
+        if end < model.layers().len() {
+            groups.push(single(end, model.layers().len()));
+        }
+        let plan = ExecutionPlan::new(groups);
+        plan.validate(model, u64::MAX).unwrap();
+        plan
+    }
+
+    /// The ResNet architecture narrow enough to run a few thousand times: a
+    /// stem and two basic blocks, the first with an identity shortcut, the
+    /// second strided with a projection one, then the classifier.
+    fn small_resnet() -> LinearModel {
+        use gillis_model::{Graph, LayerOp};
+        let conv = |out_channels, kernel, stride, padding| LayerOp::Conv2d {
+            out_channels,
+            kernel,
+            stride,
+            padding,
+        };
+        let mut g = Graph::new();
+        let shape = Shape::new(vec![3, 16, 16]);
+        let mut cur = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+        cur = g.add("stem", conv(8, 3, 1, 1), &[cur]).unwrap();
+        cur = g.add("stem_bn", LayerOp::BatchNorm, &[cur]).unwrap();
+        cur = g.add("stem_relu", LayerOp::Relu, &[cur]).unwrap();
+        for (tag, channels, stride) in [("b1", 8, 1), ("b2", 16, 2)] {
+            let skip = cur;
+            let name = |part: &str| format!("{tag}_{part}");
+            cur = g
+                .add(name("conv1"), conv(channels, 3, stride, 1), &[cur])
+                .unwrap();
+            cur = g.add(name("bn1"), LayerOp::BatchNorm, &[cur]).unwrap();
+            cur = g.add(name("relu1"), LayerOp::Relu, &[cur]).unwrap();
+            cur = g
+                .add(name("conv2"), conv(channels, 3, 1, 1), &[cur])
+                .unwrap();
+            cur = g.add(name("bn2"), LayerOp::BatchNorm, &[cur]).unwrap();
+            let shortcut = match stride {
+                1 => skip,
+                _ => {
+                    let sc = g.add(name("sc_conv"), conv(channels, 1, stride, 0), &[skip]);
+                    g.add(name("sc_bn"), LayerOp::BatchNorm, &[sc.unwrap()])
+                        .unwrap()
+                }
+            };
+            cur = g.add(name("add"), LayerOp::Add, &[cur, shortcut]).unwrap();
+            cur = g.add(name("relu"), LayerOp::Relu, &[cur]).unwrap();
+        }
+        cur = g.add("gap", LayerOp::GlobalAvgPool, &[cur]).unwrap();
+        cur = g.add("flatten", LayerOp::Flatten, &[cur]).unwrap();
+        g.add("fc", LayerOp::Dense { out_features: 10 }, &[cur])
+            .unwrap();
+        gillis_model::merge::merge_graph("small-resnet", g).unwrap()
+    }
+
+    #[test]
+    fn every_option_of_every_architecture_compiles_to_forwards_bits() {
+        // The table that lets the warm path stand alone: every architecture
+        // of the zoo at reduced width (chains, residual blocks with identity
+        // and projection shortcuts, inception modules, depthwise-separable
+        // blocks, LSTM stacks) × every option `group_options` offers on every
+        // group of up to three layers (every group, on the smaller models) ×
+        // f32 / int8 weights / int8 wire × batch {1, 3} × threads {1, 2, 8}.
+        // f32 carries `Executor::forward`'s bits, int8 stays within the
+        // quantization bound, and no output depends on the lane count. The
+        // zoo's own tiny-resnet, 11 M weights wide, runs each of its plans
+        // once: f32, one query, two lanes.
+        let models = [
+            (zoo::tiny_vgg(), 7, true),
+            (small_resnet(), 8, true),
+            (zoo::tiny_inception(), 9, true),
+            (zoo::tiny_mobilenet(), 10, true),
+            (zoo::rnn_sized(3, 20, 12), 11, true),
+            (zoo::tiny_resnet(), 12, false),
+        ];
+        let f32_opts = CompileOptions::default();
+        let int8_weights = CompileOptions {
+            quantize_weights: true,
+            wire_int8: false,
+        };
+        let int8_wire = CompileOptions {
+            quantize_weights: false,
+            wire_int8: true,
+        };
+        let mut plans = 0;
+        for (model, wseed, crossed) in models {
+            let (all_opts, widths, lanes): (&[CompileOptions], &[usize], &[usize]) = match crossed {
+                true => (&[f32_opts, int8_weights, int8_wire], &[1, 3], &[1, 2, 8]),
+                false => (&[f32_opts], &[1], &[2]),
+            };
+            let weights = init_weights(model.graph(), wseed).unwrap();
+            let forward = gillis_model::exec::Executor::new(model.graph(), &weights);
+            let queries: Vec<Tensor> = (0..3).map(|i| query(model.input_shape(), 50 + i)).collect();
+            let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
+            let want: Vec<Tensor> = queries
+                .iter()
+                .map(|q| forward.forward(&model, q).unwrap())
+                .collect();
+            let (in_len, out_len) = (model.input_shape().len(), want[0].data().len());
+            let layers = model.layers().len();
+            let groups = (0..layers)
+                .flat_map(|start| (start + 1..=layers).map(move |end| (start, end)))
+                .filter(|(start, end)| end - start <= 3 || layers <= 8);
+            for (start, end) in groups {
+                for option in crate::partition::group_options(&model, start, end, &[2, 3, 4]) {
+                    let plan = plan_around(&model, start, end, option);
+                    plans += 1;
+                    for &opts in all_opts {
+                        let what = format!("{} {start}..{end} {option:?} {opts:?}", model.name());
+                        let mut compiled =
+                            CompiledPlanExec::compile_with(&model, &plan, &weights, opts)
+                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        for &n in widths {
+                            let mut first: Option<Vec<f32>> = None;
+                            for &threads in lanes {
+                                let (got, _) = compiled
+                                    .run_batch_raw_with_threads(
+                                        &weights,
+                                        &flat[..n * in_len],
+                                        n,
+                                        threads,
+                                    )
+                                    .unwrap();
+                                let first = first.get_or_insert_with(|| got.to_vec());
+                                let same = got
+                                    .iter()
+                                    .zip(&*first)
+                                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                                assert!(same, "{what} n={n}: threads {threads} differ from 1");
+                            }
+                            let got = first.expect("ran at one thread");
+                            for (item, want) in got.chunks_exact(out_len).zip(&want) {
+                                if opts == f32_opts {
+                                    let same = item
+                                        .iter()
+                                        .zip(want.data())
+                                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                                    assert!(same, "{what} n={n}: differs from forward");
+                                } else {
+                                    let num: f32 = item
+                                        .iter()
+                                        .zip(want.data())
+                                        .map(|(x, y)| (x - y) * (x - y))
+                                        .sum();
+                                    let den: f32 = want.data().iter().map(|y| y * y).sum();
+                                    let rel = (num / den.max(f32::MIN_POSITIVE)).sqrt();
+                                    assert!(rel < 0.05, "{what} n={n}: rel l2 {rel}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // A change in what `group_options` offers shows up here.
+        assert_eq!(plans, 787);
+    }
+
+    #[test]
+    fn lanes_hold_the_widest_piece_once_per_thread_in_flight() {
+        use gillis_model::compiled::{ArenaPlan, CompiledSegment};
+        // tiny-vgg, its first four layers forced eight ways along height:
+        // whatever the piece count, the plan holds one lane per thread in
+        // flight — each the slots of the plan's widest piece — plus what the
+        // gather needs (every piece's output) and the join buffers.
+        let model = zoo::tiny_vgg();
+        let weights = init_weights(model.graph(), 7).unwrap();
+        let input = query(model.input_shape(), 3);
+        let option = PartitionOption::Split {
+            dim: PartDim::Height,
+            parts: 8,
+        };
+        let plan = split_then_single(&model, 4, option);
+        let layers = model.layers();
+        let (_, ranges) = split_ranges(&layers[..4], PartDim::Height, 8);
+        let specs = ranges.into_iter().map(PieceSpec::Rows);
+        let pieces: Vec<(CompiledSegment, bool)> = specs
+            .map(|spec| (&layers[..4], spec, true))
+            .chain([(&layers[4..], PieceSpec::Full, false)])
+            .map(|(group, spec, gathered)| {
+                let mut cache = PanelCache::new();
+                let seg =
+                    CompiledSegment::compile(model.graph(), &weights, group, &spec, &mut cache);
+                (seg.unwrap(), gathered)
+            })
+            .collect();
+        let mut lane = ArenaPlan::default();
+        pieces.iter().for_each(|(p, _)| lane.cover(p.arena_plan()));
+        let widest = pieces
+            .iter()
+            .map(|(p, _)| p.activation_bytes())
+            .max()
+            .unwrap();
+        assert!(lane.bytes() >= widest && lane.bytes() < 2 * widest);
+        let outputs: usize = pieces
+            .iter()
+            .filter(|(_, gathered)| *gathered)
+            .map(|(p, _)| 4 * p.out_shape().len())
+            .sum();
+        let joins = 4 * (layers[3].out_shape.len() + layers[layers.len() - 1].out_shape.len());
+
+        let mut compiled = CompiledPlanExec::compile(&model, &plan, &weights).unwrap();
+        let reference = compiled
+            .run_raw_with_threads(&weights, input.data(), 1)
+            .unwrap()
+            .0
+            .to_vec();
+        assert_eq!(compiled.lanes(), 1);
+        assert_eq!(compiled.activation_bytes(), lane.bytes() + outputs + joins);
+        let two = compiled
+            .run_raw_with_threads(&weights, input.data(), 2)
+            .unwrap()
+            .0
+            .to_vec();
+        assert_eq!(compiled.lanes(), 2);
+        assert_eq!(
+            compiled.activation_bytes(),
+            2 * lane.bytes() + outputs + joins
+        );
+        assert_eq!(two, reference);
+        // A batch grows the buffers, not the plan's figure.
+        compiled.reserve_batch(4);
+        assert_eq!(
+            compiled.activation_bytes(),
+            2 * lane.bytes() + outputs + joins
+        );
+
+        // A plan of single pieces never opens a second lane.
+        let single = ExecutionPlan::single_function(&model);
+        let mut compiled = CompiledPlanExec::compile(&model, &single, &weights).unwrap();
+        let out = compiled
+            .run_raw_with_threads(&weights, input.data(), 8)
+            .unwrap()
+            .0
+            .to_vec();
+        assert_eq!(compiled.lanes(), 1);
+        assert_eq!(out, reference);
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl PartitionWork {
 
     /// Memory footprint of running this partition in a function: weights
     /// plus input and output activations. The compiled executor holds what
-    /// this prices — the weights once, and per piece two live activation
-    /// buffers that its ops ping-pong between
+    /// this prices — the weights once, and per piece in flight the few live
+    /// activations its steps read and write
     /// (`CompiledPlanExec::activation_bytes`) — not one buffer per op.
     pub fn mem_bytes(&self) -> u64 {
         self.weight_bytes + self.input_bytes + self.output_bytes

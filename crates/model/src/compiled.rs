@@ -1,5 +1,5 @@
 //! Deployment-time compiled execution: resolved geometry, folded batch
-//! norms, and a planned two-buffer activation arena per piece.
+//! norms, and one planned activation arena.
 //!
 //! The reference [`Executor`](crate::exec::Executor) re-derives everything on
 //! every query: it slices weight subsets for channel partitions, recomputes
@@ -12,14 +12,22 @@
 //!   a flat list of steps with precomputed shapes, asymmetric paddings,
 //!   folded batch-norm constants and weight row ranges — an f32 piece copies
 //!   no conv, dense or depthwise weight, it borrows the rows from the live
-//!   map on every run. Steps ping-pong between the segment's two buffers,
-//!   planned at compile time, and batch norm and ReLU rewrite their
-//!   producer's output in place, so the warm path performs no heap
-//!   allocation and holds two live activations per piece — what
-//!   `PartitionWork::mem_bytes` prices (an LSTM step adds its states and gate
-//!   pre-activations, a third buffer planned the same way).
+//!   map on every run. A step names its operands: it reads the caller's
+//!   input or arena slots and writes one slot, and slots are assigned at
+//!   compile time by liveness — a value keeps its slot until its last reader
+//!   has run, then the slot is handed to the next value — so a chain runs in
+//!   two slots, a residual block in three, an inception module in one per
+//!   live branch. Batch norm and ReLU rewrite their producer's output in
+//!   place where nothing else reads it. An LSTM step adds its states and gate
+//!   pre-activations as kernel scratch, planned the same way.
 //!   Every run is `n` item-major queries wide and a single query is `n = 1`
-//!   of the same steps and buffers, which grow to the widest batch served.
+//!   of the same steps.
+//! - [`Arena`] — the slots and scratch a segment runs on, sized from an
+//!   [`ArenaPlan`]. The plan is the segment's; the storage is whoever runs
+//!   it: a plan executor deals the pieces of a group to a few shared lanes
+//!   (every step overwrites all it later reads, so a lane is never cleared
+//!   between pieces), a standalone [`CompiledSegment::run`] uses a private
+//!   arena made on first use.
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
 //!   (concat axis, per-piece slots) needed to join piece outputs into a
 //!   caller-owned buffer in exactly [`Tensor::concat`]'s memory order.
@@ -28,18 +36,19 @@
 //!   filter bank and therefore the same panel; channel pieces quantize their
 //!   filter subset once. An f32 compile leaves it empty.
 //!
-//! Compilation is deliberately restricted to single-input layer chains (the
-//! shape of every VGG-style benchmark model and of the RNN-k family). Graphs
-//! with `Add` or `Concat` nodes fail to compile with
-//! [`ModelError::Unsupported`]; callers fall back to the uncompiled executor,
-//! which supports everything.
+//! A group compiles when every node reads the group's input or an earlier
+//! node of the group: chains, residual blocks (`Add`) and inception modules
+//! (`Concat`) alike, whole or as a row or column piece; channel pieces stay
+//! chains, as in the reference executor.
 //!
 //! Every compiled fast path is bit-identical to the reference executor: conv
 //! steps call the interpreter's own GEMM driver on the same weight rows, an
-//! LSTM step is the interpreter's sequence kernel on the segment's scratch,
-//! batch-norm folding uses the executor's exact expressions, and gathers
-//! copy in [`Tensor::concat`]'s loop order. Property tests at the bottom of
-//! this module (and in `gillis-core`) compare outputs with `f32::to_bits`.
+//! LSTM step is the interpreter's sequence kernel on the arena's scratch,
+//! batch-norm folding uses the executor's exact expressions, `Add` and
+//! `Concat` are [`Tensor::add`] and [`Tensor::concat`] element for element,
+//! and gathers copy in [`Tensor::concat`]'s loop order. Property tests at the
+//! bottom of this module (and in `gillis-core`) compare outputs with
+//! `f32::to_bits`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -49,7 +58,7 @@ use gillis_tensor::ops::{
     avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, conv2d_quantized_into,
     dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len,
     lstm_sequence_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, LstmParams,
-    Pool2dParams,
+    Padding, Pool2dParams,
 };
 use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
@@ -58,7 +67,7 @@ use crate::error::ModelError;
 use crate::graph::{Graph, NodeId};
 use crate::linear::MergedLayer;
 use crate::op::LayerOp;
-use crate::span::{span_padding, SpanNode, SpanPlan};
+use crate::span::{span_padding, SpanPlan};
 use crate::weights::{ModelWeights, NodeWeights};
 use crate::Result;
 
@@ -165,16 +174,23 @@ impl CompileOptions {
 /// One lowered operation with every parameter pre-resolved.
 #[derive(Debug)]
 enum StepKind {
-    /// Copy `range` of the segment input along a dimension with the given
-    /// slice geometry (the seed slice of a partitioned piece).
-    SliceInput {
+    /// Copy `range` of the operand along a dimension with the given slice
+    /// geometry: the seed slice of a partitioned piece, or the sub-span a
+    /// node of a [`SpanPlan`] reads of a value evaluated over a wider hull.
+    Slice {
         outer: usize,
         size: usize,
         inner: usize,
         range: Range<usize>,
     },
-    /// Verbatim copy of the input (flatten-only chains).
+    /// Verbatim copy of the operand (flatten-only chains, and the working
+    /// copy of a sweep whose input someone else still reads).
     Copy,
+    /// Element-wise sum of two operands ([`Tensor::add`]).
+    Add,
+    /// Per-item channel concatenation of the operands, in order
+    /// ([`Tensor::concat`] along dimension 0).
+    Concat,
     /// Conv over filter rows `rows` of node `id`, borrowed from the live
     /// weight map at run time (see [`weight_rows`]).
     Conv {
@@ -293,15 +309,93 @@ impl Sweep {
     }
 }
 
-/// A lowered op that writes an arena buffer, plus the sweeps that then
-/// rewrite its output there. Step `i` of a segment writes buffer `i % 2`
-/// and reads the other one (step 0 reads the caller's input).
+/// Where a step finds an operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// The caller's input, which no step writes.
+    Input,
+    /// An arena slot.
+    Slot(usize),
+}
+
+/// One operand of a step and its per-item length.
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    from: Operand,
+    len: usize,
+}
+
+/// A lowered op, the operands it reads and the arena slot it writes — never
+/// one it reads — plus the sweeps that then rewrite its output there.
 #[derive(Debug)]
 struct Step {
     kind: StepKind,
+    reads: Vec<Read>,
+    writes: usize,
     /// Output length of one item.
     out_len: usize,
     sweeps: Vec<Sweep>,
+}
+
+/// Per-item lengths of an arena's slots and kernel scratch: what one piece's
+/// steps need — each slot as long as its largest tenant — or, widened over
+/// several pieces by [`ArenaPlan::cover`], what a lane they share needs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ArenaPlan {
+    slots: Vec<usize>,
+    scratch: usize,
+}
+
+impl ArenaPlan {
+    /// Bytes of one item's slots and scratch.
+    pub fn bytes(&self) -> usize {
+        (self.slots.iter().sum::<usize>() + self.scratch) * std::mem::size_of::<f32>()
+    }
+
+    /// Widens the plan so an arena reserved for it also holds `other`.
+    pub fn cover(&mut self, other: &ArenaPlan) {
+        if self.slots.len() < other.slots.len() {
+            self.slots.resize(other.slots.len(), 0);
+        }
+        for (mine, theirs) in self.slots.iter_mut().zip(&other.slots) {
+            *mine = (*mine).max(*theirs);
+        }
+        self.scratch = self.scratch.max(other.scratch);
+    }
+}
+
+/// Grows `buf` to `len` zeroed floats; a first allocation comes zeroed from
+/// the allocator, so pages no step writes are never touched.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.is_empty() {
+        *buf = vec![0.0; len];
+    } else if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
+/// The activation storage compiled steps run on: slots and LSTM scratch,
+/// grown to the widest batch reserved or run, never shrunk and never
+/// cleared — every step overwrites the whole of its output and of the
+/// scratch it reads before anything reads them, so what an earlier run (of
+/// this piece or of another sharing the arena) left behind is never seen.
+#[derive(Debug, Default)]
+pub struct Arena {
+    slots: Vec<Vec<f32>>,
+    scratch: Vec<f32>,
+}
+
+impl Arena {
+    /// Grows the arena so runs of up to `n` items of `plan` allocate nothing.
+    pub fn reserve(&mut self, plan: &ArenaPlan, n: usize) {
+        if self.slots.len() < plan.slots.len() {
+            self.slots.resize_with(plan.slots.len(), Vec::new);
+        }
+        for (buf, len) in self.slots.iter_mut().zip(&plan.slots) {
+            grow(buf, n * len);
+        }
+        grow(&mut self.scratch, n * plan.scratch);
+    }
 }
 
 /// The `[out, ..]` weight and `[out]` bias of a conv, dense or depthwise
@@ -374,8 +468,8 @@ fn items<'a>(
         .zip(out.chunks_exact_mut(out.len() / n))
 }
 
-/// Executes one lowered op over `n` item-major activations, from `input`
-/// into `out`; a single query is `n = 1`.
+/// Executes one lowered op over `n` item-major activations, from its
+/// operands (`src(k)` is the `k`-th) into `out`; a single query is `n = 1`.
 ///
 /// Conv, dense and LSTM steps hand the whole batch to their kernels, so it
 /// shares one traversal of the weights: the conv driver loops over the items
@@ -390,16 +484,17 @@ fn items<'a>(
 /// on the warm path every arm is allocation-free: buffers are caller-owned,
 /// kernel temporaries come from the per-thread scratch arena, and weight
 /// lookups borrow.
-fn exec_step(
-    kind: &StepKind,
+fn exec_step<'a>(
+    step: &Step,
     map: &ModelWeights,
     n: usize,
-    input: &[f32],
+    src: impl Fn(usize) -> &'a [f32],
     out: &mut [f32],
     scratch: &mut [f32],
 ) -> Result<()> {
-    match kind {
-        StepKind::SliceInput {
+    let input = src(0);
+    match &step.kind {
+        StepKind::Slice {
             outer,
             size,
             inner,
@@ -414,6 +509,22 @@ fn exec_step(
             }
         }
         StepKind::Copy => out.copy_from_slice(input),
+        StepKind::Add => {
+            for ((o, a), b) in out.iter_mut().zip(input).zip(src(1)) {
+                *o = a + b;
+            }
+        }
+        StepKind::Concat => {
+            let item = out.len() / n;
+            let mut at = 0;
+            for k in 0..step.reads.len() {
+                let len = step.reads[k].len;
+                for (part, out) in src(k).chunks(len.max(1)).zip(out.chunks_mut(item)) {
+                    out[at..at + len].copy_from_slice(part);
+                }
+                at += len;
+            }
+        }
         StepKind::Conv {
             id,
             rows,
@@ -517,13 +628,17 @@ fn exec_step(
 }
 
 /// One fork-join piece of one layer group, compiled to a step list over a
-/// planned two-buffer arena.
+/// planned arena.
 ///
 /// Compile once per `(plan, model)`; run once per query or per batch of
 /// queries — a query is a batch of one, through the same steps and buffers.
 /// Each item of a run is bit-identical to the corresponding
 /// reference-executor entry point and, once buffers and per-thread scratch
 /// are warm, the run is allocation-free.
+///
+/// The segment is the plan: steps, and the [`ArenaPlan`] they need. The arena
+/// they run on is the caller's ([`CompiledSegment::run_joined`]) or, for the
+/// standalone `run*` entry points, a private one made on first use.
 ///
 /// `run` must be called with the same weights the segment was compiled
 /// against: folded batch-norm constants (and, for an int8 compile, quantized
@@ -534,27 +649,13 @@ pub struct CompiledSegment {
     in_len: usize,
     out_shape: Shape,
     steps: Vec<Step>,
-    /// The two activation buffers — even steps write the first, odd steps
-    /// the second — and the kernel scratch of the step that needs most
-    /// ([`StepKind::scratch_len`]: empty unless the piece holds an LSTM).
-    /// Sized at compile time for one item ([`arena_lens`]) and grown to the
-    /// widest batch run or reserved; never shrunk and never cleared, because
-    /// every step overwrites the whole of its output and of the scratch it
-    /// reads.
-    arena: [Vec<f32>; 3],
-    /// Items in the latest run.
+    lens: ArenaPlan,
+    /// The standalone entry points' arena; empty until one of them runs.
+    arena: Arena,
+    /// The output of the latest run that was not handed a slice to write:
+    /// `width` items. Empty for a piece that always writes its join directly.
+    out: Vec<f32>,
     width: usize,
-}
-
-/// Per-item length of the two arena buffers — the largest output among the
-/// even steps and among the odd steps — and of the kernel scratch.
-fn arena_lens(steps: &[Step]) -> [usize; 3] {
-    let slot = |slot: usize| {
-        let lens = steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
-        lens.max().unwrap_or(0)
-    };
-    let scratch = steps.iter().map(|s| s.kind.scratch_len()).max();
-    [slot(0), slot(1), scratch.unwrap_or(0)]
 }
 
 impl CompiledSegment {
@@ -564,11 +665,10 @@ impl CompiledSegment {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Unsupported`] for anything the compiled path
-    /// does not model — multi-input nodes (`Add`, `Concat`), specs the
-    /// reference executor itself rejects (e.g. `Rows` of a dense or LSTM
-    /// layer), or empty pieces. Callers are expected to fall back to the
-    /// uncompiled executor on error.
+    /// Returns [`ModelError::Unsupported`] for specs the reference executor
+    /// itself rejects (e.g. `Rows` of a dense or LSTM layer, `Channels` of a
+    /// branching group) or empty pieces, and [`ModelError::BadWiring`] if a
+    /// node reads a value produced outside the group other than its input.
     pub fn compile(
         graph: &Graph,
         weights: &ModelWeights,
@@ -600,108 +700,86 @@ impl CompiledSegment {
         cache: &mut PanelCache,
         opts: CompileOptions,
     ) -> Result<Self> {
-        let mut chain: Vec<NodeId> = Vec::new();
-        for layer in layers {
-            chain.extend(layer.nodes.iter().copied());
-        }
-        let first = *chain
-            .first()
-            .ok_or_else(|| ModelError::Unsupported("empty segment".into()))?;
+        let chain: Vec<NodeId> = layers.iter().flat_map(|l| &l.nodes).copied().collect();
+        let (first, last) = match (chain.first(), chain.last()) {
+            (Some(first), Some(last)) => (*first, *last),
+            _ => return Err(ModelError::Unsupported("empty segment".into())),
+        };
         let seed = graph
             .node(first)?
             .inputs
             .first()
             .copied()
             .ok_or_else(|| ModelError::BadWiring("segment head has no input".into()))?;
-        // Compiled execution only models single-input chains: every node
-        // consumes exactly the previous node's output (the first consumes the
-        // seed). Branching graphs fall back to the reference executor.
-        let mut prev = seed;
-        for &id in &chain {
-            let node = graph.node(id)?;
-            if node.inputs.len() != 1 || node.inputs[0] != prev {
-                return Err(ModelError::Unsupported(
-                    "compiled execution requires a single-input layer chain".into(),
-                ));
-            }
-            prev = id;
-        }
         let seed_shape = graph.node(seed)?.output_shape.clone();
         let mut b = Builder {
             graph,
             weights,
             cache,
-            seed,
-            seed_shape,
-            chain,
-            steps: Vec::new(),
             opts,
+            steps: Vec::new(),
+            lens: ArenaPlan::default(),
+            pending: Vec::new(),
+            values: HashMap::new(),
+            readers: HashMap::new(),
         };
-        let out_dims = match spec {
-            PieceSpec::Full => b.build_full()?,
-            PieceSpec::Rows(r) => b.build_span(1, r)?,
-            PieceSpec::Cols(r) => b.build_span(2, r)?,
-            PieceSpec::Channels(r) => b.build_channels(r)?,
+        match spec {
+            PieceSpec::Full => b.build_full(&chain, seed, &seed_shape)?,
+            PieceSpec::Rows(r) => b.build_span(&chain, seed, &seed_shape, 1, r)?,
+            PieceSpec::Cols(r) => b.build_span(&chain, seed, &seed_shape, 2, r)?,
+            PieceSpec::Channels(r) => b.build_channels(&chain, &seed_shape, r)?,
         };
-        if b.steps.is_empty() {
-            // Flatten-only chain: keep one copy step so `run` has a buffer
-            // to hand out.
-            let len = b.seed_shape.len();
-            b.push(StepKind::Copy, len);
-        }
+        let out_dims = b.finish(last)?;
         Ok(CompiledSegment {
-            in_len: b.seed_shape.len(),
+            in_len: seed_shape.len(),
             out_shape: Shape::new(out_dims),
-            arena: arena_lens(&b.steps).map(|len| vec![0.0; len]),
-            width: 1,
             steps: b.steps,
+            lens: b.lens,
+            arena: Arena::default(),
+            out: Vec::new(),
+            width: 0,
         })
     }
 
-    /// Bytes of activation arena one query needs: four times the largest
-    /// output on the even steps plus the largest on the odd steps plus the
-    /// largest kernel scratch. A figure of the plan, not of how wide the
-    /// buffers have since grown.
+    /// What an arena must hold to run this piece on one item: one length per
+    /// slot — its largest tenant — and the largest kernel scratch.
+    pub fn arena_plan(&self) -> &ArenaPlan {
+        &self.lens
+    }
+
+    /// Bytes of activation arena one query needs ([`ArenaPlan::bytes`]): for
+    /// a chain, four times the largest output on the even steps plus the
+    /// largest on the odd steps plus the largest kernel scratch. A figure of
+    /// the plan, whichever arena runs it.
     pub fn activation_bytes(&self) -> usize {
-        arena_lens(&self.steps).iter().sum::<usize>() * std::mem::size_of::<f32>()
+        self.lens.bytes()
     }
 
     /// Weight bytes one query's kernels pass over, from step geometry: a
     /// conv, dense or depthwise step reads its rows once (whatever the batch
     /// width, which shares the pass), an LSTM step `w_ih` once and `w_hh`
-    /// once per timestep. The counted proxy for a bandwidth-bound layer's
-    /// time.
+    /// once per timestep after the first, whose hidden state is zero. The
+    /// counted proxy for a bandwidth-bound layer's time.
     pub fn weight_bytes_streamed(&self) -> usize {
         const F32: usize = std::mem::size_of::<f32>();
-        let mut in_len = self.in_len;
-        let mut bytes = 0;
-        for step in &self.steps {
-            bytes += match &step.kind {
-                StepKind::Conv {
-                    rows, params, in_c, ..
-                } => F32 * rows.len() * in_c * params.kernel.0 * params.kernel.1,
-                StepKind::Depthwise { rows, params, .. } => {
-                    F32 * rows.len() * params.kernel.0 * params.kernel.1
-                }
-                StepKind::Dense { rows, .. } => F32 * rows.len() * in_len,
-                StepKind::Lstm {
-                    steps,
-                    input,
-                    hidden,
-                    ..
-                } => F32 * 4 * hidden * (input + steps * hidden),
-                StepKind::QConv { q, .. } | StepKind::QDense { q, .. } => q.bytes(),
-                _ => 0,
-            };
-            in_len = step.out_len;
-        }
-        bytes
-    }
-
-    /// The latest run's output: the last step's arena buffer, `width` items.
-    fn output_range(&self) -> (usize, Range<usize>) {
-        let last = self.steps.len() - 1;
-        (last % 2, 0..self.width * self.steps[last].out_len)
+        let bytes = |step: &Step| match &step.kind {
+            StepKind::Conv {
+                rows, params, in_c, ..
+            } => F32 * rows.len() * in_c * params.kernel.0 * params.kernel.1,
+            StepKind::Depthwise { rows, params, .. } => {
+                F32 * rows.len() * params.kernel.0 * params.kernel.1
+            }
+            StepKind::Dense { rows, .. } => F32 * rows.len() * step.reads[0].len,
+            StepKind::Lstm {
+                steps,
+                input,
+                hidden,
+                ..
+            } => F32 * 4 * hidden * (input + steps.saturating_sub(1) * hidden),
+            StepKind::QConv { q, .. } | StepKind::QDense { q, .. } => q.bytes(),
+            _ => 0,
+        };
+        self.steps.iter().map(bytes).sum()
     }
 
     /// Expected input length (the seed tensor's element count).
@@ -714,26 +792,15 @@ impl CompiledSegment {
         &self.out_shape
     }
 
-    /// Grows the arena so runs of up to `n` items allocate nothing — the
-    /// batch-range declaration of the 0-alloc warm-path contract. A wider
-    /// run than any reserved grows it on the way in.
-    pub fn reserve_batch(&mut self, n: usize) {
-        for (buf, len) in self.arena.iter_mut().zip(arena_lens(&self.steps)) {
-            if buf.len() < n * len {
-                buf.resize(n * len, 0.0);
-            }
-        }
-    }
-
-    /// Runs the steps over `n` item-major inputs, ping-ponging between the
-    /// two arena buffers. With `out` given, the last step writes there
-    /// instead of its arena buffer, and its sweeps run there.
+    /// Runs the steps over `n` item-major inputs on `arena`; the last step
+    /// writes `out` instead of its slot, and its sweeps run there.
     fn run_steps(
-        &mut self,
+        &self,
+        arena: &mut Arena,
         weights: &ModelWeights,
         inputs: &[f32],
         n: usize,
-        mut out: Option<&mut [f32]>,
+        out: &mut [f32],
     ) -> Result<()> {
         assert!(n > 0, "batch must be non-empty");
         assert_eq!(
@@ -741,25 +808,31 @@ impl CompiledSegment {
             n * self.in_len,
             "compiled segment input length"
         );
-        self.reserve_batch(n);
-        self.width = n;
-        let mut src_len = inputs.len();
-        let [even, odd, scratch] = &mut self.arena;
+        assert_eq!(
+            out.len(),
+            n * self.out_shape.len(),
+            "compiled segment output length"
+        );
+        arena.reserve(&self.lens, n);
+        let Arena { slots, scratch } = arena;
+        let last = self.steps.len() - 1;
         for (i, step) in self.steps.iter().enumerate() {
-            let (cur, prev) = if i % 2 == 0 {
-                (&mut *even, &*odd)
-            } else {
-                (&mut *odd, &*even)
+            // No operand lives in the slot being written, so it can leave
+            // the arena for the duration of the step.
+            let mut own = std::mem::take(&mut slots[step.writes]);
+            let dst = match i == last {
+                true => &mut *out,
+                false => &mut own[..n * step.out_len],
             };
-            let src = if i == 0 { inputs } else { &prev[..src_len] };
-            src_len = n * step.out_len;
-            let dst = match &mut out {
-                Some(out) if i + 1 == self.steps.len() => &mut **out,
-                _ => &mut cur[..src_len],
+            let src = |k: usize| match step.reads[k].from {
+                Operand::Input => inputs,
+                Operand::Slot(s) => &slots[s][..n * step.reads[k].len],
             };
             let scratch = &mut scratch[..n * step.kind.scratch_len()];
-            exec_step(&step.kind, weights, n, src, dst, scratch)?;
+            let done = exec_step(step, weights, n, src, dst, scratch);
             step.sweeps.iter().for_each(|s| s.apply(dst));
+            slots[step.writes] = own;
+            done?;
         }
         Ok(())
     }
@@ -784,7 +857,10 @@ impl CompiledSegment {
         inputs: &[f32],
         n: usize,
     ) -> Result<&[f32]> {
-        self.run_steps(weights, inputs, n, None)?;
+        let mut arena = std::mem::take(&mut self.arena);
+        let done = self.run_joined(&mut arena, weights, inputs, n, None, false);
+        self.arena = arena;
+        done?;
         Ok(self.output())
     }
 
@@ -802,97 +878,82 @@ impl CompiledSegment {
         self.run_batch(weights, input, 1)
     }
 
-    /// Like [`CompiledSegment::run`], but the final step writes `out` (and
-    /// its sweeps run there) — used to write a piece directly into its
-    /// disjoint slice of a join buffer. [`CompiledSegment::output`] is not
-    /// updated.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledSegment::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` or `out.len()` disagree with the compiled
-    /// geometry.
-    pub fn run_into(
-        &mut self,
-        weights: &ModelWeights,
-        input: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        assert_eq!(
-            out.len(),
-            self.out_shape.len(),
-            "compiled segment output length"
-        );
-        self.run_steps(weights, input, 1, Some(out))
-    }
-
-    /// Runs the piece as one part of a join of `n` items: into `slot`, its
-    /// region of the join buffer, when the join is direct (see
-    /// [`CompiledPartition::contiguous_ranges`]), else into its own buffer
-    /// for the gather. With `wire_int8` the payload then takes the int8 wire
-    /// round trip — the worker-side quantize — in place where it landed.
+    /// Runs the piece on `arena` as one part of a join of `n` items: into
+    /// `slot`, its region of the join buffer, when the join is direct (see
+    /// [`CompiledPartition::deal`]), else into its own output buffer for the
+    /// gather — the one thing a piece keeps between runs. With `wire_int8`
+    /// each item's payload then takes the int8 wire round trip — the
+    /// worker-side quantize — in place where it landed.
     ///
     /// # Errors
     ///
     /// Same conditions as [`CompiledSegment::run_batch`].
     pub fn run_joined(
         &mut self,
+        arena: &mut Arena,
         weights: &ModelWeights,
         inputs: &[f32],
         n: usize,
         slot: Option<&mut [f32]>,
         wire_int8: bool,
     ) -> Result<()> {
-        match slot {
-            Some(slot) => {
-                self.run_into(weights, inputs, slot)?;
-                if wire_int8 {
-                    quant::wire_roundtrip_in_place(slot);
-                }
-            }
+        let len = self.out_shape.len();
+        let mut own = std::mem::take(&mut self.out);
+        let out = match slot {
+            Some(slot) => slot,
             None => {
-                self.run_batch(weights, inputs, n)?;
-                if wire_int8 {
-                    self.wire_roundtrip_output();
-                }
+                grow(&mut own, n * len);
+                self.width = n;
+                &mut own[..n * len]
             }
+        };
+        let done = self.run_steps(arena, weights, inputs, n, out);
+        if wire_int8 && done.is_ok() {
+            out.chunks_exact_mut(len)
+                .for_each(quant::wire_roundtrip_in_place);
         }
-        Ok(())
+        self.out = own;
+        done
     }
 
     /// The piece's output buffer: every item of the latest
-    /// [`CompiledSegment::run`] or [`CompiledSegment::run_batch`].
+    /// [`CompiledSegment::run`], [`CompiledSegment::run_batch`] or gathered
+    /// [`CompiledSegment::run_joined`].
     pub fn output(&self) -> &[f32] {
-        let (slot, range) = self.output_range();
-        &self.arena[slot][range]
-    }
-
-    /// Applies the int8 wire round trip to each item of the piece's own
-    /// output buffer (the master then gathers the dequantized values).
-    /// Quantization scales are per item, exactly as if each had been sent
-    /// separately. Allocation-free after warmup.
-    pub fn wire_roundtrip_output(&mut self) {
-        let (slot, range) = self.output_range();
-        let len = range.len() / self.width;
-        for item in self.arena[slot][range].chunks_exact_mut(len) {
-            quant::wire_roundtrip_in_place(item);
-        }
+        &self.out[..self.width * self.out_shape.len()]
     }
 }
 
-/// Compile-time state shared by the per-spec builders.
+/// A value the builder has lowered: where it lives and its shape.
+#[derive(Debug, Clone)]
+struct Value {
+    at: Operand,
+    dims: Vec<usize>,
+}
+
+impl Value {
+    fn len(&self) -> usize {
+        self.dims.iter().product()
+    }
+}
+
+/// Compile-time state shared by the per-spec builders: the steps so far and
+/// the slot assignment, a linear scan over last uses done as the steps are
+/// emitted — the interpreter's liveness rule (`Executor::run_nodes`) with
+/// slots for tensors.
 struct Builder<'a> {
     graph: &'a Graph,
     weights: &'a ModelWeights,
     cache: &'a mut PanelCache,
-    seed: NodeId,
-    seed_shape: Shape,
-    chain: Vec<NodeId>,
-    steps: Vec<Step>,
     opts: CompileOptions,
+    steps: Vec<Step>,
+    lens: ArenaPlan,
+    /// Reads each slot's tenant still has coming; a slot at 0 is free.
+    pending: Vec<usize>,
+    /// Where the value of each node lowered so far (and of the seed) lives.
+    values: HashMap<NodeId, Value>,
+    /// How many of the piece's nodes read each node's value.
+    readers: HashMap<NodeId, usize>,
 }
 
 impl Builder<'_> {
@@ -942,31 +1003,121 @@ impl Builder<'_> {
         }
     }
 
-    fn push(&mut self, kind: StepKind, out_len: usize) {
+    /// Counts, for every value, the nodes of `ids` that read it.
+    fn count_readers(&mut self, ids: impl Iterator<Item = NodeId>) -> Result<()> {
+        for id in ids {
+            for input in &self.graph.node(id)?.inputs {
+                *self.readers.entry(*input).or_default() += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn readers_of(&self, id: NodeId) -> usize {
+        self.readers.get(&id).copied().unwrap_or(0)
+    }
+
+    /// The values of node `id`'s graph inputs.
+    fn inputs_of(&self, id: NodeId) -> Result<Vec<Value>> {
+        let node = self.graph.node(id)?;
+        let value = |input: &NodeId| {
+            self.values.get(input).cloned().ok_or_else(|| {
+                ModelError::BadWiring(format!(
+                    "node {} reads node {} from outside its group",
+                    node.name, input.0
+                ))
+            })
+        };
+        node.inputs.iter().map(value).collect()
+    }
+
+    /// Appends a step that reads `reads` and writes a value of shape `dims`
+    /// that `readers` later reads will consume. The value gets the lowest
+    /// free slot — chosen before the operands give theirs up, so a step never
+    /// writes a slot it reads — and each operand is then one read closer to
+    /// freeing its own.
+    fn push(
+        &mut self,
+        kind: StepKind,
+        reads: &[&Value],
+        dims: Vec<usize>,
+        readers: usize,
+    ) -> Value {
+        let out_len = dims.iter().product();
+        let free = self.pending.iter().position(|&p| p == 0);
+        let slot = free.unwrap_or_else(|| {
+            self.pending.push(0);
+            self.lens.slots.push(0);
+            self.pending.len() - 1
+        });
+        self.pending[slot] = readers;
+        self.lens.slots[slot] = self.lens.slots[slot].max(out_len);
+        self.lens.scratch = self.lens.scratch.max(kind.scratch_len());
+        let read = |v: &&Value| Read {
+            from: v.at,
+            len: v.len(),
+        };
+        let reads: Vec<Read> = reads.iter().map(read).collect();
+        for read in &reads {
+            if let Operand::Slot(s) = read.from {
+                self.pending[s] -= 1;
+            }
+        }
         self.steps.push(Step {
             kind,
+            reads,
+            writes: slot,
             out_len,
             sweeps: Vec::new(),
         });
+        Value {
+            at: Operand::Slot(slot),
+            dims,
+        }
     }
 
-    /// Attaches an in-place sweep over `len` elements to the latest step. A
-    /// sweep that opens the segment gets a copy of the input to work on —
-    /// the caller's input is never written.
-    fn push_sweep(&mut self, sweep: Sweep, len: usize) {
-        if self.steps.is_empty() {
-            self.push(StepKind::Copy, len);
+    /// `x` seen through node `id` without a step of its own (a reshape, or a
+    /// sweep folded into `x`'s producer): the slot stays occupied for `id`'s
+    /// readers in place of the one read `id` took.
+    fn alias(&mut self, id: NodeId, x: &Value, dims: Vec<usize>) -> Value {
+        if let Operand::Slot(s) = x.at {
+            self.pending[s] += self.readers_of(id);
+            self.pending[s] -= 1;
         }
-        let sweeps = &mut self.steps.last_mut().expect("just ensured").sweeps;
+        Value { at: x.at, dims }
+    }
+
+    /// Lowers element-wise node `id` to a sweep over `x`: in place — attached
+    /// to the step that has just written `x` — when `id` is that value's only
+    /// reader, else over a copy, so neither the caller's input nor a value
+    /// someone else reads is ever rewritten.
+    fn push_sweep(&mut self, id: NodeId, x: &Value, sweep: Sweep) -> Value {
+        let last = self.steps.last().map(|s| Operand::Slot(s.writes));
+        let in_place =
+            matches!(x.at, Operand::Slot(s) if last == Some(x.at) && self.pending[s] == 1);
+        let value = match in_place {
+            true => self.alias(id, x, x.dims.clone()),
+            false => self.push(StepKind::Copy, &[x], x.dims.clone(), self.readers_of(id)),
+        };
+        let sweeps = &mut self.steps.last_mut().expect("the value's step").sweeps;
         match (sweeps.last_mut(), &sweep) {
             (Some(Sweep::Bn { relu, .. }), Sweep::Relu) if !*relu => *relu = true,
             _ => sweeps.push(sweep),
         }
+        value
     }
 
-    fn push_relu(&mut self, dims: Vec<usize>) -> Vec<usize> {
-        self.push_sweep(Sweep::Relu, dims.iter().product());
-        dims
+    /// Copies `range` of `x` along `dim` into a value of its own.
+    fn push_slice(&mut self, x: &Value, dim: usize, range: Range<usize>, readers: usize) -> Value {
+        let mut dims = x.dims.clone();
+        dims[dim] = range.len();
+        let kind = StepKind::Slice {
+            outer: x.dims[..dim].iter().product(),
+            size: x.dims[dim],
+            inner: x.dims[dim + 1..].iter().product(),
+            range,
+        };
+        self.push(kind, &[x], dims, readers)
     }
 
     fn require_chw(dims: &[usize], what: &str) -> Result<(usize, usize, usize)> {
@@ -979,22 +1130,22 @@ impl Builder<'_> {
         Ok((dims[0], dims[1], dims[2]))
     }
 
-    /// Appends the conv step for `id` over a `dims` input with the given
-    /// padding and optional filter subset; returns the output dims.
+    /// Appends the conv step for `id` over `x` with the given padding and
+    /// optional filter subset.
     fn push_conv(
         &mut self,
         id: NodeId,
-        dims: &[usize],
+        x: &Value,
         params: Conv2dParams,
         channels: Option<&Range<usize>>,
-    ) -> Result<Vec<usize>> {
-        let (in_c, in_h, in_w) = Self::require_chw(dims, "conv2d")?;
+    ) -> Result<Value> {
+        let (in_c, in_h, in_w) = Self::require_chw(&x.dims, "conv2d")?;
         let (w, b) = row_weights(self.weights, id)?;
         let wd = w.shape().dims();
         if wd.len() != 4 || wd[1] != in_c || (wd[2], wd[3]) != params.kernel {
             return Err(ModelError::BadWeights(format!(
-                "conv weight {wd:?} does not match input {dims:?} / kernel {:?}",
-                params.kernel
+                "conv weight {wd:?} does not match input {:?} / kernel {:?}",
+                x.dims, params.kernel
             )));
         }
         let out_hw = conv2d_output_hw((in_h, in_w), &params).ok_or_else(|| {
@@ -1024,8 +1175,8 @@ impl Builder<'_> {
                 out_hw,
             }
         };
-        self.push(kind, rows.len() * out_hw.0 * out_hw.1);
-        Ok(vec![rows.len(), out_hw.0, out_hw.1])
+        let dims = vec![rows.len(), out_hw.0, out_hw.1];
+        Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
     /// Appends the depthwise step for `id`; `channels` selects a filter
@@ -1033,40 +1184,37 @@ impl Builder<'_> {
     fn push_depthwise(
         &mut self,
         id: NodeId,
-        dims: &[usize],
+        x: &Value,
         params: Conv2dParams,
         channels: Option<&Range<usize>>,
-    ) -> Result<Vec<usize>> {
-        let (c, in_h, in_w) = Self::require_chw(dims, "depthwise conv2d")?;
+    ) -> Result<Value> {
+        let (c, in_h, in_w) = Self::require_chw(&x.dims, "depthwise conv2d")?;
         let rows = channels.cloned().unwrap_or(0..c);
         weight_rows(self.weights, id, &rows)?;
         let out_hw = conv2d_output_hw((in_h, in_w), &params).ok_or_else(|| {
             ModelError::Unsupported("depthwise kernel larger than padded input".into())
         })?;
-        let out_dims = vec![c, out_hw.0, out_hw.1];
-        let out_len = c * out_hw.0 * out_hw.1;
-        self.push(
-            StepKind::Depthwise {
-                id,
-                rows,
-                params,
-                c,
-                in_h,
-                in_w,
-                out_hw,
-            },
-            out_len,
-        );
-        Ok(out_dims)
+        let kind = StepKind::Depthwise {
+            id,
+            rows,
+            params,
+            c,
+            in_h,
+            in_w,
+            out_hw,
+        };
+        let dims = vec![c, out_hw.0, out_hw.1];
+        Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
     fn push_pool(
         &mut self,
-        dims: &[usize],
+        id: NodeId,
+        x: &Value,
         params: Pool2dParams,
         is_max: bool,
-    ) -> Result<Vec<usize>> {
-        let (c, in_h, in_w) = Self::require_chw(dims, "pool2d")?;
+    ) -> Result<Value> {
+        let (c, in_h, in_w) = Self::require_chw(&x.dims, "pool2d")?;
         let conv_params = Conv2dParams {
             kernel: params.kernel,
             stride: params.stride,
@@ -1075,146 +1223,46 @@ impl Builder<'_> {
         let out_hw = conv2d_output_hw((in_h, in_w), &conv_params).ok_or_else(|| {
             ModelError::Unsupported("pooling window larger than padded input".into())
         })?;
-        let out_dims = vec![c, out_hw.0, out_hw.1];
-        let out_len = c * out_hw.0 * out_hw.1;
-        self.push(
-            StepKind::Pool {
-                params,
-                is_max,
-                c,
-                in_hw: (in_h, in_w),
-                out_hw,
-            },
-            out_len,
-        );
-        Ok(out_dims)
+        let kind = StepKind::Pool {
+            params,
+            is_max,
+            c,
+            in_hw: (in_h, in_w),
+            out_hw,
+        };
+        let dims = vec![c, out_hw.0, out_hw.1];
+        Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
-    fn push_bn(
-        &mut self,
-        id: NodeId,
-        dims: &[usize],
-        channels: Option<&Range<usize>>,
-    ) -> Result<Vec<usize>> {
-        let (_, h, w) = Self::require_chw(dims, "batch norm")?;
+    fn push_bn(&mut self, id: NodeId, x: &Value, channels: Option<&Range<usize>>) -> Result<Value> {
+        let (c, h, w) = Self::require_chw(&x.dims, "batch norm")?;
         let (scale, shift) = self.bn_fold(id, channels)?;
-        if scale.len() != dims[0] {
+        if scale.len() != c {
             return Err(ModelError::BadWeights(format!(
-                "batch-norm channels {} != input channels {}",
-                scale.len(),
-                dims[0]
+                "batch-norm channels {} != input channels {c}",
+                scale.len()
             )));
         }
-        self.push_sweep(
-            Sweep::Bn {
-                scale,
-                shift,
-                plane: h * w,
-                relu: false,
-            },
-            dims.iter().product(),
-        );
-        Ok(dims.to_vec())
-    }
-
-    /// Full-output compilation: the step list mirrors `run_segment` on a
-    /// linear chain.
-    fn build_full(&mut self) -> Result<Vec<usize>> {
-        let mut dims = self.seed_shape.dims().to_vec();
-        for i in 0..self.chain.len() {
-            let id = self.chain[i];
-            let op = self.graph.node(id)?.op.clone();
-            dims = match op {
-                LayerOp::Conv2d {
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                } => self.push_conv(
-                    id,
-                    &dims,
-                    Conv2dParams::square(kernel, stride, padding),
-                    None,
-                )?,
-                LayerOp::DepthwiseConv2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_depthwise(
-                    id,
-                    &dims,
-                    Conv2dParams::square(kernel, stride, padding),
-                    None,
-                )?,
-                LayerOp::BatchNorm => self.push_bn(id, &dims, None)?,
-                LayerOp::Relu => self.push_relu(dims),
-                LayerOp::MaxPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_pool(&dims, Pool2dParams::square(kernel, stride, padding), true)?,
-                LayerOp::AvgPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_pool(&dims, Pool2dParams::square(kernel, stride, padding), false)?,
-                LayerOp::GlobalAvgPool => {
-                    let (c, h, w) = Self::require_chw(&dims, "global average pool")?;
-                    self.push(StepKind::GlobalAvgPool { c, plane: h * w }, c);
-                    vec![c]
-                }
-                LayerOp::Flatten => {
-                    // Reshape only: the data stream is unchanged.
-                    vec![dims.iter().product()]
-                }
-                LayerOp::Dense { .. } => self.push_dense(id, &dims, None)?,
-                LayerOp::Lstm { hidden } => {
-                    let &[steps, input] = &dims[..] else {
-                        return Err(ModelError::Unsupported(
-                            "lstm requires a [seq, features] input".into(),
-                        ));
-                    };
-                    lstm_weights(self.weights, id, input, hidden)?;
-                    let kind = StepKind::Lstm {
-                        id,
-                        steps,
-                        input,
-                        hidden,
-                    };
-                    self.push(kind, steps * hidden);
-                    vec![steps, hidden]
-                }
-                LayerOp::Softmax => {
-                    if dims.len() != 1 {
-                        return Err(ModelError::Unsupported(
-                            "softmax requires a rank-1 input".into(),
-                        ));
-                    }
-                    self.push(StepKind::Softmax, dims[0]);
-                    dims
-                }
-                other => {
-                    return Err(ModelError::Unsupported(format!(
-                        "compiled execution of {other:?}"
-                    )))
-                }
-            };
-        }
-        Ok(dims)
+        let sweep = Sweep::Bn {
+            scale,
+            shift,
+            plane: h * w,
+            relu: false,
+        };
+        Ok(self.push_sweep(id, x, sweep))
     }
 
     fn push_dense(
         &mut self,
         id: NodeId,
-        dims: &[usize],
+        x: &Value,
         channels: Option<&Range<usize>>,
-    ) -> Result<Vec<usize>> {
-        if dims.len() != 1 {
+    ) -> Result<Value> {
+        let &[in_n] = &x.dims[..] else {
             return Err(ModelError::Unsupported(
                 "dense requires a rank-1 input".into(),
             ));
-        }
-        let in_n = dims[0];
+        };
         let (w, b) = row_weights(self.weights, id)?;
         let wd = w.shape().dims();
         if wd.len() != 2 || wd[1] != in_n {
@@ -1222,107 +1270,204 @@ impl Builder<'_> {
                 "dense weight {wd:?} does not match input length {in_n}"
             )));
         }
-        if self.opts.quantize_weights {
+        let kind = if self.opts.quantize_weights {
             let bias = tensor_rows(b, channels)?.to_vec();
             let q = self.qpanel(id, channels, in_n)?;
-            let out_n = q.rows();
-            self.push(StepKind::QDense { q, bias }, out_n);
-            return Ok(vec![out_n]);
+            StepKind::QDense { q, bias }
+        } else {
+            let rows = channels.cloned().unwrap_or(0..wd[0]);
+            weight_rows(self.weights, id, &rows)?;
+            StepKind::Dense { id, rows }
+        };
+        let out_n = channels.map_or(wd[0], |r| r.len());
+        Ok(self.push(kind, &[x], vec![out_n], self.readers_of(id)))
+    }
+
+    /// Lowers node `id` on the values of its graph inputs — the compiled
+    /// counterpart of `Executor::eval_node`. `halo` is `Some((dim, lo, hi))`
+    /// when the inputs are spans of a [`SpanPlan`]: a windowed op then pads
+    /// `lo`/`hi` zero rows along `dim` instead of its own symmetric padding.
+    /// `channels` is the range a channel piece computes: a conv or dense
+    /// node takes those filter rows, batch norm and depthwise their share of
+    /// the per-channel parameters.
+    fn lower(
+        &mut self,
+        id: NodeId,
+        inputs: &[Value],
+        halo: Option<(usize, usize, usize)>,
+        channels: Option<&Range<usize>>,
+    ) -> Result<Value> {
+        let pad = |full: usize| match halo {
+            Some((dim, lo, hi)) => span_padding(dim, lo, hi, full),
+            None => Padding::symmetric(full),
+        };
+        let x = &inputs[0];
+        let readers = self.readers_of(id);
+        let op = self.graph.node(id)?.op.clone();
+        let is_max = matches!(op, LayerOp::MaxPool2d { .. });
+        match op {
+            LayerOp::Conv2d {
+                kernel,
+                stride,
+                padding,
+                ..
+            } => {
+                let params = Conv2dParams {
+                    kernel: (kernel, kernel),
+                    stride: (stride, stride),
+                    padding: pad(padding),
+                };
+                self.push_conv(id, x, params, channels)
+            }
+            LayerOp::DepthwiseConv2d {
+                kernel,
+                stride,
+                padding,
+            } => {
+                let params = Conv2dParams {
+                    kernel: (kernel, kernel),
+                    stride: (stride, stride),
+                    padding: pad(padding),
+                };
+                self.push_depthwise(id, x, params, channels)
+            }
+            LayerOp::MaxPool2d {
+                kernel,
+                stride,
+                padding,
+            }
+            | LayerOp::AvgPool2d {
+                kernel,
+                stride,
+                padding,
+            } => {
+                let params = Pool2dParams {
+                    kernel: (kernel, kernel),
+                    stride: (stride, stride),
+                    padding: pad(padding),
+                };
+                self.push_pool(id, x, params, is_max)
+            }
+            LayerOp::BatchNorm => self.push_bn(id, x, channels),
+            LayerOp::Relu => Ok(self.push_sweep(id, x, Sweep::Relu)),
+            LayerOp::GlobalAvgPool => {
+                let (c, h, w) = Self::require_chw(&x.dims, "global average pool")?;
+                let kind = StepKind::GlobalAvgPool { c, plane: h * w };
+                Ok(self.push(kind, &[x], vec![c], readers))
+            }
+            // Reshape only: the data stream is unchanged.
+            LayerOp::Flatten => Ok(self.alias(id, x, vec![x.len()])),
+            LayerOp::Dense { .. } => self.push_dense(id, x, channels),
+            LayerOp::Lstm { hidden } => {
+                let &[steps, input] = &x.dims[..] else {
+                    return Err(ModelError::Unsupported(
+                        "lstm requires a [seq, features] input".into(),
+                    ));
+                };
+                lstm_weights(self.weights, id, input, hidden)?;
+                let kind = StepKind::Lstm {
+                    id,
+                    steps,
+                    input,
+                    hidden,
+                };
+                Ok(self.push(kind, &[x], vec![steps, hidden], readers))
+            }
+            LayerOp::Softmax => {
+                if x.dims.len() != 1 {
+                    return Err(ModelError::Unsupported(
+                        "softmax requires a rank-1 input".into(),
+                    ));
+                }
+                Ok(self.push(StepKind::Softmax, &[x], x.dims.clone(), readers))
+            }
+            LayerOp::Add => {
+                let [a, b] = inputs else {
+                    return Err(ModelError::BadWiring("add takes two inputs".into()));
+                };
+                if a.dims != b.dims {
+                    return Err(ModelError::Unsupported(format!(
+                        "add of {:?} and {:?}",
+                        a.dims, b.dims
+                    )));
+                }
+                Ok(self.push(StepKind::Add, &[a, b], a.dims.clone(), readers))
+            }
+            LayerOp::Concat => {
+                let mut dims = x.dims.clone();
+                if dims.is_empty() || inputs.iter().any(|v| v.dims[1..] != dims[1..]) {
+                    return Err(ModelError::Unsupported(
+                        "concat inputs disagree off the channel dimension".into(),
+                    ));
+                }
+                dims[0] = inputs.iter().map(|v| v.dims[0]).sum();
+                let reads: Vec<&Value> = inputs.iter().collect();
+                Ok(self.push(StepKind::Concat, &reads, dims, readers))
+            }
+            other => Err(ModelError::Unsupported(format!(
+                "compiled execution of {other:?}"
+            ))),
         }
-        let rows = channels.cloned().unwrap_or(0..wd[0]);
-        weight_rows(self.weights, id, &rows)?;
-        let out_n = rows.len();
-        self.push(StepKind::Dense { id, rows }, out_n);
-        Ok(vec![out_n])
+    }
+
+    /// Full-output compilation: every node once, in the group's order — what
+    /// `run_segment` evaluates.
+    fn build_full(&mut self, chain: &[NodeId], seed: NodeId, seed_shape: &Shape) -> Result<()> {
+        self.count_readers(chain.iter().copied())?;
+        let dims = seed_shape.dims().to_vec();
+        self.values.insert(
+            seed,
+            Value {
+                at: Operand::Input,
+                dims,
+            },
+        );
+        for &id in chain {
+            let inputs = self.inputs_of(id)?;
+            let value = self.lower(id, &inputs, None, None)?;
+            self.values.insert(id, value);
+        }
+        Ok(())
     }
 
     /// Spatial-span compilation along `dim` (1 = rows, 2 = cols): the
-    /// [`SpanPlan`] (the geometry `Executor::run_segment_rows` evaluates; a
-    /// chain is its one-consumer case) gives the seed span and each node's
-    /// halo, and the forward step list is emitted with the resulting
-    /// paddings.
-    fn build_span(&mut self, dim: usize, span: &Range<usize>) -> Result<Vec<usize>> {
-        let plan = SpanPlan::new(
-            self.graph,
-            &self.chain,
-            self.seed,
-            &self.seed_shape,
-            dim,
-            span.clone(),
-        )?;
-        // Forward: slice the seed span, then emit each op with its halo
-        // padding.
-        let seed_dims = self.seed_shape.dims().to_vec();
-        if seed_dims.len() != 3 {
+    /// [`SpanPlan`] (the geometry `Executor::run_segment_rows` evaluates)
+    /// gives the seed span, each node's halo and, per input, the sub-span it
+    /// reads of the hull that input was evaluated over. The seed span is
+    /// sliced first; every node is then lowered once with the resulting
+    /// paddings, a read narrower than its operand going through a slice step.
+    fn build_span(
+        &mut self,
+        chain: &[NodeId],
+        seed: NodeId,
+        seed_shape: &Shape,
+        dim: usize,
+        span: &Range<usize>,
+    ) -> Result<()> {
+        let plan = SpanPlan::new(self.graph, chain, seed, seed_shape, dim, span.clone())?;
+        if seed_shape.rank() != 3 {
             return Err(ModelError::Unsupported(
                 "spatial partition requires a CHW segment input".into(),
             ));
         }
-        let outer: usize = seed_dims[..dim].iter().product();
-        let inner: usize = seed_dims[dim + 1..].iter().product();
-        let mut dims = seed_dims.clone();
-        dims[dim] = plan.seed_span.len();
-        let in_slice_len: usize = dims.iter().product();
-        self.push(
-            StepKind::SliceInput {
-                outer,
-                size: seed_dims[dim],
-                inner,
-                range: plan.seed_span,
-            },
-            in_slice_len,
-        );
-        for SpanNode { id, lo, hi, .. } in plan.nodes {
-            let op = self.graph.node(id)?.op.clone();
-            dims = match op {
-                LayerOp::Conv2d {
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                } => {
-                    let params = Conv2dParams {
-                        kernel: (kernel, kernel),
-                        stride: (stride, stride),
-                        padding: span_padding(dim, lo, hi, padding),
-                    };
-                    self.push_conv(id, &dims, params, None)?
+        self.count_readers(plan.nodes.iter().map(|n| n.id))?;
+        let input = Value {
+            at: Operand::Input,
+            dims: seed_shape.dims().to_vec(),
+        };
+        let sliced = self.push_slice(&input, dim, plan.seed_span, self.readers_of(seed));
+        self.values.insert(seed, sliced);
+        for sn in plan.nodes {
+            let mut inputs = self.inputs_of(sn.id)?;
+            for (x, read) in inputs.iter_mut().zip(&sn.reads) {
+                if read.len() != x.dims[dim] {
+                    *x = self.push_slice(x, dim, read.clone(), 1);
                 }
-                LayerOp::DepthwiseConv2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let params = Conv2dParams {
-                        kernel: (kernel, kernel),
-                        stride: (stride, stride),
-                        padding: span_padding(dim, lo, hi, padding),
-                    };
-                    self.push_depthwise(id, &dims, params, None)?
-                }
-                LayerOp::MaxPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                }
-                | LayerOp::AvgPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let params = Pool2dParams {
-                        kernel: (kernel, kernel),
-                        stride: (stride, stride),
-                        padding: span_padding(dim, lo, hi, padding),
-                    };
-                    self.push_pool(&dims, params, matches!(op, LayerOp::MaxPool2d { .. }))?
-                }
-                LayerOp::BatchNorm => self.push_bn(id, &dims, None)?,
-                LayerOp::Relu => self.push_relu(dims),
-                _ => unreachable!("the span plan rejected unsupported spatial ops"),
-            };
+            }
+            let value = self.lower(sn.id, &inputs, Some((dim, sn.lo, sn.hi)), None)?;
+            self.values.insert(sn.id, value);
         }
-        Ok(dims)
+        Ok(())
     }
 
     /// Channel-range compilation: mirrors `Executor::chs_of`. The chain is
@@ -1331,13 +1476,17 @@ impl Builder<'_> {
     /// its filter rows. Everything above it must be channel-local;
     /// everything below it must be `Flatten`. Without a head the group is
     /// channel-local and the seed itself is sliced along dimension 0.
-    fn build_channels(&mut self, channels: &Range<usize>) -> Result<Vec<usize>> {
+    fn build_channels(
+        &mut self,
+        chain: &[NodeId],
+        seed_shape: &Shape,
+        channels: &Range<usize>,
+    ) -> Result<()> {
         if channels.is_empty() {
             return Err(ModelError::Unsupported("empty channel piece".into()));
         }
         let mut head: Option<usize> = None;
-        for i in (0..self.chain.len()).rev() {
-            let id = self.chain[i];
+        for (i, &id) in chain.iter().enumerate().rev() {
             match &self.graph.node(id)?.op {
                 LayerOp::BatchNorm
                 | LayerOp::Relu
@@ -1357,13 +1506,16 @@ impl Builder<'_> {
                 }
             }
         }
-        let mut dims;
-        let start;
-        match head {
+        self.count_readers(chain.iter().copied())?;
+        let input = Value {
+            at: Operand::Input,
+            dims: seed_shape.dims().to_vec(),
+        };
+        let (mut cur, start) = match head {
             Some(i) => {
                 // Everything below the head must be Flatten-of-seed (the
                 // weight-split head consumes the full group input).
-                for &pid in &self.chain[..i] {
+                for &pid in &chain[..i] {
                     if !matches!(self.graph.node(pid)?.op, LayerOp::Flatten) {
                         return Err(ModelError::Unsupported(
                             "channel partition requires the weight-split layer at the group head"
@@ -1371,102 +1523,57 @@ impl Builder<'_> {
                         ));
                     }
                 }
-                let id = self.chain[i];
-                let op = self.graph.node(id)?.op.clone();
-                dims = match op {
-                    LayerOp::Conv2d {
-                        kernel,
-                        stride,
-                        padding,
-                        ..
-                    } => {
-                        if i != 0 {
-                            return Err(ModelError::Unsupported(
-                                "conv head cannot consume a flattened input".into(),
-                            ));
-                        }
-                        let seed_dims = self.seed_shape.dims().to_vec();
-                        self.push_conv(
-                            id,
-                            &seed_dims,
-                            Conv2dParams::square(kernel, stride, padding),
-                            Some(channels),
-                        )?
+                let x = match self.graph.node(chain[i])?.op {
+                    LayerOp::Conv2d { .. } if i != 0 => {
+                        return Err(ModelError::Unsupported(
+                            "conv head cannot consume a flattened input".into(),
+                        ));
                     }
-                    LayerOp::Dense { .. } => {
-                        if i == 0 && self.seed_shape.rank() != 1 {
-                            return Err(ModelError::Unsupported(
-                                "dense requires a rank-1 input".into(),
-                            ));
-                        }
-                        // Flattens below the head leave the data untouched.
-                        let flat = vec![self.seed_shape.len()];
-                        self.push_dense(id, &flat, Some(channels))?
+                    LayerOp::Dense { .. } if i == 0 && seed_shape.rank() != 1 => {
+                        return Err(ModelError::Unsupported(
+                            "dense requires a rank-1 input".into(),
+                        ));
                     }
-                    _ => unreachable!("head is conv or dense"),
+                    LayerOp::Conv2d { .. } => input,
+                    // Flattens below the head leave the data untouched.
+                    _ => Value {
+                        at: Operand::Input,
+                        dims: vec![seed_shape.len()],
+                    },
                 };
-                start = i + 1;
+                (self.lower(chain[i], &[x], None, Some(channels))?, i + 1)
             }
             None => {
                 // Channel-local group: slice the seed's channel dimension.
-                let seed_dims = self.seed_shape.dims().to_vec();
-                if seed_dims.is_empty() {
+                if input.dims.is_empty() {
                     return Err(ModelError::Unsupported(
                         "channel partition of a scalar input".into(),
                     ));
                 }
-                let inner: usize = seed_dims[1..].iter().product();
-                dims = seed_dims.clone();
-                dims[0] = channels.len();
-                let out_len: usize = dims.iter().product();
-                self.push(
-                    StepKind::SliceInput {
-                        outer: 1,
-                        size: seed_dims[0],
-                        inner,
-                        range: channels.clone(),
-                    },
-                    out_len,
-                );
-                start = 0;
+                (self.push_slice(&input, 0, channels.clone(), 1), 0)
             }
+        };
+        for &id in &chain[start..] {
+            cur = self.lower(id, &[cur], None, Some(channels))?;
         }
-        for idx in start..self.chain.len() {
-            let id = self.chain[idx];
-            let op = self.graph.node(id)?.op.clone();
-            dims = match op {
-                LayerOp::BatchNorm => self.push_bn(id, &dims, Some(channels))?,
-                LayerOp::Relu => self.push_relu(dims),
-                LayerOp::DepthwiseConv2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_depthwise(
-                    id,
-                    &dims,
-                    Conv2dParams::square(kernel, stride, padding),
-                    Some(channels),
-                )?,
-                LayerOp::MaxPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_pool(&dims, Pool2dParams::square(kernel, stride, padding), true)?,
-                LayerOp::AvgPool2d {
-                    kernel,
-                    stride,
-                    padding,
-                } => self.push_pool(&dims, Pool2dParams::square(kernel, stride, padding), false)?,
-                LayerOp::GlobalAvgPool => {
-                    let (c, h, w) = Self::require_chw(&dims, "global average pool")?;
-                    self.push(StepKind::GlobalAvgPool { c, plane: h * w }, c);
-                    vec![c]
-                }
-                LayerOp::Flatten => vec![dims.iter().product()],
-                _ => unreachable!("backward scan rejected unsupported channel ops"),
-            };
+        self.values.insert(chain[chain.len() - 1], cur);
+        Ok(())
+    }
+
+    /// Leaves the value of `last`, the piece's output, in the slot the last
+    /// step writes — where `run_steps` redirects it to the caller's buffer —
+    /// and returns its shape. A piece with no step of its own (a flatten of
+    /// the input) gets one copy.
+    fn finish(&mut self, last: NodeId) -> Result<Vec<usize>> {
+        let out = self
+            .values
+            .get(&last)
+            .cloned()
+            .ok_or_else(|| ModelError::BadWiring(format!("node {} was not lowered", last.0)))?;
+        if self.steps.last().map(|s| Operand::Slot(s.writes)) != Some(out.at) {
+            self.push(StepKind::Copy, &[&out], out.dims.clone(), 0);
         }
-        Ok(dims)
+        Ok(out.dims)
     }
 }
 
@@ -1580,9 +1687,7 @@ impl CompiledPartition {
     }
 
     /// Whether worker piece outputs take the int8 wire round trip on their
-    /// way into the join buffer. Parallel callers that drive
-    /// [`CompiledPartition::pieces_mut`] themselves pass this to
-    /// [`CompiledSegment::run_joined`].
+    /// way into the join buffer.
     pub fn wire_int8(&self) -> bool {
         self.wire_int8
     }
@@ -1602,10 +1707,26 @@ impl CompiledPartition {
         self.axis
     }
 
-    /// Bytes of per-query activation arena summed over the pieces (see
-    /// [`CompiledSegment::activation_bytes`]).
-    pub fn activation_bytes(&self) -> usize {
-        self.pieces.iter().map(|p| p.activation_bytes()).sum()
+    /// How many pieces the group has: the most lanes it can use.
+    pub fn piece_count(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Widens `plan` so an arena reserved for it runs any piece of the group
+    /// (see [`CompiledSegment::arena_plan`]).
+    pub fn cover_pieces(&self, plan: &mut ArenaPlan) {
+        self.pieces.iter().for_each(|p| plan.cover(p.arena_plan()));
+    }
+
+    /// Bytes of piece output one query keeps between the pieces' runs and
+    /// the gather: every piece's own, or none where a single query writes
+    /// its join directly.
+    pub fn output_bytes(&self) -> usize {
+        let lens = self.pieces.iter().map(|p| p.out_shape().len());
+        match self.joins_directly(1) {
+            true => 0,
+            false => lens.sum::<usize>() * std::mem::size_of::<f32>(),
+        }
     }
 
     /// Weight bytes one query streams, summed over the pieces (see
@@ -1614,32 +1735,53 @@ impl CompiledPartition {
         self.pieces.iter().map(|p| p.weight_bytes_streamed()).sum()
     }
 
-    /// The compiled pieces, for callers that dispatch them in parallel.
-    pub fn pieces_mut(&mut self) -> &mut [CompiledSegment] {
-        &mut self.pieces
-    }
-
     /// Whether a run of `n` items can skip the gather: each piece's output
-    /// is then one contiguous region of the join buffer — the join is
-    /// contiguous (`outer == 1`, e.g. any channel join) and there is one
-    /// item, since the pieces of a wider batch interleave per item. This is
-    /// the executor's one decision that depends on the batch width.
-    fn writes_join_directly(&self, n: usize) -> bool {
-        self.outer == 1 && n == 1
+    /// is then one contiguous region of the join buffer — there is one
+    /// piece, whose items are the join's, or the join is contiguous
+    /// (`outer == 1`, e.g. any channel join) and there is one item, since
+    /// the pieces of a wider batch interleave per item. This is the
+    /// executor's one decision that depends on the batch width.
+    pub fn joins_directly(&self, n: usize) -> bool {
+        self.pieces.len() == 1 || (self.outer == 1 && n == 1)
     }
 
-    /// Each piece's range of the join buffer when a run of `n` items can
-    /// write it directly, so that pieces can [`CompiledSegment::run_joined`]
-    /// into disjoint `&mut` slices of it; `None` when they must run and then
-    /// be gathered.
-    pub fn contiguous_ranges(&self, n: usize) -> Option<Vec<Range<usize>>> {
-        self.writes_join_directly(n).then(|| self.slots.clone())
+    /// Deals the pieces of a run of `n` items to `lanes` lanes, contiguous
+    /// pieces to each: every [`LaneShare`] runs on an arena of its own, so
+    /// the shares can run concurrently, and which lane ran a piece leaves no
+    /// trace in the result. Where the join is direct
+    /// ([`CompiledPartition::joins_directly`]) a share carries its pieces'
+    /// disjoint stretch of `outs`; else the pieces run into their own
+    /// buffers and [`CompiledPartition::gather`] follows.
+    pub fn deal<'a>(
+        &'a mut self,
+        lanes: usize,
+        n: usize,
+        outs: &'a mut [f32],
+    ) -> impl Iterator<Item = LaneShare<'a>> {
+        let per = self.pieces.len().div_ceil(lanes.max(1));
+        let wire_int8 = self.wire_int8;
+        let mut rest = self.joins_directly(n).then_some(outs);
+        self.pieces.chunks_mut(per).map(move |pieces| {
+            let joined = rest.take().map(|outs| {
+                let len: usize = pieces.iter().map(|p| n * p.out_shape().len()).sum();
+                let (head, tail) = outs.split_at_mut(len);
+                rest = Some(tail);
+                head
+            });
+            LaneShare {
+                pieces,
+                joined,
+                n,
+                wire_int8,
+            }
+        })
     }
 
     /// Gathers the `n`-item piece outputs (valid after each piece ran) into
     /// `outs` (`n × out_len`, item-major), each item in exactly
     /// [`Tensor::concat`]'s memory order: outer blocks first, pieces in
-    /// order within each block. Allocation-free.
+    /// order within each block. Nothing to do where the pieces wrote the
+    /// join directly. Allocation-free.
     ///
     /// # Panics
     ///
@@ -1647,6 +1789,9 @@ impl CompiledPartition {
     pub fn gather(&self, n: usize, outs: &mut [f32]) {
         let out_len = self.out_shape.len();
         assert_eq!(outs.len(), n * out_len, "join buffer length");
+        if self.joins_directly(n) {
+            return;
+        }
         let block = out_len / self.outer;
         for (i, out) in outs.chunks_exact_mut(out_len).enumerate() {
             for (o, out) in out.chunks_exact_mut(block).enumerate() {
@@ -1658,11 +1803,10 @@ impl CompiledPartition {
         }
     }
 
-    /// Runs every piece sequentially over the `n` item-major `inputs` and
-    /// joins each item into its slice of `outs` (`n × out_len`). Parallel
-    /// callers drive [`CompiledPartition::pieces_mut`] /
-    /// [`CompiledPartition::gather`] themselves. The int8 wire round trip is
-    /// applied per `(piece, item)` payload, so an item's output does not
+    /// Runs every piece in turn on `arena` over the `n` item-major `inputs`
+    /// and joins each item into its slice of `outs` (`n × out_len`): one
+    /// lane's worth of [`CompiledPartition::deal`]. The int8 wire round trip
+    /// is applied per `(piece, item)` payload, so an item's output does not
     /// depend on the batch it rode in.
     ///
     /// # Errors
@@ -1674,29 +1818,60 @@ impl CompiledPartition {
     /// Panics if `n == 0` or a buffer length disagrees with `n`.
     pub fn run_into(
         &mut self,
+        arena: &mut Arena,
         weights: &ModelWeights,
         inputs: &[f32],
         n: usize,
         outs: &mut [f32],
     ) -> Result<()> {
         assert_eq!(outs.len(), n * self.out_shape.len(), "join buffer length");
-        let direct = self.writes_join_directly(n);
-        for (piece, slot) in self.pieces.iter_mut().zip(&self.slots) {
-            let slot = direct.then_some(slot.clone()).map(|r| &mut outs[r]);
-            piece.run_joined(weights, inputs, n, slot, self.wire_int8)?;
+        for share in self.deal(1, n, outs) {
+            share.run(arena, weights, inputs)?;
         }
-        if !direct {
-            self.gather(n, outs);
-        }
+        self.gather(n, outs);
         Ok(())
     }
 
-    /// Grows every piece's arena for batches up to `n` (see
-    /// [`CompiledSegment::reserve_batch`]).
+    /// Grows the output buffers of the pieces a run of `n` items gathers.
     pub fn reserve_batch(&mut self, n: usize) {
-        for piece in &mut self.pieces {
-            piece.reserve_batch(n);
+        if !self.joins_directly(n) {
+            for p in &mut self.pieces {
+                grow(&mut p.out, n * p.out_shape.len());
+            }
         }
+    }
+}
+
+/// The pieces of a join one lane runs, in order, on one arena (see
+/// [`CompiledPartition::deal`]).
+#[derive(Debug)]
+pub struct LaneShare<'a> {
+    pieces: &'a mut [CompiledSegment],
+    /// The stretch of the join buffer these pieces write, when they write it
+    /// directly.
+    joined: Option<&'a mut [f32]>,
+    n: usize,
+    wire_int8: bool,
+}
+
+impl LaneShare<'_> {
+    /// Runs the share's pieces on `arena`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first piece error (see
+    /// [`CompiledSegment::run_batch`]).
+    pub fn run(self, arena: &mut Arena, weights: &ModelWeights, inputs: &[f32]) -> Result<()> {
+        let mut joined = self.joined;
+        for piece in self.pieces {
+            let slot = joined.take().map(|outs| {
+                let (slot, rest) = outs.split_at_mut(self.n * piece.out_shape().len());
+                joined = Some(rest);
+                slot
+            });
+            piece.run_joined(arena, weights, inputs, self.n, slot, self.wire_int8)?;
+        }
+        Ok(())
     }
 }
 
@@ -1874,11 +2049,12 @@ mod tests {
             Tensor::concat(&parts, 1).unwrap()
         };
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
+        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
+            .unwrap();
         assert_eq!(part.out_shape(), reference.shape());
         assert_bits_eq(&out, reference.data(), "spatial gather");
         // Spatial join along height is strided (outer = channels > 1).
-        assert!(part.contiguous_ranges(1).is_none());
+        assert!(!part.joins_directly(1));
 
         // Channel join is contiguous: pieces write the join buffer directly.
         let head = &model.layers()[..1];
@@ -1889,7 +2065,7 @@ mod tests {
         let mut part =
             CompiledPartition::compile(model.graph(), &weights, head, &specs, 0, &mut cache)
                 .unwrap();
-        assert!(part.contiguous_ranges(1).is_some());
+        assert!(part.joins_directly(1));
         let reference = {
             let parts: Vec<Tensor> = (0..2)
                 .map(|p| {
@@ -1900,7 +2076,8 @@ mod tests {
             Tensor::concat(&parts, 0).unwrap()
         };
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
+        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
+            .unwrap();
         assert_bits_eq(&out, reference.data(), "channel gather");
     }
 
@@ -1949,6 +2126,9 @@ mod tests {
                 opts,
             )
             .unwrap();
+            // One arena for every run: sequential singles and batches share
+            // it, as the pieces of the partition do.
+            let mut arena = Arena::default();
             for n in [1usize, 2, 3, 8] {
                 let queries: Vec<Tensor> = (0..n)
                     .map(|i| query(model.input_shape(), 40 + i as u64))
@@ -1956,14 +2136,16 @@ mod tests {
                 let out_len = part.out_shape().len();
                 let mut seq = vec![0.0f32; n * out_len];
                 for (q, out) in queries.iter().zip(seq.chunks_mut(out_len)) {
-                    part.run_into(&weights, q.data(), 1, out).unwrap();
+                    part.run_into(&mut arena, &weights, q.data(), 1, out)
+                        .unwrap();
                 }
                 let mut inputs = vec![0.0f32; n * input_len];
                 for (q, dst) in queries.iter().zip(inputs.chunks_mut(input_len)) {
                     dst.copy_from_slice(q.data());
                 }
                 let mut batched = vec![0.0f32; n * out_len];
-                part.run_into(&weights, &inputs, n, &mut batched).unwrap();
+                part.run_into(&mut arena, &weights, &inputs, n, &mut batched)
+                    .unwrap();
                 assert_bits_eq(&seq, &batched, &format!("batched join n={n}"));
             }
         }
@@ -1997,12 +2179,13 @@ mod tests {
         scratch.max().unwrap_or(0)
     }
 
-    /// The arena contract of one compiled piece, by exact counts: every
+    /// The arena contract of one compiled chain piece, by exact counts: every
     /// BN/ReLU of the chain is a sweep and no other node is, the buffer
     /// writers are the remaining non-flatten nodes (plus at most one leading
-    /// slice or copy of the input), the two buffers are exactly as long
-    /// as the largest output on the even and on the odd steps, and the
-    /// scratch is what the widest LSTM needs.
+    /// slice or copy of the input), the steps alternate between two slots,
+    /// each reading the one the step before wrote (the first the input), the
+    /// two slots are exactly as long as the largest output on the even and on
+    /// the odd steps, and the scratch is what the widest LSTM needs.
     fn assert_arena_plan(seg: &CompiledSegment, graph: &Graph, nodes: &[NodeId], what: &str) {
         let (elementwise, writers) = count_ops(graph, nodes);
         let swept: usize = seg
@@ -2015,25 +2198,33 @@ mod tests {
             })
             .sum();
         assert_eq!(swept, elementwise, "{what}: sweeps");
-        let lead = matches!(
-            seg.steps[0].kind,
-            StepKind::SliceInput { .. } | StepKind::Copy
-        );
+        let lead = matches!(seg.steps[0].kind, StepKind::Slice { .. } | StepKind::Copy);
         assert_eq!(
             seg.steps.len(),
             writers + usize::from(lead),
             "{what}: steps"
         );
+        let (mut reads, mut writes) = (Operand::Input, 0);
+        for (i, step) in seg.steps.iter().enumerate() {
+            let from: Vec<Operand> = step.reads.iter().map(|r| r.from).collect();
+            assert_eq!(
+                (step.writes, from),
+                (writes, vec![reads]),
+                "{what}: step {i}"
+            );
+            (reads, writes) = (Operand::Slot(writes), 1 - writes);
+        }
         let cap = |slot: usize| {
             let lens = seg.steps.iter().skip(slot).step_by(2).map(|s| s.out_len);
             lens.max().unwrap_or(0)
         };
         let scratch = lstm_scratch(graph, nodes);
-        assert_eq!(
-            seg.arena.each_ref().map(Vec::len),
-            [cap(0), cap(1), scratch],
-            "{what}: arena"
-        );
+        let slots = [cap(0), cap(1)];
+        let plan = ArenaPlan {
+            slots: slots[..seg.steps.len().min(2)].to_vec(),
+            scratch,
+        };
+        assert_eq!(seg.lens, plan, "{what}: arena plan");
         assert_eq!(
             seg.activation_bytes(),
             4 * (cap(0) + cap(1) + scratch),
@@ -2096,8 +2287,16 @@ mod tests {
                         PieceSpec::Channels(_) => 3,
                     };
                     checked[kind] += 1;
-                    assert_arena_plan(&seg, model.graph(), &nodes, &what);
-                    if spec == PieceSpec::Full {
+                    let node = |id: &NodeId| model.graph().node(*id).unwrap();
+                    if nodes.iter().any(|id| node(id).inputs.len() > 1) {
+                        // A branching group: the skip, two arms and the join
+                        // of a residual block, or three arms and the join of
+                        // an inception module, are all that is ever live.
+                        assert!(seg.lens.slots.len() <= 4, "{what}: {:?}", seg.lens);
+                    } else {
+                        assert_arena_plan(&seg, model.graph(), &nodes, &what);
+                    }
+                    if spec == PieceSpec::Full && seg.lens.slots.len() <= 2 {
                         // A full piece's steps are the writer nodes themselves:
                         // the two buffers are sized from the graph alone.
                         let mut cap = [0usize; 2];
@@ -2134,39 +2333,41 @@ mod tests {
                     let out_len = refs[0].shape().len();
                     assert_eq!(seg.out_shape(), refs[0].shape(), "{what}");
 
+                    // On a caller's arena, as a plan runs it: into a join
+                    // slice, then into its own buffer over an int8 wire.
+                    let mut arena = Arena::default();
                     let mut joined = vec![f32::NAN; out_len];
-                    seg.run_into(&weights, inputs[0].data(), &mut joined)
+                    let slot = Some(&mut joined[..]);
+                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, slot, false)
                         .unwrap();
-                    assert_bits_eq(&joined, refs[0].data(), &format!("{what}: run_into"));
-                    let out = seg.run(&weights, inputs[0].data()).unwrap();
-                    assert_bits_eq(out, refs[0].data(), &format!("{what}: run"));
-                    seg.wire_roundtrip_output();
+                    assert_bits_eq(&joined, refs[0].data(), &format!("{what}: joined"));
+                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, None, true)
+                        .unwrap();
                     assert_bits_eq(
                         seg.output(),
                         &wire(refs[0].data()),
                         &format!("{what}: wire"),
                     );
+                    let out = seg.run(&weights, inputs[0].data()).unwrap();
+                    assert_bits_eq(out, refs[0].data(), &format!("{what}: run"));
 
                     let out = seg.run_batch(&weights, &flat, BATCH).unwrap();
                     for (item, r) in out.chunks_exact(out_len).zip(&refs) {
                         assert_bits_eq(item, r.data(), &format!("{what}: run_batch"));
                     }
-                    seg.wire_roundtrip_output();
+                    seg.run_joined(&mut arena, &weights, &flat, BATCH, None, true)
+                        .unwrap();
                     for (item, r) in seg.output().chunks_exact(out_len).zip(&refs) {
                         assert_bits_eq(item, &wire(r.data()), &format!("{what}: batch wire"));
                     }
-                    // The batch grew the one arena to BATCH items; the plan's
-                    // per-query figure stands, and a single query after it
-                    // reads nothing the batch left behind.
-                    let lens = arena_lens(&seg.steps);
-                    for (buf, len) in seg.arena.iter().zip(lens) {
+                    // The batch grew the private arena to BATCH items; the
+                    // plan's per-query figure stands, and a single query after
+                    // it reads nothing the batch left behind.
+                    for (buf, len) in seg.arena.slots.iter().zip(&seg.lens.slots) {
                         assert_eq!(buf.len(), BATCH * len, "{what}: batch arena");
                     }
-                    assert_eq!(
-                        seg.activation_bytes(),
-                        4 * lens.iter().sum::<usize>(),
-                        "{what}"
-                    );
+                    assert_eq!(seg.arena.scratch.len(), BATCH * seg.lens.scratch, "{what}");
+                    assert_eq!(seg.activation_bytes(), seg.lens.bytes(), "{what}");
                     let out = seg.run(&weights, inputs[1].data()).unwrap();
                     assert_bits_eq(out, refs[1].data(), &format!("{what}: run after batch"));
                 }
@@ -2225,8 +2426,9 @@ mod tests {
     fn streamed_weight_bytes_count_w_ih_once_and_w_hh_once_per_step() {
         // RNN-3 at full size, on zeroed (so never touched) weights: the
         // hoisted kernel passes over 268 MB of `w_ih` once and 201 MB of
-        // `w_hh` ten times, where a step-by-step cell passed over all 470 MB
-        // ten times.
+        // `w_hh` nine times — the first step's hidden state is zero and
+        // skips it — where a step-by-step cell passed over all 470 MB ten
+        // times.
         let model = zoo::rnn(3);
         let mut weights = ModelWeights::new();
         for node in model.graph().nodes() {
@@ -2255,7 +2457,10 @@ mod tests {
         )
         .unwrap();
         let (w_ih, w_hh) = (268_435_456, 201_326_592);
-        assert_eq!(seg.weight_bytes_streamed(), w_ih + zoo::RNN_SEQ_LEN * w_hh);
+        assert_eq!(
+            seg.weight_bytes_streamed(),
+            w_ih + (zoo::RNN_SEQ_LEN - 1) * w_hh
+        );
         assert!(seg.weight_bytes_streamed() * 2 < zoo::RNN_SEQ_LEN * (w_ih + w_hh));
 
         // Conv and dense rows are passed over once: the weight tensors' size.
@@ -2282,7 +2487,7 @@ mod tests {
     fn a_segment_of_sweeps_copies_its_input_and_lands_in_the_join_slice() {
         // [stem_bn, stem_relu] of tiny-mobilenet as a group of its own: the
         // piece opens with an element-wise op, so it gets one copy step to
-        // sweep, and `run_into` does the sweeping in the caller's slice.
+        // sweep, and `run_joined` does the sweeping in the caller's slice.
         let model = zoo::tiny_mobilenet();
         let weights = init_weights(model.graph(), 8).unwrap();
         let exec = Executor::new(model.graph(), &weights);
@@ -2317,7 +2522,9 @@ mod tests {
         assert_eq!(seg.activation_bytes(), 4 * input.shape().len());
         let before = input.data().to_vec();
         let mut out = vec![f32::NAN; reference.shape().len()];
-        seg.run_into(&weights, input.data(), &mut out).unwrap();
+        let mut arena = Arena::default();
+        seg.run_joined(&mut arena, &weights, input.data(), 1, Some(&mut out), false)
+            .unwrap();
         assert_bits_eq(&out, reference.data(), "sweeps into the join slice");
         assert_bits_eq(
             seg.run(&weights, input.data()).unwrap(),
@@ -2386,25 +2593,156 @@ mod tests {
     }
 
     #[test]
-    fn branching_graphs_fail_to_compile() {
-        // `Add` (tiny-resnet) and `Concat` (tiny-inception) joins stay with
-        // the interpreter: lowering LSTM steps did not widen what a
-        // multi-input graph compiles to.
-        for model in [zoo::tiny_resnet(), zoo::tiny_inception()] {
-            let weights = init_weights(model.graph(), 13).unwrap();
-            let mut cache = PanelCache::new();
-            let err = CompiledSegment::compile(
+    fn branching_groups_compile_to_the_executors_bits() {
+        // `Add` (tiny-resnet: identity and projection shortcuts) and `Concat`
+        // (tiny-inception) groups, whole and as row and column pieces; a
+        // branching layer has no channel piece, here or in the interpreter.
+        assert_eq!(check_every_group(&zoo::tiny_resnet(), 13), [36, 21, 21, 5]);
+        assert_eq!(
+            check_every_group(&zoo::tiny_inception(), 15),
+            [21, 10, 10, 5]
+        );
+    }
+
+    /// `blocks` basic residual blocks (conv-bn-relu-conv-bn, identity skip,
+    /// add, relu) on a 4×12×12 input, merged: one layer per block.
+    fn residual_chain(blocks: usize) -> crate::LinearModel {
+        let conv = LayerOp::Conv2d {
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut g = Graph::new();
+        let shape = Shape::new(vec![4, 12, 12]);
+        let mut cur = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+        for _ in 0..blocks {
+            let skip = cur;
+            cur = g.add("conv1", conv.clone(), &[cur]).unwrap();
+            cur = g.add("bn1", LayerOp::BatchNorm, &[cur]).unwrap();
+            cur = g.add("relu1", LayerOp::Relu, &[cur]).unwrap();
+            cur = g.add("conv2", conv.clone(), &[cur]).unwrap();
+            cur = g.add("bn2", LayerOp::BatchNorm, &[cur]).unwrap();
+            cur = g.add("add", LayerOp::Add, &[cur, skip]).unwrap();
+            cur = g.add("relu", LayerOp::Relu, &[cur]).unwrap();
+        }
+        crate::merge::merge_graph("residual-chain", g).unwrap()
+    }
+
+    #[test]
+    fn residual_chains_run_in_three_slots_and_read_what_was_written() {
+        for blocks in 1..=8usize {
+            let model = residual_chain(blocks);
+            let graph = model.graph();
+            let weights = init_weights(graph, 17).unwrap();
+            let exec = Executor::new(graph, &weights);
+            let input = query(model.input_shape(), 3);
+            let compile = |spec: &PieceSpec| {
+                let mut cache = PanelCache::new();
+                CompiledSegment::compile(graph, &weights, model.layers(), spec, &mut cache).unwrap()
+            };
+            let mut full = compile(&PieceSpec::Full);
+            let mut rows = compile(&PieceSpec::Rows(4..8));
+            assert!(full.lens.slots.len() <= 3, "{blocks}: {:?}", full.lens);
+            assert!(rows.lens.slots.len() <= 3, "{blocks}: {:?}", rows.lens);
+            let reference = exec.forward(&model, &input).unwrap();
+            let out = full.run(&weights, input.data()).unwrap();
+            assert_bits_eq(out, reference.data(), "residual chain");
+            let reference = exec.run_segment_rows(model.layers(), &input, 4..8).unwrap();
+            let out = rows.run(&weights, input.data()).unwrap();
+            assert_bits_eq(out, reference.data(), "residual chain rows");
+
+            // A whole piece has one step per conv and per add, in node order:
+            // the value each operand should hold is known from the graph, and
+            // no slot may have been written again between that value's step
+            // and the read.
+            let writers: Vec<&crate::graph::Node> = graph
+                .nodes()
+                .iter()
+                .filter(|n| matches!(n.op, LayerOp::Conv2d { .. } | LayerOp::Add))
+                .collect();
+            assert_eq!(full.steps.len(), writers.len());
+            // The step whose slot holds node `id`'s value: BN and ReLU live
+            // in their producer's.
+            let step_of = |mut id: NodeId| loop {
+                if let Some(step) = writers.iter().position(|w| w.id == id) {
+                    break Some(step);
+                }
+                let node = graph.node(id).unwrap();
+                match node.op {
+                    LayerOp::Input { .. } => break None,
+                    _ => id = node.inputs[0],
+                }
+            };
+            let mut tenant: Vec<Option<usize>> = vec![None; full.lens.slots.len()];
+            for (i, (step, node)) in full.steps.iter().zip(&writers).enumerate() {
+                for (read, input) in step.reads.iter().zip(&node.inputs) {
+                    let held = match read.from {
+                        Operand::Input => None,
+                        Operand::Slot(s) => tenant[s],
+                    };
+                    assert_eq!(held, step_of(*input), "{blocks} blocks, step {i}");
+                    assert_ne!(read.from, Operand::Slot(step.writes), "step {i}");
+                }
+                tenant[step.writes] = Some(i);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_whose_input_has_another_reader_works_on_a_copy() {
+        // A pre-activation block: the conv's output feeds the batch norm and,
+        // untouched, the add. Folding the norm into the conv's slot would hand
+        // the add a normalized skip.
+        let conv = LayerOp::Conv2d {
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut g = Graph::new();
+        let shape = Shape::new(vec![4, 8, 8]);
+        let input = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+        let c0 = g.add("conv0", conv.clone(), &[input]).unwrap();
+        let bn = g.add("bn", LayerOp::BatchNorm, &[c0]).unwrap();
+        let relu = g.add("relu", LayerOp::Relu, &[bn]).unwrap();
+        let c1 = g.add("conv1", conv, &[relu]).unwrap();
+        g.add("add", LayerOp::Add, &[c1, c0]).unwrap();
+        let model = crate::merge::merge_graph("pre-activation", g).unwrap();
+        let weights = init_weights(model.graph(), 23).unwrap();
+        let exec = Executor::new(model.graph(), &weights);
+        let x = query(model.input_shape(), 9);
+        for spec in [
+            PieceSpec::Full,
+            PieceSpec::Rows(2..5),
+            PieceSpec::Cols(0..3),
+        ] {
+            let mut seg = CompiledSegment::compile(
                 model.graph(),
                 &weights,
                 model.layers(),
-                &PieceSpec::Full,
-                &mut cache,
-            );
-            assert!(
-                matches!(err, Err(ModelError::Unsupported(_))),
-                "{}",
-                model.name()
-            );
+                &spec,
+                &mut PanelCache::new(),
+            )
+            .unwrap();
+            let conv0 = seg
+                .steps
+                .iter()
+                .position(|s| matches!(s.kind, StepKind::Conv { .. }))
+                .unwrap();
+            assert!(seg.steps[conv0].sweeps.is_empty(), "{spec:?}");
+            assert!(matches!(seg.steps[conv0 + 1].kind, StepKind::Copy));
+            assert!(matches!(
+                seg.steps[conv0 + 1].sweeps[..],
+                [Sweep::Bn { relu: true, .. }]
+            ));
+            let reference = match &spec {
+                PieceSpec::Rows(r) => exec.run_segment_rows(model.layers(), &x, r.clone()),
+                PieceSpec::Cols(r) => exec.run_segment_cols(model.layers(), &x, r.clone()),
+                _ => exec.forward(&model, &x),
+            };
+            let out = seg.run(&weights, x.data()).unwrap();
+            assert_bits_eq(out, reference.unwrap().data(), &format!("{spec:?}"));
         }
     }
 
@@ -2589,7 +2927,8 @@ mod tests {
         .unwrap();
         assert!(part.wire_int8());
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
+        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
+            .unwrap();
         let max_ref = reference.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let step = max_ref / 127.0;
         for (i, (x, y)) in out.iter().zip(reference.data().iter()).enumerate() {
@@ -2613,7 +2952,8 @@ mod tests {
         assert!(!part.wire_int8());
         let full_ref = exec.run_segment(seg_layers, &input).unwrap();
         let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&weights, input.data(), 1, &mut out).unwrap();
+        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
+            .unwrap();
         assert_bits_eq(&out, full_ref.data(), "single-piece wire");
     }
 }

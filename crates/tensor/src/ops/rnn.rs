@@ -134,6 +134,11 @@ pub fn lstm_sequence_into(
 
 /// [`lstm_sequence_into`] with an explicit worker count for its
 /// matrix–vector products (`None`: the ambient one).
+///
+/// When the incoming `h` is all `+0.0` bits — a fresh sequence — step 0 does
+/// not stream `w_hh`: `0 + row·h` over a `+0.0` vector is `+0.0` for every
+/// finite row, which is what `gh` is filled with, so `(gi + 0.0) + b` keeps
+/// every bit. (A non-finite `w_hh` entry would have made that product NaN.)
 fn lstm_steps(
     params: &LstmParams,
     n: usize,
@@ -154,14 +159,18 @@ fn lstm_steps(
     let (gi, gh) = gates[..lstm_gates_len(hidden, n, steps)].split_at_mut(rows * nt);
     let matvec = |cols: usize, w: &Tensor, xs: &[f32], outs: &mut [f32], nrhs: usize| {
         let threads = threads.unwrap_or_else(|| gemm::gemv_threads(rows, cols));
-        outs.fill(0.0);
         gemm::gemv_multi_with_threads(rows, cols, w.data(), xs, outs, nrhs, threads);
     };
     // The input projection of every timestep, row-major `[4·hidden, n·T]`.
+    gi.fill(0.0);
     matvec(input, &params.w_ih, xs, gi, nt);
     let b = params.bias.data();
+    let fresh = h.iter().all(|v| v.to_bits() == 0);
     for t in 0..steps {
-        matvec(hidden, &params.w_hh, h, gh, n);
+        gh.fill(0.0);
+        if t > 0 || !fresh {
+            matvec(hidden, &params.w_hh, h, gh, n);
+        }
         for (i, (h, c)) in h
             .chunks_exact_mut(hidden)
             .zip(c.chunks_exact_mut(hidden))

@@ -35,7 +35,7 @@ use gillis_core::{
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::PlatformProfile;
 use gillis_model::weights::ModelWeights;
-use gillis_model::{LinearModel, ModelError};
+use gillis_model::LinearModel;
 use gillis_perf::PerfModel;
 use gillis_perf::TransferFormat;
 use gillis_rl::{slo_aware_partition, SloAwareConfig};
@@ -339,9 +339,6 @@ enum WarmSlot {
     /// new one.
     #[default]
     Empty,
-    /// The model is outside the compiled subset (a multi-input graph);
-    /// remembered so the fallback does not re-attempt compilation per query.
-    Unsupported,
     /// Compiled against the weight set carrying this
     /// [`ModelWeights::stamp`]. An f32 plan copies no conv, dense or depthwise
     /// weight — its steps read the rows of the set each query brings — but it
@@ -369,8 +366,9 @@ pub struct WarmPlan {
     /// Plans this deployment (and its clones) compiled so far, this one
     /// included: it moves only when the weights' content does.
     pub compiles: u64,
-    /// Bytes of f32 activations the plan holds: two arena buffers per piece
-    /// and one join buffer per group.
+    /// Bytes of f32 activations the plan holds: one lane — the slots of its
+    /// widest piece — per thread a group's pieces have run on, one join
+    /// buffer per group, and the output of every piece that is gathered.
     pub activation_bytes: usize,
 }
 
@@ -394,7 +392,6 @@ impl fmt::Debug for WarmCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = match self.lock().slot {
             WarmSlot::Empty => "empty",
-            WarmSlot::Unsupported => "unsupported",
             WarmSlot::Ready { .. } => "ready",
         };
         f.debug_tuple("WarmCache").field(&state).finish()
@@ -447,20 +444,22 @@ impl Deployment {
     ///
     /// The first query against a weight set compiles the plan
     /// ([`gillis_core::CompiledPlanExec`]): batch norms are folded, weight
-    /// row ranges resolved, and two activation buffers per piece preallocated.
-    /// Subsequent queries with the same weight content (the same
-    /// [`ModelWeights::stamp`], wherever the set lives) reuse that state —
-    /// the steady-state warm path runs without heap allocation at pool width
-    /// 1 — and a changed set replaces it, one plan resident at a time.
-    /// Chaos-enabled deployments, branching models, and mis-shaped
-    /// inputs take the uncompiled resilient path
+    /// row ranges resolved, every value of every piece assigned an arena
+    /// slot, and the lanes the pieces share preallocated. Subsequent queries
+    /// with the same weight content (the same [`ModelWeights::stamp`],
+    /// wherever the set lives) reuse that state — the steady-state warm path
+    /// runs without heap allocation at pool width 1 — and a changed set
+    /// replaces it, one plan resident at a time. Every model the planner
+    /// handles compiles, branching ones included. Chaos-enabled deployments
+    /// and mis-shaped inputs take the uncompiled resilient path
     /// ([`gillis_core::execute_plan_tensors`]); outputs are bit-identical
     /// either way.
     ///
     /// # Errors
     ///
-    /// Propagates executor and plan-validation errors (e.g. an input whose
-    /// shape does not match the model).
+    /// Propagates compile, executor and plan-validation errors (e.g. a
+    /// weight set that does not fit the model, or an input whose shape does
+    /// not match it).
     pub fn infer(&self, weights: &ModelWeights, input: &Tensor) -> Result<Tensor, CoreError> {
         self.infer_with_report(weights, input).map(|(out, _)| out)
     }
@@ -502,9 +501,10 @@ impl Deployment {
 
     /// The steady-state warm path: compiles the plan on first use (or when
     /// `weights` carries a new stamp), then serves the query from preallocated
-    /// state. Returns `Ok(None)` when the query must take the uncompiled
-    /// path instead — the model is outside the compiled subset, or the input
-    /// shape is wrong (so the fallback can report the proper error).
+    /// state. Returns `Ok(None)` when the input shape is wrong, so that the
+    /// uncompiled path reports the proper error. A compile error (say, an
+    /// incomplete weight set) is this call's: the slot stays empty and the
+    /// next call compiles afresh.
     fn warm_infer(
         &self,
         weights: &ModelWeights,
@@ -514,37 +514,21 @@ impl Deployment {
             return Ok(None);
         }
         let mut warm = self.warm.lock();
-        if matches!(warm.slot, WarmSlot::Unsupported) {
-            return Ok(None);
-        }
         let stamp = weights.stamp();
         if !matches!(warm.slot, WarmSlot::Ready { stamp: s, .. } if s == stamp) {
             // Drop the stale plan before building its replacement: a weight
             // swap holds one plan, not two.
             warm.slot = WarmSlot::Empty;
-            match CompiledPlanExec::compile(&self.model, &self.plan, weights) {
-                Ok(exec) => {
-                    warm.compiles += 1;
-                    warm.slot = WarmSlot::Ready {
-                        stamp,
-                        exec: Box::new(exec),
-                    };
-                }
-                Err(CoreError::Model(ModelError::Unsupported(_))) => {
-                    // Branching model: remember, and let every
-                    // query take the uncompiled path without re-compiling.
-                    warm.slot = WarmSlot::Unsupported;
-                    return Ok(None);
-                }
-                // Anything else (say, an incomplete weight set) is this
-                // call's problem, not the model's: the uncompiled path
-                // reports it, and the next call compiles afresh.
-                Err(_) => return Ok(None),
-            }
+            let exec = CompiledPlanExec::compile(&self.model, &self.plan, weights)?;
+            warm.compiles += 1;
+            warm.slot = WarmSlot::Ready {
+                stamp,
+                exec: Box::new(exec),
+            };
         }
         match &mut warm.slot {
             WarmSlot::Ready { exec, .. } => exec.run(weights, input).map(Some),
-            _ => unreachable!("slot was just compiled"),
+            WarmSlot::Empty => unreachable!("slot was just compiled"),
         }
     }
 
@@ -983,25 +967,31 @@ mod tests {
     }
 
     #[test]
-    fn branching_model_marks_warm_slot_unsupported_and_still_infers() {
+    fn branching_models_are_served_from_the_warm_slot() {
         use gillis_model::exec::Executor;
         use gillis_model::weights::init_weights;
 
-        let model = zoo::tiny_resnet();
-        let d = Gillis::new(model.clone()).deploy().unwrap();
-        let weights = init_weights(model.graph(), 2).unwrap();
-        let input = Tensor::from_fn(model.input_shape().clone(), |i| {
-            ((i % 7) as f32 - 3.0) / 3.0
-        });
-        let out = d.infer(&weights, &input).unwrap();
-        let reference = Executor::new(model.graph(), &weights)
-            .forward(&model, &input)
-            .unwrap();
-        assert!(reference.max_abs_diff(&out).unwrap() < 1e-4);
-        assert!(format!("{:?}", d.warm).contains("unsupported"));
-        // Second query goes straight to the fallback without recompiling.
-        let again = d.infer(&weights, &input).unwrap();
-        assert_eq!(out.data()[0].to_bits(), again.data()[0].to_bits());
+        // Residual and inception groups compile: the first query leaves the
+        // slot ready, the second reuses it, and both carry forward's bits.
+        for model in [zoo::tiny_resnet(), zoo::tiny_inception()] {
+            let d = Gillis::new(model.clone()).deploy().unwrap();
+            let weights = init_weights(model.graph(), 2).unwrap();
+            let input = Tensor::from_fn(model.input_shape().clone(), |i| {
+                ((i % 7) as f32 - 3.0) / 3.0
+            });
+            let reference = Executor::new(model.graph(), &weights)
+                .forward(&model, &input)
+                .unwrap();
+            for _ in 0..2 {
+                let out = d.infer(&weights, &input).unwrap();
+                assert_eq!(out.shape(), reference.shape());
+                for (a, b) in out.data().iter().zip(reference.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{}", model.name());
+                }
+            }
+            assert!(format!("{:?}", d.warm).contains("ready"));
+            assert_eq!(d.warm_plan().unwrap().compiles, 1);
+        }
     }
 
     #[test]
@@ -1009,7 +999,6 @@ mod tests {
         use gillis_model::exec::Executor;
         use gillis_model::weights::init_weights;
 
-        // RNN-k compiles: only a multi-input graph is left to the fallback.
         let model = zoo::rnn_sized(3, 20, 12);
         let d = Gillis::new(model.clone()).deploy().unwrap();
         let weights = init_weights(model.graph(), 9).unwrap();
@@ -1038,8 +1027,8 @@ mod tests {
         let d = Gillis::new(tiny.clone()).deploy().unwrap();
         let input = Tensor::from_fn(tiny.input_shape().clone(), |_| 0.25);
         // A weight set with nothing in it fails to compile with `BadWeights`,
-        // which says nothing about the model: the query fails on the
-        // uncompiled path too, and the slot stays open.
+        // which says nothing about the model: the error is that query's, and
+        // the slot stays open.
         assert!(d.infer(&ModelWeights::new(), &input).is_err());
         assert!(format!("{:?}", d.warm).contains("empty"));
         let weights = init_weights(tiny.graph(), 6).unwrap();
