@@ -16,6 +16,12 @@
 //! the span geometry rather than from the compiled steps. What the
 //! warm path buys in milliseconds is `benchmark/`'s `core.exec.*` and
 //! `model.*` metrics, not this binary's business.
+//!
+//! It also prints a `weights_hash <model> <hex>` line for each of those
+//! models and for an LSTM wide enough to be filled on the pool
+//! (`ext_infer --weights-hash` prints the lines alone, at any pool width):
+//! `init_weights` is a function of `(seed, node, role, index)`, so CI `cmp`s
+//! the lines of the scalar and the SIMD build at widths 1 and 8.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -373,11 +379,29 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     );
 }
 
+/// splitmix fold of every weight's bits in node order: one figure that
+/// moves if any element of any tensor does.
+fn weights_hash(model: &LinearModel, weights: &ModelWeights) -> u64 {
+    let weighted = model.graph().nodes().iter().filter(|n| n.op.has_weights());
+    weighted
+        .flat_map(|n| weights.get(n.id).expect("weighted node").tensors())
+        .flat_map(|t| t.data())
+        .fold(0x6769_6c6c_6973_2d77, |h, x| {
+            gillis_core::replication_seed(h, u64::from(x.to_bits()))
+        })
+}
+
 /// tiny-vgg, tiny-resnet, tiny-inception and a reduced RNN-2 at pool width 1
-/// — the warm path must not allocate.
+/// — the warm path must not allocate. Before that, one `weights_hash` line
+/// per model, and one for an LSTM wide enough that its `w_ih` is filled on
+/// the pool: CI compares the lines across builds and pool widths, and
+/// `--weights-hash` prints them alone (the allocation checks hold at width 1
+/// only).
 fn main() {
-    // `--smoke` is the only mode; the flag stays so CI's command line does.
-    let _ = gillis_bench::bench_args(&["--smoke"]);
+    // `--smoke` is the only checking mode; the flag stays so CI's command
+    // line does.
+    let _ = gillis_bench::bench_args(&["--smoke", "--weights-hash"]);
+    let hashes_only = std::env::args().any(|a| a == "--weights-hash");
     // The RNN's sizes are off the eight-lane body of the row dot product; its
     // forced split finds no partition and leaves one function per layer.
     let models = [
@@ -389,8 +413,18 @@ fn main() {
         ),
         (zoo::rnn_sized(2, 20, 12), ["rnn single", "rnn per-layer"]),
     ];
-    for (model, names) in models {
+    let weights_of = |model: &LinearModel| {
         let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
+        let hash = weights_hash(model, &weights);
+        println!("weights_hash {} {hash:016x}", model.name());
+        weights
+    };
+    weights_of(&zoo::rnn_sized(1, 512, 256));
+    for (model, names) in models {
+        let weights = weights_of(&model);
+        if hashes_only {
+            continue;
+        }
         let plans = [
             ExecutionPlan::single_function(&model),
             forced_split_plan(&model, 2),
@@ -400,7 +434,9 @@ fn main() {
             smoke_plan(&model, &weights, plan, name);
         }
     }
-    println!(
-        "\nwarm path is allocation-free on tiny-vgg, tiny-resnet, tiny-inception and rnn-2 at pool width 1."
-    );
+    if !hashes_only {
+        println!(
+            "\nwarm path is allocation-free on tiny-vgg, tiny-resnet, tiny-inception and rnn-2 at pool width 1."
+        );
+    }
 }

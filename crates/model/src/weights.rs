@@ -1,15 +1,14 @@
-//! Random weight materialization for executable (small) models.
+//! Random weight materialization: the cold path of every model that runs.
 //!
-//! The zoo describes topology only; tests that check semantic equivalence of
-//! partitioned execution materialize weights here. Initialization uses a
-//! fan-in scale so activations neither vanish nor explode through deep
-//! chains, keeping floating-point comparisons meaningful.
+//! The zoo describes topology only; whatever executes a model — the
+//! semantic-equivalence tests on the tiny ones, the repo benchmark on VGG-11
+//! (531 MB) and RNN-3 (470 MB) — materializes its weights here first, so
+//! this is what a cold start costs before the first query. Initialization
+//! uses a fan-in scale so activations neither vanish nor explode through
+//! deep chains, keeping floating-point comparisons meaningful.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use gillis_tensor::ops::{BatchNormParams, LstmParams};
 use gillis_tensor::{Shape, Tensor};
@@ -47,6 +46,20 @@ pub enum NodeWeights {
     },
     /// LSTM parameters.
     Lstm(LstmParams),
+}
+
+impl NodeWeights {
+    /// The node's tensors in declaration order: `weight, bias`;
+    /// `gamma, beta, mean, var`; `w_ih, w_hh, bias`.
+    pub fn tensors(&self) -> Vec<&Tensor> {
+        match self {
+            NodeWeights::Conv { weight, bias }
+            | NodeWeights::Depthwise { weight, bias }
+            | NodeWeights::Dense { weight, bias } => vec![weight, bias],
+            NodeWeights::Bn(p) => vec![&p.gamma, &p.beta, &p.mean, &p.var],
+            NodeWeights::Lstm(p) => vec![&p.w_ih, &p.w_hh, &p.bias],
+        }
+    }
 }
 
 /// Source of [`ModelWeights::stamp`] values. `Relaxed` suffices: the counter
@@ -117,77 +130,119 @@ impl ModelWeights {
     }
 }
 
-fn sample(rng: &mut StdRng, scale: f32) -> f32 {
-    (rng.random::<f32>() * 2.0 - 1.0) * scale
+/// splitmix64 finalizer: the workspace-standard seed scrambler.
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-fn random_tensor(rng: &mut StdRng, shape: Shape, fan_in: usize) -> Tensor {
-    let scale = (1.0 / fan_in.max(1) as f32).sqrt();
-    Tensor::from_fn(shape, |_| sample(rng, scale))
+/// Which of a node's tensors a stream feeds; part of the stream's key.
+#[derive(Clone, Copy)]
+enum Role {
+    Weight,
+    Bias,
+    Gamma,
+    Beta,
+    Mean,
+    Var,
+    Wih,
+    Whh,
+}
+
+/// Key of the [`Tensor::uniform`] stream behind one tensor:
+/// `splitmix64(seed, node, role)`, folded in that order.
+fn stream_key(seed: u64, node: NodeId, role: Role) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed) ^ node.0 as u64) ^ role as u64)
 }
 
 /// Generates deterministic random weights for every weighted node in `graph`.
 ///
+/// Every element is a pure function of `(seed, node id, role, flat index)`,
+/// so the result is the same at any pool width and in any build, and
+/// appending a layer leaves every earlier node's weights as they were;
+/// *inserting* one renumbers the nodes after it and so moves theirs.
+///
 /// # Errors
 ///
-/// Returns [`ModelError::BadWiring`] if a weighted node has inconsistent
-/// input shapes (should not happen for graphs built through [`Graph::add`]).
+/// Returns [`ModelError::BadWiring`] if a weighted node has no input, or an
+/// input without the dimension its parameter shapes are read from (channels
+/// for conv, depthwise and batch norm; features for LSTM) — a rank-0 input
+/// feeding a batch norm passes [`Graph::add`].
 pub fn init_weights(graph: &Graph, seed: u64) -> Result<ModelWeights> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut weights = ModelWeights::new();
     for node in graph.nodes() {
         let in_shapes = graph.input_shapes(node);
-        match &node.op {
+        let uniform = |role: Role, dims: Vec<usize>, lo: f32, hi: f32| {
+            Tensor::uniform(Shape::new(dims), stream_key(seed, node.id, role), lo, hi)
+        };
+        // Uniform over `±1/√fan_in`, and over `[0.5, 1.5]` (a batch-norm
+        // scale or variance).
+        let scaled = |role: Role, dims: Vec<usize>, fan_in: usize| {
+            let scale = (1.0 / fan_in.max(1) as f32).sqrt();
+            uniform(role, dims, -scale, scale)
+        };
+        let positive = |role: Role, len: usize| uniform(role, vec![len], 0.5, 1.5);
+        let unsized_input = || {
+            ModelError::BadWiring(format!(
+                "{}: no input shape to size weights from",
+                node.name
+            ))
+        };
+        let input = in_shapes.first();
+        let in_dim = |axis: usize| {
+            let dim = input.and_then(|s| s.dims().get(axis));
+            dim.copied().ok_or_else(unsized_input)
+        };
+        let node_weights = match &node.op {
             LayerOp::Conv2d {
-                out_channels,
-                kernel,
+                out_channels: out_c,
+                kernel: k,
                 ..
             } => {
-                let in_c = in_shapes[0].dims()[0];
-                let fan_in = in_c * kernel * kernel;
-                let weight = random_tensor(
-                    &mut rng,
-                    Shape::new(vec![*out_channels, in_c, *kernel, *kernel]),
-                    fan_in,
-                );
-                let bias = random_tensor(&mut rng, Shape::new(vec![*out_channels]), fan_in);
-                weights.insert(node.id, NodeWeights::Conv { weight, bias });
+                let in_c = in_dim(0)?;
+                let fan_in = in_c * k * k;
+                NodeWeights::Conv {
+                    weight: scaled(Role::Weight, vec![*out_c, in_c, *k, *k], fan_in),
+                    bias: scaled(Role::Bias, vec![*out_c], fan_in),
+                }
             }
-            LayerOp::DepthwiseConv2d { kernel, .. } => {
-                let c = in_shapes[0].dims()[0];
-                let fan_in = kernel * kernel;
-                let weight = random_tensor(&mut rng, Shape::new(vec![c, *kernel, *kernel]), fan_in);
-                let bias = random_tensor(&mut rng, Shape::new(vec![c]), fan_in);
-                weights.insert(node.id, NodeWeights::Depthwise { weight, bias });
+            LayerOp::DepthwiseConv2d { kernel: k, .. } => {
+                let c = in_dim(0)?;
+                NodeWeights::Depthwise {
+                    weight: scaled(Role::Weight, vec![c, *k, *k], k * k),
+                    bias: scaled(Role::Bias, vec![c], k * k),
+                }
             }
             LayerOp::BatchNorm => {
-                let c = in_shapes[0].dims()[0];
-                let params = BatchNormParams {
-                    gamma: Tensor::from_fn(Shape::new(vec![c]), |_| 0.5 + rng.random::<f32>()),
-                    beta: random_tensor(&mut rng, Shape::new(vec![c]), 1),
-                    mean: random_tensor(&mut rng, Shape::new(vec![c]), 1),
-                    var: Tensor::from_fn(Shape::new(vec![c]), |_| 0.5 + rng.random::<f32>()),
+                let c = in_dim(0)?;
+                NodeWeights::Bn(BatchNormParams {
+                    gamma: positive(Role::Gamma, c),
+                    beta: scaled(Role::Beta, vec![c], 1),
+                    mean: scaled(Role::Mean, vec![c], 1),
+                    var: positive(Role::Var, c),
                     eps: 1e-5,
-                };
-                weights.insert(node.id, NodeWeights::Bn(params));
+                })
             }
-            LayerOp::Dense { out_features } => {
-                let in_n = in_shapes[0].len();
-                let weight = random_tensor(&mut rng, Shape::new(vec![*out_features, in_n]), in_n);
-                let bias = random_tensor(&mut rng, Shape::new(vec![*out_features]), in_n);
-                weights.insert(node.id, NodeWeights::Dense { weight, bias });
+            LayerOp::Dense { out_features: out } => {
+                let in_n = input.ok_or_else(unsized_input)?.len();
+                NodeWeights::Dense {
+                    weight: scaled(Role::Weight, vec![*out, in_n], in_n),
+                    bias: scaled(Role::Bias, vec![*out], in_n),
+                }
             }
-            LayerOp::Lstm { hidden } => {
-                let in_f = in_shapes[0].dims()[1];
-                let params = LstmParams {
-                    w_ih: random_tensor(&mut rng, Shape::new(vec![4 * hidden, in_f]), in_f),
-                    w_hh: random_tensor(&mut rng, Shape::new(vec![4 * hidden, *hidden]), *hidden),
-                    bias: random_tensor(&mut rng, Shape::new(vec![4 * hidden]), *hidden),
-                };
-                weights.insert(node.id, NodeWeights::Lstm(params));
+            LayerOp::Lstm { hidden: h } => {
+                let in_f = in_dim(1)?;
+                NodeWeights::Lstm(LstmParams {
+                    w_ih: scaled(Role::Wih, vec![4 * h, in_f], in_f),
+                    w_hh: scaled(Role::Whh, vec![4 * h, *h], *h),
+                    bias: scaled(Role::Bias, vec![4 * h], *h),
+                })
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        weights.insert(node.id, node_weights);
     }
     Ok(weights)
 }
@@ -195,7 +250,7 @@ pub fn init_weights(graph: &Graph, seed: u64) -> Result<ModelWeights> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::{zoo, LinearModel};
 
     #[test]
     fn init_covers_every_weighted_node() {
@@ -267,6 +322,124 @@ mod tests {
     fn missing_weights_error() {
         let w = ModelWeights::new();
         assert!(matches!(w.get(NodeId(3)), Err(ModelError::BadWeights(_))));
+    }
+
+    /// Every tensor of `weights` with its node's name and the interval it
+    /// was drawn over, the fan-ins restated from the graph.
+    fn streams<'a>(graph: &Graph, weights: &'a ModelWeights) -> Vec<(String, &'a Tensor, Tensor)> {
+        let mut out = Vec::new();
+        for node in graph.nodes().iter().filter(|n| n.op.has_weights()) {
+            let input = graph.input_shapes(node)[0];
+            // `Some(fan_in)`: uniform over ±1/√fan_in; `None`: over [0.5, 1.5].
+            let fan_ins = match &node.op {
+                LayerOp::Conv2d { kernel: k, .. } => vec![Some(input.dims()[0] * k * k); 2],
+                LayerOp::DepthwiseConv2d { kernel: k, .. } => vec![Some(k * k); 2],
+                LayerOp::BatchNorm => vec![None, Some(1), Some(1), None],
+                LayerOp::Dense { .. } => vec![Some(input.len()); 2],
+                LayerOp::Lstm { hidden } => {
+                    vec![Some(input.dims()[1]), Some(*hidden), Some(*hidden)]
+                }
+                _ => unreachable!("has_weights"),
+            };
+            let tensors = weights.get(node.id).unwrap().tensors();
+            assert_eq!(tensors.len(), fan_ins.len(), "{}", node.name);
+            for (t, fan_in) in tensors.into_iter().zip(fan_ins) {
+                // Half-width of the interval; its midpoint is 0 or 1.
+                let half = fan_in.map_or(0.5, |f| (1.0 / f as f32).sqrt());
+                let mid = if fan_in.is_some() { 0.0 } else { 1.0 };
+                assert!(
+                    t.data().iter().all(|w| (w - mid).abs() <= half),
+                    "{}: a value outside its interval",
+                    node.name
+                );
+                // Normalised to [-1, 1] so two tensors on one stream would
+                // agree whatever their scales.
+                let unit = t.map(|w| (w - mid) / half);
+                out.push((node.name.clone(), t, unit));
+            }
+        }
+        out
+    }
+
+    fn hygiene_models() -> [LinearModel; 3] {
+        // The RNN-2 architecture at a width whose first `w_ih` (1024 x 512)
+        // is filled on the pool; tiny-resnet's last convs are too.
+        [
+            zoo::tiny_resnet(),
+            zoo::tiny_inception(),
+            zoo::rnn_sized(2, 512, 256),
+        ]
+    }
+
+    /// What one sequential stream gave for free and site keys must earn.
+    #[test]
+    fn streams_are_distinct_centred_and_bounded() {
+        for model in hygiene_models() {
+            let a = init_weights(model.graph(), 42).unwrap();
+            let b = init_weights(model.graph(), 43).unwrap();
+            let (sa, sb) = (streams(model.graph(), &a), streams(model.graph(), &b));
+            for (i, (name, t, unit)) in sa.iter().enumerate() {
+                // Uniform on [-1, 1]: sigma of the mean is 1/sqrt(3n).
+                let n = unit.data().len();
+                let mean = unit.data().iter().map(|&u| f64::from(u)).sum::<f64>() / n as f64;
+                let sigma = f64::sqrt(1.0 / (3.0 * n as f64));
+                assert!(mean.abs() <= 4.0 * sigma, "{name}: mean {mean} of {n}");
+                assert_ne!(*t, sb[i].1, "{name}: seeds 42 and 43 agree");
+                for (other, _, unit2) in &sa[..i] {
+                    let heads = unit.data().iter().zip(unit2.data()).take(8);
+                    let shared = heads.into_iter().all(|(x, y)| (x - y).abs() < 1e-4);
+                    assert!(!shared, "{name} and {other} open with the same values");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appending_a_layer_leaves_earlier_weights_alone() {
+        for model in hygiene_models() {
+            let mut longer = model.graph().clone();
+            let last = longer.output().unwrap().id;
+            let added = longer.add("appended", LayerOp::BatchNorm, &[last]).unwrap();
+            let a = init_weights(model.graph(), 9).unwrap();
+            let b = init_weights(&longer, 9).unwrap();
+            assert_eq!(b.len(), a.len() + 1);
+            assert!(b.get(added).is_ok());
+            for node in model.graph().nodes().iter().filter(|n| n.op.has_weights()) {
+                assert_eq!(a.get(node.id).unwrap(), b.get(node.id).unwrap());
+            }
+        }
+    }
+
+    /// An element is a function of `(key, index)`, never of the tensor's
+    /// length or of where the pool cut it: the narrower LSTM's `w_ih` (same
+    /// fan-in, fewer rows) is a prefix of the wider one's, though the wider
+    /// is filled in `GILLIS_THREADS` chunks and the narrower inline. (The
+    /// widths themselves are swept in `gillis-tensor`, whose `_with_threads`
+    /// entry point is crate-private, and by CI's `weights_hash` lines.)
+    #[test]
+    fn pooled_fill_matches_the_inline_prefix() {
+        let w_ih = |hidden: usize| {
+            let model = zoo::rnn_sized(2, 512, hidden);
+            let weights = init_weights(model.graph(), 7).unwrap();
+            let first = weights.get(model.graph().nodes()[1].id).unwrap();
+            first.tensors()[0]
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        let (wide, narrow) = (w_ih(256), w_ih(192));
+        assert!(wide.len() >= 1 << 19 && narrow.len() < 1 << 19);
+        assert!(wide[..narrow.len()] == narrow[..]);
+    }
+
+    #[test]
+    fn input_without_a_channel_dimension_is_bad_wiring() {
+        let mut g = Graph::new();
+        let shape = Shape::new(vec![]);
+        let input = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+        g.add("bn", LayerOp::BatchNorm, &[input]).unwrap();
+        assert!(matches!(init_weights(&g, 1), Err(ModelError::BadWiring(_))));
     }
 
     #[test]

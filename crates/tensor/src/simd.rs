@@ -73,10 +73,91 @@ fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
         .sum()
 }
 
+/// Multipliers of [`hash24`]'s two rounds (the `lowbias32` pair).
+const HASH_M1: u32 = 0x7feb_352d;
+const HASH_M2: u32 = 0x846c_a68b;
+/// `2^-24`: scales the 24 hash bits into `[0, 1)` exactly.
+const UNIT_SCALE: f32 = 1.0 / (1u32 << 24) as f32;
+
+/// The keyed counter hash behind [`crate::Tensor::uniform`]: two
+/// multiply–xorshift rounds over `i ^ key_lo`, `key_hi` added between them,
+/// top 24 bits kept. Integer-only, so the AVX2 body reproduces it exactly;
+/// 24 bits because that is what an `f32` in `[0, 1)` holds without rounding.
+#[inline]
+fn hash24(key: u64, i: u32) -> u32 {
+    let mut x = i ^ key as u32;
+    x = (x ^ (x >> 16)).wrapping_mul(HASH_M1);
+    x = (x ^ (x >> 15)).wrapping_add((key >> 32) as u32);
+    x = x.wrapping_mul(HASH_M2);
+    (x ^ (x >> 16)) >> 8
+}
+
+/// Fills `out` with elements `start..start + out.len()` of the uniform
+/// stream `key` over `[lo, hi]`: element `i` is
+/// `lo + hash24(key, i)·2^-24 · (hi − lo)`, a multiply then an add, never
+/// fused. Every element depends on its index alone (taken modulo `2^32`),
+/// and the scalar and AVX2 bodies agree to the bit, so how a buffer is cut
+/// into calls — and which body runs a piece — cannot show in the result.
+#[inline]
+pub(crate) fn fill_uniform(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: simd_active() verified AVX2 support at runtime.
+        return unsafe { fill_uniform_avx2(key, start, lo, hi, out) };
+    }
+    fill_uniform_scalar(key, start, lo, hi, out)
+}
+
+#[inline]
+fn fill_uniform_scalar(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]) {
+    let span = hi - lo;
+    for (j, o) in out.iter_mut().enumerate() {
+        let unit = hash24(key, (start + j) as u32) as f32 * UNIT_SCALE;
+        *o = lo + unit * span;
+    }
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
-    use super::dot_i8_scalar;
+    use super::{dot_i8_scalar, fill_uniform_scalar, HASH_M1, HASH_M2, UNIT_SCALE};
     use std::arch::x86_64::*;
+
+    /// AVX2 body of [`super::fill_uniform`]: eight consecutive indices per
+    /// vector through the same integer rounds as `hash24`, an exact
+    /// `i32 → f32` conversion of the 24 kept bits, then the same two
+    /// multiplies and one add per lane (AVX2 alone has no fused form to
+    /// contract them into). The scalar loop takes the tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fill_uniform_avx2(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]) {
+        let k0 = _mm256_set1_epi32(key as u32 as i32);
+        let k1 = _mm256_set1_epi32((key >> 32) as u32 as i32);
+        let m1 = _mm256_set1_epi32(HASH_M1 as i32);
+        let m2 = _mm256_set1_epi32(HASH_M2 as i32);
+        let (vlo, vspan) = (_mm256_set1_ps(lo), _mm256_set1_ps(hi - lo));
+        let vscale = _mm256_set1_ps(UNIT_SCALE);
+        let mut idx = _mm256_add_epi32(
+            _mm256_set1_epi32(start as u32 as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let eight = _mm256_set1_epi32(8);
+        let body = out.len() - out.len() % 8;
+        for chunk in out[..body].chunks_exact_mut(8) {
+            let mut x = _mm256_xor_si256(idx, k0);
+            x = _mm256_mullo_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)), m1);
+            x = _mm256_add_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)), k1);
+            x = _mm256_mullo_epi32(x, m2);
+            x = _mm256_srli_epi32::<8>(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)));
+            let unit = _mm256_mul_ps(_mm256_cvtepi32_ps(x), vscale);
+            let v = _mm256_add_ps(vlo, _mm256_mul_ps(unit, vspan));
+            _mm256_storeu_ps(chunk.as_mut_ptr(), v);
+            idx = _mm256_add_epi32(idx, eight);
+        }
+        fill_uniform_scalar(key, start + body, lo, hi, &mut out[body..]);
+    }
 
     /// AVX2 int8 dot product: sign-extend 16 bytes per operand to i16,
     /// `madd` adjacent pairs into 8 i32 lanes, accumulate lanes, then a
@@ -185,7 +266,7 @@ mod avx2 {
 pub(crate) use avx2::{micro_fma, row_dots_fma};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use avx2::dot_i8_avx2;
+use avx2::{dot_i8_avx2, fill_uniform_avx2};
 
 /// One multiply-add of the active mode — fused when the SIMD kernels run,
 /// `mul` + `add` otherwise. A naive loop over it is the exact reference the
@@ -200,7 +281,7 @@ pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -217,6 +298,59 @@ mod tests {
         assert_eq!(dot_i8(&a, &b), 33 * 128 * 128);
         let c = vec![i8::MAX; 33];
         assert_eq!(dot_i8(&a, &c), 33 * -128 * 127);
+    }
+
+    /// The one-element formula, written out: what every body, chunking and
+    /// width must reproduce.
+    pub(crate) fn uniform_element(key: u64, i: usize, lo: f32, hi: f32) -> f32 {
+        let unit = hash24(key, i as u32) as f32 / 16_777_216.0;
+        lo + unit * (hi - lo)
+    }
+
+    #[test]
+    fn fill_uniform_is_the_element_formula_in_both_bodies() {
+        let (key, lo, hi) = (0x0123_4567_89ab_cdef_u64, -0.125f32, 0.125f32);
+        // Starts off the eight-lane grid and across the 2^32 index wrap;
+        // lengths with and without a scalar tail.
+        for start in [0usize, 5, 1 << 19, u32::MAX as usize - 11] {
+            for len in [0usize, 1, 7, 8, 9, 64, 1003] {
+                let want: Vec<u32> = (start..start + len)
+                    .map(|i| uniform_element(key, i, lo, hi).to_bits())
+                    .collect();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                let mut got = vec![f32::NAN; len];
+                fill_uniform_scalar(key, start, lo, hi, &mut got);
+                assert_eq!(bits(&got), want, "scalar, start {start} len {len}");
+                got.fill(f32::NAN);
+                fill_uniform(key, start, lo, hi, &mut got);
+                assert_eq!(bits(&got), want, "dispatched, start {start} len {len}");
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                if simd_active() {
+                    got.fill(f32::NAN);
+                    // SAFETY: simd_active() verified AVX2 support at runtime.
+                    unsafe { fill_uniform_avx2(key, start, lo, hi, &mut got) };
+                    assert_eq!(bits(&got), want, "avx2, start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash24_keeps_24_bits_and_spreads_them() {
+        // Every value fits an f32 mantissa, and over 2^16 consecutive
+        // counters each of the 24 bits is set about half the time.
+        let mut ones = [0u32; 24];
+        for i in 0..1u32 << 16 {
+            let h = hash24(42, i);
+            assert!(h < 1 << 24);
+            for (b, n) in ones.iter_mut().enumerate() {
+                *n += (h >> b) & 1;
+            }
+        }
+        for (b, &n) in ones.iter().enumerate() {
+            // sigma = sqrt(2^16)/2 = 128; five of them.
+            assert!(n.abs_diff(1 << 15) < 640, "bit {b} set {n} times of 65536");
+        }
     }
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]

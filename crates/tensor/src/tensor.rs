@@ -2,9 +2,17 @@
 
 use serde::{Deserialize, Serialize};
 
+use gillis_pool::{Pool, Task};
+
 use crate::error::TensorError;
 use crate::shape::Shape;
-use crate::Result;
+use crate::{simd, Result};
+
+/// Small-fill cutoff on element count for [`Tensor::uniform`], the
+/// [`crate::gemm::GEMV_PAR_MIN_CELLS`] of the cold path: 2 MiB of `f32` fills
+/// in about the time a pool round trip and its wake-ups cost, so bias
+/// vectors, conv filters and MobileNet-sized layers stay on the caller.
+const FILL_PAR_MIN_LEN: usize = 1 << 19;
 
 /// A dense, row-major `f32` tensor.
 ///
@@ -72,6 +80,52 @@ impl Tensor {
             shape,
             data: (0..len).map(&mut f).collect(),
         }
+    }
+
+    /// Creates a tensor of uniform pseudo-random values over `[lo, hi]`
+    /// drawn from the stream named by `key`: element `i` (flat index, modulo
+    /// `2^32`) is `lo + unit(key, i) · (hi − lo)`, where `unit` is 24 bits of
+    /// a keyed counter hash scaled into `[0, 1)`. An element is a function of
+    /// `(key, i)` alone — not of its neighbours, the tensor's length, the
+    /// build's kernels or the pool width — so large tensors are filled in
+    /// contiguous chunks on [`Pool::global`] and still equal the one-thread
+    /// result to the bit; tensors below `FILL_PAR_MIN_LEN` fill inline.
+    pub fn uniform(shape: Shape, key: u64, lo: f32, hi: f32) -> Self {
+        let threads = if shape.len() < FILL_PAR_MIN_LEN {
+            1
+        } else {
+            gillis_pool::gillis_threads()
+        };
+        Tensor::uniform_with_threads(shape, key, lo, hi, threads)
+    }
+
+    /// [`Tensor::uniform`] cut into `threads` chunks whatever the length —
+    /// the entry point tests use to check the fill width leaves no trace.
+    pub(crate) fn uniform_with_threads(
+        shape: Shape,
+        key: u64,
+        lo: f32,
+        hi: f32,
+        threads: usize,
+    ) -> Self {
+        let len = shape.len();
+        // One allocation, zeroed lazily by the OS: each page is first touched
+        // by the task that fills it, and nothing is staged or copied.
+        let mut data = vec![0.0f32; len];
+        let per = len.div_ceil(threads.max(1));
+        if per == len {
+            simd::fill_uniform(key, 0, lo, hi, &mut data);
+        } else {
+            let tasks: Vec<Task> = data
+                .chunks_mut(per)
+                .enumerate()
+                .map(|(c, chunk)| -> Task {
+                    Box::new(move || simd::fill_uniform(key, c * per, lo, hi, chunk))
+                })
+                .collect();
+            Pool::global().join_all(tasks);
+        }
+        Tensor { shape, data }
     }
 
     /// The tensor's shape.
@@ -286,6 +340,61 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(Shape::new(vec![2, 2]), vec![1.0; 4]).is_ok());
         assert!(Tensor::from_vec(Shape::new(vec![2, 2]), vec![1.0; 5]).is_err());
+    }
+
+    #[test]
+    fn uniform_leaves_no_trace_of_the_fill_width() {
+        use crate::simd::tests::uniform_element;
+        let (key, lo, hi) = (0xfeed_5eed_0bad_cafe_u64, 0.5f32, 1.5f32);
+        // Around the parallel threshold, off the eight-lane grid, not
+        // divisible by the widths, and the degenerate ones.
+        let lens = [
+            0,
+            1,
+            7,
+            8,
+            9,
+            1003,
+            FILL_PAR_MIN_LEN - 1,
+            FILL_PAR_MIN_LEN,
+            FILL_PAR_MIN_LEN + 13,
+        ];
+        for len in lens {
+            let ambient = Tensor::uniform(Shape::new(vec![len]), key, lo, hi);
+            assert_eq!(ambient.shape().dims(), &[len]);
+            for threads in [1usize, 2, 3, 8] {
+                let t = Tensor::uniform_with_threads(Shape::new(vec![len]), key, lo, hi, threads);
+                let same = t
+                    .data()
+                    .iter()
+                    .zip(ambient.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same && t.data().len() == len, "len {len} width {threads}");
+                // Both sides of every chunk seam, and the ends.
+                let per = len.div_ceil(threads).max(1);
+                let seams = (0..len).step_by(per).flat_map(|s| [s.saturating_sub(1), s]);
+                for i in seams.chain(len.checked_sub(1)) {
+                    let want = uniform_element(key, i, lo, hi);
+                    assert_eq!(
+                        t.data()[i].to_bits(),
+                        want.to_bits(),
+                        "len {len} width {threads} element {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_streams_differ_by_key_and_stay_in_range() {
+        let shape = || Shape::new(vec![4, 250]);
+        let a = Tensor::uniform(shape(), 1, -2.0, 2.0);
+        assert_eq!(a, Tensor::uniform(shape(), 1, -2.0, 2.0));
+        assert_ne!(a, Tensor::uniform(shape(), 2, -2.0, 2.0));
+        assert!(a.data().iter().all(|x| (-2.0..=2.0).contains(x)));
+        let mean = a.data().iter().sum::<f32>() / 1000.0;
+        // sigma of the mean = 4/sqrt(12 * 1000) = 0.0365.
+        assert!(mean.abs() < 0.15, "mean {mean}");
     }
 
     #[test]
