@@ -12,7 +12,7 @@ use std::sync::Arc;
 use gillis_core::cache::EvalCache;
 use gillis_core::partition::{group_options, GroupAnalysis, PartitionOption};
 use gillis_core::plan::{ExecutionPlan, Placement, PlannedGroup};
-use gillis_core::predict::{predict_group, predict_plan_cached, PlanPrediction};
+use gillis_core::predict::{self, predict_plan_cached, PlanPrediction};
 use gillis_core::CoreError;
 use gillis_faas::billing::billed_ms;
 use gillis_model::LinearModel;
@@ -139,10 +139,8 @@ impl Search<'_> {
         if let Some(&v) = self.memo.get(&(start, end, option, placement)) {
             return v;
         }
-        let g = predict_group(self.perf, analysis, placement);
-        let d = self.perf.platform.billing_granularity_ms;
-        let workers: f64 = g.worker_ms.iter().map(|&w| billed_ms(w, d) as f64).sum();
-        let v = (g.latency_ms(), workers);
+        let (latency, workers) = predict::group_cost(self.perf, analysis, placement);
+        let v = (latency, workers as f64);
         self.memo.insert((start, end, option, placement), v);
         v
     }

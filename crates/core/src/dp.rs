@@ -32,7 +32,7 @@ use crate::cache::{Cell, EvalCache};
 use crate::error::CoreError;
 use crate::partition::{group_options, GroupWalker, ModelFlops, PartitionOption};
 use crate::plan::{ExecutionPlan, Placement, PlannedGroup};
-use crate::predict::{predict_group, predict_plan, predict_plan_cached, PlanPrediction};
+use crate::predict::{group_cost, predict_plan, predict_plan_cached, PlanPrediction};
 use crate::Result;
 
 /// What a plan search optimizes.
@@ -328,9 +328,7 @@ impl DpPartitioner {
                     |_| None,
                     |i, walkers| {
                         let mut picks = Picks::default();
-                        self.candidates(perf, walkers, budget, false, |c| {
-                            picks.offer(objective, c)
-                        });
+                        self.candidates(perf, walkers, budget, |c| picks.offer(objective, c));
                         picks.finish(objective.handoff_ms(model, perf, i))
                     },
                 )
@@ -462,9 +460,7 @@ impl DpPartitioner {
                 |i| cache.and_then(|(c, key)| c.choice(key, i, j, budget.bytes)),
                 |i, walkers| {
                     let mut cell = Vec::new();
-                    self.candidates(perf, walkers, budget, true, |c| {
-                        keep_undominated(&mut cell, c)
-                    });
+                    self.candidates(perf, walkers, budget, |c| keep_undominated(&mut cell, c));
                     let cell = Cell::from(cell);
                     if let Some((c, key)) = cache {
                         c.store_choice(key, i, j, budget.bytes, Cell::clone(&cell));
@@ -536,42 +532,29 @@ impl DpPartitioner {
     /// group the walkers stand on, in option order — each option that fits
     /// a function worker-only, then (when the master may participate) with
     /// partition 0 in the master, whose budget requirement is that
-    /// partition's weight bytes. `billed` says whether `worker_billed_ms` is
-    /// filled in: a latency search never reads it, and rounding every
-    /// worker's time up to the granularity is a fifth of an evaluation.
+    /// partition's weight bytes.
     fn candidates(
         &self,
         perf: &PerfModel,
         walkers: &[GroupWalker],
         budget: Budget,
-        billed: bool,
         mut sink: impl FnMut(GroupEval),
     ) {
-        let granularity = perf.platform.billing_granularity_ms;
         for walker in walkers {
             let analysis = walker.analysis();
             let option = analysis.option;
             // Partition too large to fit into any function: skip option.
-            if analysis
-                .partitions
-                .iter()
-                .any(|p| p.mem_bytes() > budget.bytes)
-            {
+            if analysis.max_partition_mem() > budget.bytes {
                 continue;
             }
             let mut evaluate = |placement, budget_steps| {
-                let group = predict_group(perf, analysis, placement);
+                let (latency_ms, worker_billed_ms) = group_cost(perf, analysis, placement);
                 sink(GroupEval {
-                    latency_ms: group.latency_ms(),
+                    latency_ms,
                     option,
                     placement,
                     budget_steps,
-                    worker_billed_ms: if billed {
-                        let bill = |&w| billed_ms(w, granularity);
-                        group.worker_ms.iter().map(bill).sum()
-                    } else {
-                        0
-                    },
+                    worker_billed_ms,
                 });
             };
             evaluate(Placement::Workers, 0);
@@ -718,7 +701,7 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::predict_plan;
+    use crate::predict::{predict_group, predict_plan};
     use gillis_faas::PlatformProfile;
     use gillis_model::zoo;
     use proptest::prelude::*;

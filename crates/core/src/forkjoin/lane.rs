@@ -69,7 +69,7 @@ impl ForkJoinRuntime<'_> {
     /// ([`ForkJoinRuntime::run_query_at`] / workload serving) both sample
     /// it, so single-query simulation and fleet serving agree by
     /// construction, and both match the order-statistic predictor
-    /// (`CommModel::group_transfer_parts_ms`) in expectation.
+    /// (`CommModel::group_transfer_total_ms`) in expectation.
     pub(super) fn sample_transfer_parts<R: RngExt + ?Sized>(
         &self,
         sizes: &[u64],

@@ -65,69 +65,62 @@ pub fn predict_group(
     analysis: &GroupAnalysis,
     placement: Placement,
 ) -> GroupPrediction {
-    let parts = &analysis.partitions;
-    match placement {
-        Placement::Master => GroupPrediction {
-            fork_ms: 0.0,
-            compute_ms: partition_compute_ms(perf, &parts[0]),
-            join_ms: 0.0,
-            worker_ms: Vec::new(),
-        },
-        Placement::Workers | Placement::MasterAndWorkers => {
-            let worker_parts: &[PartitionWork] = if placement == Placement::Workers {
-                parts
-            } else {
-                &parts[1..]
-            };
-            let master_compute = if placement == Placement::MasterAndWorkers {
-                partition_compute_ms(perf, &parts[0])
-            } else {
-                0.0
-            };
-            if worker_parts.is_empty() {
-                // Degenerate: "MasterAndWorkers" of a single partition.
-                return GroupPrediction {
-                    fork_ms: 0.0,
-                    compute_ms: master_compute,
-                    join_ms: 0.0,
-                    worker_ms: Vec::new(),
-                };
-            }
-            // Partition analyses report raw f32 activation sizes; the wire
-            // format (f32 or int8) decides what actually crosses the network.
-            let in_sizes: Vec<u64> = worker_parts
-                .iter()
-                .map(|p| perf.wire_bytes(p.input_bytes))
-                .collect();
-            let out_sizes: Vec<u64> = worker_parts
-                .iter()
-                .map(|p| perf.wire_bytes(p.output_bytes))
-                .collect();
-            let fork_ms = perf.comm.group_transfer_parts_ms(&in_sizes);
-            let join_ms = perf.comm.group_transfer_parts_ms(&out_sizes);
-            let worker_compute: Vec<f64> = worker_parts
-                .iter()
-                .map(|p| partition_compute_ms(perf, p))
-                .collect();
-            let compute_ms = worker_compute
-                .iter()
-                .copied()
-                .fold(master_compute, f64::max);
-            // A worker is billed from payload receipt to response emission.
-            let worker_ms = in_sizes
-                .iter()
-                .zip(out_sizes.iter())
-                .zip(worker_compute.iter())
-                .map(|((&i, &o), &c)| c + perf.comm.per_byte_ms() * (i + o) as f64)
-                .collect();
-            GroupPrediction {
-                fork_ms,
-                compute_ms,
-                join_ms,
-                worker_ms,
-            }
-        }
+    let mut worker_ms = Vec::new();
+    let (fork_ms, compute_ms, join_ms) =
+        group_timing(perf, analysis, placement, |w| worker_ms.push(w));
+    GroupPrediction {
+        fork_ms,
+        compute_ms,
+        join_ms,
+        worker_ms,
     }
+}
+
+/// [`predict_group`] as the planners rank a candidate, without building the
+/// prediction: the group's latency, and its workers' durations each rounded
+/// up to the platform's billing granularity and summed.
+pub fn group_cost(perf: &PerfModel, analysis: &GroupAnalysis, placement: Placement) -> (f64, u64) {
+    let granularity = perf.platform.billing_granularity_ms;
+    let mut worker_billed_ms = 0;
+    let (fork_ms, compute_ms, join_ms) = group_timing(perf, analysis, placement, |w| {
+        worker_billed_ms += billed_ms(w, granularity);
+    });
+    (fork_ms + compute_ms + join_ms, worker_billed_ms)
+}
+
+/// The arithmetic of [`predict_group`] and [`group_cost`]: returns
+/// `(fork_ms, compute_ms, join_ms)` and hands `worker` each entry of
+/// `worker_ms`, in partition order.
+fn group_timing(
+    perf: &PerfModel,
+    analysis: &GroupAnalysis,
+    placement: Placement,
+    mut worker: impl FnMut(f64),
+) -> (f64, f64, f64) {
+    let parts = &analysis.partitions;
+    let (master_compute, worker_parts) = match placement {
+        Placement::Master => return (0.0, partition_compute_ms(perf, &parts[0]), 0.0),
+        Placement::Workers => (0.0, &parts[..]),
+        Placement::MasterAndWorkers => (partition_compute_ms(perf, &parts[0]), &parts[1..]),
+    };
+    if worker_parts.is_empty() {
+        // Degenerate: "MasterAndWorkers" of a single partition.
+        return (0.0, master_compute, 0.0);
+    }
+    let (mut in_total, mut out_total, mut compute_ms) = (0, 0, master_compute);
+    for p in worker_parts {
+        // Partition analyses report raw f32 activation sizes; the wire
+        // format (f32 or int8) decides what actually crosses the network.
+        let i = perf.wire_bytes(p.input_bytes);
+        let o = perf.wire_bytes(p.output_bytes);
+        let c = partition_compute_ms(perf, p);
+        (in_total, out_total) = (in_total + i, out_total + o);
+        compute_ms = f64::max(compute_ms, c);
+        // A worker is billed from payload receipt to response emission.
+        worker(c + perf.comm.per_byte_ms() * (i + o) as f64);
+    }
+    let transfer = |bytes| perf.comm.group_transfer_total_ms(worker_parts.len(), bytes);
+    (transfer(in_total), compute_ms, transfer(out_total))
 }
 
 /// Predicts the latency and cost of a full plan (paper §IV-A's end-to-end

@@ -132,20 +132,17 @@ impl CommModel {
         self.expected_max_jitter(n) + self.per_byte_ms * (bytes as f64) * n as f64
     }
 
-    /// Like [`CommModel::group_transfer_ms`] but with per-worker payload
-    /// sizes (spatial partitions at the tensor border carry fewer halo rows
-    /// than interior ones).
+    /// Like [`CommModel::group_transfer_ms`] but for `n` payloads of
+    /// different sizes that sum to `total_bytes` (spatial partitions at the
+    /// tensor border carry fewer halo rows than interior ones): the streams
+    /// serialize, so only the sum matters.
     ///
     /// # Panics
     ///
-    /// Panics if `part_bytes` is empty.
-    pub fn group_transfer_parts_ms(&self, part_bytes: &[u64]) -> f64 {
-        assert!(
-            !part_bytes.is_empty(),
-            "group transfer needs at least one worker"
-        );
-        let total: u64 = part_bytes.iter().sum();
-        self.expected_max_jitter(part_bytes.len()) + self.per_byte_ms * total as f64
+    /// Panics if `n == 0`.
+    pub fn group_transfer_total_ms(&self, n: usize, total_bytes: u64) -> f64 {
+        assert!(n > 0, "group transfer needs at least one worker");
+        self.expected_max_jitter(n) + self.per_byte_ms * total_bytes as f64
     }
 }
 
@@ -220,12 +217,11 @@ mod tests {
                 for _ in 0..2 {
                     assert_eq!(m.group_transfer_ms(bytes, n).to_bits(), direct.to_bits());
                 }
-                let parts = vec![bytes; n];
-                let direct_parts =
+                let direct_total =
                     m.jitter().expected_max(n) + m.per_byte_ms() * (bytes * n as u64) as f64;
                 assert_eq!(
-                    m.group_transfer_parts_ms(&parts).to_bits(),
-                    direct_parts.to_bits()
+                    m.group_transfer_total_ms(n, bytes * n as u64).to_bits(),
+                    direct_total.to_bits()
                 );
             }
             assert_eq!(m.order_statistics_computed(), MAX_FANOUT_TABLE);
@@ -269,5 +265,125 @@ mod tests {
     fn zero_workers_panics() {
         let m = CommModel::analytic(&PlatformProfile::aws_lambda());
         let _ = m.group_transfer_ms(1, 0);
+    }
+
+    /// `ExGaussian::expected_max` against slow midpoint rules: a 2^17-cell
+    /// reference, and the 4,000-point rule fan-outs were priced with before
+    /// the Gauss–Legendre panels. Every n from 1 to 64, on the platforms'
+    /// jitters, on jitters fitted by profiling, and on a grid of exGaussians
+    /// far more skewed than either.
+    mod expected_max_rule {
+        use super::*;
+
+        fn platforms() -> [PlatformProfile; 3] {
+            [
+                PlatformProfile::aws_lambda(),
+                PlatformProfile::gcf(),
+                PlatformProfile::knix(),
+            ]
+        }
+
+        /// `lo + ∫ (1 − F^n)` over `expected_max`'s support
+        /// `[μ − 8σ, mean + sd·(10 + 3 ln n)]` by the midpoint rule on
+        /// `cells` cells, each piece between two of `cuts` getting its share.
+        fn midpoint(d: &ExGaussian, n: usize, cells: usize, cuts: &[f64]) -> f64 {
+            let lo = d.mu - 8.0 * d.sigma;
+            let hi = d.mean() + d.variance().sqrt() * (10.0 + 3.0 * (n as f64).ln());
+            let mut edges: Vec<f64> = cuts.iter().copied().filter(|&c| c > lo && c < hi).collect();
+            edges.extend([lo, hi]);
+            edges.sort_by(f64::total_cmp);
+            let mut acc = 0.0;
+            for piece in edges.windows(2) {
+                let share = ((piece[1] - piece[0]) / (hi - lo) * cells as f64).round();
+                let dx = (piece[1] - piece[0]) / share.max(1.0);
+                for i in 0..share.max(1.0) as usize {
+                    let x = piece[0] + (i as f64 + 0.5) * dx;
+                    acc += (1.0 - d.cdf(x).powi(n as i32)) * dx;
+                }
+            }
+            lo + acc
+        }
+
+        /// The 2^17-cell reference. Its cells also break where `cdf` steps
+        /// (u = 0 and v = 0, where the erf approximation jumps by ~1e-9, and
+        /// the v = −6 branch), so a step costs it nothing either.
+        fn reference(d: &ExGaussian, n: usize) -> f64 {
+            let ls = d.rate * d.sigma;
+            let cuts = [0.0, ls, ls - 6.0].map(|z| d.mu + z * d.sigma);
+            midpoint(d, n, 1 << 17, &cuts)
+        }
+
+        fn relative(a: f64, b: f64) -> f64 {
+            (a - b).abs() / b.abs()
+        }
+
+        /// Every n up to 64: within 1e-10 relative of the reference, and
+        /// no smaller than at n − 1.
+        fn assert_accurate_and_non_decreasing(name: &str, d: &ExGaussian) {
+            let mut previous = f64::NEG_INFINITY;
+            for n in 1..=MAX_FANOUT_TABLE {
+                let value = d.expected_max(n);
+                let error = relative(value, reference(d, n));
+                assert!(
+                    error <= 1e-10,
+                    "{name}, n = {n}: {error:.2e} off the reference"
+                );
+                assert!(value >= previous, "{name}, n = {n}: {value} < {previous}");
+                previous = value;
+            }
+        }
+
+        /// On the fits the model prices with, the old rule (4,000 uniform
+        /// cells) was already this accurate, so nothing it priced moves by
+        /// more; and `expected_max(1)` is the mean less the mass the support
+        /// cuts off above `hi` (~e^-11 of the exponential tail's mean).
+        fn assert_old_rule_agrees(name: &str, d: &ExGaussian) {
+            for n in 1..=MAX_FANOUT_TABLE {
+                let error = relative(d.expected_max(n), midpoint(d, n, 4000, &[]));
+                assert!(
+                    error <= 1e-10,
+                    "{name}, n = {n}: {error:.2e} off the old rule"
+                );
+            }
+            let truncated = relative(d.expected_max(1), d.mean());
+            assert!(
+                truncated <= 1e-5,
+                "{name}: E[max of 1] {truncated:.2e} off the mean"
+            );
+        }
+
+        #[test]
+        fn platform_jitters() {
+            for platform in platforms() {
+                let name = format!("{:?} jitter", platform.kind);
+                assert_accurate_and_non_decreasing(&name, &platform.invoke_latency_ms);
+                assert_old_rule_agrees(&name, &platform.invoke_latency_ms);
+            }
+        }
+
+        #[test]
+        fn profiled_fits() {
+            for platform in platforms() {
+                let name = format!("{:?} fit", platform.kind);
+                let fit = *crate::PerfModel::profiled(&platform, 7).comm.jitter();
+                assert_accurate_and_non_decreasing(&name, &fit);
+                assert_old_rule_agrees(&name, &fit);
+            }
+        }
+
+        /// μ = 2σ, σ from 0.02 to 3, rate from 1/20 to 5: σ = 0.02, rate =
+        /// 1/20 is a near-pure exponential, and at σ = 1, rate = 5 the v = −6
+        /// branch steps `cdf` by ~1e-3. The old rule is off the reference by
+        /// up to 2.4e-8 here, so it is not compared.
+        #[test]
+        fn skewed_grid() {
+            for sigma in [0.02, 0.1, 1.0, 3.0] {
+                for rate in [1.0 / 20.0, 1.0 / 7.0, 5.0] {
+                    let d = ExGaussian::new(2.0 * sigma, sigma, rate).unwrap();
+                    let name = format!("σ = {sigma}, rate = {rate}");
+                    assert_accurate_and_non_decreasing(&name, &d);
+                }
+            }
+        }
     }
 }
