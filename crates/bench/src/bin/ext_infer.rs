@@ -338,9 +338,8 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
     let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
     let planned = planned_activation_bytes(model, plan);
     println!(
-        "{name}: activation_bytes {} panel_bytes {} weight_bytes_streamed {}",
+        "{name}: activation_bytes {} weight_bytes_streamed {}",
         compiled.activation_bytes(),
-        compiled.panel_bytes(),
         compiled.weight_bytes_streamed()
     );
     assert_eq!(

@@ -36,13 +36,6 @@ pub enum CoreError {
         /// What the last failure looked like.
         reason: String,
     },
-    /// The query's cancellation token fired (deadline expiry or an explicit
-    /// cancel) and the master aborted at a checkpoint instead of completing
-    /// doomed work.
-    Cancelled {
-        /// Plan group index the master was about to execute.
-        group: usize,
-    },
     /// A worker panicked and the panic payload was not an injected fault —
     /// a genuine executor bug surfaced at the join.
     WorkerPanic {
@@ -80,9 +73,6 @@ impl fmt::Display for CoreError {
                 f,
                 "worker for group {group} part {part} failed after {attempts} attempts: {reason}"
             ),
-            CoreError::Cancelled { group } => {
-                write!(f, "query cancelled at group {group}")
-            }
             CoreError::WorkerPanic {
                 group,
                 part,

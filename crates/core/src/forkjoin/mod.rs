@@ -47,7 +47,9 @@
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::brownout::BrownoutPolicy;
 use gillis_faas::budget::RetryBudgetPolicy;
-use gillis_faas::chaos::{ChaosConfig, FaultInjector, OutageConfig, OutageModel, ResiliencePolicy};
+use gillis_faas::chaos::{
+    splitmix64, ChaosConfig, FaultInjector, OutageConfig, OutageModel, ResiliencePolicy,
+};
 use gillis_faas::fleet::{Fleet, FunctionSpec};
 use gillis_faas::knobs::PolicyStack;
 use gillis_faas::overload::{CircuitBreaker, OverloadPolicy};
@@ -73,8 +75,7 @@ mod tensors;
 pub use batch::{plan_batch_schedule, BatchSchedule, ClassSchedule};
 pub use report::{QueryOutcome, ServingReport, SimulationReport};
 pub use tensors::{
-    execute_plan_tensors, execute_plan_tensors_cancellable, execute_plan_tensors_resilient,
-    execute_plan_tensors_with_threads,
+    execute_plan_tensors, execute_plan_tensors_resilient, execute_plan_tensors_with_threads,
 };
 
 /// Seed of the injector derived from the legacy
@@ -550,12 +551,7 @@ fn weight_identity_token(analyses: &[GroupAnalysis]) -> u64 {
 /// so parallel simulation and training stay bit-identical at any pool width.
 #[must_use]
 pub fn replication_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(seed.wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9)))
 }
 
 /// Fixtures shared by the tests of more than one module.

@@ -5,7 +5,6 @@ use gillis_faas::chaos::{
     wire_checksum, Fault, FaultInjector, FaultSite, QueryStatus, ResilienceCounters,
     ResiliencePolicy,
 };
-use gillis_faas::overload::CancelToken;
 use gillis_model::exec::Executor;
 use gillis_model::weights::ModelWeights;
 use gillis_model::LinearModel;
@@ -112,44 +111,6 @@ pub fn execute_plan_tensors_resilient(
     policy: &ResiliencePolicy,
     threads: usize,
 ) -> Result<(Tensor, ResilienceCounters)> {
-    // A fresh manual token never fires, so the resilient path is the
-    // cancellable path that nobody cancels.
-    execute_plan_tensors_cancellable(
-        model,
-        plan,
-        weights,
-        input,
-        injector,
-        policy,
-        threads,
-        &CancelToken::new(),
-    )
-}
-
-/// [`execute_plan_tensors_resilient`] with cooperative cancellation: the
-/// master consumes one [`CancelToken::checkpoint`] before each plan group
-/// and before each retry round, and aborts with [`CoreError::Cancelled`]
-/// when the token has fired — outstanding work is abandoned instead of
-/// completed. Checkpoints happen only on the (sequential) master path,
-/// never inside worker closures, so for a token built with
-/// [`CancelToken::after_checkpoints`] the cancellation point — and the
-/// entire outcome — is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// [`CoreError::Cancelled`] when the token fires; otherwise as
-/// [`execute_plan_tensors_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_tensors_cancellable(
-    model: &LinearModel,
-    plan: &ExecutionPlan,
-    weights: &ModelWeights,
-    input: &Tensor,
-    injector: Option<&FaultInjector>,
-    policy: &ResiliencePolicy,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<(Tensor, ResilienceCounters)> {
     plan.validate(model, u64::MAX)?;
     let exec = Executor::new(model.graph(), weights);
     let mut counters = ResilienceCounters::default();
@@ -165,10 +126,6 @@ pub fn execute_plan_tensors_cancellable(
     };
     let mut cur = input.clone();
     for (gi, g) in plan.groups().iter().enumerate() {
-        // Group-boundary cancellation checkpoint (master-side only).
-        if cancel.checkpoint() {
-            return Err(CoreError::Cancelled { group: gi });
-        }
         let layers = &model.layers()[g.start..g.end];
         cur = match g.option {
             PartitionOption::Single => exec.run_segment(layers, &cur)?,
@@ -184,11 +141,6 @@ pub fn execute_plan_tensors_cancellable(
                 let mut pending: Vec<usize> = (0..ranges.len()).collect();
                 let mut attempt = 0u32;
                 while !pending.is_empty() && attempt < max_attempts {
-                    // Retry-round cancellation checkpoint: a deadline that
-                    // expires mid-group abandons the remaining retries.
-                    if attempt > 0 && cancel.checkpoint() {
-                        return Err(CoreError::Cancelled { group: gi });
-                    }
                     let worker = |k: usize| -> std::result::Result<(Tensor, u64), PieceFault> {
                         let j = pending[k];
                         let piece = ranges[j].clone();
@@ -481,14 +433,15 @@ mod tests {
             }
         }
 
-        /// Cooperative cancellation is deterministic at any thread count:
-        /// checkpoints are consumed only on the sequential master path, so a
-        /// token that fires after `k` checkpoints cancels at the same group
-        /// — or lets the query finish with bit-identical output — whether
-        /// pieces run inline or on 8 pool threads.
+        /// Fault handling is deterministic at any thread count: every fault
+        /// decision is a pure function of its site and the master tallies
+        /// the outcomes in piece order, so under the same chaos the query
+        /// ends with the same output bits
+        /// and the same counters — every retry, degraded shard and detected
+        /// corruption — whether pieces run inline or on 8 pool threads.
         #[test]
-        fn cancellation_is_bit_identical_across_thread_counts(
-            (weight_seed, chaos_seed, k) in (0u64..500, 0u64..500, 0u64..8),
+        fn resilient_execution_is_bit_identical_across_thread_counts(
+            (weight_seed, chaos_seed) in (0u64..500, 0u64..500),
         ) {
             let tiny = zoo::tiny_vgg();
             let weights = init_weights(tiny.graph(), weight_seed).unwrap();
@@ -499,37 +452,19 @@ mod tests {
             let injector = stress_chaos(chaos_seed).build().unwrap();
             let policy = ResiliencePolicy::default();
             let run = |threads: usize| {
-                execute_plan_tensors_cancellable(
-                    &tiny,
-                    &plan,
-                    &weights,
-                    &input,
-                    Some(&injector),
-                    &policy,
-                    threads,
-                    &CancelToken::after_checkpoints(k),
+                execute_plan_tensors_resilient(
+                    &tiny, &plan, &weights, &input, Some(&injector), &policy, threads,
                 )
+                .unwrap()
             };
-            let seq = run(1);
+            let (st, sc) = run(1);
             for threads in [2usize, 8] {
-                let par = run(threads);
-                match (&seq, &par) {
-                    (Ok((st, sc)), Ok((pt, pc))) => {
-                        proptest::prop_assert_eq!(st.data().len(), pt.data().len());
-                        for (a, b) in st.data().iter().zip(pt.data()) {
-                            proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
-                        }
-                        proptest::prop_assert_eq!(sc, pc);
-                    }
-                    (
-                        Err(CoreError::Cancelled { group: sg }),
-                        Err(CoreError::Cancelled { group: pg }),
-                    ) => proptest::prop_assert_eq!(sg, pg),
-                    (s, p) => proptest::prop_assert!(
-                        false,
-                        "divergent outcomes: seq {s:?} vs {threads}-thread {p:?}"
-                    ),
+                let (pt, pc) = run(threads);
+                proptest::prop_assert_eq!(st.data().len(), pt.data().len());
+                for (a, b) in st.data().iter().zip(pt.data()) {
+                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
+                proptest::prop_assert_eq!(&sc, &pc);
             }
         }
 

@@ -53,9 +53,9 @@ pub use compiled_exec::CompiledPlanExec;
 pub use dp::{DpPartitioner, GroupEval, PartitionerConfig, PlanObjective};
 pub use error::CoreError;
 pub use forkjoin::{
-    execute_plan_tensors, execute_plan_tensors_cancellable, execute_plan_tensors_resilient,
-    execute_plan_tensors_with_threads, plan_batch_schedule, replication_seed, BatchSchedule,
-    ClassSchedule, ForkJoinRuntime, QueryOutcome, ServingReport, SimulationReport,
+    execute_plan_tensors, execute_plan_tensors_resilient, execute_plan_tensors_with_threads,
+    plan_batch_schedule, replication_seed, BatchSchedule, ClassSchedule, ForkJoinRuntime,
+    QueryOutcome, ServingReport, SimulationReport,
 };
 pub use gillis_faas::batch::{BatchCounters, BatchPolicy, SloClass};
 pub use gillis_faas::brownout::{
@@ -69,7 +69,7 @@ pub use gillis_faas::chaos::{
 pub use gillis_faas::knobs::PolicyStack;
 pub use gillis_faas::metrics::StatusLatency;
 pub use gillis_faas::overload::{
-    BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, OverloadCounters, OverloadPolicy,
+    BreakerPolicy, BreakerState, CircuitBreaker, OverloadCounters, OverloadPolicy,
 };
 pub use gillis_faas::pipeline::{PipelineCounters, PipelinePolicy};
 pub use gillis_faas::recovery::{

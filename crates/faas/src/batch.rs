@@ -26,6 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::chaos::splitmix64;
 use crate::error::FaasError;
 use crate::knobs::{family, parse, Parsed};
 use crate::Result;
@@ -116,12 +117,7 @@ impl BatchPolicy {
     /// never perturbs arrival or noise draws and is bit-identical at any
     /// thread count.
     pub fn class_of(&self, seed: u64, query: u64) -> usize {
-        let mut z = seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(query.wrapping_mul(0xd1b5_4a32_d192_ed03));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = splitmix64(seed.wrapping_add(query.wrapping_mul(0xd1b5_4a32_d192_ed03)));
         // Map the hash to [0, 1) and walk the cumulative weights.
         let u = (z >> 11) as f64 / (1u64 << 53) as f64;
         let total = self.total_weight();

@@ -27,8 +27,12 @@ use crate::error::FaasError;
 use crate::knobs::{family, parse};
 use crate::Result;
 
-/// splitmix64 finalizer: the workspace-standard seed scrambler.
-fn splitmix64(mut z: u64) -> u64 {
+/// splitmix64 finalizer: the workspace-standard seed scrambler. A keyed
+/// stream position is `splitmix64(seed + index · multiplier)`, each stream
+/// with its own odd multiplier (`replication_seed` in `gillis-core`,
+/// [`crate::batch::BatchPolicy::class_of`]).
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

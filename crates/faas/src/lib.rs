@@ -58,9 +58,7 @@ pub use chaos::{
 pub use error::FaasError;
 pub use exgauss::ExGaussian;
 pub use knobs::{Knob, Knobs, PolicyStack};
-pub use overload::{
-    BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, OverloadCounters, OverloadPolicy,
-};
+pub use overload::{BreakerPolicy, BreakerState, CircuitBreaker, OverloadCounters, OverloadPolicy};
 pub use pipeline::{PipelineCounters, PipelinePolicy};
 pub use platform::{PlatformKind, PlatformProfile};
 pub use recovery::{

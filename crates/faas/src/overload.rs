@@ -1,5 +1,4 @@
-//! Overload protection: admission policies, cooperative cancellation, and
-//! per-lane circuit breakers.
+//! Overload protection: admission policies and per-lane circuit breakers.
 //!
 //! Gillis's open-loop serving accepts unbounded Poisson arrivals; a burst
 //! past capacity drives every query's latency to infinity while workers
@@ -12,10 +11,6 @@
 //!   per-query deadline derived from the SLO, and shed-on-admission when
 //!   predicted queue wait plus predicted plan latency already exceeds the
 //!   deadline.
-//! - [`CancelToken`] — cooperative cancellation for in-flight queries: the
-//!   master checks the token at deterministic points (group boundaries,
-//!   retry rounds) so cancellation outcomes are bit-identical at any thread
-//!   count.
 //! - [`CircuitBreaker`] — a consecutive-failure / open / half-open state
 //!   machine per worker lane; an open lane is routed around (master-local
 //!   degraded execution) before the retry budget is spent.
@@ -25,9 +20,6 @@
 //! Like fault injection ([`crate::chaos`]), every decision here is a pure
 //! function of the policy, the seed-driven simulation state, and the query's
 //! identity — never of wall-clock time or scheduling.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -397,89 +389,6 @@ impl OverloadCounters {
     }
 }
 
-#[derive(Debug)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    /// Checkpoints remaining before auto-cancellation; `u64::MAX` means
-    /// "manual only" (never auto-cancels).
-    budget: AtomicU64,
-}
-
-/// Cooperative cancellation handle for one in-flight query.
-///
-/// The executing master calls [`CancelToken::checkpoint`] at deterministic
-/// points (before each plan group and each retry round); any holder of a
-/// clone can [`CancelToken::cancel`] to make the next checkpoint abort the
-/// query. For reproducible tests, [`CancelToken::after_checkpoints`] builds
-/// a token that auto-cancels at the (n+1)-th checkpoint — because
-/// checkpoints only happen on the sequential master path, the cancellation
-/// point is a pure function of `n`, bit-identical at any thread count.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-impl CancelToken {
-    /// A token that never cancels unless [`CancelToken::cancel`] is called.
-    pub fn new() -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                budget: AtomicU64::new(u64::MAX),
-            }),
-        }
-    }
-
-    /// A token that lets `n` checkpoints pass and cancels at the next one.
-    pub fn after_checkpoints(n: u64) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                budget: AtomicU64::new(n),
-            }),
-        }
-    }
-
-    /// Requests cancellation; the query aborts at its next checkpoint.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been observed or requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Acquire)
-    }
-
-    /// Consumes one checkpoint; returns `true` when the query must abort.
-    /// Called only from the (single) master thread of a query.
-    pub fn checkpoint(&self) -> bool {
-        if self.is_cancelled() {
-            return true;
-        }
-        let budget = self.inner.budget.load(Ordering::Relaxed);
-        if budget == u64::MAX {
-            return false;
-        }
-        if budget == 0 {
-            self.cancel();
-            return true;
-        }
-        self.inner.budget.store(budget - 1, Ordering::Relaxed);
-        false
-    }
-}
-
-// `Default for CancelToken` derives to a zero budget (cancel at the first
-// checkpoint), which is surprising; make it the manual token instead.
-impl Default for TokenInner {
-    fn default() -> Self {
-        TokenInner {
-            cancelled: AtomicBool::new(false),
-            budget: AtomicU64::new(u64::MAX),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,34 +531,6 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.admits(Micros::ZERO, &mut c));
         assert_eq!(c.breaker_opens, 0);
-    }
-
-    #[test]
-    fn cancel_token_checkpoints() {
-        let t = CancelToken::new();
-        for _ in 0..100 {
-            assert!(!t.checkpoint());
-        }
-        t.cancel();
-        assert!(t.is_cancelled());
-        assert!(t.checkpoint());
-
-        let t = CancelToken::after_checkpoints(3);
-        assert!(!t.checkpoint());
-        assert!(!t.checkpoint());
-        assert!(!t.checkpoint());
-        assert!(t.checkpoint(), "cancels at the 4th checkpoint");
-        assert!(t.is_cancelled());
-
-        // Clones share state.
-        let t = CancelToken::new();
-        let clone = t.clone();
-        t.cancel();
-        assert!(clone.checkpoint());
-
-        // The default token is manual (does not cancel at first checkpoint).
-        let t = CancelToken::default();
-        assert!(!t.checkpoint());
     }
 
     #[test]

@@ -31,10 +31,6 @@
 //! - [`CompiledPartition`] — all pieces of one group plus the join geometry
 //!   (concat axis, per-piece slots) needed to join piece outputs into a
 //!   caller-owned buffer in exactly [`Tensor::concat`]'s memory order.
-//! - [`PanelCache`] — shares int8 weight panels between the pieces of a
-//!   quantized deployment: spatial pieces of the same group use the *full*
-//!   filter bank and therefore the same panel; channel pieces quantize their
-//!   filter subset once. An f32 compile leaves it empty.
 //!
 //! A group compiles when every node reads the group's input or an earlier
 //! node of the group: chains, residual blocks (`Add`) and inception modules
@@ -52,15 +48,13 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use gillis_tensor::ops::{
-    avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, conv2d_quantized_into,
-    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len,
-    lstm_sequence_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, LstmParams,
-    Padding, Pool2dParams,
+    avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, dense_multi_into,
+    depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len, lstm_sequence_into,
+    max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, LstmParams, Padding,
+    Pool2dParams,
 };
-use gillis_tensor::quant::{self, QuantizedMatrix};
 use gillis_tensor::{Shape, Tensor};
 
 use crate::error::ModelError;
@@ -88,86 +82,17 @@ pub enum PieceSpec {
     Channels(Range<usize>),
 }
 
-/// Panel-cache key: weight node plus optional row subset.
-type PanelKey = (NodeId, Option<(usize, usize)>);
-
-/// Cache of int8 weight panels (conv filter banks and dense weight
-/// matrices), quantized once at deployment compile time and keyed by node
-/// and row subset (`None` = every row).
-///
-/// Spatial pieces of the same group all convolve with the full filter bank,
-/// so they share one panel; channel pieces quantize their row subset once.
-/// An f32 compile puts nothing here: its steps borrow weight rows from the
-/// live map.
+/// An empty placeholder that [`CompiledSegment::compile`] takes and ignores:
+/// a compiled step copies no weight, so there is nothing to cache. It stays
+/// only because the repo benchmark's harness (`benchmark/`, whose source is
+/// kept fixed so its runs stay comparable) passes one.
 #[derive(Debug, Default)]
-pub struct PanelCache {
-    qpanels: HashMap<PanelKey, Arc<QuantizedMatrix>>,
-}
+pub struct PanelCache;
 
 impl PanelCache {
-    /// An empty cache.
+    /// The placeholder.
     pub fn new() -> Self {
-        PanelCache::default()
-    }
-
-    /// The panel of rows `channels` of node `id`, made by `quantize` the
-    /// first time it is asked for.
-    fn panel(
-        &mut self,
-        id: NodeId,
-        channels: Option<&Range<usize>>,
-        quantize: impl FnOnce() -> Result<QuantizedMatrix>,
-    ) -> Result<Arc<QuantizedMatrix>> {
-        let key = (id, channels.map(|r| (r.start, r.end)));
-        if let Some(p) = self.qpanels.get(&key) {
-            return Ok(Arc::clone(p));
-        }
-        let panel = Arc::new(quantize()?);
-        self.qpanels.insert(key, Arc::clone(&panel));
-        Ok(panel)
-    }
-
-    /// Number of distinct panels held.
-    pub fn len(&self) -> usize {
-        self.qpanels.len()
-    }
-
-    /// Whether the cache holds no panels.
-    pub fn is_empty(&self) -> bool {
-        self.qpanels.is_empty()
-    }
-
-    /// Total bytes of panel data (for capacity reporting).
-    pub fn bytes(&self) -> usize {
-        self.qpanels.values().map(|p| p.bytes()).sum()
-    }
-}
-
-/// Deployment-time compilation options.
-///
-/// The default compiles the f32 fast path (bit-identical to the reference
-/// executor). Quantized options trade bounded accuracy for ~4× smaller
-/// weights and transfer payloads — see `gillis_tensor::quant` for the error
-/// bounds and DESIGN.md §12 for when the planner sees the smaller bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Quantize conv filter banks and dense weight matrices to int8 with
-    /// per-output-channel scales at compile time; kernels accumulate in
-    /// exact i32.
-    pub quantize_weights: bool,
-    /// Simulate the int8 wire format on partitioned joins: each worker
-    /// piece's output takes a quantize→dequantize round trip into the
-    /// existing join-buffer slot (no extra buffers on the warm path).
-    pub wire_int8: bool,
-}
-
-impl CompileOptions {
-    /// Full int8 deployment: quantized weights and quantized transfers.
-    pub fn int8() -> Self {
-        CompileOptions {
-            quantize_weights: true,
-            wire_int8: true,
-        }
+        PanelCache
     }
 }
 
@@ -202,16 +127,6 @@ enum StepKind {
         in_w: usize,
         out_hw: (usize, usize),
     },
-    /// Conv with an int8 per-channel quantized filter bank.
-    QConv {
-        q: Arc<QuantizedMatrix>,
-        bias: Vec<f32>,
-        params: Conv2dParams,
-        in_c: usize,
-        in_h: usize,
-        in_w: usize,
-        out_hw: (usize, usize),
-    },
     /// Depthwise conv over filter rows `rows` of node `id`, borrowed like
     /// [`StepKind::Conv`]'s.
     Depthwise {
@@ -239,11 +154,6 @@ enum StepKind {
     Dense {
         id: NodeId,
         rows: Range<usize>,
-    },
-    /// Dense with an int8 per-channel quantized weight matrix.
-    QDense {
-        q: Arc<QuantizedMatrix>,
-        bias: Vec<f32>,
     },
     /// LSTM layer of node `id` over `[steps, input]` sequences, its three
     /// tensors borrowed like [`StepKind::Conv`]'s rows.
@@ -414,8 +324,7 @@ fn row_weights(map: &ModelWeights, id: NodeId) -> Result<(&Tensor, &Tensor)> {
 
 /// Rows `rows` (all of them for `None`) of a `[out, ..]` tensor. Rows of a
 /// row-major tensor are contiguous, so a channel piece borrows its filter
-/// subset — at compile time to quantize it, at run time from the live map —
-/// instead of owning a copy.
+/// subset from the live map instead of owning a copy.
 fn tensor_rows<'a>(t: &'a Tensor, rows: Option<&Range<usize>>) -> Result<&'a [f32]> {
     let out = t.shape().dims().first().copied().unwrap_or(0);
     let rows = rows.cloned().unwrap_or(0..out);
@@ -478,8 +387,7 @@ fn items<'a>(
 /// timestep of every item and for `w_hh` once per timestep, working in
 /// `scratch` (`n` times the step's [`StepKind::scratch_len`]). Every other
 /// step runs its kernel once per item — depthwise has no
-/// filter bank to share, and the int8 ops compute their activation scales
-/// per payload. Either way an item's output is bit-identical to running it
+/// filter bank to share. Either way an item's output is bit-identical to running it
 /// alone (proptest-enforced for the batched kernels in `gillis-tensor`), and
 /// on the warm path every arm is allocation-free: buffers are caller-owned,
 /// kernel temporaries come from the per-thread scratch arena, and weight
@@ -548,19 +456,6 @@ fn exec_step<'a>(
                 out,
             );
         }
-        StepKind::QConv {
-            q,
-            bias,
-            params,
-            in_c,
-            in_h,
-            in_w,
-            out_hw,
-        } => {
-            for (input, out) in items(n, input, out) {
-                conv2d_quantized_into(input, *in_c, *in_h, *in_w, q, bias, params, *out_hw, out);
-            }
-        }
         StepKind::Depthwise {
             id,
             rows,
@@ -600,12 +495,6 @@ fn exec_step<'a>(
             let (w, b) = weight_rows(map, *id, rows)?;
             dense_multi_into(w, input, Some(b), out, n);
         }
-        StepKind::QDense { q, bias } => {
-            for (input, out) in items(n, input, out) {
-                out.copy_from_slice(bias);
-                quant::qgemv(q, input, out);
-            }
-        }
         StepKind::Lstm {
             id,
             input: in_n,
@@ -641,9 +530,9 @@ fn exec_step<'a>(
 /// standalone `run*` entry points, a private one made on first use.
 ///
 /// `run` must be called with the same weights the segment was compiled
-/// against: folded batch-norm constants (and, for an int8 compile, quantized
-/// panels) are materialized from them at compile time. Conv, dense and
-/// depthwise rows of an f32 segment are read from the map it is given.
+/// against: folded batch-norm constants are materialized from them at
+/// compile time. Conv, dense and depthwise rows are read from the map it is
+/// given.
 #[derive(Debug)]
 pub struct CompiledSegment {
     in_len: usize,
@@ -661,7 +550,7 @@ pub struct CompiledSegment {
 impl CompiledSegment {
     /// Compiles one piece of the group `layers` (a consecutive run of merged
     /// layers of `graph`). `spec` selects which slice of the group output
-    /// this piece computes; int8 panels are quantized through `cache`.
+    /// this piece computes; the [`PanelCache`] is ignored.
     ///
     /// # Errors
     ///
@@ -674,31 +563,7 @@ impl CompiledSegment {
         weights: &ModelWeights,
         layers: &[MergedLayer],
         spec: &PieceSpec,
-        cache: &mut PanelCache,
-    ) -> Result<Self> {
-        Self::compile_with(
-            graph,
-            weights,
-            layers,
-            spec,
-            cache,
-            CompileOptions::default(),
-        )
-    }
-
-    /// [`CompiledSegment::compile`] with explicit [`CompileOptions`] —
-    /// `quantize_weights` lowers conv/dense layers to int8 steps.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledSegment::compile`].
-    pub fn compile_with(
-        graph: &Graph,
-        weights: &ModelWeights,
-        layers: &[MergedLayer],
-        spec: &PieceSpec,
-        cache: &mut PanelCache,
-        opts: CompileOptions,
+        _cache: &mut PanelCache,
     ) -> Result<Self> {
         let chain: Vec<NodeId> = layers.iter().flat_map(|l| &l.nodes).copied().collect();
         let (first, last) = match (chain.first(), chain.last()) {
@@ -715,8 +580,6 @@ impl CompiledSegment {
         let mut b = Builder {
             graph,
             weights,
-            cache,
-            opts,
             steps: Vec::new(),
             lens: ArenaPlan::default(),
             pending: Vec::new(),
@@ -776,7 +639,6 @@ impl CompiledSegment {
                 hidden,
                 ..
             } => F32 * 4 * hidden * (input + steps.saturating_sub(1) * hidden),
-            StepKind::QConv { q, .. } | StepKind::QDense { q, .. } => q.bytes(),
             _ => 0,
         };
         self.steps.iter().map(bytes).sum()
@@ -858,7 +720,7 @@ impl CompiledSegment {
         n: usize,
     ) -> Result<&[f32]> {
         let mut arena = std::mem::take(&mut self.arena);
-        let done = self.run_joined(&mut arena, weights, inputs, n, None, false);
+        let done = self.run_joined(&mut arena, weights, inputs, n, None);
         self.arena = arena;
         done?;
         Ok(self.output())
@@ -881,9 +743,7 @@ impl CompiledSegment {
     /// Runs the piece on `arena` as one part of a join of `n` items: into
     /// `slot`, its region of the join buffer, when the join is direct (see
     /// [`CompiledPartition::deal`]), else into its own output buffer for the
-    /// gather — the one thing a piece keeps between runs. With `wire_int8`
-    /// each item's payload then takes the int8 wire round trip — the
-    /// worker-side quantize — in place where it landed.
+    /// gather — the one thing a piece keeps between runs.
     ///
     /// # Errors
     ///
@@ -895,7 +755,6 @@ impl CompiledSegment {
         inputs: &[f32],
         n: usize,
         slot: Option<&mut [f32]>,
-        wire_int8: bool,
     ) -> Result<()> {
         let len = self.out_shape.len();
         let mut own = std::mem::take(&mut self.out);
@@ -908,10 +767,6 @@ impl CompiledSegment {
             }
         };
         let done = self.run_steps(arena, weights, inputs, n, out);
-        if wire_int8 && done.is_ok() {
-            out.chunks_exact_mut(len)
-                .for_each(quant::wire_roundtrip_in_place);
-        }
         self.out = own;
         done
     }
@@ -944,8 +799,6 @@ impl Value {
 struct Builder<'a> {
     graph: &'a Graph,
     weights: &'a ModelWeights,
-    cache: &'a mut PanelCache,
-    opts: CompileOptions,
     steps: Vec<Step>,
     lens: ArenaPlan,
     /// Reads each slot's tenant still has coming; a slot at 0 is free.
@@ -965,21 +818,6 @@ impl Builder<'_> {
                 id.0
             ))),
         }
-    }
-
-    /// Quantizes (or fetches) the int8 panel of rows `channels` of a conv or
-    /// dense node, as a matrix of `k` columns.
-    fn qpanel(
-        &mut self,
-        id: NodeId,
-        channels: Option<&Range<usize>>,
-        k: usize,
-    ) -> Result<Arc<QuantizedMatrix>> {
-        let weights = self.weights;
-        self.cache.panel(id, channels, || {
-            let rows = tensor_rows(row_weights(weights, id)?.0, channels)?;
-            Ok(QuantizedMatrix::quantize(rows.len() / k.max(1), k, rows))
-        })
     }
 
     /// Folds a node's batch-norm parameters, optionally restricted to a
@@ -1140,8 +978,7 @@ impl Builder<'_> {
         channels: Option<&Range<usize>>,
     ) -> Result<Value> {
         let (in_c, in_h, in_w) = Self::require_chw(&x.dims, "conv2d")?;
-        let (w, b) = row_weights(self.weights, id)?;
-        let wd = w.shape().dims();
+        let wd = row_weights(self.weights, id)?.0.shape().dims();
         if wd.len() != 4 || wd[1] != in_c || (wd[2], wd[3]) != params.kernel {
             return Err(ModelError::BadWeights(format!(
                 "conv weight {wd:?} does not match input {:?} / kernel {:?}",
@@ -1152,30 +989,17 @@ impl Builder<'_> {
             ModelError::Unsupported("conv kernel larger than padded input".into())
         })?;
         let rows = channels.cloned().unwrap_or(0..wd[0]);
-        let bias = tensor_rows(b, Some(&rows))?;
-        let kind = if self.opts.quantize_weights {
-            StepKind::QConv {
-                bias: bias.to_vec(),
-                q: self.qpanel(id, channels, wd[1] * wd[2] * wd[3])?,
-                params,
-                in_c,
-                in_h,
-                in_w,
-                out_hw,
-            }
-        } else {
-            weight_rows(self.weights, id, &rows)?;
-            StepKind::Conv {
-                id,
-                rows: rows.clone(),
-                params,
-                in_c,
-                in_h,
-                in_w,
-                out_hw,
-            }
-        };
+        weight_rows(self.weights, id, &rows)?;
         let dims = vec![rows.len(), out_hw.0, out_hw.1];
+        let kind = StepKind::Conv {
+            id,
+            rows,
+            params,
+            in_c,
+            in_h,
+            in_w,
+            out_hw,
+        };
         Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
@@ -1263,24 +1087,17 @@ impl Builder<'_> {
                 "dense requires a rank-1 input".into(),
             ));
         };
-        let (w, b) = row_weights(self.weights, id)?;
-        let wd = w.shape().dims();
+        let wd = row_weights(self.weights, id)?.0.shape().dims();
         if wd.len() != 2 || wd[1] != in_n {
             return Err(ModelError::BadWeights(format!(
                 "dense weight {wd:?} does not match input length {in_n}"
             )));
         }
-        let kind = if self.opts.quantize_weights {
-            let bias = tensor_rows(b, channels)?.to_vec();
-            let q = self.qpanel(id, channels, in_n)?;
-            StepKind::QDense { q, bias }
-        } else {
-            let rows = channels.cloned().unwrap_or(0..wd[0]);
-            weight_rows(self.weights, id, &rows)?;
-            StepKind::Dense { id, rows }
-        };
-        let out_n = channels.map_or(wd[0], |r| r.len());
-        Ok(self.push(kind, &[x], vec![out_n], self.readers_of(id)))
+        let rows = channels.cloned().unwrap_or(0..wd[0]);
+        weight_rows(self.weights, id, &rows)?;
+        let dims = vec![rows.len()];
+        let kind = StepKind::Dense { id, rows };
+        Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
     /// Lowers node `id` on the values of its graph inputs — the compiled
@@ -1590,10 +1407,6 @@ pub struct CompiledPartition {
     /// Where each piece's rows sit within one such block. With `outer == 1`
     /// the block is the whole output and these are the pieces' join ranges.
     slots: Vec<Range<usize>>,
-    /// Whether worker piece outputs take the int8 wire round trip before
-    /// landing in the join buffer (multi-piece groups only — an
-    /// unpartitioned group never crosses the wire).
-    wire_int8: bool,
 }
 
 impl CompiledPartition {
@@ -1612,39 +1425,13 @@ impl CompiledPartition {
         layers: &[MergedLayer],
         specs: &[PieceSpec],
         axis: usize,
-        cache: &mut PanelCache,
-    ) -> Result<Self> {
-        Self::compile_with(
-            graph,
-            weights,
-            layers,
-            specs,
-            axis,
-            cache,
-            CompileOptions::default(),
-        )
-    }
-
-    /// [`CompiledPartition::compile`] with explicit [`CompileOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledPartition::compile`].
-    pub fn compile_with(
-        graph: &Graph,
-        weights: &ModelWeights,
-        layers: &[MergedLayer],
-        specs: &[PieceSpec],
-        axis: usize,
-        cache: &mut PanelCache,
-        opts: CompileOptions,
     ) -> Result<Self> {
         if specs.is_empty() {
             return Err(ModelError::Unsupported("group with zero pieces".into()));
         }
         let pieces: Vec<CompiledSegment> = specs
             .iter()
-            .map(|s| CompiledSegment::compile_with(graph, weights, layers, s, cache, opts))
+            .map(|s| CompiledSegment::compile(graph, weights, layers, s, &mut PanelCache))
             .collect::<Result<_>>()?;
         let first = pieces[0].out_shape().clone();
         let rank = first.rank();
@@ -1672,24 +1459,13 @@ impl CompiledPartition {
         }
         let out_shape = first.with_dim(axis, total)?;
         let outer: usize = first.dims()[..axis].iter().product();
-        // A single Full piece runs on the master and never crosses the
-        // wire, so the int8 transfer simulation only applies to real
-        // fork-join groups.
-        let wire_int8 = opts.wire_int8 && specs.len() > 1;
         Ok(CompiledPartition {
             pieces,
             axis,
             out_shape,
             outer,
             slots,
-            wire_int8,
         })
-    }
-
-    /// Whether worker piece outputs take the int8 wire round trip on their
-    /// way into the join buffer.
-    pub fn wire_int8(&self) -> bool {
-        self.wire_int8
     }
 
     /// Shape of the gathered group output.
@@ -1759,7 +1535,6 @@ impl CompiledPartition {
         outs: &'a mut [f32],
     ) -> impl Iterator<Item = LaneShare<'a>> {
         let per = self.pieces.len().div_ceil(lanes.max(1));
-        let wire_int8 = self.wire_int8;
         let mut rest = self.joins_directly(n).then_some(outs);
         self.pieces.chunks_mut(per).map(move |pieces| {
             let joined = rest.take().map(|outs| {
@@ -1768,12 +1543,7 @@ impl CompiledPartition {
                 rest = Some(tail);
                 head
             });
-            LaneShare {
-                pieces,
-                joined,
-                n,
-                wire_int8,
-            }
+            LaneShare { pieces, joined, n }
         })
     }
 
@@ -1805,9 +1575,7 @@ impl CompiledPartition {
 
     /// Runs every piece in turn on `arena` over the `n` item-major `inputs`
     /// and joins each item into its slice of `outs` (`n × out_len`): one
-    /// lane's worth of [`CompiledPartition::deal`]. The int8 wire round trip
-    /// is applied per `(piece, item)` payload, so an item's output does not
-    /// depend on the batch it rode in.
+    /// lane's worth of [`CompiledPartition::deal`].
     ///
     /// # Errors
     ///
@@ -1851,7 +1619,6 @@ pub struct LaneShare<'a> {
     /// directly.
     joined: Option<&'a mut [f32]>,
     n: usize,
-    wire_int8: bool,
 }
 
 impl LaneShare<'_> {
@@ -1869,7 +1636,7 @@ impl LaneShare<'_> {
                 joined = Some(rest);
                 slot
             });
-            piece.run_joined(arena, weights, inputs, self.n, slot, self.wire_int8)?;
+            piece.run_joined(arena, weights, inputs, self.n, slot)?;
         }
         Ok(())
     }
@@ -1961,9 +1728,6 @@ mod tests {
                 assert_bits_eq(out, reference.data(), "spatial piece");
             }
         }
-        // f32 pieces borrow their filter rows from the live map: nothing is
-        // packed, whatever the spec.
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -2035,10 +1799,8 @@ mod tests {
         let specs: Vec<PieceSpec> = (0..4)
             .map(|p| PieceSpec::Rows(p * out_h / 4..(p + 1) * out_h / 4))
             .collect();
-        let mut cache = PanelCache::new();
         let mut part =
-            CompiledPartition::compile(model.graph(), &weights, seg_layers, &specs, 1, &mut cache)
-                .unwrap();
+            CompiledPartition::compile(model.graph(), &weights, seg_layers, &specs, 1).unwrap();
         let reference = {
             let parts: Vec<Tensor> = (0..4)
                 .map(|p| {
@@ -2063,8 +1825,7 @@ mod tests {
             .map(|p| PieceSpec::Channels(p * out_c / 2..(p + 1) * out_c / 2))
             .collect();
         let mut part =
-            CompiledPartition::compile(model.graph(), &weights, head, &specs, 0, &mut cache)
-                .unwrap();
+            CompiledPartition::compile(model.graph(), &weights, head, &specs, 0).unwrap();
         assert!(part.joins_directly(1));
         let reference = {
             let parts: Vec<Tensor> = (0..2)
@@ -2084,7 +1845,7 @@ mod tests {
     #[test]
     fn batched_partition_bit_identical_to_sequential() {
         // Batched runs must reproduce N independent per-query runs to the
-        // bit, for both join geometries and with the int8 wire enabled.
+        // bit, for both join geometries.
         let model = zoo::tiny_vgg();
         let weights = init_weights(model.graph(), 9).unwrap();
         let input_len = model.input_shape().len();
@@ -2104,28 +1865,11 @@ mod tests {
         let chan_specs: Vec<PieceSpec> = (0..2)
             .map(|p| PieceSpec::Channels(p * out_c / 2..(p + 1) * out_c / 2))
             .collect();
-        let cases: [(
-            &[crate::linear::MergedLayer],
-            &[PieceSpec],
-            usize,
-            CompileOptions,
-        ); 3] = [
-            (seg_layers, &row_specs, 1, CompileOptions::default()),
-            (head, &chan_specs, 0, CompileOptions::default()),
-            (head, &chan_specs, 0, CompileOptions::int8()),
-        ];
-        for (layers, specs, axis, opts) in cases {
-            let mut cache = PanelCache::new();
-            let mut part = CompiledPartition::compile_with(
-                model.graph(),
-                &weights,
-                layers,
-                specs,
-                axis,
-                &mut cache,
-                opts,
-            )
-            .unwrap();
+        let cases: [(&[MergedLayer], &[PieceSpec], usize); 2] =
+            [(seg_layers, &row_specs, 1), (head, &chan_specs, 0)];
+        for (layers, specs, axis) in cases {
+            let mut part =
+                CompiledPartition::compile(model.graph(), &weights, layers, specs, axis).unwrap();
             // One arena for every run: sequential singles and batches share
             // it, as the pieces of the partition do.
             let mut arena = Arena::default();
@@ -2232,12 +1976,6 @@ mod tests {
         );
     }
 
-    fn wire(data: &[f32]) -> Vec<f32> {
-        let mut v = data.to_vec();
-        quant::wire_roundtrip_in_place(&mut v);
-        v
-    }
-
     /// Compiles every consecutive group of `model` as a full piece and as a
     /// row, column and channel piece, and holds each that compiles to the
     /// arena contract and to the executor's bits through every entry point.
@@ -2334,20 +2072,16 @@ mod tests {
                     assert_eq!(seg.out_shape(), refs[0].shape(), "{what}");
 
                     // On a caller's arena, as a plan runs it: into a join
-                    // slice, then into its own buffer over an int8 wire.
+                    // slice, then into its own buffer for a gather.
                     let mut arena = Arena::default();
                     let mut joined = vec![f32::NAN; out_len];
                     let slot = Some(&mut joined[..]);
-                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, slot, false)
+                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, slot)
                         .unwrap();
                     assert_bits_eq(&joined, refs[0].data(), &format!("{what}: joined"));
-                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, None, true)
+                    seg.run_joined(&mut arena, &weights, inputs[0].data(), 1, None)
                         .unwrap();
-                    assert_bits_eq(
-                        seg.output(),
-                        &wire(refs[0].data()),
-                        &format!("{what}: wire"),
-                    );
+                    assert_bits_eq(seg.output(), refs[0].data(), &format!("{what}: own"));
                     let out = seg.run(&weights, inputs[0].data()).unwrap();
                     assert_bits_eq(out, refs[0].data(), &format!("{what}: run"));
 
@@ -2355,10 +2089,10 @@ mod tests {
                     for (item, r) in out.chunks_exact(out_len).zip(&refs) {
                         assert_bits_eq(item, r.data(), &format!("{what}: run_batch"));
                     }
-                    seg.run_joined(&mut arena, &weights, &flat, BATCH, None, true)
+                    seg.run_joined(&mut arena, &weights, &flat, BATCH, None)
                         .unwrap();
                     for (item, r) in seg.output().chunks_exact(out_len).zip(&refs) {
-                        assert_bits_eq(item, &wire(r.data()), &format!("{what}: batch wire"));
+                        assert_bits_eq(item, r.data(), &format!("{what}: batch own"));
                     }
                     // The batch grew the private arena to BATCH items; the
                     // plan's per-query figure stands, and a single query after
@@ -2523,7 +2257,7 @@ mod tests {
         let before = input.data().to_vec();
         let mut out = vec![f32::NAN; reference.shape().len()];
         let mut arena = Arena::default();
-        seg.run_joined(&mut arena, &weights, input.data(), 1, Some(&mut out), false)
+        seg.run_joined(&mut arena, &weights, input.data(), 1, Some(&mut out))
             .unwrap();
         assert_bits_eq(&out, reference.data(), "sweeps into the join slice");
         assert_bits_eq(
@@ -2811,149 +2545,5 @@ mod tests {
         assert_eq!(ptr_a, ptr_b);
         let out_b = seg.run(&weights, b.data()).unwrap();
         assert_ne!(out_a, out_b);
-    }
-
-    /// Relative L2 distance between a quantized output and its f32 reference.
-    fn rel_l2(a: &[f32], b: &[f32]) -> f32 {
-        let num: f32 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
-        let den: f32 = b.iter().map(|y| y * y).sum();
-        (num / den.max(f32::MIN_POSITIVE)).sqrt()
-    }
-
-    #[test]
-    fn quantized_forward_tracks_f32_within_bound() {
-        let model = zoo::tiny_vgg();
-        let weights = init_weights(model.graph(), 3).unwrap();
-        let exec = Executor::new(model.graph(), &weights);
-        let input = query(model.input_shape(), 11);
-        let reference = exec.forward(&model, &input).unwrap();
-
-        let mut cache = PanelCache::new();
-        let mut seg = CompiledSegment::compile_with(
-            model.graph(),
-            &weights,
-            model.layers(),
-            &PieceSpec::Full,
-            &mut cache,
-            CompileOptions::int8(),
-        )
-        .unwrap();
-        assert_eq!(seg.out_shape(), reference.shape());
-        let out = seg.run(&weights, input.data()).unwrap();
-        let err = rel_l2(out, reference.data());
-        assert!(err < 0.05, "quantized forward drifted: rel l2 {err}");
-
-        // Int8 panels are ~4x smaller than the f32 weights they stand in
-        // for, and one is held per conv and dense node. An f32 compile of the
-        // same model copies none of them.
-        let weighted = |id: &NodeId| {
-            matches!(
-                model.graph().node(*id).unwrap().op,
-                LayerOp::Conv2d { .. } | LayerOp::Dense { .. }
-            )
-        };
-        let nodes: Vec<NodeId> = model
-            .layers()
-            .iter()
-            .flat_map(|l| &l.nodes)
-            .copied()
-            .collect();
-        let f32_bytes: usize = nodes
-            .iter()
-            .filter(|id| weighted(id))
-            .map(|id| 4 * row_weights(&weights, *id).unwrap().0.shape().len())
-            .sum();
-        assert_eq!(cache.len(), nodes.iter().filter(|id| weighted(id)).count());
-        assert!(
-            cache.bytes() * 3 < f32_bytes,
-            "quantized panels {} not ~4x below f32 weights {f32_bytes}",
-            cache.bytes()
-        );
-        let mut f32_cache = PanelCache::new();
-        CompiledSegment::compile(
-            model.graph(),
-            &weights,
-            model.layers(),
-            &PieceSpec::Full,
-            &mut f32_cache,
-        )
-        .unwrap();
-        assert_eq!((f32_cache.len(), f32_cache.bytes()), (0, 0));
-    }
-
-    #[test]
-    fn wire_int8_partition_tracks_f32_within_bound() {
-        let model = zoo::tiny_vgg();
-        let weights = init_weights(model.graph(), 9).unwrap();
-        let exec = Executor::new(model.graph(), &weights);
-        let input = query(model.input_shape(), 7);
-        let spatial: Vec<_> = model
-            .layers()
-            .iter()
-            .take_while(|l| l.class.supports_spatial())
-            .cloned()
-            .collect();
-        let seg_layers = &spatial[..2];
-        let out_h = seg_layers.last().unwrap().out_shape.dims()[1];
-        let specs: Vec<PieceSpec> = (0..4)
-            .map(|p| PieceSpec::Rows(p * out_h / 4..(p + 1) * out_h / 4))
-            .collect();
-        let reference = {
-            let parts: Vec<Tensor> = (0..4)
-                .map(|p| {
-                    exec.run_segment_rows(seg_layers, &input, p * out_h / 4..(p + 1) * out_h / 4)
-                        .unwrap()
-                })
-                .collect();
-            Tensor::concat(&parts, 1).unwrap()
-        };
-
-        // Float weights over an int8 wire: the only error is the per-piece
-        // payload round trip, which is bounded by half a quantization step.
-        let opts = CompileOptions {
-            quantize_weights: false,
-            wire_int8: true,
-        };
-        let mut cache = PanelCache::new();
-        let mut part = CompiledPartition::compile_with(
-            model.graph(),
-            &weights,
-            seg_layers,
-            &specs,
-            1,
-            &mut cache,
-            opts,
-        )
-        .unwrap();
-        assert!(part.wire_int8());
-        let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
-            .unwrap();
-        let max_ref = reference.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let step = max_ref / 127.0;
-        for (i, (x, y)) in out.iter().zip(reference.data().iter()).enumerate() {
-            assert!(
-                (x - y).abs() <= step,
-                "wire roundtrip element {i}: {x} vs {y} (step {step})"
-            );
-        }
-
-        // A single-piece "partition" never crosses the wire: exact output.
-        let mut part = CompiledPartition::compile_with(
-            model.graph(),
-            &weights,
-            seg_layers,
-            &[PieceSpec::Full],
-            1,
-            &mut cache,
-            opts,
-        )
-        .unwrap();
-        assert!(!part.wire_int8());
-        let full_ref = exec.run_segment(seg_layers, &input).unwrap();
-        let mut out = vec![0.0f32; part.out_shape().len()];
-        part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
-            .unwrap();
-        assert_bits_eq(&out, full_ref.data(), "single-piece wire");
     }
 }

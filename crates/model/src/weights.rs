@@ -102,8 +102,8 @@ impl ModelWeights {
     /// construction and at every [`ModelWeights::insert`], so two weight sets
     /// with equal stamps hold equal content (one is a move or a clone of the
     /// other, unmodified since). State derived from the weights — folded
-    /// batch norms, int8 panels — is keyed on it; unlike an address it
-    /// travels with a move and is never reused.
+    /// batch norms — is keyed on it; unlike an address it travels with a
+    /// move and is never reused.
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
@@ -130,7 +130,10 @@ impl ModelWeights {
     }
 }
 
-/// splitmix64 finalizer: the workspace-standard seed scrambler.
+/// splitmix64 finalizer: the workspace-standard seed scrambler. A copy of
+/// `gillis_faas::chaos::splitmix64`: this crate does not depend on
+/// `gillis-faas`, and adding that edge would change the lock file of the
+/// benchmark package, which builds this crate.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

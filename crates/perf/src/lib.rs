@@ -46,8 +46,9 @@ pub enum TransferFormat {
     /// Raw little-endian `f32` tensors (exact).
     #[default]
     F32,
-    /// Per-payload symmetric int8 quantization: one `i8` per element plus a
-    /// 4-byte `f32` scale header (see `gillis_tensor::quant`).
+    /// Per-payload symmetric int8: one `i8` per element, `round(v / s)` for
+    /// `s = max|v| / 127`, plus `s` as a 4-byte `f32` header. A price the
+    /// planner and the simulator charge; the real-tensor path ships `f32`.
     Int8,
 }
 

@@ -253,10 +253,10 @@ impl Im2col {
     }
 }
 
-/// Materialises the im2col matrix of `input` in `col` (cleared and resized;
-/// reusing one buffer across calls avoids repeated allocation). Only the int8
-/// convolution still needs the whole matrix: it quantizes `B` per tensor.
-pub fn im2col(input: &[f32], geom: &Im2col, col: &mut Vec<f32>) {
+/// Materialises the im2col matrix of `input` in `col` (cleared and resized):
+/// the reference the packed driver's gather is tested against.
+#[cfg(test)]
+pub(crate) fn im2col(input: &[f32], geom: &Im2col, col: &mut Vec<f32>) {
     let n = geom.n();
     col.clear();
     col.resize(geom.k() * n, 0.0);

@@ -28,7 +28,6 @@
 pub mod error;
 pub mod gemm;
 pub mod ops;
-pub mod quant;
 pub mod scratch;
 pub mod shape;
 pub mod simd;

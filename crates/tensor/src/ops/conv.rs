@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use super::Padding;
 use crate::error::TensorError;
 use crate::gemm;
-use crate::scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -199,55 +198,6 @@ pub fn conv2d_into(
     gemm::conv_gemm_with_threads(out_c, weight, &geom, inputs, batch, outs, threads);
 }
 
-/// Quantized convolution over raw buffers — the hot path of partitions
-/// compiled with int8 weights. Mirrors [`conv2d_into`] but the filter bank is
-/// a [`crate::quant::QuantizedMatrix`] (per-output-channel scales, quantized
-/// once at compile time); the im2col activations are materialised, because
-/// [`crate::quant::qgemm`] quantizes them per tensor on the fly, and the
-/// int8×int8 products accumulate exactly in `i32`. Output error is bounded
-/// by the quantization steps (see the `quant` module docs); determinism is
-/// exact for any thread count.
-///
-/// All working memory (im2col column matrix, int8 activation transpose)
-/// comes from per-thread scratch, so a warmed thread allocates nothing.
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_quantized_into(
-    input: &[f32],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    qweights: &crate::quant::QuantizedMatrix,
-    bias: &[f32],
-    params: &Conv2dParams,
-    out_hw: (usize, usize),
-    out: &mut [f32],
-) {
-    let geom = lowering(in_c, in_h, in_w, params, out_hw);
-    let out_c = qweights.rows();
-    let n_dim = geom.n();
-    assert_eq!(input.len(), in_c * in_h * in_w, "input must be CHW");
-    assert_eq!(
-        qweights.cols(),
-        geom.k(),
-        "quantized weights must be [out_c, in_c*kh*kw]"
-    );
-    assert_eq!(bias.len(), out_c, "bias must be [out_c]");
-    assert_eq!(out.len(), out_c * n_dim, "out must be out_c*out_h*out_w");
-    fill_bias(out, n_dim, Some(bias));
-    if geom.is_image() {
-        crate::quant::qgemm(qweights, n_dim, input, out);
-    } else {
-        let mut col = scratch::take(scratch::Site::Im2col);
-        gemm::im2col(input, &geom, &mut col);
-        crate::quant::qgemm(qweights, n_dim, &col, out);
-        scratch::put(scratch::Site::Im2col, col);
-    }
-}
-
 /// Reference 6-loop convolution the GEMM path is validated against, over raw
 /// buffers: bias first, then one multiply-add of the active mode
 /// ([`crate::simd::madd`]) per tap in ascending (ic, ky, kx) order. A tap in
@@ -294,6 +244,7 @@ pub(crate) fn conv2d_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch;
     use proptest::prelude::*;
 
     fn t(shape: Vec<usize>, data: Vec<f32>) -> Tensor {
@@ -465,42 +416,6 @@ mod tests {
                 &mut batched,
             );
             prop_assert_eq!(bits(&seq), bits(&batched));
-        }
-
-        /// The int8 path tracks the f32 convolution within the quantization
-        /// error bound: `k` taps each losing at most half a step from the
-        /// weight and half from the activation (see `quant` module docs).
-        #[test]
-        fn quantized_path_tracks_f32_within_bound(
-            (in_c, out_c) in (1usize..5, 1usize..7),
-            (in_h, in_w) in (3usize..10, 3usize..10),
-            kernel in 1usize..4,
-            stride in 1usize..3,
-            pad in 0usize..2,
-            seed in 0u32..1000,
-        ) {
-            let params = Conv2dParams::square(kernel, stride, pad);
-            prop_assume!(conv2d_output_hw((in_h, in_w), &params).is_some());
-            let input =
-                Tensor::from_fn(Shape::new(vec![in_c, in_h, in_w]), |i| pseudo(i, seed));
-            let weight = Tensor::from_fn(Shape::new(vec![out_c, in_c, kernel, kernel]), |i| {
-                pseudo(i, seed ^ 0xbeef)
-            });
-            let bias = Tensor::from_fn(Shape::new(vec![out_c]), |i| pseudo(i, seed ^ 0x77));
-            let want = conv2d(&input, &weight, Some(&bias), &params).unwrap();
-            let out_hw = conv2d_output_hw((in_h, in_w), &params).unwrap();
-            let k_dim = in_c * kernel * kernel;
-            let q = crate::quant::QuantizedMatrix::quantize(out_c, k_dim, weight.data());
-            let mut out = vec![0.0f32; out_c * out_hw.0 * out_hw.1];
-            conv2d_quantized_into(
-                input.data(), in_c, in_h, in_w, &q, bias.data(), &params, out_hw, &mut out,
-            );
-            // |w|, |x| <= 1 here, so each tap errs by at most ~1/127 and
-            // the sum by k/100 with margin.
-            let tol = k_dim as f32 / 100.0 + 1e-4;
-            for (got, want) in out.iter().zip(want.data()) {
-                prop_assert!((got - want).abs() <= tol, "{} vs {} (tol {})", got, want, tol);
-            }
         }
     }
 

@@ -25,16 +25,14 @@ use std::cell::RefCell;
 /// correct but defeats reuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// im2col column matrix of the int8 `conv2d`, which quantizes it whole.
-    Im2col = 0,
     /// Packed `B` block of the f32 GEMM driver: at most `KC·NC` floats.
-    PackB = 1,
+    PackB = 0,
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
-    BatchGemv = 2,
+    BatchGemv = 1,
 }
 
-const N_SITES: usize = 3;
+const N_SITES: usize = 2;
 
 /// A per-thread set of reusable `f32` buffers, one slot per [`Site`].
 #[derive(Debug, Default)]
@@ -89,12 +87,12 @@ mod tests {
     #[test]
     fn take_put_reuses_capacity() {
         let mut s = Scratch::default();
-        let mut buf = s.take(Site::Im2col);
+        let mut buf = s.take(Site::PackB);
         buf.resize(1024, 0.0);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
-        s.put(Site::Im2col, buf);
-        let again = s.take(Site::Im2col);
+        s.put(Site::PackB, buf);
+        let again = s.take(Site::PackB);
         assert_eq!(again.capacity(), cap);
         assert_eq!(again.as_ptr(), ptr);
     }
@@ -102,9 +100,9 @@ mod tests {
     #[test]
     fn sites_are_independent() {
         let mut s = Scratch::default();
-        let mut a = s.take(Site::Im2col);
+        let mut a = s.take(Site::BatchGemv);
         a.resize(16, 1.0);
-        s.put(Site::Im2col, a);
+        s.put(Site::BatchGemv, a);
         let b = s.take(Site::PackB);
         assert_eq!(b.capacity(), 0);
     }
@@ -123,12 +121,12 @@ mod tests {
 
     #[test]
     fn thread_local_helpers_roundtrip() {
-        let mut buf = take(Site::Im2col);
+        let mut buf = take(Site::BatchGemv);
         buf.resize(64, 2.0);
         let cap = buf.capacity();
-        put(Site::Im2col, buf);
-        let again = take(Site::Im2col);
+        put(Site::BatchGemv, buf);
+        let again = take(Site::BatchGemv);
         assert!(again.capacity() >= cap);
-        put(Site::Im2col, again);
+        put(Site::BatchGemv, again);
     }
 }

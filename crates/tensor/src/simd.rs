@@ -24,10 +24,6 @@
 //! public API, same shapes, no caller changes. On non-x86_64 targets the
 //! feature compiles but stays scalar (NEON kernels are a documented gap:
 //! this reproduction's CI hosts are x86_64 only).
-//!
-//! The int8 dot-product kernel ([`dot_i8`]) is different: integer addition
-//! is associative, so its AVX2 and scalar paths are *exactly* equal and it
-//! needs no accuracy relaxation — only the f32 kernels do.
 
 /// Returns whether the SIMD kernels are compiled in, supported by the CPU,
 /// and not disabled via `GILLIS_NO_SIMD`. Cached after the first call.
@@ -47,30 +43,6 @@ pub fn simd_active() -> bool {
     {
         false
     }
-}
-
-/// Signed-int8 dot product `sum(a[i] as i32 * b[i] as i32)`.
-///
-/// Exact in both paths (integer accumulation); the AVX2 path widens 16
-/// lanes at a time through `madd_epi16`. The caller bounds `a.len()` so the
-/// i32 lane accumulators cannot overflow (see `quant::MAX_QUANT_K`).
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: simd_active() verified AVX2 support at runtime.
-        return unsafe { dot_i8_avx2(a, b) };
-    }
-    dot_i8_scalar(a, b)
-}
-
-#[inline]
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x as i32 * y as i32)
-        .sum()
 }
 
 /// Multipliers of [`hash24`]'s two rounds (the `lowbias32` pair).
@@ -119,7 +91,7 @@ fn fill_uniform_scalar(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
-    use super::{dot_i8_scalar, fill_uniform_scalar, HASH_M1, HASH_M2, UNIT_SCALE};
+    use super::{fill_uniform_scalar, HASH_M1, HASH_M2, UNIT_SCALE};
     use std::arch::x86_64::*;
 
     /// AVX2 body of [`super::fill_uniform`]: eight consecutive indices per
@@ -157,28 +129,6 @@ mod avx2 {
             idx = _mm256_add_epi32(idx, eight);
         }
         fill_uniform_scalar(key, start + body, lo, hi, &mut out[body..]);
-    }
-
-    /// AVX2 int8 dot product: sign-extend 16 bytes per operand to i16,
-    /// `madd` adjacent pairs into 8 i32 lanes, accumulate lanes, then a
-    /// horizontal add. Integer adds are associative, so this equals the
-    /// scalar loop bit-for-bit.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-        let len = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 16 <= len {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i) as *const __m128i));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-            i += 16;
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut total: i32 = lanes.iter().sum();
-        total += dot_i8_scalar(&a[i..], &b[i..]);
-        total
     }
 
     /// The `M × 16` FMA micro-kernel of `gemm`'s blocked driver: the tile's
@@ -266,7 +216,7 @@ mod avx2 {
 pub(crate) use avx2::{micro_fma, row_dots_fma};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use avx2::{dot_i8_avx2, fill_uniform_avx2};
+use avx2::fill_uniform_avx2;
 
 /// One multiply-add of the active mode — fused when the SIMD kernels run,
 /// `mul` + `add` otherwise. A naive loop over it is the exact reference the
@@ -283,22 +233,6 @@ pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn dot_i8_matches_scalar() {
-        let a: Vec<i8> = (0..100).map(|i| ((i * 37) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..100).map(|i| ((i * 91) % 255 - 127) as i8).collect();
-        assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b));
-    }
-
-    #[test]
-    fn dot_i8_extremes() {
-        let a = vec![i8::MIN; 33];
-        let b = vec![i8::MIN; 33];
-        assert_eq!(dot_i8(&a, &b), 33 * 128 * 128);
-        let c = vec![i8::MAX; 33];
-        assert_eq!(dot_i8(&a, &c), 33 * -128 * 127);
-    }
 
     /// The one-element formula, written out: what every body, chunking and
     /// width must reproduce.

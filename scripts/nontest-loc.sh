@@ -1,6 +1,8 @@
 #!/bin/sh
 # Non-test lines of Rust sources: for every *.rs file under the given paths,
-# the lines outside `#[cfg(test)]`-attributed items, summed. An attributed
+# the lines outside `#[cfg(test)]`-attributed items, summed. Files under a
+# `tests/` directory are Cargo integration tests, test code whole, and are
+# skipped: run on `crates/*/tests` the script prints `0 total`. An attributed
 # item runs from its `#[cfg(test)]` line to the `}` that closes its first
 # `{` (a test module, wherever in the file it sits) or, when it has no
 # body, to its `;` (a `use` or `mod tests;`). Braces are counted outside
@@ -11,7 +13,7 @@
 # usage: scripts/nontest-loc.sh <file-or-dir>...
 set -eu
 [ "$#" -gt 0 ] || { echo "usage: $0 <file-or-dir>..." >&2; exit 2; }
-find "$@" -type f -name '*.rs' | sort | while read -r f; do
+find "$@" -type f -name '*.rs' ! -path '*/tests/*' ! -path 'tests/*' | sort | while read -r f; do
     n=$(awk '
         # state 0: counted code; 1: after the attribute, before the item'"'"'s
         # `{` or `;`; 2: inside the item'"'"'s braces.

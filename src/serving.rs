@@ -340,11 +340,10 @@ enum WarmSlot {
     #[default]
     Empty,
     /// Compiled against the weight set carrying this
-    /// [`ModelWeights::stamp`]. An f32 plan copies no conv, dense or depthwise
+    /// [`ModelWeights::stamp`]. A plan copies no conv, dense or depthwise
     /// weight — its steps read the rows of the set each query brings — but it
-    /// does snapshot the folded batch-norm `(scale, shift)` (and an int8 plan
-    /// its quantized panels), so it is valid for exactly that content,
-    /// wherever the set has moved since.
+    /// does snapshot the folded batch-norm `(scale, shift)`, so it is valid
+    /// for exactly that content, wherever the set has moved since.
     Ready {
         stamp: u64,
         exec: Box<CompiledPlanExec>,
