@@ -3,13 +3,13 @@
 //! Deployment-time compilation resolves weight row ranges, folds batch norms
 //! and preallocates every buffer, so a warm query through a
 //! [`CompiledPlanExec`] touches the heap zero times and is bit-identical to
-//! the per-query reference path by construction. `ext_infer [--smoke]` checks
+//! the unpartitioned `Executor::forward`. `ext_infer [--smoke]` checks
 //! exactly that on tiny-vgg, tiny-resnet and tiny-inception, for the
 //! single-function plan and a plan that splits every layer two ways, and on a
 //! two-layer RNN at reduced width, whole and one function per layer, at pool
 //! width 1: warm queries — and a warm batch of four followed by a single
 //! query — perform **zero** heap allocations (counted by a global
-//! allocator), carry the cold path's bits, and the plan holds exactly the
+//! allocator), carry `forward`'s bits, and the plan holds exactly the
 //! activation bytes of one lane — every slot as long as its largest tenant
 //! over all pieces, plus an LSTM's states and gate pre-activations — the
 //! join buffers and the gathered piece outputs, counted from the graph and
@@ -29,9 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gillis_core::partition::split_ranges;
 use gillis_core::{
-    execute_plan_tensors_with_threads, group_options, CompiledPlanExec, ExecutionPlan, PartDim,
-    PartitionOption, Placement, PlannedGroup,
+    group_options, CompiledPlanExec, ExecutionPlan, PartDim, PartitionOption, Placement,
+    PlannedGroup,
 };
+use gillis_model::exec::Executor;
 use gillis_model::span::SpanPlan;
 use gillis_model::weights::{init_weights, ModelWeights};
 use gillis_model::{zoo, LayerOp, LinearModel, NodeId};
@@ -309,15 +310,16 @@ fn query(model: &LinearModel, seed: u64) -> Tensor {
 /// query is a batch of one on the same buffers, after `reserve_batch(N)` a
 /// warm batch of `N` and the single query after it must allocate nothing
 /// either, without the plan's activation figure moving with the buffers'
-/// growth. Every output carries the bits of the cold path (uncompiled,
-/// per-query slicing).
+/// growth. Every output carries the bits of the unpartitioned
+/// `Executor::forward`, the oracle.
 fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan, name: &str) {
     const N: usize = 4;
     let queries: Vec<Tensor> = (0..N as u64).map(|i| query(model, 17 + i)).collect();
     let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
-    let cold: Vec<Tensor> = queries
+    let oracle = Executor::new(model.graph(), weights);
+    let forward: Vec<Tensor> = queries
         .iter()
-        .map(|q| execute_plan_tensors_with_threads(model, plan, weights, q, 1).expect("cold run"))
+        .map(|q| oracle.forward(model, q).expect("forward"))
         .collect();
     let same_bits = |got: &[f32], want: &Tensor, what: &str| {
         let same = got
@@ -326,14 +328,14 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(
             same && got.len() == want.data().len(),
-            "{name}: {what} diverges from cold"
+            "{name}: {what} diverges from forward"
         );
     };
     let single = |compiled: &mut CompiledPlanExec| {
         let (out, _) = compiled
             .run_raw_with_threads(weights, queries[N - 1].data(), 1)
             .expect("warm query");
-        same_bits(out, &cold[N - 1], "single query");
+        same_bits(out, &forward[N - 1], "single query");
     };
     let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
     let planned = planned_activation_bytes(model, plan);
@@ -359,7 +361,7 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
         let (out, _) = compiled
             .run_batch_raw_with_threads(weights, &flat, N, 1)
             .expect("warm batch");
-        for (item, want) in out.chunks_exact(out.len() / N).zip(&cold) {
+        for (item, want) in out.chunks_exact(out.len() / N).zip(&forward) {
             same_bits(item, want, "batch item");
         }
         single(compiled);
@@ -374,7 +376,7 @@ fn smoke_plan(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan,
         "{name}: the plan figure moved with the batch width"
     );
     println!(
-        "{name}: warm queries, a warm batch-{N} and the single after it: 0 allocations, cold bits"
+        "{name}: warm queries, a warm batch-{N} and the single after it: 0 allocations, forward's bits"
     );
 }
 

@@ -10,10 +10,11 @@
 //! `run_raw` is `run_batch_raw` at `n = 1`, through the same groups and
 //! buffers, which grow to the widest batch served and are never re-zeroed.
 //!
-//! Piece dispatch mirrors [`execute_plan_tensors`](crate::forkjoin): the same
-//! [`split_ranges`] cuts and a gather in exactly [`Tensor::concat`]'s memory
-//! order, so each item's output is bit-identical to the uncompiled path at
-//! any thread count and batch width (see the tests at the bottom). A group's
+//! Pieces are cut by [`split_ranges`], the geometry the planner prices, and
+//! gathered in exactly [`Tensor::concat`]'s memory order, so each item's
+//! output is bit-identical to the unpartitioned
+//! [`Executor::forward`](gillis_model::exec::Executor::forward) at any thread
+//! count and batch width (see the tests at the bottom). A group's
 //! pieces are dealt to `min(threads, pieces)` lanes, one pool task per lane;
 //! a lane is as large as the widest piece of the whole plan and is shared by
 //! every group, so the plan holds a lane per thread in flight, not an arena
@@ -28,6 +29,8 @@
 //! inception modules, under every option
 //! [`group_options`](crate::partition::group_options) offers — so a compile
 //! error means the plan, the model or the weight set is malformed.
+//! [`execute_plan_tensors`] is the one-shot form: compile, run one query,
+//! drop.
 
 use gillis_model::compiled::{Arena, ArenaPlan, CompiledPartition, PieceSpec};
 use gillis_model::weights::ModelWeights;
@@ -71,7 +74,7 @@ impl CompiledGroup {
 /// with [`CompiledPlanExec::run_batch_raw`].
 pub struct CompiledPlanExec {
     groups: Vec<CompiledGroup>,
-    in_len: usize,
+    in_shape: Shape,
     /// What one lane holds per item: every slot as long as the longest any
     /// piece of the plan puts there.
     lane_plan: ArenaPlan,
@@ -139,7 +142,7 @@ impl CompiledPlanExec {
         let max_pieces = pieces.max().unwrap_or(1);
         let mut exec = CompiledPlanExec {
             groups,
-            in_len: model.input_shape().len(),
+            in_shape: model.input_shape().clone(),
             lane_plan,
             lanes: Vec::new(),
             errs: (0..max_pieces).map(|_| None).collect(),
@@ -164,7 +167,7 @@ impl CompiledPlanExec {
 
     /// Expected input element count.
     pub fn in_len(&self) -> usize {
-        self.in_len
+        self.in_shape.len()
     }
 
     /// Shape of the model output.
@@ -291,7 +294,11 @@ impl CompiledPlanExec {
         threads: usize,
     ) -> Result<(&[f32], &Shape)> {
         assert!(n > 0, "batch must be non-empty");
-        assert_eq!(inputs.len(), n * self.in_len, "compiled plan input length");
+        assert_eq!(
+            inputs.len(),
+            n * self.in_len(),
+            "compiled plan input length"
+        );
         self.width = self.width.max(n);
         let lanes = self.open_lanes(threads);
         for i in 0..self.groups.len() {
@@ -309,16 +316,70 @@ impl CompiledPlanExec {
     }
 
     /// Runs one query and materializes the output as an owned [`Tensor`].
+    /// Uses the ambient [`gillis_pool::gillis_threads`] width.
     ///
     /// # Errors
     ///
-    /// Propagates piece-execution errors (stale weights).
+    /// Returns [`CoreError::InvalidArgument`] if `input` is not shaped like
+    /// the model input, and propagates piece-execution errors (stale
+    /// weights).
     pub fn run(&mut self, weights: &ModelWeights, input: &Tensor) -> Result<Tensor> {
-        let (data, shape) = self.run_raw(weights, input.data())?;
-        let shape = shape.clone();
-        let data = data.to_vec();
-        Ok(Tensor::from_vec(shape, data).map_err(ModelError::from)?)
+        self.run_with_threads(weights, input, gillis_pool::gillis_threads())
     }
+
+    /// [`CompiledPlanExec::run`] with an explicit thread count.
+    fn run_with_threads(
+        &mut self,
+        weights: &ModelWeights,
+        input: &Tensor,
+        threads: usize,
+    ) -> Result<Tensor> {
+        if input.shape() != &self.in_shape {
+            return Err(CoreError::InvalidArgument(format!(
+                "input shape {} does not match the model input shape {}",
+                input.shape(),
+                self.in_shape
+            )));
+        }
+        let (data, shape) = self.run_raw_with_threads(weights, input.data(), threads)?;
+        Ok(Tensor::from_vec(shape.clone(), data.to_vec()).map_err(ModelError::from)?)
+    }
+}
+
+/// Executes a plan with real tensor math, once: compiles it, runs `input`
+/// through it at the ambient [`gillis_pool::gillis_threads`] width and drops
+/// the compiled state. The result is bit-identical to the unpartitioned
+/// forward pass — Gillis's no-accuracy-loss property. A deployment keeps its
+/// [`CompiledPlanExec`] instead, and pays the compile once.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidPlan`] if the plan does not validate against
+/// the model, [`CoreError::InvalidArgument`] for a mis-shaped input, and
+/// propagates compile and piece-execution errors.
+pub fn execute_plan_tensors(
+    model: &LinearModel,
+    plan: &ExecutionPlan,
+    weights: &ModelWeights,
+    input: &Tensor,
+) -> Result<Tensor> {
+    execute_plan_tensors_with_threads(model, plan, weights, input, gillis_pool::gillis_threads())
+}
+
+/// [`execute_plan_tensors`] with an explicit thread count (`threads <= 1`
+/// runs every piece inline on the caller).
+///
+/// # Errors
+///
+/// Same conditions as [`execute_plan_tensors`].
+pub fn execute_plan_tensors_with_threads(
+    model: &LinearModel,
+    plan: &ExecutionPlan,
+    weights: &ModelWeights,
+    input: &Tensor,
+    threads: usize,
+) -> Result<Tensor> {
+    CompiledPlanExec::compile(model, plan, weights)?.run_with_threads(weights, input, threads)
 }
 
 /// Runs one compiled group's pieces over `n` item-major activations into the
@@ -363,8 +424,9 @@ fn run_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forkjoin::execute_plan_tensors_with_threads;
+    use crate::forkjoin::fixtures::forced_split_plan;
     use crate::plan::{Placement, PlannedGroup};
+    use gillis_model::exec::Executor;
     use gillis_model::weights::init_weights;
     use gillis_model::zoo;
     use proptest::prelude::*;
@@ -425,9 +487,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The ISSUE's acceptance property: compiled execution is
-        /// bit-identical to the uncompiled fork-join path for random plans
-        /// on tiny-vgg, across thread counts 1, 2, and 8.
+        /// Compiled execution is bit-identical to the unpartitioned
+        /// `Executor::forward` for random plans on tiny-vgg, across thread
+        /// counts 1, 2, and 8.
         #[test]
         fn compiled_plan_is_bit_identical_across_threads(
             plan_seed in arb_plan(&zoo::tiny_vgg()),
@@ -437,9 +499,9 @@ mod tests {
             let model = zoo::tiny_vgg();
             let weights = init_weights(model.graph(), wseed).unwrap();
             let input = query(model.input_shape(), qseed);
-            let reference =
-                execute_plan_tensors_with_threads(&model, &plan_seed, &weights, &input, 1)
-                    .unwrap();
+            let reference = Executor::new(model.graph(), &weights)
+                .forward(&model, &input)
+                .unwrap();
             let mut compiled = CompiledPlanExec::compile(&model, &plan_seed, &weights).unwrap();
             for threads in [1usize, 2, 8] {
                 let out = {
@@ -448,14 +510,89 @@ mod tests {
                         .unwrap();
                     Tensor::from_vec(shape.clone(), data.to_vec()).unwrap()
                 };
-                assert_bits_eq(&out, &reference, "compiled vs reference");
-                // The uncompiled path must itself be thread-invariant.
-                let unc =
-                    execute_plan_tensors_with_threads(&model, &plan_seed, &weights, &input, threads)
-                        .unwrap();
-                assert_bits_eq(&unc, &reference, "uncompiled thread invariance");
+                assert_bits_eq(&out, &reference, "compiled vs forward");
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The one-shot entry point gives `forward`'s bits for the DP's own
+        /// plan at any thread count.
+        #[test]
+        fn plan_execution_is_bit_identical_across_thread_counts(
+            (weight_seed, input_scale) in (0u64..1000, 1usize..5),
+        ) {
+            let tiny = zoo::tiny_vgg();
+            let weights = init_weights(tiny.graph(), weight_seed).unwrap();
+            let input = Tensor::from_fn(tiny.input_shape().clone(), |i| {
+                ((i % (7 * input_scale)) as f32 - 3.0) / (4.0 * input_scale as f32)
+            });
+            let plan = dp_plan(&tiny);
+            let full = Executor::new(tiny.graph(), &weights)
+                .forward(&tiny, &input)
+                .unwrap();
+            for threads in [1usize, 2, 8] {
+                let out =
+                    execute_plan_tensors_with_threads(&tiny, &plan, &weights, &input, threads)
+                        .unwrap();
+                assert_bits_eq(&out, &full, &format!("{threads} threads"));
+            }
+        }
+    }
+
+    /// The DP's latency-optimal plan for `model` on Lambda at degrees 2 and 4.
+    fn dp_plan(model: &LinearModel) -> ExecutionPlan {
+        use crate::dp::{DpPartitioner, PartitionerConfig};
+        let perf = gillis_perf::PerfModel::analytic(&gillis_faas::PlatformProfile::aws_lambda());
+        let config = PartitionerConfig {
+            degrees: vec![2, 4],
+            ..PartitionerConfig::default()
+        };
+        DpPartitioner::new(config).partition(model, &perf).unwrap()
+    }
+
+    #[test]
+    fn plan_execution_preserves_semantics() {
+        // The headline property: a partitioned plan computes exactly the
+        // same logits as the unpartitioned model.
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 77).unwrap();
+        let input = Tensor::from_fn(tiny.input_shape().clone(), |i| {
+            ((i % 17) as f32 - 8.0) / 8.0
+        });
+        let full = Executor::new(tiny.graph(), &weights)
+            .forward(&tiny, &input)
+            .unwrap();
+        let out = execute_plan_tensors(&tiny, &dp_plan(&tiny), &weights, &input).unwrap();
+        assert_bits_eq(&out, &full, "DP plan");
+    }
+
+    #[test]
+    fn forced_parallel_plan_execution_preserves_semantics() {
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 78).unwrap();
+        let input = Tensor::from_fn(tiny.input_shape().clone(), |i| (i as f32 * 0.37).sin());
+        let full = Executor::new(tiny.graph(), &weights)
+            .forward(&tiny, &input)
+            .unwrap();
+        let plan = forced_split_plan(&tiny);
+        let out = execute_plan_tensors(&tiny, &plan, &weights, &input).unwrap();
+        assert_bits_eq(&out, &full, "forced split plan");
+    }
+
+    #[test]
+    fn a_mis_shaped_input_is_an_error_naming_both_shapes() {
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 79).unwrap();
+        let plan = forced_split_plan(&tiny);
+        let wrong = Tensor::zeros(Shape::new(vec![tiny.input_shape().len()]));
+        let err = execute_plan_tensors(&tiny, &plan, &weights, &wrong).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidArgument(_)), "{err}");
+        let (got, want) = (wrong.shape().to_string(), tiny.input_shape().to_string());
+        assert!(err.to_string().contains(&got), "{err}");
+        assert!(err.to_string().contains(&want), "{err}");
     }
 
     #[test]
@@ -487,8 +624,9 @@ mod tests {
             },
         ]);
         plan.validate(&model, u64::MAX).unwrap();
-        let reference =
-            execute_plan_tensors_with_threads(&model, &plan, &weights, &input, 1).unwrap();
+        let reference = Executor::new(model.graph(), &weights)
+            .forward(&model, &input)
+            .unwrap();
         let mut compiled = CompiledPlanExec::compile(&model, &plan, &weights).unwrap();
         for threads in [1usize, 2, 8] {
             let (data, shape) = compiled
@@ -681,7 +819,7 @@ mod tests {
             let queries: Vec<Tensor> = (0..8).map(|i| query(model.input_shape(), 90 + i)).collect();
             let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
             let in_len = model.input_shape().len();
-            let forward = gillis_model::exec::Executor::new(model.graph(), &weights);
+            let forward = Executor::new(model.graph(), &weights);
             for (plan_name, plan) in join_plans(&model) {
                 let want = fresh_singles(&model, &plan, &weights, &queries);
                 for (q, w) in queries.iter().zip(&want) {
@@ -848,7 +986,7 @@ mod tests {
                 false => (&[1], &[2]),
             };
             let weights = init_weights(model.graph(), wseed).unwrap();
-            let forward = gillis_model::exec::Executor::new(model.graph(), &weights);
+            let forward = Executor::new(model.graph(), &weights);
             let queries: Vec<Tensor> = (0..3).map(|i| query(model.input_shape(), 50 + i)).collect();
             let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
             let want: Vec<Tensor> = queries

@@ -36,16 +36,6 @@ pub enum CoreError {
         /// What the last failure looked like.
         reason: String,
     },
-    /// A worker panicked and the panic payload was not an injected fault —
-    /// a genuine executor bug surfaced at the join.
-    WorkerPanic {
-        /// Plan group index.
-        group: usize,
-        /// Partition index within the group.
-        part: usize,
-        /// The panic message, if it was a string.
-        message: String,
-    },
     /// Error from the model layer.
     Model(ModelError),
     /// Error from the platform simulator.
@@ -72,14 +62,6 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "worker for group {group} part {part} failed after {attempts} attempts: {reason}"
-            ),
-            CoreError::WorkerPanic {
-                group,
-                part,
-                message,
-            } => write!(
-                f,
-                "worker for group {group} part {part} panicked: {message}"
             ),
             CoreError::Model(e) => write!(f, "model error: {e}"),
             CoreError::Faas(e) => write!(f, "platform error: {e}"),
@@ -146,11 +128,5 @@ mod tests {
             reason: "injected crash".into(),
         };
         assert!(e.to_string().contains("failed after 4 attempts"));
-        let e = CoreError::WorkerPanic {
-            group: 0,
-            part: 3,
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("panicked: boom"));
     }
 }

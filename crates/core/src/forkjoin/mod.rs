@@ -28,8 +28,9 @@
 //! - `simulate` — fleet-free Monte-Carlo: [`ForkJoinRuntime::simulate_query`]
 //!   and [`ForkJoinRuntime::simulate_many`], the "actual" latency of the
 //!   Fig 9–12 reproductions.
-//! - `tensors` — [`execute_plan_tensors`] and its variants: the plan run
-//!   with *real tensor math*, proving it semantics-preserving.
+//!
+//! The plan run with *real tensor math* is not here: it is
+//! [`crate::compiled_exec`].
 //!
 //! # Failure model
 //!
@@ -70,13 +71,9 @@ mod pipelined;
 mod report;
 mod session;
 mod simulate;
-mod tensors;
 
 pub use batch::{plan_batch_schedule, BatchSchedule, ClassSchedule};
 pub use report::{QueryOutcome, ServingReport, SimulationReport};
-pub use tensors::{
-    execute_plan_tensors, execute_plan_tensors_resilient, execute_plan_tensors_with_threads,
-};
 
 /// Seed of the injector derived from the legacy
 /// `PlatformProfile::invocation_failure_rate` knob, so profiles that only
@@ -556,7 +553,7 @@ pub fn replication_seed(seed: u64, index: u64) -> u64 {
 
 /// Fixtures shared by the tests of more than one module.
 #[cfg(test)]
-mod fixtures {
+pub(crate) mod fixtures {
     use gillis_faas::chaos::ChaosConfig;
     use gillis_faas::PlatformProfile;
     use gillis_model::{zoo, LinearModel};

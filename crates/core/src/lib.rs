@@ -9,8 +9,9 @@
 //! - [`dp`] — the latency-optimal dynamic-programming partitioner (§IV-B,
 //!   Algorithm 1).
 //! - [`forkjoin`] — the fork-join serving runtime over the platform
-//!   simulator (§III-B), including semantics-preserving tensor execution and
-//!   closed-loop workload serving.
+//!   simulator (§III-B) and closed-loop workload serving.
+//! - [`compiled_exec`] — a plan run with real tensor math, bit-identical to
+//!   the unpartitioned forward pass.
 //! - [`baselines`] — Default (single function) and Pipeline (S3-staged)
 //!   baselines (§V-B).
 //!
@@ -49,11 +50,12 @@ pub mod predict;
 pub mod tail;
 
 pub use cache::{CacheStats, EvalCache};
-pub use compiled_exec::CompiledPlanExec;
+pub use compiled_exec::{
+    execute_plan_tensors, execute_plan_tensors_with_threads, CompiledPlanExec,
+};
 pub use dp::{DpPartitioner, GroupEval, PartitionerConfig, PlanObjective};
 pub use error::CoreError;
 pub use forkjoin::{
-    execute_plan_tensors, execute_plan_tensors_resilient, execute_plan_tensors_with_threads,
     plan_batch_schedule, replication_seed, BatchSchedule, ClassSchedule, ForkJoinRuntime,
     QueryOutcome, ServingReport, SimulationReport,
 };
@@ -63,8 +65,8 @@ pub use gillis_faas::brownout::{
 };
 pub use gillis_faas::budget::{RetryBudget, RetryBudgetPolicy};
 pub use gillis_faas::chaos::{
-    wire_checksum, ChaosConfig, Fault, FaultDomain, FaultInjector, FaultSite, OutageConfig,
-    OutageModel, QueryStatus, ResilienceCounters, ResiliencePolicy,
+    ChaosConfig, Fault, FaultDomain, FaultInjector, FaultSite, OutageConfig, OutageModel,
+    QueryStatus, ResilienceCounters, ResiliencePolicy,
 };
 pub use gillis_faas::knobs::PolicyStack;
 pub use gillis_faas::metrics::StatusLatency;

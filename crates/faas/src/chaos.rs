@@ -350,32 +350,6 @@ impl FaultInjector {
     }
 }
 
-/// The process-wide environment-driven injector (see
-/// [`ChaosConfig::from_env`]), built once. `None` when the environment sets
-/// no chaos, or sets an invalid config.
-pub fn env_injector() -> Option<&'static FaultInjector> {
-    use std::sync::OnceLock;
-    static INJECTOR: OnceLock<Option<FaultInjector>> = OnceLock::new();
-    INJECTOR
-        .get_or_init(|| ChaosConfig::from_env().and_then(|cfg| cfg.build().ok()))
-        .as_ref()
-}
-
-/// splitmix64-folded checksum over a wire payload's f32 bit patterns.
-///
-/// Fork-join joins verify it so transfer corruption is *detected* at the
-/// master rather than assumed: a mismatch fails the attempt (triggering the
-/// normal retry path) and counts in
-/// [`ResilienceCounters::corruptions_detected`].
-#[must_use]
-pub fn wire_checksum(data: &[f32]) -> u64 {
-    let mut h = 0xC0FF_EE00_D5A1_7E5E_u64 ^ data.len() as u64;
-    for x in data {
-        h = splitmix64(h ^ u64::from(x.to_bits()));
-    }
-    h
-}
-
 /// One correlated-failure blast radius. Outage episodes are sampled per
 /// domain, so one episode elevates fault rates across every execution the
 /// domain covers *simultaneously* — the correlated shape that i.i.d.
@@ -1283,19 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_checksum_detects_any_single_bit_flip() {
-        let data: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 7.0).collect();
-        let sum = wire_checksum(&data);
-        assert_eq!(sum, wire_checksum(&data), "checksum is deterministic");
-        for i in [0usize, 31, 63] {
-            let mut corrupted = data.clone();
-            corrupted[i] = f32::from_bits(corrupted[i].to_bits() ^ 0x8000_0000);
-            assert_ne!(sum, wire_checksum(&corrupted), "flip at {i} undetected");
-        }
-        assert_ne!(wire_checksum(&data[..63]), sum, "length is covered");
-    }
-
-    #[test]
     fn orchestrator_crashes_are_pure_rate_respecting_and_capped() {
         let inj = ChaosConfig {
             seed: 41,
@@ -1433,7 +1394,8 @@ mod tests {
     #[test]
     fn garbled_chaos_rate_is_rejected_with_a_warning() {
         // Driven through a closure, never the process environment (whose
-        // `GILLIS_CHAOS_RATE` feeds `env_injector` and CI's chaos job).
+        // `GILLIS_CHAOS_RATE` feeds `PolicyStack::from_env` and CI's chaos
+        // job).
         let garbled = |name: &str| (name == "GILLIS_CHAOS_RATE").then(|| "banana".to_string());
         let err = ChaosConfig::from_lookup(&garbled).unwrap_err().to_string();
         assert!(err.contains("GILLIS_CHAOS_RATE"), "{err}");

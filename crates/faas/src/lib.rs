@@ -52,8 +52,8 @@ pub use brownout::{
 };
 pub use budget::{RetryBudget, RetryBudgetPolicy};
 pub use chaos::{
-    env_injector, wire_checksum, ChaosConfig, Fault, FaultDomain, FaultInjector, FaultSite,
-    OutageConfig, OutageModel, QueryStatus, ResilienceCounters, ResiliencePolicy,
+    ChaosConfig, Fault, FaultDomain, FaultInjector, FaultSite, OutageConfig, OutageModel,
+    QueryStatus, ResilienceCounters, ResiliencePolicy,
 };
 pub use error::FaasError;
 pub use exgauss::ExGaussian;

@@ -1,12 +1,13 @@
 //! Deployment-time compiled execution: resolved geometry, folded batch
 //! norms, and one planned activation arena.
 //!
-//! The reference [`Executor`](crate::exec::Executor) re-derives everything on
-//! every query: it slices weight subsets for channel partitions, recomputes
-//! halo spans for spatial partitions, and allocates a fresh tensor per layer.
-//! None of that work depends on the query — only on the `(plan, model)` pair,
-//! which is fixed at deployment time. This module hoists all of it into a
-//! one-time compile step:
+//! A partitioned piece needs weight row ranges for a channel split, halo
+//! spans for a spatial one, and a buffer per value. None of that depends on
+//! the query — only on the `(plan, model)` pair, which is fixed at deployment
+//! time. This module resolves all of it in a one-time compile step, and is
+//! the only executor of partitioned pieces; the reference
+//! [`Executor`](crate::exec::Executor) runs the unpartitioned model, as the
+//! oracle every piece is held to:
 //!
 //! - [`CompiledSegment`] — one fork-join piece of one layer group, lowered to
 //!   a flat list of steps with precomputed shapes, asymmetric paddings,
@@ -35,7 +36,7 @@
 //! A group compiles when every node reads the group's input or an earlier
 //! node of the group: chains, residual blocks (`Add`) and inception modules
 //! (`Concat`) alike, whole or as a row or column piece; channel pieces stay
-//! chains, as in the reference executor.
+//! chains.
 //!
 //! Every compiled fast path is bit-identical to the reference executor: conv
 //! steps call the interpreter's own GEMM driver on the same weight rows, an
@@ -65,11 +66,9 @@ use crate::span::{span_padding, SpanPlan};
 use crate::weights::{ModelWeights, NodeWeights};
 use crate::Result;
 
-/// What slice of a layer group's output one compiled piece computes.
-///
-/// Mirrors the reference executor's entry points: `Full` ↔ `run_segment`,
-/// `Rows` ↔ `run_segment_rows`, `Cols` ↔ `run_segment_cols`, `Channels` ↔
-/// `run_segment_channels`.
+/// What slice of a layer group's output one compiled piece computes: the
+/// whole of [`Executor::run_segment`](crate::exec::Executor::run_segment)'s
+/// output, or its slice along one dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PieceSpec {
     /// The whole group output (an unpartitioned group).
@@ -554,9 +553,9 @@ impl CompiledSegment {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Unsupported`] for specs the reference executor
-    /// itself rejects (e.g. `Rows` of a dense or LSTM layer, `Channels` of a
-    /// branching group) or empty pieces, and [`ModelError::BadWiring`] if a
+    /// Returns [`ModelError::Unsupported`] for specs a group has no piece
+    /// for (e.g. `Rows` of a dense or LSTM layer, `Channels` of a branching
+    /// group) or empty pieces, and [`ModelError::BadWiring`] if a
     /// node reads a value produced outside the group other than its input.
     pub fn compile(
         graph: &Graph,
@@ -794,8 +793,8 @@ impl Value {
 
 /// Compile-time state shared by the per-spec builders: the steps so far and
 /// the slot assignment, a linear scan over last uses done as the steps are
-/// emitted — the interpreter's liveness rule (`Executor::run_nodes`) with
-/// slots for tensors.
+/// emitted — the interpreter's liveness rule (`Executor::run_segment`)
+/// with slots for tensors.
 struct Builder<'a> {
     graph: &'a Graph,
     weights: &'a ModelWeights,
@@ -1248,8 +1247,7 @@ impl Builder<'_> {
     }
 
     /// Spatial-span compilation along `dim` (1 = rows, 2 = cols): the
-    /// [`SpanPlan`] (the geometry `Executor::run_segment_rows` evaluates)
-    /// gives the seed span, each node's halo and, per input, the sub-span it
+    /// [`SpanPlan`] gives the seed span, each node's halo and, per input, the sub-span it
     /// reads of the hull that input was evaluated over. The seed span is
     /// sliced first; every node is then lowered once with the resulting
     /// paddings, a read narrower than its operand going through a slice step.
@@ -1287,8 +1285,7 @@ impl Builder<'_> {
         Ok(())
     }
 
-    /// Channel-range compilation: mirrors `Executor::chs_of`. The chain is
-    /// scanned from the output down; the first weight-split layer (conv or
+    /// Channel-range compilation. The chain is scanned from the output down; the first weight-split layer (conv or
     /// dense) becomes the head, consumes the full group input, and slices
     /// its filter rows. Everything above it must be channel-local;
     /// everything below it must be `Flatten`. Without a head the group is
@@ -1667,6 +1664,23 @@ mod tests {
         }
     }
 
+    /// The slice of `run_segment`'s output that the piece `spec` of `group`
+    /// owns: what the piece must reproduce bit for bit.
+    fn owned_slice(
+        exec: &Executor<'_>,
+        group: &[MergedLayer],
+        x: &Tensor,
+        spec: &PieceSpec,
+    ) -> Tensor {
+        let full = exec.run_segment(group, x).unwrap();
+        match spec {
+            PieceSpec::Full => full,
+            PieceSpec::Channels(r) => full.slice(0, r.clone()).unwrap(),
+            PieceSpec::Rows(r) => full.slice(1, r.clone()).unwrap(),
+            PieceSpec::Cols(r) => full.slice(2, r.clone()).unwrap(),
+        }
+    }
+
     #[test]
     fn full_compiled_forward_is_bit_identical() {
         let model = zoo::tiny_vgg();
@@ -1711,15 +1725,13 @@ mod tests {
             for p in 0..3usize {
                 let lo = p * total / 3;
                 let hi = (p + 1) * total / 3;
-                let reference = match dim {
-                    1 => exec.run_segment_rows(seg_layers, &input, lo..hi).unwrap(),
-                    _ => exec.run_segment_cols(seg_layers, &input, lo..hi).unwrap(),
-                };
+                let spec = make(lo..hi);
+                let reference = owned_slice(&exec, seg_layers, &input, &spec);
                 let mut seg = CompiledSegment::compile(
                     model.graph(),
                     &weights,
                     seg_layers,
-                    &make(lo..hi),
+                    &spec,
                     &mut cache,
                 )
                 .unwrap();
@@ -1741,18 +1753,11 @@ mod tests {
         let seg_layers = &model.layers()[..1];
         let out_c = seg_layers[0].out_shape.dims()[0];
         for p in 0..2usize {
-            let r = p * out_c / 2..(p + 1) * out_c / 2;
-            let reference = exec
-                .run_segment_channels(seg_layers, &input, r.clone())
-                .unwrap();
-            let mut seg = CompiledSegment::compile(
-                model.graph(),
-                &weights,
-                seg_layers,
-                &PieceSpec::Channels(r),
-                &mut cache,
-            )
-            .unwrap();
+            let spec = PieceSpec::Channels(p * out_c / 2..(p + 1) * out_c / 2);
+            let reference = owned_slice(&exec, seg_layers, &input, &spec);
+            let mut seg =
+                CompiledSegment::compile(model.graph(), &weights, seg_layers, &spec, &mut cache)
+                    .unwrap();
             assert_eq!(seg.out_shape(), reference.shape());
             let out = seg.run(&weights, input.data()).unwrap();
             assert_bits_eq(out, reference.data(), "channel piece");
@@ -1765,18 +1770,11 @@ mod tests {
         let seg_input = exec.run_segment(&layers[..dense_idx], &input).unwrap();
         let out_n = seg_layers[0].out_shape.dims()[0];
         for p in 0..2usize {
-            let r = p * out_n / 2..(p + 1) * out_n / 2;
-            let reference = exec
-                .run_segment_channels(seg_layers, &seg_input, r.clone())
-                .unwrap();
-            let mut seg = CompiledSegment::compile(
-                model.graph(),
-                &weights,
-                seg_layers,
-                &PieceSpec::Channels(r),
-                &mut cache,
-            )
-            .unwrap();
+            let spec = PieceSpec::Channels(p * out_n / 2..(p + 1) * out_n / 2);
+            let reference = owned_slice(&exec, seg_layers, &seg_input, &spec);
+            let mut seg =
+                CompiledSegment::compile(model.graph(), &weights, seg_layers, &spec, &mut cache)
+                    .unwrap();
             let out = seg.run(&weights, seg_input.data()).unwrap();
             assert_bits_eq(out, reference.data(), "dense channel piece");
         }
@@ -1801,15 +1799,7 @@ mod tests {
             .collect();
         let mut part =
             CompiledPartition::compile(model.graph(), &weights, seg_layers, &specs, 1).unwrap();
-        let reference = {
-            let parts: Vec<Tensor> = (0..4)
-                .map(|p| {
-                    exec.run_segment_rows(seg_layers, &input, p * out_h / 4..(p + 1) * out_h / 4)
-                        .unwrap()
-                })
-                .collect();
-            Tensor::concat(&parts, 1).unwrap()
-        };
+        let reference = exec.run_segment(seg_layers, &input).unwrap();
         let mut out = vec![0.0f32; part.out_shape().len()];
         part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
             .unwrap();
@@ -1827,15 +1817,7 @@ mod tests {
         let mut part =
             CompiledPartition::compile(model.graph(), &weights, head, &specs, 0).unwrap();
         assert!(part.joins_directly(1));
-        let reference = {
-            let parts: Vec<Tensor> = (0..2)
-                .map(|p| {
-                    exec.run_segment_channels(head, &input, p * out_c / 2..(p + 1) * out_c / 2)
-                        .unwrap()
-                })
-                .collect();
-            Tensor::concat(&parts, 0).unwrap()
-        };
+        let reference = exec.run_segment(head, &input).unwrap();
         let mut out = vec![0.0f32; part.out_shape().len()];
         part.run_into(&mut Arena::default(), &weights, input.data(), 1, &mut out)
             .unwrap();
@@ -2058,16 +2040,8 @@ mod tests {
                     }
                     let refs: Vec<Tensor> = inputs
                         .iter()
-                        .map(|x| match &spec {
-                            PieceSpec::Full => exec.run_segment(group, x),
-                            PieceSpec::Rows(r) => exec.run_segment_rows(group, x, r.clone()),
-                            PieceSpec::Cols(r) => exec.run_segment_cols(group, x, r.clone()),
-                            PieceSpec::Channels(r) => {
-                                exec.run_segment_channels(group, x, r.clone())
-                            }
-                        })
-                        .collect::<Result<_>>()
-                        .unwrap();
+                        .map(|x| owned_slice(&exec, group, x, &spec))
+                        .collect();
                     let out_len = refs[0].shape().len();
                     assert_eq!(seg.out_shape(), refs[0].shape(), "{what}");
 
@@ -2330,7 +2304,7 @@ mod tests {
     fn branching_groups_compile_to_the_executors_bits() {
         // `Add` (tiny-resnet: identity and projection shortcuts) and `Concat`
         // (tiny-inception) groups, whole and as row and column pieces; a
-        // branching layer has no channel piece, here or in the interpreter.
+        // branching layer has no channel piece.
         assert_eq!(check_every_group(&zoo::tiny_resnet(), 13), [36, 21, 21, 5]);
         assert_eq!(
             check_every_group(&zoo::tiny_inception(), 15),
@@ -2382,7 +2356,7 @@ mod tests {
             let reference = exec.forward(&model, &input).unwrap();
             let out = full.run(&weights, input.data()).unwrap();
             assert_bits_eq(out, reference.data(), "residual chain");
-            let reference = exec.run_segment_rows(model.layers(), &input, 4..8).unwrap();
+            let reference = owned_slice(&exec, model.layers(), &input, &PieceSpec::Rows(4..8));
             let out = rows.run(&weights, input.data()).unwrap();
             assert_bits_eq(out, reference.data(), "residual chain rows");
 
@@ -2470,13 +2444,9 @@ mod tests {
                 seg.steps[conv0 + 1].sweeps[..],
                 [Sweep::Bn { relu: true, .. }]
             ));
-            let reference = match &spec {
-                PieceSpec::Rows(r) => exec.run_segment_rows(model.layers(), &x, r.clone()),
-                PieceSpec::Cols(r) => exec.run_segment_cols(model.layers(), &x, r.clone()),
-                _ => exec.forward(&model, &x),
-            };
+            let reference = owned_slice(&exec, model.layers(), &x, &spec);
             let out = seg.run(&weights, x.data()).unwrap();
-            assert_bits_eq(out, reference.unwrap().data(), &format!("{spec:?}"));
+            assert_bits_eq(out, reference.data(), &format!("{spec:?}"));
         }
     }
 

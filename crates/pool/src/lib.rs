@@ -272,70 +272,6 @@ impl Pool {
         }
     }
 
-    /// Like [`Pool::join_all`], but converts each task's panic into an `Err`
-    /// carrying the panic payload instead of re-raising it: slot `i` of the
-    /// returned vector reports how task `i` ended. No payload ever reaches
-    /// the pool's panic slot, so a panicking task cannot poison the pool (or
-    /// the batch) for anyone else — the resilience layer relies on this to
-    /// turn a crashed worker into an error at the join, not an abort.
-    pub fn try_join_all<'env>(
-        &self,
-        tasks: Vec<Task<'env>>,
-    ) -> Vec<Result<(), Box<dyn std::any::Any + Send>>> {
-        let n = tasks.len();
-        let mut outcomes: Vec<Option<Result<(), Box<dyn std::any::Any + Send>>>> =
-            (0..n).map(|_| None).collect();
-        {
-            let wrapped: Vec<Task> = tasks
-                .into_iter()
-                .zip(outcomes.iter_mut())
-                .map(|(task, slot)| -> Task {
-                    Box::new(move || *slot = Some(catch_unwind(AssertUnwindSafe(task))))
-                })
-                .collect();
-            self.join_all(wrapped);
-        }
-        outcomes
-            .into_iter()
-            .map(|s| s.expect("every wrapped pool task records its outcome"))
-            .collect()
-    }
-
-    /// Indexed parallel map capturing per-task panics: evaluates
-    /// `f(0), …, f(n - 1)` across the pool and returns, in index order,
-    /// `Ok(result)` or `Err(panic payload)` for each task. Like
-    /// [`Pool::try_join_all`], a panicking task never poisons the pool, and
-    /// the inline (width-1 / tiny-batch) path catches panics identically so
-    /// behaviour does not depend on the thread count.
-    pub fn try_run<T, F>(&self, n: usize, f: F) -> Vec<Result<T, Box<dyn std::any::Any + Send>>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n <= 1 || self.workers.is_empty() {
-            return (0..n)
-                .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
-                .collect();
-        }
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let outcomes = {
-            let f = &f;
-            let tasks: Vec<Task> = slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| -> Task { Box::new(move || *slot = Some(f(i))) })
-                .collect();
-            self.try_join_all(tasks)
-        };
-        outcomes
-            .into_iter()
-            .zip(slots)
-            .map(|(outcome, slot)| {
-                outcome.map(|()| slot.expect("successful pool task fills its slot"))
-            })
-            .collect()
-    }
-
     /// Indexed parallel map with deterministic, in-order results: evaluates
     /// `f(0), …, f(n - 1)` across the pool and returns the results in index
     /// order, exactly as a sequential `(0..n).map(f).collect()` would. Slot
@@ -481,77 +417,6 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 7);
         // The pool survives and remains usable.
         assert_eq!(pool.run(3, |i| i + 1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn try_join_all_reports_per_task_outcomes() {
-        let pool = Pool::new(4);
-        let ran = AtomicU64::new(0);
-        let tasks: Vec<Task> = (0..8)
-            .map(|i| -> Task {
-                let ran = &ran;
-                Box::new(move || {
-                    if i % 3 == 0 {
-                        panic!("task {i} exploded");
-                    }
-                    ran.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        let outcomes = pool.try_join_all(tasks);
-        assert_eq!(outcomes.len(), 8);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(outcome.is_err(), i % 3 == 0, "task {i}");
-        }
-        // The panic payload survives the trip across threads.
-        let payload = outcomes.into_iter().next().unwrap().unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(msg, "task 0 exploded");
-        assert_eq!(ran.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn try_run_panic_does_not_poison_the_pool() {
-        let pool = Pool::new(4);
-        let out = pool.try_run(8, |i| {
-            if i == 5 {
-                panic!("worker 5 crashed");
-            }
-            i * 2
-        });
-        for (i, r) in out.iter().enumerate() {
-            match r {
-                Ok(v) if i != 5 => assert_eq!(*v, i * 2),
-                Err(_) if i == 5 => {}
-                other => panic!("task {i}: unexpected {other:?}"),
-            }
-        }
-        // Subsequent batches — both panic-capturing and plain — still work.
-        assert_eq!(
-            pool.try_run(3, |i| i)
-                .into_iter()
-                .map(Result::unwrap)
-                .collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(pool.run(3, |i| i + 1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn try_run_catches_panics_inline_on_width_one() {
-        let pool = Pool::new(1);
-        let out = pool.try_run(4, |i| {
-            if i == 2 {
-                panic!("inline crash");
-            }
-            i
-        });
-        assert!(out[2].is_err());
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 3);
-        assert_eq!(pool.run(2, |i| i), vec![0, 1]);
     }
 
     #[test]

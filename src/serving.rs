@@ -26,11 +26,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use gillis_core::{
-    execute_plan_tensors_resilient, plan_batch_schedule, predict_plan, BatchPolicy, BatchSchedule,
-    BrownoutPolicy, ChaosConfig, CompiledPlanExec, CoreError, DpPartitioner, ExecutionPlan,
-    ForkJoinRuntime, OutageConfig, OverloadPolicy, PartitionerConfig, PipelinePolicy,
-    PlanObjective, PlanPrediction, PolicyStack, QueryStatus, RecoveryPolicy, ResilienceCounters,
-    ResiliencePolicy, RetryBudgetPolicy, ServingReport,
+    plan_batch_schedule, predict_plan, BatchPolicy, BatchSchedule, BrownoutPolicy, ChaosConfig,
+    CompiledPlanExec, CoreError, DpPartitioner, ExecutionPlan, Fault, FaultInjector, FaultSite,
+    ForkJoinRuntime, OutageConfig, OverloadPolicy, PartitionOption, PartitionerConfig,
+    PipelinePolicy, PlanObjective, PlanPrediction, PolicyStack, QueryStatus, RecoveryPolicy,
+    ResilienceCounters, ResiliencePolicy, RetryBudgetPolicy, ServingReport,
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::PlatformProfile;
@@ -449,69 +449,55 @@ impl Deployment {
     /// wherever the set lives) reuse that state — the steady-state warm path
     /// runs without heap allocation at pool width 1 — and a changed set
     /// replaces it, one plan resident at a time. Every model the planner
-    /// handles compiles, branching ones included. Chaos-enabled deployments
-    /// and mis-shaped inputs take the uncompiled resilient path
-    /// ([`gillis_core::execute_plan_tensors`]); outputs are bit-identical
-    /// either way.
+    /// handles compiles, branching ones included, and every query runs on
+    /// the compiled plan, chaos-enabled deployments' too.
     ///
     /// # Errors
     ///
     /// Propagates compile, executor and plan-validation errors (e.g. a
-    /// weight set that does not fit the model, or an input whose shape does
-    /// not match it).
+    /// weight set that does not fit the model), and returns
+    /// [`CoreError::InvalidArgument`] for an input whose shape does not match
+    /// the model's.
     pub fn infer(&self, weights: &ModelWeights, input: &Tensor) -> Result<Tensor, CoreError> {
         self.infer_with_report(weights, input).map(|(out, _)| out)
     }
 
     /// [`Deployment::infer`] plus the resilience accounting of the query:
-    /// how many worker executions were retried, and how many shards the
-    /// master recomputed locally after exhausting their retry budget. The
-    /// tensor is bit-identical to the fault-free result either way.
+    /// how many worker executions were retried, how many corrupted responses
+    /// were caught, and how many shards the master recomputed locally after
+    /// exhausting their retry budget. Under [`Gillis::chaos`] the accounting
+    /// walks the fault sites of the query's fork-join with the deployment's
+    /// [`ResiliencePolicy`], attempt by attempt, as the simulator does. The
+    /// tensor is computed once, on the warm plan: a retried or recomputed
+    /// shard is the same deterministic function of the same input and
+    /// carries the same bits.
     ///
     /// # Errors
     ///
-    /// Propagates executor and plan-validation errors.
+    /// Propagates the errors of [`Deployment::infer`], and returns
+    /// [`CoreError::WorkerFailed`] when a shard exhausts its retry budget
+    /// with local fallback disabled.
     pub fn infer_with_report(
         &self,
         weights: &ModelWeights,
         input: &Tensor,
     ) -> Result<(Tensor, ResilienceCounters), CoreError> {
-        if self.policies.chaos.is_none() {
-            if let Some(out) = self.warm_infer(weights, input)? {
-                let mut counters = ResilienceCounters::default();
-                counters.record_status(QueryStatus::Ok);
-                return Ok((out, counters));
-            }
-        }
-        let injector = match &self.policies.chaos {
-            Some(cfg) => Some(cfg.build()?),
-            None => None,
+        let out = self.warm_infer(weights, input)?;
+        let counters = match self.policies.chaos {
+            Some(config) => tally_faults(&self.plan, &config.build()?, &self.policies.resilience)?,
+            None => ResilienceCounters {
+                ok_queries: 1,
+                ..ResilienceCounters::default()
+            },
         };
-        execute_plan_tensors_resilient(
-            &self.model,
-            &self.plan,
-            weights,
-            input,
-            injector.as_ref(),
-            &self.policies.resilience,
-            gillis_pool::gillis_threads(),
-        )
+        Ok((out, counters))
     }
 
     /// The steady-state warm path: compiles the plan on first use (or when
     /// `weights` carries a new stamp), then serves the query from preallocated
-    /// state. Returns `Ok(None)` when the input shape is wrong, so that the
-    /// uncompiled path reports the proper error. A compile error (say, an
-    /// incomplete weight set) is this call's: the slot stays empty and the
-    /// next call compiles afresh.
-    fn warm_infer(
-        &self,
-        weights: &ModelWeights,
-        input: &Tensor,
-    ) -> Result<Option<Tensor>, CoreError> {
-        if input.shape() != self.model.input_shape() {
-            return Ok(None);
-        }
+    /// state. A compile error (say, an incomplete weight set) is this call's:
+    /// the slot stays empty and the next call compiles afresh.
+    fn warm_infer(&self, weights: &ModelWeights, input: &Tensor) -> Result<Tensor, CoreError> {
         let mut warm = self.warm.lock();
         let stamp = weights.stamp();
         if !matches!(warm.slot, WarmSlot::Ready { stamp: s, .. } if s == stamp) {
@@ -526,7 +512,7 @@ impl Deployment {
             };
         }
         match &mut warm.slot {
-            WarmSlot::Ready { exec, .. } => exec.run(weights, input).map(Some),
+            WarmSlot::Ready { exec, .. } => exec.run(weights, input),
             WarmSlot::Empty => unreachable!("slot was just compiled"),
         }
     }
@@ -681,9 +667,85 @@ impl Deployment {
     }
 }
 
+/// The resilience accounting of one query under `injector` and `policy`:
+/// the fault model the simulator applies, walked site by site without a
+/// clock. Each worker piece of a split group — the last
+/// [`PlannedGroup::worker_count`](gillis_core::PlannedGroup::worker_count)
+/// of its pieces, numbered as the simulator numbers them; a master's own
+/// piece and an unsplit group are never fault sites — draws
+/// [`FaultInjector::fault`] at query 0, attempt after attempt. An invocation
+/// failure, a crash or a corrupted response (caught at the join, and
+/// counted) fails the attempt; a straggler only costs time. A piece still
+/// failing after `policy.max_attempts` is recomputed by the master
+/// (a degraded shard) or, without `local_fallback`, fails the query.
+///
+/// # Errors
+///
+/// Returns [`CoreError::WorkerFailed`] for the first piece, in plan order,
+/// that exhausts its budget with local fallback disabled.
+fn tally_faults(
+    plan: &ExecutionPlan,
+    injector: &FaultInjector,
+    policy: &ResiliencePolicy,
+) -> Result<ResilienceCounters, CoreError> {
+    let mut counters = ResilienceCounters::default();
+    let max_attempts = policy.max_attempts.max(1);
+    for (gi, g) in plan.groups().iter().enumerate() {
+        let PartitionOption::Split { parts, .. } = g.option else {
+            continue;
+        };
+        // Each worker piece still failing, with what its last attempt met.
+        let workers = parts - g.worker_count()..parts;
+        let mut failing: Vec<(usize, &str)> = workers.map(|j| (j, "")).collect();
+        let mut attempt = 0;
+        while !failing.is_empty() && attempt < max_attempts {
+            failing.retain_mut(|(j, last)| {
+                let site = FaultSite {
+                    query: 0,
+                    group: gi as u32,
+                    part: *j as u32,
+                    attempt,
+                    lane: 0,
+                };
+                *last = match injector.fault(site) {
+                    Some(Fault::InvokeFailure) => "invocation failure",
+                    Some(Fault::Crash { .. }) => "worker crash",
+                    Some(Fault::Corrupt) => {
+                        counters.corruptions_detected += 1;
+                        "corrupted response (checksum mismatch)"
+                    }
+                    Some(Fault::Straggler { .. }) | None => return false,
+                };
+                true
+            });
+            attempt += 1;
+            if !failing.is_empty() && attempt < max_attempts {
+                counters.retries += failing.len() as u64;
+            }
+        }
+        if let Some(&(j, last)) = failing.first() {
+            if !policy.local_fallback {
+                return Err(CoreError::WorkerFailed {
+                    group: gi,
+                    part: j,
+                    attempts: max_attempts,
+                    reason: format!("retry budget exhausted (last: {last})"),
+                });
+            }
+            counters.degraded_shards += failing.len() as u64;
+        }
+    }
+    counters.record_status(match counters.degraded_shards {
+        0 => QueryStatus::Ok,
+        _ => QueryStatus::Degraded,
+    });
+    Ok(counters)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gillis_core::{PartDim, Placement, PlannedGroup};
     use gillis_faas::Micros;
     use gillis_model::zoo;
 
@@ -936,23 +998,17 @@ mod tests {
         });
 
         // Cold query (compiles) and warm queries agree bit-for-bit with the
-        // uncompiled path.
+        // unpartitioned forward pass.
         let weights = init_weights(tiny.graph(), 4).unwrap();
-        let uncompiled =
-            gillis_core::execute_plan_tensors(&tiny, d.plan(), &weights, &input).unwrap();
+        let reference = forward(&tiny, &weights, &input);
         for _ in 0..3 {
-            let out = d.infer(&weights, &input).unwrap();
-            assert_eq!(out.shape(), uncompiled.shape());
-            for (a, b) in out.data().iter().zip(uncompiled.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_bits_eq(&d.infer(&weights, &input).unwrap(), &reference);
         }
         assert!(format!("{:?}", d.warm).contains("ready"));
 
         // A different weight set forces a recompile and still matches.
         let weights2 = init_weights(tiny.graph(), 5).unwrap();
-        let expect2 =
-            gillis_core::execute_plan_tensors(&tiny, d.plan(), &weights2, &input).unwrap();
+        let expect2 = forward(&tiny, &weights2, &input);
         let out2 = d.infer(&weights2, &input).unwrap();
         assert_eq!(
             out2.data()[0].to_bits(),
@@ -1036,7 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_deployment_never_uses_the_warm_path() {
+    fn chaos_deployment_serves_from_the_warm_path() {
         use gillis_model::weights::init_weights;
 
         let tiny = zoo::tiny_vgg();
@@ -1050,10 +1106,351 @@ mod tests {
             .unwrap();
         let weights = init_weights(tiny.graph(), 6).unwrap();
         let input = Tensor::from_fn(tiny.input_shape().clone(), |_| 0.25);
-        d.infer(&weights, &input).unwrap();
-        // Fault-injection sites only exist on the resilient path, so chaos
-        // deployments must not compile a warm plan.
-        assert!(format!("{:?}", d.warm).contains("empty"));
+        let reference = forward(&tiny, &weights, &input);
+        for _ in 0..2 {
+            assert_bits_eq(&d.infer(&weights, &input).unwrap(), &reference);
+        }
+        // Chaos changes the accounting, not the executor: the plan compiles
+        // once and serves every query.
+        assert_eq!(d.warm_plan().unwrap().compiles, 1);
+    }
+
+    /// `Executor::forward`'s output: the oracle every query is held to.
+    fn forward(model: &LinearModel, weights: &ModelWeights, input: &Tensor) -> Tensor {
+        gillis_model::exec::Executor::new(model.graph(), weights)
+            .forward(model, input)
+            .unwrap()
+    }
+
+    fn assert_bits_eq(out: &Tensor, reference: &Tensor) {
+        assert_eq!(out.shape(), reference.shape());
+        for (a, b) in out.data().iter().zip(reference.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// A query for `model` that cycles through `period` values in [-1, 1).
+    fn query(model: &LinearModel, period: usize) -> Tensor {
+        let half = (period / 2) as f32;
+        Tensor::from_fn(model.input_shape().clone(), |i| {
+            ((i % period) as f32 - half) / half
+        })
+    }
+
+    /// `tiny`'s layers one group each: spatial ones split four ways by
+    /// height, channel-splittable ones two ways by channel, each split group
+    /// at `placement` — worker pieces in nearly every group, where the DP
+    /// keeps a model this small whole.
+    fn forced_split_plan(tiny: &LinearModel, placement: Placement) -> ExecutionPlan {
+        let split = |dim, parts| PartitionOption::Split { dim, parts };
+        let groups = tiny.layers().iter().enumerate().map(|(i, layer)| {
+            let option = if layer.class.supports_spatial() && layer.out_shape.dims()[1] >= 4 {
+                split(PartDim::Height, 4)
+            } else if layer.class.channel_splittable() && layer.out_shape.dims()[0] >= 2 {
+                split(PartDim::Channel, 2)
+            } else {
+                PartitionOption::Single
+            };
+            PlannedGroup {
+                start: i,
+                end: i + 1,
+                option,
+                placement: match option {
+                    PartitionOption::Single => Placement::Master,
+                    _ => placement,
+                },
+            }
+        });
+        ExecutionPlan::new(groups.collect())
+    }
+
+    /// `model` as `groups`, each `(end, option)` starting where the last one
+    /// ended; split groups run on workers.
+    fn plan_of(groups: &[(usize, PartitionOption)]) -> ExecutionPlan {
+        let mut start = 0;
+        let groups = groups.iter().map(|&(end, option)| {
+            let group = PlannedGroup {
+                start,
+                end,
+                option,
+                placement: match option {
+                    PartitionOption::Single => Placement::Master,
+                    _ => Placement::Workers,
+                },
+            };
+            start = end;
+            group
+        });
+        ExecutionPlan::new(groups.collect())
+    }
+
+    const HX4: PartitionOption = PartitionOption::Split {
+        dim: PartDim::Height,
+        parts: 4,
+    };
+
+    /// A deployment of `model` serving the hand-built `plan` under `chaos`
+    /// and `policy`.
+    fn deployed(
+        model: &LinearModel,
+        plan: ExecutionPlan,
+        chaos: ChaosConfig,
+        policy: ResiliencePolicy,
+    ) -> Deployment {
+        let d = Gillis::new(model.clone())
+            .chaos(chaos)
+            .resilience(policy)
+            .deploy()
+            .unwrap();
+        Deployment { plan, ..d }
+    }
+
+    /// A chaos config exercising every fault kind at once.
+    fn stress_chaos(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            seed,
+            invoke_failure_rate: 0.08,
+            crash_rate: 0.08,
+            straggler_rate: 0.08,
+            straggler_slowdown: 6.0,
+            corrupt_rate: 0.06,
+            orchestrator_crash_rate: 0.0,
+        }
+    }
+
+    #[test]
+    fn crash_recovery_returns_exact_tensor() {
+        use gillis_model::weights::init_weights;
+
+        // Under injected crashes, invocation failures and corruption, the
+        // query returns `forward`'s bits and the process never panics: on a
+        // chain split in every group, and on one Hx4 group over the first
+        // three residual blocks of tiny-resnet while half of all workers
+        // crash.
+        let vgg = zoo::tiny_vgg();
+        let resnet = zoo::tiny_resnet();
+        let residual_plan = plan_of(&[
+            (1, PartitionOption::Single),
+            (5, HX4),
+            (resnet.layers().len(), PartitionOption::Single),
+        ]);
+        let mix = ChaosConfig {
+            seed: 1234,
+            invoke_failure_rate: 0.15,
+            crash_rate: 0.25,
+            corrupt_rate: 0.1,
+            ..ChaosConfig::default()
+        };
+        let crashes = |seed| ChaosConfig {
+            seed,
+            crash_rate: 0.5,
+            ..ChaosConfig::default()
+        };
+        let cases = [
+            (&vgg, forced_split_plan(&vgg, Placement::Workers), vec![mix]),
+            (&resnet, residual_plan, (1..=3).map(crashes).collect()),
+        ];
+        for (model, plan, chaoses) in cases {
+            let weights = init_weights(model.graph(), 91).unwrap();
+            let input = query(model, 13);
+            let reference = forward(model, &weights, &input);
+            let mut faults = 0;
+            for chaos in chaoses {
+                let d = deployed(model, plan.clone(), chaos, ResiliencePolicy::default());
+                let (out, counters) = d.infer_with_report(&weights, &input).unwrap();
+                assert_bits_eq(&out, &reference);
+                faults += counters.retries + counters.degraded_shards;
+            }
+            assert!(faults > 0, "{}: no fault was injected", model.name());
+        }
+    }
+
+    #[test]
+    fn exhausted_tensor_budget_degrades_or_fails() {
+        use gillis_model::weights::init_weights;
+
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 92).unwrap();
+        let input = query(&tiny, 11);
+        let plan = forced_split_plan(&tiny, Placement::Workers);
+        let pieces: usize = plan.groups().iter().map(|g| g.worker_count()).sum();
+
+        // Every invocation fails: every worker piece exhausts its budget and
+        // the master recomputes it.
+        let always_fail = ChaosConfig::invoke_only(1.0, 5);
+        let d = deployed(
+            &tiny,
+            plan.clone(),
+            always_fail,
+            ResiliencePolicy::default(),
+        );
+        let (out, counters) = d.infer_with_report(&weights, &input).unwrap();
+        assert_bits_eq(&out, &forward(&tiny, &weights, &input));
+        assert_eq!(counters.degraded_shards, pieces as u64);
+        assert_eq!(counters.degraded_queries, 1);
+
+        // Without fallback, exhaustion is an honest error, not a panic.
+        let policy = ResiliencePolicy {
+            local_fallback: false,
+            ..ResiliencePolicy::default()
+        };
+        let err = deployed(&tiny, plan, always_fail, policy)
+            .infer_with_report(&weights, &input)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::WorkerFailed { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_master_computes_its_own_piece_without_faults() {
+        use gillis_model::weights::init_weights;
+
+        // In a master-and-workers group the master computes piece 0 itself,
+        // so only the other pieces are fault sites, as in the simulator:
+        // total invocation failure degrades `worker_count` shards per group,
+        // not one per piece.
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 93).unwrap();
+        let input = query(&tiny, 7);
+        let plan = forced_split_plan(&tiny, Placement::MasterAndWorkers);
+        let count = |f: fn(&PlannedGroup) -> usize| plan.groups().iter().map(f).sum::<usize>();
+        let (workers, pieces) = (count(|g| g.worker_count()), count(|g| g.option.parts()));
+        assert!(workers > 0 && workers < pieces - 1);
+        let d = deployed(
+            &tiny,
+            plan,
+            ChaosConfig::invoke_only(1.0, 3),
+            ResiliencePolicy::default(),
+        );
+        let (out, counters) = d.infer_with_report(&weights, &input).unwrap();
+        assert_bits_eq(&out, &forward(&tiny, &weights, &input));
+        assert_eq!(counters.degraded_shards, workers as u64);
+    }
+
+    #[test]
+    fn corruption_never_reaches_an_ok_query() {
+        use gillis_model::weights::init_weights;
+
+        // Transfer corruption is caught at the join and counted; what the
+        // query returns is `forward`'s bits.
+        let tiny = zoo::tiny_vgg();
+        let plan = forced_split_plan(&tiny, Placement::Workers);
+        for seed in [3u64, 141, 59, 265] {
+            let weights = init_weights(tiny.graph(), seed).unwrap();
+            let input = query(&tiny, 13);
+            let chaos = ChaosConfig {
+                seed,
+                corrupt_rate: 0.3,
+                ..ChaosConfig::default()
+            };
+            let d = deployed(&tiny, plan.clone(), chaos, ResiliencePolicy::default());
+            let (out, counters) = d.infer_with_report(&weights, &input).unwrap();
+            assert_bits_eq(&out, &forward(&tiny, &weights, &input));
+            // At a 30% corrupt rate over dozens of pieces, at least one
+            // corruption fires and every one is detected at the join.
+            assert!(counters.corruptions_detected > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_mis_shaped_input_is_an_error_with_or_without_chaos() {
+        use gillis_model::weights::init_weights;
+
+        let tiny = zoo::tiny_vgg();
+        let weights = init_weights(tiny.graph(), 6).unwrap();
+        let wrong = Tensor::zeros(gillis_tensor::Shape::new(vec![tiny.input_shape().len()]));
+        // Chaos that would fail the query if it got that far.
+        let policy = ResiliencePolicy {
+            local_fallback: false,
+            ..ResiliencePolicy::default()
+        };
+        let plan = forced_split_plan(&tiny, Placement::Workers);
+        let chaotic = deployed(&tiny, plan, ChaosConfig::invoke_only(1.0, 1), policy);
+        for d in [Gillis::new(tiny.clone()).deploy().unwrap(), chaotic] {
+            let err = d.infer(&weights, &wrong).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidArgument(_)), "{err}");
+            assert!(
+                err.to_string().contains(&wrong.shape().to_string()),
+                "{err}"
+            );
+            assert!(
+                err.to_string().contains(&tiny.input_shape().to_string()),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn tally_reproduces_the_pinned_fault_table() {
+        // 1,440 queries' accounting: {a forced split of tiny-vgg, an Hx4
+        // group over tiny-resnet's spatial layers} × chaos seeds 0..60 ×
+        // {every fault kind at once, a 30/20/20 % invoke/crash/corrupt mix}
+        // × six policies, one `Debug` line each. The FNV-1a hash and the
+        // three rows were recorded from the fork-join master that ran real
+        // tensors through every retry and recompute; 383 rows are
+        // `WorkerFailed`.
+        let no_fallback = |max_attempts| ResiliencePolicy {
+            max_attempts,
+            local_fallback: false,
+            ..ResiliencePolicy::default()
+        };
+        let policies = [
+            ("default", ResiliencePolicy::default()),
+            ("naive_retry", ResiliencePolicy::naive_retry()),
+            ("backoff_hedged", ResiliencePolicy::backoff_hedged()),
+            ("none", ResiliencePolicy::none()),
+            ("max1_nofallback", no_fallback(1)),
+            ("max2_nofallback", no_fallback(2)),
+        ];
+        let (vgg, resnet) = (zoo::tiny_vgg(), zoo::tiny_resnet());
+        let tall = |l: &&gillis_model::MergedLayer| {
+            l.class.supports_spatial() && l.out_shape.dims()[1] >= 4
+        };
+        let spatial_end = resnet.layers().iter().take_while(tall).count();
+        let plans = [
+            ("tiny-vgg", forced_split_plan(&vgg, Placement::Workers)),
+            (
+                "tiny-resnet",
+                plan_of(&[
+                    (spatial_end, HX4),
+                    (resnet.layers().len(), PartitionOption::Single),
+                ]),
+            ),
+        ];
+        let mut lines = Vec::new();
+        for (name, plan) in &plans {
+            for seed in 0..60u64 {
+                let mix = ChaosConfig {
+                    seed,
+                    invoke_failure_rate: 0.3,
+                    crash_rate: 0.2,
+                    corrupt_rate: 0.2,
+                    ..ChaosConfig::default()
+                };
+                for (chaos, config) in [("stress", stress_chaos(seed)), ("mix", mix)] {
+                    let injector = config.build().unwrap();
+                    for (policy, p) in &policies {
+                        let res = tally_faults(plan, &injector, p);
+                        lines.push(format!(
+                            "{name} seed={seed} chaos={chaos} policy={policy}: {res:?}"
+                        ));
+                    }
+                }
+            }
+        }
+        assert_eq!(lines.len(), 1440);
+        let rows = [
+            (0, "tiny-vgg seed=0 chaos=stress policy=default: Ok(ResilienceCounters { retries: 8, hedges: 0, hedge_wins: 0, timeouts: 0, degraded_shards: 1, ok_queries: 0, degraded_queries: 1, failed_queries: 0, shed_queries: 0, deadline_exceeded_queries: 0, worker_invocations: 0, first_attempts: 0, first_attempt_successes: 0, corruptions_detected: 4, budget_denied_retries: 0, budget_denied_hedges: 0 })"),
+            (46, "tiny-vgg seed=3 chaos=mix policy=max1_nofallback: Err(WorkerFailed { group: 0, part: 0, attempts: 1, reason: \"retry budget exhausted (last: corrupted response (checksum mismatch))\" })"),
+            (814, "tiny-resnet seed=7 chaos=mix policy=max1_nofallback: Err(WorkerFailed { group: 0, part: 2, attempts: 1, reason: \"retry budget exhausted (last: invocation failure)\" })"),
+        ];
+        for (i, row) in rows {
+            assert_eq!(lines[i], row);
+        }
+        let bytes = lines.iter().flat_map(|l| l.bytes().chain([b'\n']));
+        let fnv = bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(fnv, 0x670a_faaa_ab5b_982a);
     }
 
     #[test]
