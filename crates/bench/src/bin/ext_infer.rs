@@ -4,10 +4,11 @@
 //! and preallocates every buffer, so a warm query through a
 //! [`CompiledPlanExec`] touches the heap zero times and is bit-identical to
 //! the unpartitioned `Executor::forward`. `ext_infer [--smoke]` checks
-//! exactly that on tiny-vgg, tiny-resnet and tiny-inception, for the
-//! single-function plan and a plan that splits every layer two ways, and on a
-//! two-layer RNN at reduced width, whole and one function per layer, at pool
-//! width 1: warm queries — and a warm batch of four followed by a single
+//! exactly that on tiny-vgg, tiny-resnet, tiny-inception and tiny-mobilenet,
+//! for the single-function plan and a plan that splits every layer two ways
+//! (by channel for tiny-mobilenet, so each depthwise piece convolves a subset
+//! of the channels), and on a two-layer RNN at reduced width, whole and one
+//! function per layer, at pool width 1: warm queries — and a warm batch of four followed by a single
 //! query — perform **zero** heap allocations (counted by a global
 //! allocator), carry `forward`'s bits, and the plan holds exactly the
 //! activation bytes of one lane — every slot as long as its largest tenant
@@ -75,10 +76,10 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// A plan that splits every layer 4 ways where the partition geometry allows
-/// it (height-first, any 4-way split otherwise), mirroring a fully
+/// A plan that splits every layer `parts` ways where the partition geometry
+/// allows it (along `dim` first, any split otherwise), mirroring a fully
 /// partitioned worker deployment.
-fn forced_split_plan(model: &LinearModel, parts: usize) -> ExecutionPlan {
+fn forced_split_plan(model: &LinearModel, parts: usize, dim: PartDim) -> ExecutionPlan {
     let groups = (0..model.layers().len())
         .map(|i| {
             let opts = group_options(model, i, i + 1, &[parts]);
@@ -86,7 +87,7 @@ fn forced_split_plan(model: &LinearModel, parts: usize) -> ExecutionPlan {
                 .iter()
                 .copied()
                 .find(|o| {
-                    matches!(o, PartitionOption::Split { dim: PartDim::Height, parts: p } if *p == parts)
+                    matches!(o, PartitionOption::Split { dim: d, parts: p } if *d == dim && *p == parts)
                 })
                 .or_else(|| {
                     opts.iter()
@@ -392,12 +393,12 @@ fn weights_hash(model: &LinearModel, weights: &ModelWeights) -> u64 {
         })
 }
 
-/// tiny-vgg, tiny-resnet, tiny-inception and a reduced RNN-2 at pool width 1
-/// — the warm path must not allocate. Before that, one `weights_hash` line
-/// per model, and one for an LSTM wide enough that its `w_ih` is filled on
-/// the pool: CI compares the lines across builds and pool widths, and
-/// `--weights-hash` prints them alone (the allocation checks hold at width 1
-/// only).
+/// tiny-vgg, tiny-resnet, tiny-inception, tiny-mobilenet and a reduced RNN-2
+/// at pool width 1 — the warm path must not allocate. Before that, one
+/// `weights_hash` line per model, and one for an LSTM wide enough that its
+/// `w_ih` is filled on the pool: CI compares the lines across builds and pool
+/// widths, and `--weights-hash` prints them alone (the allocation checks hold
+/// at width 1 only).
 fn main() {
     // `--smoke` is the only checking mode; the flag stays so CI's command
     // line does.
@@ -406,13 +407,27 @@ fn main() {
     // The RNN's sizes are off the eight-lane body of the row dot product; its
     // forced split finds no partition and leaves one function per layer.
     let models = [
-        (zoo::tiny_vgg(), ["single", "split2"]),
-        (zoo::tiny_resnet(), ["resnet single", "resnet split2"]),
+        (zoo::tiny_vgg(), ["single", "split2"], PartDim::Height),
+        (
+            zoo::tiny_resnet(),
+            ["resnet single", "resnet split2"],
+            PartDim::Height,
+        ),
         (
             zoo::tiny_inception(),
             ["inception single", "inception split2"],
+            PartDim::Height,
         ),
-        (zoo::rnn_sized(2, 20, 12), ["rnn single", "rnn per-layer"]),
+        (
+            zoo::tiny_mobilenet(),
+            ["mobilenet single", "mobilenet channel2"],
+            PartDim::Channel,
+        ),
+        (
+            zoo::rnn_sized(2, 20, 12),
+            ["rnn single", "rnn per-layer"],
+            PartDim::Height,
+        ),
     ];
     let weights_of = |model: &LinearModel| {
         let weights = init_weights(model.graph(), gillis_bench::bench_seed(7)).expect("weights");
@@ -421,14 +436,14 @@ fn main() {
         weights
     };
     weights_of(&zoo::rnn_sized(1, 512, 256));
-    for (model, names) in models {
+    for (model, names, dim) in models {
         let weights = weights_of(&model);
         if hashes_only {
             continue;
         }
         let plans = [
             ExecutionPlan::single_function(&model),
-            forced_split_plan(&model, 2),
+            forced_split_plan(&model, 2, dim),
         ];
         for (plan, name) in plans.iter().zip(names) {
             plan.validate(&model, u64::MAX).expect("valid plan");
@@ -437,7 +452,7 @@ fn main() {
     }
     if !hashes_only {
         println!(
-            "\nwarm path is allocation-free on tiny-vgg, tiny-resnet, tiny-inception and rnn-2 at pool width 1."
+            "\nwarm path is allocation-free on tiny-vgg, tiny-resnet, tiny-inception, tiny-mobilenet and rnn-2 at pool width 1."
         );
     }
 }

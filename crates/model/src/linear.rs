@@ -1,6 +1,8 @@
 //! The linear model: what the partitioner consumes after merging.
 
+use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -180,12 +182,33 @@ impl MergedLayer {
 
 /// A model after merging: a linear chain of [`MergedLayer`]s plus the
 /// original graph (kept for reference execution).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinearModel {
+///
+/// A built model is immutable and its clones share one description: `clone`
+/// counts a reference instead of copying the graph and the layers, so every
+/// builder, deployment and runtime of one model holds the same storage.
+/// Equality still compares contents.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+pub struct LinearModel(Arc<Description>);
+
+/// What a [`LinearModel`] shares between its clones.
+#[derive(PartialEq, Serialize, Deserialize)]
+struct Description {
     name: String,
     graph: Graph,
     layers: Vec<MergedLayer>,
     input_shape: Shape,
+}
+
+impl fmt::Debug for LinearModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = &self.0;
+        f.debug_struct("LinearModel")
+            .field("name", &d.name)
+            .field("graph", &d.graph)
+            .field("layers", &d.layers)
+            .field("input_shape", &d.input_shape)
+            .finish()
+    }
 }
 
 impl LinearModel {
@@ -197,42 +220,42 @@ impl LinearModel {
         layers: Vec<MergedLayer>,
         input_shape: Shape,
     ) -> Self {
-        LinearModel {
+        LinearModel(Arc::new(Description {
             name: name.into(),
             graph,
             layers,
             input_shape,
-        }
+        }))
     }
 
     /// Model name, e.g. `"vgg16"` or `"wrn-50-4"`.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The merged layers, in execution order.
     pub fn layers(&self) -> &[MergedLayer] {
-        &self.layers
+        &self.0.layers
     }
 
     /// The underlying compute graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.0.graph
     }
 
     /// The query input shape.
     pub fn input_shape(&self) -> &Shape {
-        &self.input_shape
+        &self.0.input_shape
     }
 
     /// Total weight bytes across all merged layers.
     pub fn weight_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.weight_bytes).sum()
+        self.layers().iter().map(|l| l.weight_bytes).sum()
     }
 
     /// Total forward FLOPs across all merged layers.
     pub fn total_flops(&self) -> u64 {
-        self.layers.iter().map(|l| l.flops).sum()
+        self.layers().iter().map(|l| l.flops).sum()
     }
 
     /// A per-layer summary table: name, class, output shape, FLOPs, weights.
@@ -242,8 +265,8 @@ impl LinearModel {
         writeln!(
             s,
             "{} — {} merged layers, {:.1} GFLOPs, {:.0} MB weights",
-            self.name,
-            self.layers.len(),
+            self.name(),
+            self.layers().len(),
             self.total_flops() as f64 / 1e9,
             self.weight_bytes() as f64 / 1e6
         )
@@ -254,7 +277,7 @@ impl LinearModel {
             "#", "layer", "class", "output", "MFLOPs", "weights(MB)"
         )
         .ok();
-        for (i, l) in self.layers.iter().enumerate() {
+        for (i, l) in self.layers().iter().enumerate() {
             let class = match l.class {
                 LayerClass::ConvLike { .. } => "conv-like",
                 LayerClass::DenseLike => "dense",
@@ -418,6 +441,42 @@ mod tests {
             assert!(s.contains(&l.name), "summary missing {}", l.name);
         }
         assert_eq!(s.lines().count(), model.layers().len() + 2);
+    }
+
+    const _: () = {
+        const fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<LinearModel>();
+    };
+
+    #[test]
+    fn clones_share_one_description() {
+        let a = crate::zoo::tiny_resnet();
+        let b = a.clone();
+        assert!(std::ptr::eq(a.graph(), b.graph()));
+        assert!(std::ptr::eq(a.layers(), b.layers()));
+        assert!(std::ptr::eq(a.input_shape(), b.input_shape()));
+    }
+
+    #[test]
+    fn equality_compares_contents() {
+        let a = crate::zoo::tiny_resnet();
+        let rebuilt = crate::zoo::tiny_resnet();
+        assert!(!std::ptr::eq(a.graph(), rebuilt.graph()));
+        assert_eq!(a, rebuilt);
+        assert_ne!(a, crate::zoo::tiny_vgg());
+    }
+
+    #[test]
+    fn debug_prints_the_fields() {
+        let m = crate::zoo::tiny_vgg();
+        let expected = format!(
+            "LinearModel {{ name: {:?}, graph: {:?}, layers: {:?}, input_shape: {:?} }}",
+            m.name(),
+            m.graph(),
+            m.layers(),
+            m.input_shape()
+        );
+        assert_eq!(format!("{m:?}"), expected);
     }
 
     #[test]

@@ -133,11 +133,8 @@ pub fn depthwise_conv2d_into(
     };
     // Small-work threshold: below ~GEMM_PAR_MIN_MNK multiply-adds for the
     // whole layer, pool dispatch costs more than the split saves.
-    let total_macs = c
-        .saturating_mul(n_dim)
-        .saturating_mul(k_plane)
-        .saturating_mul(2);
-    let threads = gemm::gemm_threads(total_macs).clamp(1, c.max(1));
+    let threads =
+        gemm::gemm_threads(c.saturating_mul(n_dim).saturating_mul(k_plane)).clamp(1, c.max(1));
     if threads == 1 {
         channel_block(0, out);
     } else {

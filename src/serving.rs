@@ -795,6 +795,18 @@ mod tests {
     }
 
     #[test]
+    fn deployments_of_clones_share_the_model() {
+        let model = zoo::tiny_vgg();
+        let lambda = Gillis::new(model.clone()).deploy().unwrap();
+        let gcf = Gillis::new(model.clone())
+            .platform(PlatformProfile::gcf())
+            .deploy()
+            .unwrap();
+        assert!(std::ptr::eq(lambda.model().graph(), model.graph()));
+        assert!(std::ptr::eq(gcf.model().layers(), lambda.model().layers()));
+    }
+
+    #[test]
     fn open_loop_serving_reports() {
         let d = Gillis::new(zoo::tiny_vgg()).deploy().unwrap();
         let report = d.serve_open_loop(50.0, 100, 8, 3).unwrap();
