@@ -83,8 +83,8 @@ pub use partition::{
 pub use plan::{ExecutionPlan, Placement, PlannedGroup};
 pub use predict::{
     predict_plan, predict_plan_batched, predict_plan_cached, predict_plan_pipelined,
-    predict_recovery, scale_analysis_for_batch, t_pipeline, PipelinePrediction, PlanPrediction,
-    RecoveryPrediction, StagePrediction, BATCH_AMORTIZED_FRACTION,
+    scale_analysis_for_batch, t_pipeline, PipelinePrediction, PlanPrediction, StagePrediction,
+    BATCH_AMORTIZED_FRACTION,
 };
 pub use tail::predict_latency_quantile;
 

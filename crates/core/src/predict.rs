@@ -485,68 +485,6 @@ fn predict_plan_from<'a>(
     }
 }
 
-/// Expected-wasted-work comparison for a plan under orchestrator crashes:
-/// full-restart recovery vs stage-checkpointed resume (see
-/// `gillis_perf::expected_waste_restart_ms` /
-/// `expected_waste_resumed_ms`). This is the term the serving runtime's
-/// timeout/hedge decisions and retry-budget debits use to price resumed
-/// attempts at their true marginal cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPrediction {
-    /// Predicted per-group latencies, in execution order (the stage costs
-    /// the waste terms integrate over).
-    pub stage_ms: Vec<f64>,
-    /// Expected milliseconds of redundant recompute per query when every
-    /// crash restarts from group 0.
-    pub full_restart_ms: f64,
-    /// Expected milliseconds lost per query when every crash resumes from
-    /// the last checkpoint (failover replay only).
-    pub resumed_ms: f64,
-    /// Marginal retry-budget cost per group: each group's share of the
-    /// plan's total predicted latency, floored at 5%.
-    pub marginal_costs: Vec<f64>,
-}
-
-impl RecoveryPrediction {
-    /// Expected milliseconds saved per query by checkpointed resume.
-    pub fn savings_ms(&self) -> f64 {
-        (self.full_restart_ms - self.resumed_ms).max(0.0)
-    }
-}
-
-/// Predicts the expected wasted work of a plan under per-boundary
-/// orchestrator crash probability `crash_prob`, comparing full-restart
-/// recovery to checkpointed resume paying `failover_ms` per crash.
-///
-/// # Errors
-///
-/// Propagates plan-analysis errors.
-pub fn predict_recovery(
-    model: &LinearModel,
-    plan: &ExecutionPlan,
-    perf: &PerfModel,
-    crash_prob: f64,
-    failover_ms: f64,
-) -> Result<RecoveryPrediction> {
-    let prediction = predict_plan(model, plan, perf)?;
-    let stage_ms: Vec<f64> = prediction
-        .groups
-        .iter()
-        .map(GroupPrediction::latency_ms)
-        .collect();
-    let total: f64 = stage_ms.iter().sum();
-    let marginal_costs = stage_ms
-        .iter()
-        .map(|&s| gillis_perf::marginal_retry_cost(s, total))
-        .collect();
-    Ok(RecoveryPrediction {
-        full_restart_ms: gillis_perf::expected_waste_restart_ms(&stage_ms, crash_prob),
-        resumed_ms: gillis_perf::expected_waste_resumed_ms(&stage_ms, crash_prob, failover_ms),
-        stage_ms,
-        marginal_costs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

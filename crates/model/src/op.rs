@@ -87,16 +87,6 @@ pub enum LayerOp {
 }
 
 impl LayerOp {
-    /// Number of graph inputs this op consumes.
-    pub fn arity(&self) -> usize {
-        match self {
-            LayerOp::Input { .. } => 0,
-            LayerOp::Add => 2,
-            LayerOp::Concat => 2, // minimum; validated against actual inputs
-            _ => 1,
-        }
-    }
-
     /// Whether this op is element-wise (freely partitionable along every
     /// dimension) — the class Gillis folds into preceding weight layers.
     pub fn is_element_wise(&self) -> bool {

@@ -20,7 +20,7 @@
 
 use gillis_tensor::Shape;
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::linear::LinearModel;
 use crate::merge::merge_graph;
 use crate::op::LayerOp;
@@ -638,11 +638,6 @@ impl LinearModel {
             .expect("fc2");
         crate::merge::merge_graph("tiny-vgg", g).expect("tiny vgg merges")
     }
-}
-
-/// Returns the node id of the graph input — convenience for executors.
-pub fn input_node(model: &LinearModel) -> NodeId {
-    model.graph().nodes()[0].id
 }
 
 #[cfg(test)]

@@ -145,33 +145,6 @@ impl PerfModel {
     }
 }
 
-/// Expected work wasted per query under **full-restart** recovery, to first
-/// order in the per-boundary crash probability `crash_prob`: a crash at the
-/// boundary after stage `i` throws away everything computed so far, so the
-/// expectation is `p · Σᵢ Σ_{j ≤ i} t_j`. This is the term that grows
-/// quadratically with plan depth — the analytical reason deep plans need
-/// checkpointed recovery.
-#[must_use]
-pub fn expected_waste_restart_ms(stage_ms: &[f64], crash_prob: f64) -> f64 {
-    let p = crash_prob.clamp(0.0, 1.0);
-    let mut cumulative = 0.0;
-    let mut waste = 0.0;
-    for &t in stage_ms {
-        cumulative += t;
-        waste += p * cumulative;
-    }
-    waste
-}
-
-/// Expected work wasted per query under **checkpointed resume**: a crash at
-/// any of the `n` boundaries costs only the failover replay delay, so the
-/// expectation is `p · n · failover_ms` — linear in depth, independent of
-/// stage cost.
-#[must_use]
-pub fn expected_waste_resumed_ms(stage_ms: &[f64], crash_prob: f64, failover_ms: f64) -> f64 {
-    crash_prob.clamp(0.0, 1.0) * stage_ms.len() as f64 * failover_ms.max(0.0)
-}
-
 /// Marginal cost of re-executing one stage, as a fraction of a full-restart
 /// retry: the stage's predicted latency over the whole plan's. This is the
 /// price a checkpointed resume debits from the retry budget — a resumed
@@ -232,36 +205,6 @@ mod tests {
             int8_model.fork_ms(int8_model.wire_bytes(1_000_000), 8)
                 < f32_model.fork_ms(f32_model.wire_bytes(1_000_000), 8)
         );
-    }
-
-    #[test]
-    fn wasted_work_terms_behave() {
-        let stages = [10.0, 20.0, 30.0];
-        // Restart waste telescopes: 0.1 × (10 + 30 + 60) = 10.
-        assert!((expected_waste_restart_ms(&stages, 0.1) - 10.0).abs() < 1e-12);
-        // Resume waste is linear in depth: 0.1 × 3 × 25 = 7.5.
-        assert!((expected_waste_resumed_ms(&stages, 0.1, 25.0) - 7.5).abs() < 1e-12);
-        // Resume beats restart whenever failover is cheaper than the mean
-        // prefix cost; with these stages that holds up to ~33 ms failover.
-        assert!(
-            expected_waste_resumed_ms(&stages, 0.1, 25.0) < expected_waste_restart_ms(&stages, 0.1)
-        );
-        // No crashes, no waste; probabilities are clamped to [0, 1].
-        assert_eq!(expected_waste_restart_ms(&stages, 0.0), 0.0);
-        assert_eq!(
-            expected_waste_restart_ms(&stages, 2.0),
-            expected_waste_restart_ms(&stages, 1.0)
-        );
-        // Deeper plans waste quadratically more under restart, linearly
-        // under resume.
-        let deep: Vec<f64> = vec![10.0; 8];
-        let shallow: Vec<f64> = vec![10.0; 4];
-        let r8 = expected_waste_restart_ms(&deep, 0.1);
-        let r4 = expected_waste_restart_ms(&shallow, 0.1);
-        assert!((r8 / r4 - 3.6).abs() < 1e-9, "36/10 prefix sums");
-        let s8 = expected_waste_resumed_ms(&deep, 0.1, 25.0);
-        let s4 = expected_waste_resumed_ms(&shallow, 0.1, 25.0);
-        assert!((s8 / s4 - 2.0).abs() < 1e-12);
     }
 
     #[test]

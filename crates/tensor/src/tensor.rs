@@ -143,11 +143,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its underlying data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by multi-index.
     ///
     /// # Panics
@@ -155,16 +150,6 @@ impl Tensor {
     /// Debug-asserts bounds; see [`Shape::offset`].
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
-    }
-
-    /// Mutable element access by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts bounds; see [`Shape::offset`].
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.

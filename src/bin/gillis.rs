@@ -10,35 +10,31 @@
 //!                 [--clients 100] [--queries 1000] [--rate 100]
 //! ```
 //!
+//! Every command but `models` and `info` builds one
+//! [`gillis::serving::Deployment`]: the plan in `--plan` (in the stable text
+//! format of [`gillis::core::ExecutionPlan::to_text`]) if one is given, else
+//! the one [`gillis::serving::Gillis::deploy`] searches for — latency-optimal,
+//! or SLO-aware under `--slo` milliseconds.
+//!
 //! `serve` reads every serving-policy family from the `GILLIS_*` environment
 //! knobs (README "Environment knobs"; one `PolicyStack`), prints the
 //! policies in force, and exits non-zero on a malformed or invalid knob.
-//! `GILLIS_BATCH_*` switches it to open-loop adaptive multi-SLO batching at
-//! `--rate` arrivals/s (with `--clients` prewarmed masters), planning batch
-//! sizes and instance memory jointly against the performance model;
-//! `GILLIS_PIPELINE_*` switches it to pipeline-parallel streaming across
-//! layer groups — when `--plan` is omitted the plan is recomputed for the
-//! stage-balancing objective — and takes precedence over batching (they do
-//! not compose).
-//!
-//! Plans are stored in the stable text format of
-//! [`gillis::core::ExecutionPlan::to_text`]; when `--plan` is omitted the
-//! latency-optimal plan is computed on the fly.
+//! Without `--rate` and without a `GILLIS_BATCH_*` or `GILLIS_PIPELINE_*`
+//! knob it runs `--clients` closed-loop clients; otherwise it serves an
+//! open-loop Poisson stream at `--rate` arrivals/s (default 100) with
+//! `--clients` prewarmed masters through
+//! [`gillis::serving::Deployment::serve_open_loop`], which owns the choice of
+//! driver: pipelined under a pipeline knob (planned for the stage-balancing
+//! objective unless `--plan` is given), else batched under a batch knob, else
+//! plain.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use gillis::serving::{lookup_model, lookup_platform, model_catalog};
-
-use gillis::core::{
-    plan_batch_schedule, predict_plan, DpPartitioner, ExecutionPlan, ForkJoinRuntime,
-    PlanObjective, PolicyStack,
-};
+use gillis::core::{ExecutionPlan, PolicyStack};
 use gillis::faas::workload::ClosedLoop;
 use gillis::faas::Micros;
-use gillis::model::LinearModel;
-use gillis::perf::PerfModel;
-use gillis::rl::{slo_aware_partition, SloAwareConfig};
+use gillis::serving::{lookup_model, lookup_platform, model_catalog, Gillis, Mode};
 
 /// Parses `--key value` pairs after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -57,24 +53,15 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
-fn load_or_plan(
+/// The value of `--name`, parsed, if given.
+fn parsed<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
-    model: &LinearModel,
-    perf: &PerfModel,
-) -> Result<ExecutionPlan, String> {
-    match flags.get("plan") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read plan {path}: {e}"))?;
-            let plan = ExecutionPlan::from_text(&text).map_err(|e| e.to_string())?;
-            plan.validate(model, perf.platform.model_memory_budget)
-                .map_err(|e| format!("plan does not fit {}: {e}", model.name()))?;
-            Ok(plan)
-        }
-        None => DpPartitioner::default()
-            .partition(model, perf)
-            .map_err(|e| e.to_string()),
-    }
+    name: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|v| v.parse().map_err(|_| format!("bad --{name}: {v}")))
+        .transpose()
 }
 
 fn run() -> Result<(), String> {
@@ -108,157 +95,87 @@ fn run() -> Result<(), String> {
             .unwrap_or("lambda"),
     )
     .map_err(|e| e.to_string())?;
-    let perf = PerfModel::profiled(&platform, 42);
+    if command == "info" {
+        print!("{}", model.summary());
+        return Ok(());
+    }
+    let mut gillis = Gillis::new(model).platform(platform);
+    if let Some(path) = flags.get("plan") {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read plan {path}: {e}"))?;
+        gillis = gillis.plan(ExecutionPlan::from_text(&text).map_err(|e| e.to_string())?);
+    }
+    if let Some(t_max_ms) = parsed(&flags, "slo")? {
+        gillis = gillis.mode(Mode::SloAware { t_max_ms });
+    }
+    let deploy = |gillis: Gillis| gillis.deploy().map_err(|e| e.to_string());
 
     match command.as_str() {
-        "info" => {
-            print!("{}", model.summary());
-        }
         "plan" => {
-            let plan = match flags.get("slo") {
-                Some(slo) => {
-                    let t_max_ms: f64 = slo.parse().map_err(|_| format!("bad --slo: {slo}"))?;
-                    slo_aware_partition(
-                        &model,
-                        &perf,
-                        &SloAwareConfig {
-                            t_max_ms,
-                            ..SloAwareConfig::default()
-                        },
-                    )
-                    .map_err(|e| e.to_string())?
-                    .plan
-                }
-                None => DpPartitioner::default()
-                    .partition(&model, &perf)
-                    .map_err(|e| e.to_string())?,
-            };
-            let text = plan.to_text();
+            let d = deploy(gillis)?;
+            let text = d.plan().to_text();
             match flags.get("out") {
                 Some(path) => {
                     std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("wrote {path} ({} groups)", plan.groups().len());
+                    println!("wrote {path} ({} groups)", d.plan().groups().len());
                 }
                 None => print!("{text}"),
             }
         }
         "describe" => {
-            let plan = load_or_plan(&flags, &model, &perf)?;
-            print!("{}", plan.describe(&model).map_err(|e| e.to_string())?);
+            print!("{}", deploy(gillis)?.describe().map_err(|e| e.to_string())?);
         }
         "predict" => {
-            let plan = load_or_plan(&flags, &model, &perf)?;
-            let pred = predict_plan(&model, &plan, &perf).map_err(|e| e.to_string())?;
+            let d = deploy(gillis)?;
+            let pred = d.predicted();
             println!("latency : {:.1} ms", pred.latency_ms);
             println!("billed  : {} ms/query", pred.billed_ms);
             println!("cost    : ${:.6}/query", pred.usd);
         }
         "serve" => {
-            let plan = load_or_plan(&flags, &model, &perf)?;
-            let clients = flags
-                .get("clients")
-                .map(|v| v.parse().map_err(|_| format!("bad --clients: {v}")))
-                .transpose()?
-                .unwrap_or(100);
-            let queries = flags
-                .get("queries")
-                .map(|v| v.parse().map_err(|_| format!("bad --queries: {v}")))
-                .transpose()?
-                .unwrap_or(1000);
+            let clients = parsed(&flags, "clients")?.unwrap_or(100);
+            let queries = parsed(&flags, "queries")?.unwrap_or(1000);
+            let rate: Option<f64> = parsed(&flags, "rate")?;
             // Every policy family the environment configures, read once; a
             // set-but-invalid family is an error, not a silently dropped one.
             let policies = PolicyStack::from_env().map_err(|e| e.to_string())?;
             print!("{}", policies.to_text());
-            let runtime = |plan, platform| {
-                ForkJoinRuntime::new(&model, plan, platform)
-                    .and_then(|rt| rt.with_policies(&policies, None))
-                    .map_err(|e| e.to_string())
-            };
-            // GILLIS_PIPELINE_* env knobs enable pipeline-parallel serving:
-            // each layer group becomes a stage with its own lane pool and a
-            // bounded inter-stage queue, fed by an open-loop Poisson stream
-            // at --rate. Batching does not compose with pipelining, so this
-            // branch takes precedence over GILLIS_BATCH_*.
-            if let Some(pipeline_policy) = &policies.pipeline {
-                let rate: f64 = flags
-                    .get("rate")
-                    .map(|v| v.parse().map_err(|_| format!("bad --rate: {v}")))
-                    .transpose()?
-                    .unwrap_or(100.0);
-                // Without an explicit --plan, replan for the stage-balancing
-                // objective: steady-state throughput is set by the slowest
-                // stage, not the end-to-end latency.
-                let plan = if flags.contains_key("plan") {
-                    plan
-                } else {
-                    DpPartitioner::default()
-                        .with_objective(PlanObjective::PipelineBottleneck)
-                        .partition(&model, &perf)
-                        .map_err(|e| e.to_string())?
-                };
-                let report = runtime(&plan, platform)?
-                    .serve_open_loop_pipelined(pipeline_policy, rate, queries, clients, 7)
-                    .map_err(|e| e.to_string())?;
-                println!(
-                    "pipeline: {} stages x {} lanes (queue depth {})",
-                    plan.groups().len(),
-                    pipeline_policy.lanes,
-                    pipeline_policy.queue_depth,
-                );
+            let d = deploy(gillis.policies(policies.clone()))?;
+            if rate.is_none() && policies.pipeline.is_none() && policies.batch.is_none() {
+                let workload =
+                    ClosedLoop::new(clients, queries, Micros::ZERO).map_err(|e| e.to_string())?;
+                let report = d.serve(workload, 7).map_err(|e| e.to_string())?;
                 print_serving_report(&report);
                 return Ok(());
             }
-            // GILLIS_BATCH_* env knobs enable adaptive multi-SLO batching:
-            // serving switches to an open-loop Poisson stream at --rate and
-            // the batch sizes / instance memory are planned jointly against
-            // the performance model.
-            if let Some(batch_policy) = &policies.batch {
-                let rate: f64 = flags
-                    .get("rate")
-                    .map(|v| v.parse().map_err(|_| format!("bad --rate: {v}")))
-                    .transpose()?
-                    .unwrap_or(100.0);
-                let schedule = plan_batch_schedule(
-                    &model,
-                    &plan,
-                    &platform,
-                    gillis::perf::TransferFormat::F32,
-                    batch_policy,
-                    rate,
-                )
+            let rate = rate.unwrap_or(100.0);
+            let report = d
+                .serve_open_loop(rate, queries, clients, 7)
                 .map_err(|e| e.to_string())?;
-                let serving_platform = if schedule.memory_bytes == platform.instance_memory_bytes {
-                    platform
-                } else {
-                    platform.with_memory_bytes(schedule.memory_bytes)
-                };
-                let report = runtime(&plan, serving_platform)?
-                    .serve_open_loop_batched(batch_policy, &schedule, rate, queries, clients, 7)
-                    .map_err(|e| e.to_string())?;
+            // The driver's own header: the stages it streamed through, or
+            // the schedule it batched on (not part of the report).
+            if let Some(p) = &policies.pipeline {
+                println!(
+                    "pipeline: {} stages x {} lanes (queue depth {})",
+                    d.plan().groups().len(),
+                    p.lanes,
+                    p.queue_depth,
+                );
+            } else if let Some(b) = &policies.batch {
+                let schedule = d.batch_schedule(rate).map_err(|e| e.to_string())?;
                 let windows = schedule
                     .classes
                     .iter()
                     .map(|c| format!("n{}/{:.0}ms", c.batch, c.window_ms))
                     .collect::<Vec<_>>()
                     .join(" ");
-                // Only the *schedule* is printed here (it is not part of the
-                // report); the batch counters print with every other report
-                // block in `print_serving_report`.
                 println!(
                     "batch schedule: {} classes [{}] at {} MB",
-                    batch_policy.classes.len(),
+                    b.classes.len(),
                     windows,
                     schedule.memory_bytes / 1_000_000,
                 );
-                print_serving_report(&report);
-                return Ok(());
             }
-            let report = runtime(&plan, platform)?
-                .serve_workload(
-                    ClosedLoop::new(clients, queries, Micros::ZERO).map_err(|e| e.to_string())?,
-                    7,
-                )
-                .map_err(|e| e.to_string())?;
             print_serving_report(&report);
         }
         other => return Err(format!("unknown command '{other}'")),

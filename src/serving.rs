@@ -26,11 +26,10 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use gillis_core::{
-    plan_batch_schedule, predict_plan, BatchPolicy, BatchSchedule, BrownoutPolicy, ChaosConfig,
-    CompiledPlanExec, CoreError, DpPartitioner, ExecutionPlan, Fault, FaultInjector, FaultSite,
-    ForkJoinRuntime, OutageConfig, OverloadPolicy, PartitionOption, PartitionerConfig,
-    PipelinePolicy, PlanObjective, PlanPrediction, PolicyStack, QueryStatus, RecoveryPolicy,
-    ResilienceCounters, ResiliencePolicy, RetryBudgetPolicy, ServingReport,
+    plan_batch_schedule, predict_plan, BatchSchedule, CompiledPlanExec, CoreError, DpPartitioner,
+    ExecutionPlan, Fault, FaultInjector, FaultSite, ForkJoinRuntime, PartitionOption,
+    PlanObjective, PlanPrediction, PolicyStack, QueryStatus, ResilienceCounters, ResiliencePolicy,
+    ServingReport,
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::PlatformProfile;
@@ -133,6 +132,7 @@ pub struct Gillis {
     profile_seed: u64,
     episodes: usize,
     policies: PolicyStack,
+    plan: Option<ExecutionPlan>,
 }
 
 impl Gillis {
@@ -146,6 +146,7 @@ impl Gillis {
             profile_seed: 42,
             episodes: 400,
             policies: PolicyStack::default(),
+            plan: None,
         }
     }
 
@@ -174,152 +175,75 @@ impl Gillis {
         self
     }
 
-    /// Injects deterministic faults into serving and inference: worker
-    /// invocation failures, mid-compute crashes, stragglers, and transfer
-    /// corruption, sampled as a pure function of `(config.seed, fault
-    /// site)` — validated at [`Gillis::deploy`].
-    pub fn chaos(mut self, config: ChaosConfig) -> Self {
-        self.policies.chaos = Some(config);
-        self
-    }
-
-    /// Sets how the fork-join master responds to worker faults (retries,
-    /// backoff, timeouts, hedging, graceful degradation).
-    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.policies.resilience = policy;
-        self
-    }
-
-    /// Enables overload protection for serving: a bounded admission queue
-    /// with deadline-derived shedding in open-loop serving, deadline
-    /// propagation with cooperative cancellation, and per-worker-lane
-    /// circuit breakers. The deployment's [`PlanPrediction`] feeds the
-    /// shed-on-predicted-miss decision. Validated at [`Gillis::deploy`].
-    pub fn overload(mut self, policy: OverloadPolicy) -> Self {
-        self.policies.overload = Some(policy);
-        self
-    }
-
-    /// Enables adaptive multi-SLO batching for open-loop serving: arrivals
-    /// are hashed into the policy's SLO classes, accumulate in
-    /// deadline-derived windows, and dispatch as shared fork-join waves.
-    /// The batch size and instance memory are chosen jointly against the
-    /// performance model at serve time
-    /// ([`Deployment::serve_open_loop_batched`]). Validated at
+    /// Sets every serving policy at once: chaos, resilience, overload,
+    /// batching, outage, retry budget, brownout, pipelining and recovery,
+    /// as one [`PolicyStack`] (for instance [`PolicyStack::from_env`]).
+    /// Overload protection sheds on the deployment's own (profiled)
+    /// [`PlanPrediction`]; a pipeline policy makes the latency-optimal mode
+    /// plan for the stage-balancing objective
+    /// ([`PlanObjective::PipelineBottleneck`]) and the SLO-aware modes score
+    /// the pipelined latency; batch and pipeline policies select the
+    /// open-loop driver ([`Deployment::serve_open_loop`]). Validated at
     /// [`Gillis::deploy`].
-    pub fn batch(mut self, policy: BatchPolicy) -> Self {
-        self.policies.batch = Some(policy);
+    pub fn policies(mut self, policies: PolicyStack) -> Self {
+        self.policies = policies;
         self
     }
 
-    /// Enables correlated-outage episodes on top of the chaos injector:
-    /// deterministic Markov on/off windows per fault domain (platform,
-    /// worker lane, memory tier) that multiply the injected failure rates
-    /// by the configured severity while active. Inert without
-    /// [`Gillis::chaos`]. Validated at [`Gillis::deploy`].
-    pub fn outage(mut self, config: OutageConfig) -> Self {
-        self.policies.outage = Some(config);
-        self
-    }
-
-    /// Enables an adaptive retry budget for serving: a deterministic token
-    /// bucket, refilled by successful first attempts, that every retry and
-    /// hedge must debit before launching. Validated at [`Gillis::deploy`].
-    pub fn retry_budget(mut self, policy: RetryBudgetPolicy) -> Self {
-        self.policies.retry_budget = Some(policy);
-        self
-    }
-
-    /// Enables the brownout degradation ladder for serving: a windowed
-    /// first-attempt health score steps service down through full →
-    /// no-hedging → int8 wire → local-fallback-only → shed, and back up
-    /// only after consecutive clean windows. Validated at
-    /// [`Gillis::deploy`].
-    pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
-        self.policies.brownout = Some(policy);
-        self
-    }
-
-    /// Enables pipeline-parallel serving across layer groups: each group
-    /// becomes a stage with its own lane pool and a bounded inter-stage
-    /// queue ([`Deployment::serve_open_loop_pipelined`]). Under the
-    /// latency-optimal mode, the partitioner switches to the
-    /// stage-balancing objective
-    /// ([`PlanObjective::PipelineBottleneck`]) — minimize the slowest
-    /// stage's time rather than the end-to-end sum. Validated at
-    /// [`Gillis::deploy`].
-    pub fn pipeline(mut self, policy: PipelinePolicy) -> Self {
-        self.policies.pipeline = Some(policy);
-        self
-    }
-
-    /// Enables stage-level checkpointed recovery for serving: stage outputs
-    /// are checkpointed at every group boundary, orchestrator crashes
-    /// (injected via [`ChaosConfig::orchestrator_crash_rate`]) fail over
-    /// and replay from the last checkpoint instead of restarting the query,
-    /// failed stages retry from their checkpointed upstream boundary,
-    /// straggler stages past `spec_factor` × their predicted p95 race a
-    /// speculative duplicate, and retry-budget debits are priced at the
-    /// resumed attempt's marginal cost. Validated at [`Gillis::deploy`].
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.policies.recovery = Some(policy);
+    /// Deploys `plan` as given instead of searching for one; the mode is
+    /// then unused. Validated against the model and the platform's memory
+    /// budget at [`Gillis::deploy`].
+    pub fn plan(mut self, plan: ExecutionPlan) -> Self {
+        self.plan = Some(plan);
         self
     }
 
     /// Runs the full offline workflow: profile the platform, search for a
-    /// plan under the chosen objective, and validate it.
+    /// plan under the chosen objective (or take the given one), and validate
+    /// it and every policy.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Infeasible`] when no plan fits the memory budget
-    /// or meets the SLO, and propagates analysis errors.
+    /// or meets the SLO, the validation error of a given plan or an invalid
+    /// policy, and propagates analysis errors.
     pub fn deploy(self) -> Result<Deployment, CoreError> {
+        // Validate every policy now, at deploy time, not when serving starts.
+        self.policies.validate()?;
         let perf = PerfModel::profiled(&self.platform, self.profile_seed);
         // Pipeline deployments plan for the pipelined objective: the DP
         // balances stage times instead of minimizing their sum, and the RL
         // trainer scores the pipelined p99 against the SLO.
-        let pipelined = self.policies.pipeline.is_some();
-        let plan = match self.mode {
-            Mode::LatencyOptimal => {
-                let mut partitioner = DpPartitioner::new(PartitionerConfig::default());
-                if pipelined {
+        let pipeline = self.policies.pipeline.is_some();
+        let plan = match (self.plan, self.mode) {
+            (Some(plan), _) => {
+                plan.validate(&self.model, self.platform.model_memory_budget)?;
+                plan
+            }
+            (None, Mode::LatencyOptimal) => {
+                let mut partitioner = DpPartitioner::default();
+                if pipeline {
                     partitioner = partitioner.with_objective(PlanObjective::PipelineBottleneck);
                 }
                 partitioner.partition(&self.model, &perf)?
             }
-            Mode::SloAware { t_max_ms } => {
-                slo_aware_partition(
-                    &self.model,
-                    &perf,
-                    &SloAwareConfig {
-                        t_max_ms,
-                        episodes: self.episodes,
-                        seed: self.profile_seed,
-                        pipeline: pipelined,
-                        ..SloAwareConfig::default()
-                    },
-                )?
-                .plan
-            }
-            Mode::TailAware { quantile, t_max_ms } => {
-                slo_aware_partition(
-                    &self.model,
-                    &perf,
-                    &SloAwareConfig {
-                        t_max_ms,
-                        episodes: self.episodes,
-                        seed: self.profile_seed,
-                        tail_quantile: Some(quantile),
-                        pipeline: pipelined,
-                        ..SloAwareConfig::default()
-                    },
-                )?
-                .plan
+            (None, Mode::SloAware { t_max_ms } | Mode::TailAware { t_max_ms, .. }) => {
+                let tail_quantile = match self.mode {
+                    Mode::TailAware { quantile, .. } => Some(quantile),
+                    _ => None,
+                };
+                let config = SloAwareConfig {
+                    t_max_ms,
+                    episodes: self.episodes,
+                    seed: self.profile_seed,
+                    tail_quantile,
+                    pipeline,
+                    ..SloAwareConfig::default()
+                };
+                slo_aware_partition(&self.model, &perf, &config)?.plan
             }
         };
         let prediction = predict_plan(&self.model, &plan, &perf)?;
-        // Validate every policy now, at deploy time, not when serving starts.
-        self.policies.validate()?;
         Ok(Deployment {
             model: self.model,
             platform: self.platform,
@@ -465,7 +389,7 @@ impl Deployment {
     /// [`Deployment::infer`] plus the resilience accounting of the query:
     /// how many worker executions were retried, how many corrupted responses
     /// were caught, and how many shards the master recomputed locally after
-    /// exhausting their retry budget. Under [`Gillis::chaos`] the accounting
+    /// exhausting their retry budget. Under a chaos policy the accounting
     /// walks the fault sites of the query's fork-join with the deployment's
     /// [`ResiliencePolicy`], attempt by attempt, as the simulator does. The
     /// tensor is computed once, on the warm plan: a retried or recomputed
@@ -561,17 +485,27 @@ impl Deployment {
         self.runtime()?.serve_workload(workload, seed)
     }
 
-    /// Serves an open-loop Poisson stream (see
-    /// [`ForkJoinRuntime::serve_open_loop`]).
+    /// Serves an open-loop Poisson stream of `queries` arrivals at
+    /// `rate_per_sec`, on the driver the policy stack selects:
     ///
-    /// Pools are pre-warmed via `Fleet::prewarm` before the first arrival —
-    /// with an [`OverloadPolicy`], to at least the admission concurrency —
-    /// so early queries do not pay cold starts that would skew overload
-    /// p99s.
+    /// - with a pipeline policy, pipeline-parallel across layer groups
+    ///   ([`ForkJoinRuntime::serve_open_loop_pipelined`]): each group is a
+    ///   stage with its own lane pool and a bounded inter-stage queue. It
+    ///   takes precedence over batching; the two do not compose.
+    /// - else with a batch policy, adaptive multi-SLO batching
+    ///   ([`ForkJoinRuntime::serve_open_loop_batched`]) on the schedule
+    ///   [`Deployment::batch_schedule`] plans for this rate, with the fleet
+    ///   at the instance memory that schedule chose.
+    /// - else one fork-join per query ([`ForkJoinRuntime::serve_open_loop`]).
+    ///
+    /// Pools are pre-warmed with `prewarm` instances before the first
+    /// arrival — under an overload policy, to at least the admission
+    /// concurrency — so early queries do not pay cold starts that would skew
+    /// overload p99s.
     ///
     /// # Errors
     ///
-    /// Propagates fleet and deployment errors.
+    /// Propagates schedule, fleet and deployment errors.
     pub fn serve_open_loop(
         &self,
         rate_per_sec: f64,
@@ -579,43 +513,34 @@ impl Deployment {
         prewarm: usize,
         seed: u64,
     ) -> Result<ServingReport, CoreError> {
+        if let Some(policy) = &self.policies.pipeline {
+            return self.runtime()?.serve_open_loop_pipelined(
+                policy,
+                rate_per_sec,
+                queries,
+                prewarm,
+                seed,
+            );
+        }
+        if let Some(policy) = &self.policies.batch {
+            let schedule = self.batch_schedule(rate_per_sec)?;
+            let rt = self.runtime_on(self.platform.with_memory_bytes(schedule.memory_bytes))?;
+            return rt.serve_open_loop_batched(
+                policy,
+                &schedule,
+                rate_per_sec,
+                queries,
+                prewarm,
+                seed,
+            );
+        }
         self.runtime()?
             .serve_open_loop(rate_per_sec, queries, prewarm, seed)
     }
 
-    /// Serves an open-loop Poisson stream with pipeline parallelism across
-    /// layer groups (see [`ForkJoinRuntime::serve_open_loop_pipelined`]):
-    /// each group runs as a stage with its own lane pool and bounded
-    /// inter-stage queue, so steady-state throughput is bounded by the
-    /// slowest stage rather than the end-to-end latency. Requires a
-    /// pipeline policy ([`Gillis::pipeline`]). Chaos, overload, retry
-    /// budget, and brownout settings compose; batching does not (the
-    /// pipelined path serves per-query).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidArgument`] without a pipeline policy;
-    /// propagates fleet and deployment errors.
-    pub fn serve_open_loop_pipelined(
-        &self,
-        rate_per_sec: f64,
-        queries: usize,
-        prewarm: usize,
-        seed: u64,
-    ) -> Result<ServingReport, CoreError> {
-        let policy = self.policies.pipeline.as_ref().ok_or_else(|| {
-            CoreError::InvalidArgument(
-                "deployment has no pipeline policy; configure one with Gillis::pipeline"
-                    .to_string(),
-            )
-        })?;
-        self.runtime()?
-            .serve_open_loop_pipelined(policy, rate_per_sec, queries, prewarm, seed)
-    }
-
     /// Jointly configures batch sizes and instance memory for the expected
-    /// arrival rate (see [`gillis_core::plan_batch_schedule`]). Requires a
-    /// batch policy ([`Gillis::batch`]).
+    /// arrival rate (see [`gillis_core::plan_batch_schedule`]): the schedule
+    /// [`Deployment::serve_open_loop`] serves a batch policy on.
     ///
     /// # Errors
     ///
@@ -623,9 +548,7 @@ impl Deployment {
     /// non-positive rate, or when no candidate memory is feasible.
     pub fn batch_schedule(&self, rate_per_sec: f64) -> Result<BatchSchedule, CoreError> {
         let policy = self.policies.batch.as_ref().ok_or_else(|| {
-            CoreError::InvalidArgument(
-                "deployment has no batch policy; configure one with Gillis::batch".to_string(),
-            )
+            CoreError::InvalidArgument("deployment has no batch policy".to_string())
         })?;
         plan_batch_schedule(
             &self.model,
@@ -635,35 +558,6 @@ impl Deployment {
             policy,
             rate_per_sec,
         )
-    }
-
-    /// Serves an open-loop Poisson stream with adaptive multi-SLO batching
-    /// (see [`ForkJoinRuntime::serve_open_loop_batched`]): plans the joint
-    /// batch × memory schedule for this rate, rebuilds the fleet on the
-    /// chosen memory size when it differs from the deployment platform,
-    /// and returns the schedule alongside the report. Chaos and overload
-    /// settings compose.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule, fleet, and deployment errors.
-    pub fn serve_open_loop_batched(
-        &self,
-        rate_per_sec: f64,
-        queries: usize,
-        prewarm: usize,
-        seed: u64,
-    ) -> Result<(BatchSchedule, ServingReport), CoreError> {
-        let policy = self.policies.batch.as_ref().ok_or_else(|| {
-            CoreError::InvalidArgument(
-                "deployment has no batch policy; configure one with Gillis::batch".to_string(),
-            )
-        })?;
-        let schedule = self.batch_schedule(rate_per_sec)?;
-        let rt = self.runtime_on(self.platform.with_memory_bytes(schedule.memory_bytes))?;
-        let report =
-            rt.serve_open_loop_batched(policy, &schedule, rate_per_sec, queries, prewarm, seed)?;
-        Ok((schedule, report))
     }
 }
 
@@ -745,7 +639,10 @@ fn tally_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gillis_core::{PartDim, Placement, PlannedGroup};
+    use gillis_core::{
+        BatchPolicy, BrownoutPolicy, ChaosConfig, OutageConfig, OverloadPolicy, PartDim,
+        PipelinePolicy, Placement, PlannedGroup, RecoveryPolicy, RetryBudgetPolicy,
+    };
     use gillis_faas::Micros;
     use gillis_model::zoo;
 
@@ -820,7 +717,10 @@ mod tests {
         let probe = Gillis::new(zoo::tiny_vgg()).deploy().unwrap();
         let predicted = probe.predicted().latency_ms;
         let d = Gillis::new(zoo::tiny_vgg())
-            .overload(OverloadPolicy::for_slo(3.0 * predicted, concurrency))
+            .policies(PolicyStack {
+                overload: Some(OverloadPolicy::for_slo(3.0 * predicted, concurrency)),
+                ..PolicyStack::default()
+            })
             .deploy()
             .unwrap();
         // Sub-saturation: pools are pre-warmed to the admission concurrency
@@ -845,10 +745,14 @@ mod tests {
 
     #[test]
     fn invalid_overload_policy_rejected_at_deploy() {
+        let overload = OverloadPolicy {
+            max_concurrency: 0,
+            ..OverloadPolicy::unprotected(1)
+        };
         let err = Gillis::new(zoo::tiny_vgg())
-            .overload(OverloadPolicy {
-                max_concurrency: 0,
-                ..OverloadPolicy::unprotected(1)
+            .policies(PolicyStack {
+                overload: Some(overload),
+                ..PolicyStack::default()
             })
             .deploy()
             .unwrap_err();
@@ -883,8 +787,11 @@ mod tests {
             orchestrator_crash_rate: 0.0,
         };
         let d = Gillis::new(tiny.clone())
-            .chaos(chaos)
-            .resilience(ResiliencePolicy::backoff_hedged())
+            .policies(PolicyStack {
+                chaos: Some(chaos),
+                resilience: ResiliencePolicy::backoff_hedged(),
+                ..PolicyStack::default()
+            })
             .deploy()
             .unwrap();
 
@@ -909,9 +816,12 @@ mod tests {
 
         // An invalid chaos config is rejected at deploy time.
         let bad = Gillis::new(zoo::tiny_vgg())
-            .chaos(ChaosConfig {
-                invoke_failure_rate: 1.5,
-                ..ChaosConfig::default()
+            .policies(PolicyStack {
+                chaos: Some(ChaosConfig {
+                    invoke_failure_rate: 1.5,
+                    ..ChaosConfig::default()
+                }),
+                ..PolicyStack::default()
             })
             .deploy();
         assert!(bad.is_err());
@@ -926,12 +836,16 @@ mod tests {
             straggler_slowdown: 4.0,
             ..ChaosConfig::default()
         };
+        let stack = PolicyStack {
+            chaos: Some(chaos),
+            resilience: ResiliencePolicy::backoff_hedged(),
+            outage: Some(OutageConfig::severe(8.0, 5)),
+            retry_budget: Some(RetryBudgetPolicy::default()),
+            brownout: Some(BrownoutPolicy::default()),
+            ..PolicyStack::default()
+        };
         let d = Gillis::new(zoo::tiny_vgg())
-            .chaos(chaos)
-            .resilience(ResiliencePolicy::backoff_hedged())
-            .outage(OutageConfig::severe(8.0, 5))
-            .retry_budget(RetryBudgetPolicy::default())
-            .brownout(BrownoutPolicy::default())
+            .policies(stack.clone())
             .deploy()
             .unwrap();
         let a = d.serve_open_loop(40.0, 150, 4, 9).unwrap();
@@ -945,27 +859,35 @@ mod tests {
         assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
 
         // Invalid resilience configs are rejected at deploy time.
-        assert!(Gillis::new(zoo::tiny_vgg())
-            .outage(OutageConfig {
-                severity: 0.5,
-                ..OutageConfig::severe(8.0, 5)
-            })
-            .deploy()
-            .is_err());
-        assert!(Gillis::new(zoo::tiny_vgg())
-            .retry_budget(RetryBudgetPolicy {
-                max_tokens: 0.0,
-                ..RetryBudgetPolicy::default()
-            })
-            .deploy()
-            .is_err());
-        assert!(Gillis::new(zoo::tiny_vgg())
-            .brownout(BrownoutPolicy {
-                window_lanes: 0,
-                ..BrownoutPolicy::default()
-            })
-            .deploy()
-            .is_err());
+        let invalid = [
+            PolicyStack {
+                outage: Some(OutageConfig {
+                    severity: 0.5,
+                    ..OutageConfig::severe(8.0, 5)
+                }),
+                ..stack.clone()
+            },
+            PolicyStack {
+                retry_budget: Some(RetryBudgetPolicy {
+                    max_tokens: 0.0,
+                    ..RetryBudgetPolicy::default()
+                }),
+                ..stack.clone()
+            },
+            PolicyStack {
+                brownout: Some(BrownoutPolicy {
+                    window_lanes: 0,
+                    ..BrownoutPolicy::default()
+                }),
+                ..stack
+            },
+        ];
+        for policies in invalid {
+            assert!(Gillis::new(zoo::tiny_vgg())
+                .policies(policies)
+                .deploy()
+                .is_err());
+        }
     }
 
     #[test]
@@ -976,10 +898,14 @@ mod tests {
             orchestrator_crash_rate: 0.2,
             ..ChaosConfig::default()
         };
+        let stack = PolicyStack {
+            chaos: Some(chaos),
+            resilience: ResiliencePolicy::backoff(),
+            recovery: Some(RecoveryPolicy::default()),
+            ..PolicyStack::default()
+        };
         let d = Gillis::new(zoo::tiny_vgg())
-            .chaos(chaos)
-            .resilience(ResiliencePolicy::backoff())
-            .recovery(RecoveryPolicy::default())
+            .policies(stack.clone())
             .deploy()
             .unwrap();
         let a = d.serve_open_loop(40.0, 120, 4, 9).unwrap();
@@ -990,11 +916,12 @@ mod tests {
         assert_eq!(a.recovery, b.recovery);
         assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
         // Invalid recovery knobs are rejected at deploy time.
+        let recovery = Some(RecoveryPolicy {
+            capacity: 0,
+            ..RecoveryPolicy::default()
+        });
         assert!(Gillis::new(zoo::tiny_vgg())
-            .recovery(RecoveryPolicy {
-                capacity: 0,
-                ..RecoveryPolicy::default()
-            })
+            .policies(PolicyStack { recovery, ..stack })
             .deploy()
             .is_err());
     }
@@ -1108,11 +1035,15 @@ mod tests {
         use gillis_model::weights::init_weights;
 
         let tiny = zoo::tiny_vgg();
+        let chaos = ChaosConfig {
+            seed: 3,
+            crash_rate: 0.05,
+            ..ChaosConfig::default()
+        };
         let d = Gillis::new(tiny.clone())
-            .chaos(ChaosConfig {
-                seed: 3,
-                crash_rate: 0.05,
-                ..ChaosConfig::default()
+            .policies(PolicyStack {
+                chaos: Some(chaos),
+                ..PolicyStack::default()
             })
             .deploy()
             .unwrap();
@@ -1209,12 +1140,15 @@ mod tests {
         chaos: ChaosConfig,
         policy: ResiliencePolicy,
     ) -> Deployment {
-        let d = Gillis::new(model.clone())
-            .chaos(chaos)
-            .resilience(policy)
+        Gillis::new(model.clone())
+            .policies(PolicyStack {
+                chaos: Some(chaos),
+                resilience: policy,
+                ..PolicyStack::default()
+            })
+            .plan(plan)
             .deploy()
-            .unwrap();
-        Deployment { plan, ..d }
+            .unwrap()
     }
 
     /// A chaos config exercising every fault kind at once.
@@ -1473,9 +1407,17 @@ mod tests {
         let mut policy = BatchPolicy::single(f64::INFINITY, 4);
         policy.max_window_ms = 4.0 * predicted;
         policy.memory_mb = vec![base_mb, 2 * base_mb];
-        let d = Gillis::new(zoo::tiny_vgg()).batch(policy).deploy().unwrap();
+        let batch = PolicyStack {
+            batch: Some(policy),
+            ..PolicyStack::default()
+        };
+        let d = Gillis::new(zoo::tiny_vgg())
+            .policies(batch)
+            .deploy()
+            .unwrap();
         let rate = 6_000.0 / predicted;
-        let (schedule, report) = d.serve_open_loop_batched(rate, 80, 4, 5).unwrap();
+        let schedule = d.batch_schedule(rate).unwrap();
+        let report = d.serve_open_loop(rate, 80, 4, 5).unwrap();
         assert!(schedule.classes[0].batch > 1, "{:?}", schedule.classes[0]);
         assert!(d
             .policies
@@ -1489,9 +1431,14 @@ mod tests {
             report.overload.admitted
         );
         assert!(report.batch.mean_batch() > 1.0, "{:?}", report.batch);
-        // Without a policy the batched entry point is an explicit error.
-        let err = probe.serve_open_loop_batched(rate, 10, 1, 5).unwrap_err();
+        // Without a policy there is no schedule, and open-loop serving
+        // dispatches per query.
+        let err = probe.batch_schedule(rate).unwrap_err();
         assert!(err.to_string().contains("batch policy"), "{err}");
+        assert_eq!(
+            probe.serve_open_loop(rate, 10, 1, 5).unwrap().batch.batches,
+            0
+        );
     }
 
     #[test]
@@ -1500,8 +1447,12 @@ mod tests {
         use gillis_perf::PerfModel;
 
         let tiny = zoo::tiny_vgg();
+        let pipelined = PolicyStack {
+            pipeline: Some(PipelinePolicy::with_lanes(2)),
+            ..PolicyStack::default()
+        };
         let d = Gillis::new(tiny.clone())
-            .pipeline(PipelinePolicy::with_lanes(2))
+            .policies(pipelined.clone())
             .deploy()
             .unwrap();
         // The pipeline deployment plans for the stage-balancing objective:
@@ -1512,7 +1463,7 @@ mod tests {
         let latency_opt = predict_plan_pipelined(&tiny, plain.plan(), &perf).unwrap();
         assert!(balanced.bottleneck_ms <= latency_opt.bottleneck_ms * 1.0001);
         // Serving streams queries through stages deterministically.
-        let report = d.serve_open_loop_pipelined(80.0, 100, 2, 3).unwrap();
+        let report = d.serve_open_loop(80.0, 100, 2, 3).unwrap();
         if d.plan().groups().len() > 1 {
             assert!(report.pipeline.stage_dispatches > 0);
             assert!(report.pipeline.handoffs > 0);
@@ -1522,15 +1473,43 @@ mod tests {
             // only counts admissions under an overload policy.
             assert_eq!(report.latency.count(), 100);
         }
-        let again = d.serve_open_loop_pipelined(80.0, 100, 2, 3).unwrap();
+        let again = d.serve_open_loop(80.0, 100, 2, 3).unwrap();
         assert_eq!(
             report.latency.mean().to_bits(),
             again.latency.mean().to_bits()
         );
         assert_eq!(report.pipeline, again.pipeline);
-        // Without a pipeline policy the entry point is an explicit error.
-        let err = plain.serve_open_loop_pipelined(80.0, 10, 1, 3).unwrap_err();
-        assert!(err.to_string().contains("pipeline policy"), "{err}");
+        // Pipelining takes precedence over batching: with both policies the
+        // deployment serves exactly as with the pipeline policy alone.
+        let both = PolicyStack {
+            batch: Some(BatchPolicy::single(f64::INFINITY, 4)),
+            ..pipelined
+        };
+        let both = Gillis::new(tiny).policies(both).deploy().unwrap();
+        let report_both = both.serve_open_loop(80.0, 100, 2, 3).unwrap();
+        assert_eq!(report_both.batch.batches, 0);
+        assert_eq!(report_both.pipeline, report.pipeline);
+        assert_eq!(
+            report_both.latency.mean().to_bits(),
+            report.latency.mean().to_bits()
+        );
+    }
+
+    #[test]
+    fn a_given_plan_is_deployed_and_validated() {
+        let tiny = zoo::tiny_vgg();
+        let plan = forced_split_plan(&tiny, Placement::Workers);
+        let d = Gillis::new(tiny.clone())
+            .plan(plan.clone())
+            .deploy()
+            .unwrap();
+        assert_eq!(d.plan(), &plan);
+        let perf = PerfModel::profiled(&PlatformProfile::aws_lambda(), 42);
+        assert_eq!(d.predicted(), &predict_plan(&tiny, &plan, &perf).unwrap());
+        // A plan that does not cover the model is rejected at deploy time.
+        let short = plan_of(&[(1, PartitionOption::Single)]);
+        let err = Gillis::new(tiny).plan(short).deploy().unwrap_err();
+        assert!(matches!(err, CoreError::InvalidPlan(_)), "{err}");
     }
 
     #[test]

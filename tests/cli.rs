@@ -138,3 +138,95 @@ fn serve_prints_the_policies_in_force() {
     );
     assert!(stdout.contains("served 20 queries"), "{stdout}");
 }
+
+/// The `served …` and `overload: …` lines of a serving report, formatted as
+/// the CLI prints them.
+fn report_lines(report: &gillis::core::ServingReport) -> Vec<String> {
+    let mut lines = vec![format!(
+        "served {} queries: mean {:.1} ms, p50 {:.1} ms, p99 {:.1} ms",
+        report.latency.count(),
+        report.latency.mean(),
+        report.latency.percentile(50.0),
+        report.latency.percentile(99.0),
+    )];
+    if report.overload.admitted > 0 {
+        lines.push(format!(
+            "overload: {} admitted, {} shed, {} deadline-exceeded, \
+             {} cancelled attempts, {} breaker opens ({} short circuits)",
+            report.overload.admitted,
+            report.overload.shed(),
+            report.resilience.deadline_exceeded_queries,
+            report.overload.cancelled_attempts,
+            report.overload.breaker_opens,
+            report.overload.breaker_short_circuits,
+        ));
+    }
+    lines
+}
+
+#[test]
+fn open_loop_serve_is_the_deployments_open_loop() {
+    use gillis::core::PolicyStack;
+    use gillis::serving::{lookup_model, Gillis};
+
+    // Each knob set and its `--rate`, if any (without one the CLI serves at
+    // 100/s). At 10,000/s a plain open loop outgrows its four prewarmed
+    // masters and pays cold starts, where a closed loop of four clients
+    // never does. The last deadline lies between the analytic and the
+    // profiled prediction of tiny-vgg's plan: shedding on the analytic one
+    // admitted all 20 queries.
+    type Knobs = &'static [(&'static str, &'static str)];
+    let cases: [(Knobs, Option<f64>); 4] = [
+        (&[("GILLIS_PIPELINE_LANES", "2")], None),
+        (&[("GILLIS_BATCH_MAX", "4")], Some(40.0)),
+        (&[], Some(10_000.0)),
+        (
+            &[
+                ("GILLIS_PIPELINE_LANES", "2"),
+                ("GILLIS_OVERLOAD_CONCURRENCY", "4"),
+                ("GILLIS_OVERLOAD_DEADLINE_MS", "0.222"),
+                ("GILLIS_OVERLOAD_SHED_PREDICTED", "true"),
+            ],
+            None,
+        ),
+    ];
+    for (knobs, rate) in cases {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_gillis"));
+        cmd.args(["serve", "--model", "tiny-vgg", "--clients", "4"])
+            .args(["--queries", "20"])
+            .envs(knobs.iter().copied());
+        if let Some(rate) = rate {
+            cmd.args(["--rate", &rate.to_string()]);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(out.status.success(), "{knobs:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let cli: Vec<&str> = stdout
+            .lines()
+            .filter(|l| l.starts_with("served ") || l.starts_with("overload: "))
+            .collect();
+
+        // The child sees the test's environment plus the knobs.
+        let lookup = |key: &str| {
+            knobs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+                .or_else(|| std::env::var(key).ok())
+        };
+        let policies = PolicyStack::from_lookup(&lookup).unwrap();
+        let report = Gillis::new(lookup_model("tiny-vgg").unwrap())
+            .policies(policies)
+            .deploy()
+            .unwrap()
+            .serve_open_loop(rate.unwrap_or(100.0), 20, 4, 7)
+            .unwrap();
+        assert_eq!(cli, report_lines(&report), "{knobs:?}");
+        if knobs.is_empty() {
+            assert!(report.cold_starts > 0);
+        }
+        if knobs.len() == 4 {
+            assert_eq!(report.overload.shed(), 20, "{:?}", report.overload);
+        }
+    }
+}
