@@ -232,9 +232,8 @@ impl ForkJoinRuntime<'_> {
             };
             // Closed-loop clients self-limit, so there is no admission
             // queue; deadlines and breakers still apply.
-            let guard = self.overload.as_ref();
-            s.overload.admitted += u64::from(guard.is_some());
-            let deadline = guard.and_then(|ov| ov.policy.deadline_at(now));
+            s.overload.admitted += u64::from(self.policies.overload.is_some());
+            let deadline = self.deadline_at(now);
             let (done, status) =
                 s.run_query(now, &mut rng, self.query(query_idx, deadline, level))?;
             query_idx += 1;
@@ -279,11 +278,11 @@ impl ForkJoinRuntime<'_> {
         seed: u64,
     ) -> Result<ServingReport> {
         let arrivals = PoissonArrivals::new(rate_per_sec)?;
-        let guard = self.overload.as_ref();
+        let overload = self.policies.overload;
         // Warm the whole admission capacity: a policy bounds concurrency at
         // `max_concurrency`, so warming less would just shift early
         // admitted queries onto cold starts.
-        let masters = guard.map(|ov| ov.policy.max_concurrency);
+        let masters = overload.map(|ov| ov.max_concurrency);
         let mut fleet = self.warm_fleet(prewarm_clients.max(masters.unwrap_or(0)))?;
         let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
         let mut s = Session::for_run(self, &mut fleet, &mut billing, &mut resilience);
@@ -299,17 +298,15 @@ impl ForkJoinRuntime<'_> {
                 continue;
             };
             let start = now.max(door.earliest_free());
-            let deadline = guard.and_then(|ov| ov.policy.deadline_at(now));
+            let deadline = self.deadline_at(now);
             // Without a policy there is no front door to count at: every
             // arrival runs, and `admitted` stays zero as it always has.
-            if let Some(ov) = guard {
-                if waiting >= ov.policy.queue_depth {
+            if let Some(ov) = overload {
+                if waiting >= ov.queue_depth {
                     s.shed_queue_full();
                     continue;
                 }
-                if ov.policy.shed_on_predicted_miss
-                    && deadline.is_some_and(|d| start + Micros::from_ms(ov.predicted_ms) > d)
-                {
+                if self.sheds_predicted(start, deadline) {
                     s.shed_predicted_miss();
                     continue;
                 }
@@ -384,8 +381,8 @@ impl ForkJoinRuntime<'_> {
             )));
         }
         let arrivals = PoissonArrivals::new(rate_per_sec)?;
-        let (max_concurrency, queue_depth) = match &self.overload {
-            Some(ov) => (ov.policy.max_concurrency, ov.policy.queue_depth),
+        let (max_concurrency, queue_depth) = match self.policies.overload {
+            Some(ov) => (ov.max_concurrency, ov.queue_depth),
             None => (prewarm_clients.max(1), usize::MAX),
         };
         let mut fleet = self.warm_fleet(prewarm_clients.max(max_concurrency))?;

@@ -45,11 +45,6 @@ impl LaneExec {
 }
 
 impl ForkJoinRuntime<'_> {
-    /// Bytes a raw f32 payload occupies on this runtime's wire.
-    pub(super) fn wire(&self, raw_bytes: u64) -> u64 {
-        self.transfer_format.wire_bytes(raw_bytes)
-    }
-
     pub(super) fn sample_compute_ms<R: RngExt + ?Sized>(
         &self,
         work: &PartitionWork,

@@ -1,8 +1,13 @@
 //! The fork-join serving runtime (paper §III-B): a master that forks a layer
 //! group onto worker functions, waits for the slowest, joins, and continues.
 //!
-//! One [`ForkJoinRuntime`] prepares a validated plan for a platform; what
-//! runs it is split by concern:
+//! One [`ForkJoinRuntime`] prepares a validated plan for a platform and
+//! holds one [`PolicyStack`], next to the only state derived from it: the
+//! built fault injector, the built outage model and the overload
+//! prediction. Every `with_*` builder sets one family of that stack, and
+//! [`ForkJoinRuntime::with_policies`] replaces it whole, so a run is a
+//! function of `(plan, platform, seed, stack)`. What runs the plan is split
+//! by concern:
 //!
 //! - `report` — what a run returns: [`QueryOutcome`], [`ServingReport`],
 //!   [`SimulationReport`].
@@ -53,14 +58,13 @@ use gillis_faas::chaos::{
 };
 use gillis_faas::fleet::{Fleet, FunctionSpec};
 use gillis_faas::knobs::PolicyStack;
-use gillis_faas::overload::{CircuitBreaker, OverloadPolicy};
+use gillis_faas::overload::OverloadPolicy;
 use gillis_faas::recovery::RecoveryPolicy;
 use gillis_faas::{Micros, PlatformProfile};
 use gillis_model::LinearModel;
-use gillis_perf::TransferFormat;
 
 use crate::error::CoreError;
-use crate::partition::GroupAnalysis;
+use crate::partition::{GroupAnalysis, PartitionWork};
 use crate::plan::{ExecutionPlan, Placement, PlannedGroup};
 use crate::Result;
 
@@ -74,20 +78,6 @@ mod simulate;
 
 pub use batch::{plan_batch_schedule, BatchSchedule, ClassSchedule};
 pub use report::{QueryOutcome, ServingReport, SimulationReport};
-
-/// Seed of the injector derived from the legacy
-/// `PlatformProfile::invocation_failure_rate` knob, so profiles that only
-/// set a failure rate keep getting deterministic faults.
-const LEGACY_FAILURE_SEED: u64 = 0xFA11_5EED;
-
-/// Overload protection prepared for serving: the policy plus the plan's
-/// predicted warm latency, which admission control adds to the predicted
-/// queue wait when deciding whether an arrival can still meet its deadline.
-#[derive(Debug, Clone)]
-struct OverloadRuntime {
-    policy: OverloadPolicy,
-    predicted_ms: f64,
-}
 
 /// The work one dispatch performs per `[group][partition]`: the plan's own
 /// analyses, or batched serving's `n`-scaled ones — the same groups,
@@ -106,21 +96,16 @@ impl WorkProfile {
     fn new(platform: &PlatformProfile, analyses: Vec<GroupAnalysis>) -> Self {
         let jitter_p95 = platform.invoke_latency_ms.upper_quantile(0.95);
         let noise_p95 = 1.0 + 1.645 * platform.compute_noise_rel_std;
+        let p95 = |p: &PartitionWork| {
+            let compute = p
+                .flops
+                .iter()
+                .map(|&(class, flops)| platform.compute_ms(flops, class));
+            compute.sum::<f64>() * noise_p95 + jitter_p95
+        };
         let attempt_p95_ms = analyses
             .iter()
-            .map(|a| {
-                a.partitions
-                    .iter()
-                    .map(|p| {
-                        let mean: f64 = p
-                            .flops
-                            .iter()
-                            .map(|&(class, flops)| platform.compute_ms(flops, class))
-                            .sum();
-                        mean * noise_p95 + jitter_p95
-                    })
-                    .collect()
-            })
+            .map(|a| a.partitions.iter().map(p95).collect())
             .collect();
         WorkProfile {
             analyses,
@@ -161,7 +146,9 @@ fn worker_fn(gi: usize, pi: usize) -> String {
     format!("g{gi}p{pi}")
 }
 
-/// The plan executor over the simulated platform.
+/// The plan executor over the simulated platform. A serving run is a pure
+/// function of the plan, the platform, the seed and the held
+/// [`PolicyStack`].
 #[derive(Debug, Clone)]
 pub struct ForkJoinRuntime<'a> {
     model: &'a LinearModel,
@@ -169,22 +156,17 @@ pub struct ForkJoinRuntime<'a> {
     platform: PlatformProfile,
     /// The plan's per-query work and attempt p95s.
     profile: WorkProfile,
+    /// Every policy in force. The batch and pipeline families ride along
+    /// unread: their serve calls take their policy as an argument.
+    policies: PolicyStack,
+    /// Built from `policies.chaos`.
     injector: Option<FaultInjector>,
-    policy: ResiliencePolicy,
-    overload: Option<OverloadRuntime>,
-    /// Correlated-outage episodes scaling the injector's failure rates per
-    /// fault domain; `None` leaves the per-site sampler untouched.
+    /// Built from `policies.outage`: correlated-outage episodes scaling the
+    /// injector's failure rates per fault domain.
     outage: Option<OutageModel>,
-    /// Retry-budget policy for the fleet serving paths; `None` allows
-    /// unbounded retries/hedges (the pre-budget behavior).
-    retry_budget: Option<RetryBudgetPolicy>,
-    /// Brownout degradation ladder for the serving loops; `None` serves
-    /// every arrival at full service.
-    brownout: Option<BrownoutPolicy>,
-    /// Stage-level checkpointed recovery; `None` disables the checkpoint
-    /// cache, resume retries, and speculation — orchestrator crashes (still
-    /// sampled by the chaos config) then always restart from stage 0.
-    recovery: Option<RecoveryPolicy>,
+    /// The plan's predicted warm latency, which shed-on-predicted-miss adds
+    /// to an arrival's start; positive whenever `policies.overload` is set.
+    predicted_ms: f64,
     /// Weight-identity token keying every checkpoint: a deterministic fold
     /// over the plan's partition shapes and weight bytes, so a redeployed
     /// model or repartitioned plan can never resume from a stale activation.
@@ -193,19 +175,11 @@ pub struct ForkJoinRuntime<'a> {
     /// partition's attempt p95) — the denominator that prices a resumed
     /// retry at its stage's share of the plan.
     plan_p95_total_ms: f64,
-    /// Wire encoding of fork/join payloads: every sampled transfer maps its
-    /// raw f32 activation bytes through this format, mirroring
-    /// `PerfModel::wire_bytes` so simulation and prediction price the same
-    /// payloads.
-    transfer_format: TransferFormat,
 }
 
 impl<'a> ForkJoinRuntime<'a> {
     /// Prepares a runtime for a validated plan with the default
-    /// [`ResiliencePolicy`]. A nonzero
-    /// `PlatformProfile::invocation_failure_rate` is expressed as a
-    /// [`ChaosConfig::invoke_only`] injector (fixed seed), so the legacy
-    /// knob and explicit chaos configs share one failure model.
+    /// [`PolicyStack`]: no faults, the default [`ResiliencePolicy`].
     ///
     /// # Errors
     ///
@@ -218,12 +192,6 @@ impl<'a> ForkJoinRuntime<'a> {
     ) -> Result<Self> {
         plan.validate(model, platform.model_memory_budget)?;
         let analyses = plan.analyses(model)?;
-        let injector = if platform.invocation_failure_rate > 0.0 {
-            let rate = platform.invocation_failure_rate.min(1.0);
-            Some(ChaosConfig::invoke_only(rate, LEGACY_FAILURE_SEED).build()?)
-        } else {
-            None
-        };
         let weight_token = weight_identity_token(&analyses);
         let profile = WorkProfile::new(&platform, analyses);
         let plan_p95_total_ms = profile.remaining_p95_ms(0);
@@ -232,221 +200,160 @@ impl<'a> ForkJoinRuntime<'a> {
             plan,
             platform,
             profile,
-            injector,
-            policy: ResiliencePolicy::default(),
-            overload: None,
+            policies: PolicyStack::default(),
+            injector: None,
             outage: None,
-            retry_budget: None,
-            brownout: None,
-            recovery: None,
+            predicted_ms: 0.0,
             weight_token,
             plan_p95_total_ms,
-            transfer_format: TransferFormat::default(),
         })
     }
 
-    /// Sets the wire encoding of fork/join payloads. Pair with a
-    /// [`gillis_perf::PerfModel`] carrying the same format so the planner
-    /// optimized for the bytes this runtime actually ships.
-    pub fn with_transfer_format(mut self, format: TransferFormat) -> Self {
-        self.transfer_format = format;
-        self
-    }
-
-    /// Replaces the fault injector with one built from `config` (overriding
-    /// any injector derived from the platform's legacy failure-rate knob).
-    ///
-    /// # Errors
-    ///
-    /// Returns the config's validation error.
-    pub fn with_chaos(mut self, config: ChaosConfig) -> Result<Self> {
-        self.injector = Some(config.build()?);
-        Ok(self)
-    }
-
-    /// Sets the resilience policy.
-    pub fn with_policy(mut self, policy: ResiliencePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Enables correlated-outage episodes: Markov on/off windows per fault
-    /// domain (platform, worker lane, memory tier) that multiply the
-    /// injector's invoke-failure and straggler rates by the configured
-    /// severity while active. Episode membership is a pure function of
-    /// `(outage seed, domain, virtual-time window)`, so serving stays
-    /// bit-identical across thread counts. Without a chaos injector the
-    /// model is inert — there are no rates to scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns the config's validation error.
-    pub fn with_outage(mut self, config: OutageConfig) -> Result<Self> {
-        self.outage = Some(config.build().map_err(CoreError::from)?);
-        Ok(self)
-    }
-
-    /// Enables an adaptive retry budget on the fleet serving paths: a
-    /// deterministic token bucket, refilled by successful first attempts,
-    /// that every retry and hedge must debit before launching. When the
-    /// bucket is dry the lane falls through to local fallback instead of
-    /// amplifying load into the outage.
-    ///
-    /// # Errors
-    ///
-    /// Returns the policy's validation error.
-    pub fn with_retry_budget(mut self, policy: RetryBudgetPolicy) -> Result<Self> {
-        policy.validate().map_err(CoreError::from)?;
-        self.retry_budget = Some(policy);
-        Ok(self)
-    }
-
-    /// Enables the brownout degradation ladder on the serving loops: a
-    /// windowed first-attempt health score steps service down through
-    /// full → no-hedging → int8 wire → local-fallback-only → shed, and
-    /// back up only after consecutive clean windows (hysteresis).
-    ///
-    /// # Errors
-    ///
-    /// Returns the policy's validation error.
-    pub fn with_brownout(mut self, policy: BrownoutPolicy) -> Result<Self> {
-        policy.validate().map_err(CoreError::from)?;
-        self.brownout = Some(policy);
-        Ok(self)
-    }
-
-    /// Enables stage-level checkpointed recovery on the serving paths:
-    /// completed layer groups store deterministic boundary checkpoints so
-    /// failed groups retry from the last checkpointed boundary, straggler
-    /// groups past `spec_factor` × their predicted p95 get a speculative
-    /// duplicate (first result wins), orchestrator crashes failover-replay
-    /// instead of restarting from stage 0, and retry-budget debits price
-    /// resumed attempts at their marginal cost — the stage's share of the
-    /// plan rather than a full token.
-    ///
-    /// # Errors
-    ///
-    /// Returns the policy's validation error.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Result<Self> {
-        policy.validate().map_err(CoreError::from)?;
-        self.recovery = Some(policy);
-        Ok(self)
-    }
-
-    /// Marginal retry-budget cost of re-running one partition whose attempt
-    /// p95 is `p95_ms`: with stage-level recovery a retry or hedge redoes
-    /// only its own stage, so it debits the stage's share of the plan;
-    /// without recovery every retry implicitly restarts the query and costs
-    /// a full token — the pre-recovery behavior, unchanged.
-    fn retry_unit_cost(&self, p95_ms: f64) -> f64 {
-        if self.recovery.is_some() {
-            gillis_perf::marginal_retry_cost(p95_ms, self.plan_p95_total_ms)
-        } else {
-            1.0
+    /// The one path a policy change takes: `edit` the held stack (and the
+    /// overload prediction), validate it, and rebuild the injector and the
+    /// outage model from it.
+    fn set(mut self, edit: impl FnOnce(&mut Self)) -> Result<Self> {
+        edit(&mut self);
+        self.policies.validate()?;
+        let predicted_ok = self.predicted_ms.is_finite() && self.predicted_ms > 0.0;
+        if self.policies.overload.is_some() && !predicted_ok {
+            return Err(CoreError::InvalidArgument(format!(
+                "predicted latency must be positive and finite: {}",
+                self.predicted_ms
+            )));
         }
+        self.injector = self.policies.chaos.map(ChaosConfig::build).transpose()?;
+        self.outage = self.policies.outage.map(OutageConfig::build).transpose()?;
+        Ok(self)
     }
 
-    /// Enables overload protection: a bounded admission queue with
-    /// deadline-derived shedding in [`Self::serve_open_loop`], deadline
-    /// propagation with cooperative cancellation into every fork-join
-    /// group, and per-worker-lane circuit breakers. The plan's predicted
-    /// warm latency (analytic performance model) feeds the
-    /// shed-on-predicted-miss decision; use
-    /// [`Self::with_overload_predicted`] to supply a prediction from a
-    /// profiled model instead.
+    /// Sets the chaos family: the per-execution faults every path samples.
+    ///
+    /// # Errors
+    ///
+    /// Returns the config's validation error.
+    pub fn with_chaos(self, config: ChaosConfig) -> Result<Self> {
+        self.set(|rt| rt.policies.chaos = Some(config))
+    }
+
+    /// Sets the resilience policy: retries, backoff, timeouts, hedging and
+    /// local fallback.
+    pub fn with_policy(mut self, policy: ResiliencePolicy) -> Self {
+        self.policies.resilience = policy;
+        self
+    }
+
+    /// Sets the outage family: correlated episodes per fault domain that
+    /// multiply the chaos rates while active (inert without chaos).
+    ///
+    /// # Errors
+    ///
+    /// Returns the config's validation error.
+    pub fn with_outage(self, config: OutageConfig) -> Result<Self> {
+        self.set(|rt| rt.policies.outage = Some(config))
+    }
+
+    /// Sets the retry-budget family: a token bucket, refilled by successful
+    /// first attempts, that every retry and hedge must debit; a dry bucket
+    /// falls through to local fallback instead of amplifying load.
+    ///
+    /// # Errors
+    ///
+    /// Returns the policy's validation error.
+    pub fn with_retry_budget(self, policy: RetryBudgetPolicy) -> Result<Self> {
+        self.set(|rt| rt.policies.retry_budget = Some(policy))
+    }
+
+    /// Sets the brownout family: a health-scored ladder from full service
+    /// through no-hedging, int8 wire and local-only down to shedding.
+    ///
+    /// # Errors
+    ///
+    /// Returns the policy's validation error.
+    pub fn with_brownout(self, policy: BrownoutPolicy) -> Result<Self> {
+        self.set(|rt| rt.policies.brownout = Some(policy))
+    }
+
+    /// Sets the recovery family: stage-boundary checkpoints that failed
+    /// groups resume from and crashed orchestrators replay from, straggler
+    /// speculation, and retries priced at their stage's share of the plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns the policy's validation error.
+    pub fn with_recovery(self, policy: RecoveryPolicy) -> Result<Self> {
+        self.set(|rt| rt.policies.recovery = Some(policy))
+    }
+
+    /// The plan's warm latency under the analytic performance model.
+    fn analytic_prediction_ms(&self) -> Result<f64> {
+        let perf = gillis_perf::PerfModel::analytic(&self.platform);
+        Ok(crate::predict::predict_plan(self.model, self.plan, &perf)?.latency_ms)
+    }
+
+    /// Sets the overload family: bounded admission with deadline shedding,
+    /// deadlines propagated into every group, and per-lane circuit
+    /// breakers. Shed-on-predicted-miss uses the analytic prediction; see
+    /// [`Self::with_overload_predicted`] for a profiled one.
     ///
     /// # Errors
     ///
     /// Returns the policy's validation error, or prediction errors.
     pub fn with_overload(self, policy: OverloadPolicy) -> Result<Self> {
-        let perf = gillis_perf::PerfModel::analytic(&self.platform);
-        let predicted_ms = crate::predict::predict_plan(self.model, self.plan, &perf)?.latency_ms;
+        let predicted_ms = self.analytic_prediction_ms()?;
         self.with_overload_predicted(policy, predicted_ms)
     }
 
-    /// [`Self::with_overload`] with an explicit predicted warm latency for
-    /// the plan (e.g. `PlanPrediction::latency_ms` from a profiled
-    /// performance model).
+    /// [`Self::with_overload`] with an explicit predicted warm latency.
     ///
     /// # Errors
     ///
     /// Returns the policy's validation error, or
     /// [`CoreError::InvalidArgument`] for a non-positive prediction.
     pub fn with_overload_predicted(
-        mut self,
+        self,
         policy: OverloadPolicy,
         predicted_ms: f64,
     ) -> Result<Self> {
-        policy.validate().map_err(CoreError::from)?;
-        // NaN-rejecting: the prediction must be definitely positive.
-        if predicted_ms.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-            || !predicted_ms.is_finite()
-        {
-            return Err(CoreError::InvalidArgument(format!(
-                "predicted latency must be positive and finite: {predicted_ms}"
-            )));
-        }
-        self.overload = Some(OverloadRuntime {
-            policy,
-            predicted_ms,
-        });
-        Ok(self)
+        self.set(|rt| {
+            rt.policies.overload = Some(policy);
+            rt.predicted_ms = predicted_ms;
+        })
     }
 
-    /// Attaches every policy of `stack` the runtime holds — resilience,
-    /// overload, outage, retry budget, brownout, recovery and chaos; the
-    /// batch and pipeline policies are arguments of their own serve calls.
-    /// `predicted_ms` is the plan's warm latency for shed-on-predicted-miss
-    /// ([`Self::with_overload_predicted`]); `None` predicts it with the
-    /// analytic performance model ([`Self::with_overload`]).
+    /// Holds `stack` in place of every policy set so far. `predicted_ms`
+    /// is as in [`Self::with_overload_predicted`]; `None` predicts
+    /// analytically when `stack` has an overload policy.
     ///
     /// # Errors
     ///
-    /// Returns the first policy's validation error, or prediction errors.
-    pub fn with_policies(mut self, stack: &PolicyStack, predicted_ms: Option<f64>) -> Result<Self> {
-        self = self.with_policy(stack.resilience);
-        if let Some(policy) = stack.overload {
-            self = match predicted_ms {
-                Some(ms) => self.with_overload_predicted(policy, ms)?,
-                None => self.with_overload(policy)?,
-            };
-        }
-        if let Some(config) = stack.outage {
-            self = self.with_outage(config)?;
-        }
-        if let Some(policy) = stack.retry_budget {
-            self = self.with_retry_budget(policy)?;
-        }
-        if let Some(policy) = stack.brownout {
-            self = self.with_brownout(policy)?;
-        }
-        if let Some(policy) = stack.recovery {
-            self = self.with_recovery(policy)?;
-        }
-        match stack.chaos {
-            Some(config) => self.with_chaos(config),
-            None => Ok(self),
-        }
+    /// Returns the first family's validation error, or prediction errors.
+    pub fn with_policies(self, stack: &PolicyStack, predicted_ms: Option<f64>) -> Result<Self> {
+        let predicted_ms = match predicted_ms {
+            Some(ms) => ms,
+            None if stack.overload.is_some() => self.analytic_prediction_ms()?,
+            None => 0.0,
+        };
+        self.set(|rt| {
+            rt.policies = stack.clone();
+            rt.predicted_ms = predicted_ms;
+        })
     }
 
-    /// Fresh per-lane circuit breakers shaped like the plan (one per
-    /// partition slot, including master slots for stable indexing), or
-    /// `None` when no overload policy enables lane breaking.
-    fn breaker_bank(&self) -> Option<Vec<Vec<CircuitBreaker>>> {
-        let policy = self.overload.as_ref()?.policy.breaker;
-        let lanes = |a: &GroupAnalysis| vec![CircuitBreaker::new(policy); a.partitions.len()];
-        policy
-            .enabled()
-            .then(|| self.profile.analyses.iter().map(lanes).collect())
+    /// The overload policy's deadline for an arrival at `now`.
+    fn deadline_at(&self, now: Micros) -> Option<Micros> {
+        self.policies.overload?.deadline_at(now)
     }
 
-    /// Worker invocations the plan makes from group `from` on — what a query
-    /// that dies before reaching `from` leaves undone.
-    fn workers_from(&self, from: usize) -> u64 {
-        self.plan.groups()[from..]
-            .iter()
-            .map(|g| g.worker_count() as u64)
-            .sum()
+    /// Whether shed-on-predicted-miss turns away a query that would start
+    /// at `start`: its predicted service already ends past `deadline`.
+    fn sheds_predicted(&self, start: Micros, deadline: Option<Micros>) -> bool {
+        let predicted_end = start + Micros::from_ms(self.predicted_ms);
+        let shed = self
+            .policies
+            .overload
+            .is_some_and(|ov| ov.shed_on_predicted_miss);
+        shed && deadline.is_some_and(|d| predicted_end > d)
     }
 
     /// Every `(group, partition)` slot that runs as its own worker function,
@@ -494,16 +401,6 @@ impl<'a> ForkJoinRuntime<'a> {
             fleet.prewarm(&worker_fn(gi, pi), count, Micros::ZERO)?;
         }
         Ok(())
-    }
-
-    /// Cold starts the master and the worker functions paid so far.
-    fn count_cold_starts(&self, fleet: &Fleet) -> Result<u64> {
-        let (mut cold_starts, _, _) = fleet.stats("master")?;
-        for (gi, pi) in self.worker_slots() {
-            let (c, _, _) = fleet.stats(&worker_fn(gi, pi))?;
-            cold_starts += c;
-        }
-        Ok(cold_starts)
     }
 
     /// A fresh fleet with the plan deployed and `count` instances of every
@@ -658,5 +555,108 @@ pub(crate) mod fixtures {
             ForkJoinRuntime::new(tiny, plan, platform).unwrap(),
             predicted,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gillis_faas::brownout::BrownoutPolicy;
+    use gillis_faas::budget::RetryBudgetPolicy;
+    use gillis_faas::chaos::{OutageConfig, ResiliencePolicy};
+    use gillis_faas::knobs::PolicyStack;
+    use gillis_faas::overload::OverloadPolicy;
+    use gillis_faas::pipeline::PipelinePolicy;
+    use gillis_faas::recovery::RecoveryPolicy;
+
+    use super::fixtures::{recovery_fixture, stress_chaos};
+    use super::{ForkJoinRuntime, ServingReport};
+    use crate::Result;
+
+    /// Every field of a report, the bill's bits included.
+    fn bits(report: &ServingReport) -> (String, u64) {
+        (format!("{report:?}"), report.billing.usd_total().to_bits())
+    }
+
+    /// The open-loop and pipelined reports of `rt` at twice saturation.
+    fn serve(rt: &ForkJoinRuntime<'_>, predicted: f64, seed: u64) -> [(String, u64); 2] {
+        let rate = 2.0 * 1000.0 * 2.0 / predicted;
+        let open = rt.serve_open_loop(rate, 40, 2, seed).unwrap();
+        let piped = rt
+            .serve_open_loop_pipelined(&PipelinePolicy::with_lanes(2), rate, 40, 2, seed)
+            .unwrap();
+        [bits(&open), bits(&piped)]
+    }
+
+    /// The stack whose family `i` is on from its preset exactly when bit
+    /// `i` of `on` is set.
+    fn stack(on: u8, seed: u64, predicted: f64) -> PolicyStack {
+        let bit = |i: u8| on & (1 << i) != 0;
+        PolicyStack {
+            chaos: bit(0).then(|| stress_chaos(seed)),
+            resilience: if bit(1) {
+                ResiliencePolicy::backoff_hedged()
+            } else {
+                ResiliencePolicy::default()
+            },
+            overload: bit(2).then(|| OverloadPolicy::for_slo(3.0 * predicted, 2)),
+            outage: bit(3).then(|| OutageConfig::severe(3.0, seed ^ 1)),
+            retry_budget: bit(4).then(RetryBudgetPolicy::default),
+            brownout: bit(5).then(BrownoutPolicy::default),
+            recovery: bit(6).then(RecoveryPolicy::default),
+            ..PolicyStack::default()
+        }
+    }
+
+    /// `stack` attached one family at a time through the `with_*` builders.
+    fn chained<'a>(rt: ForkJoinRuntime<'a>, stack: &PolicyStack) -> Result<ForkJoinRuntime<'a>> {
+        let mut rt = rt.with_policy(stack.resilience);
+        if let Some(config) = stack.chaos {
+            rt = rt.with_chaos(config)?;
+        }
+        if let Some(policy) = stack.overload {
+            rt = rt.with_overload(policy)?;
+        }
+        if let Some(config) = stack.outage {
+            rt = rt.with_outage(config)?;
+        }
+        if let Some(policy) = stack.retry_budget {
+            rt = rt.with_retry_budget(policy)?;
+        }
+        if let Some(policy) = stack.brownout {
+            rt = rt.with_brownout(policy)?;
+        }
+        match stack.recovery {
+            Some(policy) => rt.with_recovery(policy),
+            None => Ok(rt),
+        }
+    }
+
+    #[test]
+    fn with_policies_replaces_the_held_stack() {
+        // Every family set through the builders, then an empty stack: what
+        // serves is the empty stack alone, bit for bit a fresh runtime.
+        let (fresh, predicted) = recovery_fixture();
+        let everything = chained(fresh.clone(), &stack(u8::MAX, 5, predicted)).unwrap();
+        let replaced = everything
+            .with_policies(&PolicyStack::default(), None)
+            .unwrap();
+        assert_eq!(serve(&replaced, predicted, 3), serve(&fresh, predicted, 3));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Building a stack through the `with_*` chain and handing it over
+        /// whole serve the same reports, billing bits included.
+        #[test]
+        fn builders_and_with_policies_serve_alike(
+            (on, seed) in (0u8..128, 0u64..1000),
+        ) {
+            let (rt, predicted) = recovery_fixture();
+            let stack = stack(on, seed, predicted);
+            let built = chained(rt.clone(), &stack).unwrap();
+            let held = rt.with_policies(&stack, None).unwrap();
+            proptest::prop_assert_eq!(serve(&built, predicted, seed), serve(&held, predicted, seed));
+        }
     }
 }

@@ -136,13 +136,8 @@ impl PipelineSim<'_, '_> {
             return Ok(());
         };
         let rt = self.s.rt;
-        let guard = rt.overload.as_ref();
-        let deadline = guard.and_then(|ov| ov.policy.deadline_at(now));
-        let predicted_miss = guard.is_some_and(|ov| {
-            ov.policy.shed_on_predicted_miss
-                && deadline.is_some_and(|d| now + Micros::from_ms(ov.predicted_ms) > d)
-        });
-        if predicted_miss {
+        let deadline = rt.deadline_at(now);
+        if rt.sheds_predicted(now, deadline) {
             self.s.shed_predicted_miss();
             return Ok(());
         }
@@ -201,7 +196,7 @@ impl PipelineSim<'_, '_> {
             // request payload for free, like the fork-join master), in the
             // same wire format as fork/join payloads.
             let input = &rt.model.layers()[rt.plan.groups()[s].start];
-            let bytes = wire_format(rt, slot.level).wire_bytes(input.in_bytes());
+            let bytes = wire_format(slot.level).wire_bytes(input.in_bytes());
             now += Micros::from_ms(rt.sample_transfer_parts(&[bytes], &mut rng));
             self.counters.handoffs += 1;
         }

@@ -29,7 +29,7 @@ use gillis_perf::TransferFormat;
 
 use super::lane::LaneExec;
 use super::{on_worker, worker_fn, ForkJoinRuntime, ServingReport, WorkProfile};
-use crate::partition::PartitionWork;
+use crate::partition::{GroupAnalysis, PartitionWork};
 use crate::plan::Placement;
 use crate::Result;
 
@@ -176,11 +176,16 @@ impl<'s, 'a> Session<'s, 'a> {
         billing: &'s mut BillingMeter,
         resilience: &'s mut ResilienceCounters,
     ) -> Self {
+        // Per-lane breakers shaped like the plan, master slots included for
+        // stable indexing, when the overload policy enables lane breaking.
+        let breaker = rt.policies.overload.map(|ov| ov.breaker);
+        let lanes = |a: &GroupAnalysis, b| vec![CircuitBreaker::new(b); a.partitions.len()];
+        let bank = |b| rt.profile.analyses.iter().map(|a| lanes(a, b)).collect();
         Session {
-            breakers: rt.breaker_bank(),
-            budget: rt.retry_budget.map(RetryBudget::new),
-            brownout: rt.brownout.map(BrownoutController::new),
-            checkpoints: rt.recovery.map(CheckpointCache::new),
+            breakers: breaker.filter(|b| b.enabled()).map(bank),
+            budget: rt.policies.retry_budget.map(RetryBudget::new),
+            brownout: rt.policies.brownout.map(BrownoutController::new),
+            checkpoints: rt.policies.recovery.map(CheckpointCache::new),
             ..Session::bare(rt, fleet, billing, resilience)
         }
     }
@@ -228,7 +233,10 @@ impl<'s, 'a> Session<'s, 'a> {
     /// Charges the worker invocations planned from group `from` onward as
     /// cancelled — the accounting for a query that dies before reaching them.
     pub fn cancel_from(&mut self, from: usize) {
-        self.overload.cancelled_attempts += self.rt.workers_from(from);
+        let undone = self.rt.plan.groups()[from..]
+            .iter()
+            .map(|g| g.worker_count() as u64);
+        self.overload.cancelled_attempts += undone.sum::<u64>();
     }
 
     /// First-attempt `(count, successes)` since `window`, an earlier return
@@ -272,8 +280,12 @@ impl<'s, 'a> Session<'s, 'a> {
             self.checkpoints.as_ref().is_none_or(|c| c.is_empty()),
             "every terminal query retires its checkpoints"
         );
+        let mut cold_starts = self.fleet.stats("master")?.0;
+        for (gi, pi) in self.rt.worker_slots() {
+            cold_starts += self.fleet.stats(&worker_fn(gi, pi))?.0;
+        }
         Ok(ServingReport {
-            cold_starts: self.rt.count_cold_starts(self.fleet)?,
+            cold_starts,
             latency: self.latency,
             by_status: self.by_status,
             billing: self.billing.clone(),
@@ -288,10 +300,15 @@ impl<'s, 'a> Session<'s, 'a> {
 
     /// Debits the retry budget for one extra execution (retry, hedge,
     /// resume or speculation) of work whose attempt p95 is `p95_ms`; always
-    /// funded without a budget. With recovery on the debit is the work's
-    /// marginal share of the plan, not a full token.
+    /// funded without a budget. With recovery a retry redoes only its own
+    /// stage, so the debit is the work's marginal share of the plan; without
+    /// it every retry implicitly restarts the query and costs a full token.
     fn spend_retry(&mut self, p95_ms: f64) -> bool {
-        let cost = self.rt.retry_unit_cost(p95_ms);
+        let cost = if self.rt.policies.recovery.is_some() {
+            gillis_perf::marginal_retry_cost(p95_ms, self.rt.plan_p95_total_ms)
+        } else {
+            1.0
+        };
         self.budget.as_mut().is_none_or(|b| b.try_spend_cost(cost))
     }
 
@@ -350,15 +367,16 @@ impl<'s, 'a> Session<'s, 'a> {
         q: QueryCtx<'_>,
     ) -> Result<LaneRun> {
         let rt = self.rt;
+        let policy = &rt.policies.resilience;
         let p = &q.profile.analyses[gi].partitions[part];
         let fname = worker_fn(gi, part);
         let p95 = q.profile.attempt_p95_ms[gi][part];
-        let wire_fmt = wire_format(rt, q.level);
+        let wire_fmt = wire_format(q.level);
         let transfer = rt
             .platform
             .transfer_ms(wire_fmt.wire_bytes(p.input_bytes) + wire_fmt.wire_bytes(p.output_bytes));
         // The remaining deadline budget caps the attempt timeout.
-        let timeout_ms = rt.policy.attempt_timeout_factor * p95;
+        let timeout_ms = policy.attempt_timeout_factor * p95;
         let timeout_at = |at: Micros| match q.deadline {
             Some(d) => timeout_ms.min((d - at).as_ms()),
             None => timeout_ms,
@@ -402,8 +420,8 @@ impl<'s, 'a> Session<'s, 'a> {
             let mut hedge_won = false;
             // The first brownout rung turns hedging off: a hedge is pure
             // load amplification when the platform is already unhealthy.
-            if rt.policy.hedged() && q.level == BrownoutLevel::Full {
-                let hedge_at = t + Micros::from_ms(rt.policy.hedge_delay_factor * p95);
+            if policy.hedged() && q.level == BrownoutLevel::Full {
+                let hedge_at = t + Micros::from_ms(policy.hedge_delay_factor * p95);
                 // A hedge is only worth launching before the deadline.
                 let hedge_allowed = q.deadline.is_none_or(|d| hedge_at < d);
                 if primary.end > hedge_at && hedge_allowed {
@@ -449,13 +467,13 @@ impl<'s, 'a> Session<'s, 'a> {
                 self.resilience.budget_denied_retries += 1;
                 break;
             }
-            if attempt + 1 < rt.policy.max_attempts.max(1) {
+            if attempt + 1 < policy.max_attempts.max(1) {
                 self.resilience.retries += 1;
                 let unit = rt
                     .injector
                     .as_ref()
                     .map_or(0.5, |inj| inj.backoff_unit(site));
-                t = attempt_end + Micros::from_ms(rt.policy.backoff_ms(attempt, unit));
+                t = attempt_end + Micros::from_ms(policy.backoff_ms(attempt, unit));
             }
         }
         Ok(lane)
@@ -477,6 +495,7 @@ impl<'s, 'a> Session<'s, 'a> {
         q: QueryCtx<'_>,
     ) -> Result<GroupRun> {
         let rt = self.rt;
+        let policy = &rt.policies.resilience;
         let g = &rt.plan.groups()[gi];
         let a = &q.profile.analyses[gi];
         // The master computes partition 0 itself unless every partition is
@@ -496,7 +515,7 @@ impl<'s, 'a> Session<'s, 'a> {
         }
         // Fork: same egress model as `simulate_query` — one shared helper,
         // so fleet serving and single-query simulation cannot drift apart.
-        let wire_fmt = wire_format(rt, q.level);
+        let wire_fmt = wire_format(q.level);
         let wire = |raw: u64| wire_fmt.wire_bytes(raw);
         let ins: Vec<u64> = worker_parts.iter().map(|p| wire(p.input_bytes)).collect();
         let outs: Vec<u64> = worker_parts.iter().map(|p| wire(p.output_bytes)).collect();
@@ -514,7 +533,7 @@ impl<'s, 'a> Session<'s, 'a> {
             // (straight to master-local degraded execution) without
             // spending any retry budget; a half-open lane gets a single
             // probe attempt.
-            let mut lane_attempts = rt.policy.max_attempts.max(1);
+            let mut lane_attempts = policy.max_attempts.max(1);
             if let Some(bank) = self.breakers.as_mut() {
                 let b = &mut bank[gi][part];
                 if !b.admits(dispatched, &mut self.overload) {
@@ -556,7 +575,7 @@ impl<'s, 'a> Session<'s, 'a> {
                 // The query is already doomed: recomputing the exhausted
                 // shards would be cancelled work.
                 self.overload.cancelled_attempts += exhausted.len() as u64;
-            } else if rt.policy.local_fallback {
+            } else if policy.local_fallback {
                 for &pi in &exhausted {
                     // A recompute that cannot start before the deadline is
                     // cancelled, not performed.
@@ -680,11 +699,15 @@ impl<'s, 'a> Session<'s, 'a> {
         *incarnation += 1;
         self.recovery.orchestrator_crashes += 1;
         let (token, rec) = (rt.weight_token, &mut self.recovery);
-        let hit = rt
-            .recovery
-            .and(self.checkpoints.as_mut())
+        // A cache exists only under a recovery policy.
+        let hit = self
+            .checkpoints
+            .as_mut()
             .and_then(|c| c.latest_before(query, gi as u32, token, now.as_ms(), rec));
-        let failover_ms = rt.recovery.map_or(DEFAULT_FAILOVER_MS, |p| p.failover_ms);
+        let failover_ms = rt
+            .policies
+            .recovery
+            .map_or(DEFAULT_FAILOVER_MS, |p| p.failover_ms);
         Some(Takeover {
             hit,
             failover: Micros::from_ms(failover_ms),
@@ -776,7 +799,7 @@ impl<'s, 'a> Session<'s, 'a> {
             }
             let group_began = *now;
             let mut run = self.run_group(gi, *now, rng, q)?;
-            if let Some(pol) = rt.recovery {
+            if let Some(pol) = rt.policies.recovery {
                 let group_p95 = q.profile.group_p95_ms(gi);
                 // A failed group retries once from the last checkpointed
                 // boundary: the upstream output is already durable, so the
@@ -908,14 +931,14 @@ pub(super) fn completed(status: QueryStatus) -> bool {
     matches!(status, QueryStatus::Ok | QueryStatus::Degraded)
 }
 
-/// Wire encoding of a query's fork/join and hand-off payloads: from the
-/// int8 brownout rung down they ship quantized regardless of the configured
-/// format — a browned-out platform sheds bytes before it sheds queries.
-pub(super) fn wire_format(rt: &ForkJoinRuntime<'_>, level: BrownoutLevel) -> TransferFormat {
+/// Wire encoding of a query's fork/join and hand-off payloads: raw f32, and
+/// int8 from the int8 brownout rung down — a browned-out platform sheds
+/// bytes before it sheds queries.
+pub(super) fn wire_format(level: BrownoutLevel) -> TransferFormat {
     if level >= BrownoutLevel::Int8 {
         TransferFormat::Int8
     } else {
-        rt.transfer_format
+        TransferFormat::F32
     }
 }
 
@@ -1036,7 +1059,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut res = ResilienceCounters::default();
         let mut s = Session::bare(rt, &mut fleet, &mut billing, &mut res);
-        s.checkpoints = rt.recovery.map(CheckpointCache::new);
+        s.checkpoints = rt.policies.recovery.map(CheckpointCache::new);
         let mut now = Micros::ZERO;
         let mut total_ms = 0.0;
         for q in 0..queries {

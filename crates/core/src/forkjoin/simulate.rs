@@ -35,12 +35,13 @@ impl ForkJoinRuntime<'_> {
         let work = &self.profile.analyses[gi].partitions[part];
         let p95_ms = self.profile.attempt_p95_ms[gi][part];
         let counters = &mut out.resilience;
-        let timeout_ms = self.policy.attempt_timeout_factor * p95_ms;
-        let hedge_delay_ms = self.policy.hedge_delay_factor * p95_ms;
+        let policy = &self.policies.resilience;
+        let timeout_ms = policy.attempt_timeout_factor * p95_ms;
+        let hedge_delay_ms = policy.hedge_delay_factor * p95_ms;
         let transfer_ms = self
             .platform
-            .transfer_ms(self.wire(work.input_bytes) + self.wire(work.output_bytes));
-        let max_attempts = self.policy.max_attempts.max(1);
+            .transfer_ms(work.input_bytes + work.output_bytes);
+        let max_attempts = policy.max_attempts.max(1);
         let mut t = 0.0f64;
         for attempt in 0..max_attempts {
             let p_site = FaultSite {
@@ -63,7 +64,7 @@ impl ForkJoinRuntime<'_> {
             let mut attempt_end = p_end;
             let mut hedge_won = false;
             let mut hedge_billed_ms: Option<f64> = None;
-            if self.policy.hedged() {
+            if policy.hedged() {
                 let hedge_at = t + hedge_delay_ms;
                 if p_end > hedge_at {
                     let h_site = FaultSite { lane: 1, ..p_site };
@@ -97,7 +98,7 @@ impl ForkJoinRuntime<'_> {
                     .injector
                     .as_ref()
                     .map_or(0.5, |inj| inj.backoff_unit(p_site));
-                t = attempt_end + self.policy.backoff_ms(attempt, unit);
+                t = attempt_end + policy.backoff_ms(attempt, unit);
             } else {
                 return (None, attempt_end);
             }
@@ -136,14 +137,8 @@ impl ForkJoinRuntime<'_> {
             let (fork, compute, join) = if worker_parts.is_empty() {
                 (0.0, master_compute, 0.0)
             } else {
-                let ins: Vec<u64> = worker_parts
-                    .iter()
-                    .map(|p| self.wire(p.input_bytes))
-                    .collect();
-                let outs: Vec<u64> = worker_parts
-                    .iter()
-                    .map(|p| self.wire(p.output_bytes))
-                    .collect();
+                let ins: Vec<u64> = worker_parts.iter().map(|p| p.input_bytes).collect();
+                let outs: Vec<u64> = worker_parts.iter().map(|p| p.output_bytes).collect();
                 let fork = self.sample_transfer_parts(&ins, rng);
                 let join = self.sample_transfer_parts(&outs, rng);
                 let mut slowest = master_compute;
@@ -162,7 +157,7 @@ impl ForkJoinRuntime<'_> {
                 }
                 let mut compute = slowest;
                 if !exhausted.is_empty() {
-                    if self.policy.local_fallback {
+                    if self.policies.resilience.local_fallback {
                         // Graceful degradation: the master recomputes the
                         // lost shards itself, serially, after the surviving
                         // workers finish.
@@ -258,9 +253,9 @@ mod tests {
     use gillis_faas::workload::ClosedLoop;
     use gillis_faas::{Micros, PlatformProfile};
     use gillis_model::zoo;
-    use gillis_perf::{PerfModel, TransferFormat};
+    use gillis_perf::PerfModel;
 
-    use super::super::fixtures::{forced_split_plan, stress_chaos};
+    use super::super::fixtures::stress_chaos;
     use super::*;
     use crate::dp::DpPartitioner;
     use crate::predict::predict_plan;
@@ -280,36 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn int8_wire_cuts_simulated_transfer_time() {
-        // The simulator and the predictor must agree on the int8 wire: a
-        // communication-heavy forced-parallel plan gets faster under the
-        // quantized format, and the simulated mean still tracks the
-        // prediction from an int8-format perf model.
-        let tiny = zoo::tiny_vgg();
-        let plan = forced_split_plan(&tiny);
-        let platform = PlatformProfile::aws_lambda();
-        let f32_rt = ForkJoinRuntime::new(&tiny, &plan, platform.clone()).unwrap();
-        let int8_rt = ForkJoinRuntime::new(&tiny, &plan, platform.clone())
-            .unwrap()
-            .with_transfer_format(TransferFormat::Int8);
-        let f32_ms = f32_rt.mean_latency_ms(200, 5);
-        let int8_ms = int8_rt.mean_latency_ms(200, 5);
-        assert!(
-            int8_ms < f32_ms,
-            "int8 wire {int8_ms:.2}ms not below f32 {f32_ms:.2}ms"
-        );
-        let perf = PerfModel::analytic(&platform).with_transfer_format(TransferFormat::Int8);
-        let predicted = predict_plan(&tiny, &plan, &perf).unwrap().latency_ms;
-        let rel = (predicted - int8_ms).abs() / int8_ms;
-        assert!(
-            rel < 0.06,
-            "predicted {predicted:.2}, simulated {int8_ms:.2}"
-        );
-    }
-
-    #[test]
     fn failure_injection_adds_retries_and_latency() {
-        let mut platform = PlatformProfile::aws_lambda();
+        let platform = PlatformProfile::aws_lambda();
         let perf = PerfModel::analytic(&platform);
         let vgg = zoo::vgg11();
         let plan = DpPartitioner::default().partition(&vgg, &perf).unwrap();
@@ -322,8 +289,10 @@ mod tests {
 
         // 15% of worker invocations fail: queries still complete, retries
         // appear, and the mean latency rises.
-        platform.invocation_failure_rate = 0.15;
-        let flaky = ForkJoinRuntime::new(&vgg, &plan, platform.clone()).unwrap();
+        let flaky = ForkJoinRuntime::new(&vgg, &plan, platform.clone())
+            .unwrap()
+            .with_chaos(ChaosConfig::invoke_only(0.15, 0xFA11_5EED))
+            .unwrap();
         let f = flaky.simulate_many(50, 31);
         assert!(
             f.resilience.retries > 0,
@@ -351,16 +320,18 @@ mod tests {
         // At an absurd failure rate, the "final attempt always succeeds"
         // fiction is gone: budgets exhaust, and the master recomputes the
         // lost shards locally — queries complete, honestly marked Degraded.
-        let mut platform = PlatformProfile::aws_lambda();
-        platform.invocation_failure_rate = 0.95;
-        let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
+        let platform = PlatformProfile::aws_lambda();
+        let perf = PerfModel::analytic(&platform);
         let vgg = zoo::vgg11();
         let plan = DpPartitioner::default().partition(&vgg, &perf).unwrap();
-        let rt = ForkJoinRuntime::new(&vgg, &plan, platform).unwrap();
+        let rt = ForkJoinRuntime::new(&vgg, &plan, platform)
+            .unwrap()
+            .with_chaos(ChaosConfig::invoke_only(0.95, 0xFA11_5EED))
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let q = rt.simulate_query(&mut rng);
         let invocations: usize = rt.plan.groups().iter().map(|g| g.worker_count()).sum();
-        let max_attempts = rt.policy.max_attempts as u64;
+        let max_attempts = rt.policies.resilience.max_attempts as u64;
         assert!(q.latency_ms.is_finite());
         assert!(q.resilience.retries <= (invocations as u64) * (max_attempts - 1));
         assert_eq!(q.status, QueryStatus::Degraded);

@@ -119,8 +119,7 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Config that only fails invocations, at `rate` — the legacy
-    /// `invocation_failure_rate` platform knob expressed as chaos.
+    /// Config that only fails invocations, at `rate`.
     pub fn invoke_only(rate: f64, seed: u64) -> Self {
         ChaosConfig {
             seed,

@@ -91,11 +91,6 @@ pub struct PlatformProfile {
     pub storage_bandwidth_bps: f64,
     /// Object-store per-request latency in milliseconds.
     pub storage_latency_ms: f64,
-    /// Probability that a single function invocation fails (crash or
-    /// network error) and must be retried by the caller. Real platforms see
-    /// rare-but-nonzero failures; defaults to 0 so experiments match the
-    /// paper, and failure-injection tests raise it.
-    pub invocation_failure_rate: f64,
 }
 
 impl PlatformProfile {
@@ -126,7 +121,6 @@ impl PlatformProfile {
             per_layer_overhead_ms: 0.05,
             storage_bandwidth_bps: 960e6, // ~120 MB/s per S3 connection
             storage_latency_ms: 30.0,
-            invocation_failure_rate: 0.0,
         }
     }
 
@@ -157,7 +151,6 @@ impl PlatformProfile {
             per_layer_overhead_ms: 0.05,
             storage_bandwidth_bps: 960e6,
             storage_latency_ms: 35.0,
-            invocation_failure_rate: 0.0,
         }
     }
 
@@ -189,7 +182,6 @@ impl PlatformProfile {
             per_layer_overhead_ms: 0.05,
             storage_bandwidth_bps: 4e9,
             storage_latency_ms: 1.0,
-            invocation_failure_rate: 0.0,
         }
     }
 
