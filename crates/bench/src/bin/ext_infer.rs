@@ -19,10 +19,13 @@
 //! `model.*` metrics, not this binary's business.
 //!
 //! It also prints a `weights_hash <model> <hex>` line for each of those
-//! models and for an LSTM wide enough to be filled on the pool
+//! models and for an LSTM wide enough to be filled on the pool, and an
+//! `output_hash <model> <plan> <hex>` line per model and plan
 //! (`ext_infer --weights-hash` prints the lines alone, at any pool width):
 //! `init_weights` is a function of `(seed, node, role, index)`, so CI `cmp`s
-//! the lines of the scalar and the SIMD build at widths 1 and 8.
+//! the weight lines of the scalar and the SIMD build at widths 1 and 8; the
+//! output lines must match across widths within a build, and the scalar
+//! build's must match the SIMD build's under `GILLIS_NO_SIMD=1`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -393,12 +396,28 @@ fn weights_hash(model: &LinearModel, weights: &ModelWeights) -> u64 {
         })
 }
 
+/// FNV-1a over the bits of a compiled run of `plan` on a fixed query at the
+/// ambient pool width: one figure that moves if any output bit does.
+fn output_hash(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan) -> u64 {
+    let mut compiled = CompiledPlanExec::compile(model, plan, weights).expect("compile plan");
+    let (out, _) = compiled
+        .run_raw(weights, query(model, 17).data())
+        .expect("query");
+    out.iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// tiny-vgg, tiny-resnet, tiny-inception, tiny-mobilenet and a reduced RNN-2
 /// at pool width 1 — the warm path must not allocate. Before that, one
 /// `weights_hash` line per model, and one for an LSTM wide enough that its
-/// `w_ih` is filled on the pool: CI compares the lines across builds and pool
-/// widths, and `--weights-hash` prints them alone (the allocation checks hold
-/// at width 1 only).
+/// `w_ih` is filled on the pool, then one `output_hash <model> <plan> <hex>`
+/// line per model and plan: CI compares the lines across pool widths, the
+/// weight lines across builds too, and the output lines of the scalar build
+/// with those of the `simd` build under `GILLIS_NO_SIMD=1`. `--weights-hash`
+/// prints the lines alone.
 fn main() {
     // `--smoke` is the only checking mode; the flag stays so CI's command
     // line does.
@@ -438,13 +457,17 @@ fn main() {
     weights_of(&zoo::rnn_sized(1, 512, 256));
     for (model, names, dim) in models {
         let weights = weights_of(&model);
-        if hashes_only {
-            continue;
-        }
         let plans = [
             ExecutionPlan::single_function(&model),
             forced_split_plan(&model, 2, dim),
         ];
+        for (plan, label) in plans.iter().zip(["single", "split2"]) {
+            let hash = output_hash(&model, &weights, plan);
+            println!("output_hash {} {label} {hash:016x}", model.name());
+        }
+        if hashes_only {
+            continue;
+        }
         for (plan, name) in plans.iter().zip(names) {
             plan.validate(&model, u64::MAX).expect("valid plan");
             smoke_plan(&model, &weights, plan, name);

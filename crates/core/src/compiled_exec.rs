@@ -18,8 +18,9 @@
 //! pieces are dealt to `min(threads, pieces)` lanes, one pool task per lane;
 //! a lane is as large as the widest piece of the whole plan and is shared by
 //! every group, so the plan holds a lane per thread in flight, not an arena
-//! per piece. With one lane every piece runs inline on the caller and the
-//! warm path performs zero heap allocations. The one width-dependent decision
+//! per piece. A run at one thread caps its kernels at one thread too, so
+//! every piece and every kernel runs inline on the caller and the warm path
+//! performs zero heap allocations. The one width-dependent decision
 //! is the join: a single piece, and a single query's channel-split pieces,
 //! write their disjoint slices of the join buffer directly; anything else
 //! runs into the piece's own output buffer and is then gathered
@@ -223,9 +224,11 @@ impl CompiledPlanExec {
         self.run_batch_raw(weights, input, 1)
     }
 
-    /// [`CompiledPlanExec::run_raw`] with an explicit thread count;
-    /// `threads <= 1` runs every piece inline on the caller (the
-    /// allocation-free path).
+    /// [`CompiledPlanExec::run_raw`] with an explicit thread count: the
+    /// pieces share at most `threads` lanes, and the kernels inside them
+    /// fan out no wider ([`gillis_pool::with_width_cap`]), so `threads <= 1`
+    /// runs every piece and every kernel on the caller (the allocation-free
+    /// path).
     ///
     /// # Errors
     ///
@@ -301,16 +304,20 @@ impl CompiledPlanExec {
         );
         self.width = self.width.max(n);
         let lanes = self.open_lanes(threads);
-        for i in 0..self.groups.len() {
-            let (done, rest) = self.groups.split_at_mut(i);
-            let cur = match done.last() {
-                None => inputs,
-                Some(prev) => &prev.out[..prev.out_len(n)],
-            };
-            let lanes = lanes.min(rest[0].partition.piece_count());
-            let (lanes, errs) = (&mut self.lanes[..lanes], &mut self.errs[..lanes]);
-            run_group(&mut rest[0], lanes, errs, weights, cur, n)?;
-        }
+        // The kernels inside the pieces fan out no wider than the run.
+        gillis_pool::with_width_cap(threads, || {
+            for i in 0..self.groups.len() {
+                let (done, rest) = self.groups.split_at_mut(i);
+                let cur = match done.last() {
+                    None => inputs,
+                    Some(prev) => &prev.out[..prev.out_len(n)],
+                };
+                let lanes = lanes.min(rest[0].partition.piece_count());
+                let (lanes, errs) = (&mut self.lanes[..lanes], &mut self.errs[..lanes]);
+                run_group(&mut rest[0], lanes, errs, weights, cur, n)?;
+            }
+            Ok::<_, CoreError>(())
+        })?;
         let last = self.groups.last().expect("a validated plan has groups");
         Ok((&last.out[..last.out_len(n)], last.partition.out_shape()))
     }

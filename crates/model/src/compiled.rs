@@ -384,9 +384,10 @@ fn items<'a>(
 /// inside each reduction block, the dense kernel dots each weight row against
 /// every item, and the LSTM kernel does that for `w_ih` against every
 /// timestep of every item and for `w_hh` once per timestep, working in
-/// `scratch` (`n` times the step's [`StepKind::scratch_len`]). Every other
-/// step runs its kernel once per item — depthwise has no
-/// filter bank to share. Either way an item's output is bit-identical to running it
+/// `scratch` (`n` times the step's [`StepKind::scratch_len`]). Depthwise and
+/// pooling steps hand the window driver all `n` items in one call, so its
+/// `(item, channel)` planes split across the pool together. The rest run
+/// once per item. Either way an item's output is bit-identical to running it
 /// alone (proptest-enforced for the batched kernels in `gillis-tensor`), and
 /// on the warm path every arm is allocation-free: buffers are caller-owned,
 /// kernel temporaries come from the per-thread scratch arena, and weight
@@ -465,9 +466,7 @@ fn exec_step<'a>(
             out_hw,
         } => {
             let (w, b) = weight_rows(map, *id, rows)?;
-            for (input, out) in items(n, input, out) {
-                depthwise_conv2d_into(input, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
-            }
+            depthwise_conv2d_into(input, n, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
         }
         StepKind::Pool {
             params,
@@ -481,9 +480,7 @@ fn exec_step<'a>(
             } else {
                 avg_pool2d_into
             };
-            for (input, out) in items(n, input, out) {
-                pool(input, *c, *in_hw, *out_hw, params, out);
-            }
+            pool(input, n, *c, *in_hw, *out_hw, params, out);
         }
         StepKind::GlobalAvgPool { c, plane } => {
             for (input, out) in items(n, input, out) {
@@ -1875,6 +1872,61 @@ mod tests {
                 assert_bits_eq(&seq, &batched, &format!("batched join n={n}"));
             }
         }
+    }
+
+    /// A depthwise or pooling step hands the window driver all `n` items at
+    /// once; at `n = 3` each item must carry the bits of its single run —
+    /// whole layers and a row slice with its halo, over depthwise 3×3 at
+    /// stride 1 and 2 and max pooling 2×2/2 and 3×3/2/1.
+    #[test]
+    fn window_steps_at_n3_equal_three_single_runs() {
+        let is_window = |op: &crate::LayerOp| {
+            matches!(
+                op,
+                crate::LayerOp::DepthwiseConv2d { .. }
+                    | crate::LayerOp::MaxPool2d { .. }
+                    | crate::LayerOp::AvgPool2d { .. }
+            )
+        };
+        let mut covered = 0;
+        for model in [zoo::tiny_mobilenet(), zoo::tiny_resnet(), zoo::tiny_vgg()] {
+            let weights = init_weights(model.graph(), 4).unwrap();
+            let exec = Executor::new(model.graph(), &weights);
+            let layers = model.layers();
+            for (i, layer) in layers.iter().enumerate() {
+                let op = |id: &crate::NodeId| &model.graph().node(*id).unwrap().op;
+                if !layer.nodes.iter().any(|id| is_window(op(id))) {
+                    continue;
+                }
+                let xs: Vec<Tensor> = (0..3)
+                    .map(|q| {
+                        let x = query(model.input_shape(), 60 + q);
+                        exec.run_segment(&layers[..i], &x).unwrap()
+                    })
+                    .collect();
+                let h = layer.out_shape.dims()[1];
+                for spec in [PieceSpec::Full, PieceSpec::Rows(h / 3..h)] {
+                    let one = std::slice::from_ref(layer);
+                    let mut seg = CompiledSegment::compile(
+                        model.graph(),
+                        &weights,
+                        one,
+                        &spec,
+                        &mut PanelCache::new(),
+                    )
+                    .unwrap();
+                    let singles: Vec<f32> = xs
+                        .iter()
+                        .flat_map(|x| seg.run(&weights, x.data()).unwrap().to_vec())
+                        .collect();
+                    let flat: Vec<f32> = xs.iter().flat_map(|x| x.data()).copied().collect();
+                    let batched = seg.run_batch(&weights, &flat, 3).unwrap();
+                    assert_bits_eq(batched, &singles, &format!("{} {spec:?}", layer.name));
+                    covered += 1;
+                }
+            }
+        }
+        assert!(covered >= 2 * 9, "only {covered} window steps ran");
     }
 
     /// How many of `nodes` are element-wise (sweeps) and how many write a

@@ -37,7 +37,13 @@
 //! variable, falling back to the machine's available parallelism (see
 //! [`gillis_threads`]). A width-1 pool spawns no workers and runs every batch
 //! inline, making single-threaded configurations overhead-free.
+//!
+//! A caller can ask for less than the pool's width: kernels size their
+//! fan-out by [`kernel_threads`], which [`with_width_cap`] caps for the
+//! duration of a closure on the calling thread and in every task it submits.
+//! A cap of 1 keeps every kernel on the calling thread.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,6 +73,43 @@ pub fn gillis_threads() -> usize {
     })
 }
 
+thread_local! {
+    /// The innermost [`with_width_cap`] on this thread (`usize::MAX`: none).
+    static WIDTH_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Batches this thread has handed to pool workers.
+    static HANDED_OFF: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The width a kernel called on this thread may fan out to:
+/// [`gillis_threads`], capped by the innermost [`with_width_cap`] around the
+/// call. Pool tasks run under the cap of the thread that submitted them.
+pub fn kernel_threads() -> usize {
+    gillis_threads().min(WIDTH_CAP.get())
+}
+
+/// Runs `f` with [`kernel_threads`] capped at `width` (at least 1) on this
+/// thread and in every pool task submitted under it, then restores the
+/// previous cap — so a caller that asks for one thread gets one thread, down
+/// to the innermost kernel.
+pub fn with_width_cap<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    /// Restores the outer cap on the way out, unwinding included.
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WIDTH_CAP.set(self.0);
+        }
+    }
+    let _restore = Restore(WIDTH_CAP.replace(width.max(1)));
+    f()
+}
+
+/// How many batches the calling thread has handed to pool workers (batches
+/// of two or more tasks on a pool that has workers) — zero growth over a
+/// stretch of code means everything in it ran on this thread.
+pub fn batches_handed_off() -> u64 {
+    HANDED_OFF.get()
+}
+
 /// One published batch of erased tasks plus its completion latch.
 struct Batch {
     /// Task slots; a claimed index grants exclusive right to take that slot.
@@ -82,6 +125,8 @@ struct Batch {
     done_cv: Condvar,
     /// First panic payload observed while executing this batch.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// The submitter's width cap, which every task runs under.
+    width_cap: usize,
 }
 
 impl Batch {
@@ -95,6 +140,7 @@ impl Batch {
             done: Mutex::new(()),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
+            width_cap: WIDTH_CAP.get(),
         }
     }
 
@@ -119,7 +165,9 @@ impl Batch {
 
     /// Runs one claimed task, recording panics and signalling completion.
     fn execute(&self, task: Task<'static>) {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+        let cap = self.width_cap;
+        let run = move || with_width_cap(cap, task);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
             let mut slot = self.panic.lock().expect("pool panic slot poisoned");
             if slot.is_none() {
                 *slot = Some(payload);
@@ -250,6 +298,7 @@ impl Pool {
             .map(Some)
             .collect();
         let batch = Arc::new(Batch::new(erased));
+        HANDED_OFF.set(HANDED_OFF.get() + 1);
         {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             queue.batches.push_back(Arc::clone(&batch));
@@ -417,6 +466,34 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 7);
         // The pool survives and remains usable.
         assert_eq!(pool.run(3, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_width_cap_nests_restores_and_rides_into_tasks() {
+        let full = gillis_threads();
+        assert_eq!(kernel_threads(), full);
+        with_width_cap(1, || {
+            assert_eq!(kernel_threads(), 1);
+            with_width_cap(0, || assert_eq!(kernel_threads(), 1));
+            // Every task of a batch submitted under the cap runs under it,
+            // whichever thread claims it.
+            let pool = Pool::new(4);
+            assert!(pool.run(16, |_| kernel_threads()).iter().all(|&w| w == 1));
+        });
+        let unwound = catch_unwind(|| with_width_cap(1, || panic!("inside the cap")));
+        assert!(unwound.is_err());
+        assert_eq!(kernel_threads(), full);
+    }
+
+    #[test]
+    fn handing_off_is_counted_per_submitting_thread() {
+        let before = batches_handed_off();
+        let pool = Pool::new(2);
+        pool.run(1, |i| i);
+        Pool::new(1).run(4, |i| i);
+        assert_eq!(batches_handed_off(), before);
+        pool.run(4, |i| i);
+        assert_eq!(batches_handed_off(), before + 1);
     }
 
     #[test]

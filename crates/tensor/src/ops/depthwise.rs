@@ -5,11 +5,17 @@
 //! best of both worlds — a depthwise layer chains through both spatial
 //! partitions (it is convolution-like) and channel partitions (it is
 //! channel-local), so it never breaks a group.
+//!
+//! The kernel is the sliding-window driver shared with pooling
+//! (`ops/window.rs`): an output element takes the channel's bias, then one
+//! multiply-add per tap in `(ky, kx)` order with padding taps multiplying an
+//! explicit `+0.0` — the per-element history the GEMM driver gives a full
+//! convolution, so the two agree to the bit in either arithmetic mode.
 
-use super::conv::{conv2d_output_hw, fill_bias, lowering};
+use super::conv::{conv2d_output_hw, lowering};
+use super::window::{window_into, Fold};
 use super::Conv2dParams;
 use crate::error::TensorError;
-use crate::gemm;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -72,6 +78,7 @@ pub fn depthwise_conv2d(
     let mut out = vec![0.0f32; c * out_h * out_w];
     depthwise_conv2d_into(
         input.data(),
+        1,
         c,
         in_h,
         in_w,
@@ -84,74 +91,44 @@ pub fn depthwise_conv2d(
     Tensor::from_vec(Shape::new(vec![c, out_h, out_w]), out)
 }
 
-/// Depthwise convolution over raw buffers writing into a caller-owned
-/// output — the compiled-partition hot path (shapes are validated once at
-/// compile time, so the per-query call just computes). Bit-identical to
-/// [`depthwise_conv2d`] for any thread count.
+/// Depthwise convolution of `batch` CHW inputs (laid out back to back in
+/// `inputs`) over raw buffers, writing `batch` outputs of
+/// `c · out_h · out_w` into `outs` — the compiled-partition hot path (shapes
+/// are validated once at compile time, so the per-query call just computes),
+/// and what [`depthwise_conv2d`] runs at `batch = 1`.
 ///
-/// Each channel is an independent convolution of one input plane with one
-/// filter row — a 1×(kh·kw) by (kh·kw)×(out_h·out_w) product through
-/// [`gemm::conv_gemm_with_threads`], which packs the plane block by block.
-/// Channels are split across worker threads (each channel computed entirely
-/// by one thread, so results are thread-count independent), and warmed
-/// threads allocate nothing here.
+/// The window driver (`ops/window.rs`) gives every output element the
+/// history a convolution element has in the GEMM driver: the channel's bias,
+/// then one multiply-add per tap in `(ky, kx)` order, a padding tap
+/// multiplying an explicit `+0.0` (fused under
+/// [`simd_active`](crate::simd::simd_active)). So each item's output is
+/// bit-identical to convolving it alone, at any thread count, and a warmed
+/// thread performs no heap allocation here.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
 #[allow(clippy::too_many_arguments)]
 pub fn depthwise_conv2d_into(
-    x: &[f32],
+    inputs: &[f32],
+    batch: usize,
     c: usize,
     in_h: usize,
     in_w: usize,
     w: &[f32],
     bias: Option<&[f32]>,
     params: &Conv2dParams,
-    (out_h, out_w): (usize, usize),
-    out: &mut [f32],
+    out_hw: (usize, usize),
+    outs: &mut [f32],
 ) {
-    let (kh, kw) = params.kernel;
-    let in_plane = in_h * in_w;
-    let k_plane = kh * kw;
-    let n_dim = out_h * out_w;
-    assert_eq!(x.len(), c * in_plane, "input must be CHW");
-    assert_eq!(w.len(), c * k_plane, "weight must be [c, kh, kw]");
-    assert_eq!(out.len(), c * n_dim, "out must be c*out_h*out_w");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), c, "bias must be [c]");
-    }
-    fill_bias(out, n_dim, bias);
-    let geom = lowering(1, in_h, in_w, params, (out_h, out_w));
-    let channel_block = |ch0: usize, out_block: &mut [f32]| {
-        for (off, out_ch) in out_block.chunks_mut(n_dim).enumerate() {
-            let ch = ch0 + off;
-            let plane = &x[ch * in_plane..(ch + 1) * in_plane];
-            let filter = &w[ch * k_plane..(ch + 1) * k_plane];
-            gemm::conv_gemm_with_threads(1, filter, &geom, plane, 1, out_ch, 1);
-        }
-    };
-    // Small-work threshold: below ~GEMM_PAR_MIN_MNK multiply-adds for the
-    // whole layer, pool dispatch costs more than the split saves.
-    let threads =
-        gemm::gemm_threads(c.saturating_mul(n_dim).saturating_mul(k_plane)).clamp(1, c.max(1));
-    if threads == 1 {
-        channel_block(0, out);
-    } else {
-        let per = c.div_ceil(threads);
-        let channel_block = &channel_block;
-        let tasks: Vec<gillis_pool::Task> = out
-            .chunks_mut(per * n_dim)
-            .enumerate()
-            .map(|(b_idx, out_block)| -> gillis_pool::Task {
-                Box::new(move || channel_block(b_idx * per, out_block))
-            })
-            .collect();
-        gillis_pool::Pool::global().join_all(tasks);
-    }
+    let geom = lowering(c, in_h, in_w, params, out_hw);
+    let fold = Fold::Depthwise { weight: w, bias };
+    window_into(inputs, batch, &geom, fold, outs);
 }
 
-/// Reference per-channel loop the GEMM path is validated against.
+/// Reference per-channel loop the window driver is validated against: bias
+/// first, then one multiply-add of the active mode ([`crate::simd::madd`])
+/// per tap in `(ky, kx)` order, a padding tap multiplying an explicit `0.0`.
 #[cfg(test)]
 pub(crate) fn depthwise_conv2d_naive(
     input: &Tensor,
@@ -164,39 +141,27 @@ pub(crate) fn depthwise_conv2d_naive(
     let (out_h, out_w) = conv2d_output_hw((in_h, in_w), params).unwrap();
     let (kh, kw) = params.kernel;
     let (sh, sw) = params.stride;
-    let pt = params.padding.top as isize;
-    let pl = params.padding.left as isize;
-    let in_plane = in_h * in_w;
-    let k_plane = kh * kw;
     let x = input.data();
     let w = weight.data();
-
-    let mut out = vec![0.0f32; c * out_h * out_w];
+    let mut out = Vec::with_capacity(c * out_h * out_w);
     for ch in 0..c {
-        let in_base = ch * in_plane;
-        let w_base = ch * k_plane;
         let b = bias.map(|b| b.data()[ch]).unwrap_or(0.0);
         for oy in 0..out_h {
-            let iy0 = (oy * sh) as isize - pt;
             for ox in 0..out_w {
-                let ix0 = (ox * sw) as isize - pl;
                 let mut acc = b;
                 for ky in 0..kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue;
-                    }
-                    let row = in_base + iy as usize * in_w;
-                    let wrow = w_base + ky * kw;
                     for kx in 0..kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= in_w as isize {
-                            continue;
-                        }
-                        acc += x[row + ix as usize] * w[wrow + kx];
+                        let iy = (oy * sh + ky).wrapping_sub(params.padding.top);
+                        let ix = (ox * sw + kx).wrapping_sub(params.padding.left);
+                        let v = if iy < in_h && ix < in_w {
+                            x[(ch * in_h + iy) * in_w + ix]
+                        } else {
+                            0.0
+                        };
+                        acc = crate::simd::madd(w[(ch * kh + ky) * kw + kx], v, acc);
                     }
                 }
-                out[ch * out_h * out_w + oy * out_w + ox] = acc;
+                out.push(acc);
             }
         }
     }
@@ -211,33 +176,36 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Asymmetric padding (a halo slice), every stride and kernel shape,
+        /// and rows long enough for the four-vector blocks, single vectors
+        /// and a partial vector of the AVX2 body.
         #[test]
-        fn gemm_path_matches_naive_reference(
+        fn window_path_matches_naive_reference_bitwise(
             c in 1usize..6,
-            (in_h, in_w) in (3usize..10, 3usize..10),
-            kernel in 1usize..4,
-            stride in 1usize..3,
-            pad in 0usize..2,
+            (in_h, in_w) in (3usize..10, 3usize..80),
+            (kh, kw) in (1usize..6, 1usize..6),
+            stride in (1usize..4, 1usize..4),
+            (top, bottom, left, right) in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
             seed in 0u32..1000,
         ) {
-            let params = Conv2dParams::square(kernel, stride, pad);
+            let padding = Padding { top, bottom, left, right };
+            let params = Conv2dParams { kernel: (kh, kw), stride, padding };
             prop_assume!(conv2d_output_hw((in_h, in_w), &params).is_some());
             let pseudo = |i: usize, s: u32| {
                 ((i as u32 ^ s).wrapping_mul(2654435761) % 2001) as f32 * 1e-3 - 1.0
             };
             let input =
                 Tensor::from_fn(Shape::new(vec![c, in_h, in_w]), |i| pseudo(i, seed));
-            let weight = Tensor::from_fn(Shape::new(vec![c, kernel, kernel]), |i| {
+            let weight = Tensor::from_fn(Shape::new(vec![c, kh, kw]), |i| {
                 pseudo(i, seed ^ 0xbeef)
             });
             let bias = Tensor::from_fn(Shape::new(vec![c]), |i| pseudo(i, seed ^ 0x77));
             let fast = depthwise_conv2d(&input, &weight, Some(&bias), &params).unwrap();
             let naive = depthwise_conv2d_naive(&input, &weight, Some(&bias), &params).unwrap();
-            // Exact in scalar mode; FMA rounding bound under SIMD.
-            let tol = if crate::simd::simd_active() { 1e-3 } else { 0.0 };
-            prop_assert!(fast.max_abs_diff(&naive).unwrap() <= tol);
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
     }
 

@@ -13,6 +13,7 @@ mod depthwise;
 mod norm;
 mod pool;
 mod rnn;
+mod window;
 
 pub use activation::{relu, relu_into, sigmoid, softmax, softmax_into, tanh};
 pub use conv::{conv2d, conv2d_into, conv2d_output_hw, Conv2dParams};

@@ -1,10 +1,18 @@
 //! Max/average pooling over `CHW` tensors.
+//!
+//! Windowed pooling runs on the sliding-window driver shared with depthwise
+//! convolution (`ops/window.rs`): max pooling is an `f32::max` chain from
+//! `-inf` over a window's in-bounds taps in `(ky, kx)` order, average pooling
+//! the in-bounds sum divided by the in-bounds tap count. Neither depends on
+//! the thread count, the batch or the arithmetic mode.
 
 use serde::{Deserialize, Serialize};
 
-use super::conv::{conv2d_output_hw, Conv2dParams};
+use super::conv::{conv2d_output_hw, lowering, Conv2dParams};
+use super::window::{window_into, Fold};
 use super::Padding;
 use crate::error::TensorError;
+use crate::gemm::Im2col;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -57,129 +65,31 @@ fn pool2d(input: &Tensor, params: &Pool2dParams, is_max: bool) -> Result<Tensor>
         ))
     })?;
     let mut out = vec![0.0f32; c * out_h * out_w];
-    pool2d_into(
+    let pool = if is_max {
+        max_pool2d_into
+    } else {
+        avg_pool2d_into
+    };
+    pool(
         input.data(),
+        1,
         c,
         (in_h, in_w),
         (out_h, out_w),
         params,
-        is_max,
         &mut out,
     );
     Tensor::from_vec(Shape::new(vec![c, out_h, out_w]), out)
 }
 
-/// Pooling hot loop writing into a caller-owned buffer — the
-/// compiled-partition hot path. Every output position is written.
-///
-/// Output positions whose windows lie fully inside the input — all of them
-/// when there is no padding — take a tight unchecked path with a fixed
-/// divisor; only the border bands pay per-tap bounds checks. Taps are visited
-/// in the same (ky, kx) order on both paths, so results are identical to the
-/// fully-checked loop.
-///
-/// # Panics
-///
-/// Panics if `data` or `out` is inconsistent with the dimensions.
-fn pool2d_into(
-    data: &[f32],
+/// The window geometry of `params` over `c` planes of `in_hw`.
+fn geometry(
     c: usize,
     (in_h, in_w): (usize, usize),
-    (out_h, out_w): (usize, usize),
+    out_hw: (usize, usize),
     params: &Pool2dParams,
-    is_max: bool,
-    out: &mut [f32],
-) {
-    let (kh, kw) = params.kernel;
-    let (sh, sw) = params.stride;
-    let (pt, pl) = (params.padding.top, params.padding.left);
-    let plane = in_h * in_w;
-    let out_plane = out_h * out_w;
-    assert_eq!(data.len(), c * plane, "input must be CHW");
-    assert_eq!(out.len(), c * out_plane, "out must be c*out_h*out_w");
-
-    // Output rows/cols whose windows never touch the padding.
-    let oy_lo = pt.div_ceil(sh).min(out_h);
-    let oy_hi = if in_h + pt >= kh {
-        ((in_h + pt - kh) / sh + 1).clamp(oy_lo, out_h)
-    } else {
-        oy_lo
-    };
-    let ox_lo = pl.div_ceil(sw).min(out_w);
-    let ox_hi = if in_w + pl >= kw {
-        ((in_w + pl - kw) / sw + 1).clamp(ox_lo, out_w)
-    } else {
-        ox_lo
-    };
-
-    for ch in 0..c {
-        let base = ch * plane;
-        let out_base = ch * out_plane;
-        let edge = |oy: usize, ox: usize| -> f32 {
-            let iy0 = (oy * sh) as isize - pt as isize;
-            let ix0 = (ox * sw) as isize - pl as isize;
-            let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
-            let mut count = 0usize;
-            for ky in 0..kh {
-                let iy = iy0 + ky as isize;
-                if iy < 0 || iy >= in_h as isize {
-                    continue;
-                }
-                let row = base + iy as usize * in_w;
-                for kx in 0..kw {
-                    let ix = ix0 + kx as isize;
-                    if ix < 0 || ix >= in_w as isize {
-                        continue;
-                    }
-                    let v = data[row + ix as usize];
-                    if is_max {
-                        acc = acc.max(v);
-                    } else {
-                        acc += v;
-                    }
-                    count += 1;
-                }
-            }
-            if is_max {
-                acc
-            } else if count > 0 {
-                acc / count as f32
-            } else {
-                0.0
-            }
-        };
-        for oy in (0..oy_lo).chain(oy_hi..out_h) {
-            for ox in 0..out_w {
-                out[out_base + oy * out_w + ox] = edge(oy, ox);
-            }
-        }
-        let window = (kh * kw) as f32;
-        for oy in oy_lo..oy_hi {
-            for ox in (0..ox_lo).chain(ox_hi..out_w) {
-                out[out_base + oy * out_w + ox] = edge(oy, ox);
-            }
-            let iy0 = oy * sh - pt;
-            let out_row = out_base + oy * out_w;
-            for ox in ox_lo..ox_hi {
-                let ix0 = ox * sw - pl;
-                let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
-                for ky in 0..kh {
-                    let row = base + (iy0 + ky) * in_w + ix0;
-                    let win = &data[row..row + kw];
-                    if is_max {
-                        for &v in win {
-                            acc = acc.max(v);
-                        }
-                    } else {
-                        for &v in win {
-                            acc += v;
-                        }
-                    }
-                }
-                out[out_row + ox] = if is_max { acc } else { acc / window };
-            }
-        }
-    }
+) -> Im2col {
+    lowering(c, in_h, in_w, &params.as_conv(), out_hw)
 }
 
 /// Max pooling over a `CHW` tensor.
@@ -202,38 +112,57 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
     pool2d(input, params, false)
 }
 
-/// Max pooling over raw buffers writing into a caller-owned output.
-/// Bit-identical to [`max_pool2d`].
+/// Max pooling of `batch` CHW inputs (back to back in `data`) over raw
+/// buffers, writing `batch` outputs of `c · out_h · out_w` into `out`: an
+/// `f32::max` chain from `-inf` over each window's in-bounds taps in
+/// `(ky, kx)` order, through the window driver (`ops/window.rs`).
+/// Bit-identical to [`max_pool2d`] per item, at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
 pub fn max_pool2d_into(
     data: &[f32],
+    batch: usize,
     c: usize,
     in_hw: (usize, usize),
     out_hw: (usize, usize),
     params: &Pool2dParams,
     out: &mut [f32],
 ) {
-    pool2d_into(data, c, in_hw, out_hw, params, true, out);
+    window_into(
+        data,
+        batch,
+        &geometry(c, in_hw, out_hw, params),
+        Fold::Max,
+        out,
+    );
 }
 
-/// Average pooling over raw buffers writing into a caller-owned output.
-/// Bit-identical to [`avg_pool2d`].
+/// Average pooling of `batch` CHW inputs over raw buffers: each window's
+/// in-bounds sum in `(ky, kx)` order, divided by `kh·kw` inside and by the
+/// in-bounds tap count on the borders. Bit-identical to [`avg_pool2d`] per
+/// item, at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
 pub fn avg_pool2d_into(
     data: &[f32],
+    batch: usize,
     c: usize,
     in_hw: (usize, usize),
     out_hw: (usize, usize),
     params: &Pool2dParams,
     out: &mut [f32],
 ) {
-    pool2d_into(data, c, in_hw, out_hw, params, false, out);
+    window_into(
+        data,
+        batch,
+        &geometry(c, in_hw, out_hw, params),
+        Fold::Avg,
+        out,
+    );
 }
 
 /// Global average pooling: reduces `CHW` to `[C]`.
@@ -330,6 +259,104 @@ mod tests {
         )
         .unwrap();
         assert_eq!(full, stitched);
+    }
+
+    /// The windows' taps in `(ky, kx)` order, in-bounds ones only, of every
+    /// output element of a `c × in_h × in_w` input.
+    fn windows((c, in_h, in_w): (usize, usize, usize), p: &Pool2dParams) -> Vec<Vec<usize>> {
+        let (out_h, out_w) = conv2d_output_hw((in_h, in_w), &p.as_conv()).unwrap();
+        let mut all = Vec::new();
+        for ch in 0..c {
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    let mut taps = Vec::new();
+                    for ky in 0..p.kernel.0 {
+                        for kx in 0..p.kernel.1 {
+                            let iy = (oy * p.stride.0 + ky).wrapping_sub(p.padding.top);
+                            let ix = (ox * p.stride.1 + kx).wrapping_sub(p.padding.left);
+                            if iy < in_h && ix < in_w {
+                                taps.push((ch * in_h + iy) * in_w + ix);
+                            }
+                        }
+                    }
+                    all.push(taps);
+                }
+            }
+        }
+        all
+    }
+
+    /// Square and lopsided windows, asymmetric padding (a halo slice) and a
+    /// padding as wide as the window, over rows long enough for every
+    /// vector path of the window driver.
+    fn geometries() -> Vec<Pool2dParams> {
+        let lopsided = Pool2dParams {
+            kernel: (2, 3),
+            stride: (1, 2),
+            padding: Padding {
+                top: 1,
+                bottom: 0,
+                left: 2,
+                right: 1,
+            },
+        };
+        vec![
+            Pool2dParams::square(2, 2, 0),
+            Pool2dParams::square(3, 2, 1),
+            Pool2dParams::square(3, 1, 1),
+            Pool2dParams::square(2, 1, 2),
+            lopsided,
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn max_pool_is_the_scalar_max_chain_on_nan_signed_zeros_and_padding() {
+        let special = [f32::NAN, 0.0, -0.0, f32::NEG_INFINITY, 1.5, -2.0, -0.0, 0.0];
+        let dims = (3, 7, 70);
+        let input = Tensor::from_fn(Shape::new(vec![dims.0, dims.1, dims.2]), |i| {
+            special[(i * 2654435761) % 61 % special.len()]
+        });
+        for p in geometries() {
+            let want: Vec<f32> = windows(dims, &p)
+                .iter()
+                .map(|taps| {
+                    let chain = |acc: f32, &i: &usize| acc.max(input.data()[i]);
+                    taps.iter().fold(f32::NEG_INFINITY, chain)
+                })
+                .collect();
+            let got = max_pool2d(&input, &p).unwrap();
+            assert_eq!(bits(got.data()), bits(&want), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn avg_pool_divides_border_windows_by_their_in_bounds_taps() {
+        let dims = (2, 9, 45);
+        let shape = Shape::new(vec![dims.0, dims.1, dims.2]);
+        let ones = Tensor::full(shape.clone(), 1.0);
+        let ramp = Tensor::from_fn(shape, |i| ((i * 40503) % 977) as f32 * 1e-3 - 0.4);
+        for p in geometries() {
+            let taps = windows(dims, &p);
+            // A mean of ones is one wherever the window touches the input.
+            let got = avg_pool2d(&ones, &p).unwrap();
+            for (got, taps) in got.data().iter().zip(&taps) {
+                let want = if taps.is_empty() { 0.0 } else { 1.0 };
+                assert_eq!(got.to_bits(), f32::to_bits(want), "{p:?}");
+            }
+            let want: Vec<f32> = taps
+                .iter()
+                .map(|taps| match taps.len() {
+                    0 => 0.0,
+                    n => taps.iter().fold(0.0, |acc, &i| acc + ramp.data()[i]) / n as f32,
+                })
+                .collect();
+            let got = avg_pool2d(&ramp, &p).unwrap();
+            assert_eq!(bits(got.data()), bits(&want), "{p:?}");
+        }
     }
 
     #[test]

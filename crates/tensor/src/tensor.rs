@@ -94,7 +94,7 @@ impl Tensor {
         let threads = if shape.len() < FILL_PAR_MIN_LEN {
             1
         } else {
-            gillis_pool::gillis_threads()
+            gillis_pool::kernel_threads()
         };
         Tensor::uniform_with_threads(shape, key, lo, hi, threads)
     }
