@@ -19,8 +19,8 @@
 //! `model.*` metrics, not this binary's business.
 //!
 //! It also prints a `weights_hash <model> <hex>` line for each of those
-//! models and for an LSTM wide enough to be filled on the pool, and an
-//! `output_hash <model> <plan> <hex>` line per model and plan
+//! models and for an LSTM wide enough to be filled on the pool in 2 MiB
+//! pages, and an `output_hash <model> <plan> <hex>` line per model and plan
 //! (`ext_infer --weights-hash` prints the lines alone, at any pool width):
 //! `init_weights` is a function of `(seed, node, role, index)`, so CI `cmp`s
 //! the weight lines of the scalar and the SIMD build at widths 1 and 8; the
@@ -413,11 +413,11 @@ fn output_hash(model: &LinearModel, weights: &ModelWeights, plan: &ExecutionPlan
 /// tiny-vgg, tiny-resnet, tiny-inception, tiny-mobilenet and a reduced RNN-2
 /// at pool width 1 — the warm path must not allocate. Before that, one
 /// `weights_hash` line per model, and one for an LSTM wide enough that its
-/// `w_ih` is filled on the pool, then one `output_hash <model> <plan> <hex>`
-/// line per model and plan: CI compares the lines across pool widths, the
-/// weight lines across builds too, and the output lines of the scalar build
-/// with those of the `simd` build under `GILLIS_NO_SIMD=1`. `--weights-hash`
-/// prints the lines alone.
+/// 8 MiB `w_ih` is filled on the pool in 2 MiB pages, then one
+/// `output_hash <model> <plan> <hex>` line per model and plan: CI compares
+/// the lines across pool widths, the weight lines across builds too, and the
+/// output lines of the scalar build with those of the `simd` build under
+/// `GILLIS_NO_SIMD=1`. `--weights-hash` prints the lines alone.
 fn main() {
     // `--smoke` is the only checking mode; the flag stays so CI's command
     // line does.
@@ -454,7 +454,7 @@ fn main() {
         println!("weights_hash {} {hash:016x}", model.name());
         weights
     };
-    weights_of(&zoo::rnn_sized(1, 512, 256));
+    weights_of(&zoo::rnn_sized(1, 1024, 512));
     for (model, names, dim) in models {
         let weights = weights_of(&model);
         let plans = [

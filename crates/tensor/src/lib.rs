@@ -28,6 +28,7 @@
 pub mod error;
 pub mod gemm;
 pub mod ops;
+mod pages;
 pub mod scratch;
 pub mod shape;
 pub mod simd;

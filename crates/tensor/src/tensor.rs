@@ -6,7 +6,7 @@ use gillis_pool::{Pool, Task};
 
 use crate::error::TensorError;
 use crate::shape::Shape;
-use crate::{simd, Result};
+use crate::{pages, simd, Result};
 
 /// Small-fill cutoff on element count for [`Tensor::uniform`], the
 /// [`crate::gemm::GEMV_PAR_MIN_CELLS`] of the cold path: 2 MiB of `f32` fills
@@ -109,9 +109,10 @@ impl Tensor {
         threads: usize,
     ) -> Self {
         let len = shape.len();
-        // One allocation, zeroed lazily by the OS: each page is first touched
-        // by the task that fills it, and nothing is staged or copied.
-        let mut data = vec![0.0f32; len];
+        // One allocation, zeroed lazily by the OS and in 2 MiB pages from
+        // 4 MiB up: each page is first touched by the task that fills it,
+        // and nothing is staged or copied.
+        let mut data = pages::untouched_zeros(len);
         let per = len.div_ceil(threads.max(1));
         if per == len {
             simd::fill_uniform(key, 0, lo, hi, &mut data);
@@ -331,8 +332,10 @@ mod tests {
     fn uniform_leaves_no_trace_of_the_fill_width() {
         use crate::simd::tests::uniform_element;
         let (key, lo, hi) = (0xfeed_5eed_0bad_cafe_u64, 0.5f32, 1.5f32);
-        // Around the parallel threshold, off the eight-lane grid, not
-        // divisible by the widths, and the degenerate ones.
+        // Around the parallel threshold and the huge-page one, off the
+        // eight-lane grid, not divisible by the widths, the degenerate ones,
+        // and one that is no whole number of 2 MiB pages (10 MiB and 28
+        // bytes), so its ends cannot both sit on a 2 MiB boundary.
         let lens = [
             0,
             1,
@@ -343,6 +346,10 @@ mod tests {
             FILL_PAR_MIN_LEN - 1,
             FILL_PAR_MIN_LEN,
             FILL_PAR_MIN_LEN + 13,
+            pages::HUGE_MIN_LEN - 1,
+            pages::HUGE_MIN_LEN,
+            pages::HUGE_MIN_LEN + 13,
+            5 * FILL_PAR_MIN_LEN + 7,
         ];
         for len in lens {
             let ambient = Tensor::uniform(Shape::new(vec![len]), key, lo, hi);

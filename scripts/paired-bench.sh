@@ -12,15 +12,20 @@
 #
 # Records land in $PAIRED_OUT (default /tmp/paired-bench): <workload>.parent.jsonl
 # and <workload>.change.jsonl, appended to, so a second call adds pairs.
+# $PAIRED_PAUSE (seconds, default 0) is slept before every run: on a VM that
+# reports free pages to its host, ~20 s hands what the last run freed back to
+# the host, so each run faults its weights into fresh memory.
 set -eu
-[ "$#" -ge 4 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[ "$#" -ge 4 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
 parent=$1 change=$2 workload=$3 pairs=$4
 shift 4
 out=${PAIRED_OUT:-/tmp/paired-bench}
+pause=${PAIRED_PAUSE:-0}
 mkdir -p "$out"
 run() { # <bench> <side> <seed> [options]
     bench=$1 side=$2 seed=$3
     shift 3
+    sleep "$pause"
     "$bench" --workload "$workload" --seed "$seed" --out-dir "$out" \
         --out "$out/$workload.$side.jsonl" "$@" >/dev/null
 }
