@@ -139,7 +139,7 @@ impl Search<'_> {
         if let Some(&v) = self.memo.get(&(start, end, option, placement)) {
             return v;
         }
-        let (latency, workers) = predict::group_cost(self.perf, analysis, placement);
+        let (latency, workers) = predict::group_cost(self.perf, analysis)(placement);
         let v = (latency, workers as f64);
         self.memo.insert((start, end, option, placement), v);
         v

@@ -30,7 +30,7 @@ use gillis_perf::PerfModel;
 
 use crate::cache::{Cell, EvalCache};
 use crate::error::CoreError;
-use crate::partition::{group_options, GroupWalker, ModelFlops, PartitionOption};
+use crate::partition::{group_options, GroupWalker, ModelFlops, PartDim, PartitionOption};
 use crate::plan::{ExecutionPlan, Placement, PlannedGroup};
 use crate::predict::{group_cost, predict_plan, predict_plan_cached, PlanPrediction};
 use crate::Result;
@@ -509,9 +509,19 @@ impl DpPartitioner {
         mut cell: impl FnMut(usize, &[GroupWalker]) -> T,
     ) -> Vec<T> {
         let shortest = self.shortest_start(j);
+        // Over square layers a `Width` walker equals its `Height` twin field
+        // for field (one receptive field serves both axes) and loses every
+        // tie to it: build none where every layer a spatial walker reaches
+        // is square.
+        let square = |s: &gillis_tensor::Shape| s.dims()[1] == s.dims()[2];
+        let reach = model.layers()[shortest..j].iter().rev();
+        let mut spatial = reach.take_while(|l| l.class.supports_spatial());
+        let skip = spatial.all(|l| square(&l.in_shape) && square(&l.out_shape));
+        let skip = skip.then_some(PartDim::Width);
         // Every longer group's options are among the last layer's own.
         let mut walkers: Vec<GroupWalker> = group_options(model, j - 1, j, &self.config.degrees)
             .into_iter()
+            .filter(|o| !matches!(o, PartitionOption::Split { dim, .. } if Some(*dim) == skip))
             .map(|option| GroupWalker::new(&model.layers()[..j], flops.layers(0, j), option))
             .collect();
         let mut column = Vec::with_capacity(j - shortest);
@@ -532,7 +542,8 @@ impl DpPartitioner {
     /// group the walkers stand on, in option order — each option that fits
     /// a function worker-only, then (when the master may participate) with
     /// partition 0 in the master, whose budget requirement is that
-    /// partition's weight bytes.
+    /// partition's weight bytes. One pass over an option's partitions
+    /// prices both placements.
     fn candidates(
         &self,
         perf: &PerfModel,
@@ -547,8 +558,9 @@ impl DpPartitioner {
             if analysis.max_partition_mem() > budget.bytes {
                 continue;
             }
+            let cost = group_cost(perf, analysis);
             let mut evaluate = |placement, budget_steps| {
-                let (latency_ms, worker_billed_ms) = group_cost(perf, analysis, placement);
+                let (latency_ms, worker_billed_ms) = cost(placement);
                 sink(GroupEval {
                     latency_ms,
                     option,
@@ -701,6 +713,7 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::analyze_group_with;
     use crate::predict::{predict_group, predict_plan};
     use gillis_faas::PlatformProfile;
     use gillis_model::zoo;
@@ -710,57 +723,201 @@ mod tests {
         PerfModel::analytic(platform)
     }
 
+    /// Four 3×3 convolutions over a `3 × h × w` input, then a classifier.
+    fn conv_chain(h: usize, w: usize) -> LinearModel {
+        use gillis_model::{Graph, LayerOp};
+        let conv = |out_channels| LayerOp::Conv2d {
+            out_channels,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut g = Graph::new();
+        let shape = gillis_tensor::Shape::new(vec![3, h, w]);
+        let mut cur = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+        for (i, channels) in [128, 256, 256, 512].into_iter().enumerate() {
+            cur = g.add(format!("conv{i}"), conv(channels), &[cur]).unwrap();
+            cur = g.add(format!("relu{i}"), LayerOp::Relu, &[cur]).unwrap();
+        }
+        cur = g.add("gap", LayerOp::GlobalAvgPool, &[cur]).unwrap();
+        cur = g.add("flatten", LayerOp::Flatten, &[cur]).unwrap();
+        g.add("fc", LayerOp::Dense { out_features: 10 }, &[cur])
+            .unwrap();
+        gillis_model::merge::merge_graph(format!("conv-chain-{h}x{w}"), g).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
         #[test]
         fn dp_plans_invariant_to_threads_and_cache(
             (model_idx, grid_shift, degree_mask) in (0usize..4, 0u32..3, 1usize..8),
+            (h, w) in (2usize..9, 2usize..9),
         ) {
-            let model = match model_idx {
+            let zoo_model = match model_idx {
                 0 => zoo::tiny_vgg(),
                 1 => zoo::vgg11(),
                 2 => zoo::rnn(6),
                 _ => zoo::mobilenet(),
             };
-            let platform = PlatformProfile::aws_lambda();
-            let perf = PerfModel::analytic(&platform);
-            let base = [2usize, 4, 8];
-            let degrees: Vec<usize> = base
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| degree_mask & (1 << i) != 0)
-                .map(|(_, &d)| d)
-                .collect();
-            let config = PartitionerConfig {
-                degrees,
-                mem_grid_bytes: (16u64 * 1024 * 1024) << grid_shift,
-                ..PartitionerConfig::default()
-            };
-            let serial = DpPartitioner::new(config.clone())
-                .with_threads(1)
-                .partition(&model, &perf)
-                .unwrap();
-            let threaded = DpPartitioner::new(config.clone())
-                .with_threads(8)
-                .partition(&model, &perf)
-                .unwrap();
-            prop_assert_eq!(&serial, &threaded);
+            // A chain over a mostly non-square input: its groups build
+            // `Width` walkers, which no catalog model does.
+            for model in [zoo_model, conv_chain(8 * h, 8 * w)] {
+                dp_plan_is_invariant_to_threads_and_cache(&model, grid_shift, degree_mask)?;
+            }
+        }
+    }
 
-            let cache = Arc::new(EvalCache::new());
-            let cold = DpPartitioner::new(config.clone())
-                .with_cache(Arc::clone(&cache))
-                .partition(&model, &perf)
-                .unwrap();
-            prop_assert_eq!(&serial, &cold);
-            // Warm cache (and a different thread count): identical plan, and
-            // every DP cell answers from the cache.
-            let warm = DpPartitioner::new(config)
-                .with_cache(Arc::clone(&cache))
-                .with_threads(8)
-                .partition(&model, &perf)
-                .unwrap();
-            prop_assert_eq!(&serial, &warm);
-            prop_assert!(cache.stats().hits > 0);
+    fn dp_plan_is_invariant_to_threads_and_cache(
+        model: &LinearModel,
+        grid_shift: u32,
+        degree_mask: usize,
+    ) -> proptest::TestCaseResult {
+        let platform = PlatformProfile::aws_lambda();
+        let perf = PerfModel::analytic(&platform);
+        let base = [2usize, 4, 8];
+        let degrees: Vec<usize> = base
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| degree_mask & (1 << i) != 0)
+            .map(|(_, &d)| d)
+            .collect();
+        let config = PartitionerConfig {
+            degrees,
+            mem_grid_bytes: (16u64 * 1024 * 1024) << grid_shift,
+            ..PartitionerConfig::default()
+        };
+        let serial = DpPartitioner::new(config.clone())
+            .with_threads(1)
+            .partition(model, &perf)
+            .unwrap();
+        let threaded = DpPartitioner::new(config.clone())
+            .with_threads(8)
+            .partition(model, &perf)
+            .unwrap();
+        prop_assert_eq!(&serial, &threaded);
+
+        let cache = Arc::new(EvalCache::new());
+        let cold = DpPartitioner::new(config.clone())
+            .with_cache(Arc::clone(&cache))
+            .partition(model, &perf)
+            .unwrap();
+        prop_assert_eq!(&serial, &cold);
+        // Warm cache (and a different thread count): identical plan, and
+        // every DP cell answers from the cache.
+        let warm = DpPartitioner::new(config)
+            .with_cache(Arc::clone(&cache))
+            .with_threads(8)
+            .partition(model, &perf)
+            .unwrap();
+        prop_assert_eq!(&serial, &warm);
+        prop_assert!(cache.stats().hits > 0);
+        Ok(())
+    }
+
+    /// The candidate table as Algorithm 1 states it, with none of the
+    /// search's shortcuts: every [`group_options`] option of every group
+    /// analysed on its own, both placements priced by [`predict_group`],
+    /// folded in option order by [`keep_undominated`]. Indexed as
+    /// [`DpPartitioner::table`].
+    fn reference_table(model: &LinearModel, perf: &PerfModel) -> Vec<Vec<Vec<GroupEval>>> {
+        let dp = DpPartitioner::default();
+        let budget = dp.budget(perf);
+        let flops = ModelFlops::new(model);
+        let granularity = perf.platform.billing_granularity_ms;
+        let cell = |i: usize, j: usize| {
+            let mut cell = Vec::new();
+            for option in group_options(model, i, j, &dp.config.degrees) {
+                let analysis = analyze_group_with(model, &flops, i, j, option).unwrap();
+                if analysis.max_partition_mem() > budget.bytes {
+                    continue;
+                }
+                let master = if option.parts() == 1 {
+                    Placement::Master
+                } else {
+                    Placement::MasterAndWorkers
+                };
+                let steps = analysis.partitions[0].weight_bytes.div_ceil(budget.grid);
+                for (placement, budget_steps) in [(Placement::Workers, 0), (master, steps as usize)]
+                {
+                    let g = predict_group(perf, &analysis, placement);
+                    let billed = g.worker_ms.iter().map(|&w| billed_ms(w, granularity));
+                    let c = GroupEval {
+                        latency_ms: g.latency_ms(),
+                        option,
+                        placement,
+                        budget_steps,
+                        worker_billed_ms: billed.sum(),
+                    };
+                    keep_undominated(&mut cell, c);
+                }
+            }
+            cell
+        };
+        let n = model.layers().len();
+        (1..=n)
+            .map(|j| (0..j).rev().map(|i| cell(i, j)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn the_table_holds_every_distinct_candidate_of_every_catalog_group() {
+        let mut models = crate::partition::tests::catalog();
+        models.push(conv_chain(32, 128));
+        for platform in [
+            PlatformProfile::aws_lambda(),
+            PlatformProfile::gcf(),
+            PlatformProfile::knix(),
+        ] {
+            let perf = perf(&platform);
+            for model in &models {
+                let dp = DpPartitioner::default();
+                let table = dp.table(model, &perf, dp.budget(&perf));
+                let expected = reference_table(model, &perf);
+                assert_eq!(table.len(), expected.len());
+                for (j, (column, want)) in (1..).zip(table.iter().zip(&expected)) {
+                    assert_eq!(column.len(), want.len());
+                    for (i, (cell, want)) in (0..j).rev().zip(column.iter().zip(want)) {
+                        let at = format!("{} on {} {i}..{j}", model.name(), platform.kind.label());
+                        assert_eq!(&cell[..], &want[..], "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wide_input_is_split_along_its_width() {
+        // On a 32×128 input a `Width` split cuts the long axis: the same
+        // degree leaves each piece a wider slab and a smaller halo share.
+        let perf = perf(&PlatformProfile::aws_lambda());
+        let model = conv_chain(32, 128);
+        let dp = DpPartitioner::default();
+        let plan = dp.partition(&model, &perf).unwrap();
+        // `Wx16`, `Hx8`: an option's text names its dimension first.
+        let along = |dim: char, o: PartitionOption| o.to_string().starts_with(dim);
+        let wide: Vec<_> = plan
+            .groups()
+            .iter()
+            .filter(|g| along('W', g.option))
+            .collect();
+        assert!(!wide.is_empty(), "{}", plan.to_text());
+        let flops = ModelFlops::new(&model);
+        let latency = |g: &PlannedGroup, option, placement| {
+            let analysis = analyze_group_with(&model, &flops, g.start, g.end, option).unwrap();
+            predict_group(&perf, &analysis, placement).latency_ms()
+        };
+        for g in wide {
+            let chosen = latency(g, g.option, g.placement);
+            let options = group_options(&model, g.start, g.end, &dp.config.degrees);
+            for option in options.into_iter().filter(|&o| along('H', o)) {
+                for placement in [Placement::Workers, Placement::MasterAndWorkers] {
+                    let height = latency(g, option, placement);
+                    assert!(
+                        chosen < height,
+                        "{option} {placement:?}: {chosen} vs {height}"
+                    );
+                }
+            }
         }
     }
 

@@ -549,7 +549,7 @@ fn merge_flops_front(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gillis_model::zoo;
 
@@ -970,7 +970,7 @@ mod tests {
     }
 
     /// The catalog of `gillis::serving::model_catalog`.
-    fn catalog() -> Vec<LinearModel> {
+    pub(crate) fn catalog() -> Vec<LinearModel> {
         let mut models = vec![
             zoo::vgg11(),
             zoo::vgg16(),

@@ -65,9 +65,14 @@ pub fn predict_group(
     analysis: &GroupAnalysis,
     placement: Placement,
 ) -> GroupPrediction {
+    // Partition 0 runs in the master under either master placement.
+    let first = usize::from(placement != Placement::Workers);
     let mut worker_ms = Vec::new();
-    let (fork_ms, compute_ms, join_ms) =
-        group_timing(perf, analysis, placement, |w| worker_ms.push(w));
+    let ((fork_ms, compute_ms, join_ms), _) = group_timing(perf, analysis, |k, w| {
+        if k >= first && placement != Placement::Master {
+            worker_ms.push(w);
+        }
+    })(placement);
     GroupPrediction {
         fork_ms,
         compute_ms,
@@ -76,51 +81,68 @@ pub fn predict_group(
     }
 }
 
-/// [`predict_group`] as the planners rank a candidate, without building the
-/// prediction: the group's latency, and its workers' durations each rounded
-/// up to the platform's billing granularity and summed.
-pub fn group_cost(perf: &PerfModel, analysis: &GroupAnalysis, placement: Placement) -> (f64, u64) {
-    let granularity = perf.platform.billing_granularity_ms;
-    let mut worker_billed_ms = 0;
-    let (fork_ms, compute_ms, join_ms) = group_timing(perf, analysis, placement, |w| {
-        worker_billed_ms += billed_ms(w, granularity);
-    });
-    (fork_ms + compute_ms + join_ms, worker_billed_ms)
+/// [`predict_group`] as the planners rank a group's candidates, without
+/// building predictions: for a placement, the group's latency, and its
+/// workers' durations each rounded up to the platform's billing granularity
+/// and summed. One pass over the partitions prices every placement.
+pub fn group_cost<'a>(
+    perf: &'a PerfModel,
+    analysis: &'a GroupAnalysis,
+) -> impl Fn(Placement) -> (f64, u64) + 'a {
+    let timing = group_timing(perf, analysis, |_, _| {});
+    move |placement| {
+        let ((fork_ms, compute_ms, join_ms), billed) = timing(placement);
+        (fork_ms + compute_ms + join_ms, billed)
+    }
 }
 
-/// The arithmetic of [`predict_group`] and [`group_cost`]: returns
-/// `(fork_ms, compute_ms, join_ms)` and hands `worker` each entry of
-/// `worker_ms`, in partition order.
-fn group_timing(
-    perf: &PerfModel,
-    analysis: &GroupAnalysis,
-    placement: Placement,
-    mut worker: impl FnMut(f64),
-) -> (f64, f64, f64) {
-    let parts = &analysis.partitions;
-    let (master_compute, worker_parts) = match placement {
-        Placement::Master => return (0.0, partition_compute_ms(perf, &parts[0]), 0.0),
-        Placement::Workers => (0.0, &parts[..]),
-        Placement::MasterAndWorkers => (partition_compute_ms(perf, &parts[0]), &parts[1..]),
-    };
-    if worker_parts.is_empty() {
-        // Degenerate: "MasterAndWorkers" of a single partition.
-        return (0.0, master_compute, 0.0);
-    }
-    let (mut in_total, mut out_total, mut compute_ms) = (0, 0, master_compute);
-    for p in worker_parts {
+/// The arithmetic of [`predict_group`] and [`group_cost`]: one pass prices
+/// every partition as a worker and hands `worker` its index and duration;
+/// the closure returned reads off a placement's `(fork_ms, compute_ms,
+/// join_ms)` and billed worker ms. With partition 0 in the master, bytes and
+/// bill are the worker-only totals less partition 0's — integers, so
+/// exactly — and the compute phase is the same maximum.
+fn group_timing<'a>(
+    perf: &'a PerfModel,
+    analysis: &'a GroupAnalysis,
+    mut worker: impl FnMut(usize, f64),
+) -> impl Fn(Placement) -> ((f64, f64, f64), u64) + 'a {
+    let granularity = perf.platform.billing_granularity_ms;
+    // Wire bytes in and out, bill and slowest compute, of all partitions
+    // and of partition 0.
+    let [mut all, mut first] = [(0, 0, 0, 0.0); 2];
+    for (k, p) in analysis.partitions.iter().enumerate() {
         // Partition analyses report raw f32 activation sizes; the wire
         // format (f32 or int8) decides what actually crosses the network.
         let i = perf.wire_bytes(p.input_bytes);
         let o = perf.wire_bytes(p.output_bytes);
         let c = partition_compute_ms(perf, p);
-        (in_total, out_total) = (in_total + i, out_total + o);
-        compute_ms = f64::max(compute_ms, c);
         // A worker is billed from payload receipt to response emission.
-        worker(c + perf.comm.per_byte_ms() * (i + o) as f64);
+        let w = c + perf.comm.per_byte_ms() * (i + o) as f64;
+        let b = billed_ms(w, granularity);
+        all = (all.0 + i, all.1 + o, all.2 + b, f64::max(all.3, c));
+        if k == 0 {
+            first = (i, o, b, c);
+        }
+        worker(k, w);
     }
-    let transfer = |bytes| perf.comm.group_transfer_total_ms(worker_parts.len(), bytes);
-    (transfer(in_total), compute_ms, transfer(out_total))
+    let parts = analysis.partitions.len();
+    move |placement| {
+        let (workers, input, output, billed) = match placement {
+            Placement::Master => (0, 0, 0, 0),
+            Placement::Workers => (parts, all.0, all.1, all.2),
+            Placement::MasterAndWorkers => {
+                (parts - 1, all.0 - first.0, all.1 - first.1, all.2 - first.2)
+            }
+        };
+        if workers == 0 {
+            // Master-only, or the degenerate "MasterAndWorkers" of a single
+            // partition.
+            return ((0.0, first.3, 0.0), 0);
+        }
+        let transfer = |bytes| perf.comm.group_transfer_total_ms(workers, bytes);
+        ((transfer(input), all.3, transfer(output)), billed)
+    }
 }
 
 /// Predicts the latency and cost of a full plan (paper §IV-A's end-to-end
