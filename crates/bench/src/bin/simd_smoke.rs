@@ -115,6 +115,9 @@ fn main() {
         return;
     }
 
+    // Which tile ran, so a green run on a host without AVX-512 is not read
+    // as coverage of the 12×32 kernel.
+    println!("gemm_kernel: {}", gillis_tensor::simd::gemm_kernel());
     if !gillis_tensor::simd::simd_active() {
         println!(
             "simd_smoke: SIMD inactive (feature off, no AVX2+FMA, or GILLIS_NO_SIMD) — skipping"

@@ -18,6 +18,13 @@
 //! copied, at compile time or per call. Batch items share the `A` slab of a
 //! `KC` step while it is cache-hot and write their own output buffers.
 //!
+//! The tile is the kernel's, chosen once per call: `12 × 32` (24 zmm
+//! accumulators) where [`crate::simd::simd_active`] holds and the CPU reports
+//! AVX-512F, `6 × 16` (12 ymm accumulators) on other SIMD hosts, and a scalar
+//! `6 × 16` otherwise; [`crate::simd::gemm_kernel`] names it. The driver is
+//! generic over the kernel, so the packer, the thread split and the edge
+//! tiles all take that kernel's `MR` and `NR`.
+//!
 //! # Determinism contract
 //!
 //! Every output element starts from the value the caller put in `C` (zeros
@@ -36,8 +43,10 @@
 //! With the `simd` cargo feature enabled *and* AVX2+FMA reported at runtime
 //! (see [`crate::simd::simd_active`]) the multiply-add is fused. That changes
 //! each step's rounding — outputs equal a scalar `f32::mul_add` loop, not
-//! the `mul` + `add` one — and nothing else above. Set `GILLIS_NO_SIMD=1` to
-//! force the scalar kernel at runtime.
+//! the `mul` + `add` one — and nothing else above. The AVX2 and AVX-512
+//! tiles agree to the bit: `vfmadd231ps` is the same IEEE operation in every
+//! lane at 256 and 512 bits, and the element's history is tile-independent
+//! as above. Set `GILLIS_NO_SIMD=1` to force the scalar kernel at runtime.
 //!
 //! # Threading
 //!
@@ -55,18 +64,17 @@ use std::ops::Range;
 use gillis_pool::{Pool, Task};
 
 use crate::scratch::{self, Site};
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use crate::simd::{micro_fma, micro_fma512};
 
-/// Rows of `A` per micro-kernel tile.
-const MR: usize = 6;
-/// Columns of `B` per micro-kernel tile: two AVX vectors, so a full tile
-/// keeps `2·MR = 12` independent accumulators in flight.
-const NR: usize = 16;
 /// Reduction steps per packed block: one micro-panel (`KC × NR` floats) stays
 /// in L1 while the rows of `A` sweep over it.
 const KC: usize = 256;
 /// Columns per packed block: `KC × NC` floats (512 KiB) is all the working
-/// memory a thread ever holds.
+/// memory a thread ever holds. A multiple of every kernel's `NR`.
 const NC: usize = 512;
+/// Elements of the largest register tile: the padded copy of an edge tile.
+const MAX_TILE: usize = 12 * 32;
 
 /// Small-GEMM cutoff on `m·n·k` (multiply-add count). Below this the whole
 /// product finishes in roughly the time a pool round trip costs, so [`gemm`]
@@ -284,10 +292,10 @@ enum Operand<'a> {
 
 impl Operand<'_> {
     /// Packs rows `k0 .. k0 + kc`, columns `j0 .. j0 + nc` of `input`'s `B`
-    /// into `buf` as `NR`-wide micro-panels: panel `p` holds columns
-    /// `j0 + p·NR ..`, one group of `NR` per row, zeros past `nc`.
+    /// into `buf` as `NR`-wide micro-panels (`NR` of `K`): panel `p` holds
+    /// columns `j0 + p·NR ..`, one group of `NR` per row, zeros past `nc`.
     #[allow(clippy::too_many_arguments)]
-    fn pack(
+    fn pack<K: Kernel>(
         &self,
         input: &[f32],
         n: usize,
@@ -297,14 +305,16 @@ impl Operand<'_> {
         nc: usize,
         buf: &mut [f32],
     ) {
+        const { assert!(NC.is_multiple_of(K::NR) && K::MR * K::NR <= MAX_TILE) };
+        let nr = K::NR;
         let mut scatter = |kk: usize, row: &[f32]| {
-            let mut groups = row.chunks_exact(NR);
+            let mut groups = row.chunks_exact(nr);
             for (p, cols) in groups.by_ref().enumerate() {
-                buf[(p * kc + kk) * NR..][..NR].copy_from_slice(cols);
+                buf[(p * kc + kk) * nr..][..nr].copy_from_slice(cols);
             }
             let rest = groups.remainder();
             if !rest.is_empty() {
-                let dst = &mut buf[(nc / NR * kc + kk) * NR..][..NR];
+                let dst = &mut buf[(nc / nr * kc + kk) * nr..][..nr];
                 dst[..rest.len()].copy_from_slice(rest);
                 dst[rest.len()..].fill(0.0);
             }
@@ -354,18 +364,19 @@ struct Driver<'a> {
 }
 
 impl Driver<'_> {
-    /// Runs the whole product on `threads` threads: one chunk of whole
-    /// micro-tiles per thread, along the dimension that has more of them.
-    fn run(&self, threads: usize) {
+    /// Runs the whole product on `threads` threads through kernel `K`: one
+    /// chunk of whole micro-tiles per thread, along the dimension that has
+    /// more of them.
+    fn run<K: Kernel>(&self, threads: usize) {
         let (m, n) = (self.m, self.n);
         if m == 0 || n == 0 || self.k == 0 || self.batch == 0 {
             return;
         }
-        let by_cols = n.div_ceil(NR) >= m.div_ceil(MR);
-        let (len, tile) = if by_cols { (n, NR) } else { (m, MR) };
+        let by_cols = n.div_ceil(K::NR) >= m.div_ceil(K::MR);
+        let (len, tile) = if by_cols { (n, K::NR) } else { (m, K::MR) };
         let threads = threads.clamp(1, len.div_ceil(tile));
         if threads == 1 {
-            return self.block(0..m, 0..n);
+            return self.block::<K>(0..m, 0..n);
         }
         let per = len.div_ceil(tile).div_ceil(threads) * tile;
         let tasks: Vec<Task> = (0..len)
@@ -373,9 +384,9 @@ impl Driver<'_> {
             .map(|lo| -> Task {
                 let chunk = lo..(lo + per).min(len);
                 if by_cols {
-                    Box::new(move || self.block(0..m, chunk))
+                    Box::new(move || self.block::<K>(0..m, chunk))
                 } else {
-                    Box::new(move || self.block(chunk, 0..n))
+                    Box::new(move || self.block::<K>(chunk, 0..n))
                 }
             })
             .collect();
@@ -383,12 +394,12 @@ impl Driver<'_> {
     }
 
     /// Computes output rows `rows` × columns `cols` of every item on the
-    /// calling thread. `rows.start` is `MR`-aligned and `cols.start`
-    /// `NR`-aligned, or 0.
-    fn block(&self, rows: Range<usize>, cols: Range<usize>) {
+    /// calling thread. `rows.start` is `K::MR`-aligned and `cols.start`
+    /// `K::NR`-aligned, or 0.
+    fn block<K: Kernel>(&self, rows: Range<usize>, cols: Range<usize>) {
         let (m, n, k) = (self.m, self.n, self.k);
         let mut buf = scratch::take(Site::PackB);
-        let need = k.min(KC) * cols.len().min(NC).next_multiple_of(NR);
+        let need = k.min(KC) * cols.len().min(NC).next_multiple_of(K::NR);
         if buf.len() < need {
             buf.resize(need, 0.0);
         }
@@ -399,13 +410,13 @@ impl Driver<'_> {
                 let kc = KC.min(k - k0);
                 for item in 0..self.batch {
                     let input = &self.inputs[item * item_len..][..item_len];
-                    self.operand.pack(input, n, k0, kc, j0, nc, &mut buf);
-                    let panels = buf[..kc * nc.next_multiple_of(NR)].chunks_exact(kc * NR);
+                    self.operand.pack::<K>(input, n, k0, kc, j0, nc, &mut buf);
+                    let panels = buf[..kc * nc.next_multiple_of(K::NR)].chunks_exact(kc * K::NR);
                     for (p, panel) in panels.enumerate() {
-                        let j = j0 + p * NR;
-                        for i0 in rows.clone().step_by(MR) {
+                        let j = j0 + p * K::NR;
+                        for i0 in rows.clone().step_by(K::MR) {
                             let a = &self.a[i0 * k + k0..];
-                            let (mr, nr) = (MR.min(rows.end - i0), NR.min(cols.end - j));
+                            let (mr, nr) = (K::MR.min(rows.end - i0), K::NR.min(cols.end - j));
                             // SAFETY: `a` holds rows `i0 .. i0 + mr` of `A`
                             // from column `k0` on at stride `k`, `panel` is
                             // `kc × NR`, and the tile — `mr` rows of `nr`
@@ -414,7 +425,7 @@ impl Driver<'_> {
                             // region of `out`, which no other task touches.
                             unsafe {
                                 let c = self.out.0.add((item * m + i0) * n + j);
-                                tile(mr, nr, kc, a, k, panel, c, n);
+                                tile::<K>(mr, nr, kc, a, k, panel, c, n);
                             }
                         }
                     }
@@ -425,24 +436,57 @@ impl Driver<'_> {
     }
 }
 
-/// Calls the `$mr`-row instance of a micro-kernel.
-macro_rules! micro_rows {
-    ($mr:expr, $kernel:ident, $args:tt) => {
-        match $mr {
-            1 => $kernel::<1> $args,
-            2 => $kernel::<2> $args,
-            3 => $kernel::<3> $args,
-            4 => $kernel::<4> $args,
-            5 => $kernel::<5> $args,
-            _ => $kernel::<MR> $args,
-        }
+/// One instance of a micro-kernel: `(kc, a, lda, b, c, ldc)` updates a tile
+/// of its row count with `kc` steps (see [`tile`]).
+type Micro = unsafe fn(usize, *const f32, usize, *const f32, *mut f32, usize);
+
+/// The `M = 1, 2, ..` instances of a micro-kernel, in order.
+macro_rules! rows {
+    ($kernel:ident: $($m:literal)*) => {
+        &[$($kernel::<$m> as Micro),*]
     };
 }
 
+/// A micro-kernel of the driver and its register tile: `MR` rows of `A` by
+/// `NR` columns of a packed micro-panel of `B`. `ROWS[r]` runs `r + 1` rows.
+trait Kernel {
+    const NR: usize;
+    const ROWS: &'static [Micro];
+    const MR: usize = Self::ROWS.len();
+}
+
+/// The scalar `6 × 16` tile: `mul` + `add`, the default build's arithmetic.
+struct Scalar;
+
+impl Kernel for Scalar {
+    const NR: usize = 16;
+    const ROWS: &'static [Micro] = rows!(micro_scalar: 1 2 3 4 5 6);
+}
+
+/// The AVX2 `6 × 16` tile: 12 ymm accumulators.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+struct Avx2;
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+impl Kernel for Avx2 {
+    const NR: usize = 16;
+    const ROWS: &'static [Micro] = rows!(micro_fma: 1 2 3 4 5 6);
+}
+
+/// The AVX-512 `12 × 32` tile: 24 zmm accumulators, the AVX2 tile's bits.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+struct Avx512;
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+impl Kernel for Avx512 {
+    const NR: usize = 32;
+    const ROWS: &'static [Micro] = rows!(micro_fma512: 1 2 3 4 5 6 7 8 9 10 11 12);
+}
+
 /// Updates one `mr × nr` output tile at `c` (row stride `ldc`) with `kc`
-/// reduction steps: `a` holds the tile's rows of `A` at stride `lda`, `b`
-/// one packed `kc × NR` micro-panel. A tile narrower than `NR` runs the same
-/// kernel on a padded copy, so its elements keep their history.
+/// reduction steps of kernel `K`: `a` holds the tile's rows of `A` at stride
+/// `lda`, `b` one packed `kc × NR` micro-panel. A tile narrower than `NR`
+/// runs the same kernel on a padded copy, so its elements keep their history.
 ///
 /// # Safety
 ///
@@ -451,7 +495,7 @@ macro_rules! micro_rows {
 /// `nr <= NR` elements at stride `ldc`, and nothing else may access them
 /// during the call.
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile(
+unsafe fn tile<K: Kernel>(
     mr: usize,
     nr: usize,
     kc: usize,
@@ -461,62 +505,52 @@ unsafe fn tile(
     c: *mut f32,
     ldc: usize,
 ) {
-    if nr == NR {
-        return micro(mr, kc, a, lda, b, c, ldc);
+    assert!(a.len() >= (mr - 1) * lda + kc && b.len() >= kc * K::NR);
+    let micro = K::ROWS[mr - 1];
+    let (a, b) = (a.as_ptr(), b.as_ptr());
+    if nr == K::NR {
+        return micro(kc, a, lda, b, c, ldc);
     }
-    let mut padded = [0.0f32; MR * NR];
+    let mut padded = [0.0f32; MAX_TILE];
     for r in 0..mr {
-        std::ptr::copy_nonoverlapping(c.add(r * ldc), padded.as_mut_ptr().add(r * NR), nr);
+        std::ptr::copy_nonoverlapping(c.add(r * ldc), padded.as_mut_ptr().add(r * K::NR), nr);
     }
-    micro(mr, kc, a, lda, b, padded.as_mut_ptr(), NR);
+    micro(kc, a, lda, b, padded.as_mut_ptr(), K::NR);
     for r in 0..mr {
-        std::ptr::copy_nonoverlapping(padded.as_ptr().add(r * NR), c.add(r * ldc), nr);
+        std::ptr::copy_nonoverlapping(padded.as_ptr().add(r * K::NR), c.add(r * ldc), nr);
     }
 }
 
-/// One full-width tile through the `mr`-row micro-kernel of the active mode.
-///
-/// # Safety
-///
-/// As [`tile`], with `nr = NR`.
-unsafe fn micro(mr: usize, kc: usize, a: &[f32], lda: usize, b: &[f32], c: *mut f32, ldc: usize) {
-    assert!(a.len() >= (mr - 1) * lda + kc && b.len() >= kc * NR);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::simd_active() {
-        use crate::simd::micro_fma;
-        // SAFETY: simd_active() verified AVX2+FMA at runtime, the assertion
-        // above the operand lengths, and the caller the tile at `c`.
-        return micro_rows!(mr, micro_fma, (kc, a.as_ptr(), lda, b.as_ptr(), c, ldc));
-    }
-    micro_rows!(mr, micro_scalar, (kc, a, lda, b, c, ldc))
-}
-
-/// The scalar `M × NR` micro-kernel: every element of the tile takes
+/// The scalar `M × 16` micro-kernel: every element of the tile takes
 /// `acc += a·b` once per `k`, ascending. It works through the tile in two
-/// half-width passes so the `M × NR/2` accumulators fit the sixteen SSE
+/// half-width passes so the `M × 8` accumulators fit the sixteen SSE
 /// registers of a baseline x86-64 build.
 ///
 /// # Safety
 ///
-/// As [`tile`], with `nr = NR`.
+/// As [`tile`], with `nr = 16`.
 unsafe fn micro_scalar<const M: usize>(
     kc: usize,
-    a: &[f32],
+    a: *const f32,
     lda: usize,
-    b: &[f32],
+    b: *const f32,
     c: *mut f32,
     ldc: usize,
 ) {
+    const NR: usize = Scalar::NR;
     const HALF: usize = NR / 2;
     for h in [0, HALF] {
         let mut acc = [[0.0f32; HALF]; M];
         for (r, acc) in acc.iter_mut().enumerate() {
             acc.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc + h), HALF));
         }
-        for (kk, brow) in b[..kc * NR].chunks_exact(NR).enumerate() {
+        for (kk, brow) in std::slice::from_raw_parts(b, kc * NR)
+            .chunks_exact(NR)
+            .enumerate()
+        {
             let brow = &brow[h..h + HALF];
             for (r, acc) in acc.iter_mut().enumerate() {
-                let av = a[r * lda + kk];
+                let av = *a.add(r * lda + kk);
                 for (acc, bv) in acc.iter_mut().zip(brow) {
                     *acc += av * *bv;
                 }
@@ -553,7 +587,14 @@ fn drive(
         batch,
         out: OutPtr(c.as_mut_ptr()),
     };
-    driver.run(threads);
+    // The SIMD kernels run only where their predicate has verified the CPU.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if crate::simd::avx512_active() {
+        return driver.run::<Avx512>(threads);
+    } else if crate::simd::simd_active() {
+        return driver.run::<Avx2>(threads);
+    }
+    driver.run::<Scalar>(threads)
 }
 
 /// `C += A·B` with `A` row-major `m`×`k`, `B` row-major `k`×`n`, `C`
@@ -880,6 +921,67 @@ mod tests {
         assert_eq!(out, [11.0, -5.0]);
     }
 
+    /// The AVX-512 driver's bits are the AVX2 driver's on whole products —
+    /// im2col and matrix operands, two items, one and two threads, every
+    /// row remainder of both tiles and narrow column edges — so which tile a
+    /// host runs cannot show in an output.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn avx512_driver_is_the_avx2_driver_to_the_bit() {
+        if !crate::simd::avx512_active() {
+            println!("skipping: this CPU reports no AVX-512F");
+            return;
+        }
+        /// `C = 0.25 + A·B` for two items of 1035 floats: a 5×9×23
+        /// image, or a 45×23 matrix.
+        fn via<K: Kernel>(
+            m: usize,
+            a: &[f32],
+            operand: Operand,
+            (k, n): (usize, usize),
+            threads: usize,
+        ) -> Vec<u32> {
+            let inputs = &pseudo(2 * 1035, 3, 277803737);
+            let mut c = vec![0.25f32; 2 * m * n];
+            let out = OutPtr(c.as_mut_ptr());
+            Driver {
+                m,
+                n,
+                k,
+                a,
+                operand,
+                inputs,
+                batch: 2,
+                out,
+            }
+            .run::<K>(threads);
+            bits(&c)
+        }
+        let geom = Im2col {
+            channels: 5,
+            in_hw: (9, 23),
+            kernel: (3, 3),
+            stride: (1, 2),
+            pad_tl: (1, 1),
+            out_hw: (8, 11),
+        };
+        for m in 1..=25 {
+            for threads in [1, 2] {
+                for (op, kn) in [
+                    (Operand::Image(&geom), (geom.k(), geom.n())),
+                    (Operand::Matrix, (45, 23)),
+                ] {
+                    let a = pseudo(m * kn.0, m as u32, 747796405);
+                    assert_eq!(
+                        via::<Avx2>(m, &a, op, kn, threads),
+                        via::<Avx512>(m, &a, op, kn, threads),
+                        "m {m} (k, n) {kn:?} threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A dimension drawn near zero or just around `block`.
     fn around(block: usize) -> impl Strategy<Value = usize> {
         (0usize..2, 1usize..40).prop_map(move |(far, x)| x + far * (block - 20))
@@ -905,12 +1007,12 @@ mod tests {
 
         /// The driver's history is the naive loop's to the bit — in the
         /// `simd` build that of the scalar `mul_add` loop — at every thread
-        /// count the repo tests: `m` covers every `MR` remainder under row
-        /// and column chunking, `n` every `NR` remainder and the `NC`
-        /// boundary, `k` the `KC` boundary.
+        /// count the repo tests: `m` covers every `MR` remainder of both
+        /// tile heights under row and column chunking, `n` every `NR`
+        /// remainder and the `NC` boundary, `k` the `KC` boundary.
         #[test]
         fn simd_gemm_matches_scalar_reference_across_threads(
-            (m, n, k) in (1usize..20, around(NC), around(KC)),
+            (m, n, k) in (1usize..30, around(NC), around(KC)),
             seed in 0u32..1000,
         ) {
             let a = pseudo(m * k, seed, 747796405);

@@ -24,6 +24,11 @@
 //! public API, same shapes, no caller changes. On non-x86_64 targets the
 //! feature compiles but stays scalar (NEON kernels are a documented gap:
 //! this reproduction's CI hosts are x86_64 only).
+//!
+//! Where `simd_active` holds and the CPU also reports AVX-512F, the GEMM
+//! driver runs a `12 × 32` tile of 512-bit FMAs instead of the `6 × 16` AVX2
+//! one; [`gemm_kernel`] names the tile in use. Its bits are the AVX2 tile's:
+//! `vfmadd231ps` is one IEEE fused multiply-add per lane at either width.
 
 /// Returns whether the SIMD kernels are compiled in, supported by the CPU,
 /// and not disabled via `GILLIS_NO_SIMD`. Cached after the first call.
@@ -42,6 +47,32 @@ pub fn simd_active() -> bool {
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
+    }
+}
+
+/// Whether the GEMM driver runs the AVX-512 tile: [`simd_active`] and the
+/// CPU reports AVX-512F (which `std` detects once and caches).
+#[inline]
+pub(crate) fn avx512_active() -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        simd_active() && is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// The GEMM micro-kernel this process runs, as `<kind> <rows>x<cols>`:
+/// `scalar 6x16`, `avx2-fma 6x16` or `avx512-fma 12x32`.
+pub fn gemm_kernel() -> &'static str {
+    if avx512_active() {
+        "avx512-fma 12x32"
+    } else if simd_active() {
+        "avx2-fma 6x16"
+    } else {
+        "scalar 6x16"
     }
 }
 
@@ -90,7 +121,7 @@ fn fill_uniform_scalar(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
+mod x86 {
     use super::{fill_uniform_scalar, HASH_M1, HASH_M2, UNIT_SCALE};
     use std::arch::x86_64::*;
 
@@ -173,6 +204,44 @@ mod avx2 {
         }
     }
 
+    /// [`micro_fma`] at 512 bits: the `M × 32` tile of the AVX-512 build,
+    /// two zmm accumulators per row (`M = 12` keeps 24 in flight). Each lane
+    /// takes the same fused multiply-add per `k` step, ascending, so an
+    /// element's bits equal the AVX2 kernel's.
+    ///
+    /// # Safety
+    ///
+    /// As [`micro_fma`], with AVX-512F instead of AVX2 and FMA, `b` holding
+    /// `32·kc` elements and `c` rows of 32.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn micro_fma512<const M: usize>(
+        kc: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 2]; M];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc[0] = _mm512_loadu_ps(c.add(r * ldc));
+            acc[1] = _mm512_loadu_ps(c.add(r * ldc + 16));
+        }
+        for kk in 0..kc {
+            let b0 = _mm512_loadu_ps(b.add(kk * 32));
+            let b1 = _mm512_loadu_ps(b.add(kk * 32 + 16));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * lda + kk));
+                acc[0] = _mm512_fmadd_ps(av, b0, acc[0]);
+                acc[1] = _mm512_fmadd_ps(av, b1, acc[1]);
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            _mm512_storeu_ps(c.add(r * ldc), acc[0]);
+            _mm512_storeu_ps(c.add(r * ldc + 16), acc[1]);
+        }
+    }
+
     /// FMA row dots for `gemv` and `gemv_multi`: `row` against the `Q`
     /// vectors back to back in `xs`, one accumulator vector each. A chain's
     /// eight f32 lanes accumulate with FMA, then fold in the same fixed tree
@@ -213,10 +282,10 @@ mod avx2 {
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use avx2::{micro_fma, row_dots_fma};
+pub(crate) use x86::{micro_fma, micro_fma512, row_dots_fma};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use avx2::fill_uniform_avx2;
+use x86::fill_uniform_avx2;
 
 /// One multiply-add of the active mode — fused when the SIMD kernels run,
 /// `mul` + `add` otherwise. A naive loop over it is the exact reference the
@@ -301,9 +370,10 @@ pub(crate) mod tests {
         assert!((got - want).abs() < 1e-4, "{got} vs {want}");
     }
 
-    /// Every row count of the micro-kernel gives an element the six-row
-    /// kernel's rounding — that is what keeps SIMD outputs independent of
-    /// how thread chunking and the matrix edge group rows into tiles.
+    /// Every row count of both micro-kernels gives an element the six-row
+    /// AVX2 kernel's rounding and the `mul_add` fold's — that is what keeps
+    /// SIMD outputs independent of how thread chunking and the matrix edge
+    /// group rows into tiles, and of which tile the CPU runs.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[test]
     fn every_row_count_matches_the_six_row_kernel_per_element() {
@@ -311,7 +381,7 @@ pub(crate) mod tests {
             return;
         }
         let (kc, lda) = (13, 17);
-        let a: Vec<f32> = (0..6 * lda).map(|i| (i as f32 * 0.11).cos()).collect();
+        let a: Vec<f32> = (0..12 * lda).map(|i| (i as f32 * 0.11).cos()).collect();
         let b: Vec<f32> = (0..kc * 16).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut six = vec![0.5f32; 6 * 16];
         unsafe { micro_fma::<6>(kc, a.as_ptr(), lda, b.as_ptr(), six.as_mut_ptr(), 16) };
@@ -344,6 +414,61 @@ pub(crate) mod tests {
                     want.to_bits(),
                     "row {r} col {j} vs mul_add"
                 );
+            }
+        }
+
+        if !avx512_active() {
+            println!("skipping the 12x32 kernel: this CPU reports no AVX-512F");
+            return;
+        }
+        type Micro = unsafe fn(usize, *const f32, usize, *const f32, *mut f32, usize);
+        let wide: [Micro; 12] = [
+            micro_fma512::<1>,
+            micro_fma512::<2>,
+            micro_fma512::<3>,
+            micro_fma512::<4>,
+            micro_fma512::<5>,
+            micro_fma512::<6>,
+            micro_fma512::<7>,
+            micro_fma512::<8>,
+            micro_fma512::<9>,
+            micro_fma512::<10>,
+            micro_fma512::<11>,
+            micro_fma512::<12>,
+        ];
+        // A full panel, and one of 21 columns padded with zeros as the
+        // packer pads the matrix edge (its tile's padded columns start 0).
+        for width in [32, 21] {
+            let live = |i: usize, x: f32| if i % 32 < width { x } else { 0.0 };
+            let b: Vec<f32> = (0..kc * 32)
+                .map(|i| live(i, (i as f32 * 0.37).sin()))
+                .collect();
+            let init: Vec<f32> = (0..12 * 32)
+                .map(|i| live(i, 0.5 + (i % 7) as f32 * 0.25))
+                .collect();
+            // The AVX2 tile over the same twelve rows and 32 columns: two
+            // row halves × two 16-column panels.
+            let mut narrow = init.clone();
+            for (r0, h) in [(0, 0), (0, 16), (6, 0), (6, 16)] {
+                let b16: Vec<f32> = (0..kc * 16).map(|i| b[i / 16 * 32 + h + i % 16]).collect();
+                let (a, c) = (a[r0 * lda..].as_ptr(), narrow[r0 * 32 + h..].as_mut_ptr());
+                unsafe { micro_fma::<6>(kc, a, lda, b16.as_ptr(), c, 32) };
+            }
+            for (m, micro) in wide.iter().enumerate().map(|(i, f)| (i + 1, f)) {
+                let mut got = init[..m * 32].to_vec();
+                unsafe { micro(kc, a.as_ptr(), lda, b.as_ptr(), got.as_mut_ptr(), 32) };
+                for (i, (got, six)) in got.iter().zip(&narrow).enumerate() {
+                    let (r, j) = (i / 32, i % 32);
+                    if j >= width {
+                        continue;
+                    }
+                    let want = (0..kc).fold(init[i], |acc, kk| {
+                        madd(a[r * lda + kk], b[kk * 32 + j], acc)
+                    });
+                    let at = format!("width {width}, {m} rows, row {r} col {j}");
+                    assert_eq!(got.to_bits(), six.to_bits(), "{at} vs 6x16");
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at} vs mul_add");
+                }
             }
         }
     }
