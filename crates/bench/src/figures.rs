@@ -3,8 +3,10 @@
 //! column says about them. Absolute numbers come from a simulator calibrated
 //! to public platform constants, so the claims are the paper's *shapes*:
 //! orderings, cliffs, ratios against a stated bound. The `figures` binary
-//! prints both; `tests/claims.rs` asserts the claims of every figure but
-//! Fig 13 (seconds, not milliseconds — CI runs it at `--smoke` sizes).
+//! prints both (`figures [fig01 … fig15] [--smoke | --quick]`; `--quick`, or
+//! `--smoke`, runs Fig 13 at its reduced sizes); `tests/claims.rs` asserts
+//! the claims of every figure but Fig 13 (seconds, not milliseconds — CI
+//! runs it at `--smoke` sizes).
 
 use gillis_bo::{brute_force, BayesOpt, BoConfig};
 use gillis_core::baselines::pipeline_serving;
@@ -20,50 +22,21 @@ use gillis_rl::{slo_aware_partition, SloAwareConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::sweep::{column, Row, Sweep, Value};
-use crate::{measure_latency_optimal, ms, speedup, Claim};
-
-/// One figure of the paper.
-pub struct Figure {
-    /// `fig01` … `fig15`: the name the `figures` binary takes.
-    pub name: &'static str,
-    /// Regenerates the figure; `quick` shrinks Fig 13's workload and search
-    /// budgets and is ignored by the others, which take milliseconds.
-    pub run: fn(quick: bool) -> Sweep,
-    /// The paper's claims about the figure, read from the sweep `run` returned.
-    pub claims: fn(&Sweep) -> Vec<Claim>,
-}
-
-type Run = fn(bool) -> Sweep;
-type Claims = fn(&Sweep) -> Vec<Claim>;
-
-const fn fig(name: &'static str, run: Run, claims: Claims) -> Figure {
-    Figure { name, run, claims }
-}
+use crate::sweep::{column, Row, Sections, Sweep, Value};
+use crate::{measure_latency_optimal, ms, speedup, Claim, Experiment};
 
 /// Every reproduced figure, in the paper's order.
-pub const FIGURES: [Figure; 9] = [
-    fig("fig01", fig01, fig01_claims),
-    fig("fig07", fig07, fig07_claims),
-    fig("fig09", fig09, fig09_claims),
-    fig("fig10", fig10, fig10_claims),
-    fig("fig11", fig11, fig11_claims),
-    fig("fig12", fig12, fig12_claims),
-    fig("fig13", fig13, fig13_claims),
-    fig("fig14", fig14, fig14_claims),
-    fig("fig15", fig15, fig15_claims),
+pub const FIGURES: [Experiment; 9] = [
+    Experiment::new("fig01", fig01, fig01_claims),
+    Experiment::new("fig07", fig07, fig07_claims),
+    Experiment::new("fig09", fig09, fig09_claims),
+    Experiment::new("fig10", fig10, fig10_claims),
+    Experiment::new("fig11", fig11, fig11_claims),
+    Experiment::new("fig12", fig12, fig12_claims),
+    Experiment::new("fig13", fig13, fig13_claims),
+    Experiment::new("fig14", fig14, fig14_claims),
+    Experiment::new("fig15", fig15, fig15_claims),
 ];
-
-type Sections = Vec<(&'static str, Vec<Row>)>;
-
-fn figure(name: &'static str, title: &'static str, sections: Sections) -> Sweep {
-    Sweep {
-        name,
-        title,
-        sections,
-        ..Sweep::default()
-    }
-}
 
 /// A latency cell: milliseconds, or `OOM` where the model does not fit.
 fn ms_or_oom(latency_ms: Option<f64>) -> Value {
@@ -71,7 +44,7 @@ fn ms_or_oom(latency_ms: Option<f64>) -> Value {
 }
 
 /// `values` through `show`, joined by `sep`.
-fn join(values: &[f64], sep: &str, show: impl Fn(f64) -> String) -> String {
+pub(crate) fn join(values: &[f64], sep: &str, show: impl Fn(f64) -> String) -> String {
     let shown: Vec<String> = values.iter().map(|v| show(*v)).collect();
     shown.join(sep)
 }
@@ -80,7 +53,7 @@ fn speedups(values: &[f64]) -> String {
     join(values, " / ", |s| speedup(Some(s)))
 }
 
-fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
@@ -105,7 +78,7 @@ fn fig01(_quick: bool) -> Sweep {
         ])
     });
     let title = "Fig 1: WResNet-50-k latency on a single serverless function";
-    figure("fig01", title, vec![("widening", rows.collect())])
+    Sweep::new("fig01", title, vec![("widening", rows.collect())])
 }
 
 fn fig01_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -214,7 +187,7 @@ fn fig07(_quick: bool) -> Sweep {
     };
     let title = "Fig 7: latency breakdown vs parallel functions (VGG-16, stage groups)";
     let lambda = ("Lambda", scaling(PlatformProfile::aws_lambda()));
-    figure(
+    Sweep::new(
         "fig07",
         title,
         vec![lambda, ("KNIX", scaling(PlatformProfile::knix()))],
@@ -291,7 +264,7 @@ fn fig09(_quick: bool) -> Sweep {
     ];
     let platforms = [PlatformProfile::aws_lambda(), PlatformProfile::gcf()];
     let title = "Fig 9: Gillis (latency-optimal) vs Default on Lambda and GCF";
-    figure("fig09", title, lo_sections(platforms, &models, 11))
+    Sweep::new("fig09", title, lo_sections(platforms, &models, 11))
 }
 
 fn fig09_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -333,7 +306,7 @@ fn fig10(_quick: bool) -> Sweep {
     ];
     let platforms = [PlatformProfile::knix(), PlatformProfile::aws_lambda()];
     let title = "Fig 10: Gillis (latency-optimal) vs Default on KNIX, Lambda alongside";
-    figure("fig10", title, lo_sections(platforms, &models, 23))
+    Sweep::new("fig10", title, lo_sections(platforms, &models, 23))
 }
 
 fn fig10_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -379,7 +352,7 @@ fn fig11(_quick: bool) -> Sweep {
         ])
     });
     let title = "Fig 11: Gillis vs Pipeline for models exceeding one function (Lambda)";
-    figure("fig11", title, vec![("models", rows.to_vec())])
+    Sweep::new("fig11", title, vec![("models", rows.to_vec())])
 }
 
 fn fig11_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -425,7 +398,7 @@ fn fig12(_quick: bool) -> Sweep {
         ])
     });
     let title = "Fig 12: RNN-k mean inference latency on Lambda";
-    figure("fig12", title, vec![("layers", rows.to_vec())])
+    Sweep::new("fig12", title, vec![("layers", rows.to_vec())])
 }
 
 fn fig12_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -552,7 +525,7 @@ fn fig13(quick: bool) -> Sweep {
     }
     let title =
         "Fig 13: SLO-aware serving on Lambda, SA vs BO vs brute force (per-query billed ms)";
-    figure("fig13", title, vec![("searches", rows)])
+    Sweep::new("fig13", title, vec![("searches", rows)])
 }
 
 fn fig13_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -617,7 +590,7 @@ fn fig14(_quick: bool) -> Sweep {
         ])
     });
     let title = "Fig 14: latency-optimal plan for WRN-34-5 on Lambda";
-    figure("fig14", title, vec![("groups", rows.collect())])
+    Sweep::new("fig14", title, vec![("groups", rows.collect())])
 }
 
 fn fig14_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -716,7 +689,7 @@ fn fig15(_quick: bool) -> Sweep {
         ("communication", comm.to_vec()),
         ("end_to_end", end_to_end.to_vec()),
     ];
-    figure(
+    Sweep::new(
         "fig15",
         "Fig 15: performance-model prediction accuracy (Lambda)",
         sections,

@@ -3,13 +3,15 @@
 //! Every experiment is a function of its seed that returns a
 //! [`sweep::Sweep`], and states what the paper (or the extension's
 //! acceptance criteria) says about it as `claims(&Sweep) -> Vec<Claim>`:
-//! [`figures`] holds the paper's §V figures, [`suites`] the six simulator
-//! suites whose sweeps are the committed `BENCH_*.json` artifacts. The
-//! binaries print a sweep and turn its claims into an exit code;
-//! `tests/claims.rs` checks the same claims in tier-1. Nothing here times
-//! host code — `benchmark/` is the one measuring harness.
+//! [`figures`] holds the paper's §V figures, [`studies`] the ablations and
+//! extensions, [`suites`] the six simulator suites whose sweeps are the
+//! committed `BENCH_*.json` artifacts. The binaries print a sweep and turn
+//! its claims into an exit code; `tests/claims.rs` checks the same claims in
+//! tier-1. Nothing here times host code — `benchmark/` is the one measuring
+//! harness.
 
 pub mod figures;
+pub mod studies;
 pub mod suites;
 pub mod sweep;
 
@@ -18,62 +20,6 @@ use gillis_core::{DpPartitioner, ExecutionPlan, ForkJoinRuntime, PartitionerConf
 use gillis_faas::PlatformProfile;
 use gillis_model::{zoo, LinearModel};
 use gillis_perf::PerfModel;
-
-/// A simple fixed-width text table for experiment output.
-#[derive(Debug, Clone)]
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
 
 /// Measured latencies for one model on one platform.
 #[derive(Debug, Clone)]
@@ -130,13 +76,14 @@ pub fn measure_latency_optimal(
 /// The RNG seed a benchmark binary should use: `GILLIS_BENCH_SEED` from the
 /// environment when set, else `default` (a value that is not a `u64` is
 /// reported on stderr, naming the variable, and falls back to `default`).
-/// Every `ext_*` binary routes its seeds through this, so a whole
-/// benchmark run can be re-rolled (or pinned in CI) without touching code.
+/// The six suite binaries and `ext_infer` route their seeds through this, so
+/// their runs can be re-rolled (or pinned in CI) without touching code;
+/// figures and studies use fixed seeds.
 pub fn bench_seed(default: u64) -> u64 {
     gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }
 
-/// The deploy the serving suites and the `ext_*` studies share: a model on
+/// The deploy the serving suites and the cold-start study share: a model on
 /// AWS Lambda under the analytic performance model, its latency-optimal DP
 /// plan and that plan's predicted latency.
 #[derive(Debug, Clone)]
@@ -238,6 +185,64 @@ pub fn report_claims(experiment: &str, claims: &[Claim]) -> usize {
     claims.iter().filter(|c| !c.holds).count()
 }
 
+/// One experiment of a table — a figure or a study: a name, a run and the
+/// claims about what the run returns.
+pub struct Experiment {
+    /// The name the `figures` or `studies` binary takes.
+    pub name: &'static str,
+    /// Runs the experiment; `quick` shrinks Fig 13's workload and search
+    /// budgets and is ignored by the rest, which take at most a second.
+    pub run: fn(quick: bool) -> sweep::Sweep,
+    /// What the paper or the study states about the sweep `run` returned.
+    pub claims: fn(&sweep::Sweep) -> Vec<Claim>,
+}
+
+impl Experiment {
+    /// An experiment of a table.
+    #[must_use]
+    pub(crate) const fn new(
+        name: &'static str,
+        run: fn(bool) -> sweep::Sweep,
+        claims: fn(&sweep::Sweep) -> Vec<Claim>,
+    ) -> Self {
+        Experiment { name, run, claims }
+    }
+}
+
+/// The `figures` and `studies` binaries: `<binary> [name…] [--smoke |
+/// --quick]` runs the experiments of `table` named on the command line, all
+/// of them when none is, and prints each sweep with its claims. Exits 1 if a
+/// claim failed, 2 on an unknown flag or name.
+pub fn run_experiments(table: &[Experiment]) {
+    let (quick, names) = bench_args(&["--smoke", "--quick"]);
+    let chosen = select(table, &names).unwrap_or_else(|unknown| {
+        let known: Vec<&str> = table.iter().map(|e| e.name).collect();
+        eprintln!("unknown experiment {unknown}; one of: {}", known.join(" "));
+        std::process::exit(2)
+    });
+    let mut failed = 0;
+    for experiment in chosen {
+        let sweep = (experiment.run)(quick);
+        sweep.print();
+        println!("\nclaims:");
+        failed += report_claims(experiment.name, &(experiment.claims)(&sweep));
+        println!();
+    }
+    if failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// The experiments of `table` that `names` choose, in table order — every
+/// one for no name; the first name `table` lacks is the error.
+fn select<'a>(table: &'a [Experiment], names: &[String]) -> Result<Vec<&'a Experiment>, String> {
+    if let Some(unknown) = names.iter().find(|n| table.iter().all(|e| e.name != *n)) {
+        return Err(unknown.clone());
+    }
+    let chosen = |e: &&Experiment| names.is_empty() || names.iter().any(|n| n == e.name);
+    Ok(table.iter().filter(chosen).collect())
+}
+
 /// The process command line: whether one of the `known` flags was given —
 /// a binary has one mode switch, under one or two names — and the other
 /// arguments in order. Anything else starting with `--` prints a usage line
@@ -285,15 +290,15 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["model", "ms"]);
-        t.row(vec!["vgg11".into(), "123".into()]);
-        t.row(vec!["wrn-50-3".into(), "4".into()]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("model"));
-        assert!(lines[2].ends_with("123"));
-        assert_eq!(lines[2].len(), lines[3].len());
+        let row =
+            |model: &str, ms: u64| sweep::Row(vec![("model", model.into()), ("ms", ms.into())]);
+        let rows = vec![row("vgg11", 123), row("wrn-50-3", 4)];
+        let s = sweep::Sweep::new("demo", "a table", vec![("models", rows)]).render();
+        let lines: Vec<&str> = s.lines().skip(2).collect();
+        assert_eq!(lines[0], "models:");
+        assert!(lines[1].contains("model"));
+        assert!(lines[3].ends_with("123"));
+        assert_eq!(lines[3].len(), lines[4].len());
     }
 
     #[test]
@@ -323,8 +328,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "column count mismatch")]
     fn table_validates_columns() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["x".into()]);
+        let rows = vec![
+            sweep::Row(vec![("a", "x".into()), ("b", "y".into())]),
+            sweep::Row(vec![("a", "x".into())]),
+        ];
+        let _ = sweep::Sweep::new("demo", "a table", vec![("rows", rows)]).render();
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_an_error_not_an_empty_run() {
+        let select = |table: &[Experiment], args: &[&str]| {
+            let names: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let chosen = select(table, &names)?;
+            Ok::<_, String>(chosen.iter().map(|e| e.name).collect::<Vec<_>>())
+        };
+        assert_eq!(select(&figures::FIGURES, &[]).map(|c| c.len()), Ok(9));
+        assert_eq!(select(&studies::STUDIES, &[]).map(|c| c.len()), Ok(7));
+        // Table order, whatever the order of the names.
+        assert_eq!(
+            select(&studies::STUDIES, &["tail_slo", "grouping"]),
+            Ok(vec!["grouping", "tail_slo"])
+        );
+        // A figure is not a study, and a misspelt name is an error rather
+        // than silently dropped: `studies grouping grupoing` exits 2, not 0.
+        assert_eq!(
+            select(&studies::STUDIES, &["fig01"]),
+            Err("fig01".to_string())
+        );
+        assert_eq!(
+            select(&studies::STUDIES, &["grouping", "grupoing"]),
+            Err("grupoing".to_string())
+        );
     }
 
     #[test]

@@ -6,8 +6,6 @@
 
 use gillis_core::{replication_seed, ServingReport};
 
-use crate::Table;
-
 /// One typed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -116,6 +114,9 @@ impl Row {
     }
 }
 
+/// Named row lists, in the order a sweep writes and prints them.
+pub type Sections = Vec<(&'static str, Vec<Row>)>;
+
 /// What one experiment measured.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sweep {
@@ -127,7 +128,7 @@ pub struct Sweep {
     /// `"suite"` and the sections.
     pub header: Row,
     /// Named row lists, written in order; the last is the result grid.
-    pub sections: Vec<(&'static str, Vec<Row>)>,
+    pub sections: Sections,
     /// The columns the console tables show, space-separated; empty shows
     /// every column.
     pub console: &'static str,
@@ -136,6 +137,17 @@ pub struct Sweep {
 }
 
 impl Sweep {
+    /// A sweep of `sections` with no header, every column on the console.
+    #[must_use]
+    pub(crate) fn new(name: &'static str, title: &'static str, sections: Sections) -> Self {
+        Sweep {
+            name,
+            title,
+            sections,
+            ..Sweep::default()
+        }
+    }
+
     /// The rows of the last section: the result grid.
     #[must_use]
     pub fn rows(&self) -> &[Row] {
@@ -186,9 +198,14 @@ impl Sweep {
         out
     }
 
-    /// Prints the title, the header fields and one aligned table per section.
-    pub fn print(&self) {
-        println!("{}: {}", self.name, self.title);
+    /// The title, the header fields and one aligned table per section.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row of a section has other columns than its first row.
+    #[must_use]
+    pub(crate) fn render(&self) -> String {
+        let mut out = format!("{}: {}\n", self.name, self.title);
         let header: Vec<String> = self
             .header
             .0
@@ -196,7 +213,7 @@ impl Sweep {
             .map(|(k, v)| format!("{k} {}", v.text()))
             .collect();
         if !header.is_empty() {
-            println!("{}", header.join("; "));
+            out.push_str(&format!("{}\n", header.join("; ")));
         }
         for (name, rows) in &self.sections {
             let Some(first) = rows.first() else { continue };
@@ -213,9 +230,64 @@ impl Sweep {
                 let cells = row.0.iter().filter(|(k, _)| shown(k));
                 table.row(cells.map(|(_, v)| v.text()).collect());
             }
-            println!("\n{name}:");
-            table.print();
+            out.push_str(&format!("\n{name}:\n{}", table.render()));
         }
+        out
+    }
+
+    /// Prints the title, the header fields and one aligned table per section.
+    pub fn print(&self) {
+        print!("{}", self.render());
+    }
+}
+
+/// A fixed-width text table: how [`Sweep::render`] lays out a section.
+struct Table {
+    headers: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Creates a table with the given column headers.
+    fn new(headers: &[&str]) -> Self {
+        Table {
+            headers: headers.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row (stringified cells).
+    fn row(&mut self, cells: Vec<String>) {
+        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
+        self.rows.push(cells);
+    }
+
+    /// Renders the table with aligned columns.
+    fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, c) in row.iter().enumerate() {
+                widths[i] = widths[i].max(c.len());
+            }
+        }
+        let mut out = String::new();
+        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+            cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
+                .collect::<Vec<_>>()
+                .join("  ")
+        };
+        out.push_str(&fmt_row(&self.headers, &widths));
+        out.push('\n');
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&fmt_row(row, &widths));
+            out.push('\n');
+        }
+        out
     }
 }
 

@@ -1,8 +1,9 @@
-//! Tier-1 gate on the paper's shapes and the committed simulator artifacts:
-//! loops over the experiment tables of `gillis_bench`, which hold the rows
-//! and the claims.
+//! Tier-1 gate on the paper's shapes, the studies' claims and the committed
+//! simulator artifacts: loops over the experiment tables of `gillis_bench`,
+//! which hold the rows and the claims.
 
 use gillis_bench::figures::FIGURES;
+use gillis_bench::studies::STUDIES;
 use gillis_bench::suites::SUITES;
 use gillis_bench::Claim;
 use gillis_core::PolicyStack;
@@ -24,6 +25,15 @@ fn assert_all_hold(experiment: &str, claims: &[Claim]) {
 fn the_papers_figures_keep_their_shapes() {
     for figure in FIGURES.iter().filter(|f| f.name != "fig13") {
         assert_all_hold(figure.name, &(figure.claims)(&(figure.run)(true)));
+    }
+}
+
+/// Every ablation and extension study states at least one claim, and all of
+/// them hold.
+#[test]
+fn every_study_makes_its_claims() {
+    for study in &STUDIES {
+        assert_all_hold(study.name, &(study.claims)(&(study.run)(true)));
     }
 }
 

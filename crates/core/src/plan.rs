@@ -214,11 +214,6 @@ impl ExecutionPlan {
                 .iter()
                 .map(|l| l.name.as_str())
                 .collect();
-            let placement = match g.placement {
-                Placement::Master => "master",
-                Placement::Workers => "workers",
-                Placement::MasterAndWorkers => "master+workers",
-            };
             writeln!(
                 s,
                 "  group {:>2}: layers {:>2}..{:<2} [{}] option {:<7} on {:<14} ({} partitions, {:.1} MB weights each max)",
@@ -227,7 +222,7 @@ impl ExecutionPlan {
                 g.end,
                 names.join(", "),
                 g.option.to_string(),
-                placement,
+                g.placement.tag(),
                 g.option.parts(),
                 a.partitions
                     .iter()
@@ -276,7 +271,9 @@ impl std::str::FromStr for PartitionOption {
 }
 
 impl Placement {
-    fn tag(&self) -> &'static str {
+    /// The placement as plan files and printed plans spell it.
+    #[must_use]
+    pub fn tag(&self) -> &'static str {
         match self {
             Placement::Master => "master",
             Placement::Workers => "workers",

@@ -43,7 +43,6 @@ pub mod recovery;
 pub mod stats;
 pub mod store;
 pub mod time;
-pub mod vm;
 pub mod workload;
 
 pub use batch::{BatchCounters, BatchPolicy, SloClass};
