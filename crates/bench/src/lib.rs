@@ -4,12 +4,13 @@
 //! [`sweep::Sweep`], and states what the paper (or the extension's
 //! acceptance criteria) says about it as `claims(&Sweep) -> Vec<Claim>`:
 //! [`figures`] holds the paper's §V figures, [`studies`] the ablations and
-//! extensions, [`suites`] the six simulator suites whose sweeps are the
-//! committed `BENCH_*.json` artifacts. The binaries print a sweep and turn
-//! its claims into an exit code; `tests/claims.rs` checks the same claims in
+//! extensions, [`suites`] the simulator suites behind `BENCH_*.json`, and
+//! [`counts`] the counted ledger `COUNTS.json`. The binaries print a sweep
+//! and turn its claims into an exit code; `tests/` checks the same claims in
 //! tier-1. Nothing here times host code — `benchmark/` is the one measuring
 //! harness.
 
+pub mod counts;
 pub mod figures;
 pub mod studies;
 pub mod suites;
@@ -76,9 +77,9 @@ pub fn measure_latency_optimal(
 /// The RNG seed a benchmark binary should use: `GILLIS_BENCH_SEED` from the
 /// environment when set, else `default` (a value that is not a `u64` is
 /// reported on stderr, naming the variable, and falls back to `default`).
-/// The six suite binaries and `ext_infer` route their seeds through this, so
-/// their runs can be re-rolled (or pinned in CI) without touching code;
-/// figures and studies use fixed seeds.
+/// The `suites` binary routes its seeds through this, so a suite's run can be
+/// re-rolled (or pinned in CI) without touching code; figures, studies and
+/// the counted ledger use fixed seeds.
 pub fn bench_seed(default: u64) -> u64 {
     gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }

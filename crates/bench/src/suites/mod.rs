@@ -1,9 +1,9 @@
 //! The six simulator suites. Each is a pure function of its seed (and of
 //! the ambient policy stack, for the three that compose with it) returning
 //! the [`Sweep`] that `BENCH_<name>.json` is written from, plus the
-//! acceptance criteria that sweep must meet. The `ext_*` binaries are
-//! [`main`] with a suite name; `tests/claims.rs` regenerates every committed
-//! artifact from the same table.
+//! acceptance criteria that sweep must meet. The `suites` binary is
+//! [`main`]; `tests/claims.rs` regenerates every committed artifact from the
+//! same table.
 
 pub mod batch;
 pub mod outage;
@@ -75,30 +75,30 @@ pub const SUITES: [Suite; 6] = [
     suite("recovery", 83, recovery::run, recovery::claims),
 ];
 
-/// The body of an `ext_*` binary: `[--smoke] [out_dir]`. Runs suite `name`
-/// at `GILLIS_BENCH_SEED` under the environment's policy stack, prints the
+/// The `suites` binary: `<name> [--smoke] [out_dir]`. Runs suite `name` at
+/// `GILLIS_BENCH_SEED` under the environment's policy stack, prints the
 /// sweep, writes `<out_dir>/BENCH_<name>.json` and exits 1 if a claim fails
-/// (or the environment names an invalid policy).
+/// (or the environment names an invalid policy), 2 on an unknown name.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a suite or the artifact cannot be written.
-pub fn main(name: &str) {
-    let suite = SUITES
-        .iter()
-        .find(|s| s.name == name)
-        .expect("a suite name");
-    let (smoke, dirs) = bench_args(&["--smoke"]);
+/// Panics if the artifact cannot be written.
+pub fn main() {
+    let (smoke, args) = bench_args(&["--smoke"]);
+    let name = args.first().map_or("", String::as_str);
+    let Some(suite) = SUITES.iter().find(|s| s.name == name) else {
+        let known = SUITES.map(|s| s.name).join(" ");
+        eprintln!("unknown suite {name:?}; one of: {known}");
+        std::process::exit(2)
+    };
     let ambient = PolicyStack::from_env().unwrap_or_else(|e| {
         eprintln!("gillis: {e}");
         std::process::exit(1)
     });
     let sweep = (suite.run)(bench_seed(suite.default_seed), smoke, &ambient);
     sweep.print();
-    let path = format!(
-        "{}/BENCH_{name}.json",
-        dirs.first().map_or(".", String::as_str)
-    );
+    let dir = args.get(1).map_or(".", String::as_str);
+    let path = format!("{dir}/BENCH_{name}.json");
     std::fs::write(&path, sweep.to_json()).expect("write the artifact");
     println!("\nwrote {path}\n\nacceptance criteria:");
     if report_claims(name, &(suite.claims)(&sweep)) > 0 {

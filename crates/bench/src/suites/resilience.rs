@@ -1,4 +1,4 @@
-//! Resilience policies under injected worker faults (`ext_failures`).
+//! Resilience policies under injected worker faults (`suites resilience`).
 //!
 //! Serverless invocations fail, crash mid-compute, straggle, and corrupt
 //! transfers. The fork-join master's [`ResiliencePolicy`] decides what that

@@ -215,22 +215,40 @@ impl Sweep {
         if !header.is_empty() {
             out.push_str(&format!("{}\n", header.join("; ")));
         }
+        let shown =
+            |key: &str| self.console.is_empty() || self.console.split(' ').any(|c| c == key);
         for (name, rows) in &self.sections {
             let Some(first) = rows.first() else { continue };
-            let shown =
-                |key: &str| self.console.is_empty() || self.console.split(' ').any(|c| c == key);
-            let columns: Vec<&str> = first
-                .0
-                .iter()
-                .map(|(k, _)| *k)
-                .filter(|k| shown(k))
-                .collect();
-            let mut table = Table::new(&columns);
-            for row in rows {
+            // The column names, then one line of cells per row, right-aligned.
+            let names = first.0.iter().map(|(k, _)| k.to_string());
+            let cells = |row: &Row| {
                 let cells = row.0.iter().filter(|(k, _)| shown(k));
-                table.row(cells.map(|(_, v)| v.text()).collect());
+                cells.map(|(_, v)| v.text()).collect::<Vec<_>>()
+            };
+            let names = names.filter(|k| shown(k)).collect();
+            let lines: Vec<Vec<String>> = std::iter::once(names)
+                .chain(rows.iter().map(cells))
+                .collect();
+            let mut widths = vec![0; lines[0].len()];
+            for line in &lines {
+                assert_eq!(line.len(), widths.len(), "column count mismatch");
+                for (w, c) in widths.iter_mut().zip(line) {
+                    *w = (*w).max(c.len());
+                }
             }
-            out.push_str(&format!("\n{name}:\n{}", table.render()));
+            let aligned = |line: &[String]| {
+                let cells: Vec<String> = line
+                    .iter()
+                    .zip(&widths)
+                    .map(|(c, w)| format!("{c:>w$}"))
+                    .collect();
+                cells.join("  ") + "\n"
+            };
+            let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+            out.push_str(&format!("\n{name}:\n{}{rule}\n", aligned(&lines[0])));
+            for line in &lines[1..] {
+                out.push_str(&aligned(line));
+            }
         }
         out
     }
@@ -238,56 +256,6 @@ impl Sweep {
     /// Prints the title, the header fields and one aligned table per section.
     pub fn print(&self) {
         print!("{}", self.render());
-    }
-}
-
-/// A fixed-width text table: how [`Sweep::render`] lays out a section.
-struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringified cells).
-    fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with aligned columns.
-    fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
     }
 }
 
