@@ -13,8 +13,8 @@ use std::time::Duration;
 use gillis::serving::{Deployment, Gillis};
 use gillis_core::partition::split_ranges;
 use gillis_core::{
-    group_options, CompiledPlanExec, DpPartitioner, EvalCache, ExecutionPlan, PartDim,
-    PartitionOption, PipelinePolicy, Placement, PlannedGroup,
+    group_options, plan_batch_schedule, BatchPolicy, CompiledPlanExec, DpPartitioner, EvalCache,
+    ExecutionPlan, PartDim, PartitionOption, PipelinePolicy, Placement, PlannedGroup,
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::{Micros, PlatformProfile};
@@ -22,7 +22,7 @@ use gillis_model::exec::Executor;
 use gillis_model::span::{SpanNode, SpanPlan};
 use gillis_model::weights::{init_weights, ModelWeights};
 use gillis_model::{zoo, LayerOp, LinearModel, NodeId};
-use gillis_perf::PerfModel;
+use gillis_perf::{PerfModel, TransferFormat};
 use gillis_pool::with_width_cap;
 use gillis_tensor::Tensor;
 
@@ -172,8 +172,15 @@ fn simulator_rows() -> Vec<Row> {
     let rate = deploy.saturation_qps(MASTERS);
     let lanes = PipelinePolicy::with_lanes(MASTERS);
     let closed = ClosedLoop::new(MASTERS, QUERIES, Micros::ZERO).expect("workload");
+    let batching = BatchPolicy::single(4.0 * deploy.predicted_ms, 8);
+    let (model, plan, platform) = (&deploy.model, &deploy.plan, &deploy.platform);
+    let schedule = plan_batch_schedule(model, plan, platform, TransferFormat::F32, &batching, rate)
+        .expect("schedule");
     let serve = |driver: &str| match driver {
         "serve_open_loop" => rt.serve_open_loop(rate, QUERIES, MASTERS, SEED),
+        "serve_open_loop_batched" => {
+            rt.serve_open_loop_batched(&batching, &schedule, rate, QUERIES, MASTERS, SEED)
+        }
         "serve_open_loop_pipelined" => {
             rt.serve_open_loop_pipelined(&lanes, rate, QUERIES, MASTERS, SEED)
         }
@@ -190,6 +197,7 @@ fn simulator_rows() -> Vec<Row> {
     };
     let drivers = [
         "serve_open_loop",
+        "serve_open_loop_batched",
         "serve_open_loop_pipelined",
         "serve_workload",
     ];

@@ -1,31 +1,25 @@
-//! The eager schedulers: closed loop, open loop, and batched open loop.
-//!
-//! All three run each query (or batch) to completion the moment it is
-//! admitted, and draw arrival gaps and execution noise from *one* RNG stream
-//! in arrival order — the discipline every committed serving number was
-//! generated under. They differ only in how arrivals become dispatches.
+//! The eager front: a query, or a formed batch, runs to completion the
+//! moment it is admitted, on the earliest-free master of a pool. The closed
+//! loop, the open loop and the batched open loop are its three arrival
+//! sources.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use gillis_faas::batch::{BatchCounters, BatchPolicy};
 use gillis_faas::brownout::BrownoutLevel;
-use gillis_faas::chaos::ResilienceCounters;
-use gillis_faas::des::EventQueue;
-use gillis_faas::workload::{ClosedLoop, PoissonArrivals};
+use gillis_faas::workload::ClosedLoop;
 use gillis_faas::Micros;
 
-use super::session::{QueryCtx, Session};
-use super::{BatchSchedule, ClassSchedule, ForkJoinRuntime, ServingReport, WorkProfile};
+use super::scheduler::{Front, Scheduler, Source};
+use super::session::QueryCtx;
+use super::{BatchSchedule, ForkJoinRuntime, ServingReport, WorkProfile};
 use crate::error::CoreError;
 use crate::Result;
 
-/// The front door of the eager open loops: a pool of masters, and the
-/// admitted queries that have not begun service yet.
-struct Admission {
+/// A pool of masters, and the admitted queries that have not begun service
+/// yet.
+pub(super) struct Admission {
     /// When each master next frees up; `None` is unbounded scale-out — every
     /// arrival gets a master at once and nothing ever queues.
     server_free: Option<BinaryHeap<Reverse<Micros>>>,
@@ -36,7 +30,7 @@ struct Admission {
 }
 
 impl Admission {
-    fn new(masters: Option<usize>) -> Self {
+    pub fn new(masters: Option<usize>) -> Self {
         Admission {
             server_free: masters.map(|n| (0..n).map(|_| Reverse(Micros::ZERO)).collect()),
             admitted_starts: VecDeque::new(),
@@ -72,60 +66,93 @@ impl Admission {
     }
 }
 
-/// The batched scheduler's state: the session, the run's one RNG stream,
-/// the per-class accumulation windows and the front door.
-struct BatchSim<'r, 's, 'a> {
-    s: Session<'s, 'a>,
-    rng: StdRng,
+/// The batched front's accumulation windows, one per SLO class.
+pub(super) struct Windows<'r> {
     policy: &'r BatchPolicy,
+    schedule: &'r BatchSchedule,
     /// Batch-scaled work profiles for every dispatchable size (index
     /// `n - 2`); size 1 reuses the per-query profile directly.
     profiles: Vec<WorkProfile>,
     /// Per-class `(members as (arrival, query), window close time)`.
     pending: Vec<(Vec<(Micros, u64)>, Micros)>,
-    door: Admission,
-    counters: BatchCounters,
+    /// Bound on the queries waiting in windows or for a master.
+    queue_depth: usize,
+    /// Keys class assignment.
+    seed: u64,
+    pub counters: BatchCounters,
 }
 
-impl BatchSim<'_, '_, '_> {
-    /// The earliest non-empty window by `(close time, class index)`, or
-    /// `None` — batches flush in this deterministic order.
-    fn due(&self) -> Option<usize> {
-        self.pending
+impl Scheduler<'_, '_, '_> {
+    /// An eager arrival: admitted (or shed) at the front door, then run at
+    /// once on the earliest-free master. Closed-loop clients self-limit, so
+    /// they never queue and are never shed but by the ladder; deadlines and
+    /// breakers still apply.
+    pub(super) fn arrive_eager(&mut self, q: u64, now: Micros, level: BrownoutLevel) -> Result<()> {
+        let rt = self.s.rt;
+        let waiting = self.door.waiting_at(now);
+        let start = now.max(self.door.earliest_free());
+        let deadline = rt.deadline_at(now);
+        // Without a policy there is no front door to count at: every
+        // arrival runs, and `admitted` stays zero.
+        if let Some(ov) = rt.policies.overload {
+            if !self.source.is_closed() {
+                if waiting >= ov.queue_depth {
+                    self.s.shed_queue_full();
+                    return Ok(());
+                }
+                if rt.sheds_predicted(start, deadline) {
+                    self.s.shed_predicted_miss();
+                    return Ok(());
+                }
+                self.s.note_queue_depth(waiting + usize::from(start > now));
+            }
+            self.s.overload.admitted += 1;
+        }
+        let mut rng = self.stream(q, 0, None);
+        let (done, status) = self
+            .s
+            .run_query(start, &mut rng, rt.query(q, deadline, level))?;
+        self.door.occupy(start, done, 1);
+        // Latency is measured from *arrival*: queue wait counts.
+        self.s.record(now, done, status);
+        self.source.reissue(done);
+        Ok(())
+    }
+
+    /// The earliest non-empty window by `(close time, class index)` and its
+    /// close time, or `None` — batches flush in this deterministic order.
+    pub(super) fn due(&self) -> Option<(usize, Micros)> {
+        let w = self.windows.as_ref()?;
+        let open = w
+            .pending
             .iter()
             .enumerate()
-            .filter(|(_, (members, _))| !members.is_empty())
-            .min_by_key(|&(ci, &(_, close_at))| (close_at, ci))
-            .map(|(ci, _)| ci)
+            .filter(|(_, p)| !p.0.is_empty());
+        open.map(|(ci, p)| (ci, p.1))
+            .min_by_key(|&(ci, at)| (at, ci))
     }
 
     /// Queries waiting at `now` in open windows or dispatched but not yet
-    /// started — the batching analogue of the open loop's admission queue.
+    /// started: the batching analogue of the open loop's admission queue.
     fn queued(&mut self, now: Micros) -> usize {
-        self.pending.iter().map(|(m, _)| m.len()).sum::<usize>() + self.door.waiting_at(now)
-    }
-
-    /// Never batch a query past its shed threshold: whether the batch an
-    /// arrival of class `ci` at `now` would join is already predicted to
-    /// complete (window close, server wait, batched latency) past the
-    /// arrival's deadline — shed now instead of queueing doomed work.
-    fn predicted_miss(&self, ci: usize, now: Micros, cs: &ClassSchedule) -> bool {
-        let deadline_ms = self.policy.classes[ci].deadline_ms;
-        let est_close = if self.pending[ci].0.is_empty() {
-            now + Micros::from_ms(cs.window_ms)
-        } else {
-            self.pending[ci].1
-        };
-        let est_done = est_close.max(self.door.earliest_free()) + Micros::from_ms(cs.predicted_ms);
-        deadline_ms.is_finite() && est_done > now + Micros::from_ms(deadline_ms)
+        let w = self
+            .windows
+            .as_ref()
+            .expect("only batched runs have windows");
+        let windowed: usize = w.pending.iter().map(|(m, _)| m.len()).sum();
+        windowed + self.door.waiting_at(now)
     }
 
     /// Dispatches class `ci`'s window at `close_at`. Batched dispatches
     /// serve at the ladder level current when the window closes, capped at
     /// the int8 rung: members below it never reach a window (they dispatch
     /// solo at arrival).
-    fn flush(&mut self, ci: usize, close_at: Micros, size_close: bool) -> Result<()> {
-        let members = std::mem::take(&mut self.pending[ci].0);
+    pub(super) fn flush(&mut self, ci: usize, close_at: Micros, size_close: bool) -> Result<()> {
+        let w = self
+            .windows
+            .as_mut()
+            .expect("only batched runs have windows");
+        let members = std::mem::take(&mut w.pending[ci].0);
         let level = self
             .s
             .brownout
@@ -134,9 +161,9 @@ impl BatchSim<'_, '_, '_> {
         self.dispatch(ci, members, close_at, size_close, level)
     }
 
-    /// Dispatches one formed batch as a single master execution: picks the
-    /// batch-1 fast path or the `n`-scaled work profile, runs it through
-    /// the shared query body (breakers, deadline cancellation), and records
+    /// Dispatches one formed batch as a single master execution on its first
+    /// member's stream: the batch-1 fast path or the `n`-scaled work
+    /// profile, the shared query body (breakers, deadline cancellation), and
     /// every member's latency from its own arrival.
     fn dispatch(
         &mut self,
@@ -149,7 +176,16 @@ impl BatchSim<'_, '_, '_> {
         let n = members.len();
         debug_assert!(n > 0, "a batch has at least one member");
         let rt = self.s.rt;
-        let batch = &mut self.counters;
+        // The batch carries the earliest member's deadline into the
+        // fork-join cancellation machinery; its first member's index keys
+        // fault sampling and the stream.
+        let (first_arrival, first_q) = members[0];
+        let mut rng = self.stream(first_q, 0, None);
+        let w = self
+            .windows
+            .as_mut()
+            .expect("only batched runs have windows");
+        let batch = &mut w.counters;
         batch.batches += 1;
         batch.largest_batch = batch.largest_batch.max(n as u64);
         if size_close {
@@ -163,13 +199,9 @@ impl BatchSim<'_, '_, '_> {
             &rt.profile
         } else {
             batch.batched_queries += n as u64;
-            &self.profiles[n - 2]
+            &w.profiles[n - 2]
         };
-        // The batch carries the earliest member's deadline into the
-        // fork-join cancellation machinery; its first member's index keys
-        // fault sampling.
-        let (first_arrival, first_q) = members[0];
-        let class = &self.policy.classes[ci];
+        let class = &w.policy.classes[ci];
         let q = QueryCtx {
             profile,
             id: first_q,
@@ -180,7 +212,7 @@ impl BatchSim<'_, '_, '_> {
             level,
         };
         let start = close_at.max(self.door.earliest_free());
-        let (done, status) = self.s.run_query(start, &mut self.rng, q)?;
+        let (done, status) = self.s.run_query(start, &mut rng, q)?;
         self.door.occupy(start, done, n);
         // Every member shares the batch's terminal status; latency is
         // measured from each member's own arrival, so window wait counts.
@@ -191,6 +223,68 @@ impl BatchSim<'_, '_, '_> {
                 self.s.resilience.record_status(status);
             }
         }
+        Ok(())
+    }
+
+    /// A batched arrival: shed, dispatched solo below the int8 rung, or
+    /// added to its class's window, which closes early once full.
+    pub(super) fn arrive_batched(
+        &mut self,
+        q: u64,
+        now: Micros,
+        level: BrownoutLevel,
+    ) -> Result<()> {
+        // Below the int8 rung the ladder bypasses batching entirely: windows
+        // add latency a browned-out platform cannot afford, and
+        // local-fallback members cannot share a fork-join wave with normal
+        // ones.
+        let solo = self
+            .s
+            .brownout
+            .as_ref()
+            .is_some_and(|c| c.level() >= BrownoutLevel::LocalOnly);
+        let w = self
+            .windows
+            .as_ref()
+            .expect("only batched runs have windows");
+        let ci = w.policy.class_of(w.seed, q);
+        let (cs, deadline_ms) = (w.schedule.classes[ci], w.policy.classes[ci].deadline_ms);
+        let depth = w.queue_depth;
+        let (members, close) = &w.pending[ci];
+        let est_close = match members.is_empty() {
+            true => now + Micros::from_ms(cs.window_ms),
+            false => *close,
+        };
+        if self.queued(now) >= depth {
+            self.s.shed_queue_full();
+            return Ok(());
+        }
+        // Never batch a query past its shed threshold: shed it now when the
+        // batch it would join is already predicted to complete (window
+        // close, master wait, batched latency) past its deadline.
+        let est_done = est_close.max(self.door.earliest_free()) + Micros::from_ms(cs.predicted_ms);
+        if !solo && deadline_ms.is_finite() && est_done > now + Micros::from_ms(deadline_ms) {
+            self.s.shed_predicted_miss();
+            return Ok(());
+        }
+        self.s.overload.admitted += 1;
+        if solo {
+            return self.dispatch(ci, vec![(now, q)], now, false, level);
+        }
+        let w = self
+            .windows
+            .as_mut()
+            .expect("only batched runs have windows");
+        let (members, close) = &mut w.pending[ci];
+        if members.is_empty() {
+            *close = now + Micros::from_ms(cs.window_ms);
+        }
+        members.push((now, q));
+        if members.len() >= cs.batch {
+            self.flush(ci, now, true)?;
+        }
+        let depth = self.queued(now);
+        self.s.note_queue_depth(depth);
         Ok(())
     }
 }
@@ -208,63 +302,24 @@ impl ForkJoinRuntime<'_> {
     /// # Errors
     ///
     /// Propagates deployment and fleet errors.
-    pub fn serve_workload(&self, mut workload: ClosedLoop, seed: u64) -> Result<ServingReport> {
-        let mut fleet = self.warm_fleet(workload.clients)?;
-        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
-        let mut s = Session::for_run(self, &mut fleet, &mut billing, &mut resilience);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut query_idx = 0u64;
-
-        // Event = a client ready to issue a query.
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        for client in 0..workload.clients {
-            queue.push(Micros::ZERO, client);
-        }
-        while let Some((now, client)) = queue.pop() {
-            if !workload.try_issue() {
-                continue;
-            }
-            // Brownout front door: the ladder classifies before any other
-            // admission decision. A shed client thinks and retries later.
-            let Some(level) = s.front_door() else {
-                queue.push(now + workload.think_time, client);
-                continue;
-            };
-            // Closed-loop clients self-limit, so there is no admission
-            // queue; deadlines and breakers still apply.
-            s.overload.admitted += u64::from(self.policies.overload.is_some());
-            let deadline = self.deadline_at(now);
-            let (done, status) =
-                s.run_query(now, &mut rng, self.query(query_idx, deadline, level))?;
-            query_idx += 1;
-            s.record(now, done, status);
-            queue.push(done + workload.think_time, client);
-        }
-
-        s.finish()
+    pub fn serve_workload(&self, workload: ClosedLoop, seed: u64) -> Result<ServingReport> {
+        let fleet = self.warm_fleet(workload.clients)?;
+        self.schedule(fleet, Source::closed(&workload), seed, Front::Masters(None))
     }
 
-    /// Serves an open-loop Poisson arrival stream of `queries` queries at
-    /// `rate_per_sec`, against pre-warmed pools sized for `prewarm_clients`
-    /// concurrent queries. Unlike the closed loop, arrivals do not wait for
-    /// responses.
+    /// Serves `queries` Poisson arrivals at `rate_per_sec` against pools
+    /// pre-warmed for `prewarm_clients` concurrent queries; arrivals do not
+    /// wait for responses.
     ///
     /// Without an [`OverloadPolicy`](gillis_faas::overload::OverloadPolicy)
-    /// (see [`Self::with_overload`]), every arrival is served immediately —
-    /// overload shows up as cold-start scale-out beyond the pre-warmed pool
-    /// (the §II-A motivation for serverless burst capacity). With a policy,
-    /// the master front door is modelled honestly: at most
-    /// `max_concurrency` queries run at once, excess arrivals wait in a
-    /// bounded queue (pre-warmed to at least the concurrency so capacity
-    /// never pays cold starts), and arrivals are shed — counted, never
-    /// silently dropped — when the queue is full or when predicted wait
-    /// plus predicted plan latency already exceeds the deadline. Admitted
-    /// queries carry their deadline into the fork-join groups (shrinking
-    /// per-attempt timeouts and cancelling doomed work).
-    ///
-    /// The arrival process, every shed decision, and every query outcome
-    /// are pure functions of `seed` and the query index — the loop is
-    /// sequential, so reports are bit-identical for any `GILLIS_THREADS`.
+    /// (see [`Self::with_overload`]) every arrival is served at once, and
+    /// overload shows up as cold-start scale-out (the §II-A motivation for
+    /// serverless burst capacity). With one, at most `max_concurrency`
+    /// queries run at once (all pre-warmed), excess arrivals wait in a
+    /// bounded queue, and an arrival is shed — counted, never silently
+    /// dropped — when the queue is full or when its predicted wait plus the
+    /// predicted plan latency already misses its deadline, which admitted
+    /// queries carry into every group.
     ///
     /// # Errors
     ///
@@ -277,77 +332,30 @@ impl ForkJoinRuntime<'_> {
         prewarm_clients: usize,
         seed: u64,
     ) -> Result<ServingReport> {
-        let arrivals = PoissonArrivals::new(rate_per_sec)?;
-        let overload = self.policies.overload;
+        let source = Source::poisson(rate_per_sec, queries, seed)?;
         // Warm the whole admission capacity: a policy bounds concurrency at
         // `max_concurrency`, so warming less would just shift early
         // admitted queries onto cold starts.
-        let masters = overload.map(|ov| ov.max_concurrency);
-        let mut fleet = self.warm_fleet(prewarm_clients.max(masters.unwrap_or(0)))?;
-        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
-        let mut s = Session::for_run(self, &mut fleet, &mut billing, &mut resilience);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut door = Admission::new(masters);
-        let mut now = Micros::ZERO;
-        for q in 0..queries {
-            now += arrivals.next_gap(&mut rng);
-            let waiting = door.waiting_at(now);
-            // Brownout front door first: a browned-out platform sheds before
-            // consulting the queue at all.
-            let Some(level) = s.front_door() else {
-                continue;
-            };
-            let start = now.max(door.earliest_free());
-            let deadline = self.deadline_at(now);
-            // Without a policy there is no front door to count at: every
-            // arrival runs, and `admitted` stays zero as it always has.
-            if let Some(ov) = overload {
-                if waiting >= ov.queue_depth {
-                    s.shed_queue_full();
-                    continue;
-                }
-                if self.sheds_predicted(start, deadline) {
-                    s.shed_predicted_miss();
-                    continue;
-                }
-                s.overload.admitted += 1;
-                s.note_queue_depth(waiting + usize::from(start > now));
-            }
-            let (done, status) =
-                s.run_query(start, &mut rng, self.query(q as u64, deadline, level))?;
-            door.occupy(start, done, 1);
-            // Latency is measured from *arrival*: queue wait counts.
-            s.record(now, done, status);
-        }
-        s.finish()
+        let masters = self.policies.overload.map(|ov| ov.max_concurrency);
+        let fleet = self.warm_fleet(prewarm_clients.max(masters.unwrap_or(0)))?;
+        self.schedule(fleet, source, seed, Front::Masters(masters))
     }
 
     /// Serves an open-loop Poisson stream with adaptive multi-SLO batching:
     /// arrivals are assigned an SLO class (a pure hash of `(seed, query)`
     /// weighted by the class shares), accumulate per class up to the
     /// schedule's deadline-derived window, and dispatch as one batched
-    /// master execution that shares a single fork-join invocation wave.
+    /// master execution sharing one fork-join wave. Windows flush in
+    /// `(close time, class index)` order; a window that closes with one
+    /// member takes the batch-1 fast path (the per-query work profile,
+    /// counted in [`BatchCounters::batch_one_fast_path`]).
     ///
-    /// Batch formation is a pure function of the virtual arrival times and
-    /// `seed`: windows close lazily at the next arrival (nothing else
-    /// advances virtual time), classes flush in `(close time, class index)`
-    /// order, and no decision consults the thread pool — reports are
-    /// bit-identical for any `GILLIS_THREADS`.
-    ///
-    /// The overload machinery composes: when the runtime carries an
-    /// [`OverloadPolicy`](gillis_faas::overload::OverloadPolicy) its
-    /// concurrency bounds the master servers, its queue depth bounds the
-    /// total members waiting in windows, and its breaker bank routes around
-    /// sick lanes. Independent of that policy, a query whose class deadline
-    /// is finite is shed on arrival when the predicted batch completion
-    /// (window close, server wait, and the schedule's predicted batched
-    /// latency) already misses its deadline — a query is never batched past
-    /// its shed threshold. Each batch carries the *first* member's deadline
-    /// (the earliest) into the fork-join cancellation machinery.
-    ///
-    /// A window that closes with a single member takes the batch-1 fast
-    /// path: the unscaled per-query work profile, counted in
-    /// [`BatchCounters::batch_one_fast_path`].
+    /// An [`OverloadPolicy`](gillis_faas::overload::OverloadPolicy) bounds
+    /// the masters at its concurrency and the members waiting at its queue
+    /// depth, and its breakers route around sick lanes. Whatever the policy,
+    /// an arrival whose batch is predicted to complete (window close, master
+    /// wait, batched latency) past its class deadline is shed on arrival; a
+    /// batch carries its first (earliest) member's deadline.
     ///
     /// The runtime must be built on the platform the schedule was planned
     /// for (`platform.with_memory_bytes(schedule.memory_bytes)`).
@@ -380,13 +388,12 @@ impl ForkJoinRuntime<'_> {
                 schedule.memory_bytes, self.platform.instance_memory_bytes
             )));
         }
-        let arrivals = PoissonArrivals::new(rate_per_sec)?;
-        let (max_concurrency, queue_depth) = match self.policies.overload {
+        let source = Source::poisson(rate_per_sec, queries, seed)?;
+        let (masters, queue_depth) = match self.policies.overload {
             Some(ov) => (ov.max_concurrency, ov.queue_depth),
             None => (prewarm_clients.max(1), usize::MAX),
         };
-        let mut fleet = self.warm_fleet(prewarm_clients.max(max_concurrency))?;
-        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
+        let fleet = self.warm_fleet(prewarm_clients.max(masters))?;
         let max_n = schedule.classes.iter().map(|c| c.batch).max().unwrap_or(1);
         let scaled = |n: usize| {
             let widen =
@@ -396,70 +403,16 @@ impl ForkJoinRuntime<'_> {
                 self.profile.analyses.iter().map(widen).collect(),
             )
         };
-        let mut sim = BatchSim {
-            s: Session::for_run(self, &mut fleet, &mut billing, &mut resilience),
-            rng: StdRng::seed_from_u64(seed),
+        let windows = Windows {
             policy,
+            schedule,
             profiles: (2..=max_n).map(scaled).collect(),
             pending: vec![(Vec::new(), Micros::ZERO); policy.classes.len()],
-            door: Admission::new(Some(max_concurrency)),
+            queue_depth,
+            seed,
             counters: BatchCounters::default(),
         };
-        let mut now = Micros::ZERO;
-        for q in 0..queries {
-            now += arrivals.next_gap(&mut sim.rng);
-            // Close every window that expired before this arrival. Nothing
-            // else advances virtual time, so lazy closing is exact.
-            while let Some(ci) = sim.due().filter(|&ci| sim.pending[ci].1 <= now) {
-                sim.flush(ci, sim.pending[ci].1, false)?;
-            }
-            // Brownout front door: below the int8 rung the ladder bypasses
-            // batching entirely — windows add latency a browned-out platform
-            // cannot afford, and local-fallback members cannot share a
-            // fork-join wave with normal ones — so those arrivals dispatch
-            // solo below.
-            let Some(level) = sim.s.front_door() else {
-                continue;
-            };
-            let solo = sim
-                .s
-                .brownout
-                .as_ref()
-                .is_some_and(|c| c.level() >= BrownoutLevel::LocalOnly);
-            let ci = policy.class_of(seed, q as u64);
-            let cs = &schedule.classes[ci];
-            if sim.queued(now) >= queue_depth {
-                sim.s.shed_queue_full();
-                continue;
-            }
-            if !solo && sim.predicted_miss(ci, now, cs) {
-                sim.s.shed_predicted_miss();
-                continue;
-            }
-            sim.s.overload.admitted += 1;
-            if solo {
-                sim.dispatch(ci, vec![(now, q as u64)], now, false, level)?;
-                continue;
-            }
-            if sim.pending[ci].0.is_empty() {
-                sim.pending[ci].1 = now + Micros::from_ms(cs.window_ms);
-            }
-            sim.pending[ci].0.push((now, q as u64));
-            if sim.pending[ci].0.len() >= cs.batch {
-                sim.flush(ci, now, true)?;
-            }
-            // Queries waiting after any flush — in open windows or
-            // dispatched but not yet started — are the queue depth.
-            let depth = sim.queued(now);
-            sim.s.note_queue_depth(depth);
-        }
-        // Drain remaining windows at their scheduled close times.
-        while let Some(ci) = sim.due() {
-            sim.flush(ci, sim.pending[ci].1, false)?;
-        }
-        let mut report = sim.s.finish()?;
-        report.batch = sim.counters;
-        Ok(report)
+        self.schedule(fleet, source, seed, Front::Windows(windows, masters))
     }
 }
 

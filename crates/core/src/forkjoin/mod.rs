@@ -12,27 +12,23 @@
 //! - `report` — what a run returns: [`QueryOutcome`], [`ServingReport`],
 //!   [`SimulationReport`].
 //! - `batch` — the joint batch-size × memory configurator
-//!   ([`plan_batch_schedule`]) the batched scheduler consumes.
-//! - `lane` — the sampling primitives every simulated path shares: noisy
-//!   compute, the fork/join transfer model, and one worker-lane execution
-//!   with its injected fault.
-//! - `session` — one serving run's state (fleet, bill, recorders, breaker
-//!   bank, retry budget, checkpoint cache) and the bodies written once on
-//!   it: the group body, the local-only brownout rung, the query body, the
-//!   stage-boundary checkpoint/crash routine, and admission counting. Also
-//!   [`ForkJoinRuntime::run_query_at`], the query body over a caller-owned
+//!   ([`plan_batch_schedule`]) batched serving consumes.
+//! - `lane` — the sampling primitives: noisy compute and the fork/join
+//!   transfer model.
+//! - `session` — one run's state (fleet, bill, recorders, breakers, retry
+//!   budget, ladder, checkpoints) and the bodies written once on it: the
+//!   worker attempt loop, the group body, the local-only rung, the query
+//!   body and the stage-boundary checkpoint/crash routine; also
+//!   [`ForkJoinRuntime::run_query_at`] over a caller-owned fleet.
+//! - `scheduler` — the one event loop: arrival sources in front of one
+//!   `(time, stage, query)` completion heap, every execution on its own
+//!   stream. `eager` ([`ForkJoinRuntime::serve_workload`],
+//!   [`ForkJoinRuntime::serve_open_loop`],
+//!   [`ForkJoinRuntime::serve_open_loop_batched`]) and `pipelined`
+//!   ([`ForkJoinRuntime::serve_open_loop_pipelined`]) are its two fronts.
+//! - `simulate` — fleet-free Monte-Carlo ([`ForkJoinRuntime::simulate_many`],
+//!   the "actual" latency of Figs 9–12): the group body on a session with no
 //!   fleet.
-//! - `eager` — the three schedulers that run each query to completion at
-//!   admission, drawing arrivals and executions from one stream in arrival
-//!   order: [`ForkJoinRuntime::serve_workload`] (closed loop),
-//!   [`ForkJoinRuntime::serve_open_loop`] and
-//!   [`ForkJoinRuntime::serve_open_loop_batched`].
-//! - `pipelined` — the event-ordered scheduler,
-//!   [`ForkJoinRuntime::serve_open_loop_pipelined`]: one completion heap
-//!   over per-stage lane pools, every `(query, stage)` on its own stream.
-//! - `simulate` — fleet-free Monte-Carlo: [`ForkJoinRuntime::simulate_query`]
-//!   and [`ForkJoinRuntime::simulate_many`], the "actual" latency of the
-//!   Fig 9–12 reproductions.
 //!
 //! The plan run with *real tensor math* is not here: it is
 //! [`crate::compiled_exec`].
@@ -73,6 +69,7 @@ mod eager;
 mod lane;
 mod pipelined;
 mod report;
+mod scheduler;
 mod session;
 mod simulate;
 
@@ -141,10 +138,8 @@ fn on_worker(g: &PlannedGroup, pi: usize) -> bool {
     }
 }
 
-/// Name of the worker function serving partition `pi` of group `gi`.
-fn worker_fn(gi: usize, pi: usize) -> String {
-    format!("g{gi}p{pi}")
-}
+/// Name of the fork-join master function.
+const MASTER_FN: &str = "master";
 
 /// The plan executor over the simulated platform. A serving run is a pure
 /// function of the plan, the platform, the seed and the held
@@ -175,6 +170,11 @@ pub struct ForkJoinRuntime<'a> {
     /// partition's attempt p95) — the denominator that prices a resumed
     /// retry at its stage's share of the plan.
     plan_p95_total_ms: f64,
+    /// Function names, built once: `g{gi}p{pi}` serves partition `pi` of
+    /// group `gi` (`[group][partition]`), `s{gi}` orchestrates pipeline
+    /// stage `gi`.
+    worker_fns: Vec<Vec<String>>,
+    stage_fns: Vec<String>,
 }
 
 impl<'a> ForkJoinRuntime<'a> {
@@ -193,6 +193,12 @@ impl<'a> ForkJoinRuntime<'a> {
         plan.validate(model, platform.model_memory_budget)?;
         let analyses = plan.analyses(model)?;
         let weight_token = weight_identity_token(&analyses);
+        let parts = |(gi, a): (usize, &GroupAnalysis)| {
+            let names = (0..a.partitions.len()).map(|pi| format!("g{gi}p{pi}"));
+            names.collect()
+        };
+        let worker_fns = analyses.iter().enumerate().map(parts).collect();
+        let stage_fns = (0..analyses.len()).map(|gi| format!("s{gi}")).collect();
         let profile = WorkProfile::new(&platform, analyses);
         let plan_p95_total_ms = profile.remaining_p95_ms(0);
         Ok(ForkJoinRuntime {
@@ -206,6 +212,8 @@ impl<'a> ForkJoinRuntime<'a> {
             predicted_ms: 0.0,
             weight_token,
             plan_p95_total_ms,
+            worker_fns,
+            stage_fns,
         })
     }
 
@@ -375,13 +383,13 @@ impl<'a> ForkJoinRuntime<'a> {
     pub fn deploy(&self, fleet: &mut Fleet) -> Result<()> {
         let master_pkg = self.plan.master_weight_bytes(self.model)?;
         fleet.deploy(FunctionSpec {
-            name: "master".into(),
+            name: MASTER_FN.into(),
             memory_bytes: self.platform.instance_memory_bytes,
             package_bytes: master_pkg,
         })?;
         for (gi, pi) in self.worker_slots() {
             fleet.deploy(FunctionSpec {
-                name: worker_fn(gi, pi),
+                name: self.worker_fns[gi][pi].clone(),
                 memory_bytes: self.platform.instance_memory_bytes,
                 package_bytes: self.profile.analyses[gi].partitions[pi].weight_bytes,
             })?;
@@ -396,9 +404,9 @@ impl<'a> ForkJoinRuntime<'a> {
     ///
     /// Propagates fleet errors.
     pub fn prewarm(&self, fleet: &mut Fleet, count: usize) -> Result<()> {
-        fleet.prewarm("master", count, Micros::ZERO)?;
+        fleet.prewarm(MASTER_FN, count, Micros::ZERO)?;
         for (gi, pi) in self.worker_slots() {
-            fleet.prewarm(&worker_fn(gi, pi), count, Micros::ZERO)?;
+            fleet.prewarm(&self.worker_fns[gi][pi], count, Micros::ZERO)?;
         }
         Ok(())
     }

@@ -1,45 +1,28 @@
-//! The event-ordered scheduler: pipeline-parallel serving across layer
-//! groups, one completion heap over per-stage lane pools.
-//!
-//! Unlike the eager schedulers, a query here waits in queues between stages,
-//! so executions interleave in *event* order. To keep that interleaving from
-//! shifting anyone's draws, arrival times are drawn from the run stream
-//! before any execution, and every `(query, stage)` execution gets its own
+//! The pipelined front: pipeline-parallel serving across layer groups. Each
+//! group is a stage with its own orchestrator lanes and bounded queue; a
+//! query waits between stages, so its executions complete on the
+//! scheduler's heap in *event* order, each `(query, stage)` on its own
 //! stream. The group body, the local-only rung and the boundary
 //! checkpoint/crash bookkeeping are the session's; what this module keeps to
 //! itself is how a stage re-executes after a crash — serially on its lane.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use gillis_faas::brownout::BrownoutLevel;
-use gillis_faas::chaos::{QueryStatus, ResilienceCounters};
+use gillis_faas::chaos::QueryStatus;
 use gillis_faas::fleet::FunctionSpec;
-use gillis_faas::pipeline::{PipelineCounters, PipelinePolicy};
-use gillis_faas::workload::PoissonArrivals;
+use gillis_faas::pipeline::PipelinePolicy;
 use gillis_faas::Micros;
 
-use super::session::{completed, wire_format, Session};
-use super::{replication_seed, ForkJoinRuntime, ServingReport};
+use super::scheduler::{Front, Scheduler, Source};
+use super::session::{completed, wire_format};
+use super::{ForkJoinRuntime, ServingReport};
 use crate::plan::Placement;
 use crate::Result;
 
-/// Decorrelates the pipelined path's per-`(query, stage)` RNG streams from
-/// the run seed's arrival stream.
-const PIPELINE_RNG_SALT: u64 = 0x7069_7065_6c69_6e65; // "pipeline"
-
-/// Name of the stage-`gi` orchestrator function (the per-stage analogue of
-/// `"master"`, packaged with the group's master-resident weights).
-fn stage_fn(gi: usize) -> String {
-    format!("s{gi}")
-}
-
-/// Per-query bookkeeping inside the pipelined serving loop.
+/// Per-query bookkeeping of the pipelined front.
 #[derive(Debug, Clone, Copy, Default)]
-struct PipeQuery {
+pub(super) struct PipeQuery {
     arrival: Micros,
     deadline: Option<Micros>,
     level: BrownoutLevel,
@@ -57,53 +40,9 @@ struct PipeQuery {
     elapsed_ms: f64,
 }
 
-/// The pipelined serving loop's mutable state: the session, per-stage
-/// lanes, bounded dispatch queues, the parking list that implements
-/// backpressure, and the completion-event heap. Everything runs
-/// sequentially on the caller over a totally ordered event stream — see
-/// [`ForkJoinRuntime::serve_open_loop_pipelined`] for the determinism
-/// argument.
-struct PipelineSim<'s, 'a> {
-    s: Session<'s, 'a>,
-    policy: PipelinePolicy,
-    seed: u64,
-    stages: usize,
-    counters: PipelineCounters,
-    /// Free orchestrator lanes per stage.
-    free: Vec<usize>,
-    /// Bounded per-stage dispatch queues; stage 0's doubles as the
-    /// admission queue. Invariant: a stage with a free lane has an empty
-    /// queue.
-    queues: Vec<VecDeque<u64>>,
-    /// `parked[s]`: queries that finished stage `s` but found stage
-    /// `s + 1`'s queue full. They hold their stage-`s` lane until a
-    /// downstream slot opens — backpressure propagates upstream as lost
-    /// lanes, never as dropped queries.
-    parked: Vec<VecDeque<u64>>,
-    /// Per-query slots, indexed by query id.
-    q: Vec<PipeQuery>,
-    /// Pending stage completions, totally ordered by
-    /// `(virtual time, stage, query)`.
-    events: BinaryHeap<Reverse<(Micros, u32, u64)>>,
-}
-
-impl PipelineSim<'_, '_> {
-    /// RNG for query `q`'s execution at stage `s`: a pure function of
-    /// `(run seed, q, s)`, so event interleaving can never shift which
-    /// draws an execution sees. A replacement orchestrator's re-executions
-    /// after crash number `replay` draw from a decorrelated stream, so a
-    /// restarted stage does not redraw the exact jitter that accompanied the
-    /// crash. Faults stay site-keyed by `(query, group, part, attempt)` and
-    /// therefore repeat — a stage that succeeded before the crash succeeds
-    /// again, which is what makes the restart converge.
-    fn stage_rng(&self, q: u64, s: usize, replay: Option<u32>) -> StdRng {
-        let run = self.seed ^ PIPELINE_RNG_SALT;
-        let stream = replay.map_or(run, |inc| replication_seed(run, u64::from(inc)));
-        StdRng::seed_from_u64(replication_seed(stream, q * self.stages as u64 + s as u64))
-    }
-
+impl Scheduler<'_, '_, '_> {
     /// Tracks queue-depth peaks after a push to stage `s`'s queue.
-    fn note_queue_depth(&mut self, s: usize) {
+    fn note_stage_depth(&mut self, s: usize) {
         let depth = self.queues[s].len();
         self.counters.peak_stage_queue = self.counters.peak_stage_queue.max(depth as u64);
         if s == 0 {
@@ -130,18 +69,19 @@ impl PipelineSim<'_, '_> {
     }
 
     /// Admits, queues, or sheds the arrival of query `qid` at `now`.
-    fn arrive(&mut self, qid: u64, now: Micros) -> Result<()> {
-        // Brownout front door first, exactly like the other open loops.
-        let Some(level) = self.s.front_door() else {
-            return Ok(());
-        };
+    pub(super) fn arrive_staged(
+        &mut self,
+        qid: u64,
+        now: Micros,
+        level: BrownoutLevel,
+    ) -> Result<()> {
         let rt = self.s.rt;
         let deadline = rt.deadline_at(now);
         if rt.sheds_predicted(now, deadline) {
             self.s.shed_predicted_miss();
             return Ok(());
         }
-        if self.free[0] == 0 && self.queues[0].len() >= self.policy.queue_depth {
+        if self.free[0] == 0 && self.queues[0].len() >= self.queue_depth {
             self.s.shed_queue_full();
             return Ok(());
         }
@@ -156,7 +96,7 @@ impl PipelineSim<'_, '_> {
             self.start_or_kill(0, qid, now)?;
         } else {
             self.queues[0].push_back(qid);
-            self.note_queue_depth(0);
+            self.note_stage_depth(0);
         }
         Ok(())
     }
@@ -185,10 +125,9 @@ impl PipelineSim<'_, '_> {
         self.counters.stage_dispatches += 1;
         let slot = self.q[qid as usize];
         let q = rt.query(qid, slot.deadline, slot.level);
-        let mut rng = self.stage_rng(qid, s, None);
-        let fname = stage_fn(s);
-        let orch = self.s.fleet.acquire(&fname, t)?;
-        let mut now = orch.ready_at;
+        let mut rng = self.stream(qid, s, None);
+        let fname = &rt.stage_fns[s];
+        let mut now = self.s.acquire(fname, t)?;
         let began = now;
         if s > 0 {
             // Inter-stage hand-off: the upstream stage ships this query's
@@ -197,7 +136,7 @@ impl PipelineSim<'_, '_> {
             // same wire format as fork/join payloads.
             let input = &rt.model.layers()[rt.plan.groups()[s].start];
             let bytes = wire_format(slot.level).wire_bytes(input.in_bytes());
-            now += Micros::from_ms(rt.sample_transfer_parts(&[bytes], &mut rng));
+            now += Micros::from_ms(rt.sample_transfer(1, bytes, &mut rng));
             self.counters.handoffs += 1;
         }
         let window = self.s.health_since((0, 0));
@@ -220,29 +159,19 @@ impl PipelineSim<'_, '_> {
         }
         // The orchestrator bills its busy window (failover replays
         // included); worker lanes billed themselves inside the group body.
-        self.s
-            .billing
-            .record((end - began).as_ms(), rt.platform.instance_memory_bytes);
-        self.s.fleet.release(&fname, end)?;
-        match status {
-            QueryStatus::Failed => {
-                // Terminal mid-pipeline: an error response, downstream
-                // stages never see the query.
-                self.free[s] += 1;
-                self.finalize(qid, end, QueryStatus::Failed);
-                self.cascade(s, end)
-            }
-            QueryStatus::DeadlineExceeded => {
-                self.s.cancel_from(s + 1);
-                self.free[s] += 1;
-                self.finalize(qid, end, QueryStatus::DeadlineExceeded);
-                self.cascade(s, end)
-            }
-            _ => {
-                self.events.push(Reverse((end, s as u32, qid)));
-                Ok(())
-            }
+        self.s.release(fname, end, (end - began).as_ms())?;
+        if completed(status) {
+            self.events.push(Reverse((end, s as u32, qid)));
+            return Ok(());
         }
+        // Terminal mid-pipeline: an error response, and downstream stages
+        // never see the query (a missed deadline cancels their work).
+        if status == QueryStatus::DeadlineExceeded {
+            self.s.cancel_from(s + 1);
+        }
+        self.free[s] += 1;
+        self.finalize(qid, end, status);
+        self.cascade(s, end)
     }
 
     /// Stores query `qid`'s boundary checkpoint after stage `s` at `at`.
@@ -283,7 +212,7 @@ impl PipelineSim<'_, '_> {
             // a full hit at this boundary).
             let slot = self.q[i];
             for j in crash.resume_from()..=s {
-                let mut rng = self.stage_rng(qid, j, Some(slot.incarnation));
+                let mut rng = self.stream(qid, j, Some(slot.incarnation));
                 let q = rt.query(qid, slot.deadline, slot.level);
                 let run = self.s.run_group(j, end, &mut rng, q)?;
                 match run.status {
@@ -304,7 +233,7 @@ impl PipelineSim<'_, '_> {
 
     /// Handles the completion of stage `s` for query `qid` at `t`: advance
     /// downstream, queue, or park under backpressure.
-    fn complete(&mut self, s: usize, qid: u64, t: Micros) -> Result<()> {
+    pub(super) fn complete(&mut self, s: usize, qid: u64, t: Micros) -> Result<()> {
         if s + 1 == self.stages {
             let status = if self.q[qid as usize].degraded {
                 QueryStatus::Degraded
@@ -322,9 +251,9 @@ impl PipelineSim<'_, '_> {
             self.free[s] += 1;
             self.start_or_kill(next, qid, t)?;
             self.cascade(s, t)
-        } else if self.queues[next].len() < self.policy.queue_depth {
+        } else if self.queues[next].len() < self.queue_depth {
             self.queues[next].push_back(qid);
-            self.note_queue_depth(next);
+            self.note_stage_depth(next);
             self.free[s] += 1;
             self.cascade(s, t)
         } else {
@@ -359,7 +288,7 @@ impl PipelineSim<'_, '_> {
         let up = s - 1;
         if let Some(p) = self.parked[up].pop_front() {
             self.queues[s].push_back(p);
-            self.note_queue_depth(s);
+            self.note_stage_depth(s);
             self.free[up] += 1;
             self.cascade(up, t)?;
         }
@@ -369,39 +298,21 @@ impl PipelineSim<'_, '_> {
 
 impl ForkJoinRuntime<'_> {
     /// Serves an open-loop Poisson stream with pipeline parallelism across
-    /// layer groups: each group becomes a *stage* with its own pool of
-    /// `policy.lanes` orchestrator lanes (functions `"s0"`, `"s1"`, …,
-    /// packaged like per-stage masters) and a bounded queue in front of it.
-    /// Queries stream through stages concurrently on the virtual clock, so
-    /// steady-state throughput is bounded by the slowest stage — the
-    /// `t_pipeline` bottleneck — rather than by end-to-end latency, at the
-    /// price of pipeline-fill latency and one activation hand-off per stage
-    /// boundary.
+    /// layer groups: each group is a *stage* with `policy.lanes`
+    /// orchestrator lanes (functions `"s0"`, `"s1"`, …, packaged like
+    /// per-stage masters) and a bounded queue. Queries stream through the
+    /// stages concurrently, so throughput is bounded by the slowest stage —
+    /// the `t_pipeline` bottleneck — rather than by end-to-end latency, at
+    /// the price of pipeline fill and one activation hand-off per boundary.
     ///
-    /// Backpressure is explicit and lossless past admission: a query that
-    /// finishes stage `s` while stage `s + 1`'s queue is full *parks*,
-    /// holding its stage-`s` lane, until a downstream slot opens; only the
-    /// admission front door (brownout ladder, bounded stage-0 queue,
-    /// predicted-miss shedding) ever sheds, and every admitted query is
-    /// recorded exactly once — deadline kills at dispatch checkpoints are
-    /// explicit `DeadlineExceeded` outcomes with their undone work counted
-    /// as cancelled attempts.
-    ///
-    /// Determinism: the loop is sequential on the caller over a totally
-    /// ordered event stream — completions and arrivals merge by virtual
-    /// time (completions first on ties), completion ties break by
-    /// `(stage, query)` — arrival times are precomputed from the run RNG
-    /// before any execution draw, and each `(query, stage)` execution draws
-    /// from its own RNG derived via [`replication_seed`]. Reports are
-    /// therefore bit-identical for any `GILLIS_THREADS` and independent of
-    /// event interleaving. Single-group plans have nothing to pipeline and
-    /// delegate to [`Self::serve_open_loop`] unchanged.
-    ///
-    /// The overload policy composes as the admission front door (deadlines,
-    /// predicted-miss shedding, breaker bank — note `max_concurrency` is
-    /// superseded by per-stage lanes); chaos/outage faults, retry budgets,
-    /// and the brownout ladder all apply per stage execution. Batching does
-    /// not compose: the pipelined path serves per-query.
+    /// Past admission nothing is lost: a query that finishes stage `s` while
+    /// stage `s + 1`'s queue is full parks, holding its lane, until a slot
+    /// opens; only the front door (ladder, bounded stage-0 queue,
+    /// predicted-miss shedding) sheds, and a deadline that expires while a
+    /// query waits ends it as an explicit `DeadlineExceeded`. The overload
+    /// policy's `max_concurrency` is superseded by the lanes; faults, retry
+    /// budgets and the ladder apply per stage execution; batching does not
+    /// compose. Single-group plans delegate to [`Self::serve_open_loop`].
     ///
     /// # Errors
     ///
@@ -416,14 +327,13 @@ impl ForkJoinRuntime<'_> {
         seed: u64,
     ) -> Result<ServingReport> {
         policy.validate()?;
-        let stages = self.plan.groups().len();
-        if stages <= 1 {
+        if self.plan.groups().len() <= 1 {
             // Nothing to overlap: serve on the plain open loop so
             // pipeline-disabled (single-stage) deployments are
             // bit-identical to the fork-join path.
             return self.serve_open_loop(rate_per_sec, queries, prewarm_clients, seed);
         }
-        let arrivals = PoissonArrivals::new(rate_per_sec)?;
+        let source = Source::poisson(rate_per_sec, queries, seed)?;
         let mut fleet = self.warm_fleet(prewarm_clients.max(policy.lanes))?;
         // Stage orchestrators: one function per layer group, packaged with
         // the group's master-resident weights (nothing for worker-only
@@ -435,62 +345,13 @@ impl ForkJoinRuntime<'_> {
                 self.profile.analyses[gi].partitions[0].weight_bytes
             };
             fleet.deploy(FunctionSpec {
-                name: stage_fn(gi),
+                name: self.stage_fns[gi].clone(),
                 memory_bytes: self.platform.instance_memory_bytes,
                 package_bytes,
             })?;
-            fleet.prewarm(&stage_fn(gi), policy.lanes, Micros::ZERO)?;
+            fleet.prewarm(&self.stage_fns[gi], policy.lanes, Micros::ZERO)?;
         }
-        // Arrival times come out of the run RNG before any execution draw,
-        // so the arrival process is independent of execution interleaving.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Micros::ZERO;
-        let arrival_times: Vec<Micros> = (0..queries)
-            .map(|_| {
-                t += arrivals.next_gap(&mut rng);
-                t
-            })
-            .collect();
-        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
-        let mut sim = PipelineSim {
-            s: Session::for_run(self, &mut fleet, &mut billing, &mut resilience),
-            policy: *policy,
-            seed,
-            stages,
-            counters: PipelineCounters {
-                stages: stages as u64,
-                ..PipelineCounters::default()
-            },
-            free: vec![policy.lanes; stages],
-            queues: vec![VecDeque::new(); stages],
-            parked: vec![VecDeque::new(); stages],
-            q: vec![PipeQuery::default(); queries],
-            events: BinaryHeap::new(),
-        };
-        // Completions and arrivals merge by virtual time, completions first
-        // on ties.
-        let mut next_arrival = 0usize;
-        loop {
-            let arrival = arrival_times.get(next_arrival).copied();
-            let completion = sim.events.peek().map(|Reverse((t, _, _))| *t);
-            match (arrival, completion) {
-                (None, None) => break,
-                (Some(a), c) if c.is_none_or(|c| c > a) => {
-                    sim.arrive(next_arrival as u64, a)?;
-                    next_arrival += 1;
-                }
-                _ => {
-                    let Reverse((t, s, qid)) = sim.events.pop().expect("a completion is pending");
-                    sim.complete(s as usize, qid, t)?;
-                }
-            }
-        }
-        let mut report = sim.s.finish()?;
-        report.pipeline = sim.counters;
-        for gi in 0..stages {
-            report.cold_starts += fleet.stats(&stage_fn(gi))?.0;
-        }
-        Ok(report)
+        self.schedule(fleet, source, seed, Front::Stages(*policy, queries))
     }
 }
 
@@ -498,6 +359,7 @@ impl ForkJoinRuntime<'_> {
 mod tests {
     use gillis_faas::chaos::ResiliencePolicy;
     use gillis_faas::overload::OverloadPolicy;
+    use gillis_faas::pipeline::PipelineCounters;
     use gillis_faas::recovery::RecoveryPolicy;
     use gillis_faas::PlatformProfile;
     use gillis_model::zoo;

@@ -6,8 +6,10 @@
 //! the local-only rung, the query body, the stage-boundary routine and the
 //! admission counters are methods on it that take only what varies per call
 //! — group, start time, RNG stream and the query's [`QueryCtx`]. The
-//! schedulers (`eager`, `pipelined`) decide *when* a query runs and on which
-//! stream; nothing here does.
+//! scheduler decides *when* a query runs and on which stream; nothing here
+//! does. A session with no fleet is the fleet-free Monte-Carlo path: every
+//! acquisition is ready at once and each lane's billed milliseconds are kept
+//! per lane, so simulation and serving run one attempt loop.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -16,7 +18,7 @@ use gillis_faas::batch::BatchCounters;
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::brownout::{ArrivalDecision, BrownoutController, BrownoutLevel};
 use gillis_faas::budget::RetryBudget;
-use gillis_faas::chaos::{FaultSite, QueryStatus, ResilienceCounters};
+use gillis_faas::chaos::{Fault, FaultSite, QueryStatus, ResilienceCounters};
 use gillis_faas::fleet::Fleet;
 use gillis_faas::metrics::{LatencyStats, StatusLatency};
 use gillis_faas::overload::{CircuitBreaker, OverloadCounters};
@@ -27,8 +29,7 @@ use gillis_faas::recovery::{
 use gillis_faas::Micros;
 use gillis_perf::TransferFormat;
 
-use super::lane::LaneExec;
-use super::{on_worker, worker_fn, ForkJoinRuntime, ServingReport, WorkProfile};
+use super::{on_worker, ForkJoinRuntime, ServingReport, WorkProfile, MASTER_FN};
 use crate::partition::{GroupAnalysis, PartitionWork};
 use crate::plan::Placement;
 use crate::Result;
@@ -70,6 +71,11 @@ pub(super) struct QueryCtx<'p> {
 /// Outcome of executing one layer group.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct GroupRun {
+    /// When the fork reached the workers (the group's start when it has
+    /// none).
+    pub forked: Micros,
+    /// When the last shard was computed, before the join.
+    pub computed: Micros,
     /// When the orchestrating function finished the group (join included;
     /// for terminal outcomes, when it stopped waiting).
     pub end: Micros,
@@ -100,7 +106,8 @@ impl Takeover {
 
 /// One lane execution launched on the fleet.
 struct Launch {
-    exec: LaneExec,
+    /// The lane produced a usable result.
+    success: bool,
     /// Payload receipt: instance ready and invocation jitter paid.
     start: Micros,
     /// When the master observed the lane resolve (or abandoned it).
@@ -126,7 +133,10 @@ struct LaneRun {
 /// them for the length of its run and borrows them here.
 pub(super) struct Session<'s, 'a> {
     pub rt: &'s ForkJoinRuntime<'a>,
-    pub fleet: &'s mut Fleet,
+    /// `None` runs fleet-free: every acquisition is ready at once, and lanes
+    /// keep their billed milliseconds in `lane_ms` instead of the bill.
+    fleet: Option<&'s mut Fleet>,
+    pub lane_ms: Vec<f64>,
     pub billing: &'s mut BillingMeter,
     pub resilience: &'s mut ResilienceCounters,
     pub overload: OverloadCounters,
@@ -148,13 +158,14 @@ impl<'s, 'a> Session<'s, 'a> {
     /// budget, ladder or checkpoint cache, whatever the runtime's policies.
     pub fn bare(
         rt: &'s ForkJoinRuntime<'a>,
-        fleet: &'s mut Fleet,
+        fleet: Option<&'s mut Fleet>,
         billing: &'s mut BillingMeter,
         resilience: &'s mut ResilienceCounters,
     ) -> Self {
         Session {
             rt,
             fleet,
+            lane_ms: Vec::new(),
             billing,
             resilience,
             overload: OverloadCounters::default(),
@@ -186,7 +197,7 @@ impl<'s, 'a> Session<'s, 'a> {
             budget: rt.policies.retry_budget.map(RetryBudget::new),
             brownout: rt.policies.brownout.map(BrownoutController::new),
             checkpoints: rt.policies.recovery.map(CheckpointCache::new),
-            ..Session::bare(rt, fleet, billing, resilience)
+            ..Session::bare(rt, Some(fleet), billing, resilience)
         }
     }
 
@@ -272,20 +283,16 @@ impl<'s, 'a> Session<'s, 'a> {
         }
     }
 
-    /// Assembles the run's report: the recorders, and the cold starts the
-    /// master and worker functions paid. A scheduler with counters of its
+    /// Assembles the run's report: the recorders, and the cold starts every
+    /// function of the fleet paid. A scheduler with counters of its
     /// own (`batch`, `pipeline`) fills them in.
     pub fn finish(self) -> Result<ServingReport> {
         debug_assert!(
             self.checkpoints.as_ref().is_none_or(|c| c.is_empty()),
             "every terminal query retires its checkpoints"
         );
-        let mut cold_starts = self.fleet.stats("master")?.0;
-        for (gi, pi) in self.rt.worker_slots() {
-            cold_starts += self.fleet.stats(&worker_fn(gi, pi))?.0;
-        }
         Ok(ServingReport {
-            cold_starts,
+            cold_starts: self.fleet.map_or(0, |f| f.cold_starts()),
             latency: self.latency,
             by_status: self.by_status,
             billing: self.billing.clone(),
@@ -296,6 +303,28 @@ impl<'s, 'a> Session<'s, 'a> {
             pipeline: PipelineCounters::default(),
             recovery: self.recovery,
         })
+    }
+
+    /// When an instance of `fname` acquired at `at` is ready to run: at once
+    /// without a fleet.
+    pub fn acquire(&mut self, fname: &str, at: Micros) -> Result<Micros> {
+        match self.fleet.as_mut() {
+            Some(fleet) => Ok(fleet.acquire(fname, at)?.ready_at),
+            None => Ok(at),
+        }
+    }
+
+    /// Frees an instance of `fname` at `at` and bills its `busy_ms` (kept
+    /// per lane without a fleet).
+    pub fn release(&mut self, fname: &str, at: Micros, busy_ms: f64) -> Result<()> {
+        let Some(fleet) = self.fleet.as_mut() else {
+            self.lane_ms.push(busy_ms);
+            return Ok(());
+        };
+        self.billing
+            .record(busy_ms, self.rt.platform.instance_memory_bytes);
+        fleet.release(fname, at)?;
+        Ok(())
     }
 
     /// Debits the retry budget for one extra execution (retry, hedge,
@@ -313,63 +342,88 @@ impl<'s, 'a> Session<'s, 'a> {
     }
 
     /// Samples one lane execution at `site` launching at `at`, counts it,
-    /// and acquires the instance it runs on. Lane outcomes come from
-    /// [`ForkJoinRuntime::sample_lane`] — the same failure model as
-    /// [`ForkJoinRuntime::simulate_query_at`] — with instance acquisition
-    /// (and its cold starts) layered on top. `sample_lane` draws noise and
-    /// fault *before* applying the timeout cap, so a deadline-shrunk
-    /// timeout never shifts the RNG stream.
-    fn launch(
+    /// and acquires the instance it runs on: invocation jitter (unless the
+    /// fork transfer covered it — true of a lane's first primary attempt
+    /// only), noisy compute, the injected fault at `site` scaled by the
+    /// outage episodes covering `at`, and the per-attempt timeout cap. Noise
+    /// and fault are drawn *before* the cap, so a deadline-shrunk timeout
+    /// never shifts the RNG stream. A payload whose checksum fails at the
+    /// join is counted only if the master waited for it.
+    fn launch<R: RngExt + ?Sized>(
         &mut self,
         fname: &str,
         site: FaultSite,
         work: &PartitionWork,
         at: Micros,
         timeout_ms: f64,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Result<Launch> {
-        let exec = self.rt.sample_lane(site, work, timeout_ms, at.as_ms(), rng);
-        exec.count_into(self.resilience);
-        let acq = self.fleet.acquire(fname, at)?;
-        let start = acq.ready_at.max(at + Micros::from_ms(exec.jitter_ms));
+        let rt = self.rt;
+        let jitter_ms = if site.attempt == 0 && site.lane == 0 {
+            0.0
+        } else {
+            rt.platform.invoke_latency_ms.sample(rng)
+        };
+        let compute_ms = rt.sample_compute_ms(work, rng);
+        let tier_mb = rt.platform.instance_memory_bytes / 1_000_000;
+        let mult = rt.outage.as_ref().map_or(1.0, |o| {
+            o.multiplier(site.group, site.part, tier_mb, at.as_ms())
+        });
+        let fault = rt
+            .injector
+            .as_ref()
+            .and_then(|inj| inj.fault_scaled(site, mult));
+        // Worker-side busy time, never capped by an abandon: the function
+        // keeps running.
+        let (busy_ms, ok) = match fault {
+            None => (compute_ms, true),
+            // Fails right after the invocation round-trip.
+            Some(Fault::InvokeFailure) => (0.0, false),
+            Some(Fault::Crash { work_done }) => (work_done * compute_ms, false),
+            Some(Fault::Straggler { slowdown }) => (slowdown * compute_ms, true),
+            // Full compute, but the master rejects the response at the join.
+            Some(Fault::Corrupt) => (compute_ms, false),
+        };
+        self.resilience.worker_invocations += 1;
+        let timed_out = jitter_ms + busy_ms > timeout_ms;
+        if timed_out {
+            self.resilience.timeouts += 1;
+        } else if matches!(fault, Some(Fault::Corrupt)) {
+            self.resilience.corruptions_detected += 1;
+        }
+        let observed_ms = if timed_out {
+            (timeout_ms - jitter_ms).max(0.0)
+        } else {
+            busy_ms
+        };
+        let start = self
+            .acquire(fname, at)?
+            .max(at + Micros::from_ms(jitter_ms));
         Ok(Launch {
-            exec,
+            success: ok && !timed_out,
             start,
-            end: start + Micros::from_ms(exec.run_ms),
-            busy_end: start + Micros::from_ms(exec.billed_ms),
+            end: start + Micros::from_ms(observed_ms),
+            busy_end: start + Micros::from_ms(busy_ms),
         })
-    }
-
-    /// Bills a launched lane from payload receipt to response emission —
-    /// its full busy time even when abandoned, the function keeps running —
-    /// plus `transfer_ms` when it is the accepted lane and carries the
-    /// payload, then frees its instance.
-    fn settle(&mut self, fname: &str, lane: &Launch, transfer_ms: f64) -> Result<()> {
-        self.billing.record(
-            (lane.busy_end - lane.start).as_ms() + transfer_ms,
-            self.rt.platform.instance_memory_bytes,
-        );
-        self.fleet.release(fname, lane.busy_end)?;
-        Ok(())
     }
 
     /// Runs worker lane `part` of group `gi` to resolution from `dispatched`
     /// with at most `lane_attempts` attempts: backoff between attempts, an
     /// optional hedge per attempt (first success wins), every retry and
     /// hedge debited from the retry budget before it launches.
-    fn run_lane(
+    fn run_lane<R: RngExt + ?Sized>(
         &mut self,
         gi: usize,
         part: usize,
         dispatched: Micros,
         lane_attempts: u32,
-        rng: &mut StdRng,
+        rng: &mut R,
         q: QueryCtx<'_>,
     ) -> Result<LaneRun> {
         let rt = self.rt;
         let policy = &rt.policies.resilience;
         let p = &q.profile.analyses[gi].partitions[part];
-        let fname = worker_fn(gi, part);
+        let fname = &rt.worker_fns[gi][part];
         let p95 = q.profile.attempt_p95_ms[gi][part];
         let wire_fmt = wire_format(q.level);
         let transfer = rt
@@ -402,10 +456,10 @@ impl<'s, 'a> Session<'s, 'a> {
                 attempt,
                 lane: 0,
             };
-            let primary = self.launch(&fname, site, p, t, timeout_at(t), rng)?;
+            let primary = self.launch(fname, site, p, t, timeout_at(t), rng)?;
             if attempt == 0 {
                 self.resilience.first_attempts += 1;
-                if primary.exec.success {
+                if primary.success {
                     self.resilience.first_attempt_successes += 1;
                     // Successful first attempts are the only thing that
                     // earns retry tokens back.
@@ -414,7 +468,7 @@ impl<'s, 'a> Session<'s, 'a> {
                     }
                 }
             }
-            lane.resolved = primary.exec.success.then_some(primary.end);
+            lane.resolved = primary.success.then_some(primary.end);
             let mut attempt_end = primary.end;
             let mut hedge: Option<Launch> = None;
             let mut hedge_won = false;
@@ -431,10 +485,9 @@ impl<'s, 'a> Session<'s, 'a> {
                         self.resilience.budget_denied_hedges += 1;
                     } else {
                         let site = FaultSite { lane: 1, ..site };
-                        let h =
-                            self.launch(&fname, site, p, hedge_at, timeout_at(hedge_at), rng)?;
+                        let h = self.launch(fname, site, p, hedge_at, timeout_at(hedge_at), rng)?;
                         self.resilience.hedges += 1;
-                        if h.exec.success && lane.resolved.is_none_or(|r| h.end < r) {
+                        if h.success && lane.resolved.is_none_or(|r| h.end < r) {
                             hedge_won = true;
                             lane.resolved = Some(h.end);
                         }
@@ -446,14 +499,16 @@ impl<'s, 'a> Session<'s, 'a> {
             if hedge_won {
                 self.resilience.hedge_wins += 1;
             }
-            let carried = |carries: bool| if carries { transfer } else { 0.0 };
-            self.settle(
-                &fname,
-                &primary,
-                carried(lane.resolved.is_some() && !hedge_won),
-            )?;
+            // Every launched lane bills from payload receipt to response
+            // emission — its full busy time even when abandoned — plus the
+            // payload transfer when it is the accepted lane.
+            let busy = |l: &Launch, carries: bool| {
+                (l.busy_end - l.start).as_ms() + if carries { transfer } else { 0.0 }
+            };
+            let carries = lane.resolved.is_some() && !hedge_won;
+            self.release(fname, primary.busy_end, busy(&primary, carries))?;
             if let Some(h) = hedge {
-                self.settle(&fname, &h, carried(hedge_won))?;
+                self.release(fname, h.busy_end, busy(&h, hedge_won))?;
             }
             if let Some(r) = lane.resolved {
                 lane.observed_end = r;
@@ -479,19 +534,17 @@ impl<'s, 'a> Session<'s, 'a> {
         Ok(lane)
     }
 
-    /// Executes layer group `gi` on the fleet starting at `begin`: fork,
-    /// worker lanes with retries/hedges/breakers/budget, local fallback,
-    /// and join. This is the group body shared by the monolithic fork-join
-    /// master ([`Self::run_query`]) and the per-stage orchestrators of the
-    /// pipelined scheduler — one failure model, two serving topologies.
-    /// Terminal outcomes (`Failed`, `DeadlineExceeded`) leave
-    /// downstream-cancellation accounting to the caller, which knows what
-    /// work remains.
-    pub fn run_group(
+    /// Executes layer group `gi` from `begin`: fork, worker lanes with
+    /// retries/hedges/breakers/budget, local fallback, and join — the group
+    /// body of the fork-join master ([`Self::run_query`]), of every pipeline
+    /// stage and of fleet-free simulation. Terminal outcomes (`Failed`,
+    /// `DeadlineExceeded`) leave downstream-cancellation accounting to the
+    /// caller, which knows what work remains.
+    pub fn run_group<R: RngExt + ?Sized>(
         &mut self,
         gi: usize,
         begin: Micros,
-        rng: &mut StdRng,
+        rng: &mut R,
         q: QueryCtx<'_>,
     ) -> Result<GroupRun> {
         let rt = self.rt;
@@ -508,18 +561,28 @@ impl<'s, 'a> Session<'s, 'a> {
             0.0
         };
         if worker_parts.is_empty() {
+            let end = begin + Micros::from_ms(master_compute);
             return Ok(GroupRun {
-                end: begin + Micros::from_ms(master_compute),
+                forked: begin,
+                computed: end,
+                end,
                 status: QueryStatus::Ok,
             });
         }
-        // Fork: same egress model as `simulate_query` — one shared helper,
-        // so fleet serving and single-query simulation cannot drift apart.
+        // Fork: one payload per worker over the master's egress.
         let wire_fmt = wire_format(q.level);
-        let wire = |raw: u64| wire_fmt.wire_bytes(raw);
-        let ins: Vec<u64> = worker_parts.iter().map(|p| wire(p.input_bytes)).collect();
-        let outs: Vec<u64> = worker_parts.iter().map(|p| wire(p.output_bytes)).collect();
-        let dispatched = begin + Micros::from_ms(rt.sample_transfer_parts(&ins, rng));
+        let wire = |bytes: fn(&PartitionWork) -> u64| {
+            let each = worker_parts.iter().map(|p| wire_fmt.wire_bytes(bytes(p)));
+            (worker_parts.len(), each.sum::<u64>())
+        };
+        let (parts, ins) = wire(|p| p.input_bytes);
+        let dispatched = begin + Micros::from_ms(rt.sample_transfer(parts, ins, rng));
+        let run = |computed, end, status| GroupRun {
+            forked: dispatched,
+            computed,
+            end,
+            status,
+        };
         // The master's own shard is synchronous local work — it cannot be
         // abandoned, so it lower-bounds the time at which a cancelled query
         // can return.
@@ -589,10 +652,7 @@ impl<'s, 'a> Session<'s, 'a> {
                     compute_end += Micros::from_ms(rt.sample_compute_ms(&worker_parts[pi], rng));
                 }
             } else {
-                return Ok(GroupRun {
-                    end: compute_end,
-                    status: QueryStatus::Failed,
-                });
+                return Ok(run(compute_end, compute_end, QueryStatus::Failed));
             }
         }
         if deadline_hit {
@@ -600,40 +660,40 @@ impl<'s, 'a> Session<'s, 'a> {
             // response, no join. Only its own synchronous shard compute can
             // push the return later.
             let d = q.deadline.expect("deadline_hit implies a deadline");
-            return Ok(GroupRun {
-                end: master_busy_end.max(d),
-                status: QueryStatus::DeadlineExceeded,
-            });
+            let end = master_busy_end.max(d);
+            return Ok(run(end, end, QueryStatus::DeadlineExceeded));
         }
-        // Join: collection jitter + serialized replies, again via the
-        // shared helper.
-        let end = compute_end + Micros::from_ms(rt.sample_transfer_parts(&outs, rng));
-        Ok(GroupRun { end, status })
+        // Join: collection jitter + serialized replies.
+        let (parts, outs) = wire(|p| p.output_bytes);
+        let end = compute_end + Micros::from_ms(rt.sample_transfer(parts, outs, rng));
+        Ok(run(compute_end, end, status))
     }
 
     /// The local-fallback-only brownout rung for group `gi`: the
     /// orchestrator computes every partition itself, serially, in plan order
     /// — no worker lanes, no fork/join transfers, no fault sites, no retries.
-    pub fn run_group_local(
+    pub fn run_group_local<R: RngExt + ?Sized>(
         &mut self,
         gi: usize,
         begin: Micros,
-        rng: &mut StdRng,
+        rng: &mut R,
         profile: &WorkProfile,
     ) -> GroupRun {
         let g = &self.rt.plan.groups()[gi];
-        let mut run = GroupRun {
-            end: begin,
-            status: QueryStatus::Ok,
-        };
+        let (mut end, mut status) = (begin, QueryStatus::Ok);
         for (pi, p) in profile.analyses[gi].partitions.iter().enumerate() {
             if on_worker(g, pi) {
                 self.resilience.degraded_shards += 1;
-                run.status = QueryStatus::Degraded;
+                status = QueryStatus::Degraded;
             }
-            run.end += Micros::from_ms(self.rt.sample_compute_ms(p, rng));
+            end += Micros::from_ms(self.rt.sample_compute_ms(p, rng));
         }
-        run
+        GroupRun {
+            forked: begin,
+            computed: end,
+            end,
+            status,
+        }
     }
 
     /// Stores the boundary checkpoint of `query` after group `gi` completed
@@ -728,19 +788,18 @@ impl<'s, 'a> Session<'s, 'a> {
         }
     }
 
-    /// Executes one query on the fleet's `"master"` starting at `start`,
+    /// Executes one query on the fleet's master function starting at `start`,
     /// charging the bill and scoring its first attempts into the brownout
     /// ladder, and returns its completion time and terminal status (also
     /// tallied into the resilience counters).
-    pub fn run_query(
+    pub fn run_query<R: RngExt + ?Sized>(
         &mut self,
         start: Micros,
-        rng: &mut StdRng,
+        rng: &mut R,
         q: QueryCtx<'_>,
     ) -> Result<(Micros, QueryStatus)> {
         let window = self.health_since((0, 0));
-        let master = self.fleet.acquire("master", start)?;
-        let master_began = master.ready_at;
+        let master_began = self.acquire(MASTER_FN, start)?;
         let mut now = master_began;
         let mut status = QueryStatus::Ok;
         if q.level >= BrownoutLevel::LocalOnly {
@@ -760,11 +819,7 @@ impl<'s, 'a> Session<'s, 'a> {
             // the query missed.
             status = QueryStatus::DeadlineExceeded;
         }
-        self.billing.record(
-            (now - master_began).as_ms(),
-            self.rt.platform.instance_memory_bytes,
-        );
-        self.fleet.release("master", now)?;
+        self.release(MASTER_FN, now, (now - master_began).as_ms())?;
         self.resilience.record_status(status);
         self.observe(self.health_since(window));
         Ok((now, status))
@@ -776,10 +831,10 @@ impl<'s, 'a> Session<'s, 'a> {
     /// recovery that re-enters the walk at the stage a takeover resumes
     /// from. Advances `*now` to where the master stopped and returns the
     /// status so far (`Ok`/`Degraded`, or the terminal one that ended it).
-    fn run_plan(
+    fn run_plan<R: RngExt + ?Sized>(
         &mut self,
         now: &mut Micros,
-        rng: &mut StdRng,
+        rng: &mut R,
         q: QueryCtx<'_>,
     ) -> Result<QueryStatus> {
         let rt = self.rt;
@@ -980,7 +1035,7 @@ impl<'a> ForkJoinRuntime<'a> {
         counters: &mut ResilienceCounters,
     ) -> Result<Micros> {
         let q = self.query(query, None, BrownoutLevel::Full);
-        Session::bare(self, fleet, billing, counters)
+        Session::bare(self, Some(fleet), billing, counters)
             .run_query(start, rng, q)
             .map(|(done, _)| done)
     }
@@ -1058,7 +1113,7 @@ mod tests {
         let mut billing = BillingMeter::new(1, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut res = ResilienceCounters::default();
-        let mut s = Session::bare(rt, &mut fleet, &mut billing, &mut res);
+        let mut s = Session::bare(rt, Some(&mut fleet), &mut billing, &mut res);
         s.checkpoints = rt.policies.recovery.map(CheckpointCache::new);
         let mut now = Micros::ZERO;
         let mut total_ms = 0.0;

@@ -1,111 +1,20 @@
 //! Fleet-free Monte-Carlo simulation of warm queries: the plan followed
-//! group by group with sampled noise and faults, in milliseconds relative to
-//! the query's own start. No instances, no bill, no admission — the
+//! group by group through the session's group body on a session with no
+//! fleet, so every acquisition is ready at once. No bill, no admission — the
 //! "actual" latency the Fig 9–12 reproductions measure.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use gillis_faas::chaos::{FaultSite, QueryStatus, ResilienceCounters};
+use gillis_faas::brownout::BrownoutLevel;
+use gillis_faas::chaos::{QueryStatus, ResilienceCounters};
 use gillis_faas::metrics::LatencyStats;
+use gillis_faas::Micros;
 
+use super::session::Session;
 use super::{replication_seed, ForkJoinRuntime, QueryOutcome, SimulationReport};
-use crate::plan::Placement;
 
 impl ForkJoinRuntime<'_> {
-    /// Runs worker partition `part` of group `gi` to resolution in time
-    /// relative to the group's dispatch (`base_ms` into the query): attempts
-    /// with backoff, an optional hedge per attempt (first success wins),
-    /// billing every launched lane into `out.worker_ms` (the accepted lane
-    /// also carries the payload transfer) and counting into
-    /// `out.resilience`.
-    ///
-    /// Returns `(resolution, master_observed_end)`: `resolution` is the
-    /// accepted result's arrival time, `None` when the retry budget is
-    /// exhausted; `master_observed_end` is when the master stopped waiting.
-    fn simulate_worker<R: RngExt + ?Sized>(
-        &self,
-        query: u64,
-        gi: usize,
-        part: usize,
-        base_ms: f64,
-        rng: &mut R,
-        out: &mut QueryOutcome,
-    ) -> (Option<f64>, f64) {
-        let work = &self.profile.analyses[gi].partitions[part];
-        let p95_ms = self.profile.attempt_p95_ms[gi][part];
-        let counters = &mut out.resilience;
-        let policy = &self.policies.resilience;
-        let timeout_ms = policy.attempt_timeout_factor * p95_ms;
-        let hedge_delay_ms = policy.hedge_delay_factor * p95_ms;
-        let transfer_ms = self
-            .platform
-            .transfer_ms(work.input_bytes + work.output_bytes);
-        let max_attempts = policy.max_attempts.max(1);
-        let mut t = 0.0f64;
-        for attempt in 0..max_attempts {
-            let p_site = FaultSite {
-                query,
-                group: gi as u32,
-                part: part as u32,
-                attempt,
-                lane: 0,
-            };
-            let primary = self.sample_lane(p_site, work, timeout_ms, base_ms + t, rng);
-            primary.count_into(counters);
-            if attempt == 0 {
-                counters.first_attempts += 1;
-                if primary.success {
-                    counters.first_attempt_successes += 1;
-                }
-            }
-            let p_end = t + primary.jitter_ms + primary.run_ms;
-            let mut resolved = primary.success.then_some(p_end);
-            let mut attempt_end = p_end;
-            let mut hedge_won = false;
-            let mut hedge_billed_ms: Option<f64> = None;
-            if policy.hedged() {
-                let hedge_at = t + hedge_delay_ms;
-                if p_end > hedge_at {
-                    let h_site = FaultSite { lane: 1, ..p_site };
-                    let hedge = self.sample_lane(h_site, work, timeout_ms, base_ms + hedge_at, rng);
-                    counters.hedges += 1;
-                    hedge.count_into(counters);
-                    let h_end = hedge_at + hedge.jitter_ms + hedge.run_ms;
-                    if hedge.success && resolved.is_none_or(|r| h_end < r) {
-                        hedge_won = true;
-                        resolved = Some(h_end);
-                    }
-                    attempt_end = attempt_end.max(h_end);
-                    hedge_billed_ms = Some(hedge.billed_ms);
-                }
-            }
-            if hedge_won {
-                counters.hedge_wins += 1;
-            }
-            let carried = |carries: bool| if carries { transfer_ms } else { 0.0 };
-            out.worker_ms
-                .push(primary.billed_ms + carried(resolved.is_some() && !hedge_won));
-            if let Some(billed_ms) = hedge_billed_ms {
-                out.worker_ms.push(billed_ms + carried(hedge_won));
-            }
-            if let Some(r) = resolved {
-                return (Some(r), r);
-            }
-            if attempt + 1 < max_attempts {
-                counters.retries += 1;
-                let unit = self
-                    .injector
-                    .as_ref()
-                    .map_or(0.5, |inj| inj.backoff_unit(p_site));
-                t = attempt_end + policy.backoff_ms(attempt, unit);
-            } else {
-                return (None, attempt_end);
-            }
-        }
-        (None, t)
-    }
-
     /// Simulates one query on warm instances, sampling compute noise and
     /// communication jitter. Equivalent to
     /// [`simulate_query_at`](Self::simulate_query_at) with query index 0.
@@ -113,75 +22,46 @@ impl ForkJoinRuntime<'_> {
         self.simulate_query_at(0, rng)
     }
 
-    /// Simulates warm query number `query`: the index keys fault sampling
-    /// ([`FaultSite::query`]), so distinct queries draw independent faults
-    /// while the same `(chaos seed, query)` pair always faults identically —
-    /// whatever thread runs it.
+    /// Simulates warm query number `query` from time zero: the index keys
+    /// fault sampling ([`gillis_faas::chaos::FaultSite::query`]), so distinct
+    /// queries draw independent faults while the same `(chaos seed, query)`
+    /// pair always faults identically — whatever thread runs it. Each group's
+    /// fork, compute and join are read off its timestamps; a failed group
+    /// ends the query without a join.
     pub fn simulate_query_at<R: RngExt + ?Sized>(&self, query: u64, rng: &mut R) -> QueryOutcome {
-        let analyses = &self.profile.analyses;
+        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
+        let mut s = Session::bare(self, None, &mut billing, &mut resilience);
+        let q = self.query(query, None, BrownoutLevel::Full);
         let mut out = QueryOutcome {
             latency_ms: 0.0,
-            group_ms: Vec::with_capacity(analyses.len()),
+            group_ms: Vec::with_capacity(self.plan.groups().len()),
             worker_ms: Vec::new(),
             status: QueryStatus::Ok,
             resilience: ResilienceCounters::default(),
         };
-        for (gi, (g, a)) in self.plan.groups().iter().zip(analyses).enumerate() {
-            let offset = usize::from(g.placement != Placement::Workers);
-            let worker_parts = &a.partitions[offset..];
-            let master_compute = if offset == 1 {
-                self.sample_compute_ms(&a.partitions[0], rng)
-            } else {
-                0.0
-            };
-            let (fork, compute, join) = if worker_parts.is_empty() {
-                (0.0, master_compute, 0.0)
-            } else {
-                let ins: Vec<u64> = worker_parts.iter().map(|p| p.input_bytes).collect();
-                let outs: Vec<u64> = worker_parts.iter().map(|p| p.output_bytes).collect();
-                let fork = self.sample_transfer_parts(&ins, rng);
-                let join = self.sample_transfer_parts(&outs, rng);
-                let mut slowest = master_compute;
-                let mut exhausted: Vec<usize> = Vec::new();
-                // Outage episodes key on absolute virtual time; a simulated
-                // query anchors at t=0, so lanes see the time elapsed
-                // inside it.
-                let base_ms = out.latency_ms + fork;
-                for pi in 0..worker_parts.len() {
-                    let (resolved, observed_end) =
-                        self.simulate_worker(query, gi, pi + offset, base_ms, rng, &mut out);
-                    slowest = slowest.max(resolved.unwrap_or(observed_end));
-                    if resolved.is_none() {
-                        exhausted.push(pi);
-                    }
-                }
-                let mut compute = slowest;
-                if !exhausted.is_empty() {
-                    if self.policies.resilience.local_fallback {
-                        // Graceful degradation: the master recomputes the
-                        // lost shards itself, serially, after the surviving
-                        // workers finish.
-                        for &pi in &exhausted {
-                            out.resilience.degraded_shards += 1;
-                            compute += self.sample_compute_ms(&worker_parts[pi], rng);
-                        }
-                        out.status = QueryStatus::Degraded;
-                    } else {
-                        out.status = QueryStatus::Failed;
-                    }
-                }
-                (fork, compute, join)
-            };
-            if out.status == QueryStatus::Failed {
-                // The master gives up mid-plan and emits an error response:
-                // the fork and the waiting are paid, the join is not.
-                out.latency_ms += fork + compute;
-                out.group_ms.push((fork, compute, 0.0));
-                break;
-            }
+        let mut now = Micros::ZERO;
+        for gi in 0..self.plan.groups().len() {
+            let run = s
+                .run_group(gi, now, rng, q)
+                .expect("a fleet-free group acquires nothing that can fail");
+            let parts = [
+                (now, run.forked),
+                (run.forked, run.computed),
+                (run.computed, run.end),
+            ];
+            let [fork, compute, join] = parts.map(|(from, to)| (to - from).as_ms());
             out.latency_ms += fork + compute + join;
             out.group_ms.push((fork, compute, join));
+            now = run.end;
+            if run.status != QueryStatus::Ok {
+                out.status = run.status;
+            }
+            if run.status == QueryStatus::Failed {
+                break;
+            }
         }
+        out.worker_ms = std::mem::take(&mut s.lane_ms);
+        out.resilience = resilience;
         out
     }
 
@@ -255,10 +135,60 @@ mod tests {
     use gillis_model::zoo;
     use gillis_perf::PerfModel;
 
-    use super::super::fixtures::stress_chaos;
+    use gillis_faas::fleet::Fleet;
+
+    use super::super::fixtures::{forced_split_plan, stress_chaos};
     use super::*;
     use crate::dp::DpPartitioner;
     use crate::predict::predict_plan;
+
+    #[test]
+    fn simulation_and_fleet_serving_run_one_attempt_loop() {
+        // The same query from the same stream, simulated and served on a
+        // fleet warm enough that nothing cold-starts, under every fault kind
+        // but orchestrator crashes (which only the fleet path samples): one
+        // attempt loop, so the same microsecond and the same counters.
+        let platform = PlatformProfile::aws_lambda();
+        let tiny = zoo::tiny_vgg();
+        let plan = forced_split_plan(&tiny);
+        let rt = ForkJoinRuntime::new(&tiny, &plan, platform.clone())
+            .unwrap()
+            .with_chaos(stress_chaos(17))
+            .unwrap()
+            .with_policy(ResiliencePolicy::backoff_hedged());
+        let mut total = ResilienceCounters::default();
+        for i in 0..60u64 {
+            let mut fleet = Fleet::new(platform.clone());
+            rt.deploy(&mut fleet).unwrap();
+            rt.prewarm(&mut fleet, 4).unwrap();
+            let mut billing = rt.billing_meter();
+            let mut served = ResilienceCounters::default();
+            let done = rt
+                .run_query_at(
+                    &mut fleet,
+                    &mut billing,
+                    Micros::ZERO,
+                    &mut StdRng::seed_from_u64(i),
+                    i,
+                    &mut served,
+                )
+                .unwrap();
+            let sim = rt.simulate_query_at(i, &mut StdRng::seed_from_u64(i));
+            assert_eq!(Micros::from_ms(sim.latency_ms), done, "query {i}");
+            let mut counted = sim.resilience;
+            counted.record_status(sim.status);
+            assert_eq!(counted, served, "query {i}");
+            if sim.status == QueryStatus::Ok {
+                let parts: f64 = sim.group_ms.iter().map(|&(f, c, j)| f + c + j).sum();
+                assert_eq!(parts.to_bits(), sim.latency_ms.to_bits(), "query {i}");
+            }
+            assert_eq!(fleet.cold_starts(), 0);
+            total.absorb(&served);
+        }
+        // The faults bit: lanes retried, hedged and were caught corrupt.
+        let bit = total.retries > 0 && total.hedges > 0 && total.corruptions_detected > 0;
+        assert!(bit, "{total:?}");
+    }
 
     #[test]
     fn simulated_latency_matches_prediction() {

@@ -220,6 +220,11 @@ impl Fleet {
             .ok_or_else(|| FaasError::NoSuchFunction(name.to_string()))?;
         Ok((p.cold_starts, p.warm_starts, p.peak_instances))
     }
+
+    /// Cold starts summed over every deployed function.
+    pub fn cold_starts(&self) -> u64 {
+        self.pools.values().map(|p| p.cold_starts).sum()
+    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //! The driver walks `NC` columns → `KC` reduction steps → batch items. For
 //! each such block it packs `KC × NC` values of `B` into `NR`-wide
 //! micro-panels in one bounded per-thread buffer
-//! ([`Site::PackB`](crate::scratch::Site), at most `KC·NC` floats), straight
-//! from the image or the matrix, and sweeps `MR` rows of `A` at a time over
-//! every panel through one `MR × NR` micro-kernel. `A` — a filter bank — is
-//! read in place from the caller's row-major rows: nothing about it is
-//! copied, at compile time or per call. Batch items share the `A` slab of a
+//! ([`Site::PackB`](crate::scratch::Site), at most `KC·NC` floats from its
+//! first 64-byte boundary), straight from the image or the matrix, and
+//! sweeps `MR` rows of `A` at a time over every panel through one `MR × NR`
+//! micro-kernel. `A` — a filter bank — is read in place from the caller's
+//! row-major rows: nothing about it is copied, at compile time or per call. Batch items share the `A` slab of a
 //! `KC` step while it is cache-hot and write their own output buffers.
 //!
 //! The tile is the kernel's, chosen once per call: `12 × 32` (24 zmm
@@ -398,11 +398,15 @@ impl Driver<'_> {
     /// `K::NR`-aligned, or 0.
     fn block<K: Kernel>(&self, rows: Range<usize>, cols: Range<usize>) {
         let (m, n, k) = (self.m, self.n, self.k);
-        let mut buf = scratch::take(Site::PackB);
-        let need = k.min(KC) * cols.len().min(NC).next_multiple_of(K::NR);
-        if buf.len() < need {
-            buf.resize(need, 0.0);
+        let mut scratch_buf = scratch::take(Site::PackB);
+        // Sixteen floats of slack let the panels start on a cache line, so
+        // no zmm load of a panel straddles two.
+        let need = k.min(KC) * cols.len().min(NC).next_multiple_of(K::NR) + 16;
+        if scratch_buf.len() < need {
+            scratch_buf.resize(need, 0.0);
         }
+        let aligned = scratch_buf.as_ptr().align_offset(64);
+        let buf = &mut scratch_buf[aligned..];
         let item_len = self.inputs.len() / self.batch;
         for j0 in cols.clone().step_by(NC) {
             let nc = NC.min(cols.end - j0);
@@ -410,7 +414,7 @@ impl Driver<'_> {
                 let kc = KC.min(k - k0);
                 for item in 0..self.batch {
                     let input = &self.inputs[item * item_len..][..item_len];
-                    self.operand.pack::<K>(input, n, k0, kc, j0, nc, &mut buf);
+                    self.operand.pack::<K>(input, n, k0, kc, j0, nc, buf);
                     let panels = buf[..kc * nc.next_multiple_of(K::NR)].chunks_exact(kc * K::NR);
                     for (p, panel) in panels.enumerate() {
                         let j = j0 + p * K::NR;
@@ -432,7 +436,7 @@ impl Driver<'_> {
                 }
             }
         }
-        scratch::put(Site::PackB, buf);
+        scratch::put(Site::PackB, scratch_buf);
     }
 }
 
@@ -850,9 +854,10 @@ fn gemv_multi_rows(cols: usize, nrhs: usize, w: &[f32], xs: &[f32], outs: &mut [
     }
 }
 
-/// Bytes of one full packed block: the most scratch the driver ever holds.
+/// Bytes of one full packed block and its alignment slack: the most scratch
+/// the driver ever holds.
 #[cfg(test)]
-pub(crate) const PACKED_BLOCK_BYTES: usize = KC * NC * std::mem::size_of::<f32>();
+pub(crate) const PACKED_BLOCK_BYTES: usize = (KC * NC + 16) * std::mem::size_of::<f32>();
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,8 @@ use std::cell::RefCell;
 /// correct but defeats reuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// Packed `B` block of the f32 GEMM driver: at most `KC·NC` floats.
+    /// Packed `B` block of the f32 GEMM driver: at most `KC·NC` floats and
+    /// 16 of slack to start them on a cache line.
     PackB = 0,
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
