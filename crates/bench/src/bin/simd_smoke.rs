@@ -68,7 +68,7 @@ fn conv3_2_ns() -> f64 {
     let mut out = vec![0.0f32; 256 * CONV3_2.n()];
     let (ns, _) = measure(3, || {
         out.fill(0.0);
-        conv_gemm_with_threads(256, &weight, &CONV3_2, &input, 1, &mut out, 1);
+        conv_gemm_with_threads(256, &weight, &CONV3_2, &input, 1, &mut out, 1, &[]);
     });
     ns
 }

@@ -18,9 +18,11 @@
 //!   compile time by liveness — a value keeps its slot until its last reader
 //!   has run, then the slot is handed to the next value — so a chain runs in
 //!   two slots, a residual block in three, an inception module in one per
-//!   live branch. Batch norm and ReLU rewrite their producer's output in
-//!   place where nothing else reads it. An LSTM step adds its states and gate
-//!   pre-activations as kernel scratch, planned the same way.
+//!   live branch. Batch norm and ReLU are the epilogue of the step that
+//!   produces their input, where nothing else reads it: the kernel applies
+//!   them to each element it writes, so they cost no pass of their own. An
+//!   LSTM step adds its states and gate pre-activations as kernel scratch,
+//!   planned the same way.
 //!   Every run is `n` item-major queries wide and a single query is `n = 1`
 //!   of the same steps.
 //! - [`Arena`] — the slots and scratch a segment runs on, sized from an
@@ -51,10 +53,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use gillis_tensor::ops::{
-    avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw, dense_multi_into,
-    depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len, lstm_sequence_into,
-    max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, LstmParams, Padding,
-    Pool2dParams,
+    apply_epilogue, avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw,
+    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len,
+    lstm_sequence_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, Epilogue,
+    LstmParams, Padding, Pool2dParams,
 };
 use gillis_tensor::{Shape, Tensor};
 
@@ -176,48 +178,6 @@ impl StepKind {
     }
 }
 
-/// An element-wise op that rewrites its producer's output in place: every
-/// element is read once and replaced by a function of itself alone, so no
-/// second buffer is needed and the per-element arithmetic — hence every bit —
-/// is that of the executor's out-of-place `batch_norm` / `relu`.
-#[derive(Debug)]
-enum Sweep {
-    /// Batch norm folded to `y = x·scale + shift` at compile time, with a
-    /// directly following ReLU folded into the same pass.
-    Bn {
-        scale: Vec<f32>,
-        shift: Vec<f32>,
-        plane: usize,
-        relu: bool,
-    },
-    Relu,
-}
-
-impl Sweep {
-    /// Applies the op to `buf`: one CHW activation, or several item-major.
-    fn apply(&self, buf: &mut [f32]) {
-        match self {
-            Sweep::Bn {
-                scale,
-                shift,
-                plane,
-                relu,
-            } => {
-                let channels = scale.iter().zip(shift).cycle();
-                for (p, (&scale, &shift)) in buf.chunks_exact_mut(*plane).zip(channels) {
-                    if *relu {
-                        p.iter_mut()
-                            .for_each(|v| *v = (*v * scale + shift).max(0.0));
-                    } else {
-                        p.iter_mut().for_each(|v| *v = *v * scale + shift);
-                    }
-                }
-            }
-            Sweep::Relu => buf.iter_mut().for_each(|v| *v = v.max(0.0)),
-        }
-    }
-}
-
 /// Where a step finds an operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Operand {
@@ -235,7 +195,8 @@ struct Read {
 }
 
 /// A lowered op, the operands it reads and the arena slot it writes — never
-/// one it reads — plus the sweeps that then rewrite its output there.
+/// one it reads — plus the element-wise ops it applies to each element it
+/// writes there (see [`exec_step`]).
 #[derive(Debug)]
 struct Step {
     kind: StepKind,
@@ -243,7 +204,10 @@ struct Step {
     writes: usize,
     /// Output length of one item.
     out_len: usize,
-    sweeps: Vec<Sweep>,
+    /// Elements per channel of the output: `h·w` of a CHW value, the whole
+    /// item otherwise.
+    plane: usize,
+    sweeps: Vec<Epilogue>,
 }
 
 /// Per-item lengths of an arena's slots and kernel scratch: what one piece's
@@ -376,8 +340,25 @@ fn items<'a>(
         .zip(out.chunks_exact_mut(out.len() / n))
 }
 
+/// Writes `out` a plane at a time — `write(at, plane)` fills it with
+/// elements `at ..` — and hands each plane to `sweeps` while it is in cache.
+fn by_plane(
+    out: &mut [f32],
+    plane: usize,
+    sweeps: &[Epilogue],
+    mut write: impl FnMut(usize, &mut [f32]),
+) {
+    for (at, dst) in (0..).step_by(plane).zip(out.chunks_mut(plane)) {
+        write(at, dst);
+        apply_epilogue(sweeps, plane, at, dst);
+    }
+}
+
 /// Executes one lowered op over `n` item-major activations, from its
 /// operands (`src(k)` is the `k`-th) into `out`; a single query is `n = 1`.
+/// Every arm applies the step's sweeps as it writes: the conv, depthwise,
+/// pooling and dense kernels take them as their epilogue, the loops here
+/// apply them to each plane or row they have just written.
 ///
 /// Conv, dense and LSTM steps hand the whole batch to their kernels, so it
 /// shares one traversal of the weights: the conv driver loops over the items
@@ -401,6 +382,7 @@ fn exec_step<'a>(
     scratch: &mut [f32],
 ) -> Result<()> {
     let input = src(0);
+    let (sweeps, plane) = (&step.sweeps[..], step.plane);
     match &step.kind {
         StepKind::Slice {
             outer,
@@ -412,15 +394,22 @@ fn exec_step<'a>(
             for (input, out) in items(n, input, out) {
                 for o in 0..*outer {
                     let src = o * size * inner + range.start * inner;
-                    out[o * rlen..(o + 1) * rlen].copy_from_slice(&input[src..src + rlen]);
+                    let dst = &mut out[o * rlen..(o + 1) * rlen];
+                    dst.copy_from_slice(&input[src..src + rlen]);
+                    apply_epilogue(sweeps, plane, o * rlen, dst);
                 }
             }
         }
-        StepKind::Copy => out.copy_from_slice(input),
+        StepKind::Copy => by_plane(out, plane, sweeps, |at, dst| {
+            dst.copy_from_slice(&input[at..at + dst.len()]);
+        }),
         StepKind::Add => {
-            for ((o, a), b) in out.iter_mut().zip(input).zip(src(1)) {
-                *o = a + b;
-            }
+            let other = src(1);
+            by_plane(out, plane, sweeps, |at, dst| {
+                for ((o, a), b) in dst.iter_mut().zip(&input[at..]).zip(&other[at..]) {
+                    *o = a + b;
+                }
+            });
         }
         StepKind::Concat => {
             let item = out.len() / n;
@@ -428,7 +417,9 @@ fn exec_step<'a>(
             for k in 0..step.reads.len() {
                 let len = step.reads[k].len;
                 for (part, out) in src(k).chunks(len.max(1)).zip(out.chunks_mut(item)) {
-                    out[at..at + len].copy_from_slice(part);
+                    let dst = &mut out[at..at + len];
+                    dst.copy_from_slice(part);
+                    apply_epilogue(sweeps, plane, at, dst);
                 }
                 at += len;
             }
@@ -454,6 +445,7 @@ fn exec_step<'a>(
                 params,
                 *out_hw,
                 out,
+                sweeps,
             );
         }
         StepKind::Depthwise {
@@ -466,7 +458,19 @@ fn exec_step<'a>(
             out_hw,
         } => {
             let (w, b) = weight_rows(map, *id, rows)?;
-            depthwise_conv2d_into(input, n, *c, *in_h, *in_w, w, Some(b), params, *out_hw, out);
+            depthwise_conv2d_into(
+                input,
+                n,
+                *c,
+                *in_h,
+                *in_w,
+                w,
+                Some(b),
+                params,
+                *out_hw,
+                out,
+                sweeps,
+            );
         }
         StepKind::Pool {
             params,
@@ -480,16 +484,17 @@ fn exec_step<'a>(
             } else {
                 avg_pool2d_into
             };
-            pool(input, n, *c, *in_hw, *out_hw, params, out);
+            pool(input, n, *c, *in_hw, *out_hw, params, out, sweeps);
         }
-        StepKind::GlobalAvgPool { c, plane } => {
+        StepKind::GlobalAvgPool { c, plane: in_plane } => {
             for (input, out) in items(n, input, out) {
-                global_avg_pool_into(input, *c, *plane, out);
+                global_avg_pool_into(input, *c, *in_plane, out);
+                apply_epilogue(sweeps, plane, 0, out);
             }
         }
         StepKind::Dense { id, rows } => {
             let (w, b) = weight_rows(map, *id, rows)?;
-            dense_multi_into(w, input, Some(b), out, n);
+            dense_multi_into(w, input, Some(b), out, n, sweeps);
         }
         StepKind::Lstm {
             id,
@@ -502,10 +507,14 @@ fn exec_step<'a>(
             state.fill(0.0);
             let state = state.split_at_mut(n * hidden);
             lstm_sequence_into(params, n, input, state, gates, out);
+            // Each output row is the next timestep's state, so a sweep
+            // (no zoo model has one here) waits for the whole sequence.
+            apply_epilogue(sweeps, plane, 0, out);
         }
         StepKind::Softmax => {
             for (input, out) in items(n, input, out) {
                 softmax_into(input, out);
+                apply_epilogue(sweeps, plane, 0, out);
             }
         }
     }
@@ -651,7 +660,7 @@ impl CompiledSegment {
     }
 
     /// Runs the steps over `n` item-major inputs on `arena`; the last step
-    /// writes `out` instead of its slot, and its sweeps run there.
+    /// writes `out` instead of its slot.
     fn run_steps(
         &self,
         arena: &mut Arena,
@@ -688,7 +697,6 @@ impl CompiledSegment {
             };
             let scratch = &mut scratch[..n * step.kind.scratch_len()];
             let done = exec_step(step, weights, n, src, dst, scratch);
-            step.sweeps.iter().for_each(|s| s.apply(dst));
             slots[step.writes] = own;
             done?;
         }
@@ -897,11 +905,16 @@ impl Builder<'_> {
                 self.pending[s] -= 1;
             }
         }
+        let plane = match dims[..] {
+            [_, h, w] => h * w,
+            _ => out_len,
+        };
         self.steps.push(Step {
             kind,
             reads,
             writes: slot,
             out_len,
+            plane: plane.max(1),
             sweeps: Vec::new(),
         });
         Value {
@@ -921,11 +934,11 @@ impl Builder<'_> {
         Value { at: x.at, dims }
     }
 
-    /// Lowers element-wise node `id` to a sweep over `x`: in place — attached
-    /// to the step that has just written `x` — when `id` is that value's only
-    /// reader, else over a copy, so neither the caller's input nor a value
+    /// Lowers element-wise node `id` to a sweep over `x`: the epilogue of
+    /// the step that has just written `x` when `id` is that value's only
+    /// reader, else of a copy, so neither the caller's input nor a value
     /// someone else reads is ever rewritten.
-    fn push_sweep(&mut self, id: NodeId, x: &Value, sweep: Sweep) -> Value {
+    fn push_sweep(&mut self, id: NodeId, x: &Value, sweep: Epilogue) -> Value {
         let last = self.steps.last().map(|s| Operand::Slot(s.writes));
         let in_place =
             matches!(x.at, Operand::Slot(s) if last == Some(x.at) && self.pending[s] == 1);
@@ -935,7 +948,7 @@ impl Builder<'_> {
         };
         let sweeps = &mut self.steps.last_mut().expect("the value's step").sweeps;
         match (sweeps.last_mut(), &sweep) {
-            (Some(Sweep::Bn { relu, .. }), Sweep::Relu) if !*relu => *relu = true,
+            (Some(Epilogue::Affine { relu, .. }), Epilogue::Relu) if !*relu => *relu = true,
             _ => sweeps.push(sweep),
         }
         value
@@ -1055,7 +1068,7 @@ impl Builder<'_> {
     }
 
     fn push_bn(&mut self, id: NodeId, x: &Value, channels: Option<&Range<usize>>) -> Result<Value> {
-        let (c, h, w) = Self::require_chw(&x.dims, "batch norm")?;
+        let (c, ..) = Self::require_chw(&x.dims, "batch norm")?;
         let (scale, shift) = self.bn_fold(id, channels)?;
         if scale.len() != c {
             return Err(ModelError::BadWeights(format!(
@@ -1063,10 +1076,9 @@ impl Builder<'_> {
                 scale.len()
             )));
         }
-        let sweep = Sweep::Bn {
+        let sweep = Epilogue::Affine {
             scale,
             shift,
-            plane: h * w,
             relu: false,
         };
         Ok(self.push_sweep(id, x, sweep))
@@ -1162,7 +1174,7 @@ impl Builder<'_> {
                 self.push_pool(id, x, params, is_max)
             }
             LayerOp::BatchNorm => self.push_bn(id, x, channels),
-            LayerOp::Relu => Ok(self.push_sweep(id, x, Sweep::Relu)),
+            LayerOp::Relu => Ok(self.push_sweep(id, x, Epilogue::Relu)),
             LayerOp::GlobalAvgPool => {
                 let (c, h, w) = Self::require_chw(&x.dims, "global average pool")?;
                 let kind = StepKind::GlobalAvgPool { c, plane: h * w };
@@ -1971,7 +1983,7 @@ mod tests {
             .iter()
             .flat_map(|s| &s.sweeps)
             .map(|s| match s {
-                Sweep::Bn { relu: true, .. } => 2,
+                Epilogue::Affine { relu: true, .. } => 2,
                 _ => 1,
             })
             .sum();
@@ -2277,7 +2289,7 @@ mod tests {
         assert!(matches!(seg.steps[0].kind, StepKind::Copy));
         assert!(matches!(
             seg.steps[0].sweeps[..],
-            [Sweep::Bn { relu: true, .. }]
+            [Epilogue::Affine { relu: true, .. }]
         ));
         assert_eq!(seg.activation_bytes(), 4 * input.shape().len());
         let before = input.data().to_vec();
@@ -2494,7 +2506,7 @@ mod tests {
             assert!(matches!(seg.steps[conv0 + 1].kind, StepKind::Copy));
             assert!(matches!(
                 seg.steps[conv0 + 1].sweeps[..],
-                [Sweep::Bn { relu: true, .. }]
+                [Epilogue::Affine { relu: true, .. }]
             ));
             let reference = owned_slice(&exec, model.layers(), &x, &spec);
             let out = seg.run(&weights, x.data()).unwrap();

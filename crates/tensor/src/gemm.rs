@@ -38,7 +38,9 @@
 //! `GILLIS_THREADS` settings and batch widths, and equal to a naive
 //! `acc += a[i][k] * b[k][j]` loop — the accumulation order of the reference
 //! convolution (padding taps are explicit `0.0` entries of `B`, which only
-//! affect the sign of a zero).
+//! affect the sign of a zero). An [`Epilogue`] rewriting a task's block of
+//! `NC` columns (row `i` as channel `i`) after its last `KC` step changes
+//! none of that.
 //!
 //! With the `simd` cargo feature enabled *and* AVX2+FMA reported at runtime
 //! (see [`crate::simd::simd_active`]) the multiply-add is fused. That changes
@@ -66,6 +68,88 @@ use gillis_pool::{Pool, Task};
 use crate::scratch::{self, Site};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::simd::{micro_fma, micro_fma512};
+
+/// An element-wise op a kernel applies to each element it produces before
+/// anything reads it: the batch norms and ReLUs a merged layer folds into its
+/// weight layer. Element `v` of channel `c` becomes `v·scale[c] + shift[c]`,
+/// never fused, then `v.max(0.0)`: the executor's `batch_norm` and `relu`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Epilogue {
+    /// Batch norm folded to a per-channel `v·scale + shift`, and a directly
+    /// following ReLU when `relu` is set.
+    Affine {
+        scale: Vec<f32>,
+        shift: Vec<f32>,
+        relu: bool,
+    },
+    /// ReLU alone.
+    Relu,
+}
+
+/// Applies `ops`, in order, to `rows` rows of `cols` elements at stride `ld`
+/// from `at`, row `r` holding channel `ch + r` — under
+/// [`simd_active`](crate::simd::simd_active) compiled for AVX2, so the rows
+/// vectorise. `vmaxps(v, 0)` is what `v.max(0.0)` compiles to either way
+/// (`+0.0` for a NaN and for `-0.0`), so the bits do not depend on the body.
+///
+/// # Safety
+///
+/// `at` must be valid for reads and writes of those rows, and nothing else
+/// may access them during the call.
+pub(crate) unsafe fn epilogue_rows(
+    ops: &[Epilogue],
+    ch: usize,
+    at: *mut f32,
+    dims: (usize, usize, usize),
+) {
+    /// The rows compiled for AVX2.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2(ops: &[Epilogue], ch: usize, at: *mut f32, dims: (usize, usize, usize)) {
+        rows(ops, ch, at, dims)
+    }
+    #[inline(always)]
+    unsafe fn rows(ops: &[Epilogue], ch: usize, at: *mut f32, dims: (usize, usize, usize)) {
+        let (rows, cols, ld) = dims;
+        let row = |r: usize| std::slice::from_raw_parts_mut(at.add(r * ld), cols);
+        for op in ops {
+            let Epilogue::Affine { scale, shift, relu } = op else {
+                (0..rows).for_each(|r| row(r).iter_mut().for_each(|v| *v = v.max(0.0)));
+                continue;
+            };
+            let c = ch % scale.len();
+            for (r, (&s, &t)) in scale[c..c + rows].iter().zip(&shift[c..]).enumerate() {
+                let affine = |v: &mut f32| *v = *v * s + t;
+                match relu {
+                    true => row(r).iter_mut().for_each(|v| *v = (*v * s + t).max(0.0)),
+                    false => row(r).iter_mut().for_each(affine),
+                }
+            }
+        }
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if crate::simd::simd_active() {
+        // SAFETY: simd_active() verified AVX2 at runtime.
+        return avx2(ops, ch, at, dims);
+    }
+    rows(ops, ch, at, dims)
+}
+
+/// Applies `ops`, in order, to `vals`: elements `from ..` of one or more
+/// item-major activations with `plane` elements per channel (a rank-1
+/// value is one plane).
+pub fn apply_epilogue(ops: &[Epilogue], plane: usize, from: usize, vals: &mut [f32]) {
+    if ops.is_empty() {
+        return;
+    }
+    let (mut at, mut rest) = (from, vals);
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_at_mut((plane - at % plane).min(rest.len()));
+        // SAFETY: `head` is one exclusively borrowed row.
+        unsafe { epilogue_rows(ops, at / plane, head.as_mut_ptr(), (1, head.len(), 0)) };
+        (at, rest) = (at + head.len(), tail);
+    }
+}
 
 /// Reduction steps per packed block: one micro-panel (`KC × NR` floats) stays
 /// in L1 while the rows of `A` sweep over it.
@@ -361,6 +445,7 @@ struct Driver<'a> {
     inputs: &'a [f32],
     batch: usize,
     out: OutPtr,
+    epilogue: &'a [Epilogue],
 }
 
 impl Driver<'_> {
@@ -369,7 +454,14 @@ impl Driver<'_> {
     /// more of them.
     fn run<K: Kernel>(&self, threads: usize) {
         let (m, n) = (self.m, self.n);
-        if m == 0 || n == 0 || self.k == 0 || self.batch == 0 {
+        if m == 0 || n == 0 || self.batch == 0 {
+            return;
+        }
+        if self.k == 0 {
+            for item in 0..self.batch {
+                // SAFETY: `out` holds `batch` items of `m × n`, all this call's.
+                unsafe { epilogue_rows(self.epilogue, 0, self.out.0.add(item * m * n), (m, n, n)) };
+            }
             return;
         }
         let by_cols = n.div_ceil(K::NR) >= m.div_ceil(K::MR);
@@ -412,6 +504,7 @@ impl Driver<'_> {
             let nc = NC.min(cols.end - j0);
             for k0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - k0);
+                let last = k0 + kc == k;
                 for item in 0..self.batch {
                     let input = &self.inputs[item * item_len..][..item_len];
                     self.operand.pack::<K>(input, n, k0, kc, j0, nc, buf);
@@ -432,6 +525,12 @@ impl Driver<'_> {
                                 tile::<K>(mr, nr, kc, a, k, panel, c, n);
                             }
                         }
+                    }
+                    if last {
+                        // SAFETY: the item's rows `rows` of columns `j0 ..
+                        // j0 + nc` are this task's, as its tiles are.
+                        let c = unsafe { self.out.0.add((item * m + rows.start) * n + j0) };
+                        unsafe { epilogue_rows(self.epilogue, rows.start, c, (rows.len(), nc, n)) };
                     }
                 }
             }
@@ -567,17 +666,14 @@ unsafe fn micro_scalar<const M: usize>(
 }
 
 /// Checks the operand lengths every entry point shares and runs the driver.
-#[allow(clippy::too_many_arguments)]
 fn drive(
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
     a: &[f32],
     operand: Operand,
-    inputs: &[f32],
-    batch: usize,
+    (inputs, batch): (&[f32], usize),
     c: &mut [f32],
     threads: usize,
+    epilogue: &[Epilogue],
 ) {
     assert_eq!(a.len(), m * k, "A must be m*k");
     assert_eq!(c.len(), batch * m * n, "C must be m*n per item");
@@ -590,6 +686,7 @@ fn drive(
         inputs,
         batch,
         out: OutPtr(c.as_mut_ptr()),
+        epilogue,
     };
     // The SIMD kernels run only where their predicate has verified the CPU.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -633,13 +730,14 @@ pub fn gemm_with_threads(
     threads: usize,
 ) {
     assert_eq!(b.len(), k * n, "B must be k*n");
-    drive(m, n, k, a, Operand::Matrix, b, 1, c, threads);
+    drive((m, n, k), a, Operand::Matrix, (b, 1), c, threads, &[]);
 }
 
 /// The convolution GEMM: `C[i] += A · im2col(inputs[i])` for `batch` CHW
 /// images laid out back to back in `inputs`, with `A` the row-major
 /// `m × geom.k()` filter rows and every `C[i]` a row-major `m × geom.n()`
 /// output, back to back in `c` and pre-initialized by the caller (bias).
+/// `epilogue` then rewrites every element, row `i` of `A` being channel `i`.
 ///
 /// Each item's output is bit-identical to running it alone, at any thread
 /// count (see the module docs).
@@ -647,6 +745,7 @@ pub fn gemm_with_threads(
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
+#[allow(clippy::too_many_arguments)]
 pub fn conv_gemm_with_threads(
     m: usize,
     a: &[f32],
@@ -655,6 +754,7 @@ pub fn conv_gemm_with_threads(
     batch: usize,
     c: &mut [f32],
     threads: usize,
+    epilogue: &[Epilogue],
 ) {
     let in_len = geom.channels * geom.in_hw.0 * geom.in_hw.1;
     assert_eq!(inputs.len(), batch * in_len, "inputs must be batch CHW");
@@ -663,7 +763,8 @@ pub fn conv_gemm_with_threads(
     } else {
         Operand::Image(geom)
     };
-    drive(m, geom.n(), geom.k(), a, operand, inputs, batch, c, threads);
+    let dims = (m, geom.n(), geom.k());
+    drive(dims, a, operand, (inputs, batch), c, threads, epilogue);
 }
 
 /// `out += W·x` with `W` row-major `rows`×`cols`: the matrix–vector product
@@ -680,50 +781,50 @@ pub fn conv_gemm_with_threads(
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn gemv(rows: usize, cols: usize, w: &[f32], x: &[f32], out: &mut [f32]) {
-    gemv_with_threads(rows, cols, w, x, out, gemv_threads(rows, cols));
+    gemv_with_threads((rows, cols), w, x, out, gemv_threads(rows, cols), &[]);
 }
 
 /// [`gemv`] with an explicit worker count, bypassing the small-work
 /// threshold — the entry point tests use to check bit-identical results
-/// across thread counts.
+/// across thread counts — each thread then rewriting the outputs it has
+/// just written by `epilogue`.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn gemv_with_threads(
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
     w: &[f32],
     x: &[f32],
     out: &mut [f32],
     threads: usize,
+    epilogue: &[Epilogue],
 ) {
     assert_eq!(w.len(), rows * cols, "W must be rows*cols");
     assert_eq!(x.len(), cols, "x must be cols");
     assert_eq!(out.len(), rows, "out must be rows");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, rows);
-    if threads == 1 {
-        gemv_rows(cols, w, x, out);
-        return;
+    let threads = threads.clamp(1, rows.max(1));
+    if threads == 1 || cols == 0 {
+        return gemv_rows(cols, w, x, out, epilogue);
     }
     let rows_per = rows.div_ceil(threads);
     let tasks: Vec<Task> = w
         .chunks(rows_per * cols)
         .zip(out.chunks_mut(rows_per))
         .map(|(w_chunk, out_chunk)| -> Task {
-            Box::new(move || gemv_rows(cols, w_chunk, x, out_chunk))
+            Box::new(move || gemv_rows(cols, w_chunk, x, out_chunk, epilogue))
         })
         .collect();
     Pool::global().join_all(tasks);
 }
 
-fn gemv_rows(cols: usize, w: &[f32], x: &[f32], out: &mut [f32]) {
-    for (r, o) in out.iter_mut().enumerate() {
-        *o += row_dots::<1>(&w[r * cols..(r + 1) * cols], x)[0];
+fn gemv_rows(cols: usize, w: &[f32], x: &[f32], out: &mut [f32], epilogue: &[Epilogue]) {
+    if cols > 0 {
+        for (r, o) in out.iter_mut().enumerate() {
+            *o += row_dots::<1>(&w[r * cols..(r + 1) * cols], x)[0];
+        }
     }
+    apply_epilogue(epilogue, out.len().max(1), 0, out);
 }
 
 /// Most right-hand sides one pass over a weight row is dotted against: that
@@ -958,6 +1059,7 @@ mod tests {
                 inputs,
                 batch: 2,
                 out,
+                epilogue: &[],
             }
             .run::<K>(threads);
             bits(&c)
@@ -1055,8 +1157,8 @@ mod tests {
             let x = pseudo(cols, seed, 1181783497);
             let mut out1 = vec![0.125f32; rows];
             let mut out8 = out1.clone();
-            gemv_with_threads(rows, cols, &w, &x, &mut out1, 1);
-            gemv_with_threads(rows, cols, &w, &x, &mut out8, 8);
+            gemv_with_threads((rows, cols), &w, &x, &mut out1, 1, &[]);
+            gemv_with_threads((rows, cols), &w, &x, &mut out8, 8, &[]);
             prop_assert_eq!(bits(&out1), bits(&out8));
         }
 

@@ -12,19 +12,6 @@ pub fn relu(input: &Tensor) -> Tensor {
     input.map(|x| x.max(0.0))
 }
 
-/// Rectified linear unit over raw buffers writing into a caller-owned
-/// output — the compiled-partition hot path. Bit-identical to [`relu`].
-///
-/// # Panics
-///
-/// Panics if `out.len() != x.len()`.
-pub fn relu_into(x: &[f32], out: &mut [f32]) {
-    assert_eq!(out.len(), x.len(), "out must match input");
-    for (o, &v) in out.iter_mut().zip(x.iter()) {
-        *o = v.max(0.0);
-    }
-}
-
 /// Logistic sigmoid of one value: the expression behind [`sigmoid`] and the
 /// LSTM gates, which must agree to the bit.
 #[inline]

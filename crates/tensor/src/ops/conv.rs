@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use super::Padding;
 use crate::error::TensorError;
-use crate::gemm;
+use crate::gemm::{self, Epilogue};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -114,6 +114,7 @@ pub fn conv2d(
         params,
         (out_h, out_w),
         &mut out,
+        &[],
     );
     Tensor::from_vec(Shape::new(vec![out_c, out_h, out_w]), out)
 }
@@ -163,7 +164,9 @@ pub(super) fn fill_bias(outs: &mut [f32], n: usize, bias: Option<&[f32]>) {
 /// per-thread scratch: no im2col matrix and no copy of the weights exist, and
 /// a warmed thread performs no heap allocation here. Each item's output is
 /// bit-identical to convolving it alone, at any thread count — a batch only
-/// shares the traversal of the filter rows.
+/// shares the traversal of the filter rows. `epilogue` (channel `i` is filter
+/// row `i`) rewrites each block of columns after its last accumulation, in
+/// the task that computed it, while the block is in cache.
 ///
 /// # Panics
 ///
@@ -180,6 +183,7 @@ pub fn conv2d_into(
     params: &Conv2dParams,
     out_hw: (usize, usize),
     outs: &mut [f32],
+    epilogue: &[Epilogue],
 ) {
     let geom = lowering(in_c, in_h, in_w, params, out_hw);
     let (n_dim, k_dim) = (geom.n(), geom.k());
@@ -195,7 +199,7 @@ pub fn conv2d_into(
     fill_bias(outs, n_dim, bias);
     let macs = (batch * out_c).saturating_mul(n_dim).saturating_mul(k_dim);
     let threads = gemm::gemm_threads(macs);
-    gemm::conv_gemm_with_threads(out_c, weight, &geom, inputs, batch, outs, threads);
+    gemm::conv_gemm_with_threads(out_c, weight, &geom, inputs, batch, outs, threads, epilogue);
 }
 
 /// Reference 6-loop convolution the GEMM path is validated against, over raw
@@ -319,12 +323,20 @@ mod tests {
                 &params,
                 out_hw,
                 &mut got,
+                &[],
             );
             assert_eq!(bits(&got), want, "{case:?} batch={batch}");
             for threads in [1usize, 2, 8] {
                 fill_bias(&mut got, geom.n(), Some(&bias));
                 gemm::conv_gemm_with_threads(
-                    out_c, &weight, &geom, inputs, batch, &mut got, threads,
+                    out_c,
+                    &weight,
+                    &geom,
+                    inputs,
+                    batch,
+                    &mut got,
+                    threads,
+                    &[],
                 );
                 assert_eq!(bits(&got), want, "{case:?} batch={batch} threads={threads}");
             }
@@ -408,12 +420,12 @@ mod tests {
             let bias: Vec<f32> = (0..out_c).map(|i| pseudo(i, seed ^ 0x77)).collect();
             let mut seq = vec![0.0f32; batch * out_len];
             for (x, out) in inputs.chunks(in_len).zip(seq.chunks_mut(out_len)) {
-                conv2d_into(x, 1, in_c, in_h, in_w, &weight, Some(&bias), &params, out_hw, out);
+                conv2d_into(x, 1, in_c, in_h, in_w, &weight, Some(&bias), &params, out_hw, out, &[]);
             }
             let mut batched = vec![0.0f32; batch * out_len];
             conv2d_into(
                 &inputs, batch, in_c, in_h, in_w, &weight, Some(&bias), &params, out_hw,
-                &mut batched,
+                &mut batched, &[],
             );
             prop_assert_eq!(bits(&seq), bits(&batched));
         }
@@ -431,7 +443,7 @@ mod tests {
             let input = vec![0.5f32; c * hw * hw];
             let weight = vec![0.25f32; 128 * geom.k()];
             let mut out = vec![0.0f32; 128 * geom.n()];
-            gemm::conv_gemm_with_threads(128, &weight, &geom, &input, 1, &mut out, 1);
+            gemm::conv_gemm_with_threads(128, &weight, &geom, &input, 1, &mut out, 1, &[]);
             // Interior outputs see all 576 taps of 0.5 · 0.25.
             assert_eq!(out[hw + 1], 72.0);
             scratch::largest_site_bytes()

@@ -1,7 +1,7 @@
 //! Dense (fully connected) layers.
 
 use crate::error::TensorError;
-use crate::gemm;
+use crate::gemm::{self, Epilogue};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -49,18 +49,26 @@ pub fn dense(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<T
         input.data(),
         bias.map(|b| b.data()),
         &mut out,
+        &[],
     );
     Tensor::from_vec(Shape::new(vec![out_n]), out)
 }
 
 /// Dense layer over raw buffers writing into a caller-owned output — the
 /// compiled-partition hot path. `w` is `[out, in]` row-major, `x` is `[in]`,
-/// `bias` (if present) is `[out]`. Bit-identical to [`dense`].
+/// `bias` (if present) is `[out]`. Bit-identical to [`dense`], then
+/// rewritten by `epilogue` in the task that computed each output.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent.
-pub fn dense_into(w: &[f32], x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
+pub fn dense_into(
+    w: &[f32],
+    x: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    epilogue: &[Epilogue],
+) {
     let out_n = out.len();
     let in_n = x.len();
     assert_eq!(w.len(), out_n * in_n, "weight must be [out, in]");
@@ -71,7 +79,8 @@ pub fn dense_into(w: &[f32], x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
         }
         None => out.fill(0.0),
     }
-    gemm::gemv(out_n, in_n, w, x, out);
+    let threads = gemm::gemv_threads(out_n, in_n);
+    gemm::gemv_with_threads((out_n, in_n), w, x, out, threads, epilogue);
 }
 
 /// Batched dense layer over raw buffers: `batch` input vectors laid out
@@ -86,7 +95,8 @@ pub fn dense_into(w: &[f32], x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
 /// operands in both paths. `batch == 1` delegates to [`dense_into`] directly
 /// (no widened scratch is touched). The widened accumulator lives in
 /// per-thread scratch, so warmed threads allocate nothing for batches up to
-/// the largest size seen.
+/// the largest size seen. `epilogue` rewrites each item's outputs as they
+/// are written.
 ///
 /// # Panics
 ///
@@ -97,6 +107,7 @@ pub fn dense_multi_into(
     bias: Option<&[f32]>,
     outs: &mut [f32],
     batch: usize,
+    epilogue: &[Epilogue],
 ) {
     if batch == 0 {
         return;
@@ -107,8 +118,7 @@ pub fn dense_multi_into(
     let in_n = xs.len() / batch;
     assert_eq!(w.len(), out_n * in_n, "weight must be [out, in]");
     if batch == 1 {
-        dense_into(w, xs, bias, outs);
-        return;
+        return dense_into(w, xs, bias, outs, epilogue);
     }
     // Widened accumulator, row-major `out_n × batch`, seeded with the bias
     // exactly like the sequential path seeds each item's output.
@@ -126,6 +136,7 @@ pub fn dense_multi_into(
         for (r, o) in out.iter_mut().enumerate() {
             *o = acc[r * batch + i];
         }
+        gemm::apply_epilogue(epilogue, out_n, 0, out);
     }
     crate::scratch::put(crate::scratch::Site::BatchGemv, acc);
 }
@@ -201,10 +212,10 @@ mod tests {
             let xs: Vec<f32> = (0..batch * in_n).map(|i| pseudo(i, seed ^ 0x91)).collect();
             let mut seq = vec![0.0f32; batch * out_n];
             for (x, out) in xs.chunks(in_n).zip(seq.chunks_mut(out_n)) {
-                dense_into(&w, x, Some(&b), out);
+                dense_into(&w, x, Some(&b), out, &[]);
             }
             let mut batched = vec![0.0f32; batch * out_n];
-            dense_multi_into(&w, &xs, Some(&b), &mut batched, batch);
+            dense_multi_into(&w, &xs, Some(&b), &mut batched, batch, &[]);
             for (s, m) in seq.iter().zip(batched.iter()) {
                 prop_assert_eq!(s.to_bits(), m.to_bits());
             }
@@ -217,9 +228,9 @@ mod tests {
         let b: Vec<f32> = (0..6).map(|i| i as f32 * 0.25).collect();
         let x: Vec<f32> = (0..5).map(|i| (i as f32).cos()).collect();
         let mut seq = vec![0.0f32; 6];
-        dense_into(&w, &x, Some(&b), &mut seq);
+        dense_into(&w, &x, Some(&b), &mut seq, &[]);
         let mut one = vec![0.0f32; 6];
-        dense_multi_into(&w, &x, Some(&b), &mut one, 1);
+        dense_multi_into(&w, &x, Some(&b), &mut one, 1, &[]);
         assert_eq!(seq, one);
     }
 

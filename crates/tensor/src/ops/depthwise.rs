@@ -16,6 +16,7 @@ use super::conv::{conv2d_output_hw, lowering};
 use super::window::{window_into, Fold};
 use super::Conv2dParams;
 use crate::error::TensorError;
+use crate::gemm::Epilogue;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -87,6 +88,7 @@ pub fn depthwise_conv2d(
         params,
         (out_h, out_w),
         &mut out,
+        &[],
     );
     Tensor::from_vec(Shape::new(vec![c, out_h, out_w]), out)
 }
@@ -103,7 +105,8 @@ pub fn depthwise_conv2d(
 /// multiplying an explicit `+0.0` (fused under
 /// [`simd_active`](crate::simd::simd_active)). So each item's output is
 /// bit-identical to convolving it alone, at any thread count, and a warmed
-/// thread performs no heap allocation here.
+/// thread performs no heap allocation here. `epilogue` rewrites each output
+/// plane right after the driver folds it.
 ///
 /// # Panics
 ///
@@ -120,10 +123,11 @@ pub fn depthwise_conv2d_into(
     params: &Conv2dParams,
     out_hw: (usize, usize),
     outs: &mut [f32],
+    epilogue: &[Epilogue],
 ) {
     let geom = lowering(c, in_h, in_w, params, out_hw);
     let fold = Fold::Depthwise { weight: w, bias };
-    window_into(inputs, batch, &geom, fold, outs);
+    window_into(inputs, batch, &geom, (fold, epilogue), outs, None);
 }
 
 /// Reference per-channel loop the window driver is validated against: bias
@@ -179,8 +183,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Asymmetric padding (a halo slice), every stride and kernel shape,
-        /// and rows long enough for the four-vector blocks, single vectors
-        /// and a partial vector of the AVX2 body.
+        /// and rows long enough for the two-vector blocks, single vectors
+        /// and a partial vector of the vector body.
         #[test]
         fn window_path_matches_naive_reference_bitwise(
             c in 1usize..6,

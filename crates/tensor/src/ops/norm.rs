@@ -1,6 +1,7 @@
 //! Inference-time batch normalization.
 
 use crate::error::TensorError;
+use crate::gemm::{apply_epilogue, Epilogue};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -69,38 +70,23 @@ pub fn batch_norm(input: &Tensor, params: &BatchNormParams) -> Result<Tensor> {
             });
         }
     }
-    let mut out = Vec::new();
-    batch_norm_into(input.data(), c, h * w, params, &mut out);
-    Tensor::from_vec(input.shape().clone(), out)
-}
-
-/// Batch-norm hot loop writing into a caller-reusable buffer (`out` is
-/// cleared and resized, keeping its allocation across calls).
-///
-/// The per-channel affine is folded into two constants up front —
-/// `y = x·scale + shift` with `scale = gamma/√(var+eps)` and
-/// `shift = beta − mean·scale` — so the inner loop is a single fused
-/// scale-and-add over the contiguous channel plane.
-fn batch_norm_into(
-    x: &[f32],
-    c: usize,
-    plane: usize,
-    params: &BatchNormParams,
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    out.resize(c * plane, 0.0);
     let (scale, shift) = batch_norm_fold(params);
-    batch_norm_folded_into(x, plane, &scale, &shift, out);
+    let bn = Epilogue::Affine {
+        scale,
+        shift,
+        relu: false,
+    };
+    let mut out = input.data().to_vec();
+    apply_epilogue(&[bn], h * w, 0, &mut out);
+    Tensor::from_vec(input.shape().clone(), out)
 }
 
 /// Folds frozen batch-norm parameters into per-channel `(scale, shift)`
 /// constants: `y = x·scale + shift` with `scale = gamma/√(var+eps)` and
 /// `shift = beta − mean·scale`.
 ///
-/// Uses exactly the same expressions (and operation order) as
-/// [`batch_norm`], so applying the folded form via
-/// [`batch_norm_folded_into`] is bit-identical to the unfolded path.
+/// [`batch_norm`] applies them as an [`Epilogue::Affine`], as a kernel
+/// that fuses the batch norm does.
 pub fn batch_norm_fold(params: &BatchNormParams) -> (Vec<f32>, Vec<f32>) {
     let c = params.gamma.shape().len();
     let mut scale = Vec::with_capacity(c);
@@ -115,35 +101,6 @@ pub fn batch_norm_fold(params: &BatchNormParams) -> (Vec<f32>, Vec<f32>) {
         shift.push(b - m * s);
     }
     (scale, shift)
-}
-
-/// Applies pre-folded batch norm (`y = x·scale + shift` per channel) over
-/// raw buffers, writing into a caller-owned output — the compiled-partition
-/// hot path. Bit-identical to [`batch_norm`] when `(scale, shift)` come from
-/// [`batch_norm_fold`].
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent.
-pub fn batch_norm_folded_into(
-    x: &[f32],
-    plane: usize,
-    scale: &[f32],
-    shift: &[f32],
-    out: &mut [f32],
-) {
-    let c = scale.len();
-    assert_eq!(shift.len(), c, "scale/shift length mismatch");
-    assert_eq!(x.len(), c * plane, "input must be CHW");
-    assert_eq!(out.len(), c * plane, "out must match input");
-    for ch in 0..c {
-        let (scale, shift) = (scale[ch], shift[ch]);
-        let src = &x[ch * plane..(ch + 1) * plane];
-        let dst = &mut out[ch * plane..(ch + 1) * plane];
-        for (o, &v) in dst.iter_mut().zip(src.iter()) {
-            *o = v * scale + shift;
-        }
-    }
 }
 
 #[cfg(test)]

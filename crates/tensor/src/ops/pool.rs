@@ -12,7 +12,7 @@ use super::conv::{conv2d_output_hw, lowering, Conv2dParams};
 use super::window::{window_into, Fold};
 use super::Padding;
 use crate::error::TensorError;
-use crate::gemm::Im2col;
+use crate::gemm::{Epilogue, Im2col};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -78,6 +78,7 @@ fn pool2d(input: &Tensor, params: &Pool2dParams, is_max: bool) -> Result<Tensor>
         (out_h, out_w),
         params,
         &mut out,
+        &[],
     );
     Tensor::from_vec(Shape::new(vec![c, out_h, out_w]), out)
 }
@@ -117,10 +118,12 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
 /// `f32::max` chain from `-inf` over each window's in-bounds taps in
 /// `(ky, kx)` order, through the window driver (`ops/window.rs`).
 /// Bit-identical to [`max_pool2d`] per item, at any thread count.
+/// `epilogue` rewrites each output plane right after the driver folds it.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
+#[allow(clippy::too_many_arguments)]
 pub fn max_pool2d_into(
     data: &[f32],
     batch: usize,
@@ -129,24 +132,28 @@ pub fn max_pool2d_into(
     out_hw: (usize, usize),
     params: &Pool2dParams,
     out: &mut [f32],
+    epilogue: &[Epilogue],
 ) {
     window_into(
         data,
         batch,
         &geometry(c, in_hw, out_hw, params),
-        Fold::Max,
+        (Fold::Max, epilogue),
         out,
+        None,
     );
 }
 
 /// Average pooling of `batch` CHW inputs over raw buffers: each window's
 /// in-bounds sum in `(ky, kx)` order, divided by `kh·kw` inside and by the
 /// in-bounds tap count on the borders. Bit-identical to [`avg_pool2d`] per
-/// item, at any thread count.
+/// item, at any thread count, then rewritten by `epilogue` as
+/// [`max_pool2d_into`]'s are.
 ///
 /// # Panics
 ///
 /// Panics if buffer lengths are inconsistent with the dimensions.
+#[allow(clippy::too_many_arguments)]
 pub fn avg_pool2d_into(
     data: &[f32],
     batch: usize,
@@ -155,13 +162,15 @@ pub fn avg_pool2d_into(
     out_hw: (usize, usize),
     params: &Pool2dParams,
     out: &mut [f32],
+    epilogue: &[Epilogue],
 ) {
     window_into(
         data,
         batch,
         &geometry(c, in_hw, out_hw, params),
-        Fold::Avg,
+        (Fold::Avg, epilogue),
         out,
+        None,
     );
 }
 

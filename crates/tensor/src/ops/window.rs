@@ -9,29 +9,32 @@
 //!   [`simd_active`](crate::simd::simd_active), `acc + w·x` otherwise.
 //! - **max**: an `f32::max` chain from `-inf` over the in-bounds taps. A
 //!   padding tap holds `-inf`, which never replaces the accumulator (the
-//!   chain never holds a NaN); the AVX2 `vmaxps(tap, acc)` keeps the
-//!   accumulator on a NaN tap and on a `±0.0` tie, as the chain does.
+//!   chain never holds a NaN); `vmaxps(tap, acc)` keeps the accumulator on a
+//!   NaN tap and on a `±0.0` tie, as the chain does.
 //! - **avg**: the in-bounds sum from `+0.0` (a padding tap adds `+0.0`, which
 //!   moves no such sum), divided by `kh·kw` inside and by the in-bounds tap
 //!   count on the borders (`0.0` where there is none).
 //!
-//! Nothing else — vector width, row blocking, batch, thread split — reaches
-//! an element, so outputs are bit-identical at any width and batch, and a
-//! `simd` build's scalar body computes what the scalar build computes.
+//! Each plane then takes the caller's [`Epilogue`]. Nothing else — vector
+//! width, row blocking, batch, thread split — reaches an element, so outputs
+//! are bit-identical at any width and batch, and a `simd` build's bodies
+//! compute what the scalar build computes.
 //!
-//! A thread copies one plane at a time into a padded buffer ([`Site::Window`])
-//! whose rows are cut into `sw` phases (padded columns `q, q + sw, ..`): one
-//! `kx`'s taps over a run of output columns are then a contiguous slice at
-//! any stride, and each input row, copied once, serves every output row whose
-//! window covers it. The AVX2 body folds four output rows × two vectors in
-//! registers through all taps (eight independent chains); the scalar body
-//! sweeps a row once per tap. Planes split across the pool in contiguous
-//! runs above the GEMM's small-work cutoff.
+//! Every body reads the plane where it lies and synthesises the padding: a
+//! tap row off the plane, or a tap column off a row, is the padding value,
+//! never stored. The vector body (`simd.rs`; strides 1 and 2, windows up to
+//! eight columns wide; in zmm registers under AVX-512F, ymm under AVX2, and
+//! four portable lanes elsewhere) folds four output rows × two vectors in
+//! registers through all taps, loading a block's taps plainly where they all
+//! lie on the plane and masked at its edges, a stride-2 tap as two vectors'
+//! even lanes. The row sweep takes every other window: it sweeps a row once
+//! per tap, under [`simd_active`](crate::simd::simd_active) compiled for
+//! AVX2 and FMA. Planes split across the pool in contiguous runs above the
+//! GEMM's small-work cutoff.
 
 use gillis_pool::{Pool, Task};
 
-use crate::gemm::{self, Im2col};
-use crate::scratch::{self, Site};
+use crate::gemm::{self, epilogue_rows, Epilogue, Im2col};
 
 /// How an output element folds the taps of its window.
 #[derive(Debug, Clone, Copy)]
@@ -47,90 +50,52 @@ pub(crate) enum Fold<'a> {
     Avg,
 }
 
-/// [`Fold`] tags, as const parameters of the row bodies.
-const DEPTHWISE: u8 = 0;
-const MAX: u8 = 1;
-const AVG: u8 = 2;
+/// [`Fold`] tags, as const parameters of the bodies.
+pub(crate) const DEPTHWISE: u8 = 0;
+pub(crate) const MAX: u8 = 1;
+pub(crate) const AVG: u8 = 2;
 
-/// Output columns per vector of the AVX2 body.
-const LANES: usize = 8;
-/// Output rows folded together, so narrow planes still give the AVX2 body
-/// eight independent multiply-add chains.
-const BAND: usize = 4;
-
-/// The padded, phase-split copy of one plane: `rows` rows of `sw` phases of
-/// `lv` entries; entry `j` of phase `q` of row `r` is padded element
-/// `(r, q + j·sw)`.
-struct Padded {
-    rows: usize,
-    lv: usize,
-    row_len: usize,
+/// A body that folds a plane: the row sweep, or the vector body in four
+/// portable lanes (unfused, for a build or CPU without AVX2), ymm (AVX2 and
+/// FMA) or zmm (AVX-512F) registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    Sweep,
+    Quad,
+    Ymm,
+    Zmm,
 }
 
-impl Padded {
-    fn new(g: &Im2col) -> Self {
-        let ((kh, kw), (sh, sw)) = (g.kernel, g.stride);
-        // A whole vector of output columns stays inside every tap's phase.
-        let lv = g.out_hw.1.next_multiple_of(LANES) + (kw - 1) / sw;
-        Padded {
-            rows: (g.out_hw.0 - 1) * sh + kh,
-            lv,
-            row_len: sw * lv,
-        }
-    }
-
-    /// Copies `plane` into `buf`, `pad` wherever the padded plane lies off
-    /// the input.
-    fn fill(&self, g: &Im2col, plane: &[f32], pad: f32, buf: &mut [f32]) {
-        let ((in_h, in_w), (pt, pl), sw) = (g.in_hw, g.pad_tl, g.stride.1);
-        for (r, row) in buf.chunks_exact_mut(self.row_len).enumerate() {
-            let Some(iy) = r.checked_sub(pt).filter(|&iy| iy < in_h) else {
-                row.fill(pad);
-                continue;
-            };
-            let src = &plane[iy * in_w..][..in_w];
-            for (q, phase) in row.chunks_exact_mut(self.lv).enumerate() {
-                // Entries `lo .. hi` hold input columns `q + j·sw − pl`.
-                let lo = pl.saturating_sub(q).div_ceil(sw).min(self.lv);
-                let hi = (in_w + pl)
-                    .saturating_sub(q)
-                    .div_ceil(sw)
-                    .clamp(lo, self.lv);
-                phase[..lo].fill(pad);
-                phase[hi..].fill(pad);
-                if lo == hi {
-                    continue;
-                }
-                let (src, dst) = (&src[q + lo * sw - pl..], &mut phase[lo..hi]);
-                let last = dst.len() - 1;
-                match sw {
-                    1 => dst.copy_from_slice(&src[..dst.len()]),
-                    // (Pairs, so the compiler sees the stride.)
-                    2 => {
-                        for (d, pair) in dst[..last].iter_mut().zip(src.chunks_exact(2)) {
-                            *d = pair[0];
-                        }
-                        dst[last] = src[2 * last];
-                    }
-                    _ => dst
-                        .iter_mut()
-                        .zip(src.iter().step_by(sw))
-                        .for_each(|(d, s)| *d = *s),
-                }
-            }
+impl Body {
+    /// The bodies this process runs, the widest last.
+    fn available() -> &'static [Body] {
+        use crate::simd::{avx512_active, simd_active};
+        match (simd_active(), avx512_active()) {
+            (_, true) => &[Body::Sweep, Body::Ymm, Body::Zmm],
+            (true, false) => &[Body::Sweep, Body::Ymm],
+            _ => &[Body::Sweep, Body::Quad],
         }
     }
 }
 
 /// Slides `g`'s window over the `batch × g.channels` planes of `inputs`
 /// (`batch` CHW images back to back) and writes every output element,
-/// folded as `fold` says, into `outs` (`batch` outputs of
-/// `g.channels × out_h × out_w`).
+/// folded as `fold` says and then rewritten by `epilogue` (plane `p` being
+/// channel `p % g.channels`), into `outs` (`batch` outputs of
+/// `g.channels × out_h × out_w`), on `threads` threads or, for `None`, as
+/// many as the GEMM's small-work cutoff gives.
 ///
 /// # Panics
 ///
 /// Panics if a buffer length is inconsistent with `batch` and `g`.
-pub(crate) fn window_into(inputs: &[f32], batch: usize, g: &Im2col, fold: Fold, outs: &mut [f32]) {
+pub(crate) fn window_into(
+    inputs: &[f32],
+    batch: usize,
+    g: &Im2col,
+    (fold, epilogue): (Fold, &[Epilogue]),
+    outs: &mut [f32],
+    threads: Option<usize>,
+) {
     let planes = batch * g.channels;
     assert_eq!(
         inputs.len(),
@@ -146,86 +111,172 @@ pub(crate) fn window_into(inputs: &[f32], batch: usize, g: &Im2col, fold: Fold, 
         );
     }
     let taps = (planes * g.n()).saturating_mul(g.kernel.0 * g.kernel.1);
-    let threads = gemm::gemm_threads(taps).clamp(1, planes.max(1));
+    let threads = threads.unwrap_or_else(|| gemm::gemm_threads(taps));
+    let threads = threads.clamp(1, planes.max(1));
     if threads == 1 {
-        return fold_planes(g, fold, inputs, 0, outs);
+        return fold_planes(g, (fold, epilogue), inputs, 0, outs);
     }
     let per = planes.div_ceil(threads);
     let tasks: Vec<Task> = outs
         .chunks_mut(per * g.n())
         .enumerate()
-        .map(|(t, outs)| -> Task { Box::new(move || fold_planes(g, fold, inputs, t * per, outs)) })
+        .map(|(t, outs)| -> Task {
+            Box::new(move || fold_planes(g, (fold, epilogue), inputs, t * per, outs))
+        })
         .collect();
     Pool::global().join_all(tasks);
 }
 
 /// Folds planes `p0 ..` — as many as `outs` holds — on the calling thread.
-fn fold_planes(g: &Im2col, fold: Fold, inputs: &[f32], p0: usize, outs: &mut [f32]) {
-    let padded = Padded::new(g);
-    let mut buf = scratch::take(Site::Window);
-    let need = padded.rows * padded.row_len;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
-    let (in_plane, out_w, taps) = (g.in_hw.0 * g.in_hw.1, g.out_hw.1, g.kernel.0 * g.kernel.1);
-    let pad = match fold {
-        Fold::Max => f32::NEG_INFINITY,
-        _ => 0.0,
-    };
+fn fold_planes(
+    g: &Im2col,
+    (fold, epilogue): (Fold, &[Epilogue]),
+    inputs: &[f32],
+    p0: usize,
+    outs: &mut [f32],
+) {
+    let in_plane = g.in_hw.0 * g.in_hw.1;
     for (p, out) in (p0..).zip(outs.chunks_exact_mut(g.n())) {
-        let plane = &inputs[p * in_plane..][..in_plane];
-        padded.fill(g, plane, pad, &mut buf[..need]);
-        for (band, out) in out.chunks_mut(BAND * out_w).enumerate() {
-            let oy0 = band * BAND;
-            let src = &buf[oy0 * g.stride.0 * padded.row_len..need];
-            match fold {
-                Fold::Depthwise { weight, bias } => {
-                    let (ch, padded) = (p % g.channels, &padded);
-                    let w = &weight[ch * taps..][..taps];
-                    let init = bias.map_or(0.0, |b| b[ch]);
-                    fold_rows::<DEPTHWISE>((g, padded, w, init), src, out);
-                }
-                Fold::Max => fold_rows::<MAX>((g, &padded, &[], f32::NEG_INFINITY), src, out),
-                Fold::Avg => {
-                    fold_rows::<AVG>((g, &padded, &[], 0.0), src, out);
-                    for (oy, out) in (oy0..).zip(out.chunks_exact_mut(out_w)) {
-                        divide_avg(g, oy, out);
-                    }
-                }
-            }
-        }
+        let (plane, ch) = (&inputs[p * in_plane..][..in_plane], p % g.channels);
+        fold_plane(Body::Zmm, g, fold, (plane, ch), out);
+        // SAFETY: `out` is one exclusively borrowed plane.
+        unsafe { epilogue_rows(epilogue, ch, out.as_mut_ptr(), (1, out.len(), 0)) };
     }
-    scratch::put(Site::Window, buf);
 }
 
-/// What the rows of one plane share: the geometry, the padded layout, the
-/// channel's `kh·kw` filter taps (depthwise only) and the initial value.
-type Taps<'a> = (&'a Im2col, &'a Padded, &'a [f32], f32);
+/// Folds `plane`, of channel `ch`, into `out` with `body` if this process
+/// runs it, else with the widest body it runs — the row sweep where the
+/// vector body does not take the window.
+fn fold_plane(body: Body, g: &Im2col, fold: Fold, (plane, ch): (&[f32], usize), out: &mut [f32]) {
+    let bodies = Body::available();
+    let body = if bodies.contains(&body) {
+        body
+    } else {
+        bodies[bodies.len() - 1]
+    };
+    let taps = g.kernel.0 * g.kernel.1;
+    let (f, wi) = match fold {
+        Fold::Depthwise { weight, bias } => (
+            DEPTHWISE,
+            (&weight[ch * taps..][..taps], bias.map_or(0.0, |b| b[ch])),
+        ),
+        Fold::Max => (MAX, (&[][..], f32::NEG_INFINITY)),
+        Fold::Avg => (AVG, (&[][..], 0.0)),
+    };
+    match vector(body, f, g) {
+        // SAFETY: the body asked of `vector` is one this process runs, so
+        // the CPU has its features, and `vector` returns no instance for a
+        // window wider than MAX_KW.
+        Some(vector) => unsafe { vector(g, plane, wi, out) },
+        None if f == DEPTHWISE => fold_rows::<DEPTHWISE>(g, plane, wi, out),
+        None if f == MAX => fold_rows::<MAX>(g, plane, wi, out),
+        None => fold_rows::<AVG>(g, plane, wi, out),
+    }
+    if f == AVG {
+        for (oy, out) in out.chunks_exact_mut(g.out_hw.1).enumerate() {
+            divide_avg(g, oy, out);
+        }
+    }
+}
 
-/// Folds consecutive output rows — as many as `out` holds — from `src`, the
-/// padded plane from the first row's first window row on.
-fn fold_rows<const F: u8>(taps: Taps, src: &[f32], out: &mut [f32]) {
+/// One instance of the vector body: a plane's geometry, input, weights and
+/// output.
+type Vector = unsafe fn(&Im2col, &[f32], Weights, &mut [f32]);
+
+/// The instance of the vector body that folds `f` over `g` in `body`'s
+/// lanes, if the body takes the window.
+fn vector(body: Body, f: u8, g: &Im2col) -> Option<Vector> {
+    if body == Body::Sweep || g.stride.1 > 2 || g.kernel.1 > crate::simd::MAX_KW {
+        return None;
+    }
+    macro_rules! at_stride {
+        ($body:ident) => {
+            Some(match (f, g.stride.1) {
+                (DEPTHWISE, 1) => crate::simd::$body::<DEPTHWISE, 1>,
+                (DEPTHWISE, _) => crate::simd::$body::<DEPTHWISE, 2>,
+                (MAX, 1) => crate::simd::$body::<MAX, 1>,
+                (MAX, _) => crate::simd::$body::<MAX, 2>,
+                (_, 1) => crate::simd::$body::<AVG, 1>,
+                _ => crate::simd::$body::<AVG, 2>,
+            })
+        };
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    match body {
+        Body::Zmm => return at_stride!(window_plane512),
+        Body::Ymm => return at_stride!(window_plane256),
+        _ => {}
+    }
+    at_stride!(window_plane_quad)
+}
+
+/// A plane's filter taps (depthwise only) and its fold's initial value.
+pub(crate) type Weights<'a> = (&'a [f32], f32);
+
+/// Folds every output row of `plane` into `out` with the row sweep.
+fn fold_rows<const F: u8>(g: &Im2col, plane: &[f32], wi: Weights, out: &mut [f32]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if crate::simd::simd_active() {
-        // SAFETY: simd_active() verified AVX2+FMA at runtime, and every
-        // caller passes `Padded::new` of the geometry it passes.
-        return unsafe { avx2::fold_rows::<F>(taps, src, out) };
+        // SAFETY: simd_active() verified AVX2 and FMA at runtime.
+        return unsafe { sweep_rows_fma::<F>(g, plane, wi, out) };
     }
-    let (g, padded, w, init) = taps;
-    let ((kh, kw), (sh, sw)) = (g.kernel, g.stride);
-    for (r, out) in out.chunks_exact_mut(g.out_hw.1).enumerate() {
+    sweep_rows::<F, false>(g, plane, wi, out)
+}
+
+/// [`sweep_rows`] fused, compiled for AVX2 and FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sweep_rows_fma<const F: u8>(g: &Im2col, plane: &[f32], wi: Weights, out: &mut [f32]) {
+    sweep_rows::<F, true>(g, plane, wi, out)
+}
+
+/// Sweeps each output row once per tap: over the columns whose tap lies on
+/// the plane, then the padding on either side. A depthwise tap is a fused
+/// multiply-add when `FUSED`.
+#[inline(always)]
+fn sweep_rows<const F: u8, const FUSED: bool>(
+    g: &Im2col,
+    plane: &[f32],
+    (w, init): Weights,
+    out: &mut [f32],
+) {
+    let ((kh, kw), (sh, sw), (top, left), (in_h, in_w)) = (g.kernel, g.stride, g.pad_tl, g.in_hw);
+    let pad = if F == MAX { f32::NEG_INFINITY } else { 0.0 };
+    let tap = |acc: f32, wt: f32, x: f32| match F {
+        DEPTHWISE if FUSED => wt.mul_add(x, acc),
+        DEPTHWISE => acc + wt * x,
+        MAX => acc.max(x),
+        _ => acc + x,
+    };
+    for (oy, out) in out.chunks_exact_mut(g.out_hw.1).enumerate() {
         out.fill(init);
         for ky in 0..kh {
-            let row = &src[(r * sh + ky) * padded.row_len..][..padded.row_len];
+            let row = (oy * sh + ky).checked_sub(top).filter(|&iy| iy < in_h);
             for kx in 0..kw {
-                let taps = &row[kx % sw * padded.lv + kx / sw..][..out.len()];
                 let wt = w.get(ky * kw + kx).copied().unwrap_or(0.0);
-                for (acc, &x) in out.iter_mut().zip(taps) {
-                    *acc = match F {
-                        DEPTHWISE => *acc + wt * x,
-                        MAX => acc.max(x),
-                        _ => *acc + x,
-                    };
+                // Columns `lo .. hi` read input columns `ox·sw + kx − left`.
+                let lo = left.saturating_sub(kx).div_ceil(sw).min(out.len());
+                let hi = (in_w + left)
+                    .saturating_sub(kx)
+                    .div_ceil(sw)
+                    .clamp(lo, out.len());
+                // An empty body (no row, or no column on it) reads nothing:
+                // `lo` may then lie past the row's last input column.
+                let row = row.filter(|_| hi > lo);
+                let hi = if row.is_some() { hi } else { lo };
+                let (head, rest) = out.split_at_mut(lo);
+                let (body, tail) = rest.split_at_mut(hi - lo);
+                for acc in head.iter_mut().chain(tail) {
+                    *acc = tap(*acc, wt, pad);
+                }
+                let Some(iy) = row else { continue };
+                let xs = plane[iy * in_w..][lo * sw + kx - left..].iter().step_by(sw);
+                for (acc, &x) in body.iter_mut().zip(xs) {
+                    *acc = tap(*acc, wt, x);
                 }
             }
         }
@@ -244,113 +295,6 @@ fn divide_avg(g: &Im2col, oy: usize, out: &mut [f32]) {
     for (ox, acc) in out.iter_mut().enumerate() {
         let taps = rows * inside(ox, kw, sw, pl, in_w);
         *acc = if taps == 0 { 0.0 } else { *acc / taps as f32 };
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use super::{Taps, BAND, DEPTHWISE, LANES, MAX};
-    use std::arch::x86_64::*;
-
-    /// AVX2 body of [`super::fold_rows`]: a full band of [`BAND`] rows at
-    /// once, a shorter one row by row.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA, and the layout in `taps` must be
-    /// `Padded::new` of its geometry: its phases are then a whole number of
-    /// vectors longer than any row's last tap, so every load of a block
-    /// stays inside the rows the assertion below checks.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn fold_rows<const F: u8>(taps: Taps, src: &[f32], out: &mut [f32]) {
-        let (g, padded, ..) = taps;
-        let ((kh, sh), out_w) = ((g.kernel.0, g.stride.0), g.out_hw.1);
-        let rows = out.len() / out_w;
-        assert!(src.len() >= ((rows - 1) * sh + kh) * padded.row_len);
-        if rows == BAND {
-            return band::<F, BAND>(taps, src.as_ptr(), out);
-        }
-        for (r, out) in out.chunks_exact_mut(out_w).enumerate() {
-            band::<F, 1>(taps, src[r * sh * padded.row_len..].as_ptr(), out);
-        }
-    }
-
-    /// `R` output rows (`out`, at stride `out_w`) from `src` on: blocks of
-    /// two vectors of columns, one, then the last partial vector through a
-    /// stack copy (a phase is long enough to read it whole).
-    ///
-    /// # Safety
-    ///
-    /// As [`fold_rows`]; `src` must hold the `R` rows' padded rows.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn band<const F: u8, const R: usize>(taps: Taps, src: *const f32, out: &mut [f32]) {
-        let (out_w, dst, mut ox) = (taps.0.out_hw.1, out.as_mut_ptr(), 0);
-        while ox + 2 * LANES <= out_w {
-            block::<F, R, 2>(taps, src.add(ox), dst.add(ox), out_w);
-            ox += 2 * LANES;
-        }
-        if ox + LANES <= out_w {
-            block::<F, R, 1>(taps, src.add(ox), dst.add(ox), out_w);
-            ox += LANES;
-        }
-        if ox < out_w {
-            let mut tail = [[0.0f32; LANES]; R];
-            block::<F, R, 1>(taps, src.add(ox), tail.as_mut_ptr().cast(), LANES);
-            for (out, tail) in out[ox..].chunks_mut(out_w).zip(&tail) {
-                out[..out_w - ox].copy_from_slice(&tail[..out_w - ox]);
-            }
-        }
-    }
-
-    /// `R` rows × `V` vectors of output columns from `src` through every
-    /// tap, written at `out` with row stride `ld`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA; the taps of `V·LANES` columns of
-    /// the `R` rows from `src` must lie inside the padded rows, and `out`
-    /// must be valid for `R` rows of `V·LANES` writes at stride `ld`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn block<const F: u8, const R: usize, const V: usize>(
-        (g, padded, w, init): Taps,
-        src: *const f32,
-        out: *mut f32,
-        ld: usize,
-    ) {
-        let ((kh, kw), (sh, sw)) = (g.kernel, g.stride);
-        let mut acc = [[_mm256_set1_ps(init); V]; R];
-        for ky in 0..kh {
-            // Tap column `kx` starts at `phase·lv + shift` of a padded row.
-            let (mut phase, mut shift) = (0, 0);
-            for kx in 0..kw {
-                let wt = match F {
-                    DEPTHWISE => _mm256_broadcast_ss(&w[ky * kw + kx]),
-                    _ => _mm256_setzero_ps(),
-                };
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    let taps = src.add((r * sh + ky) * padded.row_len + phase * padded.lv + shift);
-                    for (v, acc) in acc.iter_mut().enumerate() {
-                        let x = _mm256_loadu_ps(taps.add(v * LANES));
-                        *acc = match F {
-                            DEPTHWISE => _mm256_fmadd_ps(wt, x, *acc),
-                            MAX => _mm256_max_ps(x, *acc),
-                            _ => _mm256_add_ps(*acc, x),
-                        };
-                    }
-                }
-                phase += 1;
-                if phase == sw {
-                    (phase, shift) = (0, shift + 1);
-                }
-            }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            for (v, acc) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out.add(r * ld + v * LANES), *acc);
-            }
-        }
     }
 }
 
@@ -402,6 +346,21 @@ mod tests {
         out
     }
 
+    /// Every plane of `x` folded by `body` (no epilogue).
+    fn fold_with(body: Body, x: &[f32], g: &Im2col, fold: Fold) -> Vec<f32> {
+        let mut out = vec![f32::NAN; x.len() / (g.in_hw.0 * g.in_hw.1) * g.n()];
+        let planes = x.chunks_exact(g.in_hw.0 * g.in_hw.1);
+        for (p, (plane, out)) in planes.zip(out.chunks_exact_mut(g.n())).enumerate() {
+            fold_plane(body, g, fold, (plane, p % g.channels), out);
+        }
+        out
+    }
+
+    /// Every body this process runs.
+    fn bodies() -> impl Iterator<Item = Body> {
+        Body::available().iter().copied()
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -412,8 +371,8 @@ mod tests {
         /// Batches of several images, any kernel and stride, padding up to
         /// wider than the window (whole windows and phases off the input),
         /// and rows from a partial vector up to several blocks: every fold
-        /// is its element-by-element definition, and a batch's items are
-        /// the items run alone.
+        /// is its element-by-element definition in every body this CPU
+        /// runs, and a batch's items are the items run alone.
         #[test]
         fn every_fold_is_its_definition_at_any_batch(
             (batch, channels) in (1usize..4, 1usize..4),
@@ -448,12 +407,53 @@ mod tests {
             ];
             for fold in folds {
                 let mut got = vec![f32::NAN; batch * g.n() * channels];
-                window_into(&x, batch, &g, fold, &mut got);
+                window_into(&x, batch, &g, (fold, &[]), &mut got, None);
                 prop_assert_eq!(bits(&got), bits(&naive(&x, &g, fold)), "{:?}", fold);
+                for body in bodies() {
+                    prop_assert_eq!(bits(&fold_with(body, &x, &g, fold)), bits(&got), "{:?}", body);
+                }
                 for (x, want) in x.chunks(item).zip(got.chunks(g.n() * channels)) {
                     let mut alone = vec![f32::NAN; want.len()];
-                    window_into(x, 1, &g, fold, &mut alone);
+                    window_into(x, 1, &g, (fold, &[]), &mut alone, None);
                     prop_assert_eq!(bits(&alone), bits(want));
+                }
+            }
+        }
+    }
+
+    /// A window wider than its plane on both sides: some taps of every
+    /// output element lie off the plane, and some tap columns meet no input
+    /// column at all.
+    #[test]
+    fn a_window_wider_than_its_plane_reads_only_the_plane() {
+        for (in_hw, stride) in [((1, 1), (1, 1)), ((3, 1), (1, 1)), ((1, 2), (2, 3))] {
+            let g = Im2col {
+                channels: 2,
+                in_hw,
+                kernel: (5, 5),
+                stride,
+                pad_tl: (2, 2),
+                out_hw: ((in_hw.0 - 1) / stride.0 + 1, (in_hw.1 - 1) / stride.1 + 1),
+            };
+            let x: Vec<f32> = (0..2 * in_hw.0 * in_hw.1).map(|i| i as f32 - 1.5).collect();
+            let weight: Vec<f32> = (0..g.k()).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+            let bias = [0.5, -0.25];
+            let folds = [
+                Fold::Depthwise {
+                    weight: &weight,
+                    bias: Some(&bias),
+                },
+                Fold::Max,
+                Fold::Avg,
+            ];
+            for fold in folds {
+                let mut got = vec![f32::NAN; 2 * g.n()];
+                window_into(&x, 1, &g, (fold, &[]), &mut got, None);
+                let want = naive(&x, &g, fold);
+                assert_eq!(bits(&got), bits(&want), "{fold:?} {in_hw:?}");
+                for body in bodies() {
+                    let got = fold_with(body, &x, &g, fold);
+                    assert_eq!(bits(&got), bits(&want), "{body:?} {fold:?} {in_hw:?}");
                 }
             }
         }
@@ -478,9 +478,9 @@ mod tests {
             bias: None,
         };
         let mut wide = vec![0.0; 24 * g.n()];
-        window_into(&x, 1, &g, fold, &mut wide);
+        window_into(&x, 1, &g, (fold, &[]), &mut wide, None);
         let mut one = vec![0.0; 24 * g.n()];
-        gillis_pool::with_width_cap(1, || window_into(&x, 1, &g, fold, &mut one));
+        gillis_pool::with_width_cap(1, || window_into(&x, 1, &g, (fold, &[]), &mut one, None));
         assert_eq!(bits(&wide), bits(&one));
         assert_eq!(bits(&one), bits(&naive(&x, &g, fold)));
     }

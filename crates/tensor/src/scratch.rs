@@ -31,12 +31,9 @@ pub enum Site {
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
     BatchGemv = 1,
-    /// Padded, phase-split copy of one plane in the sliding-window driver
-    /// behind depthwise convolution and pooling.
-    Window = 2,
 }
 
-const N_SITES: usize = 3;
+const N_SITES: usize = 2;
 
 /// A per-thread set of reusable `f32` buffers, one slot per [`Site`].
 #[derive(Debug, Default)]

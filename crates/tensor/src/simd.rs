@@ -29,6 +29,13 @@
 //! driver runs a `12 × 32` tile of 512-bit FMAs instead of the `6 × 16` AVX2
 //! one; [`gemm_kernel`] names the tile in use. Its bits are the AVX2 tile's:
 //! `vfmadd231ps` is one IEEE fused multiply-add per lane at either width.
+//!
+//! The window driver's vector body (`window_plane`) is generic over its
+//! `Lanes`: zmm and ymm here, and four portable lanes (`Quad`) that every
+//! build compiles, for a build or CPU without AVX2.
+
+use crate::gemm::Im2col;
+use crate::ops::window::{Weights, DEPTHWISE, MAX};
 
 /// Returns whether the SIMD kernels are compiled in, supported by the CPU,
 /// and not disabled via `GILLIS_NO_SIMD`. Cached after the first call.
@@ -120,9 +127,247 @@ fn fill_uniform_scalar(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]
     }
 }
 
+/// The widest window the vector body folds: it keeps a lane mask per
+/// column of it.
+pub(crate) const MAX_KW: usize = 8;
+
+/// One plane of the window driver: its geometry, input, and filter taps
+/// and initial value.
+pub(crate) struct Plane<'a> {
+    pub(crate) g: &'a Im2col,
+    pub(crate) data: &'a [f32],
+    pub(crate) wi: Weights<'a>,
+}
+
+/// A vector register of the window body, one IEEE operation per lane:
+/// a zmm under AVX-512F, a ymm under AVX2 and FMA, or four portable lanes.
+/// The methods are inlined into a caller compiled for the width's features.
+///
+/// # Safety
+///
+/// Every method needs a CPU with the width's features, and a pointer
+/// valid for the lanes the method reads or writes.
+pub(crate) trait Lanes: Copy {
+    const N: usize;
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn load(at: *const f32) -> Self;
+    /// The lanes whose bit in `mask` is set read from `at`, the others
+    /// `pad`; a lane that is not read may lie off the allocation.
+    unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self;
+    /// The even lanes of `a`, then those of `b`.
+    unsafe fn even(a: Self, b: Self) -> Self;
+    unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
+    unsafe fn add(a: Self, b: Self) -> Self;
+    /// `vmaxps(a, b)`: `a` if `a > b`, else `b`.
+    unsafe fn max(a: Self, b: Self) -> Self;
+    /// Stores the first `n ≤ N` lanes at `at`.
+    unsafe fn store_first(at: *mut f32, v: Self, n: usize);
+}
+
+/// The window driver's (`ops/window.rs`) vector body at horizontal stride
+/// `SW` (1 or 2), in `L`: one plane into `out`. Four output rows whose taps
+/// all lie on rows of the plane run together, any other row alone, in
+/// blocks of two vectors of columns, then one. A block whose taps all lie
+/// on the plane loads them plainly, any other one masked — lanes off the
+/// plane read as padding — and a row's last vector is stored masked. A
+/// stride-2 tap vector is the even lanes of two vectors from its first
+/// column. Each lane takes one IEEE operation per tap, as the row sweep's
+/// element does, so the bits are its.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s width, and the window may be at most
+/// [`MAX_KW`] columns wide.
+#[inline(always)]
+pub(crate) unsafe fn window_plane<L: Lanes, const F: u8, const SW: usize>(
+    p: &Plane,
+    out: &mut [f32],
+) {
+    let ((kh, kw), sh, (top, left)) = (p.g.kernel, p.g.stride.0, p.g.pad_tl);
+    let ((in_h, in_w), (out_h, out_w)) = (p.g.in_hw, p.g.out_hw);
+    let inside =
+        |ox: usize, lanes: usize| ox * SW >= left && ox * SW - left + kw - 1 + lanes * SW <= in_w;
+    let mut oy = 0;
+    while oy < out_h {
+        let four = oy + 4 <= out_h && oy * sh >= top && (oy + 3) * sh + kh <= top + in_h;
+        for ox in (0..out_w).step_by(2 * L::N) {
+            let (v2, live) = (ox + L::N < out_w, (out_w - ox).min(2 * L::N));
+            let at = (oy, ox, out.as_mut_ptr().add(oy * out_w + ox), live);
+            match (four, v2, inside(ox, live.next_multiple_of(L::N))) {
+                (true, true, true) => block::<L, F, SW, 4, 2, false>(p, at),
+                (true, true, false) => block::<L, F, SW, 4, 2, true>(p, at),
+                (true, false, true) => block::<L, F, SW, 4, 1, false>(p, at),
+                (true, false, false) => block::<L, F, SW, 4, 1, true>(p, at),
+                (false, true, true) => block::<L, F, SW, 1, 2, false>(p, at),
+                (false, true, false) => block::<L, F, SW, 1, 2, true>(p, at),
+                (false, false, true) => block::<L, F, SW, 1, 1, false>(p, at),
+                (false, false, false) => block::<L, F, SW, 1, 1, true>(p, at),
+            }
+        }
+        oy += if four { 4 } else { 1 };
+    }
+}
+
+/// `R` rows × `V` vectors of output columns from `(oy0, ox0)` through
+/// every tap, stored at `out` with row stride `out_w` —
+/// the first `live` lanes of each row. A tap row off the plane (`R = 1`
+/// only) is all padding; with `E`, so is a lane off a row; without,
+/// every tap column lies on the rows.
+///
+/// # Safety
+///
+/// As [`window_plane`]'s; `out` must be valid for `R` rows of `live`
+/// writes at stride `out_w`, and without `E` every tap of the block must
+/// lie on the plane.
+#[inline(always)]
+unsafe fn block<
+    L: Lanes,
+    const F: u8,
+    const SW: usize,
+    const R: usize,
+    const V: usize,
+    const E: bool,
+>(
+    p: &Plane,
+    (oy0, ox0, out, live): (usize, usize, *mut f32, usize),
+) {
+    let (g, (w, init)) = (p.g, p.wi);
+    let ((kh, kw), sh, (top, left)) = (g.kernel, g.stride.0, g.pad_tl);
+    let ((in_h, in_w), out_w) = (g.in_hw, g.out_hw.1);
+    let pad = L::splat(if F == MAX { f32::NEG_INFINITY } else { 0.0 });
+    // Which of the `N·SW` input columns vector `v` of tap `kx` reads lie
+    // on a row.
+    let mut masks = [[u32::MAX; V]; MAX_KW];
+    if E {
+        let span = (L::N * SW) as isize;
+        for (kx, mask) in masks[..kw].iter_mut().enumerate() {
+            for (v, mask) in mask.iter_mut().enumerate() {
+                let first = ((ox0 + L::N * v) * SW + kx) as isize - left as isize;
+                let lo = (-first).clamp(0, span) as u64;
+                let hi = (in_w as isize - first).clamp(lo as isize, span) as u64;
+                *mask = (((1u64 << hi) - 1) & !((1u64 << lo) - 1)) as u32;
+            }
+        }
+    }
+    let data = p.data.as_ptr();
+    let mut acc = [[L::splat(init); V]; R];
+    for ky in 0..kh {
+        let row = (oy0 * sh + ky).checked_sub(top).filter(|&iy| iy < in_h);
+        let at = data.add(row.unwrap_or(0) * in_w);
+        for (kx, masks) in masks[..kw].iter().enumerate() {
+            let wt = match F {
+                DEPTHWISE => L::splat(w[ky * kw + kx]),
+                _ => pad,
+            };
+            let at = at.wrapping_add(ox0 * SW + kx).wrapping_sub(left);
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    let at = at.wrapping_add(r * sh * in_w + L::N * SW * v);
+                    let load = |half: usize| {
+                        let (at, k) = (at.wrapping_add(L::N * half), masks[v] >> (L::N * half));
+                        if E {
+                            L::load_masked(pad, k, at)
+                        } else {
+                            L::load(at)
+                        }
+                    };
+                    let x = match (row, SW) {
+                        (None, _) => pad,
+                        (_, 1) => load(0),
+                        _ => L::even(load(0), load(1)),
+                    };
+                    *acc = match F {
+                        DEPTHWISE => L::fmadd(wt, x, *acc),
+                        MAX => L::max(x, *acc),
+                        _ => L::add(*acc, x),
+                    };
+                }
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (v, acc) in acc.iter().enumerate() {
+            L::store_first(
+                out.add(r * out_w + L::N * v),
+                *acc,
+                live.saturating_sub(L::N * v).min(L::N),
+            );
+        }
+    }
+}
+
+/// Four portable lanes in plain `f32` arithmetic, the multiply-add unfused:
+/// the vector body of a build or CPU without AVX2, in SSE registers once
+/// compiled.
+#[derive(Clone, Copy)]
+pub(crate) struct Quad([f32; 4]);
+
+impl Lanes for Quad {
+    const N: usize = 4;
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        Quad([v; 4])
+    }
+    #[inline(always)]
+    unsafe fn load(at: *const f32) -> Self {
+        Quad(at.cast::<[f32; 4]>().read_unaligned())
+    }
+    #[inline(always)]
+    unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self {
+        let lane = |i: usize| match mask >> i & 1 {
+            0 => pad.0[i],
+            _ => *at.wrapping_add(i),
+        };
+        Quad(std::array::from_fn(lane))
+    }
+    #[inline(always)]
+    unsafe fn even(a: Self, b: Self) -> Self {
+        Quad([a.0[0], a.0[2], b.0[0], b.0[2]])
+    }
+    #[inline(always)]
+    unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+        Quad(std::array::from_fn(|i| c.0[i] + a.0[i] * b.0[i]))
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self, b: Self) -> Self {
+        Quad(std::array::from_fn(|i| a.0[i] + b.0[i]))
+    }
+    #[inline(always)]
+    unsafe fn max(a: Self, b: Self) -> Self {
+        Quad(std::array::from_fn(|i| {
+            if a.0[i] > b.0[i] {
+                a.0[i]
+            } else {
+                b.0[i]
+            }
+        }))
+    }
+    #[inline(always)]
+    unsafe fn store_first(at: *mut f32, v: Self, n: usize) {
+        at.copy_from_nonoverlapping(v.0.as_ptr(), n)
+    }
+}
+
+/// [`window_plane`] in four portable lanes.
+///
+/// # Safety
+///
+/// The window may be at most [`MAX_KW`] columns wide.
+pub(crate) unsafe fn window_plane_quad<const F: u8, const SW: usize>(
+    g: &Im2col,
+    data: &[f32],
+    wi: Weights,
+    out: &mut [f32],
+) {
+    window_plane::<Quad, F, SW>(&Plane { g, data, wi }, out)
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     use super::{fill_uniform_scalar, HASH_M1, HASH_M2, UNIT_SCALE};
+    use super::{window_plane, Lanes, Plane};
+    use crate::gemm::Im2col;
+    use crate::ops::window::Weights;
     use std::arch::x86_64::*;
 
     /// AVX2 body of [`super::fill_uniform`]: eight consecutive indices per
@@ -160,6 +405,108 @@ mod x86 {
             idx = _mm256_add_epi32(idx, eight);
         }
         fill_uniform_scalar(key, start + body, lo, hi, &mut out[body..]);
+    }
+
+    /// The [`Lanes`] methods that are one intrinsic at either width.
+    macro_rules! one_intrinsic {
+        ($set1:ident, $loadu:ident, $fmadd:ident, $add:ident, $max:ident) => {
+            #[inline(always)]
+            unsafe fn splat(v: f32) -> Self {
+                $set1(v)
+            }
+            #[inline(always)]
+            unsafe fn load(at: *const f32) -> Self {
+                $loadu(at)
+            }
+            #[inline(always)]
+            unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+                $fmadd(a, b, c)
+            }
+            #[inline(always)]
+            unsafe fn add(a: Self, b: Self) -> Self {
+                $add(a, b)
+            }
+            #[inline(always)]
+            unsafe fn max(a: Self, b: Self) -> Self {
+                $max(a, b)
+            }
+        };
+    }
+
+    impl Lanes for __m512 {
+        const N: usize = 16;
+        one_intrinsic! { _mm512_set1_ps, _mm512_loadu_ps, _mm512_fmadd_ps, _mm512_add_ps, _mm512_max_ps }
+        #[inline(always)]
+        unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self {
+            _mm512_mask_loadu_ps(pad, mask as u16, at)
+        }
+        #[inline(always)]
+        unsafe fn even(a: Self, b: Self) -> Self {
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            _mm512_permutex2var_ps(a, even, b)
+        }
+        #[inline(always)]
+        unsafe fn store_first(at: *mut f32, v: Self, n: usize) {
+            _mm512_mask_storeu_ps(at, ((1u32 << n) - 1) as u16, v)
+        }
+    }
+
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        one_intrinsic! { _mm256_set1_ps, _mm256_loadu_ps, _mm256_fmadd_ps, _mm256_add_ps, _mm256_max_ps }
+        #[inline(always)]
+        unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self {
+            let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let set = _mm256_and_si256(_mm256_set1_epi32(mask as i32), bits);
+            let keep = _mm256_cmpeq_epi32(set, bits);
+            _mm256_blendv_ps(pad, _mm256_maskload_ps(at, keep), _mm256_castsi256_ps(keep))
+        }
+        #[inline(always)]
+        unsafe fn even(a: Self, b: Self) -> Self {
+            // a0 a2 b0 b2 | a4 a6 b4 b6, then its 64-bit pairs as 0 2 1 3.
+            let pairs = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(pairs))
+        }
+        #[inline(always)]
+        unsafe fn store_first(at: *mut f32, v: Self, n: usize) {
+            let first = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(n as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            _mm256_maskstore_ps(at, first, v)
+        }
+    }
+
+    /// [`window_plane`] in zmm registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and the window may be at most
+    /// [`MAX_KW`](super::MAX_KW) columns wide.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn window_plane512<const F: u8, const SW: usize>(
+        g: &Im2col,
+        data: &[f32],
+        wi: Weights,
+        out: &mut [f32],
+    ) {
+        window_plane::<__m512, F, SW>(&Plane { g, data, wi }, out)
+    }
+
+    /// [`window_plane`] in ymm registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and the window may be at most
+    /// [`MAX_KW`](super::MAX_KW) columns wide.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn window_plane256<const F: u8, const SW: usize>(
+        g: &Im2col,
+        data: &[f32],
+        wi: Weights,
+        out: &mut [f32],
+    ) {
+        window_plane::<__m256, F, SW>(&Plane { g, data, wi }, out)
     }
 
     /// The `M × 16` FMA micro-kernel of `gemm`'s blocked driver: the tile's
@@ -282,7 +629,7 @@ mod x86 {
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use x86::{micro_fma, micro_fma512, row_dots_fma};
+pub(crate) use x86::{micro_fma, micro_fma512, row_dots_fma, window_plane256, window_plane512};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use x86::fill_uniform_avx2;
