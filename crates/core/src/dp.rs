@@ -1006,28 +1006,23 @@ mod tests {
             .unwrap();
         let dp_latency = predict_plan(&tiny, &plan, &perf).unwrap().latency_ms;
 
-        let budget = platform.model_memory_budget;
-        let n = tiny.layers().len();
-        let mut best = f64::INFINITY;
-        // Enumerate all segmentations (n is small).
+        // The best latency over every segmentation from layer `start` on
+        // (n is small), each group under every option and placement that
+        // fits the memory budget.
         fn enumerate(
             model: &LinearModel,
             perf: &PerfModel,
             config: &PartitionerConfig,
             budget: u64,
             start: usize,
-            n: usize,
-            acc: &mut Vec<PlannedGroup>,
             master_used: u64,
             latency: f64,
-            best: &mut f64,
-        ) {
+        ) -> f64 {
+            let n = model.layers().len();
             if start == n {
-                if latency < *best {
-                    *best = latency;
-                }
-                return;
+                return latency;
             }
+            let mut best = f64::INFINITY;
             for end in start + 1..=n {
                 for option in group_options(model, start, end, &config.degrees) {
                     let analysis =
@@ -1052,41 +1047,23 @@ mod tests {
                             continue;
                         }
                         let g = predict_group(perf, &analysis, placement);
-                        acc.push(PlannedGroup {
-                            start,
-                            end,
-                            option,
-                            placement,
-                        });
-                        enumerate(
+                        let rest = enumerate(
                             model,
                             perf,
                             config,
                             budget,
                             end,
-                            n,
-                            acc,
                             master_used + used,
                             latency + g.latency_ms(),
-                            best,
                         );
-                        acc.pop();
+                        best = best.min(rest);
                     }
                 }
             }
+            best
         }
-        enumerate(
-            &tiny,
-            &perf,
-            &config,
-            budget,
-            0,
-            n,
-            &mut Vec::new(),
-            0,
-            0.0,
-            &mut best,
-        );
+        let budget = platform.model_memory_budget;
+        let best = enumerate(&tiny, &perf, &config, budget, 0, 0, 0.0);
         assert!(best.is_finite());
         assert!(
             dp_latency <= best * 1.0001,

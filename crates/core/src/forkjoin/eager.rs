@@ -589,7 +589,7 @@ mod tests {
 
         let without = runtime
             .clone()
-            .with_chaos(chaos.clone())
+            .with_chaos(chaos)
             .unwrap()
             .serve_workload(workload(), 3)
             .unwrap();

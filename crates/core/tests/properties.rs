@@ -104,7 +104,7 @@ proptest! {
                 start,
                 end,
                 option,
-                placement: if picks[end - 1] % 2 == 0 || option.parts() == 1 {
+                placement: if picks[end - 1].is_multiple_of(2) || option.parts() == 1 {
                     if option.parts() == 1 {
                         Placement::Master
                     } else {

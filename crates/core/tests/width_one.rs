@@ -48,14 +48,6 @@ fn wide_cnn() -> LinearModel {
                 padding: 1,
             },
         ),
-        (
-            "avg",
-            LayerOp::AvgPool2d {
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-        ),
         ("flatten", LayerOp::Flatten),
         ("fc", LayerOp::Dense { out_features: 16 }),
     ];

@@ -529,9 +529,12 @@ fn readme_knob_table_is_generated() {
     );
 }
 
+/// A text parser by name and header: whether it accepts a text.
+type Parser = (&'static str, &'static str, fn(&str) -> bool);
+
 /// Every text parser in the workspace, behind one signature so the
 /// never-panics sweep and the malformed-input table drive all of them.
-const PARSERS: &[(&str, &str, fn(&str) -> bool)] = &[
+const PARSERS: &[Parser] = &[
     ("batch", "gillis-batch v1", |t| {
         BatchPolicy::from_text(t).is_ok()
     }),

@@ -53,10 +53,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use gillis_tensor::ops::{
-    apply_epilogue, avg_pool2d_into, batch_norm_fold, conv2d_into, conv2d_output_hw,
-    dense_multi_into, depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len,
-    lstm_sequence_into, max_pool2d_into, softmax_into, BatchNormParams, Conv2dParams, Epilogue,
-    LstmParams, Padding, Pool2dParams,
+    apply_epilogue, batch_norm_fold, conv2d_into, conv2d_output_hw, dense_multi_into,
+    depthwise_conv2d_into, global_avg_pool_into, lstm_gates_len, lstm_sequence_into,
+    max_pool2d_into, BatchNormParams, Conv2dParams, Epilogue, LstmParams, Padding, Pool2dParams,
 };
 use gillis_tensor::{Shape, Tensor};
 
@@ -141,7 +140,6 @@ enum StepKind {
     },
     Pool {
         params: Pool2dParams,
-        is_max: bool,
         c: usize,
         in_hw: (usize, usize),
         out_hw: (usize, usize),
@@ -164,7 +162,6 @@ enum StepKind {
         input: usize,
         hidden: usize,
     },
-    Softmax,
 }
 
 impl StepKind {
@@ -474,18 +471,10 @@ fn exec_step<'a>(
         }
         StepKind::Pool {
             params,
-            is_max,
             c,
             in_hw,
             out_hw,
-        } => {
-            let pool = if *is_max {
-                max_pool2d_into
-            } else {
-                avg_pool2d_into
-            };
-            pool(input, n, *c, *in_hw, *out_hw, params, out, sweeps);
-        }
+        } => max_pool2d_into(input, n, *c, *in_hw, *out_hw, params, out, sweeps),
         StepKind::GlobalAvgPool { c, plane: in_plane } => {
             for (input, out) in items(n, input, out) {
                 global_avg_pool_into(input, *c, *in_plane, out);
@@ -510,12 +499,6 @@ fn exec_step<'a>(
             // Each output row is the next timestep's state, so a sweep
             // (no zoo model has one here) waits for the whole sequence.
             apply_epilogue(sweeps, plane, 0, out);
-        }
-        StepKind::Softmax => {
-            for (input, out) in items(n, input, out) {
-                softmax_into(input, out);
-                apply_epilogue(sweeps, plane, 0, out);
-            }
         }
     }
     Ok(())
@@ -1040,13 +1023,7 @@ impl Builder<'_> {
         Ok(self.push(kind, &[x], dims, self.readers_of(id)))
     }
 
-    fn push_pool(
-        &mut self,
-        id: NodeId,
-        x: &Value,
-        params: Pool2dParams,
-        is_max: bool,
-    ) -> Result<Value> {
+    fn push_pool(&mut self, id: NodeId, x: &Value, params: Pool2dParams) -> Result<Value> {
         let (c, in_h, in_w) = Self::require_chw(&x.dims, "pool2d")?;
         let conv_params = Conv2dParams {
             kernel: params.kernel,
@@ -1058,7 +1035,6 @@ impl Builder<'_> {
         })?;
         let kind = StepKind::Pool {
             params,
-            is_max,
             c,
             in_hw: (in_h, in_w),
             out_hw,
@@ -1129,7 +1105,6 @@ impl Builder<'_> {
         let x = &inputs[0];
         let readers = self.readers_of(id);
         let op = self.graph.node(id)?.op.clone();
-        let is_max = matches!(op, LayerOp::MaxPool2d { .. });
         match op {
             LayerOp::Conv2d {
                 kernel,
@@ -1160,18 +1135,13 @@ impl Builder<'_> {
                 kernel,
                 stride,
                 padding,
-            }
-            | LayerOp::AvgPool2d {
-                kernel,
-                stride,
-                padding,
             } => {
                 let params = Pool2dParams {
                     kernel: (kernel, kernel),
                     stride: (stride, stride),
                     padding: pad(padding),
                 };
-                self.push_pool(id, x, params, is_max)
+                self.push_pool(id, x, params)
             }
             LayerOp::BatchNorm => self.push_bn(id, x, channels),
             LayerOp::Relu => Ok(self.push_sweep(id, x, Epilogue::Relu)),
@@ -1197,14 +1167,6 @@ impl Builder<'_> {
                     hidden,
                 };
                 Ok(self.push(kind, &[x], vec![steps, hidden], readers))
-            }
-            LayerOp::Softmax => {
-                if x.dims.len() != 1 {
-                    return Err(ModelError::Unsupported(
-                        "softmax requires a rank-1 input".into(),
-                    ));
-                }
-                Ok(self.push(StepKind::Softmax, &[x], x.dims.clone(), readers))
             }
             LayerOp::Add => {
                 let [a, b] = inputs else {
@@ -1315,7 +1277,6 @@ impl Builder<'_> {
                 | LayerOp::Relu
                 | LayerOp::DepthwiseConv2d { .. }
                 | LayerOp::MaxPool2d { .. }
-                | LayerOp::AvgPool2d { .. }
                 | LayerOp::GlobalAvgPool
                 | LayerOp::Flatten => continue,
                 LayerOp::Conv2d { .. } | LayerOp::Dense { .. } => {
@@ -1895,9 +1856,7 @@ mod tests {
         let is_window = |op: &crate::LayerOp| {
             matches!(
                 op,
-                crate::LayerOp::DepthwiseConv2d { .. }
-                    | crate::LayerOp::MaxPool2d { .. }
-                    | crate::LayerOp::AvgPool2d { .. }
+                crate::LayerOp::DepthwiseConv2d { .. } | crate::LayerOp::MaxPool2d { .. }
             )
         };
         let mut covered = 0;

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use gillis_tensor::ops::{
-    avg_pool2d, batch_norm, conv2d, dense, depthwise_conv2d, global_avg_pool, lstm_sequence,
-    max_pool2d, relu, softmax, BatchNormParams, Conv2dParams, Pool2dParams,
+    batch_norm, conv2d, dense, depthwise_conv2d, global_avg_pool, lstm_sequence, max_pool2d, relu,
+    BatchNormParams, Conv2dParams, Pool2dParams,
 };
 use gillis_tensor::{Shape, Tensor};
 
@@ -134,14 +134,6 @@ impl<'a> Executor<'a> {
                 inputs[0],
                 &Pool2dParams::square(*kernel, *stride, *padding),
             )?),
-            LayerOp::AvgPool2d {
-                kernel,
-                stride,
-                padding,
-            } => Ok(avg_pool2d(
-                inputs[0],
-                &Pool2dParams::square(*kernel, *stride, *padding),
-            )?),
             LayerOp::GlobalAvgPool => Ok(global_avg_pool(inputs[0])?),
             LayerOp::Flatten => {
                 let len = inputs[0].shape().len();
@@ -154,7 +146,6 @@ impl<'a> Executor<'a> {
             LayerOp::Add => Ok(inputs[0].add(inputs[1])?),
             LayerOp::Concat => Ok(Tensor::concat(inputs, 0)?),
             LayerOp::Lstm { .. } => Ok(lstm_sequence(inputs[0], self.lstm_weights(id)?)?.0),
-            LayerOp::Softmax => Ok(softmax(inputs[0])?),
         }
     }
 

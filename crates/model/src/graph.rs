@@ -127,34 +127,13 @@ impl Graph {
             .collect()
     }
 
-    /// Total forward-pass FLOPs of the graph.
-    pub fn total_flops(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let in_shapes: Vec<&Shape> = n
-                    .inputs
-                    .iter()
-                    .map(|&i| &self.nodes[i.0].output_shape)
-                    .collect();
-                n.op.flops(&in_shapes, &n.output_shape)
-            })
-            .sum()
-    }
-
-    /// Total trainable parameters of the graph.
-    pub fn total_params(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let in_shapes: Vec<&Shape> = n
-                    .inputs
-                    .iter()
-                    .map(|&i| &self.nodes[i.0].output_shape)
-                    .collect();
-                n.op.param_count(&in_shapes, &n.output_shape)
-            })
-            .sum()
+    /// `count` — an op's FLOPs or parameters — summed over every node: the
+    /// graph-side figure the merge's conservation tests hold the merged
+    /// layers to.
+    #[cfg(test)]
+    pub(crate) fn sum_over_nodes(&self, count: fn(&LayerOp, &[&Shape], &Shape) -> u64) -> u64 {
+        let node = |n: &Node| count(&n.op, &self.input_shapes(n), &n.output_shape);
+        self.nodes.iter().map(node).sum()
     }
 
     /// Input shapes of a node (borrowed from the producing nodes).
@@ -223,10 +202,10 @@ mod tests {
     fn totals_accumulate_over_nodes() {
         let (g, ..) = tiny_graph();
         // conv params: 4 * 3 * 3 * 3 + 4 = 112
-        assert_eq!(g.total_params(), 112);
+        assert_eq!(g.sum_over_nodes(LayerOp::param_count), 112);
         // conv flops + relu flops
         let conv_flops = 2 * (4 * 8 * 8) * 3 * 3 * 3;
-        assert_eq!(g.total_flops(), conv_flops + 4 * 8 * 8);
+        assert_eq!(g.sum_over_nodes(LayerOp::flops), conv_flops + 4 * 8 * 8);
     }
 
     #[test]

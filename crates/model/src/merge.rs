@@ -1,7 +1,7 @@
 //! The merging pass: element-wise folding and branch merging (paper §III-C).
 //!
 //! Gillis transforms an arbitrary DNN graph into a *linear* chain before
-//! partitioning: element-wise layers (ReLU, batch norm, softmax) are folded
+//! partitioning: element-wise layers (ReLU, batch norm) are folded
 //! into the preceding weight-intensive layer, and branch modules (residual
 //! blocks, inception modules) are merged into a single layer (paper Fig 5).
 //! This pass implements exactly that transformation and additionally derives
@@ -219,7 +219,7 @@ fn build_merged(graph: &Graph, prev: NodeId, nodes: Vec<NodeId>) -> Result<Merge
             LayerOp::Lstm { .. } => has_lstm = true,
             LayerOp::GlobalAvgPool => has_gap = true,
             LayerOp::DepthwiseConv2d { .. } => has_depthwise = true,
-            LayerOp::MaxPool2d { .. } | LayerOp::AvgPool2d { .. } => has_pool = true,
+            LayerOp::MaxPool2d { .. } => has_pool = true,
             LayerOp::Add | LayerOp::Concat => is_branch = true,
             _ => {}
         }
@@ -318,11 +318,6 @@ fn node_rf(node: &Node) -> ReceptiveField {
             kernel,
             stride,
             padding,
-        }
-        | LayerOp::AvgPool2d {
-            kernel,
-            stride,
-            padding,
         } => ReceptiveField {
             kernel,
             stride,
@@ -365,7 +360,7 @@ mod tests {
         }
     }
 
-    /// input -> conv -> bn -> relu -> pool -> flatten -> dense -> softmax
+    /// input -> conv -> bn -> relu -> pool -> flatten -> dense -> relu
     fn small_cnn() -> Graph {
         let mut g = Graph::new();
         let input = g
@@ -395,7 +390,7 @@ mod tests {
         let d = g
             .add("fc", LayerOp::Dense { out_features: 10 }, &[f])
             .unwrap();
-        g.add("softmax", LayerOp::Softmax, &[d]).unwrap();
+        g.add("relu2", LayerOp::Relu, &[d]).unwrap();
         g
     }
 
@@ -430,7 +425,7 @@ mod tests {
                 ..
             }
         ));
-        // flatten + fc + softmax
+        // flatten + fc + relu
         assert_eq!(layers[2].name, "flatten");
         assert_eq!(layers[2].class, LayerClass::DenseLike);
         assert_eq!(layers[2].nodes.len(), 3);
@@ -598,8 +593,8 @@ mod tests {
     #[test]
     fn flops_and_weights_are_conserved_by_merging() {
         let g = small_cnn();
-        let total_flops = g.total_flops();
-        let total_weights = 4 * g.total_params();
+        let total_flops = g.sum_over_nodes(LayerOp::flops);
+        let total_weights = 4 * g.sum_over_nodes(LayerOp::param_count);
         let model = merge_graph("small", g).unwrap();
         assert_eq!(model.total_flops(), total_flops);
         assert_eq!(model.weight_bytes(), total_weights);

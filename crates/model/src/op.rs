@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use gillis_tensor::simd::{MAX_KW, MAX_SW};
 use gillis_tensor::Shape;
 
 use crate::error::ModelError;
@@ -55,15 +56,6 @@ pub enum LayerOp {
         /// Symmetric padding.
         padding: usize,
     },
-    /// Average pooling (square window, padding excluded from divisor).
-    AvgPool2d {
-        /// Window side length.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-        /// Symmetric padding.
-        padding: usize,
-    },
     /// Global average pooling: `CHW` → `[C]`.
     GlobalAvgPool,
     /// Flattens any tensor to rank 1.
@@ -82,15 +74,13 @@ pub enum LayerOp {
         /// Hidden size.
         hidden: usize,
     },
-    /// Softmax over a rank-1 tensor.
-    Softmax,
 }
 
 impl LayerOp {
     /// Whether this op is element-wise (freely partitionable along every
     /// dimension) — the class Gillis folds into preceding weight layers.
     pub fn is_element_wise(&self) -> bool {
-        matches!(self, LayerOp::BatchNorm | LayerOp::Relu | LayerOp::Softmax)
+        matches!(self, LayerOp::BatchNorm | LayerOp::Relu)
     }
 
     /// Whether this op owns trainable weights.
@@ -110,7 +100,9 @@ impl LayerOp {
     /// # Errors
     ///
     /// Returns [`ModelError::BadWiring`] if the inputs are inconsistent with
-    /// the op.
+    /// the op, and [`ModelError::Unsupported`] for a depthwise or pooling
+    /// window the window kernels do not fold (stride above
+    /// [`MAX_SW`], side above [`MAX_KW`]).
     pub fn infer_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
         let one = |inputs: &[&Shape]| -> Result<Shape> {
             if inputs.len() != 1 {
@@ -148,6 +140,7 @@ impl LayerOp {
                 stride,
                 padding,
             } => {
+                check_window(self, *kernel, *stride)?;
                 let s = one(inputs)?;
                 let d = chw(&s)?;
                 let (oh, ow) =
@@ -163,12 +156,8 @@ impl LayerOp {
                 kernel,
                 stride,
                 padding,
-            }
-            | LayerOp::AvgPool2d {
-                kernel,
-                stride,
-                padding,
             } => {
+                check_window(self, *kernel, *stride)?;
                 let s = one(inputs)?;
                 let d = chw(&s)?;
                 let (oh, ow) =
@@ -230,15 +219,6 @@ impl LayerOp {
                 }
                 Ok(Shape::new(vec![s.dims()[0], *hidden]))
             }
-            LayerOp::Softmax => {
-                let s = one(inputs)?;
-                if s.rank() != 1 {
-                    return Err(ModelError::BadWiring(format!(
-                        "softmax expects rank-1 input, got {s}"
-                    )));
-                }
-                Ok(s)
-            }
         }
     }
 
@@ -256,8 +236,8 @@ impl LayerOp {
                 2 * output.len() as u64 * (*kernel as u64) * (*kernel as u64)
             }
             LayerOp::BatchNorm => 4 * output.len() as u64,
-            LayerOp::Relu | LayerOp::Softmax => output.len() as u64,
-            LayerOp::MaxPool2d { kernel, .. } | LayerOp::AvgPool2d { kernel, .. } => {
+            LayerOp::Relu => output.len() as u64,
+            LayerOp::MaxPool2d { kernel, .. } => {
                 output.len() as u64 * (*kernel as u64) * (*kernel as u64)
             }
             LayerOp::GlobalAvgPool => inputs[0].len() as u64,
@@ -306,6 +286,17 @@ impl LayerOp {
             }
         }
     }
+}
+
+/// Rejects a sliding window (depthwise or max pooling) that the window
+/// kernels' vector body does not fold.
+fn check_window(op: &LayerOp, kernel: usize, stride: usize) -> Result<()> {
+    if kernel > MAX_KW || stride > MAX_SW {
+        return Err(ModelError::Unsupported(format!(
+            "{op:?}: a window must be at most {MAX_KW} wide, at a stride of at most {MAX_SW}"
+        )));
+    }
+    Ok(())
 }
 
 /// Destructures a `CHW` shape.
@@ -451,6 +442,52 @@ mod tests {
         assert!(op.infer_shape(&[&s(vec![1, 3, 3])]).is_err());
         let dense = LayerOp::Dense { out_features: 10 };
         assert!(dense.infer_shape(&[&s(vec![2, 3])]).is_err());
+    }
+
+    /// A window the window kernels cannot fold — 9 wide, or at stride 3 —
+    /// is refused by `Graph::add` and by the tensor kernels alike; 8 wide
+    /// at stride 2 is the edge both accept.
+    #[test]
+    fn a_window_the_vector_body_cannot_fold_is_rejected() {
+        use gillis_tensor::ops::{depthwise_conv2d, max_pool2d, Conv2dParams, Pool2dParams};
+        use gillis_tensor::{Tensor, TensorError};
+        let input = s(vec![2, 20, 20]);
+        let x = Tensor::zeros(input.clone());
+        for (kernel, stride, ok) in [(9, 1, false), (3, 3, false), (8, 2, true)] {
+            for op in [
+                LayerOp::DepthwiseConv2d {
+                    kernel,
+                    stride,
+                    padding: 0,
+                },
+                LayerOp::MaxPool2d {
+                    kernel,
+                    stride,
+                    padding: 0,
+                },
+            ] {
+                let mut g = crate::Graph::new();
+                let shape = input.clone();
+                let id = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
+                let added = g.add("window", op.clone(), &[id]);
+                assert_eq!(added.is_ok(), ok, "{op:?}");
+                if !ok {
+                    assert!(matches!(added, Err(ModelError::Unsupported(_))), "{op:?}");
+                }
+            }
+            let w = Tensor::zeros(s(vec![2, kernel, kernel]));
+            let params = Conv2dParams::square(kernel, stride, 0);
+            let results = [
+                depthwise_conv2d(&x, &w, None, &params).map(|_| ()),
+                max_pool2d(&x, &Pool2dParams::square(kernel, stride, 0)).map(|_| ()),
+            ];
+            for result in results {
+                match result {
+                    Ok(()) => assert!(ok, "kernel {kernel} stride {stride}"),
+                    Err(e) => assert!(!ok && matches!(e, TensorError::InvalidArgument(_)), "{e}"),
+                }
+            }
+        }
     }
 
     #[test]

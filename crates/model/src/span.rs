@@ -113,11 +113,6 @@ impl SpanPlan {
                     kernel,
                     stride,
                     padding,
-                }
-                | LayerOp::AvgPool2d {
-                    kernel,
-                    stride,
-                    padding,
                 } => {
                     let input = node.inputs[0];
                     let extent = if input == seed {

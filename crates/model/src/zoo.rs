@@ -651,12 +651,17 @@ mod tests {
         m.weight_bytes() as f64 / MB
     }
 
+    /// Trainable parameters: four bytes each.
+    fn params(m: &LinearModel) -> f64 {
+        (m.weight_bytes() / 4) as f64
+    }
+
     #[test]
     fn vgg_parameter_counts_match_literature() {
         // Known totals: VGG-11 ~132.9M, VGG-16 ~138.4M, VGG-19 ~143.7M.
-        let v11 = vgg11().graph().total_params() as f64 / 1e6;
-        let v16 = vgg16().graph().total_params() as f64 / 1e6;
-        let v19 = vgg19().graph().total_params() as f64 / 1e6;
+        let v11 = params(&vgg11()) / 1e6;
+        let v16 = params(&vgg16()) / 1e6;
+        let v19 = params(&vgg19()) / 1e6;
         assert!((v11 - 132.9).abs() < 1.0, "vgg11 params {v11}M");
         assert!((v16 - 138.4).abs() < 1.0, "vgg16 params {v16}M");
         assert!((v19 - 143.7).abs() < 1.0, "vgg19 params {v19}M");
@@ -664,9 +669,9 @@ mod tests {
 
     #[test]
     fn resnet_parameter_counts_match_literature() {
-        let r34 = resnet34().graph().total_params() as f64 / 1e6;
-        let r50 = resnet50().graph().total_params() as f64 / 1e6;
-        let r101 = resnet101().graph().total_params() as f64 / 1e6;
+        let r34 = params(&resnet34()) / 1e6;
+        let r50 = params(&resnet50()) / 1e6;
+        let r101 = params(&resnet101()) / 1e6;
         assert!((r34 - 21.8).abs() < 0.5, "resnet34 params {r34}M");
         assert!((r50 - 25.6).abs() < 1.0, "resnet50 params {r50}M");
         assert!((r101 - 44.5).abs() < 1.5, "resnet101 params {r101}M");
@@ -674,9 +679,9 @@ mod tests {
 
     #[test]
     fn wrn_grows_quadratically() {
-        let base = resnet50().graph().total_params() as f64;
-        let w3 = wrn50(3).graph().total_params() as f64;
-        let w5 = wrn50(5).graph().total_params() as f64;
+        let base = params(&resnet50());
+        let w3 = params(&wrn50(3));
+        let w5 = params(&wrn50(5));
         // Conv-dominated: ratios close to k^2.
         assert!(w3 / base > 7.5 && w3 / base < 9.5, "ratio {}", w3 / base);
         assert!(w5 / base > 20.0 && w5 / base < 26.0, "ratio {}", w5 / base);
@@ -792,8 +797,8 @@ mod tests {
             .unwrap();
         assert!(pw.class.channel_splittable());
         // MobileNet is small: ~a few million parameters.
-        let params = model.graph().total_params() as f64 / 1e6;
-        assert!(params > 0.5 && params < 10.0, "{params}M params");
+        let millions = params(&model) / 1e6;
+        assert!(millions > 0.5 && millions < 10.0, "{millions}M params");
     }
 
     #[test]

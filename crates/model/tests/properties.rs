@@ -109,8 +109,13 @@ proptest! {
                 h /= 2;
             }
         }
-        let total_flops = g.total_flops();
-        let total_weights = 4 * g.total_params();
+        let (mut total_flops, mut total_weights) = (0, 0);
+        for n in g.nodes() {
+            let ins: Vec<&Shape> =
+                n.inputs.iter().map(|&i| &g.node(i).unwrap().output_shape).collect();
+            total_flops += n.op.flops(&ins, &n.output_shape);
+            total_weights += 4 * n.op.param_count(&ins, &n.output_shape);
+        }
         let model = gillis_model::merge::merge_graph("random-cnn", g).unwrap();
         prop_assert_eq!(model.total_flops(), total_flops);
         prop_assert_eq!(model.weight_bytes(), total_weights);

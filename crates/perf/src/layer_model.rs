@@ -24,12 +24,8 @@ pub fn class_of_op(op: &LayerOp) -> Option<EffClass> {
         LayerOp::DepthwiseConv2d { .. } => Some(EffClass::Pool),
         LayerOp::Dense { .. } => Some(EffClass::Dense),
         LayerOp::Lstm { .. } => Some(EffClass::Recurrent),
-        LayerOp::MaxPool2d { .. } | LayerOp::AvgPool2d { .. } | LayerOp::GlobalAvgPool => {
-            Some(EffClass::Pool)
-        }
-        LayerOp::BatchNorm | LayerOp::Relu | LayerOp::Softmax | LayerOp::Add => {
-            Some(EffClass::ElementWise)
-        }
+        LayerOp::MaxPool2d { .. } | LayerOp::GlobalAvgPool => Some(EffClass::Pool),
+        LayerOp::BatchNorm | LayerOp::Relu | LayerOp::Add => Some(EffClass::ElementWise),
         LayerOp::Input { .. } | LayerOp::Flatten | LayerOp::Concat => None,
     }
 }

@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn join_all_borrows_stack_data() {
         let pool = Pool::new(4);
-        let data = vec![1u64, 2, 3, 4, 5, 6, 7, 8];
+        let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
         let mut sums = [0u64; 4];
         let chunks: Vec<&[u64]> = data.chunks(2).collect();
         let tasks: Vec<Task> = sums

@@ -260,7 +260,7 @@ mod tests {
     fn agents_initialize_with_menu_sized_heads() {
         let mut rng = StdRng::seed_from_u64(0);
         let agents = Agents::new(16, OptionMenu::default(), &mut rng);
-        let f = agents.option.forward(&vec![0.5; GROUP_FEATURES]);
+        let f = agents.option.forward(&[0.5; GROUP_FEATURES]);
         assert_eq!(f.logits.len(), 8);
     }
 }

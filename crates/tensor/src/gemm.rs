@@ -1,10 +1,11 @@
 //! The blocked f32 GEMM driver every convolution lowers to, plus the
 //! matrix–vector products behind `dense` and the LSTM gates.
 //!
-//! [`conv_gemm_with_threads`] and [`gemm`] are one driver over two layouts of
-//! the `B` operand: the im2col matrix of a CHW image, which is never
-//! materialised, and an explicit row-major matrix. The naive kernels the
-//! driver replaces live on in `ops` as test-only references.
+//! [`conv_gemm_with_threads`] is one driver over two layouts of the `B`
+//! operand: the im2col matrix of a CHW image, which is never materialised,
+//! and, for a 1×1 stride-1 unpadded convolution, the image itself as a
+//! row-major matrix. The naive kernels the driver replaces live on in `ops`
+//! as test-only references.
 //!
 //! # What is packed where
 //!
@@ -161,10 +162,10 @@ const NC: usize = 512;
 const MAX_TILE: usize = 12 * 32;
 
 /// Small-GEMM cutoff on `m·n·k` (multiply-add count). Below this the whole
-/// product finishes in roughly the time a pool round trip costs, so [`gemm`]
-/// stays single-threaded. `128·32·32 = 131072` MACs is ~60–100 µs of blocked
-/// kernel on one core — comfortably above batch-dispatch latency but small
-/// enough that splitting it buys nothing.
+/// product finishes in roughly the time a pool round trip costs, so a
+/// convolution stays single-threaded. `128·32·32 = 131072` MACs is ~60–100
+/// µs of blocked kernel on one core — comfortably above batch-dispatch
+/// latency but small enough that splitting it buys nothing.
 pub const GEMM_PAR_MIN_MNK: usize = 1 << 17;
 
 /// Small-GEMV cutoff on `rows·cols` (weight cells). A matrix–vector product
@@ -698,41 +699,6 @@ fn drive(
     driver.run::<Scalar>(threads)
 }
 
-/// `C += A·B` with `A` row-major `m`×`k`, `B` row-major `k`×`n`, `C`
-/// row-major `m`×`n`. `C` must be pre-initialized by the caller (zeros, or a
-/// broadcast bias).
-///
-/// Uses [`gillis_threads`] workers above the [`GEMM_PAR_MIN_MNK`] cutoff; see
-/// the module docs for the determinism contract.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the given dimensions.
-pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let threads = gemm_threads(m.saturating_mul(n).saturating_mul(k));
-    gemm_with_threads(m, n, k, a, b, c, threads);
-}
-
-/// [`gemm`] with an explicit worker count — the entry point tests use to
-/// check bit-identical results across thread counts without racing on the
-/// process environment.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the given dimensions.
-pub fn gemm_with_threads(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-) {
-    assert_eq!(b.len(), k * n, "B must be k*n");
-    drive((m, n, k), a, Operand::Matrix, (b, 1), c, threads, &[]);
-}
-
 /// The convolution GEMM: `C[i] += A · im2col(inputs[i])` for `batch` CHW
 /// images laid out back to back in `inputs`, with `A` the row-major
 /// `m × geom.k()` filter rows and every `C[i]` a row-major `m × geom.n()`
@@ -775,18 +741,9 @@ pub fn conv_gemm_with_threads(
 /// (reassociating the sum, so results differ from a serial dot by normal f32
 /// rounding), then lanes are combined in a fixed order — deterministic for a
 /// given length, and identical across thread counts because each output row
-/// is owned by one thread.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the given dimensions.
-pub fn gemv(rows: usize, cols: usize, w: &[f32], x: &[f32], out: &mut [f32]) {
-    gemv_with_threads((rows, cols), w, x, out, gemv_threads(rows, cols), &[]);
-}
-
-/// [`gemv`] with an explicit worker count, bypassing the small-work
-/// threshold — the entry point tests use to check bit-identical results
-/// across thread counts — each thread then rewriting the outputs it has
+/// is owned by one thread. It runs on `threads` workers, which the caller
+/// picks (`dense` from the small-work threshold, tests to check the bits
+/// across thread counts), each thread then rewriting the outputs it has
 /// just written by `epilogue`.
 ///
 /// # Panics
@@ -833,9 +790,9 @@ fn gemv_rows(cols: usize, w: &[f32], x: &[f32], out: &mut [f32], epilogue: &[Epi
 /// one, so the pass waits on memory rather than on its own last result.
 const MAX_Q: usize = 5;
 
-/// The eight-lane row dot product behind [`gemv`] *and* [`gemv_multi`], over
-/// `Q` right-hand sides (`xs` holds them back to back) in one pass over
-/// `row`. Every right-hand side has its own accumulator chain — eight lanes
+/// The eight-lane row dot product behind [`gemv_with_threads`] *and*
+/// [`gemv_multi`], over `Q` right-hand sides (`xs` holds them back to back)
+/// in one pass over `row`. Every right-hand side has its own accumulator chain — eight lanes
 /// taking one multiply-add per eight columns, ascending, folded in a fixed
 /// tree, plus a serial tail — and no chain reads another, so a `(row, query)`
 /// pair accumulates identically whatever `Q` it rode in, alone (`Q = 1`)
@@ -877,11 +834,12 @@ fn row_dots<const Q: usize>(row: &[f32], xs: &[f32]) -> [f32; Q] {
 /// must be pre-initialized (zeros or a per-row bias broadcast across the
 /// batch).
 ///
-/// Each `(row, q)` dot product uses exactly the [`gemv`] accumulation scheme
-/// ([`row_dots`]), so every output is bit-identical to `nrhs` separate `gemv`
-/// calls — the batch only amortizes the weight-matrix traversal: each `W`
-/// row is streamed from memory once and dotted against all `nrhs` inputs
-/// while cache-hot, up to [`MAX_Q`] of them per pass over the row.
+/// Each `(row, q)` dot product uses exactly the [`gemv_with_threads`]
+/// accumulation scheme ([`row_dots`]), so every output is bit-identical to
+/// `nrhs` separate matrix–vector products — the batch only amortizes the
+/// weight-matrix traversal: each `W` row is streamed from memory once and
+/// dotted against all `nrhs` inputs while cache-hot, up to [`MAX_Q`] of them
+/// per pass over the row.
 ///
 /// # Panics
 ///
@@ -971,6 +929,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `C += A·B` through the driver's matrix operand, `A` row-major
+    /// `m`×`k`, `B` row-major `k`×`n`, on `threads` workers.
+    fn gemm_with_threads(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        threads: usize,
+    ) {
+        assert_eq!(b.len(), k * n, "B must be k*n");
+        drive((m, n, k), a, Operand::Matrix, (b, 1), c, threads, &[]);
+    }
+
     /// Textbook triple loop with the driver's per-element history.
     fn gemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         for i in 0..m {
@@ -996,7 +967,7 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
         let mut c = [0.0; 4];
-        gemm(2, 2, 2, &a, &b, &mut c);
+        gemm_with_threads((2, 2, 2), &a, &b, &mut c, 1);
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -1005,16 +976,16 @@ mod tests {
         let a = [1.0, 0.0];
         let b = [2.0, 3.0, 100.0, 100.0];
         let mut c = [10.0, 20.0];
-        gemm(1, 2, 2, &a, &b, &mut c);
+        gemm_with_threads((1, 2, 2), &a, &b, &mut c, 1);
         assert_eq!(c, [12.0, 23.0]);
     }
 
     #[test]
     fn empty_dims_are_noops() {
         let mut c = [1.0f32; 4];
-        gemm(2, 2, 0, &[], &[], &mut c);
+        gemm_with_threads((2, 2, 0), &[], &[], &mut c, 1);
         assert_eq!(c, [1.0; 4]);
-        gemm(0, 0, 3, &[], &[], &mut []);
+        gemm_with_threads((0, 0, 3), &[], &[], &mut [], 1);
     }
 
     #[test]
@@ -1023,7 +994,7 @@ mod tests {
         let w = [1.0, 0.0, 0.0, 0.0, 1.0, 1.0];
         let x = [1.0, 2.0, 3.0];
         let mut out = [10.0, -10.0];
-        gemv(2, 3, &w, &x, &mut out);
+        gemv_with_threads((2, 3), &w, &x, &mut out, 1, &[]);
         assert_eq!(out, [11.0, -5.0]);
     }
 
@@ -1108,7 +1079,7 @@ mod tests {
             let mut want = init.clone();
             gemm_naive(m, n, k, &a, &b, &mut want);
             let mut got = init.clone();
-            gemm_with_threads(m, n, k, &a, &b, &mut got, 1);
+            gemm_with_threads((m, n, k), &a, &b, &mut got, 1);
             prop_assert_eq!(bits(&want), bits(&got));
         }
 
@@ -1129,7 +1100,7 @@ mod tests {
             gemm_naive(m, n, k, &a, &b, &mut want);
             for threads in [1usize, 2, 8] {
                 let mut got = init.clone();
-                gemm_with_threads(m, n, k, &a, &b, &mut got, threads);
+                gemm_with_threads((m, n, k), &a, &b, &mut got, threads);
                 prop_assert_eq!(bits(&want), bits(&got), "threads={}", threads);
             }
         }
@@ -1143,8 +1114,8 @@ mod tests {
             let b = pseudo(k * n, seed, 277803737);
             let mut c1 = vec![0.25f32; m * n];
             let mut c8 = c1.clone();
-            gemm_with_threads(m, n, k, &a, &b, &mut c1, 1);
-            gemm_with_threads(m, n, k, &a, &b, &mut c8, 8);
+            gemm_with_threads((m, n, k), &a, &b, &mut c1, 1);
+            gemm_with_threads((m, n, k), &a, &b, &mut c8, 8);
             prop_assert_eq!(bits(&c1), bits(&c8));
         }
 
@@ -1176,7 +1147,8 @@ mod tests {
                 let mut want = vec![0.0f32; rows * nrhs];
                 for q in 0..nrhs {
                     let mut out = vec![0.125f32; rows];
-                    gemv(rows, cols, &w, &xs[q * cols..(q + 1) * cols], &mut out);
+                    let x = &xs[q * cols..(q + 1) * cols];
+                    gemv_with_threads((rows, cols), &w, x, &mut out, 1, &[]);
                     for r in 0..rows {
                         want[r * nrhs + q] = out[r];
                     }
@@ -1197,7 +1169,7 @@ mod tests {
             let w = pseudo(rows * cols, seed, 2891336453);
             let x = pseudo(cols, seed, 1181783497);
             let mut got = vec![0.0f32; rows];
-            gemv(rows, cols, &w, &x, &mut got);
+            gemv_with_threads((rows, cols), &w, &x, &mut got, 1, &[]);
             for r in 0..rows {
                 let want: f32 = w[r * cols..(r + 1) * cols]
                     .iter()

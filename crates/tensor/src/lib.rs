@@ -12,7 +12,8 @@
 //! - Slicing and stitching along arbitrary dimensions ([`Tensor::slice`],
 //!   [`Tensor::concat`]) — the primitives a fork-join master uses to scatter
 //!   inputs and gather partial outputs.
-//! - Layer kernels in [`ops`]: 2-D convolution, max/average pooling, dense
+//! - Layer kernels in [`ops`]: 2-D and depthwise convolution, max and
+//!   global average pooling, dense
 //!   (fully connected), batch normalization, element-wise activations, and an
 //!   LSTM cell.
 //!

@@ -13,7 +13,7 @@
 //! convolution, so the two agree to the bit in either arithmetic mode.
 
 use super::conv::{conv2d_output_hw, lowering};
-use super::window::{window_into, Fold};
+use super::window::{check_window, window_into, Fold};
 use super::Conv2dParams;
 use crate::error::TensorError;
 use crate::gemm::Epilogue;
@@ -26,9 +26,11 @@ use crate::Result;
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for inconsistent shapes or a
-/// kernel larger than the padded input, and [`TensorError::ShapeMismatch`]
-/// for a bias of the wrong length.
+/// Returns [`TensorError::InvalidArgument`] for inconsistent shapes, a
+/// kernel larger than the padded input, or a window the window driver does
+/// not fold (wider than [`MAX_KW`](crate::simd::MAX_KW) or at a column
+/// stride above [`MAX_SW`](crate::simd::MAX_SW)), and
+/// [`TensorError::ShapeMismatch`] for a bias of the wrong length.
 pub fn depthwise_conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -70,6 +72,7 @@ pub fn depthwise_conv2d(
             });
         }
     }
+    check_window(params.kernel, params.stride)?;
     let (out_h, out_w) = conv2d_output_hw((in_h, in_w), params).ok_or_else(|| {
         TensorError::InvalidArgument(format!(
             "padded input ({in_h}, {in_w}) smaller than kernel {:?}",
@@ -110,7 +113,8 @@ pub fn depthwise_conv2d(
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths are inconsistent with the dimensions.
+/// Panics if buffer lengths are inconsistent with the dimensions, or if
+/// [`depthwise_conv2d`] would reject the window.
 #[allow(clippy::too_many_arguments)]
 pub fn depthwise_conv2d_into(
     inputs: &[f32],
@@ -177,20 +181,22 @@ mod tests {
     use super::*;
     use crate::ops::conv2d;
     use crate::ops::Padding;
+    use crate::simd::{MAX_KW, MAX_SW};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Asymmetric padding (a halo slice), every stride and kernel shape,
+        /// Asymmetric padding (a halo slice), kernels up to the full
+        /// `MAX_KW` columns, row strides 1 to 3 and column strides 1 and 2,
         /// and rows long enough for the two-vector blocks, single vectors
         /// and a partial vector of the vector body.
         #[test]
         fn window_path_matches_naive_reference_bitwise(
             c in 1usize..6,
             (in_h, in_w) in (3usize..10, 3usize..80),
-            (kh, kw) in (1usize..6, 1usize..6),
-            stride in (1usize..4, 1usize..4),
+            (kh, kw) in (1usize..6, 1usize..=MAX_KW),
+            stride in (1usize..4, 1usize..=MAX_SW),
             (top, bottom, left, right) in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
             seed in 0u32..1000,
         ) {

@@ -16,15 +16,12 @@ mod rnn;
 pub(crate) mod window;
 
 pub use crate::gemm::{apply_epilogue, Epilogue};
-pub use activation::{relu, sigmoid, softmax, softmax_into, tanh};
+pub use activation::{relu, sigmoid, tanh};
 pub use conv::{conv2d, conv2d_into, conv2d_output_hw, Conv2dParams};
 pub use dense::{dense, dense_into, dense_multi_into};
 pub use depthwise::{depthwise_conv2d, depthwise_conv2d_into};
 pub use norm::{batch_norm, batch_norm_fold, BatchNormParams};
-pub use pool::{
-    avg_pool2d, avg_pool2d_into, global_avg_pool, global_avg_pool_into, max_pool2d,
-    max_pool2d_into, Pool2dParams,
-};
+pub use pool::{global_avg_pool, global_avg_pool_into, max_pool2d, max_pool2d_into, Pool2dParams};
 pub use rnn::{
     lstm_cell, lstm_gates_len, lstm_sequence, lstm_sequence_into, LstmParams, LstmState,
 };
@@ -58,17 +55,13 @@ impl Padding {
             right: p,
         }
     }
-
-    /// No padding.
-    pub fn none() -> Self {
-        Padding::default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::{conv_gemm_with_threads, Im2col};
+    use crate::simd::{MAX_KW, MAX_SW};
     use proptest::prelude::*;
     use window::{window_into, Fold};
 
@@ -217,13 +210,14 @@ mod tests {
         }
 
         /// The window driver's epilogue is the old sweep over its output,
-        /// for depthwise, max and average folds: strides 1 to 3, padding
+        /// for depthwise and max folds: windows up to the full `MAX_KW`
+        /// columns, row strides 1 to 3 and column strides 1 and 2, padding
         /// up to wider than the window, rows from a partial vector up to
         /// several, on 1, 2 and 8 threads, one item and three.
         #[test]
         fn a_window_epilogue_is_the_sweep(
             (channels, (in_h, in_w)) in (1usize..5, (1usize..10, 1usize..30)),
-            (kernel, stride) in ((1usize..4, 1usize..4), (1usize..4, 1usize..4)),
+            (kernel, stride) in ((1usize..4, 1usize..=MAX_KW), (1usize..4, 1usize..=MAX_SW)),
             (top, left, bottom, right) in (0usize..5, 0usize..5, 0usize..5, 0usize..5),
             seed in 0u32..1000,
         ) {
@@ -242,7 +236,6 @@ mod tests {
             let folds = [
                 Fold::Depthwise { weight: &weight, bias: Some(&bias) },
                 Fold::Max,
-                Fold::Avg,
             ];
             for batch in [1usize, 3] {
                 let x: Vec<f32> = (0..batch * channels * in_h * in_w).map(|i| value(i, seed, 23)).collect();
@@ -293,6 +286,5 @@ mod tests {
     fn symmetric_padding_sets_all_sides() {
         let p = Padding::symmetric(2);
         assert_eq!((p.top, p.bottom, p.left, p.right), (2, 2, 2, 2));
-        assert_eq!(Padding::none(), Padding::default());
     }
 }

@@ -1,18 +1,17 @@
-//! Max/average pooling over `CHW` tensors.
+//! Max pooling and global average pooling over `CHW` tensors.
 //!
 //! Windowed pooling runs on the sliding-window driver shared with depthwise
 //! convolution (`ops/window.rs`): max pooling is an `f32::max` chain from
-//! `-inf` over a window's in-bounds taps in `(ky, kx)` order, average pooling
-//! the in-bounds sum divided by the in-bounds tap count. Neither depends on
-//! the thread count, the batch or the arithmetic mode.
+//! `-inf` over a window's in-bounds taps in `(ky, kx)` order, independent of
+//! the thread count, the batch and the arithmetic mode.
 
 use serde::{Deserialize, Serialize};
 
 use super::conv::{conv2d_output_hw, lowering, Conv2dParams};
-use super::window::{window_into, Fold};
+use super::window::{check_window, window_into, Fold};
 use super::Padding;
 use crate::error::TensorError;
-use crate::gemm::{Epilogue, Im2col};
+use crate::gemm::Epilogue;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -24,9 +23,7 @@ pub struct Pool2dParams {
     pub kernel: (usize, usize),
     /// Vertical and horizontal stride.
     pub stride: (usize, usize),
-    /// Per-side padding. Max pooling pads with `-inf`; average pooling pads
-    /// with zeros that *do not* count toward the divisor (the common
-    /// `count_include_pad = false` convention).
+    /// Per-side padding. A padding tap is `-inf`, which never wins a max.
     pub padding: Padding,
 }
 
@@ -49,14 +46,23 @@ impl Pool2dParams {
     }
 }
 
-fn pool2d(input: &Tensor, params: &Pool2dParams, is_max: bool) -> Result<Tensor> {
+/// Max pooling over a `CHW` tensor.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for non-`CHW` inputs, windows
+/// larger than the padded input, and windows the window driver does not
+/// fold (wider than [`MAX_KW`](crate::simd::MAX_KW) or at a column stride
+/// above [`MAX_SW`](crate::simd::MAX_SW)).
+pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
     let dims = input.shape().dims();
     if dims.len() != 3 {
         return Err(TensorError::InvalidArgument(format!(
-            "pool2d input must be CHW, got rank {}",
+            "max_pool2d input must be CHW, got rank {}",
             dims.len()
         )));
     }
+    check_window(params.kernel, params.stride)?;
     let (c, in_h, in_w) = (dims[0], dims[1], dims[2]);
     let (out_h, out_w) = conv2d_output_hw((in_h, in_w), &params.as_conv()).ok_or_else(|| {
         TensorError::InvalidArgument(format!(
@@ -65,12 +71,7 @@ fn pool2d(input: &Tensor, params: &Pool2dParams, is_max: bool) -> Result<Tensor>
         ))
     })?;
     let mut out = vec![0.0f32; c * out_h * out_w];
-    let pool = if is_max {
-        max_pool2d_into
-    } else {
-        avg_pool2d_into
-    };
-    pool(
+    max_pool2d_into(
         input.data(),
         1,
         c,
@@ -83,36 +84,6 @@ fn pool2d(input: &Tensor, params: &Pool2dParams, is_max: bool) -> Result<Tensor>
     Tensor::from_vec(Shape::new(vec![c, out_h, out_w]), out)
 }
 
-/// The window geometry of `params` over `c` planes of `in_hw`.
-fn geometry(
-    c: usize,
-    (in_h, in_w): (usize, usize),
-    out_hw: (usize, usize),
-    params: &Pool2dParams,
-) -> Im2col {
-    lowering(c, in_h, in_w, &params.as_conv(), out_hw)
-}
-
-/// Max pooling over a `CHW` tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] for non-`CHW` inputs or windows
-/// larger than the padded input.
-pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
-    pool2d(input, params, true)
-}
-
-/// Average pooling over a `CHW` tensor (padding excluded from the divisor).
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] for non-`CHW` inputs or windows
-/// larger than the padded input.
-pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
-    pool2d(input, params, false)
-}
-
 /// Max pooling of `batch` CHW inputs (back to back in `data`) over raw
 /// buffers, writing `batch` outputs of `c · out_h · out_w` into `out`: an
 /// `f32::max` chain from `-inf` over each window's in-bounds taps in
@@ -122,7 +93,8 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths are inconsistent with the dimensions.
+/// Panics if buffer lengths are inconsistent with the dimensions, or if
+/// [`max_pool2d`] would reject the window.
 #[allow(clippy::too_many_arguments)]
 pub fn max_pool2d_into(
     data: &[f32],
@@ -134,44 +106,8 @@ pub fn max_pool2d_into(
     out: &mut [f32],
     epilogue: &[Epilogue],
 ) {
-    window_into(
-        data,
-        batch,
-        &geometry(c, in_hw, out_hw, params),
-        (Fold::Max, epilogue),
-        out,
-        None,
-    );
-}
-
-/// Average pooling of `batch` CHW inputs over raw buffers: each window's
-/// in-bounds sum in `(ky, kx)` order, divided by `kh·kw` inside and by the
-/// in-bounds tap count on the borders. Bit-identical to [`avg_pool2d`] per
-/// item, at any thread count, then rewritten by `epilogue` as
-/// [`max_pool2d_into`]'s are.
-///
-/// # Panics
-///
-/// Panics if buffer lengths are inconsistent with the dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn avg_pool2d_into(
-    data: &[f32],
-    batch: usize,
-    c: usize,
-    in_hw: (usize, usize),
-    out_hw: (usize, usize),
-    params: &Pool2dParams,
-    out: &mut [f32],
-    epilogue: &[Epilogue],
-) {
-    window_into(
-        data,
-        batch,
-        &geometry(c, in_hw, out_hw, params),
-        (Fold::Avg, epilogue),
-        out,
-        None,
-    );
+    let geom = lowering(c, in_hw.0, in_hw.1, &params.as_conv(), out_hw);
+    window_into(data, batch, &geom, (Fold::Max, epilogue), out, None);
 }
 
 /// Global average pooling: reduces `CHW` to `[C]`.
@@ -229,16 +165,6 @@ mod tests {
         let out = max_pool2d(&input, &Pool2dParams::square(2, 2, 0)).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 2]);
         assert_eq!(out.data(), &[5.0, 9.0]);
-    }
-
-    #[test]
-    fn avg_pool_excludes_padding_from_divisor() {
-        let input = Tensor::full(Shape::new(vec![1, 2, 2]), 4.0);
-        // 3x3 window with padding 1 over a 2x2 input of all 4s: each window
-        // covers exactly the 4 real elements at stride 2 start (0,0).
-        let out = avg_pool2d(&input, &Pool2dParams::square(3, 2, 1)).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 1, 1]);
-        assert_eq!(out.data(), &[4.0]);
     }
 
     #[test]
@@ -343,37 +269,11 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_divides_border_windows_by_their_in_bounds_taps() {
-        let dims = (2, 9, 45);
-        let shape = Shape::new(vec![dims.0, dims.1, dims.2]);
-        let ones = Tensor::full(shape.clone(), 1.0);
-        let ramp = Tensor::from_fn(shape, |i| ((i * 40503) % 977) as f32 * 1e-3 - 0.4);
-        for p in geometries() {
-            let taps = windows(dims, &p);
-            // A mean of ones is one wherever the window touches the input.
-            let got = avg_pool2d(&ones, &p).unwrap();
-            for (got, taps) in got.data().iter().zip(&taps) {
-                let want = if taps.is_empty() { 0.0 } else { 1.0 };
-                assert_eq!(got.to_bits(), f32::to_bits(want), "{p:?}");
-            }
-            let want: Vec<f32> = taps
-                .iter()
-                .map(|taps| match taps.len() {
-                    0 => 0.0,
-                    n => taps.iter().fold(0.0, |acc, &i| acc + ramp.data()[i]) / n as f32,
-                })
-                .collect();
-            let got = avg_pool2d(&ramp, &p).unwrap();
-            assert_eq!(bits(got.data()), bits(&want), "{p:?}");
-        }
-    }
-
-    #[test]
     fn rejects_bad_rank_and_oversize_window() {
         let flat = Tensor::zeros(Shape::new(vec![4]));
         assert!(max_pool2d(&flat, &Pool2dParams::square(2, 2, 0)).is_err());
         assert!(global_avg_pool(&flat).is_err());
         let tiny = Tensor::zeros(Shape::new(vec![1, 2, 2]));
-        assert!(avg_pool2d(&tiny, &Pool2dParams::square(5, 1, 0)).is_err());
+        assert!(max_pool2d(&tiny, &Pool2dParams::square(5, 1, 0)).is_err());
     }
 }

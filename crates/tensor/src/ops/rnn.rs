@@ -246,7 +246,7 @@ mod tests {
     fn matvec(w: &Tensor, x: &Tensor) -> Vec<f32> {
         let (rows, cols) = (w.shape().dims()[0], w.shape().dims()[1]);
         let mut out = vec![0.0f32; rows];
-        gemm::gemv(rows, cols, w.data(), x.data(), &mut out);
+        gemm::gemv_with_threads((rows, cols), w.data(), x.data(), &mut out, 1, &[]);
         out
     }
 

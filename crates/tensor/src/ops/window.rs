@@ -1,7 +1,7 @@
-//! The one sliding-window driver behind depthwise convolution and pooling:
-//! [`window_into`] slides a `kh × kw` window over each CHW plane of `batch`
-//! images and folds each output element's taps in `(ky, kx)` order with one
-//! of three [`Fold`]s:
+//! The one sliding-window driver behind depthwise convolution and max
+//! pooling: [`window_into`] slides a `kh × kw` window over each CHW plane of
+//! `batch` images and folds each output element's taps in `(ky, kx)` order
+//! with one of two [`Fold`]s:
 //!
 //! - **depthwise**: from the channel's bias (or `0.0`), one multiply-add per
 //!   tap, a padding tap multiplying an explicit `+0.0` — the history the GEMM
@@ -11,30 +11,34 @@
 //!   padding tap holds `-inf`, which never replaces the accumulator (the
 //!   chain never holds a NaN); `vmaxps(tap, acc)` keeps the accumulator on a
 //!   NaN tap and on a `±0.0` tie, as the chain does.
-//! - **avg**: the in-bounds sum from `+0.0` (a padding tap adds `+0.0`, which
-//!   moves no such sum), divided by `kh·kw` inside and by the in-bounds tap
-//!   count on the borders (`0.0` where there is none).
 //!
 //! Each plane then takes the caller's [`Epilogue`]. Nothing else — vector
 //! width, row blocking, batch, thread split — reaches an element, so outputs
 //! are bit-identical at any width and batch, and a `simd` build's bodies
 //! compute what the scalar build computes.
 //!
-//! Every body reads the plane where it lies and synthesises the padding: a
-//! tap row off the plane, or a tap column off a row, is the padding value,
-//! never stored. The vector body (`simd.rs`; strides 1 and 2, windows up to
-//! eight columns wide; in zmm registers under AVX-512F, ymm under AVX2, and
-//! four portable lanes elsewhere) folds four output rows × two vectors in
-//! registers through all taps, loading a block's taps plainly where they all
-//! lie on the plane and masked at its edges, a stride-2 tap as two vectors'
-//! even lanes. The row sweep takes every other window: it sweeps a row once
-//! per tap, under [`simd_active`](crate::simd::simd_active) compiled for
-//! AVX2 and FMA. Planes split across the pool in contiguous runs above the
-//! GEMM's small-work cutoff.
+//! One body folds every plane: the vector body (`simd.rs`), in zmm registers
+//! under AVX-512F, ymm under AVX2, and four portable lanes elsewhere. It
+//! reads the plane where it lies and synthesises the padding (a tap row off
+//! the plane, or a tap column off a row, is the padding value, never
+//! stored), folds four output rows × two vectors in registers through all
+//! taps, loads a block's taps plainly where they all lie on the plane and
+//! masked at its edges, and reads a stride-2 tap as two vectors' even lanes.
+//! So it takes any row stride but only windows up to
+//! [`MAX_KW`](crate::simd::MAX_KW) columns wide at a column stride of at
+//! most [`MAX_SW`](crate::simd::MAX_SW). Every catalog layer is such a
+//! window; any other is rejected where it enters: by `Graph::add` in
+//! `gillis-model`, with `InvalidArgument` by `depthwise_conv2d` and
+//! `max_pool2d`, and by an assertion in [`window_into`], which the `unsafe`
+//! call into the body relies on. Planes split across the pool in contiguous
+//! runs above the GEMM's small-work cutoff.
 
 use gillis_pool::{Pool, Task};
 
+use crate::error::TensorError;
 use crate::gemm::{self, epilogue_rows, Epilogue, Im2col};
+use crate::simd::{MAX_KW, MAX_SW};
+use crate::Result;
 
 /// How an output element folds the taps of its window.
 #[derive(Debug, Clone, Copy)]
@@ -46,21 +50,16 @@ pub(crate) enum Fold<'a> {
     },
     /// Max pooling.
     Max,
-    /// Average pooling, padding excluded from the divisor.
-    Avg,
 }
 
 /// [`Fold`] tags, as const parameters of the bodies.
 pub(crate) const DEPTHWISE: u8 = 0;
 pub(crate) const MAX: u8 = 1;
-pub(crate) const AVG: u8 = 2;
 
-/// A body that folds a plane: the row sweep, or the vector body in four
-/// portable lanes (unfused, for a build or CPU without AVX2), ymm (AVX2 and
-/// FMA) or zmm (AVX-512F) registers.
+/// The vector body's lanes: four portable ones (unfused, for a build or CPU
+/// without AVX2), ymm (AVX2 and FMA) or zmm (AVX-512F) registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Body {
-    Sweep,
     Quad,
     Ymm,
     Zmm,
@@ -71,11 +70,27 @@ impl Body {
     fn available() -> &'static [Body] {
         use crate::simd::{avx512_active, simd_active};
         match (simd_active(), avx512_active()) {
-            (_, true) => &[Body::Sweep, Body::Ymm, Body::Zmm],
-            (true, false) => &[Body::Sweep, Body::Ymm],
-            _ => &[Body::Sweep, Body::Quad],
+            (_, true) => &[Body::Ymm, Body::Zmm],
+            (true, false) => &[Body::Ymm],
+            _ => &[Body::Quad],
         }
     }
+}
+
+/// Rejects a window the driver does not fold.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] unless the window is at most
+/// [`MAX_KW`] columns wide, at a column stride from 1 to [`MAX_SW`].
+pub(crate) fn check_window(kernel: (usize, usize), stride: (usize, usize)) -> Result<()> {
+    if kernel.1 <= MAX_KW && (1..=MAX_SW).contains(&stride.1) {
+        return Ok(());
+    }
+    Err(TensorError::InvalidArgument(format!(
+        "window {kernel:?} at stride {stride:?} is not foldable: at most {MAX_KW} columns \
+         wide, at a column stride from 1 to {MAX_SW}"
+    )))
 }
 
 /// Slides `g`'s window over the `batch × g.channels` planes of `inputs`
@@ -87,7 +102,10 @@ impl Body {
 ///
 /// # Panics
 ///
-/// Panics if a buffer length is inconsistent with `batch` and `g`.
+/// Panics if a buffer length is inconsistent with `batch` and `g`, or if
+/// the window is wider than [`MAX_KW`] columns or its column stride is not
+/// 1 to [`MAX_SW`] — the vector body's precondition, so checked in every
+/// build.
 pub(crate) fn window_into(
     inputs: &[f32],
     batch: usize,
@@ -96,6 +114,7 @@ pub(crate) fn window_into(
     outs: &mut [f32],
     threads: Option<usize>,
 ) {
+    check_window(g.kernel, g.stride).expect("the vector body folds every window it is given");
     let planes = batch * g.channels;
     assert_eq!(
         inputs.len(),
@@ -145,8 +164,8 @@ fn fold_planes(
 }
 
 /// Folds `plane`, of channel `ch`, into `out` with `body` if this process
-/// runs it, else with the widest body it runs — the row sweep where the
-/// vector body does not take the window.
+/// runs it, else with the widest body it runs. `g` is a window
+/// [`window_into`] accepts.
 fn fold_plane(body: Body, g: &Im2col, fold: Fold, (plane, ch): (&[f32], usize), out: &mut [f32]) {
     let bodies = Body::available();
     let body = if bodies.contains(&body) {
@@ -161,142 +180,42 @@ fn fold_plane(body: Body, g: &Im2col, fold: Fold, (plane, ch): (&[f32], usize), 
             (&weight[ch * taps..][..taps], bias.map_or(0.0, |b| b[ch])),
         ),
         Fold::Max => (MAX, (&[][..], f32::NEG_INFINITY)),
-        Fold::Avg => (AVG, (&[][..], 0.0)),
     };
-    match vector(body, f, g) {
-        // SAFETY: the body asked of `vector` is one this process runs, so
-        // the CPU has its features, and `vector` returns no instance for a
-        // window wider than MAX_KW.
-        Some(vector) => unsafe { vector(g, plane, wi, out) },
-        None if f == DEPTHWISE => fold_rows::<DEPTHWISE>(g, plane, wi, out),
-        None if f == MAX => fold_rows::<MAX>(g, plane, wi, out),
-        None => fold_rows::<AVG>(g, plane, wi, out),
-    }
-    if f == AVG {
-        for (oy, out) in out.chunks_exact_mut(g.out_hw.1).enumerate() {
-            divide_avg(g, oy, out);
-        }
-    }
+    // SAFETY: the body is one this process runs, so the CPU has its
+    // features, and `window_into` asserted the window at most MAX_KW wide.
+    unsafe { vector(body, f, g.stride.1)(g, plane, wi, out) }
 }
 
 /// One instance of the vector body: a plane's geometry, input, weights and
 /// output.
 type Vector = unsafe fn(&Im2col, &[f32], Weights, &mut [f32]);
 
-/// The instance of the vector body that folds `f` over `g` in `body`'s
-/// lanes, if the body takes the window.
-fn vector(body: Body, f: u8, g: &Im2col) -> Option<Vector> {
-    if body == Body::Sweep || g.stride.1 > 2 || g.kernel.1 > crate::simd::MAX_KW {
-        return None;
-    }
+/// The instance of the vector body that folds `f` at column stride `sw`
+/// (1 or 2) in `body`'s lanes.
+fn vector(body: Body, f: u8, sw: usize) -> Vector {
     macro_rules! at_stride {
         ($body:ident) => {
-            Some(match (f, g.stride.1) {
+            match (f, sw) {
                 (DEPTHWISE, 1) => crate::simd::$body::<DEPTHWISE, 1>,
                 (DEPTHWISE, _) => crate::simd::$body::<DEPTHWISE, 2>,
-                (MAX, 1) => crate::simd::$body::<MAX, 1>,
-                (MAX, _) => crate::simd::$body::<MAX, 2>,
-                (_, 1) => crate::simd::$body::<AVG, 1>,
-                _ => crate::simd::$body::<AVG, 2>,
-            })
+                (_, 1) => crate::simd::$body::<MAX, 1>,
+                _ => crate::simd::$body::<MAX, 2>,
+            }
         };
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match body {
         Body::Zmm => return at_stride!(window_plane512),
         Body::Ymm => return at_stride!(window_plane256),
-        _ => {}
+        Body::Quad => {}
     }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let _ = body;
     at_stride!(window_plane_quad)
 }
 
 /// A plane's filter taps (depthwise only) and its fold's initial value.
 pub(crate) type Weights<'a> = (&'a [f32], f32);
-
-/// Folds every output row of `plane` into `out` with the row sweep.
-fn fold_rows<const F: u8>(g: &Im2col, plane: &[f32], wi: Weights, out: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::simd_active() {
-        // SAFETY: simd_active() verified AVX2 and FMA at runtime.
-        return unsafe { sweep_rows_fma::<F>(g, plane, wi, out) };
-    }
-    sweep_rows::<F, false>(g, plane, wi, out)
-}
-
-/// [`sweep_rows`] fused, compiled for AVX2 and FMA.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sweep_rows_fma<const F: u8>(g: &Im2col, plane: &[f32], wi: Weights, out: &mut [f32]) {
-    sweep_rows::<F, true>(g, plane, wi, out)
-}
-
-/// Sweeps each output row once per tap: over the columns whose tap lies on
-/// the plane, then the padding on either side. A depthwise tap is a fused
-/// multiply-add when `FUSED`.
-#[inline(always)]
-fn sweep_rows<const F: u8, const FUSED: bool>(
-    g: &Im2col,
-    plane: &[f32],
-    (w, init): Weights,
-    out: &mut [f32],
-) {
-    let ((kh, kw), (sh, sw), (top, left), (in_h, in_w)) = (g.kernel, g.stride, g.pad_tl, g.in_hw);
-    let pad = if F == MAX { f32::NEG_INFINITY } else { 0.0 };
-    let tap = |acc: f32, wt: f32, x: f32| match F {
-        DEPTHWISE if FUSED => wt.mul_add(x, acc),
-        DEPTHWISE => acc + wt * x,
-        MAX => acc.max(x),
-        _ => acc + x,
-    };
-    for (oy, out) in out.chunks_exact_mut(g.out_hw.1).enumerate() {
-        out.fill(init);
-        for ky in 0..kh {
-            let row = (oy * sh + ky).checked_sub(top).filter(|&iy| iy < in_h);
-            for kx in 0..kw {
-                let wt = w.get(ky * kw + kx).copied().unwrap_or(0.0);
-                // Columns `lo .. hi` read input columns `ox·sw + kx − left`.
-                let lo = left.saturating_sub(kx).div_ceil(sw).min(out.len());
-                let hi = (in_w + left)
-                    .saturating_sub(kx)
-                    .div_ceil(sw)
-                    .clamp(lo, out.len());
-                // An empty body (no row, or no column on it) reads nothing:
-                // `lo` may then lie past the row's last input column.
-                let row = row.filter(|_| hi > lo);
-                let hi = if row.is_some() { hi } else { lo };
-                let (head, rest) = out.split_at_mut(lo);
-                let (body, tail) = rest.split_at_mut(hi - lo);
-                for acc in head.iter_mut().chain(tail) {
-                    *acc = tap(*acc, wt, pad);
-                }
-                let Some(iy) = row else { continue };
-                let xs = plane[iy * in_w..][lo * sw + kx - left..].iter().step_by(sw);
-                for (acc, &x) in body.iter_mut().zip(xs) {
-                    *acc = tap(*acc, wt, x);
-                }
-            }
-        }
-    }
-}
-
-/// Turns output row `oy`'s window sums into means over the in-bounds taps.
-fn divide_avg(g: &Im2col, oy: usize, out: &mut [f32]) {
-    // In-bounds taps of window `o` (stride `s`, extent `k`) over `n` inputs
-    // after `p` padding.
-    let inside = |o: usize, k: usize, s: usize, p: usize, n: usize| {
-        (o * s + k).min(p + n).saturating_sub((o * s).max(p))
-    };
-    let ((kh, kw), (sh, sw), (pt, pl), (in_h, in_w)) = (g.kernel, g.stride, g.pad_tl, g.in_hw);
-    let rows = inside(oy, kh, sh, pt, in_h);
-    for (ox, acc) in out.iter_mut().enumerate() {
-        let taps = rows * inside(ox, kw, sw, pl, in_w);
-        *acc = if taps == 0 { 0.0 } else { *acc / taps as f32 };
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -315,31 +234,23 @@ mod tests {
                     let mut acc = match fold {
                         Fold::Depthwise { bias, .. } => bias.map_or(0.0, |b| b[ch]),
                         Fold::Max => f32::NEG_INFINITY,
-                        Fold::Avg => 0.0,
                     };
-                    let mut inside = 0;
                     for ky in 0..kh {
                         for kx in 0..kw {
                             let iy = (oy * sh + ky).wrapping_sub(g.pad_tl.0);
                             let ix = (ox * sw + kx).wrapping_sub(g.pad_tl.1);
                             let tap = (iy < in_h && ix < in_w).then(|| plane[iy * in_w + ix]);
-                            inside += usize::from(tap.is_some());
                             acc = match (fold, tap) {
                                 (Fold::Depthwise { weight, .. }, _) => {
                                     let w = weight[(ch * kh + ky) * kw + kx];
                                     madd(w, tap.unwrap_or(0.0), acc)
                                 }
                                 (Fold::Max, Some(v)) => acc.max(v),
-                                (Fold::Avg, Some(v)) => acc + v,
-                                (_, None) => acc,
+                                (Fold::Max, None) => acc,
                             };
                         }
                     }
-                    out.push(match (fold, inside) {
-                        (Fold::Avg, 0) => 0.0,
-                        (Fold::Avg, n) => acc / n as f32,
-                        _ => acc,
-                    });
+                    out.push(acc);
                 }
             }
         }
@@ -368,17 +279,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Batches of several images, any kernel and stride, padding up to
-        /// wider than the window (whole windows and phases off the input),
-        /// and rows from a partial vector up to several blocks: every fold
-        /// is its element-by-element definition in every body this CPU
-        /// runs, and a batch's items are the items run alone.
+        /// Batches of several images, windows up to the full `MAX_KW`
+        /// columns, row strides 1 to 3 and column strides 1 and 2, padding
+        /// up to wider than the window (whole windows and phases off the
+        /// input), and rows from a partial vector up to several blocks:
+        /// every fold is its element-by-element definition in every body
+        /// this CPU runs, and a batch's items are the items run alone.
         #[test]
         fn every_fold_is_its_definition_at_any_batch(
             (batch, channels) in (1usize..4, 1usize..4),
             (in_h, in_w) in (1usize..12, 1usize..40),
-            kernel in (1usize..6, 1usize..6),
-            stride in (1usize..4, 1usize..4),
+            kernel in (1usize..6, 1usize..=MAX_KW),
+            stride in (1usize..4, 1usize..=MAX_SW),
             (top, left, bottom, right) in (0usize..6, 0usize..6, 0usize..3, 0usize..3),
             seed in 0u32..1000,
         ) {
@@ -403,7 +315,6 @@ mod tests {
                 Fold::Depthwise { weight: &weight, bias: Some(&bias) },
                 Fold::Depthwise { weight: &weight, bias: None },
                 Fold::Max,
-                Fold::Avg,
             ];
             for fold in folds {
                 let mut got = vec![f32::NAN; batch * g.n() * channels];
@@ -426,7 +337,7 @@ mod tests {
     /// column at all.
     #[test]
     fn a_window_wider_than_its_plane_reads_only_the_plane() {
-        for (in_hw, stride) in [((1, 1), (1, 1)), ((3, 1), (1, 1)), ((1, 2), (2, 3))] {
+        for (in_hw, stride) in [((1, 1), (1, 1)), ((3, 1), (1, 1)), ((1, 2), (3, 2))] {
             let g = Im2col {
                 channels: 2,
                 in_hw,
@@ -444,7 +355,6 @@ mod tests {
                     bias: Some(&bias),
                 },
                 Fold::Max,
-                Fold::Avg,
             ];
             for fold in folds {
                 let mut got = vec![f32::NAN; 2 * g.n()];
@@ -457,6 +367,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The driver refuses, in every build, a window its one body does not
+    /// fold: here a column stride of 3.
+    #[test]
+    #[should_panic(expected = "not foldable")]
+    fn a_column_stride_past_max_sw_panics() {
+        let g = Im2col {
+            channels: 1,
+            in_hw: (4, 9),
+            kernel: (3, 3),
+            stride: (1, MAX_SW + 1),
+            pad_tl: (0, 0),
+            out_hw: (2, 3),
+        };
+        let mut out = vec![0.0; g.n()];
+        window_into(&[0.0; 36], 1, &g, (Fold::Max, &[]), &mut out, Some(1));
     }
 
     /// A layer big enough to split across the pool computes what one thread

@@ -30,11 +30,6 @@ impl Shape {
         Shape(dims)
     }
 
-    /// Creates the scalar (rank-0) shape.
-    pub fn scalar() -> Self {
-        Shape(Vec::new())
-    }
-
     /// The number of dimensions.
     pub fn rank(&self) -> usize {
         self.0.len()
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn scalar_shape_has_one_element() {
-        let s = Shape::scalar();
+        let s = Shape::new(vec![]);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
@@ -191,6 +186,6 @@ mod tests {
     #[test]
     fn display_lists_dims() {
         assert_eq!(Shape::new(vec![3, 5]).to_string(), "[3, 5]");
-        assert_eq!(Shape::scalar().to_string(), "[]");
+        assert_eq!(Shape::new(vec![]).to_string(), "[]");
     }
 }

@@ -127,9 +127,13 @@ fn fill_uniform_scalar(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]
     }
 }
 
-/// The widest window the vector body folds: it keeps a lane mask per
-/// column of it.
-pub(crate) const MAX_KW: usize = 8;
+/// The widest window the window kernels fold (depthwise convolution and
+/// max pooling): the vector body keeps a lane mask per column of it.
+pub const MAX_KW: usize = 8;
+
+/// The largest column stride the window kernels fold: the vector body reads
+/// a tap vector whole or as the even lanes of two.
+pub const MAX_SW: usize = 2;
 
 /// One plane of the window driver: its geometry, input, and filter taps
 /// and initial value.
@@ -157,7 +161,6 @@ pub(crate) trait Lanes: Copy {
     /// The even lanes of `a`, then those of `b`.
     unsafe fn even(a: Self, b: Self) -> Self;
     unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
-    unsafe fn add(a: Self, b: Self) -> Self;
     /// `vmaxps(a, b)`: `a` if `a > b`, else `b`.
     unsafe fn max(a: Self, b: Self) -> Self;
     /// Stores the first `n ≤ N` lanes at `at`.
@@ -171,8 +174,8 @@ pub(crate) trait Lanes: Copy {
 /// on the plane loads them plainly, any other one masked — lanes off the
 /// plane read as padding — and a row's last vector is stored masked. A
 /// stride-2 tap vector is the even lanes of two vectors from its first
-/// column. Each lane takes one IEEE operation per tap, as the row sweep's
-/// element does, so the bits are its.
+/// column. Each lane takes one IEEE operation per tap, as the element's
+/// definition in `ops/window.rs` does, so the bits are its.
 ///
 /// # Safety
 ///
@@ -278,8 +281,7 @@ unsafe fn block<
                     };
                     *acc = match F {
                         DEPTHWISE => L::fmadd(wt, x, *acc),
-                        MAX => L::max(x, *acc),
-                        _ => L::add(*acc, x),
+                        _ => L::max(x, *acc),
                     };
                 }
             }
@@ -327,10 +329,6 @@ impl Lanes for Quad {
     #[inline(always)]
     unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
         Quad(std::array::from_fn(|i| c.0[i] + a.0[i] * b.0[i]))
-    }
-    #[inline(always)]
-    unsafe fn add(a: Self, b: Self) -> Self {
-        Quad(std::array::from_fn(|i| a.0[i] + b.0[i]))
     }
     #[inline(always)]
     unsafe fn max(a: Self, b: Self) -> Self {
@@ -409,7 +407,7 @@ mod x86 {
 
     /// The [`Lanes`] methods that are one intrinsic at either width.
     macro_rules! one_intrinsic {
-        ($set1:ident, $loadu:ident, $fmadd:ident, $add:ident, $max:ident) => {
+        ($set1:ident, $loadu:ident, $fmadd:ident, $max:ident) => {
             #[inline(always)]
             unsafe fn splat(v: f32) -> Self {
                 $set1(v)
@@ -423,10 +421,6 @@ mod x86 {
                 $fmadd(a, b, c)
             }
             #[inline(always)]
-            unsafe fn add(a: Self, b: Self) -> Self {
-                $add(a, b)
-            }
-            #[inline(always)]
             unsafe fn max(a: Self, b: Self) -> Self {
                 $max(a, b)
             }
@@ -435,7 +429,7 @@ mod x86 {
 
     impl Lanes for __m512 {
         const N: usize = 16;
-        one_intrinsic! { _mm512_set1_ps, _mm512_loadu_ps, _mm512_fmadd_ps, _mm512_add_ps, _mm512_max_ps }
+        one_intrinsic! { _mm512_set1_ps, _mm512_loadu_ps, _mm512_fmadd_ps, _mm512_max_ps }
         #[inline(always)]
         unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self {
             _mm512_mask_loadu_ps(pad, mask as u16, at)
@@ -453,7 +447,7 @@ mod x86 {
 
     impl Lanes for __m256 {
         const N: usize = 8;
-        one_intrinsic! { _mm256_set1_ps, _mm256_loadu_ps, _mm256_fmadd_ps, _mm256_add_ps, _mm256_max_ps }
+        one_intrinsic! { _mm256_set1_ps, _mm256_loadu_ps, _mm256_fmadd_ps, _mm256_max_ps }
         #[inline(always)]
         unsafe fn load_masked(pad: Self, mask: u32, at: *const f32) -> Self {
             let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);

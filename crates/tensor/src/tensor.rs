@@ -144,15 +144,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Element access by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts bounds; see [`Shape::offset`].
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
-    }
-
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
     /// # Errors

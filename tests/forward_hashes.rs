@@ -21,9 +21,9 @@
 //!
 //! Window-op coverage: tiny-mobilenet has depthwise 3×3 at stride 1 and 2;
 //! tiny-vgg and tiny-inception max pool 2×2/2; tiny-resnet max pool 3×3/2/1;
-//! `windows` adds average pooling with border windows (3×3/2/1 over an odd
-//! plane, and 2×2/1 unpadded), a 5×5 stride-2 depthwise over a plane whose
-//! width leaves a partial vector, and max pool 3×3/1/1.
+//! `windows` adds max pooling with border windows (3×3/2/1 over an odd
+//! 21×19 plane, and 2×2/1 unpadded), a 5×5 stride-2 depthwise over a plane
+//! whose width leaves a partial vector, and max pool 3×3/1/1.
 
 use std::fmt::Write as _;
 
@@ -56,8 +56,8 @@ fn windows() -> LinearModel {
     let mut cur = g.add("input", LayerOp::Input { shape }, &[]).unwrap();
     let layers = [
         (
-            "avg3s2",
-            LayerOp::AvgPool2d {
+            "max3s2",
+            LayerOp::MaxPool2d {
                 kernel: 3,
                 stride: 2,
                 padding: 1,
@@ -88,8 +88,8 @@ fn windows() -> LinearModel {
             },
         ),
         (
-            "avg2s1",
-            LayerOp::AvgPool2d {
+            "max2s1",
+            LayerOp::MaxPool2d {
                 kernel: 2,
                 stride: 1,
                 padding: 0,
