@@ -1,5 +1,5 @@
-//! `figures [fig01 … fig15] [--smoke | --quick]`: the paper's figures and their
-//! claims ([`gillis_bench::figures`]); exits 1 on a failed claim, 2 on an unknown name.
+//! `figures [fig01 … fig15] [--smoke]`: the paper's figures and their claims
+//! ([`gillis_bench::figures`]); see [`gillis_bench::run_experiments`].
 fn main() {
     gillis_bench::run_experiments(&gillis_bench::figures::FIGURES);
 }

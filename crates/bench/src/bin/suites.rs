@@ -1,6 +1,5 @@
-//! `suites <name> [--smoke] [out_dir]`: runs one simulator suite
-//! ([`gillis_bench::suites::SUITES`]), writes `<out_dir>/BENCH_<name>.json` and
-//! exits 1 on a failed acceptance criterion, 2 on an unknown flag or name.
+//! `suites [overload … recovery] [--smoke]`: the simulator suites, each
+//! writing its `BENCH_<name>.json`; see [`gillis_bench::run_experiments`].
 fn main() {
-    gillis_bench::suites::main();
+    gillis_bench::run_experiments(&gillis_bench::suites::SUITES);
 }

@@ -3,18 +3,20 @@
 //! sweep, `tests/counts.rs` its gate. Every value is the same at any
 //! `GILLIS_THREADS`, in either build and under `GILLIS_NO_SIMD=1`. A counted
 //! region never prints, and starts and ends once the process holds still.
+//! The weights are drawn at `seed`, the compiled rows' queries at
+//! `seed + 10 + i` and the simulator cells at `seed + 35`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use gillis::serving::{Deployment, Gillis};
 use gillis_core::partition::split_ranges;
 use gillis_core::{
     group_options, plan_batch_schedule, BatchPolicy, CompiledPlanExec, DpPartitioner, EvalCache,
-    ExecutionPlan, PartDim, PartitionOption, PipelinePolicy, Placement, PlannedGroup,
+    ExecutionPlan, PartDim, PartitionOption, PipelinePolicy, Placement, PlannedGroup, PolicyStack,
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::{Micros, PlatformProfile};
@@ -23,14 +25,15 @@ use gillis_model::span::{SpanNode, SpanPlan};
 use gillis_model::weights::{init_weights, ModelWeights};
 use gillis_model::{zoo, LayerOp, LinearModel, NodeId};
 use gillis_perf::{PerfModel, TransferFormat};
-use gillis_pool::with_width_cap;
+use gillis_pool::{with_width_cap, Pool};
 use gillis_tensor::Tensor;
 
 use crate::sweep::{Row, Sweep};
 use crate::{Claim, Experiment, ReferenceDeploy};
 
-/// The ledger.
-pub const COUNTS: Experiment = Experiment::new("counts", counts, claims);
+/// The ledger, committed as `COUNTS.json` at seed 7.
+pub const COUNTS: Experiment =
+    Experiment::new("counts", 7, counts, claims).committed("COUNTS.json");
 
 /// Counts every allocation and the net live heap bytes of the whole process,
 /// pool threads included. `alloc_zeroed` and `realloc` keep their default
@@ -94,26 +97,31 @@ pub fn retained<R>(f: impl FnOnce() -> R) -> (R, isize) {
     (out, state().1 - before)
 }
 
-const WEIGHT_SEED: u64 = 7;
 const BATCH: usize = 4;
 
 /// Runs the ledger; panics rather than record zeros without [`CountingAlloc`].
-fn counts(_quick: bool) -> Sweep {
+fn counts(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let ((), probe) = counted(|| drop(std::hint::black_box(Box::new(0u64))));
     assert!(probe > 0, "CountingAlloc is not the global allocator");
+    // Every pool worker takes its first steps, which allocate, here.
+    let pool = Pool::global();
+    let started = Barrier::new(pool.width());
+    pool.run(pool.width(), |_| {
+        started.wait();
+    });
     settle(Duration::from_millis(50));
     // An uncounted compile-and-query builds process-wide lazy state.
-    let (tiny, weights) = weighted(zoo::tiny_vgg());
+    let (tiny, weights) = weighted(zoo::tiny_vgg(), seed);
     let plan = ExecutionPlan::single_function(&tiny);
-    with_width_cap(1, || compiled_row(&tiny, &weights, &plan, ""));
-    let unwritten = with_width_cap(1, compiled_rows);
+    with_width_cap(1, || compiled_row(&tiny, &weights, &plan, "", seed));
+    let unwritten = with_width_cap(1, || compiled_rows(seed));
     let compiled = unwritten.iter().map(|r| Row(r.0[..7].to_vec())).collect();
     let sections = vec![
         ("dp", vec![dp_row()]),
-        ("deploy", vec![deploy_row()]),
+        ("deploy", vec![with_width_cap(1, deploy_row)]),
         ("compiled", compiled),
-        ("simulator", simulator_rows()),
-        ("weights", weight_rows()),
+        ("simulator", simulator_rows(seed.wrapping_add(35))),
+        ("weights", weight_rows(seed)),
     ];
     let title = "heap allocations, retained bytes and plan bytes, counted";
     Sweep {
@@ -145,7 +153,8 @@ fn dp_row() -> Row {
 }
 
 /// The heap ten latency-optimal Lambda deployments of one ResNet-101 keep:
-/// each holds its plan and prediction and shares the model.
+/// each holds its plan and prediction and shares the model. Run under a
+/// width cap of 1, so no pool thread allocates while the count settles.
 fn deploy_row() -> Row {
     const KEPT: usize = 10;
     let model = zoo::resnet101();
@@ -162,11 +171,11 @@ fn deploy_row() -> Row {
 }
 
 /// One `ReferenceDeploy::vgg11` cell of 400 queries per serving driver, at
-/// the saturation rate of four masters: the allocations of the whole run.
-fn simulator_rows() -> Vec<Row> {
+/// the saturation rate of four masters, served at `seed`: the allocations of
+/// the whole run.
+fn simulator_rows(seed: u64) -> Vec<Row> {
     const QUERIES: usize = 400;
     const MASTERS: usize = 4;
-    const SEED: u64 = 42;
     let deploy = ReferenceDeploy::vgg11();
     let rt = deploy.runtime(&deploy.plan);
     let rate = deploy.saturation_qps(MASTERS);
@@ -177,14 +186,14 @@ fn simulator_rows() -> Vec<Row> {
     let schedule = plan_batch_schedule(model, plan, platform, TransferFormat::F32, &batching, rate)
         .expect("schedule");
     let serve = |driver: &str| match driver {
-        "serve_open_loop" => rt.serve_open_loop(rate, QUERIES, MASTERS, SEED),
+        "serve_open_loop" => rt.serve_open_loop(rate, QUERIES, MASTERS, seed),
         "serve_open_loop_batched" => {
-            rt.serve_open_loop_batched(&batching, &schedule, rate, QUERIES, MASTERS, SEED)
+            rt.serve_open_loop_batched(&batching, &schedule, rate, QUERIES, MASTERS, seed)
         }
         "serve_open_loop_pipelined" => {
-            rt.serve_open_loop_pipelined(&lanes, rate, QUERIES, MASTERS, SEED)
+            rt.serve_open_loop_pipelined(&lanes, rate, QUERIES, MASTERS, seed)
         }
-        _ => rt.serve_workload(closed.clone(), SEED),
+        _ => rt.serve_workload(closed.clone(), seed),
     };
     let row = |driver: &str| {
         let (report, allocations) = counted(|| serve(driver));
@@ -204,9 +213,9 @@ fn simulator_rows() -> Vec<Row> {
     drivers.map(row).to_vec()
 }
 
-/// A model and its weights.
-fn weighted(model: LinearModel) -> (LinearModel, ModelWeights) {
-    let weights = init_weights(model.graph(), WEIGHT_SEED).expect("weights");
+/// A model and its weights, drawn at `seed`.
+fn weighted(model: LinearModel, seed: u64) -> (LinearModel, ModelWeights) {
+    let weights = init_weights(model.graph(), seed).expect("weights");
     (model, weights)
 }
 
@@ -223,7 +232,7 @@ fn smoke_models() -> [LinearModel; 5] {
 
 /// A splitmix fold of every weight's bits, for the smoke models and an LSTM
 /// whose 8 MiB `w_ih` is filled on the pool in 2 MiB pages.
-fn weight_rows() -> Vec<Row> {
+fn weight_rows(seed: u64) -> Vec<Row> {
     let models = smoke_models().into_iter();
     let row = |(model, weights): (LinearModel, ModelWeights)| {
         let weighted = model.graph().nodes().iter().filter(|n| n.op.has_weights());
@@ -239,23 +248,23 @@ fn weight_rows() -> Vec<Row> {
         ])
     };
     let models = models.chain([zoo::rnn_sized(1, 1024, 512)]);
-    models.map(weighted).map(row).collect()
+    models.map(|m| weighted(m, seed)).map(row).collect()
 }
 
 /// Every smoke model whole and split two ways per layer (tiny-mobilenet by
 /// channel and by height: depthwise whole-plane and as a haloed row band),
 /// under the caller's width cap. The RNN's split leaves a function a layer.
-fn compiled_rows() -> Vec<Row> {
+fn compiled_rows(seed: u64) -> Vec<Row> {
     let height = &[("height2", PartDim::Height)][..];
     let both = &[("channel2", PartDim::Channel), height[0]][..];
-    let cases = smoke_models().map(weighted).into_iter();
+    let cases = smoke_models().map(|m| weighted(m, seed)).into_iter();
     let mut rows = Vec::new();
     for ((model, weights), splits) in cases.zip([height, height, height, both, height]) {
         let splits = splits.iter().map(|&(l, dim)| (l, split2(&model, dim)));
         let single = ("single", ExecutionPlan::single_function(&model));
         for (label, plan) in std::iter::once(single).chain(splits) {
             plan.validate(&model, u64::MAX).expect("valid plan");
-            rows.push(compiled_row(&model, &weights, &plan, label));
+            rows.push(compiled_row(&model, &weights, &plan, label, seed));
         }
     }
     rows
@@ -270,9 +279,10 @@ fn compiled_row(
     weights: &ModelWeights,
     plan: &ExecutionPlan,
     label: &'static str,
+    seed: u64,
 ) -> Row {
     let shape = model.input_shape();
-    let query = |i| Tensor::uniform(shape.clone(), 17 + i, -1.0, 1.0);
+    let query = |i| Tensor::uniform(shape.clone(), seed.wrapping_add(10 + i), -1.0, 1.0);
     let queries: Vec<Tensor> = (0..BATCH as u64).map(query).collect();
     let flat: Vec<f32> = queries.iter().flat_map(|q| q.data()).copied().collect();
     let oracle = Executor::new(model.graph(), weights);

@@ -3,16 +3,18 @@
 //! column says about them. Absolute numbers come from a simulator calibrated
 //! to public platform constants, so the claims are the paper's *shapes*:
 //! orderings, cliffs, ratios against a stated bound. The `figures` binary
-//! prints both (`figures [fig01 … fig15] [--smoke | --quick]`; `--quick`, or
-//! `--smoke`, runs Fig 13 at its reduced sizes); `tests/claims.rs` asserts
-//! the claims of every figure but Fig 13 (seconds, not milliseconds — CI
-//! runs it at `--smoke` sizes).
+//! prints both (`figures [fig01 … fig15] [--smoke]`; `--smoke` runs Fig 13 at
+//! its reduced sizes); `tests/claims.rs` asserts the claims of every figure
+//! but Fig 13 (seconds, not milliseconds — CI runs it at `--smoke` sizes).
+//! Every figure seeds its main random stream with `seed` and any other at a
+//! fixed offset from it (its doc says where), so the default seed reproduces
+//! EXPERIMENTS.md's numbers and `GILLIS_BENCH_SEED` moves every draw.
 
 use gillis_bo::{brute_force, BayesOpt, BoConfig};
 use gillis_core::baselines::pipeline_serving;
 use gillis_core::{
     predict_plan, DpPartitioner, ExecutionPlan, ForkJoinRuntime, PartDim, PartitionOption,
-    Placement, PlannedGroup,
+    Placement, PlannedGroup, PolicyStack,
 };
 use gillis_faas::workload::ClosedLoop;
 use gillis_faas::{Micros, PlatformProfile};
@@ -27,15 +29,15 @@ use crate::{measure_latency_optimal, ms, speedup, Claim, Experiment};
 
 /// Every reproduced figure, in the paper's order.
 pub const FIGURES: [Experiment; 9] = [
-    Experiment::new("fig01", fig01, fig01_claims),
-    Experiment::new("fig07", fig07, fig07_claims),
-    Experiment::new("fig09", fig09, fig09_claims),
-    Experiment::new("fig10", fig10, fig10_claims),
-    Experiment::new("fig11", fig11, fig11_claims),
-    Experiment::new("fig12", fig12, fig12_claims),
-    Experiment::new("fig13", fig13, fig13_claims),
-    Experiment::new("fig14", fig14, fig14_claims),
-    Experiment::new("fig15", fig15, fig15_claims),
+    Experiment::new("fig01", 42, fig01, fig01_claims),
+    Experiment::new("fig07", 7, fig07, fig07_claims),
+    Experiment::new("fig09", 11, fig09, fig09_claims),
+    Experiment::new("fig10", 23, fig10, fig10_claims),
+    Experiment::new("fig11", 31, fig11, fig11_claims),
+    Experiment::new("fig12", 57, fig12, fig12_claims),
+    Experiment::new("fig13", 99, fig13, fig13_claims),
+    Experiment::new("fig14", 7, fig14, fig14_claims),
+    Experiment::new("fig15", 2024, fig15, fig15_claims),
 ];
 
 /// A latency cell: milliseconds, or `OOM` where the model does not fit.
@@ -58,8 +60,8 @@ pub(crate) fn mean(values: &[f64]) -> f64 {
 }
 
 /// Fig 1: WRN-50-k (k = 1..5) on a single function of Lambda and GCF, 100
-/// warm queries per point.
-fn fig01(_quick: bool) -> Sweep {
+/// warm queries per point, drawn at `seed + k`.
+fn fig01(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platforms = [PlatformProfile::aws_lambda(), PlatformProfile::gcf()];
     let rows = (1..=5usize).map(|k| {
         let model = zoo::wrn50(k);
@@ -67,7 +69,8 @@ fn fig01(_quick: bool) -> Sweep {
             (model.weight_bytes() <= platform.model_memory_budget).then(|| {
                 let plan = ExecutionPlan::single_function(&model);
                 let rt = ForkJoinRuntime::new(&model, &plan, platform.clone());
-                rt.expect("single plan").mean_latency_ms(100, 42 + k as u64)
+                rt.expect("single plan")
+                    .mean_latency_ms(100, seed.wrapping_add(k as u64))
             })
         };
         Row(vec![
@@ -125,8 +128,8 @@ fn fig01_claims(sweep: &Sweep) -> Vec<Claim> {
 
 /// Fig 7: VGG-16 group-parallelized (one group per convolution stage) across
 /// 1..16 functions on Lambda and KNIX, mean of 50 queries split into compute
-/// and communication.
-fn fig07(_quick: bool) -> Sweep {
+/// and communication; every point draws its queries from `seed`.
+fn fig07(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let model = zoo::vgg16();
     let layers = model.layers();
     let spatial_end = layers
@@ -166,7 +169,7 @@ fn fig07(_quick: bool) -> Sweep {
             let tail = (spatial_end..layers.len()).map(|i| single(i, i + 1));
             let plan = ExecutionPlan::new(staged.chain(tail).collect());
             let rt = ForkJoinRuntime::new(&model, &plan, platform.clone()).expect("fan-out plan");
-            let mut rng = StdRng::seed_from_u64(7);
+            let mut rng = StdRng::seed_from_u64(seed);
             let (mut total, mut compute, mut comm) = (0.0, 0.0, 0.0);
             for _ in 0..50 {
                 let q = rt.simulate_query(&mut rng);
@@ -252,8 +255,9 @@ fn lo_sections(platforms: [PlatformProfile; 2], models: &[LinearModel], seed: u6
     vec![section(&platforms[0]), section(&platforms[1])]
 }
 
-/// Fig 9: Gillis latency-optimal vs Default for CNNs on Lambda and GCF.
-fn fig09(_quick: bool) -> Sweep {
+/// Fig 9: Gillis latency-optimal vs Default for CNNs on Lambda and GCF, every
+/// point measured at `seed` ([`measure_latency_optimal`]).
+fn fig09(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let models = [
         zoo::vgg11(),
         zoo::vgg16(),
@@ -264,7 +268,7 @@ fn fig09(_quick: bool) -> Sweep {
     ];
     let platforms = [PlatformProfile::aws_lambda(), PlatformProfile::gcf()];
     let title = "Fig 9: Gillis (latency-optimal) vs Default on Lambda and GCF";
-    Sweep::new("fig09", title, lo_sections(platforms, &models, 11))
+    Sweep::new("fig09", title, lo_sections(platforms, &models, seed))
 }
 
 fn fig09_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -294,8 +298,8 @@ fn fig09_claims(sweep: &Sweep) -> Vec<Claim> {
     ]
 }
 
-/// Fig 10: the same comparison on KNIX, with Lambda alongside.
-fn fig10(_quick: bool) -> Sweep {
+/// Fig 10: the same comparison on KNIX, with Lambda alongside, at `seed`.
+fn fig10(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let models = [
         zoo::vgg16(),
         zoo::vgg19(),
@@ -306,7 +310,7 @@ fn fig10(_quick: bool) -> Sweep {
     ];
     let platforms = [PlatformProfile::knix(), PlatformProfile::aws_lambda()];
     let title = "Fig 10: Gillis (latency-optimal) vs Default on KNIX, Lambda alongside";
-    Sweep::new("fig10", title, lo_sections(platforms, &models, 23))
+    Sweep::new("fig10", title, lo_sections(platforms, &models, seed))
 }
 
 fn fig10_claims(sweep: &Sweep) -> Vec<Claim> {
@@ -336,12 +340,14 @@ fn fig10_claims(sweep: &Sweep) -> Vec<Claim> {
 
 /// Fig 11: models too large for one function — Gillis vs the Pipeline
 /// baseline (partitions staged in S3, streamed into one function) on Lambda.
-fn fig11(_quick: bool) -> Sweep {
+/// Gillis is measured at `seed`, the Pipeline draws its loads at `seed - 26`.
+fn fig11(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
     let rows = [zoo::wrn34(5), zoo::wrn50(4), zoo::wrn50(5)].map(|model| {
         assert!(model.weight_bytes() > platform.model_memory_budget);
-        let pipe = pipeline_serving(&model, &platform, 5).expect("pipeline stages fit");
-        let gillis_ms = measure_latency_optimal(&model, &platform, 100, 31).gillis_ms;
+        let pipe = pipeline_serving(&model, &platform, seed.wrapping_sub(26))
+            .expect("pipeline stages fit");
+        let gillis_ms = measure_latency_optimal(&model, &platform, 100, seed).gillis_ms;
         Row(vec![
             ("model", model.name().into()),
             ("pipeline_total_ms", (pipe.total_ms, 0).into()),
@@ -384,12 +390,13 @@ fn fig11_claims(sweep: &Sweep) -> Vec<Claim> {
     ]
 }
 
-/// Fig 12: RNN-k (2K-hidden LSTM layers) on Lambda, Default vs Gillis.
-fn fig12(_quick: bool) -> Sweep {
+/// Fig 12: RNN-k (2K-hidden LSTM layers) on Lambda, Default vs Gillis,
+/// every point measured at `seed`.
+fn fig12(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
     let rows = [3usize, 6, 9, 12, 15, 18].map(|layers| {
         let model = zoo::rnn(layers);
-        let m = measure_latency_optimal(&model, &platform, 100, 57);
+        let m = measure_latency_optimal(&model, &platform, 100, seed);
         Row(vec![
             ("layers", layers.into()),
             ("weights_mb", (model.weight_bytes() as f64 / 1e6, 0).into()),
@@ -437,15 +444,18 @@ fn fig12_claims(sweep: &Sweep) -> Vec<Claim> {
 /// 100 clients x 1000 queries, or 20 x 100 with smaller search budgets when
 /// `quick` — and the row records the served mean latency and per-query bill
 /// next to the bill the search predicted (`-` where a search found nothing
-/// or did not run).
-fn fig13(quick: bool) -> Sweep {
-    let (clients, queries, episodes, iterations) = if quick {
+/// or did not run). The performance model is profiled at `seed`, the three
+/// searches of each method run at `seed - 99 + i` (0, 1, 2 at the default
+/// seed) and the served workload at `seed - 86`.
+fn fig13(seed: u64, smoke: bool, _ambient: &PolicyStack) -> Sweep {
+    let (clients, queries, episodes, iterations) = if smoke {
         (20, 100, 200, 20)
     } else {
         (100, 1000, 400, 50)
     };
     let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::profiled(&platform, 99);
+    let perf = PerfModel::profiled(&platform, seed);
+    let searches = || (0..3).map(move |i| seed.wrapping_sub(99).wrapping_add(i));
     // Served mean latency, served per-query bill and predicted bill of a
     // search result.
     let cells = |model: &LinearModel, found: Option<(&ExecutionPlan, u64)>| -> [Value; 3] {
@@ -454,7 +464,9 @@ fn fig13(quick: bool) -> Sweep {
         };
         let rt = ForkJoinRuntime::new(model, plan, platform.clone()).expect("plan is servable");
         let workload = ClosedLoop::new(clients, queries, Micros::ZERO).expect("workload");
-        let report = rt.serve_workload(workload, 13).expect("workload serving");
+        let report = rt
+            .serve_workload(workload, seed.wrapping_sub(86))
+            .expect("workload serving");
         let billed = report.billing.billed_ms_total() / queries as u64;
         [
             (report.latency.mean(), 0).into(),
@@ -471,7 +483,7 @@ fn fig13(quick: bool) -> Sweep {
         let lo = predict_plan(model, &lo_plan.expect("latency-optimal plan"), &perf);
         let lo_ms = lo.expect("prediction").latency_ms;
         for (slo, t_max_ms) in [("tight", lo_ms * 1.25), ("loose", lo_ms * 2.5)] {
-            let sa = (0..3).filter_map(|seed| {
+            let sa = searches().filter_map(|seed| {
                 let config = SloAwareConfig {
                     t_max_ms,
                     episodes,
@@ -481,7 +493,7 @@ fn fig13(quick: bool) -> Sweep {
                 slo_aware_partition(model, &perf, &config).ok()
             });
             let sa = sa.min_by_key(|r| r.predicted.billed_ms);
-            let bo = (0..3).filter_map(|seed| {
+            let bo = searches().filter_map(|seed| {
                 let config = BoConfig {
                     t_max_ms,
                     iterations,
@@ -573,10 +585,10 @@ fn fig13_claims(sweep: &Sweep) -> Vec<Claim> {
 }
 
 /// Fig 14: the latency-optimal grouping and parallelization of WRN-34-5 on
-/// Lambda, one row per group.
-fn fig14(_quick: bool) -> Sweep {
+/// Lambda under the performance model profiled at `seed`, one row per group.
+fn fig14(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::profiled(&platform, 7);
+    let perf = PerfModel::profiled(&platform, seed);
     let plan = DpPartitioner::default().partition(&zoo::wrn34(5), &perf);
     let plan = plan.expect("WRN-34-5 is partitionable");
     let rows = plan.groups().iter().enumerate().map(|(i, g)| {
@@ -626,10 +638,12 @@ fn fig14_claims(sweep: &Sweep) -> Vec<Claim> {
 /// Fig 15: accuracy of the profiled performance model on Lambda — single-
 /// function model runtimes, the max delay of n concurrent 1 MB worker
 /// exchanges (3000 Monte-Carlo draws), and the end-to-end latency of the
-/// latency-optimal plans.
-fn fig15(_quick: bool) -> Sweep {
+/// latency-optimal plans. The model is profiled at `seed`; the single-function
+/// runtimes are served at `seed - 2021`, the exchanges drawn at `seed - 2019`
+/// and the plans served at `seed - 2007` (3, 5 and 17 at the default seed).
+fn fig15(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::profiled(&platform, 2024);
+    let perf = PerfModel::profiled(&platform, seed);
     let row = |what: &'static str, label: Value, actual: f64, predicted: f64, decimals: usize| {
         Row(vec![
             (what, label),
@@ -646,7 +660,8 @@ fn fig15(_quick: bool) -> Sweep {
         rt.mean_latency_ms(100, seed)
     };
     let runtime = [zoo::vgg19(), zoo::wrn50(3), zoo::rnn(3)].map(|model| {
-        let actual = served(&model, &ExecutionPlan::single_function(&model), 3);
+        let single = ExecutionPlan::single_function(&model);
+        let actual = served(&model, &single, seed.wrapping_sub(2021));
         row(
             "model",
             model.name().into(),
@@ -655,7 +670,7 @@ fn fig15(_quick: bool) -> Sweep {
             0,
         )
     });
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_sub(2019));
     let bytes = 1_000_000u64;
     let comm = [1usize, 2, 4, 8, 16].map(|n| {
         let mut draw = || {
@@ -679,7 +694,7 @@ fn fig15(_quick: bool) -> Sweep {
         row(
             "model",
             model.name().into(),
-            served(&model, &plan, 17),
+            served(&model, &plan, seed.wrapping_sub(2007)),
             predicted.latency_ms,
             0,
         )

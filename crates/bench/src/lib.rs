@@ -1,14 +1,16 @@
-//! The Gillis experiment library: deterministic experiments, one table type.
+//! The Gillis experiment library: deterministic experiments, one table type,
+//! one runner.
 //!
-//! Every experiment is a function of its seed that returns a
-//! [`sweep::Sweep`], and states what the paper (or the extension's
-//! acceptance criteria) says about it as `claims(&Sweep) -> Vec<Claim>`:
-//! [`figures`] holds the paper's §V figures, [`studies`] the ablations and
-//! extensions, [`suites`] the simulator suites behind `BENCH_*.json`, and
-//! [`counts`] the counted ledger `COUNTS.json`. The binaries print a sweep
-//! and turn its claims into an exit code; `tests/` checks the same claims in
-//! tier-1. Nothing here times host code — `benchmark/` is the one measuring
-//! harness.
+//! Every experiment is an [`Experiment`]: a function of its seed that
+//! returns a [`sweep::Sweep`], the seed it runs at by default, and what the
+//! paper (or the extension's acceptance criteria) says about the sweep as
+//! `claims(&Sweep) -> Vec<Claim>`. [`figures`] holds the paper's §V figures,
+//! [`studies`] the ablations and extensions, [`suites`] the simulator suites
+//! behind `BENCH_*.json`, and [`counts`] the counted ledger `COUNTS.json`.
+//! The `figures`, `studies` and `suites` binaries are each one call to
+//! [`run_experiments`] over their table; `tests/` checks the same claims in
+//! tier-1. `GILLIS_BENCH_SEED` re-seeds any of them ([`bench_seed`]).
+//! Nothing here times host code — `benchmark/` is the one measuring harness.
 
 pub mod counts;
 pub mod figures;
@@ -17,7 +19,7 @@ pub mod suites;
 pub mod sweep;
 
 use gillis_core::predict::predict_plan;
-use gillis_core::{DpPartitioner, ExecutionPlan, ForkJoinRuntime, PartitionerConfig};
+use gillis_core::{DpPartitioner, ExecutionPlan, ForkJoinRuntime, PartitionerConfig, PolicyStack};
 use gillis_faas::PlatformProfile;
 use gillis_model::{zoo, LinearModel};
 use gillis_perf::PerfModel;
@@ -74,12 +76,11 @@ pub fn measure_latency_optimal(
     }
 }
 
-/// The RNG seed a benchmark binary should use: `GILLIS_BENCH_SEED` from the
-/// environment when set, else `default` (a value that is not a `u64` is
-/// reported on stderr, naming the variable, and falls back to `default`).
-/// The `suites` binary routes its seeds through this, so a suite's run can be
-/// re-rolled (or pinned in CI) without touching code; figures, studies and
-/// the counted ledger use fixed seeds.
+/// The seed an experiment binary runs an experiment at: `GILLIS_BENCH_SEED`
+/// from the environment when set, else the experiment's `default` (a value
+/// that is not a `u64` is reported on stderr, naming the variable, and falls
+/// back to `default`). [`run_experiments`] seeds every experiment through
+/// this, so any run can be re-rolled (or pinned in CI) without touching code.
 pub fn bench_seed(default: u64) -> u64 {
     gillis_faas::envutil::env_var("GILLIS_BENCH_SEED").unwrap_or(default)
 }
@@ -173,60 +174,100 @@ impl Claim {
     }
 }
 
-/// Prints every claim of `experiment` with its verdict and returns how many
-/// failed; the failed ones also go to stderr, named.
-pub fn report_claims(experiment: &str, claims: &[Claim]) -> usize {
-    for c in claims {
-        let verdict = if c.holds { "ok  " } else { "FAIL" };
-        println!("  {verdict} {}: {}", c.name, c.detail);
-        if !c.holds {
-            eprintln!("{experiment}: claim failed: {}: {}", c.name, c.detail);
-        }
-    }
-    claims.iter().filter(|c| !c.holds).count()
-}
-
-/// One experiment of a table — a figure or a study: a name, a run and the
-/// claims about what the run returns.
+/// One experiment of a table — a figure, a study, a simulator suite or the
+/// counted ledger: a name, a default seed, the file its sweep is committed
+/// as, a run and the claims about what the run returns.
 pub struct Experiment {
-    /// The name the `figures` or `studies` binary takes.
+    /// The name its binary takes.
     pub name: &'static str,
-    /// Runs the experiment; `quick` shrinks Fig 13's workload and search
-    /// budgets and is ignored by the rest, which take at most a second.
-    pub run: fn(quick: bool) -> sweep::Sweep,
-    /// What the paper or the study states about the sweep `run` returned.
+    /// The seed without `GILLIS_BENCH_SEED`; a committed sweep is written at it.
+    pub default_seed: u64,
+    /// The file, at the repository root, the sweep is committed as.
+    pub artifact: Option<&'static str>,
+    /// Runs the sweep at `seed`. `smoke` keeps what the claims read (Fig 13
+    /// and the serving suites shrink). `ambient` is the environment's policy
+    /// stack, which only the overload, batch and pipeline suites compose with.
+    pub run: fn(seed: u64, smoke: bool, ambient: &PolicyStack) -> sweep::Sweep,
+    /// What the paper, the study or the acceptance criteria state about the
+    /// sweep `run` returned.
     pub claims: fn(&sweep::Sweep) -> Vec<Claim>,
 }
 
 impl Experiment {
-    /// An experiment of a table.
+    /// An experiment whose sweep is only printed.
     #[must_use]
     pub(crate) const fn new(
         name: &'static str,
-        run: fn(bool) -> sweep::Sweep,
+        default_seed: u64,
+        run: fn(u64, bool, &PolicyStack) -> sweep::Sweep,
         claims: fn(&sweep::Sweep) -> Vec<Claim>,
     ) -> Self {
-        Experiment { name, run, claims }
+        Experiment {
+            name,
+            default_seed,
+            artifact: None,
+            run,
+            claims,
+        }
+    }
+
+    /// The same experiment, its sweep committed as `file`.
+    #[must_use]
+    pub(crate) const fn committed(self, file: &'static str) -> Self {
+        Experiment {
+            artifact: Some(file),
+            ..self
+        }
     }
 }
 
-/// The `figures` and `studies` binaries: `<binary> [name…] [--smoke |
-/// --quick]` runs the experiments of `table` named on the command line, all
-/// of them when none is, and prints each sweep with its claims. Exits 1 if a
-/// claim failed, 2 on an unknown flag or name.
+/// Every experiment binary: `<binary> [name…] [--smoke]` runs the
+/// experiments of `table` named on the command line, all of them when none
+/// is. Each runs at [`bench_seed`] of its default under the environment's
+/// policy stack and prints `seed N`, its sweep and its claims (the failed
+/// ones named on stderr too); a committed sweep is written to its file in
+/// the current directory. Exits 1 if a claim failed or the environment names
+/// an invalid policy, 2 on an unknown flag or name.
+///
+/// # Panics
+///
+/// Panics if an artifact cannot be written.
 pub fn run_experiments(table: &[Experiment]) {
-    let (quick, names) = bench_args(&["--smoke", "--quick"]);
+    let (smoke, names) = parse_bench_args(std::env::args().skip(1)).unwrap_or_else(|unknown| {
+        let exe = std::env::args().next().unwrap_or_default();
+        eprintln!("unknown flag {unknown}\nusage: {exe} [name...] [--smoke]");
+        std::process::exit(2)
+    });
     let chosen = select(table, &names).unwrap_or_else(|unknown| {
         let known: Vec<&str> = table.iter().map(|e| e.name).collect();
         eprintln!("unknown experiment {unknown}; one of: {}", known.join(" "));
         std::process::exit(2)
     });
+    let ambient = PolicyStack::from_env().unwrap_or_else(|e| {
+        eprintln!("gillis: {e}");
+        std::process::exit(1)
+    });
     let mut failed = 0;
     for experiment in chosen {
-        let sweep = (experiment.run)(quick);
-        sweep.print();
+        let seed = bench_seed(experiment.default_seed);
+        let sweep = (experiment.run)(seed, smoke, &ambient);
+        print!("seed {seed}\n{}", sweep.render());
+        if let Some(file) = experiment.artifact {
+            std::fs::write(file, sweep.to_json()).expect("write the artifact");
+            println!("\nwrote {file}");
+        }
         println!("\nclaims:");
-        failed += report_claims(experiment.name, &(experiment.claims)(&sweep));
+        for c in (experiment.claims)(&sweep) {
+            let verdict = if c.holds { "ok  " } else { "FAIL" };
+            println!("  {verdict} {}: {}", c.name, c.detail);
+            if !c.holds {
+                eprintln!(
+                    "{}: claim failed: {}: {}",
+                    experiment.name, c.name, c.detail
+                );
+                failed += 1;
+            }
+        }
         println!();
     }
     if failed > 0 {
@@ -244,30 +285,14 @@ fn select<'a>(table: &'a [Experiment], names: &[String]) -> Result<Vec<&'a Exper
     Ok(table.iter().filter(chosen).collect())
 }
 
-/// The process command line: whether one of the `known` flags was given —
-/// a binary has one mode switch, under one or two names — and the other
-/// arguments in order. Anything else starting with `--` prints a usage line
-/// and exits 2, so a typo cannot turn a smoke run into an unchecked full one.
-#[must_use]
-pub fn bench_args(known: &[&str]) -> (bool, Vec<String>) {
-    parse_bench_args(known, std::env::args().skip(1)).unwrap_or_else(|unknown| {
-        let exe = std::env::args().next().unwrap_or_default();
-        let flags: Vec<String> = known.iter().map(|f| format!("[{f}]")).collect();
-        eprintln!(
-            "unknown flag {unknown}\nusage: {exe} {} [arg...]",
-            flags.join(" ")
-        );
-        std::process::exit(2)
-    })
-}
-
-type Parsed = Result<(bool, Vec<String>), String>;
-
-fn parse_bench_args(known: &[&str], args: impl Iterator<Item = String>) -> Parsed {
-    let (flags, positional): (Vec<_>, Vec<_>) = args.partition(|a| a.starts_with("--"));
-    match flags.iter().find(|f| !known.contains(&f.as_str())) {
+/// A command line: whether `--smoke` was given, and the other arguments in
+/// order. Any other argument starting with `--` is the error, so a typo
+/// cannot turn a smoke run into an unchecked full one.
+fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<(bool, Vec<String>), String> {
+    let (flags, names): (Vec<_>, Vec<_>) = args.partition(|a| a.starts_with("--"));
+    match flags.iter().find(|f| *f != "--smoke") {
         Some(unknown) => Err(unknown.clone()),
-        None => Ok((!flags.is_empty(), positional)),
+        None => Ok((!flags.is_empty(), names)),
     }
 }
 
@@ -303,19 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn a_flag_is_never_the_output_directory() {
-        let parse = |args: &[&str]| {
-            parse_bench_args(&["--smoke"], args.iter().map(|a| a.to_string()))
-                .map(|(smoke, dirs)| (smoke, dirs.first().map_or(".".to_string(), String::clone)))
-        };
-        assert_eq!(parse(&[]), Ok((false, ".".to_string())));
-        assert_eq!(parse(&["--smoke"]), Ok((true, ".".to_string())));
-        assert_eq!(parse(&["--smoke", "out"]), Ok((true, "out".to_string())));
-        assert_eq!(parse(&["out", "--smoke"]), Ok((true, "out".to_string())));
+    fn smoke_is_the_one_flag() {
+        let parse = |args: &[&str]| parse_bench_args(args.iter().map(|a| a.to_string()));
+        let names = |n: &[&str]| n.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse(&[]), Ok((false, names(&[]))));
+        assert_eq!(parse(&["--smoke"]), Ok((true, names(&[]))));
+        assert_eq!(parse(&["fig13", "--smoke"]), Ok((true, names(&["fig13"]))));
+        assert_eq!(
+            parse(&["--smoke", "fig01", "fig07"]),
+            Ok((true, names(&["fig01", "fig07"])))
+        );
         // A typo is rejected, not read as "no flag": `--smok` must not run
-        // the full mode and exit 0.
-        assert_eq!(parse(&["--smok", "out"]), Err("--smok".to_string()));
-        assert_eq!(parse(&["out", "--quick"]), Err("--quick".to_string()));
+        // the full mode and exit 0; `--quick` is no alias of `--smoke`.
+        assert_eq!(parse(&["--smok", "fig13"]), Err("--smok".to_string()));
+        assert_eq!(parse(&["fig13", "--quick"]), Err("--quick".to_string()));
     }
 
     #[test]

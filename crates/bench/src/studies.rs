@@ -4,13 +4,13 @@
 //! (§III-A), the int8 wire and tail-latency SLOs (§VI). Each is a function
 //! returning a [`Sweep`] and a `claims` stating what the study shows, in the
 //! record [`figures`](crate::figures) uses; every claim's name carries its
-//! threshold. Seeds are fixed, every run takes at most a second and ignores
-//! `quick`. The `studies` binary prints them; `tests/claims.rs` asserts
-//! their claims in tier-1.
+//! threshold. Every run takes at most a second and ignores `smoke`; seeds
+//! follow the figures' rule. The `studies` binary prints them;
+//! `tests/claims.rs` asserts their claims in tier-1.
 
 use gillis_core::{
     predict_latency_quantile, predict_plan, DpPartitioner, ExecutionPlan, ForkJoinRuntime,
-    PartitionerConfig, Placement, PlannedGroup, ResilienceCounters,
+    PartitionerConfig, Placement, PlannedGroup, PolicyStack, ResilienceCounters,
 };
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::fleet::Fleet;
@@ -28,13 +28,13 @@ use crate::{Claim, Experiment, ReferenceDeploy};
 
 /// Every study, the paper's ablations first.
 pub const STUDIES: [Experiment; 7] = [
-    Experiment::new("grouping", grouping, grouping_claims),
-    Experiment::new("master", master, master_claims),
-    Experiment::new("mem_grid", mem_grid, mem_grid_claims),
-    Experiment::new("order_stats", order_stats, order_stats_claims),
-    Experiment::new("cold_start", cold_start, cold_start_claims),
-    Experiment::new("int8_wire", int8_wire, int8_wire_claims),
-    Experiment::new("tail_slo", tail_slo, tail_slo_claims),
+    Experiment::new("grouping", 3, grouping, grouping_claims),
+    Experiment::new("master", 9, master, master_claims),
+    Experiment::new("mem_grid", 0, mem_grid, mem_grid_claims),
+    Experiment::new("order_stats", 7, order_stats, order_stats_claims),
+    Experiment::new("cold_start", 11, cold_start, cold_start_claims),
+    Experiment::new("int8_wire", 0, int8_wire, int8_wire_claims),
+    Experiment::new("tail_slo", 21, tail_slo, tail_slo_claims),
 ];
 
 /// The DP's plan of `model` under `config`.
@@ -65,8 +65,8 @@ fn pairs(rows: &[Row], key: &str, other: &str) -> String {
 
 /// Grouping ablation (§III-C): the DP with full grouping against the DP with
 /// every layer its own fork-join round (`max_group_len = 1`), on Lambda and
-/// KNIX.
-fn grouping(_quick: bool) -> Sweep {
+/// KNIX; both plans serve their queries at `seed`.
+fn grouping(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let section = |platform: PlatformProfile| {
         let perf = PerfModel::analytic(&platform);
         let rows = [zoo::vgg16(), zoo::wrn50(3), zoo::resnet50()].map(|model| {
@@ -76,8 +76,8 @@ fn grouping(_quick: bool) -> Sweep {
                 ..PartitionerConfig::default()
             };
             let layerwise = plan(&model, &perf, layerwise);
-            let grouped_ms = served_ms(&model, &grouped, &platform, 3);
-            let layerwise_ms = served_ms(&model, &layerwise, &platform, 3);
+            let grouped_ms = served_ms(&model, &grouped, &platform, seed);
+            let layerwise_ms = served_ms(&model, &layerwise, &platform, seed);
             Row(vec![
                 ("model", model.name().into()),
                 ("grouped_ms", (grouped_ms, 0).into()),
@@ -109,8 +109,9 @@ fn grouping_claims(sweep: &Sweep) -> Vec<Claim> {
 }
 
 /// Master-participation ablation (§III-B): the DP with and without master
-/// placements on Lambda; served latency and predicted billed ms per query.
-fn master(_quick: bool) -> Sweep {
+/// placements on Lambda; served latency (queries at `seed`) and predicted
+/// billed ms per query.
+fn master(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
     let perf = PerfModel::analytic(&platform);
     let rows = [zoo::vgg11(), zoo::vgg16(), zoo::rnn(6), zoo::wrn50(3)].map(|model| {
@@ -121,7 +122,7 @@ fn master(_quick: bool) -> Sweep {
             };
             let plan = plan(&model, &perf, config);
             let billed = predict_plan(&model, &plan, &perf).expect("prediction");
-            (served_ms(&model, &plan, &platform, 9), billed.billed_ms)
+            (served_ms(&model, &plan, &platform, seed), billed.billed_ms)
         };
         let ((with_ms, with_billed), (without_ms, without_billed)) =
             (measure(true), measure(false));
@@ -158,8 +159,9 @@ fn master_claims(sweep: &Sweep) -> Vec<Claim> {
 
 /// Memory-grid ablation (§IV-B): the DP's master-memory budget discretized
 /// at 4 MiB to 1 GiB, WRN-34-5 on Lambda; the plan's predicted latency and
-/// billed ms and the weights its master holds.
-fn mem_grid(_quick: bool) -> Sweep {
+/// billed ms and the weights its master holds. Draws nothing: `seed` is
+/// unused.
+fn mem_grid(_seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
     let perf = PerfModel::analytic(&platform);
     let model = zoo::wrn34(5);
@@ -208,12 +210,12 @@ fn mem_grid_claims(sweep: &Sweep) -> Vec<Claim> {
 /// Order-statistic ablation (§IV-A): the delay of forking n workers 1 MB
 /// each on Lambda, simulated over 4,000 draws, against the n-th order
 /// statistic of the fitted exGaussian and against the mean jitter charged
-/// once.
-fn order_stats(_quick: bool) -> Sweep {
+/// once. The draws come from `seed`, the exGaussian is fitted at `seed + 70`.
+fn order_stats(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::profiled(&platform, 77);
+    let perf = PerfModel::profiled(&platform, seed.wrapping_add(70));
     let bytes = 1_000_000u64;
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = StdRng::seed_from_u64(seed);
     let rows = [1usize, 2, 4, 8, 16, 32].map(|n| {
         let mut draw = || {
             let jitter = (0..n).map(|_| platform.invoke_latency_ms.sample(&mut rng));
@@ -273,15 +275,15 @@ fn order_stats_claims(sweep: &Sweep) -> Vec<Claim> {
 /// provisioning and package load for every function of the plan. `load`:
 /// 400 Poisson arrivals at 5 to 80 q/s against pools pre-warmed for
 /// `prewarm` concurrent queries, where scale-out past the pre-warm shows as
-/// cold starts.
-fn cold_start(_quick: bool) -> Sweep {
+/// cold starts. The warm-up draws from `seed`, the load at `seed + 6`.
+fn cold_start(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let deploy = ReferenceDeploy::vgg11();
     let platform = &deploy.platform;
     let rt = deploy.runtime(&deploy.plan);
     let mut fleet = Fleet::new(platform.clone());
     rt.deploy(&mut fleet).expect("deploy");
     let mut billing = BillingMeter::new(1, platform.price_per_gb_s, platform.price_per_invocation);
-    let (mut rng, mut counters) = (StdRng::seed_from_u64(11), ResilienceCounters::default());
+    let (mut rng, mut counters) = (StdRng::seed_from_u64(seed), ResilienceCounters::default());
     let mut t = Micros::ZERO;
     let latencies: Vec<f64> = (0..20u64)
         .map(|q| {
@@ -303,7 +305,7 @@ fn cold_start(_quick: bool) -> Sweep {
 
     let prewarm = 10usize;
     let load = [5.0, 10.0, 20.0, 40.0, 80.0].map(|rate| {
-        let report = rt.serve_open_loop(rate, 400, prewarm, 17);
+        let report = rt.serve_open_loop(rate, 400, prewarm, seed.wrapping_add(6));
         let report = report.expect("open-loop serving");
         let billed = report.billing.billed_ms_total() / 400;
         Row(vec![
@@ -388,8 +390,9 @@ fn wire_bytes(model: &LinearModel, plan: &ExecutionPlan, perf: &PerfModel) -> u6
 /// The int8 wire (past the paper): each model's latency-optimal DP plan on
 /// Lambda with transfers priced as raw f32 and as int8. `repriced`: the f32
 /// plan's bytes on each wire; `plans`: each wire's own plan, its bytes per
-/// query, predicted latency and dollars per 1,000 queries.
-fn int8_wire(_quick: bool) -> Sweep {
+/// query, predicted latency and dollars per 1,000 queries. Draws nothing:
+/// `seed` is unused.
+fn int8_wire(_seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
     let f32_perf = PerfModel::analytic(&platform);
     let int8_perf = PerfModel::analytic(&platform).with_transfer_format(TransferFormat::Int8);
@@ -469,25 +472,30 @@ fn int8_wire_claims(sweep: &Sweep) -> Vec<Claim> {
 /// Tail-latency SLOs (§VI, past the paper): VGG-11 on Lambda under
 /// `t_max_ms`, the RL search constrained on the mean (mean-aware) and on a
 /// 300-draw Monte-Carlo p99 (tail-aware). Each plan serves 50 clients ×
-/// 2,000 queries; `pred_p99_ms` is a fresh 2,000-draw estimate.
-fn tail_slo(_quick: bool) -> Sweep {
+/// 2,000 queries; `pred_p99_ms` is a fresh 2,000-draw estimate. The search
+/// runs at `seed`, the model is profiled at `seed + 34`, the plans serve at
+/// `seed - 13` and the estimate draws at `seed - 16`.
+fn tail_slo(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let platform = PlatformProfile::aws_lambda();
-    let perf = PerfModel::profiled(&platform, 55);
+    let perf = PerfModel::profiled(&platform, seed.wrapping_add(34));
     let model = zoo::vgg11();
     let t_max_ms = 400.0;
     let rows = [("mean-aware", None), ("tail-aware", Some(0.99))].map(|(policy, tail_quantile)| {
         let config = SloAwareConfig {
             t_max_ms,
             episodes: 250,
-            seed: 21,
+            seed,
             tail_quantile,
             ..SloAwareConfig::default()
         };
         let plan = slo_aware_partition(&model, &perf, &config).expect("SLO-aware plan");
         let rt = ForkJoinRuntime::new(&model, &plan.plan, platform.clone()).expect("runtime");
         let workload = ClosedLoop::new(50, 2000, Micros::ZERO).expect("workload");
-        let report = rt.serve_workload(workload, 8).expect("serving");
-        let predicted = predict_latency_quantile(&model, &plan.plan, &perf, 0.99, 2000, 5);
+        let report = rt
+            .serve_workload(workload, seed.wrapping_sub(13))
+            .expect("serving");
+        let predicted =
+            predict_latency_quantile(&model, &plan.plan, &perf, 0.99, 2000, seed.wrapping_sub(16));
         let billed = report.billing.billed_ms_total() / 2000;
         Row(vec![
             ("policy", policy.into()),

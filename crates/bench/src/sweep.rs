@@ -252,11 +252,6 @@ impl Sweep {
         }
         out
     }
-
-    /// Prints the title, the header fields and one aligned table per section.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// The numbers under `key` down `rows`.

@@ -5,21 +5,31 @@
 //! the code under test.
 
 use gillis_bench::counts::{CountingAlloc, COUNTS};
+use gillis_core::PolicyStack;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../COUNTS.json");
+/// The committed ledger, at the repository root.
+fn ledger() -> String {
+    let file = COUNTS.artifact.expect("the ledger is committed");
+    format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The ledger at its default seed, whatever the environment holds.
+fn count() -> gillis_bench::sweep::Sweep {
+    (COUNTS.run)(COUNTS.default_seed, false, &PolicyStack::default())
+}
 
 #[test]
 fn the_counted_ledger_regenerates_byte_identical_and_meets_its_claims() {
-    let sweep = (COUNTS.run)(false);
+    let sweep = count();
     let claims = (COUNTS.claims)(&sweep);
     assert!(!claims.is_empty(), "the ledger states no claim");
     for c in claims {
         assert!(c.holds, "counts: claim failed: {}: {}", c.name, c.detail);
     }
-    let committed = std::fs::read_to_string(LEDGER).expect("committed ledger");
+    let committed = std::fs::read_to_string(ledger()).expect("committed ledger");
     let got = sweep.to_json();
     for (k, (want, got)) in committed.lines().zip(got.lines()).enumerate() {
         assert_eq!(got, want, "COUNTS.json line {}", k + 1);
@@ -35,5 +45,5 @@ fn the_counted_ledger_regenerates_byte_identical_and_meets_its_claims() {
 #[test]
 #[ignore = "rewrites COUNTS.json from the code under test"]
 fn regenerate() {
-    std::fs::write(LEDGER, (COUNTS.run)(false).to_json()).expect("write the ledger");
+    std::fs::write(ledger(), count().to_json()).expect("write the ledger");
 }

@@ -215,7 +215,7 @@ impl CompiledPlanExec {
     }
 
     /// Runs one query, returning a borrow of the final join buffer (and its
-    /// shape). Uses the ambient [`gillis_pool::gillis_threads`] width.
+    /// shape). Uses the ambient [`gillis_pool::kernel_threads`] width.
     ///
     /// # Errors
     ///
@@ -272,7 +272,7 @@ impl CompiledPlanExec {
         inputs: &[f32],
         n: usize,
     ) -> Result<(&[f32], &Shape)> {
-        self.run_batch_raw_with_threads(weights, inputs, n, gillis_pool::gillis_threads())
+        self.run_batch_raw_with_threads(weights, inputs, n, gillis_pool::kernel_threads())
     }
 
     /// [`CompiledPlanExec::run_batch_raw`] with an explicit thread count.
@@ -323,7 +323,7 @@ impl CompiledPlanExec {
     }
 
     /// Runs one query and materializes the output as an owned [`Tensor`].
-    /// Uses the ambient [`gillis_pool::gillis_threads`] width.
+    /// Uses the ambient [`gillis_pool::kernel_threads`] width.
     ///
     /// # Errors
     ///
@@ -331,7 +331,7 @@ impl CompiledPlanExec {
     /// the model input, and propagates piece-execution errors (stale
     /// weights).
     pub fn run(&mut self, weights: &ModelWeights, input: &Tensor) -> Result<Tensor> {
-        self.run_with_threads(weights, input, gillis_pool::gillis_threads())
+        self.run_with_threads(weights, input, gillis_pool::kernel_threads())
     }
 
     /// [`CompiledPlanExec::run`] with an explicit thread count.
@@ -354,7 +354,7 @@ impl CompiledPlanExec {
 }
 
 /// Executes a plan with real tensor math, once: compiles it, runs `input`
-/// through it at the ambient [`gillis_pool::gillis_threads`] width and drops
+/// through it at the ambient [`gillis_pool::kernel_threads`] width and drops
 /// the compiled state. The result is bit-identical to the unpartitioned
 /// forward pass — Gillis's no-accuracy-loss property. A deployment keeps its
 /// [`CompiledPlanExec`] instead, and pays the compile once.
@@ -370,7 +370,7 @@ pub fn execute_plan_tensors(
     weights: &ModelWeights,
     input: &Tensor,
 ) -> Result<Tensor> {
-    execute_plan_tensors_with_threads(model, plan, weights, input, gillis_pool::gillis_threads())
+    execute_plan_tensors_with_threads(model, plan, weights, input, gillis_pool::kernel_threads())
 }
 
 /// [`execute_plan_tensors`] with an explicit thread count (`threads <= 1`

@@ -263,7 +263,8 @@ impl DpPartitioner {
     }
 
     /// Overrides the number of threads used to build the candidate table
-    /// (default: `GILLIS_THREADS` or the machine parallelism). Results are
+    /// (default: [`gillis_pool::kernel_threads`], `GILLIS_THREADS` or the
+    /// machine parallelism under the caller's width cap). Results are
     /// bit-identical for any thread count; this exists for tests and for
     /// callers embedding the partitioner in an already-parallel context.
     #[must_use]
@@ -483,7 +484,7 @@ impl DpPartitioner {
     ) -> Vec<Vec<T>> {
         let threads = self
             .eval_threads
-            .unwrap_or_else(gillis_pool::gillis_threads);
+            .unwrap_or_else(gillis_pool::kernel_threads);
         let longest_first = |c: usize| column(n - c);
         let mut columns: Vec<Vec<T>> = if threads <= 1 || sequential {
             (0..n).map(longest_first).collect()

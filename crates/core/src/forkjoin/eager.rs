@@ -1012,7 +1012,7 @@ mod tests {
             "clean windows must recover: {:?}",
             report.brownout
         );
-        assert!(report.brownout.degraded_arrivals() > 0);
+        assert!(report.brownout.arrivals() > report.brownout.queries_at_level[0]);
         // Every arrival is accounted at exactly one ladder level.
         assert_eq!(report.brownout.arrivals(), 600);
         // Identical runs agree bit-for-bit, counters included.

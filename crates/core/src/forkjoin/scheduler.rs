@@ -68,7 +68,7 @@ impl Source {
     pub fn closed(workload: &ClosedLoop) -> Self {
         Source {
             ready: vec![Reverse(Micros::ZERO); workload.clients].into(),
-            left: workload.total_queries.saturating_sub(workload.issued()),
+            left: workload.total_queries,
             poisson: None,
             think: Some(workload.think_time),
         }

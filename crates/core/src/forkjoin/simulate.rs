@@ -70,9 +70,10 @@ impl ForkJoinRuntime<'_> {
     /// Replications are independent Monte-Carlo draws, each seeded with
     /// [`replication_seed`]`(seed, i)` and evaluated on the shared
     /// [`gillis_pool::Pool`]; the sum reduces sequentially in replication
-    /// order, so the result is bit-identical for any `GILLIS_THREADS`.
+    /// order, so the result is bit-identical for any `GILLIS_THREADS`. Fans
+    /// out to [`gillis_pool::kernel_threads`].
     pub fn mean_latency_ms(&self, n: usize, seed: u64) -> f64 {
-        self.mean_latency_ms_with_threads(n, seed, gillis_pool::gillis_threads())
+        self.mean_latency_ms_with_threads(n, seed, gillis_pool::kernel_threads())
     }
 
     /// [`mean_latency_ms`](Self::mean_latency_ms) with an explicit thread
@@ -85,9 +86,10 @@ impl ForkJoinRuntime<'_> {
 
     /// Simulates `n` independent warm queries and aggregates their latency
     /// distribution and resilience counters. Query `i` uses RNG seed
-    /// [`replication_seed`]`(seed, i)` and fault-site query index `i`.
+    /// [`replication_seed`]`(seed, i)` and fault-site query index `i`. Fans
+    /// out to [`gillis_pool::kernel_threads`].
     pub fn simulate_many(&self, n: usize, seed: u64) -> SimulationReport {
-        self.simulate_many_with_threads(n, seed, gillis_pool::gillis_threads())
+        self.simulate_many_with_threads(n, seed, gillis_pool::kernel_threads())
     }
 
     /// [`simulate_many`](Self::simulate_many) with an explicit thread count.

@@ -221,11 +221,6 @@ impl BrownoutCounters {
         self.probes += other.probes;
     }
 
-    /// Arrivals classified below full service.
-    pub fn degraded_arrivals(&self) -> u64 {
-        self.queries_at_level[1..].iter().sum()
-    }
-
     /// Total arrivals classified.
     pub fn arrivals(&self) -> u64 {
         self.queries_at_level.iter().sum()
@@ -496,6 +491,6 @@ mod tests {
         assert_eq!(a.queries_at_level, [10, 8, 6, 4, 2]);
         assert_eq!(a.step_downs, 8);
         assert_eq!(a.arrivals(), 30);
-        assert_eq!(a.degraded_arrivals(), 20);
+        assert_eq!(a.arrivals() - a.queries_at_level[0], 20);
     }
 }

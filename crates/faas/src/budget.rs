@@ -108,12 +108,6 @@ impl RetryBudget {
         self.tokens
     }
 
-    /// Spends one token for a retry or hedge; `false` — and no spend —
-    /// when less than a whole token remains.
-    pub fn try_spend(&mut self) -> bool {
-        self.try_spend_cost(1.0)
-    }
-
     /// Spends `cost` tokens (a fraction of a full-restart retry); `false` —
     /// and no spend — when the bucket holds less than `cost`. Stage-level
     /// recovery prices a resumed retry at its true marginal cost: the
@@ -172,14 +166,14 @@ mod tests {
             refill_per_success: 0.5,
         });
         assert_eq!(b.tokens(), 2.0);
-        assert!(b.try_spend());
-        assert!(b.try_spend());
-        assert!(!b.try_spend(), "empty bucket denies");
+        assert!(b.try_spend_cost(1.0));
+        assert!(b.try_spend_cost(1.0));
+        assert!(!b.try_spend_cost(1.0), "empty bucket denies");
         assert_eq!(b.tokens(), 0.0);
         b.refill();
-        assert!(!b.try_spend(), "half a token is not a token");
+        assert!(!b.try_spend_cost(1.0), "half a token is not a token");
         b.refill();
-        assert!(b.try_spend());
+        assert!(b.try_spend_cost(1.0));
         for _ in 0..100 {
             b.refill();
         }
@@ -203,10 +197,5 @@ mod tests {
         assert!(b.try_spend_cost(0.0));
         assert!(b.try_spend_cost(-1.0));
         assert!(b.try_spend_cost(f64::NAN));
-        // try_spend is exactly try_spend_cost(1.0).
-        let mut c = RetryBudget::new(RetryBudgetPolicy::default());
-        let mut d = c.clone();
-        assert_eq!(c.try_spend(), d.try_spend_cost(1.0));
-        assert_eq!(c.tokens(), d.tokens());
     }
 }

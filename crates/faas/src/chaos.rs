@@ -638,16 +638,6 @@ impl OutageModel {
         }
         m
     }
-
-    /// Fraction of the windows covering `[0, horizon_ms)` during which
-    /// `domain` is in an episode — reporting helper for benches.
-    pub fn episode_fraction(&self, domain: FaultDomain, horizon_ms: f64) -> f64 {
-        let windows = (horizon_ms / self.cfg.window_ms).ceil().max(1.0) as u64;
-        let active = (0..windows)
-            .filter(|&w| self.in_episode(domain, (w as f64 + 0.5) * self.cfg.window_ms))
-            .count();
-        active as f64 / windows as f64
-    }
 }
 
 /// What the master does about worker faults.
@@ -1204,7 +1194,10 @@ mod tests {
         assert!(!fwd.iter().all(|&b| b), "episodes should end");
         // Coverage roughly matches start_prob × mean length (geometric-ish;
         // overlaps make it sub-additive, so allow a wide band).
-        let frac = model.episode_fraction(FaultDomain::Platform, 500_000.0);
+        // The share of the first 5,000 windows that lie in an episode.
+        let mid_window = |w: u32| (f64::from(w) + 0.5) * 100.0;
+        let active = (0..5000).filter(|&w| model.in_episode(FaultDomain::Platform, mid_window(w)));
+        let frac = active.count() as f64 / 5000.0;
         assert!((0.1..=0.6).contains(&frac), "{frac}");
         // Domains are independent: the lane domain differs somewhere.
         let lane: Vec<bool> = probes

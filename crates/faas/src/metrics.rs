@@ -29,11 +29,6 @@ impl LatencyStats {
         crate::stats::mean(&self.samples_ms)
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        crate::stats::variance(&self.samples_ms).sqrt()
-    }
-
     /// The `p`-th percentile (0 < p <= 100), by nearest-rank on the sorted
     /// samples. Returns 0 for an empty recorder.
     ///
@@ -149,7 +144,6 @@ mod tests {
         assert_eq!(s.percentile(20.0), 10.0);
         assert_eq!(s.min(), 10.0);
         assert_eq!(s.max(), 50.0);
-        assert!(s.std_dev() > 0.0);
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
@@ -99,7 +94,6 @@ mod tests {
         assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
         assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
         assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
-        assert!((erfc(1.0) - 0.1572992071).abs() < 1e-6);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Micros {
         self.0 as f64 / 1000.0
     }
 
-    /// This time in fractional seconds.
-    pub fn as_secs(&self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(&self, other: Micros) -> Micros {
         Micros(self.0.saturating_sub(other.0))

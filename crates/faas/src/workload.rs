@@ -21,7 +21,6 @@ pub struct ClosedLoop {
     pub total_queries: usize,
     /// Pause between receiving a response and sending the next query.
     pub think_time: Micros,
-    issued: usize,
 }
 
 impl ClosedLoop {
@@ -40,30 +39,7 @@ impl ClosedLoop {
             clients,
             total_queries,
             think_time,
-            issued: 0,
         })
-    }
-
-    /// The paper's §V-C configuration: 100 clients × 1000 queries, no think
-    /// time.
-    pub fn paper_slo_workload() -> Self {
-        ClosedLoop::new(100, 1000, Micros::ZERO).expect("valid workload")
-    }
-
-    /// Claims the next query to issue; returns `false` once the budget is
-    /// exhausted. The initial `clients` queries all arrive at time zero.
-    pub fn try_issue(&mut self) -> bool {
-        if self.issued < self.total_queries {
-            self.issued += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// How many queries have been issued so far.
-    pub fn issued(&self) -> usize {
-        self.issued
     }
 }
 
@@ -102,21 +78,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn closed_loop_issues_exactly_total() {
-        let mut w = ClosedLoop::new(4, 10, Micros::ZERO).unwrap();
-        let mut n = 0;
-        while w.try_issue() {
-            n += 1;
-        }
-        assert_eq!(n, 10);
-        assert_eq!(w.issued(), 10);
-        assert!(!w.try_issue());
-    }
-
-    #[test]
     fn closed_loop_validates_clients() {
         assert!(ClosedLoop::new(0, 10, Micros::ZERO).is_err());
-        let paper = ClosedLoop::paper_slo_workload();
+        let paper = ClosedLoop::new(100, 1000, Micros::ZERO).unwrap();
         assert_eq!(paper.clients, 100);
         assert_eq!(paper.total_queries, 1000);
     }
@@ -125,7 +89,9 @@ mod tests {
     fn poisson_rate_is_respected() {
         let p = PoissonArrivals::new(50.0).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let total: f64 = (0..5000).map(|_| p.next_gap(&mut rng).as_secs()).sum();
+        let total: f64 = (0..5000)
+            .map(|_| p.next_gap(&mut rng).as_ms() / 1000.0)
+            .sum();
         let mean_gap = total / 5000.0;
         assert!((mean_gap - 0.02).abs() < 0.002, "mean gap {mean_gap}");
         assert!(PoissonArrivals::new(0.0).is_err());

@@ -283,7 +283,7 @@ proptest! {
         for &spend in &ops {
             let before = bucket.tokens();
             if spend {
-                let granted = bucket.try_spend();
+                let granted = bucket.try_spend_cost(1.0);
                 prop_assert_eq!(granted, before >= 1.0);
                 if granted {
                     prop_assert!((bucket.tokens() - (before - 1.0)).abs() < 1e-12);

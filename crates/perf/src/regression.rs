@@ -101,8 +101,10 @@ impl LinearRegression {
                 .sum::<f64>()
     }
 
-    /// Coefficient of determination on a dataset.
-    pub fn r_squared(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
+    /// Coefficient of determination on a dataset: the tests' measure of a
+    /// fit.
+    #[cfg(test)]
+    fn r_squared(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
         if ys.is_empty() {
             return 0.0;
         }

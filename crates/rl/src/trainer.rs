@@ -62,7 +62,7 @@ pub struct SloAwareConfig {
     /// RNG seed.
     pub seed: u64,
     /// Threads for batch episode rollouts; `None` uses
-    /// [`gillis_pool::gillis_threads`]. Training is bit-identical for any
+    /// [`gillis_pool::kernel_threads`]. Training is bit-identical for any
     /// value: episodes are seeded individually and reduced in order.
     pub threads: Option<usize>,
 }
@@ -217,7 +217,7 @@ fn train(
     let mut go = agents.option.zero_grads();
     let mut gp = agents.placer.zero_grads();
     let mut batch_steps: Vec<(Vec<Step>, f64)> = Vec::new();
-    let threads = config.threads.unwrap_or_else(gillis_pool::gillis_threads);
+    let threads = config.threads.unwrap_or_else(gillis_pool::kernel_threads);
 
     let mut episode = 0;
     while episode < config.episodes {
