@@ -26,6 +26,7 @@ use gillis_model::weights::{init_weights, ModelWeights};
 use gillis_model::{zoo, LayerOp, LinearModel, NodeId};
 use gillis_perf::{PerfModel, TransferFormat};
 use gillis_pool::{with_width_cap, Pool};
+use gillis_tensor::scratch::{self, Site};
 use gillis_tensor::Tensor;
 
 use crate::sweep::{Row, Sweep};
@@ -99,22 +100,35 @@ pub fn retained<R>(f: impl FnOnce() -> R) -> (R, isize) {
 
 const BATCH: usize = 4;
 
+/// The widths the compiled rows run at.
+const WIDTHS: [usize; 3] = [1, 2, 4];
+
+/// Floats of kernel scratch every pool thread holds before the first count.
+const SCRATCH_FLOATS: usize = 1 << 18;
+
 /// Runs the ledger; panics rather than record zeros without [`CountingAlloc`].
 fn counts(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let ((), probe) = counted(|| drop(std::hint::black_box(Box::new(0u64))));
     assert!(probe > 0, "CountingAlloc is not the global allocator");
-    // Every pool worker takes its first steps, which allocate, here.
+    // Every pool thread takes its first steps, which allocate, here, and
+    // grows its kernel scratch past what any smoke model's kernel takes: a
+    // worker that first runs a GEMM block inside a counted region allocates.
     let pool = Pool::global();
     let started = Barrier::new(pool.width());
-    pool.run(pool.width(), |_| {
+    pool.for_each(pool.width(), &|_| {
         started.wait();
+        scratch::reserve(Site::PackB, SCRATCH_FLOATS);
+        scratch::reserve(Site::BatchGemv, SCRATCH_FLOATS);
     });
     settle(Duration::from_millis(50));
     // An uncounted compile-and-query builds process-wide lazy state.
     let (tiny, weights) = weighted(zoo::tiny_vgg(), seed);
     let plan = ExecutionPlan::single_function(&tiny);
-    with_width_cap(1, || compiled_row(&tiny, &weights, &plan, "", seed));
-    let unwritten = with_width_cap(1, || compiled_rows(seed));
+    with_width_cap(1, || compiled_row(&tiny, &weights, &plan, "", (seed, 1)));
+    let rows = WIDTHS
+        .iter()
+        .flat_map(|&threads| compiled_rows(seed, threads));
+    let unwritten: Vec<Row> = with_width_cap(1, || rows.collect());
     let compiled = unwritten.iter().map(|r| Row(r.0[..7].to_vec())).collect();
     let sections = vec![
         ("dp", vec![dp_row()]),
@@ -210,7 +224,14 @@ fn simulator_rows(seed: u64) -> Vec<Row> {
         "serve_open_loop_pipelined",
         "serve_workload",
     ];
-    drivers.map(row).to_vec()
+    let mut rows = drivers.map(row).to_vec();
+    let (_, allocations) = counted(|| rt.simulate_many_with_threads(QUERIES, seed, 1));
+    rows.push(Row(vec![
+        ("driver", "simulate_many".into()),
+        ("queries", QUERIES.into()),
+        ("allocations", allocations.into()),
+    ]));
+    rows
 }
 
 /// A model and its weights, drawn at `seed`.
@@ -253,33 +274,37 @@ fn weight_rows(seed: u64) -> Vec<Row> {
 
 /// Every smoke model whole and split two ways per layer (tiny-mobilenet by
 /// channel and by height: depthwise whole-plane and as a haloed row band),
-/// under the caller's width cap. The RNN's split leaves a function a layer.
-fn compiled_rows(seed: u64) -> Vec<Row> {
+/// run at `threads` (everything else of a row under the caller's width
+/// cap). The RNN's split leaves a function a layer.
+fn compiled_rows(seed: u64, threads: usize) -> Vec<Row> {
     let height = &[("height2", PartDim::Height)][..];
     let both = &[("channel2", PartDim::Channel), height[0]][..];
     let cases = smoke_models().map(|m| weighted(m, seed)).into_iter();
+    let at = (seed, threads);
     let mut rows = Vec::new();
     for ((model, weights), splits) in cases.zip([height, height, height, both, height]) {
         let splits = splits.iter().map(|&(l, dim)| (l, split2(&model, dim)));
         let single = ("single", ExecutionPlan::single_function(&model));
         for (label, plan) in std::iter::once(single).chain(splits) {
             plan.validate(&model, u64::MAX).expect("valid plan");
-            rows.push(compiled_row(&model, &weights, &plan, label, seed));
+            rows.push(compiled_row(&model, &weights, &plan, label, at));
         }
     }
     rows
 }
 
-/// One compiled plan: the allocations of its compile, of 20 warm queries and,
-/// after `reserve_batch(4)`, of a warm batch of 4 and a query; the bytes it
-/// holds and streams. Then, for the claims: the bytes counted from the graph,
-/// the figure after the batch, and whether every output had forward's bits.
+/// One compiled plan run at `threads`: the allocations of its compile, of 20
+/// warm queries and, after `reserve_batch(4)`, of a warm batch of 4 and a
+/// query; the bytes it holds and streams. Then, for the claims: the bytes
+/// counted from the graph, the figure after the batch, and whether every
+/// output had forward's bits. A row at more than one thread names its width
+/// after the plan (`height2 w4`).
 fn compiled_row(
     model: &LinearModel,
     weights: &ModelWeights,
     plan: &ExecutionPlan,
-    label: &'static str,
-    seed: u64,
+    label: &str,
+    (seed, threads): (u64, usize),
 ) -> Row {
     let shape = model.input_shape();
     let query = |i| Tensor::uniform(shape.clone(), seed.wrapping_add(10 + i), -1.0, 1.0);
@@ -294,7 +319,7 @@ fn compiled_row(
     let mut run = |compiled: &mut CompiledPlanExec, n: usize| {
         let items = &flat[..n * shape.len()];
         let (out, _) = compiled
-            .run_batch_raw_with_threads(weights, items, n, 1)
+            .run_batch_raw_with_threads(weights, items, n, threads)
             .expect("warm run");
         let bits = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
         let equal = |(item, want): (&[f32], &Tensor)| item.iter().zip(want.data()).all(bits);
@@ -302,8 +327,9 @@ fn compiled_row(
     };
     let (compiled, compile_allocs) = counted(|| CompiledPlanExec::compile(model, plan, weights));
     let mut compiled = compiled.expect("compile plan");
-    let activation_bytes = compiled.activation_bytes();
     (0..3).for_each(|_| run(&mut compiled, 1));
+    // Read once the runs have opened a lane per thread a group can use.
+    let activation_bytes = compiled.activation_bytes();
     let ((), warm) = counted(|| (0..20).for_each(|_| run(&mut compiled, 1)));
     compiled.reserve_batch(BATCH);
     // The first round grows the calling thread's kernel scratch to the batch.
@@ -311,16 +337,21 @@ fn compiled_row(
     round(&mut compiled);
     let (_, batch) = counted(|| round(&mut compiled));
     let streamed = compiled.weight_bytes_streamed();
+    let reference = reference_bytes(model, plan, threads);
+    let label = match threads {
+        1 => label.to_string(),
+        _ => format!("{label} w{threads}"),
+    };
     Row(vec![
         ("model", model.name().into()),
-        ("plan", label.into()),
+        ("plan", label.as_str().into()),
         ("compile_allocs", compile_allocs.into()),
         ("warm_allocs", warm.into()),
         ("batch_allocs", batch.into()),
         ("activation_bytes", activation_bytes.into()),
         ("weight_bytes_streamed", streamed.into()),
         // The claims' checks: `counts` writes the seven cells above.
-        ("reference_bytes", reference_bytes(model, plan).into()),
+        ("reference_bytes", reference.into()),
         ("batch_bytes", compiled.activation_bytes().into()),
         ("forward_bits", if same { "equal" } else { "differ" }.into()),
     ])
@@ -452,10 +483,11 @@ fn piece_slots(
     slots
 }
 
-/// The activation bytes a compiled `plan` should hold at width 1, from node
-/// shapes and [`SpanPlan`] hulls: one lane covering every piece, one join per
-/// group, and the output of every piece but single and channel ones.
-fn reference_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize {
+/// The activation bytes a compiled `plan` should hold after runs at
+/// `threads`, from node shapes and [`SpanPlan`] hulls: one lane covering
+/// every piece per thread a group can use, one join per group, and the
+/// output of every piece but single and channel ones.
+fn reference_bytes(model: &LinearModel, plan: &ExecutionPlan, threads: usize) -> usize {
     let graph = model.graph();
     let node = |id: NodeId| graph.node(id).expect("node of the model's graph");
     let mut lane = PieceSlots::default();
@@ -507,7 +539,12 @@ fn reference_bytes(model: &LinearModel, plan: &ExecutionPlan) -> usize {
         }
     }
     let lane = lane.lens.iter().sum::<usize>() + lane.scratch;
-    (lane + kept) * std::mem::size_of::<f32>()
+    let parts = |g: &PlannedGroup| match g.option {
+        PartitionOption::Split { parts, .. } => parts,
+        PartitionOption::Single => 1,
+    };
+    let lanes = threads.clamp(1, plan.groups().iter().map(parts).max().unwrap_or(1));
+    (lanes * lane + kept) * std::mem::size_of::<f32>()
 }
 
 /// The ledger's bounds: the old gates', and what every compiled row must
@@ -548,9 +585,13 @@ fn claims(sweep: &Sweep) -> Vec<Claim> {
             retained < 66_327.0,
             format!("{retained} B"),
         ),
-        every("20 warm single queries allocate 0 times", &["warm_allocs"], |c| c[0] == "0"),
         every(
-            "after reserve_batch(4), a warm batch of 4 and the single query after it allocate 0 times",
+            "20 warm single queries allocate 0 times, at widths 1, 2 and 4",
+            &["warm_allocs"],
+            |c| c[0] == "0",
+        ),
+        every(
+            "after reserve_batch(4), a warm batch of 4 and the single query after it allocate 0 times, at widths 1, 2 and 4",
             &["batch_allocs"],
             |c| c[0] == "0",
         ),

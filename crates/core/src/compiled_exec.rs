@@ -414,13 +414,10 @@ fn run_group(
         return Ok(g.partition.run_into(lane, weights, inputs, n, out)?);
     }
     let shares = g.partition.deal(lanes.len(), n, out);
-    let tasks: Vec<gillis_pool::Task> = shares
-        .zip(lanes.iter_mut().zip(errs.iter_mut()))
-        .map(|(share, (lane, err))| {
-            Box::new(move || *err = share.run(lane, weights, inputs).err()) as gillis_pool::Task
-        })
-        .collect();
-    gillis_pool::Pool::global().join_all(tasks);
+    let shares = shares.zip(lanes.iter_mut().zip(errs.iter_mut()));
+    gillis_pool::Pool::global().for_each_item(shares, |(share, (lane, err))| {
+        *err = share.run(lane, weights, inputs).err();
+    });
     if let Some(e) = errs.iter_mut().find_map(Option::take) {
         return Err(e.into());
     }

@@ -485,13 +485,14 @@ impl DpPartitioner {
         let threads = self
             .eval_threads
             .unwrap_or_else(gillis_pool::kernel_threads);
-        let longest_first = |c: usize| column(n - c);
-        let mut columns: Vec<Vec<T>> = if threads <= 1 || sequential {
-            (0..n).map(longest_first).collect()
+        let mut columns: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+        let longest_first = columns.iter_mut().enumerate().rev();
+        let fill = |(i, slot): (usize, &mut Vec<T>)| *slot = column(i + 1);
+        if threads <= 1 || sequential {
+            longest_first.for_each(fill);
         } else {
-            gillis_pool::Pool::global().run(n, longest_first)
-        };
-        columns.reverse();
+            gillis_pool::Pool::global().for_each_item(longest_first, fill);
+        }
         columns
     }
 

@@ -134,9 +134,10 @@ struct LaneRun {
 pub(super) struct Session<'s, 'a> {
     pub rt: &'s ForkJoinRuntime<'a>,
     /// `None` runs fleet-free: every acquisition is ready at once, and lanes
-    /// keep their billed milliseconds in `lane_ms` instead of the bill.
+    /// keep their billed milliseconds in `lane_ms` (where it is `Some`)
+    /// instead of the bill.
     fleet: Option<&'s mut Fleet>,
-    pub lane_ms: Vec<f64>,
+    pub lane_ms: Option<Vec<f64>>,
     pub billing: &'s mut BillingMeter,
     pub resilience: &'s mut ResilienceCounters,
     pub overload: OverloadCounters,
@@ -165,7 +166,7 @@ impl<'s, 'a> Session<'s, 'a> {
         Session {
             rt,
             fleet,
-            lane_ms: Vec::new(),
+            lane_ms: None,
             billing,
             resilience,
             overload: OverloadCounters::default(),
@@ -318,7 +319,9 @@ impl<'s, 'a> Session<'s, 'a> {
     /// per lane without a fleet).
     pub fn release(&mut self, fname: &str, at: Micros, busy_ms: f64) -> Result<()> {
         let Some(fleet) = self.fleet.as_mut() else {
-            self.lane_ms.push(busy_ms);
+            if let Some(lane_ms) = &mut self.lane_ms {
+                lane_ms.push(busy_ms);
+            }
             return Ok(());
         };
         self.billing

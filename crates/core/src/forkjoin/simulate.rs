@@ -14,6 +14,12 @@ use gillis_faas::Micros;
 use super::session::Session;
 use super::{replication_seed, ForkJoinRuntime, QueryOutcome, SimulationReport};
 
+/// Replications one pool task of
+/// [`ForkJoinRuntime::simulate_many_with_threads`] runs in turn. A constant,
+/// so the chunks, and the counter sums folded per chunk, are the same at
+/// every width.
+const CHUNK: usize = 64;
+
 impl ForkJoinRuntime<'_> {
     /// Simulates one query on warm instances, sampling compute noise and
     /// communication jitter. Equivalent to
@@ -29,9 +35,6 @@ impl ForkJoinRuntime<'_> {
     /// fork, compute and join are read off its timestamps; a failed group
     /// ends the query without a join.
     pub fn simulate_query_at<R: RngExt + ?Sized>(&self, query: u64, rng: &mut R) -> QueryOutcome {
-        let (mut billing, mut resilience) = (self.billing_meter(), ResilienceCounters::default());
-        let mut s = Session::bare(self, None, &mut billing, &mut resilience);
-        let q = self.query(query, None, BrownoutLevel::Full);
         let mut out = QueryOutcome {
             latency_ms: 0.0,
             group_ms: Vec::with_capacity(self.plan.groups().len()),
@@ -39,6 +42,30 @@ impl ForkJoinRuntime<'_> {
             status: QueryStatus::Ok,
             resilience: ResilienceCounters::default(),
         };
+        let mut resilience = ResilienceCounters::default();
+        (out.latency_ms, out.status) = self.replicate(query, rng, &mut resilience, Some(&mut out));
+        out.resilience = resilience;
+        out
+    }
+
+    /// [`simulate_query_at`](Self::simulate_query_at) without the outcome:
+    /// the latency and status, the counters added to `resilience` and, given
+    /// `outcome`, each group's `(fork, compute, join)` and every lane's busy
+    /// milliseconds in its `group_ms` and `worker_ms`.
+    /// [`simulate_many`](Self::simulate_many) passes `None`, so a replication
+    /// builds no vector it would drop.
+    fn replicate<R: RngExt + ?Sized>(
+        &self,
+        query: u64,
+        rng: &mut R,
+        resilience: &mut ResilienceCounters,
+        mut outcome: Option<&mut QueryOutcome>,
+    ) -> (f64, QueryStatus) {
+        let mut billing = self.billing_meter();
+        let mut s = Session::bare(self, None, &mut billing, resilience);
+        s.lane_ms = outcome.as_ref().map(|_| Vec::new());
+        let q = self.query(query, None, BrownoutLevel::Full);
+        let (mut latency_ms, mut status) = (0.0, QueryStatus::Ok);
         let mut now = Micros::ZERO;
         for gi in 0..self.plan.groups().len() {
             let run = s
@@ -50,19 +77,22 @@ impl ForkJoinRuntime<'_> {
                 (run.computed, run.end),
             ];
             let [fork, compute, join] = parts.map(|(from, to)| (to - from).as_ms());
-            out.latency_ms += fork + compute + join;
-            out.group_ms.push((fork, compute, join));
+            latency_ms += fork + compute + join;
+            if let Some(outcome) = outcome.as_mut() {
+                outcome.group_ms.push((fork, compute, join));
+            }
             now = run.end;
             if run.status != QueryStatus::Ok {
-                out.status = run.status;
+                status = run.status;
             }
             if run.status == QueryStatus::Failed {
                 break;
             }
         }
-        out.worker_ms = std::mem::take(&mut s.lane_ms);
-        out.resilience = resilience;
-        out
+        if let Some(outcome) = outcome {
+            outcome.worker_ms = s.lane_ms.take().unwrap_or_default();
+        }
+        (latency_ms, status)
     }
 
     /// Mean latency over `n` simulated warm queries.
@@ -94,10 +124,12 @@ impl ForkJoinRuntime<'_> {
 
     /// [`simulate_many`](Self::simulate_many) with an explicit thread count.
     ///
-    /// Replications run on the shared pool but reduce sequentially in
-    /// replication order on the caller, so the report — latencies,
-    /// percentiles, and every counter — is bit-identical for any
-    /// `GILLIS_THREADS`.
+    /// Replications run in chunks of [`CHUNK`], one pool task per chunk
+    /// (`threads <= 1` runs them all on the caller): a chunk writes its
+    /// latencies into its own stretch of one `n`-long buffer and sums its
+    /// counters, and the caller folds the chunk sums in chunk order. So the
+    /// report — latencies, percentiles, and every counter — is bit-identical
+    /// for any `GILLIS_THREADS`, and no replication keeps an outcome.
     pub fn simulate_many_with_threads(
         &self,
         n: usize,
@@ -105,25 +137,27 @@ impl ForkJoinRuntime<'_> {
         threads: usize,
     ) -> SimulationReport {
         let n = n.max(1);
-        let run_one = |i: usize| {
-            let mut rng = StdRng::seed_from_u64(replication_seed(seed, i as u64));
-            let q = self.simulate_query_at(i as u64, &mut rng);
-            (q.latency_ms, q.status, q.resilience)
+        let mut latencies = vec![0.0; n];
+        let mut sums = vec![ResilienceCounters::default(); n.div_ceil(CHUNK)];
+        let chunks = latencies.chunks_mut(CHUNK).zip(&mut sums).enumerate();
+        let run_chunk = |(c, (latencies, sum)): (usize, (&mut [f64], &mut ResilienceCounters))| {
+            for (k, ms) in latencies.iter_mut().enumerate() {
+                let i = (c * CHUNK + k) as u64;
+                let mut rng = StdRng::seed_from_u64(replication_seed(seed, i));
+                let status;
+                (*ms, status) = self.replicate(i, &mut rng, sum, None);
+                sum.record_status(status);
+            }
         };
-        let outcomes: Vec<(f64, QueryStatus, ResilienceCounters)> = if threads <= 1 || n == 1 {
-            (0..n).map(run_one).collect()
+        if threads <= 1 {
+            chunks.for_each(run_chunk);
         } else {
-            gillis_pool::Pool::global().run(n, run_one)
-        };
-        let mut latency = LatencyStats::new();
-        let mut resilience = ResilienceCounters::default();
-        for (ms, status, c) in outcomes {
-            latency.record(ms);
-            resilience.absorb(&c);
-            resilience.record_status(status);
+            gillis_pool::Pool::global().for_each_item(chunks, run_chunk);
         }
+        let mut resilience = ResilienceCounters::default();
+        sums.iter().for_each(|sum| resilience.absorb(sum));
         SimulationReport {
-            latency,
+            latency: LatencyStats::from_samples(latencies),
             resilience,
         }
     }
@@ -190,6 +224,61 @@ mod tests {
         // The faults bit: lanes retried, hedged and were caught corrupt.
         let bit = total.retries > 0 && total.hedges > 0 && total.corruptions_detected > 0;
         assert!(bit, "{total:?}");
+    }
+
+    #[test]
+    fn chunked_replications_fold_to_the_sequential_reference() {
+        // Two attempts and no local fallback under every fault kind: retries,
+        // hedges and failed queries land in every chunk.
+        let tiny = zoo::tiny_vgg();
+        let plan = forced_split_plan(&tiny);
+        let policy = ResiliencePolicy {
+            max_attempts: 2,
+            local_fallback: false,
+            ..ResiliencePolicy::backoff_hedged()
+        };
+        let rt = ForkJoinRuntime::new(&tiny, &plan, PlatformProfile::aws_lambda())
+            .unwrap()
+            .with_chaos(stress_chaos(23))
+            .unwrap()
+            .with_policy(policy);
+        let seed = 5;
+        // Replication by replication, with one counter sum per CHUNK.
+        let reference = |n: usize| {
+            let (mut bits, mut chunks) = (Vec::new(), Vec::new());
+            for i in 0..n as u64 {
+                let mut rng = StdRng::seed_from_u64(replication_seed(seed, i));
+                let q = rt.simulate_query_at(i, &mut rng);
+                bits.push(q.latency_ms.to_bits());
+                if (i as usize).is_multiple_of(CHUNK) {
+                    chunks.push(ResilienceCounters::default());
+                }
+                let sum = chunks.last_mut().unwrap();
+                sum.absorb(&q.resilience);
+                sum.record_status(q.status);
+            }
+            (bits, chunks)
+        };
+        for n in [1, CHUNK - 1, CHUNK, CHUNK + 1, 1000] {
+            let (bits, chunks) = reference(n);
+            let mut total = ResilienceCounters::default();
+            chunks.iter().for_each(|sum| total.absorb(sum));
+            for threads in [1, 2, 8] {
+                let report = rt.simulate_many_with_threads(n, seed, threads);
+                let got: Vec<u64> = report
+                    .latency
+                    .samples()
+                    .iter()
+                    .map(|ms| ms.to_bits())
+                    .collect();
+                assert_eq!(got, bits, "n {n} threads {threads}");
+                assert_eq!(report.resilience, total, "n {n} threads {threads}");
+            }
+            if n == 1000 {
+                let faulted = |c: &ResilienceCounters| c.retries > 0 && c.failed_queries > 0;
+                assert!(chunks.iter().all(faulted), "{chunks:?}");
+            }
+        }
     }
 
     #[test]

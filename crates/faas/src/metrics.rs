@@ -14,6 +14,11 @@ impl LatencyStats {
         LatencyStats::default()
     }
 
+    /// A recorder holding `samples_ms`, in order.
+    pub fn from_samples(samples_ms: Vec<f64>) -> Self {
+        LatencyStats { samples_ms }
+    }
+
     /// Records one latency sample in milliseconds.
     pub fn record(&mut self, ms: f64) {
         self.samples_ms.push(ms);
@@ -40,10 +45,11 @@ impl LatencyStats {
         if self.samples_ms.is_empty() {
             return 0.0;
         }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+        let mut copy = self.samples_ms.clone();
+        let rank = ((p / 100.0) * copy.len() as f64).ceil() as usize;
+        let at = rank.saturating_sub(1).min(copy.len() - 1);
+        let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("latencies are finite");
+        *copy.select_nth_unstable_by(at, order).1
     }
 
     /// Minimum sample (0 when empty).
@@ -51,10 +57,8 @@ impl LatencyStats {
         self.samples_ms
             .iter()
             .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::MAX)
-            .clamp(0.0, f64::MAX)
-            * if self.samples_ms.is_empty() { 0.0 } else { 1.0 }
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 
     /// Maximum sample (0 when empty).
@@ -161,6 +165,30 @@ mod tests {
     fn out_of_range_percentile_panics() {
         let s = LatencyStats::new();
         let _ = s.percentile(0.0);
+    }
+
+    #[test]
+    fn selection_matches_the_sorted_nearest_rank() {
+        // Samples with duplicates: 40 distinct values over up to 300 draws.
+        let mut state = 0x5eed_u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % 40
+        };
+        for len in 1..=300 {
+            let mut s = LatencyStats::new();
+            (0..len).for_each(|_| s.record(draw() as f64 * 2.5 + 0.25));
+            let mut sorted = s.samples().to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for p in [0.1, 1.0, 50.0, 99.0, 99.9, 100.0] {
+                let rank = ((p / 100.0) * len as f64).ceil() as usize;
+                let want = sorted[rank.saturating_sub(1).min(len - 1)];
+                assert_eq!(s.percentile(p).to_bits(), want.to_bits(), "len {len} p {p}");
+            }
+            assert_eq!(s.min().to_bits(), sorted[0].to_bits(), "len {len}");
+        }
     }
 
     #[test]

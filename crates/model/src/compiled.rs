@@ -1500,7 +1500,7 @@ impl CompiledPartition {
         lanes: usize,
         n: usize,
         outs: &'a mut [f32],
-    ) -> impl Iterator<Item = LaneShare<'a>> {
+    ) -> impl ExactSizeIterator<Item = LaneShare<'a>> {
         let per = self.pieces.len().div_ceil(lanes.max(1));
         let mut rest = self.joins_directly(n).then_some(outs);
         self.pieces.chunks_mut(per).map(move |pieces| {

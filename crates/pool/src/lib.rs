@@ -6,30 +6,34 @@
 //! via `crossbeam::thread::scope`. A warm serving path cannot afford that:
 //! spawning threads costs tens of microseconds while a small GEMM finishes in
 //! a handful. This pool spawns its workers once (lazily, on first use), parks
-//! them between batches, and hands batches of scoped tasks to whichever
-//! threads are idle.
+//! them between batches, and hands batches of indices to whichever threads
+//! are idle.
 //!
 //! # Execution model
 //!
-//! Work arrives as a *batch* of `FnOnce` tasks ([`Pool::join_all`]) or as an
-//! indexed map ([`Pool::run`]). Batches are published on a shared injector
-//! queue; idle workers *steal* task indices from the oldest batch with work
-//! remaining (claiming is a single `fetch_add`, so load balancing is dynamic).
-//! The submitting thread always participates in its own batch — it claims and
-//! executes tasks alongside the workers and only blocks once every task has
-//! been claimed. Because the caller can drain its batch entirely by itself,
-//! nested submissions (a pool task that itself calls [`Pool::join_all`])
-//! cannot deadlock, whatever the worker count.
+//! There is one engine, the indexed parallel-for [`Pool::for_each`]: it runs
+//! `f(0), …, f(n - 1)`, each exactly once. The batch descriptor lives on the
+//! submitting thread's stack and is published on a shared injector queue;
+//! idle workers attach to the oldest batch with indices left and *steal*
+//! indices from it (claiming is a single `fetch_add`, so load balancing is
+//! dynamic). The submitting thread always participates in its own batch — it
+//! claims and executes indices alongside the workers and only blocks once
+//! every index has been claimed. Because the caller can drain its batch
+//! entirely by itself, nested submissions (an index that itself calls
+//! [`Pool::for_each`]) cannot deadlock, whatever the worker count. A warm
+//! call allocates nothing. [`Pool::for_each_item`] deals the items of an
+//! iterator (disjoint `&mut` chunks, say) over the same engine, and
+//! [`Pool::join_all`] runs boxed [`Task`]s over it.
 //!
 //! # Determinism contract
 //!
-//! The pool never changes *what* is computed, only *where*: each task is
-//! executed exactly once, and [`Pool::run`] writes the result of task `i`
-//! into slot `i`. Callers that need bit-identical floating-point results
-//! across thread counts follow the workspace-wide rule: split work into
-//! chunks whose contents do not depend on the worker count (or depend only on
-//! an explicit `threads` parameter), compute each chunk independently, and
-//! reduce sequentially in chunk order on the submitting thread.
+//! The pool never changes *what* is computed, only *where*: each index is
+//! executed exactly once. Callers that need bit-identical floating-point
+//! results across thread counts follow the workspace-wide rule: split work
+//! into chunks whose contents do not depend on the worker count (or depend
+//! only on an explicit `threads` parameter), compute each chunk
+//! independently into a place of its own, and reduce sequentially in chunk
+//! order on the submitting thread.
 //!
 //! # Sizing
 //!
@@ -40,18 +44,21 @@
 //!
 //! A caller can ask for less than the pool's width: kernels size their
 //! fan-out by [`kernel_threads`], which [`with_width_cap`] caps for the
-//! duration of a closure on the calling thread and in every task it submits.
+//! duration of a closure on the calling thread and in every index it submits.
 //! A cap of 1 keeps every kernel on the calling thread.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// A scoped unit of work: may borrow from the submitting stack frame because
-/// [`Pool::join_all`] does not return until every task has finished.
+/// A boxed unit of work for [`Pool::join_all`]: may borrow from the
+/// submitting stack frame because `join_all` does not return until every
+/// task has finished.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// Worker-thread budget for the whole process: the `GILLIS_THREADS`
@@ -82,13 +89,13 @@ thread_local! {
 
 /// The width a kernel called on this thread may fan out to:
 /// [`gillis_threads`], capped by the innermost [`with_width_cap`] around the
-/// call. Pool tasks run under the cap of the thread that submitted them.
+/// call. Pool indices run under the cap of the thread that submitted them.
 pub fn kernel_threads() -> usize {
     gillis_threads().min(WIDTH_CAP.get())
 }
 
 /// Runs `f` with [`kernel_threads`] capped at `width` (at least 1) on this
-/// thread and in every pool task submitted under it, then restores the
+/// thread and in every pool index submitted under it, then restores the
 /// previous cap — so a caller that asks for one thread gets one thread, down
 /// to the innermost kernel.
 pub fn with_width_cap<R>(width: usize, f: impl FnOnce() -> R) -> R {
@@ -104,93 +111,70 @@ pub fn with_width_cap<R>(width: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// How many batches the calling thread has handed to pool workers (batches
-/// of two or more tasks on a pool that has workers) — zero growth over a
+/// of two or more indices on a pool that has workers) — zero growth over a
 /// stretch of code means everything in it ran on this thread.
 pub fn batches_handed_off() -> u64 {
     HANDED_OFF.get()
 }
 
-/// One published batch of erased tasks plus its completion latch.
-struct Batch {
-    /// Task slots; a claimed index grants exclusive right to take that slot.
-    tasks: Mutex<Vec<Option<Task<'static>>>>,
-    /// Next unclaimed task index (the steal counter).
-    next: AtomicUsize,
-    /// Total tasks in the batch.
+/// Locks one of the pool's own mutexes whatever a panic left in it: none is
+/// held while an index runs, and every update under one is a single step,
+/// so a poisoned one still guards consistent state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One [`Pool::for_each`] call, on the submitting thread's stack.
+struct Batch<'f> {
+    f: &'f (dyn Fn(usize) + Sync),
     len: usize,
-    /// Tasks not yet finished executing.
-    remaining: AtomicUsize,
-    /// Completion latch: locked/notified when `remaining` hits zero.
-    done: Mutex<()>,
-    done_cv: Condvar,
+    /// Next unclaimed index (the steal counter). `Relaxed`: it publishes
+    /// nothing. What an index reads was published by the injector lock the
+    /// worker took to find the batch, and what it writes is published by the
+    /// lock the worker takes to detach, which the caller takes before it
+    /// returns.
+    next: AtomicUsize,
+    /// Workers that may still touch the batch; read and changed only under
+    /// the injector lock, which orders it.
+    attached: AtomicUsize,
     /// First panic payload observed while executing this batch.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The submitter's width cap, which every task runs under.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The submitter's width cap, which every index runs under.
     width_cap: usize,
 }
 
-impl Batch {
-    fn new(tasks: Vec<Option<Task<'static>>>) -> Self {
-        let len = tasks.len();
-        Batch {
-            tasks: Mutex::new(tasks),
-            next: AtomicUsize::new(0),
-            len,
-            remaining: AtomicUsize::new(len),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-            width_cap: WIDTH_CAP.get(),
-        }
-    }
-
+impl Batch<'_> {
     fn has_work(&self) -> bool {
-        self.next.load(Ordering::Acquire) < self.len
+        self.next.load(Ordering::Relaxed) < self.len
     }
 
-    /// Claims the next unexecuted task, or `None` when the batch is drained.
-    fn claim(&self) -> Option<Task<'static>> {
-        loop {
-            let idx = self.next.fetch_add(1, Ordering::AcqRel);
-            if idx >= self.len {
-                // Park the counter so it cannot wrap after u64::MAX claims.
-                self.next.store(self.len, Ordering::Release);
-                return None;
+    /// Claims and runs indices until none is left, keeping the first panic.
+    fn drain(&self) {
+        with_width_cap(self.width_cap, || loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                return;
             }
-            if let Some(task) = self.tasks.lock().expect("pool batch poisoned")[idx].take() {
-                return Some(task);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
+                lock(&self.panic).get_or_insert(payload);
             }
-        }
-    }
-
-    /// Runs one claimed task, recording panics and signalling completion.
-    fn execute(&self, task: Task<'static>) {
-        let cap = self.width_cap;
-        let run = move || with_width_cap(cap, task);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
-            let mut slot = self.panic.lock().expect("pool panic slot poisoned");
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Takes the latch before notifying so a waiter that just checked
-            // `remaining` and is about to sleep cannot miss the wakeup.
-            let _guard = self.done.lock().expect("pool latch poisoned");
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
+        });
     }
 }
+
+/// A batch as the injector holds it: a pointer to the submitter's stack.
+#[derive(Clone, Copy, PartialEq)]
+struct Published(NonNull<Batch<'static>>);
+
+// SAFETY: `Batch` is `Sync`, and a `Published` is dereferenced only while its
+// batch is alive (see `Pool::for_each`).
+unsafe impl Send for Published {}
 
 /// The injector: published batches plus the shutdown flag, guarded together
 /// so workers sleeping on `work_ready` can never miss either signal.
 struct Injector {
-    /// Batches with (possibly) unclaimed tasks, oldest first.
-    batches: VecDeque<Arc<Batch>>,
+    /// Batches with (possibly) unclaimed indices, oldest first.
+    batches: VecDeque<Published>,
     /// Set by `Drop`; workers exit once the queue drains.
     shutdown: bool,
 }
@@ -200,9 +184,11 @@ struct Shared {
     queue: Mutex<Injector>,
     /// Signalled when a batch is published or the pool shuts down.
     work_ready: Condvar,
+    /// Signalled when the last worker attached to a batch detaches.
+    detached: Condvar,
 }
 
-/// A persistent pool of worker threads executing scoped task batches.
+/// A persistent pool of worker threads executing scoped batches.
 ///
 /// Most callers want [`Pool::global`]; dedicated pools exist for tests and
 /// for embedding at a fixed width.
@@ -234,10 +220,14 @@ impl Pool {
         let workers = threads.max(1) - 1;
         let shared = Arc::new(Shared {
             queue: Mutex::new(Injector {
-                batches: VecDeque::new(),
+                // Room for every thread's batches four levels deep (a lane's
+                // kernels nest one level under it), so the queue does not
+                // grow on a warm path.
+                batches: VecDeque::with_capacity(4 * (workers + 1)),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
+            detached: Condvar::new(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -259,105 +249,84 @@ impl Pool {
         self.workers.len() + 1
     }
 
-    /// Runs every task to completion, blocking until all finish. Tasks may
-    /// borrow from the caller's stack. The caller participates: it claims and
-    /// executes tasks alongside the workers, so a width-1 pool degenerates to
-    /// a plain sequential loop and nested calls cannot deadlock.
+    /// Runs `f(0), …, f(n - 1)` across the pool, each exactly once, and
+    /// returns when all have finished; `f` may borrow from the caller's
+    /// stack. The caller participates, so a width-1 pool degenerates to a
+    /// plain loop and nested calls cannot deadlock. Every index runs under
+    /// the caller's [`with_width_cap`]. Allocates nothing once the pool is
+    /// warm.
     ///
     /// # Panics
     ///
-    /// If a task panics, the batch still runs to completion (every other
-    /// task executes) and the first panic payload is then re-raised on the
-    /// calling thread.
-    pub fn join_all<'env>(&self, tasks: Vec<Task<'env>>) {
-        match tasks.len() {
-            0 => return,
-            1 => {
-                // Nothing to overlap with: skip the queue entirely.
-                return (tasks.into_iter().next().expect("len checked"))();
-            }
-            _ => {}
+    /// If an index panics, every other index still runs, and the first
+    /// panic payload is then re-raised on the calling thread.
+    pub fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        if n <= 1 || self.workers.is_empty() {
+            return (0..n).for_each(f);
         }
-        if self.workers.is_empty() {
-            for task in tasks {
-                task();
-            }
-            return;
-        }
-        // SAFETY: the erased tasks never outlive this call. Every task is
-        // either executed below (the wait loop does not return until
-        // `remaining == 0`) or held un-run inside `batch.tasks`, and the
-        // queue only ever hands out tasks by `take()` — once `remaining`
-        // reaches zero all closures have been consumed and dropped, so no
-        // borrow of the caller's stack escapes `join_all`. Panics inside
-        // tasks are caught and re-raised only after the whole batch has
-        // completed, preserving the guarantee on unwind paths.
-        let erased: Vec<Option<Task<'static>>> = tasks
-            .into_iter()
-            .map(|t| unsafe { std::mem::transmute::<Task<'env>, Task<'static>>(t) })
-            .map(Some)
-            .collect();
-        let batch = Arc::new(Batch::new(erased));
         HANDED_OFF.set(HANDED_OFF.get() + 1);
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.batches.push_back(Arc::clone(&batch));
-        }
+        let batch = Batch {
+            f,
+            len: n,
+            next: AtomicUsize::new(0),
+            attached: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            width_cap: WIDTH_CAP.get(),
+        };
+        // SAFETY: a worker reaches `batch` only through this pointer, while
+        // it is in the injector or while the worker is attached to it (the
+        // worker attaches in the critical section that found it there).
+        // Below, the caller takes it out of the injector and waits until no
+        // worker is attached before `batch` goes out of scope; nothing in
+        // between unwinds (`drain` catches every panic and the locks ignore
+        // poison), so no path leaves the pointer dangling.
+        let published = Published(NonNull::from(&batch).cast());
+        lock(&self.shared.queue).batches.push_back(published);
         self.shared.work_ready.notify_all();
-
-        // Work on our own batch until every task is claimed…
-        while let Some(task) = batch.claim() {
-            batch.execute(task);
+        batch.drain();
+        let mut queue = lock(&self.shared.queue);
+        queue.batches.retain(|&b| b != published);
+        while batch.attached.load(Ordering::Relaxed) > 0 {
+            let woken = self.shared.detached.wait(queue);
+            queue = woken.unwrap_or_else(PoisonError::into_inner);
         }
-        // …then wait for tasks claimed by workers to finish.
-        let mut guard = batch.done.lock().expect("pool latch poisoned");
-        while !batch.is_done() {
-            guard = batch.done_cv.wait(guard).expect("pool latch poisoned");
-        }
-        drop(guard);
-        let payload = batch.panic.lock().expect("pool panic slot poisoned").take();
+        drop(queue);
+        let payload = lock(&batch.panic).take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
     }
 
-    /// Indexed parallel map with deterministic, in-order results: evaluates
-    /// `f(0), …, f(n - 1)` across the pool and returns the results in index
-    /// order, exactly as a sequential `(0..n).map(f).collect()` would. Slot
-    /// `i` is written only by task `i`, so the output is independent of
-    /// scheduling; any order-sensitive reduction belongs in the caller,
-    /// after this returns.
-    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Runs `f` on every item of `items` across the pool, each exactly
+    /// once, through [`Pool::for_each`]: items are handed out in iterator
+    /// order, one per index, so chunks a caller cuts (`chunks_mut`, `zip`,
+    /// `enumerate`) carry their position with them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pool::for_each`], and if `items` yields fewer than its `len()`.
+    pub fn for_each_item<I>(&self, items: I, f: impl Fn(I::Item) + Sync)
     where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
+        I: ExactSizeIterator + Send,
     {
-        if n <= 1 || self.workers.is_empty() {
-            return (0..n).map(f).collect();
-        }
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        {
-            let f = &f;
-            let tasks: Vec<Task> = slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| -> Task { Box::new(move || *slot = Some(f(i))) })
-                .collect();
-            self.join_all(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every pool task fills its slot"))
-            .collect()
+        let n = items.len();
+        let items = Mutex::new(items);
+        self.for_each(n, &|_| {
+            let item = items.lock().expect("an item iterator panicked").next();
+            f(item.expect("an exact-size iterator yields len() items"));
+        });
+    }
+
+    /// Runs every task to completion through [`Pool::for_each`]: the boxed
+    /// form, for callers that build their work as a list of closures.
+    pub fn join_all(&self, tasks: Vec<Task<'_>>) {
+        self.for_each_item(tasks.into_iter(), |task| task());
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.shutdown = true;
-        }
+        lock(&self.shared.queue).shutdown = true;
         self.shared.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -366,26 +335,36 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
     loop {
-        let batch = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                // Drop drained batches, then steal from the oldest live one.
-                while queue.batches.front().is_some_and(|b| !b.has_work()) {
-                    queue.batches.pop_front();
-                }
-                if let Some(batch) = queue.batches.front() {
-                    break Arc::clone(batch);
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared.work_ready.wait(queue).expect("pool queue poisoned");
-            }
-        };
-        while let Some(task) = batch.claim() {
-            batch.execute(task);
+        // SAFETY: `live` runs under the injector lock on a batch in the
+        // injector, which is alive (see `Pool::for_each`).
+        let live = |b: &Published| unsafe { b.0.as_ref() }.has_work();
+        // Drop drained batches, then steal from the oldest live one.
+        while queue.batches.front().is_some_and(|b| !live(b)) {
+            queue.batches.pop_front();
         }
+        if let Some(&b) = queue.batches.front() {
+            // SAFETY: the batch is in the injector, so alive, and attaching
+            // before the lock is released keeps it alive until this worker
+            // detaches below, after its last use of `batch`.
+            let batch = unsafe { b.0.as_ref() };
+            batch.attached.fetch_add(1, Ordering::Relaxed);
+            drop(queue);
+            batch.drain();
+            queue = lock(&shared.queue);
+            if batch.attached.fetch_sub(1, Ordering::Relaxed) == 1 {
+                shared.detached.notify_all();
+            }
+            continue;
+        }
+        if queue.shutdown {
+            return;
+        }
+        queue = shared
+            .work_ready
+            .wait(queue)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -394,11 +373,50 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Slot `i` counts the runs of index `i`.
+    fn counters(n: usize) -> Vec<AtomicU64> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    fn once_each(runs: &[AtomicU64]) -> bool {
+        runs.iter().all(|c| c.load(Ordering::Relaxed) == 1)
+    }
+
     #[test]
-    fn run_returns_results_in_index_order() {
+    fn for_each_writes_every_index_into_its_own_slot() {
         let pool = Pool::new(4);
-        let out = pool.run(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        let squares: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        pool.for_each(100, &|i| squares[i].store(i * i, Ordering::Relaxed));
+        let got: Vec<usize> = squares.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+        assert_eq!(got, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        for width in [1, 2, 4, 8] {
+            let runs = counters(64);
+            Pool::new(width).for_each(64, &|i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(once_each(&runs), "width {width}");
+        }
+    }
+
+    #[test]
+    fn items_borrow_stack_data_in_order() {
+        let pool = Pool::new(4);
+        let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
+        let mut sums = [0u64; 4];
+        let chunks = sums.iter_mut().zip(data.chunks(2)).enumerate();
+        pool.for_each_item(chunks, |(i, (s, c))| *s = c.iter().sum::<u64>() + i as u64);
+        assert_eq!(sums, [3, 8, 13, 18]);
+        let mut out = vec![0usize; 1000];
+        pool.for_each_item(out.chunks_mut(7).enumerate(), |(c, chunk)| {
+            for (k, o) in chunk.iter_mut().enumerate() {
+                *o = c * 7 + k;
+            }
+        });
+        assert!(out.iter().enumerate().all(|(i, &o)| i == o));
     }
 
     #[test]
@@ -406,10 +424,9 @@ mod tests {
         let pool = Pool::new(4);
         let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
         let mut sums = [0u64; 4];
-        let chunks: Vec<&[u64]> = data.chunks(2).collect();
         let tasks: Vec<Task> = sums
             .iter_mut()
-            .zip(chunks)
+            .zip(data.chunks(2))
             .map(|(s, c)| -> Task { Box::new(move || *s = c.iter().sum()) })
             .collect();
         pool.join_all(tasks);
@@ -421,51 +438,84 @@ mod tests {
         let pool = Pool::new(1);
         assert_eq!(pool.width(), 1);
         let tid = std::thread::current().id();
-        let out = pool.run(8, move |i| (i, std::thread::current().id() == tid));
-        assert!(out.iter().all(|&(_, same)| same));
+        let same = counters(8);
+        pool.for_each(8, &|i| {
+            let here = u64::from(std::thread::current().id() == tid);
+            same[i].fetch_add(here, Ordering::Relaxed);
+        });
+        assert!(once_each(&same));
     }
 
     #[test]
     fn nested_submission_does_not_deadlock() {
-        let pool = Arc::new(Pool::new(2));
-        let inner = Arc::clone(&pool);
-        let out = pool.run(4, move |i| inner.run(4, |j| i * 10 + j));
-        for (i, row) in out.iter().enumerate() {
-            assert_eq!(row, &(0..4).map(|j| i * 10 + j).collect::<Vec<_>>());
+        for width in [1, 4] {
+            let pool = Pool::new(width);
+            let cells: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+            pool.for_each(4, &|i| {
+                pool.for_each(4, &|j| {
+                    cells[i * 4 + j].store(i * 10 + j, Ordering::Relaxed)
+                });
+            });
+            for (k, c) in cells.iter().enumerate() {
+                assert_eq!(
+                    c.load(Ordering::Relaxed),
+                    k / 4 * 10 + k % 4,
+                    "width {width}"
+                );
+            }
         }
     }
 
     #[test]
-    fn every_task_runs_exactly_once() {
-        let pool = Pool::new(8);
-        let counters: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-        pool.run(64, |i| counters[i].fetch_add(1, Ordering::Relaxed));
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    fn back_to_back_nested_batches_run_every_index_once() {
+        let pool = Pool::new(4);
+        let runs = counters(10_000 * 3);
+        for b in 0..10_000 {
+            let outer = |i: usize| {
+                if i == 0 {
+                    pool.for_each(2, &|j| {
+                        runs[b * 3 + 1 + j].fetch_add(1, Ordering::Relaxed);
+                    });
+                } else {
+                    runs[b * 3].fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            pool.for_each(2, &outer);
+        }
+        assert!(once_each(&runs));
     }
 
     #[test]
     fn panics_propagate_after_the_batch_completes() {
         let pool = Pool::new(4);
-        let ran = AtomicU64::new(0);
+        let ran = counters(8);
+        let panicked = std::sync::atomic::AtomicBool::new(false);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Task> = (0..8)
-                .map(|i| -> Task {
-                    let ran = &ran;
-                    Box::new(move || {
-                        if i == 3 {
-                            panic!("task 3 exploded");
-                        }
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect();
-            pool.join_all(tasks);
+            // Index 0 is claimed first; every other index finishes only
+            // after it has started to unwind.
+            pool.for_each(8, &|i| {
+                if i == 0 {
+                    panicked.store(true, Ordering::SeqCst);
+                    panic!("index 0 exploded");
+                }
+                while !panicked.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                ran[i].fetch_add(1, Ordering::Relaxed);
+            });
         }));
-        assert!(result.is_err());
-        // All seven non-panicking siblings still ran.
-        assert_eq!(ran.load(Ordering::Relaxed), 7);
+        let payload = result.expect_err("the panic is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"index 0 exploded"));
+        // All seven non-panicking siblings had run when it was re-raised.
+        let total: u64 = ran.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(total, 7);
+        assert_eq!(ran[0].load(Ordering::Relaxed), 0);
         // The pool survives and remains usable.
-        assert_eq!(pool.run(3, |i| i + 1), vec![1, 2, 3]);
+        let again = counters(3);
+        pool.for_each(3, &|i| {
+            again[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(once_each(&again));
     }
 
     #[test]
@@ -475,10 +525,14 @@ mod tests {
         with_width_cap(1, || {
             assert_eq!(kernel_threads(), 1);
             with_width_cap(0, || assert_eq!(kernel_threads(), 1));
-            // Every task of a batch submitted under the cap runs under it,
+            // Every index of a batch submitted under the cap runs under it,
             // whichever thread claims it.
             let pool = Pool::new(4);
-            assert!(pool.run(16, |_| kernel_threads()).iter().all(|&w| w == 1));
+            let widths = counters(16);
+            pool.for_each(16, &|i| {
+                widths[i].store(kernel_threads() as u64, Ordering::Relaxed);
+            });
+            assert!(widths.iter().all(|w| w.load(Ordering::Relaxed) == 1));
         });
         let unwound = catch_unwind(|| with_width_cap(1, || panic!("inside the cap")));
         assert!(unwound.is_err());
@@ -489,10 +543,10 @@ mod tests {
     fn handing_off_is_counted_per_submitting_thread() {
         let before = batches_handed_off();
         let pool = Pool::new(2);
-        pool.run(1, |i| i);
-        Pool::new(1).run(4, |i| i);
+        pool.for_each(1, &|_| {});
+        Pool::new(1).for_each(4, &|_| {});
         assert_eq!(batches_handed_off(), before);
-        pool.run(4, |i| i);
+        pool.for_each(4, &|_| {});
         assert_eq!(batches_handed_off(), before + 1);
     }
 
@@ -502,6 +556,10 @@ mod tests {
         let b = Pool::global();
         assert!(std::ptr::eq(a, b));
         assert_eq!(a.width(), gillis_threads());
-        assert_eq!(a.run(5, |i| i), vec![0, 1, 2, 3, 4]);
+        let runs = counters(5);
+        a.for_each(5, &|i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(once_each(&runs));
     }
 }

@@ -243,11 +243,14 @@ fn train(
             });
             (steps, outcome)
         };
-        let rollouts: Vec<Rollout> = if threads <= 1 || batch_len == 1 {
-            (0..batch_len).map(rollout).collect()
+        let mut rollouts: Vec<Rollout> = (0..batch_len).map(|_| (Vec::new(), None)).collect();
+        let slots = rollouts.iter_mut().enumerate();
+        let fill = |(i, slot): (usize, &mut Rollout)| *slot = rollout(i);
+        if threads <= 1 || batch_len == 1 {
+            slots.for_each(fill);
         } else {
-            gillis_pool::Pool::global().run(batch_len, rollout)
-        };
+            gillis_pool::Pool::global().for_each_item(slots, fill);
+        }
         episode += batch_len;
         for (steps, outcome) in rollouts {
             let reward = match &outcome {

@@ -64,7 +64,7 @@
 
 use std::ops::Range;
 
-use gillis_pool::{Pool, Task};
+use gillis_pool::Pool;
 
 use crate::scratch::{self, Site};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -428,8 +428,8 @@ struct OutPtr(*mut f32);
 
 // SAFETY: the pointer is only dereferenced in `Driver::block`, and the tasks
 // of one call are handed disjoint (row, column) regions of the buffer it
-// points into (see `Driver::run`), which outlives them: `join_all` returns
-// only once every task has finished.
+// points into (see `Driver::run`), which outlives them: `Pool::for_each`
+// returns only once every task has finished.
 unsafe impl Send for OutPtr {}
 // SAFETY: as above — sharing the pointer shares no element.
 unsafe impl Sync for OutPtr {}
@@ -472,18 +472,14 @@ impl Driver<'_> {
             return self.block::<K>(0..m, 0..n);
         }
         let per = len.div_ceil(tile).div_ceil(threads) * tile;
-        let tasks: Vec<Task> = (0..len)
-            .step_by(per)
-            .map(|lo| -> Task {
-                let chunk = lo..(lo + per).min(len);
-                if by_cols {
-                    Box::new(move || self.block::<K>(0..m, chunk))
-                } else {
-                    Box::new(move || self.block::<K>(chunk, 0..n))
-                }
-            })
-            .collect();
-        Pool::global().join_all(tasks);
+        Pool::global().for_each(len.div_ceil(per), &|c| {
+            let chunk = c * per..((c + 1) * per).min(len);
+            if by_cols {
+                self.block::<K>(0..m, chunk);
+            } else {
+                self.block::<K>(chunk, 0..n);
+            }
+        });
     }
 
     /// Computes output rows `rows` × columns `cols` of every item on the
@@ -765,14 +761,10 @@ pub fn gemv_with_threads(
         return gemv_rows(cols, w, x, out, epilogue);
     }
     let rows_per = rows.div_ceil(threads);
-    let tasks: Vec<Task> = w
-        .chunks(rows_per * cols)
-        .zip(out.chunks_mut(rows_per))
-        .map(|(w_chunk, out_chunk)| -> Task {
-            Box::new(move || gemv_rows(cols, w_chunk, x, out_chunk, epilogue))
-        })
-        .collect();
-    Pool::global().join_all(tasks);
+    let chunks = w.chunks(rows_per * cols).zip(out.chunks_mut(rows_per));
+    Pool::global().for_each_item(chunks, |(w_chunk, out_chunk)| {
+        gemv_rows(cols, w_chunk, x, out_chunk, epilogue);
+    });
 }
 
 fn gemv_rows(cols: usize, w: &[f32], x: &[f32], out: &mut [f32], epilogue: &[Epilogue]) {
@@ -877,14 +869,12 @@ pub fn gemv_multi_with_threads(
         return;
     }
     let rows_per = rows.div_ceil(threads);
-    let tasks: Vec<Task> = w
+    let chunks = w
         .chunks(rows_per * cols)
-        .zip(outs.chunks_mut(rows_per * nrhs))
-        .map(|(w_chunk, out_chunk)| -> Task {
-            Box::new(move || gemv_multi_rows(cols, nrhs, w_chunk, xs, out_chunk))
-        })
-        .collect();
-    Pool::global().join_all(tasks);
+        .zip(outs.chunks_mut(rows_per * nrhs));
+    Pool::global().for_each_item(chunks, |(w_chunk, out_chunk)| {
+        gemv_multi_rows(cols, nrhs, w_chunk, xs, out_chunk);
+    });
 }
 
 /// `outs[r][q] += W[r] · xs[q]` on the calling thread: each weight row is

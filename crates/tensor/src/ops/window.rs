@@ -33,7 +33,7 @@
 //! call into the body relies on. Planes split across the pool in contiguous
 //! runs above the GEMM's small-work cutoff.
 
-use gillis_pool::{Pool, Task};
+use gillis_pool::Pool;
 
 use crate::error::TensorError;
 use crate::gemm::{self, epilogue_rows, Epilogue, Im2col};
@@ -136,14 +136,10 @@ pub(crate) fn window_into(
         return fold_planes(g, (fold, epilogue), inputs, 0, outs);
     }
     let per = planes.div_ceil(threads);
-    let tasks: Vec<Task> = outs
-        .chunks_mut(per * g.n())
-        .enumerate()
-        .map(|(t, outs)| -> Task {
-            Box::new(move || fold_planes(g, (fold, epilogue), inputs, t * per, outs))
-        })
-        .collect();
-    Pool::global().join_all(tasks);
+    let chunks = outs.chunks_mut(per * g.n()).enumerate();
+    Pool::global().for_each_item(chunks, |(t, outs)| {
+        fold_planes(g, (fold, epilogue), inputs, t * per, outs);
+    });
 }
 
 /// Folds planes `p0 ..` — as many as `outs` holds — on the calling thread.

@@ -74,6 +74,14 @@ pub fn put(site: Site, buf: Vec<f32>) {
     SCRATCH.with(|s| s.borrow_mut().put(site, buf));
 }
 
+/// Grows the calling thread's buffer for `site` to hold `len` floats, so
+/// that no later kernel needing at most that many allocates there.
+pub fn reserve(site: Site, len: usize) {
+    let mut buf = take(site);
+    buf.reserve(len.saturating_sub(buf.len()));
+    put(site, buf);
+}
+
 /// Bytes the calling thread's largest scratch buffer holds.
 #[cfg(test)]
 pub(crate) fn largest_site_bytes() -> usize {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use gillis_pool::{Pool, Task};
+use gillis_pool::Pool;
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -117,14 +117,9 @@ impl Tensor {
         if per == len {
             simd::fill_uniform(key, 0, lo, hi, &mut data);
         } else {
-            let tasks: Vec<Task> = data
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(c, chunk)| -> Task {
-                    Box::new(move || simd::fill_uniform(key, c * per, lo, hi, chunk))
-                })
-                .collect();
-            Pool::global().join_all(tasks);
+            Pool::global().for_each_item(data.chunks_mut(per).enumerate(), |(c, chunk)| {
+                simd::fill_uniform(key, c * per, lo, hi, chunk);
+            });
         }
         Tensor { shape, data }
     }
