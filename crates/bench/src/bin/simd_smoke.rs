@@ -1,6 +1,9 @@
 //! CI smoke: on the VGG-16 conv3_2 shape, single-threaded, the SIMD GEMM
 //! path must beat the scalar blocked kernel and reach half of the machine's
-//! own fused-multiply-add peak.
+//! own fused-multiply-add peak; and on RNN-3's layer-2 `w_ih`, the batched
+//! GEMV of the hoisted LSTM input projection must stream its matrix at a
+//! set fraction of the speed of a plain read of the same matrix, both
+//! timed single-threaded in this process.
 //!
 //! `GILLIS_NO_SIMD` is latched per process on first kernel dispatch, so the
 //! scalar reference cannot be timed in the same process that timed the SIMD
@@ -14,7 +17,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use gillis_tensor::gemm::{conv_gemm_with_threads, Im2col};
+use gillis_tensor::gemm::{conv_gemm_with_threads, gemv_multi_with_threads, Im2col};
 
 /// Wall-clock budget per measured sample.
 const SAMPLE_BUDGET: Duration = Duration::from_millis(40);
@@ -104,6 +107,49 @@ fn fma_peak_gflops() -> f64 {
     (0..5).map(|_| burst()).fold(0.0, f64::max)
 }
 
+/// RNN-3's layer-2 `w_ih` (four gates of 2048 rows × 2048 inputs) and
+/// its ten timesteps: one hoisted input projection.
+const W_IH: (usize, usize, usize) = (8192, 2048, 10);
+/// Floor on the GEMV's speed as a share of the plain read's, where the
+/// four-row AVX-512 tile runs: it read 0.32–0.42 on a 2-vCPU AVX-512 VM,
+/// and the one-row body it replaced 0.13–0.15.
+const GEMV_READ_FRAC: f64 = 0.25;
+
+/// Sum of `w` over 64 independent lanes: a plain streaming read that waits
+/// on memory, not on its adds (in ymm registers: SSE ones left it ~20 %
+/// short of the roof).
+///
+/// # Safety
+///
+/// On x86-64 the CPU must support AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn stream_sum(w: &[f32]) -> f32 {
+    let mut acc = [0.0_f32; 64];
+    for chunk in w.chunks_exact(64) {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a += v;
+        }
+    }
+    acc.iter().sum()
+}
+
+/// Median ns of the batched GEMV over [`W_IH`] and of a streaming read of
+/// the same matrix, both on one thread. Only called where the AVX-512 GEMM
+/// tile runs.
+fn w_ih_gemv_and_read_ns() -> (f64, f64) {
+    let (rows, cols, nrhs) = W_IH;
+    let w: Vec<f32> = (0..rows * cols).map(|i| (i % 7) as f32 * 0.01).collect();
+    let xs: Vec<f32> = (0..nrhs * cols).map(|i| (i % 5) as f32 * 0.1).collect();
+    let mut outs = vec![0.0f32; rows * nrhs];
+    let (gemv_ns, _) = measure(9, || {
+        outs.fill(0.0);
+        gemv_multi_with_threads(rows, cols, &w, &xs, &mut outs, nrhs, 1);
+    });
+    // SAFETY: a CPU that runs the AVX-512 tile supports AVX2.
+    let (read_ns, _) = measure(9, || unsafe { stream_sum(&w) });
+    (gemv_ns, read_ns)
+}
+
 fn main() {
     if std::env::var("GILLIS_SIMD_SMOKE_ROLE").as_deref() == Ok("scalar") {
         assert!(
@@ -162,6 +208,28 @@ fn main() {
     assert!(
         gflops >= 0.5 * peak,
         "conv3_2 must reach half the FMA peak, got {gflops:.1} of {peak:.1} GFLOP/s"
+    );
+
+    // The one-row AVX2 body is load-bound at ten right-hand sides; only the
+    // AVX-512 hosts run the tile this gate is for.
+    if !gillis_tensor::simd::gemm_kernel().starts_with("avx512") {
+        println!("lstm w_ih: no AVX-512F, so no four-row tile — skipping its gate");
+        return;
+    }
+    let (gemv_ns, read_ns) = w_ih_gemv_and_read_ns();
+    let bytes = (W_IH.0 * W_IH.1 * 4) as f64;
+    let frac = read_ns / gemv_ns;
+    println!(
+        "lstm w_ih: gemv x{} {:.2} ms ({:.1} GB/s), read {:.2} ms ({:.1} GB/s) — {frac:.2} of the read",
+        W_IH.2,
+        gemv_ns / 1e6,
+        bytes / gemv_ns,
+        read_ns / 1e6,
+        bytes / read_ns
+    );
+    assert!(
+        frac >= GEMV_READ_FRAC,
+        "the batched GEMV must stream w_ih at {GEMV_READ_FRAC} of a plain read, got {frac:.2}"
     );
 }
 

@@ -51,13 +51,14 @@ impl CommModel {
             2 * 1024 * 1024,
             4 * 1024 * 1024,
         ];
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
+        const REPS: usize = 400;
+        let mut xs = Vec::with_capacity(sizes.len() * REPS);
+        let mut ys = Vec::with_capacity(sizes.len() * REPS);
         for &size in &sizes {
-            for _ in 0..400 {
+            for _ in 0..REPS {
                 let delay =
                     platform.invoke_latency_ms.sample(&mut rng) + platform.transfer_ms(size);
-                xs.push(vec![size as f64]);
+                xs.push([size as f64]);
                 ys.push(delay);
             }
         }

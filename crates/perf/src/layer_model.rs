@@ -137,7 +137,7 @@ impl LayerRuntimeModel {
             let mut flops = 1_000_000u64;
             while flops <= 40_000_000_000 {
                 for _ in 0..5 {
-                    xs.push(vec![flops as f64]);
+                    xs.push([flops as f64]);
                     ys.push(platform.compute_ms_noisy(flops, class, &mut rng));
                 }
                 flops = (flops as f64 * 2.3) as u64;

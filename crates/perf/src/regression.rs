@@ -22,7 +22,7 @@ impl LinearRegression {
     /// Returns [`PerfError::InsufficientData`] when there are fewer samples
     /// than parameters (or inconsistent feature lengths), and
     /// [`PerfError::SingularSystem`] for degenerate designs.
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
+    pub fn fit<X: AsRef<[f64]>>(xs: &[X], ys: &[f64]) -> Result<Self> {
         Self::fit_weighted(xs, ys, None)
     }
 
@@ -34,7 +34,11 @@ impl LinearRegression {
     ///
     /// Same conditions as [`LinearRegression::fit`]; additionally rejects a
     /// weight vector whose length differs from the sample count.
-    pub fn fit_weighted(xs: &[Vec<f64>], ys: &[f64], weights: Option<&[f64]>) -> Result<Self> {
+    pub fn fit_weighted<X: AsRef<[f64]>>(
+        xs: &[X],
+        ys: &[f64],
+        weights: Option<&[f64]>,
+    ) -> Result<Self> {
         let n = xs.len();
         if n == 0 || n != ys.len() {
             return Err(PerfError::InsufficientData(format!(
@@ -51,8 +55,8 @@ impl LinearRegression {
                 )));
             }
         }
-        let d = xs[0].len();
-        if xs.iter().any(|x| x.len() != d) {
+        let d = xs[0].as_ref().len();
+        if xs.iter().any(|x| x.as_ref().len() != d) {
             return Err(PerfError::InsufficientData(
                 "inconsistent feature lengths".into(),
             ));
@@ -68,13 +72,11 @@ impl LinearRegression {
         let mut xty = vec![0.0; p];
         for (k, (x, &y)) in xs.iter().zip(ys.iter()).enumerate() {
             let w = weights.map(|w| w[k]).unwrap_or(1.0);
-            let mut row = Vec::with_capacity(p);
-            row.push(1.0);
-            row.extend_from_slice(x);
-            for i in 0..p {
-                xty[i] += w * row[i] * y;
-                for j in 0..p {
-                    xtx[i][j] += w * row[i] * row[j];
+            let row = |i: usize| if i == 0 { 1.0 } else { x.as_ref()[i - 1] };
+            for (i, (xty, xtx)) in xty.iter_mut().zip(&mut xtx).enumerate() {
+                *xty += w * row(i) * y;
+                for (j, a) in xtx.iter_mut().enumerate() {
+                    *a += w * row(i) * row(j);
                 }
             }
         }
@@ -207,7 +209,7 @@ mod tests {
 
     #[test]
     fn rejects_underdetermined_and_singular() {
-        assert!(LinearRegression::fit(&[], &[]).is_err());
+        assert!(LinearRegression::fit::<[f64; 1]>(&[], &[]).is_err());
         assert!(LinearRegression::fit(&[vec![1.0, 2.0]], &[1.0]).is_err());
         // Duplicate feature column -> singular.
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();

@@ -26,6 +26,13 @@
 //! generic over the kernel, so the packer, the thread split and the edge
 //! tiles all take that kernel's `MR` and `NR`.
 //!
+//! # The row kernels
+//!
+//! [`gemv_multi`] dots a weight row against up to [`MAX_Q`] right-hand
+//! sides per pass ([`row_dots`]); on an AVX-512F CPU, four rows per pass,
+//! two to a zmm, with each `x` chunk loaded once for all four and every
+//! `(row, q)` chain unchanged — the bits are the same.
+//!
 //! # Determinism contract
 //!
 //! Every output element starts from the value the caller put in `C` (zeros
@@ -857,6 +864,22 @@ pub fn gemv_multi_with_threads(
     nrhs: usize,
     threads: usize,
 ) {
+    let tile = crate::simd::avx512_active();
+    gemv_multi_on(rows, cols, (w, xs), outs, nrhs, threads, tile);
+}
+
+/// [`gemv_multi_with_threads`], with rows taken four at a time for the
+/// 512-bit tile where `tile` is set, one at a time through [`row_dots`]
+/// otherwise.
+fn gemv_multi_on(
+    rows: usize,
+    cols: usize,
+    (w, xs): (&[f32], &[f32]),
+    outs: &mut [f32],
+    nrhs: usize,
+    threads: usize,
+    tile: bool,
+) {
     assert_eq!(w.len(), rows * cols, "W must be rows*cols");
     assert_eq!(xs.len(), nrhs * cols, "xs must be nrhs*cols");
     assert_eq!(outs.len(), rows * nrhs, "outs must be rows*nrhs");
@@ -865,7 +888,7 @@ pub fn gemv_multi_with_threads(
     }
     let threads = threads.clamp(1, rows);
     if threads == 1 {
-        gemv_multi_rows(cols, nrhs, w, xs, outs);
+        gemv_multi_rows(cols, nrhs, w, xs, outs, tile);
         return;
     }
     let rows_per = rows.div_ceil(threads);
@@ -873,32 +896,53 @@ pub fn gemv_multi_with_threads(
         .chunks(rows_per * cols)
         .zip(outs.chunks_mut(rows_per * nrhs));
     Pool::global().for_each_item(chunks, |(w_chunk, out_chunk)| {
-        gemv_multi_rows(cols, nrhs, w_chunk, xs, out_chunk);
+        gemv_multi_rows(cols, nrhs, w_chunk, xs, out_chunk, tile);
     });
 }
 
 /// `outs[r][q] += W[r] · xs[q]` on the calling thread: each weight row is
 /// dotted against the right-hand sides in blocks of at most [`MAX_Q`], as
-/// even as they come (ten is 5 + 5, eight 4 + 4).
-fn gemv_multi_rows(cols: usize, nrhs: usize, w: &[f32], xs: &[f32], outs: &mut [f32]) {
-    fn add<const Q: usize>(row: &[f32], xs: &[f32], out: &mut [f32]) {
-        for (o, dot) in out.iter_mut().zip(row_dots::<Q>(row, xs)) {
-            *o += dot;
-        }
-    }
+/// even as they come (ten is 5 + 5, eight 4 + 4). With `tile` and more than
+/// one right-hand side, rows go four at a time, for
+/// [`row_dots4_512`](crate::simd::row_dots4_512), the last one to three
+/// through [`row_dots`]: a `(row, q)` pair gets the same bits either way.
+fn gemv_multi_rows(cols: usize, nrhs: usize, w: &[f32], xs: &[f32], outs: &mut [f32], tile: bool) {
     let blocks = nrhs.div_ceil(MAX_Q);
-    for (r, orow) in outs.chunks_exact_mut(nrhs).enumerate() {
-        let row = &w[r * cols..(r + 1) * cols];
+    let group = if tile && nrhs > 1 { 4 } else { 1 };
+    for (out, rows) in outs.chunks_mut(group * nrhs).zip(w.chunks(group * cols)) {
         for b in 0..blocks {
             let qs = b * nrhs / blocks..(b + 1) * nrhs / blocks;
-            let (xs, out) = (&xs[qs.start * cols..qs.end * cols], &mut orow[qs.clone()]);
+            let xs = &xs[qs.start * cols..qs.end * cols];
             match qs.len() {
-                1 => add::<1>(row, xs, out),
-                2 => add::<2>(row, xs, out),
-                3 => add::<3>(row, xs, out),
-                4 => add::<4>(row, xs, out),
-                _ => add::<MAX_Q>(row, xs, out),
+                1 => add::<1>(rows, xs, (out, qs)),
+                2 => add::<2>(rows, xs, (out, qs)),
+                3 => add::<3>(rows, xs, (out, qs)),
+                4 => add::<4>(rows, xs, (out, qs)),
+                _ => add::<MAX_Q>(rows, xs, (out, qs)),
             }
+        }
+    }
+}
+
+/// Adds the dots of `rows` (back to back) with the `Q` vectors of `xs`
+/// into columns `qs` of their output rows, `out`: four rows through the
+/// 512-bit tile on an AVX-512F CPU, else each through [`row_dots`].
+fn add<const Q: usize>(rows: &[f32], xs: &[f32], (out, qs): (&mut [f32], Range<usize>)) {
+    let cols = xs.len() / Q;
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let four = (rows.len() == 4 * cols && crate::simd::avx512_active()).then(|| {
+        // SAFETY: avx512_active() verified AVX-512F at runtime, and `xs`
+        // holds `Q` vectors of a row's length.
+        unsafe { crate::simd::row_dots4_512::<Q>(rows, xs) }
+    });
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let four: Option<[[f32; Q]; 4]> = None;
+    let dots =
+        |r: usize| four.map_or_else(|| row_dots::<Q>(&rows[r * cols..][..cols], xs), |f| f[r]);
+    let nrhs = out.len() * cols / rows.len();
+    for (r, orow) in out.chunks_exact_mut(nrhs).enumerate() {
+        for (o, dot) in orow[qs.clone()].iter_mut().zip(dots(r)) {
+            *o += dot;
         }
     }
 }
@@ -1050,6 +1094,35 @@ mod tests {
         }
     }
 
+    /// The four-row 512-bit tile gives every `(row, q)` dot [`row_dots`]'
+    /// bits: rows 1 to 13 leave every tail under four rows, alone and in
+    /// thread chunks that are no multiple of four; `cols` lies on both
+    /// sides of the eight-lane body; `nrhs` covers every block width.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn four_row_tile_is_row_dots_to_the_bit() {
+        if !crate::simd::avx512_active() {
+            println!("skipping: this CPU reports no AVX-512F");
+            return;
+        }
+        for (rows, cols) in (1usize..=13).flat_map(|r| (1usize..70).map(move |c| (r, c))) {
+            let w = pseudo(rows * cols, (rows * cols) as u32, 2891336453);
+            for nrhs in 1usize..=13 {
+                let xs = pseudo(nrhs * cols, nrhs as u32, 1181783497);
+                let run = |threads: usize, tile: bool| {
+                    let mut outs = vec![0.125f32; rows * nrhs];
+                    gemv_multi_on(rows, cols, (&w, &xs), &mut outs, nrhs, threads, tile);
+                    bits(&outs)
+                };
+                let want = run(1, false);
+                for threads in [1usize, 2, 8] {
+                    let at = format!("rows {rows} cols {cols} nrhs {nrhs} threads {threads}");
+                    assert_eq!(run(threads, true), want, "{at}");
+                }
+            }
+        }
+    }
+
     /// A dimension drawn near zero or just around `block`.
     fn around(block: usize) -> impl Strategy<Value = usize> {
         (0usize..2, 1usize..40).prop_map(move |(far, x)| x + far * (block - 20))
@@ -1125,10 +1198,12 @@ mod tests {
 
         /// Every `nrhs` up to 13 — one block of each width, and every way
         /// the blocks of two and three passes come out — at every thread
-        /// count, with `cols` on both sides of the eight-lane body.
+        /// count, with `cols` on both sides of the eight-lane body and
+        /// thread chunks of up to ten rows: past two heights of the
+        /// four-row tile, and a tail.
         #[test]
         fn gemv_multi_is_bit_identical_to_per_query_gemv(
-            (rows, cols) in (1usize..24, 1usize..70),
+            (rows, cols) in (1usize..80, 1usize..70),
             seed in 0u32..1000,
         ) {
             let w = pseudo(rows * cols, seed, 2891336453);

@@ -29,6 +29,10 @@
 //! driver runs a `12 × 32` tile of 512-bit FMAs instead of the `6 × 16` AVX2
 //! one; [`gemm_kernel`] names the tile in use. Its bits are the AVX2 tile's:
 //! `vfmadd231ps` is one IEEE fused multiply-add per lane at either width.
+//! The batched GEMV's four-row tile and the weight fill have 512-bit bodies
+//! there too, with the bits of their AVX2 ones. Every 512-bit body enables
+//! `avx512f` and uses its intrinsics alone: one from a feature the body
+//! does not enable compiles as an out-of-line call, silently.
 //!
 //! The window driver's vector body (`window_plane`) is generic over its
 //! `Lanes`: zmm and ymm here, and four portable lanes (`Quad`) that every
@@ -57,8 +61,9 @@ pub fn simd_active() -> bool {
     }
 }
 
-/// Whether the GEMM driver runs the AVX-512 tile: [`simd_active`] and the
-/// CPU reports AVX-512F (which `std` detects once and caches).
+/// Whether the 512-bit bodies run — the GEMM tile, the four-row GEMV tile,
+/// the weight fill and the window body's zmm lanes: [`simd_active`] and
+/// the CPU reports AVX-512F (which `std` detects once and caches).
 #[inline]
 pub(crate) fn avx512_active() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -106,12 +111,16 @@ fn hash24(key: u64, i: u32) -> u32 {
 /// stream `key` over `[lo, hi]`: element `i` is
 /// `lo + hash24(key, i)·2^-24 · (hi − lo)`, a multiply then an add, never
 /// fused. Every element depends on its index alone (taken modulo `2^32`),
-/// and the scalar and AVX2 bodies agree to the bit, so how a buffer is cut
-/// into calls — and which body runs a piece — cannot show in the result.
+/// and the scalar, AVX2 and AVX-512 bodies agree to the bit, so how a
+/// buffer is cut into calls — and which body runs a piece — cannot show in
+/// the result.
 #[inline]
 pub(crate) fn fill_uniform(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
+    if avx512_active() {
+        // SAFETY: avx512_active() verified AVX-512F support at runtime.
+        return unsafe { fill_uniform512(key, start, lo, hi, out) };
+    } else if simd_active() {
         // SAFETY: simd_active() verified AVX2 support at runtime.
         return unsafe { fill_uniform_avx2(key, start, lo, hi, out) };
     }
@@ -405,6 +414,41 @@ mod x86 {
         fill_uniform_scalar(key, start + body, lo, hi, &mut out[body..]);
     }
 
+    /// [`fill_uniform_avx2`] sixteen indices per vector: the same integer
+    /// rounds, conversion, and multiplies then add (unfused) per lane, with
+    /// plain stores (streaming ones measured slower in a prototype). The
+    /// scalar loop takes the tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn fill_uniform512(key: u64, start: usize, lo: f32, hi: f32, out: &mut [f32]) {
+        let k0 = _mm512_set1_epi32(key as u32 as i32);
+        let k1 = _mm512_set1_epi32((key >> 32) as u32 as i32);
+        let m1 = _mm512_set1_epi32(HASH_M1 as i32);
+        let m2 = _mm512_set1_epi32(HASH_M2 as i32);
+        let (vlo, vspan) = (_mm512_set1_ps(lo), _mm512_set1_ps(hi - lo));
+        let vscale = _mm512_set1_ps(UNIT_SCALE);
+        let mut idx = _mm512_add_epi32(
+            _mm512_set1_epi32(start as u32 as i32),
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        );
+        let body = out.len() - out.len() % 16;
+        for chunk in out[..body].chunks_exact_mut(16) {
+            let mut x = _mm512_xor_si512(idx, k0);
+            x = _mm512_mullo_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<16>(x)), m1);
+            x = _mm512_add_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)), k1);
+            x = _mm512_mullo_epi32(x, m2);
+            x = _mm512_srli_epi32::<8>(_mm512_xor_si512(x, _mm512_srli_epi32::<16>(x)));
+            let unit = _mm512_mul_ps(_mm512_cvtepi32_ps(x), vscale);
+            let v = _mm512_add_ps(vlo, _mm512_mul_ps(unit, vspan));
+            _mm512_storeu_ps(chunk.as_mut_ptr(), v);
+            idx = _mm512_add_epi32(idx, _mm512_set1_epi32(16));
+        }
+        fill_uniform_scalar(key, start + body, lo, hi, &mut out[body..]);
+    }
+
     /// The [`Lanes`] methods that are one intrinsic at either width.
     macro_rules! one_intrinsic {
         ($set1:ident, $loadu:ident, $fmadd:ident, $max:ident) => {
@@ -610,23 +654,80 @@ mod x86 {
         for (q, out) in out.iter_mut().enumerate() {
             let mut acc = [0.0f32; 8];
             _mm256_storeu_ps(acc.as_mut_ptr(), vacc[q]);
-            let mut tail = 0.0f32;
-            for k in j..n {
-                tail += row[k] * xs[q * n + k];
+            *out = fold_chain(&acc, row, &xs[q * n..(q + 1) * n], j);
+        }
+        out
+    }
+
+    /// A row dot chain's result: its eight lanes `a` folded in the fixed
+    /// tree, plus the serial tail of `row · x` from column `j`, added last.
+    #[inline(always)]
+    fn fold_chain(a: &[f32], row: &[f32], x: &[f32], j: usize) -> f32 {
+        let tail = row[j..]
+            .iter()
+            .zip(&x[j..])
+            .fold(0.0f32, |t, (r, x)| t + r * x);
+        ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])) + tail
+    }
+
+    /// [`row_dots_fma`] for four rows back to back in `rows`, in zmm
+    /// registers: rows 0 and 1 share one, each in its own eight-lane half,
+    /// as do rows 2 and 3, and each eight-column `x` chunk is loaded once
+    /// and broadcast to both halves; each row is prefetched 2 KiB ahead. A
+    /// half is one `(row, q)` chain of `row_dots_fma` — eight lanes, one FMA
+    /// per chunk, ascending, the same fold and serial tail — so every dot
+    /// has its bits ([`fold_chain`]). The moves are AVX-512F's own (`f64x4`
+    /// casts).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `xs` must hold `Q·rows.len()/4`
+    /// elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn row_dots4_512<const Q: usize>(rows: &[f32], xs: &[f32]) -> [[f32; Q]; 4] {
+        let (n, w, x) = (rows.len() / 4, rows.as_ptr(), xs.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); Q]; 2];
+        let mut j = 0;
+        while j + 8 <= n {
+            let mut pairs = [_mm512_setzero_ps(); 2];
+            for r in 0..4 {
+                _mm_prefetch::<_MM_HINT_T0>(w.wrapping_add(r * n + j + 512).cast());
             }
-            let folded =
-                ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-            *out = folded + tail;
+            for (p, pair) in pairs.iter_mut().enumerate() {
+                let lo = _mm256_loadu_pd(w.add(2 * p * n + j).cast());
+                let hi = _mm256_loadu_pd(w.add((2 * p + 1) * n + j).cast());
+                *pair = _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), hi));
+            }
+            for q in 0..Q {
+                let xq = _mm512_broadcast_f64x4(_mm256_loadu_pd(x.add(q * n + j).cast()));
+                for (pair, acc) in pairs.iter().zip(&mut acc) {
+                    acc[q] = _mm512_fmadd_ps(*pair, _mm512_castpd_ps(xq), acc[q]);
+                }
+            }
+            j += 8;
+        }
+        let mut out = [[0.0f32; Q]; 4];
+        for (p, acc) in acc.iter().enumerate() {
+            for (q, acc) in acc.iter().enumerate() {
+                let mut lanes = [0.0f32; 16];
+                _mm512_storeu_ps(lanes.as_mut_ptr(), *acc);
+                for (half, a) in lanes.chunks_exact(8).enumerate() {
+                    let (r, x) = (2 * p + half, &xs[q * n..(q + 1) * n]);
+                    out[r][q] = fold_chain(a, &rows[r * n..(r + 1) * n], x, j);
+                }
+            }
         }
         out
     }
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use x86::{micro_fma, micro_fma512, row_dots_fma, window_plane256, window_plane512};
+pub(crate) use x86::{
+    micro_fma, micro_fma512, row_dots4_512, row_dots_fma, window_plane256, window_plane512,
+};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use x86::fill_uniform_avx2;
+use x86::{fill_uniform512, fill_uniform_avx2};
 
 /// One multiply-add of the active mode — fused when the SIMD kernels run,
 /// `mul` + `add` otherwise. A naive loop over it is the exact reference the
@@ -652,12 +753,24 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fill_uniform_is_the_element_formula_in_both_bodies() {
-        let (key, lo, hi) = (0x0123_4567_89ab_cdef_u64, -0.125f32, 0.125f32);
-        // Starts off the eight-lane grid and across the 2^32 index wrap;
-        // lengths with and without a scalar tail.
-        for start in [0usize, 5, 1 << 19, u32::MAX as usize - 11] {
-            for len in [0usize, 1, 7, 8, 9, 64, 1003] {
+    fn fill_uniform_is_the_element_formula_in_every_body() {
+        // A span that is no power of two, so a fused multiply-add would
+        // round some elements differently.
+        let (key, lo, hi) = (0x0123_4567_89ab_cdef_u64, -0.1f32, 0.3f32);
+        // Starts off the eight- and sixteen-lane grids and across the 2^32
+        // index wrap (inside a sixteen-lane vector for the last two);
+        // lengths with and without a scalar tail at either width.
+        let starts = [
+            0usize,
+            3,
+            5,
+            13,
+            1 << 19,
+            u32::MAX as usize - 11,
+            u32::MAX as usize - 20,
+        ];
+        for start in starts {
+            for len in (0usize..=48).chain([64, 1003]) {
                 let want: Vec<u32> = (start..start + len)
                     .map(|i| uniform_element(key, i, lo, hi).to_bits())
                     .collect();
@@ -675,7 +788,17 @@ pub(crate) mod tests {
                     unsafe { fill_uniform_avx2(key, start, lo, hi, &mut got) };
                     assert_eq!(bits(&got), want, "avx2, start {start} len {len}");
                 }
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                if avx512_active() {
+                    got.fill(f32::NAN);
+                    // SAFETY: avx512_active() verified AVX-512F at runtime.
+                    unsafe { fill_uniform512(key, start, lo, hi, &mut got) };
+                    assert_eq!(bits(&got), want, "avx512, start {start} len {len}");
+                }
             }
+        }
+        if !avx512_active() {
+            println!("skipping the 16-lane body: this CPU reports no AVX-512F");
         }
     }
 
