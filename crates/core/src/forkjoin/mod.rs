@@ -110,20 +110,14 @@ impl WorkProfile {
         }
     }
 
-    /// Max-partition attempt p95 of group `gi` — the coarse "one group costs
-    /// this" scale used by speculation triggers, resume deadline gates, and
-    /// marginal retry pricing.
-    fn group_p95_ms(&self, gi: usize) -> f64 {
-        self.attempt_p95_ms[gi]
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v))
-    }
-
-    /// Predicted p95 of the groups from `from` on — the deadline gate a
-    /// resume must pass before it is worth paying for.
+    /// Predicted p95 of the groups from `from` on, each costing its slowest
+    /// partition's attempt p95 — the deadline gate a failover must pass
+    /// before it is worth paying for, and from 0 the plan total that prices
+    /// a retry at its stage's share.
     fn remaining_p95_ms(&self, from: usize) -> f64 {
-        (from..self.attempt_p95_ms.len())
-            .map(|gi| self.group_p95_ms(gi))
+        self.attempt_p95_ms[from..]
+            .iter()
+            .map(|g| g.iter().fold(0.0f64, |m, &v| m.max(v)))
             .sum()
     }
 }
@@ -167,8 +161,8 @@ pub struct ForkJoinRuntime<'a> {
     /// model or repartitioned plan can never resume from a stale activation.
     weight_token: u64,
     /// Predicted p95 of the whole plan (sum over groups of the slowest
-    /// partition's attempt p95) — the denominator that prices a resumed
-    /// retry at its stage's share of the plan.
+    /// partition's attempt p95) — the denominator that prices a retry at
+    /// its stage's share of the plan.
     plan_p95_total_ms: f64,
     /// Function names, built once: `g{gi}p{pi}` serves partition `pi` of
     /// group `gi` (`[group][partition]`), `s{gi}` orchestrates pipeline
@@ -282,9 +276,9 @@ impl<'a> ForkJoinRuntime<'a> {
         self.set(|rt| rt.policies.brownout = Some(policy))
     }
 
-    /// Sets the recovery family: stage-boundary checkpoints that failed
-    /// groups resume from and crashed orchestrators replay from, straggler
-    /// speculation, and retries priced at their stage's share of the plan.
+    /// Sets the recovery family: stage-boundary checkpoints that crashed
+    /// orchestrators replay from, and retries priced at their stage's share
+    /// of the plan.
     ///
     /// # Errors
     ///

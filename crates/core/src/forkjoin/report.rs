@@ -60,8 +60,8 @@ pub struct ServingReport {
     /// [`crate::ForkJoinRuntime::serve_open_loop_pipelined`].
     pub pipeline: PipelineCounters,
     /// Stage-level recovery accounting: checkpoint hits/misses/evictions,
-    /// stages saved, orchestrator crashes split into failover replays vs
-    /// full restarts, and speculation outcomes. Crash tallies appear
+    /// stages saved, and orchestrator crashes split into failover replays
+    /// vs full restarts. Crash tallies appear
     /// whenever the chaos config samples orchestrator crashes; the
     /// checkpoint fields need a [`gillis_faas::RecoveryPolicy`] (see
     /// [`crate::ForkJoinRuntime::with_recovery`]).

@@ -185,6 +185,14 @@ impl Scheduler<'_, '_, '_> {
             }
         }
         let mut report = self.s.finish()?;
+        // Every arrival the source handed out ends in exactly one terminal
+        // status, and every one not shed leaves one latency sample.
+        debug_assert_eq!(report.resilience.queries(), id, "arrivals lost or doubled");
+        debug_assert_eq!(
+            report.latency.count() as u64,
+            id - report.resilience.shed_queries,
+            "latency samples of the served arrivals"
+        );
         report.batch = self.windows.map(|w| w.counters).unwrap_or_default();
         report.pipeline = self.counters;
         Ok(report)

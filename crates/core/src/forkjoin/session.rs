@@ -12,7 +12,7 @@
 //! per lane, so simulation and serving run one attempt loop.
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 use gillis_faas::batch::BatchCounters;
 use gillis_faas::billing::BillingMeter;
@@ -23,9 +23,7 @@ use gillis_faas::fleet::Fleet;
 use gillis_faas::metrics::{LatencyStats, StatusLatency};
 use gillis_faas::overload::{CircuitBreaker, OverloadCounters};
 use gillis_faas::pipeline::PipelineCounters;
-use gillis_faas::recovery::{
-    CheckpointCache, RecoveryCounters, StageCheckpoint, DEFAULT_FAILOVER_MS,
-};
+use gillis_faas::recovery::{CheckpointCache, RecoveryCounters, StageCheckpoint, FAILOVER_MS};
 use gillis_faas::Micros;
 use gillis_perf::TransferFormat;
 
@@ -33,16 +31,6 @@ use super::{on_worker, ForkJoinRuntime, ServingReport, WorkProfile, MASTER_FN};
 use crate::partition::{GroupAnalysis, PartitionWork};
 use crate::plan::Placement;
 use crate::Result;
-
-/// Fault-site salt for speculative re-executions: a duplicate that redrew
-/// the primary's site-keyed faults would deterministically repeat its
-/// straggle.
-const SPEC_QUERY_SALT: u64 = 0x5350_4543; // "SPEC"
-
-/// Fault-site salt for checkpoint-resume retries of a failed group: a
-/// resumed attempt that redrew the failed attempt's site-keyed faults would
-/// deterministically fail again.
-const RESUME_QUERY_SALT: u64 = 0x5245_5355; // "RESU"
 
 /// Hard cap on orchestrator crashes handled per query. The crash
 /// probability is capped well below 1
@@ -150,7 +138,7 @@ pub(super) struct Session<'s, 'a> {
     pub brownout: Option<BrownoutController>,
     /// Stage-boundary checkpoint store; `None` without a
     /// [`gillis_faas::RecoveryPolicy`], in which case every orchestrator
-    /// crash is a full restart and failed groups never resume.
+    /// crash is a full restart.
     checkpoints: Option<CheckpointCache>,
 }
 
@@ -330,11 +318,11 @@ impl<'s, 'a> Session<'s, 'a> {
         Ok(())
     }
 
-    /// Debits the retry budget for one extra execution (retry, hedge,
-    /// resume or speculation) of work whose attempt p95 is `p95_ms`; always
-    /// funded without a budget. With recovery a retry redoes only its own
-    /// stage, so the debit is the work's marginal share of the plan; without
-    /// it every retry implicitly restarts the query and costs a full token.
+    /// Debits the retry budget for one extra execution (retry or hedge) of
+    /// work whose attempt p95 is `p95_ms`; always funded without a budget.
+    /// With recovery a retry redoes only its own stage, so the debit is the
+    /// work's marginal share of the plan; without it every retry implicitly
+    /// restarts the query and costs a full token.
     fn spend_retry(&mut self, p95_ms: f64) -> bool {
         let cost = if self.rt.policies.recovery.is_some() {
             gillis_perf::marginal_retry_cost(p95_ms, self.rt.plan_p95_total_ms)
@@ -700,37 +688,19 @@ impl<'s, 'a> Session<'s, 'a> {
     }
 
     /// Stores the boundary checkpoint of `query` after group `gi` completed
-    /// at `at` with `elapsed_ms` of cumulative execution (the work a full
-    /// restart would redo). Schedulers store it *before* sampling a crash,
-    /// so a crash at a boundary always finds its own stage's output (unless
-    /// capacity or TTL ate it).
-    pub fn checkpoint(
-        &mut self,
-        query: u64,
-        gi: usize,
-        elapsed_ms: f64,
-        degraded: bool,
-        at: Micros,
-    ) {
+    /// with `elapsed_ms` of cumulative execution (the work a full restart
+    /// would redo). Schedulers store it *before* sampling a crash, so a
+    /// crash at a boundary always finds its own stage's output (unless
+    /// capacity eviction took it).
+    pub fn checkpoint(&mut self, query: u64, gi: usize, elapsed_ms: f64, degraded: bool) {
         let (token, rec) = (self.rt.weight_token, &mut self.recovery);
         if let Some(c) = self.checkpoints.as_mut() {
             let ckpt = StageCheckpoint {
                 elapsed_ms,
                 degraded,
-                stored_at_ms: at.as_ms(),
             };
             c.put(query, gi as u32, token, ckpt, rec);
         }
-    }
-
-    /// Whether a re-execution of group `gi` at `at` would find its input:
-    /// stage 0 reads the request, later stages the upstream checkpoint.
-    fn upstream_checkpointed(&self, query: u64, gi: usize, at: Micros) -> bool {
-        gi == 0
-            || self
-                .checkpoints
-                .as_ref()
-                .is_some_and(|c| c.contains(query, gi as u32 - 1, self.rt.weight_token, at.as_ms()))
     }
 
     /// Samples an orchestrator crash at the boundary after group `gi`, as a
@@ -765,15 +735,11 @@ impl<'s, 'a> Session<'s, 'a> {
         // A cache exists only under a recovery policy.
         let hit = self
             .checkpoints
-            .as_mut()
-            .and_then(|c| c.latest_before(query, gi as u32, token, now.as_ms(), rec));
-        let failover_ms = rt
-            .policies
-            .recovery
-            .map_or(DEFAULT_FAILOVER_MS, |p| p.failover_ms);
+            .as_ref()
+            .and_then(|c| c.latest_before(query, gi as u32, token, rec));
         Some(Takeover {
             hit,
-            failover: Micros::from_ms(failover_ms),
+            failover: Micros::from_ms(FAILOVER_MS),
         })
     }
 
@@ -829,11 +795,11 @@ impl<'s, 'a> Session<'s, 'a> {
     }
 
     /// The fork-join master's walk over the plan from `*now`: group after
-    /// group, with checkpoint-resume retries, straggler speculation, a
-    /// cancellation checkpoint at every boundary, and orchestrator-crash
-    /// recovery that re-enters the walk at the stage a takeover resumes
-    /// from. Advances `*now` to where the master stopped and returns the
-    /// status so far (`Ok`/`Degraded`, or the terminal one that ended it).
+    /// group, with a cancellation checkpoint at every boundary and
+    /// orchestrator-crash recovery that re-enters the walk at the stage a
+    /// takeover resumes from. Advances `*now` to where the master stopped
+    /// and returns the status so far (`Ok`/`Degraded`, or the terminal one
+    /// that ended it).
     fn run_plan<R: RngExt + ?Sized>(
         &mut self,
         now: &mut Micros,
@@ -846,7 +812,6 @@ impl<'s, 'a> Session<'s, 'a> {
         let mut status = QueryStatus::Ok;
         let mut gi = 0usize;
         let mut incarnation = 0u32;
-        let mut spec_used = 0u32;
         'groups: while gi < n_groups {
             // Cooperative cancellation checkpoint at every group boundary:
             // an expired deadline cancels all remaining work.
@@ -855,71 +820,12 @@ impl<'s, 'a> Session<'s, 'a> {
                 status = QueryStatus::DeadlineExceeded;
                 break 'groups;
             }
-            let group_began = *now;
-            let mut run = self.run_group(gi, *now, rng, q)?;
-            if let Some(pol) = rt.policies.recovery {
-                let group_p95 = q.profile.group_p95_ms(gi);
-                // A failed group retries once from the last checkpointed
-                // boundary: the upstream output is already durable, so the
-                // retry redoes one stage instead of the whole plan — priced
-                // at marginal cost against the retry budget, skipped when
-                // the deadline can no longer be met anyway.
-                if run.status == QueryStatus::Failed
-                    && self.upstream_checkpointed(q.id, gi, run.end)
-                {
-                    let eta = run.end + Micros::from_ms(q.profile.remaining_p95_ms(gi));
-                    if q.deadline.is_some_and(|d| eta > d) {
-                        self.recovery.resume_skipped_deadline += 1;
-                    } else if self.spend_retry(group_p95) {
-                        self.recovery.resume_retries += 1;
-                        let resumed = QueryCtx {
-                            id: q.id ^ RESUME_QUERY_SALT,
-                            ..q
-                        };
-                        run = self.run_group(gi, run.end, rng, resumed)?;
-                        if completed(run.status) {
-                            self.recovery.resume_retry_wins += 1;
-                        }
-                    }
-                }
-                // Straggler speculation: a group past `spec_factor` × its
-                // predicted p95 gets a duplicate execution seeded from the
-                // cached upstream output; the earlier finisher wins and the
-                // loser is cancelled at its next checkpoint (both billed in
-                // full — honest accounting). The duplicate draws from a
-                // dedicated RNG funded by exactly one draw of the main
-                // stream, so firing never shifts later queries' draws.
-                let threshold_ms = pol.spec_factor * group_p95;
-                if completed(run.status)
-                    && pol.spec_factor.is_finite()
-                    && q.level == BrownoutLevel::Full
-                    && spec_used < pol.max_speculations
-                    && (run.end - group_began).as_ms() > threshold_ms
-                    && self.upstream_checkpointed(q.id, gi, run.end)
-                    && self.spend_retry(group_p95)
-                {
-                    spec_used += 1;
-                    self.recovery.speculative_executions += 1;
-                    let mut spec_rng = StdRng::seed_from_u64(rng.random::<u64>());
-                    let duplicate = QueryCtx {
-                        id: q.id ^ SPEC_QUERY_SALT,
-                        ..q
-                    };
-                    let spec_began = group_began + Micros::from_ms(threshold_ms);
-                    let spec = self.run_group(gi, spec_began, &mut spec_rng, duplicate)?;
-                    if completed(spec.status) && spec.end < run.end {
-                        self.recovery.speculation_wins += 1;
-                        run = spec;
-                    } else {
-                        self.recovery.speculation_cancelled += 1;
-                    }
-                }
-            }
+            let run = self.run_group(gi, *now, rng, q)?;
             if completed(run.status) {
                 let degraded =
                     run.status == QueryStatus::Degraded || status == QueryStatus::Degraded;
                 let elapsed_ms = (run.end - master_began).as_ms();
-                self.checkpoint(q.id, gi, elapsed_ms, degraded, run.end);
+                self.checkpoint(q.id, gi, elapsed_ms, degraded);
             }
             *now = run.end;
             match run.status {
@@ -968,7 +874,7 @@ impl<'s, 'a> Session<'s, 'a> {
                     None => status = QueryStatus::Ok,
                 }
                 if resume_from <= gi {
-                    // Nothing usable, or capacity/TTL ate the newer
+                    // Nothing usable, or capacity eviction took the newer
                     // boundaries: walk back and re-execute from there.
                     gi = resume_from;
                     continue 'groups;
@@ -1052,6 +958,7 @@ mod tests {
     use gillis_faas::PlatformProfile;
     use gillis_model::zoo;
     use gillis_perf::PerfModel;
+    use rand::SeedableRng;
 
     use super::super::fixtures::{orchestrator_chaos, recovery_fixture};
     use super::*;
@@ -1159,8 +1066,7 @@ mod tests {
         assert!(rec.stages_saved >= rec.failover_replays);
         assert!(rec.recompute_avoided_ms > 0.0);
         assert_eq!(res.worker_invocations, base_res.worker_invocations);
-        let expect =
-            base_ms + rec.orchestrator_crashes as f64 * RecoveryPolicy::default().failover_ms;
+        let expect = base_ms + rec.orchestrator_crashes as f64 * FAILOVER_MS;
         assert!(
             (ms - expect).abs() < 1e-6,
             "latency {ms:.3} vs base + crashes x failover {expect:.3}"
@@ -1192,83 +1098,7 @@ mod tests {
             res.worker_invocations,
             base_res.worker_invocations
         );
-        assert!(ms > base_ms + rec.orchestrator_crashes as f64 * DEFAULT_FAILOVER_MS);
-    }
-
-    #[test]
-    fn failed_groups_resume_retry_from_checkpoints() {
-        // Worker lanes that exhaust a single attempt fail the group when
-        // local fallback is off; with recovery on, the master retries the
-        // group once from the checkpointed upstream boundary and turns some
-        // of those failures into successes.
-        let (runtime, _) = recovery_fixture();
-        let fragile = ResiliencePolicy {
-            max_attempts: 1,
-            local_fallback: false,
-            ..ResiliencePolicy::default()
-        };
-        let chaos = ChaosConfig {
-            seed: 11,
-            invoke_failure_rate: 0.25,
-            ..ChaosConfig::default()
-        };
-        let bare = runtime
-            .clone()
-            .with_chaos(chaos)
-            .unwrap()
-            .with_policy(fragile);
-        let resumed = bare
-            .clone()
-            .with_recovery(RecoveryPolicy::default())
-            .unwrap();
-        let (_, res0, rec0) = drain_queries(&bare, 60, 3, None);
-        let (_, res1, rec1) = drain_queries(&resumed, 60, 3, None);
-        assert!(res0.failed_queries > 0, "fixture must actually fail");
-        assert_eq!(rec0.resume_retries, 0);
-        assert!(rec1.resume_retries > 0);
-        assert!(rec1.resume_retry_wins > 0);
-        assert!(
-            res1.failed_queries < res0.failed_queries,
-            "resume retries should rescue failures: {} vs {}",
-            res1.failed_queries,
-            res0.failed_queries
-        );
-    }
-
-    #[test]
-    fn straggler_speculation_wins_races_from_checkpoints() {
-        // Heavy stragglers: a stage past spec_factor x its p95 races a
-        // duplicate execution seeded from the cached upstream output, and
-        // the earlier finisher wins.
-        let (runtime, _) = recovery_fixture();
-        let chaos = ChaosConfig {
-            seed: 13,
-            straggler_rate: 0.3,
-            straggler_slowdown: 25.0,
-            ..ChaosConfig::default()
-        };
-        let slow = runtime.clone().with_chaos(chaos).unwrap();
-        let spec = slow
-            .clone()
-            .with_recovery(RecoveryPolicy {
-                spec_factor: 1.5,
-                max_speculations: 4,
-                ..RecoveryPolicy::default()
-            })
-            .unwrap();
-        let (slow_ms, _, _) = drain_queries(&slow, 60, 3, None);
-        let (spec_ms, _, rec) = drain_queries(&spec, 60, 3, None);
-        assert!(rec.speculative_executions > 0);
-        assert_eq!(
-            rec.speculation_wins + rec.speculation_cancelled,
-            rec.speculative_executions,
-            "every speculation is resolved"
-        );
-        assert!(rec.speculation_wins > 0);
-        assert!(
-            spec_ms < slow_ms,
-            "speculation should cut straggler latency: {spec_ms:.1} vs {slow_ms:.1}"
-        );
+        assert!(ms > base_ms + rec.orchestrator_crashes as f64 * FAILOVER_MS);
     }
 
     #[test]
@@ -1363,7 +1193,7 @@ mod tests {
         /// Resume bit-identity and billing, over seeds and crash rates:
         /// with a capacious cache, a crashing run re-executes no stage
         /// (worker invocations equal the crash-free run — no double
-        /// billing) and its latency is exactly crashes x failover_ms more.
+        /// billing) and its latency is exactly crashes x FAILOVER_MS more.
         #[test]
         fn failover_cost_is_exactly_crashes_times_failover(
             (seed, rate_centi) in (0u64..500, 5u32..40),
@@ -1383,8 +1213,7 @@ mod tests {
             let (ms, res, rec) = drain_queries(&crashy, 25, seed ^ 0xd15, None);
             proptest::prop_assert_eq!(rec.full_restarts, 0);
             proptest::prop_assert_eq!(res.worker_invocations, base_res.worker_invocations);
-            let expect = base_ms
-                + rec.orchestrator_crashes as f64 * RecoveryPolicy::default().failover_ms;
+            let expect = base_ms + rec.orchestrator_crashes as f64 * FAILOVER_MS;
             proptest::prop_assert!(
                 (ms - expect).abs() < 1e-6,
                 "latency {} vs base + crashes x failover {}", ms, expect

@@ -1,8 +1,11 @@
-//! A minimal discrete-event queue.
+//! A minimal discrete-event queue: events carry a payload `E` and pop in
+//! time order, FIFO among ties.
 //!
-//! The serving runtime in `gillis-core` drives typed simulations (fork-join
-//! rounds, client workloads) through this queue: events carry a payload `E`
-//! and pop in time order, FIFO among ties.
+//! The serving runtime does not use it: `gillis-core`'s scheduler keeps its
+//! own `(time, stage, query)` completion heap. What still calls this queue
+//! is a property test of this crate and the repo benchmark's
+//! `faas.des.push_pop_ns` probe, which times a queue the simulator never
+//! runs; the queue goes with that probe.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -15,9 +15,12 @@
 //! - [`billing`] — pay-per-use metering rounded to the platform granularity
 //!   (paper Eq. 2).
 //! - [`store`] — an S3-like object store (used by the Pipeline baseline).
-//! - [`des`] / [`workload`] / [`metrics`] — an event queue, client workload
-//!   generators, and latency/cost recorders for end-to-end serving
-//!   experiments (100 clients × 1000 queries, §V-C).
+//! - [`workload`] / [`metrics`] — client workload generators and
+//!   latency/cost recorders for end-to-end serving experiments (100 clients
+//!   × 1000 queries, §V-C).
+//! - [`des`] — a stand-alone event queue the serving runtime does not use
+//!   (its scheduler keeps its own heap); only the repo benchmark's
+//!   `faas.des.push_pop_ns` probe still times it.
 //!
 //! The simulated "hardware ground truth" for layer compute lives here too
 //! ([`compute`]); the performance model in `gillis-perf` must *learn* it by
@@ -61,7 +64,7 @@ pub use overload::{BreakerPolicy, BreakerState, CircuitBreaker, OverloadCounters
 pub use pipeline::{PipelineCounters, PipelinePolicy};
 pub use platform::{PlatformKind, PlatformProfile};
 pub use recovery::{
-    CheckpointCache, RecoveryCounters, RecoveryPolicy, StageCheckpoint, DEFAULT_FAILOVER_MS,
+    CheckpointCache, RecoveryCounters, RecoveryPolicy, StageCheckpoint, FAILOVER_MS,
 };
 pub use time::Micros;
 

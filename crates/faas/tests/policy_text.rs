@@ -315,27 +315,9 @@ fn every_family_reads_every_row_like_the_parent() {
     );
     sweep(
         &[("GILLIS_RECOVERY_CAPACITY", "64")],
-        &[
-            ("GILLIS_RECOVERY_CAPACITY", "64"),
-            ("GILLIS_RECOVERY_TTL_MS", "5000"),
-            ("GILLIS_RECOVERY_FAILOVER_MS", "10"),
-            ("GILLIS_RECOVERY_SPEC_FACTOR", "2"),
-            ("GILLIS_RECOVERY_MAX_SPEC", "2"),
-        ],
-        RecoveryPolicy {
-            capacity: 64,
-            ttl_ms: f64::INFINITY,
-            failover_ms: 25.0,
-            spec_factor: f64::INFINITY,
-            max_speculations: 1,
-        },
-        RecoveryPolicy {
-            capacity: 64,
-            ttl_ms: 5000.0,
-            failover_ms: 10.0,
-            spec_factor: 2.0,
-            max_speculations: 2,
-        },
+        &[("GILLIS_RECOVERY_CAPACITY", "64")],
+        RecoveryPolicy { capacity: 64 },
+        RecoveryPolicy { capacity: 64 },
     );
 }
 
@@ -382,10 +364,6 @@ fn a_set_but_invalid_family_is_an_error_naming_the_variables() {
             ("GILLIS_PIPELINE_QUEUE", "0"),
         ],
         &[("GILLIS_BATCH_MAX", "4"), ("GILLIS_BATCH_AMORTIZED", "7")],
-        &[
-            ("GILLIS_RECOVERY_CAPACITY", "8"),
-            ("GILLIS_RECOVERY_SPEC_FACTOR", "0.5"),
-        ],
         &[
             ("GILLIS_RETRY_BUDGET_MAX", "4"),
             ("GILLIS_RETRY_BUDGET_REFILL", "-1"),
@@ -622,20 +600,22 @@ fn every_parser_round_trips_a_representative_policy() {
 
 #[test]
 fn recovery_text_rejects_out_of_range_knobs() {
-    // Values that parse as numbers but fail validation surface the
-    // validation error instead of producing an unusable policy.
-    for bad in [
-        "gillis-recovery v1\ncapacity=0\n",
-        "gillis-recovery v1\nttl_ms=0\n",
-        "gillis-recovery v1\nttl_ms=NaN\n",
-        "gillis-recovery v1\nfailover_ms=-1\n",
-        "gillis-recovery v1\nfailover_ms=inf\n",
-        "gillis-recovery v1\nspec_factor=0.5\n",
-        "gillis-recovery v1\nspec_factor=NaN\n",
-        "gillis-recovery v1\ncapacity=many\n",
+    // A value that parses as a number but fails validation surfaces the
+    // validation error instead of producing an unusable policy; the keys of
+    // the removed TTL, failover and speculation knobs are unknown keys.
+    for (bad, named) in [
+        ("gillis-recovery v1\ncapacity=0\n", "capacity"),
+        ("gillis-recovery v1\ncapacity=many\n", "many"),
+        ("gillis-recovery v1\nttl_ms=5\n", "ttl_ms"),
+        ("gillis-recovery v1\nspec_factor=2\n", "spec_factor"),
+        (
+            "gillis-recovery v1\nmax_speculations=2\n",
+            "max_speculations",
+        ),
+        ("gillis-recovery v1\nfailover_ms=10\n", "failover_ms"),
     ] {
-        let err = RecoveryPolicy::from_text(bad).unwrap_err();
-        assert!(!err.to_string().is_empty(), "empty error for {bad:?}");
+        let err = RecoveryPolicy::from_text(bad).unwrap_err().to_string();
+        assert!(err.contains(named), "{bad:?}: {err}");
     }
 }
 
@@ -655,25 +635,10 @@ proptest! {
     }
 
     /// `RecoveryPolicy` text round-trips exactly over its whole valid
-    /// domain, including the infinity sentinels for `ttl_ms` (never
-    /// expire) and `spec_factor` (speculation off).
+    /// domain.
     #[test]
-    fn recovery_policy_text_round_trips(
-        capacity in 1usize..100_000,
-        ttl_inf in any::<bool>(),
-        ttl_finite in 0.001f64..1e7,
-        failover_ms in 0.0f64..10_000.0,
-        spec_inf in any::<bool>(),
-        spec_finite in 1.0f64..1e4,
-        max_speculations in 0u32..64,
-    ) {
-        let policy = RecoveryPolicy {
-            capacity,
-            ttl_ms: if ttl_inf { f64::INFINITY } else { ttl_finite },
-            failover_ms,
-            spec_factor: if spec_inf { f64::INFINITY } else { spec_finite },
-            max_speculations,
-        };
+    fn recovery_policy_text_round_trips(capacity in 1usize..100_000) {
+        let policy = RecoveryPolicy { capacity };
         prop_assert!(policy.validate().is_ok());
         let text = policy.to_text();
         let parsed = RecoveryPolicy::from_text(&text).unwrap();
@@ -754,7 +719,7 @@ fn well_formed_env_values_parse_with_whitespace_tolerance() {
         Ok(256)
     );
     assert_eq!(
-        parse_value::<f64>("GILLIS_RECOVERY_SPEC_FACTOR", "inf"),
+        parse_value::<f64>("GILLIS_RETRY_BUDGET_MAX", "inf"),
         Ok(f64::INFINITY)
     );
 }

@@ -253,28 +253,18 @@ fn print_serving_report(report: &gillis::core::ServingReport) {
     let r = &report.recovery;
     if r.orchestrator_crashes > 0 || r.checkpoints_stored > 0 {
         println!(
-            "recovery: {} checkpoints ({} hits, {} evictions, {} expirations), \
+            "recovery: {} checkpoints ({} hits, {} evictions), \
              {} orchestrator crashes -> {} failover replays, {} full restarts, \
-             {} stages saved ({:.0} ms recompute avoided)",
+             {} skipped at deadline, {} stages saved ({:.0} ms recompute avoided)",
             r.checkpoints_stored,
             r.checkpoint_hits,
             r.checkpoint_evictions,
-            r.checkpoint_expirations,
             r.orchestrator_crashes,
             r.failover_replays,
             r.full_restarts,
+            r.resume_skipped_deadline,
             r.stages_saved,
             r.recompute_avoided_ms,
-        );
-        println!(
-            "recovery: {} resume retries ({} wins), {} skipped at deadline, \
-             {} speculations ({} wins, {} cancelled)",
-            r.resume_retries,
-            r.resume_retry_wins,
-            r.resume_skipped_deadline,
-            r.speculative_executions,
-            r.speculation_wins,
-            r.speculation_cancelled,
         );
     }
     let b = &report.brownout;

@@ -916,10 +916,7 @@ mod tests {
         assert_eq!(a.recovery, b.recovery);
         assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
         // Invalid recovery knobs are rejected at deploy time.
-        let recovery = Some(RecoveryPolicy {
-            capacity: 0,
-            ..RecoveryPolicy::default()
-        });
+        let recovery = Some(RecoveryPolicy { capacity: 0 });
         assert!(Gillis::new(zoo::tiny_vgg())
             .policies(PolicyStack { recovery, ..stack })
             .deploy()

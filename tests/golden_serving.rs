@@ -47,7 +47,7 @@ enum Arm {
     /// immediate retry: no guard, no recovery — crashes restart from stage 0.
     Storm,
     /// The same faults against the whole stack: overload with breakers,
-    /// retry budget, brownout ladder, checkpointed recovery with speculation.
+    /// retry budget, brownout ladder, checkpointed recovery.
     Guarded,
 }
 
@@ -195,7 +195,7 @@ impl Subject {
             Arm::Storm => rt.with_policy(ResiliencePolicy::naive_retry()),
             Arm::Guarded => {
                 // Seed 23 turns local fallback off, so exhausted lanes fail
-                // their group and the checkpoint-resume retry has work to do.
+                // their group, and with it the query.
                 let policy = ResiliencePolicy {
                     local_fallback: seed != 23,
                     ..ResiliencePolicy::backoff_hedged()
@@ -216,11 +216,7 @@ impl Subject {
                         shed_probe_interval: Some(4),
                     })
                     .unwrap()
-                    .with_recovery(RecoveryPolicy {
-                        spec_factor: 1.2,
-                        max_speculations: 2,
-                        ..RecoveryPolicy::default()
-                    })
+                    .with_recovery(RecoveryPolicy::default())
                     .unwrap()
             }
         }
