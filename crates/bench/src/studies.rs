@@ -288,7 +288,7 @@ fn cold_start(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let latencies: Vec<f64> = (0..20u64)
         .map(|q| {
             let done = rt.run_query_at(&mut fleet, &mut billing, t, &mut rng, q, &mut counters);
-            let done = done.expect("query");
+            let (done, _) = done.expect("query");
             let latency = (done - t).as_ms();
             t = done;
             latency

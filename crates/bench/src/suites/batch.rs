@@ -9,7 +9,7 @@
 //! - **batch1**: the same SLO classes with `max_batch = 1` — every arrival
 //!   dispatches its own wave;
 //! - **batch**: [`plan_batch_schedule`] picks a per-class batch size and a
-//!   deadline-derived accumulation window jointly with the instance memory,
+//!   deadline-derived accumulation window at the platform's instance memory,
 //!   then `serve_open_loop_batched` forms batches online.
 //!
 //! Three SLO classes share the stream: interactive (tight deadline, most
@@ -53,8 +53,6 @@ pub fn run(seed: u64, smoke: bool, ambient: &PolicyStack) -> Sweep {
         // below the queueing the shared waves save.
         max_window_ms: 2.0 * predicted_ms,
         window_margin_ms: 2.0,
-        amortized_fraction: 0.25,
-        memory_mb: Vec::new(),
     });
     let base_policy = BatchPolicy {
         max_batch: 1,
@@ -71,12 +69,7 @@ pub fn run(seed: u64, smoke: bool, ambient: &PolicyStack) -> Sweep {
             let schedule =
                 plan_batch_schedule(model, plan, platform, TransferFormat::F32, policy, rate_qps)
                     .expect("schedule");
-            let serving = if schedule.memory_bytes == platform.instance_memory_bytes {
-                platform.clone()
-            } else {
-                platform.with_memory_bytes(schedule.memory_bytes)
-            };
-            let mut rt = ForkJoinRuntime::new(model, plan, serving).expect("runtime");
+            let mut rt = ForkJoinRuntime::new(model, plan, platform.clone()).expect("runtime");
             if let Some(overload) = ambient.overload {
                 rt = rt.with_overload(overload).expect("overload policy");
             }

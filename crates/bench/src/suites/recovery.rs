@@ -47,8 +47,6 @@ const OUTAGE_SEED: u64 = 83;
 fn orchestrator_outage() -> OutageConfig {
     OutageConfig {
         platform: false,
-        lanes: false,
-        memory_tiers: false,
         orchestrators: true,
         ..OutageConfig::severe(8.0, OUTAGE_SEED)
     }

@@ -148,6 +148,7 @@ impl Scheduler<'_, '_, '_> {
     /// the int8 rung: members below it never reach a window (they dispatch
     /// solo at arrival).
     pub(super) fn flush(&mut self, ci: usize, close_at: Micros, size_close: bool) -> Result<()> {
+        self.advance(close_at);
         let w = self
             .windows
             .as_mut()
@@ -358,7 +359,7 @@ impl ForkJoinRuntime<'_> {
     /// batch carries its first (earliest) member's deadline.
     ///
     /// The runtime must be built on the platform the schedule was planned
-    /// for (`platform.with_memory_bytes(schedule.memory_bytes)`).
+    /// for.
     ///
     /// # Errors
     ///
@@ -383,8 +384,7 @@ impl ForkJoinRuntime<'_> {
         }
         if schedule.memory_bytes != self.platform.instance_memory_bytes {
             return Err(CoreError::InvalidArgument(format!(
-                "schedule was planned for {} B instances but the runtime platform has {} B; \
-                 build the runtime on platform.with_memory_bytes(schedule.memory_bytes)",
+                "schedule was planned for {} B instances but the runtime platform has {} B",
                 schedule.memory_bytes, self.platform.instance_memory_bytes
             )));
         }
@@ -396,8 +396,7 @@ impl ForkJoinRuntime<'_> {
         let fleet = self.warm_fleet(prewarm_clients.max(masters))?;
         let max_n = schedule.classes.iter().map(|c| c.batch).max().unwrap_or(1);
         let scaled = |n: usize| {
-            let widen =
-                |a| crate::predict::scale_analysis_for_batch(a, n, policy.amortized_fraction);
+            let widen = |a| crate::predict::scale_analysis_for_batch(a, n);
             WorkProfile::new(
                 &self.platform,
                 self.profile.analyses.iter().map(widen).collect(),
@@ -715,8 +714,6 @@ mod tests {
             max_batch: 8,
             max_window_ms: 6.0 * pred1.latency_ms,
             window_margin_ms: 1.0,
-            amortized_fraction: 0.25,
-            memory_mb: Vec::new(),
         };
         let rate = 8_000.0 / pred1.latency_ms;
         let queries = 160;
@@ -781,8 +778,6 @@ mod tests {
             max_batch: 4,
             max_window_ms: 4.0 * pred1.latency_ms,
             window_margin_ms: 1.0,
-            amortized_fraction: 0.25,
-            memory_mb: Vec::new(),
         };
         let rate = 6_000.0 / pred1.latency_ms;
         let schedule =
@@ -937,11 +932,7 @@ mod tests {
             runtime
                 .clone()
                 .with_policy(ResiliencePolicy::naive_retry())
-                .with_retry_budget(RetryBudgetPolicy {
-                    max_tokens: 16.0,
-                    initial_tokens: 16.0,
-                    refill_per_success: 0.05,
-                })
+                .with_retry_budget(RetryBudgetPolicy { max_tokens: 16.0 })
                 .unwrap(),
         );
         assert!(
@@ -978,8 +969,6 @@ mod tests {
             max_windows: 25,
             severity: 60.0,
             platform: true,
-            lanes: false,
-            memory_tiers: false,
             orchestrators: false,
         };
         let brownout_policy = BrownoutPolicy {

@@ -11,8 +11,8 @@
 //!
 //! - `report` — what a run returns: [`QueryOutcome`], [`ServingReport`],
 //!   [`SimulationReport`].
-//! - `batch` — the joint batch-size × memory configurator
-//!   ([`plan_batch_schedule`]) batched serving consumes.
+//! - `batch` — the batch-size configurator ([`plan_batch_schedule`])
+//!   batched serving consumes.
 //! - `lane` — the sampling primitives: noisy compute and the fork/join
 //!   transfer model.
 //! - `session` — one run's state (fleet, bill, recorders, breakers, retry

@@ -145,6 +145,9 @@ pub(super) struct Scheduler<'r, 's, 'a> {
     /// Pending stage completions, totally ordered by
     /// `(virtual time, stage, query)`.
     pub events: BinaryHeap<Reverse<(Micros, u32, u64)>>,
+    /// The last instant handled: an arrival, a stage completion or a
+    /// window close.
+    clock: Micros,
 }
 
 impl Scheduler<'_, '_, '_> {
@@ -167,6 +170,17 @@ impl Scheduler<'_, '_, '_> {
         !self.free.is_empty()
     }
 
+    /// Moves virtual time to `at`. The loop handles its instants in order,
+    /// so `at` never precedes the last one.
+    pub fn advance(&mut self, at: Micros) {
+        debug_assert!(
+            at >= self.clock,
+            "virtual time ran back from {:?} to {at:?}",
+            self.clock
+        );
+        self.clock = at;
+    }
+
     /// The event loop: arrivals and completions merged by virtual time,
     /// then the batch windows still open, each at its close time.
     fn run(mut self) -> Result<ServingReport> {
@@ -177,6 +191,7 @@ impl Scheduler<'_, '_, '_> {
                 self.arrive(id, at)?;
                 id += 1;
             } else if let Some(Reverse((t, s, q))) = self.events.pop() {
+                self.advance(t);
                 self.complete(s as usize, q, t)?;
             } else if let Some((ci, close_at)) = self.due() {
                 self.flush(ci, close_at, false)?;
@@ -206,6 +221,7 @@ impl Scheduler<'_, '_, '_> {
         while let Some((ci, close_at)) = self.due().filter(|&(_, at)| at <= now) {
             self.flush(ci, close_at, false)?;
         }
+        self.advance(now);
         let Some(level) = self.s.front_door() else {
             // A shed closed-loop client thinks and retries later.
             self.source.reissue(now);
@@ -246,6 +262,7 @@ impl ForkJoinRuntime<'_> {
             parked: Vec::new(),
             q: Vec::new(),
             events: BinaryHeap::new(),
+            clock: Micros::ZERO,
         };
         match front {
             Front::Masters(masters) => sched.door = Admission::new(masters),

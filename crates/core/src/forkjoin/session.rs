@@ -18,7 +18,7 @@ use gillis_faas::batch::BatchCounters;
 use gillis_faas::billing::BillingMeter;
 use gillis_faas::brownout::{ArrivalDecision, BrownoutController, BrownoutLevel};
 use gillis_faas::budget::RetryBudget;
-use gillis_faas::chaos::{Fault, FaultSite, QueryStatus, ResilienceCounters};
+use gillis_faas::chaos::{Fault, FaultSite, QueryStatus, ResilienceCounters, HEDGE_DELAY_FACTOR};
 use gillis_faas::fleet::Fleet;
 use gillis_faas::metrics::{LatencyStats, StatusLatency};
 use gillis_faas::overload::{CircuitBreaker, OverloadCounters};
@@ -356,10 +356,7 @@ impl<'s, 'a> Session<'s, 'a> {
             rt.platform.invoke_latency_ms.sample(rng)
         };
         let compute_ms = rt.sample_compute_ms(work, rng);
-        let tier_mb = rt.platform.instance_memory_bytes / 1_000_000;
-        let mult = rt.outage.as_ref().map_or(1.0, |o| {
-            o.multiplier(site.group, site.part, tier_mb, at.as_ms())
-        });
+        let mult = rt.outage.as_ref().map_or(1.0, |o| o.multiplier(at.as_ms()));
         let fault = rt
             .injector
             .as_ref()
@@ -421,7 +418,7 @@ impl<'s, 'a> Session<'s, 'a> {
             .platform
             .transfer_ms(wire_fmt.wire_bytes(p.input_bytes) + wire_fmt.wire_bytes(p.output_bytes));
         // The remaining deadline budget caps the attempt timeout.
-        let timeout_ms = policy.attempt_timeout_factor * p95;
+        let timeout_ms = policy.attempt_timeout_ms(p95);
         let timeout_at = |at: Micros| match q.deadline {
             Some(d) => timeout_ms.min((d - at).as_ms()),
             None => timeout_ms,
@@ -465,8 +462,8 @@ impl<'s, 'a> Session<'s, 'a> {
             let mut hedge_won = false;
             // The first brownout rung turns hedging off: a hedge is pure
             // load amplification when the platform is already unhealthy.
-            if policy.hedged() && q.level == BrownoutLevel::Full {
-                let hedge_at = t + Micros::from_ms(policy.hedge_delay_factor * p95);
+            if policy.hedge && q.level == BrownoutLevel::Full {
+                let hedge_at = t + Micros::from_ms(HEDGE_DELAY_FACTOR * p95);
                 // A hedge is only worth launching before the deadline.
                 let hedge_allowed = q.deadline.is_none_or(|d| hedge_at < d);
                 if primary.end > hedge_at && hedge_allowed {
@@ -923,11 +920,13 @@ impl<'a> ForkJoinRuntime<'a> {
     }
 
     /// Executes one query against an externally-managed fleet starting at
-    /// `start`, charging `billing`, and returns its completion time. `query`
-    /// keys fault sampling; `counters` accumulates resilience accounting
-    /// (including this query's terminal status). No admission-side policy
-    /// applies: no deadline, breakers, retry budget, ladder or checkpoint
-    /// cache. Public for cold-start studies that need control over
+    /// `start`, charging `billing`, and returns its completion time and its
+    /// recovery accounting (orchestrator crashes, failover replays, full
+    /// restarts). `query` keys fault sampling; `counters` accumulates
+    /// resilience accounting (including this query's terminal status). No
+    /// admission-side policy applies: no deadline, breakers, retry budget,
+    /// ladder or checkpoint cache, so every orchestrator crash restarts the
+    /// query. Public for cold-start studies that need control over
     /// pre-warming; workload serving should use
     /// [`ForkJoinRuntime::serve_workload`].
     ///
@@ -942,11 +941,11 @@ impl<'a> ForkJoinRuntime<'a> {
         rng: &mut StdRng,
         query: u64,
         counters: &mut ResilienceCounters,
-    ) -> Result<Micros> {
+    ) -> Result<(Micros, RecoveryCounters)> {
         let q = self.query(query, None, BrownoutLevel::Full);
-        Session::bare(self, Some(fleet), billing, counters)
-            .run_query(start, rng, q)
-            .map(|(done, _)| done)
+        let mut session = Session::bare(self, Some(fleet), billing, counters);
+        let (done, _) = session.run_query(start, rng, q)?;
+        Ok((done, session.recovery))
     }
 }
 
@@ -989,7 +988,8 @@ mod tests {
                 0,
                 &mut counters,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         let start_later = done_first;
         let done_later = runtime
             .run_query_at(
@@ -1000,7 +1000,8 @@ mod tests {
                 1,
                 &mut counters,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         let first = done_first.as_ms();
         let later = (done_later - start_later).as_ms();
         assert!(
@@ -1128,11 +1129,7 @@ mod tests {
         // retry debits only its stage's share of the plan, so the bucket
         // funds strictly more retries before denying.
         let (runtime, _) = recovery_fixture();
-        let bp = RetryBudgetPolicy {
-            max_tokens: 4.0,
-            initial_tokens: 4.0,
-            refill_per_success: 0.0,
-        };
+        let bp = RetryBudgetPolicy { max_tokens: 4.0 };
         let flat = runtime
             .clone()
             .with_chaos(ChaosConfig::invoke_only(0.3, 7))

@@ -186,7 +186,7 @@ pub fn predict_plan_cached(
     ))
 }
 
-/// Default fraction of a group's compute cost that is paid once per batch
+/// Fraction of a group's compute cost that is paid once per batch
 /// rather than once per item — the traversal of the weight rows, which the
 /// batched kernels share across all items of a batch (the conv driver keeps
 /// the filter rows of a reduction block cache-hot while every item sweeps
@@ -200,8 +200,8 @@ pub const BATCH_AMORTIZED_FRACTION: f64 = 0.25;
 /// Scales a group analysis from one query to an `n`-query batch: transfer
 /// and activation bytes scale linearly with `n` (every item's payload
 /// crosses the wire), while compute scales as
-/// `amortized + (1 - amortized) · n` — the amortized fraction (packing,
-/// weight streaming) is paid once per batch. Weight bytes are unchanged:
+/// `α + (1 − α) · n` — the amortized fraction α
+/// ([`BATCH_AMORTIZED_FRACTION`]: weight streaming) is paid once per batch. Weight bytes are unchanged:
 /// the function holds one copy regardless of batch size.
 ///
 /// `n == 1` returns the analysis unchanged (the scale factor is exactly 1),
@@ -210,18 +210,10 @@ pub const BATCH_AMORTIZED_FRACTION: f64 = 0.25;
 ///
 /// # Panics
 ///
-/// Panics if `n == 0` or `amortized_fraction` is outside `[0, 1]`.
-pub fn scale_analysis_for_batch(
-    analysis: &GroupAnalysis,
-    n: usize,
-    amortized_fraction: f64,
-) -> GroupAnalysis {
+/// Panics if `n == 0`.
+pub fn scale_analysis_for_batch(analysis: &GroupAnalysis, n: usize) -> GroupAnalysis {
     assert!(n > 0, "batch must be non-empty");
-    assert!(
-        (0.0..=1.0).contains(&amortized_fraction),
-        "amortized fraction must be in [0, 1]"
-    );
-    let compute_scale = amortized_fraction + (1.0 - amortized_fraction) * n as f64;
+    let compute_scale = BATCH_AMORTIZED_FRACTION + (1.0 - BATCH_AMORTIZED_FRACTION) * n as f64;
     GroupAnalysis {
         option: analysis.option,
         partitions: analysis
@@ -244,7 +236,7 @@ pub fn scale_analysis_for_batch(
 /// [`predict_plan`] for an `n`-query batch executed in one invocation wave:
 /// the `t_batch(plan, n)` term batching policies price admission against.
 /// Transfer legs carry `n` payloads; compute amortizes the
-/// `amortized_fraction` share of each group's work across the batch. The
+/// [`BATCH_AMORTIZED_FRACTION`] share of each group's work across the batch. The
 /// returned prediction is the *whole batch's* latency and cost — per-item
 /// figures are `latency_ms` (every item waits for the batch) and `usd / n`.
 ///
@@ -258,12 +250,11 @@ pub fn predict_plan_batched(
     plan: &ExecutionPlan,
     perf: &PerfModel,
     n: usize,
-    amortized_fraction: f64,
 ) -> Result<PlanPrediction> {
     let analyses = plan.analyses(model)?;
     let scaled: Vec<GroupAnalysis> = analyses
         .iter()
-        .map(|a| scale_analysis_for_batch(a, n, amortized_fraction))
+        .map(|a| scale_analysis_for_batch(a, n))
         .collect();
     Ok(predict_plan_from(plan, perf, scaled.iter()))
 }
@@ -665,7 +656,7 @@ mod tests {
         let perf = perf();
         let plan = ExecutionPlan::single_function(&vgg);
         let per_query = predict_plan(&vgg, &plan, &perf).unwrap();
-        let batch1 = predict_plan_batched(&vgg, &plan, &perf, 1, 0.25).unwrap();
+        let batch1 = predict_plan_batched(&vgg, &plan, &perf, 1).unwrap();
         assert_eq!(per_query, batch1);
     }
 
@@ -679,8 +670,8 @@ mod tests {
             option: PartitionOption::Single,
             placement: Placement::Master,
         }]);
-        let one = predict_plan_batched(&vgg, &plan, &perf, 1, 0.25).unwrap();
-        let four = predict_plan_batched(&vgg, &plan, &perf, 4, 0.25).unwrap();
+        let one = predict_plan_batched(&vgg, &plan, &perf, 1).unwrap();
+        let four = predict_plan_batched(&vgg, &plan, &perf, 4).unwrap();
         // A 4-batch costs less than 4 sequential queries (the amortized
         // fraction is paid once)...
         assert!(four.latency_ms < 4.0 * one.latency_ms);
@@ -705,7 +696,7 @@ mod tests {
         )
         .unwrap();
         let one = predict_group(&perf, &a, Placement::Workers);
-        let scaled = scale_analysis_for_batch(&a, 3, 0.25);
+        let scaled = scale_analysis_for_batch(&a, 3);
         let three = predict_group(&perf, &scaled, Placement::Workers);
         // Every item's activations cross the wire: fork/join legs see 3x
         // the bytes. The comm model adds a per-transfer jitter floor that

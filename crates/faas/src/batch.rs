@@ -1,5 +1,5 @@
 //! Adaptive multi-SLO batching policy: SLO classes, deadline-derived batch
-//! windows, and the knobs the joint batch×memory configurator searches.
+//! windows, and the knobs the batch-size configurator searches.
 //!
 //! Batching amortizes the fixed per-query costs of serverless inference —
 //! weight-panel packing, fork/join invocation waves, per-invocation billing —
@@ -7,16 +7,15 @@
 //! queueing delay: a query waits for the window to fill. This module holds
 //! the *policy* half of that trade (what may be batched, and for how long);
 //! the serving runtime in `gillis-core` turns it into a schedule against the
-//! performance model (HarmonyBatch-style joint batch-size × memory-size
-//! selection) and forms batches deterministically.
+//! performance model (a per-class batch size at the platform's own memory)
+//! and forms batches deterministically.
 //!
 //! - [`SloClass`] — one latency class: a deadline and a traffic weight.
 //!   Queries are only batched with others of the same class, so a lenient
 //!   class can never delay a strict one.
 //! - [`BatchPolicy`] — the classes plus global caps: maximum batch size,
-//!   maximum accumulation window, the safety margin subtracted from
-//!   deadlines, the perf model's amortized-compute fraction, and the
-//!   candidate memory sizes the configurator may pick from.
+//!   maximum accumulation window, and the safety margin subtracted from
+//!   deadlines.
 //! - [`BatchCounters`] — honest accounting of batch formation, reported
 //!   next to the overload counters.
 //!
@@ -60,20 +59,12 @@ pub struct BatchPolicy {
     /// Safety margin in milliseconds subtracted from every deadline when
     /// deriving windows (absorbs prediction error and invocation jitter).
     pub window_margin_ms: f64,
-    /// Fraction of a partition's compute that does *not* scale with the
-    /// batch size (packing, panel-cache lookups, framework overhead) — the
-    /// `α` of the perf model's `t_batch(plan, n)` term, in `[0, 1]`.
-    pub amortized_fraction: f64,
-    /// Candidate instance memory sizes in MB for the joint batch×memory
-    /// search (CPU scales with memory, Lambda-style). Empty means "platform
-    /// default only".
-    pub memory_mb: Vec<u64>,
 }
 
 impl BatchPolicy {
     /// A single-class policy: one deadline for all traffic, batches up to
     /// `max_batch`, window capped at a quarter of the deadline, standard
-    /// margin and amortized fraction, platform-default memory.
+    /// margin.
     pub fn single(deadline_ms: f64, max_batch: usize) -> Self {
         BatchPolicy {
             classes: vec![SloClass {
@@ -87,8 +78,6 @@ impl BatchPolicy {
                 25.0
             },
             window_margin_ms: 5.0,
-            amortized_fraction: 0.25,
-            memory_mb: Vec::new(),
         }
     }
 
@@ -136,9 +125,8 @@ impl BatchPolicy {
     /// # Errors
     ///
     /// Returns [`FaasError::InvalidArgument`] for an empty class list,
-    /// non-positive or NaN deadlines/weights, a zero batch cap, negative or
-    /// NaN window/margin, an amortized fraction outside `[0, 1]`, or a zero
-    /// memory candidate.
+    /// non-positive or NaN deadlines/weights, a zero batch cap, or a
+    /// negative or NaN window/margin.
     pub fn validate(&self) -> Result<()> {
         if self.classes.is_empty() {
             return Err(FaasError::InvalidArgument(
@@ -179,17 +167,6 @@ impl BatchPolicy {
                 self.window_margin_ms
             )));
         }
-        if !(0.0..=1.0).contains(&self.amortized_fraction) || self.amortized_fraction.is_nan() {
-            return Err(FaasError::InvalidArgument(format!(
-                "batch amortized_fraction must be in [0, 1]: {}",
-                self.amortized_fraction
-            )));
-        }
-        if self.memory_mb.contains(&0) {
-            return Err(FaasError::InvalidArgument(
-                "batch memory candidates must be positive MB values".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -203,29 +180,14 @@ family! {
     "GILLIS_BATCH_CLASSES", "classes", "`inf:1` (one best-effort class)",
         "SLO classes as `deadline_ms:weight,...` (`inf` allowed)" => {
             |p, raw| parse_classes(raw).map(|classes| p.classes = classes),
-            |p| join(p.classes.iter().map(|c| format!("{}:{}", c.deadline_ms, c.weight)))
+            |p| {
+                let classes = p.classes.iter().map(|c| format!("{}:{}", c.deadline_ms, c.weight));
+                classes.collect::<Vec<_>>().join(",")
+            }
         };
     "GILLIS_BATCH_WINDOW_MS", "window_ms", "25", "accumulation-window cap" => [max_window_ms];
     "GILLIS_BATCH_MARGIN_MS", "margin_ms", "5",
         "safety margin between window + latency and the deadline" => [window_margin_ms];
-    "GILLIS_BATCH_AMORTIZED", "amortized", "0.25",
-        "fraction of per-query compute that amortizes across a batch" => [amortized_fraction];
-    "GILLIS_BATCH_MEMORY_MB", "memory_mb", "`default` (the platform's)",
-        "candidate instance memories in MB for the joint batch × memory pick" => {
-            |p, raw| {
-                let listed = || raw.split(',').map(parse).collect();
-                let sizes: Parsed<_> = if raw == "default" { Ok(Vec::new()) } else { listed() };
-                sizes.map(|sizes| p.memory_mb = sizes)
-            },
-            |p| match p.memory_mb.as_slice() {
-                [] => "default".to_string(),
-                sizes => join(sizes.iter().map(u64::to_string)),
-            }
-        };
-}
-
-fn join(items: impl Iterator<Item = String>) -> String {
-    items.collect::<Vec<_>>().join(",")
 }
 
 /// Parses a `deadline:weight,deadline:weight` class list (`inf` deadlines
@@ -327,24 +289,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(BatchPolicy {
-            amortized_fraction: 1.5,
-            ..BatchPolicy::single(100.0, 4)
-        }
-        .validate()
-        .is_err());
-        assert!(BatchPolicy {
-            amortized_fraction: f64::NAN,
-            ..BatchPolicy::single(100.0, 4)
-        }
-        .validate()
-        .is_err());
-        assert!(BatchPolicy {
-            memory_mb: vec![1792, 0],
-            ..BatchPolicy::single(100.0, 4)
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -370,8 +314,6 @@ mod tests {
                 max_batch: 16,
                 max_window_ms: 40.0,
                 window_margin_ms: 2.5,
-                amortized_fraction: 0.3,
-                memory_mb: vec![1792, 3008, 6016],
             },
         ] {
             let text = policy.to_text();

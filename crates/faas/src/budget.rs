@@ -15,29 +15,24 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::FaasError;
-use crate::knobs::{family, parse};
+use crate::knobs::family;
 use crate::Result;
+
+/// Tokens earned per successful first attempt (capped at capacity):
+/// healthy traffic funds the right to retry.
+pub const REFILL_PER_SUCCESS: f64 = 0.1;
 
 /// Token-bucket knobs for [`RetryBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryBudgetPolicy {
-    /// Bucket capacity in tokens; a retry or hedge spends one token.
+    /// Bucket capacity in tokens; a retry or hedge spends one token. The
+    /// bucket starts a serving run full.
     pub max_tokens: f64,
-    /// Tokens in the bucket at the start of a serving run (clamped to
-    /// `max_tokens`).
-    pub initial_tokens: f64,
-    /// Tokens earned per successful first attempt (capped at capacity):
-    /// healthy traffic funds the right to retry.
-    pub refill_per_success: f64,
 }
 
 impl Default for RetryBudgetPolicy {
     fn default() -> Self {
-        RetryBudgetPolicy {
-            max_tokens: 32.0,
-            initial_tokens: 32.0,
-            refill_per_success: 0.1,
-        }
+        RetryBudgetPolicy { max_tokens: 32.0 }
     }
 }
 
@@ -47,24 +42,12 @@ impl RetryBudgetPolicy {
     /// # Errors
     ///
     /// Returns [`FaasError::InvalidArgument`] for a non-positive or
-    /// non-finite capacity, or negative/non-finite initial fill or refill.
+    /// non-finite capacity.
     pub fn validate(&self) -> Result<()> {
         if self.max_tokens <= 0.0 || !self.max_tokens.is_finite() {
             return Err(FaasError::InvalidArgument(format!(
                 "retry budget max_tokens must be positive and finite: {}",
                 self.max_tokens
-            )));
-        }
-        if self.initial_tokens < 0.0 || !self.initial_tokens.is_finite() {
-            return Err(FaasError::InvalidArgument(format!(
-                "retry budget initial_tokens must be >= 0 and finite: {}",
-                self.initial_tokens
-            )));
-        }
-        if self.refill_per_success < 0.0 || !self.refill_per_success.is_finite() {
-            return Err(FaasError::InvalidArgument(format!(
-                "retry budget refill_per_success must be >= 0 and finite: {}",
-                self.refill_per_success
             )));
         }
         Ok(())
@@ -76,15 +59,7 @@ family! {
     base RetryBudgetPolicy::default();
     check RetryBudgetPolicy::validate;
     "GILLIS_RETRY_BUDGET_MAX", "max_tokens", "unset",
-        "retry-budget bucket capacity; enables the budget" => {
-            // The bucket starts full unless the initial fill is set itself.
-            |p, raw| parse(raw).map(|max| (p.max_tokens, p.initial_tokens) = (max, max)),
-            |p| p.max_tokens.to_string()
-        };
-    "GILLIS_RETRY_BUDGET_INITIAL", "initial_tokens", "= max",
-        "tokens at the start of a run" => [initial_tokens];
-    "GILLIS_RETRY_BUDGET_REFILL", "refill_per_success", "0.1",
-        "tokens earned per successful first attempt" => [refill_per_success];
+        "retry-budget bucket capacity; enables the budget" => [max_tokens];
 }
 
 /// Live token bucket for one serving run (see [`RetryBudgetPolicy`]).
@@ -95,11 +70,11 @@ pub struct RetryBudget {
 }
 
 impl RetryBudget {
-    /// Starts a bucket at the policy's initial fill.
+    /// Starts a full bucket.
     pub fn new(policy: RetryBudgetPolicy) -> Self {
         RetryBudget {
             policy,
-            tokens: policy.initial_tokens.min(policy.max_tokens),
+            tokens: policy.max_tokens,
         }
     }
 
@@ -129,7 +104,7 @@ impl RetryBudget {
 
     /// Credits one successful first attempt, capped at capacity.
     pub fn refill(&mut self) {
-        self.tokens = (self.tokens + self.policy.refill_per_success).min(self.policy.max_tokens);
+        self.tokens = (self.tokens + REFILL_PER_SUCCESS).min(self.policy.max_tokens);
     }
 }
 
@@ -140,39 +115,27 @@ mod tests {
     #[test]
     fn policy_validation() {
         assert!(RetryBudgetPolicy::default().validate().is_ok());
-        for bad in [
-            RetryBudgetPolicy {
-                max_tokens: 0.0,
-                ..RetryBudgetPolicy::default()
-            },
-            RetryBudgetPolicy {
-                initial_tokens: -1.0,
-                ..RetryBudgetPolicy::default()
-            },
-            RetryBudgetPolicy {
-                refill_per_success: f64::NAN,
-                ..RetryBudgetPolicy::default()
-            },
-        ] {
+        for max_tokens in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = RetryBudgetPolicy { max_tokens };
             assert!(bad.validate().is_err(), "{bad:?}");
         }
     }
 
     #[test]
     fn bucket_drains_refills_and_never_goes_negative() {
-        let mut b = RetryBudget::new(RetryBudgetPolicy {
-            max_tokens: 2.0,
-            initial_tokens: 10.0, // clamped to capacity
-            refill_per_success: 0.5,
-        });
-        assert_eq!(b.tokens(), 2.0);
+        let mut b = RetryBudget::new(RetryBudgetPolicy { max_tokens: 2.0 });
+        assert_eq!(b.tokens(), 2.0, "a bucket starts full");
         assert!(b.try_spend_cost(1.0));
         assert!(b.try_spend_cost(1.0));
         assert!(!b.try_spend_cost(1.0), "empty bucket denies");
         assert_eq!(b.tokens(), 0.0);
-        b.refill();
+        for _ in 0..5 {
+            b.refill();
+        }
         assert!(!b.try_spend_cost(1.0), "half a token is not a token");
-        b.refill();
+        for _ in 0..6 {
+            b.refill();
+        }
         assert!(b.try_spend_cost(1.0));
         for _ in 0..100 {
             b.refill();
@@ -182,11 +145,7 @@ mod tests {
 
     #[test]
     fn fractional_costs_spend_marginally() {
-        let mut b = RetryBudget::new(RetryBudgetPolicy {
-            max_tokens: 1.0,
-            initial_tokens: 1.0,
-            refill_per_success: 0.0,
-        });
+        let mut b = RetryBudget::new(RetryBudgetPolicy { max_tokens: 1.0 });
         // Four quarter-cost resumed retries fit where one full restart did.
         for _ in 0..4 {
             assert!(b.try_spend_cost(0.25));

@@ -15,6 +15,8 @@
 //!   exponential backoff with deterministic jitter, per-attempt timeouts
 //!   derived from the predicted latency, hedged (speculative duplicate)
 //!   requests, and local-fallback degradation when the budget is exhausted.
+//!   The backoff, timeout and hedge shapes are constants; a policy switches
+//!   them on or off.
 //!
 //! [`ResilienceCounters`] accumulates the honest outcome accounting
 //! (ok/degraded/failed queries, retries, hedges, hedge wins, timeouts) that
@@ -357,18 +359,6 @@ impl FaultInjector {
 pub enum FaultDomain {
     /// The whole platform: every worker lane at once.
     Platform,
-    /// One worker lane — a single partition's function, across queries.
-    Lane {
-        /// Plan group index.
-        group: u32,
-        /// Partition index within the group.
-        part: u32,
-    },
-    /// Every function deployed at `mb` MB instances.
-    MemoryTier {
-        /// Instance memory in MB.
-        mb: u64,
-    },
     /// The orchestrator tier: the fork-join master and pipeline stage
     /// orchestrators. An episode here scales the orchestrator *crash* rate,
     /// not worker-lane faults — the control plane itself is the blast
@@ -377,15 +367,10 @@ pub enum FaultDomain {
 }
 
 impl FaultDomain {
-    /// Stable 64-bit id hashed into episode sampling. The high byte
-    /// separates the domain kinds so ids can never collide across kinds.
+    /// Stable 64-bit id hashed into episode sampling.
     fn id(self) -> u64 {
         match self {
             FaultDomain::Platform => 0x01,
-            FaultDomain::Lane { group, part } => {
-                0x4C00_0000_0000_0000 | (u64::from(group) << 32) | u64::from(part)
-            }
-            FaultDomain::MemoryTier { mb } => 0x7E00_0000_0000_0000 | mb,
             FaultDomain::Orchestrator => 0x0F,
         }
     }
@@ -396,8 +381,9 @@ impl FaultDomain {
 /// each window each enabled domain independently *starts* an episode with
 /// probability `start_prob`, whose length is drawn between `min_windows`
 /// and `max_windows`. While any covering episode is active the domain is
-/// "in outage" and invoke-failure/straggler rates are multiplied by
-/// `severity` (once per active domain; overlapping domains compound).
+/// "in outage": the platform domain multiplies worker invoke-failure and
+/// straggler rates by `severity`, the orchestrator domain the orchestrator
+/// crash rate (both compound for an orchestrator).
 ///
 /// Episode membership is a pure function of `(seed, domain id, window
 /// index)` — no state machine is stepped, so any thread can ask about any
@@ -422,10 +408,6 @@ pub struct OutageConfig {
     pub severity: f64,
     /// Enables the platform-wide domain.
     pub platform: bool,
-    /// Enables the per-lane domains.
-    pub lanes: bool,
-    /// Enables the per-memory-tier domains.
-    pub memory_tiers: bool,
     /// Enables the orchestrator domain: episodes scale the chaos config's
     /// orchestrator crash rate (see
     /// [`FaultInjector::orchestrator_crash`]) instead of worker-lane
@@ -443,8 +425,6 @@ impl Default for OutageConfig {
             max_windows: 16,
             severity: 8.0,
             platform: true,
-            lanes: true,
-            memory_tiers: true,
             orchestrators: false,
         }
     }
@@ -462,8 +442,6 @@ impl OutageConfig {
             max_windows: 25,
             severity,
             platform: true,
-            lanes: false,
-            memory_tiers: false,
             orchestrators: false,
         }
     }
@@ -508,7 +486,7 @@ impl OutageConfig {
                 self.severity
             )));
         }
-        if !(self.platform || self.lanes || self.memory_tiers || self.orchestrators) {
+        if !(self.platform || self.orchestrators) {
             return Err(FaasError::InvalidArgument(
                 "outage config enables no fault domain".to_string(),
             ));
@@ -530,30 +508,23 @@ family! {
         "per-window episode-start probability" => [start_prob];
     "GILLIS_OUTAGE_MIN_WINDOWS", "min_windows", "4", "shortest episode (windows)" => [min_windows];
     "GILLIS_OUTAGE_MAX_WINDOWS", "max_windows", "16", "longest episode (windows)" => [max_windows];
-    "GILLIS_OUTAGE_DOMAINS", "domains", "`platform,lane,tier`",
-        "comma list of fault domains: `platform`, `lane`, `tier`, `orchestrator`" => {
+    "GILLIS_OUTAGE_DOMAINS", "domains", "`platform`",
+        "comma list of fault domains: `platform`, `orchestrator`" => {
             |p, raw| {
-                (p.platform, p.lanes, p.memory_tiers, p.orchestrators) = Default::default();
+                (p.platform, p.orchestrators) = Default::default();
                 for name in raw.split(',').map(str::trim).filter(|d| !d.is_empty()) {
                     match name {
                         "platform" => p.platform = true,
-                        "lane" | "lanes" => p.lanes = true,
-                        "tier" | "tiers" | "memory" => p.memory_tiers = true,
                         "orchestrator" | "orchestrators" | "orch" => p.orchestrators = true,
                         other => return Err(format!(
-                            "unknown domain {other:?} (platform | lane | tier | orchestrator)"
+                            "unknown domain {other:?} (platform | orchestrator)"
                         )),
                     }
                 }
                 Ok(())
             },
             |p| {
-                let domains = [
-                    (p.platform, "platform"),
-                    (p.lanes, "lane"),
-                    (p.memory_tiers, "tier"),
-                    (p.orchestrators, "orchestrator"),
-                ];
+                let domains = [(p.platform, "platform"), (p.orchestrators, "orchestrator")];
                 let on: Vec<&str> = domains.iter().filter(|d| d.0).map(|d| d.1).collect();
                 on.join(",")
             }
@@ -607,18 +578,11 @@ impl OutageModel {
     }
 
     /// Severity multiplier for a worker-lane execution at `t_ms`: the
-    /// product over active enabled domains (platform, this lane, this
-    /// memory tier) of the configured severity. `1.0` outside all episodes.
-    pub fn multiplier(&self, group: u32, part: u32, memory_mb: u64, t_ms: f64) -> f64 {
+    /// configured severity while an enabled platform episode is active,
+    /// `1.0` outside it (the orchestrator domain does not cover workers).
+    pub fn multiplier(&self, t_ms: f64) -> f64 {
         let mut m = 1.0;
         if self.cfg.platform && self.in_episode(FaultDomain::Platform, t_ms) {
-            m *= self.cfg.severity;
-        }
-        if self.cfg.lanes && self.in_episode(FaultDomain::Lane { group, part }, t_ms) {
-            m *= self.cfg.severity;
-        }
-        if self.cfg.memory_tiers && self.in_episode(FaultDomain::MemoryTier { mb: memory_mb }, t_ms)
-        {
             m *= self.cfg.severity;
         }
         m
@@ -626,8 +590,7 @@ impl OutageModel {
 
     /// Severity multiplier for an orchestrator crash decision at `t_ms`:
     /// the product of the platform and orchestrator domains' severities
-    /// while their episodes are active (worker-lane and memory-tier domains
-    /// do not cover the control plane). `1.0` outside all episodes.
+    /// while their episodes are active. `1.0` outside all episodes.
     pub fn orchestrator_multiplier(&self, t_ms: f64) -> f64 {
         let mut m = 1.0;
         if self.cfg.platform && self.in_episode(FaultDomain::Platform, t_ms) {
@@ -640,30 +603,40 @@ impl OutageModel {
     }
 }
 
+/// Backoff before the first retry, in milliseconds.
+pub const BACKOFF_BASE_MS: f64 = 2.0;
+/// Multiplier applied to the backoff per further retry.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Upper bound on a single backoff, in milliseconds.
+pub const BACKOFF_CAP_MS: f64 = 60.0;
+/// Backoff jitter fraction `f`: a backoff `b` becomes
+/// `b × (1 − f/2 + f × u)` for a deterministic `u ∈ [0, 1)`.
+pub const BACKOFF_JITTER_FRAC: f64 = 0.5;
+/// Per-attempt timeout, × the attempt's predicted p95.
+pub const ATTEMPT_TIMEOUT_FACTOR: f64 = 10.0;
+/// Hedge launch delay, × the attempt's predicted p95.
+pub const HEDGE_DELAY_FACTOR: f64 = 1.0;
+
 /// What the master does about worker faults.
 ///
-/// Timeouts and hedge delays are expressed as multiples of the *predicted*
-/// p95 latency of the attempt (compute prediction plus invocation-jitter
-/// quantile), so the knobs transfer across partitions of very different
-/// sizes. `f64::INFINITY` disables the respective mechanism.
+/// Timeouts and hedge delays are multiples of the *predicted* p95 latency
+/// of the attempt (compute prediction plus invocation-jitter quantile), so
+/// they transfer across partitions of very different sizes. Their shapes
+/// are the constants above; a policy switches each mechanism on or off.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// Total attempts per worker partition, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds (0 = immediate).
-    pub backoff_base_ms: f64,
-    /// Multiplier applied per further retry.
-    pub backoff_multiplier: f64,
-    /// Upper bound on a single backoff, in milliseconds.
-    pub backoff_cap_ms: f64,
-    /// Jitter fraction in `[0, 1]`: a backoff `b` becomes
-    /// `b × (1 − frac/2 + frac × u)` for a deterministic `u ∈ [0, 1)`.
-    pub backoff_jitter_frac: f64,
-    /// Per-attempt timeout = this factor × predicted attempt p95.
-    pub attempt_timeout_factor: f64,
-    /// Hedge launch delay = this factor × predicted attempt p95; the hedge
-    /// runs the same partition on a second instance, first result wins.
-    pub hedge_delay_factor: f64,
+    /// Exponential backoff with deterministic jitter between attempts
+    /// ([`BACKOFF_BASE_MS`] × [`BACKOFF_MULTIPLIER`]ⁿ, capped at
+    /// [`BACKOFF_CAP_MS`]), and per-attempt timeouts at
+    /// [`ATTEMPT_TIMEOUT_FACTOR`] × the attempt p95. Off: retries launch at
+    /// once and an attempt is never abandoned.
+    pub backoff: bool,
+    /// Hedged requests: a duplicate of an attempt still running
+    /// [`HEDGE_DELAY_FACTOR`] × its p95 after launch runs on a second
+    /// instance, first result wins.
+    pub hedge: bool,
     /// On retry-budget exhaustion, the master recomputes the shard locally
     /// (degrading that group to single-function semantics) instead of
     /// failing the query.
@@ -682,12 +655,8 @@ impl ResiliencePolicy {
     pub fn none() -> Self {
         ResiliencePolicy {
             max_attempts: 1,
-            backoff_base_ms: 0.0,
-            backoff_multiplier: 1.0,
-            backoff_cap_ms: 0.0,
-            backoff_jitter_frac: 0.0,
-            attempt_timeout_factor: f64::INFINITY,
-            hedge_delay_factor: f64::INFINITY,
+            backoff: false,
+            hedge: false,
             local_fallback: true,
         }
     }
@@ -707,12 +676,8 @@ impl ResiliencePolicy {
     pub fn backoff() -> Self {
         ResiliencePolicy {
             max_attempts: 4,
-            backoff_base_ms: 2.0,
-            backoff_multiplier: 2.0,
-            backoff_cap_ms: 60.0,
-            backoff_jitter_frac: 0.5,
-            attempt_timeout_factor: 10.0,
-            hedge_delay_factor: f64::INFINITY,
+            backoff: true,
+            hedge: false,
             local_fallback: true,
         }
     }
@@ -721,26 +686,31 @@ impl ResiliencePolicy {
     /// once an attempt exceeds its predicted p95, first result wins.
     pub fn backoff_hedged() -> Self {
         ResiliencePolicy {
-            hedge_delay_factor: 1.0,
+            hedge: true,
             ..ResiliencePolicy::backoff()
         }
     }
 
-    /// Whether hedging is enabled.
-    pub fn hedged(&self) -> bool {
-        self.hedge_delay_factor.is_finite()
-    }
-
     /// Backoff before retry number `retry + 1` (zero-based retry index),
-    /// jittered by a deterministic `unit ∈ [0, 1)`.
+    /// jittered by a deterministic `unit ∈ [0, 1)`; zero without backoff.
     pub fn backoff_ms(&self, retry: u32, unit: f64) -> f64 {
-        if self.backoff_base_ms <= 0.0 {
+        if !self.backoff {
             return 0.0;
         }
-        let raw = self.backoff_base_ms * self.backoff_multiplier.powi(retry as i32);
-        let capped = raw.min(self.backoff_cap_ms);
-        let f = self.backoff_jitter_frac;
+        let raw = BACKOFF_BASE_MS * BACKOFF_MULTIPLIER.powi(retry as i32);
+        let capped = raw.min(BACKOFF_CAP_MS);
+        let f = BACKOFF_JITTER_FRAC;
         capped * (1.0 - f / 2.0 + f * unit)
+    }
+
+    /// Timeout of an attempt whose predicted p95 is `p95_ms`: infinite
+    /// without backoff.
+    pub fn attempt_timeout_ms(&self, p95_ms: f64) -> f64 {
+        if self.backoff {
+            ATTEMPT_TIMEOUT_FACTOR * p95_ms
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Validates the knob ranges (the presets are all valid by
@@ -748,42 +718,12 @@ impl ResiliencePolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`FaasError::InvalidArgument`] for zero attempts, a negative
-    /// or non-finite backoff shape, a jitter fraction outside `[0, 1]`, or
-    /// a non-positive timeout/hedge factor (NaN always fails).
+    /// Returns [`FaasError::InvalidArgument`] for zero attempts.
     pub fn validate(&self) -> Result<()> {
         if self.max_attempts == 0 {
             return Err(FaasError::InvalidArgument(
                 "resilience max_attempts must be >= 1".to_string(),
             ));
-        }
-        for (name, v) in [
-            ("backoff_base_ms", self.backoff_base_ms),
-            ("backoff_multiplier", self.backoff_multiplier),
-            ("backoff_cap_ms", self.backoff_cap_ms),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(FaasError::InvalidArgument(format!(
-                    "resilience {name} must be finite and >= 0: {v}"
-                )));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.backoff_jitter_frac) {
-            return Err(FaasError::InvalidArgument(format!(
-                "resilience backoff_jitter_frac must be in [0, 1]: {}",
-                self.backoff_jitter_frac
-            )));
-        }
-        for (name, v) in [
-            ("attempt_timeout_factor", self.attempt_timeout_factor),
-            ("hedge_delay_factor", self.hedge_delay_factor),
-        ] {
-            // NaN-rejecting: inf disables, but the factor must be positive.
-            if v.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(FaasError::InvalidArgument(format!(
-                    "resilience {name} must be positive (inf disables): {v}"
-                )));
-            }
         }
         Ok(())
     }
@@ -794,12 +734,8 @@ family! {
     base ResiliencePolicy::default();
     check ResiliencePolicy::validate;
     "", "max_attempts", "4", "attempts per worker partition" => [max_attempts];
-    "", "backoff_base_ms", "2", "backoff before the first retry" => [backoff_base_ms];
-    "", "backoff_multiplier", "2", "backoff growth per retry" => [backoff_multiplier];
-    "", "backoff_cap_ms", "60", "upper bound on one backoff" => [backoff_cap_ms];
-    "", "backoff_jitter_frac", "0.5", "backoff jitter fraction" => [backoff_jitter_frac];
-    "", "attempt_timeout_factor", "10", "timeout, × attempt p95" => [attempt_timeout_factor];
-    "", "hedge_delay_factor", "inf (off)", "hedge delay, × attempt p95" => [hedge_delay_factor];
+    "", "backoff", "true", "jittered exponential backoff and per-attempt timeouts" => [backoff];
+    "", "hedge", "false", "hedge an attempt still running at its p95" => [hedge];
     "", "local_fallback", "true", "recompute an exhausted shard locally" => [local_fallback];
 }
 
@@ -1063,7 +999,7 @@ mod tests {
         let b1 = p.backoff_ms(1, 0.5);
         let b9 = p.backoff_ms(9, 0.5);
         assert!(b0 > 0.0 && b1 > b0);
-        assert!(b9 <= p.backoff_cap_ms * (1.0 + p.backoff_jitter_frac / 2.0));
+        assert!(b9 <= BACKOFF_CAP_MS * (1.0 + BACKOFF_JITTER_FRAC / 2.0));
         // Jitter brackets the nominal value.
         assert!(p.backoff_ms(0, 0.0) < p.backoff_ms(0, 0.999));
         // Naive retry never waits.
@@ -1073,8 +1009,14 @@ mod tests {
     #[test]
     fn policy_presets() {
         assert_eq!(ResiliencePolicy::none().max_attempts, 1);
-        assert!(!ResiliencePolicy::backoff().hedged());
-        assert!(ResiliencePolicy::backoff_hedged().hedged());
+        assert!(!ResiliencePolicy::backoff().hedge);
+        assert!(ResiliencePolicy::backoff_hedged().hedge);
+        // Timeouts come with backoff; naive retry never abandons an attempt.
+        assert_eq!(ResiliencePolicy::backoff().attempt_timeout_ms(3.0), 30.0);
+        assert_eq!(
+            ResiliencePolicy::naive_retry().attempt_timeout_ms(3.0),
+            f64::INFINITY
+        );
         assert_eq!(
             ResiliencePolicy::default(),
             ResiliencePolicy::backoff(),
@@ -1172,9 +1114,7 @@ mod tests {
             max_windows: 10,
             severity: 10.0,
             platform: true,
-            lanes: true,
-            memory_tiers: true,
-            orchestrators: false,
+            orchestrators: true,
         }
         .build()
         .unwrap();
@@ -1199,15 +1139,15 @@ mod tests {
         let active = (0..5000).filter(|&w| model.in_episode(FaultDomain::Platform, mid_window(w)));
         let frac = active.count() as f64 / 5000.0;
         assert!((0.1..=0.6).contains(&frac), "{frac}");
-        // Domains are independent: the lane domain differs somewhere.
-        let lane: Vec<bool> = probes
+        // Domains are independent: the orchestrator domain differs somewhere.
+        let orch: Vec<bool> = probes
             .iter()
-            .map(|&t| model.in_episode(FaultDomain::Lane { group: 0, part: 1 }, t))
+            .map(|&t| model.in_episode(FaultDomain::Orchestrator, t))
             .collect();
-        assert_ne!(fwd, lane);
-        // Multiplier compounds across simultaneously-active domains.
+        assert_ne!(fwd, orch);
+        // The platform episode scales worker faults by the severity.
         let t_active = probes[fwd.iter().position(|&b| b).unwrap()];
-        assert!(model.multiplier(0, 1, 2048, t_active) >= 10.0);
+        assert_eq!(model.multiplier(t_active), 10.0);
     }
 
     #[test]
@@ -1240,8 +1180,6 @@ mod tests {
         .is_err());
         assert!(OutageConfig {
             platform: false,
-            lanes: false,
-            memory_tiers: false,
             ..OutageConfig::default()
         }
         .build()
@@ -1319,8 +1257,6 @@ mod tests {
         let model = OutageConfig {
             seed: 19,
             platform: false,
-            lanes: false,
-            memory_tiers: false,
             orchestrators: true,
             ..OutageConfig::default()
         }
@@ -1334,7 +1270,7 @@ mod tests {
         let t = active[0];
         assert_eq!(model.orchestrator_multiplier(t), model.config().severity);
         // Worker-lane executions are not covered by the orchestrator domain.
-        assert_eq!(model.multiplier(0, 1, 2048, t), 1.0);
+        assert_eq!(model.multiplier(t), 1.0);
         // Outside every episode both multipliers are unity.
         let calm = (0..4000)
             .map(|i| i as f64 * 41.3)
@@ -1359,7 +1295,7 @@ mod tests {
         assert!(ResiliencePolicy::from_text("gillis-resilience v1\nmax_attempts=zero\n").is_err());
         assert!(ResiliencePolicy::from_text("gillis-resilience v1\nmax_attempts=0\n").is_err());
         assert!(ResiliencePolicy::from_text("gillis-resilience v1\nnope=1\n").is_err());
-        assert!(ResiliencePolicy::from_text("gillis-resilience v1\nbackoff_base_ms\n").is_err());
+        assert!(ResiliencePolicy::from_text("gillis-resilience v1\nbackoff\n").is_err());
     }
 
     #[test]

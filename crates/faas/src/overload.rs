@@ -28,23 +28,23 @@ use crate::knobs::{family, parse};
 use crate::time::Micros;
 use crate::Result;
 
+/// Virtual-time cooldown an open breaker waits before half-opening, in
+/// milliseconds.
+pub const BREAKER_COOLDOWN_MS: f64 = 250.0;
+
 /// Circuit-breaker knobs for one worker lane (a `g{i}p{j}` function).
 ///
 /// A lane whose worker executions exhaust their retry budget
 /// `failure_threshold` times in a row trips the breaker open: subsequent
 /// queries route around the lane (master-local degraded execution) without
-/// spending any retry budget. After `cooldown_ms` of virtual time the
-/// breaker half-opens and lets a single probe attempt through; the probe's
-/// success (after `half_open_probes` in a row) closes the breaker, its
-/// failure re-opens it for another cooldown.
+/// spending any retry budget. After [`BREAKER_COOLDOWN_MS`] of virtual time
+/// the breaker half-opens and lets a single probe attempt through; the
+/// probe's success closes the breaker, its failure re-opens it for another
+/// cooldown.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BreakerPolicy {
     /// Consecutive lane failures that trip the breaker (0 disables it).
     pub failure_threshold: u32,
-    /// Virtual-time cooldown an open breaker waits before half-opening.
-    pub cooldown_ms: f64,
-    /// Consecutive half-open probe successes required to close (≥ 1).
-    pub half_open_probes: u32,
 }
 
 impl BreakerPolicy {
@@ -52,40 +52,20 @@ impl BreakerPolicy {
     pub fn disabled() -> Self {
         BreakerPolicy {
             failure_threshold: 0,
-            cooldown_ms: 0.0,
-            half_open_probes: 1,
         }
     }
 
     /// The default enabled configuration: open after 3 consecutive lane
-    /// failures, cool down 250 ms, close after one successful probe.
+    /// failures.
     pub fn standard() -> Self {
         BreakerPolicy {
             failure_threshold: 3,
-            cooldown_ms: 250.0,
-            half_open_probes: 1,
         }
     }
 
     /// Whether this policy ever trips.
     pub fn enabled(&self) -> bool {
         self.failure_threshold > 0
-    }
-
-    fn validate(&self) -> Result<()> {
-        // NaN fails `is_finite`, so this also rejects NaN cooldowns.
-        if !self.cooldown_ms.is_finite() || self.cooldown_ms < 0.0 {
-            return Err(FaasError::InvalidArgument(format!(
-                "breaker cooldown must be finite and non-negative: {}",
-                self.cooldown_ms
-            )));
-        }
-        if self.enabled() && self.half_open_probes == 0 {
-            return Err(FaasError::InvalidArgument(
-                "breaker half_open_probes must be >= 1 when enabled".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -110,7 +90,7 @@ pub enum BreakerState {
 enum State {
     Closed { consecutive_failures: u32 },
     Open { until: Micros },
-    HalfOpen { successes: u32 },
+    HalfOpen,
 }
 
 /// Consecutive-failure / half-open state machine for one worker lane.
@@ -140,7 +120,7 @@ impl CircuitBreaker {
         match self.state {
             State::Closed { .. } => BreakerState::Closed,
             State::Open { .. } => BreakerState::Open,
-            State::HalfOpen { .. } => BreakerState::HalfOpen,
+            State::HalfOpen => BreakerState::HalfOpen,
         }
     }
 
@@ -153,10 +133,10 @@ impl CircuitBreaker {
             return true;
         }
         match self.state {
-            State::Closed { .. } | State::HalfOpen { .. } => true,
+            State::Closed { .. } | State::HalfOpen => true,
             State::Open { until } => {
                 if now >= until {
-                    self.state = State::HalfOpen { successes: 0 };
+                    self.state = State::HalfOpen;
                     counters.breaker_half_opens += 1;
                     true
                 } else {
@@ -170,7 +150,7 @@ impl CircuitBreaker {
     /// Whether the next admitted execution is a half-open probe (callers
     /// should grant probes a single attempt, not the full retry budget).
     pub fn probing(&self) -> bool {
-        matches!(self.state, State::HalfOpen { .. })
+        matches!(self.state, State::HalfOpen)
     }
 
     /// Records a lane success (the lane resolved within its budget).
@@ -184,16 +164,11 @@ impl CircuitBreaker {
                     consecutive_failures: 0,
                 };
             }
-            State::HalfOpen { successes } => {
-                let successes = successes + 1;
-                if successes >= self.policy.half_open_probes {
-                    self.state = State::Closed {
-                        consecutive_failures: 0,
-                    };
-                    counters.breaker_closes += 1;
-                } else {
-                    self.state = State::HalfOpen { successes };
-                }
+            State::HalfOpen => {
+                self.state = State::Closed {
+                    consecutive_failures: 0,
+                };
+                counters.breaker_closes += 1;
             }
             State::Open { .. } => {}
         }
@@ -207,7 +182,7 @@ impl CircuitBreaker {
         let open = |c: &mut OverloadCounters| {
             c.breaker_opens += 1;
             State::Open {
-                until: now + Micros::from_ms(self.policy.cooldown_ms),
+                until: now + Micros::from_ms(BREAKER_COOLDOWN_MS),
             }
         };
         match self.state {
@@ -224,7 +199,7 @@ impl CircuitBreaker {
                 }
             }
             // A failed probe re-opens for another cooldown.
-            State::HalfOpen { .. } => self.state = open(counters),
+            State::HalfOpen => self.state = open(counters),
             State::Open { .. } => {}
         }
     }
@@ -295,8 +270,8 @@ impl OverloadPolicy {
     /// # Errors
     ///
     /// Returns [`FaasError::InvalidArgument`] for a zero concurrency, a
-    /// non-positive or NaN deadline, predictive shedding without a finite
-    /// deadline, or an invalid breaker config.
+    /// non-positive or NaN deadline, or predictive shedding without a
+    /// finite deadline.
     pub fn validate(&self) -> Result<()> {
         if self.max_concurrency == 0 {
             return Err(FaasError::InvalidArgument(
@@ -315,7 +290,7 @@ impl OverloadPolicy {
                 "shed_on_predicted_miss requires a finite deadline_ms".into(),
             ));
         }
-        self.breaker.validate()
+        Ok(())
     }
 }
 
@@ -337,10 +312,6 @@ family! {
         "shed when predicted wait + latency misses the deadline" => [shed_on_predicted_miss];
     "GILLIS_OVERLOAD_BREAKER_FAILURES", "breaker_failures", "0 (breakers off)",
         "consecutive lane failures that open a lane breaker" => [breaker.failure_threshold];
-    "GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS", "breaker_cooldown_ms", "0",
-        "open-state cooldown before a breaker half-opens" => [breaker.cooldown_ms];
-    "GILLIS_OVERLOAD_BREAKER_PROBES", "breaker_probes", "1",
-        "probe successes needed to close from half-open" => [breaker.half_open_probes];
 }
 
 /// Honest overload accounting across a serving run, reported next to the
@@ -422,26 +393,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        // Enabled breaker with zero probes is invalid.
-        assert!(OverloadPolicy {
-            breaker: BreakerPolicy {
-                failure_threshold: 2,
-                cooldown_ms: 10.0,
-                half_open_probes: 0,
-            },
-            ..OverloadPolicy::unprotected(1)
-        }
-        .validate()
-        .is_err());
-        assert!(OverloadPolicy {
-            breaker: BreakerPolicy {
-                cooldown_ms: f64::NAN,
-                ..BreakerPolicy::standard()
-            },
-            ..OverloadPolicy::unprotected(1)
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -472,8 +423,6 @@ mod tests {
         let mut c = OverloadCounters::default();
         let mut b = CircuitBreaker::new(BreakerPolicy {
             failure_threshold: 2,
-            cooldown_ms: 100.0,
-            half_open_probes: 1,
         });
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.admits(Micros::ZERO, &mut c));
@@ -486,7 +435,8 @@ mod tests {
         assert!(!b.admits(Micros::from_ms(50.0), &mut c));
         assert_eq!(c.breaker_short_circuits, 1);
         // Past the cooldown: half-opens and admits a probe.
-        assert!(b.admits(Micros::from_ms(121.0), &mut c));
+        assert!(!b.admits(Micros::from_ms(269.0), &mut c));
+        assert!(b.admits(Micros::from_ms(270.0), &mut c));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.probing());
         assert_eq!(c.breaker_half_opens, 1);
@@ -495,9 +445,9 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(c.breaker_closes, 1);
         // A success resets the consecutive-failure count.
-        b.record_failure(Micros::from_ms(130.0), &mut c);
+        b.record_failure(Micros::from_ms(280.0), &mut c);
         b.record_success(&mut c);
-        b.record_failure(Micros::from_ms(140.0), &mut c);
+        b.record_failure(Micros::from_ms(290.0), &mut c);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
@@ -506,19 +456,18 @@ mod tests {
         let mut c = OverloadCounters::default();
         let mut b = CircuitBreaker::new(BreakerPolicy {
             failure_threshold: 1,
-            cooldown_ms: 50.0,
-            half_open_probes: 2,
         });
         b.record_failure(Micros::ZERO, &mut c);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.admits(Micros::from_ms(60.0), &mut c));
-        // One probe success is not enough at half_open_probes = 2.
-        b.record_success(&mut c);
+        assert!(b.admits(Micros::from_ms(260.0), &mut c));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_failure(Micros::from_ms(70.0), &mut c);
+        // The failed probe re-opens for a full cooldown from its failure.
+        b.record_failure(Micros::from_ms(270.0), &mut c);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(c.breaker_opens, 2);
         assert_eq!(c.breaker_closes, 0);
+        assert!(!b.admits(Micros::from_ms(519.0), &mut c));
+        assert!(b.admits(Micros::from_ms(520.0), &mut c));
     }
 
     #[test]

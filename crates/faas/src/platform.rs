@@ -190,11 +190,11 @@ impl PlatformProfile {
     /// Serverless platforms allocate CPU proportionally to the configured
     /// memory size (AWS documents linear vCPU scaling with memory), so a
     /// bigger function runs compute faster but bills more GB-seconds for
-    /// the same wall time. This is the axis the joint batch×memory
-    /// configurator searches (HarmonyBatch-style): `cpu_gflops` and the
-    /// model-memory budget scale linearly with the memory factor, while
-    /// network bandwidth, invocation jitter, and per-GB-second pricing stay
-    /// fixed — compute amortizes with memory, transfers do not.
+    /// the same wall time: `cpu_gflops` and the model-memory budget scale
+    /// linearly with the memory factor, while network bandwidth, invocation
+    /// jitter, and per-GB-second pricing stay fixed — compute amortizes with
+    /// memory, transfers do not. The pipeline stage sizer applies the same
+    /// rule to its memory ladder.
     ///
     /// # Panics
     ///

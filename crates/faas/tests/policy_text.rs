@@ -151,8 +151,6 @@ fn every_family_reads_every_row_like_the_parent() {
             ("GILLIS_OVERLOAD_DEADLINE_MS", "900"),
             ("GILLIS_OVERLOAD_SHED_PREDICTED", "true"),
             ("GILLIS_OVERLOAD_BREAKER_FAILURES", "2"),
-            ("GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS", "100"),
-            ("GILLIS_OVERLOAD_BREAKER_PROBES", "2"),
         ],
         OverloadPolicy {
             max_concurrency: 4,
@@ -161,8 +159,6 @@ fn every_family_reads_every_row_like_the_parent() {
             shed_on_predicted_miss: false,
             breaker: BreakerPolicy {
                 failure_threshold: 0,
-                cooldown_ms: 0.0,
-                half_open_probes: 1,
             },
         },
         OverloadPolicy {
@@ -172,8 +168,6 @@ fn every_family_reads_every_row_like_the_parent() {
             shed_on_predicted_miss: true,
             breaker: BreakerPolicy {
                 failure_threshold: 2,
-                cooldown_ms: 100.0,
-                half_open_probes: 2,
             },
         },
     );
@@ -188,16 +182,12 @@ fn every_family_reads_every_row_like_the_parent() {
             ("GILLIS_BATCH_CLASSES", "250:1,inf:2"),
             ("GILLIS_BATCH_WINDOW_MS", "30"),
             ("GILLIS_BATCH_MARGIN_MS", "2"),
-            ("GILLIS_BATCH_AMORTIZED", "0.3"),
-            ("GILLIS_BATCH_MEMORY_MB", "1792,3008"),
         ],
         BatchPolicy {
             classes: vec![best_effort],
             max_batch: 8,
             max_window_ms: 25.0,
             window_margin_ms: 5.0,
-            amortized_fraction: 0.25,
-            memory_mb: Vec::new(),
         },
         BatchPolicy {
             classes: vec![
@@ -213,8 +203,6 @@ fn every_family_reads_every_row_like_the_parent() {
             max_batch: 8,
             max_window_ms: 30.0,
             window_margin_ms: 2.0,
-            amortized_fraction: 0.3,
-            memory_mb: vec![1792, 3008],
         },
     );
     sweep(
@@ -241,7 +229,7 @@ fn every_family_reads_every_row_like_the_parent() {
             ("GILLIS_OUTAGE_START_PROB", "0.1"),
             ("GILLIS_OUTAGE_MIN_WINDOWS", "2"),
             ("GILLIS_OUTAGE_MAX_WINDOWS", "6"),
-            ("GILLIS_OUTAGE_DOMAINS", "platform,lanes,orch"),
+            ("GILLIS_OUTAGE_DOMAINS", "platform,orch"),
         ],
         OutageConfig {
             seed: 8_023_646,
@@ -251,8 +239,6 @@ fn every_family_reads_every_row_like_the_parent() {
             max_windows: 16,
             severity: 6.0,
             platform: true,
-            lanes: true,
-            memory_tiers: true,
             orchestrators: false,
         },
         OutageConfig {
@@ -263,28 +249,14 @@ fn every_family_reads_every_row_like_the_parent() {
             max_windows: 6,
             severity: 6.0,
             platform: true,
-            lanes: true,
-            memory_tiers: false,
             orchestrators: true,
         },
     );
     sweep(
         &[("GILLIS_RETRY_BUDGET_MAX", "8")],
-        &[
-            ("GILLIS_RETRY_BUDGET_MAX", "8"),
-            ("GILLIS_RETRY_BUDGET_INITIAL", "2"),
-            ("GILLIS_RETRY_BUDGET_REFILL", "0.5"),
-        ],
-        RetryBudgetPolicy {
-            max_tokens: 8.0,
-            initial_tokens: 8.0,
-            refill_per_success: 0.1,
-        },
-        RetryBudgetPolicy {
-            max_tokens: 8.0,
-            initial_tokens: 2.0,
-            refill_per_success: 0.5,
-        },
+        &[("GILLIS_RETRY_BUDGET_MAX", "8")],
+        RetryBudgetPolicy { max_tokens: 8.0 },
+        RetryBudgetPolicy { max_tokens: 8.0 },
     );
     sweep(
         &[("GILLIS_BROWNOUT_WINDOW", "16")],
@@ -363,18 +335,14 @@ fn a_set_but_invalid_family_is_an_error_naming_the_variables() {
             ("GILLIS_PIPELINE_LANES", "2"),
             ("GILLIS_PIPELINE_QUEUE", "0"),
         ],
-        &[("GILLIS_BATCH_MAX", "4"), ("GILLIS_BATCH_AMORTIZED", "7")],
-        &[
-            ("GILLIS_RETRY_BUDGET_MAX", "4"),
-            ("GILLIS_RETRY_BUDGET_REFILL", "-1"),
-        ],
+        &[("GILLIS_BATCH_MAX", "4"), ("GILLIS_BATCH_WINDOW_MS", "-1")],
         &[
             ("GILLIS_BROWNOUT_WINDOW", "8"),
             ("GILLIS_BROWNOUT_DEGRADE_BELOW", "2"),
         ],
         &[
             ("GILLIS_BATCH_MAX", "4"),
-            ("GILLIS_BATCH_MEMORY_MB", "512,abc"),
+            ("GILLIS_BATCH_CLASSES", "250:abc"),
         ],
         &[
             ("GILLIS_CHAOS_RATE", "0.1"),
@@ -394,7 +362,8 @@ fn a_set_but_invalid_family_is_an_error_naming_the_variables() {
 }
 
 /// One `GILLIS_OUTAGE_DOMAINS` parser: the environment and the text accept
-/// the same names and both reject an unknown one.
+/// the same names and both reject an unknown one, the removed `lane` and
+/// `tier` domains among them.
 #[test]
 fn outage_domains_parse_the_same_from_both_sources() {
     let env = |spec| {
@@ -407,20 +376,21 @@ fn outage_domains_parse_the_same_from_both_sources() {
     };
     let text =
         |spec| OutageConfig::from_text(&format!("gillis-outage v1\nseverity=8 domains={spec}\n"));
-    for spec in [
-        "platform",
-        "lane,tier",
-        "lanes,tiers",
-        "memory,orch",
-        "orchestrators",
-        "platform,lane,tier,orchestrator",
-    ] {
+    for spec in ["platform", "orch", "orchestrators", "platform,orchestrator"] {
         assert_eq!(env(spec), text(spec).map(Some), "{spec}");
     }
     let only_orch = env("orchestrator").unwrap().unwrap();
-    assert!(only_orch.orchestrators && !only_orch.platform && !only_orch.lanes);
-    for err in [env("lanez").unwrap_err(), text("lanez").unwrap_err()] {
-        assert!(err.to_string().contains("lanez"), "{err}");
+    assert!(only_orch.orchestrators && !only_orch.platform);
+    for (spec, named) in [
+        ("lanez", "lanez"),
+        ("lane", "lane"),
+        ("platform,tier", "tier"),
+        ("lanes", "lanes"),
+        ("memory", "memory"),
+    ] {
+        for err in [env(spec).unwrap_err(), text(spec).unwrap_err()] {
+            assert!(err.to_string().contains(named), "{spec}: {err}");
+        }
     }
 }
 
@@ -617,6 +587,56 @@ fn recovery_text_rejects_out_of_range_knobs() {
         let err = RecoveryPolicy::from_text(bad).unwrap_err().to_string();
         assert!(err.contains(named), "{bad:?}: {err}");
     }
+}
+
+/// The text keys of settings that became constants or went are unknown
+/// keys: each is an error that names the key.
+#[test]
+fn removed_keys_are_errors_naming_the_key() {
+    fn check<P: Knobs + Debug>(removed: &[&str]) {
+        for token in removed {
+            let text = format!("gillis-{} v1\n{token}\n", P::FAMILY);
+            let err = <P as Knobs>::from_text(&text).unwrap_err().to_string();
+            let key = token.split('=').next().unwrap();
+            assert!(err.contains(&format!("{key:?}")), "{text:?}: {err}");
+        }
+    }
+    check::<BatchPolicy>(&["amortized=0.25", "memory_mb=1792,3008"]);
+    check::<OverloadPolicy>(&["breaker_cooldown_ms=250", "breaker_probes=1"]);
+    check::<RetryBudgetPolicy>(&["initial_tokens=8", "refill_per_success=0.1"]);
+    check::<ResiliencePolicy>(&[
+        "backoff_base_ms=2",
+        "backoff_multiplier=2",
+        "backoff_cap_ms=60",
+        "backoff_jitter_frac=0.5",
+        "attempt_timeout_factor=10",
+        "hedge_delay_factor=1",
+    ]);
+}
+
+/// The environment names of the removed settings configure nothing: setting
+/// them — to values no reader would accept — leaves the stack as it is
+/// without them.
+#[test]
+fn the_environment_reader_ignores_removed_names() {
+    let removed = [
+        ("GILLIS_BATCH_AMORTIZED", "7"),
+        ("GILLIS_BATCH_MEMORY_MB", "512,abc"),
+        ("GILLIS_OVERLOAD_BREAKER_COOLDOWN_MS", "banana"),
+        ("GILLIS_OVERLOAD_BREAKER_PROBES", "0"),
+        ("GILLIS_RETRY_BUDGET_INITIAL", "-1"),
+        ("GILLIS_RETRY_BUDGET_REFILL", "NaN"),
+    ];
+    let enabled = [
+        ("GILLIS_OVERLOAD_CONCURRENCY", "4"),
+        ("GILLIS_OVERLOAD_BREAKER_FAILURES", "2"),
+        ("GILLIS_BATCH_MAX", "8"),
+        ("GILLIS_RETRY_BUDGET_MAX", "8"),
+    ];
+    let stack = PolicyStack::from_lookup(&source(&enabled)).unwrap();
+    let mut with_removed = enabled.to_vec();
+    with_removed.extend(removed);
+    assert_eq!(PolicyStack::from_lookup(&source(&with_removed)), Ok(stack));
 }
 
 proptest! {

@@ -146,11 +146,9 @@ proptest! {
         shed in any::<bool>(),
         breaker_on in any::<bool>(),
         threshold in 1u32..16,
-        cooldown in 0u32..1_000_000,
-        probes in 1u32..8,
     ) {
-        // Deadlines and cooldowns are drawn as integer quarter-ms so the
-        // f64 values round-trip exactly through the decimal text form.
+        // Deadlines are drawn as integer quarter-ms so the f64 values
+        // round-trip exactly through the decimal text form.
         let policy = OverloadPolicy {
             max_concurrency: concurrency,
             queue_depth: if bounded_queue { queue } else { usize::MAX },
@@ -163,8 +161,6 @@ proptest! {
             breaker: if breaker_on {
                 BreakerPolicy {
                     failure_threshold: threshold,
-                    cooldown_ms: f64::from(cooldown) * 0.25,
-                    half_open_probes: probes,
                 }
             } else {
                 BreakerPolicy::disabled()
@@ -179,18 +175,15 @@ proptest! {
 
 proptest! {
     /// The outage schedule is a pure function of (config, domain, time):
-    /// probing the same (group, part, memory, t) points in any order, any
-    /// number of times, or from freshly built models yields bit-identical
-    /// multipliers — episode state never leaks between queries.
+    /// probing the same instants in any order, any number of times, or from
+    /// freshly built models yields bit-identical multipliers — episode state
+    /// never leaks between queries.
     #[test]
     fn outage_multiplier_is_pure_and_order_invariant(
         seed in any::<u64>(),
         severity in 1.0f64..64.0,
         start_prob in 0.01f64..0.5,
-        probes in prop::collection::vec(
-            (0u32..16, 0u32..16, 256u64..8192, 0u64..200_000),
-            1..60,
-        ),
+        probes in prop::collection::vec(0u64..200_000, 1..60),
     ) {
         use gillis_faas::chaos::OutageConfig;
         let cfg = OutageConfig {
@@ -202,18 +195,18 @@ proptest! {
         let model = cfg.build().unwrap();
         let forward: Vec<f64> = probes
             .iter()
-            .map(|&(g, p, mem, t)| model.multiplier(g, p, mem, t as f64 * 0.1))
+            .map(|&t| model.multiplier(t as f64 * 0.1))
             .collect();
         // Reverse order, a second pass, and a freshly built model all agree.
         let fresh = cfg.build().unwrap();
-        for (i, &(g, p, mem, t)) in probes.iter().enumerate().rev() {
-            let again = model.multiplier(g, p, mem, t as f64 * 0.1);
-            let other = fresh.multiplier(g, p, mem, t as f64 * 0.1);
+        for (i, &t) in probes.iter().enumerate().rev() {
+            let again = model.multiplier(t as f64 * 0.1);
+            let other = fresh.multiplier(t as f64 * 0.1);
             prop_assert_eq!(again.to_bits(), forward[i].to_bits());
             prop_assert_eq!(other.to_bits(), forward[i].to_bits());
-            // Severity composes multiplicatively over at most 3 domains.
-            prop_assert!(again >= 1.0);
-            prop_assert!(again <= severity.powi(3) * (1.0 + 1e-9));
+            // Only the platform domain covers workers: in or out of its
+            // episode.
+            prop_assert!(again == 1.0 || again == severity, "{again}");
         }
     }
 
@@ -268,18 +261,11 @@ proptest! {
     #[test]
     fn retry_budget_tokens_stay_bounded(
         max_tokens in 1.0f64..128.0,
-        initial_frac in 0.0f64..1.5,
-        refill in 0.0f64..2.0,
         ops in prop::collection::vec(any::<bool>(), 1..300),
     ) {
         use gillis_faas::budget::{RetryBudget, RetryBudgetPolicy};
-        let policy = RetryBudgetPolicy {
-            max_tokens,
-            initial_tokens: max_tokens * initial_frac,
-            refill_per_success: refill,
-        };
-        let mut bucket = RetryBudget::new(policy);
-        prop_assert!(bucket.tokens() <= max_tokens);
+        let mut bucket = RetryBudget::new(RetryBudgetPolicy { max_tokens });
+        prop_assert_eq!(bucket.tokens(), max_tokens, "a bucket starts full");
         for &spend in &ops {
             let before = bucket.tokens();
             if spend {

@@ -455,17 +455,12 @@ impl Deployment {
         }
     }
 
-    fn runtime(&self) -> Result<ForkJoinRuntime<'_>, CoreError> {
-        self.runtime_on(self.platform.clone())
-    }
-
-    /// The serving runtime on `platform` — the deployment's own, or the same
-    /// platform at the instance memory a batch schedule chose — with every
+    /// The serving runtime on the deployment's platform with every
     /// configured policy attached.
-    fn runtime_on(&self, platform: PlatformProfile) -> Result<ForkJoinRuntime<'_>, CoreError> {
+    fn runtime(&self) -> Result<ForkJoinRuntime<'_>, CoreError> {
         // The deployment's own prediction (profiled performance model)
         // drives shed-on-predicted-miss.
-        ForkJoinRuntime::new(&self.model, &self.plan, platform)?
+        ForkJoinRuntime::new(&self.model, &self.plan, self.platform.clone())?
             .with_policies(&self.policies, Some(self.prediction.latency_ms))
     }
 
@@ -524,8 +519,7 @@ impl Deployment {
         }
         if let Some(policy) = &self.policies.batch {
             let schedule = self.batch_schedule(rate_per_sec)?;
-            let rt = self.runtime_on(self.platform.with_memory_bytes(schedule.memory_bytes))?;
-            return rt.serve_open_loop_batched(
+            return self.runtime()?.serve_open_loop_batched(
                 policy,
                 &schedule,
                 rate_per_sec,
@@ -538,14 +532,14 @@ impl Deployment {
             .serve_open_loop(rate_per_sec, queries, prewarm, seed)
     }
 
-    /// Jointly configures batch sizes and instance memory for the expected
-    /// arrival rate (see [`gillis_core::plan_batch_schedule`]): the schedule
+    /// Configures each class's batch size for the expected arrival rate (see
+    /// [`gillis_core::plan_batch_schedule`]): the schedule
     /// [`Deployment::serve_open_loop`] serves a batch policy on.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidArgument`] without a batch policy, for a
-    /// non-positive rate, or when no candidate memory is feasible.
+    /// non-positive rate, or when a class misses its deadline at batch 1.
     pub fn batch_schedule(&self, rate_per_sec: f64) -> Result<BatchSchedule, CoreError> {
         let policy = self.policies.batch.as_ref().ok_or_else(|| {
             CoreError::InvalidArgument("deployment has no batch policy".to_string())
@@ -868,10 +862,7 @@ mod tests {
                 ..stack.clone()
             },
             PolicyStack {
-                retry_budget: Some(RetryBudgetPolicy {
-                    max_tokens: 0.0,
-                    ..RetryBudgetPolicy::default()
-                }),
+                retry_budget: Some(RetryBudgetPolicy { max_tokens: 0.0 }),
                 ..stack.clone()
             },
             PolicyStack {
@@ -1397,13 +1388,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_deployment_forms_batches_and_repicks_memory() {
+    fn batched_deployment_forms_batches() {
         let probe = Gillis::new(zoo::tiny_vgg()).deploy().unwrap();
         let predicted = probe.predicted().latency_ms;
-        let base_mb = PlatformProfile::aws_lambda().instance_memory_bytes / 1_000_000;
         let mut policy = BatchPolicy::single(f64::INFINITY, 4);
         policy.max_window_ms = 4.0 * predicted;
-        policy.memory_mb = vec![base_mb, 2 * base_mb];
         let batch = PolicyStack {
             batch: Some(policy),
             ..PolicyStack::default()
@@ -1416,13 +1405,7 @@ mod tests {
         let schedule = d.batch_schedule(rate).unwrap();
         let report = d.serve_open_loop(rate, 80, 4, 5).unwrap();
         assert!(schedule.classes[0].batch > 1, "{:?}", schedule.classes[0]);
-        assert!(d
-            .policies
-            .batch
-            .as_ref()
-            .unwrap()
-            .memory_mb
-            .contains(&(schedule.memory_bytes / 1_000_000)));
+        assert_eq!(schedule.memory_bytes, d.platform.instance_memory_bytes);
         assert_eq!(
             report.batch.batched_queries + report.batch.batch_one_fast_path,
             report.overload.admitted
