@@ -131,7 +131,7 @@ fn counts(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
     let unwritten: Vec<Row> = with_width_cap(1, || rows.collect());
     let compiled = unwritten.iter().map(|r| Row(r.0[..7].to_vec())).collect();
     let sections = vec![
-        ("dp", vec![dp_row()]),
+        ("dp", vec![with_width_cap(1, dp_row)]),
         ("deploy", vec![with_width_cap(1, deploy_row)]),
         ("compiled", compiled),
         ("simulator", simulator_rows(seed.wrapping_add(35))),
@@ -150,7 +150,7 @@ fn counts(seed: u64, _smoke: bool, _ambient: &PolicyStack) -> Sweep {
 fn dp_row() -> Row {
     let vgg = zoo::vgg11();
     let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
-    let search = || DpPartitioner::default().with_threads(1);
+    let search = DpPartitioner::default;
     let (plan, allocations) = counted(|| search().partition(&vgg, &perf));
     plan.expect("vgg11 is partitionable");
     let order_statistics = perf.comm.order_statistics_computed();
@@ -225,7 +225,7 @@ fn simulator_rows(seed: u64) -> Vec<Row> {
         "serve_workload",
     ];
     let mut rows = drivers.map(row).to_vec();
-    let (_, allocations) = counted(|| rt.simulate_many_with_threads(QUERIES, seed, 1));
+    let (_, allocations) = counted(|| with_width_cap(1, || rt.simulate_many(QUERIES, seed)));
     rows.push(Row(vec![
         ("driver", "simulate_many".into()),
         ("queries", QUERIES.into()),

@@ -498,7 +498,6 @@ fn fig13(seed: u64, smoke: bool, _ambient: &PolicyStack) -> Sweep {
                     t_max_ms,
                     iterations,
                     seed,
-                    ..BoConfig::default()
                 };
                 BayesOpt::new(config).search(model, &perf).ok()
             });

@@ -8,6 +8,7 @@ use gillis_core::DpPartitioner;
 use gillis_faas::PlatformProfile;
 use gillis_model::zoo;
 use gillis_perf::PerfModel;
+use gillis_pool::with_width_cap;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -22,12 +23,8 @@ fn a_cold_vgg11_search_allocates_and_integrates_only_what_it_needs() {
     let vgg = zoo::vgg11();
     let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
     assert_eq!(perf.comm.order_statistics_computed(), 0);
-    let (plan, allocations) = counted(|| {
-        DpPartitioner::default()
-            .with_threads(1)
-            .partition(&vgg, &perf)
-            .unwrap()
-    });
+    let (plan, allocations) =
+        counted(|| with_width_cap(1, || DpPartitioner::default().partition(&vgg, &perf)).unwrap());
     assert!(!plan.groups().is_empty());
     assert!(allocations > 0, "CountingAlloc is not the global allocator");
     assert!(allocations <= 2_300, "{allocations} allocations");

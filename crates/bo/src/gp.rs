@@ -4,25 +4,18 @@ use gillis_core::CoreError;
 
 use crate::Result;
 
+/// Observation noise variance [`Gp::fit_auto`] adds to the kernel diagonal.
+const NOISE_VAR: f64 = 1e-3;
+
 /// GP hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpConfig {
+struct GpConfig {
     /// RBF length scale.
-    pub length_scale: f64,
+    length_scale: f64,
     /// Signal variance (kernel amplitude).
-    pub signal_var: f64,
+    signal_var: f64,
     /// Observation noise variance (added to the kernel diagonal).
-    pub noise_var: f64,
-}
-
-impl Default for GpConfig {
-    fn default() -> Self {
-        GpConfig {
-            length_scale: 1.0,
-            signal_var: 1.0,
-            noise_var: 1e-4,
-        }
-    }
+    noise_var: f64,
 }
 
 /// A fitted Gaussian process over standardized targets.
@@ -50,7 +43,7 @@ impl Gp {
     ///
     /// Returns [`CoreError::InvalidArgument`] for empty or mismatched data
     /// and for numerically non-positive-definite kernels.
-    pub fn fit(xs: Vec<Vec<f64>>, ys: &[f64], config: GpConfig) -> Result<Gp> {
+    fn fit(xs: Vec<Vec<f64>>, ys: &[f64], config: GpConfig) -> Result<Gp> {
         let n = xs.len();
         if n == 0 || n != ys.len() {
             return Err(CoreError::InvalidArgument(format!(
@@ -165,18 +158,20 @@ impl Gp {
 
     /// Fits the GP with the length scale chosen by maximizing the log
     /// marginal likelihood over a small grid — Cherrypick-style automatic
-    /// hyper-parameter selection.
+    /// hyper-parameter selection — at unit signal variance and
+    /// [`NOISE_VAR`] observation noise.
     ///
     /// # Errors
     ///
-    /// Propagates [`Gp::fit`] failures; at least one grid point must fit.
-    pub fn fit_auto(xs: Vec<Vec<f64>>, ys: &[f64], noise_var: f64) -> Result<Gp> {
+    /// Returns [`CoreError::InvalidArgument`] for empty or mismatched data,
+    /// or when no grid point gives a positive-definite kernel.
+    pub fn fit_auto(xs: Vec<Vec<f64>>, ys: &[f64]) -> Result<Gp> {
         let mut best: Option<(f64, Gp)> = None;
         for ls in [0.3, 0.7, 1.0, 1.5, 2.5, 4.0] {
             let config = GpConfig {
                 length_scale: ls,
                 signal_var: 1.0,
-                noise_var,
+                noise_var: NOISE_VAR,
             };
             if let Ok(gp) = Gp::fit(xs.clone(), ys, config) {
                 let lml = gp.log_marginal_likelihood();
@@ -197,11 +192,17 @@ impl Gp {
 mod tests {
     use super::*;
 
+    const DEFAULT: GpConfig = GpConfig {
+        length_scale: 1.0,
+        signal_var: 1.0,
+        noise_var: 1e-4,
+    };
+
     #[test]
     fn interpolates_training_points() {
         let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 * 0.5]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.7).sin() * 10.0 + 5.0).collect();
-        let gp = Gp::fit(xs.clone(), &ys, GpConfig::default()).unwrap();
+        let gp = Gp::fit(xs.clone(), &ys, DEFAULT).unwrap();
         for (x, y) in xs.iter().zip(ys.iter()) {
             let (mean, var) = gp.predict(x);
             assert!((mean - y).abs() < 0.1, "at {x:?}: {mean} vs {y}");
@@ -213,7 +214,7 @@ mod tests {
     fn uncertainty_grows_away_from_data() {
         let xs = vec![vec![0.0], vec![1.0]];
         let ys = [0.0, 1.0];
-        let gp = Gp::fit(xs, &ys, GpConfig::default()).unwrap();
+        let gp = Gp::fit(xs, &ys, DEFAULT).unwrap();
         let (_, var_near) = gp.predict(&[0.5]);
         let (_, var_far) = gp.predict(&[10.0]);
         assert!(var_far > var_near);
@@ -224,8 +225,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Gp::fit(vec![], &[], GpConfig::default()).is_err());
-        assert!(Gp::fit(vec![vec![0.0]], &[1.0, 2.0], GpConfig::default()).is_err());
+        assert!(Gp::fit(vec![], &[], DEFAULT).is_err());
+        assert!(Gp::fit(vec![vec![0.0]], &[1.0, 2.0], DEFAULT).is_err());
     }
 
     #[test]
@@ -234,23 +235,13 @@ mod tests {
         // should beat an absurdly small one.
         let xs: Vec<Vec<f64>> = (0..15).map(|i| vec![i as f64 * 0.4]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (x[0]).sin() * 3.0).collect();
-        let smooth = Gp::fit(
-            xs.clone(),
-            &ys,
-            GpConfig {
-                length_scale: 1.0,
-                signal_var: 1.0,
-                noise_var: 1e-4,
-            },
-        )
-        .unwrap();
+        let smooth = Gp::fit(xs.clone(), &ys, DEFAULT).unwrap();
         let jagged = Gp::fit(
             xs,
             &ys,
             GpConfig {
                 length_scale: 0.01,
-                signal_var: 1.0,
-                noise_var: 1e-4,
+                ..DEFAULT
             },
         )
         .unwrap();
@@ -261,7 +252,7 @@ mod tests {
     fn fit_auto_generalizes_better_than_worst_grid_point() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.3]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 0.9).cos() * 5.0 + 1.0).collect();
-        let auto = Gp::fit_auto(xs.clone(), &ys, 1e-4).unwrap();
+        let auto = Gp::fit_auto(xs.clone(), &ys).unwrap();
         // Held-out point between training samples.
         let x_test = vec![1.05];
         let truth = (1.05f64 * 0.9).cos() * 5.0 + 1.0;
@@ -274,7 +265,7 @@ mod tests {
         // Exact duplicates make K singular without the noise jitter.
         let xs = vec![vec![1.0], vec![1.0], vec![2.0]];
         let ys = [3.0, 3.1, 5.0];
-        let gp = Gp::fit(xs, &ys, GpConfig::default()).unwrap();
+        let gp = Gp::fit(xs, &ys, DEFAULT).unwrap();
         let (mean, _) = gp.predict(&[1.0]);
         assert!((mean - 3.05).abs() < 0.2);
     }

@@ -23,22 +23,23 @@ use crate::gp::Gp;
 use crate::random::{encode_plan, random_plan};
 use crate::Result;
 
+/// Initial random design size.
+const INIT_SAMPLES: usize = 10;
+/// Random candidates scored by EI per iteration.
+const CANDIDATE_POOL: usize = 64;
+/// Penalty (per ms of violation) added to the objective for plans missing
+/// the SLO.
+const VIOLATION_PENALTY: f64 = 10.0;
+/// Parallelism degrees for random plans.
+const DEGREES: [usize; 4] = [2, 4, 8, 16];
+
 /// Configuration of the BO baseline.
 #[derive(Debug, Clone)]
 pub struct BoConfig {
     /// Mean-latency SLO in milliseconds.
     pub t_max_ms: f64,
-    /// Initial random design size.
-    pub init_samples: usize,
     /// BO iterations after the initial design.
     pub iterations: usize,
-    /// Random candidates scored by EI per iteration.
-    pub candidate_pool: usize,
-    /// Penalty (per ms of violation) added to the objective for plans
-    /// missing the SLO.
-    pub violation_penalty: f64,
-    /// Parallelism degrees for random plans.
-    pub degrees: Vec<usize>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -47,11 +48,7 @@ impl Default for BoConfig {
     fn default() -> Self {
         BoConfig {
             t_max_ms: 1000.0,
-            init_samples: 10,
             iterations: 50,
-            candidate_pool: 64,
-            violation_penalty: 10.0,
-            degrees: vec![2, 4, 8, 16],
             seed: 0,
         }
     }
@@ -85,7 +82,7 @@ impl BayesOpt {
 
     fn objective(&self, pred: &PlanPrediction) -> f64 {
         let violation = (pred.latency_ms - self.config.t_max_ms).max(0.0);
-        pred.billed_ms as f64 + self.config.violation_penalty * violation
+        pred.billed_ms as f64 + VIOLATION_PENALTY * violation
     }
 
     /// Runs the search.
@@ -118,8 +115,8 @@ impl BayesOpt {
         };
 
         // Initial design.
-        for _ in 0..self.config.init_samples.max(2) {
-            let plan = random_plan(model, budget, &self.config.degrees, &mut rng)
+        for _ in 0..INIT_SAMPLES {
+            let plan = random_plan(model, budget, &DEGREES, &mut rng)
                 .ok_or_else(|| CoreError::Infeasible("no valid plan can be sampled".into()))?;
             evaluate(plan, &mut xs, &mut ys, &mut evaluated)?;
         }
@@ -129,10 +126,10 @@ impl BayesOpt {
             let best_y = ys.iter().copied().fold(f64::INFINITY, f64::min);
             // Length scale chosen by marginal likelihood each iteration
             // (Cherrypick refits its model as observations accumulate).
-            let gp = Gp::fit_auto(xs.clone(), &ys, 1e-3)?;
+            let gp = Gp::fit_auto(xs.clone(), &ys)?;
             let mut best_candidate: Option<(f64, ExecutionPlan)> = None;
-            for _ in 0..self.config.candidate_pool {
-                let Some(plan) = random_plan(model, budget, &self.config.degrees, &mut rng) else {
+            for _ in 0..CANDIDATE_POOL {
+                let Some(plan) = random_plan(model, budget, &DEGREES, &mut rng) else {
                     continue;
                 };
                 let x = encode_plan(model, &plan);
@@ -176,11 +173,8 @@ mod tests {
     fn quick(t_max_ms: f64, seed: u64) -> BoConfig {
         BoConfig {
             t_max_ms,
-            init_samples: 6,
             iterations: 15,
-            candidate_pool: 24,
             seed,
-            ..BoConfig::default()
         }
     }
 
@@ -197,7 +191,7 @@ mod tests {
             .plan
             .validate(&tiny, platform.model_memory_budget)
             .unwrap();
-        assert!(result.objective_history.len() >= 21);
+        assert!(result.objective_history.len() >= INIT_SAMPLES + 15);
     }
 
     #[test]
@@ -206,10 +200,12 @@ mod tests {
         let perf = PerfModel::analytic(&platform);
         let vgg = zoo::vgg11();
         let config = quick(2500.0, 3);
-        let init = config.init_samples;
         let result = BayesOpt::new(config).search(&vgg, &perf).unwrap();
         let h = &result.objective_history;
-        let best_init = h[..init].iter().copied().fold(f64::INFINITY, f64::min);
+        let best_init = h[..INIT_SAMPLES]
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
         let best_all = h.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best_all <= best_init);
     }

@@ -58,9 +58,6 @@ pub struct PartitionerConfig {
     pub degrees: Vec<usize>,
     /// Master-memory discretization step in bytes.
     pub mem_grid_bytes: u64,
-    /// Per-function memory budget; `None` uses the platform's model budget
-    /// (the paper's `M`).
-    pub budget_bytes: Option<u64>,
     /// Optional cap on group length (layers per group), to bound search.
     /// `Some(1)` disables grouping entirely — the layer-wise ablation.
     pub max_group_len: Option<usize>,
@@ -77,7 +74,6 @@ impl Default for PartitionerConfig {
         PartitionerConfig {
             degrees: vec![2, 3, 4, 6, 8, 12, 16],
             mem_grid_bytes: 16 * 1024 * 1024,
-            budget_bytes: None,
             max_group_len: None,
             allow_master_participation: true,
             objective: PlanObjective::default(),
@@ -91,9 +87,6 @@ pub struct DpPartitioner {
     config: PartitionerConfig,
     /// Shared memoization layer for the FLOPs table and the candidate table.
     cache: Option<Arc<EvalCache>>,
-    /// Thread-count override for building the candidate table; `None`
-    /// follows `GILLIS_THREADS` / the machine parallelism.
-    eval_threads: Option<usize>,
 }
 
 /// One candidate of a group: an option under a placement, as Algorithm 1
@@ -247,7 +240,6 @@ impl DpPartitioner {
         DpPartitioner {
             config,
             cache: None,
-            eval_threads: None,
         }
     }
 
@@ -259,17 +251,6 @@ impl DpPartitioner {
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Overrides the number of threads used to build the candidate table
-    /// (default: [`gillis_pool::kernel_threads`], `GILLIS_THREADS` or the
-    /// machine parallelism under the caller's width cap). Results are
-    /// bit-identical for any thread count; this exists for tests and for
-    /// callers embedding the partitioner in an already-parallel context.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads.max(1));
         self
     }
 
@@ -292,10 +273,7 @@ impl DpPartitioner {
     }
 
     fn budget(&self, perf: &PerfModel) -> Budget {
-        let bytes = self
-            .config
-            .budget_bytes
-            .unwrap_or(perf.platform.model_memory_budget);
+        let bytes = perf.platform.model_memory_budget;
         let grid = self.config.mem_grid_bytes.max(1);
         Budget {
             bytes,
@@ -482,9 +460,7 @@ impl DpPartitioner {
         sequential: bool,
         column: impl Fn(usize) -> Vec<T> + Sync,
     ) -> Vec<Vec<T>> {
-        let threads = self
-            .eval_threads
-            .unwrap_or_else(gillis_pool::kernel_threads);
+        let threads = gillis_pool::kernel_threads();
         let mut columns: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
         let longest_first = columns.iter_mut().enumerate().rev();
         let fill = |(i, slot): (usize, &mut Vec<T>)| *slot = column(i + 1);
@@ -788,14 +764,13 @@ mod tests {
             mem_grid_bytes: (16u64 * 1024 * 1024) << grid_shift,
             ..PartitionerConfig::default()
         };
-        let serial = DpPartitioner::new(config.clone())
-            .with_threads(1)
-            .partition(model, &perf)
-            .unwrap();
-        let threaded = DpPartitioner::new(config.clone())
-            .with_threads(8)
-            .partition(model, &perf)
-            .unwrap();
+        let search = |width| {
+            gillis_pool::with_width_cap(width, || {
+                DpPartitioner::new(config.clone()).partition(model, &perf)
+            })
+        };
+        let serial = search(1).unwrap();
+        let threaded = search(8).unwrap();
         prop_assert_eq!(&serial, &threaded);
 
         let cache = Arc::new(EvalCache::new());
@@ -804,13 +779,14 @@ mod tests {
             .partition(model, &perf)
             .unwrap();
         prop_assert_eq!(&serial, &cold);
-        // Warm cache (and a different thread count): identical plan, and
-        // every DP cell answers from the cache.
-        let warm = DpPartitioner::new(config)
-            .with_cache(Arc::clone(&cache))
-            .with_threads(8)
-            .partition(model, &perf)
-            .unwrap();
+        // Warm cache (and a different width): identical plan, and every DP
+        // cell answers from the cache.
+        let warm = gillis_pool::with_width_cap(8, || {
+            DpPartitioner::new(config)
+                .with_cache(Arc::clone(&cache))
+                .partition(model, &perf)
+        })
+        .unwrap();
         prop_assert_eq!(&serial, &warm);
         prop_assert!(cache.stats().hits > 0);
         Ok(())
@@ -1317,13 +1293,12 @@ mod tests {
 
     #[test]
     fn infeasible_when_budget_is_absurdly_small() {
-        let platform = PlatformProfile::aws_lambda();
-        let perf = perf(&platform);
-        let config = PartitionerConfig {
-            budget_bytes: Some(1024), // 1 KB: nothing fits
-            ..PartitionerConfig::default()
+        let platform = PlatformProfile {
+            model_memory_budget: 1024, // 1 KB: nothing fits
+            ..PlatformProfile::aws_lambda()
         };
-        let err = DpPartitioner::new(config).partition(&zoo::tiny_vgg(), &perf);
+        let perf = perf(&platform);
+        let err = DpPartitioner::default().partition(&zoo::tiny_vgg(), &perf);
         assert!(matches!(err, Err(CoreError::Infeasible(_))));
     }
 

@@ -444,7 +444,6 @@ mod tests {
         let report = runtime.serve_workload(workload, 3).unwrap();
         assert_eq!(report.latency.count(), 40);
         assert!(report.billing.billed_ms_total() > 0);
-        assert!(report.billing.invocations() >= 40);
         // Pre-warming (paper §III-A) eliminates cold starts entirely.
         assert_eq!(report.cold_starts, 0);
         // A healthy platform serves every query cleanly.

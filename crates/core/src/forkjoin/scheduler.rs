@@ -208,6 +208,20 @@ impl Scheduler<'_, '_, '_> {
             id - report.resilience.shed_queries,
             "latency samples of the served arrivals"
         );
+        // Every worker launch and every orchestrator execution — a pipeline
+        // stage, a batch, or else a served query — is billed exactly once.
+        let orchestrations = if !self.free.is_empty() {
+            self.counters.stage_dispatches
+        } else if let Some(w) = &self.windows {
+            w.counters.batches
+        } else {
+            report.latency.count() as u64
+        };
+        debug_assert_eq!(
+            report.billing.invocations(),
+            report.resilience.worker_invocations + orchestrations,
+            "launches and orchestrator executions billed once each"
+        );
         report.batch = self.windows.map(|w| w.counters).unwrap_or_default();
         report.pipeline = self.counters;
         Ok(report)

@@ -923,10 +923,11 @@ impl<'a> ForkJoinRuntime<'a> {
     /// `start`, charging `billing`, and returns its completion time and its
     /// recovery accounting (orchestrator crashes, failover replays, full
     /// restarts). `query` keys fault sampling; `counters` accumulates
-    /// resilience accounting (including this query's terminal status). No
-    /// admission-side policy applies: no deadline, breakers, retry budget,
-    /// ladder or checkpoint cache, so every orchestrator crash restarts the
-    /// query. Public for cold-start studies that need control over
+    /// resilience accounting (including this query's terminal status). The
+    /// runtime's [`gillis_faas::RecoveryPolicy`] applies — an orchestrator
+    /// crash resumes from the query's newest checkpoint — but no
+    /// admission-side policy does: no deadline, breakers, retry budget or
+    /// ladder. Public for cold-start studies that need control over
     /// pre-warming; workload serving should use
     /// [`ForkJoinRuntime::serve_workload`].
     ///
@@ -943,7 +944,10 @@ impl<'a> ForkJoinRuntime<'a> {
         counters: &mut ResilienceCounters,
     ) -> Result<(Micros, RecoveryCounters)> {
         let q = self.query(query, None, BrownoutLevel::Full);
-        let mut session = Session::bare(self, Some(fleet), billing, counters);
+        let mut session = Session {
+            checkpoints: self.policies.recovery.map(CheckpointCache::new),
+            ..Session::bare(self, Some(fleet), billing, counters)
+        };
         let (done, _) = session.run_query(start, rng, q)?;
         Ok((done, session.recovery))
     }
@@ -1100,6 +1104,35 @@ mod tests {
             base_res.worker_invocations
         );
         assert!(ms > base_ms + rec.orchestrator_crashes as f64 * FAILOVER_MS);
+    }
+
+    #[test]
+    fn run_query_at_resumes_crashes_under_the_runtimes_recovery_policy() {
+        // The caller-owned-fleet entry point recovers as the runtime is
+        // configured: a crash resumes from its checkpoint, never restarts.
+        let (runtime, _) = recovery_fixture();
+        let crashy = runtime
+            .with_chaos(orchestrator_chaos(0.35, 5))
+            .unwrap()
+            .with_recovery(RecoveryPolicy::default())
+            .unwrap();
+        let mut fleet = Fleet::new(crashy.platform.clone());
+        crashy.deploy(&mut fleet).unwrap();
+        let mut billing = BillingMeter::new(1, 0.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut counters = ResilienceCounters::default();
+        let (mut now, mut rec) = (Micros::ZERO, RecoveryCounters::default());
+        for q in 0..40 {
+            let (done, r) = crashy
+                .run_query_at(&mut fleet, &mut billing, now, &mut rng, q, &mut counters)
+                .unwrap();
+            now = done;
+            rec.absorb(&r);
+        }
+        assert!(rec.orchestrator_crashes > 0, "chaos must actually crash");
+        assert!(rec.failover_replays > 0);
+        assert_eq!(rec.failover_replays, rec.orchestrator_crashes);
+        assert_eq!(rec.full_restarts, 0);
     }
 
     #[test]

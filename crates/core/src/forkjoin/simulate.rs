@@ -14,10 +14,9 @@ use gillis_faas::Micros;
 use super::session::Session;
 use super::{replication_seed, ForkJoinRuntime, QueryOutcome, SimulationReport};
 
-/// Replications one pool task of
-/// [`ForkJoinRuntime::simulate_many_with_threads`] runs in turn. A constant,
-/// so the chunks, and the counter sums folded per chunk, are the same at
-/// every width.
+/// Replications one pool task of [`ForkJoinRuntime::simulate_many`] runs in
+/// turn. A constant, so the chunks, and the counter sums folded per chunk,
+/// are the same at every width.
 const CHUNK: usize = 64;
 
 impl ForkJoinRuntime<'_> {
@@ -95,47 +94,24 @@ impl ForkJoinRuntime<'_> {
         (latency_ms, status)
     }
 
-    /// Mean latency over `n` simulated warm queries.
-    ///
-    /// Replications are independent Monte-Carlo draws, each seeded with
-    /// [`replication_seed`]`(seed, i)` and evaluated on the shared
-    /// [`gillis_pool::Pool`]; the sum reduces sequentially in replication
-    /// order, so the result is bit-identical for any `GILLIS_THREADS`. Fans
-    /// out to [`gillis_pool::kernel_threads`].
+    /// Mean latency over `n` simulated warm queries: the mean of
+    /// [`simulate_many`](Self::simulate_many)'s report.
     pub fn mean_latency_ms(&self, n: usize, seed: u64) -> f64 {
-        self.mean_latency_ms_with_threads(n, seed, gillis_pool::kernel_threads())
-    }
-
-    /// [`mean_latency_ms`](Self::mean_latency_ms) with an explicit thread
-    /// count (`threads <= 1` runs inline on the caller).
-    pub fn mean_latency_ms_with_threads(&self, n: usize, seed: u64, threads: usize) -> f64 {
-        self.simulate_many_with_threads(n, seed, threads)
-            .latency
-            .mean()
+        self.simulate_many(n, seed).latency.mean()
     }
 
     /// Simulates `n` independent warm queries and aggregates their latency
     /// distribution and resilience counters. Query `i` uses RNG seed
-    /// [`replication_seed`]`(seed, i)` and fault-site query index `i`. Fans
-    /// out to [`gillis_pool::kernel_threads`].
-    pub fn simulate_many(&self, n: usize, seed: u64) -> SimulationReport {
-        self.simulate_many_with_threads(n, seed, gillis_pool::kernel_threads())
-    }
-
-    /// [`simulate_many`](Self::simulate_many) with an explicit thread count.
+    /// [`replication_seed`]`(seed, i)` and fault-site query index `i`.
     ///
-    /// Replications run in chunks of [`CHUNK`], one pool task per chunk
-    /// (`threads <= 1` runs them all on the caller): a chunk writes its
-    /// latencies into its own stretch of one `n`-long buffer and sums its
-    /// counters, and the caller folds the chunk sums in chunk order. So the
-    /// report — latencies, percentiles, and every counter — is bit-identical
-    /// for any `GILLIS_THREADS`, and no replication keeps an outcome.
-    pub fn simulate_many_with_threads(
-        &self,
-        n: usize,
-        seed: u64,
-        threads: usize,
-    ) -> SimulationReport {
+    /// Replications run in chunks of [`CHUNK`], one task per chunk on the
+    /// shared [`gillis_pool::Pool`] at [`gillis_pool::kernel_threads`] (at
+    /// width 1 they all run on the caller): a chunk writes its latencies
+    /// into its own stretch of one `n`-long buffer and sums its counters,
+    /// and the caller folds the chunk sums in chunk order. So the report —
+    /// latencies, percentiles, and every counter — is bit-identical at any
+    /// width, and no replication keeps an outcome.
+    pub fn simulate_many(&self, n: usize, seed: u64) -> SimulationReport {
         let n = n.max(1);
         let mut latencies = vec![0.0; n];
         let mut sums = vec![ResilienceCounters::default(); n.div_ceil(CHUNK)];
@@ -149,7 +125,7 @@ impl ForkJoinRuntime<'_> {
                 sum.record_status(status);
             }
         };
-        if threads <= 1 {
+        if gillis_pool::kernel_threads() <= 1 {
             chunks.for_each(run_chunk);
         } else {
             gillis_pool::Pool::global().for_each_item(chunks, run_chunk);
@@ -264,7 +240,7 @@ mod tests {
             let mut total = ResilienceCounters::default();
             chunks.iter().for_each(|sum| total.absorb(sum));
             for threads in [1, 2, 8] {
-                let report = rt.simulate_many_with_threads(n, seed, threads);
+                let report = gillis_pool::with_width_cap(threads, || rt.simulate_many(n, seed));
                 let got: Vec<u64> = report
                     .latency
                     .samples()
@@ -456,9 +432,9 @@ mod tests {
             let vgg = zoo::vgg11();
             let plan = DpPartitioner::default().partition(&vgg, &perf).unwrap();
             let runtime = ForkJoinRuntime::new(&vgg, &plan, platform).unwrap();
-            let seq = runtime.mean_latency_ms_with_threads(n, seed, 1);
+            let seq = gillis_pool::with_width_cap(1, || runtime.mean_latency_ms(n, seed));
             for threads in [2usize, 8] {
-                let par = runtime.mean_latency_ms_with_threads(n, seed, threads);
+                let par = gillis_pool::with_width_cap(threads, || runtime.mean_latency_ms(n, seed));
                 proptest::prop_assert_eq!(seq.to_bits(), par.to_bits());
             }
         }
@@ -480,9 +456,9 @@ mod tests {
                 .with_chaos(stress_chaos(chaos_seed))
                 .unwrap()
                 .with_policy(ResiliencePolicy::backoff_hedged());
-            let seq = runtime.simulate_many_with_threads(n, run_seed, 1);
+            let seq = gillis_pool::with_width_cap(1, || runtime.simulate_many(n, run_seed));
             for threads in [2usize, 8] {
-                let par = runtime.simulate_many_with_threads(n, run_seed, threads);
+                let par = gillis_pool::with_width_cap(threads, || runtime.simulate_many(n, run_seed));
                 proptest::prop_assert_eq!(
                     seq.latency.mean().to_bits(),
                     par.latency.mean().to_bits()
@@ -514,9 +490,9 @@ mod tests {
                 .with_policy(ResiliencePolicy::backoff_hedged())
                 .with_outage(OutageConfig::severe(8.0, outage_seed))
                 .unwrap();
-            let seq = runtime.simulate_many_with_threads(n, 5, 1);
+            let seq = gillis_pool::with_width_cap(1, || runtime.simulate_many(n, 5));
             for threads in [2usize, 8] {
-                let par = runtime.simulate_many_with_threads(n, 5, threads);
+                let par = gillis_pool::with_width_cap(threads, || runtime.simulate_many(n, 5));
                 proptest::prop_assert_eq!(
                     seq.latency.mean().to_bits(),
                     par.latency.mean().to_bits()

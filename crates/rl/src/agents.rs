@@ -7,22 +7,29 @@
 //! group. Both are two-layer networks with stochastic categorical policies.
 
 use gillis_core::cache::EvalCache;
-use gillis_core::partition::{analyze_group, group_options, PartDim, PartitionOption};
+use gillis_core::partition::{group_options, PartDim, PartitionOption};
 use gillis_model::{LayerClass, LinearModel};
 
 use crate::nn::Mlp;
 
-/// The discrete option menu the option head chooses from.
+/// Hidden width of the two-layer policy networks.
+const HIDDEN: usize = 16;
+/// The parallelism degrees appearing in the menu (for [`group_options`]
+/// enumeration).
+const MENU_DEGREES: [usize; 4] = [2, 4, 8, 16];
+
+/// The fixed option menu the option head chooses from: single, H×{2, 4, 8,
+/// 16} and C×{2, 4, 8}.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptionMenu {
+pub(crate) struct OptionMenu {
     /// Candidate options, index-aligned with the option head's logits.
-    pub entries: Vec<PartitionOption>,
+    pub(crate) entries: Vec<PartitionOption>,
 }
 
 impl Default for OptionMenu {
     fn default() -> Self {
         let mut entries = vec![PartitionOption::Single];
-        for parts in [2usize, 4, 8, 16] {
+        for parts in MENU_DEGREES {
             entries.push(PartitionOption::Split {
                 dim: PartDim::Height,
                 parts,
@@ -39,32 +46,11 @@ impl Default for OptionMenu {
 }
 
 impl OptionMenu {
-    /// The parallelism degrees appearing in the menu (for
-    /// [`group_options`] enumeration).
-    pub fn degrees(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self
-            .entries
-            .iter()
-            .filter_map(|o| match o {
-                PartitionOption::Split { parts, .. } => Some(*parts),
-                PartitionOption::Single => None,
-            })
-            .collect();
-        d.sort_unstable();
-        d.dedup();
-        d
-    }
-
     /// Feasibility mask of the menu for group `start..end` under the
     /// per-function memory budget: structurally valid *and* every partition
-    /// fits a function.
-    pub fn mask(&self, model: &LinearModel, start: usize, end: usize, budget: u64) -> Vec<bool> {
-        self.mask_impl(model, start, end, budget, None)
-    }
-
-    /// [`OptionMenu::mask`] with group analyses memoized in a shared
-    /// [`EvalCache`] — the trainer masks the same groups every episode.
-    pub fn mask_cached(
+    /// fits a function. Group analyses are memoized in `cache` — the
+    /// trainer masks the same groups every episode.
+    pub(crate) fn mask(
         &self,
         model: &LinearModel,
         start: usize,
@@ -72,26 +58,12 @@ impl OptionMenu {
         budget: u64,
         cache: &EvalCache,
     ) -> Vec<bool> {
-        self.mask_impl(model, start, end, budget, Some(cache))
-    }
-
-    fn mask_impl(
-        &self,
-        model: &LinearModel,
-        start: usize,
-        end: usize,
-        budget: u64,
-        cache: Option<&EvalCache>,
-    ) -> Vec<bool> {
-        let valid = group_options(model, start, end, &self.degrees());
-        let fits = |o: PartitionOption| match cache {
-            Some(cache) => cache
+        let valid = group_options(model, start, end, &MENU_DEGREES);
+        let fits = |o: PartitionOption| {
+            cache
                 .analysis(model, start, end, o)
                 .map(|a| a.partitions.iter().all(|p| p.mem_bytes() <= budget))
-                .unwrap_or(false),
-            None => analyze_group(model, start, end, o)
-                .map(|a| a.partitions.iter().all(|p| p.mem_bytes() <= budget))
-                .unwrap_or(false),
+                .unwrap_or(false)
         };
         self.entries
             .iter()
@@ -186,17 +158,18 @@ pub struct Agents {
     pub option: Mlp,
     /// Placer head: workers-only / master participates.
     pub placer: Mlp,
-    /// The shared option menu.
-    pub menu: OptionMenu,
+    /// The fixed option menu.
+    pub(crate) menu: OptionMenu,
 }
 
 impl Agents {
     /// Initializes all three networks.
-    pub fn new<R: rand::RngExt + ?Sized>(hidden: usize, menu: OptionMenu, rng: &mut R) -> Self {
+    pub fn new<R: rand::RngExt + ?Sized>(rng: &mut R) -> Self {
+        let menu = OptionMenu::default();
         Agents {
-            boundary: Mlp::new(BOUNDARY_FEATURES, hidden, 2, rng),
-            option: Mlp::new(GROUP_FEATURES, hidden, menu.entries.len(), rng),
-            placer: Mlp::new(PLACER_FEATURES, hidden, 2, rng),
+            boundary: Mlp::new(BOUNDARY_FEATURES, HIDDEN, 2, rng),
+            option: Mlp::new(GROUP_FEATURES, HIDDEN, menu.entries.len(), rng),
+            placer: Mlp::new(PLACER_FEATURES, HIDDEN, 2, rng),
             menu,
         }
     }
@@ -213,20 +186,24 @@ mod tests {
     fn default_menu_covers_spatial_and_channel() {
         let menu = OptionMenu::default();
         assert_eq!(menu.entries.len(), 8);
-        assert_eq!(menu.degrees(), vec![2, 4, 8, 16]);
+        let splits = |dim: PartDim| {
+            let on = |o: &&PartitionOption| matches!(o, PartitionOption::Split { dim: d, .. } if *d == dim);
+            menu.entries.iter().filter(on).count()
+        };
+        assert_eq!((splits(PartDim::Height), splits(PartDim::Channel)), (4, 3));
     }
 
     #[test]
     fn menu_mask_respects_structure_and_memory() {
         let menu = OptionMenu::default();
         let rnn = zoo::rnn(3);
-        let mask = menu.mask(&rnn, 0, 1, 1_400_000_000);
+        let mask = menu.mask(&rnn, 0, 1, 1_400_000_000, &EvalCache::new());
         // Recurrent: only Single unmasked.
         assert_eq!(mask.iter().filter(|&&m| m).count(), 1);
         assert!(mask[0]);
 
         let vgg = zoo::vgg11();
-        let mask = menu.mask(&vgg, 0, 1, 1_400_000_000);
+        let mask = menu.mask(&vgg, 0, 1, 1_400_000_000, &EvalCache::new());
         // Conv head: everything unmasked.
         assert!(mask.iter().all(|&m| m));
     }
@@ -237,7 +214,7 @@ mod tests {
         let wrn = zoo::wrn50(5);
         // The whole model as one group cannot run Single under 1.4 GB...
         let n = wrn.layers().len();
-        let mask = menu.mask(&wrn, 0, n, 1_400_000_000);
+        let mask = menu.mask(&wrn, 0, n, 1_400_000_000, &EvalCache::new());
         assert!(!mask[0]);
     }
 
@@ -259,7 +236,7 @@ mod tests {
     #[test]
     fn agents_initialize_with_menu_sized_heads() {
         let mut rng = StdRng::seed_from_u64(0);
-        let agents = Agents::new(16, OptionMenu::default(), &mut rng);
+        let agents = Agents::new(&mut rng);
         let f = agents.option.forward(&[0.5; GROUP_FEATURES]);
         assert_eq!(f.logits.len(), 8);
     }

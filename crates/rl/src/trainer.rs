@@ -19,36 +19,34 @@ use gillis_model::LinearModel;
 use gillis_perf::PerfModel;
 
 use crate::adam::Adam;
-use crate::agents::{boundary_features, group_features, placer_features, Agents, OptionMenu};
+use crate::agents::{boundary_features, group_features, placer_features, Agents};
 use crate::nn::Forward;
 use crate::policy::{entropy_grad, logp_grad, masked_softmax, sample_categorical};
 use crate::Result;
+
+/// Episodes per gradient update.
+const BATCH: usize = 8;
+/// Adam learning rate.
+const LR: f64 = 0.02;
+/// Reward of a strategy with no memory-feasible option (paper: "a large
+/// negative reward" for OOM attempts) is minus this.
+const OOM_PENALTY: f64 = 50.0;
+/// Entropy-bonus coefficient: discourages premature policy collapse.
+const ENTROPY_BETA: f64 = 0.01;
+/// Monte-Carlo samples per episode when a tail SLO is set.
+const TAIL_SAMPLES: usize = 300;
 
 /// Configuration of the SLO-aware trainer.
 #[derive(Debug, Clone)]
 pub struct SloAwareConfig {
     /// Mean-latency SLO in milliseconds (the paper's `T_max`).
     pub t_max_ms: f64,
-    /// Cost budget `B` of the reward function; `None` picks one
-    /// automatically (comfortably above typical plan costs).
-    pub budget_b_ms: Option<f64>,
     /// Training episodes.
     pub episodes: usize,
-    /// Episodes per gradient update.
-    pub batch: usize,
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Hidden width of the two-layer policy networks.
-    pub hidden: usize,
-    /// Penalty for strategies with no memory-feasible option (paper: "a
-    /// large negative reward" for OOM attempts), in reward units.
-    pub oom_penalty: f64,
     /// When set, the SLO constrains this latency *quantile* (e.g. `0.99`
     /// for p99) instead of the mean — the paper's §VI extension. Requires
     /// the Monte-Carlo tail predictor, so training is slower.
     pub tail_quantile: Option<f64>,
-    /// Monte-Carlo samples per episode when `tail_quantile` is set.
-    pub tail_samples: usize,
     /// Train for pipeline-parallel serving: the SLO constrains the
     /// *pipelined* steady-state p99 (fill latency plus one bottleneck
     /// interval, [`gillis_core::predict_plan_pipelined`]) instead of the
@@ -57,32 +55,18 @@ pub struct SloAwareConfig {
     /// ([`gillis_core::PlanObjective::PipelineBottleneck`]). Takes
     /// precedence over `tail_quantile`.
     pub pipeline: bool,
-    /// Entropy-bonus coefficient: discourages premature policy collapse.
-    pub entropy_beta: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Threads for batch episode rollouts; `None` uses
-    /// [`gillis_pool::kernel_threads`]. Training is bit-identical for any
-    /// value: episodes are seeded individually and reduced in order.
-    pub threads: Option<usize>,
 }
 
 impl Default for SloAwareConfig {
     fn default() -> Self {
         SloAwareConfig {
             t_max_ms: 1000.0,
-            budget_b_ms: None,
             episodes: 400,
-            batch: 8,
-            lr: 0.02,
-            hidden: 16,
-            oom_penalty: 50.0,
             tail_quantile: None,
-            tail_samples: 300,
             pipeline: false,
-            entropy_beta: 0.01,
             seed: 0,
-            threads: None,
         }
     }
 }
@@ -118,7 +102,11 @@ type Rollout = (Vec<Step>, Option<(f64, PlanPrediction, ExecutionPlan)>);
 /// the latency-optimal one (stage-balancing under `pipeline`) and
 /// [`gillis_core::DpPartitioner::cheapest_within`]'s — and an episode
 /// replaces it only with a cheaper compliant plan, so the result never bills
-/// more than either and may use options outside the agents' [`OptionMenu`].
+/// more than either and may use options outside the agents' option menu.
+///
+/// Rollouts within a batch fan out to [`gillis_pool::kernel_threads`];
+/// training is bit-identical at any width, since episodes are seeded
+/// individually and reduced in order.
 ///
 /// # Errors
 ///
@@ -158,7 +146,7 @@ fn train(
                 plan,
                 perf,
                 q,
-                config.tail_samples,
+                TAIL_SAMPLES,
                 config.seed ^ 0x7a11_5eed,
             )
             .unwrap_or(f64::INFINITY),
@@ -170,20 +158,17 @@ fn train(
     }
     let budget = perf.platform.model_memory_budget;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut agents = Agents::new(config.hidden, OptionMenu::default(), &mut rng);
-    let mut opt_boundary = Adam::new(agents.boundary.param_count(), config.lr);
-    let mut opt_option = Adam::new(agents.option.param_count(), config.lr);
-    let mut opt_placer = Adam::new(agents.placer.param_count(), config.lr);
+    let mut agents = Agents::new(&mut rng);
+    let mut opt_boundary = Adam::new(agents.boundary.param_count(), LR);
+    let mut opt_option = Adam::new(agents.option.param_count(), LR);
+    let mut opt_placer = Adam::new(agents.placer.param_count(), LR);
 
     // Auto budget B: a loose upper envelope of plan costs so that meeting
     // the SLO always yields a positive reward (paper: "set large enough").
-    let b = config.budget_b_ms.unwrap_or_else(|| {
-        let single =
-            predict_plan_cached(model, &ExecutionPlan::single_function(model), perf, cache)
-                .map(|p| p.billed_ms as f64)
-                .unwrap_or(10_000.0);
-        (single * 8.0).max(20.0 * config.t_max_ms)
-    });
+    let single = predict_plan_cached(model, &ExecutionPlan::single_function(model), perf, cache)
+        .map(|p| p.billed_ms as f64)
+        .unwrap_or(10_000.0);
+    let b = (single * 8.0).max(20.0 * config.t_max_ms);
 
     let mut baseline = 0.0;
     let mut baseline_init = false;
@@ -217,11 +202,11 @@ fn train(
     let mut go = agents.option.zero_grads();
     let mut gp = agents.placer.zero_grads();
     let mut batch_steps: Vec<(Vec<Step>, f64)> = Vec::new();
-    let threads = config.threads.unwrap_or_else(gillis_pool::kernel_threads);
+    let threads = gillis_pool::kernel_threads();
 
     let mut episode = 0;
     while episode < config.episodes {
-        let batch_len = config.batch.max(1).min(config.episodes - episode);
+        let batch_len = BATCH.min(config.episodes - episode);
         // Roll out the batch on the shared pool: the policy is frozen until
         // the gradient update below, so episodes within a batch are
         // independent given their per-episode seeds. The reward model
@@ -261,7 +246,7 @@ fn train(
                         (config.t_max_ms - latency) / 1000.0
                     }
                 }
-                None => -config.oom_penalty,
+                None => -OOM_PENALTY,
             };
             if let Some((latency, pred, plan)) = outcome {
                 if latency <= config.t_max_ms {
@@ -284,10 +269,8 @@ fn train(
                 // an entropy bonus.
                 let dlogits = |probs: &[f64], action: usize| -> Vec<f64> {
                     let mut d = logp_grad(probs, action, advantage);
-                    if config.entropy_beta > 0.0 {
-                        for (dk, ek) in d.iter_mut().zip(entropy_grad(probs)) {
-                            *dk += config.entropy_beta * ek;
-                        }
+                    for (dk, ek) in d.iter_mut().zip(entropy_grad(probs)) {
+                        *dk += ENTROPY_BETA * ek;
                     }
                     d
                 };
@@ -384,7 +367,7 @@ fn sample_episode(
         }
         let end = t + 1;
         // Option choice, masked to memory-feasible entries.
-        let mask = agents.menu.mask_cached(model, start, end, budget, cache);
+        let mask = agents.menu.mask(model, start, end, budget, cache);
         if !mask.iter().any(|&m| m) {
             return (steps, None);
         }
@@ -438,7 +421,6 @@ mod tests {
         SloAwareConfig {
             t_max_ms,
             episodes: 120,
-            batch: 6,
             seed: 7,
             ..SloAwareConfig::default()
         }
@@ -501,18 +483,15 @@ mod tests {
 
     #[test]
     fn reward_curve_matches_the_recorded_one() {
-        // Recorded before `sample_episode` stopped enumerating a group's
-        // options to learn that it has some: had that check ever masked a
-        // boundary step, dropping it would move every later RNG draw.
+        // Fifteen updates of eight episodes: any change to what an episode
+        // samples, in what order, or to the update moves every later draw.
         let perf = PerfModel::analytic(&PlatformProfile::aws_lambda());
         let result = slo_aware_partition(&zoo::tiny_vgg(), &perf, &quick_config(500.0)).unwrap();
         #[rustfmt::skip]
         let recorded = [
-            9.8605, 9.882666666666667, 9.933333333333334, 9.917000000000002,
-            9.960666666666668, 9.986500000000001, 9.958333333333334, 9.982333333333335,
-            9.984166666666669, 9.9745, 9.992500000000001, 9.994833333333334, 9.999,
-            9.982333333333333, 9.971333333333334, 9.993500000000001, 9.999,
-            9.984166666666667, 9.990666666666668, 9.994833333333334,
+            9.86575, 9.900125, 9.914875, 9.962875, 9.981625, 9.963750000000001,
+            9.972125000000002, 9.982499999999998, 9.995875, 9.999, 9.976625, 9.994125,
+            9.999, 9.994125, 9.995875,
         ];
         assert_eq!(result.reward_history, recorded);
     }
@@ -528,14 +507,16 @@ mod tests {
             let platform = PlatformProfile::aws_lambda();
             let perf = PerfModel::analytic(&platform);
             let tiny = zoo::tiny_vgg();
-            let config = |threads: usize| SloAwareConfig {
-                threads: Some(threads),
+            let config = SloAwareConfig {
                 seed,
                 ..quick_config(500.0)
             };
-            let seq = slo_aware_partition(&tiny, &perf, &config(1)).unwrap();
+            let train = |width| {
+                gillis_pool::with_width_cap(width, || slo_aware_partition(&tiny, &perf, &config))
+            };
+            let seq = train(1).unwrap();
             for threads in [2usize, 8] {
-                let par = slo_aware_partition(&tiny, &perf, &config(threads)).unwrap();
+                let par = train(threads).unwrap();
                 proptest::prop_assert_eq!(&seq.plan, &par.plan);
                 proptest::prop_assert_eq!(seq.predicted.billed_ms, par.predicted.billed_ms);
                 proptest::prop_assert_eq!(
@@ -620,7 +601,6 @@ mod tests {
         let config = SloAwareConfig {
             t_max_ms: 400.0,
             episodes: 240,
-            batch: 6,
             seed: 3,
             ..SloAwareConfig::default()
         };
@@ -652,7 +632,6 @@ mod tail_tests {
         let base = SloAwareConfig {
             t_max_ms: t_max,
             episodes: 120,
-            batch: 6,
             seed: 11,
             ..SloAwareConfig::default()
         };
@@ -662,7 +641,6 @@ mod tail_tests {
             &perf,
             &SloAwareConfig {
                 tail_quantile: Some(0.99),
-                tail_samples: 200,
                 ..base
             },
         )
@@ -686,10 +664,8 @@ mod tail_tests {
             &SloAwareConfig {
                 t_max_ms: t_max,
                 episodes: 120,
-                batch: 6,
                 seed: 4,
                 tail_quantile: Some(0.99),
-                tail_samples: 200,
                 ..SloAwareConfig::default()
             },
         )

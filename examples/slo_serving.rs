@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_max_ms,
         iterations: 40,
         seed: 3,
-        ..BoConfig::default()
     })
     .search(&model, &perf)?;
     println!(

@@ -1,7 +1,7 @@
 //! High-level serving facade: the workflow of paper Fig 3 in one builder.
 //!
 //! ```text
-//! profile → partition (latency-optimal | SLO-aware | tail-aware) → deploy → serve
+//! profile → partition (latency-optimal | SLO-aware) → deploy → serve
 //! ```
 //!
 //! # Examples
@@ -113,14 +113,6 @@ pub enum Mode {
         /// Mean-latency threshold in milliseconds.
         t_max_ms: f64,
     },
-    /// Minimize billed cost subject to a latency-*quantile* SLO (the §VI
-    /// extension), e.g. `quantile: 0.99` for p99.
-    TailAware {
-        /// Latency quantile the SLO constrains (in `(0, 1)`).
-        quantile: f64,
-        /// Latency threshold in milliseconds.
-        t_max_ms: f64,
-    },
 }
 
 /// Builder for a Gillis deployment.
@@ -227,16 +219,11 @@ impl Gillis {
                 }
                 partitioner.partition(&self.model, &perf)?
             }
-            (None, Mode::SloAware { t_max_ms } | Mode::TailAware { t_max_ms, .. }) => {
-                let tail_quantile = match self.mode {
-                    Mode::TailAware { quantile, .. } => Some(quantile),
-                    _ => None,
-                };
+            (None, Mode::SloAware { t_max_ms }) => {
                 let config = SloAwareConfig {
                     t_max_ms,
                     episodes: self.episodes,
                     seed: self.profile_seed,
-                    tail_quantile,
                     pipeline,
                     ..SloAwareConfig::default()
                 };

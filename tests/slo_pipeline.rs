@@ -14,6 +14,7 @@ use gillis::model::zoo;
 use gillis::perf::PerfModel;
 use gillis::rl::{slo_aware_partition, SloAwareConfig};
 use gillis::serving::{lookup_model, lookup_platform, model_catalog};
+use gillis_pool::with_width_cap;
 
 fn lambda_perf() -> (PlatformProfile, PerfModel) {
     let platform = PlatformProfile::aws_lambda();
@@ -48,7 +49,6 @@ fn all_three_searchers_meet_a_reachable_slo() {
         t_max_ms: t_max,
         iterations: 25,
         seed: 1,
-        ..BoConfig::default()
     })
     .search(&model, &perf)
     .unwrap();
@@ -185,7 +185,7 @@ fn the_cost_sweep_is_sound_and_reproducible_across_the_catalog() {
                         .unwrap()
                         .unwrap_or_else(|| panic!("{at}: the latency-optimal plan qualifies"))
                 };
-                let (plan, pred) = sweep(DpPartitioner::default().with_threads(1));
+                let (plan, pred) = with_width_cap(1, || sweep(DpPartitioner::default()));
                 plan.validate(&model, platform.model_memory_budget).unwrap();
                 assert_eq!(
                     ExecutionPlan::from_text(&plan.to_text()).unwrap(),
@@ -197,10 +197,11 @@ fn the_cost_sweep_is_sound_and_reproducible_across_the_catalog() {
                 assert!(pred.billed_ms <= lo.billed_ms, "{at}");
                 for threads in [1, 2, 8] {
                     let cache = Arc::new(EvalCache::new());
-                    let search = || DpPartitioner::default().with_threads(threads);
+                    let search = DpPartitioner::default;
                     let cached = || search().with_cache(Arc::clone(&cache));
                     for (state, dp) in [("off", search()), ("cold", cached()), ("warm", cached())] {
-                        assert_eq!(sweep(dp).0, plan, "{at}, {threads} threads, cache {state}");
+                        let got = with_width_cap(threads, || sweep(dp).0);
+                        assert_eq!(got, plan, "{at}, {threads} threads, cache {state}");
                     }
                 }
             }
@@ -328,11 +329,11 @@ fn training_never_returns_a_dearer_plan_than_either_dp_seed() {
 
     let config = SloAwareConfig {
         tail_quantile: Some(0.99),
-        tail_samples: 200,
         ..quick(450.0)
     };
+    // The trainer's estimate: 300 draws at its per-search seed.
     let p99 = |plan: &ExecutionPlan, _: &PlanPrediction| {
-        predict_latency_quantile(&vgg, plan, &perf, 0.99, 200, config.seed ^ 0x7a11_5eed).unwrap()
+        predict_latency_quantile(&vgg, plan, &perf, 0.99, 300, config.seed ^ 0x7a11_5eed).unwrap()
     };
     let trained = slo_aware_partition(&vgg, &perf, &config).unwrap();
     assert!(p99(&trained.plan, &trained.predicted) <= config.t_max_ms);
