@@ -75,9 +75,7 @@ pub fn run(seed: u64, smoke: bool, _ambient: &PolicyStack) -> Sweep {
             rt = rt.with_outage(config).expect("outage");
         }
         if arm == "resume" {
-            rt = rt
-                .with_recovery(RecoveryPolicy::default())
-                .expect("recovery");
+            rt = rt.with_recovery(RecoveryPolicy).expect("recovery");
         }
         rt.serve_open_loop(rate_qps, QUERIES, CONCURRENCY, rep_seed)
             .expect("serve")

@@ -268,10 +268,10 @@ mod tests {
         let t_max = 300.0;
         let result = brute_force(&tiny, &perf, t_max, &[2, 4], 2_000_000).unwrap();
         assert!(!result.truncated);
-        let mut rng = StdRng::seed_from_u64(5);
+        let (mut rng, cache) = (StdRng::seed_from_u64(5), EvalCache::new());
+        let budget = perf.platform.model_memory_budget;
         for _ in 0..40 {
-            let plan =
-                random_plan(&tiny, perf.platform.model_memory_budget, &[2, 4], &mut rng).unwrap();
+            let plan = random_plan(&tiny, budget, &[2, 4], &cache, &mut rng).unwrap();
             let pred = predict_plan(&tiny, &plan, &perf).unwrap();
             if pred.latency_ms <= t_max {
                 assert!(

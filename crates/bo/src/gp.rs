@@ -27,6 +27,9 @@ pub struct Gp {
     chol: Vec<Vec<f64>>,
     /// alpha = (K + noise I)^-1 y (on standardized y).
     alpha: Vec<f64>,
+    /// yᵀα on the standardized targets: the data-fit term of the log
+    /// marginal likelihood.
+    y_alpha: f64,
     y_mean: f64,
     y_std: f64,
 }
@@ -87,7 +90,7 @@ impl Gp {
             }
         }
         // alpha = L^-T L^-1 y.
-        let mut alpha = ys_std;
+        let mut alpha = ys_std.clone();
         for i in 0..n {
             for t in 0..i {
                 alpha[i] -= chol[i][t] * alpha[t];
@@ -100,11 +103,13 @@ impl Gp {
             }
             alpha[i] /= chol[i][i];
         }
+        let y_alpha = ys_std.iter().zip(&alpha).map(|(y, a)| y * a).sum();
         Ok(Gp {
             config,
             xs,
             chol,
             alpha,
+            y_alpha,
             y_mean,
             y_std,
         })
@@ -140,20 +145,10 @@ impl Gp {
     /// Log marginal likelihood of the fitted GP (up to a constant), on the
     /// standardized targets: `-0.5 yᵀα − Σ log L_ii`.
     pub fn log_marginal_likelihood(&self) -> f64 {
-        // Recover standardized y via alpha: log p(y) = -0.5 yᵀ α − Σ log Lᵢᵢ − n/2 log 2π.
-        // yᵀα is not directly stored; recompute y from (K + σ²I) α = y.
+        // log p(y) = -0.5 yᵀα − Σ log Lᵢᵢ − n/2 log 2π.
         let n = self.xs.len();
-        let mut y = vec![0.0; n];
-        for (i, yi) in y.iter_mut().enumerate() {
-            for j in 0..n {
-                let k = rbf(&self.xs[i], &self.xs[j], &self.config)
-                    + if i == j { self.config.noise_var } else { 0.0 };
-                *yi += k * self.alpha[j];
-            }
-        }
-        let fit: f64 = y.iter().zip(self.alpha.iter()).map(|(y, a)| y * a).sum();
         let logdet: f64 = (0..n).map(|i| self.chol[i][i].ln()).sum();
-        -0.5 * fit - logdet - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
+        -0.5 * self.y_alpha - logdet - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
     }
 
     /// Fits the GP with the length scale chosen by maximizing the log

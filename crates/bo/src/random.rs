@@ -4,19 +4,23 @@
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use gillis_core::partition::{analyze_group, group_options, PartitionOption};
+use gillis_core::cache::EvalCache;
+use gillis_core::partition::{group_options, PartitionOption};
 use gillis_core::plan::{ExecutionPlan, Placement, PlannedGroup};
 use gillis_model::LinearModel;
 
 /// Samples a uniformly-random *valid* plan: random group boundaries among
 /// structurally groupable spans, a random memory-feasible option per group,
-/// and a random placement respecting the master budget.
+/// and a random placement respecting the master budget. Group analyses are
+/// read through `cache`, so a search that samples many plans analyzes each
+/// `(group, option)` once.
 ///
 /// Returns `None` only if some layer admits no feasible option at all.
 pub fn random_plan(
     model: &LinearModel,
     budget: u64,
     degrees: &[usize],
+    cache: &EvalCache,
     rng: &mut StdRng,
 ) -> Option<ExecutionPlan> {
     let n = model.layers().len();
@@ -38,7 +42,8 @@ pub fn random_plan(
         let feasible: Vec<PartitionOption> = group_options(model, start, end, degrees)
             .into_iter()
             .filter(|o| {
-                analyze_group(model, start, end, *o)
+                cache
+                    .analysis(model, start, end, *o)
                     .map(|a| a.partitions.iter().all(|p| p.mem_bytes() <= budget))
                     .unwrap_or(false)
             })
@@ -52,7 +57,7 @@ pub fn random_plan(
             continue;
         }
         let option = feasible[rng.random_range(0..feasible.len())];
-        let analysis = analyze_group(model, start, end, option).ok()?;
+        let analysis = cache.analysis(model, start, end, option).ok()?;
         let w0 = analysis.partitions[0].weight_bytes;
         let master = w0 <= remaining && rng.random_bool(0.5);
         let placement = if master {
@@ -114,9 +119,9 @@ mod tests {
     fn random_plans_always_validate() {
         let vgg = zoo::vgg11();
         let budget = 1_400_000_000;
-        let mut rng = StdRng::seed_from_u64(1);
+        let (mut rng, cache) = (StdRng::seed_from_u64(1), EvalCache::new());
         for _ in 0..50 {
-            let plan = random_plan(&vgg, budget, &[2, 4, 8, 16], &mut rng).unwrap();
+            let plan = random_plan(&vgg, budget, &[2, 4, 8, 16], &cache, &mut rng).unwrap();
             plan.validate(&vgg, budget).unwrap();
         }
     }
@@ -125,9 +130,9 @@ mod tests {
     fn random_plans_cover_large_models() {
         let wrn = zoo::wrn50(4); // does not fit one function
         let budget = 1_400_000_000;
-        let mut rng = StdRng::seed_from_u64(2);
+        let (mut rng, cache) = (StdRng::seed_from_u64(2), EvalCache::new());
         for _ in 0..20 {
-            let plan = random_plan(&wrn, budget, &[2, 4, 8, 16], &mut rng).unwrap();
+            let plan = random_plan(&wrn, budget, &[2, 4, 8, 16], &cache, &mut rng).unwrap();
             plan.validate(&wrn, budget).unwrap();
         }
     }
@@ -135,9 +140,9 @@ mod tests {
     #[test]
     fn random_plans_are_diverse() {
         let vgg = zoo::vgg11();
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = random_plan(&vgg, 1_400_000_000, &[2, 4, 8], &mut rng).unwrap();
-        let b = random_plan(&vgg, 1_400_000_000, &[2, 4, 8], &mut rng).unwrap();
+        let (mut rng, cache) = (StdRng::seed_from_u64(3), EvalCache::new());
+        let a = random_plan(&vgg, 1_400_000_000, &[2, 4, 8], &cache, &mut rng).unwrap();
+        let b = random_plan(&vgg, 1_400_000_000, &[2, 4, 8], &cache, &mut rng).unwrap();
         assert_ne!(a, b);
     }
 
@@ -145,9 +150,9 @@ mod tests {
     fn encoding_is_fixed_length_and_discriminative() {
         let vgg = zoo::vgg11();
         let n = vgg.layers().len();
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = random_plan(&vgg, 1_400_000_000, &[2, 4], &mut rng).unwrap();
-        let b = random_plan(&vgg, 1_400_000_000, &[2, 4], &mut rng).unwrap();
+        let (mut rng, cache) = (StdRng::seed_from_u64(4), EvalCache::new());
+        let a = random_plan(&vgg, 1_400_000_000, &[2, 4], &cache, &mut rng).unwrap();
+        let b = random_plan(&vgg, 1_400_000_000, &[2, 4], &cache, &mut rng).unwrap();
         let ea = encode_plan(&vgg, &a);
         let eb = encode_plan(&vgg, &b);
         assert_eq!(ea.len(), 3 * n);

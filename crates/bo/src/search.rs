@@ -95,7 +95,8 @@ impl BayesOpt {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let budget = perf.platform.model_memory_budget;
         // Candidate plans overlap heavily in their groups: memoize group
-        // analyses across every prediction of the search.
+        // analyses across every sampled plan and every prediction of the
+        // search.
         let cache = EvalCache::new();
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
@@ -116,7 +117,7 @@ impl BayesOpt {
 
         // Initial design.
         for _ in 0..INIT_SAMPLES {
-            let plan = random_plan(model, budget, &DEGREES, &mut rng)
+            let plan = random_plan(model, budget, &DEGREES, &cache, &mut rng)
                 .ok_or_else(|| CoreError::Infeasible("no valid plan can be sampled".into()))?;
             evaluate(plan, &mut xs, &mut ys, &mut evaluated)?;
         }
@@ -129,7 +130,7 @@ impl BayesOpt {
             let gp = Gp::fit_auto(xs.clone(), &ys)?;
             let mut best_candidate: Option<(f64, ExecutionPlan)> = None;
             for _ in 0..CANDIDATE_POOL {
-                let Some(plan) = random_plan(model, budget, &DEGREES, &mut rng) else {
+                let Some(plan) = random_plan(model, budget, &DEGREES, &cache, &mut rng) else {
                     continue;
                 };
                 let x = encode_plan(model, &plan);

@@ -16,7 +16,7 @@
 //! - `lane` — the sampling primitives: noisy compute and the fork/join
 //!   transfer model.
 //! - `session` — one run's state (fleet, bill, recorders, breakers, retry
-//!   budget, ladder, checkpoints) and the bodies written once on it: the
+//!   budget, ladder) and the bodies written once on it: the
 //!   worker attempt loop, the group body, the local-only rung, the query
 //!   body and the stage-boundary checkpoint/crash routine; also
 //!   [`ForkJoinRuntime::run_query_at`] over a caller-owned fleet.
@@ -156,10 +156,6 @@ pub struct ForkJoinRuntime<'a> {
     /// The plan's predicted warm latency, which shed-on-predicted-miss adds
     /// to an arrival's start; positive whenever `policies.overload` is set.
     predicted_ms: f64,
-    /// Weight-identity token keying every checkpoint: a deterministic fold
-    /// over the plan's partition shapes and weight bytes, so a redeployed
-    /// model or repartitioned plan can never resume from a stale activation.
-    weight_token: u64,
     /// Predicted p95 of the whole plan (sum over groups of the slowest
     /// partition's attempt p95) — the denominator that prices a retry at
     /// its stage's share of the plan.
@@ -186,7 +182,6 @@ impl<'a> ForkJoinRuntime<'a> {
     ) -> Result<Self> {
         plan.validate(model, platform.model_memory_budget)?;
         let analyses = plan.analyses(model)?;
-        let weight_token = weight_identity_token(&analyses);
         let parts = |(gi, a): (usize, &GroupAnalysis)| {
             let names = (0..a.partitions.len()).map(|pi| format!("g{gi}p{pi}"));
             names.collect()
@@ -204,7 +199,6 @@ impl<'a> ForkJoinRuntime<'a> {
             injector: None,
             outage: None,
             predicted_ms: 0.0,
-            weight_token,
             plan_p95_total_ms,
             worker_fns,
             stage_fns,
@@ -276,13 +270,13 @@ impl<'a> ForkJoinRuntime<'a> {
         self.set(|rt| rt.policies.brownout = Some(policy))
     }
 
-    /// Sets the recovery family: stage-boundary checkpoints that crashed
-    /// orchestrators replay from, and retries priced at their stage's share
-    /// of the plan.
+    /// Sets the recovery family: a crashed orchestrator resumes at the next
+    /// stage from its boundary checkpoint, and retries are priced at their
+    /// stage's share of the plan.
     ///
     /// # Errors
     ///
-    /// Returns the policy's validation error.
+    /// Returns the held stack's validation error, as every `with_*` does.
     pub fn with_recovery(self, policy: RecoveryPolicy) -> Result<Self> {
         self.set(|rt| rt.policies.recovery = Some(policy))
     }
@@ -422,23 +416,6 @@ impl<'a> ForkJoinRuntime<'a> {
             self.platform.price_per_invocation,
         )
     }
-}
-
-/// Weight-identity token for checkpoint keying: a splitmix64 fold over the
-/// plan's partition shapes and weight bytes. Two runtimes can resume from
-/// each other's checkpoints only when their deployed weights and
-/// partitioning agree exactly.
-fn weight_identity_token(analyses: &[GroupAnalysis]) -> u64 {
-    let mut h = 0x6769_6c6c_6973_2d77; // "gillis-w"
-    for (gi, a) in analyses.iter().enumerate() {
-        h = replication_seed(h, gi as u64);
-        for p in &a.partitions {
-            h = replication_seed(h, p.weight_bytes);
-            h = replication_seed(h, p.input_bytes);
-            h = replication_seed(h, p.output_bytes);
-        }
-    }
-    h
 }
 
 /// Derives the RNG seed for Monte-Carlo replication `index` of a run keyed
@@ -604,7 +581,7 @@ mod tests {
             outage: bit(3).then(|| OutageConfig::severe(3.0, seed ^ 1)),
             retry_budget: bit(4).then(RetryBudgetPolicy::default),
             brownout: bit(5).then(BrownoutPolicy::default),
-            recovery: bit(6).then(RecoveryPolicy::default),
+            recovery: bit(6).then_some(RecoveryPolicy),
             ..PolicyStack::default()
         }
     }

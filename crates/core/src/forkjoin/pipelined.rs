@@ -12,6 +12,7 @@ use gillis_faas::brownout::BrownoutLevel;
 use gillis_faas::chaos::QueryStatus;
 use gillis_faas::fleet::FunctionSpec;
 use gillis_faas::pipeline::PipelinePolicy;
+use gillis_faas::recovery::FAILOVER_MS;
 use gillis_faas::Micros;
 
 use super::scheduler::{Front, Scheduler, Source};
@@ -35,8 +36,8 @@ pub(super) struct PipeQuery {
     /// a replacement orchestrator samples a fresh draw instead of
     /// deterministically re-crashing at the same boundary.
     incarnation: u32,
-    /// Cumulative stage execution time in milliseconds — the work a full
-    /// restart would redo, recorded in each boundary checkpoint.
+    /// Cumulative stage execution time in milliseconds — the work a
+    /// failover replay avoids recomputing.
     elapsed_ms: f64,
 }
 
@@ -52,8 +53,7 @@ impl Scheduler<'_, '_, '_> {
 
     /// Records query `qid`'s terminal outcome at `done`: exactly one
     /// latency sample and one status tally per admitted query, plus the
-    /// brownout health observation — in finalization (event) order — and
-    /// retires its checkpoints, so the cache only ever holds live queries.
+    /// brownout health observation — in finalization (event) order.
     fn finalize(&mut self, qid: u64, done: Micros, status: QueryStatus) {
         let slot = self.q[qid as usize];
         let late = slot.deadline.is_some_and(|d| done > d) && completed(status);
@@ -65,7 +65,6 @@ impl Scheduler<'_, '_, '_> {
         self.s.record(slot.arrival, done, status);
         self.s.resilience.record_status(status);
         self.s.observe(slot.health);
-        self.s.retire(qid);
     }
 
     /// Admits, queues, or sheds the arrival of query `qid` at `now`.
@@ -174,20 +173,14 @@ impl Scheduler<'_, '_, '_> {
         self.cascade(s, end)
     }
 
-    /// Stores query `qid`'s boundary checkpoint after stage `s`.
-    fn checkpoint(&mut self, qid: u64, s: usize) {
-        let slot = &self.q[qid as usize];
-        self.s.checkpoint(qid, s, slot.elapsed_ms, slot.degraded);
-    }
-
     /// Stage-boundary recovery after query `qid` completed stage `s` at
     /// `end`: stores the boundary checkpoint *first*, then samples
-    /// orchestrator crashes. A crash with a live checkpoint failover-replays
-    /// — the replacement orchestrator pays only the failover delay and
-    /// re-executes nothing past the checkpointed boundary; without one it
-    /// re-executes the lost stages serially on this lane (the classic full
-    /// restart), on the fleet lanes whatever the query's rung. Returns the
-    /// stage's final `(end, status)`.
+    /// orchestrator crashes. Under a recovery policy a crash
+    /// failover-replays — the replacement orchestrator pays only the
+    /// failover delay and re-executes nothing; without one it re-executes
+    /// stages `0..=s` serially on this lane (the classic full restart), on
+    /// the fleet lanes whatever the query's rung. Returns the stage's final
+    /// `(end, status)`.
     fn checkpoint_and_crash(
         &mut self,
         s: usize,
@@ -199,18 +192,14 @@ impl Scheduler<'_, '_, '_> {
         let rt = self.s.rt;
         let i = qid as usize;
         self.q[i].elapsed_ms += (end - began).as_ms();
-        self.checkpoint(qid, s);
-        while let Some(crash) = self.s.sample_crash(qid, s, &mut self.q[i].incarnation, end) {
-            end += crash.failover;
-            self.s.count_failover(&crash);
-            if crash.hit.is_some_and(|(_, ck)| ck.degraded) {
-                status = QueryStatus::Degraded;
-                self.q[i].degraded = true;
-            }
-            // Re-execute whatever the checkpoints do not cover (nothing on
-            // a full hit at this boundary).
+        self.s.checkpoint();
+        while self.s.sample_crash(qid, s, &mut self.q[i].incarnation, end) {
+            end += Micros::from_ms(FAILOVER_MS);
+            self.s.count_failover(s, self.q[i].elapsed_ms);
+            // Re-execute whatever the checkpoint does not cover (nothing
+            // under a recovery policy).
             let slot = self.q[i];
-            for j in crash.resume_from()..=s {
+            for j in self.s.resume_from(s)..=s {
                 let mut rng = self.stream(qid, j, Some(slot.incarnation));
                 let q = rt.query(qid, slot.deadline, slot.level);
                 let run = self.s.run_group(j, end, &mut rng, q)?;
@@ -222,9 +211,7 @@ impl Scheduler<'_, '_, '_> {
                     }
                     terminal => return Ok((run.end, terminal)),
                 }
-                self.q[i].elapsed_ms += (run.end - end).as_ms();
                 end = run.end;
-                self.checkpoint(qid, j);
             }
         }
         Ok((end, status))
@@ -523,7 +510,7 @@ mod tests {
                 .clone()
                 .with_chaos(orchestrator_chaos(0.25, 9))
                 .unwrap()
-                .with_recovery(RecoveryPolicy::default())
+                .with_recovery(RecoveryPolicy)
                 .unwrap()
                 .with_overload(OverloadPolicy::for_slo(6.0 * predicted, lanes))
                 .unwrap()
@@ -539,25 +526,21 @@ mod tests {
     }
 
     #[test]
-    fn finished_queries_retire_their_checkpoints() {
-        // 200 queries through VGG-11's three stages store 600 checkpoints
-        // in a 256-entry cache. Every one belongs to a query that finishes,
-        // so none may be evicted under capacity pressure: a finished query's
-        // entries are consumed at finalization, leaving the FIFO to live
-        // queries only (`Session::finish` asserts the cache ends empty).
+    fn every_completed_stage_stores_one_checkpoint() {
+        // 200 queries through VGG-11's three stages with no crash store one
+        // boundary checkpoint per completed stage: 600.
         let (vgg, plan, platform, pred) = batch_fixture();
         assert_eq!(plan.groups().len(), 3);
         let lanes = 2;
         let rate = 0.5 * 1000.0 * lanes as f64 / pred.latency_ms;
         let report = ForkJoinRuntime::new(vgg, plan, platform)
             .unwrap()
-            .with_recovery(RecoveryPolicy::default())
+            .with_recovery(RecoveryPolicy)
             .unwrap()
             .serve_open_loop_pipelined(&PipelinePolicy::with_lanes(lanes), rate, 200, lanes, 5)
             .unwrap();
         assert_eq!(report.latency.count(), 200);
         assert_eq!(report.recovery.checkpoints_stored, 600);
-        assert_eq!(report.recovery.checkpoint_evictions, 0);
     }
 
     proptest::proptest! {

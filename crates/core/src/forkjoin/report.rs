@@ -59,11 +59,11 @@ pub struct ServingReport {
     /// backpressure stalls, peak stage-queue depth. All zero outside
     /// [`crate::ForkJoinRuntime::serve_open_loop_pipelined`].
     pub pipeline: PipelineCounters,
-    /// Stage-level recovery accounting: checkpoint hits/misses/evictions,
-    /// stages saved, and orchestrator crashes split into failover replays
-    /// vs full restarts. Crash tallies appear
-    /// whenever the chaos config samples orchestrator crashes; the
-    /// checkpoint fields need a [`gillis_faas::RecoveryPolicy`] (see
+    /// Stage-level recovery accounting: checkpoints stored, stages saved,
+    /// and orchestrator crashes split into failover replays vs full
+    /// restarts. Crash tallies appear whenever the chaos config samples
+    /// orchestrator crashes; checkpoints and replays need a
+    /// [`gillis_faas::RecoveryPolicy`] (see
     /// [`crate::ForkJoinRuntime::with_recovery`]).
     pub recovery: RecoveryCounters,
 }

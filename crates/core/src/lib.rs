@@ -74,9 +74,7 @@ pub use gillis_faas::overload::{
     BreakerPolicy, BreakerState, CircuitBreaker, OverloadCounters, OverloadPolicy,
 };
 pub use gillis_faas::pipeline::{PipelineCounters, PipelinePolicy};
-pub use gillis_faas::recovery::{
-    CheckpointCache, RecoveryCounters, RecoveryPolicy, StageCheckpoint,
-};
+pub use gillis_faas::recovery::{RecoveryCounters, RecoveryPolicy};
 pub use partition::{
     analyze_group, analyze_group_with, group_options, ModelFlops, PartDim, PartitionOption,
 };

@@ -231,14 +231,20 @@ pub trait Knobs: Sized + 'static {
     }
 
     /// Prints the policy as `gillis-<family> v1` and one line of
-    /// `key=value` tokens, one per row that has a text key.
+    /// `key=value` tokens, one per row that has a text key (none, and no
+    /// line, for a family without one).
     #[must_use]
     fn to_text(&self) -> String {
         let keyed = Self::KNOBS.iter().filter(|row| !row.key.is_empty());
         let body: Vec<String> = keyed
             .map(|row| format!("{}={}", row.key, (row.get)(self)))
             .collect();
-        format!("gillis-{} v1\n{}\n", Self::FAMILY, body.join(" "))
+        let header = format!("gillis-{} v1\n", Self::FAMILY);
+        if body.is_empty() {
+            header
+        } else {
+            format!("{header}{}\n", body.join(" "))
+        }
     }
 
     /// Parses the [`Self::to_text`] format: the header, then
@@ -296,7 +302,7 @@ pub struct PolicyStack {
     pub brownout: Option<BrownoutPolicy>,
     /// Pipeline-parallel serving across layer groups.
     pub pipeline: Option<PipelinePolicy>,
-    /// Stage-level checkpointed recovery.
+    /// Stage-level recovery from orchestrator crashes.
     pub recovery: Option<RecoveryPolicy>,
 }
 

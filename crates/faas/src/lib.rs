@@ -63,9 +63,7 @@ pub use knobs::{Knob, Knobs, PolicyStack};
 pub use overload::{BreakerPolicy, BreakerState, CircuitBreaker, OverloadCounters, OverloadPolicy};
 pub use pipeline::{PipelineCounters, PipelinePolicy};
 pub use platform::{PlatformKind, PlatformProfile};
-pub use recovery::{
-    CheckpointCache, RecoveryCounters, RecoveryPolicy, StageCheckpoint, FAILOVER_MS,
-};
+pub use recovery::{RecoveryCounters, RecoveryPolicy, FAILOVER_MS};
 pub use time::Micros;
 
 /// Convenient result alias for fallible simulator operations.

